@@ -21,12 +21,9 @@ from .catalog import (
     MuGenerated,
     PowerMean,
     SAlpha,
-    expand_l_alpha,
     expand_mean,
-    expand_mu_generated,
     expand_power_mean,
     expand_quotient_mean,
-    expand_s_alpha,
     expand_stable,
 )
 from .polynomials import (
@@ -39,15 +36,15 @@ from .polynomials import (
 )
 from .rationals import Rational, binomial, parse_rational
 from .resultant import (
-    ResultantInput,
+    resultant_case,
     resultant_coeffs,
-    resultant_expansion,
     resultant_mean_map,
     resultant_power_means,
 )
 from .series import (
     integrate_formal,
     series_compose,
+    series_exp,
     series_mul,
     series_power,
 )

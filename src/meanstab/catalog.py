@@ -26,16 +26,17 @@ Families:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
-from .rationals import ONE, ZERO, Rational, binomial
+from .rationals import ONE, ZERO, Rational
 from .series import (
     integrate_formal,
     series_add,
     series_compose,
+    series_exp,
+    series_mul,
     series_power,
     series_scale,
 )
@@ -182,14 +183,6 @@ class MeanExpansion:
         return iter(self.coeffs)
 
 
-def _spread_even(even: Sequence[Rational], order: int) -> tuple[Rational, ...]:
-    out = [ZERO] * (order + 1)
-    for n, c in enumerate(even):
-        if 2 * n <= order:
-            out[2 * n] = c
-    return tuple(out)
-
-
 def expand_power_mean(p: Rational, order: int) -> MeanExpansion:
     """Expansion of the power mean B_p; B_0 is the geometric mean.
 
@@ -205,91 +198,6 @@ def expand_power_mean(p: Rational, order: int) -> MeanExpansion:
     plus = series_power((ONE, ONE), p, order)
     avg = series_scale(series_add(minus, plus, order), Fraction(1, 2), order)
     return MeanExpansion(series_power(avg, 1 / p, order))
-
-
-def expand_l_alpha(alpha: Rational, order: int) -> MeanExpansion:
-    """Expansion of L_alpha, the family generated by u(x) = cosh(alpha*x).
-
-    Even-only:
-        a_{2n} = 2*alpha * sum_k C(alpha, n-k) (-1)**(n-k)
-                 * P[k, -1, (C(2*alpha, 2i+1))_i],
-    so a_2 = -(2*alpha^2 + 1)/3.  alpha = 0 degenerates to the logarithmic
-    mean and is delegated to the odd-generator route.
-    """
-    alpha = Fraction(alpha)
-    if abs(alpha) > 1:
-        raise ValueError("LAlpha requires |alpha| <= 1")
-    if alpha == 0:
-        return expand_mu_generated((ONE,), order)
-    half = order // 2
-    odd_binoms = tuple(binomial(2 * alpha, 2 * i + 1) for i in range(half + 1))
-    recip = series_power(odd_binoms, -1, half)
-    even = []
-    for n in range(half + 1):
-        acc = ZERO
-        for k in range(n + 1):
-            sign = -ONE if (n - k) % 2 else ONE
-            acc += binomial(alpha, n - k) * sign * recip[k]
-        even.append(2 * alpha * acc)
-    return MeanExpansion(_spread_even(even, order))
-
-
-def expand_s_alpha(alpha: Rational, order: int) -> MeanExpansion:
-    """Expansion of S_alpha, the family generated by u(x) = 1/cosh(alpha*x).
-
-    Even-only, through two auxiliary sequences:
-        C_n = sum_k C(alpha, 2k+1) * P[n-k, -1, (C(alpha, 2i))_i],
-        D_n = sum_m (-1)**m/(2m+1) * P[n-m, 2m+1, (C_i)_i],
-        a_{2n} = alpha * P[n, -1, (D_i)_i],
-    so a_2 = (2*alpha^2 - 1)/3.  alpha = 0 is the logarithmic mean.
-    """
-    alpha = Fraction(alpha)
-    if abs(alpha) > 1:
-        raise ValueError("SAlpha requires |alpha| <= 1")
-    if alpha == 0:
-        return expand_mu_generated((ONE,), order)
-    half = order // 2
-    even_binoms = tuple(binomial(alpha, 2 * i) for i in range(half + 1))
-    recip_even = series_power(even_binoms, -1, half)
-    c_seq = []
-    for n in range(half + 1):
-        acc = ZERO
-        for k in range(n + 1):
-            acc += binomial(alpha, 2 * k + 1) * recip_even[n - k]
-        c_seq.append(acc)
-    c_powers = {m: series_power(c_seq, 2 * m + 1, half) for m in range(half + 1)}
-    d_seq = []
-    for n in range(half + 1):
-        acc = ZERO
-        for m in range(n + 1):
-            term = c_powers[m][n - m] / (2 * m + 1)
-            acc += -term if m % 2 else term
-        d_seq.append(acc)
-    final = series_power(d_seq, -1, half)
-    return MeanExpansion(_spread_even([alpha * v for v in final], order))
-
-
-def expand_mu_generated(odd_coeffs: Sequence[Rational], order: int) -> MeanExpansion:
-    """Expansion of |b-a| / mu(|ln(b/a)|) for an odd generator
-    mu(y) = sum c_n y**(2n+1), c_0 = 1.
-
-    Even-only:  a_{2m} = P[m, -1, (E_i)_i]  with
-        E_m = sum_n c_n 4**n P[m-n, 2n+1, (1/(2i+1))_i].
-    """
-    c = tuple(Fraction(x) for x in odd_coeffs)
-    if not c or c[0] != 1:
-        raise ValueError("odd generator requires constant coefficient 1")
-    half = order // 2
-    odd_recip = tuple(Fraction(1, 2 * i + 1) for i in range(half + 1))
-    powers = {n: series_power(odd_recip, 2 * n + 1, half) for n in range(half + 1)}
-    e_seq = []
-    for m in range(half + 1):
-        acc = ZERO
-        for n in range(min(m, len(c) - 1) + 1):
-            if c[n] != 0:
-                acc += c[n] * Fraction(4**n) * powers[n][m - n]
-        e_seq.append(acc)
-    return MeanExpansion(_spread_even(series_power(e_seq, -1, half), order))
 
 
 def log_ratio_series(order: int) -> tuple[Rational, ...]:
@@ -316,6 +224,26 @@ def _denominator_derivative(spec: ClassicMean | MAlphaR) -> tuple[tuple[Rational
     return (ONE, spec.r), spec.alpha / spec.r
 
 
+def _derivative_at(spec: MeanSpec, f: tuple, order: int) -> tuple:
+    """D'(f(u)) to the given order for an odd series f, where D is the
+    denominator of M(a, b) = |b - a| / D(|ln(b/a)|)."""
+    if isinstance(spec, (ClassicMean, MAlphaR)):
+        base, expo = _denominator_derivative(spec)
+        return series_power(series_compose(base, f, order), expo, order)
+    if isinstance(spec, MuGenerated):
+        # mu'(y) = sum (2n+1) c_n y**(2n), a polynomial in y**2
+        weights = [(2 * n + 1) * c for n, c in enumerate(spec.odd_coeffs[: order // 2 + 1])]
+        return series_compose(weights, series_mul(f, f, order), order)
+    if isinstance(spec, (LAlpha, SAlpha)):
+        # D' is cosh(alpha*y) for L_alpha and 1/cosh(alpha*y) for S_alpha.  As f
+        # is odd, exp(-alpha*f(u)) = exp(alpha*f(-u)), so cosh(alpha*f) is the
+        # even part of exp(alpha*f).
+        grown = series_exp(series_scale(f, spec.alpha, order), order)
+        cosh = tuple(ZERO if n % 2 else c for n, c in enumerate(grown))
+        return cosh if isinstance(spec, LAlpha) else series_power(cosh, -1, order)
+    raise TypeError(f"unknown mean spec {spec!r}")
+
+
 def denominator_series(spec: MeanSpec, order: int) -> tuple[Rational, ...]:
     """Series D(y) with M(a, b) = |b - a| / D(|ln(b/a)|); zero constant term.
 
@@ -324,57 +252,28 @@ def denominator_series(spec: MeanSpec, order: int) -> tuple[Rational, ...]:
     """
     if isinstance(spec, PowerMean):
         raise ValueError("power means have no log-ratio denominator form")
-    if isinstance(spec, (ClassicMean, MAlphaR)):
-        base, expo = _denominator_derivative(spec)
-        return integrate_formal(series_power(base, expo, order - 1), order)
-    if isinstance(spec, MuGenerated):
-        c = spec.odd_coeffs
-    elif isinstance(spec, LAlpha):
-        # mu(y) = sinh(alpha*y)/alpha
-        a2 = spec.alpha * spec.alpha
-        c, power = [], ONE
-        for n in range(order // 2 + 1):
-            c.append(power / math.factorial(2 * n + 1))
-            power *= a2
-    elif isinstance(spec, SAlpha):
-        # mu'(y) = 1/cosh(alpha*y)
-        a2 = spec.alpha * spec.alpha
-        half = order // 2
-        cosh_even = []
-        power = ONE
-        for n in range(half + 1):
-            cosh_even.append(power / math.factorial(2 * n))
-            power *= a2
-        sech = series_power(cosh_even, -1, half)
-        c = [sech[n] / (2 * n + 1) for n in range(half + 1)]
-    else:  # pragma: no cover
-        raise TypeError(f"unknown mean spec {spec!r}")
-    out = [ZERO] * (order + 1)
-    for n, cn in enumerate(c):
-        if 2 * n + 1 <= order:
-            out[2 * n + 1] = cn
-    return tuple(out)
+    return integrate_formal(_derivative_at(spec, (ZERO, ONE), order - 1), order)
 
 
 def expand_quotient_mean(spec: MeanSpec, order: int) -> MeanExpansion:
-    """Expansion of any difference-quotient mean (M1..M5, M_{alpha,r}, and
-    equally the L/S families) by composing its denominator series with the
-    log-ratio series and inverting:
+    """Expansion of a mean of the shape |b - a| / D(|ln(b/a)|): L_alpha,
+    S_alpha, M1..M5, M_{alpha,r} and the mu-generated means.
 
-        M(x-t, x+t) = 2t / D(Lambda(u)),   Lambda = ln((x+t)/(x-t)).
+        M(x-t, x+t) = 2t / D(Lambda(u)),   Lambda = ln((1+u)/(1-u)),  u = t/x.
 
-    D(Lambda) has valuation 1 with linear coefficient 2, so the quotient is
+    D(Lambda) is the integral of D'(Lambda) * Lambda' with
+    Lambda' = 2/(1 - u^2), so no series is ever composed with a full
+    denominator series and the cost stays quadratic in the order.  D(Lambda)
+    has valuation 1 with linear coefficient 2, so the quotient is
     x * (power series with constant term 1); coefficients stay in Q because
     every sqrt(2) in the closed forms cancels against the scaled argument.
-    For L_alpha and S_alpha this is an independent route that must agree
-    with the dedicated binomial formulas.
     """
-    deep = order + 1
-    lam = log_ratio_series(deep)
-    den = series_compose(denominator_series(spec, deep), lam, deep)
-    assert den[0] == 0 and den[1] == 2
-    shifted = tuple(den[j + 1] / 2 for j in range(order + 1))
-    return MeanExpansion(series_power(shifted, -1, order))
+    lam_prime = tuple(Fraction(2) if n % 2 == 0 else ZERO for n in range(order + 1))
+    slope = series_mul(_derivative_at(spec, log_ratio_series(order), order), lam_prime, order)
+    den = integrate_formal(slope, order + 1)
+    if den[1] != 2:
+        raise ArithmeticError("D(Lambda) must start 2u")
+    return MeanExpansion(series_power(tuple(c / 2 for c in den[1:]), -1, order))
 
 
 def expand_stable(a2: Rational, order: int) -> MeanExpansion:
@@ -408,15 +307,7 @@ def expand_mean(spec: MeanSpec, order: int) -> MeanExpansion:
     """Expansion of any catalog mean to the given truncation order."""
     if isinstance(spec, PowerMean):
         return expand_power_mean(spec.p, order)
-    if isinstance(spec, LAlpha):
-        return expand_l_alpha(spec.alpha, order)
-    if isinstance(spec, SAlpha):
-        return expand_s_alpha(spec.alpha, order)
-    if isinstance(spec, (ClassicMean, MAlphaR)):
-        return expand_quotient_mean(spec, order)
-    if isinstance(spec, MuGenerated):
-        return expand_mu_generated(spec.odd_coeffs, order)
-    raise TypeError(f"unknown mean spec {spec!r}")
+    return expand_quotient_mean(spec, order)
 
 
 def describe_spec(spec: MeanSpec) -> str:

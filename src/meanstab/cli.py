@@ -44,7 +44,7 @@ from .polynomials import (
     Root,
 )
 from .rationals import Rational, format_rational, parse_rational
-from .resultant import ResultantInput, resultant_expansion
+from .resultant import resultant_case, resultant_mean_map
 from .solver import is_stable, optimal_parameters, stability_parameter_scan
 
 SCHEMA = "1"
@@ -111,13 +111,6 @@ def _expansion_json(expansion: MeanExpansion) -> dict:
             for n, c in enumerate(expansion.coeffs)
         ],
     }
-
-
-def _expansion_table(expansion: MeanExpansion) -> str:
-    lines = [f"{'t^n':>5}  {'x^(1-n)':>8}  coefficient"]
-    for n, c in enumerate(expansion.coeffs):
-        lines.append(f"{n:>5}  {1 - n:>8}  {format_rational(c)}")
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -198,19 +191,16 @@ def _cmd_resultant(args: argparse.Namespace) -> dict:
         inner = PowerMean(parse_rational(args.q))
     else:
         raise UsageError("give either --outer/--inner names or --p/--q powers")
-    inp = ResultantInput(
-        expand_mean(outer, args.order),
-        expand_mean(middle, args.order),
-        expand_mean(inner, args.order),
-        args.order,
+    inner_expansion = expand_mean(inner, args.order)
+    expansion = resultant_mean_map(
+        expand_mean(outer, args.order), expand_mean(middle, args.order), inner_expansion, args.order
     )
-    expansion = resultant_expansion(inp)
     return {
         "command": "resultant",
         "outer": describe_spec(outer),
         "middle": describe_spec(middle),
         "inner": describe_spec(inner),
-        "case": inp.case,
+        "case": resultant_case(inner_expansion),
         **_expansion_json(expansion),
     }
 
@@ -337,6 +327,17 @@ def _cmd_verify(args: argparse.Namespace) -> dict:
 # Argument parser
 
 
+def _order(text: str) -> int:
+    """argparse type of truncation orders: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1  # rejected below with the same message as a negative order
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def _add_common_arguments(sub: argparse.ArgumentParser) -> None:
     # Accepted after the subcommand as well; SUPPRESS keeps a value parsed
     # before the subcommand intact when the flag is not repeated.
@@ -366,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("expand", help="exact expansion coefficients")
     _add_common_arguments(sub)
     _add_mean_arguments(sub)
-    sub.add_argument("--order", type=int, default=8)
+    sub.add_argument("--order", type=_order, default=8)
     sub.set_defaults(handler=_cmd_expand)
 
     sub = subs.add_parser("resultant", help="expansion of R(K, M, N)")
@@ -376,25 +377,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--inner", help="inner mean N by name")
     sub.add_argument("--p", help="outer power-mean parameter (exact fraction)")
     sub.add_argument("--q", help="inner power-mean parameter (exact fraction)")
-    sub.add_argument("--order", type=int, default=8)
+    sub.add_argument("--order", type=_order, default=8)
     sub.set_defaults(handler=_cmd_resultant)
 
     sub = subs.add_parser("stable", help="compare a mean with R(M, M, M)")
     _add_common_arguments(sub)
     _add_mean_arguments(sub)
-    sub.add_argument("--order", type=int, default=8)
+    sub.add_argument("--order", type=_order, default=8)
     sub.set_defaults(handler=_cmd_stable)
 
     sub = subs.add_parser("solve", help="optimal power-mean parameters")
     _add_common_arguments(sub)
     _add_mean_arguments(sub)
-    sub.add_argument("--max-order", type=int, default=8)
+    sub.add_argument("--max-order", type=_order, default=8)
     sub.set_defaults(handler=_cmd_solve)
 
     sub = subs.add_parser("scan", help="stable parameters within a family")
     _add_common_arguments(sub)
     sub.add_argument("--family", required=True, help="Lalpha or Salpha")
-    sub.add_argument("--order", type=int, default=16)
+    sub.add_argument("--order", type=_order, default=16)
     sub.set_defaults(handler=_cmd_scan)
 
     sub = subs.add_parser("compare", help="comparison scan of two means")
@@ -417,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("verify", help="remainder-decay slope check")
     _add_common_arguments(sub)
     _add_mean_arguments(sub)
-    sub.add_argument("--order", type=int, default=4)
+    sub.add_argument("--order", type=_order, default=4)
     sub.add_argument("--t", type=float, default=10.0)
     sub.add_argument("--x-min", type=float, default=100.0)
     sub.add_argument("--x-max", type=float, default=100000.0)

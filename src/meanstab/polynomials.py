@@ -159,7 +159,8 @@ def squarefree_part(p: UniPoly) -> UniPoly:
     if g.degree <= 0:
         return p.monic()
     q, r = divmod(p, g)
-    assert r.is_zero
+    if not r.is_zero:
+        raise ArithmeticError("gcd(p, p') does not divide p")
     return q.monic()
 
 
@@ -257,23 +258,6 @@ class IntervalRoot:
 
     def approx(self) -> float:
         return float(self.low + self.high) / 2
-
-    def refined(self, width: Fraction) -> "IntervalRoot":
-        lo, hi = self.low, self.high
-        p = self.polynomial
-        sign_lo = 1 if p(lo) > 0 else -1
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            v = p(mid)
-            if v == 0:
-                # Simple root hit exactly; shrink to a tiny straddling interval.
-                eps = width / 4
-                return IntervalRoot(mid - eps, mid + eps, p)
-            if (1 if v > 0 else -1) == sign_lo:
-                lo = mid
-            else:
-                hi = mid
-        return IntervalRoot(lo, hi, p)
 
 
 Root = Union[RationalRoot, QuadraticSurdRoot, IntervalRoot]
@@ -385,11 +369,14 @@ def _isolate_intervals(g: UniPoly) -> list[tuple[Rational, Rational]]:
 
 
 def _refine(g: UniPoly, a: Rational, b: Rational, width: Fraction) -> tuple[Rational, Rational]:
+    """Bisect the isolating interval (a, b) of a simple root of g down to the
+    width; a midpoint where g vanishes is the root, returned as (mid, mid)."""
     sign_a = 1 if g(a) > 0 else -1
     while b - a > width:
         mid = (a + b) / 2
         v = g(mid)
-        assert v != 0, "rational root missed by candidate search"
+        if v == 0:
+            return mid, mid
         if (1 if v > 0 else -1) == sign_a:
             a = mid
         else:
@@ -547,10 +534,10 @@ def isolate_real_roots(
     g = squarefree_part(f)
     roots: list[Root] = []
     for r in _rational_roots(g):
-        assert f(r) == 0
-        roots.append(RationalRoot(r))
         g, rem = divmod(g, UniPoly((-r, ONE)))
-        assert rem.is_zero
+        if f(r) != 0 or not rem.is_zero:
+            raise ArithmeticError(f"rational root candidate {r} does not divide the polynomial")
+        roots.append(RationalRoot(r))
     if g.degree == 1:
         # Only reachable when the divisor search bailed out.
         roots.append(RationalRoot(-g.coeffs[0] / g.coeffs[1]))
@@ -572,7 +559,11 @@ def isolate_real_roots(
             if recognized is not None:
                 roots.append(RationalRoot(recognized))
                 continue
-            pending.append(_refine(g, a, b, min(width, Fraction(1, 10**12))))
+            lo, hi = _refine(g, a, b, min(width, Fraction(1, 10**12)))
+            if lo == hi:
+                roots.append(RationalRoot(lo))
+            else:
+                pending.append((lo, hi))
         surds, leftovers = _pair_quadratic_factors(g, pending)
         roots.extend(surds)
         roots.extend(IntervalRoot(lo, hi, g) for lo, hi in leftovers)
@@ -631,12 +622,12 @@ def eval_at_root(p: UniPoly, root: Root) -> Rational | SignedInterval:
     g = poly_gcd(p, root.polynomial)
     if g.degree >= 1 and g(root.low) * g(root.high) < 0:
         return ZERO
-    current = root
+    lo, hi = root.low, root.high
     for _ in range(60):
-        vlo, vhi = _interval_eval(p, current.low, current.high)
+        vlo, vhi = _interval_eval(p, lo, hi)
         if vlo > 0 or vhi < 0:
             return SignedInterval(vlo, vhi)
-        current = current.refined((current.high - current.low) / Fraction(2**16))
+        lo, hi = _refine(root.polynomial, lo, hi, (hi - lo) / Fraction(2**16))
     raise ArithmeticError("could not certify the sign at an interval root")
 
 

@@ -19,11 +19,6 @@ ONE = Fraction(1)
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
-def rat(numerator: int, denominator: int = 1) -> Rational:
-    """Build an exact rational; denominator must be nonzero."""
-    return Fraction(numerator, denominator)
-
-
 def parse_rational(text: str) -> Rational:
     """Parse ``"num"`` or ``"num/den"`` into an exact rational.
 

@@ -24,66 +24,47 @@ The generic recursion needs ``n_1 != +-1``.  When ``n_1 = -1`` (resp. ``+1``)
 the sequence g (resp. gt) loses its leading term; with z the first index
 >= 2 where the inner mean has a nonzero coefficient, the affected side is
 re-expressed through the shifted sequence starting at z, which shows up as
-an index shift ``m -> m - n*z`` in its double sum.  If no such z exists the
-inner mean is a projection and the affected side degenerates to its n = 0
-term.
+an index shift ``m -> m - n*z`` in its double sum.  If the tail of the
+inner mean vanishes through the order, every term with n >= 1 is shifted
+past the order whatever the later coefficients are, so the affected side is
+its n = 0 term and the result is fully determined by the truncated inputs.
 
-Everything here is duck-typed over the scalar field so the same code runs on
-exact rationals and on the Laurent-window scalars used for one-sided limit
-checks of the degenerate cases.
+Everything here is duck-typed over the scalar field, so the same code runs on
+exact rationals and on any other field-like scalar; the tests run it over
+truncated series in a perturbation parameter to check the degenerate cases
+against one-sided limits of the generic recursion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .catalog import MeanExpansion, expand_power_mean
 from .rationals import Rational
-from .series import series_mul, series_power
-
-
-def _power_table_nonneg(base: Sequence, order: int) -> list[tuple]:
-    """base**n for n = 0..order, tolerating a zero constant term."""
-    zero = base[0] * 0 if len(base) else Fraction(0)
-    one = base[0] ** 0 if len(base) else Fraction(1)
-    table = [tuple([one] + [zero] * order)]
-    fitted = tuple(list(base[: order + 1]) + [zero] * (order + 1 - len(base[: order + 1])))
-    for _ in range(order):
-        table.append(series_mul(table[-1], fitted, order))
-    return table
-
-
-def _power_table_decreasing(base: Sequence, order: int) -> list[tuple]:
-    """base**(1-n) for n = 0..order; base must have invertible constant term."""
-    inv = series_power(base, -1, order)
-    table = [tuple(list(base[: order + 1]) + [base[0] * 0] * (order + 1 - len(base[: order + 1])))]
-    for _ in range(order):
-        table.append(series_mul(table[-1], inv, order))
-    return table
+from .series import power_table, series_mul, series_power
 
 
 def _composition_sums(
     weights: Sequence,
     g: Sequence | None,
     h: Sequence,
-    z: int,
+    z: int | None,
     order: int,
 ) -> list:
     """out[m] = sum_n weights[n] * [g**n * h**(1-n)]_(m - n*z).
 
-    ``g=None`` marks the projection-degenerate side: only n = 0 survives and
-    the sum collapses to h itself.
+    ``g=None`` marks a degenerate side whose shifted sequence starts past the
+    order: only n = 0 survives and the sum collapses to h itself.
     """
     zero = h[0] * 0
-    h_table = _power_table_decreasing(h, order)
+    h_table = power_table(h, series_power(h, -1, order), order)
     out = [zero] * (order + 1)
     if g is None:
         for m in range(order + 1):
             out[m] = weights[0] * h_table[0][m]
         return out
-    g_table = _power_table_nonneg(g, order)
+    g_table = power_table((h[0] ** 0,), g, order)
     for n in range(min(order // max(z, 1), len(weights) - 1) + 1):
         w = weights[n]
         if w == 0:
@@ -94,14 +75,7 @@ def _composition_sums(
     return out
 
 
-def resultant_coeffs(
-    outer: Sequence,
-    middle: Sequence,
-    inner: Sequence,
-    order: int,
-    *,
-    inner_is_projection: bool = False,
-) -> tuple:
+def resultant_coeffs(outer: Sequence, middle: Sequence, inner: Sequence, order: int) -> tuple:
     """Coefficients r_0..r_order of R(K, M, N) from plain coefficient
     sequences (a_0 = 1 each).  Scalar-generic; see the module docstring."""
     for name, seq in (("outer", outer), ("middle", middle), ("inner", inner)):
@@ -116,27 +90,17 @@ def resultant_coeffs(
 
     tail = list(inner[2 : order + 1])
     z_index = next((i + 2 for i, c in enumerate(tail) if c != 0), None)
+    # The side that loses its leading term runs on the sequence shifted to z;
+    # None when the tail vanishes through the order.
+    shifted = None if z_index is None else list(inner[z_index : order + 1])
 
-    g: Sequence | None = None
-    gt: Sequence | None = None
+    g: Sequence | None = [one + n1] + tail
+    gt: Sequence | None = [one - n1] + [-c for c in tail]
     zg = zt = 1
     if n1 == -1:
-        if z_index is None and not inner_is_projection:
-            raise ValueError("degenerate N underresolved: no nonzero tail coefficient")
-        if z_index is not None:
-            g = list(inner[z_index : order + 1])
-            zg = z_index
-        gt = [one - n1] + [-c for c in tail]
+        g, zg = shifted, z_index
     elif n1 == 1:
-        if z_index is None and not inner_is_projection:
-            raise ValueError("degenerate N underresolved: no nonzero tail coefficient")
-        if z_index is not None:
-            gt = [-c for c in inner[z_index : order + 1]]
-            zt = z_index
-        g = [one + n1] + tail
-    else:
-        g = [one + n1] + tail
-        gt = [one - n1] + [-c for c in tail]
+        gt, zt = (None if shifted is None else [-c for c in shifted]), z_index
 
     h = [one + one, n1 - one] + tail
     ht = [one + one, n1 + one] + tail
@@ -150,46 +114,17 @@ def resultant_coeffs(
     return tuple(c * quarter for c in combined)
 
 
-@dataclass(frozen=True)
-class ResultantInput:
-    outer: MeanExpansion
-    middle: MeanExpansion
-    inner: MeanExpansion
-    order: int
-    inner_is_projection: bool = False
-
-    def __post_init__(self) -> None:
-        for exp in (self.outer, self.middle, self.inner):
-            if exp.order < self.order:
-                raise ValueError("order mismatch: inputs must reach the requested order")
-
-    @property
-    def case(self) -> int:
-        """1 for the generic recursion; 2 and 3 for inner t-coefficient -1/+1."""
-        n1 = self.inner.coefficient(1)
-        if n1 == -1:
-            return 2
-        if n1 == 1:
-            return 3
-        return 1
-
-
-def resultant_expansion(inp: ResultantInput) -> MeanExpansion:
-    """Expansion of R(K, M, N) to the requested order."""
-    coeffs = resultant_coeffs(
-        inp.outer.coeffs,
-        inp.middle.coeffs,
-        inp.inner.coeffs,
-        inp.order,
-        inner_is_projection=inp.inner_is_projection,
-    )
-    return MeanExpansion(coeffs)
+def resultant_case(inner: MeanExpansion) -> int:
+    """1 for the generic recursion; 2 and 3 for inner t-coefficient -1/+1."""
+    n1 = inner.coefficient(1)
+    return 2 if n1 == -1 else 3 if n1 == 1 else 1
 
 
 def resultant_mean_map(
     outer: MeanExpansion, middle: MeanExpansion, inner: MeanExpansion, order: int
 ) -> MeanExpansion:
-    return resultant_expansion(ResultantInput(outer, middle, inner, order))
+    """Expansion of R(K, M, N) to the requested order."""
+    return MeanExpansion(resultant_coeffs(outer.coeffs, middle.coeffs, inner.coeffs, order))
 
 
 def resultant_power_means(

@@ -12,9 +12,12 @@ arbitrary real power of a series with nonzero constant term:
 
 With integer exponents any nonzero constant term is allowed; a fractional
 exponent requires constant term 1 so that every coefficient stays in the
-field.  All functions are duck-typed over the scalar: exact rationals in
-normal use, and the Laurent-window scalars of :mod:`meanstab.laurent` when a
-computation needs an exact one-sided limit in a parameter.
+field.  :func:`series_exp` uses the analogous recursion
+``n*E[n] = sum_{k=1..n} k*a_k*E[n-k]`` for ``exp`` of a series with zero
+constant term.  All functions are duck-typed over the scalar: exact rationals
+in normal use, or any other type with field arithmetic, such as truncated
+series in a perturbation parameter when a computation needs an exact
+one-sided limit.
 """
 
 from __future__ import annotations
@@ -66,17 +69,12 @@ def series_mul(a: Coeffs, b: Coeffs, order: int) -> tuple:
     return tuple(out)
 
 
-def series_int_pow(a: Coeffs, n: int, order: int) -> tuple:
-    """a**n for a nonnegative integer n; tolerates a zero constant term."""
-    if n < 0:
-        raise ValueError("series_int_pow requires a nonnegative exponent")
-    zero = _zero_of(a)
-    one = a[0] ** 0 if len(a) else Fraction(1)
-    out: tuple = tuple([one] + [zero] * order)
-    base = tuple(_fit(a, order, zero))
-    for _ in range(n):
-        out = series_mul(out, base, order)
-    return out
+def power_table(first: Coeffs, ratio: Coeffs, order: int) -> list[tuple]:
+    """first * ratio**n for n = 0..order; ratio may have a zero constant term."""
+    table = [tuple(_fit(first, order, _zero_of(ratio)))]
+    for _ in range(order):
+        table.append(series_mul(table[-1], ratio, order))
+    return table
 
 
 def _is_integer(r) -> bool:
@@ -117,18 +115,36 @@ def series_power(a: Coeffs, r, order: int) -> tuple:
     return tuple(out)
 
 
+def series_exp(a: Coeffs, order: int) -> tuple:
+    """Coefficients of ``exp(a)``; a must have zero constant term, so that
+    every coefficient stays in the field."""
+    if len(a) and a[0] != 0:
+        raise ValueError("exp requires a zero constant term")
+    zero = _zero_of(a)
+    fa = _fit(a, order, zero)
+    out = [zero] * (order + 1)
+    out[0] = zero + 1
+    for n in range(1, order + 1):
+        acc = zero
+        for k in range(1, n + 1):
+            if fa[k] != 0:
+                acc = acc + k * fa[k] * out[n - k]
+        out[n] = acc / n
+    return tuple(out)
+
+
 def series_compose(outer: Coeffs, inner: Coeffs, order: int) -> tuple:
-    """Taylor coefficients of outer(inner(u)); inner must have zero constant
-    term, so the composition is a finite Horner accumulation."""
+    """Taylor coefficients of outer(inner(u)) by Horner's rule; inner must
+    have zero constant term, so coefficients of outer past the order do not
+    contribute and the cost is one product per remaining coefficient."""
     zero = _zero_of(inner) if len(inner) else _zero_of(outer)
     if len(inner) and inner[0] != 0:
         raise ValueError("composition requires positive valuation")
-    fi = tuple(_fit(inner, order, zero))
-    fo = _fit(outer, order, zero)
-    acc: tuple = tuple([fo[order]] + [zero] * order)
-    for k in range(order - 1, -1, -1):
-        acc = series_mul(acc, fi, order)
-        acc = (acc[0] + fo[k],) + acc[1:]
+    fo = list(outer[: order + 1]) or [zero]
+    acc: tuple = tuple([fo[-1]] + [zero] * order)
+    for c in reversed(fo[:-1]):
+        acc = series_mul(acc, inner, order)
+        acc = (acc[0] + c,) + acc[1:]
     return acc
 
 

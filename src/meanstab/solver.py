@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 from .catalog import (
     LAlpha,
@@ -227,53 +227,31 @@ _BOUNDARY_SAMPLES = (
     (6.0, -2.0),
 )
 
+#: p probes on the first-order locus, for a pivot coefficient of fixed sign.
+_LOCUS_SAMPLES = (1.0, 2.0, -1.0, -20.0, 6.0)
+
 
 def _sampled_relation(
-    spec: MeanSpec | None, asym: int
+    spec: MeanSpec | None, asym: int, probes: Sequence[tuple[float, float]]
 ) -> tuple[str, BoundaryEvidence | None]:
-    """Relation when the leading difference coefficient cannot be cancelled.
+    """Relation when the leading difference coefficient keeps one sign.
 
-    "neither" only when the boundary difference conflicts with the
-    asymptotic sign at some probe and supports it at none; probes with a
-    vanishing boundary difference are uninformative.
+    "neither" only when the boundary difference at the (p, q) probes
+    conflicts with the asymptotic sign at some probe and supports it at none;
+    probes with a vanishing boundary difference are uninformative, and with
+    no informative probe the evidence of the first one is reported.
     """
     base = "candidate-sub" if asym > 0 else "candidate-super"
     if spec is None:
         return base, None
-    supported = conflicted = None
-    for p, q in _BOUNDARY_SAMPLES:
-        evidence = _boundary_evidence(spec, p, q)
-        b = evidence.difference_sign
-        if b == asym and supported is None:
-            supported = evidence
-        elif b == -asym and conflicted is None:
-            conflicted = evidence
+    evidence = [_boundary_evidence(spec, p, q) for p, q in probes]
+    supported = next((e for e in evidence if e.difference_sign == asym), None)
     if supported is not None:
         return base, supported
+    conflicted = next((e for e in evidence if e.difference_sign == -asym), None)
     if conflicted is not None:
         return "neither", conflicted
-    return base, _boundary_evidence(spec, *_BOUNDARY_SAMPLES[0])
-
-
-def _sampled_relation_on_locus(
-    spec: MeanSpec | None, asym: int, locus: AffineLocus
-) -> tuple[str, BoundaryEvidence | None]:
-    base = "candidate-sub" if asym > 0 else "candidate-super"
-    if spec is None:
-        return base, None
-    supported = conflicted = None
-    for p in (1.0, 2.0, -1.0, -20.0, 6.0):
-        evidence = _boundary_evidence(spec, p, float(locus.q_of(Fraction(p))))
-        b = evidence.difference_sign
-        if b == asym and supported is None:
-            supported = evidence
-        elif b == -asym and conflicted is None:
-            conflicted = evidence
-    if supported is not None:
-        return base, supported
-    if conflicted is not None:
-        return "neither", conflicted
-    return base, _boundary_evidence(spec, 1.0, float(locus.q_of(1)))
+    return base, evidence[0]
 
 
 def optimal_parameters(
@@ -296,7 +274,7 @@ def optimal_parameters(
     if a1 != 0:
         leading = a1 / 2
         asym = 1 if leading > 0 else -1
-        relation, boundary = _sampled_relation(spec, asym)
+        relation, boundary = _sampled_relation(spec, asym, _BOUNDARY_SAMPLES)
         return StabilizabilityVerdict(
             relation,
             fixed_leading=leading,
@@ -335,7 +313,8 @@ def optimal_parameters(
         # The pivot coefficient keeps one sign for every p on the locus.
         sample_val = pk0(0)
         asym = 1 if sample_val > 0 else -1
-        relation, boundary = _sampled_relation_on_locus(spec, asym, locus)
+        probes = [(p, float(locus.q_of(Fraction(p)))) for p in _LOCUS_SAMPLES]
+        relation, boundary = _sampled_relation(spec, asym, probes)
         note = (
             f"the t^{k0} coefficient on the locus is constant in p"
             if pk0.degree == 0

@@ -1,0 +1,173 @@
+"""Reference implementations that the production expansion route is tested
+against.
+
+Each one is an independent derivation of the same coefficients:
+
+* ``expand_l_alpha``, ``expand_s_alpha`` and ``expand_mu_generated``: the
+  dedicated binomial double sums of the L/S families and the odd-generator
+  coefficient formula, all at half length in the even index;
+* ``expand_by_composition``: the denominator series, built per family from
+  its own closed form, composed with the log-ratio series by Horner's rule
+  (cubic in the order) and inverted.
+
+They are exact and slow; only tests use them.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Sequence
+
+from meanstab.catalog import (
+    ClassicMean,
+    LAlpha,
+    MAlphaR,
+    MeanExpansion,
+    MeanSpec,
+    MuGenerated,
+    SAlpha,
+    _denominator_derivative,
+    log_ratio_series,
+)
+from meanstab.rationals import ONE, ZERO, Rational, binomial
+from meanstab.series import integrate_formal, series_compose, series_power
+
+
+def _spread_even(even: Sequence[Rational], order: int) -> tuple[Rational, ...]:
+    out = [ZERO] * (order + 1)
+    for n, c in enumerate(even):
+        if 2 * n <= order:
+            out[2 * n] = c
+    return tuple(out)
+
+
+def expand_l_alpha(alpha: Rational, order: int) -> MeanExpansion:
+    """Expansion of L_alpha, the family generated by u(x) = cosh(alpha*x).
+
+    Even-only:
+        a_{2n} = 2*alpha * sum_k C(alpha, n-k) (-1)**(n-k)
+                 * P[k, -1, (C(2*alpha, 2i+1))_i],
+    so a_2 = -(2*alpha^2 + 1)/3.  alpha = 0 degenerates to the logarithmic
+    mean and is delegated to the odd-generator formula.
+    """
+    alpha = Fraction(alpha)
+    if abs(alpha) > 1:
+        raise ValueError("LAlpha requires |alpha| <= 1")
+    if alpha == 0:
+        return expand_mu_generated((ONE,), order)
+    half = order // 2
+    odd_binoms = tuple(binomial(2 * alpha, 2 * i + 1) for i in range(half + 1))
+    recip = series_power(odd_binoms, -1, half)
+    even = []
+    for n in range(half + 1):
+        acc = ZERO
+        for k in range(n + 1):
+            sign = -ONE if (n - k) % 2 else ONE
+            acc += binomial(alpha, n - k) * sign * recip[k]
+        even.append(2 * alpha * acc)
+    return MeanExpansion(_spread_even(even, order))
+
+
+def expand_s_alpha(alpha: Rational, order: int) -> MeanExpansion:
+    """Expansion of S_alpha, the family generated by u(x) = 1/cosh(alpha*x).
+
+    Even-only, through two auxiliary sequences:
+        C_n = sum_k C(alpha, 2k+1) * P[n-k, -1, (C(alpha, 2i))_i],
+        D_n = sum_m (-1)**m/(2m+1) * P[n-m, 2m+1, (C_i)_i],
+        a_{2n} = alpha * P[n, -1, (D_i)_i],
+    so a_2 = (2*alpha^2 - 1)/3.  alpha = 0 is the logarithmic mean.
+    """
+    alpha = Fraction(alpha)
+    if abs(alpha) > 1:
+        raise ValueError("SAlpha requires |alpha| <= 1")
+    if alpha == 0:
+        return expand_mu_generated((ONE,), order)
+    half = order // 2
+    even_binoms = tuple(binomial(alpha, 2 * i) for i in range(half + 1))
+    recip_even = series_power(even_binoms, -1, half)
+    c_seq = []
+    for n in range(half + 1):
+        acc = ZERO
+        for k in range(n + 1):
+            acc += binomial(alpha, 2 * k + 1) * recip_even[n - k]
+        c_seq.append(acc)
+    c_powers = {m: series_power(c_seq, 2 * m + 1, half) for m in range(half + 1)}
+    d_seq = []
+    for n in range(half + 1):
+        acc = ZERO
+        for m in range(n + 1):
+            term = c_powers[m][n - m] / (2 * m + 1)
+            acc += -term if m % 2 else term
+        d_seq.append(acc)
+    final = series_power(d_seq, -1, half)
+    return MeanExpansion(_spread_even([alpha * v for v in final], order))
+
+
+def expand_mu_generated(odd_coeffs: Sequence[Rational], order: int) -> MeanExpansion:
+    """Expansion of |b-a| / mu(|ln(b/a)|) for an odd generator
+    mu(y) = sum c_n y**(2n+1), c_0 = 1.
+
+    Even-only:  a_{2m} = P[m, -1, (E_i)_i]  with
+        E_m = sum_n c_n 4**n P[m-n, 2n+1, (1/(2i+1))_i].
+    """
+    c = tuple(Fraction(x) for x in odd_coeffs)
+    if not c or c[0] != 1:
+        raise ValueError("odd generator requires constant coefficient 1")
+    half = order // 2
+    odd_recip = tuple(Fraction(1, 2 * i + 1) for i in range(half + 1))
+    powers = {n: series_power(odd_recip, 2 * n + 1, half) for n in range(half + 1)}
+    e_seq = []
+    for m in range(half + 1):
+        acc = ZERO
+        for n in range(min(m, len(c) - 1) + 1):
+            if c[n] != 0:
+                acc += c[n] * Fraction(4**n) * powers[n][m - n]
+        e_seq.append(acc)
+    return MeanExpansion(_spread_even(series_power(e_seq, -1, half), order))
+
+
+def direct_denominator_series(spec: MeanSpec, order: int) -> tuple[Rational, ...]:
+    """D(y) with M(a, b) = |b - a| / D(|ln(b/a)|), from each family's own
+    closed form: sinh(alpha*y)/alpha, the integral of 1/cosh(alpha*y), the
+    odd generator itself, or the integral of base(y)**exponent."""
+    if isinstance(spec, (ClassicMean, MAlphaR)):
+        base, expo = _denominator_derivative(spec)
+        return integrate_formal(series_power(base, expo, order - 1), order)
+    if isinstance(spec, MuGenerated):
+        c = spec.odd_coeffs
+    elif isinstance(spec, LAlpha):
+        a2 = spec.alpha * spec.alpha
+        c, power = [], ONE
+        for n in range(order // 2 + 1):
+            c.append(power / math.factorial(2 * n + 1))
+            power *= a2
+    elif isinstance(spec, SAlpha):
+        a2 = spec.alpha * spec.alpha
+        half = order // 2
+        cosh_even = []
+        power = ONE
+        for n in range(half + 1):
+            cosh_even.append(power / math.factorial(2 * n))
+            power *= a2
+        sech = series_power(cosh_even, -1, half)
+        c = [sech[n] / (2 * n + 1) for n in range(half + 1)]
+    else:
+        raise TypeError(f"no denominator form for {spec!r}")
+    out = [ZERO] * (order + 1)
+    for n, cn in enumerate(c):
+        if 2 * n + 1 <= order:
+            out[2 * n + 1] = cn
+    return tuple(out)
+
+
+def expand_by_composition(spec: MeanSpec, order: int) -> MeanExpansion:
+    """M(x-t, x+t) = 2t / D(Lambda(u)) with D(Lambda) formed by composing the
+    full denominator series with Lambda = ln((1+u)/(1-u))."""
+    deep = order + 1
+    lam = log_ratio_series(deep)
+    den = series_compose(direct_denominator_series(spec, deep), lam, deep)
+    if den[0] != 0 or den[1] != 2:
+        raise ArithmeticError("D(Lambda) must start 2u")
+    shifted = tuple(den[j + 1] / 2 for j in range(order + 1))
+    return MeanExpansion(series_power(shifted, -1, order))

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import oracles
 import pytest
 
 from meanstab.catalog import (
@@ -16,14 +17,13 @@ from meanstab.catalog import (
     MAlphaR,
     MeanExpansion,
     PowerMean,
+    MuGenerated,
     SAlpha,
     denominator_series,
-    expand_l_alpha,
+    describe_spec,
     expand_mean,
-    expand_mu_generated,
     expand_power_mean,
     expand_quotient_mean,
-    expand_s_alpha,
     expand_stable,
 )
 from meanstab.numeric import eval_mean
@@ -111,77 +111,77 @@ class TestPowerMean:
 
 class TestLAlpha:
     def test_harmonic_case(self):
-        e = expand_l_alpha(F(1), 10)
+        e = expand_mean(LAlpha(F(1)), 10)
         assert e.coeffs == expand_power_mean(F(-1), 10).coeffs
         assert e.coefficient(2) == -1
 
     def test_geometric_case(self):
-        assert expand_l_alpha(F(1, 2), 12).coeffs == expand_power_mean(F(0), 12).coeffs
+        assert expand_mean(LAlpha(F(1, 2)), 12).coeffs == expand_power_mean(F(0), 12).coeffs
 
     def test_displayed_coefficients(self):
         for a in (F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1)):
-            e = expand_l_alpha(a, 8)
+            e = expand_mean(LAlpha(a), 8)
             for n, expected in l_alpha_display(a).items():
                 assert e.coefficient(n) == expected, (a, n)
             assert e.is_even
 
     def test_specific_values(self):
-        e = expand_l_alpha(F(1, 3), 8)
+        e = expand_mean(LAlpha(F(1, 3)), 8)
         assert e.coefficient(2) == F(-11, 27)
         assert e.coefficient(4) == F(-80, 729)
 
     def test_even_in_alpha(self):
-        assert expand_l_alpha(F(-2, 3), 8).coeffs == expand_l_alpha(F(2, 3), 8).coeffs
+        assert expand_mean(LAlpha(F(-2, 3)), 8).coeffs == expand_mean(LAlpha(F(2, 3)), 8).coeffs
 
     def test_parameter_domain(self):
         with pytest.raises(ValueError):
-            expand_l_alpha(F(3, 2), 4)
+            expand_mean(LAlpha(F(3, 2)), 4)
 
 
 class TestSAlpha:
     def test_displayed_coefficients(self):
         for a in (F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1)):
-            e = expand_s_alpha(a, 8)
+            e = expand_mean(SAlpha(a), 8)
             for n, expected in s_alpha_display(a).items():
                 assert e.coefficient(n) == expected, (a, n)
 
     def test_seiffert_values(self):
-        assert expand_s_alpha(F(1, 2), 4).coefficient(2) == F(-1, 6)
-        assert expand_s_alpha(F(1), 4).coefficient(2) == F(1, 3)
+        assert expand_mean(SAlpha(F(1, 2)), 4).coefficient(2) == F(-1, 6)
+        assert expand_mean(SAlpha(F(1)), 4).coefficient(2) == F(1, 3)
 
     def test_logarithmic_mean(self):
-        e = expand_s_alpha(F(0), 8)
+        e = expand_mean(SAlpha(F(0)), 8)
         assert e.coefficient(2) == F(-1, 3)
         assert e.coefficient(4) == F(-4, 45)
         assert e.coefficient(6) == F(-44, 945)
-        assert expand_l_alpha(F(0), 8).coeffs == e.coeffs
+        assert expand_mean(LAlpha(F(0)), 8).coeffs == e.coeffs
 
     def test_parameter_domain(self):
         with pytest.raises(ValueError):
-            expand_s_alpha(F(-9, 8), 4)
+            expand_mean(SAlpha(F(-9, 8)), 4)
 
 
 class TestMuGenerated:
     def test_identity_generator_gives_logarithmic_mean(self):
-        e = expand_mu_generated((F(1),), 8)
+        e = expand_mean(MuGenerated((F(1),)), 8)
         assert e.coefficient(2) == F(-1, 3)
-        assert e.coeffs == expand_s_alpha(F(0), 8).coeffs
+        assert e.coeffs == expand_mean(SAlpha(F(0)), 8).coeffs
 
     def test_reproduces_l_alpha(self):
         a = F(2, 3)
         c = tuple(a ** (2 * n) / math.factorial(2 * n + 1) for n in range(9))
-        assert expand_mu_generated(c, 16).coeffs == expand_l_alpha(a, 16).coeffs
+        assert expand_mean(MuGenerated(c), 16).coeffs == expand_mean(LAlpha(a), 16).coeffs
 
     def test_reproduces_s_alpha(self):
         a = F(3, 4)
         cosh_even = tuple(a ** (2 * i) / math.factorial(2 * i) for i in range(9))
         sech = series_power(cosh_even, -1, 8)
         c = tuple(sech[n] / (2 * n + 1) for n in range(9))
-        assert expand_mu_generated(c, 16).coeffs == expand_s_alpha(a, 16).coeffs
+        assert expand_mean(MuGenerated(c), 16).coeffs == expand_mean(SAlpha(a), 16).coeffs
 
     def test_head_validation(self):
         with pytest.raises(ValueError):
-            expand_mu_generated((F(2),), 4)
+            expand_mean(MuGenerated((F(2),)), 4)
 
 
 class TestClassicMeans:
@@ -219,7 +219,7 @@ class TestMAlphaR:
 
     def test_zero_alpha_is_logarithmic(self):
         e = expand_quotient_mean(MAlphaR(F(0), F(3)), 10)
-        assert e.coeffs == expand_s_alpha(F(0), 10).coeffs
+        assert e.coeffs == expand_mean(SAlpha(F(0)), 10).coeffs
 
     def test_parameter_domain(self):
         with pytest.raises(ValueError):
@@ -310,24 +310,73 @@ def test_denominator_series_rejects_power_means():
         denominator_series(PowerMean(F(2)), 6)
 
 
-class TestThirdRouteCrossChecks:
-    """The L/S families admit three independent derivations: the dedicated
-    binomial double sums, the odd-generator coefficient formula, and direct
-    composition of the denominator with the log-ratio.  All must agree."""
+ORACLE_CASES = [
+    (LAlpha(F(3, 7)), 97),
+    (LAlpha(F(-1)), 12),
+    (LAlpha(F(0)), 9),
+    (SAlpha(F(2, 5)), 65),
+    (SAlpha(F(1)), 12),
+    (SAlpha(F(0)), 9),
+    (M1, 11),
+    (M2, 10),
+    (M3, 66),
+    (M4, 10),
+    (M5, 11),
+    (MAlphaR(F(1, 3), F(2)), 64),
+    (MAlphaR(F(-1), F(1)), 9),
+    (MuGenerated((F(1), F(1, 6), F(-2, 5), F(3))), 48),
+    (MuGenerated((F(1),)), 9),
+]
+
+
+class TestProductionRouteAgainstOracles:
+    """The one production route for difference-quotient means must equal
+    every independent derivation kept in ``oracles``: the composition route
+    for each family, and the dedicated formulas of the L/S/mu families.  One
+    case per family runs at a workload-sized order."""
+
+    @pytest.mark.parametrize(
+        "spec,order", ORACLE_CASES, ids=[f"{describe_spec(s)}-{n}" for s, n in ORACLE_CASES]
+    )
+    def test_every_oracle(self, spec, order):
+        expected = expand_mean(spec, order).coeffs
+        assert oracles.expand_by_composition(spec, order).coeffs == expected
+        dedicated = {
+            LAlpha: lambda: oracles.expand_l_alpha(spec.alpha, order),
+            SAlpha: lambda: oracles.expand_s_alpha(spec.alpha, order),
+            MuGenerated: lambda: oracles.expand_mu_generated(spec.odd_coeffs, order),
+        }.get(type(spec))
+        if dedicated is not None:
+            assert dedicated().coeffs == expected
 
     @pytest.mark.parametrize("alpha", [F(1, 4), F(1, 3), F(2, 3), F(1)])
     def test_l_alpha_composition_route(self, alpha):
         assert (
-            expand_quotient_mean(LAlpha(alpha), 14).coeffs
-            == expand_l_alpha(alpha, 14).coeffs
+            oracles.expand_by_composition(LAlpha(alpha), 14).coeffs
+            == expand_mean(LAlpha(alpha), 14).coeffs
         )
 
     @pytest.mark.parametrize("alpha", [F(1, 4), F(1, 2), F(4, 5), F(1)])
     def test_s_alpha_composition_route(self, alpha):
         assert (
-            expand_quotient_mean(SAlpha(alpha), 14).coeffs
-            == expand_s_alpha(alpha, 14).coeffs
+            oracles.expand_by_composition(SAlpha(alpha), 14).coeffs
+            == expand_mean(SAlpha(alpha), 14).coeffs
         )
+
+    @pytest.mark.parametrize(
+        "spec",
+        [LAlpha(F(2, 3)), SAlpha(F(3, 4)), M3, MAlphaR(F(1, 2), F(3)),
+         MuGenerated((F(1), F(-1, 7), F(2)))],
+        ids=describe_spec,
+    )
+    def test_denominator_series_matches_closed_forms(self, spec):
+        assert denominator_series(spec, 15) == oracles.direct_denominator_series(spec, 15)
+
+    def test_denominator_must_start_2u(self):
+        spec = MuGenerated((F(1),))
+        object.__setattr__(spec, "odd_coeffs", (F(2),))  # bypass validation
+        with pytest.raises(ArithmeticError, match="must start 2u"):
+            expand_mean(spec, 4)
 
 
 def test_m2_denominator_closed_form():

@@ -168,6 +168,24 @@ class TestErrorHandling:
         assert code == 1
         assert json.loads(out)["error"]["type"] == "ValueError"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("expand", "--mean", "A", "--order", "-1"),
+            ("resultant", "--mean", "L", "--p", "1", "--q", "0", "--order", "-2"),
+            ("stable", "--mean", "L", "--order", "-1"),
+            ("solve", "--mean", "M2", "--max-order", "-1"),
+            ("scan", "--family", "Lalpha", "--order", "-1"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_order_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "nonnegative integer" in err
+        assert "Traceback" not in err
+
     def test_missing_subcommand_usage(self, capsys):
         code, _, _ = run_cli(capsys)
         assert code == 2

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from meanstab.laurent import LaurentScalar
+from laurent import LaurentScalar
 
 
 def const(x):

@@ -9,6 +9,7 @@ from meanstab.polynomials import (
     RationalRoot,
     SignedInterval,
     UniPoly,
+    _refine,
     affine_image,
     eval_at_root,
     isolate_real_roots,
@@ -176,6 +177,14 @@ class TestEvalAtRoot:
         assert eval_at_root(cubic * poly(1, 1), root) == 0
         val = eval_at_root(poly(-1, 1), root)  # root ~ 1.796 > 1
         assert isinstance(val, SignedInterval) and val.sign == 1
+
+    def test_bisection_lands_on_the_root(self):
+        # The first midpoint of (0, 1) is the root 1/2 itself: bisection
+        # returns it exactly, and evaluation there is exact.
+        half = poly(F(-1, 2), 1)
+        assert _refine(half, F(0), F(1), F(1, 10**6)) == (F(1, 2), F(1, 2))
+        val = eval_at_root(poly(0, 0, 1), IntervalRoot(F(0), F(1), half))
+        assert (val.low, val.high) == (F(1, 4), F(1, 4))
 
 
 class TestAffineImage:

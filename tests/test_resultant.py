@@ -15,9 +15,9 @@ from meanstab.catalog import (
     expand_power_mean,
     expand_quotient_mean,
 )
-from meanstab.laurent import LaurentScalar
+from laurent import LaurentScalar
 from meanstab.resultant import (
-    ResultantInput,
+    resultant_case,
     resultant_coeffs,
     resultant_mean_map,
     resultant_power_means,
@@ -244,9 +244,9 @@ class TestDegenerateCases:
         a = expand_power_mean(F(1), 6)
         m1 = expand_quotient_mean(M1, 6)
         minus = expand_quotient_mean(MAlphaR(F(1), F(1)), 6)  # a1 = -1
-        assert ResultantInput(a, a, a, 6).case == 1
-        assert ResultantInput(a, a, m1, 6).case == 3
-        assert ResultantInput(a, a, minus, 6).case == 2
+        assert resultant_case(a) == 1
+        assert resultant_case(m1) == 3
+        assert resultant_case(minus) == 2
 
     def test_case_three_z_two(self):
         # inner a1 = +1 with first nonzero tail coefficient at index 2
@@ -282,7 +282,7 @@ class TestDegenerateCases:
         proj = [F(1), F(1), F(0), F(0), F(0), F(0)]
         k = [F(1), F(0), F(1, 2), F(0), F(-1, 8), F(0)]
         m = [F(1), F(0), F(-1, 3), F(0), F(-4, 45), F(0)]
-        r = resultant_coeffs(k, m, proj, 5, inner_is_projection=True)
+        r = resultant_coeffs(k, m, proj, 5)
         # R(K, M, proj2)(x-t, x+t) = K(M(x-t, x+t), x+t); spot-check numerically.
         from meanstab.numeric import eval_mean
         from meanstab.catalog import PowerMean, SAlpha
@@ -295,11 +295,22 @@ class TestDegenerateCases:
         series = MeanExpansion(r).partial_sum(x, t)
         assert abs(series - direct) / direct < 1e-10
 
-    def test_underresolved_error(self):
-        proj_like = [F(1), F(1), F(0), F(0)]
-        k = m = [F(1), F(0), F(0), F(0)]
-        with pytest.raises(ValueError, match="underresolved"):
-            resultant_coeffs(k, m, proj_like, 3)
+    def test_zero_tail_is_truncation_independent(self):
+        # Inner a1 = +-1 with no nonzero tail coefficient through the order:
+        # the result must be the truncation of a deeper resultant whose inner
+        # tail is nonzero past the order, whatever those coefficients are.
+        rng = random.Random(67)
+        for _ in range(120):
+            order = rng.randint(1, 5)
+            deep = order + rng.randint(1, 3)
+            k = random_coeffs(rng, deep)
+            m = random_coeffs(rng, deep)
+            n = [F(1), rng.choice((F(1), F(-1)))] + [F(0)] * (order - 1) + [
+                F(rng.choice((-1, 1)) * rng.randint(1, 8), rng.randint(1, 6))
+                for _ in range(deep - order)
+            ]
+            shallow = resultant_coeffs(k, m, n[: order + 1], order)
+            assert shallow == resultant_coeffs(k, m, n, deep)[: order + 1]
 
     def test_order_mismatch_error(self):
         a = expand_power_mean(F(1), 4)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -9,8 +10,9 @@ from meanstab.rationals import binomial
 from meanstab.series import (
     differentiate_formal,
     integrate_formal,
+    power_table,
     series_compose,
-    series_int_pow,
+    series_exp,
     series_mul,
     series_power,
 )
@@ -75,7 +77,7 @@ class TestSeriesPower:
         for _ in range(n):
             expected = series_mul(expected, a, ORDER)
         assert series_power(a, n, ORDER) == expected
-        assert series_int_pow(a, n, ORDER) == expected
+        assert power_table((F(1),), a, ORDER)[n] == expected
 
 
 class TestSeriesMul:
@@ -94,6 +96,32 @@ class TestSeriesMul:
         assert series_mul(a, recip, 8) == (F(1),) + (F(0),) * 8
 
 
+class TestSeriesExp:
+    def test_exponential_series(self):
+        assert series_exp((F(0), F(1)), 6) == tuple(F(1, math.factorial(n)) for n in range(7))
+
+    def test_requires_zero_constant_term(self):
+        with pytest.raises(ValueError, match="zero constant term"):
+            series_exp((F(1), F(1)), 3)
+
+    @settings(max_examples=25, deadline=None)
+    @given(tails, tails)
+    def test_sum_to_product(self, tail_a, tail_b):
+        a, b = (F(0),) + tail_a, (F(0),) + tail_b
+        lhs = series_exp(tuple(x + y for x, y in zip(a, b)), ORDER)
+        assert lhs == series_mul(series_exp(a, ORDER), series_exp(b, ORDER), ORDER)
+
+    @settings(max_examples=25, deadline=None)
+    @given(tails, exponents)
+    def test_exp_of_log_is_power(self, tail, r):
+        # exp(r*log(1 + v)) = (1 + v)**r, with log(1 + v) = v - v^2/2 + ...
+        v = (F(0),) + tail
+        log1p = tuple(F((-1) ** (n + 1), n) if n else F(0) for n in range(ORDER + 1))
+        log_a = series_compose(log1p, v, ORDER)
+        scaled = tuple(r * c for c in log_a)
+        assert series_exp(scaled, ORDER) == series_power((F(1),) + tail, r, ORDER)
+
+
 class TestSeriesCompose:
     def test_identity_outer(self):
         inner = (F(0), F(1), F(4), F(-2))
@@ -106,8 +134,6 @@ class TestSeriesCompose:
         assert series_compose(arctan, (F(0), F(1)), 7) == arctan
 
     def test_log_of_exp_is_identity(self):
-        import math
-
         order = 8
         log1p = tuple(
             F(0) if n == 0 else F((-1) ** (n + 1), n) for n in range(order + 1)
@@ -148,4 +174,4 @@ class TestCalculus:
 
     def test_int_pow_with_zero_head(self):
         u = (F(0), F(1))
-        assert series_int_pow(u, 3, 5) == (F(0), F(0), F(0), F(1), F(0), F(0))
+        assert power_table((F(1),), u, 5)[3] == (F(0), F(0), F(0), F(1), F(0), F(0))
