@@ -51,7 +51,7 @@ from .series import (
 from .solver import (
     DifferenceExpansion,
     StabilizabilityVerdict,
-    coefficient_polynomial,
+    coefficient_polynomials,
     difference_expansion,
     first_order_locus,
     is_stable,

@@ -23,6 +23,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from .catalog import (
     ALIASES,
@@ -327,15 +328,21 @@ def _cmd_verify(args: argparse.Namespace) -> dict:
 # Argument parser
 
 
-def _order(text: str) -> int:
-    """argparse type of truncation orders: a nonnegative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1  # rejected below with the same message as a negative order
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return value
+def _order(minimum: int = 0) -> Callable[[str], int]:
+    """argparse type of truncation orders: an integer of at least minimum."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = -1  # rejected below with the same message as a negative order
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an order of at least {minimum}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _add_common_arguments(sub: argparse.ArgumentParser) -> None:
@@ -367,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("expand", help="exact expansion coefficients")
     _add_common_arguments(sub)
     _add_mean_arguments(sub)
-    sub.add_argument("--order", type=_order, default=8)
+    sub.add_argument("--order", type=_order(), default=8)
     sub.set_defaults(handler=_cmd_expand)
 
     sub = subs.add_parser("resultant", help="expansion of R(K, M, N)")
@@ -377,25 +384,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--inner", help="inner mean N by name")
     sub.add_argument("--p", help="outer power-mean parameter (exact fraction)")
     sub.add_argument("--q", help="inner power-mean parameter (exact fraction)")
-    sub.add_argument("--order", type=_order, default=8)
+    sub.add_argument("--order", type=_order(), default=8)
     sub.set_defaults(handler=_cmd_resultant)
 
     sub = subs.add_parser("stable", help="compare a mean with R(M, M, M)")
     _add_common_arguments(sub)
     _add_mean_arguments(sub)
-    sub.add_argument("--order", type=_order, default=8)
+    sub.add_argument("--order", type=_order(4), default=8)
     sub.set_defaults(handler=_cmd_stable)
 
     sub = subs.add_parser("solve", help="optimal power-mean parameters")
     _add_common_arguments(sub)
     _add_mean_arguments(sub)
-    sub.add_argument("--max-order", type=_order, default=8)
+    sub.add_argument("--max-order", type=_order(3), default=8)
     sub.set_defaults(handler=_cmd_solve)
 
     sub = subs.add_parser("scan", help="stable parameters within a family")
     _add_common_arguments(sub)
     sub.add_argument("--family", required=True, help="Lalpha or Salpha")
-    sub.add_argument("--order", type=_order, default=16)
+    sub.add_argument("--order", type=_order(), default=16)
     sub.set_defaults(handler=_cmd_scan)
 
     sub = subs.add_parser("compare", help="comparison scan of two means")
@@ -418,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("verify", help="remainder-decay slope check")
     _add_common_arguments(sub)
     _add_mean_arguments(sub)
-    sub.add_argument("--order", type=_order, default=4)
+    sub.add_argument("--order", type=_order(), default=4)
     sub.add_argument("--t", type=float, default=10.0)
     sub.add_argument("--x-min", type=float, default=100.0)
     sub.add_argument("--x-max", type=float, default=100000.0)

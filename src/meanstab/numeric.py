@@ -169,17 +169,20 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    verdict: str  # "m1<m2" | "m2<m1" | "crossing"
+    verdict: str  # "m1<m2" | "m2<m1" | "crossing" | "equal"
     witnesses: tuple[tuple[float, float], ...]
     min_gap: float
 
 
 def compare_scan(m1: MeanSpec, m2: MeanSpec, grid: GridSpec) -> ComparisonReport:
-    """Compare the associated functions on the grid; a uniform verdict or
-    bracketing witnesses for each sign change."""
+    """Compare the associated functions on the grid; a uniform verdict,
+    bracketing witnesses for each sign change, or "equal" when the two agree
+    exactly at every grid point."""
     xs = grid.points()
     diffs = [eval_f(m1, x) - eval_f(m2, x) for x in xs]
     min_gap = min(abs(d) for d in diffs)
+    if all(d == 0.0 for d in diffs):
+        return ComparisonReport("equal", (), min_gap)
     witnesses = tuple(
         (xs[i], xs[i + 1])
         for i in range(len(xs) - 1)

@@ -44,12 +44,6 @@ def series_add(a: Coeffs, b: Coeffs, order: int) -> tuple:
     return tuple(x + y for x, y in zip(fa, fb))
 
 
-def series_sub(a: Coeffs, b: Coeffs, order: int) -> tuple:
-    zero = _zero_of(a) if len(a) else _zero_of(b)
-    fa, fb = _fit(a, order, zero), _fit(b, order, zero)
-    return tuple(x - y for x, y in zip(fa, fb))
-
-
 def series_scale(a: Coeffs, factor, order: int) -> tuple:
     return tuple(c * factor for c in _fit(a, order, _zero_of(a)))
 
@@ -154,8 +148,3 @@ def integrate_formal(a: Coeffs, order: int) -> tuple:
     fa = _fit(a, order, zero)
     return tuple([zero] + [fa[n - 1] / n for n in range(1, order + 1)])
 
-
-def differentiate_formal(a: Coeffs, order: int) -> tuple:
-    zero = _zero_of(a)
-    fa = _fit(a, order + 1, zero)
-    return tuple(fa[n + 1] * (n + 1) for n in range(order + 1))

@@ -11,6 +11,15 @@ difference M - R(B_p, M, B_q) order by order:
   k - 1, recovered exactly by interpolation and solved by certified root
   isolation.
 
+The coefficient polynomials come in order bands.  A band of reach K samples
+the difference once at K + 2 integer values of p, truncated at order K, and
+serves every k <= K it is asked for: the t^k coefficient of a truncation at
+K equals that of a truncation at k, so the t^k polynomial interpolates k + 1
+of the samples and the other K + 1 - k check its degree bound.  The search
+samples a new band only when it asks for a k past the last reach, at twice
+that reach (at least k), or at the search order once doubling again would
+pass it: bands at 3, 6 and max_order for max orders 12 to 23.
+
 The verdict distinguishes a candidate direction of the inequality (the sign
 of the first surviving coefficient, which is only the asymptotic, near-
 diagonal side) from boundary evidence at (s, 1-s), s -> 0; it never claims
@@ -119,25 +128,31 @@ def first_order_locus(mean: MeanExpansion) -> AffineLocus:
     return AffineLocus(3 * a2 + Fraction(3, 2), Fraction(-1, 2))
 
 
-def coefficient_polynomial(
-    mean: MeanExpansion, k: int, locus: AffineLocus
-) -> UniPoly:
-    """The t**k coefficient of the difference on the locus, as an exact
-    polynomial in p (degree <= k-1, enforced by two surplus samples)."""
-    if k < 2:
+def coefficient_polynomials(
+    mean: MeanExpansion, locus: AffineLocus, low: int, high: int
+) -> dict[int, UniPoly]:
+    """The t**k coefficients of the difference on the locus, for k in
+    low..high, as exact polynomials in p (degree <= k-1).
+
+    One band of high+2 difference expansions, at the integer samples
+    p = i - n//2 (i < n = high+2) and truncated at order high, serves every
+    k: the t**k polynomial interpolates the first k+1 samples and must match
+    the other high+1-k, the surplus samples that enforce the degree bound.
+    """
+    if low < 2:
         raise ValueError("coefficient polynomials start at the t^2 index")
+    n = high + 2
     samples = []
-    for i in range(k + 2):
-        p = Fraction(i - (k + 2) // 2)
-        diff = difference_expansion(mean, p, locus.q_of(p), k)
-        samples.append((p, diff.coeffs[k]))
-    poly = lagrange_interpolate(samples[: k + 1])
-    if poly.degree > k - 1:
-        raise ArithmeticError("degree bound violated")
-    p_extra, v_extra = samples[k + 1]
-    if poly(p_extra) != v_extra:
-        raise ArithmeticError("degree bound violated")
-    return poly
+    for i in range(n):
+        p = Fraction(i - n // 2)
+        samples.append((p, difference_expansion(mean, p, locus.q_of(p), high).coeffs))
+    polys = {}
+    for k in range(low, high + 1):
+        poly = lagrange_interpolate([(p, c[k]) for p, c in samples[: k + 1]])
+        if poly.degree > k - 1 or any(poly(p) != c[k] for p, c in samples[k + 1 :]):
+            raise ArithmeticError("degree bound violated")
+        polys[k] = poly
+    return polys
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +281,8 @@ def optimal_parameters(
     mean spec is supplied) are numeric evidence attached to the verdict,
     never part of the exact computation.
     """
+    if max_order < 3:
+        raise ValueError("the search needs max_order >= 3")
     if mean.order < max_order:
         raise ValueError("mean expansion shorter than the requested search order")
 
@@ -287,8 +304,13 @@ def optimal_parameters(
     polys: dict[int, UniPoly] = {}
 
     def poly_at(k: int) -> UniPoly:
+        # A miss samples a band twice the last one's reach (at least k),
+        # widened to max_order once doubling again would pass it.
         if k not in polys:
-            polys[k] = coefficient_polynomial(mean, k, locus)
+            reach = max(k, 2 * max(polys, default=0))
+            if 2 * reach > max_order:
+                reach = max_order
+            polys.update(coefficient_polynomials(mean, locus, k, reach))
         return polys[k]
 
     pivot: tuple[int, UniPoly] | None = None

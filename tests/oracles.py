@@ -8,7 +8,10 @@ Each one is an independent derivation of the same coefficients:
   coefficient formula, all at half length in the even index;
 * ``expand_by_composition``: the denominator series, built per family from
   its own closed form, composed with the log-ratio series by Horner's rule
-  (cubic in the order) and inverted.
+  (cubic in the order) and inverted;
+* ``coefficient_polynomial``: one t**k coefficient polynomial of the
+  solver from its own k+2 difference expansions truncated at order k, where
+  the solver samples one band of expansions for many k.
 
 They are exact and slow; only tests use them.
 """
@@ -30,8 +33,10 @@ from meanstab.catalog import (
     _denominator_derivative,
     log_ratio_series,
 )
+from meanstab.polynomials import UniPoly, lagrange_interpolate
 from meanstab.rationals import ONE, ZERO, Rational, binomial
 from meanstab.series import integrate_formal, series_compose, series_power
+from meanstab.solver import AffineLocus, difference_expansion
 
 
 def _spread_even(even: Sequence[Rational], order: int) -> tuple[Rational, ...]:
@@ -171,3 +176,19 @@ def expand_by_composition(spec: MeanSpec, order: int) -> MeanExpansion:
         raise ArithmeticError("D(Lambda) must start 2u")
     shifted = tuple(den[j + 1] / 2 for j in range(order + 1))
     return MeanExpansion(series_power(shifted, -1, order))
+
+
+def coefficient_polynomial(mean: MeanExpansion, k: int, locus: AffineLocus) -> UniPoly:
+    """The t**k coefficient of M - R(B_p, M, B_q) on the locus as a
+    polynomial in p, interpolated through k+1 of k+2 samples at order k; the
+    last sample checks the degree bound k-1."""
+    samples = []
+    for i in range(k + 2):
+        p = Fraction(i - (k + 2) // 2)
+        diff = difference_expansion(mean, p, locus.q_of(p), k)
+        samples.append((p, diff.coeffs[k]))
+    poly = lagrange_interpolate(samples[: k + 1])
+    p_extra, v_extra = samples[k + 1]
+    if poly.degree > k - 1 or poly(p_extra) != v_extra:
+        raise ArithmeticError("degree bound violated")
+    return poly

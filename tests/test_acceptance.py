@@ -43,7 +43,7 @@ from meanstab.numeric import (
 from meanstab.resultant import resultant_coeffs, resultant_power_means
 from meanstab.series import series_mul, series_power
 from meanstab.solver import (
-    coefficient_polynomial,
+    coefficient_polynomials,
     difference_expansion,
     first_order_locus,
     is_stable,
@@ -200,7 +200,7 @@ def test_criterion_4_solver_examples():
         locus = first_order_locus(m)
         assert locus.slope == F(-1, 2)
         assert locus.intercept == F(1, 2) - 2 * a**2
-        poly = coefficient_polynomial(m, 4, locus)
+        poly = coefficient_polynomials(m, locus, 4, 4)[4]
         p_sq = 1 + 16 * a**2 - 16 * a**4
         assert poly.coeffs[1] == 0 and poly(0) == -poly.coeffs[2] * p_sq
     assert 1 + 16 * F(1, 9) - 16 * F(1, 81) == F(209, 81)
@@ -214,7 +214,7 @@ def test_criterion_4_solver_examples():
         m = expand_mean(SAlpha(a), 8)
         locus = first_order_locus(m)
         assert locus.intercept == F(1, 2) + 2 * a**2
-        poly = coefficient_polynomial(m, 4, locus)
+        poly = coefficient_polynomials(m, locus, 4, 4)[4]
         p_sq = (1 - 12 * a**2 + 112 * a**4 - 64 * a**6) / (1 + 4 * a**2)
         assert poly.coeffs[1] == 0 and poly(0) == -poly.coeffs[2] * p_sq
     v = optimal_parameters(expand_mean(SAlpha(F(1, 3)), 8), 8, spec=SAlpha(F(1, 3)))
@@ -241,7 +241,7 @@ def test_criterion_4_solver_examples():
     # logarithmic mean: q(q-1)/96 t^4 on the locus, and both exact sandwiches
     log = expand_mean(SAlpha(F(0)), 12)
     locus = first_order_locus(log)
-    poly = coefficient_polynomial(log, 4, locus)
+    poly = coefficient_polynomials(log, locus, 4, 4)[4]
     for q in (F(3), F(-2, 7), F(9, 4)):
         assert poly(1 - 2 * q) == q * (q - 1) / 96
     assert difference_expansion(log, F(1), F(0), 12).is_zero

@@ -186,6 +186,24 @@ class TestErrorHandling:
         assert "nonnegative integer" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "--mean", "L", "--max-order", "1"),
+            ("solve", "--mean", "L", "--max-order", "2"),
+            ("solve", "--mean", "M1", "--max-order", "0"),
+            ("stable", "--mean", "L", "--order", "3"),
+            ("stable", "--mean", "A", "--order", "0"),
+        ],
+        ids=lambda argv: f"{argv[0]}-{argv[-1]}",
+    )
+    def test_order_too_low_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "order of at least" in err
+        assert "Traceback" not in err
+
     def test_missing_subcommand_usage(self, capsys):
         code, _, _ = run_cli(capsys)
         assert code == 2

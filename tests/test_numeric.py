@@ -218,6 +218,14 @@ class TestCompareScan:
         report = compare_scan(SAlpha(F(18, 25)), ALIASES["A"], self.GRID)
         assert report.verdict == "crossing"
 
+    def test_equal_means(self):
+        # an exact 0.0 difference at every grid point is no sign change
+        for name in ("A", "L"):
+            report = compare_scan(ALIASES[name], ALIASES[name], self.GRID)
+            assert report.verdict == "equal"
+            assert report.witnesses == ()
+            assert report.min_gap == 0.0
+
     def test_s_alpha_09_dominates_arithmetic(self):
         # For alpha > pi/4 the limit ratio 4*alpha/pi exceeds 1 and the
         # difference is single-signed: S_0.9 > A on the whole grid.

@@ -3,7 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
+import oracles
+from meanstab import solver
 from meanstab.catalog import (
+    ALIASES,
     LAlpha,
     M1,
     M2,
@@ -18,7 +21,7 @@ from meanstab.catalog import (
 from meanstab.numeric import eval_mean, eval_resultant
 from meanstab.polynomials import QuadraticSurdRoot, RationalRoot, UniPoly
 from meanstab.solver import (
-    coefficient_polynomial,
+    coefficient_polynomials,
     difference_expansion,
     first_order_locus,
     is_stable,
@@ -79,19 +82,19 @@ class TestFirstOrderLocus:
 class TestCoefficientPolynomial:
     def test_l_alpha_third(self):
         m = expand_mean(LAlpha(F(1, 3)), 8)
-        poly = coefficient_polynomial(m, 4, first_order_locus(m))
+        poly = coefficient_polynomials(m, first_order_locus(m), 4, 4)[4]
         # proportional to p^2 - 209/81 with factor 5/3456
         assert poly.coeffs == (F(5, 3456) * F(-209, 81), F(0), F(5, 3456))
 
     def test_m2_roots(self):
         m = expand_mean(M2, 8)
-        poly = coefficient_polynomial(m, 4, first_order_locus(m))
+        poly = coefficient_polynomials(m, first_order_locus(m), 4, 4)[4]
         assert poly.coeffs == (F(-85, 384), F(0), F(5, 384))  # 5(p^2-17)/384
 
     def test_log_mean_q_form(self):
         m = expand_mean(SAlpha(F(0)), 8)
         locus = first_order_locus(m)
-        poly = coefficient_polynomial(m, 4, locus)
+        poly = coefficient_polynomials(m, locus, 4, 4)[4]
         assert poly.coeffs == (F(-1, 384), F(0), F(1, 384))
         # re-expressed through q = (1-p)/2 this is q(q-1)/96
         for q in (F(2), F(-1, 3), F(7, 5)):
@@ -102,7 +105,7 @@ class TestCoefficientPolynomial:
         # interpolation through different sample sets gives the same polynomial
         m = expand_mean(M2, 8)
         locus = first_order_locus(m)
-        poly = coefficient_polynomial(m, 4, locus)
+        poly = coefficient_polynomials(m, locus, 4, 4)[4]
         pts = []
         for i in (7, 10, 13, 15, 19):
             p = F(i, 7)
@@ -111,6 +114,71 @@ class TestCoefficientPolynomial:
         from meanstab.polynomials import lagrange_interpolate
 
         assert lagrange_interpolate(pts) == poly
+
+    @pytest.mark.parametrize(
+        "spec",
+        [LAlpha(F(1, 3)), SAlpha(F(2, 5)), PowerMean(F(3, 2)), M2],
+        ids=["L_alpha", "S_alpha", "B_p", "M2"],
+    )
+    def test_band_matches_per_order_oracle(self, spec):
+        m = expand_mean(spec, 12)
+        locus = first_order_locus(m)
+        band = coefficient_polynomials(m, locus, 3, 12)
+        assert band == {
+            k: oracles.coefficient_polynomial(m, k, locus) for k in range(3, 13)
+        }
+
+    def test_surplus_sample_catches_a_bad_value(self, monkeypatch):
+        # In the band at order 8 (p = -5..4) the t^4 polynomial interpolates
+        # p = -5..-1 and must match the other five samples; p = 3 is one of
+        # them, and a route at order 4 alone (p = -3..2) never samples it.
+        m = expand_mean(M2, 8)
+        locus = first_order_locus(m)
+        real = solver.difference_expansion
+        bad_p = F(3)
+
+        def corrupted(mean, p, q, order):
+            diff = real(mean, p, q, order)
+            if p != bad_p:
+                return diff
+            coeffs = diff.coeffs[:4] + (diff.coeffs[4] + 1,) + diff.coeffs[5:]
+            return solver.DifferenceExpansion(coeffs, diff.p, diff.q)
+
+        monkeypatch.setattr(solver, "difference_expansion", corrupted)
+        with pytest.raises(ArithmeticError, match="degree bound violated"):
+            coefficient_polynomials(m, locus, 4, 8)
+
+
+class TestOrderBands:
+    """Which truncation orders the search samples the locus at."""
+
+    @staticmethod
+    def sampled_orders(monkeypatch, spec, max_order):
+        orders = []
+        real = solver.difference_expansion
+
+        def counting(mean, p, q, order):
+            orders.append(order)
+            return real(mean, p, q, order)
+
+        monkeypatch.setattr(solver, "difference_expansion", counting)
+        optimal_parameters(expand_mean(spec, max_order), max_order)
+        return orders
+
+    def test_early_search_stays_below_order_seven(self, monkeypatch):
+        orders = self.sampled_orders(monkeypatch, SAlpha(F(1, 10)), 14)
+        assert orders and max(orders) <= 6
+
+    def test_deep_search_samples_three_bands(self, monkeypatch):
+        # bands at 3, 6 and 16, each of reach K sampled at K + 2 points
+        orders = self.sampled_orders(monkeypatch, ALIASES["A"], 16)
+        assert orders == [3] * 5 + [6] * 8 + [16] * 18
+
+    def test_search_needs_order_three(self):
+        m = expand_mean(M2, 6)
+        for max_order in (0, 1, 2):
+            with pytest.raises(ValueError, match="max_order >= 3"):
+                optimal_parameters(m, max_order)
 
 
 class TestOptimalParameters:
