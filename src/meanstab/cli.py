@@ -20,7 +20,9 @@ nothing lossy crosses into the exact layer.  Reports go to stdout as JSON
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Callable
@@ -118,6 +120,15 @@ def _expansion_json(expansion: MeanExpansion) -> dict:
 # Mean spec parsing
 
 
+def _exact(text: str) -> Rational:
+    """parse_rational for a command-line value; a zero denominator is a
+    usage error, not an engine error."""
+    try:
+        return parse_rational(text)
+    except ZeroDivisionError:
+        raise UsageError(f"zero denominator in {text!r}") from None
+
+
 def _build_spec(args: argparse.Namespace, which: str = "mean") -> MeanSpec:
     name = getattr(args, which, None)
     if name is None:
@@ -149,19 +160,19 @@ def parse_mean_spec(
     if lower in ("b", "powermean", "power-mean", "power"):
         if p is None:
             raise UsageError("power mean needs --p num/den")
-        return PowerMean(parse_rational(p))
+        return PowerMean(_exact(p))
     if lower in ("lalpha", "l_alpha"):
         if alpha is None:
             raise UsageError("Lalpha needs --alpha num/den")
-        return LAlpha(parse_rational(alpha))
+        return LAlpha(_exact(alpha))
     if lower in ("salpha", "s_alpha"):
         if alpha is None:
             raise UsageError("Salpha needs --alpha num/den")
-        return SAlpha(parse_rational(alpha))
+        return SAlpha(_exact(alpha))
     if lower in ("malphar", "m_alphar", "m_alpha_r"):
         if alpha is None or r is None:
             raise UsageError("Malphar needs --alpha and --r")
-        return MAlphaR(parse_rational(alpha), parse_rational(r))
+        return MAlphaR(_exact(alpha), _exact(r))
     raise UsageError(f"unknown mean {name!r}")
 
 
@@ -173,7 +184,7 @@ def _cmd_expand(args: argparse.Namespace) -> dict:
     if args.mean.strip().lower() == "stable":
         if args.a2 is None:
             raise UsageError("the stable series needs --a2 num/den")
-        expansion = expand_stable(parse_rational(args.a2), args.order)
+        expansion = expand_stable(_exact(args.a2), args.order)
         label = f"stable(a2={args.a2})"
     else:
         spec = _build_spec(args)
@@ -188,8 +199,8 @@ def _cmd_resultant(args: argparse.Namespace) -> dict:
         outer = parse_mean_spec(args.outer)
         inner = parse_mean_spec(args.inner) if args.inner else outer
     elif args.p is not None and args.q is not None:
-        outer = PowerMean(parse_rational(args.p))
-        inner = PowerMean(parse_rational(args.q))
+        outer = PowerMean(_exact(args.p))
+        inner = PowerMean(_exact(args.q))
     else:
         raise UsageError("give either --outer/--inner names or --p/--q powers")
     inner_expansion = expand_mean(inner, args.order)
@@ -290,9 +301,9 @@ def _cmd_limit(args: argparse.Namespace) -> dict:
     middle = _build_spec(args)
     if args.p is not None and args.q is not None:
         expr: object = (
-            PowerMean(parse_rational(args.p)),
+            PowerMean(_exact(args.p)),
             middle,
-            PowerMean(parse_rational(args.q)),
+            PowerMean(_exact(args.q)),
         )
         label = f"R(B_{args.p}, {describe_spec(middle)}, B_{args.q})"
     else:
@@ -328,21 +339,32 @@ def _cmd_verify(args: argparse.Namespace) -> dict:
 # Argument parser
 
 
-def _order(minimum: int = 0) -> Callable[[str], int]:
-    """argparse type of truncation orders: an integer of at least minimum."""
+def _integer(noun: str, minimum: int = 0) -> Callable[[str], int]:
+    """argparse type of orders and counts: an integer of at least minimum."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            value = -1  # rejected below with the same message as a negative order
+            value = -1  # rejected below with the same message as a negative value
         if value < 0:
             raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
         if value < minimum:
-            raise argparse.ArgumentTypeError(f"expected an order of at least {minimum}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"expected {noun} of at least {minimum}, got {text!r}")
         return value
 
     return parse
+
+
+def _finite(text: str) -> float:
+    """argparse type of float options: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _add_common_arguments(sub: argparse.ArgumentParser) -> None:
@@ -374,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("expand", help="exact expansion coefficients")
     _add_common_arguments(sub)
     _add_mean_arguments(sub)
-    sub.add_argument("--order", type=_order(), default=8)
+    sub.add_argument("--order", type=_integer("an order"), default=8)
     sub.set_defaults(handler=_cmd_expand)
 
     sub = subs.add_parser("resultant", help="expansion of R(K, M, N)")
@@ -384,34 +406,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--inner", help="inner mean N by name")
     sub.add_argument("--p", help="outer power-mean parameter (exact fraction)")
     sub.add_argument("--q", help="inner power-mean parameter (exact fraction)")
-    sub.add_argument("--order", type=_order(), default=8)
+    sub.add_argument("--order", type=_integer("an order"), default=8)
     sub.set_defaults(handler=_cmd_resultant)
 
     sub = subs.add_parser("stable", help="compare a mean with R(M, M, M)")
     _add_common_arguments(sub)
     _add_mean_arguments(sub)
-    sub.add_argument("--order", type=_order(4), default=8)
+    sub.add_argument("--order", type=_integer("an order", 4), default=8)
     sub.set_defaults(handler=_cmd_stable)
 
     sub = subs.add_parser("solve", help="optimal power-mean parameters")
     _add_common_arguments(sub)
     _add_mean_arguments(sub)
-    sub.add_argument("--max-order", type=_order(3), default=8)
+    sub.add_argument("--max-order", type=_integer("an order", 3), default=8)
     sub.set_defaults(handler=_cmd_solve)
 
     sub = subs.add_parser("scan", help="stable parameters within a family")
     _add_common_arguments(sub)
     sub.add_argument("--family", required=True, help="Lalpha or Salpha")
-    sub.add_argument("--order", type=_order(), default=16)
+    sub.add_argument("--order", type=_integer("an order"), default=16)
     sub.set_defaults(handler=_cmd_scan)
 
     sub = subs.add_parser("compare", help="comparison scan of two means")
     _add_common_arguments(sub)
     sub.add_argument("--m1", required=True)
     sub.add_argument("--m2", required=True)
-    sub.add_argument("--x-min", type=float, default=0.001)
-    sub.add_argument("--x-max", type=float, default=10.0)
-    sub.add_argument("--count", type=int, default=10000)
+    sub.add_argument("--x-min", type=_finite, default=0.001)
+    sub.add_argument("--x-max", type=_finite, default=10.0)
+    sub.add_argument("--count", type=_integer("a count", 2), default=10000)
     sub.add_argument("--scale", choices=("linear", "logarithmic"), default="linear")
     sub.set_defaults(handler=_cmd_compare)
 
@@ -425,11 +447,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("verify", help="remainder-decay slope check")
     _add_common_arguments(sub)
     _add_mean_arguments(sub)
-    sub.add_argument("--order", type=_order(), default=4)
-    sub.add_argument("--t", type=float, default=10.0)
-    sub.add_argument("--x-min", type=float, default=100.0)
-    sub.add_argument("--x-max", type=float, default=100000.0)
-    sub.add_argument("--count", type=int, default=40)
+    sub.add_argument("--order", type=_integer("an order"), default=4)
+    sub.add_argument("--t", type=_finite, default=10.0)
+    sub.add_argument("--x-min", type=_finite, default=100.0)
+    sub.add_argument("--x-max", type=_finite, default=100000.0)
+    sub.add_argument("--count", type=_integer("a count", 2), default=40)
     sub.set_defaults(handler=_cmd_verify)
 
     return parser
@@ -446,10 +468,16 @@ def _render_table(report: dict) -> str:
     return "\n".join(f"{k}: {json.dumps(v)}" for k, v in report.items())
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # Built on the first call of main, not at import, and reused: building
+    # costs about forty times what parsing one command line does.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

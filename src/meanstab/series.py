@@ -18,14 +18,29 @@ constant term.  All functions are duck-typed over the scalar: exact rationals
 in normal use, or any other type with field arithmetic, such as truncated
 series in a perturbation parameter when a computation needs an exact
 one-sided limit.
+
+Over Q the product, the power recursion and the exp recursion run on integer
+numerators over one common denominator: a series whose coefficients are all
+``Fraction`` or ``int``, with a ``Fraction`` constant term, becomes the list
+``[c * d for c in a]`` for ``d`` the least common denominator, and the loops
+multiply and add plain ints.  A product reduces by one gcd per output
+coefficient rather than one per term; the recursions keep a running common
+denominator of the coefficients computed so far and rescale the stored
+numerators only when it grows.  Results are the same reduced ``Fraction``
+values, in tuples, as the generic loops give; any other scalar, a subclass
+of ``Fraction`` included, takes the generic loops.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 Coeffs = Sequence
+
+_RATIONAL_TYPES = (Fraction, int)
 
 
 def _zero_of(a: Coeffs):
@@ -48,9 +63,60 @@ def series_scale(a: Coeffs, factor, order: int) -> tuple:
     return tuple(c * factor for c in _fit(a, order, _zero_of(a)))
 
 
+def _integer_form(a: Coeffs, order: int) -> tuple[list[int], int] | None:
+    """``(nums, d)`` with ``a[n] == nums[n] / d`` for n through the order, d
+    the least common denominator; None if a coefficient is not a Fraction or
+    an int."""
+    head = a[: order + 1]
+    if not all(type(c) in _RATIONAL_TYPES for c in head):
+        return None
+    ratios = [c.as_integer_ratio() for c in head]
+    den = lcm(*[d for _, d in ratios])
+    nums = [n * (den // d) for n, d in ratios]
+    nums.extend([0] * (order + 1 - len(nums)))
+    return nums, den
+
+
+def _over_q(zero, order: int, *series: Coeffs) -> list | None:
+    """The integer forms of the series when the generic loops would compute
+    in Fraction (their zero is a Fraction, every coefficient a Fraction or an
+    int), else None."""
+    if type(zero) is not Fraction:
+        return None
+    forms = [_integer_form(a, order) for a in series]
+    return None if None in forms else forms
+
+
+def _recursion_over_q(head: Fraction, step, order: int) -> tuple:
+    """c_0 = head and c_n = top / (bottom * d) for ``top, bottom = step(n,
+    back)``, where ``back`` holds the numerators of c_{n-1}, ..., c_0 over
+    their common denominator d.  d only grows, and the stored numerators
+    are rescaled when it does."""
+    nums, den = [head.numerator], head.denominator
+    for n in range(1, order + 1):
+        top, bottom = step(n, nums[::-1])
+        g = gcd(top, bottom * den)
+        top, bottom = top // g, bottom * den // g  # bottom may be negative
+        if den % bottom:
+            grown = lcm(den, bottom)
+            scale = grown // den
+            nums = [q * scale for q in nums]
+            den = grown
+        nums.append(top * (den // bottom))
+    return tuple(Fraction(q, den) for q in nums)
+
+
 def series_mul(a: Coeffs, b: Coeffs, order: int) -> tuple:
     """Cauchy product truncated at the given order."""
     zero = _zero_of(a) if len(a) else _zero_of(b)
+    forms = _over_q(zero, order, a, b)
+    if forms is not None:
+        (x, dx), (y, dy) = forms
+        den, ry = dx * dy, y[::-1]
+        return tuple(
+            Fraction(sum(map(mul, x[: k + 1], ry[order - k :])), den)
+            for k in range(order + 1)
+        )
     fa, fb = _fit(a, order, zero), _fit(b, order, zero)
     out = [zero] * (order + 1)
     for i, x in enumerate(fa):
@@ -94,6 +160,19 @@ def series_power(a: Coeffs, r, order: int) -> tuple:
         r = Fraction(r)
         head = a0
     zero = _zero_of(a)
+    forms = _over_q(zero, order, a)
+    if forms is not None:
+        # With r = s/t the weight is (k*(s+t) - n*t)/t, and the common
+        # denominator of a cancels against the one of a_0.
+        (x, _), = forms
+        s, t = r.as_integer_ratio()
+        kx = [k * c for k, c in enumerate(x)]
+
+        def step(n, back):
+            top = (s + t) * sum(map(mul, kx[1 : n + 1], back))
+            return top - n * t * sum(map(mul, x[1 : n + 1], back)), n * t * x[0]
+
+        return _recursion_over_q(head, step, order)
     fa = _fit(a, order, zero)
     out = [zero] * (order + 1)
     out[0] = head
@@ -115,6 +194,13 @@ def series_exp(a: Coeffs, order: int) -> tuple:
     if len(a) and a[0] != 0:
         raise ValueError("exp requires a zero constant term")
     zero = _zero_of(a)
+    forms = _over_q(zero, order, a)
+    if forms is not None:
+        (x, den), = forms
+        kx = [k * c for k, c in enumerate(x)]
+        return _recursion_over_q(
+            Fraction(1), lambda n, back: (sum(map(mul, kx[1 : n + 1], back)), n * den), order
+        )
     fa = _fit(a, order, zero)
     out = [zero] * (order + 1)
     out[0] = zero + 1

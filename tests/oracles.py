@@ -11,7 +11,11 @@ Each one is an independent derivation of the same coefficients:
   (cubic in the order) and inverted;
 * ``coefficient_polynomial``: one t**k coefficient polynomial of the
   solver from its own k+2 difference expansions truncated at order k, where
-  the solver samples one band of expansions for many k.
+  the solver samples one band of expansions for many k;
+* ``cauchy_product``, ``power_recursion`` and ``exp_recursion``: the series
+  product and the power and exp recursions as scalar-generic loops that
+  reduce every ``Fraction`` term, where the kernel runs rationals on
+  integer numerators over a common denominator.
 
 They are exact and slow; only tests use them.
 """
@@ -192,3 +196,68 @@ def coefficient_polynomial(mean: MeanExpansion, k: int, locus: AffineLocus) -> U
     if poly.degree > k - 1 or poly(p_extra) != v_extra:
         raise ArithmeticError("degree bound violated")
     return poly
+
+
+def _padded(a: Sequence, order: int, zero) -> list:
+    return list(a[: order + 1]) + [zero] * (order + 1 - len(a[: order + 1]))
+
+
+def _zero(a: Sequence):
+    return a[0] * 0 if len(a) else Fraction(0)
+
+
+def cauchy_product(a: Sequence, b: Sequence, order: int) -> tuple:
+    """Truncated Cauchy product, one scalar operation per term."""
+    zero = _zero(a) if len(a) else _zero(b)
+    fa, fb = _padded(a, order, zero), _padded(b, order, zero)
+    out = [zero] * (order + 1)
+    for i, x in enumerate(fa):
+        if x == 0:
+            continue
+        for j in range(order + 1 - i):
+            y = fb[j]
+            if y != 0:
+                out[i + j] = out[i + j] + x * y
+    return tuple(out)
+
+
+def power_recursion(a: Sequence, r, order: int) -> tuple:
+    """a**r by P[n] = (1/(n*a_0)) * sum_k (k*(1+r) - n) * a_k * P[n-k]."""
+    a0 = a[0]
+    if isinstance(r, int) or (isinstance(r, Fraction) and r.denominator == 1):
+        r = int(r)
+        head = a0**r
+    else:
+        if a0 != 1:
+            raise ValueError("irrational leading power")
+        r = Fraction(r)
+        head = a0
+    zero = _zero(a)
+    fa = _padded(a, order, zero)
+    out = [zero] * (order + 1)
+    out[0] = head
+    for n in range(1, order + 1):
+        acc = zero
+        for k in range(1, n + 1):
+            if fa[k] == 0:
+                continue
+            weight = k * (1 + r) - n
+            if weight != 0:
+                acc = acc + weight * fa[k] * out[n - k]
+        out[n] = acc / (n * a0)
+    return tuple(out)
+
+
+def exp_recursion(a: Sequence, order: int) -> tuple:
+    """exp(a) for a_0 = 0 by n*E[n] = sum_k k*a_k*E[n-k]."""
+    zero = _zero(a)
+    fa = _padded(a, order, zero)
+    out = [zero] * (order + 1)
+    out[0] = zero + 1
+    for n in range(1, order + 1):
+        acc = zero
+        for k in range(1, n + 1):
+            if fa[k] != 0:
+                acc = acc + k * fa[k] * out[n - k]
+        out[n] = acc / n
+    return tuple(out)

@@ -204,6 +204,57 @@ class TestErrorHandling:
         assert "order of at least" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("expand", "--mean", "powermean", "--power", "1/0"),
+            ("resultant", "--mean", "A", "--p", "1/0", "--q", "1"),
+            ("resultant", "--mean", "A", "--p", "1", "--q", "2/0"),
+            ("limit", "--mean", "G", "--p=-3/0", "--q", "1"),
+            ("expand", "--mean", "Lalpha", "--alpha", "1/0"),
+            ("expand", "--mean", "Malphar", "--alpha", "1/2", "--r", "3/0"),
+            ("expand", "--mean", "stable", "--a2=-1/0"),
+        ],
+        ids=["power", "resultant-p", "resultant-q", "limit-p", "alpha", "r", "a2"],
+    )
+    def test_zero_denominator_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "zero denominator" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (("compare", "--m1", "A", "--m2", "G", "--x-max", "1e400"), "finite number"),
+            (("compare", "--m1", "A", "--m2", "G", "--x-min", "nan"), "finite number"),
+            (("compare", "--m1", "A", "--m2", "G", "--count", "1"), "count of at least 2"),
+            (("compare", "--m1", "A", "--m2", "G", "--count", "0"), "count of at least 2"),
+            (("verify", "--mean", "M4", "--order", "4", "--t", "nan"), "finite number"),
+            (("verify", "--mean", "M4", "--t=-inf"), "finite number"),
+            (("verify", "--mean", "M4", "--x-max", "inf"), "finite number"),
+            (("verify", "--mean", "M4", "--count", "1"), "count of at least 2"),
+        ],
+        ids=["compare-x-max", "compare-x-min", "compare-count-1", "compare-count-0",
+             "verify-t-nan", "verify-t-inf", "verify-x-max", "verify-count"],
+    )
+    def test_grid_option_out_of_range_is_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_parser_is_reused_between_calls(self, capsys):
+        from meanstab import cli
+
+        first = run_json(capsys, "expand", "--mean", "G", "--order", "4")
+        assert run_cli(capsys, "expand", "--mean", "G", "--order", "-1")[0] == 2
+        assert run_json(capsys, "expand", "--mean", "G", "--order", "4") == first
+        assert cli._shared_parser() is cli._shared_parser()
+        assert cli.build_parser() is not cli.build_parser()
+
     def test_missing_subcommand_usage(self, capsys):
         code, _, _ = run_cli(capsys)
         assert code == 2

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from laurent import LaurentScalar
 from meanstab.rationals import binomial
 from meanstab.series import (
     integrate_formal,
@@ -15,6 +16,7 @@ from meanstab.series import (
     series_mul,
     series_power,
 )
+from oracles import cauchy_product, exp_recursion, power_recursion
 
 ORDER = 10
 
@@ -163,6 +165,109 @@ def differentiate_formal(a, order):
     """Term-by-term derivative through the given order."""
     padded = list(a) + [F(0)] * (order + 2 - len(a))
     return tuple(padded[n + 1] * (n + 1) for n in range(order + 1))
+
+
+# Sparse coefficient lists of any length, with ints among the Fractions.
+sparse_series = st.lists(
+    st.one_of(st.just(F(0)), small_rationals, st.integers(min_value=-4, max_value=4)),
+    max_size=ORDER + 4,
+)
+orders = st.integers(min_value=0, max_value=ORDER)
+integer_heads = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(
+    lambda c: c not in (0, 1)
+)
+fractional_exponents = exponents.filter(lambda r: r.denominator != 1)
+
+
+def assert_same(out, reference):
+    """Equal coefficients of the same type, in a tuple of the same length."""
+    assert type(out) is tuple
+    assert out == reference
+    assert [type(c) for c in out] == [type(c) for c in reference]
+
+
+class TestIntegerKernelAgainstFractionLoops:
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_series, sparse_series, orders)
+    def test_product(self, a, b, order):
+        assert_same(series_mul(a, b, order), cauchy_product(a, b, order))
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_series, orders, fractional_exponents)
+    def test_fractional_power_of_unit_head(self, tail, order, r):
+        a = [F(1)] + tail
+        assert_same(series_power(a, r, order), power_recursion(a, r, order))
+
+    @settings(max_examples=60, deadline=None)
+    @given(integer_heads, sparse_series, orders, st.integers(min_value=-6, max_value=6))
+    def test_integer_power(self, head, tail, order, r):
+        a = [head] + tail
+        assert_same(series_power(a, r, order), power_recursion(a, r, order))
+        assert_same(series_power(a, F(r), order), power_recursion(a, F(r), order))
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_series, orders)
+    def test_exp(self, tail, order):
+        a = [F(0)] + tail
+        assert_same(series_exp(a, order), exp_recursion(a, order))
+
+    def test_long_operands(self):
+        rng = random.Random(41)
+        order = 40
+        a = tuple(F(rng.randint(-99, 99), rng.randint(1, 60)) for _ in range(order + 1))
+        b = tuple(F(rng.randint(-99, 99), rng.randint(1, 60)) for _ in range(order + 1))
+        assert_same(series_mul(a, b, order), cauchy_product(a, b, order))
+        unit = (F(1),) + a[1:]
+        assert_same(series_power(unit, F(-7, 3), order), power_recursion(unit, F(-7, 3), order))
+        assert_same(series_power(a, -3, order), power_recursion(a, -3, order))
+        assert_same(series_exp((F(0),) + b[1:], order), exp_recursion((F(0),) + b[1:], order))
+
+    def test_int_head_keeps_int_coefficients(self):
+        # Without a Fraction to start from, the generic loop stays in int.
+        assert_same(series_mul((1, 2), (3, 0, 1), 2), (3, 6, 1))
+
+
+class TestNonRationalScalars:
+    """A scalar that is neither Fraction nor int takes the generic loops."""
+
+    @staticmethod
+    def germ(*coeffs):
+        return LaurentScalar.from_poly([F(c) for c in coeffs], window=8)
+
+    def series(self):
+        return (self.germ(1, 1), self.germ(0, 2), self.germ(F(1, 3)), self.germ(-1, 0, 1))
+
+    @staticmethod
+    def parts(out):
+        return [(c.val, c.coeffs, c.floor) for c in out]
+
+    def test_product_power_and_exp(self):
+        a = self.series()
+        b = (self.germ(2),) + a[1:]
+        z = (self.germ(0),) + a[1:]
+        runs = [
+            (series_mul(a, b, 5), cauchy_product(a, b, 5)),
+            (series_power(b, -2, 5), power_recursion(b, -2, 5)),
+            (series_power((self.germ(1),) + a[1:], F(1, 2), 5),
+             power_recursion((self.germ(1),) + a[1:], F(1, 2), 5)),
+            (series_exp(z, 5), exp_recursion(z, 5)),
+        ]
+        for out, reference in runs:
+            assert all(type(c) is LaurentScalar for c in out)
+            assert self.parts(out) == self.parts(reference)
+
+    def test_fraction_subclass_takes_the_generic_loop(self):
+        products = []
+
+        class Counted(F):
+            def __mul__(self, other):
+                products.append(other)
+                return super().__mul__(other)
+
+        a = (Counted(1), Counted(1, 2), Counted(-2, 3))
+        out = series_mul(a, a, 4)
+        assert len(products) == 1 + 9  # the zero, then a_i * a_j for i, j < 3
+        assert_same(out, cauchy_product(a, a, 4))
 
 
 class TestCalculus:
