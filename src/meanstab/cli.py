@@ -52,6 +52,11 @@ from .solver import is_stable, optimal_parameters, stability_parameter_scan
 
 SCHEMA = "1"
 
+# Largest truncation order and grid count the CLI accepts; the exact engines
+# grow polynomially in the order, so larger requests are refused up front.
+MAX_ORDER = 512
+MAX_COUNT = 1_000_000
+
 
 class UsageError(Exception):
     pass
@@ -339,8 +344,8 @@ def _cmd_verify(args: argparse.Namespace) -> dict:
 # Argument parser
 
 
-def _integer(noun: str, minimum: int = 0) -> Callable[[str], int]:
-    """argparse type of orders and counts: an integer of at least minimum."""
+def _integer(noun: str, minimum: int, maximum: int) -> Callable[[str], int]:
+    """argparse type of orders and counts: an integer from minimum to maximum."""
 
     def parse(text: str) -> int:
         try:
@@ -351,6 +356,8 @@ def _integer(noun: str, minimum: int = 0) -> Callable[[str], int]:
             raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
         if value < minimum:
             raise argparse.ArgumentTypeError(f"expected {noun} of at least {minimum}, got {text!r}")
+        if value > maximum:
+            raise argparse.ArgumentTypeError(f"expected {noun} of at most {maximum}, got {text!r}")
         return value
 
     return parse
@@ -396,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("expand", help="exact expansion coefficients")
     _add_common_arguments(sub)
     _add_mean_arguments(sub)
-    sub.add_argument("--order", type=_integer("an order"), default=8)
+    sub.add_argument("--order", type=_integer("an order", 0, MAX_ORDER), default=8)
     sub.set_defaults(handler=_cmd_expand)
 
     sub = subs.add_parser("resultant", help="expansion of R(K, M, N)")
@@ -406,25 +413,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--inner", help="inner mean N by name")
     sub.add_argument("--p", help="outer power-mean parameter (exact fraction)")
     sub.add_argument("--q", help="inner power-mean parameter (exact fraction)")
-    sub.add_argument("--order", type=_integer("an order"), default=8)
+    sub.add_argument("--order", type=_integer("an order", 0, MAX_ORDER), default=8)
     sub.set_defaults(handler=_cmd_resultant)
 
     sub = subs.add_parser("stable", help="compare a mean with R(M, M, M)")
     _add_common_arguments(sub)
     _add_mean_arguments(sub)
-    sub.add_argument("--order", type=_integer("an order", 4), default=8)
+    sub.add_argument("--order", type=_integer("an order", 4, MAX_ORDER), default=8)
     sub.set_defaults(handler=_cmd_stable)
 
     sub = subs.add_parser("solve", help="optimal power-mean parameters")
     _add_common_arguments(sub)
     _add_mean_arguments(sub)
-    sub.add_argument("--max-order", type=_integer("an order", 3), default=8)
+    sub.add_argument("--max-order", type=_integer("an order", 3, MAX_ORDER), default=8)
     sub.set_defaults(handler=_cmd_solve)
 
     sub = subs.add_parser("scan", help="stable parameters within a family")
     _add_common_arguments(sub)
     sub.add_argument("--family", required=True, help="Lalpha or Salpha")
-    sub.add_argument("--order", type=_integer("an order"), default=16)
+    sub.add_argument("--order", type=_integer("an order", 0, MAX_ORDER), default=16)
     sub.set_defaults(handler=_cmd_scan)
 
     sub = subs.add_parser("compare", help="comparison scan of two means")
@@ -433,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--m2", required=True)
     sub.add_argument("--x-min", type=_finite, default=0.001)
     sub.add_argument("--x-max", type=_finite, default=10.0)
-    sub.add_argument("--count", type=_integer("a count", 2), default=10000)
+    sub.add_argument("--count", type=_integer("a count", 2, MAX_COUNT), default=10000)
     sub.add_argument("--scale", choices=("linear", "logarithmic"), default="linear")
     sub.set_defaults(handler=_cmd_compare)
 
@@ -447,11 +454,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("verify", help="remainder-decay slope check")
     _add_common_arguments(sub)
     _add_mean_arguments(sub)
-    sub.add_argument("--order", type=_integer("an order"), default=4)
+    sub.add_argument("--order", type=_integer("an order", 0, MAX_ORDER), default=4)
     sub.add_argument("--t", type=_finite, default=10.0)
     sub.add_argument("--x-min", type=_finite, default=100.0)
     sub.add_argument("--x-max", type=_finite, default=100000.0)
-    sub.add_argument("--count", type=_integer("a count", 2), default=40)
+    sub.add_argument("--count", type=_integer("a count", 2, MAX_COUNT), default=40)
     sub.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -348,8 +348,8 @@ def cauchy_root_bound(p: UniPoly) -> Rational:
 
 
 def _isolate_intervals(g: UniPoly) -> list[tuple[Rational, Rational]]:
-    """Isolating intervals for all real roots of square-free g with no
-    rational roots (so g never vanishes at a rational splitting point)."""
+    """Isolating intervals for all real roots of square-free g.  No endpoint
+    is a root: a splitting point where g vanishes moves towards the left end."""
     bound = cauchy_root_bound(g)
     stack = [(-bound, bound)]
     found: list[tuple[Rational, Rational]] = []
@@ -362,6 +362,8 @@ def _isolate_intervals(g: UniPoly) -> list[tuple[Rational, Rational]]:
             found.append((a, b))
             continue
         mid = (a + b) / 2
+        while g(mid) == 0:
+            mid = (a + mid) / 2
         stack.append((a, mid))
         stack.append((mid, b))
     found.sort()
@@ -421,9 +423,10 @@ def _divisors(n: int) -> list[int] | None:
     return divs
 
 
-def _rational_roots(g: UniPoly) -> list[Rational]:
-    """All rational roots of g (square-free), found by the rational-root
-    candidate test and verified by exact evaluation."""
+def _rational_roots(g: UniPoly) -> tuple[list[Rational], bool]:
+    """The rational roots of g (square-free), found by the rational-root
+    candidate test and verified by exact evaluation, and whether they are
+    all of them (False when the divisor search gave up)."""
     scale = math.lcm(*(c.denominator for c in g.coeffs))
     ints = [int(c * scale) for c in g.coeffs]
     roots: list[Rational] = []
@@ -434,11 +437,11 @@ def _rational_roots(g: UniPoly) -> list[Rational]:
         roots.append(ZERO)
         ints = ints[shift:]
     if len(ints) <= 1:
-        return roots
+        return roots, True
     num_divs = _divisors(ints[0])
     den_divs = _divisors(ints[-1])
-    if num_divs is None or den_divs is None:
-        return roots  # interval recognition will pick up what this misses
+    if num_divs is None or den_divs is None or len(num_divs) * len(den_divs) > _DIVISOR_CAP:
+        return roots, False  # interval recognition picks up what this misses
     seen = set()
     for p in num_divs:
         for q in den_divs:
@@ -447,7 +450,7 @@ def _rational_roots(g: UniPoly) -> list[Rational]:
                     seen.add(cand)
                     if g(cand) == 0:
                         roots.append(cand)
-    return roots
+    return roots, True
 
 
 def simplest_between(lo: Rational, hi: Rational) -> Rational:
@@ -469,19 +472,18 @@ def simplest_between(lo: Rational, hi: Rational) -> Rational:
 
 
 def _recognize_rational(g: UniPoly, a: Rational, b: Rational) -> Rational | None:
-    """Check whether the isolated root in (a, b) is in fact rational.
+    """The root of g in its isolating interval (a, b) if that root is rational.
 
-    Safety net for the rare case where the divisor enumeration bailed out on
-    an unfactorable coefficient; the candidate is verified exactly.
+    Safety net for when the divisor search gave up.  A rational root p/q has
+    q dividing the leading coefficient L of g's integer form, and two
+    rationals with denominators at most L lie at least 1/L**2 apart; so once
+    the interval is narrower than that, the rational of smallest denominator
+    in it is the only candidate, and it is verified exactly.
     """
-    for _ in range(4):
-        cand = simplest_between(a, b)
-        if g(cand) == 0:
-            return cand
-        if b - a <= Fraction(1, 10**30):
-            return None
-        a, b = _refine(g, a, b, (b - a) / Fraction(10**6))
-    return None
+    lead = abs(g.leading * math.lcm(*(c.denominator for c in g.coeffs)))
+    a, b = _refine(g, a, b, 1 / (lead * lead + 1))
+    cand = simplest_between(a, b)
+    return cand if g(cand) == 0 else None
 
 
 def _pair_quadratic_factors(
@@ -533,13 +535,17 @@ def isolate_real_roots(
         return []
     g = squarefree_part(f)
     roots: list[Root] = []
-    for r in _rational_roots(g):
+    rationals, complete = _rational_roots(g)
+    if not complete and g.degree >= 3:
+        recognized = (_recognize_rational(g, a, b) for a, b in _isolate_intervals(g))
+        rationals += [r for r in recognized if r is not None and r not in rationals]
+    for r in rationals:
         g, rem = divmod(g, UniPoly((-r, ONE)))
         if f(r) != 0 or not rem.is_zero:
             raise ArithmeticError(f"rational root candidate {r} does not divide the polynomial")
         roots.append(RationalRoot(r))
     if g.degree == 1:
-        # Only reachable when the divisor search bailed out.
+        # Only reachable when the divisor search gave up on a linear g.
         roots.append(RationalRoot(-g.coeffs[0] / g.coeffs[1]))
     elif g.degree == 2:
         c0, c1, c2 = g.coeffs
@@ -553,17 +559,10 @@ def isolate_real_roots(
                 roots.append(make_surd(-c1, -1, disc, 2 * c2))
                 roots.append(make_surd(-c1, +1, disc, 2 * c2))
     elif g.degree >= 3:
-        pending: list[tuple[Rational, Rational]] = []
-        for a, b in _isolate_intervals(g):
-            recognized = _recognize_rational(g, a, b)
-            if recognized is not None:
-                roots.append(RationalRoot(recognized))
-                continue
-            lo, hi = _refine(g, a, b, min(width, Fraction(1, 10**12)))
-            if lo == hi:
-                roots.append(RationalRoot(lo))
-            else:
-                pending.append((lo, hi))
+        # g has no rational root left, so no midpoint of the bisection is a root.
+        pending = [
+            _refine(g, a, b, min(width, Fraction(1, 10**12))) for a, b in _isolate_intervals(g)
+        ]
         surds, leftovers = _pair_quadratic_factors(g, pending)
         roots.extend(surds)
         roots.extend(IntervalRoot(lo, hi, g) for lo, hi in leftovers)

@@ -19,16 +19,24 @@ in normal use, or any other type with field arithmetic, such as truncated
 series in a perturbation parameter when a computation needs an exact
 one-sided limit.
 
-Over Q the product, the power recursion and the exp recursion run on integer
-numerators over one common denominator: a series whose coefficients are all
-``Fraction`` or ``int``, with a ``Fraction`` constant term, becomes the list
-``[c * d for c in a]`` for ``d`` the least common denominator, and the loops
-multiply and add plain ints.  A product reduces by one gcd per output
-coefficient rather than one per term; the recursions keep a running common
-denominator of the coefficients computed so far and rescale the stored
-numerators only when it grows.  Results are the same reduced ``Fraction``
-values, in tuples, as the generic loops give; any other scalar, a subclass
-of ``Fraction`` included, takes the generic loops.
+Over Q the product, the power recursion, the exp recursion and composition
+run on integer numerators over one common denominator: a series whose
+coefficients are all ``Fraction`` or ``int``, with a ``Fraction`` constant
+term, becomes the list ``[c * d for c in a]`` for ``d`` the least common
+denominator, and the loops multiply and add plain ints.  A product reduces by
+one gcd per output coefficient rather than one per term; the recursions keep
+a running common denominator of the coefficients computed so far and rescale
+the stored numerators only when it grows.  Composition converts both
+operands once and runs Horner's rule on the integer numerators: each step
+multiplies the accumulator by the inner numerators, multiplies its
+denominator by theirs, adds the next outer numerator and divides everything
+by the content gcd; a step whose accumulator is later multiplied by the
+inner series k more times stops k times the inner valuation short of the
+order.  Results are the same reduced ``Fraction`` values, in tuples, as the
+generic loops give; any other scalar, a subclass of ``Fraction`` included,
+takes the generic loops.  Where the generic loops divide (power, exp and
+integration), int coefficients count as rationals, so that all-int input
+gives ``Fraction`` results; a product of ints stays int.
 """
 
 from __future__ import annotations
@@ -45,6 +53,13 @@ _RATIONAL_TYPES = (Fraction, int)
 
 def _zero_of(a: Coeffs):
     return a[0] * 0 if len(a) else Fraction(0)
+
+
+def _field_zero(a: Coeffs):
+    """The zero of a loop that divides: for int coefficients a Fraction, so
+    that dividing by an int stays exact."""
+    zero = _zero_of(a)
+    return Fraction(0) if type(zero) is int else zero
 
 
 def _fit(a: Coeffs, order: int, zero) -> list:
@@ -106,17 +121,21 @@ def _recursion_over_q(head: Fraction, step, order: int) -> tuple:
     return tuple(Fraction(q, den) for q in nums)
 
 
+def _convolve(x: list[int], reversed_y: list[int], order: int) -> list[int]:
+    """The integer Cauchy product of x and y through the order, given y
+    reversed; y must reach the order."""
+    last = len(reversed_y) - 1
+    return [sum(map(mul, x[: k + 1], reversed_y[last - k :])) for k in range(order + 1)]
+
+
 def series_mul(a: Coeffs, b: Coeffs, order: int) -> tuple:
     """Cauchy product truncated at the given order."""
     zero = _zero_of(a) if len(a) else _zero_of(b)
     forms = _over_q(zero, order, a, b)
     if forms is not None:
         (x, dx), (y, dy) = forms
-        den, ry = dx * dy, y[::-1]
-        return tuple(
-            Fraction(sum(map(mul, x[: k + 1], ry[order - k :])), den)
-            for k in range(order + 1)
-        )
+        den = dx * dy
+        return tuple(Fraction(c, den) for c in _convolve(x, y[::-1], order))
     fa, fb = _fit(a, order, zero), _fit(b, order, zero)
     out = [zero] * (order + 1)
     for i, x in enumerate(fa):
@@ -127,14 +146,6 @@ def series_mul(a: Coeffs, b: Coeffs, order: int) -> tuple:
             if y != 0:
                 out[i + j] = out[i + j] + x * y
     return tuple(out)
-
-
-def power_table(first: Coeffs, ratio: Coeffs, order: int) -> list[tuple]:
-    """first * ratio**n for n = 0..order; ratio may have a zero constant term."""
-    table = [tuple(_fit(first, order, _zero_of(ratio)))]
-    for _ in range(order):
-        table.append(series_mul(table[-1], ratio, order))
-    return table
 
 
 def _is_integer(r) -> bool:
@@ -150,7 +161,7 @@ def series_power(a: Coeffs, r, order: int) -> tuple:
     """
     if not len(a) or a[0] == 0:
         raise ValueError("zero constant term")
-    a0 = a[0]
+    a0 = Fraction(a[0]) if type(a[0]) is int else a[0]
     if _is_integer(r):
         r = int(r)
         head = a0 ** r
@@ -159,7 +170,7 @@ def series_power(a: Coeffs, r, order: int) -> tuple:
             raise ValueError("irrational leading power")
         r = Fraction(r)
         head = a0
-    zero = _zero_of(a)
+    zero = _field_zero(a)
     forms = _over_q(zero, order, a)
     if forms is not None:
         # With r = s/t the weight is (k*(s+t) - n*t)/t, and the common
@@ -193,7 +204,7 @@ def series_exp(a: Coeffs, order: int) -> tuple:
     every coefficient stays in the field."""
     if len(a) and a[0] != 0:
         raise ValueError("exp requires a zero constant term")
-    zero = _zero_of(a)
+    zero = _field_zero(a)
     forms = _over_q(zero, order, a)
     if forms is not None:
         (x, den), = forms
@@ -221,6 +232,11 @@ def series_compose(outer: Coeffs, inner: Coeffs, order: int) -> tuple:
     if len(inner) and inner[0] != 0:
         raise ValueError("composition requires positive valuation")
     fo = list(outer[: order + 1]) or [zero]
+    # Horner's first product sees the last outer coefficient as its head.
+    forms = _over_q(fo[-1] * 0, order, fo, inner) if len(fo) > 1 else None
+    if forms is not None:
+        (x, dx), (y, dy) = forms
+        return _horner_over_q(x[: len(fo)], dx, y, dy, order)
     acc: tuple = tuple([fo[-1]] + [zero] * order)
     for c in reversed(fo[:-1]):
         acc = series_mul(acc, inner, order)
@@ -228,9 +244,30 @@ def series_compose(outer: Coeffs, inner: Coeffs, order: int) -> tuple:
     return acc
 
 
+def _horner_over_q(x: list[int], dx: int, y: list[int], dy: int, order: int) -> tuple:
+    """Horner's rule for (x/dx)(y/dy) on integers.  The accumulator times dx
+    is nums/den, and each step divides nums and den by their content gcd.
+    With v the valuation of y, the accumulator that x[k] enters is later
+    multiplied by y**k, so it is needed only through order - k*v."""
+    v = next((i for i, c in enumerate(y) if c), order + 1)
+    x = x[: order // v + 1]
+    nums, den, ry = [x[-1]] + [0] * (order - (len(x) - 1) * v), 1, y[::-1]
+    for k in range(len(x) - 2, -1, -1):
+        nums = _convolve(nums, ry, order - k * v)
+        den *= dy
+        nums[0] += x[k] * den
+        g = gcd(den, *nums)
+        if g > 1:
+            nums, den = [q // g for q in nums], den // g
+    den *= dx
+    return tuple(Fraction(q, den) for q in nums)
+
+
 def integrate_formal(a: Coeffs, order: int) -> tuple:
     """Term-by-term antiderivative with zero constant term."""
-    zero = _zero_of(a)
+    zero = _field_zero(a)
     fa = _fit(a, order, zero)
-    return tuple([zero] + [fa[n - 1] / n for n in range(1, order + 1)])
-
+    return tuple(
+        [zero]
+        + [Fraction(c, n) if type(c) is int else c / n for n, c in enumerate(fa[:order], 1)]
+    )

@@ -15,7 +15,15 @@ Each one is an independent derivation of the same coefficients:
 * ``cauchy_product``, ``power_recursion`` and ``exp_recursion``: the series
   product and the power and exp recursions as scalar-generic loops that
   reduce every ``Fraction`` term, where the kernel runs rationals on
-  integer numerators over a common denominator.
+  integer numerators over a common denominator;
+* ``horner_compose``: composition by Horner's rule with one reduced series
+  product per step, where the kernel keeps the accumulator over Q as
+  integer numerators over one denominator;
+* ``power_table``, ``composition_sums`` and ``resultant_by_double_sums``:
+  the resultant as double sums over tables of powers, with the degenerate
+  inner means (t-coefficient -1 or +1) run on the sequence shifted to the
+  first nonzero tail coefficient, where ``resultant.py`` forms each sum as
+  one composition and needs no case split.
 
 They are exact and slow; only tests use them.
 """
@@ -261,3 +269,76 @@ def exp_recursion(a: Sequence, order: int) -> tuple:
                 acc = acc + k * fa[k] * out[n - k]
         out[n] = acc / n
     return tuple(out)
+
+
+def horner_compose(outer: Sequence, inner: Sequence, order: int) -> tuple:
+    """outer(inner(u)) by Horner's rule, one product per outer coefficient."""
+    zero = _zero(inner) if len(inner) else _zero(outer)
+    if len(inner) and inner[0] != 0:
+        raise ValueError("composition requires positive valuation")
+    fo = list(outer[: order + 1]) or [zero]
+    acc: tuple = tuple([fo[-1]] + [zero] * order)
+    for c in reversed(fo[:-1]):
+        acc = cauchy_product(acc, inner, order)
+        acc = (acc[0] + c,) + acc[1:]
+    return acc
+
+
+def power_table(first: Sequence, ratio: Sequence, order: int) -> list[tuple]:
+    """first * ratio**n for n = 0..order; ratio may have a zero constant term."""
+    table = [tuple(_padded(first, order, _zero(ratio)))]
+    for _ in range(order):
+        table.append(cauchy_product(table[-1], ratio, order))
+    return table
+
+
+def composition_sums(
+    weights: Sequence, g: Sequence | None, h: Sequence, z: int | None, order: int
+) -> list:
+    """out[m] = sum_n weights[n] * [g**n * h**(1-n)]_(m - n*z), term by term;
+    ``g=None`` keeps only n = 0."""
+    zero = h[0] * 0
+    h_table = power_table(h, power_recursion(h, -1, order), order)
+    out = [zero] * (order + 1)
+    if g is None:
+        for m in range(order + 1):
+            out[m] = weights[0] * h_table[0][m]
+        return out
+    g_table = power_table((h[0] ** 0,), g, order)
+    for n in range(min(order // max(z, 1), len(weights) - 1) + 1):
+        w = weights[n]
+        if w == 0:
+            continue
+        conv = cauchy_product(g_table[n], h_table[n], order)
+        for m in range(n * z, order + 1):
+            out[m] = out[m] + w * conv[m - n * z]
+    return out
+
+
+def resultant_by_double_sums(
+    outer: Sequence, middle: Sequence, inner: Sequence, order: int
+) -> tuple:
+    """R(K, M, N) through composition_sums, with the side that loses its
+    leading term at n_1 = -1 or +1 shifted to the first nonzero tail
+    coefficient (None when the tail vanishes through the order)."""
+    one = inner[0]
+    zero = one * 0
+    n1 = inner[1] if order >= 1 else zero
+    tail = list(inner[2 : order + 1])
+    z_index = next((i + 2 for i, c in enumerate(tail) if c != 0), None)
+    shifted = None if z_index is None else list(inner[z_index : order + 1])
+    g: Sequence | None = [one + n1] + tail
+    gt: Sequence | None = [one - n1] + [-c for c in tail]
+    zg = zt = 1
+    if n1 == -1:
+        g, zg = shifted, z_index
+    elif n1 == 1:
+        gt, zt = (None if shifted is None else [-c for c in shifted]), z_index
+    h = [one + one, n1 - one] + tail
+    ht = [one + one, n1 + one] + tail
+    a_side = composition_sums(middle, gt, ht, zt, order)
+    b_side = composition_sums(middle, g, h, zg, order)
+    d = [a_side[j + 1] - b_side[j + 1] for j in range(order)]
+    s = [a_side[j] + b_side[j] for j in range(order + 1)]
+    combined = composition_sums(outer, d, s, 1, order)
+    return tuple(c * Fraction(1, 4) for c in combined)

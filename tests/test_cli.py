@@ -246,6 +246,41 @@ class TestErrorHandling:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (("expand", "--mean", "A", "--order", "513"), "order of at most 512"),
+            (("expand", "--mean", "stable", "--a2=-1/2", "--order", "100000"),
+             "order of at most 512"),
+            (("resultant", "--mean", "L", "--p", "1", "--q", "0", "--order", "513"),
+             "order of at most 512"),
+            (("stable", "--mean", "L", "--order", "100000"), "order of at most 512"),
+            (("solve", "--mean", "M2", "--max-order", "513"), "order of at most 512"),
+            (("scan", "--family", "Lalpha", "--order", "513"), "order of at most 512"),
+            (("compare", "--m1", "A", "--m2", "G", "--count", "1000001"),
+             "count of at most 1000000"),
+            (("compare", "--m1", "A", "--m2", "G", "--count", str(10**12)),
+             "count of at most 1000000"),
+            (("verify", "--mean", "M4", "--order", "513"), "order of at most 512"),
+            (("verify", "--mean", "M4", "--count", "1000001"), "count of at most 1000000"),
+        ],
+        ids=["expand", "expand-stable", "resultant", "stable", "solve", "scan",
+             "compare", "compare-huge", "verify-order", "verify-count"],
+    )
+    def test_huge_size_is_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_size_caps(self):
+        from meanstab import cli
+
+        assert (cli.MAX_ORDER, cli.MAX_COUNT) == (512, 1_000_000)
+        assert cli._integer("an order", 0, cli.MAX_ORDER)("512") == 512
+        assert cli._integer("a count", 2, cli.MAX_COUNT)("1000000") == 1_000_000
+
     def test_parser_is_reused_between_calls(self, capsys):
         from meanstab import cli
 

@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanstab.polynomials import (
     IntervalRoot,
@@ -9,6 +12,7 @@ from meanstab.polynomials import (
     RationalRoot,
     SignedInterval,
     UniPoly,
+    _rational_roots,
     _refine,
     affine_image,
     eval_at_root,
@@ -220,3 +224,105 @@ def test_clustered_rational_roots_separate():
     assert values == [r1, r2]
     surd_count = sum(isinstance(r, QuadraticSurdRoot) for r in roots)
     assert surd_count == 2  # +-sqrt(3)
+
+
+# Factors that defeat the divisor search: two primes above the trial-division
+# bound leave a cofactor above its square, and the 17 primes up to 59 give
+# 2**17 divisors, more than the divisor cap.
+BIG_PRIMES = 1000003 * 1000033
+PRIMORIAL_59 = math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59))
+
+# Rational roots of size up to about a thousand whose numerator or
+# denominator carries one of those factors.
+big_rationals = st.builds(
+    lambda big, num, den, sign, inverted: sign * (F(den * 10**6, big * num) if inverted
+                                                  else F(big * num, den * 10**6)),
+    st.sampled_from((BIG_PRIMES, PRIMORIAL_59)),
+    st.integers(min_value=1, max_value=999),
+    st.sampled_from((1, 7, 999979)),
+    st.sampled_from((1, -1)),
+    st.booleans(),
+)
+small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+# a + sign*sqrt(b) for a non-square rational b.
+surd_pairs = st.tuples(
+    st.fractions(min_value=-20, max_value=20, max_denominator=6),
+    st.fractions(min_value=F(1, 5), max_value=200, max_denominator=5).filter(
+        lambda b: math.isqrt(b.numerator * b.denominator) ** 2 != b.numerator * b.denominator
+    ),
+)
+# Irreducible cubics over Q and their numbers of real roots.
+CUBICS = [((-2, 0, 0, 1), 1), ((-1, -3, 0, 1), 3), ((2, -4, 0, 1), 3), ((-4, -1, 0, 1), 1)]
+
+
+class TestRootIsolationProperties:
+    """Polynomials built from known roots, with coefficients the divisor
+    search gives up on: exactly those roots come back, each in its
+    strongest form."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.lists(big_rationals, min_size=1, max_size=2),
+        st.lists(small_rationals, max_size=2),
+        st.lists(surd_pairs, max_size=1),
+        st.lists(st.sampled_from(CUBICS), max_size=1),
+        st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9),
+    )
+    def test_known_roots_come_back(self, big, small, surds, cubics, scale):
+        rationals = sorted(set(big + small))
+        p = poly(scale)
+        for r in rationals:
+            p = p * poly(-r, 1)
+        for a, b in surds:
+            p = p * poly(a * a - b, -2 * a, 1)
+        for coeffs, _ in cubics:
+            p = p * poly(*coeffs)
+        assert _rational_roots(squarefree_part(p))[1] is False
+
+        roots = isolate_real_roots(p)
+        assert [r.approx() for r in roots] == sorted(r.approx() for r in roots)
+        assert [r.value for r in roots if isinstance(r, RationalRoot)] == rationals
+        found_surds = {
+            (r.add / r.div, r.sign, r.radicand / (r.div * r.div))
+            for r in roots if isinstance(r, QuadraticSurdRoot)
+        }
+        assert found_surds == {(a, sign, b) for a, b in surds for sign in (-1, 1)}
+        intervals = [r for r in roots if isinstance(r, IntervalRoot)]
+        assert len(intervals) == sum(count for _, count in cubics)
+        for root in intervals:
+            cubic = poly(*cubics[0][0])
+            assert root.high - root.low <= F(1, 10**12)
+            assert cubic(root.low) * cubic(root.high) < 0
+
+    def test_large_rational_roots_after_the_divisor_search_gives_up(self):
+        # -999983 is far from the other roots; 1/3 + 1/BIG_PRIMES sits next
+        # to 1/3 with a denominator above the trial-division bound.
+        values = [F(-999983), F(1, 3), F(1, 3) + F(1, BIG_PRIMES), F(PRIMORIAL_59, 10**19)]
+        p = poly(-2, 0, 0, 1)
+        for v in values:
+            p = p * poly(-v, 1)
+        assert _rational_roots(squarefree_part(p))[1] is False
+        roots = isolate_real_roots(p)
+        assert [r.value for r in roots if isinstance(r, RationalRoot)] == sorted(values)
+        assert sum(isinstance(r, IntervalRoot) for r in roots) == 1
+
+    def test_root_at_a_splitting_point(self):
+        # The first bisection point of the root bound's interval is 0, a root
+        # here; moving the split keeps every interval end a non-root, which
+        # bisection needs to find the sign change around BIG_PRIMES/(3*10**12).
+        r = F(BIG_PRIMES, 3 * 10**12)
+        p = poly(0, 1) * poly(-r, 1) * poly(-2, 0, 0, 1)
+        assert _rational_roots(squarefree_part(p))[1] is False
+        roots = isolate_real_roots(p)
+        assert [r.kind for r in roots] == ["exact-rational", "exact-rational", "isolated-interval"]
+        assert [roots[0].value, roots[1].value] == [0, r]
+
+    def test_candidate_count_is_capped(self):
+        # Each divisor list is within the cap but their product is not: the
+        # search gives up instead of testing billions of candidates.
+        tiny = F(100000, 15903974896275558828879)
+        p = poly(-tiny, 1) * poly(-4, -1, 0, 1)
+        assert _rational_roots(squarefree_part(p))[1] is False
+        roots = isolate_real_roots(p)
+        assert [r.kind for r in roots] == ["exact-rational", "isolated-interval"]
+        assert roots[0].value == tiny

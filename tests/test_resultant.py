@@ -2,7 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from meanstab import resultant
 from meanstab.catalog import (
     M1,
     M2,
@@ -16,6 +19,7 @@ from meanstab.catalog import (
     expand_quotient_mean,
 )
 from laurent import LaurentScalar
+from oracles import composition_sums, resultant_by_double_sums
 from meanstab.resultant import (
     resultant_case,
     resultant_coeffs,
@@ -361,3 +365,88 @@ class TestLimitConsistency:
             [lift(c) for c in m1.coeffs], [lift(c) for c in m1.coeffs], perturbed, order
         )
         assert tuple(g.limit() for g in germ) == tuple(direct)
+
+
+# Sparse coefficients with ints among the Fractions.
+coefficients = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=7),
+    st.integers(min_value=-3, max_value=3),
+)
+nonzero = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=7), st.integers(-3, 3)
+).filter(lambda c: c != 0)
+
+
+@st.composite
+def means(draw, order):
+    return [F(1)] + draw(st.lists(coefficients, min_size=order, max_size=order))
+
+
+class TestCompositionAgainstDoubleSums:
+    """Each composition sum is one composition h * W(u * g / h), with no
+    case split at inner t-coefficient -1 or +1; the results equal the double
+    sums over power tables on shifted sequences, type for type."""
+
+    @staticmethod
+    def check(outer, middle, inner, order):
+        out = resultant_coeffs(outer, middle, inner, order)
+        reference = resultant_by_double_sums(outer, middle, inner, order)
+        assert out == reference
+        assert [type(c) for c in out] == [type(c) for c in reference]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(min_value=1, max_value=9))
+    def test_generic_inner(self, data, order):
+        n1 = data.draw(coefficients.filter(lambda c: c not in (1, -1)))
+        tail = data.draw(st.lists(coefficients, min_size=order - 1, max_size=order - 1))
+        inner = [F(1), n1] + tail
+        self.check(data.draw(means(order)), data.draw(means(order)), inner, order)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.data(),
+        st.integers(min_value=3, max_value=9),
+        st.sampled_from((F(1), F(-1), 1, -1)),
+        st.sampled_from((2, 3)),
+    )
+    def test_degenerate_inner_with_shift(self, data, order, n1, z):
+        rest = data.draw(st.lists(coefficients, min_size=order - z, max_size=order - z))
+        inner = [F(1), n1] + [F(0)] * (z - 2) + [data.draw(nonzero)] + rest
+        assert resultant_case(MeanExpansion(tuple(inner))) == (2 if n1 == -1 else 3)
+        self.check(data.draw(means(order)), data.draw(means(order)), inner, order)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data(), st.integers(min_value=0, max_value=9), st.sampled_from((F(1), F(-1))))
+    def test_degenerate_inner_with_zero_tail(self, data, order, n1):
+        inner = ([F(1), n1] + [F(0)] * order)[: order + 1]
+        self.check(data.draw(means(order)), data.draw(means(order)), inner, order)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.data(),
+        st.integers(min_value=0, max_value=8),
+        st.sampled_from((1, 2, 3)),
+        st.booleans(),
+    )
+    def test_single_composition_sum(self, data, order, z, degenerate):
+        # A shift by z is z - 1 leading zeros of g; a degenerate side is g = 0.
+        weights = [data.draw(coefficients.map(F))] + data.draw(
+            st.lists(coefficients, min_size=order, max_size=order + 2)
+        )
+        g = None if degenerate else data.draw(st.lists(coefficients, max_size=order + 1))
+        h = [data.draw(nonzero.map(F))] + data.draw(
+            st.lists(coefficients, min_size=order, max_size=order)
+        )
+        padded = [F(0)] * (order + 1) if g is None else [F(0)] * (z - 1) + g
+        out = resultant._composition_sums(weights, padded, h, order)
+        reference = composition_sums(weights, g, h, z, order)
+        assert list(out) == reference
+        assert [type(c) for c in out] == [type(c) for c in reference]
+
+    def test_long_catalog_triple(self):
+        order = 24
+        m2 = expand_quotient_mean(M2, order).coeffs
+        m1 = expand_quotient_mean(M1, order).coeffs
+        self.check(m2, m2, m2, order)
+        self.check(m2, m1, m1, order)

@@ -10,13 +10,12 @@ from laurent import LaurentScalar
 from meanstab.rationals import binomial
 from meanstab.series import (
     integrate_formal,
-    power_table,
     series_compose,
     series_exp,
     series_mul,
     series_power,
 )
-from oracles import cauchy_product, exp_recursion, power_recursion
+from oracles import cauchy_product, exp_recursion, horner_compose, power_recursion, power_table
 
 ORDER = 10
 
@@ -225,6 +224,52 @@ class TestIntegerKernelAgainstFractionLoops:
     def test_int_head_keeps_int_coefficients(self):
         # Without a Fraction to start from, the generic loop stays in int.
         assert_same(series_mul((1, 2), (3, 0, 1), 2), (3, 6, 1))
+
+
+class TestHornerOverQ:
+    """The integer Horner route of series_compose against the loop of one
+    reduced product per step."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sparse_series,
+        st.sampled_from((F(0), 0)),
+        st.integers(min_value=1, max_value=3),
+        sparse_series,
+        orders,
+    )
+    def test_compose(self, outer, zero, valuation, tail, order):
+        inner = [zero] * valuation + tail
+        assert_same(series_compose(outer, inner, order), horner_compose(outer, inner, order))
+
+    def test_long_operands(self):
+        rng = random.Random(43)
+        order = 40
+        outer = [F(rng.randint(-99, 99), rng.randint(1, 60)) for _ in range(order + 5)]
+        for valuation in (1, 2, 5):
+            inner = [F(0)] * valuation + [
+                F(rng.randint(-99, 99), rng.randint(1, 60)) for _ in range(order)
+            ]
+            assert_same(series_compose(outer, inner, order), horner_compose(outer, inner, order))
+
+    def test_zero_inner_keeps_the_constant_term(self):
+        outer, inner = (F(2, 3), 5, F(7)), (0, 0, 0)
+        assert_same(series_compose(outer, inner, 2), (F(2, 3), F(0), F(0)))
+        assert_same(horner_compose(outer, inner, 2), (F(2, 3), F(0), F(0)))
+
+
+class TestIntInputStaysExact:
+    """Dividing loops on int coefficients give Fractions, never floats."""
+
+    def test_values_and_types(self):
+        assert_same(series_power((1, 1), -1, 3), (F(1), F(-1), F(1), F(-1)))
+        assert_same(series_power((2, 1), -1, 2), (F(1, 2), F(-1, 4), F(1, 8)))
+        assert_same(series_power((3, 1), 2, 3), (F(9), F(6), F(1), F(0)))
+        assert_same(series_power((1, 2), F(1, 2), 2), (F(1), F(1), F(-1, 2)))
+        assert_same(series_exp((0, 1), 3), (F(1), F(1), F(1, 2), F(1, 6)))
+        assert_same(integrate_formal((1, 1), 2), (F(0), F(1), F(1, 2)))
+        assert_same(integrate_formal((F(1), 0, F(1, 2)), 3), (F(0), F(1), F(0), F(1, 6)))
+        # A product divides nothing: test_int_head_keeps_int_coefficients.
 
 
 class TestNonRationalScalars:
