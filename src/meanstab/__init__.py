@@ -34,7 +34,7 @@ from .polynomials import (
     isolate_real_roots,
     lagrange_interpolate,
 )
-from .rationals import Rational, binomial, parse_rational
+from .rationals import Rational, parse_rational
 from .resultant import (
     resultant_case,
     resultant_coeffs,

@@ -33,7 +33,6 @@ from typing import Union
 from .rationals import ONE, ZERO, Rational
 from .series import (
     integrate_formal,
-    series_add,
     series_compose,
     series_exp,
     series_mul,
@@ -186,18 +185,30 @@ class MeanExpansion:
 def expand_power_mean(p: Rational, order: int) -> MeanExpansion:
     """Expansion of the power mean B_p; B_0 is the geometric mean.
 
-    The engine route: average the binomial series of (1 -/+ u)**p and raise
-    to 1/p, all over Q.  First coefficients: a_2 = (p-1)/2 and
+    B_p is even in u, so the route works in w = u**2.  The average of
+    (1 -/+ u)**p is sum_k binom(p, 2k) w**k; for p = s/t its coefficients
+    come from one running integer product, numerator prod_j (s - j*t) over
+    denominator m! * t**m.  One power recursion at half the order raises it to
+    1/p, and the result is spread onto the even indices; B_0 = (1 - w)**(1/2)
+    takes the same path.  First coefficients: a_2 = (p-1)/2 and
     a_4 = (p-1)(3+p-2p^2)/24.
     """
     p = Fraction(p)
+    half = order // 2
     if p == 0:
-        inner = (ONE, ZERO, -ONE)  # 1 - u^2
-        return MeanExpansion(series_power(inner, Fraction(1, 2), order))
-    minus = series_power((ONE, -ONE), p, order)
-    plus = series_power((ONE, ONE), p, order)
-    avg = series_scale(series_add(minus, plus, order), Fraction(1, 2), order)
-    return MeanExpansion(series_power(avg, 1 / p, order))
+        avg, exponent = [ONE, -ONE], Fraction(1, 2)
+    else:
+        s, t = p.as_integer_ratio()
+        avg, num, den = [ONE], 1, 1
+        for m in range(1, 2 * half + 1):
+            num *= s - (m - 1) * t
+            den *= m * t
+            if m % 2 == 0:
+                avg.append(Fraction(num, den))
+        exponent = 1 / p
+    coeffs = [ZERO] * (order + 1)
+    coeffs[::2] = series_power(avg, exponent, half)
+    return MeanExpansion(tuple(coeffs))
 
 
 def log_ratio_series(order: int) -> tuple[Rational, ...]:
@@ -279,27 +290,32 @@ def expand_quotient_mean(spec: MeanSpec, order: int) -> MeanExpansion:
 def expand_stable(a2: Rational, order: int) -> MeanExpansion:
     """Even-only series fixed under the resultant mean-map R(M, M, M) = M.
 
-    At each even order the resultant coefficient is affine in the unknown
-    top coefficient, so the fixed point is solved exactly one order at a
-    time.  First solved terms:
+    The fixed point is solved one even order n >= 4 at a time.  As c_1 = 0,
+    the top coefficient c_n enters the resultant coefficient r_n affinely,
+    with slope exactly 1/2 + 2**(1-n) (g, h, d and s as in resultant.py):
+
+    * as the inner mean, it reaches r_n only through h and ht, which carry it
+      at index n (in u*g/h it meets only m_1 = 0 at order n), so s_n gains
+      2*c_n and r = s * K(u*d/s) / 4 gains c_n/2;
+    * as the middle mean, m_n * h * (u*g/h)**n contributes
+      h_0 * (g_0/h_0)**n = 2 * (1/2)**n on each side, 2**(-n) after the 1/4;
+    * as the outer mean, k_n * s * (u*d/s)**n / 4 contributes
+      s_0 * (d_0/s_0)**n / 4 = 2**(-n), with s_0 = 4 and d_0 = 2.
+
+    So one resultant with c_n = 0 gives r_n = base, and the fixed point is
+    c_n = base / (1 - slope).  First solved terms:
         a_4 = a_2 (1 + a_2)(1 - 4 a_2)/6,
         a_6 = a_2 (1 + a_2)(6 - 31 a_2 + 36 a_2^2 + 64 a_2^3)/90.
     """
     from .resultant import resultant_coeffs  # runtime import; engine layers upward
 
-    a2 = Fraction(a2)
-    coeffs = [ONE, ZERO] + [ZERO] * max(order - 1, 0)
+    coeffs = [ONE] + [ZERO] * order
     if order >= 2:
-        coeffs[2] = a2
-    for idx in range(4, order + 1, 2):
-        window = coeffs[: idx + 1]
-        window[idx] = ZERO
-        base = resultant_coeffs(window, window, window, idx)[idx]
-        window[idx] = ONE
-        slope = resultant_coeffs(window, window, window, idx)[idx] - base
-        if slope == 1:
-            raise ArithmeticError(f"fixed point underdetermined at order {idx}")
-        coeffs[idx] = base / (1 - slope)
+        coeffs[2] = Fraction(a2)
+    for n in range(4, order + 1, 2):
+        window = coeffs[: n + 1]
+        base = resultant_coeffs(window, window, window, n)[n]
+        coeffs[n] = base / (Fraction(1, 2) - Fraction(2, 2**n))
     return MeanExpansion(tuple(coeffs))
 
 

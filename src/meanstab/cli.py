@@ -48,7 +48,7 @@ from .polynomials import (
 )
 from .rationals import Rational, format_rational, parse_rational
 from .resultant import resultant_case, resultant_mean_map
-from .solver import is_stable, optimal_parameters, stability_parameter_scan
+from .solver import is_stable, optimal_parameters, scan_family, stability_parameter_scan
 
 SCHEMA = "1"
 
@@ -278,6 +278,8 @@ def _cmd_solve(args: argparse.Namespace) -> dict:
 
 
 def _cmd_scan(args: argparse.Namespace) -> dict:
+    if scan_family(args.family) is None:
+        raise UsageError(f"unknown family {args.family!r}; use Lalpha or Salpha")
     roots = stability_parameter_scan(args.family, args.order)
     return {
         "command": "scan",
@@ -431,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("scan", help="stable parameters within a family")
     _add_common_arguments(sub)
     sub.add_argument("--family", required=True, help="Lalpha or Salpha")
-    sub.add_argument("--order", type=_integer("an order", 0, MAX_ORDER), default=16)
+    sub.add_argument("--order", type=_integer("an order", 4, MAX_ORDER), default=16)
     sub.set_defaults(handler=_cmd_scan)
 
     sub = subs.add_parser("compare", help="comparison scan of two means")

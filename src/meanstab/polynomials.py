@@ -187,6 +187,31 @@ def lagrange_interpolate(
     return poly
 
 
+def newton_forward(x0: int, deltas: Sequence[int], den: int) -> UniPoly:
+    """Newton's forward form at the integer nodes x0, x0 + 1, ...:
+
+        sum_j deltas[j] / (j! * den) * (x - x0)(x - x0 - 1)...(x - x0 - j + 1),
+
+    the polynomial through values v_i / den whose integer numerators have the
+    leading forward differences deltas[j] = (Delta^j v)_0.  The nested form
+    runs on integers scaled by m! (m the top index); each coefficient is
+    divided once at the end.
+    """
+    m = len(deltas) - 1
+    if m < 0:
+        return UniPoly.zero()
+    acc, weight = [deltas[m]], 1
+    for j in range(m - 1, -1, -1):
+        weight *= j + 1  # m!/j!
+        shift = x0 + j
+        acc = [0] + acc  # acc * (x - shift) + deltas[j] * weight
+        for i in range(len(acc) - 1):
+            acc[i] -= shift * acc[i + 1]
+        acc[0] += deltas[j] * weight
+    scale = den * math.factorial(m)
+    return UniPoly(tuple(Fraction(c, scale) for c in acc))
+
+
 # ---------------------------------------------------------------------------
 # Root descriptions
 

@@ -43,13 +43,3 @@ def format_rational(value: Rational) -> str:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
 
-
-def binomial(r: Rational | int, k: int) -> Rational:
-    """Generalized binomial coefficient r(r-1)...(r-k+1)/k! for rational r."""
-    if k < 0:
-        raise ValueError("lower index of a binomial must be nonnegative")
-    r = Fraction(r)
-    result = ONE
-    for i in range(k):
-        result *= (r - i) / (i + 1)
-    return result

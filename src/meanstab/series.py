@@ -68,12 +68,6 @@ def _fit(a: Coeffs, order: int, zero) -> list:
     return out
 
 
-def series_add(a: Coeffs, b: Coeffs, order: int) -> tuple:
-    zero = _zero_of(a) if len(a) else _zero_of(b)
-    fa, fb = _fit(a, order, zero), _fit(b, order, zero)
-    return tuple(x + y for x, y in zip(fa, fb))
-
-
 def series_scale(a: Coeffs, factor, order: int) -> tuple:
     return tuple(c * factor for c in _fit(a, order, _zero_of(a)))
 

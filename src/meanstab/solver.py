@@ -8,17 +8,22 @@ difference M - R(B_p, M, B_q) order by order:
 * the t^2 coefficient vanishes exactly on the affine locus
   q = 3*a_2 + (3 - p)/2;
 * on that locus the t^k coefficient is a polynomial in p of degree at most
-  k - 1, recovered exactly by interpolation and solved by certified root
-  isolation.
+  k - 1, recovered exactly from samples at consecutive integers and solved
+  by certified root isolation.
 
 The coefficient polynomials come in order bands.  A band of reach K samples
-the difference once at K + 2 integer values of p, truncated at order K, and
-serves every k <= K it is asked for: the t^k coefficient of a truncation at
-K equals that of a truncation at k, so the t^k polynomial interpolates k + 1
-of the samples and the other K + 1 - k check its degree bound.  The search
-samples a new band only when it asks for a k past the last reach, at twice
-that reach (at least k), or at the search order once doubling again would
-pass it: bands at 3, 6 and max_order for max orders 12 to 23.
+the difference once at the n = K + 2 consecutive integers p = x0 .. x0+n-1,
+x0 = -(n//2), truncated at order K, and serves every k <= K it is asked for:
+the t^k coefficient of a truncation at K equals that of a truncation at k.
+Column k, as integer numerators over its least common denominator, gets a
+forward-difference table.  Its leading entries Delta^j must vanish for
+j = k .. n-1, which holds exactly when the polynomial through k + 1 of the
+samples has degree <= k - 1 and passes through the other K + 1 - k; the
+polynomial is then Newton's forward form of Delta^0 .. Delta^(k-1), built on
+integers with one division per coefficient.  The search samples a new band
+only when it asks for a k past the last reach, at twice that reach (at least
+k), or at the search order once doubling again would pass it: bands at 3, 6
+and max_order for max orders 12 to 23.
 
 The verdict distinguishes a candidate direction of the inequality (the sign
 of the first surviving coefficient, which is only the asymptotic, near-
@@ -53,6 +58,7 @@ from .polynomials import (
     eval_at_root,
     isolate_real_roots,
     lagrange_interpolate,
+    newton_forward,
 )
 from .rationals import Rational
 from .resultant import resultant_coeffs, resultant_power_means
@@ -134,24 +140,33 @@ def coefficient_polynomials(
     """The t**k coefficients of the difference on the locus, for k in
     low..high, as exact polynomials in p (degree <= k-1).
 
-    One band of high+2 difference expansions, at the integer samples
-    p = i - n//2 (i < n = high+2) and truncated at order high, serves every
-    k: the t**k polynomial interpolates the first k+1 samples and must match
-    the other high+1-k, the surplus samples that enforce the degree bound.
+    One band of n = high+2 difference expansions, at the consecutive integer
+    samples p = x0 .. x0+n-1 with x0 = -(n//2) and truncated at order high,
+    serves every k.  Column k, written as integer numerators over its least
+    common denominator, has the forward differences Delta^j, j < n; the
+    samples lie on a polynomial of degree <= k-1 exactly when Delta^j = 0 for
+    j = k..n-1, and that polynomial is the Newton form of Delta^0..Delta^(k-1).
     """
     if low < 2:
         raise ValueError("coefficient polynomials start at the t^2 index")
     n = high + 2
+    x0 = -(n // 2)
     samples = []
     for i in range(n):
-        p = Fraction(i - n // 2)
-        samples.append((p, difference_expansion(mean, p, locus.q_of(p), high).coeffs))
+        p = Fraction(x0 + i)
+        samples.append(difference_expansion(mean, p, locus.q_of(p), high).coeffs)
     polys = {}
     for k in range(low, high + 1):
-        poly = lagrange_interpolate([(p, c[k]) for p, c in samples[: k + 1]])
-        if poly.degree > k - 1 or any(poly(p) != c[k] for p, c in samples[k + 1 :]):
+        column = [c[k] for c in samples]
+        den = math.lcm(*(c.denominator for c in column))
+        row = [c.numerator * (den // c.denominator) for c in column]
+        deltas = []
+        while row:
+            deltas.append(row[0])
+            row = [b - a for a, b in zip(row, row[1:])]
+        if any(deltas[k:]):
             raise ArithmeticError("degree bound violated")
-        polys[k] = poly
+        polys[k] = newton_forward(x0, deltas[:k], den)
     return polys
 
 
@@ -453,20 +468,25 @@ def _defect_polynomial_in_beta(
     return poly
 
 
+def scan_family(family: str) -> Callable[[Rational], MeanSpec] | None:
+    """The spec constructor a scan family name stands for: LAlpha for a name
+    starting with L, SAlpha for one starting with S (any case), else None."""
+    name = family.strip().upper()
+    return LAlpha if name.startswith("L") else SAlpha if name.startswith("S") else None
+
+
 def stability_parameter_scan(family: str, order: int = 16) -> list[Root]:
     """All parameters alpha in [-1, 1] for which the family is stable.
 
     The t^4 stability defect is interpolated as an exact polynomial in
     alpha^2 and its roots isolated; candidates must survive the t^6 defect
-    and a full coefficient comparison to the given order.  Families: "L"
-    (generated by cosh) and "S" (generated by 1/cosh).
+    and a full coefficient comparison to the given order (at least 4).
+    Families: "L" (generated by cosh) and "S" (generated by 1/cosh).
     """
-    name = family.strip().upper()
-    if name.startswith("L"):
-        make_spec: Callable[[Rational], MeanSpec] = LAlpha
-    elif name.startswith("S"):
-        make_spec = SAlpha
-    else:
+    if order < 4:
+        raise ValueError("stability checks need order >= 4")
+    make_spec = scan_family(family)
+    if make_spec is None:
         raise ValueError("family must be 'LAlpha' or 'SAlpha'")
 
     defect4 = _defect_polynomial_in_beta(make_spec, 4)

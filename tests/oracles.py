@@ -10,8 +10,21 @@ Each one is an independent derivation of the same coefficients:
   its own closed form, composed with the log-ratio series by Horner's rule
   (cubic in the order) and inverted;
 * ``coefficient_polynomial``: one t**k coefficient polynomial of the
-  solver from its own k+2 difference expansions truncated at order k, where
-  the solver samples one band of expansions for many k;
+  solver from its own k+2 difference expansions truncated at order k, by
+  Lagrange interpolation through k+1 of them, where the solver samples one
+  band of expansions for many k and reads each polynomial and its degree
+  certificate from a forward-difference table;
+* ``coefficient_polynomials_by_interpolation``: the same band as the solver,
+  with every k interpolated through k+1 samples and evaluated at the others;
+* ``expand_power_mean_full_order``: B_p as the binomial series of
+  (1 -/+ u)**p, averaged and raised to 1/p, each at the full order, where
+  the catalog builds the even average from integer binomials and runs one
+  recursion at half the order;
+* ``stable_by_two_resultants``: the stable series with the slope of each
+  fixed-point step measured by a second resultant, where the catalog uses
+  its closed form 1/2 + 2**(1-n);
+* ``binomial``: the generalized binomial coefficient, one Fraction product
+  per factor;
 * ``cauchy_product``, ``power_recursion`` and ``exp_recursion``: the series
   product and the power and exp recursions as scalar-generic loops that
   reduce every ``Fraction`` term, where the kernel runs rationals on
@@ -46,9 +59,52 @@ from meanstab.catalog import (
     log_ratio_series,
 )
 from meanstab.polynomials import UniPoly, lagrange_interpolate
-from meanstab.rationals import ONE, ZERO, Rational, binomial
+from meanstab.rationals import ONE, ZERO, Rational
+from meanstab.resultant import resultant_coeffs
 from meanstab.series import integrate_formal, series_compose, series_power
 from meanstab.solver import AffineLocus, difference_expansion
+
+
+def binomial(r: Rational | int, k: int) -> Rational:
+    """Generalized binomial coefficient r(r-1)...(r-k+1)/k! for rational r."""
+    if k < 0:
+        raise ValueError("lower index of a binomial must be nonnegative")
+    r = Fraction(r)
+    result = ONE
+    for i in range(k):
+        result *= (r - i) / (i + 1)
+    return result
+
+
+def expand_power_mean_full_order(p: Rational, order: int) -> MeanExpansion:
+    """B_p from the binomial series of (1 -/+ u)**p, averaged and raised to
+    1/p at the full order; B_0 = (1 - u^2)**(1/2)."""
+    p = Fraction(p)
+    if p == 0:
+        return MeanExpansion(series_power((ONE, ZERO, -ONE), Fraction(1, 2), order))
+    minus = series_power((ONE, -ONE), p, order)
+    plus = series_power((ONE, ONE), p, order)
+    avg = tuple((a + b) / 2 for a, b in zip(minus, plus))
+    return MeanExpansion(series_power(avg, 1 / p, order))
+
+
+def stable_by_two_resultants(a2: Rational, order: int) -> MeanExpansion:
+    """The fixed point of R(M, M, M) = M solved one even order at a time,
+    with the affine dependence of the resultant coefficient on the unknown
+    top coefficient measured at the values 0 and 1."""
+    coeffs = [ONE] + [ZERO] * order
+    if order >= 2:
+        coeffs[2] = Fraction(a2)
+    for idx in range(4, order + 1, 2):
+        window = coeffs[: idx + 1]
+        window[idx] = ZERO
+        base = resultant_coeffs(window, window, window, idx)[idx]
+        window[idx] = ONE
+        slope = resultant_coeffs(window, window, window, idx)[idx] - base
+        if slope == 1:
+            raise ArithmeticError(f"fixed point underdetermined at order {idx}")
+        coeffs[idx] = base / (1 - slope)
+    return MeanExpansion(tuple(coeffs))
 
 
 def _spread_even(even: Sequence[Rational], order: int) -> tuple[Rational, ...]:
@@ -204,6 +260,26 @@ def coefficient_polynomial(mean: MeanExpansion, k: int, locus: AffineLocus) -> U
     if poly.degree > k - 1 or poly(p_extra) != v_extra:
         raise ArithmeticError("degree bound violated")
     return poly
+
+
+def coefficient_polynomials_by_interpolation(
+    mean: MeanExpansion, locus: AffineLocus, low: int, high: int
+) -> dict[int, UniPoly]:
+    """The solver's band of reach high, with the t**k polynomial
+    interpolated through the first k+1 samples, checked for degree k-1 and
+    evaluated at the other high+1-k samples."""
+    n = high + 2
+    samples = []
+    for i in range(n):
+        p = Fraction(i - n // 2)
+        samples.append((p, difference_expansion(mean, p, locus.q_of(p), high).coeffs))
+    polys = {}
+    for k in range(low, high + 1):
+        poly = lagrange_interpolate([(p, c[k]) for p, c in samples[: k + 1]])
+        if poly.degree > k - 1 or any(poly(p) != c[k] for p, c in samples[k + 1 :]):
+            raise ArithmeticError("degree bound violated")
+        polys[k] = poly
+    return polys
 
 
 def _padded(a: Sequence, order: int, zero) -> list:

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanstab.catalog import (
     ALIASES,
@@ -107,6 +109,48 @@ class TestPowerMean:
             assert e.coefficient(2) == power_mean_a2(p)
             assert e.coefficient(4) == power_mean_a4(p)
             assert e.is_even
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.one_of(
+            st.just(F(0)),
+            st.integers(-12, 12).map(F),
+            st.fractions(min_value=-12, max_value=12, max_denominator=9),
+        ),
+        order=st.integers(0, 40),
+    )
+    def test_half_length_route_matches_full_order_oracle(self, p, order):
+        coeffs = expand_power_mean(p, order).coeffs
+        assert coeffs == oracles.expand_power_mean_full_order(p, order).coeffs
+        assert len(coeffs) == order + 1
+        assert all(type(c) is F for c in coeffs)
+        assert all(c == 0 for c in coeffs[1::2])
+
+    @pytest.mark.parametrize("p", [F(0), F(-2), F(1, 3), F(7, 4)], ids=str)
+    def test_cauchy_integral_on_a_circle(self, p):
+        # a_n = (1/N) sum_j B_p(u_j) e^(-2 pi i j n/N) / r^n for u_j = r e^(2 pi i j/N),
+        # up to aliasing of order r^N = 0.4^128 and rounding at 50 digits
+        # amplified by r^-24; the power mean is analytic on |u| <= 0.4.
+        mpmath = pytest.importorskip("mpmath")
+        order, points = 24, 128
+        exact = expand_power_mean(p, order).coeffs
+        with mpmath.workdps(50):
+            radius = mpmath.mpf(2) / 5
+            e = mpmath.mpf(p.numerator) / p.denominator
+            values = []
+            for j in range(points):
+                u = radius * mpmath.expjpi(mpmath.mpf(2 * j) / points)
+                if p == 0:
+                    values.append(mpmath.sqrt((1 - u) * (1 + u)))
+                else:
+                    values.append((((1 - u) ** e + (1 + u) ** e) / 2) ** (1 / e))
+            for n, c in enumerate(exact):
+                dft = sum(
+                    v * mpmath.expjpi(mpmath.mpf(-2 * j * n) / points)
+                    for j, v in enumerate(values)
+                )
+                approx = dft / points / radius**n
+                assert abs(approx - mpmath.mpf(c.numerator) / c.denominator) < mpmath.mpf(10) ** -30
 
 
 class TestLAlpha:
@@ -244,6 +288,15 @@ class TestStableSeries:
 
     def test_zero_a2_is_arithmetic_mean(self):
         assert expand_stable(F(0), 12).coeffs == (F(1),) + (F(0),) * 12
+
+    @pytest.mark.parametrize(
+        "a2", [F(-1, 2), F(3), F(-17, 5), F(0), F(5, 8), F(-7, 3)], ids=str
+    )
+    def test_closed_form_slope_matches_two_resultants(self, a2):
+        for order in range(25):
+            expected = oracles.stable_by_two_resultants(a2, order).coeffs
+            assert expand_stable(a2, order).coeffs == expected
+            assert len(expected) == order + 1
 
 
 class TestSpecsAndAliases:

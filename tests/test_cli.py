@@ -194,14 +194,25 @@ class TestErrorHandling:
             ("solve", "--mean", "M1", "--max-order", "0"),
             ("stable", "--mean", "L", "--order", "3"),
             ("stable", "--mean", "A", "--order", "0"),
+            ("scan", "--family", "L", "--order", "3"),
+            ("scan", "--family", "Salpha", "--order", "3"),
+            ("scan", "--family", "Lalpha", "--order", "0"),
         ],
-        ids=lambda argv: f"{argv[0]}-{argv[-1]}",
+        ids=lambda argv: f"{argv[0]}-{argv[-3] if argv[0] == 'scan' else ''}{argv[-1]}",
     )
     def test_order_too_low_is_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert "order of at least" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("family", ["X", "XAlpha", "", "alpha"])
+    def test_unknown_family_is_usage_error(self, capsys, family):
+        code, out, err = run_cli(capsys, "scan", "--family", family, "--order", "8")
+        assert code == 2
+        assert out == ""
+        assert "unknown family" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(

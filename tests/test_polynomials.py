@@ -18,6 +18,7 @@ from meanstab.polynomials import (
     eval_at_root,
     isolate_real_roots,
     lagrange_interpolate,
+    newton_forward,
     poly_gcd,
     simplest_between,
     squarefree_part,
@@ -90,6 +91,35 @@ class TestLagrange:
         pts = [(F(i), fn(F(i))) for i in range(-2, 2)]
         p = lagrange_interpolate(pts)
         assert p.coeffs == (F(209, 81), F(0), F(-1))
+
+
+class TestNewtonForward:
+    @staticmethod
+    def leading_differences(values):
+        out, row = [], list(values)
+        while row:
+            out.append(row[0])
+            row = [b - a for a, b in zip(row, row[1:])]
+        return out
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        x0=st.integers(-12, 12),
+        values=st.lists(st.integers(-10**30, 10**30), max_size=14),
+        den=st.integers(1, 10**9),
+    )
+    def test_equals_lagrange_at_consecutive_integers(self, x0, values, den):
+        deltas = self.leading_differences(values)
+        points = [(x0 + i, F(v, den)) for i, v in enumerate(values)]
+        expected = lagrange_interpolate(points) if points else UniPoly.zero()
+        assert newton_forward(x0, deltas, den) == expected
+
+    def test_drops_vanishing_top_differences(self):
+        # 3p^2 - p + 5 at p = -4..2, over 7: Delta^3 and above are zero
+        values = [3 * p * p - p + 5 for p in range(-4, 3)]
+        deltas = self.leading_differences(values)
+        assert deltas[3:] == [0] * 4
+        assert newton_forward(-4, deltas, 7).coeffs == (F(5, 7), F(-1, 7), F(3, 7))
 
 
 class TestRootIsolation:

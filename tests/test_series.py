@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laurent import LaurentScalar
-from meanstab.rationals import binomial
 from meanstab.series import (
     integrate_formal,
     series_compose,
@@ -15,7 +14,14 @@ from meanstab.series import (
     series_mul,
     series_power,
 )
-from oracles import cauchy_product, exp_recursion, horner_compose, power_recursion, power_table
+from oracles import (
+    binomial,
+    cauchy_product,
+    exp_recursion,
+    horner_compose,
+    power_recursion,
+    power_table,
+)
 
 ORDER = 10
 

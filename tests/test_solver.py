@@ -148,6 +148,68 @@ class TestCoefficientPolynomial:
         with pytest.raises(ArithmeticError, match="degree bound violated"):
             coefficient_polynomials(m, locus, 4, 8)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [SAlpha(F(0)), PowerMean(F(0)), PowerMean(F(-13, 6))],
+        ids=["L", "G", "B_-13/6"],
+    )
+    def test_reach_sixteen_matches_per_order_oracle(self, spec):
+        m = expand_mean(spec, 16)
+        locus = first_order_locus(m)
+        band = coefficient_polynomials(m, locus, 3, 16)
+        assert band == {
+            k: oracles.coefficient_polynomial(m, k, locus) for k in range(3, 17)
+        }
+
+    @pytest.mark.parametrize("sample", [0, 5, 9], ids=lambda i: f"sample{i}")
+    def test_top_column_corruption_raises(self, monkeypatch, sample):
+        # The t^8 column of the band at order 8 has ten samples for a degree
+        # bound of 7: only Delta^8 = 0 and one surplus sample guard it.
+        m = expand_mean(M2, 8)
+        locus = first_order_locus(m)
+        real = solver.difference_expansion
+        bad_p = F(sample - 5)
+
+        def corrupted(mean, p, q, order):
+            diff = real(mean, p, q, order)
+            if p != bad_p:
+                return diff
+            coeffs = diff.coeffs[:8] + (diff.coeffs[8] + F(1, 10**9),)
+            return solver.DifferenceExpansion(coeffs, diff.p, diff.q)
+
+        monkeypatch.setattr(solver, "difference_expansion", corrupted)
+        with pytest.raises(ArithmeticError, match="degree bound violated"):
+            coefficient_polynomials(m, locus, 4, 8)
+
+    @pytest.mark.parametrize("excess", [0, 1])
+    def test_certificate_agrees_with_interpolation(self, monkeypatch, excess):
+        # Adding p^(k-1) to column k keeps every sample on a polynomial of
+        # degree k-1; adding p^k does not.  The forward-difference band and
+        # the interpolating band of the oracle accept and reject alike.
+        m = expand_mean(M2, 8)
+        locus = first_order_locus(m)
+        clean = coefficient_polynomials(m, locus, 4, 8)
+        real = solver.difference_expansion
+        k = 6
+
+        def bent(mean, p, q, order):
+            diff = real(mean, p, q, order)
+            coeffs = list(diff.coeffs)
+            coeffs[k] += p ** (k - 1 + excess)
+            return solver.DifferenceExpansion(tuple(coeffs), diff.p, diff.q)
+
+        monkeypatch.setattr(solver, "difference_expansion", bent)
+        monkeypatch.setattr(oracles, "difference_expansion", bent)
+        routes = (coefficient_polynomials, oracles.coefficient_polynomials_by_interpolation)
+        if excess:
+            for route in routes:
+                with pytest.raises(ArithmeticError, match="degree bound violated"):
+                    route(m, locus, 4, 8)
+        else:
+            band, reference = (route(m, locus, 4, 8) for route in routes)
+            assert band == reference
+            assert band == {**clean, k: clean[k] + UniPoly.from_coeffs([0] * (k - 1) + [1])}
+
 
 class TestOrderBands:
     """Which truncation orders the search samples the locus at."""
@@ -374,3 +436,13 @@ class TestParameterScan:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             stability_parameter_scan("XAlpha", 8)
+
+    def test_scan_needs_order_four(self, monkeypatch):
+        expanded = []
+        real = solver.expand_mean
+        monkeypatch.setattr(solver, "expand_mean", lambda *a: expanded.append(a) or real(*a))
+        for family in ("LAlpha", "SAlpha", "XAlpha"):
+            for order in (0, 3):
+                with pytest.raises(ValueError, match="order >= 4"):
+                    stability_parameter_scan(family, order)
+        assert expanded == []
