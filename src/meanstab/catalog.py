@@ -145,7 +145,7 @@ class MeanExpansion:
     coeffs: tuple[Rational, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
         if not coeffs or coeffs[0] != 1:
             raise ValueError("a mean expansion must start with coefficient 1")
         object.__setattr__(self, "coeffs", coeffs)

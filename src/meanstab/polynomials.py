@@ -295,11 +295,12 @@ def _extract_square(n: int) -> tuple[int, int]:
         return root, 1
     f, core = 1, n
     d = 2
+    # Only 2 and odd d: a composite d*d cannot divide once its primes' squares are out.
     while d <= 10_000 and d * d <= core:
         while core % (d * d) == 0:
             core //= d * d
             f *= d
-        d += 1
+        d += 1 if d == 2 else 2
     return f, core
 
 
@@ -451,7 +452,10 @@ def _divisors(n: int) -> list[int] | None:
 def _rational_roots(g: UniPoly) -> tuple[list[Rational], bool]:
     """The rational roots of g (square-free), found by the rational-root
     candidate test and verified by exact evaluation, and whether they are
-    all of them (False when the divisor search gave up)."""
+    all of them (False when the divisor search gave up).  A coprime
+    candidate +-p/q is a root exactly when sum_i ints[i] * (+-p)**i *
+    q**(n-i) = 0, evaluated by Horner's rule on integers; a pair with a
+    common factor is skipped, as its reduced form is also a candidate."""
     scale = math.lcm(*(c.denominator for c in g.coeffs))
     ints = [int(c * scale) for c in g.coeffs]
     roots: list[Rational] = []
@@ -467,14 +471,17 @@ def _rational_roots(g: UniPoly) -> tuple[list[Rational], bool]:
     den_divs = _divisors(ints[-1])
     if num_divs is None or den_divs is None or len(num_divs) * len(den_divs) > _DIVISOR_CAP:
         return roots, False  # interval recognition picks up what this misses
-    seen = set()
     for p in num_divs:
         for q in den_divs:
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand not in seen:
-                    seen.add(cand)
-                    if g(cand) == 0:
-                        roots.append(cand)
+            if math.gcd(p, q) > 1:
+                continue
+            for x in (p, -p):
+                acc, q_power = 0, 1
+                for c in reversed(ints):
+                    acc = acc * x + c * q_power
+                    q_power *= q
+                if acc == 0:
+                    roots.append(Fraction(x, q))
     return roots, True
 
 

@@ -32,6 +32,21 @@ the truncated inputs.  Each composition runs by Horner's rule in
 :func:`series.series_compose`, which over Q keeps its accumulator as integer
 numerators over one denominator.
 
+Even means need fewer compositions.  When the middle and inner coefficient
+sequences have no nonzero odd entry through the order, gt(u) = g(-u) and
+ht(u) = h(-u), and M(-y) = M(y), so A(u) = B(-u): one composition gives both
+sides.  M itself must be even for this, not only N: a mixed mean's series
+holds only for a positive half-difference, and the side A sees the pair
+(N, x+t) with the opposite sign of u.  Then s = 2E and u * d = -2O, for E and
+O = u * o(u**2) the even and odd parts of B.  If K is even as well, K(y) =
+K~(y**2) with K~ its even coefficients, and the outer step runs in w = u**2
+at half the order,
+
+    r(w) = (1/2) * E(w) * K~(w * o(w)**2 / E(w)**2),
+
+spread onto the even indices.  The inner means of the degenerate cases have
+n_1 = -1 or +1 and never take this route.
+
 Everything here is duck-typed over the scalar field, so the same code runs on
 exact rationals and on any other field-like scalar; the tests run it over
 truncated series in a perturbation parameter to check the degenerate cases
@@ -56,6 +71,24 @@ def _composition_sums(weights: Sequence, g: Sequence, h: Sequence, order: int) -
     return series_mul(h, series_compose(weights, ratio, order), order)
 
 
+def _odd_part_vanishes(seq: Sequence, order: int) -> bool:
+    return all(c == 0 for c in seq[1 : order + 1 : 2])
+
+
+def _even_outer_step(outer: Sequence, b_side: Sequence, order: int) -> tuple:
+    """(1/4) * s * K(u * d / s) for an even K, with A(u) = B(-u): in
+    w = u**2 it is (1/2) * E * K~(w * o**2 / E**2), spread onto the even
+    indices (E, o and K~ as in the module docstring)."""
+    e, o, half = b_side[::2], b_side[1::2], order // 2
+    w_o_squared = [e[0] * 0] + list(series_mul(o, o, half - 1))
+    ratio = series_mul(w_o_squared, series_power(e, -2, half), half)
+    combined = series_mul(e, series_compose(outer[::2], ratio, half), half)
+    scaled = [c * Fraction(1, 2) for c in combined]
+    out = [scaled[0] * 0] * (order + 1)
+    out[::2] = scaled
+    return tuple(out)
+
+
 def resultant_coeffs(outer: Sequence, middle: Sequence, inner: Sequence, order: int) -> tuple:
     """Coefficients r_0..r_order of R(K, M, N) from plain coefficient
     sequences (a_0 = 1 each).  Scalar-generic; see the module docstring."""
@@ -69,12 +102,16 @@ def resultant_coeffs(outer: Sequence, middle: Sequence, inner: Sequence, order: 
     n1 = inner[1] if order >= 1 else one * 0
     tail = list(inner[2 : order + 1])
     g = [one + n1] + tail
-    gt = [one - n1] + [-c for c in tail]
     h = [one + one, n1 - one] + tail
-    ht = [one + one, n1 + one] + tail
-
-    a_side = _composition_sums(middle, gt, ht, order)
     b_side = _composition_sums(middle, g, h, order)
+    if _odd_part_vanishes(middle, order) and _odd_part_vanishes(inner, order):
+        if _odd_part_vanishes(outer, order):
+            return _even_outer_step(outer, b_side, order)
+        a_side = [-c if j % 2 else c for j, c in enumerate(b_side)]  # A(u) = B(-u)
+    else:
+        gt = [one - n1] + [-c for c in tail]
+        ht = [one + one, n1 + one] + tail
+        a_side = _composition_sums(middle, gt, ht, order)
     d = [a_side[j + 1] - b_side[j + 1] for j in range(order)]
     s = [a_side[j] + b_side[j] for j in range(order + 1)]
     combined = _composition_sums(outer, d, s, order)

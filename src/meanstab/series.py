@@ -49,17 +49,22 @@ from typing import Sequence
 Coeffs = Sequence
 
 _RATIONAL_TYPES = (Fraction, int)
+_FRACTION_ZERO = Fraction(0)
 
 
 def _zero_of(a: Coeffs):
-    return a[0] * 0 if len(a) else Fraction(0)
+    """The zero of a's scalar: one shared Fraction(0) for an exact Fraction
+    head, else head * 0, so that any other scalar sees the product."""
+    if not len(a) or type(a[0]) is Fraction:
+        return _FRACTION_ZERO
+    return a[0] * 0
 
 
 def _field_zero(a: Coeffs):
     """The zero of a loop that divides: for int coefficients a Fraction, so
     that dividing by an int stays exact."""
     zero = _zero_of(a)
-    return Fraction(0) if type(zero) is int else zero
+    return _FRACTION_ZERO if type(zero) is int else zero
 
 
 def _fit(a: Coeffs, order: int, zero) -> list:

@@ -468,11 +468,14 @@ def _defect_polynomial_in_beta(
     return poly
 
 
+_SCAN_FAMILIES = {"L": LAlpha, "LALPHA": LAlpha, "S": SAlpha, "SALPHA": SAlpha}
+
+
 def scan_family(family: str) -> Callable[[Rational], MeanSpec] | None:
-    """The spec constructor a scan family name stands for: LAlpha for a name
-    starting with L, SAlpha for one starting with S (any case), else None."""
-    name = family.strip().upper()
-    return LAlpha if name.startswith("L") else SAlpha if name.startswith("S") else None
+    """The spec constructor a scan family name stands for: LAlpha for L or
+    LAlpha, SAlpha for S or SAlpha (any case, surrounding blanks ignored),
+    else None."""
+    return _SCAN_FAMILIES.get(family.strip().upper())
 
 
 def stability_parameter_scan(family: str, order: int = 16) -> list[Root]:

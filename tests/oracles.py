@@ -36,7 +36,16 @@ Each one is an independent derivation of the same coefficients:
   the resultant as double sums over tables of powers, with the degenerate
   inner means (t-coefficient -1 or +1) run on the sequence shifted to the
   first nonzero tail coefficient, where ``resultant.py`` forms each sum as
-  one composition and needs no case split.
+  one composition and needs no case split;
+* ``resultant_two_sides``: the resultant with both middle compositions and
+  the outer step at full length for every input, where ``resultant.py``
+  reads one side from the other and runs an even outer step in u**2 when
+  the means are even;
+* ``rational_roots_by_fraction_evaluation`` and ``extract_square_every_divisor``:
+  the rational-root candidate test by ``Fraction`` evaluation of every
+  candidate, and the square-factor search over every d up to 10**4, where
+  ``polynomials.py`` tests coprime candidates by integer Horner and tries
+  2 and odd d only.
 
 They are exact and slow; only tests use them.
 """
@@ -58,9 +67,9 @@ from meanstab.catalog import (
     _denominator_derivative,
     log_ratio_series,
 )
-from meanstab.polynomials import UniPoly, lagrange_interpolate
+from meanstab.polynomials import _DIVISOR_CAP, UniPoly, _divisors, lagrange_interpolate
 from meanstab.rationals import ONE, ZERO, Rational
-from meanstab.resultant import resultant_coeffs
+from meanstab.resultant import _composition_sums, resultant_coeffs
 from meanstab.series import integrate_formal, series_compose, series_power
 from meanstab.solver import AffineLocus, difference_expansion
 
@@ -418,3 +427,65 @@ def resultant_by_double_sums(
     s = [a_side[j] + b_side[j] for j in range(order + 1)]
     combined = composition_sums(outer, d, s, 1, order)
     return tuple(c * Fraction(1, 4) for c in combined)
+
+
+def resultant_two_sides(outer: Sequence, middle: Sequence, inner: Sequence, order: int) -> tuple:
+    """R(K, M, N) by three compositions at full length, whatever the parity
+    of the means."""
+    one = inner[0]
+    n1 = inner[1] if order >= 1 else one * 0
+    tail = list(inner[2 : order + 1])
+    g = [one + n1] + tail
+    gt = [one - n1] + [-c for c in tail]
+    h = [one + one, n1 - one] + tail
+    ht = [one + one, n1 + one] + tail
+    a_side = _composition_sums(middle, gt, ht, order)
+    b_side = _composition_sums(middle, g, h, order)
+    d = [a_side[j + 1] - b_side[j + 1] for j in range(order)]
+    s = [a_side[j] + b_side[j] for j in range(order + 1)]
+    combined = _composition_sums(outer, d, s, order)
+    return tuple(c * Fraction(1, 4) for c in combined)
+
+
+def rational_roots_by_fraction_evaluation(g: UniPoly) -> tuple[list[Rational], bool]:
+    """The rational roots of a square-free g and whether the search was
+    complete, evaluating g at every candidate +-p/q as a Fraction."""
+    scale = math.lcm(*(c.denominator for c in g.coeffs))
+    ints = [int(c * scale) for c in g.coeffs]
+    roots: list[Rational] = []
+    shift = 0
+    while ints[shift] == 0:
+        shift += 1
+    if shift:
+        roots.append(ZERO)
+        ints = ints[shift:]
+    if len(ints) <= 1:
+        return roots, True
+    num_divs = _divisors(ints[0])
+    den_divs = _divisors(ints[-1])
+    if num_divs is None or den_divs is None or len(num_divs) * len(den_divs) > _DIVISOR_CAP:
+        return roots, False
+    seen = set()
+    for p in num_divs:
+        for q in den_divs:
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if cand not in seen:
+                    seen.add(cand)
+                    if g(cand) == 0:
+                        roots.append(cand)
+    return roots, True
+
+
+def extract_square_every_divisor(n: int) -> tuple[int, int]:
+    """n = f*f*core with f collected by trying every d up to 10**4."""
+    root = math.isqrt(n)
+    if root * root == n:
+        return root, 1
+    f, core = 1, n
+    d = 2
+    while d <= 10_000 and d * d <= core:
+        while core % (d * d) == 0:
+            core //= d * d
+            f *= d
+        d += 1
+    return f, core

@@ -320,6 +320,16 @@ class TestSpecsAndAliases:
         with pytest.raises(ValueError):
             MeanExpansion((F(2), F(0)))
 
+    def test_expansion_keeps_fractions_and_converts_the_rest(self):
+        class Sub(F):
+            pass
+
+        kept = F(-1, 3)
+        coeffs = MeanExpansion((1, F(0), kept, Sub(1, 2))).coeffs
+        assert coeffs == (1, 0, F(-1, 3), F(1, 2))
+        assert all(type(c) is F for c in coeffs)
+        assert coeffs[2] is kept
+
 
 ALL_SPECS = [
     PowerMean(F(3)),

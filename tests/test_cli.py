@@ -207,7 +207,7 @@ class TestErrorHandling:
         assert "order of at least" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("family", ["X", "XAlpha", "", "alpha"])
+    @pytest.mark.parametrize("family", ["X", "XAlpha", "", "alpha", "Lunch", "salad", "Lalphas"])
     def test_unknown_family_is_usage_error(self, capsys, family):
         code, out, err = run_cli(capsys, "scan", "--family", family, "--order", "8")
         assert code == 2

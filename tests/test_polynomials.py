@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import extract_square_every_divisor, rational_roots_by_fraction_evaluation
 from meanstab.polynomials import (
     IntervalRoot,
     QuadraticSurdRoot,
     RationalRoot,
     SignedInterval,
     UniPoly,
+    _extract_square,
     _rational_roots,
     _refine,
     affine_image,
@@ -356,3 +358,49 @@ class TestRootIsolationProperties:
         roots = isolate_real_roots(p)
         assert [r.kind for r in roots] == ["exact-rational", "isolated-interval"]
         assert roots[0].value == tiny
+
+
+class TestRootSearchAgainstOracles:
+    """The integer candidate test and the square-factor search over 2 and
+    odd d give what Fraction evaluation of every candidate and every d up
+    to 10**4 give."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 9), st.integers(-20, 20)), min_size=1, max_size=4
+        ),
+        st.lists(st.sampled_from(CUBICS), max_size=1),
+        st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9),
+    )
+    def test_rational_roots_of_linear_factors(self, factors, cubics, scale):
+        p = poly(scale)
+        for a, b in factors:
+            p = p * poly(-b, a)
+        for coeffs, _ in cubics:
+            p = p * poly(*coeffs)
+        g = squarefree_part(p)
+        roots, complete = _rational_roots(g)
+        assert (roots, complete) == rational_roots_by_fraction_evaluation(g)
+        assert complete
+        assert sorted(roots) == sorted({F(b, a) for a, b in factors})
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=10**14))
+    def test_extract_square(self, n):
+        assert _extract_square(n) == extract_square_every_divisor(n)
+
+    @pytest.mark.parametrize("k", [2, 3, 6, 9973, 2 * 9973 + 1, 10**6 + 3])
+    def test_extract_square_of_a_large_prime_square(self, k):
+        n = 9973 * 9973 * k
+        assert _extract_square(n) == extract_square_every_divisor(n)
+        f, core = _extract_square(n)
+        assert f % 9973 == 0 and f * f * core == n
+
+    @pytest.mark.parametrize("k", [2, 5, 7 * 11, 13 * 17 * 19])
+    def test_extract_square_with_composite_square_factors(self, k):
+        for square in (6, 9, 15, 45, 210, 9999):
+            n = square * square * k
+            assert _extract_square(n) == extract_square_every_divisor(n)
+            f, core = _extract_square(n)
+            assert f % square == 0 and f * f * core == n

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from meanstab import resultant
 from meanstab.catalog import (
+    ALIASES,
     M1,
     M2,
     M3,
+    M4,
     MAlphaR,
     MeanExpansion,
     PowerMean,
@@ -19,7 +21,7 @@ from meanstab.catalog import (
     expand_quotient_mean,
 )
 from laurent import LaurentScalar
-from oracles import composition_sums, resultant_by_double_sums
+from oracles import composition_sums, resultant_by_double_sums, resultant_two_sides
 from meanstab.resultant import (
     resultant_case,
     resultant_coeffs,
@@ -450,3 +452,68 @@ class TestCompositionAgainstDoubleSums:
         m1 = expand_quotient_mean(M1, order).coeffs
         self.check(m2, m2, m2, order)
         self.check(m2, m1, m1, order)
+
+
+@st.composite
+def even_means(draw, order):
+    coeffs = [F(1)] + draw(st.lists(coefficients, min_size=order, max_size=order))
+    zeros = draw(st.lists(st.sampled_from((F(0), 0)), min_size=order, max_size=order))
+    coeffs[1::2] = zeros[: len(coeffs[1::2])]
+    return coeffs
+
+
+class TestParityRoute:
+    """Even middle and inner means take one middle composition, and an even
+    outer mean its step in u**2; the results equal the three full-length
+    compositions of the general route, type for type."""
+
+    @staticmethod
+    def check(outer, middle, inner, order):
+        out = resultant_coeffs(outer, middle, inner, order)
+        reference = resultant_two_sides(outer, middle, inner, order)
+        assert out == reference
+        assert [type(c) for c in out] == [type(c) for c in reference]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), st.integers(min_value=0, max_value=24), st.booleans())
+    def test_even_middle_and_inner(self, data, order, even_outer):
+        outer = data.draw(even_means(order) if even_outer else means(order))
+        self.check(outer, data.draw(even_means(order)), data.draw(even_means(order)), order)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 7])
+    def test_all_int_inputs(self, order):
+        even = [1, 0, 2, 0, -1, 0, 3, 0][: order + 1]
+        mixed = [1, 1, -2, 3, 0, 1, 2, -1][: order + 1]
+        for outer in (even, mixed):
+            self.check(outer, even, [1, 0, -1, 0, 2, 0, 1, 0][: order + 1], order)
+
+    @pytest.mark.parametrize(
+        "names",
+        [
+            (PowerMean(F(7, 4)), "L", PowerMean(F(-1, 2))),
+            ("G", SAlpha(F(3, 7)), "A"),
+            (M2, M4, "HZ1/4"),
+        ],
+        ids=["B7/4-L-B-1/2", "G-S3/7-A", "M2-M4-HZ1/4"],
+    )
+    def test_catalog_triple_at_order_48(self, names):
+        order = 48
+        specs = [ALIASES[n] if isinstance(n, str) else n for n in names]
+        self.check(*(expand_mean(spec, order).coeffs for spec in specs), order)
+
+    @pytest.mark.parametrize("order", [1, 3, 9])
+    @pytest.mark.parametrize("even_outer", [True, False])
+    def test_almost_even_takes_the_general_route(self, order, even_outer):
+        # The only odd coefficient sits at the order, the last index the
+        # parity check must read.
+        rng = random.Random(71 + order)
+        even = [F(1)] + [
+            F(rng.randint(-6, 6), rng.randint(1, 5)) if n % 2 == 0 else F(0)
+            for n in range(1, order + 1)
+        ]
+        almost = even[:order] + [F(3, 5)]
+        outer = even if even_outer else almost
+        for middle, inner in ((even, almost), (almost, even)):
+            out = resultant_coeffs(outer, middle, inner, order)
+            assert out == resultant_two_sides(outer, middle, inner, order)
+            assert out[order] != 0
