@@ -32,7 +32,6 @@ from .polynomials import (
     RationalRoot,
     UniPoly,
     isolate_real_roots,
-    lagrange_interpolate,
 )
 from .rationals import Rational, parse_rational
 from .resultant import (

@@ -504,10 +504,15 @@ def main(argv: list[str] | None = None) -> int:
         text = json.dumps(report, indent=2)
     else:
         text = _render_table(report)
-    print(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report, indent=2) + "\n")
+        # Written before anything is printed, so a failed write leaves stdout empty.
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(report, indent=2) + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    print(text)
     return 0
 
 

@@ -2,7 +2,10 @@
 
 Roots are reported in the strongest form available:
 
-* rational roots exactly (candidate search plus exact verification),
+* rational roots exactly: a linear or quadratic square-free part is solved in
+  closed form; from degree 3 up, each isolating interval is narrowed until
+  only one rational of small enough denominator fits, and that candidate is
+  verified by exact evaluation and divided out;
 * irrational roots of quadratic factors as surds ``(a + sign*sqrt(b))/c``,
 * everything else as an isolating interval with a sign change, narrowed to a
   requested width.
@@ -10,21 +13,22 @@ Roots are reported in the strongest form available:
 Isolation runs on the square-free part and uses Descartes' rule of signs on
 Moebius-transformed coordinates with exact sign evaluation, so every interval
 is certified to contain exactly one simple real root.
+
+Polynomials through equally spaced samples come from one route: the
+integer forward-difference table of the samples (``forward_differences``)
+and Newton's forward form (``newton_forward``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .rationals import ONE, ZERO, Rational
 
 DEFAULT_ISOLATION_WIDTH = Fraction(1, 10**12)
-
-_TRIAL_DIVISION_BOUND = 10**5
-_DIVISOR_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -164,27 +168,17 @@ def squarefree_part(p: UniPoly) -> UniPoly:
     return q.monic()
 
 
-def lagrange_interpolate(
-    points: Sequence[tuple[Rational | int, Rational | int]],
-) -> UniPoly:
-    """Unique polynomial of degree < len(points) through the given points.
-
-    Newton's divided differences keep the arithmetic exact; duplicate
-    abscissae are rejected.
-    """
-    xs = [Fraction(x) for x, _ in points]
-    ys = [Fraction(y) for _, y in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("duplicate abscissae in interpolation points")
-    n = len(points)
-    coef = ys[:]
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - level])
-    poly = UniPoly.zero()
-    for i in range(n - 1, -1, -1):
-        poly = poly * UniPoly((-xs[i], ONE)) + UniPoly.constant(coef[i])
-    return poly
+def forward_differences(values: Sequence[Rational]) -> tuple[list[int], int]:
+    """The values as integer numerators v_i over their least common
+    denominator den, and the leading forward differences
+    deltas[j] = (Delta^j v)_0 for j < len(values): (deltas, den)."""
+    den = math.lcm(*(c.denominator for c in values))
+    row = [c.numerator * (den // c.denominator) for c in values]
+    deltas = []
+    while row:
+        deltas.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return deltas, den
 
 
 def newton_forward(x0: int, deltas: Sequence[int], den: int) -> UniPoly:
@@ -413,76 +407,7 @@ def _refine(g: UniPoly, a: Rational, b: Rational, width: Fraction) -> tuple[Rati
 
 
 # ---------------------------------------------------------------------------
-# Rational root search
-
-
-def _factorize(n: int) -> dict[int, int] | None:
-    """Trial-division factorization; None when a large cofactor resists."""
-    n = abs(n)
-    factors: dict[int, int] = {}
-    if n == 0:
-        return factors
-    d = 2
-    while d <= _TRIAL_DIVISION_BOUND and d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        if n > _TRIAL_DIVISION_BOUND * _TRIAL_DIVISION_BOUND:
-            # n might be composite with unknown factors; divisor list would be
-            # incomplete.  Callers fall back to interval recognition.
-            return None
-        factors[n] = factors.get(n, 0) + 1
-    return factors
-
-
-def _divisors(n: int) -> list[int] | None:
-    factors = _factorize(n)
-    if factors is None:
-        return None
-    divs = [1]
-    for prime, mult in factors.items():
-        divs = [d * prime**e for d in divs for e in range(mult + 1)]
-        if len(divs) > _DIVISOR_CAP:
-            return None
-    return divs
-
-
-def _rational_roots(g: UniPoly) -> tuple[list[Rational], bool]:
-    """The rational roots of g (square-free), found by the rational-root
-    candidate test and verified by exact evaluation, and whether they are
-    all of them (False when the divisor search gave up).  A coprime
-    candidate +-p/q is a root exactly when sum_i ints[i] * (+-p)**i *
-    q**(n-i) = 0, evaluated by Horner's rule on integers; a pair with a
-    common factor is skipped, as its reduced form is also a candidate."""
-    scale = math.lcm(*(c.denominator for c in g.coeffs))
-    ints = [int(c * scale) for c in g.coeffs]
-    roots: list[Rational] = []
-    shift = 0
-    while ints[shift] == 0:
-        shift += 1
-    if shift:
-        roots.append(ZERO)
-        ints = ints[shift:]
-    if len(ints) <= 1:
-        return roots, True
-    num_divs = _divisors(ints[0])
-    den_divs = _divisors(ints[-1])
-    if num_divs is None or den_divs is None or len(num_divs) * len(den_divs) > _DIVISOR_CAP:
-        return roots, False  # interval recognition picks up what this misses
-    for p in num_divs:
-        for q in den_divs:
-            if math.gcd(p, q) > 1:
-                continue
-            for x in (p, -p):
-                acc, q_power = 0, 1
-                for c in reversed(ints):
-                    acc = acc * x + c * q_power
-                    q_power *= q
-                if acc == 0:
-                    roots.append(Fraction(x, q))
-    return roots, True
+# Rational roots and quadratic factors
 
 
 def simplest_between(lo: Rational, hi: Rational) -> Rational:
@@ -506,8 +431,8 @@ def simplest_between(lo: Rational, hi: Rational) -> Rational:
 def _recognize_rational(g: UniPoly, a: Rational, b: Rational) -> Rational | None:
     """The root of g in its isolating interval (a, b) if that root is rational.
 
-    Safety net for when the divisor search gave up.  A rational root p/q has
-    q dividing the leading coefficient L of g's integer form, and two
+    This is how rational roots are found.  A rational root p/q has q
+    dividing the leading coefficient L of g's integer form, and two
     rationals with denominators at most L lie at least 1/L**2 apart; so once
     the interval is narrower than that, the rational of smallest denominator
     in it is the only candidate, and it is verified exactly.
@@ -516,6 +441,13 @@ def _recognize_rational(g: UniPoly, a: Rational, b: Rational) -> Rational | None
     a, b = _refine(g, a, b, 1 / (lead * lead + 1))
     cand = simplest_between(a, b)
     return cand if g(cand) == 0 else None
+
+
+def _conjugate_pair(add: Rational, radicand: Rational, div: Rational) -> list[QuadraticSurdRoot]:
+    """(add -/+ sqrt(radicand))/div, in that order; the radicand is
+    canonicalized once, as both roots share it."""
+    first = make_surd(add, -1, radicand, div)
+    return [first, replace(first, sign=-first.sign)]
 
 
 def _pair_quadratic_factors(
@@ -544,8 +476,7 @@ def _pair_quadratic_factors(
             if (g % quad).is_zero:
                 disc = trace * trace - 4 * prod
                 if disc > 0 and not _is_square(disc):
-                    surds.append(make_surd(trace, -1, disc, Fraction(2)))
-                    surds.append(make_surd(trace, +1, disc, Fraction(2)))
+                    surds.extend(_conjugate_pair(trace, disc, Fraction(2)))
                     claimed.update((i, j))
                     break
     leftovers = [iv for k, iv in enumerate(intervals) if k not in claimed]
@@ -567,17 +498,17 @@ def isolate_real_roots(
         return []
     g = squarefree_part(f)
     roots: list[Root] = []
-    rationals, complete = _rational_roots(g)
-    if not complete and g.degree >= 3:
-        recognized = (_recognize_rational(g, a, b) for a, b in _isolate_intervals(g))
-        rationals += [r for r in recognized if r is not None and r not in rationals]
-    for r in rationals:
-        g, rem = divmod(g, UniPoly((-r, ONE)))
-        if f(r) != 0 or not rem.is_zero:
-            raise ArithmeticError(f"rational root candidate {r} does not divide the polynomial")
-        roots.append(RationalRoot(r))
+    if g.degree >= 3:
+        intervals = _isolate_intervals(g)
+        rationals = [r for r in (_recognize_rational(g, a, b) for a, b in intervals) if r is not None]
+        for r in rationals:
+            g, rem = divmod(g, UniPoly((-r, ONE)))
+            if f(r) != 0 or not rem.is_zero:
+                raise ArithmeticError(f"rational root candidate {r} does not divide the polynomial")
+            roots.append(RationalRoot(r))
+        if rationals and g.degree >= 3:
+            intervals = _isolate_intervals(g)  # reported intervals are the quotient's
     if g.degree == 1:
-        # Only reachable when the divisor search gave up on a linear g.
         roots.append(RationalRoot(-g.coeffs[0] / g.coeffs[1]))
     elif g.degree == 2:
         c0, c1, c2 = g.coeffs
@@ -588,13 +519,10 @@ def isolate_real_roots(
                 roots.append(RationalRoot((-c1 - s) / (2 * c2)))
                 roots.append(RationalRoot((-c1 + s) / (2 * c2)))
             else:
-                roots.append(make_surd(-c1, -1, disc, 2 * c2))
-                roots.append(make_surd(-c1, +1, disc, 2 * c2))
+                roots.extend(_conjugate_pair(-c1, disc, 2 * c2))
     elif g.degree >= 3:
         # g has no rational root left, so no midpoint of the bisection is a root.
-        pending = [
-            _refine(g, a, b, min(width, Fraction(1, 10**12))) for a, b in _isolate_intervals(g)
-        ]
+        pending = [_refine(g, a, b, min(width, Fraction(1, 10**12))) for a, b in intervals]
         surds, leftovers = _pair_quadratic_factors(g, pending)
         roots.extend(surds)
         roots.extend(IntervalRoot(lo, hi, g) for lo, hi in leftovers)

@@ -56,8 +56,8 @@ from .polynomials import (
     UniPoly,
     affine_image,
     eval_at_root,
+    forward_differences,
     isolate_real_roots,
-    lagrange_interpolate,
     newton_forward,
 )
 from .rationals import Rational
@@ -157,13 +157,7 @@ def coefficient_polynomials(
         samples.append(difference_expansion(mean, p, locus.q_of(p), high).coeffs)
     polys = {}
     for k in range(low, high + 1):
-        column = [c[k] for c in samples]
-        den = math.lcm(*(c.denominator for c in column))
-        row = [c.numerator * (den // c.denominator) for c in column]
-        deltas = []
-        while row:
-            deltas.append(row[0])
-            row = [b - a for a, b in zip(row, row[1:])]
+        deltas, den = forward_differences([c[k] for c in samples])
         if any(deltas[k:]):
             raise ArithmeticError("degree bound violated")
         polys[k] = newton_forward(x0, deltas[:k], den)
@@ -222,11 +216,7 @@ class StabilizabilityVerdict:
     notes: tuple[str, ...] = ()
 
 
-def _boundary_evidence(
-    spec: MeanSpec | None, p: float | None, q: float | None
-) -> BoundaryEvidence:
-    if spec is None or p is None or q is None:
-        return BoundaryEvidence(None, None, "unavailable")
+def _boundary_evidence(spec: MeanSpec, p: float, q: float) -> BoundaryEvidence:
     try:
         m_rep = boundary_limit(spec)
         r_rep = boundary_limit((PowerMean(Fraction(p).limit_denominator(10**12)),
@@ -236,14 +226,6 @@ def _boundary_evidence(
         return BoundaryEvidence(None, None, "unavailable")
     label = "closed-form" if (m_rep.is_exact and r_rep.is_exact) else "numeric-extrapolation"
     return BoundaryEvidence(m_rep.value, r_rep.value, label)
-
-
-def _relation_from_signs(asymptotic_sign: int, boundary: BoundaryEvidence) -> str:
-    base = "candidate-sub" if asymptotic_sign > 0 else "candidate-super"
-    b = boundary.difference_sign
-    if b is not None and b != 0 and b != asymptotic_sign:
-        return "neither"
-    return base
 
 
 #: (p, q) probes for the parameter-free paths, including extreme corners:
@@ -264,7 +246,9 @@ _LOCUS_SAMPLES = (1.0, 2.0, -1.0, -20.0, 6.0)
 def _sampled_relation(
     spec: MeanSpec | None, asym: int, probes: Sequence[tuple[float, float]]
 ) -> tuple[str, BoundaryEvidence | None]:
-    """Relation when the leading difference coefficient keeps one sign.
+    """Relation from the asymptotic sign and boundary evidence at the probes:
+    several when the leading difference coefficient keeps one sign, the best
+    candidate's (p, q) alone otherwise.  Without a spec there is no evidence.
 
     "neither" only when the boundary difference at the (p, q) probes
     conflicts with the asymptotic sign at some probe and supports it at none;
@@ -402,12 +386,7 @@ def optimal_parameters(
     notes: tuple[str, ...] = ()
     if any(c.sign != asym for c in top):
         notes = ("best candidates disagree in sign; relation taken from the first",)
-    boundary = _boundary_evidence(
-        spec,
-        top[0].p.approx() if spec is not None else None,
-        top[0].q.approx() if spec is not None else None,
-    )
-    relation = _relation_from_signs(asym, boundary)
+    relation, boundary = _sampled_relation(spec, asym, [(top[0].p.approx(), top[0].q.approx())])
     return StabilizabilityVerdict(
         relation, candidates=ranked, locus=locus, boundary=boundary, notes=notes
     )
@@ -430,42 +409,36 @@ def is_stable(spec: MeanSpec, order: int) -> StabilityReport:
     """Compare a mean with R(M, M, M) coefficientwise through the order."""
     if order < 4:
         raise ValueError("stability checks need order >= 4")
+    defects = _stability_defects(spec, order)
+    first = next((n for n, d in enumerate(defects) if d != 0), None)
+    defect = None if first is None else defects[first]
+    return StabilityReport(describe_spec(spec), order, first is None, first, defect)
+
+
+def _stability_defects(spec: MeanSpec, order: int) -> list[Rational]:
+    """The coefficients of M - R(M, M, M) through the order."""
     exp = expand_mean(spec, order)
     res = resultant_coeffs(exp.coeffs, exp.coeffs, exp.coeffs, order)
-    for n in range(order + 1):
-        defect = exp.coefficient(n) - res[n]
-        if defect != 0:
-            return StabilityReport(describe_spec(spec), order, False, n, defect)
-    return StabilityReport(describe_spec(spec), order, True, None, None)
-
-
-def _stability_defect(make_spec: Callable[[Rational], MeanSpec], alpha: Rational, index: int) -> Rational:
-    exp = expand_mean(make_spec(alpha), index)
-    res = resultant_coeffs(exp.coeffs, exp.coeffs, exp.coeffs, index)
-    return exp.coefficient(index) - res[index]
-
-
-_SCAN_SAMPLES = tuple(
-    Fraction(num, den)
-    for num, den in ((0, 1), (1, 8), (1, 5), (1, 4), (1, 3), (2, 5), (1, 2),
-                     (3, 5), (2, 3), (3, 4), (4, 5), (7, 8), (1, 1))
-)
+    return [exp.coefficient(n) - res[n] for n in range(order + 1)]
 
 
 def _defect_polynomial_in_beta(
     make_spec: Callable[[Rational], MeanSpec], index: int
 ) -> UniPoly:
-    """Interpolate the t**index stability defect as a polynomial in
-    beta = alpha**2 (both families are even in alpha)."""
-    points = [
-        (alpha * alpha, _stability_defect(make_spec, alpha, index))
-        for alpha in _SCAN_SAMPLES
-    ]
-    poly = lagrange_interpolate(points[:-2])
-    for beta, value in points[-2:]:
-        if poly(beta) != value:
-            raise ArithmeticError("stability defect is not polynomial in alpha^2")
-    return poly
+    """The t**index stability defect as a polynomial in beta = alpha**2.
+
+    It is sampled at alpha = j/12, j = 0..12.  Both families are even in
+    alpha, so the values mirror to j = -12..12, and they lie on a polynomial
+    of degree <= 10 in beta exactly when Delta^21..Delta^24 of the mirrored
+    row vanish.  Newton's forward form then gives the even polynomial P(j),
+    and beta = j**2/144 turns it into sum_i P_{2i} * 144**i * beta**i.
+    """
+    values = [_stability_defects(make_spec(Fraction(j, 12)), index)[index] for j in range(13)]
+    deltas, den = forward_differences(values[:0:-1] + values)
+    if any(deltas[21:]):
+        raise ArithmeticError("stability defect is not polynomial in alpha^2")
+    in_j = newton_forward(-12, deltas[:21], den)
+    return UniPoly(tuple(in_j.coefficient(2 * i) * 144**i for i in range(11)))
 
 
 _SCAN_FAMILIES = {"L": LAlpha, "LALPHA": LAlpha, "S": SAlpha, "SALPHA": SAlpha}
@@ -481,9 +454,10 @@ def scan_family(family: str) -> Callable[[Rational], MeanSpec] | None:
 def stability_parameter_scan(family: str, order: int = 16) -> list[Root]:
     """All parameters alpha in [-1, 1] for which the family is stable.
 
-    The t^4 stability defect is interpolated as an exact polynomial in
-    alpha^2 and its roots isolated; candidates must survive the t^6 defect
-    and a full coefficient comparison to the given order (at least 4).
+    The t^4 stability defect is read as an exact polynomial in alpha^2 from
+    equally spaced samples of alpha and its roots isolated; candidates must
+    survive the t^6 defect and a full coefficient comparison to the given
+    order (at least 4).
     Families: "L" (generated by cosh) and "S" (generated by 1/cosh).
     """
     if order < 4:

@@ -41,11 +41,25 @@ Each one is an independent derivation of the same coefficients:
   the outer step at full length for every input, where ``resultant.py``
   reads one side from the other and runs an even outer step in u**2 when
   the means are even;
+* ``isolate_real_roots_by_divisor_search``: root isolation with the rational
+  roots found first by the rational-root candidate test over the divisors
+  of the end coefficients (``rational_roots_by_divisor_search``, integer
+  Horner on coprime candidates; it gives up on large or highly composite
+  end coefficients, and interval recognition then finds the rest), where
+  ``polynomials.py`` finds every rational root of degree 3 and up by
+  interval recognition alone and solves degrees 1 and 2 in closed form;
 * ``rational_roots_by_fraction_evaluation`` and ``extract_square_every_divisor``:
-  the rational-root candidate test by ``Fraction`` evaluation of every
-  candidate, and the square-factor search over every d up to 10**4, where
-  ``polynomials.py`` tests coprime candidates by integer Horner and tries
-  2 and odd d only.
+  the same candidate test by ``Fraction`` evaluation of every candidate,
+  and the square-factor search over every d up to 10**4, where
+  ``polynomials.py`` tries 2 and odd d only;
+* ``lagrange_interpolate``: the polynomial through arbitrary points by
+  Newton's divided differences over ``Fraction``, where ``polynomials.py``
+  reads polynomials through equally spaced samples from integer forward
+  differences;
+* ``defect_polynomial_by_lagrange``: the stability scan's defect polynomial
+  in beta = alpha**2 interpolated through 11 unequally spaced beta samples
+  and checked at two more, where the solver mirrors 13 equally spaced alpha
+  samples and reads Newton's forward form in j = 12*alpha.
 
 They are exact and slow; only tests use them.
 """
@@ -67,11 +81,25 @@ from meanstab.catalog import (
     _denominator_derivative,
     log_ratio_series,
 )
-from meanstab.polynomials import _DIVISOR_CAP, UniPoly, _divisors, lagrange_interpolate
+from meanstab.polynomials import (
+    DEFAULT_ISOLATION_WIDTH,
+    IntervalRoot,
+    RationalRoot,
+    Root,
+    UniPoly,
+    _is_square,
+    _isolate_intervals,
+    _pair_quadratic_factors,
+    _recognize_rational,
+    _refine,
+    _sqrt_exact,
+    make_surd,
+    squarefree_part,
+)
 from meanstab.rationals import ONE, ZERO, Rational
 from meanstab.resultant import _composition_sums, resultant_coeffs
 from meanstab.series import integrate_formal, series_compose, series_power
-from meanstab.solver import AffineLocus, difference_expansion
+from meanstab.solver import AffineLocus, _stability_defects, difference_expansion
 
 
 def binomial(r: Rational | int, k: int) -> Rational:
@@ -447,6 +475,172 @@ def resultant_two_sides(outer: Sequence, middle: Sequence, inner: Sequence, orde
     return tuple(c * Fraction(1, 4) for c in combined)
 
 
+def lagrange_interpolate(
+    points: Sequence[tuple[Rational | int, Rational | int]],
+) -> UniPoly:
+    """Unique polynomial of degree < len(points) through the given points.
+
+    Newton's divided differences keep the arithmetic exact; duplicate
+    abscissae are rejected.
+    """
+    xs = [Fraction(x) for x, _ in points]
+    ys = [Fraction(y) for _, y in points]
+    if len(set(xs)) != len(xs):
+        raise ValueError("duplicate abscissae in interpolation points")
+    n = len(points)
+    coef = ys[:]
+    for level in range(1, n):
+        for i in range(n - 1, level - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - level])
+    poly = UniPoly.zero()
+    for i in range(n - 1, -1, -1):
+        poly = poly * UniPoly((-xs[i], ONE)) + UniPoly.constant(coef[i])
+    return poly
+
+
+SCAN_ALPHAS = tuple(
+    Fraction(num, den)
+    for num, den in ((0, 1), (1, 8), (1, 5), (1, 4), (1, 3), (2, 5), (1, 2),
+                     (3, 5), (2, 3), (3, 4), (4, 5), (7, 8), (1, 1))
+)
+
+
+def defect_polynomial_by_lagrange(make_spec, index: int) -> UniPoly:
+    """The t**index stability defect of the family as a polynomial in
+    beta = alpha**2, through the first 11 of the 13 ``SCAN_ALPHAS`` and
+    checked at the last two."""
+    points = [
+        (alpha * alpha, _stability_defects(make_spec(alpha), index)[index])
+        for alpha in SCAN_ALPHAS
+    ]
+    poly = lagrange_interpolate(points[:-2])
+    for beta, value in points[-2:]:
+        if poly(beta) != value:
+            raise ArithmeticError("stability defect is not polynomial in alpha^2")
+    return poly
+
+
+TRIAL_DIVISION_BOUND = 10**5
+DIVISOR_CAP = 1 << 16
+
+
+def _factorize(n: int) -> dict[int, int] | None:
+    """Trial-division factorization; None when a large cofactor resists."""
+    n = abs(n)
+    factors: dict[int, int] = {}
+    if n == 0:
+        return factors
+    d = 2
+    while d <= TRIAL_DIVISION_BOUND and d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        if n > TRIAL_DIVISION_BOUND * TRIAL_DIVISION_BOUND:
+            # n might be composite with unknown factors; the divisor list
+            # would be incomplete.
+            return None
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def divisors(n: int) -> list[int] | None:
+    """The positive divisors of n, or None when n cannot be factored by
+    trial division or has more than DIVISOR_CAP divisors."""
+    factors = _factorize(n)
+    if factors is None:
+        return None
+    divs = [1]
+    for prime, mult in factors.items():
+        divs = [d * prime**e for d in divs for e in range(mult + 1)]
+        if len(divs) > DIVISOR_CAP:
+            return None
+    return divs
+
+
+def rational_roots_by_divisor_search(g: UniPoly) -> tuple[list[Rational], bool]:
+    """The rational roots of g (square-free), found by the rational-root
+    candidate test and verified by exact evaluation, and whether they are
+    all of them (False when the divisor search gave up).  A coprime
+    candidate +-p/q is a root exactly when sum_i ints[i] * (+-p)**i *
+    q**(n-i) = 0, evaluated by Horner's rule on integers; a pair with a
+    common factor is skipped, as its reduced form is also a candidate."""
+    scale = math.lcm(*(c.denominator for c in g.coeffs))
+    ints = [int(c * scale) for c in g.coeffs]
+    roots: list[Rational] = []
+    shift = 0
+    while ints[shift] == 0:
+        shift += 1
+    if shift:
+        roots.append(ZERO)
+        ints = ints[shift:]
+    if len(ints) <= 1:
+        return roots, True
+    num_divs = divisors(ints[0])
+    den_divs = divisors(ints[-1])
+    if num_divs is None or den_divs is None or len(num_divs) * len(den_divs) > DIVISOR_CAP:
+        return roots, False
+    for p in num_divs:
+        for q in den_divs:
+            if math.gcd(p, q) > 1:
+                continue
+            for x in (p, -p):
+                acc, q_power = 0, 1
+                for c in reversed(ints):
+                    acc = acc * x + c * q_power
+                    q_power *= q
+                if acc == 0:
+                    roots.append(Fraction(x, q))
+    return roots, True
+
+
+def isolate_real_roots_by_divisor_search(
+    f: UniPoly, width: Fraction = DEFAULT_ISOLATION_WIDTH
+) -> list[Root]:
+    """Every distinct real root of f, with the rational ones from the
+    divisor search, completed by interval recognition when the search gave
+    up on a g of degree 3 or more, and divided out before the surd and
+    interval stages."""
+    if f.is_zero:
+        raise ValueError("zero polynomial")
+    if f.degree == 0:
+        return []
+    g = squarefree_part(f)
+    roots: list[Root] = []
+    rationals, complete = rational_roots_by_divisor_search(g)
+    if not complete and g.degree >= 3:
+        recognized = (_recognize_rational(g, a, b) for a, b in _isolate_intervals(g))
+        rationals += [r for r in recognized if r is not None and r not in rationals]
+    for r in rationals:
+        g, rem = divmod(g, UniPoly((-r, ONE)))
+        if f(r) != 0 or not rem.is_zero:
+            raise ArithmeticError(f"rational root candidate {r} does not divide the polynomial")
+        roots.append(RationalRoot(r))
+    if g.degree == 1:
+        roots.append(RationalRoot(-g.coeffs[0] / g.coeffs[1]))
+    elif g.degree == 2:
+        c0, c1, c2 = g.coeffs
+        disc = c1 * c1 - 4 * c0 * c2
+        if disc > 0:
+            if _is_square(disc):
+                s = _sqrt_exact(disc)
+                roots.append(RationalRoot((-c1 - s) / (2 * c2)))
+                roots.append(RationalRoot((-c1 + s) / (2 * c2)))
+            else:
+                roots.append(make_surd(-c1, -1, disc, 2 * c2))
+                roots.append(make_surd(-c1, +1, disc, 2 * c2))
+    elif g.degree >= 3:
+        pending = [
+            _refine(g, a, b, min(width, Fraction(1, 10**12))) for a, b in _isolate_intervals(g)
+        ]
+        surds, leftovers = _pair_quadratic_factors(g, pending)
+        roots.extend(surds)
+        roots.extend(IntervalRoot(lo, hi, g) for lo, hi in leftovers)
+    roots.sort(key=lambda r: r.approx())
+    return roots
+
+
 def rational_roots_by_fraction_evaluation(g: UniPoly) -> tuple[list[Rational], bool]:
     """The rational roots of a square-free g and whether the search was
     complete, evaluating g at every candidate +-p/q as a Fraction."""
@@ -461,9 +655,9 @@ def rational_roots_by_fraction_evaluation(g: UniPoly) -> tuple[list[Rational], b
         ints = ints[shift:]
     if len(ints) <= 1:
         return roots, True
-    num_divs = _divisors(ints[0])
-    den_divs = _divisors(ints[-1])
-    if num_divs is None or den_divs is None or len(num_divs) * len(den_divs) > _DIVISOR_CAP:
+    num_divs = divisors(ints[0])
+    den_divs = divisors(ints[-1])
+    if num_divs is None or den_divs is None or len(num_divs) * len(den_divs) > DIVISOR_CAP:
         return roots, False
     seen = set()
     for p in num_divs:

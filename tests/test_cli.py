@@ -314,3 +314,15 @@ class TestErrorHandling:
         saved = json.loads(target.read_text())
         assert saved["schema"] == "1"
         assert coefficient_map(saved)[2] == F(-1, 2)
+
+    @pytest.mark.parametrize("where", ["before", "after"])
+    @pytest.mark.parametrize("target", ["missing-dir/x.json", "."], ids=["no-dir", "a-dir"])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, where, target):
+        out = ["--out", str(tmp_path / target)]
+        command = ["expand", "--mean", "A", "--order", "4"]
+        argv = out + command if where == "before" else command + out
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: ")
+        assert "Traceback" not in stderr

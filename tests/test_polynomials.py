@@ -6,20 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import extract_square_every_divisor, rational_roots_by_fraction_evaluation
+from oracles import (
+    extract_square_every_divisor,
+    isolate_real_roots_by_divisor_search,
+    lagrange_interpolate,
+    rational_roots_by_divisor_search,
+    rational_roots_by_fraction_evaluation,
+)
 from meanstab.polynomials import (
     IntervalRoot,
     QuadraticSurdRoot,
     RationalRoot,
     SignedInterval,
     UniPoly,
+    _conjugate_pair,
     _extract_square,
-    _rational_roots,
     _refine,
     affine_image,
     eval_at_root,
+    forward_differences,
     isolate_real_roots,
-    lagrange_interpolate,
+    make_surd,
     newton_forward,
     poly_gcd,
     simplest_between,
@@ -115,6 +122,12 @@ class TestNewtonForward:
         points = [(x0 + i, F(v, den)) for i, v in enumerate(values)]
         expected = lagrange_interpolate(points) if points else UniPoly.zero()
         assert newton_forward(x0, deltas, den) == expected
+        # The same table from the reduced fractions, over their least common
+        # denominator.
+        reduced, lcd = forward_differences([F(v, den) for v in values])
+        assert den % lcd == 0
+        assert [d * (den // lcd) for d in reduced] == deltas
+        assert newton_forward(x0, reduced, lcd) == expected
 
     def test_drops_vanishing_top_differences(self):
         # 3p^2 - p + 5 at p = -4..2, over 7: Delta^3 and above are zero
@@ -309,9 +322,10 @@ class TestRootIsolationProperties:
             p = p * poly(a * a - b, -2 * a, 1)
         for coeffs, _ in cubics:
             p = p * poly(*coeffs)
-        assert _rational_roots(squarefree_part(p))[1] is False
+        assert rational_roots_by_divisor_search(squarefree_part(p))[1] is False
 
         roots = isolate_real_roots(p)
+        assert roots == isolate_real_roots_by_divisor_search(p)
         assert [r.approx() for r in roots] == sorted(r.approx() for r in roots)
         assert [r.value for r in roots if isinstance(r, RationalRoot)] == rationals
         found_surds = {
@@ -333,7 +347,7 @@ class TestRootIsolationProperties:
         p = poly(-2, 0, 0, 1)
         for v in values:
             p = p * poly(-v, 1)
-        assert _rational_roots(squarefree_part(p))[1] is False
+        assert rational_roots_by_divisor_search(squarefree_part(p))[1] is False
         roots = isolate_real_roots(p)
         assert [r.value for r in roots if isinstance(r, RationalRoot)] == sorted(values)
         assert sum(isinstance(r, IntervalRoot) for r in roots) == 1
@@ -344,7 +358,7 @@ class TestRootIsolationProperties:
         # bisection needs to find the sign change around BIG_PRIMES/(3*10**12).
         r = F(BIG_PRIMES, 3 * 10**12)
         p = poly(0, 1) * poly(-r, 1) * poly(-2, 0, 0, 1)
-        assert _rational_roots(squarefree_part(p))[1] is False
+        assert rational_roots_by_divisor_search(squarefree_part(p))[1] is False
         roots = isolate_real_roots(p)
         assert [r.kind for r in roots] == ["exact-rational", "exact-rational", "isolated-interval"]
         assert [roots[0].value, roots[1].value] == [0, r]
@@ -354,16 +368,56 @@ class TestRootIsolationProperties:
         # search gives up instead of testing billions of candidates.
         tiny = F(100000, 15903974896275558828879)
         p = poly(-tiny, 1) * poly(-4, -1, 0, 1)
-        assert _rational_roots(squarefree_part(p))[1] is False
+        assert rational_roots_by_divisor_search(squarefree_part(p))[1] is False
         roots = isolate_real_roots(p)
         assert [r.kind for r in roots] == ["exact-rational", "isolated-interval"]
         assert roots[0].value == tiny
 
 
+class TestRecognitionAgainstDivisorSearch:
+    """Rational roots by interval recognition alone give the same root list
+    as the divisor search followed by the same surd and interval stages:
+    the same kinds, values and interval endpoints, in the same order."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 9), st.integers(-20, 20)), max_size=4
+        ),
+        st.lists(surd_pairs, max_size=1),
+        st.lists(st.sampled_from(CUBICS), max_size=1),
+        st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9),
+    )
+    def test_same_roots_as_the_divisor_search(self, factors, surds, cubics, scale):
+        p = poly(scale)
+        for a, b in factors:
+            p = p * poly(-b, a)
+        for a, b in surds:
+            p = p * poly(a * a - b, -2 * a, 1)
+        for coeffs, _ in cubics:
+            p = p * poly(*coeffs)
+        roots = isolate_real_roots(p)
+        assert list(map(repr, roots)) == list(map(repr, isolate_real_roots_by_divisor_search(p)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.fractions(min_value=-50, max_value=50, max_denominator=12),
+        st.fractions(min_value=F(1, 7), max_value=10**6, max_denominator=7).filter(
+            lambda b: math.isqrt(b.numerator * b.denominator) ** 2 != b.numerator * b.denominator
+        ),
+        st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool),
+    )
+    def test_conjugate_pair_canonicalizes_like_two_surds(self, add, radicand, div):
+        assert _conjugate_pair(add, radicand, div) == [
+            make_surd(add, -1, radicand, div),
+            make_surd(add, +1, radicand, div),
+        ]
+
+
 class TestRootSearchAgainstOracles:
-    """The integer candidate test and the square-factor search over 2 and
-    odd d give what Fraction evaluation of every candidate and every d up
-    to 10**4 give."""
+    """The divisor search's integer candidate test and the square-factor
+    search over 2 and odd d give what Fraction evaluation of every candidate
+    and every d up to 10**4 give."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -380,10 +434,12 @@ class TestRootSearchAgainstOracles:
         for coeffs, _ in cubics:
             p = p * poly(*coeffs)
         g = squarefree_part(p)
-        roots, complete = _rational_roots(g)
+        roots, complete = rational_roots_by_divisor_search(g)
         assert (roots, complete) == rational_roots_by_fraction_evaluation(g)
         assert complete
         assert sorted(roots) == sorted({F(b, a) for a, b in factors})
+        found = [r.value for r in isolate_real_roots(p) if isinstance(r, RationalRoot)]
+        assert found == sorted(roots)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=1, max_value=10**14))

@@ -14,6 +14,7 @@ from meanstab.catalog import (
     M4,
     M5,
     MAlphaR,
+    MeanExpansion,
     PowerMean,
     SAlpha,
     expand_mean,
@@ -111,9 +112,7 @@ class TestCoefficientPolynomial:
             p = F(i, 7)
             diff = difference_expansion(m, p, locus.q_of(p), 4)
             pts.append((p, diff.coeffs[4]))
-        from meanstab.polynomials import lagrange_interpolate
-
-        assert lagrange_interpolate(pts) == poly
+        assert oracles.lagrange_interpolate(pts) == poly
 
     @pytest.mark.parametrize(
         "spec",
@@ -356,6 +355,42 @@ class TestOptimalParameters:
         assert v.relation == "candidate-sub"
 
 
+def _bumped(mean: MeanExpansion, index: int) -> MeanExpansion:
+    coeffs = list(mean.coeffs)
+    coeffs[index] += 1
+    return MeanExpansion(tuple(coeffs))
+
+
+class TestBoundaryWithoutSpec:
+    """Boundary evidence needs a mean spec; without one the verdict carries
+    none, whichever path decided it."""
+
+    @pytest.mark.parametrize(
+        "mean, note",
+        [
+            (expand_mean(M1, 8), "does not depend on (p, q)"),
+            (MeanExpansion((F(1), F(0), F(1, 6), F(1, 10)) + (F(0),) * 5), "constant in p"),
+            (_bumped(expand_mean(M2, 8), 4), "no real zero"),
+            (expand_mean(M2, 8), None),
+            (expand_mean(LAlpha(F(1, 2)), 8), "vanishes identically"),
+        ],
+        ids=["parameter-free", "constant", "fixed-sign", "candidates", "stabilizable"],
+    )
+    def test_no_boundary_without_spec(self, mean, note):
+        verdict = optimal_parameters(mean, 8)
+        assert verdict.boundary is None
+        if note is None:
+            assert verdict.candidates and verdict.relation.startswith("candidate-")
+        else:
+            assert note in verdict.notes[0]
+
+    def test_candidate_path_with_spec_has_evidence(self):
+        verdict = optimal_parameters(expand_mean(M2, 8), 8, spec=M2)
+        assert verdict.candidates
+        assert verdict.boundary is not None
+        assert verdict.boundary.label != "unavailable"
+
+
 class TestSignCoherence:
     def test_asymptotic_sign_matches_numeric_difference(self):
         rng = random.Random(71)
@@ -436,6 +471,47 @@ class TestParameterScan:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             stability_parameter_scan("XAlpha", 8)
+
+    @pytest.mark.parametrize("index", [4, 6])
+    @pytest.mark.parametrize("family", [LAlpha, SAlpha], ids=["L", "S"])
+    def test_defect_polynomial_matches_lagrange_oracle(self, family, index):
+        assert solver._defect_polynomial_in_beta(family, index) == (
+            oracles.defect_polynomial_by_lagrange(family, index)
+        )
+
+    @pytest.mark.parametrize("power, caught", [(10, False), (11, True)])
+    def test_degree_bound_ten_in_beta(self, monkeypatch, power, caught):
+        # beta**10 is the highest power the scan reads; beta**11 must fail.
+        real = solver._stability_defects
+        extra = F(3, 7)
+
+        def shifted(spec, order):
+            defects = real(spec, order)
+            defects[order] += extra * spec.alpha ** (2 * power)
+            return defects
+
+        expected = oracles.defect_polynomial_by_lagrange(LAlpha, 4)
+        monkeypatch.setattr(solver, "_stability_defects", shifted)
+        if caught:
+            with pytest.raises(ArithmeticError, match="not polynomial in alpha"):
+                solver._defect_polynomial_in_beta(LAlpha, 4)
+        else:
+            bump = UniPoly.from_coeffs([0] * power + [extra])
+            assert solver._defect_polynomial_in_beta(LAlpha, 4) == expected + bump
+
+    @pytest.mark.parametrize("alpha", [F(0), F(5, 12), F(1)])
+    def test_a_sample_off_the_polynomial_is_caught(self, monkeypatch, alpha):
+        real = solver._stability_defects
+
+        def corrupted(spec, order):
+            defects = real(spec, order)
+            if spec == LAlpha(alpha):
+                defects[order] += F(1, 10**9)
+            return defects
+
+        monkeypatch.setattr(solver, "_stability_defects", corrupted)
+        with pytest.raises(ArithmeticError, match="not polynomial in alpha\\^2"):
+            solver._defect_polynomial_in_beta(LAlpha, 4)
 
     def test_scan_needs_order_four(self, monkeypatch):
         expanded = []
