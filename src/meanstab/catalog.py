@@ -255,17 +255,6 @@ def _derivative_at(spec: MeanSpec, f: tuple, order: int) -> tuple:
     raise TypeError(f"unknown mean spec {spec!r}")
 
 
-def denominator_series(spec: MeanSpec, order: int) -> tuple[Rational, ...]:
-    """Series D(y) with M(a, b) = |b - a| / D(|ln(b/a)|); zero constant term.
-
-    Defined for every catalog family except power means, which are not of
-    difference-quotient shape.
-    """
-    if isinstance(spec, PowerMean):
-        raise ValueError("power means have no log-ratio denominator form")
-    return integrate_formal(_derivative_at(spec, (ZERO, ONE), order - 1), order)
-
-
 def expand_quotient_mean(spec: MeanSpec, order: int) -> MeanExpansion:
     """Expansion of a mean of the shape |b - a| / D(|ln(b/a)|): L_alpha,
     S_alpha, M1..M5, M_{alpha,r} and the mu-generated means.

@@ -20,6 +20,7 @@ nothing lossy crosses into the exact layer.  Reports go to stdout as JSON
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -40,7 +41,13 @@ from .catalog import (
     expand_mean,
     expand_stable,
 )
-from .numeric import GridSpec, boundary_limit, compare_scan, verify_expansion_decay
+from .numeric import (
+    GridSpec,
+    boundary_limit,
+    check_decay_setup,
+    compare_scan,
+    verify_expansion_decay,
+)
 from .polynomials import (
     QuadraticSurdRoot,
     RationalRoot,
@@ -134,16 +141,17 @@ def _exact(text: str) -> Rational:
         raise UsageError(f"zero denominator in {text!r}") from None
 
 
-def _build_spec(args: argparse.Namespace, which: str = "mean") -> MeanSpec:
-    name = getattr(args, which, None)
-    if name is None:
-        raise UsageError(f"--{which} is required")
-    return parse_mean_spec(
-        name,
-        alpha=getattr(args, "alpha", None),
-        r=getattr(args, "r", None),
-        p=getattr(args, "power", None),
-    )
+def _build_spec(args: argparse.Namespace) -> MeanSpec:
+    return parse_mean_spec(args.mean, alpha=args.alpha, r=args.r, p=args.power)
+
+
+@contextlib.contextmanager
+def _option_faults():
+    """Turn the ValueError of a check on option values into a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def parse_mean_spec(
@@ -292,7 +300,8 @@ def _cmd_scan(args: argparse.Namespace) -> dict:
 def _cmd_compare(args: argparse.Namespace) -> dict:
     m1 = parse_mean_spec(args.m1)
     m2 = parse_mean_spec(args.m2)
-    grid = GridSpec(args.x_min, args.x_max, args.count, args.scale)
+    with _option_faults():
+        grid = GridSpec(args.x_min, args.x_max, args.count, args.scale)
     report = compare_scan(m1, m2, grid)
     return {
         "command": "compare",
@@ -306,7 +315,9 @@ def _cmd_compare(args: argparse.Namespace) -> dict:
 
 def _cmd_limit(args: argparse.Namespace) -> dict:
     middle = _build_spec(args)
-    if args.p is not None and args.q is not None:
+    if (args.p is None) != (args.q is None):
+        raise UsageError("a resultant limit needs both --p and --q")
+    if args.p is not None:
         expr: object = (
             PowerMean(_exact(args.p)),
             middle,
@@ -327,7 +338,9 @@ def _cmd_limit(args: argparse.Namespace) -> dict:
 
 def _cmd_verify(args: argparse.Namespace) -> dict:
     spec = _build_spec(args)
-    grid = GridSpec(args.x_min, args.x_max, args.count, "logarithmic")
+    with _option_faults():
+        grid = GridSpec(args.x_min, args.x_max, args.count, "logarithmic")
+        check_decay_setup(args.t, grid)
     report = verify_expansion_decay(spec, args.order, args.t, grid)
     return {
         "command": "verify",

@@ -3,16 +3,16 @@ one-variable functions, resultant compositions, comparison scans, boundary
 limits and remainder-decay checks.
 
 Everything here is floating point on purpose; it cross-validates the exact
-engine rather than feeding it.  Values derived by extrapolation are labelled
-as numeric evidence, never as exact results.
+engine rather than feeding it.  Each family is evaluated by its one closed
+form, written without cancellation so that it stays accurate up to the
+diagonal.  Values derived by extrapolation are labelled as numeric evidence,
+never as exact results.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 from .catalog import (
     ClassicMean,
@@ -22,30 +22,16 @@ from .catalog import (
     MuGenerated,
     PowerMean,
     SAlpha,
-    denominator_series,
     expand_mean,
 )
 
 _EPS = 2.0 ** -52
-_NEAR_DIAGONAL = 1e-6
 _SQRT2 = math.sqrt(2.0)
 
 
 def _require_positive(*values: float) -> None:
     if any(not (v > 0) for v in values):
         raise ValueError("means are defined on positive arguments only")
-
-
-@lru_cache(maxsize=None)
-def _denominator_floats(spec: MeanSpec, order: int = 9) -> tuple[float, ...]:
-    return tuple(float(c) for c in denominator_series(spec, order))
-
-
-def _denominator_series_value(spec: MeanSpec, y: float) -> float:
-    acc = 0.0
-    for c in reversed(_denominator_floats(spec)):
-        acc = acc * y + c
-    return acc
 
 
 def _denominator_closed(spec: MeanSpec, y: float) -> float:
@@ -79,14 +65,18 @@ def _denominator_closed(spec: MeanSpec, y: float) -> float:
         s = (r + alpha) / r
         return math.expm1(s * math.log1p(r * y)) / (r + alpha)
     if isinstance(spec, MuGenerated):
-        return _denominator_series_value(spec, y)
+        # mu(y) = y * sum c_n (y**2)**n, by Horner's rule in y**2
+        acc, w = 0.0, y * y
+        for c in reversed(spec.odd_coeffs):
+            acc = acc * w + float(c)
+        return y * acc
     raise TypeError(f"no denominator form for {spec!r}")
 
 
 def eval_mean(spec: MeanSpec, a: float, b: float) -> float:
-    """Value of the mean at (a, b); exact formulas away from the diagonal, a
-    short series in the log-ratio once |a-b| <= 1e-6*max(a,b) where the
-    closed forms turn into 0/0."""
+    """Value of the mean at (a, b) from its family's closed form; the
+    denominators D(y) are written without cancellation, so they keep their
+    relative accuracy as y = ln(b/a) tends to 0."""
     _require_positive(a, b)
     if a == b:
         return float(a)
@@ -103,12 +93,7 @@ def eval_mean(spec: MeanSpec, a: float, b: float) -> float:
         if p > 0:
             return hi * ((1.0 + (lo / hi) ** p) / 2.0) ** (1.0 / p)
         return lo * ((1.0 + (hi / lo) ** p) / 2.0) ** (1.0 / p)
-    y = math.log1p((hi - lo) / lo)
-    if hi - lo <= _NEAR_DIAGONAL * hi:
-        den = _denominator_series_value(spec, y)
-    else:
-        den = _denominator_closed(spec, y)
-    value = (hi - lo) / den
+    value = (hi - lo) / _denominator_closed(spec, math.log1p((hi - lo) / lo))
     return min(max(value, lo), hi)
 
 
@@ -122,12 +107,7 @@ def eval_f(spec: MeanSpec, x: float) -> float:
         if p == 0.0:
             return 1.0
         return math.cosh(p * x) ** (1.0 / p)
-    y = 2.0 * x
-    if y <= _NEAR_DIAGONAL:
-        den = _denominator_series_value(spec, y)
-    else:
-        den = _denominator_closed(spec, y)
-    return 2.0 * math.sinh(x) / den
+    return 2.0 * math.sinh(x) / _denominator_closed(spec, 2.0 * x)
 
 
 def eval_resultant(
@@ -257,27 +237,21 @@ def _resultant_boundary_closed(
     """lim_{s->0+} R(B_p, M, B_q)(s, 1-s) via continuity of the composition:
     the inner mean tends to nu = B_q(0, 1), the two middle values to
     nu*lim M(s,1) and M(nu, 1), and B_p extends continuously to the
-    boundary (vanishing there for p <= 0)."""
+    boundary, where B_p(0, w) = w * B_p(0, 1)."""
     if not isinstance(outer, PowerMean) or not isinstance(inner, PowerMean):
         return None
     mean_limit = _mean_boundary_closed(middle)
     if mean_limit is None:
         return None
-    p, q = float(outer.p), float(inner.p)
-    nu = 2.0 ** (-1.0 / q) if q > 0 else 0.0
+    nu = _mean_boundary_closed(inner)
     if nu > 0.0:
         w1 = nu * mean_limit
         w2 = eval_mean(middle, nu, 1.0)
     else:
         w1, w2 = 0.0, mean_limit
     if w1 > 0.0 and w2 > 0.0:
-        if w1 == w2:
-            return w1
-        return eval_mean(PowerMean(Fraction(p).limit_denominator(10**12)), w1, w2)
-    top = max(w1, w2)
-    if top == 0.0:
-        return 0.0
-    return top * 2.0 ** (-1.0 / p) if p > 0 else 0.0
+        return eval_mean(outer, w1, w2)
+    return max(w1, w2) * _mean_boundary_closed(outer)
 
 
 def boundary_limit(
@@ -337,6 +311,16 @@ class DecayReport:
     exact: bool = False
 
 
+def check_decay_setup(t: float, grid: GridSpec) -> None:
+    """Raise ValueError unless a decay check can run at t on the grid."""
+    if grid.scale != "logarithmic":
+        raise ValueError("decay verification expects a logarithmic grid")
+    if math.log10(grid.stop / grid.start) < 3 or grid.start < 100.0:
+        raise ValueError("grid must span >= 3 decades with x >= 100")
+    if not 0 < t < grid.start:
+        raise ValueError("t must satisfy 0 < t < the grid start")
+
+
 def verify_expansion_decay(
     spec: MeanSpec, order: int, t: float, grid: GridSpec
 ) -> DecayReport:
@@ -344,30 +328,28 @@ def verify_expansion_decay(
 
     The remainder after summing through t**order is dominated by the next
     nonzero term a_n t**n x**(1-n), so log|remainder| against log x has
-    slope 1 - n.  Points within 400 ulp of the direct evaluation are
-    discarded as float noise; with fewer than four usable points the report
-    says so instead of fitting."""
-    if grid.scale != "logarithmic":
-        raise ValueError("decay verification expects a logarithmic grid")
-    if math.log10(grid.stop / grid.start) < 3 or grid.start < 100.0:
-        raise ValueError("grid must span >= 3 decades with x >= 100")
+    slope 1 - n.  The truncation is exact when the exact expansion has no
+    nonzero coefficient past the order (searched through order + 6); then
+    there is nothing to fit.  Points within 400 ulp of the direct
+    evaluation are discarded as float noise; with fewer than four usable
+    points the report says so instead of fitting."""
+    check_decay_setup(t, grid)
     deep = expand_mean(spec, order + 6)
     next_nonzero = next(
         (n for n in range(order + 1, deep.order + 1) if deep.coefficient(n) != 0),
         None,
     )
+    if next_nonzero is None:
+        return DecayReport(None, None, 0, False, True)
+    expected = 1 - next_nonzero
     truncated = deep.truncated(order)
-    xs, rems = [], []
+    usable = []
     for x in grid.points():
-        direct = eval_mean(spec, x - t, x + t)
-        rem = abs(direct - truncated.partial_sum(x, t))
-        xs.append(x)
-        rems.append(rem)
-    if all(r == 0.0 for r in rems):
-        return DecayReport(None, 1 - next_nonzero if next_nonzero else None, 0, False, True)
-    usable = [(x, r) for x, r in zip(xs, rems) if r > 400.0 * _EPS * x]
+        rem = abs(eval_mean(spec, x - t, x + t) - truncated.partial_sum(x, t))
+        if rem > 400.0 * _EPS * x:
+            usable.append((x, rem))
     if len(usable) < 4:
-        return DecayReport(None, 1 - next_nonzero if next_nonzero else None, len(usable), True)
+        return DecayReport(None, expected, len(usable), True)
     lx = [math.log(x) for x, _ in usable]
     lr = [math.log(r) for _, r in usable]
     n = len(lx)
@@ -376,5 +358,4 @@ def verify_expansion_decay(
     slope = sum((a - mean_x) * (b - mean_r) for a, b in zip(lx, lr)) / sum(
         (a - mean_x) ** 2 for a in lx
     )
-    expected = 1 - next_nonzero if next_nonzero is not None else None
     return DecayReport(slope, expected, n, False)

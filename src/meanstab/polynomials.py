@@ -7,8 +7,8 @@ Roots are reported in the strongest form available:
   only one rational of small enough denominator fits, and that candidate is
   verified by exact evaluation and divided out;
 * irrational roots of quadratic factors as surds ``(a + sign*sqrt(b))/c``,
-* everything else as an isolating interval with a sign change, narrowed to a
-  requested width.
+* everything else as an isolating interval with a sign change, narrowed to
+  width 10**-12.
 
 Isolation runs on the square-free part and uses Descartes' rule of signs on
 Moebius-transformed coordinates with exact sign evaluation, so every interval
@@ -27,8 +27,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .rationals import ONE, ZERO, Rational
-
-DEFAULT_ISOLATION_WIDTH = Fraction(1, 10**12)
 
 
 @dataclass(frozen=True)
@@ -240,17 +238,21 @@ class QuadraticSurdRoot:
         return UniPoly((a * a - b, -2 * a * c, c * c))
 
     def sqrt_bounds(self, width: Fraction = Fraction(1, 10**18)) -> tuple[Rational, Rational]:
-        """Rational enclosure of sqrt(radicand) of at most the given width."""
+        """Rational enclosure of sqrt(radicand) of at most the given width.
+
+        The bounds are those of bisecting from [s/d, s/d + 1], s/d the
+        floor of sqrt(radicand) at denominator d, down to the first power
+        of two 2**-m <= width: lo = s/d + k/2**m, the largest such point
+        with lo**2 <= radicand, read from one integer square root.
+        """
         n = self.radicand
-        lo = Fraction(math.isqrt(n.numerator * n.denominator), n.denominator)
-        hi = lo + 1
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            if mid * mid <= n:
-                lo = mid
-            else:
-                hi = mid
-        return lo, hi
+        # the smallest m with 2**m >= ceil(1/width)
+        m = (-(-width.denominator // width.numerator) - 1).bit_length()
+        root = math.isqrt(n.numerator * n.denominator << 2 * m)  # floor(sqrt(n) * d * 2**m)
+        floor = root >> m  # floor(sqrt(n) * d)
+        k = (root - (floor << m)) // n.denominator
+        lo = Fraction(floor, n.denominator) + Fraction(k, 1 << m)
+        return lo, lo + Fraction(1, 1 << m)
 
     def bounds(self, width: Fraction = Fraction(1, 10**18)) -> tuple[Rational, Rational]:
         slo, shi = self.sqrt_bounds(width)
@@ -339,27 +341,25 @@ def sign_variations(coeffs: Sequence[Rational]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _taylor_shift(coeffs: Sequence[Rational], c: Rational) -> list[Rational]:
+    """Coefficients of p(x + c) from those of p, by repeated synthetic division."""
+    out = list(coeffs)
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] += c * out[j + 1]
+    return out
+
+
 def _descartes_count(p: UniPoly, a: Rational, b: Rational) -> int:
     """Sign-variation bound for the number of roots of p in the open (a, b).
 
-    Uses the Moebius substitution x = (a + b*y)/(1 + y), which maps
-    y in (0, inf) onto (a, b); Descartes' rule applies to the transformed
-    coefficients.
+    The substitution x = a + (b - a)/(1 + y) maps y in (0, inf) onto (a, b),
+    and (1 + y)**n * p(x) is q(s) = p(a + (b - a)*s) reversed and shifted by
+    1; Descartes' rule applies to its coefficients.
     """
-    n = p.degree
-    lin_num = UniPoly((a, b))  # a + b*y
-    lin_den = UniPoly((ONE, ONE))  # 1 + y
-    acc = UniPoly.zero()
-    num_pow = UniPoly.constant(1)
-    den_pows = [UniPoly.constant(1)]
-    for _ in range(n):
-        den_pows.append(den_pows[-1] * lin_den)
-    for i, c in enumerate(p.coeffs):
-        if c != 0:
-            acc = acc + (num_pow * den_pows[n - i]) * c
-        if i < n:
-            num_pow = num_pow * lin_num
-    return sign_variations(acc.coeffs)
+    span = b - a
+    q = [c * span**i for i, c in enumerate(_taylor_shift(p.coeffs, a))]
+    return sign_variations(_taylor_shift(q[::-1], ONE))
 
 
 def cauchy_root_bound(p: UniPoly) -> Rational:
@@ -483,14 +483,12 @@ def _pair_quadratic_factors(
     return surds, leftovers
 
 
-def isolate_real_roots(
-    f: UniPoly, width: Fraction = DEFAULT_ISOLATION_WIDTH
-) -> list[Root]:
+def isolate_real_roots(f: UniPoly) -> list[Root]:
     """Describe every distinct real root of f.
 
     Rational roots come back exactly, roots of the residual quadratic factor
-    as surds, higher-degree irrational roots as sign-change intervals of at
-    most the requested width.  Results are sorted by value.
+    as surds, higher-degree irrational roots as sign-change intervals of
+    width at most 10**-12.  Results are sorted by value.
     """
     if f.is_zero:
         raise ValueError("zero polynomial")
@@ -522,7 +520,7 @@ def isolate_real_roots(
                 roots.extend(_conjugate_pair(-c1, disc, 2 * c2))
     elif g.degree >= 3:
         # g has no rational root left, so no midpoint of the bisection is a root.
-        pending = [_refine(g, a, b, min(width, Fraction(1, 10**12))) for a, b in intervals]
+        pending = [_refine(g, a, b, Fraction(1, 10**12)) for a, b in intervals]
         surds, leftovers = _pair_quadratic_factors(g, pending)
         roots.extend(surds)
         roots.extend(IntervalRoot(lo, hi, g) for lo, hi in leftovers)

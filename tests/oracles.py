@@ -9,6 +9,12 @@ Each one is an independent derivation of the same coefficients:
 * ``expand_by_composition``: the denominator series, built per family from
   its own closed form, composed with the log-ratio series by Horner's rule
   (cubic in the order) and inverted;
+* ``denominator_series`` and ``denominator_series_value``: D(y) as an exact
+  series from the production D'(y), and its float value through y**9, where
+  ``numeric.py`` evaluates every family by its closed form at every y;
+* ``mpmath_denominator`` and ``mpmath_mean``: D(y) and the mean at
+  mpmath precision from each family's textbook closed form, the one oracle
+  that shares no code with production (mpmath is a test-only dependency);
 * ``coefficient_polynomial``: one t**k coefficient polynomial of the
   solver from its own k+2 difference expansions truncated at order k, by
   Lagrange interpolation through k+1 of them, where the solver samples one
@@ -48,6 +54,11 @@ Each one is an independent derivation of the same coefficients:
   end coefficients, and interval recognition then finds the rest), where
   ``polynomials.py`` finds every rational root of degree 3 and up by
   interval recognition alone and solves degrees 1 and 2 in closed form;
+* ``descartes_count_by_products``: the Descartes count of an interval from
+  UniPoly products of the Moebius numerator and denominator powers, where
+  ``polynomials.py`` takes two Taylor shifts;
+* ``sqrt_bounds_by_bisection``: the surd enclosure by bisection, where
+  ``polynomials.py`` reads the same bounds from one integer square root;
 * ``rational_roots_by_fraction_evaluation`` and ``extract_square_every_divisor``:
   the same candidate test by ``Fraction`` evaluation of every candidate,
   and the square-factor search over every d up to 10**4, where
@@ -61,7 +72,8 @@ Each one is an independent derivation of the same coefficients:
   and checked at two more, where the solver mirrors 13 equally spaced alpha
   samples and reads Newton's forward form in j = 12*alpha.
 
-They are exact and slow; only tests use them.
+Except for the mpmath ones they are exact, and all are slow; only tests
+use them.
 """
 
 from __future__ import annotations
@@ -77,12 +89,13 @@ from meanstab.catalog import (
     MeanExpansion,
     MeanSpec,
     MuGenerated,
+    PowerMean,
     SAlpha,
     _denominator_derivative,
+    _derivative_at,
     log_ratio_series,
 )
 from meanstab.polynomials import (
-    DEFAULT_ISOLATION_WIDTH,
     IntervalRoot,
     RationalRoot,
     Root,
@@ -94,6 +107,7 @@ from meanstab.polynomials import (
     _refine,
     _sqrt_exact,
     make_surd,
+    sign_variations,
     squarefree_part,
 )
 from meanstab.rationals import ONE, ZERO, Rational
@@ -269,6 +283,76 @@ def direct_denominator_series(spec: MeanSpec, order: int) -> tuple[Rational, ...
         if 2 * n + 1 <= order:
             out[2 * n + 1] = cn
     return tuple(out)
+
+
+def denominator_series(spec: MeanSpec, order: int) -> tuple[Rational, ...]:
+    """Series D(y) with M(a, b) = |b - a| / D(|ln(b/a)|); zero constant term.
+    It is the integral of the production D'(f) at f = identity.
+
+    Defined for every catalog family except power means, which are not of
+    difference-quotient shape.
+    """
+    if isinstance(spec, PowerMean):
+        raise ValueError("power means have no log-ratio denominator form")
+    return integrate_formal(_derivative_at(spec, (ZERO, ONE), order - 1), order)
+
+
+def denominator_series_value(spec: MeanSpec, y: float) -> float:
+    """D(y) in double precision from its series through y**9, by Horner's
+    rule; accurate for small y only."""
+    acc = 0.0
+    for c in reversed(denominator_series(spec, 9)):
+        acc = acc * y + float(c)
+    return acc
+
+
+def _mpf(x: Rational):
+    import mpmath
+
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def mpmath_denominator(spec: MeanSpec, y):
+    """D(y) at mpmath's working precision, real or complex, from each
+    family's textbook closed form (none of the cancellation-free rewrites
+    of ``numeric.py``).  Needs mpmath; tests importorskip it first."""
+    import mpmath
+
+    if isinstance(spec, LAlpha):
+        a = _mpf(spec.alpha)
+        return y if a == 0 else mpmath.sinh(a * y) / a
+    if isinstance(spec, SAlpha):
+        a = _mpf(spec.alpha)
+        return y if a == 0 else 2 * mpmath.atan(mpmath.tanh(a * y / 2)) / a
+    if isinstance(spec, ClassicMean):
+        sqrt2 = mpmath.sqrt(2)
+        return {
+            1: lambda: mpmath.log(1 + y),
+            2: lambda: sqrt2 * mpmath.atan(y / sqrt2),
+            3: lambda: 2 * mpmath.atan(1 + y) - mpmath.pi / 2,
+            4: lambda: sqrt2 * mpmath.asinh(y / sqrt2),
+            5: lambda: sqrt2 * (mpmath.asinh(1 + y) - mpmath.asinh(1)),
+        }[spec.index]()
+    if isinstance(spec, MAlphaR):
+        r, rs = _mpf(spec.r), _mpf(spec.r + spec.alpha)
+        return mpmath.log(1 + r * y) / r if rs == 0 else ((1 + r * y) ** (rs / r) - 1) / rs
+    if isinstance(spec, MuGenerated):
+        return sum(_mpf(c) * y ** (2 * n + 1) for n, c in enumerate(spec.odd_coeffs))
+    raise TypeError(f"no denominator form for {spec!r}")
+
+
+def mpmath_mean(spec: MeanSpec, a: float, b: float):
+    """M(a, b) at mpmath's working precision; float arguments count as
+    exact binary numbers."""
+    import mpmath
+
+    a, b = mpmath.mpf(a), mpmath.mpf(b)
+    if isinstance(spec, PowerMean):
+        if spec.p == 0:
+            return mpmath.sqrt(a * b)
+        p = _mpf(spec.p)
+        return ((a**p + b**p) / 2) ** (1 / p)
+    return abs(b - a) / mpmath_denominator(spec, abs(mpmath.log(b / a)))
 
 
 def expand_by_composition(spec: MeanSpec, order: int) -> MeanExpansion:
@@ -595,9 +679,7 @@ def rational_roots_by_divisor_search(g: UniPoly) -> tuple[list[Rational], bool]:
     return roots, True
 
 
-def isolate_real_roots_by_divisor_search(
-    f: UniPoly, width: Fraction = DEFAULT_ISOLATION_WIDTH
-) -> list[Root]:
+def isolate_real_roots_by_divisor_search(f: UniPoly) -> list[Root]:
     """Every distinct real root of f, with the rational ones from the
     divisor search, completed by interval recognition when the search gave
     up on a g of degree 3 or more, and divided out before the surd and
@@ -631,9 +713,7 @@ def isolate_real_roots_by_divisor_search(
                 roots.append(make_surd(-c1, -1, disc, 2 * c2))
                 roots.append(make_surd(-c1, +1, disc, 2 * c2))
     elif g.degree >= 3:
-        pending = [
-            _refine(g, a, b, min(width, Fraction(1, 10**12))) for a, b in _isolate_intervals(g)
-        ]
+        pending = [_refine(g, a, b, Fraction(1, 10**12)) for a, b in _isolate_intervals(g)]
         surds, leftovers = _pair_quadratic_factors(g, pending)
         roots.extend(surds)
         roots.extend(IntervalRoot(lo, hi, g) for lo, hi in leftovers)
@@ -683,3 +763,36 @@ def extract_square_every_divisor(n: int) -> tuple[int, int]:
             f *= d
         d += 1
     return f, core
+
+
+def descartes_count_by_products(p: UniPoly, a: Rational, b: Rational) -> int:
+    """Sign variations of (1 + y)**n * p((a + b*y)/(1 + y)), summed term by
+    term from UniPoly powers of a + b*y and 1 + y."""
+    n = p.degree
+    lin_num = UniPoly((a, b))  # a + b*y
+    lin_den = UniPoly((ONE, ONE))  # 1 + y
+    acc = UniPoly.zero()
+    num_pow = UniPoly.constant(1)
+    den_pows = [UniPoly.constant(1)]
+    for _ in range(n):
+        den_pows.append(den_pows[-1] * lin_den)
+    for i, c in enumerate(p.coeffs):
+        if c != 0:
+            acc = acc + (num_pow * den_pows[n - i]) * c
+        if i < n:
+            num_pow = num_pow * lin_num
+    return sign_variations(acc.coeffs)
+
+
+def sqrt_bounds_by_bisection(n: Rational, width: Fraction) -> tuple[Rational, Rational]:
+    """Enclosure of sqrt(n) by bisecting [s/d, s/d + 1], s/d the floor of
+    sqrt(n) at denominator d, until it is at most width wide."""
+    lo = Fraction(math.isqrt(n.numerator * n.denominator), n.denominator)
+    hi = lo + 1
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if mid * mid <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi

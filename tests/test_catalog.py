@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import oracles
 import pytest
+from oracles import denominator_series
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,6 @@ from meanstab.catalog import (
     PowerMean,
     MuGenerated,
     SAlpha,
-    denominator_series,
     describe_spec,
     expand_mean,
     expand_power_mean,
@@ -91,6 +91,26 @@ def m_alpha_r_head(a, r):
     ]
 
 
+def assert_cauchy_coefficients(mpmath, fn, radius, expansion, points=128):
+    """Every coefficient of the expansion equals, to 1e-30, Cauchy's integral
+    of fn(u) = M(1 - u, 1 + u) on the circle |u| = radius, taken as the DFT of
+    points samples at 50 digits:
+
+        a_n = (1/N) sum_j fn(u_j) e^(-2 pi i j n/N) / r^n,  u_j = r e^(2 pi i j/N),
+
+    up to aliasing of order (r/R)^N, R the radius of convergence, and
+    rounding amplified by r^-n."""
+    with mpmath.workdps(50):
+        r = mpmath.mpf(radius.numerator) / radius.denominator
+        values = [fn(r * mpmath.expjpi(mpmath.mpf(2 * j) / points)) for j in range(points)]
+        for n, c in enumerate(expansion.coeffs):
+            dft = sum(
+                v * mpmath.expjpi(mpmath.mpf(-2 * j * n) / points) for j, v in enumerate(values)
+            )
+            approx = dft / points / r**n
+            assert abs(approx - mpmath.mpf(c.numerator) / c.denominator) < mpmath.mpf(10) ** -30, n
+
+
 class TestPowerMean:
     def test_arithmetic_mean_is_exact(self):
         assert expand_power_mean(F(1), 10).coeffs == (F(1),) + (F(0),) * 10
@@ -128,29 +148,16 @@ class TestPowerMean:
 
     @pytest.mark.parametrize("p", [F(0), F(-2), F(1, 3), F(7, 4)], ids=str)
     def test_cauchy_integral_on_a_circle(self, p):
-        # a_n = (1/N) sum_j B_p(u_j) e^(-2 pi i j n/N) / r^n for u_j = r e^(2 pi i j/N),
-        # up to aliasing of order r^N = 0.4^128 and rounding at 50 digits
-        # amplified by r^-24; the power mean is analytic on |u| <= 0.4.
+        # the power mean is analytic on |u| < 1, so aliasing is of order 0.4^128
         mpmath = pytest.importorskip("mpmath")
-        order, points = 24, 128
-        exact = expand_power_mean(p, order).coeffs
-        with mpmath.workdps(50):
-            radius = mpmath.mpf(2) / 5
+
+        def power_mean(u):
+            if p == 0:
+                return mpmath.sqrt((1 - u) * (1 + u))
             e = mpmath.mpf(p.numerator) / p.denominator
-            values = []
-            for j in range(points):
-                u = radius * mpmath.expjpi(mpmath.mpf(2 * j) / points)
-                if p == 0:
-                    values.append(mpmath.sqrt((1 - u) * (1 + u)))
-                else:
-                    values.append((((1 - u) ** e + (1 + u) ** e) / 2) ** (1 / e))
-            for n, c in enumerate(exact):
-                dft = sum(
-                    v * mpmath.expjpi(mpmath.mpf(-2 * j * n) / points)
-                    for j, v in enumerate(values)
-                )
-                approx = dft / points / radius**n
-                assert abs(approx - mpmath.mpf(c.numerator) / c.denominator) < mpmath.mpf(10) ** -30
+            return (((1 - u) ** e + (1 + u) ** e) / 2) ** (1 / e)
+
+        assert_cauchy_coefficients(mpmath, power_mean, F(2, 5), expand_power_mean(p, 24))
 
 
 class TestLAlpha:
@@ -440,6 +447,39 @@ class TestProductionRouteAgainstOracles:
         object.__setattr__(spec, "odd_coeffs", (F(2),))  # bypass validation
         with pytest.raises(ArithmeticError, match="must start 2u"):
             expand_mean(spec, 4)
+
+
+# Each radius lies inside the disc of convergence in u, which ends where
+# D(Lambda(u)) vanishes or D is singular: M1's ln(1 + y) at y = -1, that is
+# at u = -tanh(1/2), |u| = 0.46; M_{alpha,r} at y = -1/r.
+CIRCLE_CASES = [
+    (LAlpha(F(1, 3)), F(2, 5)),
+    (LAlpha(F(-1)), F(2, 5)),
+    (SAlpha(F(1, 2)), F(2, 5)),
+    (SAlpha(F(1)), F(2, 5)),
+    (M1, F(1, 5)),
+    (M2, F(2, 5)),
+    (M3, F(1, 4)),
+    (M4, F(2, 5)),
+    (M5, F(1, 4)),
+    (MAlphaR(F(1, 2), F(1)), F(1, 5)),
+    (MAlphaR(F(-1, 3), F(1, 2)), F(2, 5)),
+    (MuGenerated((F(1), F(1, 6), F(-2, 5), F(3))), F(1, 5)),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,radius", CIRCLE_CASES, ids=[describe_spec(s) for s, _ in CIRCLE_CASES]
+)
+def test_quotient_means_by_cauchy_integral(spec, radius):
+    # M(1 - u, 1 + u) = 2u / D(Lambda(u)), Lambda(u) = ln((1 + u)/(1 - u)),
+    # with each family's own D in mpmath: an oracle that shares no code
+    mpmath = pytest.importorskip("mpmath")
+
+    def quotient_mean(u):
+        return 2 * u / oracles.mpmath_denominator(spec, mpmath.log((1 + u) / (1 - u)))
+
+    assert_cauchy_coefficients(mpmath, quotient_mean, radius, expand_mean(spec, 24))
 
 
 def test_m2_denominator_closed_form():

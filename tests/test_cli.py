@@ -145,6 +145,24 @@ class TestOtherCommands:
         assert report["expected_exponent"] == -1
         assert abs(report["slope"] - (-1.0)) < 0.15
 
+    @pytest.mark.parametrize(
+        "argv", [("--mean", "A", "--order", "3", "--t", "10"), ("--mean", "H", "--order", "2")],
+        ids=["A", "H"],
+    )
+    def test_verify_exact_truncation(self, capsys, argv):
+        # A = x and H = x - t^2/x: the exact expansion ends, whatever the floats say
+        report = run_json(capsys, "verify", *argv)
+        assert report["exact"] is True
+        assert report["noise_floor"] is False
+        assert report["expected_exponent"] is None
+
+    def test_verify_zero_remainder_is_noise_floor(self, capsys):
+        # at t = 1e-300 every float remainder is 0.0, but M1's expansion goes on
+        report = run_json(capsys, "verify", "--mean", "M1", "--order", "2", "--t", "1e-300")
+        assert report["exact"] is False
+        assert report["noise_floor"] is True
+        assert report["expected_exponent"] == -2
+
 
 class TestErrorHandling:
     def test_decimal_rejected(self, capsys):
@@ -251,6 +269,33 @@ class TestErrorHandling:
              "verify-t-nan", "verify-t-inf", "verify-x-max", "verify-count"],
     )
     def test_grid_option_out_of_range_is_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (("verify", "--mean", "M1", "--t=-5"), "0 < t < the grid start"),
+            (("verify", "--mean", "M1", "--t", "0"), "0 < t < the grid start"),
+            (("verify", "--mean", "M1", "--t", "100"), "0 < t < the grid start"),
+            (("verify", "--mean", "M1", "--x-min", "200", "--x-max", "1e6", "--t", "250"),
+             "0 < t < the grid start"),
+            (("limit", "--mean", "M1", "--p", "1"), "both --p and --q"),
+            (("limit", "--mean", "M1", "--q", "1"), "both --p and --q"),
+            (("compare", "--m1", "A", "--m2", "G", "--x-min", "5", "--x-max", "1"), "start < stop"),
+            (("compare", "--m1", "A", "--m2", "G", "--x-min", "0"), "positive half-line"),
+            (("verify", "--mean", "M1", "--x-min", "5", "--x-max", "1"), "start < stop"),
+            (("verify", "--mean", "M1", "--x-min", "50", "--t", "1"), "3 decades"),
+            (("verify", "--mean", "M1", "--x-max", "1000"), "3 decades"),
+        ],
+        ids=["verify-t-negative", "verify-t-zero", "verify-t-at-x-min", "verify-t-above-x-min",
+             "limit-p-alone", "limit-q-alone", "compare-reversed-grid", "compare-zero-x-min",
+             "verify-reversed-grid", "verify-low-x-min", "verify-short-grid"],
+    )
+    def test_float_lab_option_fault_is_usage_error(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""

@@ -13,6 +13,7 @@ from meanstab.catalog import (
     M4,
     M5,
     MAlphaR,
+    MuGenerated,
     PowerMean,
     SAlpha,
 )
@@ -25,6 +26,8 @@ from meanstab.numeric import (
     eval_resultant,
     verify_expansion_decay,
 )
+
+_EPS = 2.0**-52
 
 CATALOG = [
     PowerMean(F(1)),
@@ -82,12 +85,79 @@ class TestEvalMean:
 
     @pytest.mark.parametrize("spec", CATALOG, ids=str)
     def test_near_diagonal_continuity(self, spec):
-        # the mean axiom must survive the series switch-over; means with a
-        # t-coefficient of 1 hug the max to within double resolution there
+        # the mean axiom must hold where the closed forms approach 0/0; means
+        # with a t-coefficient of 1 hug the max to within double resolution
         a = 1.0
         for gap in (2.2e-6, 1.8e-6, 9e-7, 1e-8):
             v = eval_mean(spec, a, a + gap)
             assert a <= v <= a + gap
+
+
+# mu = the first six odd Taylor terms of sinh: its terms past y**9 matter
+SINH6 = MuGenerated(tuple(F(1, math.factorial(2 * n + 1)) for n in range(6)))
+
+
+def _sinh6(y: float) -> F:
+    """mu(y) of SINH6, exactly, at the float y."""
+    y = F(y)
+    return sum(c * y ** (2 * n + 1) for n, c in enumerate(SINH6.odd_coeffs))
+
+
+class TestMuGenerated:
+    """A mu-generated mean is |b - a| / mu(|ln(b/a)|) for the odd polynomial
+    mu, at every distance from the diagonal."""
+
+    @pytest.mark.parametrize("a,b", [(1.0, 100.0), (2.0, 3.0), (0.01, 5.0), (1.0, 1.0 + 1e-9)])
+    def test_mean_is_the_polynomial_quotient(self, a, b):
+        expected = (b - a) / float(_sinh6(math.log(b / a)))
+        assert eval_mean(SINH6, a, b) == pytest.approx(expected, rel=1e-13)
+
+    def test_named_value(self):
+        # all six terms: 99 / mu(ln 100) = 1.98316, not the 2.0030 of a
+        # series cut after y**9
+        assert eval_mean(SINH6, 1.0, 100.0) == pytest.approx(1.9831589181167, rel=1e-12)
+
+    @pytest.mark.parametrize("x", [1e-9, 0.4, 3.0])
+    def test_associated_function(self, x):
+        expected = 2 * math.sinh(x) / float(_sinh6(2 * x))
+        assert eval_f(SINH6, x) == pytest.approx(expected, rel=1e-13)
+
+
+class TestNearDiagonalAccuracy:
+    """Each family's one closed form against mpmath at 50 digits, at
+    relative gaps b/a - 1 from 1e-5 down to 3e-16 and base points 1, 3.7
+    and 1234.5.  An error of one unit is 2**-52 of the true value (one ulp
+    at values in [1, 2)).  eval_f gets half a unit more than eval_mean:
+    its numerator is the platform's sinh, which glibc returns 0.67 units
+    high at x = 1e-8.  The worst errors here are 1.66 (eval_mean) and 2.35
+    (eval_f); off this grid, random gaps find up to 2.4 for M5."""
+
+    GAPS = [10.0**-k for k in range(5, 16)] + [3e-16]
+    SPECS = CATALOG + [SINH6]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_eval_mean(self, spec):
+        mpmath = pytest.importorskip("mpmath")
+        from oracles import mpmath_mean
+
+        with mpmath.workdps(50):
+            for a in (1.0, 3.7, 1234.5):
+                for gap in self.GAPS:
+                    b = a + a * gap
+                    true = mpmath_mean(spec, a, b)
+                    units = abs(eval_mean(spec, a, b) - true) / true / _EPS
+                    assert units <= 2, (a, gap, float(units))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_eval_f(self, spec):
+        mpmath = pytest.importorskip("mpmath")
+        from oracles import mpmath_mean
+
+        with mpmath.workdps(50):
+            for x in self.GAPS:
+                true = mpmath_mean(spec, mpmath.exp(-x), mpmath.exp(x))
+                units = abs(eval_f(spec, x) - true) / true / _EPS
+                assert units <= 2.5, (x, float(units))
 
 
 class TestMonotonicityInAlpha:
@@ -106,13 +176,14 @@ class TestMonotonicityInAlpha:
 
 class TestDenominatorBranches:
     def test_series_matches_closed_form_near_zero(self):
-        from meanstab.numeric import _denominator_closed, _denominator_series_value
+        from meanstab.numeric import _denominator_closed
+        from oracles import denominator_series_value
 
         specs = [s for s in CATALOG if not isinstance(s, PowerMean)]
         for spec in specs:
             for y in (1e-5, 1e-6, 1e-7):
                 closed = _denominator_closed(spec, y)
-                series = _denominator_series_value(spec, y)
+                series = denominator_series_value(spec, y)
                 assert abs(closed - series) <= 1e-13 * abs(closed), (spec, y)
 
 
@@ -294,6 +365,20 @@ class TestDecay:
     def test_arithmetic_mean_is_exact(self):
         report = verify_expansion_decay(PowerMean(F(1)), 4, 1.0, self.GRID)
         assert report.exact
+
+    def test_exactness_comes_from_the_exact_expansion(self):
+        # H = x - t^2/x has nonzero float remainders, yet its truncation is exact
+        report = verify_expansion_decay(PowerMean(F(-1)), 2, 10.0, self.GRID)
+        assert report.exact and not report.noise_floor
+        # M1's float remainders vanish at t = 1e-300, yet its expansion goes on
+        report = verify_expansion_decay(M1, 2, 1e-300, self.GRID)
+        assert not report.exact and report.noise_floor
+        assert report.expected_exponent == -2
+
+    @pytest.mark.parametrize("t", [-5.0, 0.0, 100.0, 1e3])
+    def test_t_must_lie_below_the_grid(self, t):
+        with pytest.raises(ValueError, match="0 < t"):
+            verify_expansion_decay(M1, 2, t, self.GRID)
 
     def test_m1_after_linear_term(self):
         report = verify_expansion_decay(M1, 1, 1.0, self.GRID)

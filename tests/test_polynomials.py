@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    descartes_count_by_products,
     extract_square_every_divisor,
     isolate_real_roots_by_divisor_search,
     lagrange_interpolate,
     rational_roots_by_divisor_search,
     rational_roots_by_fraction_evaluation,
+    sqrt_bounds_by_bisection,
 )
 from meanstab.polynomials import (
     IntervalRoot,
@@ -20,6 +22,7 @@ from meanstab.polynomials import (
     SignedInterval,
     UniPoly,
     _conjugate_pair,
+    _descartes_count,
     _extract_square,
     _refine,
     affine_image,
@@ -460,3 +463,38 @@ class TestRootSearchAgainstOracles:
             assert _extract_square(n) == extract_square_every_divisor(n)
             f, core = _extract_square(n)
             assert f % square == 0 and f * f * core == n
+
+
+class TestShortcutsAgainstParentRoutes:
+    """The Taylor-shift Descartes count and the one-isqrt surd bounds give
+    what the product-sum count and the bisection gave."""
+
+    def test_descartes_count_on_random_intervals(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            p = poly(*(F(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(rng.randint(2, 9))))
+            if p.degree < 1:
+                continue
+            a = F(rng.randint(-400, 400), rng.randint(1, 40))
+            b = a + F(rng.randint(1, 400), rng.randint(1, 40))
+            assert _descartes_count(p, a, b) == descartes_count_by_products(p, a, b), (p, a, b)
+
+    def test_isolation_matches_product_count(self, monkeypatch):
+        import meanstab.polynomials as polynomials
+
+        p = poly(-2, 0, 0, 1) * poly(-13, 16, 1) * poly(F(9, 4), 1) * poly(-7, 0, 3)
+        expected = isolate_real_roots(p)
+        monkeypatch.setattr(polynomials, "_descartes_count", descartes_count_by_products)
+        assert repr(isolate_real_roots(p)) == repr(expected)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        radicand=st.one_of(
+            st.integers(2, 10**12).map(F),
+            st.fractions(min_value=F(1, 10**6), max_value=10**9, max_denominator=10**6),
+        ),
+        width=st.sampled_from([F(1, 3), F(1), F(5, 2), F(1, 10**9), F(1, 10**18), F(1, 10**24), F(7, 2**40)]),
+    )
+    def test_sqrt_bounds(self, radicand, width):
+        root = QuadraticSurdRoot(F(0), 1, radicand, F(1))
+        assert root.sqrt_bounds(width) == sqrt_bounds_by_bisection(radicand, width)
