@@ -32,6 +32,8 @@ from typing import Union
 
 from .rationals import ONE, ZERO, Rational
 from .series import (
+    _fractions,
+    _power_over_q,
     integrate_formal,
     series_compose,
     series_exp,
@@ -182,6 +184,28 @@ class MeanExpansion:
         return iter(self.coeffs)
 
 
+def _power_mean_form(p: Fraction, order: int) -> tuple[list[int], int]:
+    """The expansion of B_p as integer numerators over their least common
+    denominator (see expand_power_mean)."""
+    half = order // 2
+    if p == 0:
+        avg, den, exponent = [1, -1] + [0] * (half - 1), 1, Fraction(1, 2)
+    else:
+        s, t = p.as_integer_ratio()
+        terms, num, den = [(1, 1)], 1, 1
+        for m in range(1, 2 * half + 1):
+            num *= s - (m - 1) * t
+            den *= m * t
+            if m % 2 == 0:
+                terms.append((num, den))
+        # Each denominator divides the next, so the last one is common.
+        avg, exponent = [n * (den // d) for n, d in terms], 1 / p
+    even, den = _power_over_q((avg, den), exponent, half)
+    nums = [0] * (order + 1)
+    nums[::2] = even
+    return nums, den
+
+
 def expand_power_mean(p: Rational, order: int) -> MeanExpansion:
     """Expansion of the power mean B_p; B_0 is the geometric mean.
 
@@ -193,22 +217,7 @@ def expand_power_mean(p: Rational, order: int) -> MeanExpansion:
     takes the same path.  First coefficients: a_2 = (p-1)/2 and
     a_4 = (p-1)(3+p-2p^2)/24.
     """
-    p = Fraction(p)
-    half = order // 2
-    if p == 0:
-        avg, exponent = [ONE, -ONE], Fraction(1, 2)
-    else:
-        s, t = p.as_integer_ratio()
-        avg, num, den = [ONE], 1, 1
-        for m in range(1, 2 * half + 1):
-            num *= s - (m - 1) * t
-            den *= m * t
-            if m % 2 == 0:
-                avg.append(Fraction(num, den))
-        exponent = 1 / p
-    coeffs = [ZERO] * (order + 1)
-    coeffs[::2] = series_power(avg, exponent, half)
-    return MeanExpansion(tuple(coeffs))
+    return MeanExpansion(_fractions(*_power_mean_form(Fraction(p), order)))
 
 
 def log_ratio_series(order: int) -> tuple[Rational, ...]:

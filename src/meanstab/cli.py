@@ -154,14 +154,40 @@ def _option_faults():
         raise UsageError(str(exc)) from None
 
 
+#: The parametric families by lowercase name: the spec type, and the keyword
+#: parameters of parse_mean_spec it takes, in the order they are given inline.
+_FAMILIES: dict[str, tuple[type, tuple[str, ...]]] = {
+    **dict.fromkeys(("b", "powermean", "power-mean", "power"), (PowerMean, ("p",))),
+    **dict.fromkeys(("lalpha", "l_alpha"), (LAlpha, ("alpha",))),
+    **dict.fromkeys(("salpha", "s_alpha"), (SAlpha, ("alpha",))),
+    **dict.fromkeys(("malphar", "m_alphar", "m_alpha_r"), (MAlphaR, ("alpha", "r"))),
+}
+_OPTION_NAMES = {"p": "--power", "alpha": "--alpha", "r": "--r"}
+
+
 def parse_mean_spec(
     name: str,
     alpha: str | None = None,
     r: str | None = None,
     p: str | None = None,
 ) -> MeanSpec:
-    """Resolve a mean name plus optional exact parameters into a spec."""
-    key = name.strip()
+    """Resolve a mean name plus optional exact parameters into a spec.  A
+    family's parameters may instead follow its name inline, as
+    ``name:value[,value]``: salpha:1/2, malphar:-1/3,3 or powermean:3/2."""
+    key, colon, inline = name.strip().partition(":")
+    key = key.strip()
+    family = _FAMILIES.get(key.lower())
+    given = {"p": p, "alpha": alpha, "r": r}
+    if colon:
+        if family is None:
+            raise UsageError(f"{key!r} is not a parametric mean; drop the parameters")
+        if any(value is not None for value in given.values()):
+            raise UsageError(f"give the parameters of {name!r} inline or as options, not both")
+        values = [value.strip() for value in inline.split(",")]
+        params = family[1]
+        if len(values) > len(params):
+            raise UsageError(f"{key} takes {len(params)} parameter(s), got {len(values)}")
+        given.update((k, v or None) for k, v in zip(params, values))
     upper = key.upper()
     if upper in ALIASES:
         return ALIASES[upper]
@@ -169,24 +195,13 @@ def parse_mean_spec(
         return ALIASES["HZ1/4"]
     if upper in ("M1", "M2", "M3", "M4", "M5"):
         return ClassicMean(int(upper[1]))
-    lower = key.lower()
-    if lower in ("b", "powermean", "power-mean", "power"):
-        if p is None:
-            raise UsageError("power mean needs --p num/den")
-        return PowerMean(_exact(p))
-    if lower in ("lalpha", "l_alpha"):
-        if alpha is None:
-            raise UsageError("Lalpha needs --alpha num/den")
-        return LAlpha(_exact(alpha))
-    if lower in ("salpha", "s_alpha"):
-        if alpha is None:
-            raise UsageError("Salpha needs --alpha num/den")
-        return SAlpha(_exact(alpha))
-    if lower in ("malphar", "m_alphar", "m_alpha_r"):
-        if alpha is None or r is None:
-            raise UsageError("Malphar needs --alpha and --r")
-        return MAlphaR(_exact(alpha), _exact(r))
-    raise UsageError(f"unknown mean {name!r}")
+    if family is None:
+        raise UsageError(f"unknown mean {name!r}")
+    spec_type, params = family
+    missing = [_OPTION_NAMES[k] for k in params if given[k] is None]
+    if missing:
+        raise UsageError(f"{key} needs {' and '.join(missing)} num/den, or {key}:value[,value]")
+    return spec_type(*(_exact(given[k]) for k in params))
 
 
 # ---------------------------------------------------------------------------

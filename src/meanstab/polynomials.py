@@ -21,6 +21,7 @@ and Newton's forward form (``newton_forward``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -284,18 +285,32 @@ class IntervalRoot:
 Root = Union[RationalRoot, QuadraticSurdRoot, IntervalRoot]
 
 
+@functools.cache
+def _small_prime_product() -> int:
+    """The product of the primes up to 10**4, built on the first call."""
+    sieve = bytearray([1]) * 10_001
+    sieve[:2] = b"\0\0"
+    for i in range(2, 101):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, 10_001, i)))
+    return math.prod(i for i, is_prime in enumerate(sieve) if is_prime)
+
+
 def _extract_square(n: int) -> tuple[int, int]:
-    """Write n = f*f*core with the small square factors pulled into f."""
+    """Write n = f*f*core with the square factors of primes up to 10**4
+    pulled into f."""
     root = math.isqrt(n)
     if root * root == n:
         return root, 1
-    f, core = 1, n
-    d = 2
-    # Only 2 and odd d: a composite d*d cannot divide once its primes' squares are out.
-    while d <= 10_000 and d * d <= core:
-        while core % (d * d) == 0:
-            core //= d * d
-            f *= d
+    g = math.gcd(n, _small_prime_product())
+    twice = math.gcd(n // g, g)  # the primes up to 10**4 that divide n twice
+    f, core, d = 1, n, 2
+    while twice > 1:
+        if twice % d == 0:
+            twice //= d
+            while core % (d * d) == 0:
+                core //= d * d
+                f *= d
         d += 1 if d == 2 else 2
     return f, core
 

@@ -28,9 +28,8 @@ u * g = u**z * (n_z, n_{z+1}, ...) with z >= 2 the first index where the inner
 mean has a nonzero coefficient, so B = h * M(u**z * g' / h) for the shifted
 sequence g'.  If the tail of the inner mean vanishes through the order, the
 argument of M is zero through the order and B = m_0 * h, fully determined by
-the truncated inputs.  Each composition runs by Horner's rule in
-:func:`series.series_compose`, which over Q keeps its accumulator as integer
-numerators over one denominator.
+the truncated inputs.  Each composition runs by Horner's rule, as in
+:func:`series.series_compose`.
 
 Even means need fewer compositions.  When the middle and inner coefficient
 sequences have no nonzero odd entry through the order, gt(u) = g(-u) and
@@ -47,46 +46,128 @@ at half the order,
 spread onto the even indices.  The inner means of the degenerate cases have
 n_1 = -1 or +1 and never take this route.
 
-Everything here is duck-typed over the scalar field, so the same code runs on
-exact rationals and on any other field-like scalar; the tests run it over
-truncated series in a perturbation parameter to check the degenerate cases
-against one-sided limits at n_1 = -1 and +1.
+The body runs once for every scalar, on pairs (coeffs, den).  Over Q,
+:func:`resultant_coeffs` converts its three inputs once to integer
+numerators over their least common denominators, every product, power and
+composition runs on the integer primitives of :mod:`series`, and the result
+becomes ``Fraction`` values only on the way out; the solver calls the body
+on the integer forms of the power means directly and takes the difference
+before converting.  Any other scalar, a ``Fraction`` subclass included,
+rides along with den None through the public series functions, so the same
+code runs on any field-like scalar; the tests run it over truncated series
+in a perturbation parameter to check the degenerate cases against one-sided
+limits at n_1 = -1 and +1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .catalog import MeanExpansion, expand_power_mean
 from .rationals import Rational
-from .series import series_compose, series_mul, series_power
+from .series import (
+    _fractions,
+    _horner_over_q,
+    _integer_form,
+    _power_over_q,
+    _product_over_q,
+    _reduced,
+    series_compose,
+    series_mul,
+    series_power,
+)
 
 
-def _composition_sums(weights: Sequence, g: Sequence, h: Sequence, order: int) -> tuple:
+def _mul(a: tuple, b: tuple, order: int) -> tuple:
+    if a[1] is None:
+        return series_mul(a[0], b[0], order), None
+    return _product_over_q(a, b, order)
+
+
+def _power(a: tuple, r: int, order: int) -> tuple:
+    if a[1] is None:
+        return series_power(a[0], r, order), None
+    return _power_over_q(a, r, order)
+
+
+def _compose(outer: tuple, inner: tuple, order: int) -> tuple:
+    if inner[1] is None:
+        return series_compose(outer[0], inner[0], order), None
+    return _horner_over_q(outer, inner, order)
+
+
+def _divided(a: tuple, m: int) -> tuple:
+    if a[1] is None:
+        factor = Fraction(1, m)
+        return [c * factor for c in a[0]], None
+    return _reduced(a[0], a[1] * m)
+
+
+def _common(a: tuple, b: tuple) -> tuple:
+    """The coefficients of a and b over one denominator, and that
+    denominator."""
+    (x, dx), (y, dy) = a, b
+    if dx == dy:
+        return x, y, dx
+    den = lcm(dx, dy)
+    return [c * (den // dx) for c in x], [c * (den // dy) for c in y], den
+
+
+def _composition_sums(weights: tuple, g: tuple, h: tuple, order: int) -> tuple:
     """h * W(u * g / h) for W(x) = sum weights[n] x**n, that is
     out[m] = sum_n weights[n] * [g**n * h**(1-n)]_(m-n); h[0] must be
     invertible."""
-    ratio = series_mul([h[0] * 0] + list(g), series_power(h, -1, order), order)
-    return series_mul(h, series_compose(weights, ratio, order), order)
+    gs, den = g
+    ratio = _mul(([h[0][0] * 0] + list(gs), den), _power(h, -1, order), order)
+    return _mul(h, _compose(weights, ratio, order), order)
 
 
 def _odd_part_vanishes(seq: Sequence, order: int) -> bool:
     return all(c == 0 for c in seq[1 : order + 1 : 2])
 
 
-def _even_outer_step(outer: Sequence, b_side: Sequence, order: int) -> tuple:
+def _even_outer_step(outer: tuple, b_side: tuple, order: int) -> tuple:
     """(1/4) * s * K(u * d / s) for an even K, with A(u) = B(-u): in
     w = u**2 it is (1/2) * E * K~(w * o**2 / E**2), spread onto the even
     indices (E, o and K~ as in the module docstring)."""
-    e, o, half = b_side[::2], b_side[1::2], order // 2
-    w_o_squared = [e[0] * 0] + list(series_mul(o, o, half - 1))
-    ratio = series_mul(w_o_squared, series_power(e, -2, half), half)
-    combined = series_mul(e, series_compose(outer[::2], ratio, half), half)
-    scaled = [c * Fraction(1, 2) for c in combined]
+    (b, den), half = b_side, order // 2
+    e, o = (b[::2], den), (b[1::2], den)
+    o_squared, o_den = _mul(o, o, half - 1)
+    ratio = _mul(([b[0] * 0] + list(o_squared), o_den), _power(e, -2, half), half)
+    combined = _mul(e, _compose((outer[0][::2], outer[1]), ratio, half), half)
+    scaled, den = _divided(combined, 2)
     out = [scaled[0] * 0] * (order + 1)
     out[::2] = scaled
-    return tuple(out)
+    return out, den
+
+
+def _resultant(outer: tuple, middle: tuple, inner: tuple, order: int) -> tuple:
+    """R(K, M, N) through the order on pairs (coeffs, den) that reach the
+    order: integer numerators over their least common denominator, or any
+    other scalar's coefficients with den None, on which the helpers above
+    dispatch.  The inner constant term stands for one; over Q it is den."""
+    nums, den = inner
+    one = nums[0]
+    n1 = nums[1] if order >= 1 else one * 0
+    tail = list(nums[2 : order + 1])
+    g = ([one + n1] + tail, den)
+    h = ([one + one, n1 - one] + tail, den)
+    b_side = _composition_sums(middle, g, h, order)
+    if _odd_part_vanishes(middle[0], order) and _odd_part_vanishes(nums, order):
+        if _odd_part_vanishes(outer[0], order):
+            return _even_outer_step(outer, b_side, order)
+        b, b_den = b_side
+        a_side = ([-c if j % 2 else c for j, c in enumerate(b)], b_den)  # A(u) = B(-u)
+    else:
+        gt = ([one - n1] + [-c for c in tail], den)
+        ht = ([one + one, n1 + one] + tail, den)
+        a_side = _composition_sums(middle, gt, ht, order)
+    a, b, common = _common(a_side, b_side)
+    d = [a[j + 1] - b[j + 1] for j in range(order)]
+    s = [a[j] + b[j] for j in range(order + 1)]
+    return _divided(_composition_sums(outer, (d, common), (s, common), order), 4)
 
 
 def resultant_coeffs(outer: Sequence, middle: Sequence, inner: Sequence, order: int) -> tuple:
@@ -98,25 +179,10 @@ def resultant_coeffs(outer: Sequence, middle: Sequence, inner: Sequence, order: 
                 f"order mismatch: {name} expansion has {len(seq) - 1} coefficients, "
                 f"need at least order {order}"
             )
-    one = inner[0]
-    n1 = inner[1] if order >= 1 else one * 0
-    tail = list(inner[2 : order + 1])
-    g = [one + n1] + tail
-    h = [one + one, n1 - one] + tail
-    b_side = _composition_sums(middle, g, h, order)
-    if _odd_part_vanishes(middle, order) and _odd_part_vanishes(inner, order):
-        if _odd_part_vanishes(outer, order):
-            return _even_outer_step(outer, b_side, order)
-        a_side = [-c if j % 2 else c for j, c in enumerate(b_side)]  # A(u) = B(-u)
-    else:
-        gt = [one - n1] + [-c for c in tail]
-        ht = [one + one, n1 + one] + tail
-        a_side = _composition_sums(middle, gt, ht, order)
-    d = [a_side[j + 1] - b_side[j + 1] for j in range(order)]
-    s = [a_side[j] + b_side[j] for j in range(order + 1)]
-    combined = _composition_sums(outer, d, s, order)
-    quarter = Fraction(1, 4)
-    return tuple(c * quarter for c in combined)
+    forms = [_integer_form(seq, order) for seq in (outer, middle, inner)]
+    if None in forms:
+        return tuple(_resultant((outer, None), (middle, None), (inner, None), order)[0])
+    return _fractions(*_resultant(*forms, order))
 
 
 def resultant_case(inner: MeanExpansion) -> int:

@@ -20,23 +20,28 @@ series in a perturbation parameter when a computation needs an exact
 one-sided limit.
 
 Over Q the product, the power recursion, the exp recursion and composition
-run on integer numerators over one common denominator: a series whose
-coefficients are all ``Fraction`` or ``int``, with a ``Fraction`` constant
-term, becomes the list ``[c * d for c in a]`` for ``d`` the least common
-denominator, and the loops multiply and add plain ints.  A product reduces by
-one gcd per output coefficient rather than one per term; the recursions keep
-a running common denominator of the coefficients computed so far and rescale
-the stored numerators only when it grows.  Composition converts both
-operands once and runs Horner's rule on the integer numerators: each step
-multiplies the accumulator by the inner numerators, multiplies its
-denominator by theirs, adds the next outer numerator and divides everything
-by the content gcd; a step whose accumulator is later multiplied by the
-inner series k more times stops k times the inner valuation short of the
-order.  Results are the same reduced ``Fraction`` values, in tuples, as the
-generic loops give; any other scalar, a subclass of ``Fraction`` included,
-takes the generic loops.  Where the generic loops divide (power, exp and
-integration), int coefficients count as rationals, so that all-int input
-gives ``Fraction`` results; a product of ints stays int.
+run on integer numerators over one common denominator.  Each has a private
+primitive on integer forms, pairs ``(nums, den)`` with ``a[n] == nums[n] /
+den``: a product convolves the numerators and multiplies the denominators;
+the recursions keep a running common denominator of the coefficients
+computed so far and rescale the stored numerators only when it grows;
+composition runs Horner's rule, where each step multiplies the accumulator
+by the inner numerators, multiplies its denominator by theirs, adds the next
+outer numerator and divides everything by the content gcd, and a step whose
+accumulator is later multiplied by the inner series k more times stops k
+times the inner valuation short of the order.  Every primitive returns its
+result reduced by one content gcd, so den is the least common denominator,
+and a caller hands that form on to the next primitive with no ``Fraction``
+in between: the resultant runs on it from its converted inputs, and the
+solver from the power means to the difference.  The public functions
+convert at the edges: a series whose coefficients are all ``Fraction`` or
+``int``, with a ``Fraction`` constant term, becomes ``[c * d for c in a]``
+for ``d`` the least common denominator, and the result comes back as the
+same reduced ``Fraction`` values, in tuples, as the generic loops give; any
+other scalar, a subclass of ``Fraction`` included, takes the generic loops.
+Where the generic loops divide (power, exp and integration), int
+coefficients count as rationals, so that all-int input gives ``Fraction``
+results; a product of ints stays int.
 """
 
 from __future__ import annotations
@@ -101,11 +106,24 @@ def _over_q(zero, order: int, *series: Coeffs) -> list | None:
     return None if None in forms else forms
 
 
-def _recursion_over_q(head: Fraction, step, order: int) -> tuple:
+def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
+    """nums/den with the content gcd of the numerators and the denominator
+    divided out, so that den is the least common denominator."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return [q // g for q in nums], den // g
+
+
+def _fractions(nums: Sequence[int], den: int) -> tuple:
+    return tuple(Fraction(q, den) for q in nums)
+
+
+def _recursion_over_q(head: Fraction, step, order: int) -> tuple[list[int], int]:
     """c_0 = head and c_n = top / (bottom * d) for ``top, bottom = step(n,
     back)``, where ``back`` holds the numerators of c_{n-1}, ..., c_0 over
     their common denominator d.  d only grows, and the stored numerators
-    are rescaled when it does."""
+    are rescaled when it does; it ends as the least common denominator."""
     nums, den = [head.numerator], head.denominator
     for n in range(1, order + 1):
         top, bottom = step(n, nums[::-1])
@@ -117,7 +135,7 @@ def _recursion_over_q(head: Fraction, step, order: int) -> tuple:
             nums = [q * scale for q in nums]
             den = grown
         nums.append(top * (den // bottom))
-    return tuple(Fraction(q, den) for q in nums)
+    return nums, den
 
 
 def _convolve(x: list[int], reversed_y: list[int], order: int) -> list[int]:
@@ -127,14 +145,18 @@ def _convolve(x: list[int], reversed_y: list[int], order: int) -> list[int]:
     return [sum(map(mul, x[: k + 1], reversed_y[last - k :])) for k in range(order + 1)]
 
 
+def _product_over_q(a: tuple, b: tuple, order: int) -> tuple[list[int], int]:
+    """The product of two integer forms; b must reach the order."""
+    (x, dx), (y, dy) = a, b
+    return _reduced(_convolve(x, y[::-1], order), dx * dy)
+
+
 def series_mul(a: Coeffs, b: Coeffs, order: int) -> tuple:
     """Cauchy product truncated at the given order."""
     zero = _zero_of(a) if len(a) else _zero_of(b)
     forms = _over_q(zero, order, a, b)
     if forms is not None:
-        (x, dx), (y, dy) = forms
-        den = dx * dy
-        return tuple(Fraction(c, den) for c in _convolve(x, y[::-1], order))
+        return _fractions(*_product_over_q(*forms, order))
     fa, fb = _fit(a, order, zero), _fit(b, order, zero)
     out = [zero] * (order + 1)
     for i, x in enumerate(fa):
@@ -149,6 +171,25 @@ def series_mul(a: Coeffs, b: Coeffs, order: int) -> tuple:
 
 def _is_integer(r) -> bool:
     return isinstance(r, int) or (isinstance(r, Fraction) and r.denominator == 1)
+
+
+def _power_over_q(a: tuple, r, order: int) -> tuple[list[int], int]:
+    """The integer form of a**r for the integer form a; a_0 must be nonzero,
+    and 1 if r is fractional.  a must reach the order."""
+    x, dx = a
+    if x[0] == 0:
+        raise ValueError("zero constant term")
+    s, t = r.as_integer_ratio()
+    head = Fraction(x[0], dx) ** s if t == 1 else Fraction(1)
+    # With r = s/t the weight is (k*(s+t) - n*t)/t, and the common
+    # denominator of a cancels against the one of a_0.
+    kx = [k * c for k, c in enumerate(x)]
+
+    def step(n, back):
+        top = (s + t) * sum(map(mul, kx[1 : n + 1], back))
+        return top - n * t * sum(map(mul, x[1 : n + 1], back)), n * t * x[0]
+
+    return _recursion_over_q(head, step, order)
 
 
 def series_power(a: Coeffs, r, order: int) -> tuple:
@@ -172,17 +213,7 @@ def series_power(a: Coeffs, r, order: int) -> tuple:
     zero = _field_zero(a)
     forms = _over_q(zero, order, a)
     if forms is not None:
-        # With r = s/t the weight is (k*(s+t) - n*t)/t, and the common
-        # denominator of a cancels against the one of a_0.
-        (x, _), = forms
-        s, t = r.as_integer_ratio()
-        kx = [k * c for k, c in enumerate(x)]
-
-        def step(n, back):
-            top = (s + t) * sum(map(mul, kx[1 : n + 1], back))
-            return top - n * t * sum(map(mul, x[1 : n + 1], back)), n * t * x[0]
-
-        return _recursion_over_q(head, step, order)
+        return _fractions(*_power_over_q(forms[0], r, order))
     fa = _fit(a, order, zero)
     out = [zero] * (order + 1)
     out[0] = head
@@ -208,9 +239,9 @@ def series_exp(a: Coeffs, order: int) -> tuple:
     if forms is not None:
         (x, den), = forms
         kx = [k * c for k, c in enumerate(x)]
-        return _recursion_over_q(
+        return _fractions(*_recursion_over_q(
             Fraction(1), lambda n, back: (sum(map(mul, kx[1 : n + 1], back)), n * den), order
-        )
+        ))
     fa = _fit(a, order, zero)
     out = [zero] * (order + 1)
     out[0] = zero + 1
@@ -234,8 +265,8 @@ def series_compose(outer: Coeffs, inner: Coeffs, order: int) -> tuple:
     # Horner's first product sees the last outer coefficient as its head.
     forms = _over_q(fo[-1] * 0, order, fo, inner) if len(fo) > 1 else None
     if forms is not None:
-        (x, dx), (y, dy) = forms
-        return _horner_over_q(x[: len(fo)], dx, y, dy, order)
+        (x, dx), y_form = forms
+        return _fractions(*_horner_over_q((x[: len(fo)], dx), y_form, order))
     acc: tuple = tuple([fo[-1]] + [zero] * order)
     for c in reversed(fo[:-1]):
         acc = series_mul(acc, inner, order)
@@ -243,23 +274,22 @@ def series_compose(outer: Coeffs, inner: Coeffs, order: int) -> tuple:
     return acc
 
 
-def _horner_over_q(x: list[int], dx: int, y: list[int], dy: int, order: int) -> tuple:
-    """Horner's rule for (x/dx)(y/dy) on integers.  The accumulator times dx
-    is nums/den, and each step divides nums and den by their content gcd.
+def _horner_over_q(outer: tuple, inner: tuple, order: int) -> tuple[list[int], int]:
+    """Horner's rule for the integer forms x/dx and y/dy, y with zero
+    constant term and reaching the order.  The accumulator times dx is
+    nums/den, and each step divides nums and den by their content gcd.
     With v the valuation of y, the accumulator that x[k] enters is later
     multiplied by y**k, so it is needed only through order - k*v."""
-    v = next((i for i, c in enumerate(y) if c), order + 1)
+    (x, dx), (y, dy) = outer, inner
+    v = next((i for i, c in enumerate(y[: order + 1]) if c), order + 1)
     x = x[: order // v + 1]
     nums, den, ry = [x[-1]] + [0] * (order - (len(x) - 1) * v), 1, y[::-1]
     for k in range(len(x) - 2, -1, -1):
         nums = _convolve(nums, ry, order - k * v)
         den *= dy
         nums[0] += x[k] * den
-        g = gcd(den, *nums)
-        if g > 1:
-            nums, den = [q // g for q in nums], den // g
-    den *= dx
-    return tuple(Fraction(q, den) for q in nums)
+        nums, den = _reduced(nums, den)
+    return _reduced(nums, den * dx)
 
 
 def integrate_formal(a: Coeffs, order: int) -> tuple:

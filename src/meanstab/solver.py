@@ -39,6 +39,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .catalog import (
+    _power_mean_form,
     LAlpha,
     MeanExpansion,
     MeanSpec,
@@ -61,7 +62,8 @@ from .polynomials import (
     newton_forward,
 )
 from .rationals import Rational
-from .resultant import resultant_coeffs, resultant_power_means
+from .resultant import _common, _resultant, resultant_coeffs
+from .series import _integer_form
 
 # ---------------------------------------------------------------------------
 # Difference expansions
@@ -97,10 +99,13 @@ class DifferenceExpansion:
 def difference_expansion(
     mean: MeanExpansion, p: Rational, q: Rational, order: int
 ) -> DifferenceExpansion:
-    """Exact difference between the mean and its power-mean resultant."""
+    """Exact difference between the mean and its power-mean resultant,
+    computed on integer numerators from B_p and B_q to the difference."""
     p, q = Fraction(p), Fraction(q)
-    res = resultant_power_means(p, q, mean.truncated(order), order)
-    coeffs = tuple(mean.coefficient(n) - res.coefficient(n) for n in range(order + 1))
+    m_form = _integer_form(mean.truncated(order).coeffs, order)
+    r_form = _resultant(_power_mean_form(p, order), m_form, _power_mean_form(q, order), order)
+    m, r, den = _common(m_form, r_form)
+    coeffs = tuple(Fraction(a - b, den) for a, b in zip(m, r))
     return DifferenceExpansion(coeffs, p, q)
 
 

@@ -26,6 +26,9 @@ Each one is an independent derivation of the same coefficients:
   (1 -/+ u)**p, averaged and raised to 1/p, each at the full order, where
   the catalog builds the even average from integer binomials and runs one
   recursion at half the order;
+* ``expand_power_mean_from_fractions``: the catalog's half-order route with
+  the average as Fractions and one public series_power call, where the
+  catalog runs it on integer numerators and hands them on to the solver;
 * ``stable_by_two_resultants``: the stable series with the slope of each
   fixed-point step measured by a second resultant, where the catalog uses
   its closed form 1/2 + 2**(1-n);
@@ -43,6 +46,9 @@ Each one is an independent derivation of the same coefficients:
   inner means (t-coefficient -1 or +1) run on the sequence shifted to the
   first nonzero tail coefficient, where ``resultant.py`` forms each sum as
   one composition and needs no case split;
+* ``resultant_on_fraction_tuples``: the production case and parity logic
+  with every step a public series function on tuples of Fractions, where
+  ``resultant.py`` converts its inputs once and runs on integer numerators;
 * ``resultant_two_sides``: the resultant with both middle compositions and
   the outer step at full length for every input, where ``resultant.py``
   reads one side from the other and runs an even outer step in u**2 when
@@ -59,10 +65,12 @@ Each one is an independent derivation of the same coefficients:
   ``polynomials.py`` takes two Taylor shifts;
 * ``sqrt_bounds_by_bisection``: the surd enclosure by bisection, where
   ``polynomials.py`` reads the same bounds from one integer square root;
-* ``rational_roots_by_fraction_evaluation`` and ``extract_square_every_divisor``:
-  the same candidate test by ``Fraction`` evaluation of every candidate,
-  and the square-factor search over every d up to 10**4, where
-  ``polynomials.py`` tries 2 and odd d only;
+* ``rational_roots_by_fraction_evaluation``: the same candidate test by
+  ``Fraction`` evaluation of every candidate;
+* ``extract_square_every_divisor`` and ``extract_square_odd_divisors``: the
+  square-factor search by trial division with every d, or 2 and odd d, up
+  to 10**4, where ``polynomials.py`` reads the primes that divide n twice
+  from two gcds with the product of the primes up to 10**4;
 * ``lagrange_interpolate``: the polynomial through arbitrary points by
   Newton's divided differences over ``Fraction``, where ``polynomials.py``
   reads polynomials through equally spaced samples from integer forward
@@ -111,8 +119,8 @@ from meanstab.polynomials import (
     squarefree_part,
 )
 from meanstab.rationals import ONE, ZERO, Rational
-from meanstab.resultant import _composition_sums, resultant_coeffs
-from meanstab.series import integrate_formal, series_compose, series_power
+from meanstab.resultant import resultant_coeffs
+from meanstab.series import integrate_formal, series_compose, series_mul, series_power
 from meanstab.solver import AffineLocus, _stability_defects, difference_expansion
 
 
@@ -137,6 +145,27 @@ def expand_power_mean_full_order(p: Rational, order: int) -> MeanExpansion:
     plus = series_power((ONE, ONE), p, order)
     avg = tuple((a + b) / 2 for a, b in zip(minus, plus))
     return MeanExpansion(series_power(avg, 1 / p, order))
+
+
+def expand_power_mean_from_fractions(p: Rational, order: int) -> MeanExpansion:
+    """B_p by the catalog's half-order route, with the even average built as
+    Fractions and raised to 1/p by the public series_power."""
+    p = Fraction(p)
+    half = order // 2
+    if p == 0:
+        avg, exponent = [ONE, -ONE], Fraction(1, 2)
+    else:
+        s, t = p.as_integer_ratio()
+        avg, num, den = [ONE], 1, 1
+        for m in range(1, 2 * half + 1):
+            num *= s - (m - 1) * t
+            den *= m * t
+            if m % 2 == 0:
+                avg.append(Fraction(num, den))
+        exponent = 1 / p
+    coeffs = [ZERO] * (order + 1)
+    coeffs[::2] = series_power(avg, exponent, half)
+    return MeanExpansion(tuple(coeffs))
 
 
 def stable_by_two_resultants(a2: Rational, order: int) -> MeanExpansion:
@@ -541,6 +570,53 @@ def resultant_by_double_sums(
     return tuple(c * Fraction(1, 4) for c in combined)
 
 
+def _composition_sums(weights: Sequence, g: Sequence, h: Sequence, order: int) -> tuple:
+    """h * W(u * g / h) for W(x) = sum weights[n] x**n, one public series
+    call per product, power and composition."""
+    ratio = series_mul([h[0] * 0] + list(g), series_power(h, -1, order), order)
+    return series_mul(h, series_compose(weights, ratio, order), order)
+
+
+def _odd_part_vanishes(seq: Sequence, order: int) -> bool:
+    return all(c == 0 for c in seq[1 : order + 1 : 2])
+
+
+def _even_outer_step(outer: Sequence, b_side: Sequence, order: int) -> tuple:
+    e, o, half = b_side[::2], b_side[1::2], order // 2
+    w_o_squared = [e[0] * 0] + list(series_mul(o, o, half - 1))
+    ratio = series_mul(w_o_squared, series_power(e, -2, half), half)
+    combined = series_mul(e, series_compose(outer[::2], ratio, half), half)
+    scaled = [c * Fraction(1, 2) for c in combined]
+    out = [scaled[0] * 0] * (order + 1)
+    out[::2] = scaled
+    return tuple(out)
+
+
+def resultant_on_fraction_tuples(
+    outer: Sequence, middle: Sequence, inner: Sequence, order: int
+) -> tuple:
+    """R(K, M, N) by the production case and parity logic, with every step a
+    public series function on tuples of Fractions."""
+    one = inner[0]
+    n1 = inner[1] if order >= 1 else one * 0
+    tail = list(inner[2 : order + 1])
+    g = [one + n1] + tail
+    h = [one + one, n1 - one] + tail
+    b_side = _composition_sums(middle, g, h, order)
+    if _odd_part_vanishes(middle, order) and _odd_part_vanishes(inner, order):
+        if _odd_part_vanishes(outer, order):
+            return _even_outer_step(outer, b_side, order)
+        a_side = [-c if j % 2 else c for j, c in enumerate(b_side)]
+    else:
+        gt = [one - n1] + [-c for c in tail]
+        ht = [one + one, n1 + one] + tail
+        a_side = _composition_sums(middle, gt, ht, order)
+    d = [a_side[j + 1] - b_side[j + 1] for j in range(order)]
+    s = [a_side[j] + b_side[j] for j in range(order + 1)]
+    combined = _composition_sums(outer, d, s, order)
+    return tuple(c * Fraction(1, 4) for c in combined)
+
+
 def resultant_two_sides(outer: Sequence, middle: Sequence, inner: Sequence, order: int) -> tuple:
     """R(K, M, N) by three compositions at full length, whatever the parity
     of the means."""
@@ -762,6 +838,21 @@ def extract_square_every_divisor(n: int) -> tuple[int, int]:
             core //= d * d
             f *= d
         d += 1
+    return f, core
+
+
+def extract_square_odd_divisors(n: int) -> tuple[int, int]:
+    """n = f*f*core with f collected by trying 2 and every odd d up to 10**4."""
+    root = math.isqrt(n)
+    if root * root == n:
+        return root, 1
+    f, core = 1, n
+    d = 2
+    while d <= 10_000 and d * d <= core:
+        while core % (d * d) == 0:
+            core //= d * d
+            f *= d
+        d += 1 if d == 2 else 2
     return f, core
 
 

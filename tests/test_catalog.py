@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meanstab.catalog import (
+    _power_mean_form,
     ALIASES,
     ClassicMean,
     LAlpha,
@@ -29,7 +30,7 @@ from meanstab.catalog import (
     expand_stable,
 )
 from meanstab.numeric import eval_mean
-from meanstab.series import series_power
+from meanstab.series import _integer_form, series_power
 
 # Displayed coefficient formulas used as oracles throughout.
 
@@ -145,6 +146,19 @@ class TestPowerMean:
         assert len(coeffs) == order + 1
         assert all(type(c) is F for c in coeffs)
         assert all(c == 0 for c in coeffs[1::2])
+
+    @pytest.mark.parametrize(
+        "p", [F(0), F(1), F(-1), F(2), F(-2), F(1, 3), F(-5, 3), F(7, 4), F(-13, 6)], ids=str
+    )
+    def test_integer_form_matches_the_fraction_route(self, p):
+        # The helper hands on the least common denominator form of the
+        # coefficients that the Fraction route computes.
+        for order in range(41):
+            reference = oracles.expand_power_mean_from_fractions(p, order).coeffs
+            assert _power_mean_form(p, order) == _integer_form(reference, order)
+            coeffs = expand_power_mean(p, order).coeffs
+            assert coeffs == reference
+            assert [type(c) for c in coeffs] == [type(c) for c in reference]
 
     @pytest.mark.parametrize("p", [F(0), F(-2), F(1, 3), F(7, 4)], ids=str)
     def test_cauchy_integral_on_a_circle(self, p):

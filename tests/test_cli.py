@@ -133,6 +133,43 @@ class TestOtherCommands:
         )
         assert report["verdict"] == "m1<m2"
 
+    @pytest.mark.parametrize(
+        ("m1", "label", "verdict"),
+        [
+            ("salpha:1/2", "S_1/2", "m1<m2"),
+            ("Malphar:-1/3,3", "M_(-1/3,3)", "crossing"),
+            ("powermean:3/2", "B_3/2", "m2<m1"),
+        ],
+        ids=["salpha", "malphar", "powermean"],
+    )
+    def test_compare_parametric_mean_inline(self, capsys, m1, label, verdict):
+        # The float scan's verdicts: P < A, a crossing, and A < B_3/2.
+        report = run_json(capsys, "compare", "--m1", m1, "--m2", "A", "--count", "200")
+        assert report["m1"] == label
+        assert report["m2"] == "B_1"
+        assert report["verdict"] == verdict
+
+    def test_resultant_outer_and_inner_inline(self, capsys):
+        from meanstab.catalog import M1, PowerMean, SAlpha, expand_mean
+        from meanstab.resultant import resultant_mean_map
+
+        report = run_json(
+            capsys, "resultant", "--mean", "M1", "--outer", "salpha:1/2",
+            "--inner", "powermean:1/3", "--order", "6",
+        )
+        assert (report["outer"], report["inner"]) == ("S_1/2", "B_1/3")
+        expected = resultant_mean_map(
+            *(expand_mean(spec, 6) for spec in (SAlpha(F(1, 2)), M1, PowerMean(F(1, 3)))), 6
+        )
+        assert coefficient_map(report) == dict(enumerate(expected.coeffs))
+
+    def test_inline_parameters_match_the_options(self, capsys):
+        inline = run_json(capsys, "expand", "--mean", "malphar:-1/3,3", "--order", "6")
+        options = run_json(
+            capsys, "expand", "--mean", "Malphar", "--alpha=-1/3", "--r", "3", "--order", "6"
+        )
+        assert inline == options
+
     def test_limit(self, capsys):
         report = run_json(capsys, "limit", "--mean", "M1", "--p", "1", "--q", "1")
         assert report["limit"]["value"] == pytest.approx(0.4747535, rel=1e-5)
@@ -224,6 +261,38 @@ class TestErrorHandling:
         assert out == ""
         assert "order of at least" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        ("m1", "message"),
+        [
+            ("salpha", "needs --alpha"),
+            ("salpha:", "needs --alpha"),
+            ("malphar:1/2", "needs --r"),
+            ("malphar:1/2,", "needs --r"),
+            ("salpha:1/2,3", "takes 1 parameter"),
+            ("powermean:1,2", "takes 1 parameter"),
+            ("A:1", "not a parametric mean"),
+            ("nope:1", "not a parametric mean"),
+            ("salpha:1/0", "zero denominator"),
+            ("malphar:1/2,3/0", "zero denominator"),
+        ],
+        ids=["no-parameter", "empty", "missing-r", "empty-r", "extra", "extra-power",
+             "alias", "unknown", "zero-alpha", "zero-r"],
+    )
+    def test_inline_parameter_fault_is_usage_error(self, capsys, m1, message):
+        code, out, err = run_cli(capsys, "compare", "--m1", m1, "--m2", "A", "--count", "20")
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_inline_and_option_parameters_together_are_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "expand", "--mean", "salpha:1/2", "--alpha", "1/3", "--order", "4"
+        )
+        assert code == 2
+        assert out == ""
+        assert "not both" in err
 
     @pytest.mark.parametrize("family", ["X", "XAlpha", "", "alpha", "Lunch", "salad", "Lalphas"])
     def test_unknown_family_is_usage_error(self, capsys, family):

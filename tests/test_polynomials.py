@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     descartes_count_by_products,
     extract_square_every_divisor,
+    extract_square_odd_divisors,
     isolate_real_roots_by_divisor_search,
     lagrange_interpolate,
     rational_roots_by_divisor_search,
@@ -448,6 +449,16 @@ class TestRootSearchAgainstOracles:
     @given(st.integers(min_value=1, max_value=10**14))
     def test_extract_square(self, n):
         assert _extract_square(n) == extract_square_every_divisor(n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=10**30),
+        st.sampled_from((1, 2, 3, 9, 9967, 9973, 10007, 9999991)),
+    )
+    def test_extract_square_against_odd_trial_division(self, k, factor):
+        # The parent search: 2 and odd d up to 10**4; 10007**2 stays in core.
+        for n in (k, k * factor * factor):
+            assert _extract_square(n) == extract_square_odd_divisors(n)
 
     @pytest.mark.parametrize("k", [2, 3, 6, 9973, 2 * 9973 + 1, 10**6 + 3])
     def test_extract_square_of_a_large_prime_square(self, k):

@@ -21,7 +21,13 @@ from meanstab.catalog import (
     expand_quotient_mean,
 )
 from laurent import LaurentScalar
-from oracles import composition_sums, resultant_by_double_sums, resultant_two_sides
+from meanstab.series import _fractions, _integer_form
+from oracles import (
+    composition_sums,
+    resultant_by_double_sums,
+    resultant_on_fraction_tuples,
+    resultant_two_sides,
+)
 from meanstab.resultant import (
     resultant_case,
     resultant_coeffs,
@@ -441,10 +447,16 @@ class TestCompositionAgainstDoubleSums:
             st.lists(coefficients, min_size=order, max_size=order)
         )
         padded = [F(0)] * (order + 1) if g is None else [F(0)] * (z - 1) + g
-        out = resultant._composition_sums(weights, padded, h, order)
         reference = composition_sums(weights, g, h, z, order)
+        # The integer forms, and the same sequences as generic pairs.
+        forms = [_integer_form(seq, order) for seq in (weights, padded, h)]
+        out = _fractions(*resultant._composition_sums(*forms, order))
         assert list(out) == reference
         assert [type(c) for c in out] == [type(c) for c in reference]
+        generic, den = resultant._composition_sums(
+            (weights, None), (padded, None), (h, None), order
+        )
+        assert den is None and list(generic) == reference
 
     def test_long_catalog_triple(self):
         order = 24
@@ -517,3 +529,58 @@ class TestParityRoute:
             out = resultant_coeffs(outer, middle, inner, order)
             assert out == resultant_two_sides(outer, middle, inner, order)
             assert out[order] != 0
+
+
+class TestIntegerFormBody:
+    """resultant_coeffs converts rational inputs once and runs the case and
+    parity logic on integer numerators; it equals the same logic on tuples
+    of Fractions through the public series functions, type for type, and
+    any other scalar still takes those functions."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.data(),
+        st.integers(min_value=0, max_value=24),
+        st.sampled_from(("mixed", "even", "degenerate")),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_random_rational_triples(self, data, order, inner_kind, even_middle, even_outer):
+        outer = data.draw(even_means(order) if even_outer else means(order))
+        middle = data.draw(even_means(order) if even_middle else means(order))
+        inner = data.draw(even_means(order) if inner_kind == "even" else means(order))
+        if inner_kind == "degenerate" and order >= 1:
+            inner[1] = data.draw(st.sampled_from((F(1), F(-1), 1, -1)))
+        out = resultant_coeffs(outer, middle, inner, order)
+        reference = resultant_on_fraction_tuples(outer, middle, inner, order)
+        assert type(out) is tuple
+        assert out == reference
+        assert [type(c) for c in out] == [type(c) for c in reference]
+        # The body hands on the least common denominator form.
+        forms = [_integer_form(seq, order) for seq in (outer, middle, inner)]
+        assert resultant._resultant(*forms, order) == _integer_form(reference, order)
+
+    @pytest.mark.parametrize("kind", ["mixed", "even", "degenerate"])
+    def test_fraction_subclass_sees_every_generic_product(self, kind):
+        products = []
+
+        class Counted(F):
+            def __mul__(self, other):
+                products.append(other)
+                return super().__mul__(other)
+
+        order = 8
+        rng = random.Random(97)
+        triple = [random_coeffs(rng, order) for _ in range(3)]
+        if kind == "even":
+            for seq in triple:
+                seq[1::2] = [F(0)] * len(seq[1::2])
+        if kind == "degenerate":
+            triple[2][1] = F(-1)
+        counted = [[Counted(c) for c in seq] for seq in triple]
+        out = resultant_coeffs(*counted, order)
+        seen = len(products)
+        reference = resultant_on_fraction_tuples(*counted, order)
+        assert seen > 0 and seen == len(products) - seen
+        assert out == reference
+        assert [type(c) for c in out] == [type(c) for c in reference]

@@ -8,6 +8,10 @@ from hypothesis import strategies as st
 
 from laurent import LaurentScalar
 from meanstab.series import (
+    _horner_over_q,
+    _integer_form,
+    _power_over_q,
+    _product_over_q,
     integrate_formal,
     series_compose,
     series_exp,
@@ -262,6 +266,26 @@ class TestHornerOverQ:
         outer, inner = (F(2, 3), 5, F(7)), (0, 0, 0)
         assert_same(series_compose(outer, inner, 2), (F(2, 3), F(0), F(0)))
         assert_same(horner_compose(outer, inner, 2), (F(2, 3), F(0), F(0)))
+
+
+class TestPrimitivesHandOnLowestTerms:
+    """The integer primitives return the least common denominator form of
+    the public result, the form their callers hand on without a Fraction."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_series, sparse_series, st.integers(min_value=1, max_value=3), orders)
+    def test_product_power_and_composition(self, a, b, valuation, order):
+        a = [F(1)] + a
+        inner = [F(0)] * valuation + b
+        fa, fb, fi = (_integer_form(seq, order) for seq in (a, b, inner))
+        assert _product_over_q(fa, fb, order) == _integer_form(series_mul(a, b, order), order)
+        for r in (-2, -1, F(1, 2), F(-5, 3)):
+            assert _power_over_q(fa, F(r), order) == _integer_form(
+                series_power(a, r, order), order
+            )
+        assert _horner_over_q(fa, fi, order) == _integer_form(
+            series_compose(a, inner, order), order
+        )
 
 
 class TestIntInputStaysExact:

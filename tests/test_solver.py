@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from meanstab import solver
@@ -51,6 +53,59 @@ class TestDifferenceExpansion:
         diff = difference_expansion(m2, F(0), F(0), 4)
         assert diff.first_nonzero == 2
         assert diff.sign == 1  # (5 - 0 - 0)/8 > 0
+
+
+class TestDifferenceOnIntegerForms:
+    """difference_expansion runs B_p, B_q, the resultant and the difference
+    on integer numerators; it equals mean - R(B_p, M, B_q) in Fractions."""
+
+    @staticmethod
+    def reference(mean, p, q, order):
+        bp = oracles.expand_power_mean_from_fractions(p, order).coeffs
+        bq = oracles.expand_power_mean_from_fractions(q, order).coeffs
+        res = oracles.resultant_on_fraction_tuples(bp, mean.coeffs, bq, order)
+        return tuple(m - r for m, r in zip(mean.coeffs, res))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.data(),
+        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=0, max_value=3),
+        st.booleans(),
+    )
+    def test_random_means_and_powers(self, data, order, extra, even):
+        coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+        tail = data.draw(st.lists(coefficients, min_size=order + extra, max_size=order + extra))
+        if even:
+            tail[::2] = [F(0)] * len(tail[::2])
+        mean = MeanExpansion((F(1), *tail))
+        powers = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+        p, q = data.draw(powers), data.draw(powers)
+        diff = difference_expansion(mean, p, q, order)
+        reference = self.reference(mean, p, q, order)
+        assert diff.coeffs == reference
+        assert all(type(c) is F for c in diff.coeffs)
+        assert (diff.p, diff.q) == (p, q)
+
+    @pytest.mark.parametrize("spec", [ALIASES["L"], ALIASES["HZ1/4"], M2], ids=str)
+    def test_catalog_means_on_the_locus(self, spec):
+        mean = expand_mean(spec, 16)
+        locus = first_order_locus(mean)
+        for p in (F(-3), F(1, 2), F(5, 3)):
+            q = locus.q_of(p)
+            diff = difference_expansion(mean, p, q, 14)
+            assert diff.coeffs == self.reference(mean, p, q, 14)
+            assert diff.coeffs[2] == 0
+
+    def test_mixed_mean(self):
+        mean = expand_mean(M1, 10)
+        diff = difference_expansion(mean, F(2), F(-1, 3), 10)
+        assert diff.coeffs == self.reference(mean, F(2), F(-1, 3), 10)
+        assert diff.coeffs[1] == mean.coefficient(1) / 2
+
+    def test_order_past_the_mean_is_refused(self):
+        with pytest.raises(ValueError, match="cannot extend"):
+            difference_expansion(expand_mean(M2, 4), F(1), F(1), 5)
 
 
 class TestFirstOrderLocus:
