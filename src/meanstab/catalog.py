@@ -32,8 +32,8 @@ from typing import Union
 
 from .rationals import ONE, ZERO, Rational
 from .series import (
-    _fractions,
     _power_over_q,
+    _values,
     integrate_formal,
     series_compose,
     series_exp,
@@ -217,7 +217,7 @@ def expand_power_mean(p: Rational, order: int) -> MeanExpansion:
     takes the same path.  First coefficients: a_2 = (p-1)/2 and
     a_4 = (p-1)(3+p-2p^2)/24.
     """
-    return MeanExpansion(_fractions(*_power_mean_form(Fraction(p), order)))
+    return MeanExpansion(_values(*_power_mean_form(Fraction(p), order)))
 
 
 def log_ratio_series(order: int) -> tuple[Rational, ...]:

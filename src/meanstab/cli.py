@@ -133,12 +133,15 @@ def _expansion_json(expansion: MeanExpansion) -> dict:
 
 
 def _exact(text: str) -> Rational:
-    """parse_rational for a command-line value; a zero denominator is a
-    usage error, not an engine error."""
+    """parse_rational for a command-line value; text that is not an exact
+    rational, a zero denominator included, is a usage error, not an engine
+    error."""
     try:
         return parse_rational(text)
     except ZeroDivisionError:
         raise UsageError(f"zero denominator in {text!r}") from None
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _build_spec(args: argparse.Namespace) -> MeanSpec:

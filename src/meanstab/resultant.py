@@ -46,17 +46,19 @@ at half the order,
 spread onto the even indices.  The inner means of the degenerate cases have
 n_1 = -1 or +1 and never take this route.
 
-The body runs once for every scalar, on pairs (coeffs, den).  Over Q,
-:func:`resultant_coeffs` converts its three inputs once to integer
-numerators over their least common denominators, every product, power and
-composition runs on the integer primitives of :mod:`series`, and the result
-becomes ``Fraction`` values only on the way out; the solver calls the body
-on the integer forms of the power means directly and takes the difference
-before converting.  Any other scalar, a ``Fraction`` subclass included,
-rides along with den None through the public series functions, so the same
-code runs on any field-like scalar; the tests run it over truncated series
-in a perturbation parameter to check the degenerate cases against one-sided
-limits at n_1 = -1 and +1.
+The body runs once for every scalar, on the forms of :mod:`series`: pairs
+(nums, den) with coefficient nums[n] / den, every product, power and
+composition one primitive of that module.  :func:`resultant_coeffs`
+converts its three inputs together.  Over Q they become integer numerators
+over their least common denominators, and the result becomes ``Fraction``
+values only on the way out; the solver calls the body on the integer forms
+of the power means directly and takes the difference before converting.
+Any other scalar, a ``Fraction`` subclass included, enters as its own
+values over ``Fraction(1)``, and so do the rational inputs that come with
+it, so a mixed triple computes in the non-rational field; the result is
+that field's values.  The tests run the body over truncated series in a
+perturbation parameter to check the degenerate cases against one-sided
+limits at n_1 = -1 and +1, through the primitives of a rational call.
 """
 
 from __future__ import annotations
@@ -67,42 +69,7 @@ from typing import Sequence
 
 from .catalog import MeanExpansion, expand_power_mean
 from .rationals import Rational
-from .series import (
-    _fractions,
-    _horner_over_q,
-    _integer_form,
-    _power_over_q,
-    _product_over_q,
-    _reduced,
-    series_compose,
-    series_mul,
-    series_power,
-)
-
-
-def _mul(a: tuple, b: tuple, order: int) -> tuple:
-    if a[1] is None:
-        return series_mul(a[0], b[0], order), None
-    return _product_over_q(a, b, order)
-
-
-def _power(a: tuple, r: int, order: int) -> tuple:
-    if a[1] is None:
-        return series_power(a[0], r, order), None
-    return _power_over_q(a, r, order)
-
-
-def _compose(outer: tuple, inner: tuple, order: int) -> tuple:
-    if inner[1] is None:
-        return series_compose(outer[0], inner[0], order), None
-    return _horner_over_q(outer, inner, order)
-
-
-def _divided(a: tuple, m: int) -> tuple:
-    if a[1] is None:
-        factor = Fraction(1, m)
-        return [c * factor for c in a[0]], None
-    return _reduced(a[0], a[1] * m)
+from .series import _forms, _horner_over_q, _power_over_q, _product_over_q, _reduced, _values
 
 
 def _common(a: tuple, b: tuple) -> tuple:
@@ -120,8 +87,8 @@ def _composition_sums(weights: tuple, g: tuple, h: tuple, order: int) -> tuple:
     out[m] = sum_n weights[n] * [g**n * h**(1-n)]_(m-n); h[0] must be
     invertible."""
     gs, den = g
-    ratio = _mul(([h[0][0] * 0] + list(gs), den), _power(h, -1, order), order)
-    return _mul(h, _compose(weights, ratio, order), order)
+    ratio = _product_over_q(([h[0][0] * 0] + list(gs), den), _power_over_q(h, -1, order), order)
+    return _product_over_q(h, _horner_over_q(weights, ratio, order), order)
 
 
 def _odd_part_vanishes(seq: Sequence, order: int) -> bool:
@@ -134,20 +101,18 @@ def _even_outer_step(outer: tuple, b_side: tuple, order: int) -> tuple:
     indices (E, o and K~ as in the module docstring)."""
     (b, den), half = b_side, order // 2
     e, o = (b[::2], den), (b[1::2], den)
-    o_squared, o_den = _mul(o, o, half - 1)
-    ratio = _mul(([b[0] * 0] + list(o_squared), o_den), _power(e, -2, half), half)
-    combined = _mul(e, _compose((outer[0][::2], outer[1]), ratio, half), half)
-    scaled, den = _divided(combined, 2)
+    o_squared, o_den = _product_over_q(o, o, half - 1)
+    ratio = _product_over_q(([b[0] * 0] + o_squared, o_den), _power_over_q(e, -2, half), half)
+    combined, den = _product_over_q(e, _horner_over_q((outer[0][::2], outer[1]), ratio, half), half)
+    scaled, den = _reduced(combined, den * 2)
     out = [scaled[0] * 0] * (order + 1)
     out[::2] = scaled
     return out, den
 
 
 def _resultant(outer: tuple, middle: tuple, inner: tuple, order: int) -> tuple:
-    """R(K, M, N) through the order on pairs (coeffs, den) that reach the
-    order: integer numerators over their least common denominator, or any
-    other scalar's coefficients with den None, on which the helpers above
-    dispatch.  The inner constant term stands for one; over Q it is den."""
+    """R(K, M, N) through the order on forms in one field that reach the
+    order.  The inner constant term stands for one; over Q it is den."""
     nums, den = inner
     one = nums[0]
     n1 = nums[1] if order >= 1 else one * 0
@@ -167,7 +132,8 @@ def _resultant(outer: tuple, middle: tuple, inner: tuple, order: int) -> tuple:
     a, b, common = _common(a_side, b_side)
     d = [a[j + 1] - b[j + 1] for j in range(order)]
     s = [a[j] + b[j] for j in range(order + 1)]
-    return _divided(_composition_sums(outer, (d, common), (s, common), order), 4)
+    combined, den = _composition_sums(outer, (d, common), (s, common), order)
+    return _reduced(combined, den * 4)
 
 
 def resultant_coeffs(outer: Sequence, middle: Sequence, inner: Sequence, order: int) -> tuple:
@@ -179,10 +145,7 @@ def resultant_coeffs(outer: Sequence, middle: Sequence, inner: Sequence, order: 
                 f"order mismatch: {name} expansion has {len(seq) - 1} coefficients, "
                 f"need at least order {order}"
             )
-    forms = [_integer_form(seq, order) for seq in (outer, middle, inner)]
-    if None in forms:
-        return tuple(_resultant((outer, None), (middle, None), (inner, None), order)[0])
-    return _fractions(*_resultant(*forms, order))
+    return _values(*_resultant(*_forms(order, outer, middle, inner), order))
 
 
 def resultant_case(inner: MeanExpansion) -> int:

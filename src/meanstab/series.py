@@ -14,34 +14,42 @@ With integer exponents any nonzero constant term is allowed; a fractional
 exponent requires constant term 1 so that every coefficient stays in the
 field.  :func:`series_exp` uses the analogous recursion
 ``n*E[n] = sum_{k=1..n} k*a_k*E[n-k]`` for ``exp`` of a series with zero
-constant term.  All functions are duck-typed over the scalar: exact rationals
-in normal use, or any other type with field arithmetic, such as truncated
-series in a perturbation parameter when a computation needs an exact
-one-sided limit.
+constant term.
 
-Over Q the product, the power recursion, the exp recursion and composition
-run on integer numerators over one common denominator.  Each has a private
-primitive on integer forms, pairs ``(nums, den)`` with ``a[n] == nums[n] /
-den``: a product convolves the numerators and multiplies the denominators;
-the recursions keep a running common denominator of the coefficients
-computed so far and rescale the stored numerators only when it grows;
-composition runs Horner's rule, where each step multiplies the accumulator
-by the inner numerators, multiplies its denominator by theirs, adds the next
-outer numerator and divides everything by the content gcd, and a step whose
-accumulator is later multiplied by the inner series k more times stops k
-times the inner valuation short of the order.  Every primitive returns its
-result reduced by one content gcd, so den is the least common denominator,
-and a caller hands that form on to the next primitive with no ``Fraction``
-in between: the resultant runs on it from its converted inputs, and the
-solver from the power means to the difference.  The public functions
-convert at the edges: a series whose coefficients are all ``Fraction`` or
-``int``, with a ``Fraction`` constant term, becomes ``[c * d for c in a]``
-for ``d`` the least common denominator, and the result comes back as the
-same reduced ``Fraction`` values, in tuples, as the generic loops give; any
-other scalar, a subclass of ``Fraction`` included, takes the generic loops.
-Where the generic loops divide (power, exp and integration), int
-coefficients count as rationals, so that all-int input gives ``Fraction``
-results; a product of ints stays int.
+The product, the power and exp recursions and composition each have one
+body, a private primitive on forms: pairs ``(nums, den)`` with ``a[n] ==
+nums[n] / den``.  The den says which field a form is in.
+
+* Over Q den is an int and nums are integer numerators.  A product
+  convolves the numerators and multiplies the denominators; the recursions
+  keep a running common denominator of the coefficients computed so far and
+  rescale the stored numerators only when it grows; composition runs
+  Horner's rule, where each step multiplies the accumulator by the inner
+  numerators, multiplies its denominator by theirs, adds the next outer
+  numerator and divides everything by the content gcd, and a step whose
+  accumulator is later multiplied by the inner series k more times stops k
+  times the inner valuation short of the order.  Every primitive returns its
+  result reduced by one content gcd, so den is the least common
+  denominator, and a caller hands that form on to the next primitive with no
+  ``Fraction`` in between: the resultant runs on it from its converted
+  inputs, and the solver from the power means to the difference.
+* Any other scalar, a subclass of ``Fraction`` included, is a form of its
+  own values over the exact ``Fraction(1)``: a truncated series in a
+  perturbation parameter, say, when a computation needs an exact one-sided
+  limit.  The same primitives run on it; where they reduce (``_reduced``)
+  or divide (the recursions) they branch once on ``type(den) is int`` and
+  divide in the field instead, so den is 1 again after every primitive.
+  They multiply by ``1/den`` only when den is not 1, and never divide a
+  value by den, which would shrink the window of a truncated germ.
+
+The public functions convert their operands together at the edges.  When
+every coefficient of every operand is a ``Fraction`` or an ``int``, each
+becomes ``[c * d for c in a]`` for ``d`` its least common denominator, and
+the result comes back as reduced ``Fraction`` values in a tuple, for
+all-int input too.  Otherwise every operand, a rational one included,
+becomes a form of its own values over ``Fraction(1)``, padded with the zero
+of the first coefficient, so that a mixed pair computes in the non-rational
+field; the result is the values the primitives leave.
 """
 
 from __future__ import annotations
@@ -55,6 +63,7 @@ Coeffs = Sequence
 
 _RATIONAL_TYPES = (Fraction, int)
 _FRACTION_ZERO = Fraction(0)
+_FRACTION_ONE = Fraction(1)
 
 
 def _zero_of(a: Coeffs):
@@ -82,48 +91,70 @@ def series_scale(a: Coeffs, factor, order: int) -> tuple:
     return tuple(c * factor for c in _fit(a, order, _zero_of(a)))
 
 
-def _integer_form(a: Coeffs, order: int) -> tuple[list[int], int] | None:
+def _integer_form(a: Coeffs, order: int) -> tuple[list[int], int]:
     """``(nums, d)`` with ``a[n] == nums[n] / d`` for n through the order, d
-    the least common denominator; None if a coefficient is not a Fraction or
-    an int."""
-    head = a[: order + 1]
-    if not all(type(c) in _RATIONAL_TYPES for c in head):
-        return None
-    ratios = [c.as_integer_ratio() for c in head]
+    the least common denominator; every coefficient of a must be a Fraction
+    or an int."""
+    ratios = [c.as_integer_ratio() for c in a[: order + 1]]
     den = lcm(*[d for _, d in ratios])
     nums = [n * (den // d) for n, d in ratios]
     nums.extend([0] * (order + 1 - len(nums)))
     return nums, den
 
 
-def _over_q(zero, order: int, *series: Coeffs) -> list | None:
-    """The integer forms of the series when the generic loops would compute
-    in Fraction (their zero is a Fraction, every coefficient a Fraction or an
-    int), else None."""
-    if type(zero) is not Fraction:
-        return None
-    forms = [_integer_form(a, order) for a in series]
-    return None if None in forms else forms
+def _forms(order: int, *series: Coeffs) -> list[tuple]:
+    """The forms of the series through the order, all in one field: integer
+    forms if every coefficient is a Fraction or an int, else each series'
+    own values over Fraction(1), padded with the zero of the first
+    coefficient."""
+    heads = [a[: order + 1] for a in series]
+    if all(type(c) in _RATIONAL_TYPES for head in heads for c in head):
+        return [_integer_form(head, order) for head in heads]
+    first = next(head[0] for head in heads if len(head))
+    # The zero costs a product, so it is made only for a short series.
+    return [
+        (list(head) if len(head) > order else _fit(head, order, first * 0), _FRACTION_ONE)
+        for head in heads
+    ]
 
 
-def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
-    """nums/den with the content gcd of the numerators and the denominator
-    divided out, so that den is the least common denominator."""
+def _reduced(nums: list, den) -> tuple[list, int | Fraction]:
+    """nums/den with den made least: over Q the content gcd of the
+    numerators and the denominator divided out, so that den is the least
+    common denominator; in any other field each value times 1/den, so that
+    den is 1."""
+    if type(den) is not int:
+        if den == 1:
+            return nums, den
+        scale = 1 / den
+        return [q * scale for q in nums], _FRACTION_ONE
     g = gcd(den, *nums)
     if g == 1:
         return nums, den
     return [q // g for q in nums], den // g
 
 
-def _fractions(nums: Sequence[int], den: int) -> tuple:
-    return tuple(Fraction(q, den) for q in nums)
+def _values(nums: list, den) -> tuple:
+    """The coefficients of a form: reduced Fractions over Q, else the
+    field's own values."""
+    if type(den) is int:
+        return tuple(Fraction(q, den) for q in nums)
+    return tuple(_reduced(nums, den)[0])
 
 
-def _recursion_over_q(head: Fraction, step, order: int) -> tuple[list[int], int]:
+def _recursion_over_q(head, step, den, order: int) -> tuple[list, int | Fraction]:
     """c_0 = head and c_n = top / (bottom * d) for ``top, bottom = step(n,
     back)``, where ``back`` holds the numerators of c_{n-1}, ..., c_0 over
-    their common denominator d.  d only grows, and the stored numerators
-    are rescaled when it does; it ends as the least common denominator."""
+    their common denominator d; den, the denominator of the operand, names
+    the field.  Over Q d only grows, and the stored numerators are rescaled
+    when it does; it ends as the least common denominator.  In any other
+    field d stays 1 and back holds the values."""
+    if type(den) is not int:
+        values = [head]
+        for n in range(1, order + 1):
+            top, bottom = step(n, values[::-1])
+            values.append(top / bottom)
+        return values, _FRACTION_ONE
     nums, den = [head.numerator], head.denominator
     for n in range(1, order + 1):
         top, bottom = step(n, nums[::-1])
@@ -138,58 +169,44 @@ def _recursion_over_q(head: Fraction, step, order: int) -> tuple[list[int], int]
     return nums, den
 
 
-def _convolve(x: list[int], reversed_y: list[int], order: int) -> list[int]:
-    """The integer Cauchy product of x and y through the order, given y
-    reversed; y must reach the order."""
+def _convolve(x: list, reversed_y: list, order: int) -> list:
+    """The Cauchy product of x and y through the order, given y reversed; y
+    must reach the order."""
     last = len(reversed_y) - 1
     return [sum(map(mul, x[: k + 1], reversed_y[last - k :])) for k in range(order + 1)]
 
 
-def _product_over_q(a: tuple, b: tuple, order: int) -> tuple[list[int], int]:
-    """The product of two integer forms; b must reach the order."""
+def _product_over_q(a: tuple, b: tuple, order: int) -> tuple[list, int | Fraction]:
+    """The product of two forms in one field; b must reach the order."""
     (x, dx), (y, dy) = a, b
     return _reduced(_convolve(x, y[::-1], order), dx * dy)
 
 
 def series_mul(a: Coeffs, b: Coeffs, order: int) -> tuple:
     """Cauchy product truncated at the given order."""
-    zero = _zero_of(a) if len(a) else _zero_of(b)
-    forms = _over_q(zero, order, a, b)
-    if forms is not None:
-        return _fractions(*_product_over_q(*forms, order))
-    fa, fb = _fit(a, order, zero), _fit(b, order, zero)
-    out = [zero] * (order + 1)
-    for i, x in enumerate(fa):
-        if x == 0:
-            continue
-        for j in range(order + 1 - i):
-            y = fb[j]
-            if y != 0:
-                out[i + j] = out[i + j] + x * y
-    return tuple(out)
+    return _values(*_product_over_q(*_forms(order, a, b), order))
 
 
-def _is_integer(r) -> bool:
-    return isinstance(r, int) or (isinstance(r, Fraction) and r.denominator == 1)
-
-
-def _power_over_q(a: tuple, r, order: int) -> tuple[list[int], int]:
-    """The integer form of a**r for the integer form a; a_0 must be nonzero,
-    and 1 if r is fractional.  a must reach the order."""
+def _power_over_q(a: tuple, r, order: int) -> tuple[list, int | Fraction]:
+    """The form of a**r for the form a; a_0 must be nonzero, and 1 if r is
+    fractional (otherwise the leading coefficient would leave the field).
+    a must reach the order."""
     x, dx = a
     if x[0] == 0:
         raise ValueError("zero constant term")
     s, t = r.as_integer_ratio()
-    head = Fraction(x[0], dx) ** s if t == 1 else Fraction(1)
-    # With r = s/t the weight is (k*(s+t) - n*t)/t, and the common
-    # denominator of a cancels against the one of a_0.
+    a0 = Fraction(x[0], dx) if type(dx) is int else x[0] * (1 / dx)
+    if t != 1 and a0 != 1:
+        raise ValueError("irrational leading power")
+    # With r = s/t the weight is (k*(s+t) - n*t)/t, and the denominator of
+    # a cancels against the one of a_0.
     kx = [k * c for k, c in enumerate(x)]
 
     def step(n, back):
         top = (s + t) * sum(map(mul, kx[1 : n + 1], back))
         return top - n * t * sum(map(mul, x[1 : n + 1], back)), n * t * x[0]
 
-    return _recursion_over_q(head, step, order)
+    return _recursion_over_q(a0**s if t == 1 else a0, step, dx, order)
 
 
 def series_power(a: Coeffs, r, order: int) -> tuple:
@@ -199,34 +216,8 @@ def series_power(a: Coeffs, r, order: int) -> tuple:
     constant term exactly 1 (otherwise the leading coefficient would leave
     the field).
     """
-    if not len(a) or a[0] == 0:
-        raise ValueError("zero constant term")
-    a0 = Fraction(a[0]) if type(a[0]) is int else a[0]
-    if _is_integer(r):
-        r = int(r)
-        head = a0 ** r
-    else:
-        if a0 != 1:
-            raise ValueError("irrational leading power")
-        r = Fraction(r)
-        head = a0
-    zero = _field_zero(a)
-    forms = _over_q(zero, order, a)
-    if forms is not None:
-        return _fractions(*_power_over_q(forms[0], r, order))
-    fa = _fit(a, order, zero)
-    out = [zero] * (order + 1)
-    out[0] = head
-    for n in range(1, order + 1):
-        acc = zero
-        for k in range(1, n + 1):
-            if fa[k] == 0:
-                continue
-            weight = k * (1 + r) - n
-            if weight != 0:
-                acc = acc + weight * fa[k] * out[n - k]
-        out[n] = acc / (n * a0)
-    return tuple(out)
+    (form,) = _forms(order, a)
+    return _values(*_power_over_q(form, r, order))
 
 
 def series_exp(a: Coeffs, order: int) -> tuple:
@@ -234,56 +225,35 @@ def series_exp(a: Coeffs, order: int) -> tuple:
     every coefficient stays in the field."""
     if len(a) and a[0] != 0:
         raise ValueError("exp requires a zero constant term")
-    zero = _field_zero(a)
-    forms = _over_q(zero, order, a)
-    if forms is not None:
-        (x, den), = forms
-        kx = [k * c for k, c in enumerate(x)]
-        return _fractions(*_recursion_over_q(
-            Fraction(1), lambda n, back: (sum(map(mul, kx[1 : n + 1], back)), n * den), order
-        ))
-    fa = _fit(a, order, zero)
-    out = [zero] * (order + 1)
-    out[0] = zero + 1
-    for n in range(1, order + 1):
-        acc = zero
-        for k in range(1, n + 1):
-            if fa[k] != 0:
-                acc = acc + k * fa[k] * out[n - k]
-        out[n] = acc / n
-    return tuple(out)
+    ((x, den),) = _forms(order, a)
+    kx = [k * c for k, c in enumerate(x)]
+
+    def step(n, back):
+        return sum(map(mul, kx[1 : n + 1], back)), n * den
+
+    return _values(*_recursion_over_q(x[0] + 1, step, den, order))
 
 
 def series_compose(outer: Coeffs, inner: Coeffs, order: int) -> tuple:
     """Taylor coefficients of outer(inner(u)) by Horner's rule; inner must
     have zero constant term, so coefficients of outer past the order do not
     contribute and the cost is one product per remaining coefficient."""
-    zero = _zero_of(inner) if len(inner) else _zero_of(outer)
     if len(inner) and inner[0] != 0:
         raise ValueError("composition requires positive valuation")
-    fo = list(outer[: order + 1]) or [zero]
-    # Horner's first product sees the last outer coefficient as its head.
-    forms = _over_q(fo[-1] * 0, order, fo, inner) if len(fo) > 1 else None
-    if forms is not None:
-        (x, dx), y_form = forms
-        return _fractions(*_horner_over_q((x[: len(fo)], dx), y_form, order))
-    acc: tuple = tuple([fo[-1]] + [zero] * order)
-    for c in reversed(fo[:-1]):
-        acc = series_mul(acc, inner, order)
-        acc = (acc[0] + c,) + acc[1:]
-    return acc
+    y_form, (x, dx) = _forms(order, inner, outer)
+    return _values(*_horner_over_q((x[: max(len(outer), 1)], dx), y_form, order))
 
 
-def _horner_over_q(outer: tuple, inner: tuple, order: int) -> tuple[list[int], int]:
-    """Horner's rule for the integer forms x/dx and y/dy, y with zero
+def _horner_over_q(outer: tuple, inner: tuple, order: int) -> tuple[list, int | Fraction]:
+    """Horner's rule for the forms x/dx and y/dy in one field, y with zero
     constant term and reaching the order.  The accumulator times dx is
-    nums/den, and each step divides nums and den by their content gcd.
-    With v the valuation of y, the accumulator that x[k] enters is later
-    multiplied by y**k, so it is needed only through order - k*v."""
+    nums/den, and each step reduces nums/den.  With v the valuation of y,
+    the accumulator that x[k] enters is later multiplied by y**k, so it is
+    needed only through order - k*v."""
     (x, dx), (y, dy) = outer, inner
-    v = next((i for i, c in enumerate(y[: order + 1]) if c), order + 1)
+    v = next((i for i, c in enumerate(y[: order + 1]) if c != 0), order + 1)
     x = x[: order // v + 1]
-    nums, den, ry = [x[-1]] + [0] * (order - (len(x) - 1) * v), 1, y[::-1]
+    nums, den, ry = [x[-1]] + [y[0] * 0] * (order - (len(x) - 1) * v), 1, y[::-1]
     for k in range(len(x) - 2, -1, -1):
         nums = _convolve(nums, ry, order - k * v)
         den *= dy

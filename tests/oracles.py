@@ -36,11 +36,12 @@ Each one is an independent derivation of the same coefficients:
   per factor;
 * ``cauchy_product``, ``power_recursion`` and ``exp_recursion``: the series
   product and the power and exp recursions as scalar-generic loops that
-  reduce every ``Fraction`` term, where the kernel runs rationals on
-  integer numerators over a common denominator;
+  skip zero terms and reduce every ``Fraction`` term, where the kernel runs
+  every scalar on forms (nums, den), rationals as integer numerators over a
+  common denominator;
 * ``horner_compose``: composition by Horner's rule with one reduced series
-  product per step, where the kernel keeps the accumulator over Q as
-  integer numerators over one denominator;
+  product per step, where the kernel keeps the accumulator as a form, over
+  Q integer numerators over one denominator;
 * ``power_table``, ``composition_sums`` and ``resultant_by_double_sums``:
   the resultant as double sums over tables of powers, with the degenerate
   inner means (t-coefficient -1 or +1) run on the sequence shifted to the

@@ -206,10 +206,9 @@ class TestErrorHandling:
         code, out, err = run_cli(
             capsys, "expand", "--mean", "Lalpha", "--alpha", "0.33"
         )
-        assert code == 1
+        assert code == 2
         assert "fraction" in err
-        payload = json.loads(out)
-        assert payload["error"]["type"] == "ValueError"
+        assert out == ""
 
     def test_unknown_mean_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "expand", "--mean", "nope")
@@ -320,6 +319,31 @@ class TestErrorHandling:
         assert code == 2
         assert out == ""
         assert "zero denominator" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (("expand", "--mean", "Lalpha", "--alpha", "abc"), "cannot parse 'abc'"),
+            (("expand", "--mean", "Lalpha", "--alpha", "0.25"), "such as 1/4"),
+            (("expand", "--mean", "Malphar", "--alpha", "1/2", "--r", "1/2/3"), "cannot parse"),
+            (("expand", "--mean", "powermean", "--power", "1.5"), "decimal input"),
+            (("expand", "--mean", "stable", "--a2", "zz"), "cannot parse 'zz'"),
+            (("resultant", "--mean", "A", "--p", "x", "--q", "1"), "cannot parse 'x'"),
+            (("resultant", "--mean", "A", "--p", "1", "--q", "one"), "cannot parse 'one'"),
+            (("limit", "--mean", "A", "--p", "x", "--q", "1"), "cannot parse 'x'"),
+            (("limit", "--mean", "A", "--p", "1", "--q", ""), "cannot parse ''"),
+            (("compare", "--m1", "salpha:abc", "--m2", "A"), "cannot parse 'abc'"),
+            (("compare", "--m1", "A", "--m2", "malphar:1/2,0.5"), "decimal input"),
+        ],
+        ids=["alpha", "alpha-decimal", "r", "power", "a2", "resultant-p", "resultant-q",
+             "limit-p", "limit-q-empty", "inline", "inline-decimal"],
+    )
+    def test_text_that_is_not_rational_is_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from meanstab.catalog import (
     expand_quotient_mean,
 )
 from laurent import LaurentScalar
-from meanstab.series import _fractions, _integer_form
+from meanstab.series import _integer_form, _values
 from oracles import (
     composition_sums,
     resultant_by_double_sums,
@@ -448,15 +448,16 @@ class TestCompositionAgainstDoubleSums:
         )
         padded = [F(0)] * (order + 1) if g is None else [F(0)] * (z - 1) + g
         reference = composition_sums(weights, g, h, z, order)
-        # The integer forms, and the same sequences as generic pairs.
+        # The integer forms, and the same sequences as forms of their own
+        # values over Fraction(1), the form of any scalar but Q.
         forms = [_integer_form(seq, order) for seq in (weights, padded, h)]
-        out = _fractions(*resultant._composition_sums(*forms, order))
+        out = _values(*resultant._composition_sums(*forms, order))
         assert list(out) == reference
         assert [type(c) for c in out] == [type(c) for c in reference]
         generic, den = resultant._composition_sums(
-            (weights, None), (padded, None), (h, None), order
+            (weights, F(1)), (padded, F(1)), (h, F(1)), order
         )
-        assert den is None and list(generic) == reference
+        assert type(den) is F and den == 1 and list(generic) == reference
 
     def test_long_catalog_triple(self):
         order = 24
@@ -584,3 +585,23 @@ class TestIntegerFormBody:
         assert seen > 0 and seen == len(products) - seen
         assert out == reference
         assert [type(c) for c in out] == [type(c) for c in reference]
+
+
+class TestMixedScalars:
+    """One operand of Laurent germs and two of Fractions: the resultant runs
+    in the germs' field and gives the values and windows of the double
+    sums on the same triple."""
+
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["outer", "middle", "inner"])
+    def test_one_laurent_operand(self, position):
+        order, window = 6, 16
+        triple = [list(expand_mean(spec, order).coeffs) for spec in (PowerMean(F(1)), M2, M1)]
+        germs = [LaurentScalar.constant(c, window) for c in triple[position]]
+        germs[1] = germs[1] - LaurentScalar.epsilon(window)  # the inner M1: case III from below
+        triple[position] = germs
+        out = resultant_coeffs(*triple, order)
+        reference = resultant_by_double_sums(*triple, order)
+        assert all(type(c) is LaurentScalar for c in out)
+        assert [(c.val, c.coeffs, c.floor) for c in out] == [
+            (c.val, c.coeffs, c.floor) for c in reference
+        ]

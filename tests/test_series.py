@@ -199,7 +199,8 @@ class TestIntegerKernelAgainstFractionLoops:
     @settings(max_examples=150, deadline=None)
     @given(sparse_series, sparse_series, orders)
     def test_product(self, a, b, order):
-        assert_same(series_mul(a, b, order), cauchy_product(a, b, order))
+        # All-rational input comes back as Fractions, ints included.
+        assert_same(series_mul(a, b, order), tuple(map(F, cauchy_product(a, b, order))))
 
     @settings(max_examples=60, deadline=None)
     @given(sparse_series, orders, fractional_exponents)
@@ -231,9 +232,9 @@ class TestIntegerKernelAgainstFractionLoops:
         assert_same(series_power(a, -3, order), power_recursion(a, -3, order))
         assert_same(series_exp((F(0),) + b[1:], order), exp_recursion((F(0),) + b[1:], order))
 
-    def test_int_head_keeps_int_coefficients(self):
-        # Without a Fraction to start from, the generic loop stays in int.
-        assert_same(series_mul((1, 2), (3, 0, 1), 2), (3, 6, 1))
+    def test_int_input_gives_fractions(self):
+        # All-int input runs on integer forms like any rational input.
+        assert_same(series_mul((1, 2), (3, 0, 1), 2), (F(3), F(6), F(1)))
 
 
 class TestHornerOverQ:
@@ -250,7 +251,8 @@ class TestHornerOverQ:
     )
     def test_compose(self, outer, zero, valuation, tail, order):
         inner = [zero] * valuation + tail
-        assert_same(series_compose(outer, inner, order), horner_compose(outer, inner, order))
+        reference = tuple(map(F, horner_compose(outer, inner, order)))
+        assert_same(series_compose(outer, inner, order), reference)
 
     def test_long_operands(self):
         rng = random.Random(43)
@@ -299,11 +301,13 @@ class TestIntInputStaysExact:
         assert_same(series_exp((0, 1), 3), (F(1), F(1), F(1, 2), F(1, 6)))
         assert_same(integrate_formal((1, 1), 2), (F(0), F(1), F(1, 2)))
         assert_same(integrate_formal((F(1), 0, F(1, 2)), 3), (F(0), F(1), F(0), F(1, 6)))
-        # A product divides nothing: test_int_head_keeps_int_coefficients.
+        # A product of ints: test_int_input_gives_fractions.
 
 
 class TestNonRationalScalars:
-    """A scalar that is neither Fraction nor int takes the generic loops."""
+    """A scalar that is neither Fraction nor int runs on forms of its own
+    values, through the primitives of a rational call, and gives the values
+    and windows of the scalar-generic oracles."""
 
     @staticmethod
     def germ(*coeffs):
@@ -326,12 +330,35 @@ class TestNonRationalScalars:
             (series_power((self.germ(1),) + a[1:], F(1, 2), 5),
              power_recursion((self.germ(1),) + a[1:], F(1, 2), 5)),
             (series_exp(z, 5), exp_recursion(z, 5)),
+            (series_compose(a, z, 5), horner_compose(a, z, 5)),
+            (series_compose(a[:1], z, 5), horner_compose(a[:1], z, 5)),
+            (series_compose(a, (), 5), horner_compose(a, (), 5)),
         ]
         for out, reference in runs:
             assert all(type(c) is LaurentScalar for c in out)
             assert self.parts(out) == self.parts(reference)
 
-    def test_fraction_subclass_takes_the_generic_loop(self):
+    def test_mixed_operands_compute_in_the_germs(self):
+        # A Fraction series with a germ series: the values of the oracles on
+        # the same pair, and the windows of the oracles on the Fraction
+        # series lifted to exact germs, every coefficient a germ.
+        a = self.series()[:1] + (LaurentScalar(1, (F(2), F(-1)), 4, 8),) + self.series()[2:]
+        z = (self.germ(0),) + a[1:]
+        f = (F(1, 2), F(-1), 0, F(2, 3), F(5))
+        fz = (F(0),) + f[1:]
+        lift = lambda seq: tuple(self.germ(c) for c in seq)
+        runs = [
+            (series_mul(f, a, 5), cauchy_product(f, a, 5), cauchy_product(lift(f), a, 5)),
+            (series_mul(a, f, 5), cauchy_product(a, f, 5), cauchy_product(a, lift(f), 5)),
+            (series_compose(f, z, 5), horner_compose(f, z, 5), horner_compose(lift(f), z, 5)),
+            (series_compose(a, fz, 5), horner_compose(a, fz, 5), horner_compose(a, lift(fz), 5)),
+        ]
+        for out, values, windows in runs:
+            assert all(type(c) is LaurentScalar for c in out)
+            assert all(not (c - v).coeffs for c, v in zip(out, values, strict=True))
+            assert self.parts(out) == self.parts(windows)
+
+    def test_fraction_subclass_takes_the_generic_form(self):
         products = []
 
         class Counted(F):
@@ -341,7 +368,7 @@ class TestNonRationalScalars:
 
         a = (Counted(1), Counted(1, 2), Counted(-2, 3))
         out = series_mul(a, a, 4)
-        assert len(products) == 1 + 9  # the zero, then a_i * a_j for i, j < 3
+        assert products  # the subclass's own product, not integer numerators
         assert_same(out, cauchy_product(a, a, 4))
 
 
