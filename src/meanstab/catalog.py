@@ -32,7 +32,7 @@ from typing import Union
 
 from .rationals import ONE, ZERO, Rational
 from .series import (
-    _power_over_q,
+    _power_form,
     _values,
     integrate_formal,
     series_compose,
@@ -200,7 +200,7 @@ def _power_mean_form(p: Fraction, order: int) -> tuple[list[int], int]:
                 terms.append((num, den))
         # Each denominator divides the next, so the last one is common.
         avg, exponent = [n * (den // d) for n, d in terms], 1 / p
-    even, den = _power_over_q((avg, den), exponent, half)
+    even, den = _power_form((avg, den), exponent, half)
     nums = [0] * (order + 1)
     nums[::2] = even
     return nums, den

@@ -69,7 +69,7 @@ from typing import Sequence
 
 from .catalog import MeanExpansion, expand_power_mean
 from .rationals import Rational
-from .series import _forms, _horner_over_q, _power_over_q, _product_over_q, _reduced, _values
+from .series import _forms, _horner_form, _power_form, _product_form, _reduced, _values
 
 
 def _common(a: tuple, b: tuple) -> tuple:
@@ -87,8 +87,8 @@ def _composition_sums(weights: tuple, g: tuple, h: tuple, order: int) -> tuple:
     out[m] = sum_n weights[n] * [g**n * h**(1-n)]_(m-n); h[0] must be
     invertible."""
     gs, den = g
-    ratio = _product_over_q(([h[0][0] * 0] + list(gs), den), _power_over_q(h, -1, order), order)
-    return _product_over_q(h, _horner_over_q(weights, ratio, order), order)
+    ratio = _product_form(([h[0][0] * 0] + list(gs), den), _power_form(h, -1, order), order)
+    return _product_form(h, _horner_form(weights, ratio, order), order)
 
 
 def _odd_part_vanishes(seq: Sequence, order: int) -> bool:
@@ -101,9 +101,9 @@ def _even_outer_step(outer: tuple, b_side: tuple, order: int) -> tuple:
     indices (E, o and K~ as in the module docstring)."""
     (b, den), half = b_side, order // 2
     e, o = (b[::2], den), (b[1::2], den)
-    o_squared, o_den = _product_over_q(o, o, half - 1)
-    ratio = _product_over_q(([b[0] * 0] + o_squared, o_den), _power_over_q(e, -2, half), half)
-    combined, den = _product_over_q(e, _horner_over_q((outer[0][::2], outer[1]), ratio, half), half)
+    o_squared, o_den = _product_form(o, o, half - 1)
+    ratio = _product_form(([b[0] * 0] + o_squared, o_den), _power_form(e, -2, half), half)
+    combined, den = _product_form(e, _horner_form((outer[0][::2], outer[1]), ratio, half), half)
     scaled, den = _reduced(combined, den * 2)
     out = [scaled[0] * 0] * (order + 1)
     out[::2] = scaled

@@ -142,7 +142,7 @@ def _values(nums: list, den) -> tuple:
     return tuple(_reduced(nums, den)[0])
 
 
-def _recursion_over_q(head, step, den, order: int) -> tuple[list, int | Fraction]:
+def _recursion_form(head, step, den, order: int) -> tuple[list, int | Fraction]:
     """c_0 = head and c_n = top / (bottom * d) for ``top, bottom = step(n,
     back)``, where ``back`` holds the numerators of c_{n-1}, ..., c_0 over
     their common denominator d; den, the denominator of the operand, names
@@ -176,7 +176,7 @@ def _convolve(x: list, reversed_y: list, order: int) -> list:
     return [sum(map(mul, x[: k + 1], reversed_y[last - k :])) for k in range(order + 1)]
 
 
-def _product_over_q(a: tuple, b: tuple, order: int) -> tuple[list, int | Fraction]:
+def _product_form(a: tuple, b: tuple, order: int) -> tuple[list, int | Fraction]:
     """The product of two forms in one field; b must reach the order."""
     (x, dx), (y, dy) = a, b
     return _reduced(_convolve(x, y[::-1], order), dx * dy)
@@ -184,10 +184,10 @@ def _product_over_q(a: tuple, b: tuple, order: int) -> tuple[list, int | Fractio
 
 def series_mul(a: Coeffs, b: Coeffs, order: int) -> tuple:
     """Cauchy product truncated at the given order."""
-    return _values(*_product_over_q(*_forms(order, a, b), order))
+    return _values(*_product_form(*_forms(order, a, b), order))
 
 
-def _power_over_q(a: tuple, r, order: int) -> tuple[list, int | Fraction]:
+def _power_form(a: tuple, r, order: int) -> tuple[list, int | Fraction]:
     """The form of a**r for the form a; a_0 must be nonzero, and 1 if r is
     fractional (otherwise the leading coefficient would leave the field).
     a must reach the order."""
@@ -206,7 +206,7 @@ def _power_over_q(a: tuple, r, order: int) -> tuple[list, int | Fraction]:
         top = (s + t) * sum(map(mul, kx[1 : n + 1], back))
         return top - n * t * sum(map(mul, x[1 : n + 1], back)), n * t * x[0]
 
-    return _recursion_over_q(a0**s if t == 1 else a0, step, dx, order)
+    return _recursion_form(a0**s if t == 1 else a0, step, dx, order)
 
 
 def series_power(a: Coeffs, r, order: int) -> tuple:
@@ -217,7 +217,7 @@ def series_power(a: Coeffs, r, order: int) -> tuple:
     the field).
     """
     (form,) = _forms(order, a)
-    return _values(*_power_over_q(form, r, order))
+    return _values(*_power_form(form, r, order))
 
 
 def series_exp(a: Coeffs, order: int) -> tuple:
@@ -231,7 +231,7 @@ def series_exp(a: Coeffs, order: int) -> tuple:
     def step(n, back):
         return sum(map(mul, kx[1 : n + 1], back)), n * den
 
-    return _values(*_recursion_over_q(x[0] + 1, step, den, order))
+    return _values(*_recursion_form(x[0] + 1, step, den, order))
 
 
 def series_compose(outer: Coeffs, inner: Coeffs, order: int) -> tuple:
@@ -241,10 +241,10 @@ def series_compose(outer: Coeffs, inner: Coeffs, order: int) -> tuple:
     if len(inner) and inner[0] != 0:
         raise ValueError("composition requires positive valuation")
     y_form, (x, dx) = _forms(order, inner, outer)
-    return _values(*_horner_over_q((x[: max(len(outer), 1)], dx), y_form, order))
+    return _values(*_horner_form((x[: max(len(outer), 1)], dx), y_form, order))
 
 
-def _horner_over_q(outer: tuple, inner: tuple, order: int) -> tuple[list, int | Fraction]:
+def _horner_form(outer: tuple, inner: tuple, order: int) -> tuple[list, int | Fraction]:
     """Horner's rule for the forms x/dx and y/dy in one field, y with zero
     constant term and reaching the order.  The accumulator times dx is
     nums/den, and each step reduces nums/den.  With v the valuation of y,

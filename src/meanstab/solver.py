@@ -23,7 +23,13 @@ polynomial is then Newton's forward form of Delta^0 .. Delta^(k-1), built on
 integers with one division per coefficient.  The search samples a new band
 only when it asks for a k past the last reach, at twice that reach (at least
 k), or at the search order once doubling again would pass it: bands at 3, 6
-and max_order for max orders 12 to 23.
+and max_order for max orders 12 to 23.  A rational root of the pivot (the
+first nonzero coefficient polynomial) opens no band: once its search passes
+the last reach, one difference expansion at the root, truncated at
+max_order, gives the first surviving coefficient, since the bands already
+showed that every coefficient below it vanishes there.  Surd and interval
+roots, and means whose difference vanishes on the whole locus, take bands up
+to max_order.
 
 The verdict distinguishes a candidate direction of the inequality (the sign
 of the first surviving coefficient, which is only the asymptotic, near-
@@ -279,11 +285,16 @@ def optimal_parameters(
     """Search for power-mean parameters cancelling as many difference
     coefficients as possible, then certify the first survivor.
 
-    Surd parameters are evaluated exactly through reduction modulo their
-    minimal polynomial; a leading coefficient that is rational comes back
-    exact, otherwise as a sign-certified enclosure.  Boundary limits (when a
-    mean spec is supplied) are numeric evidence attached to the verdict,
-    never part of the exact computation.
+    Each root of the pivot is followed through the coefficient polynomials
+    of the sampled bands.  A rational root that gets past the last band is
+    read from one difference expansion at the root, truncated at max_order:
+    its first nonzero coefficient is the survivor, and a nonzero coefficient
+    below the bands' reach raises ArithmeticError.  Surd parameters are
+    evaluated exactly through reduction modulo their minimal polynomial; a
+    leading coefficient that is rational comes back exact, otherwise as a
+    sign-certified enclosure.  Boundary limits (when a mean spec is
+    supplied) are numeric evidence attached to the verdict, never part of
+    the exact computation.
     """
     if max_order < 3:
         raise ValueError("the search needs max_order >= 3")
@@ -361,6 +372,16 @@ def optimal_parameters(
         achieved: int | None = None
         leading: Rational | SignedInterval | None = None
         for k in range(k0 + 1, max_order + 1):
+            if k not in polys and isinstance(root, RationalRoot):
+                # Past the last band, one expansion at the root reads the
+                # survivor; the bands showed every coefficient below k is 0.
+                diff = difference_expansion(mean, root.value, q_root.value, max_order)
+                first = diff.first_nonzero
+                if first is not None and first < k:
+                    raise ArithmeticError("difference at a rational root survives below the bands")
+                if first is not None:
+                    achieved, leading = first, diff.coeffs[first]
+                break
             pk = poly_at(k)
             if pk.is_zero:
                 continue

@@ -22,6 +22,10 @@ Each one is an independent derivation of the same coefficients:
   certificate from a forward-difference table;
 * ``coefficient_polynomials_by_interpolation``: the same band as the solver,
   with every k interpolated through k+1 samples and evaluated at the others;
+* ``candidates_by_bands``: the solver's candidates with every root of the
+  pivot evaluated on the polynomials of one band of reach max_order, where
+  the solver reads a rational root past its last band from one difference
+  expansion at the root;
 * ``expand_power_mean_full_order``: B_p as the binomial series of
   (1 -/+ u)**p, averaged and raised to 1/p, each at the full order, where
   the catalog builds the even average from integer binomials and runs one
@@ -115,6 +119,9 @@ from meanstab.polynomials import (
     _recognize_rational,
     _refine,
     _sqrt_exact,
+    affine_image,
+    eval_at_root,
+    isolate_real_roots,
     make_surd,
     sign_variations,
     squarefree_part,
@@ -122,7 +129,14 @@ from meanstab.polynomials import (
 from meanstab.rationals import ONE, ZERO, Rational
 from meanstab.resultant import resultant_coeffs
 from meanstab.series import integrate_formal, series_compose, series_mul, series_power
-from meanstab.solver import AffineLocus, _stability_defects, difference_expansion
+from meanstab.solver import (
+    AffineLocus,
+    OptimalCandidate,
+    _stability_defects,
+    coefficient_polynomials,
+    difference_expansion,
+    first_order_locus,
+)
 
 
 def binomial(r: Rational | int, k: int) -> Rational:
@@ -432,6 +446,26 @@ def coefficient_polynomials_by_interpolation(
         polys[k] = poly
     return polys
 
+
+def candidates_by_bands(mean: MeanExpansion, max_order: int) -> list[OptimalCandidate]:
+    """The solver's candidates from one band of reach max_order: the roots of
+    the pivot (the first nonzero t**k polynomial on the locus, k >= 3), each
+    with the first later polynomial that does not vanish at it, in root
+    order."""
+    locus = first_order_locus(mean)
+    polys = coefficient_polynomials(mean, locus, 3, max_order)
+    k0 = next(k for k in polys if not polys[k].is_zero)
+    candidates = []
+    for root in isolate_real_roots(polys[k0]):
+        achieved, leading = None, None
+        for k in range(k0 + 1, max_order + 1):
+            value = eval_at_root(polys[k], root)
+            if not (isinstance(value, Fraction) and value == 0):
+                achieved, leading = k, value
+                break
+        q_root = affine_image(root, locus.slope, locus.intercept)
+        candidates.append(OptimalCandidate(root, q_root, achieved, leading))
+    return candidates
 
 def _padded(a: Sequence, order: int, zero) -> list:
     return list(a[: order + 1]) + [zero] * (order + 1 - len(a[: order + 1]))

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from laurent import LaurentScalar
 from meanstab.series import (
-    _horner_over_q,
+    _horner_form,
     _integer_form,
-    _power_over_q,
-    _product_over_q,
+    _power_form,
+    _product_form,
     integrate_formal,
     series_compose,
     series_exp,
@@ -280,12 +280,12 @@ class TestPrimitivesHandOnLowestTerms:
         a = [F(1)] + a
         inner = [F(0)] * valuation + b
         fa, fb, fi = (_integer_form(seq, order) for seq in (a, b, inner))
-        assert _product_over_q(fa, fb, order) == _integer_form(series_mul(a, b, order), order)
+        assert _product_form(fa, fb, order) == _integer_form(series_mul(a, b, order), order)
         for r in (-2, -1, F(1, 2), F(-5, 3)):
-            assert _power_over_q(fa, F(r), order) == _integer_form(
+            assert _power_form(fa, F(r), order) == _integer_form(
                 series_power(a, r, order), order
             )
-        assert _horner_over_q(fa, fi, order) == _integer_form(
+        assert _horner_form(fa, fi, order) == _integer_form(
             series_compose(a, inner, order), order
         )
 

@@ -17,9 +17,12 @@ from meanstab.catalog import (
     M5,
     MAlphaR,
     MeanExpansion,
+    MuGenerated,
     PowerMean,
     SAlpha,
+    describe_spec,
     expand_mean,
+    expand_stable,
 )
 from meanstab.numeric import eval_mean, eval_resultant
 from meanstab.polynomials import QuadraticSurdRoot, RationalRoot, UniPoly
@@ -286,8 +289,22 @@ class TestOrderBands:
         assert orders and max(orders) <= 6
 
     def test_deep_search_samples_three_bands(self, monkeypatch):
-        # bands at 3, 6 and 16, each of reach K sampled at K + 2 points
+        # bands at 3 and 6, each of reach K sampled at K + 2 points; the
+        # rational roots p = -1, 1 are read from one expansion each at 16
         orders = self.sampled_orders(monkeypatch, ALIASES["A"], 16)
+        assert orders == [3] * 5 + [6] * 8 + [16] * 2
+
+    def test_rational_roots_past_the_bands_take_one_expansion(self, monkeypatch):
+        orders = self.sampled_orders(monkeypatch, ALIASES["L"], 64)
+        assert orders == [3] * 5 + [6] * 8 + [64] * 2
+
+    def test_survivor_inside_a_band_opens_no_expansion(self, monkeypatch):
+        # the rational roots of L_{3/10} survive at t^6, inside the reach-6 band
+        orders = self.sampled_orders(monkeypatch, LAlpha(F(3, 10)), 16)
+        assert orders == [3] * 5 + [6] * 8
+
+    def test_vanishing_on_the_locus_keeps_the_deep_band(self, monkeypatch):
+        orders = self.sampled_orders(monkeypatch, ALIASES["G"], 16)
         assert orders == [3] * 5 + [6] * 8 + [16] * 18
 
     def test_search_needs_order_three(self):
@@ -296,6 +313,77 @@ class TestOrderBands:
             with pytest.raises(ValueError, match="max_order >= 3"):
                 optimal_parameters(m, max_order)
 
+
+class TestRationalCandidatesAgainstBands:
+    """A rational root past the last band is read from one difference
+    expansion at the root; the band route of the oracle gives the same
+    candidates and relation."""
+
+    SPECS = [
+        ALIASES["A"],
+        ALIASES["H"],
+        ALIASES["L"],
+        LAlpha(F(1)),
+        LAlpha(F(-1)),
+        PowerMean(F(2)),
+        PowerMean(F(1, 2)),
+        PowerMean(F(-13, 6)),
+        MuGenerated((1, 0, 0, 1)),
+        MuGenerated((1, 0, 0, 0, 1)),
+        MuGenerated((1, 0, 0, 0, 0, 0, 2)),
+        None,  # expand_stable(1/4)
+    ]
+
+    @staticmethod
+    def expected_relation(spec, candidates):
+        if any(c.achieved_order is None for c in candidates):
+            return "stabilizable"
+        best = max(c.achieved_order for c in candidates)
+        top = next(c for c in candidates if c.achieved_order == best)
+        probe = [(top.p.approx(), top.q.approx())]
+        return solver._sampled_relation(spec, top.sign, probe)[0]
+
+    @pytest.mark.parametrize("max_order", [12, 16, 24])
+    @pytest.mark.parametrize(
+        "spec", SPECS, ids=lambda s: "stable(1/4)" if s is None else describe_spec(s)
+    )
+    def test_direct_route_matches_bands(self, spec, max_order):
+        mean = expand_stable(F(1, 4), max_order) if spec is None else expand_mean(spec, max_order)
+        verdict = optimal_parameters(mean, max_order, spec=spec)
+        expected = oracles.candidates_by_bands(mean, max_order)
+        assert any(isinstance(c.p, RationalRoot) for c in expected)
+        assert sorted(verdict.candidates, key=lambda c: c.p.approx()) == sorted(
+            expected, key=lambda c: c.p.approx()
+        )
+        assert verdict.relation == self.expected_relation(spec, expected)
+
+    @pytest.mark.parametrize(
+        "odd, order, leading",
+        [((1, 0, 0, 1), 6, -63), ((1, 0, 0, 0, 1), 8, -255), ((1, 0, 0, 0, 0, 0, 2), 12, -8190)],
+    )
+    def test_mu_generated_survivors(self, odd, order, leading):
+        spec = MuGenerated(odd)
+        verdict = optimal_parameters(expand_mean(spec, 12), 12, spec=spec)
+        assert verdict.candidates
+        for cand in verdict.candidates:
+            assert isinstance(cand.p, RationalRoot)
+            assert cand.achieved_order == order
+            assert cand.leading == leading
+
+    def test_survivor_below_the_bands_raises(self, monkeypatch):
+        real = solver.difference_expansion
+
+        def planted(mean, p, q, order):
+            diff = real(mean, p, q, order)
+            if order < 16:
+                return diff
+            coeffs = list(diff.coeffs)
+            coeffs[5] = F(1)  # below the reach-6 band, which showed it is 0
+            return solver.DifferenceExpansion(tuple(coeffs), diff.p, diff.q)
+
+        monkeypatch.setattr(solver, "difference_expansion", planted)
+        with pytest.raises(ArithmeticError, match="below the bands"):
+            optimal_parameters(expand_mean(ALIASES["A"], 16), 16)
 
 class TestOptimalParameters:
     def test_l_alpha_third(self):
