@@ -234,7 +234,8 @@ def _cmd_resultant(args: argparse.Namespace) -> dict:
         inner = PowerMean(_exact(args.q))
     else:
         raise UsageError("give either --outer/--inner names or --p/--q powers")
-    inner_expansion = expand_mean(inner, args.order)
+    # The case is read from the inner t coefficient, also at order 0.
+    inner_expansion = expand_mean(inner, max(args.order, 1))
     expansion = resultant_mean_map(
         expand_mean(outer, args.order), expand_mean(middle, args.order), inner_expansion, args.order
     )

@@ -167,17 +167,15 @@ def squarefree_part(p: UniPoly) -> UniPoly:
     return q.monic()
 
 
-def forward_differences(values: Sequence[Rational]) -> tuple[list[int], int]:
-    """The values as integer numerators v_i over their least common
-    denominator den, and the leading forward differences
-    deltas[j] = (Delta^j v)_0 for j < len(values): (deltas, den)."""
-    den = math.lcm(*(c.denominator for c in values))
-    row = [c.numerator * (den // c.denominator) for c in values]
+def forward_differences(row: Sequence[int]) -> list[int]:
+    """The leading forward differences deltas[j] = (Delta^j v)_0, j <
+    len(row), of a row of integers v_i: the numerators of values over one
+    denominator, which newton_forward takes alongside."""
     deltas = []
     while row:
         deltas.append(row[0])
         row = [b - a for a, b in zip(row, row[1:])]
-    return deltas, den
+    return deltas
 
 
 def newton_forward(x0: int, deltas: Sequence[int], den: int) -> UniPoly:

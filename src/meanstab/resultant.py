@@ -29,7 +29,10 @@ mean has a nonzero coefficient, so B = h * M(u**z * g' / h) for the shifted
 sequence g'.  If the tail of the inner mean vanishes through the order, the
 argument of M is zero through the order and B = m_0 * h, fully determined by
 the truncated inputs.  Each composition runs by Horner's rule, as in
-:func:`series.series_compose`.
+:func:`series.series_compose`.  Even weights, W(x) = W~(x**2) through the
+order, run over W~ in the square of the ratio u * g / h: half the Horner
+steps for one extra product.  That serves every even middle mean, and an
+even outer mean over mixed middle and inner ones.
 
 Even means need fewer compositions.  When the middle and inner coefficient
 sequences have no nonzero odd entry through the order, gt(u) = g(-u) and
@@ -82,17 +85,21 @@ def _common(a: tuple, b: tuple) -> tuple:
     return [c * (den // dx) for c in x], [c * (den // dy) for c in y], den
 
 
+def _odd_part_vanishes(seq: Sequence, order: int) -> bool:
+    return all(c == 0 for c in seq[1 : order + 1 : 2])
+
+
 def _composition_sums(weights: tuple, g: tuple, h: tuple, order: int) -> tuple:
     """h * W(u * g / h) for W(x) = sum weights[n] x**n, that is
     out[m] = sum_n weights[n] * [g**n * h**(1-n)]_(m-n); h[0] must be
-    invertible."""
+    invertible.  Even weights, W(x) = W~(x**2), run Horner in the square of
+    the ratio."""
     gs, den = g
     ratio = _product_form(([h[0][0] * 0] + list(gs), den), _power_form(h, -1, order), order)
+    nums, w_den = weights
+    if _odd_part_vanishes(nums, order):
+        weights, ratio = (nums[::2], w_den), _product_form(ratio, ratio, order)
     return _product_form(h, _horner_form(weights, ratio, order), order)
-
-
-def _odd_part_vanishes(seq: Sequence, order: int) -> bool:
-    return all(c == 0 for c in seq[1 : order + 1 : 2])
 
 
 def _even_outer_step(outer: tuple, b_side: tuple, order: int) -> tuple:

@@ -15,21 +15,25 @@ The coefficient polynomials come in order bands.  A band of reach K samples
 the difference once at the n = K + 2 consecutive integers p = x0 .. x0+n-1,
 x0 = -(n//2), truncated at order K, and serves every k <= K it is asked for:
 the t^k coefficient of a truncation at K equals that of a truncation at k.
-Column k, as integer numerators over its least common denominator, gets a
-forward-difference table.  Its leading entries Delta^j must vanish for
-j = k .. n-1, which holds exactly when the polynomial through k + 1 of the
-samples has degree <= k - 1 and passes through the other K + 1 - k; the
-polynomial is then Newton's forward form of Delta^0 .. Delta^(k-1), built on
-integers with one division per coefficient.  The search samples a new band
-only when it asks for a k past the last reach, at twice that reach (at least
-k), or at the search order once doubling again would pass it: bands at 3, 6
-and max_order for max orders 12 to 23.  A rational root of the pivot (the
-first nonzero coefficient polynomial) opens no band: once its search passes
-the last reach, one difference expansion at the root, truncated at
-max_order, gives the first surviving coefficient, since the bands already
-showed that every coefficient below it vanishes there.  Surd and interval
-roots, and means whose difference vanishes on the whole locus, take bands up
-to max_order.
+The samples stay integer numerators, over one denominator for the band, and
+column k gets a forward-difference table.  Its leading entries Delta^j must
+vanish for j = k .. n-1, which holds exactly when the polynomial through
+k + 1 of the samples has degree <= k - 1 and passes through the other
+K + 1 - k; the polynomial is then Newton's forward form of
+Delta^0 .. Delta^(k-1), built on integers with one division per coefficient.
+The search samples a new band only when it asks for a k past the last reach,
+at twice that reach (at least k), or at the search order once doubling again
+would pass it: bands at 3, 6 and max_order for max orders 12 to 23 when
+the mean is mixed.  For an even mean every odd coefficient of the
+difference vanishes (the resultant of even means is even), so the search
+asks only for even k and starts at a band of reach 6: bands at 6 and
+max_order for max orders 12 to 23.  A rational root of the pivot (the first
+nonzero coefficient polynomial) opens no band: once its search passes the
+last reach, one difference expansion at the root, truncated at max_order,
+gives the first surviving coefficient, since the bands already showed that
+every coefficient below it vanishes there.  Surd and interval roots, and
+means whose difference vanishes on the whole locus, take bands up to
+max_order.
 
 The verdict distinguishes a candidate direction of the inequality (the sign
 of the first surviving coefficient, which is only the asymptotic, near-
@@ -102,17 +106,22 @@ class DifferenceExpansion:
         return self.first_nonzero is None
 
 
+def _difference_form(m_form: tuple, p: Fraction, q: Fraction, order: int) -> tuple:
+    """M - R(B_p, M, B_q) through the order as integer numerators over one
+    denominator, from the integer form of the mean through the order."""
+    r_form = _resultant(_power_mean_form(p, order), m_form, _power_mean_form(q, order), order)
+    m, r, den = _common(m_form, r_form)
+    return [a - b for a, b in zip(m, r)], den
+
+
 def difference_expansion(
     mean: MeanExpansion, p: Rational, q: Rational, order: int
 ) -> DifferenceExpansion:
     """Exact difference between the mean and its power-mean resultant,
     computed on integer numerators from B_p and B_q to the difference."""
     p, q = Fraction(p), Fraction(q)
-    m_form = _integer_form(mean.truncated(order).coeffs, order)
-    r_form = _resultant(_power_mean_form(p, order), m_form, _power_mean_form(q, order), order)
-    m, r, den = _common(m_form, r_form)
-    coeffs = tuple(Fraction(a - b, den) for a, b in zip(m, r))
-    return DifferenceExpansion(coeffs, p, q)
+    nums, den = _difference_form(_integer_form(mean.truncated(order).coeffs, order), p, q, order)
+    return DifferenceExpansion(tuple(Fraction(c, den) for c in nums), p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -153,22 +162,26 @@ def coefficient_polynomials(
 
     One band of n = high+2 difference expansions, at the consecutive integer
     samples p = x0 .. x0+n-1 with x0 = -(n//2) and truncated at order high,
-    serves every k.  Column k, written as integer numerators over its least
-    common denominator, has the forward differences Delta^j, j < n; the
-    samples lie on a polynomial of degree <= k-1 exactly when Delta^j = 0 for
-    j = k..n-1, and that polynomial is the Newton form of Delta^0..Delta^(k-1).
+    serves every k.  The samples stay integer numerators, brought over one
+    denominator for the band.  Column k has the forward differences
+    Delta^j, j < n; the samples lie on a polynomial of degree <= k-1 exactly
+    when Delta^j = 0 for j = k..n-1, and that polynomial is the Newton form
+    of Delta^0..Delta^(k-1).
     """
     if low < 2:
         raise ValueError("coefficient polynomials start at the t^2 index")
     n = high + 2
     x0 = -(n // 2)
+    m_form = _integer_form(mean.truncated(high).coeffs, high)
     samples = []
     for i in range(n):
         p = Fraction(x0 + i)
-        samples.append(difference_expansion(mean, p, locus.q_of(p), high).coeffs)
+        samples.append(_difference_form(m_form, p, locus.q_of(p), high))
+    den = math.lcm(*(d for _, d in samples))
+    rows = [[c * (den // d) for c in nums] for nums, d in samples]
     polys = {}
     for k in range(low, high + 1):
-        deltas, den = forward_differences([c[k] for c in samples])
+        deltas = forward_differences([row[k] for row in rows])
         if any(deltas[k:]):
             raise ArithmeticError("degree bound violated")
         polys[k] = newton_forward(x0, deltas[:k], den)
@@ -286,15 +299,16 @@ def optimal_parameters(
     coefficients as possible, then certify the first survivor.
 
     Each root of the pivot is followed through the coefficient polynomials
-    of the sampled bands.  A rational root that gets past the last band is
-    read from one difference expansion at the root, truncated at max_order:
-    its first nonzero coefficient is the survivor, and a nonzero coefficient
-    below the bands' reach raises ArithmeticError.  Surd parameters are
-    evaluated exactly through reduction modulo their minimal polynomial; a
-    leading coefficient that is rational comes back exact, otherwise as a
-    sign-certified enclosure.  Boundary limits (when a mean spec is
-    supplied) are numeric evidence attached to the verdict, never part of
-    the exact computation.
+    of the sampled bands; for an even mean only the even ones, in bands of
+    reach 6, 12, ... and max_order.  A rational root that gets past the
+    last band is read from one difference expansion at the root, truncated
+    at max_order: its first nonzero coefficient is the survivor, and a
+    nonzero coefficient below the bands' reach raises ArithmeticError.
+    Surd parameters are evaluated exactly through reduction modulo their
+    minimal polynomial; a leading coefficient that is rational comes back
+    exact, otherwise as a sign-certified enclosure.  Boundary limits (when a
+    mean spec is supplied) are numeric evidence attached to the verdict,
+    never part of the exact computation.
     """
     if max_order < 3:
         raise ValueError("the search needs max_order >= 3")
@@ -317,19 +331,22 @@ def optimal_parameters(
 
     locus = first_order_locus(mean)
     polys: dict[int, UniPoly] = {}
+    # The odd coefficients of an even mean's difference vanish.
+    step = 2 if mean.is_even else 1
 
     def poly_at(k: int) -> UniPoly:
         # A miss samples a band twice the last one's reach (at least k),
-        # widened to max_order once doubling again would pass it.
+        # widened to max_order once doubling again would pass it.  An even
+        # mean starts as if past a band at 3, whose only column is odd.
         if k not in polys:
-            reach = max(k, 2 * max(polys, default=0))
+            reach = max(k, 2 * max(polys, default=3 if step == 2 else 0))
             if 2 * reach > max_order:
                 reach = max_order
             polys.update(coefficient_polynomials(mean, locus, k, reach))
         return polys[k]
 
     pivot: tuple[int, UniPoly] | None = None
-    for k in range(3, max_order + 1):
+    for k in range(2 + step, max_order + 1, step):
         pk = poly_at(k)
         if pk.is_zero:
             continue
@@ -371,7 +388,7 @@ def optimal_parameters(
         q_root = affine_image(root, locus.slope, locus.intercept)
         achieved: int | None = None
         leading: Rational | SignedInterval | None = None
-        for k in range(k0 + 1, max_order + 1):
+        for k in range(k0 + step, max_order + 1, step):
             if k not in polys and isinstance(root, RationalRoot):
                 # Past the last band, one expansion at the root reads the
                 # survivor; the bands showed every coefficient below k is 0.
@@ -460,7 +477,8 @@ def _defect_polynomial_in_beta(
     and beta = j**2/144 turns it into sum_i P_{2i} * 144**i * beta**i.
     """
     values = [_stability_defects(make_spec(Fraction(j, 12)), index)[index] for j in range(13)]
-    deltas, den = forward_differences(values[:0:-1] + values)
+    row, den = _integer_form(values[:0:-1] + values, 24)
+    deltas = forward_differences(row)
     if any(deltas[21:]):
         raise ArithmeticError("stability defect is not polynomial in alpha^2")
     in_j = newton_forward(-12, deltas[:21], den)

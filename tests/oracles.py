@@ -51,9 +51,14 @@ Each one is an independent derivation of the same coefficients:
   inner means (t-coefficient -1 or +1) run on the sequence shifted to the
   first nonzero tail coefficient, where ``resultant.py`` forms each sum as
   one composition and needs no case split;
+* ``composition_sums_full_horner``: one composition sum on forms with
+  Horner's rule over every weight, where ``resultant.py`` runs even weights
+  W(x) = W~(x**2) over W~ in the square of the ratio;
 * ``resultant_on_fraction_tuples``: the production case and parity logic
-  with every step a public series function on tuples of Fractions, where
-  ``resultant.py`` converts its inputs once and runs on integer numerators;
+  with every step a public series function on tuples of Fractions and every
+  composition over all weights, where ``resultant.py`` converts its inputs
+  once, runs on integer numerators and composes even weights in the square
+  of the ratio;
 * ``resultant_two_sides``: the resultant with both middle compositions and
   the outer step at full length for every input, where ``resultant.py``
   reads one side from the other and runs an even outer step in u**2 when
@@ -128,7 +133,15 @@ from meanstab.polynomials import (
 )
 from meanstab.rationals import ONE, ZERO, Rational
 from meanstab.resultant import resultant_coeffs
-from meanstab.series import integrate_formal, series_compose, series_mul, series_power
+from meanstab.series import (
+    _horner_form,
+    _power_form,
+    _product_form,
+    integrate_formal,
+    series_compose,
+    series_mul,
+    series_power,
+)
 from meanstab.solver import (
     AffineLocus,
     OptimalCandidate,
@@ -605,6 +618,14 @@ def resultant_by_double_sums(
     return tuple(c * Fraction(1, 4) for c in combined)
 
 
+def composition_sums_full_horner(weights: tuple, g: tuple, h: tuple, order: int) -> tuple:
+    """h * W(u * g / h) on forms of one field, with Horner's rule over every
+    weight in the ratio u * g / h, even weights included."""
+    gs, den = g
+    ratio = _product_form(([h[0][0] * 0] + list(gs), den), _power_form(h, -1, order), order)
+    return _product_form(h, _horner_form(weights, ratio, order), order)
+
+
 def _composition_sums(weights: Sequence, g: Sequence, h: Sequence, order: int) -> tuple:
     """h * W(u * g / h) for W(x) = sum weights[n] x**n, one public series
     call per product, power and composition."""
@@ -631,7 +652,8 @@ def resultant_on_fraction_tuples(
     outer: Sequence, middle: Sequence, inner: Sequence, order: int
 ) -> tuple:
     """R(K, M, N) by the production case and parity logic, with every step a
-    public series function on tuples of Fractions."""
+    public series function on tuples of Fractions and Horner's rule over
+    every weight."""
     one = inner[0]
     n1 = inner[1] if order >= 1 else one * 0
     tail = list(inner[2 : order + 1])

@@ -119,6 +119,28 @@ class TestOtherCommands:
         )
         assert report["case"] == 3
 
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize(
+        ("inner", "case"), [("M1", 3), ("malphar:1,2", 2), ("A", 1)], ids=["M1", "malphar", "A"]
+    )
+    def test_resultant_case_at_low_orders(self, capsys, inner, case, order):
+        # the case is the inner mean's, however short the expansion asked for
+        report = run_json(
+            capsys, "resultant", "--mean", "G", "--outer", "A", "--inner", inner,
+            "--order", str(order),
+        )
+        assert report["case"] == case
+        assert report["order"] == order and len(report["coefficients"]) == order + 1
+
+    @pytest.mark.parametrize(
+        ("family", "expected"), [("L", [F(-1), F(-1, 2), F(1, 2), F(1)]), ("S", [])]
+    )
+    def test_scan_is_the_same_at_orders_16_and_24(self, capsys, family, expected):
+        for order in ("16", "24"):
+            report = run_json(capsys, "scan", "--family", family, "--order", order)
+            values = [F(r["value"]["num"], r["value"]["den"]) for r in report["stable_parameters"]]
+            assert values == expected
+
     def test_scan(self, capsys):
         report = run_json(capsys, "scan", "--family", "Lalpha", "--order", "12")
         values = [

@@ -36,6 +36,7 @@ from meanstab.polynomials import (
     simplest_between,
     squarefree_part,
 )
+from meanstab.series import _integer_form
 
 
 def poly(*coeffs):
@@ -126,12 +127,13 @@ class TestNewtonForward:
         points = [(x0 + i, F(v, den)) for i, v in enumerate(values)]
         expected = lagrange_interpolate(points) if points else UniPoly.zero()
         assert newton_forward(x0, deltas, den) == expected
-        # The same table from the reduced fractions, over their least common
-        # denominator.
-        reduced, lcd = forward_differences([F(v, den) for v in values])
+        assert forward_differences(values) == deltas
+        # The same table over any common denominator, the least one of the
+        # reduced fractions among them.
+        reduced, lcd = _integer_form([F(v, den) for v in values], len(values) - 1)
         assert den % lcd == 0
-        assert [d * (den // lcd) for d in reduced] == deltas
-        assert newton_forward(x0, reduced, lcd) == expected
+        assert newton_forward(x0, forward_differences(reduced), lcd) == expected
+        assert newton_forward(x0, forward_differences([3 * v for v in values]), 3 * den) == expected
 
     def test_drops_vanishing_top_differences(self):
         # 3p^2 - p + 5 at p = -4..2, over 7: Delta^3 and above are zero

@@ -24,6 +24,7 @@ from laurent import LaurentScalar
 from meanstab.series import _integer_form, _values
 from oracles import (
     composition_sums,
+    composition_sums_full_horner,
     resultant_by_double_sums,
     resultant_on_fraction_tuples,
     resultant_two_sides,
@@ -582,9 +583,86 @@ class TestIntegerFormBody:
         out = resultant_coeffs(*counted, order)
         seen = len(products)
         reference = resultant_on_fraction_tuples(*counted, order)
-        assert seen > 0 and seen == len(products) - seen
+        if kind == "even":
+            # The even middle weights run Horner in the square of the ratio:
+            # 4 steps that scale a weight instead of 8, and the top weight's
+            # first product through t**2 instead of t: 3 products fewer.
+            assert (seen, len(products) - seen) == (97, 100)
+        else:
+            assert seen > 0 and seen == len(products) - seen
         assert out == reference
         assert [type(c) for c in out] == [type(c) for c in reference]
+
+
+class TestEvenWeights:
+    """Even weights W(x) = W~(x**2) run Horner's rule over W~ in the square
+    of the ratio u * g / h; the composition sum equals Horner over every
+    weight, over Q, a Fraction subclass and Laurent germs, degenerate inner
+    means included."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.data(),
+        st.integers(min_value=0, max_value=16),
+        st.sampled_from((1, 2, 3)),
+        st.booleans(),
+    )
+    def test_over_q(self, data, order, z, degenerate):
+        # A shift by z is z - 1 leading zeros of g; a degenerate side is g = 0.
+        weights = data.draw(even_means(order + data.draw(st.integers(0, 2))))
+        tail = data.draw(st.lists(coefficients, max_size=order + 1))
+        g = [] if degenerate else [F(0)] * (z - 1) + tail
+        h = [data.draw(nonzero.map(F))] + data.draw(
+            st.lists(coefficients, min_size=order, max_size=order)
+        )
+        forms = [_integer_form(seq, order) for seq in (weights, g, h)]
+        out = resultant._composition_sums(*forms, order)
+        assert out == composition_sums_full_horner(*forms, order)
+
+    def test_over_a_fraction_subclass(self):
+        class Sub(F):
+            pass
+
+        rng = random.Random(13)
+        order = 10
+        for _ in range(20):
+            weights, g, h = (random_coeffs(rng, order) for _ in range(3))
+            weights[1::2] = [F(0)] * len(weights[1::2])
+            forms = [([Sub(c) for c in seq], F(1)) for seq in (weights, g, h)]
+            out, den = resultant._composition_sums(*forms, order)
+            reference, ref_den = composition_sums_full_horner(*forms, order)
+            assert den == ref_den == 1 and out == reference
+
+    @pytest.mark.parametrize("target", [F(1), F(-1)], ids=["n1=+1", "n1=-1"])
+    @pytest.mark.parametrize("middle", [M2, ALIASES["L"], ALIASES["G"]], ids=["M2", "L", "G"])
+    def test_over_laurent_germs_at_a_degenerate_inner(self, middle, target):
+        order, window = 8, 24
+        lift = lambda c: LaurentScalar.constant(c, window)
+        eps = LaurentScalar.epsilon(window)
+        inner = [lift(c) for c in expand_mean(M1, order).coeffs]
+        inner[1] = lift(target) - (eps if target > 0 else -eps)  # from inside
+        one, n1, tail = inner[0], inner[1], inner[2:]
+        # the side whose leading term vanishes at n1 = target
+        if target > 0:
+            g, h = ([one - n1] + [-c for c in tail], F(1)), ([one + one, n1 + one] + tail, F(1))
+        else:
+            g, h = ([one + n1] + tail, F(1)), ([one + one, n1 - one] + tail, F(1))
+        weights = ([lift(c) for c in expand_mean(middle, order).coeffs], F(1))
+        out, _ = resultant._composition_sums(weights, g, h, order)
+        reference, _ = composition_sums_full_horner(weights, g, h, order)
+        assert [(c.val, c.coeffs, c.floor) for c in out] == [
+            (c.val, c.coeffs, c.floor) for c in reference
+        ]
+
+    @pytest.mark.parametrize("inner", [M1, MAlphaR(F(1), F(1))], ids=["n1=+1", "n1=-1"])
+    @pytest.mark.parametrize("middle", [M2, ALIASES["L"], ALIASES["G"]], ids=["M2", "L", "G"])
+    def test_even_middle_with_a_degenerate_inner(self, middle, inner):
+        order = 12
+        triple = [expand_mean(spec, order).coeffs for spec in (M4, middle, inner)]
+        assert resultant_case(MeanExpansion(triple[2])) in (2, 3)
+        out = resultant_coeffs(*triple, order)
+        assert out == resultant_by_double_sums(*triple, order)
+        assert out == resultant_on_fraction_tuples(*triple, order)
 
 
 class TestMixedScalars:

@@ -138,6 +138,15 @@ class TestFirstOrderLocus:
                 first_order_locus(expand_mean(spec, 6))
 
 
+def shifted(form, k, delta):
+    """The integer form with delta added to its t**k coefficient."""
+    nums, den = form
+    delta = F(delta)
+    nums = [c * delta.denominator for c in nums]
+    nums[k] += delta.numerator * den
+    return nums, den * delta.denominator
+
+
 class TestCoefficientPolynomial:
     def test_l_alpha_third(self):
         m = expand_mean(LAlpha(F(1, 3)), 8)
@@ -191,17 +200,14 @@ class TestCoefficientPolynomial:
         # them, and a route at order 4 alone (p = -3..2) never samples it.
         m = expand_mean(M2, 8)
         locus = first_order_locus(m)
-        real = solver.difference_expansion
+        real = solver._difference_form
         bad_p = F(3)
 
-        def corrupted(mean, p, q, order):
-            diff = real(mean, p, q, order)
-            if p != bad_p:
-                return diff
-            coeffs = diff.coeffs[:4] + (diff.coeffs[4] + 1,) + diff.coeffs[5:]
-            return solver.DifferenceExpansion(coeffs, diff.p, diff.q)
+        def corrupted(m_form, p, q, order):
+            form = real(m_form, p, q, order)
+            return shifted(form, 4, 1) if p == bad_p else form
 
-        monkeypatch.setattr(solver, "difference_expansion", corrupted)
+        monkeypatch.setattr(solver, "_difference_form", corrupted)
         with pytest.raises(ArithmeticError, match="degree bound violated"):
             coefficient_polynomials(m, locus, 4, 8)
 
@@ -224,17 +230,14 @@ class TestCoefficientPolynomial:
         # bound of 7: only Delta^8 = 0 and one surplus sample guard it.
         m = expand_mean(M2, 8)
         locus = first_order_locus(m)
-        real = solver.difference_expansion
+        real = solver._difference_form
         bad_p = F(sample - 5)
 
-        def corrupted(mean, p, q, order):
-            diff = real(mean, p, q, order)
-            if p != bad_p:
-                return diff
-            coeffs = diff.coeffs[:8] + (diff.coeffs[8] + F(1, 10**9),)
-            return solver.DifferenceExpansion(coeffs, diff.p, diff.q)
+        def corrupted(m_form, p, q, order):
+            form = real(m_form, p, q, order)
+            return shifted(form, 8, F(1, 10**9)) if p == bad_p else form
 
-        monkeypatch.setattr(solver, "difference_expansion", corrupted)
+        monkeypatch.setattr(solver, "_difference_form", corrupted)
         with pytest.raises(ArithmeticError, match="degree bound violated"):
             coefficient_polynomials(m, locus, 4, 8)
 
@@ -246,17 +249,15 @@ class TestCoefficientPolynomial:
         m = expand_mean(M2, 8)
         locus = first_order_locus(m)
         clean = coefficient_polynomials(m, locus, 4, 8)
-        real = solver.difference_expansion
+        real = solver._difference_form
         k = 6
 
-        def bent(mean, p, q, order):
-            diff = real(mean, p, q, order)
-            coeffs = list(diff.coeffs)
-            coeffs[k] += p ** (k - 1 + excess)
-            return solver.DifferenceExpansion(tuple(coeffs), diff.p, diff.q)
+        def bent(m_form, p, q, order):
+            return shifted(real(m_form, p, q, order), k, p ** (k - 1 + excess))
 
-        monkeypatch.setattr(solver, "difference_expansion", bent)
-        monkeypatch.setattr(oracles, "difference_expansion", bent)
+        # The oracle's difference_expansion reads its samples through the
+        # same private function.
+        monkeypatch.setattr(solver, "_difference_form", bent)
         routes = (coefficient_polynomials, oracles.coefficient_polynomials_by_interpolation)
         if excess:
             for route in routes:
@@ -273,39 +274,106 @@ class TestOrderBands:
 
     @staticmethod
     def sampled_orders(monkeypatch, spec, max_order):
-        orders = []
-        real = solver.difference_expansion
+        return TestOrderBands.sampled_expansions(
+            monkeypatch, expand_mean(spec, max_order), max_order
+        )[0]
 
-        def counting(mean, p, q, order):
+    @staticmethod
+    def sampled_expansions(monkeypatch, mean, max_order):
+        """The truncation orders of the difference expansions the search
+        takes, band samples and direct reads alike, and the expansions."""
+        orders, forms = [], []
+        real = solver._difference_form
+
+        def counting(m_form, p, q, order):
             orders.append(order)
-            return real(mean, p, q, order)
+            forms.append(real(m_form, p, q, order))
+            return forms[-1]
 
-        monkeypatch.setattr(solver, "difference_expansion", counting)
-        optimal_parameters(expand_mean(spec, max_order), max_order)
-        return orders
+        monkeypatch.setattr(solver, "_difference_form", counting)
+        optimal_parameters(mean, max_order)
+        return orders, forms
 
     def test_early_search_stays_below_order_seven(self, monkeypatch):
         orders = self.sampled_orders(monkeypatch, SAlpha(F(1, 10)), 14)
         assert orders and max(orders) <= 6
 
-    def test_deep_search_samples_three_bands(self, monkeypatch):
-        # bands at 3 and 6, each of reach K sampled at K + 2 points; the
-        # rational roots p = -1, 1 are read from one expansion each at 16
+    def test_deep_search_of_an_even_mean_starts_at_six(self, monkeypatch):
+        # one band of reach 6, sampled at 8 points; the rational roots
+        # p = -1, 1 are read from one expansion each at 16
         orders = self.sampled_orders(monkeypatch, ALIASES["A"], 16)
-        assert orders == [3] * 5 + [6] * 8 + [16] * 2
+        assert orders == [6] * 8 + [16] * 2
 
     def test_rational_roots_past_the_bands_take_one_expansion(self, monkeypatch):
         orders = self.sampled_orders(monkeypatch, ALIASES["L"], 64)
-        assert orders == [3] * 5 + [6] * 8 + [64] * 2
+        assert orders == [6] * 8 + [64] * 2
 
     def test_survivor_inside_a_band_opens_no_expansion(self, monkeypatch):
         # the rational roots of L_{3/10} survive at t^6, inside the reach-6 band
         orders = self.sampled_orders(monkeypatch, LAlpha(F(3, 10)), 16)
-        assert orders == [3] * 5 + [6] * 8
+        assert orders == [6] * 8
 
     def test_vanishing_on_the_locus_keeps_the_deep_band(self, monkeypatch):
         orders = self.sampled_orders(monkeypatch, ALIASES["G"], 16)
-        assert orders == [3] * 5 + [6] * 8 + [16] * 18
+        assert orders == [6] * 8 + [16] * 18
+
+    @pytest.mark.parametrize("max_order", [3, 5, 8, 13, 16, 25])
+    @pytest.mark.parametrize(
+        "spec",
+        [ALIASES["G"], ALIASES["P"], M2, M4, LAlpha(F(1, 3)), PowerMean(F(-13, 6))],
+        ids=describe_spec,
+    )
+    def test_even_mean_asks_only_for_even_orders(self, monkeypatch, spec, max_order):
+        asked = []
+        real = solver.coefficient_polynomials
+
+        def recording(mean, locus, low, high):
+            asked.append(low)
+            return real(mean, locus, low, high)
+
+        monkeypatch.setattr(solver, "coefficient_polynomials", recording)
+        mean = expand_mean(spec, max_order)
+        orders, forms = self.sampled_expansions(monkeypatch, mean, max_order)
+        assert all(k % 2 == 0 for k in asked)
+        assert all(order == max_order or order % 2 == 0 for order in orders)
+        # the premise: every odd coefficient of an even mean's difference is 0
+        assert all(not any(nums[1::2]) for nums, _ in forms)
+        if max_order >= 4:
+            assert asked[0] == 4
+
+    @pytest.mark.parametrize("odd", [3, 5])
+    def test_mixed_mean_without_t_term_keeps_the_reach_three_band(self, monkeypatch, odd):
+        # M2 with a_odd = 1/7: a mixed mean with a_1 = 0
+        coeffs = list(expand_mean(M2, 16).coeffs)
+        coeffs[odd] = F(1, 7)
+        mean = MeanExpansion(tuple(coeffs))
+        assert not mean.is_even and mean.coefficient(1) == 0
+        orders, _ = self.sampled_expansions(monkeypatch, mean, 16)
+        assert orders[:5] == [3] * 5
+        if odd == 3:
+            # a_3 - a_3/8: the t^3 coefficient of R(B_p, M, B_q) at a_1 = 0
+            verdict = optimal_parameters(mean, 16)
+            assert verdict.fixed_leading_order == 3 and verdict.fixed_leading == F(1, 8)
+        else:
+            assert orders[5:13] == [6] * 8
+
+    @pytest.mark.parametrize("max_order", [12, 16])
+    @pytest.mark.parametrize(
+        "spec",
+        [ALIASES[n] for n in ("A", "G", "H", "L", "P", "T")]
+        + [M2, M4, LAlpha(F(3, 10)), SAlpha(F(1, 10)), PowerMean(F(-13, 6))],
+        ids=describe_spec,
+    )
+    def test_even_schedule_gives_the_mixed_schedule_verdict(self, spec, max_order):
+        class Mixed(MeanExpansion):
+            is_even = False
+
+        mean = expand_mean(spec, max_order)
+        fields = ("relation", "candidates", "locus", "fixed_leading", "fixed_leading_order",
+                  "notes")
+        even = optimal_parameters(mean, max_order, spec=spec)
+        mixed = optimal_parameters(Mixed(mean.coeffs), max_order, spec=spec)
+        assert [getattr(even, f) for f in fields] == [getattr(mixed, f) for f in fields]
 
     def test_search_needs_order_three(self):
         m = expand_mean(M2, 6)
