@@ -237,7 +237,10 @@ def _cmd_resultant(args: argparse.Namespace) -> dict:
     # The case is read from the inner t coefficient, also at order 0.
     inner_expansion = expand_mean(inner, max(args.order, 1))
     expansion = resultant_mean_map(
-        expand_mean(outer, args.order), expand_mean(middle, args.order), inner_expansion, args.order
+        outer if isinstance(outer, PowerMean) else expand_mean(outer, args.order),
+        expand_mean(middle, args.order),
+        inner_expansion,
+        args.order,
     )
     return {
         "command": "resultant",

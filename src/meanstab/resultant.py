@@ -49,16 +49,28 @@ at half the order,
 spread onto the even indices.  The inner means of the degenerate cases have
 n_1 = -1 or +1 and never take this route.
 
+A power mean K = B_p needs no expansion: the sides are M(x-t, N) = x * X and
+M(N, x+t) = x * Y with X = B/2 and Y = A/2, so
+
+    r = ((X**p + Y**p)/2)**(1/p),   r = (X * Y)**(1/2) at p = 0.
+
+X and Y have constant term exactly 1 (h_0 = 2 and m_0 = 1, and the argument
+of M has no constant term, also in the degenerate cases), so every power
+stays in the field.  When A(u) = B(-u), (X**p + Y**p)/2 is the even part of
+X**p, and X * Y = X(u) * X(-u) is even: the last power runs in w = u**2 at
+half the order.  Expanded operands, the ``expand_stable`` windows among
+them, keep Horner's outer step.
+
 The body runs once for every scalar, on the forms of :mod:`series`: pairs
 (nums, den) with coefficient nums[n] / den, every product, power and
 composition one primitive of that module.  :func:`resultant_coeffs`
 converts its three inputs together.  Over Q they become integer numerators
 over their least common denominators, and the result becomes ``Fraction``
-values only on the way out; the solver calls the body on the integer forms
-of the power means directly and takes the difference before converting.
-Any other scalar, a ``Fraction`` subclass included, enters as its own
-values over ``Fraction(1)``, and so do the rational inputs that come with
-it, so a mixed triple computes in the non-rational field; the result is
+values only on the way out; the solver calls the body on B_p's exponent and
+the integer forms of M and B_q directly and takes the difference before
+converting.  Any other scalar, a ``Fraction`` subclass included, enters as
+its own values over ``Fraction(1)``, and so do the rational inputs that come
+with it, so a mixed triple computes in the non-rational field; the result is
 that field's values.  The tests run the body over truncated series in a
 perturbation parameter to check the degenerate cases against one-sided
 limits at n_1 = -1 and +1, through the primitives of a rational call.
@@ -70,7 +82,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .catalog import MeanExpansion, expand_power_mean
+from .catalog import MeanExpansion, PowerMean, expand_power_mean
 from .rationals import Rational
 from .series import _forms, _horner_form, _power_form, _product_form, _reduced, _values
 
@@ -102,6 +114,20 @@ def _composition_sums(weights: tuple, g: tuple, h: tuple, order: int) -> tuple:
     return _product_form(h, _horner_form(weights, ratio, order), order)
 
 
+def _spread(form: tuple, order: int) -> tuple:
+    """The form in w = u**2 as a form in u, on the even indices."""
+    nums, den = form
+    out = [nums[0] * 0] * (order + 1)
+    out[::2] = nums
+    return out, den
+
+
+def _reflected(form: tuple) -> tuple:
+    """The form of B(-u) for the form of B(u)."""
+    nums, den = form
+    return [-c if j % 2 else c for j, c in enumerate(nums)], den
+
+
 def _even_outer_step(outer: tuple, b_side: tuple, order: int) -> tuple:
     """(1/4) * s * K(u * d / s) for an even K, with A(u) = B(-u): in
     w = u**2 it is (1/2) * E * K~(w * o**2 / E**2), spread onto the even
@@ -111,15 +137,11 @@ def _even_outer_step(outer: tuple, b_side: tuple, order: int) -> tuple:
     o_squared, o_den = _product_form(o, o, half - 1)
     ratio = _product_form(([b[0] * 0] + o_squared, o_den), _power_form(e, -2, half), half)
     combined, den = _product_form(e, _horner_form((outer[0][::2], outer[1]), ratio, half), half)
-    scaled, den = _reduced(combined, den * 2)
-    out = [scaled[0] * 0] * (order + 1)
-    out[::2] = scaled
-    return out, den
+    return _spread(_reduced(combined, den * 2), order)
 
 
-def _resultant(outer: tuple, middle: tuple, inner: tuple, order: int) -> tuple:
-    """R(K, M, N) through the order on forms in one field that reach the
-    order.  The inner constant term stands for one; over Q it is den."""
+def _sides(middle: tuple, inner: tuple, order: int) -> tuple:
+    """The forms of B and A, with None for A when A(u) = B(-u)."""
     nums, den = inner
     one = nums[0]
     n1 = nums[1] if order >= 1 else one * 0
@@ -128,14 +150,18 @@ def _resultant(outer: tuple, middle: tuple, inner: tuple, order: int) -> tuple:
     h = ([one + one, n1 - one] + tail, den)
     b_side = _composition_sums(middle, g, h, order)
     if _odd_part_vanishes(middle[0], order) and _odd_part_vanishes(nums, order):
+        return b_side, None
+    gt = ([one - n1] + [-c for c in tail], den)
+    ht = ([one + one, n1 + one] + tail, den)
+    return b_side, _composition_sums(middle, gt, ht, order)
+
+
+def _horner_outer_step(outer: tuple, b_side: tuple, a_side: tuple | None, order: int) -> tuple:
+    """(1/4) * s * K(u * d / s) for the form of K."""
+    if a_side is None:
         if _odd_part_vanishes(outer[0], order):
             return _even_outer_step(outer, b_side, order)
-        b, b_den = b_side
-        a_side = ([-c if j % 2 else c for j, c in enumerate(b)], b_den)  # A(u) = B(-u)
-    else:
-        gt = ([one - n1] + [-c for c in tail], den)
-        ht = ([one + one, n1 + one] + tail, den)
-        a_side = _composition_sums(middle, gt, ht, order)
+        a_side = _reflected(b_side)
     a, b, common = _common(a_side, b_side)
     d = [a[j + 1] - b[j + 1] for j in range(order)]
     s = [a[j] + b[j] for j in range(order + 1)]
@@ -143,16 +169,47 @@ def _resultant(outer: tuple, middle: tuple, inner: tuple, order: int) -> tuple:
     return _reduced(combined, den * 4)
 
 
-def resultant_coeffs(outer: Sequence, middle: Sequence, inner: Sequence, order: int) -> tuple:
-    """Coefficients r_0..r_order of R(K, M, N) from plain coefficient
-    sequences (a_0 = 1 each).  Scalar-generic; see the module docstring."""
-    for name, seq in (("outer", outer), ("middle", middle), ("inner", inner)):
+def _power_outer_step(p: Fraction, b_side: tuple, a_side: tuple | None, order: int) -> tuple:
+    """B_p(X, Y) = ((X**p + Y**p)/2)**(1/p), or (X*Y)**(1/2) at p = 0, for
+    X = B/2 and Y = A/2."""
+    root = 1 / p if p else Fraction(1, 2)
+    x = _reduced(b_side[0], b_side[1] * 2)
+    if a_side is None:
+        # Y(u) = X(-u): the mean is the even part of X**p, or X(u)*X(-u).
+        nums, den = _power_form(x, p, order) if p else _product_form(x, _reflected(x), order)
+        return _spread(_power_form((nums[::2], den), root, order // 2), order)
+    y = _reduced(a_side[0], a_side[1] * 2)
+    if p:
+        xp, yp, den = _common(_power_form(x, p, order), _power_form(y, p, order))
+        return _power_form(_reduced([c + e for c, e in zip(xp, yp)], den * 2), root, order)
+    return _power_form(_product_form(x, y, order), root, order)
+
+
+def _resultant(outer, middle: tuple, inner: tuple, order: int) -> tuple:
+    """R(K, M, N) through the order on forms in one field that reach the
+    order.  The inner constant term stands for one; over Q it is den.  K is
+    a form, or the exponent p of the power mean B_p as a Fraction."""
+    sides = _sides(middle, inner, order)
+    if isinstance(outer, tuple):
+        return _horner_outer_step(outer, *sides, order)
+    return _power_outer_step(outer, *sides, order)
+
+
+def _checked_forms(order: int, **named: Sequence) -> list[tuple]:
+    """The forms of the named sequences, each of which must reach the order."""
+    for name, seq in named.items():
         if len(seq) < order + 1:
             raise ValueError(
                 f"order mismatch: {name} expansion has {len(seq) - 1} coefficients, "
                 f"need at least order {order}"
             )
-    return _values(*_resultant(*_forms(order, outer, middle, inner), order))
+    return _forms(order, *named.values())
+
+
+def resultant_coeffs(outer: Sequence, middle: Sequence, inner: Sequence, order: int) -> tuple:
+    """Coefficients r_0..r_order of R(K, M, N) from plain coefficient
+    sequences (a_0 = 1 each).  Scalar-generic; see the module docstring."""
+    return _values(*_resultant(*_checked_forms(order, outer=outer, middle=middle, inner=inner), order))
 
 
 def resultant_case(inner: MeanExpansion) -> int:
@@ -162,10 +219,14 @@ def resultant_case(inner: MeanExpansion) -> int:
 
 
 def resultant_mean_map(
-    outer: MeanExpansion, middle: MeanExpansion, inner: MeanExpansion, order: int
+    outer: MeanExpansion | PowerMean, middle: MeanExpansion, inner: MeanExpansion, order: int
 ) -> MeanExpansion:
-    """Expansion of R(K, M, N) to the requested order."""
-    return MeanExpansion(resultant_coeffs(outer.coeffs, middle.coeffs, inner.coeffs, order))
+    """Expansion of R(K, M, N) to the requested order; a PowerMean outer
+    takes the closed power-mean step, an expanded one Horner's."""
+    if not isinstance(outer, PowerMean):
+        return MeanExpansion(resultant_coeffs(outer.coeffs, middle.coeffs, inner.coeffs, order))
+    forms = _checked_forms(order, middle=middle.coeffs, inner=inner.coeffs)
+    return MeanExpansion(_values(*_resultant(outer.p, *forms, order)))
 
 
 def resultant_power_means(
@@ -177,6 +238,4 @@ def resultant_power_means(
     the expansion additionally carries a_1^M/2 at t and
     (2 a_3^M - (p-1)(2q-1) a_1^M)/16 at t^3.
     """
-    outer = expand_power_mean(Fraction(p), order)
-    inner = expand_power_mean(Fraction(q), order)
-    return resultant_mean_map(outer, middle, inner, order)
+    return resultant_mean_map(PowerMean(p), middle, expand_power_mean(Fraction(q), order), order)

@@ -190,10 +190,12 @@ def series_mul(a: Coeffs, b: Coeffs, order: int) -> tuple:
 def _power_form(a: tuple, r, order: int) -> tuple[list, int | Fraction]:
     """The form of a**r for the form a; a_0 must be nonzero, and 1 if r is
     fractional (otherwise the leading coefficient would leave the field).
-    a must reach the order."""
+    a must reach the order; at r = 1 it comes back reduced."""
     x, dx = a
     if x[0] == 0:
         raise ValueError("zero constant term")
+    if r == 1:
+        return _reduced(x[: order + 1], dx)
     s, t = r.as_integer_ratio()
     a0 = Fraction(x[0], dx) if type(dx) is int else x[0] * (1 / dx)
     if t != 1 and a0 != 1:

@@ -15,6 +15,7 @@ The coefficient polynomials come in order bands.  A band of reach K samples
 the difference once at the n = K + 2 consecutive integers p = x0 .. x0+n-1,
 x0 = -(n//2), truncated at order K, and serves every k <= K it is asked for:
 the t^k coefficient of a truncation at K equals that of a truncation at k.
+A sample expands B_q only; B_p enters the resultant as its closed form.
 The samples stay integer numerators, over one denominator for the band, and
 column k gets a forward-difference table.  Its leading entries Delta^j must
 vanish for j = k .. n-1, which holds exactly when the polynomial through
@@ -72,7 +73,7 @@ from .polynomials import (
     newton_forward,
 )
 from .rationals import Rational
-from .resultant import _common, _resultant, resultant_coeffs
+from .resultant import _common, _resultant, resultant_mean_map
 from .series import _integer_form
 
 # ---------------------------------------------------------------------------
@@ -108,8 +109,9 @@ class DifferenceExpansion:
 
 def _difference_form(m_form: tuple, p: Fraction, q: Fraction, order: int) -> tuple:
     """M - R(B_p, M, B_q) through the order as integer numerators over one
-    denominator, from the integer form of the mean through the order."""
-    r_form = _resultant(_power_mean_form(p, order), m_form, _power_mean_form(q, order), order)
+    denominator, from the integer form of the mean through the order: B_q's
+    expansion, the two sides and the closed power-mean outer step."""
+    r_form = _resultant(p, m_form, _power_mean_form(q, order), order)
     m, r, den = _common(m_form, r_form)
     return [a - b for a, b in zip(m, r)], den
 
@@ -461,8 +463,8 @@ def is_stable(spec: MeanSpec, order: int) -> StabilityReport:
 def _stability_defects(spec: MeanSpec, order: int) -> list[Rational]:
     """The coefficients of M - R(M, M, M) through the order."""
     exp = expand_mean(spec, order)
-    res = resultant_coeffs(exp.coeffs, exp.coeffs, exp.coeffs, order)
-    return [exp.coefficient(n) - res[n] for n in range(order + 1)]
+    res = resultant_mean_map(spec if isinstance(spec, PowerMean) else exp, exp, exp, order)
+    return [exp.coefficient(n) - res.coefficient(n) for n in range(order + 1)]
 
 
 def _defect_polynomial_in_beta(

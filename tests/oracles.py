@@ -15,6 +15,11 @@ Each one is an independent derivation of the same coefficients:
 * ``mpmath_denominator`` and ``mpmath_mean``: D(y) and the mean at
   mpmath precision from each family's textbook closed form, the one oracle
   that shares no code with production (mpmath is a test-only dependency);
+  ``mpmath_resultant`` composes the same closed forms into
+  R(K, M, N)(1 - u, 1 + u) at a complex u;
+* ``difference_form_by_horner``: one solver sample with B_p expanded and
+  run through Horner's outer step, where the solver applies B_p in closed
+  form;
 * ``coefficient_polynomial``: one t**k coefficient polynomial of the
   solver from its own k+2 difference expansions truncated at order k, by
   Lagrange interpolation through k+1 of them, where the solver samples one
@@ -110,6 +115,7 @@ from meanstab.catalog import (
     PowerMean,
     SAlpha,
     _denominator_derivative,
+    _power_mean_form,
     _derivative_at,
     log_ratio_series,
 )
@@ -132,6 +138,7 @@ from meanstab.polynomials import (
     squarefree_part,
 )
 from meanstab.rationals import ONE, ZERO, Rational
+from meanstab import resultant
 from meanstab.resultant import resultant_coeffs
 from meanstab.series import (
     _horner_form,
@@ -398,18 +405,41 @@ def mpmath_denominator(spec: MeanSpec, y):
     raise TypeError(f"no denominator form for {spec!r}")
 
 
-def mpmath_mean(spec: MeanSpec, a: float, b: float):
-    """M(a, b) at mpmath's working precision; float arguments count as
-    exact binary numbers."""
+def _mpmath_mean_at(spec: MeanSpec, a, b):
+    """M(a, b) for complex a and b near 1, in the order given: a quotient
+    mean is (b - a)/D(ln(b/a)) with no abs, which continues the expansion
+    in the half-difference (b - a)/(a + b) to either sign."""
     import mpmath
 
-    a, b = mpmath.mpf(a), mpmath.mpf(b)
     if isinstance(spec, PowerMean):
         if spec.p == 0:
             return mpmath.sqrt(a * b)
         p = _mpf(spec.p)
         return ((a**p + b**p) / 2) ** (1 / p)
-    return abs(b - a) / mpmath_denominator(spec, abs(mpmath.log(b / a)))
+    return (b - a) / mpmath_denominator(spec, mpmath.log(b / a))
+
+
+def mpmath_mean(spec: MeanSpec, a: float, b: float):
+    """M(a, b) at mpmath's working precision; float arguments count as
+    exact binary numbers."""
+    import mpmath
+
+    return _mpmath_mean_at(spec, *sorted((mpmath.mpf(a), mpmath.mpf(b))))
+
+
+def mpmath_resultant(outer: MeanSpec, middle: MeanSpec, inner: MeanSpec, u):
+    """R(K, M, N)(1 - u, 1 + u) = K(M(1 - u, N), M(N, 1 + u)), N = N(1 - u,
+    1 + u), at mpmath's working precision for a complex u."""
+    n = _mpmath_mean_at(inner, 1 - u, 1 + u)
+    return _mpmath_mean_at(outer, _mpmath_mean_at(middle, 1 - u, n), _mpmath_mean_at(middle, n, 1 + u))
+
+
+def difference_form_by_horner(m_form: tuple, p: Fraction, q: Fraction, order: int) -> tuple:
+    """M - R(B_p, M, B_q) on integer forms with B_p expanded and composed by
+    Horner's outer step."""
+    r_form = resultant._resultant(_power_mean_form(p, order), m_form, _power_mean_form(q, order), order)
+    m, r, den = resultant._common(m_form, r_form)
+    return [a - b for a, b in zip(m, r)], den
 
 
 def expand_by_composition(spec: MeanSpec, order: int) -> MeanExpansion:

@@ -92,8 +92,8 @@ def m_alpha_r_head(a, r):
     ]
 
 
-def assert_cauchy_coefficients(mpmath, fn, radius, expansion, points=128):
-    """Every coefficient of the expansion equals, to 1e-30, Cauchy's integral
+def assert_cauchy_coefficients(mpmath, fn, radius, *expansions, points=128):
+    """Every coefficient of each expansion equals, to 1e-30, Cauchy's integral
     of fn(u) = M(1 - u, 1 + u) on the circle |u| = radius, taken as the DFT of
     points samples at 50 digits:
 
@@ -104,12 +104,14 @@ def assert_cauchy_coefficients(mpmath, fn, radius, expansion, points=128):
     with mpmath.workdps(50):
         r = mpmath.mpf(radius.numerator) / radius.denominator
         values = [fn(r * mpmath.expjpi(mpmath.mpf(2 * j) / points)) for j in range(points)]
-        for n, c in enumerate(expansion.coeffs):
+        for n in range(len(expansions[0].coeffs)):
             dft = sum(
                 v * mpmath.expjpi(mpmath.mpf(-2 * j * n) / points) for j, v in enumerate(values)
             )
             approx = dft / points / r**n
-            assert abs(approx - mpmath.mpf(c.numerator) / c.denominator) < mpmath.mpf(10) ** -30, n
+            for expansion in expansions:
+                c = expansion.coeffs[n]
+                assert abs(approx - mpmath.mpf(c.numerator) / c.denominator) < mpmath.mpf(10) ** -30, n
 
 
 class TestPowerMean:

@@ -12,6 +12,7 @@ from meanstab.catalog import (
     M2,
     M3,
     M4,
+    M5,
     MAlphaR,
     MeanExpansion,
     PowerMean,
@@ -20,8 +21,10 @@ from meanstab.catalog import (
     expand_power_mean,
     expand_quotient_mean,
 )
+import oracles
 from laurent import LaurentScalar
 from meanstab.series import _integer_form, _values
+from meanstab.solver import first_order_locus
 from oracles import (
     composition_sums,
     composition_sums_full_horner,
@@ -683,3 +686,132 @@ class TestMixedScalars:
         assert [(c.val, c.coeffs, c.floor) for c in out] == [
             (c.val, c.coeffs, c.floor) for c in reference
         ]
+
+
+# Power-mean exponents: 0, +-1, integers up to +-12 and fractions of height
+# at most 20.
+powers = st.one_of(
+    st.sampled_from((F(0), F(1), F(-1))),
+    st.integers(min_value=-12, max_value=12).map(F),
+    st.builds(F, st.integers(min_value=-20, max_value=20), st.integers(min_value=1, max_value=20)),
+)
+
+
+@st.composite
+def inner_means(draw, order, kind):
+    """An even or mixed inner mean, or a degenerate one (t-coefficient +-1)
+    whose tail starts at index 2, 3 or 4."""
+    if kind == "even":
+        return draw(even_means(order))
+    inner = draw(means(order))
+    if kind == "degenerate" and order >= 1:
+        inner[1] = draw(st.sampled_from((F(1), F(-1))))
+        z = draw(st.integers(min_value=2, max_value=4))
+        inner[2:z] = [F(0)] * len(inner[2:z])
+    return inner
+
+
+class TestClosedPowerOuterStep:
+    """A power-mean outer B_p takes the closed step ((X**p + Y**p)/2)**(1/p),
+    (X*Y)**(1/2) at p = 0, on the sides X = B/2 and Y = A/2; it equals
+    Horner's outer step over the expansion of B_p, value for value and type
+    for type, over Q, a Fraction subclass and Laurent germs."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.data(),
+        st.integers(min_value=0, max_value=24),
+        powers,
+        st.booleans(),
+        st.sampled_from(("even", "mixed", "degenerate")),
+    )
+    def test_against_the_horner_route(self, data, order, p, even_middle, inner_kind):
+        middle = data.draw(even_means(order) if even_middle else means(order))
+        inner = data.draw(inner_means(order, inner_kind))
+        out = resultant_mean_map(
+            PowerMean(p), MeanExpansion(tuple(middle)), MeanExpansion(tuple(inner)), order
+        ).coeffs
+        reference = resultant_coeffs(expand_power_mean(p, order).coeffs, middle, inner, order)
+        assert out == reference
+        assert [type(c) for c in out] == [type(c) for c in reference]
+
+    @pytest.mark.parametrize("kind", ["mixed", "even", "degenerate"])
+    def test_over_a_fraction_subclass(self, kind):
+        class Sub(F):
+            pass
+
+        rng = random.Random(59)
+        for order in (1, 4, 9):
+            for p in (F(0), F(1), F(-3), F(2, 5)):
+                middle, inner = random_coeffs(rng, order), random_coeffs(rng, order)
+                if kind == "even":
+                    for seq in (middle, inner):
+                        seq[1::2] = [F(0)] * len(seq[1::2])
+                if kind == "degenerate" and order >= 1:
+                    inner[1] = F(rng.choice((1, -1)))
+                forms = [([Sub(c) for c in seq], F(1)) for seq in (middle, inner)]
+                outer = ([Sub(c) for c in expand_power_mean(p, order).coeffs], F(1))
+                out, den = resultant._resultant(p, *forms, order)
+                reference, ref_den = resultant._resultant(outer, *forms, order)
+                assert type(den) is F and den == ref_den == 1 and out == reference
+
+    @pytest.mark.parametrize("p", [F(0), F(1), F(-1), F(2), F(1, 3), F(-5, 2)], ids=str)
+    @pytest.mark.parametrize("target", [F(1), F(-1)], ids=["n1=+1", "n1=-1"])
+    @pytest.mark.parametrize("middle", [M2, M3], ids=["M2", "M3"])
+    def test_over_laurent_germs_at_a_degenerate_inner(self, middle, target, p):
+        # The inner M1 with t-coefficient target -/+ eps, from inside: the
+        # limits of both routes equal the resultant at target itself.
+        order, window = 8, 24
+        lift = lambda c: LaurentScalar.constant(c, window)
+        eps = LaurentScalar.epsilon(window)
+        inner = [lift(c) for c in expand_mean(M1, order).coeffs]
+        inner[1] = lift(target) - (eps if target > 0 else -eps)
+        forms = [([lift(c) for c in expand_mean(middle, order).coeffs], F(1)), (inner, F(1))]
+        outer = ([lift(c) for c in expand_power_mean(p, order).coeffs], F(1))
+        closed = _values(*resultant._resultant(p, *forms, order))
+        horner = _values(*resultant._resultant(outer, *forms, order))
+        at_target = list(expand_mean(M1, order).coeffs)
+        at_target[1] = target
+        direct = resultant_mean_map(
+            PowerMean(p), expand_mean(middle, order), MeanExpansion(tuple(at_target)), order
+        )
+        assert all(type(c) is LaurentScalar for c in closed)
+        assert [c.limit() for c in closed] == [c.limit() for c in horner] == list(direct.coeffs)
+
+
+# R(B_-13/6, S_3/7, B_q*) at the point of the first-order locus of S_3/7.
+Q_STAR = first_order_locus(expand_mean(SAlpha(F(3, 7)), 2)).q_of(F(-13, 6))
+
+CAUCHY_TRIPLES = [
+    ((PowerMean(F(2)), ALIASES["G"], PowerMean(F(1, 3))), F(2, 5)),
+    ((PowerMean(F(-3, 2)), ALIASES["L"], PowerMean(F(5, 4))), F(2, 5)),
+    ((ALIASES["G"], M1, ALIASES["HZ1/4"]), F(2, 5)),
+    # M1 is singular at u = (1/e - 1)/(1/e + 1), |u| = 0.46, so a circle of
+    # radius 2/5 would alias at (0.4/0.46)**128.
+    ((ALIASES["A"], ALIASES["A"], M1), F(1, 5)),
+    ((ALIASES["H"], M5, ALIASES["G"]), F(2, 5)),
+    ((PowerMean(F(-13, 6)), SAlpha(F(3, 7)), PowerMean(Q_STAR)), F(2, 5)),
+]
+
+
+class TestResultantByCauchyIntegral:
+    """Both routes against K(M(1 - u, N), M(N, 1 + u)) from the mpmath closed
+    forms on a circle, an oracle that shares no code with either."""
+
+    @pytest.mark.parametrize(
+        "triple,radius",
+        CAUCHY_TRIPLES,
+        ids=["B2-G-B1/3", "B-3/2-L-B5/4", "G-M1-HZ1/4", "A-A-M1", "H-M5-G", "B-13/6-S3/7-Bq*"],
+    )
+    def test_order_24(self, triple, radius):
+        mpmath = pytest.importorskip("mpmath")
+        from test_catalog import assert_cauchy_coefficients
+
+        order = 24
+        outer, middle, inner = triple
+        m, n = expand_mean(middle, order), expand_mean(inner, order)
+        closed = resultant_mean_map(outer, m, n, order)
+        horner = resultant_mean_map(expand_mean(outer, order), m, n, order)
+        assert_cauchy_coefficients(
+            mpmath, lambda u: oracles.mpmath_resultant(outer, middle, inner, u), radius, closed, horner
+        )

@@ -290,6 +290,35 @@ class TestPrimitivesHandOnLowestTerms:
         )
 
 
+class TestPowerAtExponentOne:
+    """At r = 1 the power primitive does no recursion: it returns its
+    operand through the order, reduced, for every scalar."""
+
+    def test_over_q(self):
+        assert _power_form(([6, 4, -2, 8], 4), F(1), 2) == ([3, 2, -1], 2)
+        assert _power_form(([3, 1, 2], 5), 1, 2) == ([3, 1, 2], 5)
+        with pytest.raises(ValueError, match="zero constant term"):
+            _power_form(([0, 1], 1), F(1), 1)
+
+    def test_over_a_fraction_subclass(self):
+        class Sub(F):
+            pass
+
+        nums = [Sub(2), Sub(-1, 3), Sub(4)]
+        assert _power_form((nums, F(1)), F(1), 2) == (nums, F(1))
+        out, den = _power_form((nums, F(2)), F(1), 1)
+        assert type(den) is F and den == 1 and out == [F(1), F(-1, 6)]
+
+    def test_over_laurent_germs(self):
+        germs = [LaurentScalar.from_poly([F(1), F(2)], window=8), LaurentScalar(1, (F(3),), 5, 8)]
+        out, den = _power_form((germs, F(1)), F(1), 1)
+        assert den == 1 and out == germs
+        out, den = _power_form((germs, F(2)), F(1), 1)
+        assert den == 1 and [(c.val, c.coeffs, c.floor) for c in out] == [
+            (c.val, c.coeffs, c.floor) for c in (germs[0] * F(1, 2), germs[1] * F(1, 2))
+        ]
+
+
 class TestIntInputStaysExact:
     """Dividing loops on int coefficients give Fractions, never floats."""
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from meanstab import solver
+from meanstab import catalog, solver
 from meanstab.catalog import (
     ALIASES,
     LAlpha,
@@ -26,6 +26,7 @@ from meanstab.catalog import (
 )
 from meanstab.numeric import eval_mean, eval_resultant
 from meanstab.polynomials import QuadraticSurdRoot, RationalRoot, UniPoly
+from meanstab.resultant import resultant_coeffs
 from meanstab.solver import (
     coefficient_polynomials,
     difference_expansion,
@@ -452,6 +453,54 @@ class TestRationalCandidatesAgainstBands:
         monkeypatch.setattr(solver, "difference_expansion", planted)
         with pytest.raises(ArithmeticError, match="below the bands"):
             optimal_parameters(expand_mean(ALIASES["A"], 16), 16)
+
+class TestClosedOuterStepInTheSolver:
+    """A solver sample expands B_q and applies B_p in closed form; the
+    verdicts equal those of samples that expand B_p and compose it by
+    Horner's outer step."""
+
+    DEEP = [ALIASES[n] for n in ("A", "G", "H", "L")] + [
+        LAlpha(F(a)) for a in ("1/2", "-1/2", "1", "-1")
+    ] + [PowerMean(F(p)) for p in ("2", "-2", "3", "1/2", "-1/2", "1/3", "3/2", "-5/3", "7/4",
+                                   "-13/6")]
+    EARLY = [ALIASES[n] for n in ("HZ1/4", "P", "T")] + [
+        M2, M4, M3, LAlpha(F(1, 3)), LAlpha(F(2, 5)), SAlpha(F(1, 3)), SAlpha(F(3, 7))
+    ]
+
+    @pytest.mark.parametrize("max_order", [12, 16, 24])
+    @pytest.mark.parametrize("spec", DEEP + EARLY, ids=describe_spec)
+    def test_verdict_matches_the_horner_route(self, monkeypatch, spec, max_order):
+        mean = expand_mean(spec, max_order)
+        closed = optimal_parameters(mean, max_order)
+        monkeypatch.setattr(solver, "_difference_form", oracles.difference_form_by_horner)
+        assert optimal_parameters(mean, max_order) == closed
+
+    @pytest.mark.parametrize("reach", [3, 6, 12, 16])
+    @pytest.mark.parametrize("spec", [M2, ALIASES["L"], M1], ids=describe_spec)
+    def test_a_band_expands_only_b_q(self, monkeypatch, spec, reach):
+        calls = []
+        real = catalog._power_mean_form
+
+        def counting(p, order):
+            calls.append((p, order))
+            return real(p, order)
+
+        monkeypatch.setattr(solver, "_power_mean_form", counting)
+        monkeypatch.setattr(catalog, "_power_mean_form", counting)
+        mean = MeanExpansion((F(1), F(0)) + expand_mean(spec, reach).coeffs[2:])
+        locus = first_order_locus(mean)
+        coefficient_polynomials(mean, locus, 2, reach)
+        x0 = -((reach + 2) // 2)
+        assert calls == [(locus.q_of(F(x0 + i)), reach) for i in range(reach + 2)]
+
+    @pytest.mark.parametrize("p", [F(0), F(1), F(-1), F(3), F(-13, 6), F(7, 4)], ids=str)
+    def test_stability_of_a_power_mean_matches_the_horner_route(self, p):
+        order = 16
+        exp = expand_mean(PowerMean(p), order)
+        horner = resultant_coeffs(exp.coeffs, exp.coeffs, exp.coeffs, order)
+        defects = solver._stability_defects(PowerMean(p), order)
+        assert defects == [a - r for a, r in zip(exp.coeffs, horner)] == [F(0)] * (order + 1)
+
 
 class TestOptimalParameters:
     def test_l_alpha_third(self):
