@@ -22,24 +22,27 @@ Families:
 * means generated by an odd function with prescribed Taylor coefficients,
 * the order-by-order fixed point of the resultant mean-map (the "stable
   mean" series for a prescribed t^2 coefficient).
+
+Power and quotient means run on integer forms, B_p and the quotient means
+with an even D' at half the order in u**2; cosh(alpha*Lambda) comes from a
+linear integer recurrence (see expand_quotient_mean).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 from .rationals import ONE, ZERO, Rational
 from .series import (
+    _horner_form,
+    _integer_form,
     _power_form,
+    _product_form,
+    _reduced,
     _values,
-    integrate_formal,
-    series_compose,
-    series_exp,
-    series_mul,
-    series_power,
-    series_scale,
 )
 
 # ---------------------------------------------------------------------------
@@ -220,16 +223,9 @@ def expand_power_mean(p: Rational, order: int) -> MeanExpansion:
     return MeanExpansion(_values(*_power_mean_form(Fraction(p), order)))
 
 
-def log_ratio_series(order: int) -> tuple[Rational, ...]:
-    """ln((x+t)/(x-t)) as a series in u = t/x: 2*sum u**(2k+1)/(2k+1)."""
-    return tuple(
-        Fraction(2, n) if n % 2 else ZERO for n in range(order + 1)
-    )
-
-
-def _denominator_derivative(spec: ClassicMean | MAlphaR) -> tuple[tuple[Rational, ...], Rational]:
-    """(base, exponent) with D'(y) = base(y)**exponent for the
-    difference-quotient means; D is the denominator applied to |ln(b/a)|."""
+def _denominator_derivative(spec: ClassicMean | MAlphaR | MuGenerated) -> tuple[tuple, Rational]:
+    """(base, exponent) with D'(y) = base(y)**exponent, base a polynomial in
+    y; D is the denominator applied to |ln(b/a)|."""
     half = Fraction(1, 2)
     if isinstance(spec, ClassicMean):
         return {
@@ -239,29 +235,56 @@ def _denominator_derivative(spec: ClassicMean | MAlphaR) -> tuple[tuple[Rational
             4: ((ONE, ZERO, half), -half),           # sqrt2*arcsinh(y/sqrt2)
             5: ((ONE, ONE, half), -half),            # sqrt2*(arcsinh(1+y) - arcsinh 1)
         }[spec.index]
+    if isinstance(spec, MuGenerated):  # mu'(y) = sum (2n+1) c_n y**(2n)
+        c = spec.odd_coeffs
+        return tuple(ZERO if n % 2 else (n + 1) * c[n // 2] for n in range(2 * len(c) - 1)), ONE
     # ((1 + r*y)**((r+alpha)/r) - 1)/(r+alpha); the limit alpha -> -r is the
     # logarithmic form and needs no special casing at the series level.
     return (ONE, spec.r), spec.alpha / spec.r
 
 
-def _derivative_at(spec: MeanSpec, f: tuple, order: int) -> tuple:
-    """D'(f(u)) to the given order for an odd series f, where D is the
-    denominator of M(a, b) = |b - a| / D(|ln(b/a)|)."""
-    if isinstance(spec, (ClassicMean, MAlphaR)):
-        base, expo = _denominator_derivative(spec)
-        return series_power(series_compose(base, f, order), expo, order)
-    if isinstance(spec, MuGenerated):
-        # mu'(y) = sum (2n+1) c_n y**(2n), a polynomial in y**2
-        weights = [(2 * n + 1) * c for n, c in enumerate(spec.odd_coeffs[: order // 2 + 1])]
-        return series_compose(weights, series_mul(f, f, order), order)
-    if isinstance(spec, (LAlpha, SAlpha)):
-        # D' is cosh(alpha*y) for L_alpha and 1/cosh(alpha*y) for S_alpha.  As f
-        # is odd, exp(-alpha*f(u)) = exp(alpha*f(-u)), so cosh(alpha*f) is the
-        # even part of exp(alpha*f).
-        grown = series_exp(series_scale(f, spec.alpha, order), order)
-        cosh = tuple(ZERO if n % 2 else c for n, c in enumerate(grown))
-        return cosh if isinstance(spec, LAlpha) else series_power(cosh, -1, order)
-    raise TypeError(f"unknown mean spec {spec!r}")
+def _cosh_form(alpha: Fraction, half: int) -> tuple[list[int], int]:
+    """cosh(alpha*Lambda) in w = u**2 through w**half.  E = exp(alpha*Lambda)
+    solves (1 - u^2) E' = 2 alpha E, so for alpha = s/t the e_n = n! t**n E_n
+    are integers, e_{n+1} = 2s e_n + n(n-1) t^2 e_{n-1}; cosh is the even
+    part of E."""
+    s, t = alpha.as_integer_ratio()
+    e = [1, 2 * s]
+    for n in range(1, 2 * half):
+        e.append(2 * s * e[n] + n * (n - 1) * t * t * e[n - 1])
+    nums, den = [], 1  # over (2*half)! t**(2*half), from the top index down
+    for k in range(half, 0, -1):
+        nums.append(e[2 * k] * den)
+        den *= 2 * k * (2 * k - 1) * t * t
+    return _reduced([den] + nums[::-1], den)
+
+
+def _log_ratio_form(order: int, even: bool) -> tuple[list[int], int]:
+    """Lambda = ln((1+u)/(1-u)) = 2 sum u**(2k+1)/(2k+1) through u**order,
+    or, if even, Lambda**2 = w * lam(w)**2 with lam = 2 sum w**k/(2k+1)."""
+    if not even:
+        den = lcm(*range(1, order + 1, 2))
+        return [2 * den // n if n % 2 else 0 for n in range(order + 1)], den
+    den = lcm(*range(1, 2 * order + 2, 2))
+    lam = [2 * den // (2 * k + 1) for k in range(order + 1)]
+    square, den = _product_form((lam, den), (lam, den), order)
+    return [0] + square[:order], den
+
+
+def _quotient_form(derivative: tuple, order: int, even: bool) -> tuple[list[int], int]:
+    """D(Lambda)/(2u) from d = D'(Lambda), both in u or, if even, in w.  As
+    Lambda' = 2/(1 - u^2), the integral of d * Lambda' has u**(n+1)
+    coefficient 2 S_n/(n+1), S_n = d_n + d_{n-2} + ...: a running sum."""
+    nums, den = derivative
+    if nums[0] != den:
+        raise ArithmeticError("D(Lambda) must start 2u")
+    lag = 1 if even else 2
+    sums = nums[:lag]
+    for c in nums[lag : order + 1]:
+        sums.append(c + sums[-lag])
+    lengths = range(1, 2 * order + 2, 2) if even else range(1, order + 2)
+    common = lcm(*lengths)
+    return _reduced([q * (common // m) for q, m in zip(sums, lengths)], den * common)
 
 
 def expand_quotient_mean(spec: MeanSpec, order: int) -> MeanExpansion:
@@ -270,19 +293,36 @@ def expand_quotient_mean(spec: MeanSpec, order: int) -> MeanExpansion:
 
         M(x-t, x+t) = 2t / D(Lambda(u)),   Lambda = ln((1+u)/(1-u)),  u = t/x.
 
-    D(Lambda) is the integral of D'(Lambda) * Lambda' with
-    Lambda' = 2/(1 - u^2), so no series is ever composed with a full
-    denominator series and the cost stays quadratic in the order.  D(Lambda)
-    has valuation 1 with linear coefficient 2, so the quotient is
-    x * (power series with constant term 1); coefficients stay in Q because
-    every sqrt(2) in the closed forms cancels against the scaled argument.
+    D(Lambda) is the integral of D'(Lambda) * Lambda', so no series is ever
+    composed with a full denominator series.  It has valuation 1 with
+    linear coefficient 2, so the quotient is x * (power series with constant
+    term 1); coefficients stay in Q because every sqrt(2) in the closed
+    forms cancels against the scaled argument.
+
+    The route runs on integer forms.  D'(Lambda) is cosh(alpha*Lambda) from
+    an integer recurrence for L_alpha, its inverse for S_alpha, and else
+    base(Lambda)**exponent by Horner's rule and one power recursion; the
+    product with Lambda' and the integral are one running sum, and one
+    inverse gives the mean.  When D' is even (L_alpha, S_alpha, M2, M4, mu)
+    every step runs in w = u**2 at half the order, on Lambda**2.
     """
-    lam_prime = tuple(Fraction(2) if n % 2 == 0 else ZERO for n in range(order + 1))
-    slope = series_mul(_derivative_at(spec, log_ratio_series(order), order), lam_prime, order)
-    den = integrate_formal(slope, order + 1)
-    if den[1] != 2:
-        raise ArithmeticError("D(Lambda) must start 2u")
-    return MeanExpansion(series_power(tuple(c / 2 for c in den[1:]), -1, order))
+    if isinstance(spec, (LAlpha, SAlpha)):
+        even, reach = True, order // 2
+        derivative = _cosh_form(spec.alpha, reach)
+        if isinstance(spec, SAlpha):
+            derivative = _power_form(derivative, -1, reach)
+    else:
+        base, expo = _denominator_derivative(spec)
+        even = not any(base[1::2])
+        base, reach = (base[::2], order // 2) if even else (base, order)
+        composed = _horner_form(_integer_form(base, len(base) - 1), _log_ratio_form(reach, even), reach)
+        derivative = _power_form(composed, expo, reach)
+    nums, den = _power_form(_quotient_form(derivative, reach, even), -1, reach)
+    if even:
+        spread = [0] * (order + 1)
+        spread[::2] = nums
+        nums = spread
+    return MeanExpansion(_values(nums, den))
 
 
 def expand_stable(a2: Rational, order: int) -> MeanExpansion:

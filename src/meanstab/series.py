@@ -87,10 +87,6 @@ def _fit(a: Coeffs, order: int, zero) -> list:
     return out
 
 
-def series_scale(a: Coeffs, factor, order: int) -> tuple:
-    return tuple(c * factor for c in _fit(a, order, _zero_of(a)))
-
-
 def _integer_form(a: Coeffs, order: int) -> tuple[list[int], int]:
     """``(nums, d)`` with ``a[n] == nums[n] / d`` for n through the order, d
     the least common denominator; every coefficient of a must be a Fraction
@@ -201,12 +197,14 @@ def _power_form(a: tuple, r, order: int) -> tuple[list, int | Fraction]:
     if t != 1 and a0 != 1:
         raise ValueError("irrational leading power")
     # With r = s/t the weight is (k*(s+t) - n*t)/t, and the denominator of
-    # a cancels against the one of a_0.
+    # a cancels against the one of a_0.  At r = -1 the k term vanishes.
     kx = [k * c for k, c in enumerate(x)]
 
     def step(n, back):
-        top = (s + t) * sum(map(mul, kx[1 : n + 1], back))
-        return top - n * t * sum(map(mul, x[1 : n + 1], back)), n * t * x[0]
+        top = -n * t * sum(map(mul, x[1 : n + 1], back))
+        if s + t:
+            top += (s + t) * sum(map(mul, kx[1 : n + 1], back))
+        return top, n * t * x[0]
 
     return _recursion_form(a0**s if t == 1 else a0, step, dx, order)
 

@@ -6,6 +6,13 @@ Each one is an independent derivation of the same coefficients:
 * ``expand_l_alpha``, ``expand_s_alpha`` and ``expand_mu_generated``: the
   dedicated binomial double sums of the L/S families and the odd-generator
   coefficient formula, all at half length in the even index;
+* ``expand_quotient_by_series``: the quotient means at the full order on
+  tuples of ``Fraction``, with D'(Lambda) from ``series_exp`` or
+  ``series_power`` (``_derivative_at``), a ``series_mul`` by Lambda', an
+  ``integrate_formal`` and a ``series_power`` inverse, where the catalog runs
+  on integer forms with an integer recurrence for cosh(alpha*Lambda),
+  running sums for Lambda' and the integral, and the even families at half
+  the order in u**2;
 * ``expand_by_composition``: the denominator series, built per family from
   its own closed form, composed with the log-ratio series by Horner's rule
   (cubic in the order) and inverted;
@@ -116,8 +123,6 @@ from meanstab.catalog import (
     SAlpha,
     _denominator_derivative,
     _power_mean_form,
-    _derivative_at,
-    log_ratio_series,
 )
 from meanstab.polynomials import (
     IntervalRoot,
@@ -146,6 +151,7 @@ from meanstab.series import (
     _product_form,
     integrate_formal,
     series_compose,
+    series_exp,
     series_mul,
     series_power,
 )
@@ -313,6 +319,46 @@ def expand_mu_generated(odd_coeffs: Sequence[Rational], order: int) -> MeanExpan
                 acc += c[n] * Fraction(4**n) * powers[n][m - n]
         e_seq.append(acc)
     return MeanExpansion(_spread_even(series_power(e_seq, -1, half), order))
+
+
+def log_ratio_series(order: int) -> tuple[Rational, ...]:
+    """ln((x+t)/(x-t)) as a series in u = t/x: 2*sum u**(2k+1)/(2k+1)."""
+    return tuple(
+        Fraction(2, n) if n % 2 else ZERO for n in range(order + 1)
+    )
+
+
+def _derivative_at(spec: MeanSpec, f: tuple, order: int) -> tuple:
+    """D'(f(u)) to the given order for an odd series f, where D is the
+    denominator of M(a, b) = |b - a| / D(|ln(b/a)|)."""
+    if isinstance(spec, (ClassicMean, MAlphaR)):
+        base, expo = _denominator_derivative(spec)
+        return series_power(series_compose(base, f, order), expo, order)
+    if isinstance(spec, MuGenerated):
+        # mu'(y) = sum (2n+1) c_n y**(2n), a polynomial in y**2
+        weights = [(2 * n + 1) * c for n, c in enumerate(spec.odd_coeffs[: order // 2 + 1])]
+        return series_compose(weights, series_mul(f, f, order), order)
+    if isinstance(spec, (LAlpha, SAlpha)):
+        # D' is cosh(alpha*y) for L_alpha and 1/cosh(alpha*y) for S_alpha.  As f
+        # is odd, exp(-alpha*f(u)) = exp(alpha*f(-u)), so cosh(alpha*f) is the
+        # even part of exp(alpha*f).
+        grown = series_exp(tuple(c * spec.alpha for c in f), order)
+        cosh = tuple(ZERO if n % 2 else c for n, c in enumerate(grown))
+        return cosh if isinstance(spec, LAlpha) else series_power(cosh, -1, order)
+    raise TypeError(f"unknown mean spec {spec!r}")
+
+
+def expand_quotient_by_series(spec: MeanSpec, order: int) -> MeanExpansion:
+    """M(x-t, x+t) = 2t / D(Lambda(u)) at the full order on tuples of
+    Fractions: D'(Lambda) by series_exp or series_power, times
+    Lambda' = 2/(1 - u^2) by series_mul, integrate_formal, and one
+    series_power(-1)."""
+    lam_prime = tuple(Fraction(2) if n % 2 == 0 else ZERO for n in range(order + 1))
+    slope = series_mul(_derivative_at(spec, log_ratio_series(order), order), lam_prime, order)
+    den = integrate_formal(slope, order + 1)
+    if den[1] != 2:
+        raise ArithmeticError("D(Lambda) must start 2u")
+    return MeanExpansion(series_power(tuple(c / 2 for c in den[1:]), -1, order))
 
 
 def direct_denominator_series(spec: MeanSpec, order: int) -> tuple[Rational, ...]:

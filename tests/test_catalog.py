@@ -465,6 +465,28 @@ class TestProductionRouteAgainstOracles:
             expand_mean(spec, 4)
 
 
+SERIES_ORACLE_ALPHAS = [F(0), F(1), F(-1), F(1, 2), F(-1, 2), F(3, 7), F(-9, 10), F(11, 13), F(1234, 4567)]
+SERIES_ORACLE_SPECS = (
+    [LAlpha(a) for a in SERIES_ORACLE_ALPHAS]
+    + [SAlpha(a) for a in SERIES_ORACLE_ALPHAS]
+    + [M1, M2, M3, M4, M5]
+    + [MAlphaR(a, r) for a, r in [(F(1), F(1)), (F(-1), F(1)), (F(2, 3), F(2, 3)),
+                                  (F(-2, 3), F(2, 3)), (F(1, 3), F(2)), (F(0), F(3))]]
+    + [MuGenerated((F(1),)), MuGenerated((F(1), F(1, 6), F(-2, 5), F(3), F(-7, 11)))]
+)
+
+
+@pytest.mark.parametrize("spec", SERIES_ORACLE_SPECS, ids=describe_spec)
+def test_integer_route_matches_the_series_chain(spec):
+    """The integer-form route equals the parent chain of public series
+    functions on Fractions, coefficient by coefficient and type by type; the
+    odd orders end on an index the even route fills by spreading."""
+    for order in [0, 1, 2, 3, 4, 5, 16, 33, 64, 97]:
+        coeffs = expand_quotient_mean(spec, order).coeffs
+        assert coeffs == oracles.expand_quotient_by_series(spec, order).coeffs, order
+        assert {type(c) for c in coeffs} == {F}
+
+
 # Each radius lies inside the disc of convergence in u, which ends where
 # D(Lambda(u)) vanishes or D is singular: M1's ln(1 + y) at y = -1, that is
 # at u = -tanh(1/2), |u| = 0.46; M_{alpha,r} at y = -1/r.

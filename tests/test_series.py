@@ -319,6 +319,51 @@ class TestPowerAtExponentOne:
         ]
 
 
+class TestPowerNearExponentMinusOne:
+    """At r = -1 the power primitive drops the k-weighted sum, whose weight
+    s + t is 0; the inverse and its neighbours r = -2 and -1/2 must still
+    equal the scalar-generic recursion in every field."""
+
+    EXPONENTS = [-1, F(-1), -2, F(-1, 2)]
+
+    @staticmethod
+    def operand(r, one, head, tail):
+        """head + tail, with the head one when r is fractional."""
+        return (head if F(r).denominator == 1 else one,) + tuple(tail)
+
+    @pytest.mark.parametrize("r", EXPONENTS, ids=repr)
+    @settings(max_examples=40, deadline=None)
+    @given(head=small_rationals.filter(lambda c: c != 0), tail=tails, order=st.integers(0, ORDER))
+    def test_over_q(self, r, head, tail, order):
+        a = self.operand(r, F(1), head, tail)
+        nums, den = _power_form(_integer_form(a, order), r, order)
+        assert type(den) is int
+        assert_same(tuple(F(q, den) for q in nums), power_recursion(a, r, order))
+
+    @pytest.mark.parametrize("r", EXPONENTS, ids=repr)
+    def test_over_a_fraction_subclass(self, r):
+        class Sub(F):
+            pass
+
+        rng = random.Random(17)
+        tail = [Sub(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(12)]
+        a = self.operand(r, Sub(1), Sub(-3, 4), tail)
+        reference = power_recursion(a, r, 12)
+        for den in (F(1), F(5, 3)):
+            out, out_den = _power_form(([c * den for c in a], den), r, 12)
+            assert out_den == 1 and out == list(reference)
+        assert series_power(a, r, 12) == reference
+
+    @pytest.mark.parametrize("r", EXPONENTS, ids=repr)
+    def test_over_laurent_germs(self, r):
+        germ = lambda *coeffs: LaurentScalar.from_poly([F(c) for c in coeffs], window=8)
+        tail = [germ(0, 2), germ(F(1, 3)), germ(-1, 0, 1), germ(5, F(-1, 2))]
+        a = self.operand(r, germ(1), germ(2, 1), tail)
+        parts = lambda out: [(c.val, c.coeffs, c.floor) for c in out]
+        out, den = _power_form((list(a), F(1)), r, 6)
+        assert den == 1 and parts(out) == parts(power_recursion(a, r, 6))
+
+
 class TestIntInputStaysExact:
     """Dividing loops on int coefficients give Fractions, never floats."""
 
