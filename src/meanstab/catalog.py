@@ -42,6 +42,7 @@ from .series import (
     _power_form,
     _product_form,
     _reduced,
+    _spread,
     _values,
 )
 
@@ -203,10 +204,7 @@ def _power_mean_form(p: Fraction, order: int) -> tuple[list[int], int]:
                 terms.append((num, den))
         # Each denominator divides the next, so the last one is common.
         avg, exponent = [n * (den // d) for n, d in terms], 1 / p
-    even, den = _power_form((avg, den), exponent, half)
-    nums = [0] * (order + 1)
-    nums[::2] = even
-    return nums, den
+    return _spread(_power_form((avg, den), exponent, half), order)
 
 
 def expand_power_mean(p: Rational, order: int) -> MeanExpansion:
@@ -317,12 +315,8 @@ def expand_quotient_mean(spec: MeanSpec, order: int) -> MeanExpansion:
         base, reach = (base[::2], order // 2) if even else (base, order)
         composed = _horner_form(_integer_form(base, len(base) - 1), _log_ratio_form(reach, even), reach)
         derivative = _power_form(composed, expo, reach)
-    nums, den = _power_form(_quotient_form(derivative, reach, even), -1, reach)
-    if even:
-        spread = [0] * (order + 1)
-        spread[::2] = nums
-        nums = spread
-    return MeanExpansion(_values(nums, den))
+    form = _power_form(_quotient_form(derivative, reach, even), -1, reach)
+    return MeanExpansion(_values(*(_spread(form, order) if even else form)))
 
 
 def expand_stable(a2: Rational, order: int) -> MeanExpansion:

@@ -5,8 +5,8 @@ limits and remainder-decay checks.
 Everything here is floating point on purpose; it cross-validates the exact
 engine rather than feeding it.  Each family is evaluated by its one closed
 form, written without cancellation so that it stays accurate up to the
-diagonal.  Values derived by extrapolation are labelled as numeric evidence,
-never as exact results.
+diagonal.  Boundary limits come from closed forms only; an input without
+one raises instead of being sampled.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .catalog import (
     SAlpha,
     expand_mean,
 )
+from .polynomials import UniPoly, isolate_real_roots
 
 _EPS = 2.0 ** -52
 _SQRT2 = math.sqrt(2.0)
@@ -182,33 +183,16 @@ def compare_scan(m1: MeanSpec, m2: MeanSpec, grid: GridSpec) -> ComparisonReport
 class LimitReport:
     value: float
     uncertainty: float
-    method: str  # "closed-form" | "extrapolated"
+    method: str  # "closed-form"
 
     @property
     def is_exact(self) -> bool:
         return self.method == "closed-form"
 
 
-def _neville_to_zero(ws: list[float], vs: list[float]) -> tuple[float, float]:
-    """Polynomial extrapolation of (w, v) samples to w = 0 with an error
-    estimate from the last correction."""
-    table = vs[:]
-    best = table[-1]
-    correction = math.inf
-    n = len(ws)
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            table[i] = table[i] + (table[i] - table[i - 1]) * ws[i] / (
-                ws[i - level] - ws[i]
-            )
-        correction = abs(table[n - 1] - best)
-        best = table[n - 1]
-    return best, correction
-
-
-def _mean_boundary_closed(spec: MeanSpec) -> float | None:
+def _mean_boundary_closed(spec: MeanSpec) -> float:
     """lim_{s->0+} M(s, 1-s) in closed form: the denominators D(y) have
-    explicit limits as y -> infinity.  None when no closed form applies."""
+    explicit limits as y -> infinity."""
     if isinstance(spec, PowerMean):
         p = float(spec.p)
         return 2.0 ** (-1.0 / p) if p > 0 else 0.0
@@ -228,21 +212,26 @@ def _mean_boundary_closed(spec: MeanSpec) -> float | None:
     if isinstance(spec, MAlphaR):
         s = spec.r + spec.alpha
         return float(-s) if s < 0 else 0.0
-    return None
+    if isinstance(spec, MuGenerated):
+        # mu(y) = y * P(y**2) with P(0) = 1 has a simple root at 0, and its
+        # other real roots come in pairs +-r.  Without a positive one mu grows
+        # to +infinity; with one the mean is undefined where mu vanishes.
+        c = spec.odd_coeffs
+        mu = UniPoly(tuple(c[n // 2] if n % 2 else 0 for n in range(2 * len(c))))
+        if len(isolate_real_roots(mu)) > 1:
+            raise ValueError("limit not resolved: mu has a positive root, where the mean is undefined")
+        return 0.0
+    raise TypeError(f"no boundary limit for {spec!r}")
 
 
-def _resultant_boundary_closed(
-    outer: MeanSpec, middle: MeanSpec, inner: MeanSpec
-) -> float | None:
+def _resultant_boundary_closed(outer: MeanSpec, middle: MeanSpec, inner: MeanSpec) -> float:
     """lim_{s->0+} R(B_p, M, B_q)(s, 1-s) via continuity of the composition:
     the inner mean tends to nu = B_q(0, 1), the two middle values to
     nu*lim M(s,1) and M(nu, 1), and B_p extends continuously to the
     boundary, where B_p(0, w) = w * B_p(0, 1)."""
     if not isinstance(outer, PowerMean) or not isinstance(inner, PowerMean):
-        return None
+        raise ValueError("limit not resolved: the outer and inner means must be power means")
     mean_limit = _mean_boundary_closed(middle)
-    if mean_limit is None:
-        return None
     nu = _mean_boundary_closed(inner)
     if nu > 0.0:
         w1 = nu * mean_limit
@@ -257,45 +246,20 @@ def _resultant_boundary_closed(
 def boundary_limit(
     expr: MeanSpec | tuple[MeanSpec, MeanSpec, MeanSpec],
 ) -> LimitReport:
-    """lim_{s->0+} of M(s, 1-s), or of R(K, M, N)(s, 1-s) for a triple.
+    """lim_{s->0+} of M(s, 1-s), or of R(K, M, N)(s, 1-s) for a triple, in
+    closed form.
 
-    Catalog means and power-mean resultant sandwiches have closed-form
-    limits (several families approach them only logarithmically, far too
-    slowly for sampling).  Everything else is sampled at s = 1e-3..1e-8 and
-    extrapolated polynomially in 1/log10(1/s); those values are evidence,
-    not proofs, and carry an uncertainty estimate.
+    Every catalog mean has one, a mu-generated mean when mu has no positive
+    root, and so has every power-mean sandwich R(B_p, M, B_q) of such a mean.
+    Several families approach their limit only logarithmically, far too
+    slowly for sampling.  Any other input raises ``ValueError("limit not
+    resolved: ...")``.
     """
     if isinstance(expr, tuple):
-        outer, middle, inner = expr
-        closed = _resultant_boundary_closed(outer, middle, inner)
-        if closed is not None:
-            return LimitReport(closed, 0.0, "closed-form")
-
-        def sample(s: float) -> float:
-            return eval_resultant(outer, middle, inner, s, 1.0 - s)
-
+        value = _resultant_boundary_closed(*expr)
     else:
-        closed = _mean_boundary_closed(expr)
-        if closed is not None:
-            return LimitReport(closed, 0.0, "closed-form")
-
-        def sample(s: float) -> float:
-            return eval_mean(expr, s, 1.0 - s)
-
-    ks = list(range(3, 9))
-    ws = [1.0 / k for k in ks]
-    vs = [sample(10.0**-k) for k in ks]
-    value, uncertainty = _neville_to_zero(ws, vs)
-    spread = max(vs) - min(vs)
-    # Sequences approaching their limit only logarithmically keep drifting
-    # through the sample range; a still-moving extrapolant is not evidence.
-    if not math.isfinite(value) or (
-        uncertainty > max(2e-4, 2e-3 * abs(value)) and spread > 1e-9
-    ):
-        raise ValueError("limit not resolved")
-    if abs(value) < 5e-4 and spread < 0.2:
-        value = max(value, 0.0)
-    return LimitReport(value, uncertainty, "extrapolated")
+        value = _mean_boundary_closed(expr)
+    return LimitReport(value, 0.0, "closed-form")
 
 
 # ---------------------------------------------------------------------------

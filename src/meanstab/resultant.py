@@ -84,7 +84,7 @@ from typing import Sequence
 
 from .catalog import MeanExpansion, PowerMean, expand_power_mean
 from .rationals import Rational
-from .series import _forms, _horner_form, _power_form, _product_form, _reduced, _values
+from .series import _forms, _horner_form, _power_form, _product_form, _reduced, _spread, _values
 
 
 def _common(a: tuple, b: tuple) -> tuple:
@@ -112,14 +112,6 @@ def _composition_sums(weights: tuple, g: tuple, h: tuple, order: int) -> tuple:
     if _odd_part_vanishes(nums, order):
         weights, ratio = (nums[::2], w_den), _product_form(ratio, ratio, order)
     return _product_form(h, _horner_form(weights, ratio, order), order)
-
-
-def _spread(form: tuple, order: int) -> tuple:
-    """The form in w = u**2 as a form in u, on the even indices."""
-    nums, den = form
-    out = [nums[0] * 0] * (order + 1)
-    out[::2] = nums
-    return out, den
 
 
 def _reflected(form: tuple) -> tuple:

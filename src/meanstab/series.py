@@ -66,21 +66,6 @@ _FRACTION_ZERO = Fraction(0)
 _FRACTION_ONE = Fraction(1)
 
 
-def _zero_of(a: Coeffs):
-    """The zero of a's scalar: one shared Fraction(0) for an exact Fraction
-    head, else head * 0, so that any other scalar sees the product."""
-    if not len(a) or type(a[0]) is Fraction:
-        return _FRACTION_ZERO
-    return a[0] * 0
-
-
-def _field_zero(a: Coeffs):
-    """The zero of a loop that divides: for int coefficients a Fraction, so
-    that dividing by an int stays exact."""
-    zero = _zero_of(a)
-    return _FRACTION_ZERO if type(zero) is int else zero
-
-
 def _fit(a: Coeffs, order: int, zero) -> list:
     out = list(a[: order + 1])
     out.extend([zero] * (order + 1 - len(out)))
@@ -128,6 +113,15 @@ def _reduced(nums: list, den) -> tuple[list, int | Fraction]:
     if g == 1:
         return nums, den
     return [q // g for q in nums], den // g
+
+
+def _spread(form: tuple, order: int) -> tuple:
+    """The form in w = u**2 as a form in u, on the even indices; the odd ones
+    hold the zero of the scalar, so that a form of germs stays in its field."""
+    nums, den = form
+    out = [nums[0] * 0] * (order + 1)
+    out[::2] = nums
+    return out, den
 
 
 def _values(nums: list, den) -> tuple:
@@ -263,8 +257,10 @@ def _horner_form(outer: tuple, inner: tuple, order: int) -> tuple[list, int | Fr
 
 
 def integrate_formal(a: Coeffs, order: int) -> tuple:
-    """Term-by-term antiderivative with zero constant term."""
-    zero = _field_zero(a)
+    """Term-by-term antiderivative with zero constant term.  The zero is a
+    Fraction for rational coefficients, so that dividing an int stays exact,
+    and a[0] * 0 for any other scalar, so that it sees the product."""
+    zero = _FRACTION_ZERO if not len(a) or type(a[0]) in _RATIONAL_TYPES else a[0] * 0
     fa = _fit(a, order, zero)
     return tuple(
         [zero]

@@ -244,14 +244,11 @@ class StabilizabilityVerdict:
 
 def _boundary_evidence(spec: MeanSpec, p: float, q: float) -> BoundaryEvidence:
     try:
-        m_rep = boundary_limit(spec)
-        r_rep = boundary_limit((PowerMean(Fraction(p).limit_denominator(10**12)),
-                                spec,
-                                PowerMean(Fraction(q).limit_denominator(10**12))))
+        m_limit = boundary_limit(spec).value
+        r_limit = boundary_limit((PowerMean(p), spec, PowerMean(q))).value
     except ValueError:
         return BoundaryEvidence(None, None, "unavailable")
-    label = "closed-form" if (m_rep.is_exact and r_rep.is_exact) else "numeric-extrapolation"
-    return BoundaryEvidence(m_rep.value, r_rep.value, label)
+    return BoundaryEvidence(m_limit, r_limit, "closed-form")
 
 
 #: (p, q) probes for the parameter-free paths, including extreme corners:

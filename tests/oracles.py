@@ -24,6 +24,10 @@ Each one is an independent derivation of the same coefficients:
   that shares no code with production (mpmath is a test-only dependency);
   ``mpmath_resultant`` composes the same closed forms into
   R(K, M, N)(1 - u, 1 + u) at a complex u;
+* ``boundary_by_extrapolation``: the boundary limit at (s, 1-s), s -> 0,
+  sampled at s = 1e-3..1e-8 and extrapolated by Neville's scheme in
+  1/log10(1/s), where ``numeric.py`` takes every limit from a closed form
+  and refuses inputs that have none;
 * ``difference_form_by_horner``: one solver sample with B_p expanded and
   run through Horner's outer step, where the solver applies B_p in closed
   form;
@@ -102,8 +106,8 @@ Each one is an independent derivation of the same coefficients:
   and checked at two more, where the solver mirrors 13 equally spaced alpha
   samples and reads Newton's forward form in j = 12*alpha.
 
-Except for the mpmath ones they are exact, and all are slow; only tests
-use them.
+Except for the mpmath ones and the extrapolation they are exact, and all
+are slow; only tests use them.
 """
 
 from __future__ import annotations
@@ -142,6 +146,7 @@ from meanstab.polynomials import (
     sign_variations,
     squarefree_part,
 )
+from meanstab.numeric import LimitReport, eval_mean, eval_resultant
 from meanstab.rationals import ONE, ZERO, Rational
 from meanstab import resultant
 from meanstab.resultant import resultant_coeffs
@@ -478,6 +483,49 @@ def mpmath_resultant(outer: MeanSpec, middle: MeanSpec, inner: MeanSpec, u):
     1 + u), at mpmath's working precision for a complex u."""
     n = _mpmath_mean_at(inner, 1 - u, 1 + u)
     return _mpmath_mean_at(outer, _mpmath_mean_at(middle, 1 - u, n), _mpmath_mean_at(middle, n, 1 + u))
+
+
+def _neville_to_zero(ws: list[float], vs: list[float]) -> tuple[float, float]:
+    """Polynomial extrapolation of (w, v) samples to w = 0 with an error
+    estimate from the last correction."""
+    table = vs[:]
+    best = table[-1]
+    correction = math.inf
+    n = len(ws)
+    for level in range(1, n):
+        for i in range(n - 1, level - 1, -1):
+            table[i] = table[i] + (table[i] - table[i - 1]) * ws[i] / (ws[i - level] - ws[i])
+        correction = abs(table[n - 1] - best)
+        best = table[n - 1]
+    return best, correction
+
+
+def boundary_by_extrapolation(expr: MeanSpec | tuple[MeanSpec, MeanSpec, MeanSpec]) -> LimitReport:
+    """lim_{s->0+} of M(s, 1-s), or of R(K, M, N)(s, 1-s) for a triple,
+    sampled at s = 1e-3..1e-8 and extrapolated polynomially in
+    1/log10(1/s), with an uncertainty estimate; where ``numeric.py`` takes
+    each limit from its closed form.  A sequence still drifting through the
+    samples, as logarithmically slow ones do, raises "not resolved"."""
+    if isinstance(expr, tuple):
+
+        def sample(s: float) -> float:
+            return eval_resultant(*expr, s, 1.0 - s)
+
+    else:
+
+        def sample(s: float) -> float:
+            return eval_mean(expr, s, 1.0 - s)
+
+    ks = list(range(3, 9))
+    ws = [1.0 / k for k in ks]
+    vs = [sample(10.0**-k) for k in ks]
+    value, uncertainty = _neville_to_zero(ws, vs)
+    spread = max(vs) - min(vs)
+    if not math.isfinite(value) or (uncertainty > max(2e-4, 2e-3 * abs(value)) and spread > 1e-9):
+        raise ValueError("limit not resolved")
+    if abs(value) < 5e-4 and spread < 0.2:
+        value = max(value, 0.0)
+    return LimitReport(value, uncertainty, "extrapolated")
 
 
 def difference_form_by_horner(m_form: tuple, p: Fraction, q: Fraction, order: int) -> tuple:

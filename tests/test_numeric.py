@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import oracles
 from meanstab.catalog import (
     ALIASES,
     LAlpha,
@@ -19,12 +20,20 @@ from meanstab.catalog import (
 )
 from meanstab.numeric import (
     GridSpec,
+    LimitReport,
     boundary_limit,
     compare_scan,
     eval_f,
     eval_mean,
     eval_resultant,
     verify_expansion_decay,
+)
+from meanstab.polynomials import (
+    IntervalRoot,
+    QuadraticSurdRoot,
+    RationalRoot,
+    UniPoly,
+    isolate_real_roots,
 )
 
 _EPS = 2.0**-52
@@ -340,12 +349,63 @@ class TestBoundaryLimit:
     def test_seiffert_limit(self):
         assert boundary_limit(SAlpha(F(1))).value == pytest.approx(2 / math.pi, rel=1e-12)
 
-    def test_extrapolated_label_for_unlisted_means(self):
-        from meanstab.catalog import MuGenerated
+    def test_mu_without_positive_root_is_closed_form_zero(self):
+        # mu = y + y**3/6 grows without bound, so the limit is exactly 0; the
+        # extrapolation oracle lands within 1e-3 of it.
+        spec = MuGenerated((F(1), F(1, 6)))
+        report = boundary_limit(spec)
+        assert report.method == "closed-form" and report.value == 0.0
+        assert oracles.boundary_by_extrapolation(spec).value == pytest.approx(0.0, abs=1e-3)
 
-        report = boundary_limit(MuGenerated((F(1), F(1, 6))))
-        assert report.method == "extrapolated"
-        assert report.value == pytest.approx(0.0, abs=1e-3)
+    @pytest.mark.parametrize("p, q", [(1, 1), (2, F(1, 2)), (F(1, 2), 2), (-1, 3), (6, -2), (0, 0)])
+    def test_mu_of_y_is_the_logarithmic_mean(self, p, q):
+        # mu = y generates L = S_0, so every limit agrees to the last bit.
+        mu, log_mean = MuGenerated((F(1),)), SAlpha(F(0))
+        assert boundary_limit(mu) == boundary_limit(log_mean)
+        assert boundary_limit((PowerMean(p), mu, PowerMean(q))) == boundary_limit(
+            (PowerMean(p), log_mean, PowerMean(q))
+        )
+
+    @pytest.mark.parametrize(
+        "odd, kind",
+        [
+            ((1, -1), RationalRoot),
+            ((1, -3, 1), QuadraticSurdRoot),
+            ((1, -2, 1), RationalRoot),  # mu = y * (1 - y**2)**2, a double root
+            ((1, 0, 0, -2), IntervalRoot),
+        ],
+        ids=["rational", "surd", "double", "interval"],
+    )
+    def test_mu_with_positive_root_is_not_resolved(self, odd, kind):
+        mu = UniPoly.from_coeffs(odd[n // 2] if n % 2 else 0 for n in range(2 * len(odd)))
+        assert any(isinstance(r, kind) and r.approx() > 0 for r in isolate_real_roots(mu))
+        spec = MuGenerated(odd)
+        with pytest.raises(ValueError, match="not resolved"):
+            boundary_limit(spec)
+        with pytest.raises(ValueError, match="not resolved"):
+            boundary_limit((PowerMean(F(1)), spec, PowerMean(F(1))))
+
+    def test_mu_with_complex_roots_only_is_closed_form_zero(self):
+        # 1 - y**2 + y**4 has no real root
+        report = boundary_limit(MuGenerated((F(1), F(-1), F(1))))
+        assert report == LimitReport(0.0, 0.0, "closed-form")
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            PowerMean(F(2)),
+            SAlpha(F(1)),
+            M2,
+            MAlphaR(F(-1, 2), F(1, 4)),
+            (PowerMean(F(1)), M2, PowerMean(F(1))),
+            (PowerMean(F(2)), SAlpha(F(1)), PowerMean(F(3))),
+        ],
+        ids=["B2", "T", "M2", "M_-1/2,1/4", "R(B1,M2,B1)", "R(B2,T,B3)"],
+    )
+    def test_extrapolation_oracle_agrees(self, expr):
+        closed = boundary_limit(expr)
+        assert closed.is_exact
+        assert oracles.boundary_by_extrapolation(expr).value == pytest.approx(closed.value, abs=1e-3)
 
     def test_logarithmically_slow_sequence_not_resolved(self):
         # R(M1, M1, M1)(s, 1-s) drifts like 1/log(log(1/s)); honest refusal

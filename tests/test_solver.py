@@ -651,6 +651,18 @@ class TestBoundaryWithoutSpec:
         assert verdict.boundary.label != "unavailable"
 
 
+class TestMuBoundaryEvidence:
+    """A mu-generated mean carries closed-form boundary evidence when mu has
+    no positive root, and "unavailable" when it has one."""
+
+    @pytest.mark.parametrize("odd, label", [((1, -1), "unavailable"), ((1, F(1, 6)), "closed-form")])
+    def test_evidence_label(self, odd, label):
+        spec = MuGenerated(odd)
+        verdict = optimal_parameters(expand_mean(spec, 12), 12, spec=spec)
+        assert verdict.relation == "candidate-sub"
+        assert verdict.boundary.label == label
+
+
 class TestSignCoherence:
     def test_asymptotic_sign_matches_numeric_difference(self):
         rng = random.Random(71)
