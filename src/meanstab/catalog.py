@@ -32,9 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Union
 
+from .polynomials import UniPoly, isolate_real_roots
 from .rationals import ONE, ZERO, Rational
 from .series import (
     _horner_form,
@@ -118,6 +120,15 @@ class MuGenerated:
         if not coeffs or coeffs[0] != 1:
             raise ValueError("mu-generated mean requires leading coefficient 1")
         object.__setattr__(self, "odd_coeffs", coeffs)
+
+    @cached_property
+    def has_positive_root(self) -> bool:
+        """Whether mu vanishes at some y > 0, where the mean is undefined.
+        mu(y) = y * P(y**2), P(0) = 1, has a simple root at 0 and its other
+        real roots in pairs +-r; isolated once per spec."""
+        c = self.odd_coeffs
+        mu = UniPoly(tuple(c[n // 2] if n % 2 else 0 for n in range(2 * len(c))))
+        return len(isolate_real_roots(mu)) > 1
 
 
 MeanSpec = Union[PowerMean, LAlpha, SAlpha, ClassicMean, MAlphaR, MuGenerated]

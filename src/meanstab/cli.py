@@ -226,6 +226,8 @@ def _cmd_expand(args: argparse.Namespace) -> dict:
 
 def _cmd_resultant(args: argparse.Namespace) -> dict:
     middle = _build_spec(args)
+    if (args.outer, args.inner) != (None, None) and (args.p, args.q) != (None, None):
+        raise UsageError("give either --outer/--inner names or --p/--q powers, not both")
     if args.outer is not None:
         outer = parse_mean_spec(args.outer)
         inner = parse_mean_spec(args.inner) if args.inner else outer
@@ -421,11 +423,10 @@ def _add_common_arguments(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_mean_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--mean", required=True, help="mean name (A,G,H,L,P,T,HZ1/4,M1..M5,powermean,Lalpha,Salpha,Malphar,stable)")
+    sub.add_argument("--mean", required=True, help="mean name (A,G,H,L,P,T,HZ1/4,M1..M5,powermean,Lalpha,Salpha,Malphar)")
     sub.add_argument("--alpha", help="exact fraction for Lalpha/Salpha/Malphar")
     sub.add_argument("--r", help="exact fraction for Malphar")
     sub.add_argument("--power", "--p-value", dest="power", help="exact fraction p for powermean")
-    sub.add_argument("--a2", help="t^2 coefficient for the stable series")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -440,6 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("expand", help="exact expansion coefficients")
     _add_common_arguments(sub)
     _add_mean_arguments(sub)
+    sub.add_argument("--a2", help="with --mean stable: the t^2 coefficient of the stable series")
     sub.add_argument("--order", type=_integer("an order", 0, MAX_ORDER), default=8)
     sub.set_defaults(handler=_cmd_expand)
 

@@ -24,7 +24,6 @@ from .catalog import (
     SAlpha,
     expand_mean,
 )
-from .polynomials import UniPoly, isolate_real_roots
 
 _EPS = 2.0 ** -52
 _SQRT2 = math.sqrt(2.0)
@@ -66,6 +65,8 @@ def _denominator_closed(spec: MeanSpec, y: float) -> float:
         s = (r + alpha) / r
         return math.expm1(s * math.log1p(r * y)) / (r + alpha)
     if isinstance(spec, MuGenerated):
+        if spec.has_positive_root:
+            raise ValueError("mu has a positive root, where the mean is undefined")
         # mu(y) = y * sum c_n (y**2)**n, by Horner's rule in y**2
         acc, w = 0.0, y * y
         for c in reversed(spec.odd_coeffs):
@@ -213,14 +214,9 @@ def _mean_boundary_closed(spec: MeanSpec) -> float:
         s = spec.r + spec.alpha
         return float(-s) if s < 0 else 0.0
     if isinstance(spec, MuGenerated):
-        # mu(y) = y * P(y**2) with P(0) = 1 has a simple root at 0, and its
-        # other real roots come in pairs +-r.  Without a positive one mu grows
-        # to +infinity; with one the mean is undefined where mu vanishes.
-        c = spec.odd_coeffs
-        mu = UniPoly(tuple(c[n // 2] if n % 2 else 0 for n in range(2 * len(c))))
-        if len(isolate_real_roots(mu)) > 1:
+        if spec.has_positive_root:
             raise ValueError("limit not resolved: mu has a positive root, where the mean is undefined")
-        return 0.0
+        return 0.0  # mu grows to +infinity
     raise TypeError(f"no boundary limit for {spec!r}")
 
 

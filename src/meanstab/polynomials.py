@@ -54,10 +54,6 @@ class UniPoly:
     def zero(cls) -> "UniPoly":
         return cls(())
 
-    @classmethod
-    def constant(cls, c: Rational | int) -> "UniPoly":
-        return cls((Fraction(c),))
-
     @property
     def degree(self) -> int:
         """Degree; the zero polynomial has degree -1."""
@@ -140,11 +136,7 @@ class UniPoly:
 
     def compose_linear(self, slope: Rational, intercept: Rational) -> "UniPoly":
         """Return p(slope*x + intercept)."""
-        lin = UniPoly((Fraction(intercept), Fraction(slope)))
-        acc = UniPoly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * lin + UniPoly.constant(c)
-        return acc
+        return UniPoly(tuple(_affine_substitution(self.coeffs, slope, intercept)))
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -363,6 +355,12 @@ def _taylor_shift(coeffs: Sequence[Rational], c: Rational) -> list[Rational]:
     return out
 
 
+def _affine_substitution(coeffs: Sequence[Rational], slope: Rational, intercept: Rational) -> list[Rational]:
+    """Coefficients of p(slope*x + intercept) from those of p: a Taylor shift
+    by the intercept, then the coefficient of x**i times slope**i."""
+    return [c * slope**i for i, c in enumerate(_taylor_shift(coeffs, intercept))]
+
+
 def _descartes_count(p: UniPoly, a: Rational, b: Rational) -> int:
     """Sign-variation bound for the number of roots of p in the open (a, b).
 
@@ -370,8 +368,7 @@ def _descartes_count(p: UniPoly, a: Rational, b: Rational) -> int:
     and (1 + y)**n * p(x) is q(s) = p(a + (b - a)*s) reversed and shifted by
     1; Descartes' rule applies to its coefficients.
     """
-    span = b - a
-    q = [c * span**i for i, c in enumerate(_taylor_shift(p.coeffs, a))]
+    q = _affine_substitution(p.coeffs, b - a, a)
     return sign_variations(_taylor_shift(q[::-1], ONE))
 
 
@@ -555,9 +552,6 @@ class SignedInterval:
     @property
     def sign(self) -> int:
         return 1 if self.low > 0 else -1
-
-    def approx(self) -> float:
-        return float(self.low + self.high) / 2
 
 
 def _interval_eval(p: UniPoly, lo: Rational, hi: Rational) -> tuple[Rational, Rational]:

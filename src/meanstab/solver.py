@@ -22,19 +22,18 @@ vanish for j = k .. n-1, which holds exactly when the polynomial through
 k + 1 of the samples has degree <= k - 1 and passes through the other
 K + 1 - k; the polynomial is then Newton's forward form of
 Delta^0 .. Delta^(k-1), built on integers with one division per coefficient.
-The search samples a new band only when it asks for a k past the last reach,
-at twice that reach (at least k), or at the search order once doubling again
-would pass it: bands at 3, 6 and max_order for max orders 12 to 23 when
-the mean is mixed.  For an even mean every odd coefficient of the
-difference vanishes (the resultant of even means is even), so the search
-asks only for even k and starts at a band of reach 6: bands at 6 and
-max_order for max orders 12 to 23.  A rational root of the pivot (the first
-nonzero coefficient polynomial) opens no band: once its search passes the
-last reach, one difference expansion at the root, truncated at max_order,
-gives the first surviving coefficient, since the bands already showed that
-every coefficient below it vanishes there.  Surd and interval roots, and
-means whose difference vanishes on the whole locus, take bands up to
-max_order.
+The search opens a band of reach 6 (max_order, if smaller) for every mean,
+and one at max_order only when it asks for a k past 6; nothing between, as
+every surd candidate of the benchmark's solve pools settles at t^6 and a
+search past it is one whose difference vanishes on the whole locus (G,
+L_{+-1/2}), which needs max_order anyway.  The trade-off: a non-rational
+candidate surviving past t^6 would pay for a whole max_order band; no known
+input does.  An even mean's difference has no odd coefficient (the
+resultant of even means is even), so its search asks only for even k.  A
+rational root of the pivot (the first nonzero coefficient polynomial) opens
+no band: past the last reach, one difference expansion at the root,
+truncated at max_order, gives the first surviving coefficient, since the
+bands showed that every coefficient below it vanishes there.
 
 The verdict distinguishes a candidate direction of the inequality (the sign
 of the first surviving coefficient, which is only the asymptotic, near-
@@ -66,6 +65,8 @@ from .polynomials import (
     Root,
     SignedInterval,
     UniPoly,
+    _is_square,
+    _sqrt_exact,
     affine_image,
     eval_at_root,
     forward_differences,
@@ -298,11 +299,11 @@ def optimal_parameters(
     coefficients as possible, then certify the first survivor.
 
     Each root of the pivot is followed through the coefficient polynomials
-    of the sampled bands; for an even mean only the even ones, in bands of
-    reach 6, 12, ... and max_order.  A rational root that gets past the
-    last band is read from one difference expansion at the root, truncated
-    at max_order: its first nonzero coefficient is the survivor, and a
-    nonzero coefficient below the bands' reach raises ArithmeticError.
+    of the sampled bands (for an even mean only the even ones), of reach 6
+    and, past it, max_order.  A rational root that gets past the last band
+    is read from one difference expansion at the root, truncated at
+    max_order: its first nonzero coefficient is the survivor, and a nonzero
+    coefficient below the bands' reach raises ArithmeticError.
     Surd parameters are evaluated exactly through reduction modulo their
     minimal polynomial; a leading coefficient that is rational comes back
     exact, otherwise as a sign-certified enclosure.  Boundary limits (when a
@@ -334,13 +335,9 @@ def optimal_parameters(
     step = 2 if mean.is_even else 1
 
     def poly_at(k: int) -> UniPoly:
-        # A miss samples a band twice the last one's reach (at least k),
-        # widened to max_order once doubling again would pass it.  An even
-        # mean starts as if past a band at 3, whose only column is odd.
+        # Reach 6, where every known candidate settles, then the search order.
         if k not in polys:
-            reach = max(k, 2 * max(polys, default=3 if step == 2 else 0))
-            if 2 * reach > max_order:
-                reach = max_order
+            reach = max_order if polys else min(max(k, 6), max_order)
             polys.update(coefficient_polynomials(mean, locus, k, reach))
         return polys[k]
 
@@ -498,9 +495,11 @@ def stability_parameter_scan(family: str, order: int = 16) -> list[Root]:
     """All parameters alpha in [-1, 1] for which the family is stable.
 
     The t^4 stability defect is read as an exact polynomial in alpha^2 from
-    equally spaced samples of alpha and its roots isolated; candidates must
-    survive the t^6 defect and a full coefficient comparison to the given
-    order (at least 4).
+    equally spaced samples of alpha and its roots isolated.  Only rational
+    alpha are reported: a root in [0, 1] that is a rational square must pass
+    a full coefficient comparison to the given order (at least 4), and any
+    other root there raises ArithmeticError ("unresolved"); L's roots are
+    -1/20, 1/4 and 1, S's only root is about 1.37.
     Families: "L" (generated by cosh) and "S" (generated by 1/cosh).
     """
     if order < 4:
@@ -515,28 +514,21 @@ def stability_parameter_scan(family: str, order: int = 16) -> list[Root]:
     results: list[Root] = []
     for root in isolate_real_roots(defect4):
         if isinstance(root, RationalRoot):
-            beta = root.value
-            if beta < 0 or beta > 1:
-                continue
-            num, den = beta.numerator, beta.denominator
-            ni, di = math.isqrt(num), math.isqrt(den)
-            if ni * ni != num or di * di != den:
-                continue  # irrational alpha cannot match a rational-coefficient family
-            alpha = Fraction(ni, di)
-            if is_stable(make_spec(alpha), order).is_stable:
-                if alpha != 0:
-                    results.append(RationalRoot(-alpha))
-                results.append(RationalRoot(alpha))
+            lo = hi = root.value
+        elif isinstance(root, QuadraticSurdRoot):
+            lo, hi = root.bounds()
         else:
-            lo, hi = (root.bounds() if isinstance(root, QuadraticSurdRoot)
-                      else (root.low, root.high))
-            if hi < 0 or lo > 1:
-                continue
-            defect6 = _defect_polynomial_in_beta(make_spec, 6)
-            value = eval_at_root(defect6, root)
-            if isinstance(value, Fraction) and value == 0:
-                raise ArithmeticError(
-                    "irrational stability candidate survives t^6; unresolved"
-                )
+            lo, hi = root.low, root.high
+        if hi < 0 or lo > 1:
+            continue
+        if not (isinstance(root, RationalRoot) and _is_square(root.value)):
+            raise ArithmeticError(
+                "stability candidate alpha^2 in [0, 1] with alpha not rational; unresolved"
+            )
+        alpha = _sqrt_exact(root.value)
+        if is_stable(make_spec(alpha), order).is_stable:
+            if alpha != 0:
+                results.append(RationalRoot(-alpha))
+            results.append(RationalRoot(alpha))
     results.sort(key=lambda r: r.approx())
     return results

@@ -89,6 +89,10 @@ Each one is an independent derivation of the same coefficients:
 * ``descartes_count_by_products``: the Descartes count of an interval from
   UniPoly products of the Moebius numerator and denominator powers, where
   ``polynomials.py`` takes two Taylor shifts;
+* ``compose_linear_by_horner``: p(slope*x + intercept) by Horner's rule over
+  UniPoly products, where ``polynomials.py`` takes a Taylor shift by the
+  intercept and scales by powers of the slope, the substitution its
+  Descartes count also makes;
 * ``sqrt_bounds_by_bisection``: the surd enclosure by bisection, where
   ``polynomials.py`` reads the same bounds from one integer square root;
 * ``rational_roots_by_fraction_evaluation``: the same candidate test by
@@ -835,7 +839,7 @@ def lagrange_interpolate(
             coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - level])
     poly = UniPoly.zero()
     for i in range(n - 1, -1, -1):
-        poly = poly * UniPoly((-xs[i], ONE)) + UniPoly.constant(coef[i])
+        poly = poly * UniPoly((-xs[i], ONE)) + UniPoly((coef[i],))
     return poly
 
 
@@ -1044,8 +1048,8 @@ def descartes_count_by_products(p: UniPoly, a: Rational, b: Rational) -> int:
     lin_num = UniPoly((a, b))  # a + b*y
     lin_den = UniPoly((ONE, ONE))  # 1 + y
     acc = UniPoly.zero()
-    num_pow = UniPoly.constant(1)
-    den_pows = [UniPoly.constant(1)]
+    num_pow = UniPoly((ONE,))
+    den_pows = [UniPoly((ONE,))]
     for _ in range(n):
         den_pows.append(den_pows[-1] * lin_den)
     for i, c in enumerate(p.coeffs):
@@ -1054,6 +1058,16 @@ def descartes_count_by_products(p: UniPoly, a: Rational, b: Rational) -> int:
         if i < n:
             num_pow = num_pow * lin_num
     return sign_variations(acc.coeffs)
+
+
+def compose_linear_by_horner(p: UniPoly, slope: Rational, intercept: Rational) -> UniPoly:
+    """p(slope*x + intercept) by Horner's rule, one UniPoly product per
+    coefficient."""
+    lin = UniPoly((Fraction(intercept), Fraction(slope)))
+    acc = UniPoly.zero()
+    for c in reversed(p.coeffs):
+        acc = acc * lin + UniPoly((c,))
+    return acc
 
 
 def sqrt_bounds_by_bisection(n: Rational, width: Fraction) -> tuple[Rational, Rational]:

@@ -315,6 +315,39 @@ class TestErrorHandling:
         assert out == ""
         assert "not both" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "--mean", "A", "--a2", "1/3", "--max-order", "6"),
+            ("stable", "--mean", "A", "--a2", "1/3"),
+            ("resultant", "--mean", "A", "--p", "1", "--q", "0", "--a2", "1/3"),
+            ("limit", "--mean", "A", "--a2", "5"),
+            ("verify", "--mean", "A", "--a2", "1/3"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a2_is_an_option_of_expand_only(self, capsys, argv):
+        # only the stable series reads --a2; elsewhere it would be dropped
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "--a2" in err
+
+    @pytest.mark.parametrize(
+        "forms",
+        [
+            ("--outer", "A", "--p", "2", "--q", "3"),
+            ("--p", "2", "--q", "3", "--inner", "M1"),
+            ("--outer", "A", "--inner", "M1", "--q", "3"),
+        ],
+        ids=["outer-and-powers", "powers-and-inner", "names-and-q"],
+    )
+    def test_resultant_given_names_and_powers_is_usage_error(self, capsys, forms):
+        code, out, err = run_cli(capsys, "resultant", "--mean", "L", *forms, "--order", "4")
+        assert code == 2
+        assert out == ""
+        assert "not both" in err
+
     @pytest.mark.parametrize("family", ["X", "XAlpha", "", "alpha", "Lunch", "salad", "Lalphas"])
     def test_unknown_family_is_usage_error(self, capsys, family):
         code, out, err = run_cli(capsys, "scan", "--family", family, "--order", "8")

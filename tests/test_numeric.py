@@ -131,6 +131,21 @@ class TestMuGenerated:
         expected = 2 * math.sinh(x) / float(_sinh6(2 * x))
         assert eval_f(SINH6, x) == pytest.approx(expected, rel=1e-13)
 
+    @pytest.mark.parametrize("odd", [(1, -1), (1, -3, 1), (1, 0, 0, -2)])
+    def test_mu_with_positive_root_has_no_value(self, odd):
+        # mu = y - y**3 vanishes at y = 1, where the mean is undefined; a
+        # quotient clamped into [a, b] would read 2.0 at (1, 2) and 1.0 at
+        # (1, e**2), and divide by zero at (1, e).
+        spec = MuGenerated(odd)
+        for a, b in ((1.0, 2.0), (1.0, math.e), (1.0, math.e**2), (1.0, 1.0 + 1e-9)):
+            with pytest.raises(ValueError, match="positive root"):
+                eval_mean(spec, a, b)
+        for x in (0.5, 1e-9):
+            with pytest.raises(ValueError, match="positive root"):
+                eval_f(spec, x)
+        with pytest.raises(ValueError, match="positive root"):
+            compare_scan(spec, PowerMean(F(1)), GridSpec(0.1, 1.0, 5))
+
 
 class TestNearDiagonalAccuracy:
     """Each family's one closed form against mpmath at 50 digits, at

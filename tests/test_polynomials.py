@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    compose_linear_by_horner,
     descartes_count_by_products,
     extract_square_every_divisor,
     extract_square_odd_divisors,
@@ -479,8 +480,9 @@ class TestRootSearchAgainstOracles:
 
 
 class TestShortcutsAgainstParentRoutes:
-    """The Taylor-shift Descartes count and the one-isqrt surd bounds give
-    what the product-sum count and the bisection gave."""
+    """The Taylor-shift Descartes count and substitution and the one-isqrt
+    surd bounds give what the product-sum count, Horner's rule and the
+    bisection gave."""
 
     def test_descartes_count_on_random_intervals(self):
         rng = random.Random(41)
@@ -491,6 +493,23 @@ class TestShortcutsAgainstParentRoutes:
             a = F(rng.randint(-400, 400), rng.randint(1, 40))
             b = a + F(rng.randint(1, 400), rng.randint(1, 40))
             assert _descartes_count(p, a, b) == descartes_count_by_products(p, a, b), (p, a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        coeffs=st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=12),
+                        min_size=0, max_size=9),
+        slope=st.one_of(
+            st.sampled_from([F(0), F(1), F(-1), F(2), F(-3), F(1, 2), F(-2, 7)]),
+            st.integers(-9, 9).map(F),
+            st.fractions(min_value=-20, max_value=20, max_denominator=30),
+        ),
+        intercept=st.fractions(min_value=-20, max_value=20, max_denominator=30),
+    )
+    def test_compose_linear_matches_horner(self, coeffs, slope, intercept):
+        # degrees 0..8 (and the zero polynomial); slopes integer,
+        # fractional, negative and 0
+        p = UniPoly(tuple(coeffs))
+        assert p.compose_linear(slope, intercept) == compose_linear_by_horner(p, slope, intercept)
 
     def test_isolation_matches_product_count(self, monkeypatch):
         import meanstab.polynomials as polynomials

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from meanstab import catalog, solver
+from meanstab import catalog, numeric, polynomials, solver
 from meanstab.catalog import (
     ALIASES,
     LAlpha,
@@ -25,7 +25,13 @@ from meanstab.catalog import (
     expand_stable,
 )
 from meanstab.numeric import eval_mean, eval_resultant
-from meanstab.polynomials import QuadraticSurdRoot, RationalRoot, UniPoly
+from meanstab.polynomials import (
+    IntervalRoot,
+    QuadraticSurdRoot,
+    RationalRoot,
+    UniPoly,
+    isolate_real_roots,
+)
 from meanstab.resultant import resultant_coeffs
 from meanstab.solver import (
     coefficient_polynomials,
@@ -343,20 +349,35 @@ class TestOrderBands:
             assert asked[0] == 4
 
     @pytest.mark.parametrize("odd", [3, 5])
-    def test_mixed_mean_without_t_term_keeps_the_reach_three_band(self, monkeypatch, odd):
-        # M2 with a_odd = 1/7: a mixed mean with a_1 = 0
+    def test_mixed_mean_without_t_term_starts_at_the_reach_six_band(self, monkeypatch, odd):
+        # M2 with a_odd = 1/7: a mixed mean with a_1 = 0 takes the band of
+        # reach 6 that an even mean takes, and settles inside it
         coeffs = list(expand_mean(M2, 16).coeffs)
         coeffs[odd] = F(1, 7)
         mean = MeanExpansion(tuple(coeffs))
         assert not mean.is_even and mean.coefficient(1) == 0
         orders, _ = self.sampled_expansions(monkeypatch, mean, 16)
-        assert orders[:5] == [3] * 5
+        assert orders == [6] * 8
+        verdict = optimal_parameters(mean, 16)
+        assert verdict.relation == "candidate-sub"
         if odd == 3:
             # a_3 - a_3/8: the t^3 coefficient of R(B_p, M, B_q) at a_1 = 0
-            verdict = optimal_parameters(mean, 16)
             assert verdict.fixed_leading_order == 3 and verdict.fixed_leading == F(1, 8)
         else:
-            assert orders[5:13] == [6] * 8
+            assert [(type(c.p), c.achieved_order, c.leading) for c in verdict.candidates] == [
+                (QuadraticSurdRoot, 5, F(31, 224))
+            ] * 2
+
+    @pytest.mark.parametrize(
+        "spec, max_order", [(ALIASES["G"], 32), (LAlpha(F(1, 2)), 48)], ids=["G-32", "L_1/2-48"]
+    )
+    def test_deep_vanishing_search_opens_two_bands(self, monkeypatch, spec, max_order):
+        # the difference vanishes on the whole locus: the band of reach 6,
+        # then one at the search order and nothing between
+        orders = self.sampled_orders(monkeypatch, spec, max_order)
+        assert orders == [6] * 8 + [max_order] * (max_order + 2)
+        verdict = optimal_parameters(expand_mean(spec, max_order), max_order, spec=spec)
+        assert verdict.relation == "stabilizable" and verdict.candidates == ()
 
     @pytest.mark.parametrize("max_order", [12, 16])
     @pytest.mark.parametrize(
@@ -662,6 +683,27 @@ class TestMuBoundaryEvidence:
         assert verdict.relation == "candidate-sub"
         assert verdict.boundary.label == label
 
+    @pytest.mark.parametrize(
+        "odd", [(1, 0, 0, 1), (1, F(1, 6)), (1, -1), (1, F(1, 6), F(-2, 5), 3)]
+    )
+    def test_mu_roots_are_isolated_once_per_spec(self, monkeypatch, odd):
+        c = MuGenerated(odd).odd_coeffs
+        mu = UniPoly.from_coeffs(c[n // 2] if n % 2 else 0 for n in range(2 * len(c)))
+        isolated = []
+        real = polynomials.isolate_real_roots
+
+        def counting(f):
+            if f == mu:
+                isolated.append(f)
+            return real(f)
+
+        for module in (polynomials, catalog, numeric, solver):
+            if hasattr(module, "isolate_real_roots"):
+                monkeypatch.setattr(module, "isolate_real_roots", counting)
+        spec = MuGenerated(odd)
+        optimal_parameters(expand_mean(spec, 12), 12, spec=spec)
+        assert len(isolated) <= 1
+
 
 class TestSignCoherence:
     def test_asymptotic_sign_matches_numeric_difference(self):
@@ -784,6 +826,44 @@ class TestParameterScan:
         monkeypatch.setattr(solver, "_stability_defects", corrupted)
         with pytest.raises(ArithmeticError, match="not polynomial in alpha\\^2"):
             solver._defect_polynomial_in_beta(LAlpha, 4)
+
+    @pytest.mark.parametrize("family", ["L", "S"])
+    def test_scan_reads_only_the_t4_defect(self, monkeypatch, family):
+        indices = []
+        real = solver._defect_polynomial_in_beta
+
+        def recording(make_spec, index):
+            indices.append(index)
+            return real(make_spec, index)
+
+        monkeypatch.setattr(solver, "_defect_polynomial_in_beta", recording)
+        stability_parameter_scan(family, 16)
+        assert indices == [4]
+
+    @pytest.mark.parametrize(
+        "planted, kind",
+        [
+            (UniPoly.from_coeffs([-1, 0, 2]), QuadraticSurdRoot),  # beta = 1/sqrt(2)
+            (UniPoly.from_coeffs([-1, 0, 0, 4]), IntervalRoot),  # beta = 4**(-1/3)
+            (UniPoly.from_coeffs([-1, 2]), RationalRoot),  # beta = 1/2, alpha = 1/sqrt(2)
+        ],
+        ids=["surd", "interval", "rational-non-square"],
+    )
+    def test_root_in_the_unit_interval_without_rational_alpha_is_unresolved(
+        self, monkeypatch, planted, kind
+    ):
+        # The scan reports rational alpha only; whatever else lies in [0, 1]
+        # raises instead of being skipped.
+        inside = [r for r in isolate_real_roots(planted) if 0 < r.approx() < 1]
+        assert len(inside) == 1 and isinstance(inside[0], kind)
+        real = solver._defect_polynomial_in_beta
+        monkeypatch.setattr(
+            solver,
+            "_defect_polynomial_in_beta",
+            lambda make_spec, index: planted if index == 4 else real(make_spec, index),
+        )
+        with pytest.raises(ArithmeticError, match="unresolved"):
+            stability_parameter_scan("L", 16)
 
     def test_scan_needs_order_four(self, monkeypatch):
         expanded = []
