@@ -537,15 +537,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report = {"schema": SCHEMA, **report}
-    if args.format == "json":
-        text = json.dumps(report, indent=2)
-    else:
-        text = _render_table(report)
+    encoded = json.dumps(report, indent=2) if args.format == "json" or args.out else None
+    text = encoded if args.format == "json" else _render_table(report)
     if args.out:
         # Written before anything is printed, so a failed write leaves stdout empty.
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(report, indent=2) + "\n")
+                fh.write(encoded + "\n")
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

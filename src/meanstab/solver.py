@@ -22,18 +22,20 @@ vanish for j = k .. n-1, which holds exactly when the polynomial through
 k + 1 of the samples has degree <= k - 1 and passes through the other
 K + 1 - k; the polynomial is then Newton's forward form of
 Delta^0 .. Delta^(k-1), built on integers with one division per coefficient.
-The search opens a band of reach 6 (max_order, if smaller) for every mean,
-and one at max_order only when it asks for a k past 6; nothing between, as
-every surd candidate of the benchmark's solve pools settles at t^6 and a
-search past it is one whose difference vanishes on the whole locus (G,
-L_{+-1/2}), which needs max_order anyway.  The trade-off: a non-rational
-candidate surviving past t^6 would pay for a whole max_order band; no known
-input does.  An even mean's difference has no odd coefficient (the
-resultant of even means is even), so its search asks only for even k.  A
-rational root of the pivot (the first nonzero coefficient polynomial) opens
-no band: past the last reach, one difference expansion at the root,
-truncated at max_order, gives the first surviving coefficient, since the
-bands showed that every coefficient below it vanishes there.
+The first band has reach _FIRST_REACH = 6 (max_order, if smaller); a
+search opens one more, at max_order, only when it asks for a k past it, and a
+stability check of M against R(M, M, M) goes on to the order only when
+nothing differs through it.  Six is where the known inputs settle: every
+surd candidate of the benchmark's solve pools settles at t^6, every unstable
+mean of its stable pool differs by t^4, and a search past t^6 is one whose
+difference vanishes on the whole locus (G, L_{+-1/2}).  The trade-off: a
+candidate or defect first surviving past t^6 would pay for both.  An even
+mean's difference has no odd coefficient (the resultant of even means is
+even), so its search asks only for even k.  A rational root of the pivot
+(the first nonzero coefficient polynomial) opens no band: past the last
+reach, one difference expansion at the root, truncated at max_order, gives
+the first surviving coefficient, since the bands showed that every
+coefficient below it vanishes there.
 
 The verdict distinguishes a candidate direction of the inequality (the sign
 of the first surviving coefficient, which is only the asymptotic, near-
@@ -76,6 +78,8 @@ from .polynomials import (
 from .rationals import Rational
 from .resultant import _common, _resultant, resultant_mean_map
 from .series import _integer_form
+
+_FIRST_REACH = 6  # of a search's first band and of a stability probe
 
 # ---------------------------------------------------------------------------
 # Difference expansions
@@ -335,9 +339,9 @@ def optimal_parameters(
     step = 2 if mean.is_even else 1
 
     def poly_at(k: int) -> UniPoly:
-        # Reach 6, where every known candidate settles, then the search order.
+        # The first reach, where every known candidate settles, then the search order.
         if k not in polys:
-            reach = max_order if polys else min(max(k, 6), max_order)
+            reach = max_order if polys else min(max(k, _FIRST_REACH), max_order)
             polys.update(coefficient_polynomials(mean, locus, k, reach))
         return polys[k]
 
@@ -445,13 +449,17 @@ class StabilityReport:
 
 
 def is_stable(spec: MeanSpec, order: int) -> StabilityReport:
-    """Compare a mean with R(M, M, M) coefficientwise through the order."""
+    """Compare a mean with R(M, M, M) coefficientwise through the order, and
+    first through the first reach: truncated series arithmetic is exact
+    through its order, so a defect found there is the first one."""
     if order < 4:
         raise ValueError("stability checks need order >= 4")
-    defects = _stability_defects(spec, order)
-    first = next((n for n, d in enumerate(defects) if d != 0), None)
-    defect = None if first is None else defects[first]
-    return StabilityReport(describe_spec(spec), order, first is None, first, defect)
+    for reach in dict.fromkeys((min(_FIRST_REACH, order), order)):
+        defects = _stability_defects(spec, reach)
+        first = next((n for n, d in enumerate(defects) if d != 0), None)
+        if first is not None:
+            return StabilityReport(describe_spec(spec), order, False, first, defects[first])
+    return StabilityReport(describe_spec(spec), order, True, None, None)
 
 
 def _stability_defects(spec: MeanSpec, order: int) -> list[Rational]:

@@ -508,6 +508,21 @@ class TestErrorHandling:
         assert saved["schema"] == "1"
         assert coefficient_map(saved)[2] == F(-1, 2)
 
+    @pytest.mark.parametrize(
+        "command",
+        [("expand", "--mean", "G", "--order", "4"), ("stable", "--mean", "M2", "--order", "8")],
+        ids=["expand", "stable"],
+    )
+    def test_out_file_is_the_json_report(self, capsys, tmp_path, command):
+        target = tmp_path / "report.json"
+        code, stdout, _ = run_cli(capsys, "--format", "json", "--out", str(target), *command)
+        assert code == 0
+        assert target.read_text() == stdout
+        code, table, _ = run_cli(capsys, "--format", "table", "--out", str(target), *command)
+        assert code == 0
+        assert target.read_text() == stdout
+        assert table != stdout
+
     @pytest.mark.parametrize("where", ["before", "after"])
     @pytest.mark.parametrize("target", ["missing-dir/x.json", "."], ids=["no-dir", "a-dir"])
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path, where, target):

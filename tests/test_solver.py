@@ -770,6 +770,82 @@ class TestStability:
             is_stable(M2, 2)
 
 
+_PROBE_SPECS = (
+    [ALIASES[name] for name in ("A", "G", "H", "L", "P", "T", "HZ1/4")]
+    + [M1, M2, M3, M4, M5]
+    + [family(F(a)) for family in (LAlpha, SAlpha) for a in ("1", "-1", "1/3", "-2/3")]
+    + [MAlphaR(F(a), F(r)) for a in ("1", "-1", "1/3", "-2/3") for r in ("1/2", "2")]
+    + [PowerMean(F(p)) for p in ("0", "5/3", "-1/3", "1/2", "3", "-2", "7/3", "1/5",
+                                 "-5/4", "9/4", "2")]
+)
+
+
+class TestStabilityProbe:
+    """is_stable compares through the first reach, and through the order
+    only when nothing differs there."""
+
+    @staticmethod
+    def recorded_orders(monkeypatch):
+        orders = []
+        real = solver._stability_defects
+
+        def recording(spec, order):
+            orders.append(order)
+            return real(spec, order)
+
+        monkeypatch.setattr(solver, "_stability_defects", recording)
+        return orders
+
+    @pytest.mark.parametrize("spec, first", [(M2, 4), (M5, 1), (MAlphaR(F(1), F(2)), 2)],
+                             ids=["M2", "M5", "M_1,2"])
+    def test_a_defect_in_the_probe_stops_there(self, monkeypatch, spec, first):
+        orders = self.recorded_orders(monkeypatch)
+        report = is_stable(spec, 64)
+        assert orders == [6]
+        assert (report.order, report.is_stable, report.first_mismatch) == (64, False, first)
+
+    @pytest.mark.parametrize("spec", [PowerMean(F(0)), PowerMean(F(5, 3))], ids=describe_spec)
+    def test_a_stable_mean_is_checked_again_through_the_order(self, monkeypatch, spec):
+        orders = self.recorded_orders(monkeypatch)
+        report = is_stable(spec, 16)
+        assert orders == [6, 16]
+        assert (report.order, report.is_stable, report.first_mismatch) == (16, True, None)
+
+    @pytest.mark.parametrize("order", [4, 5, 6])
+    @pytest.mark.parametrize("spec", [M2, M5, PowerMean(F(0))], ids=describe_spec)
+    def test_an_order_within_the_probe_is_one_comparison(self, monkeypatch, spec, order):
+        orders = self.recorded_orders(monkeypatch)
+        is_stable(spec, order)
+        assert orders == [order]
+
+    def test_a_first_defect_past_the_probe_is_found(self, monkeypatch):
+        real = solver._stability_defects
+        planted = F(3, 7)
+
+        def planted_at_eight(spec, order):
+            defects = real(spec, order)
+            if spec == M2:
+                defects[:8] = [F(0)] * min(8, order + 1)
+                if order >= 8:
+                    defects[8] = planted
+            return defects
+
+        monkeypatch.setattr(solver, "_stability_defects", planted_at_eight)
+        report = is_stable(M2, 16)
+        assert (report.order, report.is_stable, report.first_mismatch) == (16, False, 8)
+        assert report.defect == planted
+        assert is_stable(M2, 7).is_stable
+
+    @pytest.mark.parametrize("order", [4, 5, 6, 7, 16, 33])
+    @pytest.mark.parametrize("spec", _PROBE_SPECS, ids=describe_spec)
+    def test_the_first_defect_is_that_of_the_full_order(self, spec, order):
+        defects = solver._stability_defects(spec, order)
+        first = next((n for n, d in enumerate(defects) if d != 0), None)
+        expected = (first is None, first, None if first is None else defects[first])
+        report = is_stable(spec, order)
+        assert (report.is_stable, report.first_mismatch, report.defect) == expected
+
+
 class TestParameterScan:
     def test_l_family(self):
         roots = stability_parameter_scan("LAlpha", order=16)
