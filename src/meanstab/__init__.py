@@ -40,13 +40,7 @@ from .resultant import (
     resultant_mean_map,
     resultant_power_means,
 )
-from .series import (
-    integrate_formal,
-    series_compose,
-    series_exp,
-    series_mul,
-    series_power,
-)
+from .series import series_mul, series_power
 from .solver import (
     DifferenceExpansion,
     StabilizabilityVerdict,

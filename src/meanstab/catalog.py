@@ -315,6 +315,11 @@ def expand_quotient_mean(spec: MeanSpec, order: int) -> MeanExpansion:
     inverse gives the mean.  When D' is even (L_alpha, S_alpha, M2, M4, mu)
     every step runs in w = u**2 at half the order, on Lambda**2.
     """
+    return MeanExpansion(_values(*_quotient_mean_form(spec, order)))
+
+
+def _quotient_mean_form(spec: MeanSpec, order: int) -> tuple[list[int], int]:
+    """The integer form of a quotient mean (see expand_quotient_mean)."""
     if isinstance(spec, (LAlpha, SAlpha)):
         even, reach = True, order // 2
         derivative = _cosh_form(spec.alpha, reach)
@@ -327,7 +332,7 @@ def expand_quotient_mean(spec: MeanSpec, order: int) -> MeanExpansion:
         composed = _horner_form(_integer_form(base, len(base) - 1), _log_ratio_form(reach, even), reach)
         derivative = _power_form(composed, expo, reach)
     form = _power_form(_quotient_form(derivative, reach, even), -1, reach)
-    return MeanExpansion(_values(*(_spread(form, order) if even else form)))
+    return _spread(form, order) if even else form
 
 
 def expand_stable(a2: Rational, order: int) -> MeanExpansion:
@@ -350,23 +355,29 @@ def expand_stable(a2: Rational, order: int) -> MeanExpansion:
         a_4 = a_2 (1 + a_2)(1 - 4 a_2)/6,
         a_6 = a_2 (1 + a_2)(6 - 31 a_2 + 36 a_2^2 + 64 a_2^3)/90.
     """
-    from .resultant import resultant_coeffs  # runtime import; engine layers upward
+    from .resultant import _resultant  # runtime import; engine layers upward
 
     coeffs = [ONE] + [ZERO] * order
     if order >= 2:
         coeffs[2] = Fraction(a2)
     for n in range(4, order + 1, 2):
-        window = coeffs[: n + 1]
-        base = resultant_coeffs(window, window, window, n)[n]
-        coeffs[n] = base / (Fraction(1, 2) - Fraction(2, 2**n))
+        window = _integer_form(coeffs, n)
+        nums, den = _resultant(window, window, window, n)
+        coeffs[n] = Fraction(nums[n], den) / (Fraction(1, 2) - Fraction(2, 2**n))
     return MeanExpansion(tuple(coeffs))
+
+
+def _mean_form(spec: MeanSpec, order: int) -> tuple[list[int], int]:
+    """The expansion of any catalog mean through the order as integer
+    numerators over their least common denominator."""
+    if isinstance(spec, PowerMean):
+        return _power_mean_form(spec.p, order)
+    return _quotient_mean_form(spec, order)
 
 
 def expand_mean(spec: MeanSpec, order: int) -> MeanExpansion:
     """Expansion of any catalog mean to the given truncation order."""
-    if isinstance(spec, PowerMean):
-        return expand_power_mean(spec.p, order)
-    return expand_quotient_mean(spec, order)
+    return MeanExpansion(_values(*_mean_form(spec, order)))
 
 
 def describe_spec(spec: MeanSpec) -> str:

@@ -215,8 +215,9 @@ def _cmd_expand(args: argparse.Namespace) -> dict:
     if args.mean.strip().lower() == "stable":
         if args.a2 is None:
             raise UsageError("the stable series needs --a2 num/den")
-        expansion = expand_stable(_exact(args.a2), args.order)
-        label = f"stable(a2={args.a2})"
+        a2 = _exact(args.a2)
+        expansion = expand_stable(a2, args.order)
+        label = f"stable(a2={format_rational(a2)})"
     else:
         spec = _build_spec(args)
         expansion = expand_mean(spec, args.order)
@@ -342,12 +343,8 @@ def _cmd_limit(args: argparse.Namespace) -> dict:
     if (args.p is None) != (args.q is None):
         raise UsageError("a resultant limit needs both --p and --q")
     if args.p is not None:
-        expr: object = (
-            PowerMean(_exact(args.p)),
-            middle,
-            PowerMean(_exact(args.q)),
-        )
-        label = f"R(B_{args.p}, {describe_spec(middle)}, B_{args.q})"
+        expr: object = (PowerMean(_exact(args.p)), middle, PowerMean(_exact(args.q)))
+        label = f"R({', '.join(map(describe_spec, expr))})"
     else:
         expr = middle
         label = describe_spec(middle)

@@ -25,7 +25,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .rationals import ONE, ZERO, Rational
 
@@ -45,10 +45,6 @@ class UniPoly:
         while trimmed and trimmed[-1] == 0:
             trimmed.pop()
         object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in trimmed))
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[Rational | int]) -> "UniPoly":
-        return cls(tuple(Fraction(c) for c in coeffs))
 
     @classmethod
     def zero(cls) -> "UniPoly":

@@ -28,10 +28,10 @@ u * g = u**z * (n_z, n_{z+1}, ...) with z >= 2 the first index where the inner
 mean has a nonzero coefficient, so B = h * M(u**z * g' / h) for the shifted
 sequence g'.  If the tail of the inner mean vanishes through the order, the
 argument of M is zero through the order and B = m_0 * h, fully determined by
-the truncated inputs.  Each composition runs by Horner's rule, as in
-:func:`series.series_compose`.  Even weights, W(x) = W~(x**2) through the
-order, run over W~ in the square of the ratio u * g / h: half the Horner
-steps for one extra product.  That serves every even middle mean, and an
+the truncated inputs.  Each composition runs by Horner's rule, the
+primitive ``series._horner_form``.  Even weights, W(x) = W~(x**2) through
+the order, run over W~ in the square of the ratio u * g / h: half the
+Horner steps for one extra product.  That serves every even middle mean, and an
 even outer mean over mixed middle and inner ones.
 
 Even means need fewer compositions.  When the middle and inner coefficient
@@ -66,12 +66,15 @@ The body runs once for every scalar, on the forms of :mod:`series`: pairs
 composition one primitive of that module.  :func:`resultant_coeffs`
 converts its three inputs together.  Over Q they become integer numerators
 over their least common denominators, and the result becomes ``Fraction``
-values only on the way out; the solver calls the body on B_p's exponent and
-the integer forms of M and B_q directly and takes the difference before
-converting.  Any other scalar, a ``Fraction`` subclass included, enters as
-its own values over ``Fraction(1)``, and so do the rational inputs that come
-with it, so a mixed triple computes in the non-rational field; the result is
-that field's values.  The tests run the body over truncated series in a
+values only on the way out.  The other callers hand the body integer forms
+directly: the solver B_p's exponent and the forms of M and B_q, its
+stability check the form of M three times (or B_p's exponent as the outer
+mean), each taking the difference before converting, and
+``catalog.expand_stable`` the form of its window.  Any other scalar, a
+``Fraction`` subclass included, enters as its own values over
+``Fraction(1)``, and so do the rational inputs that come with it, so a
+mixed triple computes in the non-rational field; the result is that
+field's values.  The tests run the body over truncated series in a
 perturbation parameter to check the degenerate cases against one-sided
 limits at n_1 = -1 and +1, through the primitives of a rational call.
 """

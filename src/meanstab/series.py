@@ -12,18 +12,16 @@ arbitrary real power of a series with nonzero constant term:
 
 With integer exponents any nonzero constant term is allowed; a fractional
 exponent requires constant term 1 so that every coefficient stays in the
-field.  :func:`series_exp` uses the analogous recursion
-``n*E[n] = sum_{k=1..n} k*a_k*E[n-k]`` for ``exp`` of a series with zero
-constant term.
+field.
 
-The product, the power and exp recursions and composition each have one
-body, a private primitive on forms: pairs ``(nums, den)`` with ``a[n] ==
+The product, the power recursion and composition each have one body, a
+private primitive on forms: pairs ``(nums, den)`` with ``a[n] ==
 nums[n] / den``.  The den says which field a form is in.
 
 * Over Q den is an int and nums are integer numerators.  A product
-  convolves the numerators and multiplies the denominators; the recursions
-  keep a running common denominator of the coefficients computed so far and
-  rescale the stored numerators only when it grows; composition runs
+  convolves the numerators and multiplies the denominators; the recursion
+  keeps a running common denominator of the coefficients computed so far
+  and rescales the stored numerators only when it grows; composition runs
   Horner's rule, where each step multiplies the accumulator by the inner
   numerators, multiplies its denominator by theirs, adds the next outer
   numerator and divides everything by the content gcd, and a step whose
@@ -32,24 +30,26 @@ nums[n] / den``.  The den says which field a form is in.
   result reduced by one content gcd, so den is the least common
   denominator, and a caller hands that form on to the next primitive with no
   ``Fraction`` in between: the resultant runs on it from its converted
-  inputs, and the solver from the power means to the difference.
+  inputs, and the solver from the catalog's forms to the difference.
 * Any other scalar, a subclass of ``Fraction`` included, is a form of its
   own values over the exact ``Fraction(1)``: a truncated series in a
   perturbation parameter, say, when a computation needs an exact one-sided
   limit.  The same primitives run on it; where they reduce (``_reduced``)
-  or divide (the recursions) they branch once on ``type(den) is int`` and
+  or divide (the recursion) they branch once on ``type(den) is int`` and
   divide in the field instead, so den is 1 again after every primitive.
   They multiply by ``1/den`` only when den is not 1, and never divide a
   value by den, which would shrink the window of a truncated germ.
 
-The public functions convert their operands together at the edges.  When
-every coefficient of every operand is a ``Fraction`` or an ``int``, each
-becomes ``[c * d for c in a]`` for ``d`` its least common denominator, and
-the result comes back as reduced ``Fraction`` values in a tuple, for
-all-int input too.  Otherwise every operand, a rational one included,
-becomes a form of its own values over ``Fraction(1)``, padded with the zero
-of the first coefficient, so that a mixed pair computes in the non-rational
-field; the result is the values the primitives leave.
+The two public functions, :func:`series_mul` and :func:`series_power`,
+convert their operands together at the edges; the catalog, the resultant
+and the solver call the primitives on forms directly.  When every
+coefficient of every operand is a ``Fraction`` or an ``int``, each becomes
+``[c * d for c in a]`` for ``d`` its least common denominator, and the
+result comes back as reduced ``Fraction`` values in a tuple, for all-int
+input too.  Otherwise every operand, a rational one included, becomes a
+form of its own values over ``Fraction(1)``, padded with the zero of the
+first coefficient, so that a mixed pair computes in the non-rational field;
+the result is the values the primitives leave.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from typing import Sequence
 Coeffs = Sequence
 
 _RATIONAL_TYPES = (Fraction, int)
-_FRACTION_ZERO = Fraction(0)
 _FRACTION_ONE = Fraction(1)
 
 
@@ -132,33 +131,6 @@ def _values(nums: list, den) -> tuple:
     return tuple(_reduced(nums, den)[0])
 
 
-def _recursion_form(head, step, den, order: int) -> tuple[list, int | Fraction]:
-    """c_0 = head and c_n = top / (bottom * d) for ``top, bottom = step(n,
-    back)``, where ``back`` holds the numerators of c_{n-1}, ..., c_0 over
-    their common denominator d; den, the denominator of the operand, names
-    the field.  Over Q d only grows, and the stored numerators are rescaled
-    when it does; it ends as the least common denominator.  In any other
-    field d stays 1 and back holds the values."""
-    if type(den) is not int:
-        values = [head]
-        for n in range(1, order + 1):
-            top, bottom = step(n, values[::-1])
-            values.append(top / bottom)
-        return values, _FRACTION_ONE
-    nums, den = [head.numerator], head.denominator
-    for n in range(1, order + 1):
-        top, bottom = step(n, nums[::-1])
-        g = gcd(top, bottom * den)
-        top, bottom = top // g, bottom * den // g  # bottom may be negative
-        if den % bottom:
-            grown = lcm(den, bottom)
-            scale = grown // den
-            nums = [q * scale for q in nums]
-            den = grown
-        nums.append(top * (den // bottom))
-    return nums, den
-
-
 def _convolve(x: list, reversed_y: list, order: int) -> list:
     """The Cauchy product of x and y through the order, given y reversed; y
     must reach the order."""
@@ -180,7 +152,13 @@ def series_mul(a: Coeffs, b: Coeffs, order: int) -> tuple:
 def _power_form(a: tuple, r, order: int) -> tuple[list, int | Fraction]:
     """The form of a**r for the form a; a_0 must be nonzero, and 1 if r is
     fractional (otherwise the leading coefficient would leave the field).
-    a must reach the order; at r = 1 it comes back reduced."""
+    a must reach the order; at r = 1 it comes back reduced.
+
+    P[n] = top / (bottom * d) for ``top, bottom = step(n, back)``, where
+    ``back`` holds the numerators of P[n-1], ..., P[0] over their common
+    denominator d.  Over Q d only grows, and the stored numerators are
+    rescaled when it does; it ends as the least common denominator.  In any
+    other field d stays 1 and back holds the values."""
     x, dx = a
     if x[0] == 0:
         raise ValueError("zero constant term")
@@ -200,7 +178,25 @@ def _power_form(a: tuple, r, order: int) -> tuple[list, int | Fraction]:
             top += (s + t) * sum(map(mul, kx[1 : n + 1], back))
         return top, n * t * x[0]
 
-    return _recursion_form(a0**s if t == 1 else a0, step, dx, order)
+    head = a0**s if t == 1 else a0
+    if type(dx) is not int:
+        values = [head]
+        for n in range(1, order + 1):
+            top, bottom = step(n, values[::-1])
+            values.append(top / bottom)
+        return values, _FRACTION_ONE
+    nums, den = [head.numerator], head.denominator
+    for n in range(1, order + 1):
+        top, bottom = step(n, nums[::-1])
+        g = gcd(top, bottom * den)
+        top, bottom = top // g, bottom * den // g  # bottom may be negative
+        if den % bottom:
+            grown = lcm(den, bottom)
+            scale = grown // den
+            nums = [q * scale for q in nums]
+            den = grown
+        nums.append(top * (den // bottom))
+    return nums, den
 
 
 def series_power(a: Coeffs, r, order: int) -> tuple:
@@ -212,30 +208,6 @@ def series_power(a: Coeffs, r, order: int) -> tuple:
     """
     (form,) = _forms(order, a)
     return _values(*_power_form(form, r, order))
-
-
-def series_exp(a: Coeffs, order: int) -> tuple:
-    """Coefficients of ``exp(a)``; a must have zero constant term, so that
-    every coefficient stays in the field."""
-    if len(a) and a[0] != 0:
-        raise ValueError("exp requires a zero constant term")
-    ((x, den),) = _forms(order, a)
-    kx = [k * c for k, c in enumerate(x)]
-
-    def step(n, back):
-        return sum(map(mul, kx[1 : n + 1], back)), n * den
-
-    return _values(*_recursion_form(x[0] + 1, step, den, order))
-
-
-def series_compose(outer: Coeffs, inner: Coeffs, order: int) -> tuple:
-    """Taylor coefficients of outer(inner(u)) by Horner's rule; inner must
-    have zero constant term, so coefficients of outer past the order do not
-    contribute and the cost is one product per remaining coefficient."""
-    if len(inner) and inner[0] != 0:
-        raise ValueError("composition requires positive valuation")
-    y_form, (x, dx) = _forms(order, inner, outer)
-    return _values(*_horner_form((x[: max(len(outer), 1)], dx), y_form, order))
 
 
 def _horner_form(outer: tuple, inner: tuple, order: int) -> tuple[list, int | Fraction]:
@@ -254,15 +226,3 @@ def _horner_form(outer: tuple, inner: tuple, order: int) -> tuple[list, int | Fr
         nums[0] += x[k] * den
         nums, den = _reduced(nums, den)
     return _reduced(nums, den * dx)
-
-
-def integrate_formal(a: Coeffs, order: int) -> tuple:
-    """Term-by-term antiderivative with zero constant term.  The zero is a
-    Fraction for rational coefficients, so that dividing an int stays exact,
-    and a[0] * 0 for any other scalar, so that it sees the product."""
-    zero = _FRACTION_ZERO if not len(a) or type(a[0]) in _RATIONAL_TYPES else a[0] * 0
-    fa = _fit(a, order, zero)
-    return tuple(
-        [zero]
-        + [Fraction(c, n) if type(c) is int else c / n for n, c in enumerate(fa[:order], 1)]
-    )

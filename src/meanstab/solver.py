@@ -51,6 +51,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .catalog import (
+    _mean_form,
     _power_mean_form,
     LAlpha,
     MeanExpansion,
@@ -58,7 +59,6 @@ from .catalog import (
     PowerMean,
     SAlpha,
     describe_spec,
-    expand_mean,
 )
 from .numeric import boundary_limit
 from .polynomials import (
@@ -76,7 +76,7 @@ from .polynomials import (
     newton_forward,
 )
 from .rationals import Rational
-from .resultant import _common, _resultant, resultant_mean_map
+from .resultant import _common, _resultant
 from .series import _integer_form
 
 _FIRST_REACH = 6  # of a search's first band and of a stability probe
@@ -463,10 +463,12 @@ def is_stable(spec: MeanSpec, order: int) -> StabilityReport:
 
 
 def _stability_defects(spec: MeanSpec, order: int) -> list[Rational]:
-    """The coefficients of M - R(M, M, M) through the order."""
-    exp = expand_mean(spec, order)
-    res = resultant_mean_map(spec if isinstance(spec, PowerMean) else exp, exp, exp, order)
-    return [exp.coefficient(n) - res.coefficient(n) for n in range(order + 1)]
+    """The coefficients of M - R(M, M, M) through the order, on the integer
+    form of the mean; a power mean is the outer mean in closed form."""
+    m_form = _mean_form(spec, order)
+    outer = spec.p if isinstance(spec, PowerMean) else m_form
+    m, r, den = _common(m_form, _resultant(outer, m_form, m_form, order))
+    return [Fraction(a - b, den) for a, b in zip(m, r)]
 
 
 def _defect_polynomial_in_beta(

@@ -7,12 +7,12 @@ Each one is an independent derivation of the same coefficients:
   dedicated binomial double sums of the L/S families and the odd-generator
   coefficient formula, all at half length in the even index;
 * ``expand_quotient_by_series``: the quotient means at the full order on
-  tuples of ``Fraction``, with D'(Lambda) from ``series_exp`` or
-  ``series_power`` (``_derivative_at``), a ``series_mul`` by Lambda', an
-  ``integrate_formal`` and a ``series_power`` inverse, where the catalog runs
-  on integer forms with an integer recurrence for cosh(alpha*Lambda),
-  running sums for Lambda' and the integral, and the even families at half
-  the order in u**2;
+  tuples of ``Fraction``, with D'(Lambda) from ``exp_recursion``,
+  ``horner_compose`` and ``series_power`` (``_derivative_at``), a
+  ``series_mul`` by Lambda', an ``integrate`` and a ``series_power``
+  inverse, where the catalog runs on integer forms with an integer
+  recurrence for cosh(alpha*Lambda), running sums for Lambda' and the
+  integral, and the even families at half the order in u**2;
 * ``expand_by_composition``: the denominator series, built per family from
   its own closed form, composed with the log-ratio series by Horner's rule
   (cubic in the order) and inverted;
@@ -51,17 +51,25 @@ Each one is an independent derivation of the same coefficients:
   catalog runs it on integer numerators and hands them on to the solver;
 * ``stable_by_two_resultants``: the stable series with the slope of each
   fixed-point step measured by a second resultant, where the catalog uses
-  its closed form 1/2 + 2**(1-n);
+  its closed form 1/2 + 2**(1-n) and reads the resultant on integer forms;
+* ``stability_defects_by_mean_map``: the stability defects M - R(M, M, M)
+  from the expansion of M and ``resultant_mean_map`` as Fractions, where
+  the solver takes the difference on the integer form of the mean;
 * ``binomial``: the generalized binomial coefficient, one Fraction product
   per factor;
-* ``cauchy_product``, ``power_recursion`` and ``exp_recursion``: the series
-  product and the power and exp recursions as scalar-generic loops that
-  skip zero terms and reduce every ``Fraction`` term, where the kernel runs
-  every scalar on forms (nums, den), rationals as integer numerators over a
-  common denominator;
+* ``cauchy_product`` and ``power_recursion``: the series product and the
+  power recursion as scalar-generic loops that skip zero terms and reduce
+  every ``Fraction`` term, where the kernel runs every scalar on forms
+  (nums, den), rationals as integer numerators over a common denominator;
+* ``exp_recursion`` and ``integrate``: exp of a series with zero constant
+  term and the term-by-term antiderivative, which the engine does not need
+  (its cosh comes from an integer recurrence and its integral from a
+  running sum);
 * ``horner_compose``: composition by Horner's rule with one reduced series
   product per step, where the kernel keeps the accumulator as a form, over
-  Q integer numerators over one denominator;
+  Q integer numerators over one denominator; ``compose_on_forms`` runs the
+  kernel's own Horner primitive from sequences, converted at the edges as
+  ``series_mul`` converts its operands;
 * ``power_table``, ``composition_sums`` and ``resultant_by_double_sums``:
   the resultant as double sums over tables of powers, with the degenerate
   inner means (t-coefficient -1 or +1) run on the sequence shifted to the
@@ -71,10 +79,10 @@ Each one is an independent derivation of the same coefficients:
   Horner's rule over every weight, where ``resultant.py`` runs even weights
   W(x) = W~(x**2) over W~ in the square of the ratio;
 * ``resultant_on_fraction_tuples``: the production case and parity logic
-  with every step a public series function on tuples of Fractions and every
-  composition over all weights, where ``resultant.py`` converts its inputs
-  once, runs on integer numerators and composes even weights in the square
-  of the ratio;
+  with every product and power a public series function on tuples of
+  Fractions and every composition a ``compose_on_forms`` over all weights,
+  where ``resultant.py`` converts its inputs once, runs on integer
+  numerators and composes even weights in the square of the ratio;
 * ``resultant_two_sides``: the resultant with both middle compositions and
   the outer step at full length for every input, where ``resultant.py``
   reads one side from the other and runs an even outer step in u**2 when
@@ -131,6 +139,7 @@ from meanstab.catalog import (
     SAlpha,
     _denominator_derivative,
     _power_mean_form,
+    expand_mean,
 )
 from meanstab.polynomials import (
     IntervalRoot,
@@ -153,14 +162,13 @@ from meanstab.polynomials import (
 from meanstab.numeric import LimitReport, eval_mean, eval_resultant
 from meanstab.rationals import ONE, ZERO, Rational
 from meanstab import resultant
-from meanstab.resultant import resultant_coeffs
+from meanstab.resultant import resultant_coeffs, resultant_mean_map
 from meanstab.series import (
+    _forms,
     _horner_form,
     _power_form,
     _product_form,
-    integrate_formal,
-    series_compose,
-    series_exp,
+    _values,
     series_mul,
     series_power,
 )
@@ -235,6 +243,15 @@ def stable_by_two_resultants(a2: Rational, order: int) -> MeanExpansion:
             raise ArithmeticError(f"fixed point underdetermined at order {idx}")
         coeffs[idx] = base / (1 - slope)
     return MeanExpansion(tuple(coeffs))
+
+
+def stability_defects_by_mean_map(spec: MeanSpec, order: int) -> list[Rational]:
+    """The coefficients of M - R(M, M, M) through the order from the
+    expansion of M and resultant_mean_map, a power mean as the closed outer
+    step, subtracted as Fractions."""
+    exp = expand_mean(spec, order)
+    res = resultant_mean_map(spec if isinstance(spec, PowerMean) else exp, exp, exp, order)
+    return [exp.coefficient(n) - res.coefficient(n) for n in range(order + 1)]
 
 
 def _spread_even(even: Sequence[Rational], order: int) -> tuple[Rational, ...]:
@@ -342,16 +359,16 @@ def _derivative_at(spec: MeanSpec, f: tuple, order: int) -> tuple:
     denominator of M(a, b) = |b - a| / D(|ln(b/a)|)."""
     if isinstance(spec, (ClassicMean, MAlphaR)):
         base, expo = _denominator_derivative(spec)
-        return series_power(series_compose(base, f, order), expo, order)
+        return series_power(horner_compose(base, f, order), expo, order)
     if isinstance(spec, MuGenerated):
         # mu'(y) = sum (2n+1) c_n y**(2n), a polynomial in y**2
         weights = [(2 * n + 1) * c for n, c in enumerate(spec.odd_coeffs[: order // 2 + 1])]
-        return series_compose(weights, series_mul(f, f, order), order)
+        return horner_compose(weights, series_mul(f, f, order), order)
     if isinstance(spec, (LAlpha, SAlpha)):
         # D' is cosh(alpha*y) for L_alpha and 1/cosh(alpha*y) for S_alpha.  As f
         # is odd, exp(-alpha*f(u)) = exp(alpha*f(-u)), so cosh(alpha*f) is the
         # even part of exp(alpha*f).
-        grown = series_exp(tuple(c * spec.alpha for c in f), order)
+        grown = exp_recursion(tuple(c * spec.alpha for c in f), order)
         cosh = tuple(ZERO if n % 2 else c for n, c in enumerate(grown))
         return cosh if isinstance(spec, LAlpha) else series_power(cosh, -1, order)
     raise TypeError(f"unknown mean spec {spec!r}")
@@ -359,12 +376,12 @@ def _derivative_at(spec: MeanSpec, f: tuple, order: int) -> tuple:
 
 def expand_quotient_by_series(spec: MeanSpec, order: int) -> MeanExpansion:
     """M(x-t, x+t) = 2t / D(Lambda(u)) at the full order on tuples of
-    Fractions: D'(Lambda) by series_exp or series_power, times
-    Lambda' = 2/(1 - u^2) by series_mul, integrate_formal, and one
+    Fractions: D'(Lambda) by exp_recursion or series_power, times
+    Lambda' = 2/(1 - u^2) by series_mul, integrate, and one
     series_power(-1)."""
     lam_prime = tuple(Fraction(2) if n % 2 == 0 else ZERO for n in range(order + 1))
     slope = series_mul(_derivative_at(spec, log_ratio_series(order), order), lam_prime, order)
-    den = integrate_formal(slope, order + 1)
+    den = integrate(slope, order + 1)
     if den[1] != 2:
         raise ArithmeticError("D(Lambda) must start 2u")
     return MeanExpansion(series_power(tuple(c / 2 for c in den[1:]), -1, order))
@@ -376,7 +393,7 @@ def direct_denominator_series(spec: MeanSpec, order: int) -> tuple[Rational, ...
     odd generator itself, or the integral of base(y)**exponent."""
     if isinstance(spec, (ClassicMean, MAlphaR)):
         base, expo = _denominator_derivative(spec)
-        return integrate_formal(series_power(base, expo, order - 1), order)
+        return integrate(series_power(base, expo, order - 1), order)
     if isinstance(spec, MuGenerated):
         c = spec.odd_coeffs
     elif isinstance(spec, LAlpha):
@@ -413,7 +430,7 @@ def denominator_series(spec: MeanSpec, order: int) -> tuple[Rational, ...]:
     """
     if isinstance(spec, PowerMean):
         raise ValueError("power means have no log-ratio denominator form")
-    return integrate_formal(_derivative_at(spec, (ZERO, ONE), order - 1), order)
+    return integrate(_derivative_at(spec, (ZERO, ONE), order - 1), order)
 
 
 def denominator_series_value(spec: MeanSpec, y: float) -> float:
@@ -545,7 +562,7 @@ def expand_by_composition(spec: MeanSpec, order: int) -> MeanExpansion:
     full denominator series with Lambda = ln((1+u)/(1-u))."""
     deep = order + 1
     lam = log_ratio_series(deep)
-    den = series_compose(direct_denominator_series(spec, deep), lam, deep)
+    den = horner_compose(direct_denominator_series(spec, deep), lam, deep)
     if den[0] != 0 or den[1] != 2:
         raise ArithmeticError("D(Lambda) must start 2u")
     shifted = tuple(den[j + 1] / 2 for j in range(order + 1))
@@ -673,6 +690,12 @@ def exp_recursion(a: Sequence, order: int) -> tuple:
     return tuple(out)
 
 
+def integrate(a: Sequence, order: int) -> tuple:
+    """Term-by-term antiderivative through the order, with zero constant
+    term."""
+    return (ZERO,) + tuple(Fraction(c, n) for n, c in enumerate(_padded(a, order - 1, ZERO), 1))
+
+
 def horner_compose(outer: Sequence, inner: Sequence, order: int) -> tuple:
     """outer(inner(u)) by Horner's rule, one product per outer coefficient."""
     zero = _zero(inner) if len(inner) else _zero(outer)
@@ -684,6 +707,15 @@ def horner_compose(outer: Sequence, inner: Sequence, order: int) -> tuple:
         acc = cauchy_product(acc, inner, order)
         acc = (acc[0] + c,) + acc[1:]
     return acc
+
+
+def compose_on_forms(outer: Sequence, inner: Sequence, order: int) -> tuple:
+    """outer(inner(u)) by the kernel's Horner primitive, the operands
+    converted together as the public series functions convert theirs, so
+    that a Fraction subclass sees every product of the generic form; inner
+    must have zero constant term."""
+    y_form, (x, dx) = _forms(order, inner, outer)
+    return _values(*_horner_form((x[: max(len(outer), 1)], dx), y_form, order))
 
 
 def power_table(first: Sequence, ratio: Sequence, order: int) -> list[tuple]:
@@ -756,9 +788,9 @@ def composition_sums_full_horner(weights: tuple, g: tuple, h: tuple, order: int)
 
 def _composition_sums(weights: Sequence, g: Sequence, h: Sequence, order: int) -> tuple:
     """h * W(u * g / h) for W(x) = sum weights[n] x**n, one public series
-    call per product, power and composition."""
+    call per product and power and one compose_on_forms per composition."""
     ratio = series_mul([h[0] * 0] + list(g), series_power(h, -1, order), order)
-    return series_mul(h, series_compose(weights, ratio, order), order)
+    return series_mul(h, compose_on_forms(weights, ratio, order), order)
 
 
 def _odd_part_vanishes(seq: Sequence, order: int) -> bool:
@@ -769,7 +801,7 @@ def _even_outer_step(outer: Sequence, b_side: Sequence, order: int) -> tuple:
     e, o, half = b_side[::2], b_side[1::2], order // 2
     w_o_squared = [e[0] * 0] + list(series_mul(o, o, half - 1))
     ratio = series_mul(w_o_squared, series_power(e, -2, half), half)
-    combined = series_mul(e, series_compose(outer[::2], ratio, half), half)
+    combined = series_mul(e, compose_on_forms(outer[::2], ratio, half), half)
     scaled = [c * Fraction(1, 2) for c in combined]
     out = [scaled[0] * 0] * (order + 1)
     out[::2] = scaled
@@ -779,9 +811,9 @@ def _even_outer_step(outer: Sequence, b_side: Sequence, order: int) -> tuple:
 def resultant_on_fraction_tuples(
     outer: Sequence, middle: Sequence, inner: Sequence, order: int
 ) -> tuple:
-    """R(K, M, N) by the production case and parity logic, with every step a
-    public series function on tuples of Fractions and Horner's rule over
-    every weight."""
+    """R(K, M, N) by the production case and parity logic, with every
+    product and power a public series function on tuples of Fractions and
+    every composition compose_on_forms, Horner's rule over every weight."""
     one = inner[0]
     n1 = inner[1] if order >= 1 else one * 0
     tail = list(inner[2 : order + 1])

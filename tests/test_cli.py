@@ -197,6 +197,23 @@ class TestOtherCommands:
         assert report["limit"]["value"] == pytest.approx(0.4747535, rel=1e-5)
         assert report["limit"]["provenance"] == "closed-form"
 
+    @pytest.mark.parametrize(
+        "written, canonical, key, label",
+        [
+            (("limit", "--mean", "G", "--p=2/4", "--q=-03/6"),
+             ("limit", "--mean", "G", "--p", "1/2", "--q=-1/2"), "expression", "R(B_1/2, B_0, B_-1/2)"),
+            (("expand", "--mean", "stable", "--a2= -2/4", "--order", "6"),
+             ("expand", "--mean", "stable", "--a2=-1/2", "--order", "6"), "mean", "stable(a2=-1/2)"),
+            (("expand", "--mean", "stable", "--a2=+6/2", "--order", "4"),
+             ("expand", "--mean", "stable", "--a2", "3", "--order", "4"), "mean", "stable(a2=3)"),
+        ],
+        ids=["limit", "stable", "stable-integer"],
+    )
+    def test_labels_show_the_parsed_values(self, capsys, written, canonical, key, label):
+        report = run_json(capsys, *written)
+        assert report[key] == label
+        assert report == run_json(capsys, *canonical)
+
     def test_verify(self, capsys):
         report = run_json(
             capsys, "verify", "--mean", "M1", "--order", "1", "--t", "1"

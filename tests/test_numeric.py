@@ -392,7 +392,7 @@ class TestBoundaryLimit:
         ids=["rational", "surd", "double", "interval"],
     )
     def test_mu_with_positive_root_is_not_resolved(self, odd, kind):
-        mu = UniPoly.from_coeffs(odd[n // 2] if n % 2 else 0 for n in range(2 * len(odd)))
+        mu = UniPoly(tuple(odd[n // 2] if n % 2 else 0 for n in range(2 * len(odd))))
         assert any(isinstance(r, kind) and r.approx() > 0 for r in isolate_real_roots(mu))
         spec = MuGenerated(odd)
         with pytest.raises(ValueError, match="not resolved"):

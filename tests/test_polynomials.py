@@ -41,7 +41,7 @@ from meanstab.series import _integer_form
 
 
 def poly(*coeffs):
-    return UniPoly.from_coeffs(coeffs)
+    return UniPoly(coeffs)
 
 
 class TestUniPoly:

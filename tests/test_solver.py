@@ -273,7 +273,7 @@ class TestCoefficientPolynomial:
         else:
             band, reference = (route(m, locus, 4, 8) for route in routes)
             assert band == reference
-            assert band == {**clean, k: clean[k] + UniPoly.from_coeffs([0] * (k - 1) + [1])}
+            assert band == {**clean, k: clean[k] + UniPoly((0,) * (k - 1) + (1,))}
 
 
 class TestOrderBands:
@@ -688,7 +688,7 @@ class TestMuBoundaryEvidence:
     )
     def test_mu_roots_are_isolated_once_per_spec(self, monkeypatch, odd):
         c = MuGenerated(odd).odd_coeffs
-        mu = UniPoly.from_coeffs(c[n // 2] if n % 2 else 0 for n in range(2 * len(c)))
+        mu = UniPoly(tuple(c[n // 2] if n % 2 else 0 for n in range(2 * len(c))))
         isolated = []
         real = polynomials.isolate_real_roots
 
@@ -845,6 +845,13 @@ class TestStabilityProbe:
         report = is_stable(spec, order)
         assert (report.is_stable, report.first_mismatch, report.defect) == expected
 
+    @pytest.mark.parametrize("order", [4, 5, 6, 7, 16, 33])
+    @pytest.mark.parametrize("spec", _PROBE_SPECS, ids=describe_spec)
+    def test_defects_equal_the_mean_map_route(self, spec, order):
+        defects = solver._stability_defects(spec, order)
+        assert defects == oracles.stability_defects_by_mean_map(spec, order)
+        assert {type(d) for d in defects} == {F}
+
 
 class TestParameterScan:
     def test_l_family(self):
@@ -886,7 +893,7 @@ class TestParameterScan:
             with pytest.raises(ArithmeticError, match="not polynomial in alpha"):
                 solver._defect_polynomial_in_beta(LAlpha, 4)
         else:
-            bump = UniPoly.from_coeffs([0] * power + [extra])
+            bump = UniPoly((0,) * power + (extra,))
             assert solver._defect_polynomial_in_beta(LAlpha, 4) == expected + bump
 
     @pytest.mark.parametrize("alpha", [F(0), F(5, 12), F(1)])
@@ -919,9 +926,9 @@ class TestParameterScan:
     @pytest.mark.parametrize(
         "planted, kind",
         [
-            (UniPoly.from_coeffs([-1, 0, 2]), QuadraticSurdRoot),  # beta = 1/sqrt(2)
-            (UniPoly.from_coeffs([-1, 0, 0, 4]), IntervalRoot),  # beta = 4**(-1/3)
-            (UniPoly.from_coeffs([-1, 2]), RationalRoot),  # beta = 1/2, alpha = 1/sqrt(2)
+            (UniPoly((-1, 0, 2)), QuadraticSurdRoot),  # beta = 1/sqrt(2)
+            (UniPoly((-1, 0, 0, 4)), IntervalRoot),  # beta = 4**(-1/3)
+            (UniPoly((-1, 2)), RationalRoot),  # beta = 1/2, alpha = 1/sqrt(2)
         ],
         ids=["surd", "interval", "rational-non-square"],
     )
@@ -943,8 +950,8 @@ class TestParameterScan:
 
     def test_scan_needs_order_four(self, monkeypatch):
         expanded = []
-        real = solver.expand_mean
-        monkeypatch.setattr(solver, "expand_mean", lambda *a: expanded.append(a) or real(*a))
+        real = solver._mean_form
+        monkeypatch.setattr(solver, "_mean_form", lambda *a: expanded.append(a) or real(*a))
         for family in ("LAlpha", "SAlpha", "XAlpha"):
             for order in (0, 3):
                 with pytest.raises(ValueError, match="order >= 4"):

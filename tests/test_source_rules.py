@@ -1,15 +1,22 @@
 """Rules the package source keeps, read from its syntax trees: runtime
 invariants raise real exceptions rather than ``assert`` (which ``python -O``
-strips), the runtime imports nothing outside the standard library, and
-every private module-level function is used by the package itself."""
+strips), the runtime imports nothing outside the standard library, every
+private module-level function is used by the package itself, and every
+public function or method by the package, the acceptance gate or the
+benchmark.  A use is a read of the name outside the function's own body."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "meanstab").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "meanstab").glob("*.py"))
+#: Where the package is used from besides itself: the acceptance gate and
+#: the benchmark.
+CONSUMERS = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
 
 
 def imported_modules(tree: ast.AST) -> list[tuple[int, str]]:
@@ -24,26 +31,54 @@ def imported_modules(tree: ast.AST) -> list[tuple[int, str]]:
     return found
 
 
-def private_functions(tree: ast.Module) -> list[str]:
-    """Names of the module-level functions whose name starts with "_"."""
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def private_functions(tree: ast.Module) -> list[ast.FunctionDef]:
+    """The module-level functions whose name starts with "_"."""
+    return [node for node in tree.body if isinstance(node, FUNCTIONS) and node.name.startswith("_")]
+
+
+def public_functions(tree: ast.Module) -> list[ast.FunctionDef]:
+    """The module-level functions and the methods of module-level classes
+    whose name does not start with "_"."""
+    found = []
+    for node in tree.body:
+        found += node.body if isinstance(node, ast.ClassDef) else [node]
+    return [node for node in found if isinstance(node, FUNCTIONS) and not node.name.startswith("_")]
+
+
+def read_names(tree: ast.AST) -> Counter:
+    """How often the tree reads each name: a bare name, an attribute, or an
+    imported name."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.split(".")[-1]] += 1
+    return names
+
+
+def unused_functions(trees: dict[str, ast.Module], candidates, outside=frozenset()) -> list:
+    """(module, name) of every function that ``candidates`` picks from a
+    module's tree and that nothing reads: no module of the package outside
+    the function's own body (so recursion does not count), and no name in
+    ``outside``.  The re-exports of ``__init__.py`` do not count either."""
+    reads = sum((read_names(tree) for module, tree in trees.items() if module != "__init__.py"),
+                Counter())
     return [
-        node.name
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith("_")
+        (module, fn.name)
+        for module, tree in trees.items()
+        for fn in candidates(tree)
+        if fn.name not in outside and reads[fn.name] == read_names(fn)[fn.name]
     ]
 
 
-def referenced_names(tree: ast.AST) -> set[str]:
-    """Every name the tree reads: a bare name, an attribute, or an imported name."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name.split(".")[-1])
-    return names
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
 def test_sources_found():
@@ -71,27 +106,47 @@ def test_imports_only_the_package_and_the_standard_library(path):
 def test_every_private_function_is_used_by_the_package():
     # A helper that only tests call belongs in tests/, and one that nothing
     # calls is dead.
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-             for path in SOURCES}
-    used = set().union(*(referenced_names(tree) for tree in trees.values()))
-    unused = [(name, fn) for name, tree in trees.items()
-              for fn in private_functions(tree) if fn not in used]
+    unused = unused_functions({path.name: parse(path) for path in SOURCES}, private_functions)
     assert unused == [], f"private functions nothing in src/meanstab uses: {unused}"
+
+
+def test_every_public_function_is_used_by_the_package_the_gate_or_the_benchmark():
+    # tests/test_acceptance.py is the frozen contract and perfbench/ drives
+    # the package from outside; a function only other tests call belongs in
+    # tests/, and one that nothing calls is dead.
+    outside = set().union(*(read_names(parse(path)) for path in CONSUMERS))
+    unused = unused_functions({path.name: parse(path) for path in SOURCES}, public_functions, outside)
+    assert unused == [], f"public functions and methods nothing outside tests uses: {unused}"
 
 
 def test_the_rules_catch_what_they_forbid():
     tree = ast.parse("import numpy.linalg\nfrom mpmath import mp\nfrom . import series\nassert x\n")
     assert imported_modules(tree) == [(1, "numpy"), (2, "mpmath")]
     assert any(isinstance(node, ast.Assert) for node in ast.walk(tree))
-    tree = ast.parse(
+    module = ast.parse(
         "from .a import _imported\n"
         "def _called(): pass\n"
         "def _read(): pass\n"
         "def _dead(): pass\n"
-        "def public(): _called(); m._read\n"
+        "def _recursive(n): return _recursive(n - 1)\n"
+        "def _shared(): pass\n"
+        "def public(): _called(); m._read; _imported()\n"
+        "def only_tested(): pass\n"
+        "def in_the_gate(): return in_the_gate()\n"
+        "def reexported(): pass\n"
         "class C:\n"
         "    def _method(self): pass\n"
+        "    def method(self): return self.method()\n"
+        "    def gated_method(self): pass\n"
     )
-    assert private_functions(tree) == ["_called", "_read", "_dead"]
-    used = referenced_names(tree)
-    assert {"_imported", "_called", "_read"} <= used and "_dead" not in used
+    assert [fn.name for fn in private_functions(module)] == [
+        "_called", "_read", "_dead", "_recursive", "_shared"]
+    assert [fn.name for fn in public_functions(module)] == [
+        "public", "only_tested", "in_the_gate", "reexported", "method", "gated_method"]
+    trees = {"m.py": module, "n.py": ast.parse("from .m import _shared"),
+             "__init__.py": ast.parse("from .m import reexported")}
+    assert unused_functions(trees, private_functions) == [("m.py", "_dead"), ("m.py", "_recursive")]
+    # Another test's call is not a use; the gate's is.
+    gate = ast.parse("from meanstab.m import C, in_the_gate\nC().gated_method()\n")
+    assert unused_functions(trees, public_functions, set(read_names(gate))) == [
+        ("m.py", "public"), ("m.py", "only_tested"), ("m.py", "reexported"), ("m.py", "method")]
