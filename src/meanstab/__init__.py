@@ -37,7 +37,6 @@ from .rationals import Rational, parse_rational
 from .resultant import (
     resultant_case,
     resultant_coeffs,
-    resultant_mean_map,
     resultant_power_means,
 )
 from .series import series_mul, series_power

@@ -195,9 +195,6 @@ class MeanExpansion:
             acc = acc * u + float(c)
         return x * acc
 
-    def __iter__(self):
-        return iter(self.coeffs)
-
 
 def _power_mean_form(p: Fraction, order: int) -> tuple[list[int], int]:
     """The expansion of B_p as integer numerators over their least common

@@ -37,6 +37,7 @@ from .catalog import (
     MeanSpec,
     PowerMean,
     SAlpha,
+    _mean_form,
     describe_spec,
     expand_mean,
     expand_stable,
@@ -54,7 +55,8 @@ from .polynomials import (
     Root,
 )
 from .rationals import Rational, format_rational, parse_rational
-from .resultant import resultant_case, resultant_mean_map
+from .resultant import _resultant, resultant_case
+from .series import _values
 from .solver import is_stable, optimal_parameters, scan_family, stability_parameter_scan
 
 SCHEMA = "1"
@@ -222,7 +224,7 @@ def _cmd_expand(args: argparse.Namespace) -> dict:
         spec = _build_spec(args)
         expansion = expand_mean(spec, args.order)
         label = describe_spec(spec)
-    return {"command": "expand", "mean": label, **_expansion_json(expansion)}
+    return {"mean": label, **_expansion_json(expansion)}
 
 
 def _cmd_resultant(args: argparse.Namespace) -> dict:
@@ -238,20 +240,17 @@ def _cmd_resultant(args: argparse.Namespace) -> dict:
     else:
         raise UsageError("give either --outer/--inner names or --p/--q powers")
     # The case is read from the inner t coefficient, also at order 0.
-    inner_expansion = expand_mean(inner, max(args.order, 1))
-    expansion = resultant_mean_map(
-        outer if isinstance(outer, PowerMean) else expand_mean(outer, args.order),
-        expand_mean(middle, args.order),
-        inner_expansion,
-        args.order,
-    )
+    inner_nums, inner_den = inner_form = _mean_form(inner, max(args.order, 1))
+    case = resultant_case(MeanExpansion(_values(inner_nums[:2], inner_den)))
+    # A power mean is the outer mean in closed form, as in the stability check.
+    outer_form = outer.p if isinstance(outer, PowerMean) else _mean_form(outer, args.order)
+    r_form = _resultant(outer_form, _mean_form(middle, args.order), inner_form, args.order)
     return {
-        "command": "resultant",
         "outer": describe_spec(outer),
         "middle": describe_spec(middle),
         "inner": describe_spec(inner),
-        "case": resultant_case(inner_expansion),
-        **_expansion_json(expansion),
+        "case": case,
+        **_expansion_json(MeanExpansion(_values(*r_form))),
     }
 
 
@@ -259,7 +258,6 @@ def _cmd_stable(args: argparse.Namespace) -> dict:
     spec = _build_spec(args)
     report = is_stable(spec, args.order)
     out: dict = {
-        "command": "stable",
         "mean": report.description,
         "order": report.order,
         "stable_to_order": report.is_stable,
@@ -275,7 +273,6 @@ def _cmd_solve(args: argparse.Namespace) -> dict:
     mean = expand_mean(spec, args.max_order)
     verdict = optimal_parameters(mean, args.max_order, spec=spec)
     out: dict = {
-        "command": "solve",
         "mean": describe_spec(spec),
         "max_order": args.max_order,
         "relation": verdict.relation,
@@ -315,7 +312,6 @@ def _cmd_scan(args: argparse.Namespace) -> dict:
         raise UsageError(f"unknown family {args.family!r}; use Lalpha or Salpha")
     roots = stability_parameter_scan(args.family, args.order)
     return {
-        "command": "scan",
         "family": args.family,
         "order": args.order,
         "stable_parameters": [_root_json(r) for r in roots],
@@ -329,7 +325,6 @@ def _cmd_compare(args: argparse.Namespace) -> dict:
         grid = GridSpec(args.x_min, args.x_max, args.count, args.scale)
     report = compare_scan(m1, m2, grid)
     return {
-        "command": "compare",
         "m1": describe_spec(m1),
         "m2": describe_spec(m2),
         "verdict": report.verdict,
@@ -350,7 +345,6 @@ def _cmd_limit(args: argparse.Namespace) -> dict:
         label = describe_spec(middle)
     report = boundary_limit(expr)
     return {
-        "command": "limit",
         "expression": label,
         "limit": _float_json(report.value, report.method),
         "uncertainty": report.uncertainty,
@@ -363,17 +357,7 @@ def _cmd_verify(args: argparse.Namespace) -> dict:
         grid = GridSpec(args.x_min, args.x_max, args.count, "logarithmic")
         check_decay_setup(args.t, grid)
     report = verify_expansion_decay(spec, args.order, args.t, grid)
-    return {
-        "command": "verify",
-        "mean": describe_spec(spec),
-        "order": args.order,
-        "t": args.t,
-        "slope": report.slope,
-        "expected_exponent": report.expected_exponent,
-        "points_used": report.points_used,
-        "noise_floor": report.noise_floor,
-        "exact": report.exact,
-    }
+    return {"mean": describe_spec(spec), "order": args.order, "t": args.t, **vars(report)}
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +517,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(error_obj))
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report = {"schema": SCHEMA, **report}
+    report = {"schema": SCHEMA, "command": args.subcommand, **report}
     encoded = json.dumps(report, indent=2) if args.format == "json" or args.out else None
     text = encoded if args.format == "json" else _render_table(report)
     if args.out:

@@ -67,16 +67,18 @@ composition one primitive of that module.  :func:`resultant_coeffs`
 converts its three inputs together.  Over Q they become integer numerators
 over their least common denominators, and the result becomes ``Fraction``
 values only on the way out.  The other callers hand the body integer forms
-directly: the solver B_p's exponent and the forms of M and B_q, its
-stability check the form of M three times (or B_p's exponent as the outer
-mean), each taking the difference before converting, and
-``catalog.expand_stable`` the form of its window.  Any other scalar, a
-``Fraction`` subclass included, enters as its own values over
-``Fraction(1)``, and so do the rational inputs that come with it, so a
-mixed triple computes in the non-rational field; the result is that
-field's values.  The tests run the body over truncated series in a
-perturbation parameter to check the degenerate cases against one-sided
-limits at n_1 = -1 and +1, through the primitives of a rational call.
+directly: the solver and :func:`resultant_power_means` B_p's exponent and
+the forms of M and B_q, the solver's stability check the form of M three
+times (or B_p's exponent as the outer mean), each taking the difference
+before converting, ``catalog.expand_stable`` the form of its window, and
+the command line's ``resultant`` the catalog forms of its three means (or
+B_p's exponent as the outer mean).  Any other scalar, a ``Fraction``
+subclass included, enters as its own values over ``Fraction(1)``, and so do
+the rational inputs that come with it, so a mixed triple computes in the
+non-rational field; the result is that field's values.  The tests run the
+body over truncated series in a perturbation parameter to check the
+degenerate cases against one-sided limits at n_1 = -1 and +1, through the
+primitives of a rational call.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .catalog import MeanExpansion, PowerMean, expand_power_mean
+from .catalog import MeanExpansion, _power_mean_form
 from .rationals import Rational
 from .series import _forms, _horner_form, _power_form, _product_form, _reduced, _spread, _values
 
@@ -213,17 +215,6 @@ def resultant_case(inner: MeanExpansion) -> int:
     return 2 if n1 == -1 else 3 if n1 == 1 else 1
 
 
-def resultant_mean_map(
-    outer: MeanExpansion | PowerMean, middle: MeanExpansion, inner: MeanExpansion, order: int
-) -> MeanExpansion:
-    """Expansion of R(K, M, N) to the requested order; a PowerMean outer
-    takes the closed power-mean step, an expanded one Horner's."""
-    if not isinstance(outer, PowerMean):
-        return MeanExpansion(resultant_coeffs(outer.coeffs, middle.coeffs, inner.coeffs, order))
-    forms = _checked_forms(order, middle=middle.coeffs, inner=inner.coeffs)
-    return MeanExpansion(_values(*_resultant(outer.p, *forms, order)))
-
-
 def resultant_power_means(
     p: Rational, q: Rational, middle: MeanExpansion, order: int
 ) -> MeanExpansion:
@@ -233,4 +224,6 @@ def resultant_power_means(
     the expansion additionally carries a_1^M/2 at t and
     (2 a_3^M - (p-1)(2q-1) a_1^M)/16 at t^3.
     """
-    return resultant_mean_map(PowerMean(p), middle, expand_power_mean(Fraction(q), order), order)
+    (m_form,) = _checked_forms(order, middle=middle.coeffs)
+    r_form = _resultant(Fraction(p), m_form, _power_mean_form(Fraction(q), order), order)
+    return MeanExpansion(_values(*r_form))

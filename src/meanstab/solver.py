@@ -101,13 +101,6 @@ class DifferenceExpansion:
         return None
 
     @property
-    def sign(self) -> int:
-        n = self.first_nonzero
-        if n is None:
-            return 0
-        return 1 if self.coeffs[n] > 0 else -1
-
-    @property
     def is_zero(self) -> bool:
         return self.first_nonzero is None
 
@@ -319,19 +312,17 @@ def optimal_parameters(
     if mean.order < max_order:
         raise ValueError("mean expansion shorter than the requested search order")
 
+    def verdict(leading, probes, **fields) -> StabilizabilityVerdict:
+        # The relation from the sign of the leading term and the probes.
+        relation, boundary = _sampled_relation(spec, 1 if leading > 0 else -1, probes)
+        return StabilizabilityVerdict(relation, boundary=boundary, **fields)
+
     # Parameter-free leading term: mixed parity with a_1 != 0.
     a1 = mean.coefficient(1)
     if a1 != 0:
-        leading = a1 / 2
-        asym = 1 if leading > 0 else -1
-        relation, boundary = _sampled_relation(spec, asym, _BOUNDARY_SAMPLES)
-        return StabilizabilityVerdict(
-            relation,
-            fixed_leading=leading,
-            fixed_leading_order=1,
-            boundary=boundary,
-            notes=("the t coefficient a_1/2 does not depend on (p, q)",),
-        )
+        note = "the t coefficient a_1/2 does not depend on (p, q)"
+        return verdict(a1, _BOUNDARY_SAMPLES, fixed_leading=a1 / 2, fixed_leading_order=1,
+                       notes=(note,))
 
     locus = first_order_locus(mean)
     polys: dict[int, UniPoly] = {}
@@ -345,14 +336,8 @@ def optimal_parameters(
             polys.update(coefficient_polynomials(mean, locus, k, reach))
         return polys[k]
 
-    pivot: tuple[int, UniPoly] | None = None
-    for k in range(2 + step, max_order + 1, step):
-        pk = poly_at(k)
-        if pk.is_zero:
-            continue
-        pivot = (k, pk)
-        break
-    if pivot is None:
+    k0 = next((k for k in range(2 + step, max_order + 1, step) if not poly_at(k).is_zero), None)
+    if k0 is None:
         return StabilizabilityVerdict(
             "stabilizable",
             locus=locus,
@@ -361,27 +346,17 @@ def optimal_parameters(
             ),
         )
 
-    k0, pk0 = pivot
+    pk0 = polys[k0]
     roots = isolate_real_roots(pk0) if pk0.degree >= 1 else []
     if not roots:
         # The pivot coefficient keeps one sign for every p on the locus.
-        sample_val = pk0(0)
-        asym = 1 if sample_val > 0 else -1
+        constant = pk0.degree == 0
+        note = (f"the t^{k0} coefficient on the locus is constant in p" if constant
+                else f"the t^{k0} coefficient has no real zero; its sign is fixed")
         probes = [(p, float(locus.q_of(Fraction(p)))) for p in _LOCUS_SAMPLES]
-        relation, boundary = _sampled_relation(spec, asym, probes)
-        note = (
-            f"the t^{k0} coefficient on the locus is constant in p"
-            if pk0.degree == 0
-            else f"the t^{k0} coefficient has no real zero; its sign is fixed"
-        )
-        return StabilizabilityVerdict(
-            relation,
-            locus=locus,
-            fixed_leading=pk0.coefficient(0) if pk0.degree == 0 else None,
-            fixed_leading_order=k0,
-            boundary=boundary,
-            notes=(note,),
-        )
+        fixed = pk0.coefficient(0) if constant else None
+        return verdict(pk0(0), probes, locus=locus, fixed_leading=fixed, fixed_leading_order=k0,
+                       notes=(note,))
 
     candidates = []
     for root in roots:
@@ -420,19 +395,15 @@ def optimal_parameters(
                    f"{len(best)} parameter pair(s)",),
         )
 
-    best_order = max(c.achieved_order for c in candidates)
-    ranked = tuple(
-        sorted(candidates, key=lambda c: -(c.achieved_order or max_order + 1))
-    )
-    top = [c for c in candidates if c.achieved_order == best_order]
-    asym = top[0].sign
-    notes: tuple[str, ...] = ()
-    if any(c.sign != asym for c in top):
+    # A stable sort: the first best candidate is the first in root order.
+    ranked = tuple(sorted(candidates, key=lambda c: -c.achieved_order))
+    top = ranked[0]
+    notes = ()
+    if any(c.sign != top.sign for c in ranked if c.achieved_order == top.achieved_order):
         notes = ("best candidates disagree in sign; relation taken from the first",)
-    relation, boundary = _sampled_relation(spec, asym, [(top[0].p.approx(), top[0].q.approx())])
-    return StabilizabilityVerdict(
-        relation, candidates=ranked, locus=locus, boundary=boundary, notes=notes
-    )
+    # The sign stands for the leading coefficient, which may be an enclosure.
+    probes = [(top.p.approx(), top.q.approx())]
+    return verdict(top.sign, probes, candidates=ranked, locus=locus, notes=notes)
 
 
 # ---------------------------------------------------------------------------

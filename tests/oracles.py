@@ -52,6 +52,10 @@ Each one is an independent derivation of the same coefficients:
 * ``stable_by_two_resultants``: the stable series with the slope of each
   fixed-point step measured by a second resultant, where the catalog uses
   its closed form 1/2 + 2**(1-n) and reads the resultant on integer forms;
+* ``resultant_mean_map``: R(K, M, N) from three expansions, or from B_p's
+  exponent as the outer mean, through ``resultant_coeffs`` or the forms of
+  the expansions, where the command line composes the catalog forms of its
+  means;
 * ``stability_defects_by_mean_map``: the stability defects M - R(M, M, M)
   from the expansion of M and ``resultant_mean_map`` as Fractions, where
   the solver takes the difference on the integer form of the mean;
@@ -162,7 +166,7 @@ from meanstab.polynomials import (
 from meanstab.numeric import LimitReport, eval_mean, eval_resultant
 from meanstab.rationals import ONE, ZERO, Rational
 from meanstab import resultant
-from meanstab.resultant import resultant_coeffs, resultant_mean_map
+from meanstab.resultant import resultant_coeffs
 from meanstab.series import (
     _forms,
     _horner_form,
@@ -243,6 +247,17 @@ def stable_by_two_resultants(a2: Rational, order: int) -> MeanExpansion:
             raise ArithmeticError(f"fixed point underdetermined at order {idx}")
         coeffs[idx] = base / (1 - slope)
     return MeanExpansion(tuple(coeffs))
+
+
+def resultant_mean_map(
+    outer: MeanExpansion | PowerMean, middle: MeanExpansion, inner: MeanExpansion, order: int
+) -> MeanExpansion:
+    """Expansion of R(K, M, N) to the requested order; a PowerMean outer
+    takes the closed power-mean step, an expanded one Horner's."""
+    if not isinstance(outer, PowerMean):
+        return MeanExpansion(resultant_coeffs(outer.coeffs, middle.coeffs, inner.coeffs, order))
+    forms = resultant._checked_forms(order, middle=middle.coeffs, inner=inner.coeffs)
+    return MeanExpansion(_values(*resultant._resultant(outer.p, *forms, order)))
 
 
 def stability_defects_by_mean_map(spec: MeanSpec, order: int) -> list[Rational]:

@@ -173,7 +173,7 @@ class TestOtherCommands:
 
     def test_resultant_outer_and_inner_inline(self, capsys):
         from meanstab.catalog import M1, PowerMean, SAlpha, expand_mean
-        from meanstab.resultant import resultant_mean_map
+        from oracles import resultant_mean_map
 
         report = run_json(
             capsys, "resultant", "--mean", "M1", "--outer", "salpha:1/2",

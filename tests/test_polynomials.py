@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -190,6 +191,25 @@ class TestRootIsolation:
         assert interval.high - interval.low <= F(1, 10**12)
         cubic = poly(-4, -1, 0, 1)
         assert cubic(interval.low) * cubic(interval.high) < 0
+
+    def test_huge_root_beside_small_ones(self):
+        # A root near 2e21 makes the Cauchy bound huge, so the small roots
+        # separate only after many bisection levels; 0.2 s of CPU today.
+        big = 1922760350154212639070
+        p = (
+            poly(F(9, 4), 1) * poly(F(-big, 999979), 1) * poly(-big, 1)
+            * poly(-13, 16, 1) * poly(-2, 0, 0, 1)
+        )
+        start = time.process_time()
+        roots = isolate_real_roots(p)
+        assert time.process_time() - start < 2.0
+        low_surd, quarter, high_surd, cube_root, middle, top = roots
+        assert [r.value for r in (quarter, middle, top)] == [F(-9, 4), F(big, 999979), F(big)]
+        for surd, sign in ((low_surd, -1), (high_surd, 1)):
+            assert (surd.add, surd.sign, surd.radicand, surd.div) == (F(-8), sign, F(77), F(1))
+        assert isinstance(cube_root, IntervalRoot)
+        assert cube_root.high - cube_root.low <= F(1, 10**12)
+        assert cube_root.low**3 < 2 < cube_root.high**3
 
     def test_multiplicities_collapse(self):
         p = poly(-1, 1) * poly(-1, 1) * poly(3, 1)

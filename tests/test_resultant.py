@@ -29,13 +29,13 @@ from oracles import (
     composition_sums,
     composition_sums_full_horner,
     resultant_by_double_sums,
+    resultant_mean_map,
     resultant_on_fraction_tuples,
     resultant_two_sides,
 )
 from meanstab.resultant import (
     resultant_case,
     resultant_coeffs,
-    resultant_mean_map,
     resultant_power_means,
 )
 

@@ -62,7 +62,7 @@ class TestDifferenceExpansion:
         m2 = expand_mean(M2, 6)
         diff = difference_expansion(m2, F(0), F(0), 4)
         assert diff.first_nonzero == 2
-        assert diff.sign == 1  # (5 - 0 - 0)/8 > 0
+        assert diff.coeffs[diff.first_nonzero] > 0  # (5 - 0 - 0)/8
 
 
 class TestDifferenceOnIntegerForms:
@@ -672,6 +672,30 @@ class TestBoundaryWithoutSpec:
         assert verdict.boundary.label != "unavailable"
 
 
+class TestDisagreeingBestCandidates:
+    """M2's candidates p = -+sqrt(17) both survive at t^6 with -11/180.
+    With the value at one root negated, the two best candidates disagree in
+    sign: the relation is the first one's, and the verdict says so."""
+
+    @pytest.mark.parametrize(
+        "negated, relation", [(1, "candidate-super"), (-1, "candidate-sub")], ids=["high", "low"]
+    )
+    def test_relation_taken_from_the_first(self, monkeypatch, negated, relation):
+        real = solver.eval_at_root
+
+        def negating(poly, root):
+            value = real(poly, root)
+            return -value if root.sign == negated else value
+
+        monkeypatch.setattr(solver, "eval_at_root", negating)
+        verdict = optimal_parameters(expand_mean(M2, 8), 8)
+        assert verdict.relation == relation
+        assert verdict.notes == ("best candidates disagree in sign; relation taken from the first",)
+        assert [(c.p.sign, c.achieved_order, c.leading) for c in verdict.candidates] == [
+            (sign, 6, F(-11, 180) * (-1 if sign == negated else 1)) for sign in (-1, 1)
+        ]
+
+
 class TestMuBoundaryEvidence:
     """A mu-generated mean carries closed-form boundary evidence when mu has
     no positive root, and "unavailable" when it has one."""
@@ -730,7 +754,7 @@ class TestSignCoherence:
                 numeric = eval_mean(spec, x - t, x + t) - eval_resultant(
                     pm, spec, qm, x - t, x + t
                 )
-                assert (numeric > 0) == (diff.sign > 0), (spec, p, q)
+                assert (numeric > 0) == (diff.coeffs[diff.first_nonzero] > 0), (spec, p, q)
                 checked += 1
         assert checked > 60
 
