@@ -24,8 +24,10 @@ Families:
   mean" series for a prescribed t^2 coefficient).
 
 Power and quotient means run on integer forms, B_p and the quotient means
-with an even D' at half the order in u**2; cosh(alpha*Lambda) comes from a
-linear integer recurrence (see expand_quotient_mean).
+with an even D' at half the order in u**2.  L_alpha and S_alpha depend on
+alpha only through beta = alpha**2: cosh(alpha*Lambda) comes from one linear
+integer recurrence in beta, which takes any rational beta (see
+expand_quotient_mean).
 """
 
 from __future__ import annotations
@@ -249,22 +251,6 @@ def _denominator_derivative(spec: ClassicMean | MAlphaR | MuGenerated) -> tuple[
     return (ONE, spec.r), spec.alpha / spec.r
 
 
-def _cosh_form(alpha: Fraction, half: int) -> tuple[list[int], int]:
-    """cosh(alpha*Lambda) in w = u**2 through w**half.  E = exp(alpha*Lambda)
-    solves (1 - u^2) E' = 2 alpha E, so for alpha = s/t the e_n = n! t**n E_n
-    are integers, e_{n+1} = 2s e_n + n(n-1) t^2 e_{n-1}; cosh is the even
-    part of E."""
-    s, t = alpha.as_integer_ratio()
-    e = [1, 2 * s]
-    for n in range(1, 2 * half):
-        e.append(2 * s * e[n] + n * (n - 1) * t * t * e[n - 1])
-    nums, den = [], 1  # over (2*half)! t**(2*half), from the top index down
-    for k in range(half, 0, -1):
-        nums.append(e[2 * k] * den)
-        den *= 2 * k * (2 * k - 1) * t * t
-    return _reduced([den] + nums[::-1], den)
-
-
 def _log_ratio_form(order: int, even: bool) -> tuple[list[int], int]:
     """Lambda = ln((1+u)/(1-u)) = 2 sum u**(2k+1)/(2k+1) through u**order,
     or, if even, Lambda**2 = w * lam(w)**2 with lam = 2 sum w**k/(2k+1)."""
@@ -278,19 +264,39 @@ def _log_ratio_form(order: int, even: bool) -> tuple[list[int], int]:
 
 
 def _quotient_form(derivative: tuple, order: int, even: bool) -> tuple[list[int], int]:
-    """D(Lambda)/(2u) from d = D'(Lambda), both in u or, if even, in w.  As
-    Lambda' = 2/(1 - u^2), the integral of d * Lambda' has u**(n+1)
-    coefficient 2 S_n/(n+1), S_n = d_n + d_{n-2} + ...: a running sum."""
+    """The mean 2u/D(Lambda) through the order from d = D'(Lambda), in u or,
+    if even, in w through w**(order//2).  As Lambda' = 2/(1 - u^2), the
+    integral of d * Lambda' has u**(n+1) coefficient 2 S_n/(n+1),
+    S_n = d_n + d_{n-2} + ...: a running sum; one inverse gives the mean."""
+    reach = order // 2 if even else order
     nums, den = derivative
     if nums[0] != den:
         raise ArithmeticError("D(Lambda) must start 2u")
     lag = 1 if even else 2
     sums = nums[:lag]
-    for c in nums[lag : order + 1]:
+    for c in nums[lag : reach + 1]:
         sums.append(c + sums[-lag])
-    lengths = range(1, 2 * order + 2, 2) if even else range(1, order + 2)
+    lengths = range(1, 2 * reach + 2, 2) if even else range(1, reach + 2)
     common = lcm(*lengths)
-    return _reduced([q * (common // m) for q, m in zip(sums, lengths)], den * common)
+    quotient = _reduced([q * (common // m) for q, m in zip(sums, lengths)], den * common)
+    form = _power_form(quotient, -1, reach)
+    return _spread(form, order) if even else form
+
+
+def _cosh_mean_form(beta: Fraction, invert: bool, order: int) -> tuple[list[int], int]:
+    """The integer form of L_alpha, or if inverted S_alpha, at beta = alpha**2
+    for any rational beta, by the recurrence of expand_quotient_mean."""
+    s, t = beta.as_integer_ratio()
+    half = order // 2
+    e = [0, 1]  # e_{-2}, e_0, e_2, ...
+    for m in range(0, 2 * half, 2):
+        e.append((4 * s + 2 * m * m * t) * e[-1] - m * (m - 1) ** 2 * (m - 2) * t * t * e[-2])
+    nums, den = [], 1  # over (2*half)! t**half, from the top index down
+    for k in range(half, 0, -1):
+        nums.append(e[k + 1] * den)
+        den *= 2 * k * (2 * k - 1) * t
+    cosh = _reduced([den] + nums[::-1], den)
+    return _quotient_form(_power_form(cosh, -1, half) if invert else cosh, order, True)
 
 
 def expand_quotient_mean(spec: MeanSpec, order: int) -> MeanExpansion:
@@ -305,11 +311,16 @@ def expand_quotient_mean(spec: MeanSpec, order: int) -> MeanExpansion:
     term 1); coefficients stay in Q because every sqrt(2) in the closed
     forms cancels against the scaled argument.
 
-    The route runs on integer forms.  D'(Lambda) is cosh(alpha*Lambda) from
-    an integer recurrence for L_alpha, its inverse for S_alpha, and else
-    base(Lambda)**exponent by Horner's rule and one power recursion; the
-    product with Lambda' and the integral are one running sum, and one
-    inverse gives the mean.  When D' is even (L_alpha, S_alpha, M2, M4, mu)
+    The route runs on integer forms.  D'(Lambda) is C = cosh(alpha*Lambda)
+    for L_alpha, its inverse for S_alpha, and else base(Lambda)**exponent by
+    Horner's rule and one power recursion; the product with Lambda' and the
+    integral are one running sum, and one inverse gives the mean.  C depends
+    on alpha only through beta = alpha**2: it solves C'' = beta*C in Lambda,
+    and d/dLambda = ((1 - u^2)/2) d/du, so for beta = s/t the numbers
+    e_m = m! t**(m/2) C_m (m even) are integers, with e_0 = 1, e_{-2} = 0 and
+    e_{m+2} = (4s + 2m^2 t) e_m - m(m-1)^2(m-2) t^2 e_{m-2}.  The recurrence
+    takes any rational beta, and the u**(2k) coefficient of C, and so of the
+    mean, is a polynomial of degree at most k in beta.  When D' is even (L_alpha, S_alpha, M2, M4, mu)
     every step runs in w = u**2 at half the order, on Lambda**2.
     """
     return MeanExpansion(_values(*_quotient_mean_form(spec, order)))
@@ -318,18 +329,12 @@ def expand_quotient_mean(spec: MeanSpec, order: int) -> MeanExpansion:
 def _quotient_mean_form(spec: MeanSpec, order: int) -> tuple[list[int], int]:
     """The integer form of a quotient mean (see expand_quotient_mean)."""
     if isinstance(spec, (LAlpha, SAlpha)):
-        even, reach = True, order // 2
-        derivative = _cosh_form(spec.alpha, reach)
-        if isinstance(spec, SAlpha):
-            derivative = _power_form(derivative, -1, reach)
-    else:
-        base, expo = _denominator_derivative(spec)
-        even = not any(base[1::2])
-        base, reach = (base[::2], order // 2) if even else (base, order)
-        composed = _horner_form(_integer_form(base, len(base) - 1), _log_ratio_form(reach, even), reach)
-        derivative = _power_form(composed, expo, reach)
-    form = _power_form(_quotient_form(derivative, reach, even), -1, reach)
-    return _spread(form, order) if even else form
+        return _cosh_mean_form(spec.alpha**2, isinstance(spec, SAlpha), order)
+    base, expo = _denominator_derivative(spec)
+    even = not any(base[1::2])
+    base, reach = (base[::2], order // 2) if even else (base, order)
+    composed = _horner_form(_integer_form(base, len(base) - 1), _log_ratio_form(reach, even), reach)
+    return _quotient_form(_power_form(composed, expo, reach), order, even)
 
 
 def expand_stable(a2: Rational, order: int) -> MeanExpansion:

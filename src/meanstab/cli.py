@@ -530,7 +530,3 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     print(text)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

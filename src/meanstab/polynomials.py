@@ -86,9 +86,6 @@ class UniPoly:
             tuple(self.coefficient(i) - other.coefficient(i) for i in range(n))
         )
 
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs))
-
     def __mul__(self, other: "UniPoly | Rational | int") -> "UniPoly":
         if isinstance(other, (int, Fraction)):
             return UniPoly(tuple(c * other for c in self.coeffs))
@@ -592,13 +589,12 @@ def eval_at_root(p: UniPoly, root: Root) -> Rational | SignedInterval:
 
 
 def affine_image(root: Root, slope: Rational, intercept: Rational) -> Root:
-    """The root description of slope*x + intercept at the given root."""
+    """The root description of slope*x + intercept at the given root, for a
+    nonzero slope."""
     slope, intercept = Fraction(slope), Fraction(intercept)
     if isinstance(root, RationalRoot):
         return RationalRoot(intercept + slope * root.value)
     if isinstance(root, QuadraticSurdRoot):
-        if slope == 0:
-            return RationalRoot(intercept)
         sign = root.sign if slope > 0 else -root.sign
         return make_surd(
             intercept * root.div + slope * root.add,
@@ -606,8 +602,6 @@ def affine_image(root: Root, slope: Rational, intercept: Rational) -> Root:
             slope * slope * root.radicand,
             root.div,
         )
-    if slope == 0:
-        return RationalRoot(intercept)
     lo = intercept + slope * root.low
     hi = intercept + slope * root.high
     if lo > hi:

@@ -35,7 +35,9 @@ even), so its search asks only for even k.  A rational root of the pivot
 (the first nonzero coefficient polynomial) opens no band: past the last
 reach, one difference expansion at the root, truncated at max_order, gives
 the first surviving coefficient, since the bands showed that every
-coefficient below it vanishes there.
+coefficient below it vanishes there.  The stability scan of L_alpha and
+S_alpha reads its t^4 defect the same way, as a band of reach 4 in
+beta = alpha**2 (see stability_parameter_scan).
 
 The verdict distinguishes a candidate direction of the inequality (the sign
 of the first surviving coefficient, which is only the asymptotic, near-
@@ -51,6 +53,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .catalog import (
+    _cosh_mean_form,
     _mean_form,
     _power_mean_form,
     LAlpha,
@@ -109,8 +112,14 @@ def _difference_form(m_form: tuple, p: Fraction, q: Fraction, order: int) -> tup
     """M - R(B_p, M, B_q) through the order as integer numerators over one
     denominator, from the integer form of the mean through the order: B_q's
     expansion, the two sides and the closed power-mean outer step."""
-    r_form = _resultant(p, m_form, _power_mean_form(q, order), order)
-    m, r, den = _common(m_form, r_form)
+    return _mean_minus_resultant(p, m_form, _power_mean_form(q, order), order)
+
+
+def _mean_minus_resultant(outer, m_form: tuple, inner: tuple, order: int) -> tuple:
+    """M - R(K, M, N) through the order as integer numerators over one
+    denominator, from the integer forms of M and N and the outer mean K: its
+    form, or p for B_p in closed form."""
+    m, r, den = _common(m_form, _resultant(outer, m_form, inner, order))
     return [a - b for a, b in zip(m, r)], den
 
 
@@ -158,25 +167,27 @@ def coefficient_polynomials(
     mean: MeanExpansion, locus: AffineLocus, low: int, high: int
 ) -> dict[int, UniPoly]:
     """The t**k coefficients of the difference on the locus, for k in
-    low..high, as exact polynomials in p (degree <= k-1).
-
-    One band of n = high+2 difference expansions, at the consecutive integer
-    samples p = x0 .. x0+n-1 with x0 = -(n//2) and truncated at order high,
-    serves every k.  The samples stay integer numerators, brought over one
-    denominator for the band.  Column k has the forward differences
-    Delta^j, j < n; the samples lie on a polynomial of degree <= k-1 exactly
-    when Delta^j = 0 for j = k..n-1, and that polynomial is the Newton form
-    of Delta^0..Delta^(k-1).
+    low..high, as exact polynomials in p (degree <= k-1): one band of
+    difference expansions, truncated at order high, serves every k.
     """
     if low < 2:
         raise ValueError("coefficient polynomials start at the t^2 index")
+    m_form = _integer_form(mean.truncated(high).coeffs, high)
+    return _band(lambda p: _difference_form(m_form, p, locus.q_of(p), high), low, high)
+
+
+def _band(sample: Callable[[Fraction], tuple], low: int, high: int) -> dict[int, UniPoly]:
+    """Columns k = low..high of the forms sample(x), through the order high,
+    at the n = high+2 consecutive integers x = x0 .. x0+n-1, x0 = -(n//2), as
+    polynomials in x of degree <= k-1.  The samples stay integer numerators,
+    brought over one denominator for the band.  Column k has the forward
+    differences Delta^j, j < n; the samples lie on a polynomial of degree
+    <= k-1 exactly when Delta^j = 0 for j = k..n-1, and that polynomial is
+    the Newton form of Delta^0..Delta^(k-1).
+    """
     n = high + 2
     x0 = -(n // 2)
-    m_form = _integer_form(mean.truncated(high).coeffs, high)
-    samples = []
-    for i in range(n):
-        p = Fraction(x0 + i)
-        samples.append(_difference_form(m_form, p, locus.q_of(p), high))
+    samples = [sample(Fraction(x0 + i)) for i in range(n)]
     den = math.lcm(*(d for _, d in samples))
     rows = [[c * (den // d) for c in nums] for nums, d in samples]
     polys = {}
@@ -222,8 +233,7 @@ class OptimalCandidate:
 
     @property
     def sign(self) -> int:
-        if self.leading is None:
-            return 0
+        """The sign of the leading coefficient, for a candidate that has one."""
         if isinstance(self.leading, SignedInterval):
             return self.leading.sign
         return 1 if self.leading > 0 else (-1 if self.leading < 0 else 0)
@@ -438,28 +448,8 @@ def _stability_defects(spec: MeanSpec, order: int) -> list[Rational]:
     form of the mean; a power mean is the outer mean in closed form."""
     m_form = _mean_form(spec, order)
     outer = spec.p if isinstance(spec, PowerMean) else m_form
-    m, r, den = _common(m_form, _resultant(outer, m_form, m_form, order))
-    return [Fraction(a - b, den) for a, b in zip(m, r)]
-
-
-def _defect_polynomial_in_beta(
-    make_spec: Callable[[Rational], MeanSpec], index: int
-) -> UniPoly:
-    """The t**index stability defect as a polynomial in beta = alpha**2.
-
-    It is sampled at alpha = j/12, j = 0..12.  Both families are even in
-    alpha, so the values mirror to j = -12..12, and they lie on a polynomial
-    of degree <= 10 in beta exactly when Delta^21..Delta^24 of the mirrored
-    row vanish.  Newton's forward form then gives the even polynomial P(j),
-    and beta = j**2/144 turns it into sum_i P_{2i} * 144**i * beta**i.
-    """
-    values = [_stability_defects(make_spec(Fraction(j, 12)), index)[index] for j in range(13)]
-    row, den = _integer_form(values[:0:-1] + values, 24)
-    deltas = forward_differences(row)
-    if any(deltas[21:]):
-        raise ArithmeticError("stability defect is not polynomial in alpha^2")
-    in_j = newton_forward(-12, deltas[:21], den)
-    return UniPoly(tuple(in_j.coefficient(2 * i) * 144**i for i in range(11)))
+    nums, den = _mean_minus_resultant(outer, m_form, m_form, order)
+    return [Fraction(c, den) for c in nums]
 
 
 _SCAN_FAMILIES = {"L": LAlpha, "LALPHA": LAlpha, "S": SAlpha, "SALPHA": SAlpha}
@@ -475,12 +465,18 @@ def scan_family(family: str) -> Callable[[Rational], MeanSpec] | None:
 def stability_parameter_scan(family: str, order: int = 16) -> list[Root]:
     """All parameters alpha in [-1, 1] for which the family is stable.
 
-    The t^4 stability defect is read as an exact polynomial in alpha^2 from
-    equally spaced samples of alpha and its roots isolated.  Only rational
-    alpha are reported: a root in [0, 1] that is a rational square must pass
-    a full coefficient comparison to the given order (at least 4), and any
-    other root there raises ArithmeticError ("unresolved"); L's roots are
-    -1/20, 1/4 and 1, S's only root is about 1.37.
+    The t^4 stability defect is read as an exact polynomial in beta =
+    alpha**2, as a band of reach 4 reads its t^4 column: M - R(M, M, M) at
+    order 4 on the catalog's beta forms at beta = -3..2, with Delta^4 and
+    Delta^5 checked to vanish.  The column's degree bound 3 is proven: by
+    expand_stable's slope argument r_4 = (5/8) a_4 + a_2(1 + a_2)(1 - 4a_2)/16
+    for an even mean, so the defect is (3/8)(a_4 - a_2(1 + a_2)(1 - 4a_2)/6),
+    and the u**(2k) coefficient of the cosh form, and so of the mean, has
+    degree at most k in beta: a_2 is affine and a_4 quadratic.  Only
+    rational alpha are reported: a root in [0, 1] that is a rational square
+    must pass a full coefficient comparison to the given order (at least 4),
+    and any other root there raises ArithmeticError ("unresolved"); L's
+    roots are -1/20, 1/4 and 1, S's only root is about 1.37.
     Families: "L" (generated by cosh) and "S" (generated by 1/cosh).
     """
     if order < 4:
@@ -489,7 +485,11 @@ def stability_parameter_scan(family: str, order: int = 16) -> list[Root]:
     if make_spec is None:
         raise ValueError("family must be 'LAlpha' or 'SAlpha'")
 
-    defect4 = _defect_polynomial_in_beta(make_spec, 4)
+    def defect(beta: Fraction) -> tuple:  # M - R(M, M, M) at order 4
+        form = _cosh_mean_form(beta, make_spec is SAlpha, 4)
+        return _mean_minus_resultant(form, form, form, 4)
+
+    defect4 = _band(defect, 4, 4)[4]
     if defect4.is_zero:
         raise ArithmeticError("t^4 defect vanishes identically; scan inconclusive")
     results: list[Root] = []

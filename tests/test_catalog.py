@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meanstab.catalog import (
+    _cosh_mean_form,
     _power_mean_form,
     ALIASES,
     ClassicMean,
@@ -30,7 +31,8 @@ from meanstab.catalog import (
     expand_stable,
 )
 from meanstab.numeric import eval_mean
-from meanstab.series import _integer_form, series_power
+from meanstab.polynomials import forward_differences
+from meanstab.series import _integer_form, _values, series_power
 
 # Displayed coefficient formulas used as oracles throughout.
 
@@ -228,6 +230,39 @@ class TestSAlpha:
             expand_mean(SAlpha(F(-9, 8)), 4)
 
 
+def euler_numbers(n):
+    """E_0, E_2, .., E_2n of sech x = sum E_2k x**(2k)/(2k)!."""
+    e = [1]
+    for m in range(1, n + 1):
+        e.append(-sum(math.comb(2 * m, 2 * j) * e[j] for j in range(m)))
+    return e
+
+
+class TestCoshFormInBeta:
+    """The one catalog entry for L_alpha and S_alpha takes beta = alpha**2 at
+    any rational beta, a negative one included, where cosh(alpha*y) is
+    cos(sqrt(-beta)*y)."""
+
+    @pytest.mark.parametrize("beta", [F(-3), F(-2, 9), F(0), F(1, 2), F(1), F(2), F(49, 9)])
+    @pytest.mark.parametrize("invert", [False, True], ids=["L", "S"])
+    def test_equals_the_mu_generated_mean_of_its_denominator(self, invert, beta):
+        # D'(y) = cosh(sqrt(beta)*y) = sum beta^k y^(2k)/(2k)!, or sech with
+        # the Euler numbers: D is the mu of a mu-generated mean.
+        order = 16
+        weights = euler_numbers(order // 2) if invert else [1] * (order // 2 + 1)
+        mu = tuple(e * beta**k / math.factorial(2 * k + 1) for k, e in enumerate(weights))
+        expected = expand_mean(MuGenerated(mu), order).coeffs
+        assert _values(*_cosh_mean_form(beta, invert, order)) == expected
+
+    @pytest.mark.parametrize("invert", [False, True], ids=["L", "S"])
+    def test_the_u_2k_coefficient_has_degree_k_in_beta(self, invert):
+        order = 16
+        forms = [_values(*_cosh_mean_form(F(beta), invert, order)) for beta in range(-5, 5)]
+        for k in range(order // 2 + 1):
+            deltas = forward_differences(_integer_form([f[2 * k] for f in forms], 9)[0])
+            assert deltas[k] != 0 and not any(deltas[k + 1 :]), k
+
+
 class TestMuGenerated:
     def test_identity_generator_gives_logarithmic_mean(self):
         e = expand_mean(MuGenerated((F(1),)), 8)
@@ -257,6 +292,11 @@ class TestClassicMeans:
         table = CLASSIC_TABLES[index]
         e = expand_quotient_mean(ClassicMean(index), len(table) - 1)
         assert list(e.coeffs) == table
+
+    @pytest.mark.parametrize("index", [0, 6])
+    def test_index_outside_one_to_five(self, index):
+        with pytest.raises(ValueError, match="1..5"):
+            ClassicMean(index)
 
     def test_parity(self):
         assert expand_quotient_mean(M2, 8).is_even

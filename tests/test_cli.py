@@ -3,7 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from meanstab import cli
 from meanstab.cli import main
+from meanstab.polynomials import IntervalRoot, SignedInterval, UniPoly
 
 
 def run_cli(capsys, *argv):
@@ -57,6 +59,11 @@ class TestExpand:
         assert coefficient_map(report) == {
             n: expected.coefficient(n) for n in range(11)
         }
+
+    @pytest.mark.parametrize("name", ["HZ14", "heinz", "Heinz"])
+    def test_heinz_aliases(self, capsys, name):
+        report = run_json(capsys, "expand", "--mean", name, "--order", "8")
+        assert report == run_json(capsys, "expand", "--mean", "HZ1/4", "--order", "8")
 
     def test_table_format(self, capsys):
         code, out, _ = run_cli(
@@ -196,6 +203,12 @@ class TestOtherCommands:
         report = run_json(capsys, "limit", "--mean", "M1", "--p", "1", "--q", "1")
         assert report["limit"]["value"] == pytest.approx(0.4747535, rel=1e-5)
         assert report["limit"]["provenance"] == "closed-form"
+
+    def test_limit_of_a_plain_mean(self, capsys):
+        # without --p/--q the limit is the mean's own: M1(0, 1) = 1/ln(1 + oo) = 0
+        report = run_json(capsys, "limit", "--mean", "M1")
+        assert report["expression"] == "M1"
+        assert report["limit"] == {"value": 0.0, "provenance": "closed-form"}
 
     @pytest.mark.parametrize(
         "written, canonical, key, label",
@@ -364,6 +377,23 @@ class TestErrorHandling:
         assert code == 2
         assert out == ""
         assert "not both" in err
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (("expand", "--mean", "stable", "--order", "6"), "needs --a2"),
+            (("resultant", "--mean", "M1", "--order", "4"), "give either --outer/--inner names"),
+            (("expand", "--mean", "M1", "--order", "abc"), "nonnegative integer, got 'abc'"),
+            (("verify", "--mean", "M4", "--order", "4", "--t", "abc"), "finite number, got 'abc'"),
+        ],
+        ids=["stable-without-a2", "resultant-without-forms", "order-abc", "t-abc"],
+    )
+    def test_missing_or_unreadable_option_is_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("family", ["X", "XAlpha", "", "alpha", "Lunch", "salad", "Lalphas"])
     def test_unknown_family_is_usage_error(self, capsys, family):
@@ -551,3 +581,27 @@ class TestErrorHandling:
         assert stdout == ""
         assert stderr.startswith("error: ")
         assert "Traceback" not in stderr
+
+
+class TestEncoders:
+    """Report fields that no known solver input reaches, encoded directly:
+    every surd candidate known has a rational leading coefficient at t^6."""
+
+    def test_interval_root(self):
+        root = IntervalRoot(F(1), F(3, 2), UniPoly((-2, 0, 0, 1)))  # the cube root of 2
+        assert cli._root_json(root) == {
+            "kind": "isolated-interval",
+            "low": {"num": 1, "den": 1},
+            "high": {"num": 3, "den": 2},
+            "approx": {"value": 1.25, "provenance": "float64"},
+        }
+
+    @pytest.mark.parametrize("low, high, sign", [(F(-3, 4), F(-1, 8), -1), (F(1, 8), F(3, 4), 1)])
+    def test_certified_enclosure(self, low, high, sign):
+        assert cli._leading_json(SignedInterval(low, high)) == {
+            "certified_enclosure": {
+                "low": {"num": low.numerator, "den": low.denominator},
+                "high": {"num": high.numerator, "den": high.denominator},
+            },
+            "sign": sign,
+        }

@@ -22,6 +22,7 @@ from meanstab.numeric import (
     GridSpec,
     LimitReport,
     boundary_limit,
+    check_decay_setup,
     compare_scan,
     eval_f,
     eval_mean,
@@ -334,6 +335,8 @@ class TestCompareScan:
             GridSpec(0.0, 1.0, 10)
         with pytest.raises(ValueError):
             GridSpec(1.0, 2.0, 1)
+        with pytest.raises(ValueError, match="'linear' or 'logarithmic'"):
+            GridSpec(1.0, 2.0, 10, scale="cubic")
 
 
 class TestBoundaryLimit:
@@ -449,6 +452,10 @@ class TestDecay:
         report = verify_expansion_decay(M1, 2, 1e-300, self.GRID)
         assert not report.exact and report.noise_floor
         assert report.expected_exponent == -2
+
+    def test_decay_needs_a_logarithmic_grid(self):
+        with pytest.raises(ValueError, match="logarithmic grid"):
+            check_decay_setup(10.0, GridSpec(100.0, 1e5, 40))
 
     @pytest.mark.parametrize("t", [-5.0, 0.0, 100.0, 1e3])
     def test_t_must_lie_below_the_grid(self, t):

@@ -29,10 +29,12 @@ from meanstab.polynomials import (
     IntervalRoot,
     QuadraticSurdRoot,
     RationalRoot,
+    SignedInterval,
     UniPoly,
     isolate_real_roots,
 )
 from meanstab.resultant import resultant_coeffs
+from meanstab.series import _integer_form, _values
 from meanstab.solver import (
     coefficient_polynomials,
     difference_expansion,
@@ -403,6 +405,10 @@ class TestOrderBands:
             with pytest.raises(ValueError, match="max_order >= 3"):
                 optimal_parameters(m, max_order)
 
+    def test_search_needs_the_expansion_through_max_order(self):
+        with pytest.raises(ValueError, match="shorter than the requested search order"):
+            optimal_parameters(expand_mean(M2, 6), 8)
+
 
 class TestRationalCandidatesAgainstBands:
     """A rational root past the last band is read from one difference
@@ -758,6 +764,12 @@ class TestSignCoherence:
                 checked += 1
         assert checked > 60
 
+    @pytest.mark.parametrize("low, high, sign", [(F(-3, 4), F(-1, 8), -1), (F(1, 8), F(3, 4), 1)])
+    def test_candidate_sign_of_an_enclosure(self, low, high, sign):
+        root = RationalRoot(F(1))
+        candidate = solver.OptimalCandidate(root, root, 6, SignedInterval(low, high))
+        assert candidate.sign == sign
+
 
 class TestStability:
     def test_power_means_stable(self):
@@ -893,59 +905,84 @@ class TestParameterScan:
         with pytest.raises(ValueError):
             stability_parameter_scan("XAlpha", 8)
 
-    @pytest.mark.parametrize("index", [4, 6])
+    @staticmethod
+    def band_of_scan(monkeypatch, family):
+        """The (low, high) of the band the scan reads and its columns; the
+        scan stops there."""
+
+        class Read(Exception):
+            pass
+
+        real = solver._band
+
+        def reading(sample, low, high):
+            raise Read((low, high), real(sample, low, high))
+
+        monkeypatch.setattr(solver, "_band", reading)
+        with pytest.raises(Read) as read:
+            stability_parameter_scan(family, 16)
+        return read.value.args
+
+    @staticmethod
+    def bump_the_forms(monkeypatch, bump):
+        """Adds bump(beta) to a_4 of every form the scan samples; a_4 enters
+        the t^4 defect with slope 3/8."""
+        real = solver._cosh_mean_form
+
+        def bumped(beta, invert, order):
+            values = list(_values(*real(beta, invert, order)))
+            values[4] += F(8, 3) * bump(beta)
+            return _integer_form(values, order)
+
+        monkeypatch.setattr(solver, "_cosh_mean_form", bumped)
+
+    @pytest.mark.parametrize("index", [4])
     @pytest.mark.parametrize("family", [LAlpha, SAlpha], ids=["L", "S"])
-    def test_defect_polynomial_matches_lagrange_oracle(self, family, index):
-        assert solver._defect_polynomial_in_beta(family, index) == (
-            oracles.defect_polynomial_by_lagrange(family, index)
-        )
+    def test_defect_polynomial_matches_lagrange_oracle(self, monkeypatch, family, index):
+        expected = oracles.defect_polynomial_by_lagrange(family, index)
+        assert self.band_of_scan(monkeypatch, family.__name__) == ((index, index), {index: expected})
 
-    @pytest.mark.parametrize("power, caught", [(10, False), (11, True)])
-    def test_degree_bound_ten_in_beta(self, monkeypatch, power, caught):
-        # beta**10 is the highest power the scan reads; beta**11 must fail.
-        real = solver._stability_defects
+    @pytest.mark.parametrize(
+        "family, expected",
+        [("L", (F(-1, 1080), F(-1, 72), F(4, 45), F(-2, 27))),
+         ("S", (F(-1, 1080), F(1, 72), F(-1, 9), F(2, 27)))],
+    )
+    def test_defect_is_the_slope_formula(self, monkeypatch, family, expected):
+        # (3/8)(a_4 - a_2(1 + a_2)(1 - 4 a_2)/6), cubic in beta, at every sample
+        _, polys = self.band_of_scan(monkeypatch, family)
+        assert polys[4] == UniPoly(expected)
+        for beta in range(-3, 3):
+            a = _values(*catalog._cosh_mean_form(F(beta), family == "S", 4))
+            assert polys[4](beta) == F(3, 8) * (a[4] - a[2] * (1 + a[2]) * (1 - 4 * a[2]) / 6)
+
+    @pytest.mark.parametrize("power, caught", [(3, False), (4, True)])
+    def test_degree_bound_three_in_beta(self, monkeypatch, power, caught):
+        # beta**3 is the highest power the scan reads; beta**4 must fail.
         extra = F(3, 7)
-
-        def shifted(spec, order):
-            defects = real(spec, order)
-            defects[order] += extra * spec.alpha ** (2 * power)
-            return defects
-
-        expected = oracles.defect_polynomial_by_lagrange(LAlpha, 4)
-        monkeypatch.setattr(solver, "_stability_defects", shifted)
+        self.bump_the_forms(monkeypatch, lambda beta: extra * beta**power)
         if caught:
-            with pytest.raises(ArithmeticError, match="not polynomial in alpha"):
-                solver._defect_polynomial_in_beta(LAlpha, 4)
+            with pytest.raises(ArithmeticError, match="degree bound violated"):
+                stability_parameter_scan("L", 16)
         else:
+            expected = oracles.defect_polynomial_by_lagrange(LAlpha, 4)
             bump = UniPoly((0,) * power + (extra,))
-            assert solver._defect_polynomial_in_beta(LAlpha, 4) == expected + bump
+            assert self.band_of_scan(monkeypatch, "L")[1] == {4: expected + bump}
 
-    @pytest.mark.parametrize("alpha", [F(0), F(5, 12), F(1)])
-    def test_a_sample_off_the_polynomial_is_caught(self, monkeypatch, alpha):
-        real = solver._stability_defects
-
-        def corrupted(spec, order):
-            defects = real(spec, order)
-            if spec == LAlpha(alpha):
-                defects[order] += F(1, 10**9)
-            return defects
-
-        monkeypatch.setattr(solver, "_stability_defects", corrupted)
-        with pytest.raises(ArithmeticError, match="not polynomial in alpha\\^2"):
-            solver._defect_polynomial_in_beta(LAlpha, 4)
+    @pytest.mark.parametrize("beta", [-3, 0, 2])
+    def test_a_sample_off_the_polynomial_is_caught(self, monkeypatch, beta):
+        self.bump_the_forms(monkeypatch, lambda b: F(1, 10**9) if b == beta else 0)
+        with pytest.raises(ArithmeticError, match="degree bound violated"):
+            stability_parameter_scan("L", 16)
 
     @pytest.mark.parametrize("family", ["L", "S"])
     def test_scan_reads_only_the_t4_defect(self, monkeypatch, family):
-        indices = []
-        real = solver._defect_polynomial_in_beta
-
-        def recording(make_spec, index):
-            indices.append(index)
-            return real(make_spec, index)
-
-        monkeypatch.setattr(solver, "_defect_polynomial_in_beta", recording)
+        bands, forms = [], []
+        real_band, real_form = solver._band, solver._cosh_mean_form
+        monkeypatch.setattr(solver, "_band", lambda *a: bands.append(a[1:]) or real_band(*a))
+        monkeypatch.setattr(solver, "_cosh_mean_form", lambda *a: forms.append(a) or real_form(*a))
         stability_parameter_scan(family, 16)
-        assert indices == [4]
+        assert bands == [(4, 4)]
+        assert forms == [(F(beta), family == "S", 4) for beta in range(-3, 3)]
 
     @pytest.mark.parametrize(
         "planted, kind",
@@ -963,19 +1000,15 @@ class TestParameterScan:
         # raises instead of being skipped.
         inside = [r for r in isolate_real_roots(planted) if 0 < r.approx() < 1]
         assert len(inside) == 1 and isinstance(inside[0], kind)
-        real = solver._defect_polynomial_in_beta
-        monkeypatch.setattr(
-            solver,
-            "_defect_polynomial_in_beta",
-            lambda make_spec, index: planted if index == 4 else real(make_spec, index),
-        )
+        monkeypatch.setattr(solver, "_band", lambda sample, low, high: {4: planted})
         with pytest.raises(ArithmeticError, match="unresolved"):
             stability_parameter_scan("L", 16)
 
     def test_scan_needs_order_four(self, monkeypatch):
         expanded = []
-        real = solver._mean_form
-        monkeypatch.setattr(solver, "_mean_form", lambda *a: expanded.append(a) or real(*a))
+        for name in ("_mean_form", "_cosh_mean_form"):
+            real = getattr(solver, name)
+            monkeypatch.setattr(solver, name, lambda *a, real=real: expanded.append(a) or real(*a))
         for family in ("LAlpha", "SAlpha", "XAlpha"):
             for order in (0, 3):
                 with pytest.raises(ValueError, match="order >= 4"):
