@@ -335,6 +335,8 @@ class TestCompareScan:
             GridSpec(0.0, 1.0, 10)
         with pytest.raises(ValueError):
             GridSpec(1.0, 2.0, 1)
+
+    def test_grid_scale_is_linear_or_logarithmic(self):
         with pytest.raises(ValueError, match="'linear' or 'logarithmic'"):
             GridSpec(1.0, 2.0, 10, scale="cubic")
 
