@@ -20,8 +20,8 @@ Families:
 * the difference-quotient means M1..M5 and the two-parameter family
   ``M_{alpha,r}``, all of the shape ``|b - a| / D(|ln(b/a)|)``,
 * means generated by an odd function with prescribed Taylor coefficients,
-* the order-by-order fixed point of the resultant mean-map (the "stable
-  mean" series for a prescribed t^2 coefficient).
+* the "stable mean" series for a prescribed t^2 coefficient, the fixed
+  point of the resultant mean-map, which is a power mean.
 
 Power and quotient means run on integer forms, B_p and the quotient means
 with an even D' at half the order in u**2.  L_alpha and S_alpha depend on
@@ -338,35 +338,20 @@ def _quotient_mean_form(spec: MeanSpec, order: int) -> tuple[list[int], int]:
 
 
 def expand_stable(a2: Rational, order: int) -> MeanExpansion:
-    """Even-only series fixed under the resultant mean-map R(M, M, M) = M.
+    """The even-only series fixed under the resultant mean-map, R(M, M, M)
+    = M, with t^2 coefficient a2: the power mean B_p, p = 2*a2 + 1.
 
-    The fixed point is solved one even order n >= 4 at a time.  As c_1 = 0,
-    the top coefficient c_n enters the resultant coefficient r_n affinely,
-    with slope exactly 1/2 + 2**(1-n) (g, h, d and s as in resultant.py):
-
-    * as the inner mean, it reaches r_n only through h and ht, which carry it
-      at index n (in u*g/h it meets only m_1 = 0 at order n), so s_n gains
-      2*c_n and r = s * K(u*d/s) / 4 gains c_n/2;
-    * as the middle mean, m_n * h * (u*g/h)**n contributes
-      h_0 * (g_0/h_0)**n = 2 * (1/2)**n on each side, 2**(-n) after the 1/4;
-    * as the outer mean, k_n * s * (u*d/s)**n / 4 contributes
-      s_0 * (d_0/s_0)**n / 4 = 2**(-n), with s_0 = 4 and d_0 = 2.
-
-    So one resultant with c_n = 0 gives r_n = base, and the fixed point is
-    c_n = base / (1 - slope).  First solved terms:
+    B_p is stable: for N = B_p(s, t) and n = N**p = (s**p + t**p)/2 the two
+    sides have p-th powers (s**p + n)/2 and (n + t**p)/2, whose mean is n
+    again (at p = 0 the same holds for logarithms), and a_2(B_p) = (p - 1)/2.
+    The fixed point is unique: as c_1 = 0, the top coefficient c_n enters
+    the resultant coefficient r_n affinely with slope 1/2 + 2**(1-n) (see
+    stability_parameter_scan), which is not 1 for n >= 4, so each c_n is
+    determined by the ones below it.  First terms:
         a_4 = a_2 (1 + a_2)(1 - 4 a_2)/6,
         a_6 = a_2 (1 + a_2)(6 - 31 a_2 + 36 a_2^2 + 64 a_2^3)/90.
     """
-    from .resultant import _resultant  # runtime import; engine layers upward
-
-    coeffs = [ONE] + [ZERO] * order
-    if order >= 2:
-        coeffs[2] = Fraction(a2)
-    for n in range(4, order + 1, 2):
-        window = _integer_form(coeffs, n)
-        nums, den = _resultant(window, window, window, n)
-        coeffs[n] = Fraction(nums[n], den) / (Fraction(1, 2) - Fraction(2, 2**n))
-    return MeanExpansion(tuple(coeffs))
+    return expand_power_mean(2 * Fraction(a2) + 1, order)
 
 
 def _mean_form(spec: MeanSpec, order: int) -> tuple[list[int], int]:

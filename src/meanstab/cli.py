@@ -79,9 +79,7 @@ def _rat_json(value: Rational) -> dict:
     return {"num": value.numerator, "den": value.denominator}
 
 
-def _float_json(value: float | None, provenance: str) -> dict | None:
-    if value is None:
-        return None
+def _float_json(value: float, provenance: str) -> dict:
     return {"value": value, "provenance": provenance}
 
 

@@ -58,8 +58,7 @@ X and Y have constant term exactly 1 (h_0 = 2 and m_0 = 1, and the argument
 of M has no constant term, also in the degenerate cases), so every power
 stays in the field.  When A(u) = B(-u), (X**p + Y**p)/2 is the even part of
 X**p, and X * Y = X(u) * X(-u) is even: the last power runs in w = u**2 at
-half the order.  Expanded operands, the ``expand_stable`` windows among
-them, keep Horner's outer step.
+half the order.  Expanded operands keep Horner's outer step.
 
 The body runs once for every scalar, on the forms of :mod:`series`: pairs
 (nums, den) with coefficient nums[n] / den, every product, power and
@@ -70,15 +69,14 @@ values only on the way out.  The other callers hand the body integer forms
 directly: the solver and :func:`resultant_power_means` B_p's exponent and
 the forms of M and B_q, the solver's stability check the form of M three
 times (or B_p's exponent as the outer mean), each taking the difference
-before converting, ``catalog.expand_stable`` the form of its window, and
-the command line's ``resultant`` the catalog forms of its three means (or
-B_p's exponent as the outer mean).  Any other scalar, a ``Fraction``
-subclass included, enters as its own values over ``Fraction(1)``, and so do
-the rational inputs that come with it, so a mixed triple computes in the
-non-rational field; the result is that field's values.  The tests run the
-body over truncated series in a perturbation parameter to check the
-degenerate cases against one-sided limits at n_1 = -1 and +1, through the
-primitives of a rational call.
+before converting, and the command line's ``resultant`` the catalog forms
+of its three means (or B_p's exponent as the outer mean).  Any other
+scalar, a ``Fraction`` subclass included, enters as its own values over
+``Fraction(1)``, and so do the rational inputs that come with it, so a
+mixed triple computes in the non-rational field; the result is that
+field's values.  The tests run the body over truncated series in a
+perturbation parameter to check the degenerate cases against one-sided
+limits at n_1 = -1 and +1, through the primitives of a rational call.
 """
 
 from __future__ import annotations

@@ -468,15 +468,27 @@ def stability_parameter_scan(family: str, order: int = 16) -> list[Root]:
     The t^4 stability defect is read as an exact polynomial in beta =
     alpha**2, as a band of reach 4 reads its t^4 column: M - R(M, M, M) at
     order 4 on the catalog's beta forms at beta = -3..2, with Delta^4 and
-    Delta^5 checked to vanish.  The column's degree bound 3 is proven: by
-    expand_stable's slope argument r_4 = (5/8) a_4 + a_2(1 + a_2)(1 - 4a_2)/16
-    for an even mean, so the defect is (3/8)(a_4 - a_2(1 + a_2)(1 - 4a_2)/6),
-    and the u**(2k) coefficient of the cosh form, and so of the mean, has
-    degree at most k in beta: a_2 is affine and a_4 quadratic.  Only
-    rational alpha are reported: a root in [0, 1] that is a rational square
-    must pass a full coefficient comparison to the given order (at least 4),
-    and any other root there raises ArithmeticError ("unresolved"); L's
-    roots are -1/20, 1/4 and 1, S's only root is about 1.37.
+    Delta^5 checked to vanish.  The column's degree bound 3 is proven.  For
+    an even mean (c_1 = 0) the top coefficient c_n enters the coefficient r_n
+    of R(M, M, M) affinely, with slope 1/2 + 2**(1-n) (g, h, d and s as in
+    resultant.py):
+
+    * as the inner mean, it reaches r_n only through h and ht, which carry it
+      at index n (in u*g/h it meets only m_1 = 0 at order n), so s_n gains
+      2*c_n and r = s * K(u*d/s) / 4 gains c_n/2;
+    * as the middle mean, m_n * h * (u*g/h)**n contributes
+      h_0 * (g_0/h_0)**n = 2 * (1/2)**n on each side, 2**(-n) after the 1/4;
+    * as the outer mean, k_n * s * (u*d/s)**n / 4 contributes
+      s_0 * (d_0/s_0)**n / 4 = 2**(-n), with s_0 = 4 and d_0 = 2.
+
+    At n = 4, r_4 = (5/8) a_4 + a_2(1 + a_2)(1 - 4a_2)/16, so the defect is
+    (3/8)(a_4 - a_2(1 + a_2)(1 - 4a_2)/6), and the u**(2k) coefficient of
+    the cosh form, and so of the mean, has degree at most k in beta: a_2 is
+    affine and a_4 quadratic.  Only rational alpha are reported: a root in
+    [0, 1] that is a rational square must pass a full coefficient comparison
+    to the given order (at least 4), and any other root there raises
+    ArithmeticError ("unresolved"); L's roots are -1/20, 1/4 and 1, S's
+    only root is about 1.37.
     Families: "L" (generated by cosh) and "S" (generated by 1/cosh).
     """
     if order < 4:

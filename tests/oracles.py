@@ -49,9 +49,12 @@ Each one is an independent derivation of the same coefficients:
 * ``expand_power_mean_from_fractions``: the catalog's half-order route with
   the average as Fractions and one public series_power call, where the
   catalog runs it on integer numerators and hands them on to the solver;
-* ``stable_by_two_resultants``: the stable series with the slope of each
-  fixed-point step measured by a second resultant, where the catalog uses
-  its closed form 1/2 + 2**(1-n) and reads the resultant on integer forms;
+* ``stable_by_closed_slope``: the stable series solved one even order at a
+  time, one resultant on integer forms per order and the closed slope
+  1/2 + 2**(1-n) of the fixed-point step, where the catalog returns the
+  power mean B_{2 a_2 + 1};
+* ``stable_by_two_resultants``: the same fixed point with the slope of each
+  step measured by a second resultant on Fraction sequences;
 * ``resultant_mean_map``: R(K, M, N) from three expansions, or from B_p's
   exponent as the outer mean, through ``resultant_coeffs`` or the forms of
   the expansions, where the command line composes the catalog forms of its
@@ -170,6 +173,7 @@ from meanstab.resultant import resultant_coeffs
 from meanstab.series import (
     _forms,
     _horner_form,
+    _integer_form,
     _power_form,
     _product_form,
     _values,
@@ -227,6 +231,21 @@ def expand_power_mean_from_fractions(p: Rational, order: int) -> MeanExpansion:
         exponent = 1 / p
     coeffs = [ZERO] * (order + 1)
     coeffs[::2] = series_power(avg, exponent, half)
+    return MeanExpansion(tuple(coeffs))
+
+
+def stable_by_closed_slope(a2: Rational, order: int) -> MeanExpansion:
+    """The fixed point of R(M, M, M) = M solved one even order n >= 4 at a
+    time: one resultant with c_n = 0 on the integer form of the window gives
+    r_n = base, and c_n = base / (1 - slope) with the closed slope
+    1/2 + 2**(1-n) of stability_parameter_scan's docstring."""
+    coeffs = [ONE] + [ZERO] * order
+    if order >= 2:
+        coeffs[2] = Fraction(a2)
+    for n in range(4, order + 1, 2):
+        window = _integer_form(coeffs, n)
+        nums, den = resultant._resultant(window, window, window, n)
+        coeffs[n] = Fraction(nums[n], den) / (Fraction(1, 2) - Fraction(2, 2**n))
     return MeanExpansion(tuple(coeffs))
 
 

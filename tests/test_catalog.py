@@ -73,6 +73,16 @@ def stable_display(b):
     }
 
 
+# a_2 of the stable series: the benchmark's pool, the power means -1..3,
+# and heights up to four digits.
+STABLE_A2 = [
+    F(-1), F(-1, 2), F(-1, 4), F(0), F(1, 2), F(1), F(7),
+    F(2, 7), F(-1, 3), F(1, 4), F(-2, 5), F(1, 6), F(-3, 4), F(5, 9), F(-1, 10),
+    F(3, 11), F(2, 13), F(-5, 7), F(7, 10),
+    F(13, 3), F(-101, 99), F(1, 1000), F(1234, 4567), F(-9876, 5431), F(-7, 3),
+]
+
+
 CLASSIC_TABLES = {
     1: [F(1), F(1), F(-2, 3), F(1, 3), F(-28, 45), F(37, 45), F(-1369, 945)],
     2: [F(1), F(0), F(1, 3), F(0), F(-2, 9), F(0), F(14, 135), F(0), F(-122, 945)],
@@ -345,9 +355,13 @@ class TestStableSeries:
             assert e.coefficient(n) == expected
 
     def test_matches_power_means(self):
-        for p in (F(-1), F(0), F(1, 2), F(1), F(2), F(3)):
-            bp = expand_power_mean(p, 16)
-            assert expand_stable(bp.coefficient(2), 16).coeffs == bp.coeffs
+        # The fixed point solved order by order is B_p with a_2 = (p - 1)/2.
+        for a2 in STABLE_A2:
+            fixed = oracles.stable_by_closed_slope(a2, 64).coeffs
+            for order in [*range(34), 64]:
+                bp = expand_power_mean(2 * a2 + 1, order)
+                assert bp.coefficient(2) == (a2 if order >= 2 else 0)
+                assert expand_stable(a2, order).coeffs == bp.coeffs == fixed[: order + 1]
 
     def test_zero_a2_is_arithmetic_mean(self):
         assert expand_stable(F(0), 12).coeffs == (F(1),) + (F(0),) * 12
@@ -358,6 +372,7 @@ class TestStableSeries:
     def test_closed_form_slope_matches_two_resultants(self, a2):
         for order in range(25):
             expected = oracles.stable_by_two_resultants(a2, order).coeffs
+            assert oracles.stable_by_closed_slope(a2, order).coeffs == expected
             assert expand_stable(a2, order).coeffs == expected
             assert len(expected) == order + 1
 

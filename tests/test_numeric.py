@@ -342,6 +342,14 @@ class TestCompareScan:
 
 
 class TestBoundaryLimit:
+    @pytest.mark.parametrize("spec", [None, "M1", F(1, 2), (M1, M2)], ids=repr)
+    def test_a_non_spec_raises_type_error(self, spec):
+        with pytest.raises(TypeError):
+            eval_mean(spec, 1.0, 2.0)
+        if not isinstance(spec, tuple):  # a triple is a resultant limit
+            with pytest.raises(TypeError):
+                boundary_limit(spec)
+
     def test_m1_vanishes(self):
         report = boundary_limit(M1)
         assert report.value == 0.0 and report.is_exact

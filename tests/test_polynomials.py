@@ -27,6 +27,7 @@ from meanstab.polynomials import (
     _conjugate_pair,
     _descartes_count,
     _extract_square,
+    _is_square,
     _refine,
     affine_image,
     eval_at_root,
@@ -74,6 +75,41 @@ class TestUniPoly:
     def test_compose_linear(self):
         p = poly(0, 0, 1)  # x^2
         assert p.compose_linear(F(2), F(1)).coeffs == (F(1), F(4), F(4))
+
+    def test_zero_polynomial_edges(self):
+        with pytest.raises(ValueError, match="no leading coefficient"):
+            poly().leading
+        with pytest.raises(ZeroDivisionError):
+            divmod(poly(1, 1), poly())
+        assert poly().monic() == poly()
+        with pytest.raises(ValueError, match="zero polynomial"):
+            squarefree_part(poly())
+
+
+class TestSurdsAndSquares:
+    @pytest.mark.parametrize("radicand", [F(0), F(-3), F(-1, 4)], ids=str)
+    def test_make_surd_needs_a_positive_radicand(self, radicand):
+        with pytest.raises(ValueError, match="must be positive"):
+            make_surd(F(1), 1, radicand, F(2))
+
+    @pytest.mark.parametrize("radicand", [F(4), F(9, 25), F(1, 16), F(18, 8)], ids=str)
+    def test_make_surd_refuses_a_perfect_square(self, radicand):
+        with pytest.raises(ValueError, match="perfect square"):
+            make_surd(F(1), -1, radicand, F(3))
+
+    def test_is_square(self):
+        assert _is_square(F(9, 4)) and _is_square(F(0))
+        assert not _is_square(F(-4)) and not _is_square(F(-9, 4))
+        assert not _is_square(F(2)) and not _is_square(F(4, 3))
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(F(1, 3), F(1, 2)), (F(-7, 5), F(-4, 3)), (F(-1, 2), F(2)), (F(5, 7), F(5, 7))],
+        ids=str,
+    )
+    def test_simplest_between_takes_its_bounds_in_either_order(self, lo, hi):
+        value = simplest_between(lo, hi)
+        assert lo <= value <= hi
+        assert simplest_between(hi, lo) == value
 
 
 class TestLagrange:

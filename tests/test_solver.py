@@ -22,6 +22,7 @@ from meanstab.catalog import (
     SAlpha,
     describe_spec,
     expand_mean,
+    expand_power_mean,
     expand_stable,
 )
 from meanstab.numeric import eval_mean, eval_resultant
@@ -167,6 +168,12 @@ class TestCoefficientPolynomial:
         m = expand_mean(M2, 8)
         poly = coefficient_polynomials(m, first_order_locus(m), 4, 4)[4]
         assert poly.coeffs == (F(-85, 384), F(0), F(5, 384))  # 5(p^2-17)/384
+
+    @pytest.mark.parametrize("low", [1, 0, -2])
+    def test_bands_start_at_the_t2_index(self, low):
+        m = expand_mean(M2, 8)
+        with pytest.raises(ValueError, match="t\\^2 index"):
+            coefficient_polynomials(m, first_order_locus(m), low, 4)
 
     def test_log_mean_q_form(self):
         m = expand_mean(SAlpha(F(0)), 8)
@@ -771,6 +778,22 @@ class TestSignCoherence:
         assert candidate.sign == sign
 
 
+def _even_specs() -> list:
+    """The benchmark's even stable pool and 35 random L_alpha and S_alpha."""
+    specs = [LAlpha(F(2, 5)), LAlpha(F(1, 2)), LAlpha(F(3, 4)), SAlpha(F(3, 7)),
+             SAlpha(F(5, 6)), PowerMean(F(5, 3)), PowerMean(F(-1, 3)), M2, M4]
+    rng = random.Random(2207)
+    while len(specs) < 44:
+        d = rng.randint(1, 40)
+        spec = rng.choice((LAlpha, SAlpha))(F(rng.randint(-d, d), d))
+        if spec not in specs:
+            specs.append(spec)
+    return specs
+
+
+_EVEN_SPECS = _even_specs()
+
+
 class TestStability:
     def test_power_means_stable(self):
         rng = random.Random(73)
@@ -804,6 +827,21 @@ class TestStability:
     def test_order_precondition(self):
         with pytest.raises(ValueError):
             is_stable(M2, 2)
+
+    @pytest.mark.parametrize("order", [4, 6, 8, 16, 33])
+    @pytest.mark.parametrize("spec", _EVEN_SPECS, ids=describe_spec)
+    def test_even_mean_against_the_power_mean_of_its_a2(self, spec, order):
+        # B = B_{2 a_2 + 1} is the even fixed point of R(M, M, M), and the top
+        # coefficient c_k moves r_k with slope 1/2 + 2**(1-k): the first defect
+        # is where M leaves B, scaled by 1 - slope.
+        m = expand_mean(spec, order).coeffs
+        b = expand_power_mean(2 * m[2] + 1, order).coeffs
+        k = next((n for n in range(order + 1) if m[n] != b[n]), None)
+        report = is_stable(spec, order)
+        assert report.is_stable == (k is None)
+        if k is not None:
+            assert report.first_mismatch == k
+            assert report.defect == (F(1, 2) - F(2, 2**k)) * (m[k] - b[k])
 
 
 _PROBE_SPECS = (

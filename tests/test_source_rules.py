@@ -1,13 +1,15 @@
 """Rules the package source keeps, read from its syntax trees: runtime
 invariants raise real exceptions rather than ``assert`` (which ``python -O``
-strips), the runtime imports nothing outside the standard library, every
-private module-level function is used by the package itself, and every
+strips), the runtime imports nothing outside the standard library, the
+package's modules import each other without a cycle, every private
+module-level function is used by the package itself, and every
 public function or method by the package, the acceptance gate or the
 benchmark.  A use is a read of the name outside the function's own body."""
 
 import ast
 import sys
 from collections import Counter
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -29,6 +31,25 @@ def imported_modules(tree: ast.AST) -> list[tuple[int, str]]:
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.append((node.lineno, node.module.split(".")[0]))
     return found
+
+
+def package_imports(tree: ast.AST) -> set[str]:
+    """The modules of the package that a tree imports, a function-level
+    import included."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+    return found
+
+
+def import_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """A cycle of the import graph as the modules along it, or []."""
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        return exc.args[1]
+    return []
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -103,6 +124,14 @@ def test_imports_only_the_package_and_the_standard_library(path):
     assert foreign == [], f"{path.name}: imports outside the standard library {foreign}"
 
 
+def test_the_package_imports_form_no_cycle():
+    # Each module sits above the ones it imports: the catalog below the
+    # resultant, the resultant below the solver and the command line.
+    graph = {path.stem: package_imports(parse(path)) for path in SOURCES}
+    assert "resultant" not in graph["catalog"]
+    assert import_cycle(graph) == []
+
+
 def test_every_private_function_is_used_by_the_package():
     # A helper that only tests call belongs in tests/, and one that nothing
     # calls is dead.
@@ -122,6 +151,11 @@ def test_every_public_function_is_used_by_the_package_the_gate_or_the_benchmark(
 def test_the_rules_catch_what_they_forbid():
     tree = ast.parse("import numpy.linalg\nfrom mpmath import mp\nfrom . import series\nassert x\n")
     assert imported_modules(tree) == [(1, "numpy"), (2, "mpmath")]
+    late = ast.parse("from .a import b\ndef f():\n    from .c import d\n")
+    assert package_imports(tree) == {"series"} and package_imports(late) == {"a", "c"}
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": set()}) == []
+    cycle = import_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}})
+    assert len(cycle) == 4 and set(cycle) == {"a", "b", "c"}
     assert any(isinstance(node, ast.Assert) for node in ast.walk(tree))
     module = ast.parse(
         "from .a import _imported\n"
