@@ -62,26 +62,26 @@ class PowerMean:
         object.__setattr__(self, "p", Fraction(self.p))
 
 
+def _set_alpha(spec: LAlpha | SAlpha | MAlphaR) -> None:
+    """Store spec.alpha as a Fraction; the families take |alpha| <= 1."""
+    alpha = Fraction(spec.alpha)
+    if abs(alpha) > 1:
+        raise ValueError(f"{type(spec).__name__} requires |alpha| <= 1")
+    object.__setattr__(spec, "alpha", alpha)
+
+
 @dataclass(frozen=True)
 class LAlpha:
     alpha: Rational
 
-    def __post_init__(self) -> None:
-        alpha = Fraction(self.alpha)
-        if abs(alpha) > 1:
-            raise ValueError("LAlpha requires |alpha| <= 1")
-        object.__setattr__(self, "alpha", alpha)
+    __post_init__ = _set_alpha
 
 
 @dataclass(frozen=True)
 class SAlpha:
     alpha: Rational
 
-    def __post_init__(self) -> None:
-        alpha = Fraction(self.alpha)
-        if abs(alpha) > 1:
-            raise ValueError("SAlpha requires |alpha| <= 1")
-        object.__setattr__(self, "alpha", alpha)
+    __post_init__ = _set_alpha
 
 
 @dataclass(frozen=True)
@@ -101,13 +101,11 @@ class MAlphaR:
     r: Rational
 
     def __post_init__(self) -> None:
-        alpha, r = Fraction(self.alpha), Fraction(self.r)
+        r = Fraction(self.r)
         if r <= 0:
             raise ValueError("MAlphaR requires r > 0")
-        if abs(alpha) > 1:
-            raise ValueError("MAlphaR requires |alpha| <= 1")
-        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "r", r)
+        _set_alpha(self)
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ from .polynomials import (
     RationalRoot,
     Root,
 )
-from .rationals import Rational, format_rational, parse_rational
+from .rationals import Rational, parse_rational
 from .resultant import _resultant, resultant_case
 from .series import _values
 from .solver import is_stable, optimal_parameters, scan_family, stability_parameter_scan
@@ -157,15 +157,24 @@ def _option_faults():
         raise UsageError(str(exc)) from None
 
 
-#: The parametric families by lowercase name: the spec type, and the keyword
-#: parameters of parse_mean_spec it takes, in the order they are given inline.
-_FAMILIES: dict[str, tuple[type, tuple[str, ...]]] = {
-    **dict.fromkeys(("b", "powermean", "power-mean", "power"), (PowerMean, ("p",))),
-    **dict.fromkeys(("lalpha", "l_alpha"), (LAlpha, ("alpha",))),
-    **dict.fromkeys(("salpha", "s_alpha"), (SAlpha, ("alpha",))),
-    **dict.fromkeys(("malphar", "m_alphar", "m_alpha_r"), (MAlphaR, ("alpha", "r"))),
+#: Every accepted mean name in lowercase: a fixed mean's spec, or a family's
+#: spec type and the options of its parameters, in their inline order.
+_MEANS: dict[str, MeanSpec | tuple[type, tuple[str, ...]]] = {
+    **{name.lower(): spec for name, spec in ALIASES.items()},
+    **dict.fromkeys(("hz14", "heinz"), ALIASES["HZ1/4"]),
+    **{f"m{i}": ClassicMean(i) for i in range(1, 6)},
+    "powermean": (PowerMean, ("--power",)),
+    "lalpha": (LAlpha, ("--alpha",)),
+    "salpha": (SAlpha, ("--alpha",)),
+    "malphar": (MAlphaR, ("--alpha", "--r")),
 }
-_OPTION_NAMES = {"p": "--power", "alpha": "--alpha", "r": "--r"}
+
+
+def _refuse(name: str, options: dict[str, str | None]) -> None:
+    """A usage error naming the given options, which the mean does not take."""
+    given = [option for option, value in options.items() if value is not None]
+    if given:
+        raise UsageError(f"{name} does not take {' or '.join(given)}")
 
 
 def parse_mean_spec(
@@ -176,32 +185,28 @@ def parse_mean_spec(
 ) -> MeanSpec:
     """Resolve a mean name plus optional exact parameters into a spec.  A
     family's parameters may instead follow its name inline, as
-    ``name:value[,value]``: salpha:1/2, malphar:-1/3,3 or powermean:3/2."""
+    ``name:value[,value]``: salpha:1/2, malphar:-1/3,3 or powermean:3/2.
+    An option the mean does not take is a usage error."""
     key, colon, inline = name.strip().partition(":")
     key = key.strip()
-    family = _FAMILIES.get(key.lower())
-    given = {"p": p, "alpha": alpha, "r": r}
+    entry = _MEANS.get(key.lower())
+    spec_type, params = entry if isinstance(entry, tuple) else (None, ())
+    given = {"--power": p, "--alpha": alpha, "--r": r}
     if colon:
-        if family is None:
+        if not params:
             raise UsageError(f"{key!r} is not a parametric mean; drop the parameters")
-        if any(value is not None for value in given.values()):
+        if any(given[k] is not None for k in params):
             raise UsageError(f"give the parameters of {name!r} inline or as options, not both")
         values = [value.strip() for value in inline.split(",")]
-        params = family[1]
         if len(values) > len(params):
             raise UsageError(f"{key} takes {len(params)} parameter(s), got {len(values)}")
         given.update((k, v or None) for k, v in zip(params, values))
-    upper = key.upper()
-    if upper in ALIASES:
-        return ALIASES[upper]
-    if upper in ("HZ14", "HEINZ"):
-        return ALIASES["HZ1/4"]
-    if upper in ("M1", "M2", "M3", "M4", "M5"):
-        return ClassicMean(int(upper[1]))
-    if family is None:
+    if entry is None:
         raise UsageError(f"unknown mean {name!r}")
-    spec_type, params = family
-    missing = [_OPTION_NAMES[k] for k in params if given[k] is None]
+    _refuse(key, {k: v for k, v in given.items() if k not in params})
+    if spec_type is None:
+        return entry
+    missing = [k for k in params if given[k] is None]
     if missing:
         raise UsageError(f"{key} needs {' and '.join(missing)} num/den, or {key}:value[,value]")
     return spec_type(*(_exact(given[k]) for k in params))
@@ -215,11 +220,13 @@ def _cmd_expand(args: argparse.Namespace) -> dict:
     if args.mean.strip().lower() == "stable":
         if args.a2 is None:
             raise UsageError("the stable series needs --a2 num/den")
+        _refuse("stable", {"--alpha": args.alpha, "--r": args.r, "--power": args.power})
         a2 = _exact(args.a2)
         expansion = expand_stable(a2, args.order)
-        label = f"stable(a2={format_rational(a2)})"
+        label = f"stable(a2={a2})"
     else:
         spec = _build_spec(args)
+        _refuse(args.mean.strip(), {"--a2": args.a2})
         expansion = expand_mean(spec, args.order)
         label = describe_spec(spec)
     return {"mean": label, **_expansion_json(expansion)}
@@ -405,17 +412,19 @@ def _add_mean_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mean", required=True, help="mean name (A,G,H,L,P,T,HZ1/4,M1..M5,powermean,Lalpha,Salpha,Malphar)")
     sub.add_argument("--alpha", help="exact fraction for Lalpha/Salpha/Malphar")
     sub.add_argument("--r", help="exact fraction for Malphar")
-    sub.add_argument("--power", "--p-value", dest="power", help="exact fraction p for powermean")
+    sub.add_argument("--power", help="exact fraction p for powermean")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # Options are spelled in full: a prefix such as --p is no second name.
+    no_prefixes = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = no_prefixes(
         prog="meanstab",
         description="exact asymptotic expansions and power-mean stabilizability of bivariate means",
     )
     parser.add_argument("--format", choices=("json", "table"), default="json")
     parser.add_argument("--out", help="write the JSON report to a file as well")
-    subs = parser.add_subparsers(dest="subcommand", required=True)
+    subs = parser.add_subparsers(dest="subcommand", required=True, parser_class=no_prefixes)
 
     sub = subs.add_parser("expand", help="exact expansion coefficients")
     _add_common_arguments(sub)
@@ -487,8 +496,7 @@ def _render_table(report: dict) -> str:
         header = [f"{k}: {v}" for k, v in report.items() if k not in ("coefficients",)]
         rows = [f"{'t^n':>5}  {'x^(1-n)':>8}  coefficient"]
         for c in report["coefficients"]:
-            frac = Fraction(c["num"], c["den"])
-            rows.append(f"{c['t_power']:>5}  {c['x_power']:>8}  {format_rational(frac)}")
+            rows.append(f"{c['t_power']:>5}  {c['x_power']:>8}  {Fraction(c['num'], c['den'])}")
         return "\n".join(header + rows)
     return "\n".join(f"{k}: {json.dumps(v)}" for k, v in report.items())
 

@@ -101,14 +101,12 @@ def eval_mean(spec: MeanSpec, a: float, b: float) -> float:
 
 def eval_f(spec: MeanSpec, x: float) -> float:
     """Associated function f_M(x) = M(exp(-x), exp(x)); with G = 1 it turns
-    mean comparison into comparison of one-variable functions."""
+    mean comparison into comparison of one-variable functions.  G is exactly
+    1.0, and another B_p is eval_mean at (exp(-x), exp(x))."""
     if not (x > 0):
         raise ValueError("evaluate the associated function at x > 0")
     if isinstance(spec, PowerMean):
-        p = float(spec.p)
-        if p == 0.0:
-            return 1.0
-        return math.cosh(p * x) ** (1.0 / p)
+        return 1.0 if spec.p == 0 else eval_mean(spec, math.exp(-x), math.exp(x))
     return 2.0 * math.sinh(x) / _denominator_closed(spec, 2.0 * x)
 
 

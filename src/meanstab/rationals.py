@@ -3,7 +3,8 @@
 Every coefficient that the engine stores or reports lives in Q.  We use
 :class:`fractions.Fraction`, which already guarantees the canonical form we
 rely on for equality testing: arbitrary-precision integers, reduced terms and
-a positive denominator after every operation.
+a positive denominator after every operation.  ``str`` prints that form,
+``p/q`` or ``p`` for an integer, so reports format a value in an f-string.
 """
 
 from __future__ import annotations
@@ -35,11 +36,3 @@ def parse_rational(text: str) -> Rational:
             )
         raise ValueError(f"cannot parse {text!r} as an exact rational")
     return Fraction(cleaned)
-
-
-def format_rational(value: Rational) -> str:
-    """Render ``p/q`` (or just ``p`` for integers)."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-

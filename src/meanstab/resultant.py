@@ -90,14 +90,15 @@ from .rationals import Rational
 from .series import _forms, _horner_form, _power_form, _product_form, _reduced, _spread, _values
 
 
-def _common(a: tuple, b: tuple) -> tuple:
-    """The coefficients of a and b over one denominator, and that
-    denominator."""
-    (x, dx), (y, dy) = a, b
-    if dx == dy:
-        return x, y, dx
-    den = lcm(dx, dy)
-    return [c * (den // dx) for c in x], [c * (den // dy) for c in y], den
+def _common(*forms: tuple) -> tuple:
+    """The coefficients of the forms over one denominator, then that
+    denominator: over Q the least common one.  Forms that share theirs, as
+    forms of another field over Fraction(1) do, come back as they are."""
+    den = forms[0][1]
+    if all(d == den for _, d in forms):
+        return (*(nums for nums, _ in forms), den)
+    den = lcm(*(d for _, d in forms))
+    return (*([c * (den // d) for c in nums] for nums, d in forms), den)
 
 
 def _odd_part_vanishes(seq: Sequence, order: int) -> bool:

@@ -47,7 +47,6 @@ the global inequality.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -80,7 +79,7 @@ from .polynomials import (
 )
 from .rationals import Rational
 from .resultant import _common, _resultant
-from .series import _integer_form
+from .series import _integer_form, _values
 
 _FIRST_REACH = 6  # of a search's first band and of a stability probe
 
@@ -129,8 +128,8 @@ def difference_expansion(
     """Exact difference between the mean and its power-mean resultant,
     computed on integer numerators from B_p and B_q to the difference."""
     p, q = Fraction(p), Fraction(q)
-    nums, den = _difference_form(_integer_form(mean.truncated(order).coeffs, order), p, q, order)
-    return DifferenceExpansion(tuple(Fraction(c, den) for c in nums), p, q)
+    form = _difference_form(_integer_form(mean.truncated(order).coeffs, order), p, q, order)
+    return DifferenceExpansion(_values(*form), p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +186,7 @@ def _band(sample: Callable[[Fraction], tuple], low: int, high: int) -> dict[int,
     """
     n = high + 2
     x0 = -(n // 2)
-    samples = [sample(Fraction(x0 + i)) for i in range(n)]
-    den = math.lcm(*(d for _, d in samples))
-    rows = [[c * (den // d) for c in nums] for nums, d in samples]
+    *rows, den = _common(*(sample(Fraction(x0 + i)) for i in range(n)))
     polys = {}
     for k in range(low, high + 1):
         deltas = forward_differences([row[k] for row in rows])
@@ -448,8 +445,7 @@ def _stability_defects(spec: MeanSpec, order: int) -> list[Rational]:
     form of the mean; a power mean is the outer mean in closed form."""
     m_form = _mean_form(spec, order)
     outer = spec.p if isinstance(spec, PowerMean) else m_form
-    nums, den = _mean_minus_resultant(outer, m_form, m_form, order)
-    return [Fraction(c, den) for c in nums]
+    return list(_values(*_mean_minus_resultant(outer, m_form, m_form, order)))
 
 
 _SCAN_FAMILIES = {"L": LAlpha, "LALPHA": LAlpha, "S": SAlpha, "SALPHA": SAlpha}

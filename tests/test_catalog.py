@@ -213,7 +213,7 @@ class TestLAlpha:
         assert expand_mean(LAlpha(F(-2, 3)), 8).coeffs == expand_mean(LAlpha(F(2, 3)), 8).coeffs
 
     def test_parameter_domain(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^LAlpha requires \|alpha\| <= 1$"):
             expand_mean(LAlpha(F(3, 2)), 4)
 
 
@@ -236,7 +236,7 @@ class TestSAlpha:
         assert expand_mean(LAlpha(F(0)), 8).coeffs == e.coeffs
 
     def test_parameter_domain(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^SAlpha requires \|alpha\| <= 1$"):
             expand_mean(SAlpha(F(-9, 8)), 4)
 
 
@@ -339,10 +339,13 @@ class TestMAlphaR:
         assert e.coeffs == expand_mean(SAlpha(F(0)), 10).coeffs
 
     def test_parameter_domain(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^MAlphaR requires r > 0$"):
             MAlphaR(F(1, 2), F(0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^MAlphaR requires \|alpha\| <= 1$"):
             MAlphaR(F(2), F(1))
+        # r is checked first
+        with pytest.raises(ValueError, match=r"^MAlphaR requires r > 0$"):
+            MAlphaR(F(2), F(-1))
 
 
 class TestStableSeries:

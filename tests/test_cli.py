@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -26,6 +29,23 @@ def coefficient_map(report):
     return {
         c["t_power"]: F(c["num"], c["den"]) for c in report["coefficients"]
     }
+
+
+#: The README's mean names and the options each one takes.
+MEAN_OPTIONS = {
+    **dict.fromkeys(("A", "G", "H", "L", "P", "T", "HZ1/4", "M1", "M2", "M3", "M4", "M5"), ()),
+    "powermean": ("--power",),
+    "Lalpha": ("--alpha",),
+    "Salpha": ("--alpha",),
+    "Malphar": ("--alpha", "--r"),
+    "stable": ("--a2",),
+}
+UNTAKEN_OPTIONS = [
+    (name, option)
+    for name, taken in MEAN_OPTIONS.items()
+    for option in ("--alpha", "--r", "--power", "--a2")
+    if option not in taken
+]
 
 
 class TestExpand:
@@ -71,6 +91,11 @@ class TestExpand:
         )
         assert code == 0
         assert "coefficient" in out
+        code, out, _ = run_cli(
+            capsys, "--format", "table", "expand", "--mean", "stable", "--a2=-1/2", "--order", "4"
+        )
+        assert code == 0
+        assert out.splitlines()[-3:] == ["    2        -1  -1/2", "    3        -2  0", "    4        -3  -1/8"]
 
 
 class TestSolve:
@@ -94,6 +119,19 @@ class TestSolve:
                           "--max-order", "8")
         assert report["relation"] == "stabilizable"
 
+    def test_parameter_free_leading_term(self, capsys):
+        # M5 has a_1 = 1/2: the difference starts at a_1/2 * t for every (p, q).
+        report = run_json(capsys, "solve", "--mean", "M5", "--max-order", "8")
+        assert report["fixed_leading"] == {"t_power": 1, "num": 1, "den": 4}
+        assert report["candidates"] == []
+
+    def test_a_vanishing_difference_has_no_leading_coefficient(self, capsys):
+        report = run_json(capsys, "solve", "--mean", "powermean", "--power", "5/3",
+                          "--max-order", "8")
+        assert report["relation"] == "stabilizable"
+        assert [(c["first_nonzero_order"], c["leading"]) for c in report["candidates"]] == [
+            (None, None), (None, None)]
+
 
 class TestStable:
     def test_s_alpha_mismatch(self, capsys):
@@ -111,6 +149,19 @@ class TestStable:
 
 
 class TestOtherCommands:
+    @pytest.mark.parametrize(("mean", "code"), [("A", 0), ("nope", 2)])
+    def test_python_dash_m_meanstab(self, mean, code):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "meanstab", "expand", "--mean", mean, "--order", "2"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=False,
+        )
+        assert done.returncode == code, done.stderr
+        if code == 0:
+            assert json.loads(done.stdout)["mean"] == "B_1"
+        else:
+            assert (done.stdout, done.stderr) == ("", "error: unknown mean 'nope'\n")
+
     def test_resultant_powers(self, capsys):
         report = run_json(
             capsys, "resultant", "--mean", "L", "--p", "1", "--q", "0", "--order", "8"
@@ -324,11 +375,12 @@ class TestErrorHandling:
             ("powermean:1,2", "takes 1 parameter"),
             ("A:1", "not a parametric mean"),
             ("nope:1", "not a parametric mean"),
+            ("b:2", "not a parametric mean"),
             ("salpha:1/0", "zero denominator"),
             ("malphar:1/2,3/0", "zero denominator"),
         ],
         ids=["no-parameter", "empty", "missing-r", "empty-r", "extra", "extra-power",
-             "alias", "unknown", "zero-alpha", "zero-r"],
+             "alias", "unknown", "unlisted", "zero-alpha", "zero-r"],
     )
     def test_inline_parameter_fault_is_usage_error(self, capsys, m1, message):
         code, out, err = run_cli(capsys, "compare", "--m1", m1, "--m2", "A", "--count", "20")
@@ -336,6 +388,62 @@ class TestErrorHandling:
         assert out == ""
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(("name", "option"), UNTAKEN_OPTIONS,
+                             ids=[name + option for name, option in UNTAKEN_OPTIONS])
+    def test_an_option_the_mean_does_not_take_is_usage_error(self, capsys, name, option):
+        taken = [f"{o}=1/3" for o in MEAN_OPTIONS[name]]
+        code, out, err = run_cli(
+            capsys, "expand", "--mean", name, *taken, f"{option}=1/2", "--order", "4"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {name} does not take {option}\n"
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (("stable", "--mean", "lalpha", "--alpha", "1/3", "--r", "5"), "lalpha does not take --r"),
+            (("solve", "--mean", "M1", "--power", "2"), "M1 does not take --power"),
+            (("verify", "--mean", "salpha", "--alpha", "1/3", "--power", "2"),
+             "salpha does not take --power"),
+            (("limit", "--mean", "G", "--alpha", "1/3", "--p", "1", "--q", "1"),
+             "G does not take --alpha"),
+            (("resultant", "--mean", "powermean:2", "--r", "1", "--p", "1", "--q", "0"),
+             "powermean does not take --r"),
+            (("expand", "--mean", "A", "--alpha", "1/3", "--r", "2", "--power", "3"),
+             "A does not take --power or --alpha or --r"),
+        ],
+        ids=["stable", "solve", "verify", "limit", "resultant-inline", "all-three"],
+    )
+    def test_every_mean_option_is_checked(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (("--mean", "b", "--power", "2"), "unknown mean 'b'"),
+            (("--mean", "power", "--power", "2"), "unknown mean 'power'"),
+            (("--mean", "power-mean", "--power", "2"), "unknown mean 'power-mean'"),
+            (("--mean", "l_alpha", "--alpha", "1/2"), "unknown mean 'l_alpha'"),
+            (("--mean", "s_alpha", "--alpha", "1/2"), "unknown mean 's_alpha'"),
+            (("--mean", "m_alphar", "--alpha", "1/2", "--r", "2"), "unknown mean 'm_alphar'"),
+            (("--mean", "m_alpha_r", "--alpha", "1/2", "--r", "2"), "unknown mean 'm_alpha_r'"),
+            (("--mean", "powermean", "--p-value", "2"), "unrecognized arguments: --p-value"),
+            (("--mean", "powermean", "--p", "2"), "unrecognized arguments: --p"),
+            (("--mean", "L", "--ord", "4"), "unrecognized arguments: --ord"),
+        ],
+        ids=["b", "power", "power-mean", "l_alpha", "s_alpha", "m_alphar", "m_alpha_r",
+             "p-value", "prefix-p", "prefix-ord"],
+    )
+    def test_unlisted_spellings_are_usage_errors(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "expand", *argv, "--order", "4")
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_inline_and_option_parameters_together_are_usage_error(self, capsys):
         code, out, err = run_cli(

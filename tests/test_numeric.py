@@ -158,7 +158,8 @@ class TestNearDiagonalAccuracy:
     (eval_f); off this grid, random gaps find up to 2.4 for M5."""
 
     GAPS = [10.0**-k for k in range(5, 16)] + [3e-16]
-    SPECS = CATALOG + [SINH6]
+    # M_{-1/2,1/2} has alpha + r = 0: the logarithmic branch of D.
+    SPECS = CATALOG + [SINH6, MAlphaR(F(-1, 2), F(1, 2))]
 
     @pytest.mark.parametrize("spec", SPECS, ids=str)
     def test_eval_mean(self, spec):
@@ -180,6 +181,20 @@ class TestNearDiagonalAccuracy:
 
         with mpmath.workdps(50):
             for x in self.GAPS:
+                true = mpmath_mean(spec, mpmath.exp(-x), mpmath.exp(x))
+                units = abs(eval_f(spec, x) - true) / true / _EPS
+                assert units <= 2.5, (x, float(units))
+
+    @pytest.mark.parametrize("p", [F(3), F(1, 3), F(-13, 6), F(40), F(1000), F(-1000)], ids=str)
+    def test_eval_f_of_a_power_mean_far_from_the_diagonal(self, p):
+        # B_p at (exp(-x), exp(x)) neither loses digits to cosh(p*x)**(1/p)
+        # nor overflows at large p*x.
+        mpmath = pytest.importorskip("mpmath")
+        from oracles import mpmath_mean
+
+        spec = PowerMean(p)
+        with mpmath.workdps(50):
+            for x in self.GAPS + [0.1, 0.5, 1.0, 3.0, 10.0, 50.0]:
                 true = mpmath_mean(spec, mpmath.exp(-x), mpmath.exp(x))
                 units = abs(eval_f(spec, x) - true) / true / _EPS
                 assert units <= 2.5, (x, float(units))

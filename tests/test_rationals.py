@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from meanstab.rationals import format_rational, parse_rational
+from meanstab.rationals import parse_rational
 from oracles import binomial
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
@@ -57,8 +57,3 @@ def test_parse_rational():
         parse_rational("0.25")
     with pytest.raises(ValueError):
         parse_rational("x")
-
-
-def test_format_rational():
-    assert format_rational(F(3, 4)) == "3/4"
-    assert format_rational(F(-8, 2)) == "-4"

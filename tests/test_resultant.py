@@ -597,6 +597,19 @@ class TestIntegerFormBody:
         assert [type(c) for c in out] == [type(c) for c in reference]
 
 
+    def test_common_brings_forms_over_one_denominator(self):
+        forms = ([1, 2], 3), ([5], 4), ([-7, 0, 1], 6)
+        assert resultant._common(*forms) == ([4, 8], [15], [-14, 0, 2], 12)
+        # Forms that share a denominator come back as they are; so do the
+        # forms of another field, over Fraction(1), which math.lcm refuses.
+        over_five = ([1, 2], 5), ([3], 5), ([4, 4], 5)
+        over_one = ([F(1, 2)], F(1)), ([F(3, 7), F(2)], F(1)), ([F(-5)], F(1))
+        for shared in (over_five, over_one):
+            out = resultant._common(*shared)
+            assert out[-1] == shared[0][1] and type(out[-1]) is type(shared[0][1])
+            assert all(got is nums for got, (nums, _) in zip(out, shared))
+
+
 class TestEvenWeights:
     """Even weights W(x) = W~(x**2) run Horner's rule over W~ in the square
     of the ratio u * g / h; the composition sum equals Horner over every
