@@ -144,8 +144,9 @@ def _exact(text: str) -> Rational:
         raise UsageError(str(exc)) from None
 
 
-def _build_spec(args: argparse.Namespace) -> MeanSpec:
-    return parse_mean_spec(args.mean, alpha=args.alpha, r=args.r, p=args.power)
+def _mean_options(args: argparse.Namespace) -> dict[str, str | None]:
+    """The options that give a mean's parameters, by name, as given."""
+    return {"--power": args.power, "--alpha": args.alpha, "--r": args.r}
 
 
 @contextlib.contextmanager
@@ -177,25 +178,20 @@ def _refuse(name: str, options: dict[str, str | None]) -> None:
         raise UsageError(f"{name} does not take {' or '.join(given)}")
 
 
-def parse_mean_spec(
-    name: str,
-    alpha: str | None = None,
-    r: str | None = None,
-    p: str | None = None,
-) -> MeanSpec:
-    """Resolve a mean name plus optional exact parameters into a spec.  A
-    family's parameters may instead follow its name inline, as
+def parse_mean_spec(name: str, options: dict[str, str | None]) -> MeanSpec:
+    """Resolve a mean name and its options' values by option name into a
+    spec.  A family's parameters may instead follow its name inline, as
     ``name:value[,value]``: salpha:1/2, malphar:-1/3,3 or powermean:3/2.
     An option the mean does not take is a usage error."""
     key, colon, inline = name.strip().partition(":")
     key = key.strip()
     entry = _MEANS.get(key.lower())
     spec_type, params = entry if isinstance(entry, tuple) else (None, ())
-    given = {"--power": p, "--alpha": alpha, "--r": r}
+    given = dict(options)
     if colon:
         if not params:
             raise UsageError(f"{key!r} is not a parametric mean; drop the parameters")
-        if any(given[k] is not None for k in params):
+        if any(given.get(k) is not None for k in params):
             raise UsageError(f"give the parameters of {name!r} inline or as options, not both")
         values = [value.strip() for value in inline.split(",")]
         if len(values) > len(params):
@@ -206,7 +202,7 @@ def parse_mean_spec(
     _refuse(key, {k: v for k, v in given.items() if k not in params})
     if spec_type is None:
         return entry
-    missing = [k for k in params if given[k] is None]
+    missing = [k for k in params if given.get(k) is None]
     if missing:
         raise UsageError(f"{key} needs {' and '.join(missing)} num/den, or {key}:value[,value]")
     return spec_type(*(_exact(given[k]) for k in params))
@@ -220,25 +216,24 @@ def _cmd_expand(args: argparse.Namespace) -> dict:
     if args.mean.strip().lower() == "stable":
         if args.a2 is None:
             raise UsageError("the stable series needs --a2 num/den")
-        _refuse("stable", {"--alpha": args.alpha, "--r": args.r, "--power": args.power})
+        _refuse("stable", _mean_options(args))
         a2 = _exact(args.a2)
         expansion = expand_stable(a2, args.order)
         label = f"stable(a2={a2})"
     else:
-        spec = _build_spec(args)
-        _refuse(args.mean.strip(), {"--a2": args.a2})
+        spec = parse_mean_spec(args.mean, _mean_options(args) | {"--a2": args.a2})
         expansion = expand_mean(spec, args.order)
         label = describe_spec(spec)
     return {"mean": label, **_expansion_json(expansion)}
 
 
 def _cmd_resultant(args: argparse.Namespace) -> dict:
-    middle = _build_spec(args)
+    middle = parse_mean_spec(args.mean, _mean_options(args))
     if (args.outer, args.inner) != (None, None) and (args.p, args.q) != (None, None):
         raise UsageError("give either --outer/--inner names or --p/--q powers, not both")
     if args.outer is not None:
-        outer = parse_mean_spec(args.outer)
-        inner = parse_mean_spec(args.inner) if args.inner else outer
+        outer = parse_mean_spec(args.outer, {})
+        inner = parse_mean_spec(args.inner, {}) if args.inner else outer
     elif args.p is not None and args.q is not None:
         outer = PowerMean(_exact(args.p))
         inner = PowerMean(_exact(args.q))
@@ -260,7 +255,7 @@ def _cmd_resultant(args: argparse.Namespace) -> dict:
 
 
 def _cmd_stable(args: argparse.Namespace) -> dict:
-    spec = _build_spec(args)
+    spec = parse_mean_spec(args.mean, _mean_options(args))
     report = is_stable(spec, args.order)
     out: dict = {
         "mean": report.description,
@@ -274,7 +269,7 @@ def _cmd_stable(args: argparse.Namespace) -> dict:
 
 
 def _cmd_solve(args: argparse.Namespace) -> dict:
-    spec = _build_spec(args)
+    spec = parse_mean_spec(args.mean, _mean_options(args))
     mean = expand_mean(spec, args.max_order)
     verdict = optimal_parameters(mean, args.max_order, spec=spec)
     out: dict = {
@@ -324,8 +319,8 @@ def _cmd_scan(args: argparse.Namespace) -> dict:
 
 
 def _cmd_compare(args: argparse.Namespace) -> dict:
-    m1 = parse_mean_spec(args.m1)
-    m2 = parse_mean_spec(args.m2)
+    m1 = parse_mean_spec(args.m1, {})
+    m2 = parse_mean_spec(args.m2, {})
     with _option_faults():
         grid = GridSpec(args.x_min, args.x_max, args.count, args.scale)
     report = compare_scan(m1, m2, grid)
@@ -339,7 +334,7 @@ def _cmd_compare(args: argparse.Namespace) -> dict:
 
 
 def _cmd_limit(args: argparse.Namespace) -> dict:
-    middle = _build_spec(args)
+    middle = parse_mean_spec(args.mean, _mean_options(args))
     if (args.p is None) != (args.q is None):
         raise UsageError("a resultant limit needs both --p and --q")
     if args.p is not None:
@@ -357,7 +352,7 @@ def _cmd_limit(args: argparse.Namespace) -> dict:
 
 
 def _cmd_verify(args: argparse.Namespace) -> dict:
-    spec = _build_spec(args)
+    spec = parse_mean_spec(args.mean, _mean_options(args))
     with _option_faults():
         grid = GridSpec(args.x_min, args.x_max, args.count, "logarithmic")
         check_decay_setup(args.t, grid)

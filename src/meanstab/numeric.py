@@ -102,11 +102,19 @@ def eval_mean(spec: MeanSpec, a: float, b: float) -> float:
 def eval_f(spec: MeanSpec, x: float) -> float:
     """Associated function f_M(x) = M(exp(-x), exp(x)); with G = 1 it turns
     mean comparison into comparison of one-variable functions.  G is exactly
-    1.0, and another B_p is eval_mean at (exp(-x), exp(x))."""
+    1.0; another B_p is exp(+-x)*((1 + exp(-2|p|x))/2)**(1/p), the factor's
+    log taken by log1p and expm1, and one exp once a factor leaves e^+-700."""
     if not (x > 0):
         raise ValueError("evaluate the associated function at x > 0")
     if isinstance(spec, PowerMean):
-        return 1.0 if spec.p == 0 else eval_mean(spec, math.exp(-x), math.exp(x))
+        if spec.p == 0:
+            return 1.0
+        p = float(spec.p)
+        lead = math.copysign(x, p)
+        log_power = math.log1p(math.expm1(-2.0 * abs(p) * x) / 2.0) / p
+        if max(abs(lead), abs(log_power)) <= 700.0:
+            return math.exp(lead) * math.exp(log_power)
+        return math.exp(lead + log_power)
     return 2.0 * math.sinh(x) / _denominator_closed(spec, 2.0 * x)
 
 

@@ -213,6 +213,17 @@ class TestOtherCommands:
         )
         assert report["verdict"] == "m1<m2"
 
+    @pytest.mark.parametrize(("power", "verdict"), [("1/1000", "m2<m1"), ("-1/1000", "m1<m2")])
+    def test_compare_a_power_mean_with_g_far_out(self, capsys, power, verdict):
+        # G < B_p for p > 0 and B_p < G for p < 0 at every x: also past
+        # x = 372, where exp(-x)/exp(x) underflows, and past x = 709.8, where
+        # exp(x) overflows but f_M of B_{+-1/1000} is still finite.
+        report = run_json(
+            capsys, "compare", "--m1", f"powermean:{power}", "--m2", "G",
+            "--x-min", "1", "--x-max", "1000", "--count", "100",
+        )
+        assert report["verdict"] == verdict
+
     @pytest.mark.parametrize(
         ("m1", "label", "verdict"),
         [
@@ -392,13 +403,17 @@ class TestErrorHandling:
     @pytest.mark.parametrize(("name", "option"), UNTAKEN_OPTIONS,
                              ids=[name + option for name, option in UNTAKEN_OPTIONS])
     def test_an_option_the_mean_does_not_take_is_usage_error(self, capsys, name, option):
-        taken = [f"{o}=1/3" for o in MEAN_OPTIONS[name]]
-        code, out, err = run_cli(
-            capsys, "expand", "--mean", name, *taken, f"{option}=1/2", "--order", "4"
-        )
-        assert code == 2
-        assert out == ""
-        assert err == f"error: {name} does not take {option}\n"
+        # A family's parameters given as options and inline; either way the
+        # error names the mean without them.
+        taken = MEAN_OPTIONS[name]
+        spellings = [(name, *(f"{o}=1/3" for o in taken))]
+        if taken and name != "stable":
+            spellings.append((f"{name}:" + ",".join("1/3" for _ in taken),))
+        for mean, *given in spellings:
+            code, out, err = run_cli(
+                capsys, "expand", "--mean", mean, *given, f"{option}=1/2", "--order", "4"
+            )
+            assert (code, out, err) == (2, "", f"error: {name} does not take {option}\n")
 
     @pytest.mark.parametrize(
         ("argv", "message"),
