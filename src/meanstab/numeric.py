@@ -3,10 +3,10 @@ one-variable functions, resultant compositions, comparison scans, boundary
 limits and remainder-decay checks.
 
 Everything here is floating point on purpose; it cross-validates the exact
-engine rather than feeding it.  Each family is evaluated by its one closed
-form, written without cancellation so that it stays accurate up to the
-diagonal.  Boundary limits come from closed forms only; an input without
-one raises instead of being sampled.
+engine rather than feeding it.  Each quotient family has one closed form,
+D(y) in M(a, b) = |b-a|/D(|ln(b/a)|), written without cancellation up to
+the diagonal and defined at y = inf, and B_p has one; values, associated
+functions and boundary limits (1/D(inf)) all come from these.
 """
 
 from __future__ import annotations
@@ -48,16 +48,15 @@ def _denominator_closed(spec: MeanSpec, y: float) -> float:
         if spec.index == 2:
             return _SQRT2 * math.atan(y / _SQRT2)
         if spec.index == 3:
-            # 2*atan(1+y) - pi/2 rewritten without cancellation at y -> 0
-            return 2.0 * math.atan(y / (2.0 + y))
+            # 2*atan(1+y) - pi/2 without cancellation, and defined at y = inf
+            return 2.0 * math.atan2(y, 2.0 + y)
         if spec.index == 4:
             return _SQRT2 * math.asinh(y / _SQRT2)
-        # sqrt2*(asinh(1+y) - asinh(1)), cancellation-free:
-        # asinh(1+y) - asinh(1) = log1p((y + dr)/(1 + sqrt2)) where
-        # dr = sqrt(2 + 2y + y^2) - sqrt2 = (2y + y^2)/(sqrt(2+2y+y^2) + sqrt2)
-        root = math.sqrt(2.0 + y * (2.0 + y))
-        dr = y * (2.0 + y) / (root + _SQRT2)
-        return _SQRT2 * math.log1p((y + dr) / (1.0 + _SQRT2))
+        # sqrt2*(asinh(u) - asinh(1)) at u = 1 + y is sqrt2*asinh(sqrt2*u -
+        # sqrt(1 + u^2)), and sqrt2*u - sqrt(1 + u^2) = (u^2 - 1)/(sqrt2*u +
+        # sqrt(1 + u^2)) = y(1 + t)/(sqrt2 + sqrt(1 + t^2)) with t = 1/u
+        t = 1.0 / (1.0 + y)
+        return _SQRT2 * math.asinh(y * (1.0 + t) / (_SQRT2 + math.sqrt(1.0 + t * t)))
     if isinstance(spec, MAlphaR):
         r, alpha = float(spec.r), float(spec.alpha)
         if alpha + r == 0.0:
@@ -67,43 +66,47 @@ def _denominator_closed(spec: MeanSpec, y: float) -> float:
     if isinstance(spec, MuGenerated):
         if spec.has_positive_root:
             raise ValueError("mu has a positive root, where the mean is undefined")
-        # mu(y) = y * sum c_n (y**2)**n, by Horner's rule in y**2
+        # mu(y) = y * sum c_n (y**2)**n, by Horner's rule in y**2 from the
+        # top nonzero coefficient: at y = inf, 0.0 * inf would be nan
         acc, w = 0.0, y * y
         for c in reversed(spec.odd_coeffs):
-            acc = acc * w + float(c)
+            acc = acc * w + float(c) if acc else float(c)
         return y * acc
     raise TypeError(f"no denominator form for {spec!r}")
 
 
+def _power_factor_log(p: float, y: float) -> float:
+    """ln ((1 + exp(-|p|y))/2)**(1/p): B_p, p != 0, at y = ln(hi/lo) is this
+    factor times hi for p > 0 and lo for p < 0; log1p and expm1 keep the
+    digits of a small |p|y."""
+    return math.log1p(math.expm1(-abs(p) * y) / 2.0) / p
+
+
 def eval_mean(spec: MeanSpec, a: float, b: float) -> float:
-    """Value of the mean at (a, b) from its family's closed form; the
-    denominators D(y) are written without cancellation, so they keep their
-    relative accuracy as y = ln(b/a) tends to 0."""
+    """Value of the mean at (a, b), finite across the double range: y =
+    ln(hi/lo) by log1p, or by two logs once hi/lo overflows; (hi - lo)/D(y)
+    for a quotient mean, and for B_p, p != 0, the dominant argument times
+    exp of the power factor."""
     _require_positive(a, b)
     if a == b:
         return float(a)
     lo, hi = (a, b) if a < b else (b, a)
+    if isinstance(spec, PowerMean) and spec.p == 0:
+        return math.sqrt(lo) * math.sqrt(hi)
+    ratio = (hi - lo) / lo
+    y = math.log1p(ratio) if ratio < math.inf else math.log(hi) - math.log(lo)
     if isinstance(spec, PowerMean):
         p = float(spec.p)
-        if p == 0.0:
-            return math.sqrt(lo * hi)
-        if p == 1.0:
-            return (lo + hi) / 2.0
-        if p == -1.0:
-            return 2.0 * lo * hi / (lo + hi)
-        # factor out the dominant argument so the inner ratio power is <= 1
-        if p > 0:
-            return hi * ((1.0 + (lo / hi) ** p) / 2.0) ** (1.0 / p)
-        return lo * ((1.0 + (hi / lo) ** p) / 2.0) ** (1.0 / p)
-    value = (hi - lo) / _denominator_closed(spec, math.log1p((hi - lo) / lo))
+        return (hi if p > 0 else lo) * math.exp(_power_factor_log(p, y))
+    value = (hi - lo) / _denominator_closed(spec, y)
     return min(max(value, lo), hi)
 
 
 def eval_f(spec: MeanSpec, x: float) -> float:
     """Associated function f_M(x) = M(exp(-x), exp(x)); with G = 1 it turns
     mean comparison into comparison of one-variable functions.  G is exactly
-    1.0; another B_p is exp(+-x)*((1 + exp(-2|p|x))/2)**(1/p), the factor's
-    log taken by log1p and expm1, and one exp once a factor leaves e^+-700."""
+    1.0; another B_p is exp(+-x) times exp of the power factor at y = 2x, in
+    one exp once either leaves e^+-700."""
     if not (x > 0):
         raise ValueError("evaluate the associated function at x > 0")
     if isinstance(spec, PowerMean):
@@ -111,7 +114,7 @@ def eval_f(spec: MeanSpec, x: float) -> float:
             return 1.0
         p = float(spec.p)
         lead = math.copysign(x, p)
-        log_power = math.log1p(math.expm1(-2.0 * abs(p) * x) / 2.0) / p
+        log_power = _power_factor_log(p, 2.0 * x)
         if max(abs(lead), abs(log_power)) <= 700.0:
             return math.exp(lead) * math.exp(log_power)
         return math.exp(lead + log_power)
@@ -198,32 +201,13 @@ class LimitReport:
 
 
 def _mean_boundary_closed(spec: MeanSpec) -> float:
-    """lim_{s->0+} M(s, 1-s) in closed form: the denominators D(y) have
-    explicit limits as y -> infinity."""
+    """lim_{s->0+} M(s, 1-s) in closed form: 2**(-1/p) for B_p with p > 0
+    and 0 for p <= 0; 1/D(inf) for a quotient mean |b-a|/D(|ln(b/a)|),
+    since |b-a| -> 1 and ln(b/a) -> inf."""
     if isinstance(spec, PowerMean):
         p = float(spec.p)
         return 2.0 ** (-1.0 / p) if p > 0 else 0.0
-    if isinstance(spec, LAlpha):
-        return 0.0  # sinh(alpha*y) (or y itself) diverges
-    if isinstance(spec, SAlpha):
-        a = abs(float(spec.alpha))
-        return 0.0 if a == 0.0 else 2.0 * a / math.pi
-    if isinstance(spec, ClassicMean):
-        return {
-            1: 0.0,
-            2: _SQRT2 / math.pi,
-            3: 2.0 / math.pi,
-            4: 0.0,
-            5: 0.0,
-        }[spec.index]
-    if isinstance(spec, MAlphaR):
-        s = spec.r + spec.alpha
-        return float(-s) if s < 0 else 0.0
-    if isinstance(spec, MuGenerated):
-        if spec.has_positive_root:
-            raise ValueError("limit not resolved: mu has a positive root, where the mean is undefined")
-        return 0.0  # mu grows to +infinity
-    raise TypeError(f"no boundary limit for {spec!r}")
+    return 1.0 / _denominator_closed(spec, math.inf)
 
 
 def _resultant_boundary_closed(outer: MeanSpec, middle: MeanSpec, inner: MeanSpec) -> float:
@@ -232,7 +216,7 @@ def _resultant_boundary_closed(outer: MeanSpec, middle: MeanSpec, inner: MeanSpe
     nu*lim M(s,1) and M(nu, 1), and B_p extends continuously to the
     boundary, where B_p(0, w) = w * B_p(0, 1)."""
     if not isinstance(outer, PowerMean) or not isinstance(inner, PowerMean):
-        raise ValueError("limit not resolved: the outer and inner means must be power means")
+        raise ValueError("the outer and inner means must be power means")
     mean_limit = _mean_boundary_closed(middle)
     nu = _mean_boundary_closed(inner)
     if nu > 0.0:
@@ -253,14 +237,17 @@ def boundary_limit(
 
     Every catalog mean has one, a mu-generated mean when mu has no positive
     root, and so has every power-mean sandwich R(B_p, M, B_q) of such a mean.
-    Several families approach their limit only logarithmically, far too
-    slowly for sampling.  Any other input raises ``ValueError("limit not
-    resolved: ...")``.
+    A quotient mean's limit is 1/D(inf).  Several families approach their
+    limit only logarithmically, far too slowly for sampling.  Any other
+    input raises ``ValueError("limit not resolved: ...")``.
     """
-    if isinstance(expr, tuple):
-        value = _resultant_boundary_closed(*expr)
-    else:
-        value = _mean_boundary_closed(expr)
+    try:
+        if isinstance(expr, tuple):
+            value = _resultant_boundary_closed(*expr)
+        else:
+            value = _mean_boundary_closed(expr)
+    except ValueError as exc:
+        raise ValueError(f"limit not resolved: {exc}") from exc
     return LimitReport(value, 0.0, "closed-form")
 
 

@@ -28,6 +28,9 @@ Each one is an independent derivation of the same coefficients:
   sampled at s = 1e-3..1e-8 and extrapolated by Neville's scheme in
   1/log10(1/s), where ``numeric.py`` takes every limit from a closed form
   and refuses inputs that have none;
+* ``mean_boundary_by_table``: the boundary limit of each family read from
+  its own table of values at D(inf) (2*|alpha|/pi, sqrt(2)/pi, ...), where
+  ``numeric.py`` takes 1/D(inf) from the one closed form of each D;
 * ``difference_form_by_horner``: one solver sample with B_p expanded and
   run through Horner's outer step, where the solver applies B_p in closed
   form;
@@ -581,6 +584,30 @@ def boundary_by_extrapolation(expr: MeanSpec | tuple[MeanSpec, MeanSpec, MeanSpe
     if abs(value) < 5e-4 and spread < 0.2:
         value = max(value, 0.0)
     return LimitReport(value, uncertainty, "extrapolated")
+
+
+def mean_boundary_by_table(spec: MeanSpec) -> float:
+    """lim_{s->0+} M(s, 1-s) from a per-family table of limits: 0 wherever
+    D(y) diverges, and the finite 1/D(inf) of S_alpha, M2, M3 and M_{alpha,r}
+    with r + alpha < 0 written out."""
+    if isinstance(spec, PowerMean):
+        p = float(spec.p)
+        return 2.0 ** (-1.0 / p) if p > 0 else 0.0
+    if isinstance(spec, LAlpha):
+        return 0.0  # sinh(alpha*y) (or y itself) diverges
+    if isinstance(spec, SAlpha):
+        a = abs(float(spec.alpha))
+        return 0.0 if a == 0.0 else 2.0 * a / math.pi
+    if isinstance(spec, ClassicMean):
+        return {1: 0.0, 2: math.sqrt(2.0) / math.pi, 3: 2.0 / math.pi, 4: 0.0, 5: 0.0}[spec.index]
+    if isinstance(spec, MAlphaR):
+        s = spec.r + spec.alpha
+        return float(-s) if s < 0 else 0.0
+    if isinstance(spec, MuGenerated):
+        if spec.has_positive_root:
+            raise ValueError("mu has a positive root, where the mean is undefined")
+        return 0.0  # mu grows to +infinity
+    raise TypeError(f"no boundary limit for {spec!r}")
 
 
 def difference_form_by_horner(m_form: tuple, p: Fraction, q: Fraction, order: int) -> tuple:

@@ -266,6 +266,12 @@ class TestOtherCommands:
         assert report["limit"]["value"] == pytest.approx(0.4747535, rel=1e-5)
         assert report["limit"]["provenance"] == "closed-form"
 
+    def test_limit_with_a_subnormal_inner_mean(self, capsys):
+        # B_{1/1050}(0, 1) = 2**-1050, and L(2**-1050, 1) = 1/(1050 ln 2)
+        # needs ln(b/a) where b/a overflows
+        report = run_json(capsys, "limit", "--mean", "L", "--p", "1", "--q", "1/1050")
+        assert report["limit"]["value"] == pytest.approx(6.86997638518554e-4, rel=1e-12)
+
     def test_limit_of_a_plain_mean(self, capsys):
         # without --p/--q the limit is the mean's own: M1(0, 1) = 1/ln(1 + oo) = 0
         report = run_json(capsys, "limit", "--mean", "M1")

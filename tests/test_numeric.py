@@ -88,7 +88,7 @@ class TestEvalMean:
             v = eval_mean(spec, a, b)
             assert min(a, b) <= v <= max(a, b)
             assert eval_mean(spec, b, a) == pytest.approx(v, rel=1e-12)
-            for lam in (1e-3, 7.0, 1e3):
+            for lam in (1e-3, 7.0, 1e3, 1e-290, 1e290):
                 assert eval_mean(spec, lam * a, lam * b) == pytest.approx(
                     lam * v, rel=1e-12
                 )
@@ -154,8 +154,8 @@ class TestNearDiagonalAccuracy:
     and 1234.5.  An error of one unit is 2**-52 of the true value (one ulp
     at values in [1, 2)).  eval_f gets half a unit more than eval_mean:
     its numerator is the platform's sinh, which glibc returns 0.67 units
-    high at x = 1e-8.  The worst errors here are 1.66 (eval_mean) and 2.35
-    (eval_f); off this grid, random gaps find up to 2.4 for M5."""
+    high at x = 1e-8.  The worst errors here are 1.89 (eval_mean, M5) and
+    2.35 (eval_f); off this grid, random gaps find up to 2.5 for M5."""
 
     GAPS = [10.0**-k for k in range(5, 16)] + [3e-16]
     # M_{-1/2,1/2} has alpha + r = 0: the logarithmic branch of D.
@@ -185,6 +185,20 @@ class TestNearDiagonalAccuracy:
                 units = abs(eval_f(spec, x) - true) / true / _EPS
                 assert units <= 2.5, (x, float(units))
 
+    @pytest.mark.parametrize("p", [F(1, 1000), F(-1, 1000)], ids=str)
+    def test_eval_mean_of_a_power_mean_of_small_p(self, p):
+        # the power factor is taken by log1p and expm1, so the digits of a
+        # small |p|*y survive: at most 2.9 units here
+        mpmath = pytest.importorskip("mpmath")
+        from oracles import mpmath_mean
+
+        spec = PowerMean(p)
+        with mpmath.workdps(60):
+            for a, b in [(1.0, 1.5), (1.0, 3.0), (1.0, 100.0), (0.5, 1e6)]:
+                true = mpmath_mean(spec, a, b)
+                units = abs(eval_mean(spec, a, b) - true) / true / _EPS
+                assert units <= 4, (a, b, float(units))
+
     @pytest.mark.parametrize(
         ("p", "bound", "far"),
         [(F(3), 2.5, 700.0), (F(1, 3), 2.5, 700.0), (F(-13, 6), 2.5, 700.0),
@@ -209,6 +223,41 @@ class TestNearDiagonalAccuracy:
                 true = mpmath_mean(spec, mpmath.exp(-x), mpmath.exp(x))
                 units = abs(eval_f(spec, x) - true) / true / _EPS
                 assert units <= bound, (x, float(units))
+
+
+class TestDoubleRange:
+    """eval_mean at the ends of the double range against mpmath: a finite
+    value in [lo, hi], wherever the terms of the closed form are finite.
+    y = ln(hi/lo) reaches 1400 here, and its rounding costs L_alpha about
+    alpha*y/2 units and B_p of small |p| about y/4 (406 and 279 at y = 921);
+    every other family stays within 3.9 units."""
+
+    POINTS = [(1e-200, 1e200), (1e-300, 1e300), (5e-324, 1.0)]
+    SPECS = CATALOG + [SINH6, PowerMean(F(1, 1000)), PowerMean(F(-1, 1000))]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_eval_mean(self, spec):
+        mpmath = pytest.importorskip("mpmath")
+        from oracles import mpmath_mean
+
+        for lo, hi in self.POINTS:
+            y = math.log(hi) - math.log(lo)
+            if isinstance(spec, LAlpha) and float(spec.alpha) * y > 710:
+                with pytest.raises(OverflowError):  # sinh(alpha*y) overflows
+                    eval_mean(spec, lo, hi)
+                continue
+            value = eval_mean(spec, lo, hi)
+            assert math.isfinite(value) and lo <= value <= hi, (lo, hi, value)
+            if isinstance(spec, LAlpha):
+                bound = 6 + float(spec.alpha) * y
+            elif isinstance(spec, PowerMean) and abs(spec.p) < F(1, 3):
+                bound = 6 + y / 2
+            else:
+                bound = 6
+            with mpmath.workdps(60):
+                true = mpmath_mean(spec, lo, hi)
+                units = abs(value - true) / true / _EPS
+            assert units <= bound, (lo, hi, float(units))
 
 
 class TestMonotonicityInAlpha:
@@ -367,7 +416,40 @@ class TestCompareScan:
             GridSpec(1.0, 2.0, 10, scale="cubic")
 
 
+# B_p, L_alpha and S_alpha (negative alpha included), M1-M5, M_{alpha,r} with
+# r + alpha below, at and above 0, and mu (a zero top coefficient included)
+BOUNDARY_SPECS = [
+    *(PowerMean(p) for p in (F(1), F(0), F(-1), F(5, 2), F(1, 1000), F(-1, 1000))),
+    *(LAlpha(a) for a in (F(0), F(1, 3), F(3, 4), F(1), F(-1, 2))),
+    *(SAlpha(a) for a in (F(0), F(1, 2), F(1), F(-1, 2), F(-1), F(7, 10))),
+    M1, M2, M3, M4, M5,
+    MAlphaR(F(1, 2), F(1)),
+    MAlphaR(F(-1, 3), F(2)),
+    MAlphaR(F(-1, 2), F(1, 2)),
+    MAlphaR(F(-1, 2), F(1, 4)),
+    MAlphaR(F(-1), F(1, 3)),
+    MAlphaR(F(1), F(1)),
+    MAlphaR(F(0), F(3)),
+    MuGenerated((F(1),)),
+    MuGenerated((F(1), F(1, 6))),
+    MuGenerated((F(1), F(1, 6), F(0))),
+    MuGenerated((F(1), F(0), F(1))),
+    MuGenerated((F(1), F(-1), F(1))),
+    SINH6,
+]
+
+
 class TestBoundaryLimit:
+    @pytest.mark.parametrize("spec", BOUNDARY_SPECS, ids=str)
+    def test_one_over_d_at_infinity_matches_the_table(self, spec):
+        from meanstab.numeric import _denominator_closed
+
+        if not isinstance(spec, PowerMean):
+            d_inf = _denominator_closed(spec, math.inf)
+            assert d_inf == math.inf or 0 < d_inf < math.inf, d_inf
+        expected = oracles.mean_boundary_by_table(spec)
+        assert math.isclose(boundary_limit(spec).value, expected, rel_tol=1e-15)
+
     @pytest.mark.parametrize("spec", [None, "M1", F(1, 2), (M1, M2)], ids=repr)
     def test_a_non_spec_raises_type_error(self, spec):
         with pytest.raises(TypeError):
