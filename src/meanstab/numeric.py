@@ -86,7 +86,8 @@ def eval_mean(spec: MeanSpec, a: float, b: float) -> float:
     """Value of the mean at (a, b), finite across the double range: y =
     ln(hi/lo) by log1p, or by two logs once hi/lo overflows; (hi - lo)/D(y)
     for a quotient mean, and for B_p, p != 0, the dominant argument times
-    exp of the power factor."""
+    exp of the power factor, in one exp of the summed logs once that factor
+    leaves e^+-700.  L_alpha raises OverflowError where sinh(alpha*y) does."""
     _require_positive(a, b)
     if a == b:
         return float(a)
@@ -97,7 +98,10 @@ def eval_mean(spec: MeanSpec, a: float, b: float) -> float:
     y = math.log1p(ratio) if ratio < math.inf else math.log(hi) - math.log(lo)
     if isinstance(spec, PowerMean):
         p = float(spec.p)
-        return (hi if p > 0 else lo) * math.exp(_power_factor_log(p, y))
+        dominant, log_power = (hi if p > 0 else lo), _power_factor_log(p, y)
+        if abs(log_power) <= 700.0:
+            return dominant * math.exp(log_power)
+        return math.exp(math.log(dominant) + log_power)
     value = (hi - lo) / _denominator_closed(spec, y)
     return min(max(value, lo), hi)
 
@@ -239,14 +243,15 @@ def boundary_limit(
     root, and so has every power-mean sandwich R(B_p, M, B_q) of such a mean.
     A quotient mean's limit is 1/D(inf).  Several families approach their
     limit only logarithmically, far too slowly for sampling.  Any other
-    input raises ``ValueError("limit not resolved: ...")``.
+    input, or a composition whose terms leave the double range, raises
+    ``ValueError("limit not resolved: ...")``.
     """
     try:
         if isinstance(expr, tuple):
             value = _resultant_boundary_closed(*expr)
         else:
             value = _mean_boundary_closed(expr)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ValueError(f"limit not resolved: {exc}") from exc
     return LimitReport(value, 0.0, "closed-form")
 

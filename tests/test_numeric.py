@@ -228,12 +228,14 @@ class TestNearDiagonalAccuracy:
 class TestDoubleRange:
     """eval_mean at the ends of the double range against mpmath: a finite
     value in [lo, hi], wherever the terms of the closed form are finite.
-    y = ln(hi/lo) reaches 1400 here, and its rounding costs L_alpha about
-    alpha*y/2 units and B_p of small |p| about y/4 (406 and 279 at y = 921);
-    every other family stays within 3.9 units."""
+    y = ln(hi/lo) reaches 1454 here, and its rounding costs L_alpha about
+    alpha*y/2 units and B_p of small |p| about y/4 (406 and 279 at y = 921,
+    361 for B_{-1/10^6} at y = 1423, where exp of its power factor alone
+    would overflow); every other family stays within 3.9 units."""
 
-    POINTS = [(1e-200, 1e200), (1e-300, 1e300), (5e-324, 1.0)]
-    SPECS = CATALOG + [SINH6, PowerMean(F(1, 1000)), PowerMean(F(-1, 1000))]
+    POINTS = [(1e-200, 1e200), (1e-300, 1e300), (5e-324, 1.0),
+              (1e-310, 1e308), (5e-324, 1.7e308)]
+    SPECS = CATALOG + [SINH6] + [PowerMean(F(s, d)) for d in (1000, 10**6) for s in (1, -1)]
 
     @pytest.mark.parametrize("spec", SPECS, ids=str)
     def test_eval_mean(self, spec):
@@ -542,6 +544,11 @@ class TestBoundaryLimit:
         closed = boundary_limit(expr)
         assert closed.is_exact
         assert oracles.boundary_by_extrapolation(expr).value == pytest.approx(closed.value, abs=1e-3)
+
+    def test_a_composition_past_the_double_range_is_not_resolved(self):
+        # B_{1/1050}(0, 1) = 2**-1050, where L_1's sinh(ln(2**1050)) overflows
+        with pytest.raises(ValueError, match="not resolved: math range error"):
+            boundary_limit((PowerMean(F(1)), LAlpha(F(1)), PowerMean(F(1, 1050))))
 
     def test_logarithmically_slow_sequence_not_resolved(self):
         # R(M1, M1, M1)(s, 1-s) drifts like 1/log(log(1/s)); honest refusal

@@ -684,6 +684,11 @@ class TestBoundaryWithoutSpec:
         assert verdict.boundary is not None
         assert verdict.boundary.label != "unavailable"
 
+    def test_a_probe_past_the_double_range_is_unavailable(self):
+        # B_{1/1050}(0, 1) = 2**-1050, where L_1's sinh(ln(2**1050)) overflows
+        evidence = solver._boundary_evidence(LAlpha(F(1)), 1.0, 1 / 1050)
+        assert evidence.label == "unavailable"
+
 
 class TestDisagreeingBestCandidates:
     """M2's candidates p = -+sqrt(17) both survive at t^6 with -11/180.
