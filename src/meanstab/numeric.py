@@ -110,7 +110,9 @@ def eval_f(spec: MeanSpec, x: float) -> float:
     """Associated function f_M(x) = M(exp(-x), exp(x)); with G = 1 it turns
     mean comparison into comparison of one-variable functions.  G is exactly
     1.0; another B_p is exp(+-x) times exp of the power factor at y = 2x, in
-    one exp once either leaves e^+-700."""
+    one exp once either leaves e^+-700.  A quotient mean is 2*sinh(x)/D(2x),
+    past x = 700 exp(x - 700)*(exp(700)/D(2x)): OverflowError only where f_M
+    or D(2x) does."""
     if not (x > 0):
         raise ValueError("evaluate the associated function at x > 0")
     if isinstance(spec, PowerMean):
@@ -122,7 +124,11 @@ def eval_f(spec: MeanSpec, x: float) -> float:
         if max(abs(lead), abs(log_power)) <= 700.0:
             return math.exp(lead) * math.exp(log_power)
         return math.exp(lead + log_power)
-    return 2.0 * math.sinh(x) / _denominator_closed(spec, 2.0 * x)
+    d = _denominator_closed(spec, 2.0 * x)
+    value = 2.0 * math.sinh(x) / d if x <= 700.0 else math.exp(x - 700.0) * (math.exp(700.0) / d)
+    if value == math.inf:
+        raise OverflowError("math range error")
+    return value
 
 
 def eval_resultant(

@@ -25,6 +25,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence, Union
 
 from .rationals import ONE, ZERO, Rational
@@ -198,6 +199,9 @@ class RationalRoot:
 
     kind = "exact-rational"
 
+    def bounds(self, width: Fraction = Fraction(1, 10**18)) -> tuple[Rational, Rational]:
+        return self.value, self.value
+
     def approx(self) -> float:
         return float(self.value)
 
@@ -239,13 +243,10 @@ class QuadraticSurdRoot:
         return lo, lo + Fraction(1, 1 << m)
 
     def bounds(self, width: Fraction = Fraction(1, 10**18)) -> tuple[Rational, Rational]:
-        slo, shi = self.sqrt_bounds(width)
-        if self.sign > 0:
-            lo, hi = self.add + slo, self.add + shi
-        else:
-            lo, hi = self.add - shi, self.add - slo
-        lo, hi = lo / self.div, hi / self.div
-        return (lo, hi) if lo <= hi else (hi, lo)
+        """Rational enclosure of the root, at most the given width wide."""
+        sqrt_ends = self.sqrt_bounds(width * min(self.div, ONE))
+        ends = [(self.add + self.sign * s) / self.div for s in sqrt_ends]
+        return min(ends), max(ends)
 
     def approx(self) -> float:
         return float(self.add + self.sign * math.sqrt(self.radicand)) / float(self.div)
@@ -260,6 +261,9 @@ class IntervalRoot:
     polynomial: UniPoly
 
     kind = "isolated-interval"
+
+    def bounds(self, width: Fraction = Fraction(1, 10**18)) -> tuple[Rational, Rational]:
+        return _refine(self.polynomial, self.low, self.high, width)
 
     def approx(self) -> float:
         return float(self.low + self.high) / 2
@@ -431,57 +435,67 @@ def simplest_between(lo: Rational, hi: Rational) -> Rational:
     return floor_lo + 1 / frac_part
 
 
+def _integer_lead(g: UniPoly) -> Rational:
+    """|leading coefficient| L of g's integer form.  The denominators of a
+    rational root and of the trace and product of a quadratic factor's roots
+    divide L (Gauss), and such rationals lie at least 1/L**2 apart."""
+    return abs(g.leading * math.lcm(*(c.denominator for c in g.coeffs)))
+
+
 def _recognize_rational(g: UniPoly, a: Rational, b: Rational) -> Rational | None:
     """The root of g in its isolating interval (a, b) if that root is rational.
 
-    This is how rational roots are found.  A rational root p/q has q
-    dividing the leading coefficient L of g's integer form, and two
-    rationals with denominators at most L lie at least 1/L**2 apart; so once
-    the interval is narrower than that, the rational of smallest denominator
-    in it is the only candidate, and it is verified exactly.
+    This is how rational roots are found.  Once the interval is narrower
+    than 1/L**2 (see _integer_lead), the rational of smallest denominator in
+    it is the only candidate, and it is verified exactly.
     """
-    lead = abs(g.leading * math.lcm(*(c.denominator for c in g.coeffs)))
+    lead = _integer_lead(g)
     a, b = _refine(g, a, b, 1 / (lead * lead + 1))
     cand = simplest_between(a, b)
     return cand if g(cand) == 0 else None
 
 
-def _conjugate_pair(add: Rational, radicand: Rational, div: Rational) -> list[QuadraticSurdRoot]:
-    """(add -/+ sqrt(radicand))/div, in that order; the radicand is
-    canonicalized once, as both roots share it."""
-    first = make_surd(add, -1, radicand, div)
+def _quadratic_roots(c0: Rational, c1: Rational, c2: Rational) -> list[Root]:
+    """The real roots of the square-free c0 + c1*x + c2*x**2, c2 != 0, as
+    (-c1 -/+ sqrt(disc))/(2*c2) in that order: rationals for a square
+    discriminant, otherwise surds that share one canonicalized radicand."""
+    disc = c1 * c1 - 4 * c0 * c2
+    if disc <= 0:
+        return []
+    if _is_square(disc):
+        s = _sqrt_exact(disc)
+        return [RationalRoot((-c1 - s) / (2 * c2)), RationalRoot((-c1 + s) / (2 * c2))]
+    first = make_surd(-c1, -1, disc, 2 * c2)
     return [first, replace(first, sign=-first.sign)]
 
 
 def _pair_quadratic_factors(
     g: UniPoly, intervals: list[tuple[Rational, Rational]]
-) -> tuple[list[QuadraticSurdRoot], list[tuple[Rational, Rational]]]:
-    """Recognize pairs of isolated roots that are conjugate over Q.
-
-    For a conjugate pair the trace and product are rational; candidates are
-    reconstructed from tight interval bounds and verified by exact division
-    of g by x^2 - T*x + P, so every reported surd is certified.
-    """
-    surds: list[QuadraticSurdRoot] = []
+) -> tuple[list[Root], list[tuple[Rational, Rational]]]:
+    """Recognize pairs of isolated roots of g, which has no rational root,
+    that are conjugate over Q.  The trace T and the product P of a pair are
+    read at width 1/(2*(B + 1)*L**2), B the largest endpoint (see
+    _integer_lead), where their intervals are narrower than 1/L**2, and
+    verified by exact division of g by x^2 - T*x + P, so every reported surd
+    is certified.  Leftovers keep the given intervals."""
+    surds: list[Root] = []
     claimed: set[int] = set()
-    n = len(intervals)
-    for i in range(n):
-        if i in claimed:
+    if len(intervals) < 2:
+        return surds, intervals
+    lead = _integer_lead(g)
+    width = 1 / (2 * (max(abs(x) for iv in intervals for x in iv) + 1) * lead * lead)
+    fine = [_refine(g, a, b, width) for a, b in intervals]
+    for i, j in combinations(range(len(intervals)), 2):
+        if i in claimed or j in claimed:
             continue
-        for j in range(i + 1, n):
-            if j in claimed:
-                continue
-            (alo, ahi), (blo, bhi) = intervals[i], intervals[j]
-            trace = simplest_between(alo + blo, ahi + bhi)
-            prods = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-            prod = simplest_between(min(prods), max(prods))
-            quad = UniPoly((prod, -trace, ONE))
-            if (g % quad).is_zero:
-                disc = trace * trace - 4 * prod
-                if disc > 0 and not _is_square(disc):
-                    surds.extend(_conjugate_pair(trace, disc, Fraction(2)))
-                    claimed.update((i, j))
-                    break
+        (alo, ahi), (blo, bhi) = fine[i], fine[j]
+        trace = simplest_between(alo + blo, ahi + bhi)
+        prods = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+        prod = simplest_between(min(prods), max(prods))
+        pair = _quadratic_roots(prod, -trace, ONE)
+        if pair and (g % UniPoly((prod, -trace, ONE))).is_zero:
+            surds.extend(pair)
+            claimed.update((i, j))
     leftovers = [iv for k, iv in enumerate(intervals) if k not in claimed]
     return surds, leftovers
 
@@ -512,15 +526,7 @@ def isolate_real_roots(f: UniPoly) -> list[Root]:
     if g.degree == 1:
         roots.append(RationalRoot(-g.coeffs[0] / g.coeffs[1]))
     elif g.degree == 2:
-        c0, c1, c2 = g.coeffs
-        disc = c1 * c1 - 4 * c0 * c2
-        if disc > 0:
-            if _is_square(disc):
-                s = _sqrt_exact(disc)
-                roots.append(RationalRoot((-c1 - s) / (2 * c2)))
-                roots.append(RationalRoot((-c1 + s) / (2 * c2)))
-            else:
-                roots.extend(_conjugate_pair(-c1, disc, 2 * c2))
+        roots.extend(_quadratic_roots(*g.coeffs))
     elif g.degree >= 3:
         # g has no rational root left, so no midpoint of the bisection is a root.
         pending = [_refine(g, a, b, Fraction(1, 10**12)) for a, b in intervals]
@@ -557,35 +563,27 @@ def _interval_eval(p: UniPoly, lo: Rational, hi: Rational) -> tuple[Rational, Ra
 
 def eval_at_root(p: UniPoly, root: Root) -> Rational | SignedInterval:
     """Value of p at an isolated root: exact rational when the value lies in
-    Q (including exact zero), otherwise a sign-certified enclosure."""
+    Q (including exact zero: p modulo a surd's minimal polynomial is
+    constant, or p shares a factor with an interval root's), otherwise a
+    sign-certified enclosure over root.bounds(width), the width squared each
+    round from 10**-12."""
     if isinstance(root, RationalRoot):
         return p(root.value)
     if isinstance(root, QuadraticSurdRoot):
-        rem = p % root.minimal_polynomial()
-        e0 = rem.coefficient(0)
-        e1 = rem.coefficient(1)
-        if e1 == 0:
-            return e0
-        width = Fraction(1, 10**12)
-        for _ in range(8):
-            lo, hi = root.bounds(width)
-            cands = (e0 + e1 * lo, e0 + e1 * hi)
-            vlo, vhi = min(cands), max(cands)
-            if vlo > 0 or vhi < 0:
-                return SignedInterval(vlo, vhi)
-            width = width * width
-        raise ArithmeticError("could not certify the sign at a surd root")
-    # Interval root: exact zero test through the gcd, then interval signs.
-    g = poly_gcd(p, root.polynomial)
-    if g.degree >= 1 and g(root.low) * g(root.high) < 0:
-        return ZERO
-    lo, hi = root.low, root.high
-    for _ in range(60):
-        vlo, vhi = _interval_eval(p, lo, hi)
-        if vlo > 0 or vhi < 0:
-            return SignedInterval(vlo, vhi)
-        lo, hi = _refine(root.polynomial, lo, hi, (hi - lo) / Fraction(2**16))
-    raise ArithmeticError("could not certify the sign at an interval root")
+        p = p % root.minimal_polynomial()
+        if p.degree <= 0:
+            return p.coefficient(0)
+    else:
+        g = poly_gcd(p, root.polynomial)
+        if g.degree >= 1 and g(root.low) * g(root.high) < 0:
+            return ZERO
+    width = Fraction(1, 10**12)
+    for _ in range(8):
+        lo, hi = _interval_eval(p, *root.bounds(width))
+        if lo > 0 or hi < 0:
+            return SignedInterval(lo, hi)
+        width = width * width
+    raise ArithmeticError(f"could not certify the sign at a root ({root.kind})")
 
 
 def affine_image(root: Root, slope: Rational, intercept: Rational) -> Root:

@@ -64,7 +64,6 @@ from .catalog import (
 )
 from .numeric import boundary_limit
 from .polynomials import (
-    QuadraticSurdRoot,
     RationalRoot,
     Root,
     SignedInterval,
@@ -381,11 +380,8 @@ def optimal_parameters(
                 if first is not None:
                     achieved, leading = first, diff.coeffs[first]
                 break
-            pk = poly_at(k)
-            if pk.is_zero:
-                continue
-            value = eval_at_root(pk, root)
-            if isinstance(value, Fraction) and value == 0:
+            value = eval_at_root(poly_at(k), root)
+            if value == 0:
                 continue
             achieved, leading = k, value
             break
@@ -502,12 +498,7 @@ def stability_parameter_scan(family: str, order: int = 16) -> list[Root]:
         raise ArithmeticError("t^4 defect vanishes identically; scan inconclusive")
     results: list[Root] = []
     for root in isolate_real_roots(defect4):
-        if isinstance(root, RationalRoot):
-            lo = hi = root.value
-        elif isinstance(root, QuadraticSurdRoot):
-            lo, hi = root.bounds()
-        else:
-            lo, hi = root.low, root.high
+        lo, hi = root.bounds()
         if hi < 0 or lo > 1:
             continue
         if not (isinstance(root, RationalRoot) and _is_square(root.value)):

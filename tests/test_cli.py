@@ -224,6 +224,28 @@ class TestOtherCommands:
         )
         assert report["verdict"] == verdict
 
+    def test_compare_a_quotient_mean_past_exp_range(self, capsys):
+        # f_L = sinh(x)/x is finite up to about x = 717, past exp(x)'s range.
+        mpmath = pytest.importorskip("mpmath")
+        report = run_json(
+            capsys, "compare", "--m1", "L", "--m2", "G",
+            "--x-min", "711", "--x-max", "715", "--count", "3",
+        )
+        assert report["verdict"] == "m2<m1"
+        with mpmath.workdps(50):
+            true = mpmath.sinh(711) / 711 - 1
+            gap = report["min_gap"]["value"]
+            assert abs(gap - true) / true <= 4 * 2.0**-52
+
+    def test_compare_past_the_double_range_is_an_engine_error(self, capsys):
+        # f_M1 = 2*sinh(x)/log(1 + 2x) leaves the double range before x = 713.
+        code, out, _ = run_cli(
+            capsys, "compare", "--m1", "M1", "--m2", "G",
+            "--x-min", "711", "--x-max", "715", "--count", "3",
+        )
+        assert code == 1
+        assert json.loads(out)["error"] == {"type": "OverflowError", "message": "math range error"}
+
     @pytest.mark.parametrize(
         ("m1", "label", "verdict"),
         [

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -260,6 +261,32 @@ class TestDoubleRange:
                 true = mpmath_mean(spec, lo, hi)
                 units = abs(value - true) / true / _EPS
             assert units <= bound, (lo, hi, float(units))
+
+
+    @pytest.mark.parametrize(
+        "spec",
+        [LAlpha(F(0)), M1, M4, M5, LAlpha(F(1, 4)), LAlpha(F(1, 2)), MAlphaR(F(-1, 2), F(2))],
+        ids=str,
+    )
+    def test_eval_f_past_exp_range(self, spec):
+        # A quotient mean's f_M = 2*sinh(x)/D(2x) stays finite past x =
+        # 709.8, where sinh(x) overflows, for as long as f_M itself is
+        # finite: M1, M4 and M5 overflow between 711 and 713, M_{-1/2,2} by
+        # 716.5.  L_alpha raises where sinh(2*alpha*x) overflows in D(2x).
+        mpmath = pytest.importorskip("mpmath")
+        from oracles import mpmath_mean
+
+        for x in (700.5, 705.0, 711.0, 713.0, 715.0, 716.5):
+            with mpmath.workdps(50):
+                true = mpmath_mean(spec, mpmath.exp(-x), mpmath.exp(x))
+            if true > sys.float_info.max or (
+                isinstance(spec, LAlpha) and 2 * float(spec.alpha) * x > 710
+            ):
+                with pytest.raises(OverflowError):
+                    eval_f(spec, x)
+                continue
+            units = abs(eval_f(spec, x) - true) / true / _EPS
+            assert units <= 4, (x, float(units))
 
 
 class TestMonotonicityInAlpha:

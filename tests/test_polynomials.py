@@ -24,10 +24,11 @@ from meanstab.polynomials import (
     RationalRoot,
     SignedInterval,
     UniPoly,
-    _conjugate_pair,
     _descartes_count,
     _extract_square,
     _is_square,
+    _interval_eval,
+    _quadratic_roots,
     _refine,
     affine_image,
     eval_at_root,
@@ -247,6 +248,17 @@ class TestRootIsolation:
         assert cube_root.high - cube_root.low <= F(1, 10**12)
         assert cube_root.low**3 < 2 < cube_root.high**3
 
+    @pytest.mark.parametrize("d", [10**6 + 3, 10**7 + 19, 10**9 + 7, 10**12 + 39])
+    def test_quadratic_factor_of_large_denominators_pairs(self, d):
+        # The trace 1/d and the product -2/(d + 2) of the quadratic factor's
+        # roots are read once the pair's intervals are narrower than 1/L**2,
+        # L = d*(d + 2); 10**-12 wide intervals miss them from d = 10**7 on.
+        roots = isolate_real_roots(poly(F(-2, d + 2), F(-1, d), 1) * poly(-2, 0, 0, 1))
+        assert sorted(r.kind for r in roots) == ["isolated-interval"] + ["quadratic-surd"] * 2
+        for r in roots:
+            if isinstance(r, QuadraticSurdRoot):
+                assert r.minimal_polynomial().monic() == poly(F(-2, d + 2), F(-1, d), 1)
+
     def test_multiplicities_collapse(self):
         p = poly(-1, 1) * poly(-1, 1) * poly(3, 1)
         roots = isolate_real_roots(p)
@@ -279,6 +291,39 @@ class TestEvalAtRoot:
         assert val.sign == 1
         assert float(val.low) <= 2**0.5 - 1 <= float(val.high)
 
+    @pytest.mark.parametrize(
+        ("quadratic", "low", "high"),
+        [
+            # sqrt(2) - 1 and (1 + sqrt(5))/2 - 1 over the surds' first
+            # enclosure, bounds(10**-12)
+            (poly(-2, 0, 1), F(455432628211, 2**40), F(113858157053, 2**38)),
+            (poly(-1, -1, 1), F(679535556991, 2**40), F(1359071113983, 2**41)),
+        ],
+        ids=["sqrt2", "golden"],
+    )
+    def test_surd_enclosure_is_pinned(self, quadratic, low, high):
+        root = isolate_real_roots(quadratic)[1]
+        assert eval_at_root(poly(-1, 1), root) == SignedInterval(low, high)
+
+    def test_sign_certified_in_a_later_round(self):
+        # c is the root r of x^3 - x - 4 to 25 digits, so (x - c)(x + 5) is
+        # below 10**-20 at r: its enclosure over a 10**-12 wide enclosure of
+        # r contains 0, and a later round certifies the sign.
+        mpmath = pytest.importorskip("mpmath")
+        cubic = poly(-4, -1, 0, 1)
+        root = isolate_real_roots(cubic)[0]
+        with mpmath.workdps(60):
+            true = mpmath.findroot(lambda x: x**3 - x - 4, 1.8)
+            c = F(mpmath.nstr(true, 25))
+            gap = true - mpmath.mpf(c.numerator) / c.denominator
+            assert 0 < abs(gap * (true + 5)) < 1e-20
+        p = poly(-c, 1) * poly(5, 1)
+        lo, hi = _interval_eval(p, *root.bounds(F(1, 10**12)))
+        assert lo < 0 < hi
+        val = eval_at_root(p, root)
+        assert isinstance(val, SignedInterval) and val.sign == (1 if gap > 0 else -1)
+        assert val.high - val.low < F(1, 10**20)
+
     def test_surd_exact_zero(self):
         root = isolate_real_roots(poly(2, -5, 1))[0]
         assert eval_at_root(poly(2, -5, 1) * poly(3, 1), root) == 0
@@ -297,6 +342,41 @@ class TestEvalAtRoot:
         assert _refine(half, F(0), F(1), F(1, 10**6)) == (F(1, 2), F(1, 2))
         val = eval_at_root(poly(0, 0, 1), IntervalRoot(F(0), F(1), half))
         assert (val.low, val.high) == (F(1, 4), F(1, 4))
+
+
+class TestBounds:
+    """bounds(width) of every root kind encloses the root and is at most
+    the width wide; a rational root gives (v, v)."""
+
+    # x^3 - 2, x^2 - 8 and x^2 - x - 1 beside the rational -1/3: an interval
+    # root, surds of div 1/2 and 2 from the pairing, and a rational root.
+    TRUE_VALUES = {
+        "exact-rational": lambda mp, r: mp.mpf(-1) / 3,
+        "isolated-interval": lambda mp, r: mp.cbrt(2),
+        "quadratic-surd": lambda mp, r: (r.add + r.sign * mp.sqrt(r.radicand)) / r.div,
+    }
+
+    @pytest.mark.parametrize("width", [F(1, 10**3), F(1, 10**12), F(1, 10**40)], ids=str)
+    @pytest.mark.parametrize("closed_form", [False, True], ids=["paired", "closed-form"])
+    def test_each_kind_encloses_its_root(self, width, closed_form):
+        mpmath = pytest.importorskip("mpmath")
+        if closed_form:
+            roots = isolate_real_roots(poly(-8, 0, 1)) + isolate_real_roots(poly(-1, -1, 1))
+        else:
+            p = poly(-2, 0, 0, 1) * poly(-8, 0, 1) * poly(-1, -1, 1) * poly(1, 3)
+            roots = isolate_real_roots(p)
+            assert sorted({r.kind for r in roots}) == sorted(self.TRUE_VALUES)
+        assert sorted(r.div for r in roots if isinstance(r, QuadraticSurdRoot)) == [F(1, 2)] * 2 + [F(2)] * 2
+        with mpmath.workdps(100):
+            for root in roots:
+                lo, hi = root.bounds(width)
+                assert lo <= hi and hi - lo <= width, root
+                true = self.TRUE_VALUES[root.kind](mpmath, root)
+                assert mpmath.mpf(lo.numerator) / lo.denominator <= true, root
+                assert true <= mpmath.mpf(hi.numerator) / hi.denominator, root
+
+    def test_rational_root_is_its_own_enclosure(self):
+        assert RationalRoot(F(-7, 3)).bounds(F(1, 10)) == (F(-7, 3), F(-7, 3))
 
 
 class TestAffineImage:
@@ -471,7 +551,9 @@ class TestRecognitionAgainstDivisorSearch:
         st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool),
     )
     def test_conjugate_pair_canonicalizes_like_two_surds(self, add, radicand, div):
-        assert _conjugate_pair(add, radicand, div) == [
+        # (add -/+ sqrt(radicand))/div are the roots of these coefficients
+        coeffs = ((add * add - radicand) / (2 * div), -add, div / 2)
+        assert _quadratic_roots(*coeffs) == [
             make_surd(add, -1, radicand, div),
             make_surd(add, +1, radicand, div),
         ]
