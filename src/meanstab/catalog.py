@@ -32,11 +32,8 @@ expand_quotient_mean).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
-from typing import Union
 
 from .polynomials import UniPoly, isolate_real_roots
 from .rationals import ONE, ZERO, Rational
@@ -49,89 +46,80 @@ from .series import (
     _spread,
     _values,
 )
+from .values import Value
 
 # ---------------------------------------------------------------------------
 # Mean specifications
 
 
-@dataclass(frozen=True)
-class PowerMean:
-    p: Rational
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", Fraction(self.p))
+class PowerMean(Value):
+    def __init__(self, p: Rational) -> None:
+        self.__dict__["p"] = Fraction(p)
 
 
-def _set_alpha(spec: LAlpha | SAlpha | MAlphaR) -> None:
+def _set_alpha(spec: LAlpha | SAlpha | MAlphaR, alpha: Rational) -> None:
     """Store spec.alpha as a Fraction; the families take |alpha| <= 1."""
-    alpha = Fraction(spec.alpha)
+    alpha = Fraction(alpha)
     if abs(alpha) > 1:
         raise ValueError(f"{type(spec).__name__} requires |alpha| <= 1")
-    object.__setattr__(spec, "alpha", alpha)
+    spec.__dict__["alpha"] = alpha
 
 
-@dataclass(frozen=True)
-class LAlpha:
-    alpha: Rational
-
-    __post_init__ = _set_alpha
+class LAlpha(Value):
+    __init__ = _set_alpha
 
 
-@dataclass(frozen=True)
-class SAlpha:
-    alpha: Rational
-
-    __post_init__ = _set_alpha
+class SAlpha(Value):
+    __init__ = _set_alpha
 
 
-@dataclass(frozen=True)
-class ClassicMean:
+class ClassicMean(Value):
     """One of the difference-quotient means M1..M5."""
 
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.index not in (1, 2, 3, 4, 5):
+    def __init__(self, index: int) -> None:
+        if type(index) is not int or not 1 <= index <= 5:
             raise ValueError("classic mean index must be 1..5")
+        self.__dict__["index"] = index
 
 
-@dataclass(frozen=True)
-class MAlphaR:
-    alpha: Rational
-    r: Rational
-
-    def __post_init__(self) -> None:
-        r = Fraction(self.r)
+class MAlphaR(Value):
+    def __init__(self, alpha: Rational, r: Rational) -> None:
+        r = Fraction(r)
         if r <= 0:
             raise ValueError("MAlphaR requires r > 0")
-        object.__setattr__(self, "r", r)
-        _set_alpha(self)
+        _set_alpha(self, alpha)
+        self.__dict__["r"] = r
 
 
-@dataclass(frozen=True)
-class MuGenerated:
+class MuGenerated(Value):
     """Mean |b-a| / mu(|ln(b/a)|) for the odd function
     mu(y) = sum_n c_n y**(2n+1) with c_0 = 1."""
 
-    odd_coeffs: tuple[Rational, ...]
+    __slots__ = ("_has_positive_root",)  # a cache, outside the fields
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(Fraction(c) for c in self.odd_coeffs)
+    def __init__(self, odd_coeffs: tuple[Rational, ...]) -> None:
+        coeffs = tuple(Fraction(c) for c in odd_coeffs)
         if not coeffs or coeffs[0] != 1:
             raise ValueError("mu-generated mean requires leading coefficient 1")
-        object.__setattr__(self, "odd_coeffs", coeffs)
+        self.__dict__["odd_coeffs"] = coeffs
 
-    @cached_property
+    @property
     def has_positive_root(self) -> bool:
         """Whether mu vanishes at some y > 0, where the mean is undefined.
         mu(y) = y * P(y**2), P(0) = 1, has a simple root at 0 and its other
         real roots in pairs +-r; isolated once per spec."""
+        try:
+            return self._has_positive_root
+        except AttributeError:
+            pass
         c = self.odd_coeffs
         mu = UniPoly(tuple(c[n // 2] if n % 2 else 0 for n in range(2 * len(c))))
-        return len(isolate_real_roots(mu)) > 1
+        found = len(isolate_real_roots(mu)) > 1
+        object.__setattr__(self, "_has_positive_root", found)
+        return found
 
 
-MeanSpec = Union[PowerMean, LAlpha, SAlpha, ClassicMean, MAlphaR, MuGenerated]
+MeanSpec = PowerMean | LAlpha | SAlpha | ClassicMean | MAlphaR | MuGenerated
 
 M1 = ClassicMean(1)
 M2 = ClassicMean(2)
@@ -155,17 +143,14 @@ ALIASES: dict[str, MeanSpec] = {
 # Expansions
 
 
-@dataclass(frozen=True)
-class MeanExpansion:
+class MeanExpansion(Value):
     """Coefficients a_0..a_N of M(x-t, x+t) ~ sum a_n t**n x**(1-n), t > 0."""
 
-    coeffs: tuple[Rational, ...]
-
-    def __post_init__(self) -> None:
-        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
+    def __init__(self, coeffs: tuple[Rational, ...]) -> None:
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
         if not coeffs or coeffs[0] != 1:
             raise ValueError("a mean expansion must start with coefficient 1")
-        object.__setattr__(self, "coeffs", coeffs)
+        self.__dict__["coeffs"] = coeffs
 
     @property
     def order(self) -> int:

@@ -25,8 +25,8 @@ import functools
 import json
 import math
 import sys
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from .catalog import (
     ALIASES,

@@ -12,7 +12,6 @@ functions and boundary limits (1/D(inf)) all come from these.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .catalog import (
     ClassicMean,
@@ -24,6 +23,7 @@ from .catalog import (
     SAlpha,
     expand_mean,
 )
+from .values import Value
 
 _EPS = 2.0 ** -52
 _SQRT2 = math.sqrt(2.0)
@@ -144,20 +144,15 @@ def eval_resultant(
 # Grids and comparisons
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    start: float
-    stop: float
-    count: int
-    scale: str = "linear"
-
-    def __post_init__(self) -> None:
-        if self.count < 2:
+class GridSpec(Value):
+    def __init__(self, start: float, stop: float, count: int, scale: str = "linear") -> None:
+        if count < 2:
             raise ValueError("a grid needs at least two points")
-        if not (0 < self.start < self.stop):
+        if not (0 < start < stop):
             raise ValueError("grid must lie in the positive half-line, start < stop")
-        if self.scale not in ("linear", "logarithmic"):
+        if scale not in ("linear", "logarithmic"):
             raise ValueError("scale must be 'linear' or 'logarithmic'")
+        self.__dict__.update(start=start, stop=stop, count=count, scale=scale)
 
     def points(self) -> list[float]:
         n = self.count
@@ -168,11 +163,12 @@ class GridSpec:
         return [self.start * ratio**i for i in range(n)]
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    verdict: str  # "m1<m2" | "m2<m1" | "crossing" | "equal"
-    witnesses: tuple[tuple[float, float], ...]
-    min_gap: float
+class ComparisonReport(Value):
+    def __init__(
+        self, verdict: str, witnesses: tuple[tuple[float, float], ...], min_gap: float
+    ) -> None:
+        # verdict: "m1<m2" | "m2<m1" | "crossing" | "equal"
+        self.__dict__.update(verdict=verdict, witnesses=witnesses, min_gap=min_gap)
 
 
 def compare_scan(m1: MeanSpec, m2: MeanSpec, grid: GridSpec) -> ComparisonReport:
@@ -199,11 +195,10 @@ def compare_scan(m1: MeanSpec, m2: MeanSpec, grid: GridSpec) -> ComparisonReport
 # Boundary limits
 
 
-@dataclass(frozen=True)
-class LimitReport:
-    value: float
-    uncertainty: float
-    method: str  # "closed-form"
+class LimitReport(Value):
+    def __init__(self, value: float, uncertainty: float, method: str) -> None:
+        # method: "closed-form"
+        self.__dict__.update(value=value, uncertainty=uncertainty, method=method)
 
     @property
     def is_exact(self) -> bool:
@@ -266,13 +261,13 @@ def boundary_limit(
 # Remainder decay
 
 
-@dataclass(frozen=True)
-class DecayReport:
-    slope: float | None
-    expected_exponent: int | None
-    points_used: int
-    noise_floor: bool
-    exact: bool = False
+class DecayReport(Value):
+    def __init__(
+        self, slope: float | None, expected_exponent: int | None, points_used: int,
+        noise_floor: bool, exact: bool = False,
+    ) -> None:
+        self.__dict__.update(slope=slope, expected_exponent=expected_exponent,
+                             points_used=points_used, noise_floor=noise_floor, exact=exact)
 
 
 def check_decay_setup(t: float, grid: GridSpec) -> None:

@@ -23,29 +23,26 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence, Union
 
 from .rationals import ONE, ZERO, Rational
+from .values import Value
 
 
-@dataclass(frozen=True)
-class UniPoly:
+class UniPoly(Value):
     """Dense univariate polynomial; ``coeffs[i]`` multiplies ``x**i``.
 
     The zero polynomial is the empty tuple; otherwise the leading coefficient
     is nonzero.  Instances are immutable and safe to share.
     """
 
-    coeffs: tuple[Rational, ...]
-
-    def __post_init__(self) -> None:
-        trimmed = list(self.coeffs)
+    def __init__(self, coeffs: Sequence[Rational]) -> None:
+        trimmed = list(coeffs)
         while trimmed and trimmed[-1] == 0:
             trimmed.pop()
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in trimmed))
+        self.__dict__["coeffs"] = tuple(c if type(c) is Fraction else Fraction(c) for c in trimmed)
 
     @classmethod
     def zero(cls) -> "UniPoly":
@@ -193,11 +190,11 @@ def newton_forward(x0: int, deltas: Sequence[int], den: int) -> UniPoly:
 # Root descriptions
 
 
-@dataclass(frozen=True)
-class RationalRoot:
-    value: Rational
-
+class RationalRoot(Value):
     kind = "exact-rational"
+
+    def __init__(self, value: Rational) -> None:
+        self.__dict__["value"] = value
 
     def bounds(self, width: Fraction = Fraction(1, 10**18)) -> tuple[Rational, Rational]:
         return self.value, self.value
@@ -206,20 +203,17 @@ class RationalRoot:
         return float(self.value)
 
 
-@dataclass(frozen=True)
-class QuadraticSurdRoot:
+class QuadraticSurdRoot(Value):
     """The number ``(add + sign*sqrt(radicand))/div``.
 
     Canonical form: ``radicand`` is a positive non-square integer with small
     square factors removed, ``div`` is positive.
     """
 
-    add: Rational
-    sign: int
-    radicand: Rational
-    div: Rational
-
     kind = "quadratic-surd"
+
+    def __init__(self, add: Rational, sign: int, radicand: Rational, div: Rational) -> None:
+        self.__dict__.update(add=add, sign=sign, radicand=radicand, div=div)
 
     def minimal_polynomial(self) -> UniPoly:
         a, b, c = self.add, self.radicand, self.div
@@ -252,15 +246,13 @@ class QuadraticSurdRoot:
         return float(self.add + self.sign * math.sqrt(self.radicand)) / float(self.div)
 
 
-@dataclass(frozen=True)
-class IntervalRoot:
+class IntervalRoot(Value):
     """Isolating interval (low, high) for one simple root of ``polynomial``."""
 
-    low: Rational
-    high: Rational
-    polynomial: UniPoly
-
     kind = "isolated-interval"
+
+    def __init__(self, low: Rational, high: Rational, polynomial: UniPoly) -> None:
+        self.__dict__.update(low=low, high=high, polynomial=polynomial)
 
     def bounds(self, width: Fraction = Fraction(1, 10**18)) -> tuple[Rational, Rational]:
         return _refine(self.polynomial, self.low, self.high, width)
@@ -269,7 +261,7 @@ class IntervalRoot:
         return float(self.low + self.high) / 2
 
 
-Root = Union[RationalRoot, QuadraticSurdRoot, IntervalRoot]
+Root = RationalRoot | QuadraticSurdRoot | IntervalRoot
 
 
 @functools.cache
@@ -466,7 +458,7 @@ def _quadratic_roots(c0: Rational, c1: Rational, c2: Rational) -> list[Root]:
         s = _sqrt_exact(disc)
         return [RationalRoot((-c1 - s) / (2 * c2)), RationalRoot((-c1 + s) / (2 * c2))]
     first = make_surd(-c1, -1, disc, 2 * c2)
-    return [first, replace(first, sign=-first.sign)]
+    return [first, QuadraticSurdRoot(first.add, -first.sign, first.radicand, first.div)]
 
 
 def _pair_quadratic_factors(
@@ -541,12 +533,11 @@ def isolate_real_roots(f: UniPoly) -> list[Root]:
 # Exact evaluation at roots
 
 
-@dataclass(frozen=True)
-class SignedInterval:
+class SignedInterval(Value):
     """Certified rational enclosure of a nonzero real value."""
 
-    low: Rational
-    high: Rational
+    def __init__(self, low: Rational, high: Rational) -> None:
+        self.__dict__.update(low=low, high=high)
 
     @property
     def sign(self) -> int:

@@ -81,9 +81,9 @@ limits at n_1 = -1 and +1, through the primitives of a rational call.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
 
 from .catalog import MeanExpansion, _power_mean_form
 from .rationals import Rational

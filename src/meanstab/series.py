@@ -54,10 +54,10 @@ the result is the values the primitives leave.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
 
 Coeffs = Sequence
 

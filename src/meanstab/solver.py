@@ -47,9 +47,8 @@ the global inequality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, Sequence
 
 from .catalog import (
     _cosh_mean_form,
@@ -79,6 +78,7 @@ from .polynomials import (
 from .rationals import Rational
 from .resultant import _common, _resultant
 from .series import _integer_form, _values
+from .values import Value
 
 _FIRST_REACH = 6  # of a search's first band and of a stability probe
 
@@ -86,13 +86,11 @@ _FIRST_REACH = 6  # of a search's first band and of a stability probe
 # Difference expansions
 
 
-@dataclass(frozen=True)
-class DifferenceExpansion:
+class DifferenceExpansion(Value):
     """Coefficients of M - R(B_p, M, B_q) in t**n x**(1-n)."""
 
-    coeffs: tuple[Rational, ...]
-    p: Rational
-    q: Rational
+    def __init__(self, coeffs: tuple[Rational, ...], p: Rational, q: Rational) -> None:
+        self.__dict__.update(coeffs=coeffs, p=p, q=q)
 
     @property
     def first_nonzero(self) -> int | None:
@@ -135,12 +133,11 @@ def difference_expansion(
 # First-order locus and coefficient polynomials
 
 
-@dataclass(frozen=True)
-class AffineLocus:
+class AffineLocus(Value):
     """q as an affine function of p."""
 
-    intercept: Rational
-    slope: Rational
+    def __init__(self, intercept: Rational, slope: Rational) -> None:
+        self.__dict__.update(intercept=intercept, slope=slope)
 
     def q_of(self, p: Rational) -> Rational:
         return self.intercept + self.slope * Fraction(p)
@@ -199,13 +196,11 @@ def _band(sample: Callable[[Fraction], tuple], low: int, high: int) -> dict[int,
 # Verdicts
 
 
-@dataclass(frozen=True)
-class BoundaryEvidence:
+class BoundaryEvidence(Value):
     """Numeric limits of M and R at (s, 1-s), s -> 0; evidence only."""
 
-    mean_limit: float | None
-    resultant_limit: float | None
-    label: str
+    def __init__(self, mean_limit: float | None, resultant_limit: float | None, label: str) -> None:
+        self.__dict__.update(mean_limit=mean_limit, resultant_limit=resultant_limit, label=label)
 
     @property
     def difference_sign(self) -> int | None:
@@ -218,14 +213,17 @@ class BoundaryEvidence:
         return 1 if gap > 0 else -1
 
 
-@dataclass(frozen=True)
-class OptimalCandidate:
+class OptimalCandidate(Value):
     """One optimal parameter pair with the first surviving coefficient."""
 
-    p: Root
-    q: Root
-    achieved_order: int | None  # index of first nonzero coefficient; None = all zero
-    leading: Rational | SignedInterval | None
+    def __init__(
+        self,
+        p: Root,
+        q: Root,
+        achieved_order: int | None,  # index of first nonzero coefficient; None = all zero
+        leading: Rational | SignedInterval | None,
+    ) -> None:
+        self.__dict__.update(p=p, q=q, achieved_order=achieved_order, leading=leading)
 
     @property
     def sign(self) -> int:
@@ -235,15 +233,20 @@ class OptimalCandidate:
         return 1 if self.leading > 0 else (-1 if self.leading < 0 else 0)
 
 
-@dataclass(frozen=True)
-class StabilizabilityVerdict:
-    relation: str  # "candidate-sub" | "candidate-super" | "neither" | "stabilizable"
-    candidates: tuple[OptimalCandidate, ...] = ()
-    locus: AffineLocus | None = None
-    fixed_leading: Rational | None = None  # parameter-free leading coefficient
-    fixed_leading_order: int | None = None
-    boundary: BoundaryEvidence | None = None
-    notes: tuple[str, ...] = ()
+class StabilizabilityVerdict(Value):
+    def __init__(
+        self,
+        relation: str,  # "candidate-sub" | "candidate-super" | "neither" | "stabilizable"
+        candidates: tuple[OptimalCandidate, ...] = (),
+        locus: AffineLocus | None = None,
+        fixed_leading: Rational | None = None,  # parameter-free leading coefficient
+        fixed_leading_order: int | None = None,
+        boundary: BoundaryEvidence | None = None,
+        notes: tuple[str, ...] = (),
+    ) -> None:
+        self.__dict__.update(relation=relation, candidates=candidates, locus=locus,
+                             fixed_leading=fixed_leading, fixed_leading_order=fixed_leading_order,
+                             boundary=boundary, notes=notes)
 
 
 def _boundary_evidence(spec: MeanSpec, p: float, q: float) -> BoundaryEvidence:
@@ -413,13 +416,13 @@ def optimal_parameters(
 # Stability
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    description: str
-    order: int
-    is_stable: bool
-    first_mismatch: int | None
-    defect: Rational | None
+class StabilityReport(Value):
+    def __init__(
+        self, description: str, order: int, is_stable: bool, first_mismatch: int | None,
+        defect: Rational | None,
+    ) -> None:
+        self.__dict__.update(description=description, order=order, is_stable=is_stable,
+                             first_mismatch=first_mismatch, defect=defect)
 
 
 def is_stable(spec: MeanSpec, order: int) -> StabilityReport:

@@ -308,6 +308,16 @@ class TestClassicMeans:
         with pytest.raises(ValueError, match="1..5"):
             ClassicMean(index)
 
+    @pytest.mark.parametrize("index", [True, False, 2.0, 1.0, F(2), "2"], ids=repr)
+    def test_index_must_be_an_int(self, index):
+        # a bool or a float is refused, not described as "MTrue" or "M2.0"
+        with pytest.raises(ValueError, match="classic mean index must be 1..5"):
+            ClassicMean(index)
+
+    def test_an_int_index_is_described_by_its_number(self):
+        assert [describe_spec(ClassicMean(i)) for i in range(1, 6)] == [
+            "M1", "M2", "M3", "M4", "M5"]
+
     def test_parity(self):
         assert expand_quotient_mean(M2, 8).is_even
         assert expand_quotient_mean(M4, 8).is_even

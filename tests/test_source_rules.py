@@ -1,10 +1,10 @@
 """Rules the package source keeps, read from its syntax trees: runtime
 invariants raise real exceptions rather than ``assert`` (which ``python -O``
-strips), the runtime imports nothing outside the standard library, the
-package's modules import each other without a cycle, every private
-module-level function is used by the package itself, and every
-public function or method by the package, the acceptance gate or the
-benchmark.  A use is a read of the name outside the function's own body."""
+strips), the runtime imports nothing outside the standard library and none
+of the modules that are slow to import, the package's modules import each
+other without a cycle, every private module-level function is used by the
+package itself, and every public function or method by the package, the
+acceptance gate or the benchmark.  A use is a read of the name outside the function's own body."""
 
 import ast
 import sys
@@ -19,6 +19,10 @@ SOURCES = sorted((ROOT / "src" / "meanstab").glob("*.py"))
 #: Where the package is used from besides itself: the acceptance gate and
 #: the benchmark.
 CONSUMERS = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
+#: Standard modules the command line starts without: dataclasses generates
+#: and execs the methods of every class it decorates and imports inspect,
+#: and typing takes a few milliseconds of its own.
+SLOW_TO_IMPORT = {"dataclasses", "typing", "inspect"}
 
 
 def imported_modules(tree: ast.AST) -> list[tuple[int, str]]:
@@ -31,6 +35,11 @@ def imported_modules(tree: ast.AST) -> list[tuple[int, str]]:
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.append((node.lineno, node.module.split(".")[0]))
     return found
+
+
+def slow_imports(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, module) of every import of a module in SLOW_TO_IMPORT."""
+    return [(line, module) for line, module in imported_modules(tree) if module in SLOW_TO_IMPORT]
 
 
 def package_imports(tree: ast.AST) -> set[str]:
@@ -124,6 +133,12 @@ def test_imports_only_the_package_and_the_standard_library(path):
     assert foreign == [], f"{path.name}: imports outside the standard library {foreign}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_imports_no_module_that_is_slow_to_import(path):
+    found = slow_imports(parse(path))
+    assert found == [], f"{path.name}: imports {found}; value classes derive from values.Value"
+
+
 def test_the_package_imports_form_no_cycle():
     # Each module sits above the ones it imports: the catalog below the
     # resultant, the resultant below the solver and the command line.
@@ -151,6 +166,10 @@ def test_every_public_function_is_used_by_the_package_the_gate_or_the_benchmark(
 def test_the_rules_catch_what_they_forbid():
     tree = ast.parse("import numpy.linalg\nfrom mpmath import mp\nfrom . import series\nassert x\n")
     assert imported_modules(tree) == [(1, "numpy"), (2, "mpmath")]
+    slow = ast.parse("import inspect\nfrom dataclasses import dataclass\n"
+                     "from collections.abc import Sequence\nimport typing as t\n")
+    assert slow_imports(slow) == [(1, "inspect"), (2, "dataclasses"), (4, "typing")]
+    assert slow_imports(tree) == []
     late = ast.parse("from .a import b\ndef f():\n    from .c import d\n")
     assert package_imports(tree) == {"series"} and package_imports(late) == {"a", "c"}
     assert import_cycle({"a": {"b"}, "b": {"c"}, "c": set()}) == []
