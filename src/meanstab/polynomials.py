@@ -1,18 +1,13 @@
 """Exact univariate polynomials over Q with certified real-root isolation.
 
-Roots are reported in the strongest form available:
-
-* rational roots exactly: a linear or quadratic square-free part is solved in
-  closed form; from degree 3 up, each isolating interval is narrowed until
-  only one rational of small enough denominator fits, and that candidate is
-  verified by exact evaluation and divided out;
-* irrational roots of quadratic factors as surds ``(a + sign*sqrt(b))/c``,
-* everything else as an isolating interval with a sign change, narrowed to
-  width 10**-12.
-
-Isolation runs on the square-free part and uses Descartes' rule of signs on
-Moebius-transformed coordinates with exact sign evaluation, so every interval
-is certified to contain exactly one simple real root.
+Roots are reported in exact ascending order, each in the strongest form
+available: rational roots exactly, roots of quadratic factors as surds
+``(a + sign*sqrt(b))/c``, everything else as an isolating interval with a
+sign change, at most 10**-12 wide.  A square-free part of degree 1 or 2 is
+solved in closed form.  From degree 3 up it is isolated once, by Descartes'
+rule of signs on Moebius-transformed coordinates with exact sign evaluation,
+and one pass over the intervals recognizes the linear and quadratic factors,
+verifies each by exact division and divides it out.
 
 Polynomials through equally spaced samples come from one route: the
 integer forward-difference table of the samples (``forward_differences``)
@@ -243,7 +238,11 @@ class QuadraticSurdRoot(Value):
         return min(ends), max(ends)
 
     def approx(self) -> float:
-        return float(self.add + self.sign * math.sqrt(self.radicand)) / float(self.div)
+        root = self.sign * math.sqrt(self.radicand)
+        if self.add * self.sign >= 0:
+            return float(self.add + root) / float(self.div)
+        # add and root of opposite signs: this form of the value does not cancel
+        return float(self.add * self.add - self.radicand) / (self.div * (self.add - root))
 
 
 class IntervalRoot(Value):
@@ -410,7 +409,9 @@ def _refine(g: UniPoly, a: Rational, b: Rational, width: Fraction) -> tuple[Rati
 
 
 def simplest_between(lo: Rational, hi: Rational) -> Rational:
-    """Rational with the smallest denominator in the closed interval [lo, hi]."""
+    """Rational with the smallest denominator in the closed interval [lo, hi]:
+    while no integer lies in it, the integer part t of lo is a continued-
+    fraction term and [lo, hi] becomes [1/(hi - t), 1/(lo - t)]."""
     if lo > hi:
         lo, hi = hi, lo
     if lo == hi:
@@ -419,12 +420,18 @@ def simplest_between(lo: Rational, hi: Rational) -> Rational:
         return ZERO
     if hi < 0:
         return -simplest_between(-hi, -lo)
-    floor_lo = lo.numerator // lo.denominator
-    ceil_lo = -((-lo.numerator) // lo.denominator)
-    if ceil_lo <= hi:
-        return Fraction(ceil_lo)
-    frac_part = simplest_between(1 / (hi - floor_lo), 1 / (lo - floor_lo))
-    return floor_lo + 1 / frac_part
+    terms: list[int] = []
+    while True:
+        floor_lo = lo.numerator // lo.denominator
+        ceil_lo = -(-lo.numerator // lo.denominator)
+        if ceil_lo <= hi:
+            break
+        terms.append(floor_lo)
+        lo, hi = 1 / (hi - floor_lo), 1 / (lo - floor_lo)
+    num, den = ceil_lo, 1
+    for term in reversed(terms):
+        num, den = term * num + den, num
+    return Fraction(num, den)
 
 
 def _integer_lead(g: UniPoly) -> Rational:
@@ -432,19 +439,6 @@ def _integer_lead(g: UniPoly) -> Rational:
     rational root and of the trace and product of a quadratic factor's roots
     divide L (Gauss), and such rationals lie at least 1/L**2 apart."""
     return abs(g.leading * math.lcm(*(c.denominator for c in g.coeffs)))
-
-
-def _recognize_rational(g: UniPoly, a: Rational, b: Rational) -> Rational | None:
-    """The root of g in its isolating interval (a, b) if that root is rational.
-
-    This is how rational roots are found.  Once the interval is narrower
-    than 1/L**2 (see _integer_lead), the rational of smallest denominator in
-    it is the only candidate, and it is verified exactly.
-    """
-    lead = _integer_lead(g)
-    a, b = _refine(g, a, b, 1 / (lead * lead + 1))
-    cand = simplest_between(a, b)
-    return cand if g(cand) == 0 else None
 
 
 def _quadratic_roots(c0: Rational, c1: Rational, c2: Rational) -> list[Root]:
@@ -461,72 +455,62 @@ def _quadratic_roots(c0: Rational, c1: Rational, c2: Rational) -> list[Root]:
     return [first, QuadraticSurdRoot(first.add, -first.sign, first.radicand, first.div)]
 
 
-def _pair_quadratic_factors(
-    g: UniPoly, intervals: list[tuple[Rational, Rational]]
-) -> tuple[list[Root], list[tuple[Rational, Rational]]]:
-    """Recognize pairs of isolated roots of g, which has no rational root,
-    that are conjugate over Q.  The trace T and the product P of a pair are
-    read at width 1/(2*(B + 1)*L**2), B the largest endpoint (see
-    _integer_lead), where their intervals are narrower than 1/L**2, and
-    verified by exact division of g by x^2 - T*x + P, so every reported surd
-    is certified.  Leftovers keep the given intervals."""
-    surds: list[Root] = []
-    claimed: set[int] = set()
-    if len(intervals) < 2:
-        return surds, intervals
+def _recognize_roots(g: UniPoly) -> list[Root]:
+    """The real roots of the square-free g in the order of their isolating
+    intervals, each refined to width 1/(2*(B + 1)*L**2), B the largest
+    endpoint (see _integer_lead).  Then a root's interval and the
+    enclosures of two roots' trace and product are narrower than 1/L**2,
+    so a rational root c, or the trace T and product P of a conjugate
+    pair, is the simplest rational of its enclosure.  It is kept when
+    x - c or x**2 - T*x + P divides what is left of g exactly (and the
+    pair's factor changes sign across both intervals), and divided out; the
+    other roots are intervals of what is left of g, refined on to 10**-12."""
+    intervals = _isolate_intervals(g)
     lead = _integer_lead(g)
-    width = 1 / (2 * (max(abs(x) for iv in intervals for x in iv) + 1) * lead * lead)
+    bound = max((abs(x) for iv in intervals for x in iv), default=0)
+    width = 1 / (2 * (bound + 1) * lead * lead)
     fine = [_refine(g, a, b, width) for a, b in intervals]
-    for i, j in combinations(range(len(intervals)), 2):
-        if i in claimed or j in claimed:
+    roots: list[Root | None] = [None] * len(fine)
+    rest = g
+    for i, (lo, hi) in enumerate(fine):
+        c = simplest_between(lo, hi)
+        quotient, rem = divmod(rest, UniPoly((-c, ONE)))
+        if rem.is_zero:
+            rest, roots[i] = quotient, RationalRoot(c)
+    for i, j in combinations(range(len(fine)), 2):
+        if roots[i] or roots[j]:
             continue
         (alo, ahi), (blo, bhi) = fine[i], fine[j]
         trace = simplest_between(alo + blo, ahi + bhi)
         prods = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
         prod = simplest_between(min(prods), max(prods))
-        pair = _quadratic_roots(prod, -trace, ONE)
-        if pair and (g % UniPoly((prod, -trace, ONE))).is_zero:
-            surds.extend(pair)
-            claimed.update((i, j))
-    leftovers = [iv for k, iv in enumerate(intervals) if k not in claimed]
-    return surds, leftovers
+        factor = UniPoly((prod, -trace, ONE))
+        quotient, rem = divmod(rest, factor)
+        if rem.is_zero and all(factor(lo) * factor(hi) < 0 for lo, hi in (fine[i], fine[j])):
+            rest = quotient
+            roots[i], roots[j] = _quadratic_roots(prod, -trace, ONE)
+    return [root or IntervalRoot(*_refine(rest, lo, hi, Fraction(1, 10**12)), rest)
+            for root, (lo, hi) in zip(roots, fine)]
 
 
 def isolate_real_roots(f: UniPoly) -> list[Root]:
-    """Describe every distinct real root of f.
+    """Describe every distinct real root of f, in exact ascending order.
 
-    Rational roots come back exactly, roots of the residual quadratic factor
-    as surds, higher-degree irrational roots as sign-change intervals of
-    width at most 10**-12.  Results are sorted by value.
+    Rational roots come back exactly, the roots of quadratic factors as
+    surds, the other irrational roots as sign-change intervals at most
+    10**-12 wide.  A square-free part of degree 1 or 2 is solved in closed
+    form, whose roots ascend because it is monic; from degree 3 on, one
+    pass over its isolating intervals finds every factor
+    (_recognize_roots), and the roots keep the order of the intervals.
     """
     if f.is_zero:
         raise ValueError("zero polynomial")
-    if f.degree == 0:
-        return []
     g = squarefree_part(f)
-    roots: list[Root] = []
-    if g.degree >= 3:
-        intervals = _isolate_intervals(g)
-        rationals = [r for r in (_recognize_rational(g, a, b) for a, b in intervals) if r is not None]
-        for r in rationals:
-            g, rem = divmod(g, UniPoly((-r, ONE)))
-            if f(r) != 0 or not rem.is_zero:
-                raise ArithmeticError(f"rational root candidate {r} does not divide the polynomial")
-            roots.append(RationalRoot(r))
-        if rationals and g.degree >= 3:
-            intervals = _isolate_intervals(g)  # reported intervals are the quotient's
     if g.degree == 1:
-        roots.append(RationalRoot(-g.coeffs[0] / g.coeffs[1]))
-    elif g.degree == 2:
-        roots.extend(_quadratic_roots(*g.coeffs))
-    elif g.degree >= 3:
-        # g has no rational root left, so no midpoint of the bisection is a root.
-        pending = [_refine(g, a, b, Fraction(1, 10**12)) for a, b in intervals]
-        surds, leftovers = _pair_quadratic_factors(g, pending)
-        roots.extend(surds)
-        roots.extend(IntervalRoot(lo, hi, g) for lo, hi in leftovers)
-    roots.sort(key=lambda r: r.approx())
-    return roots
+        return [RationalRoot(-g.coeffs[0])]
+    if g.degree == 2:
+        return _quadratic_roots(*g.coeffs)
+    return _recognize_roots(g) if g.degree >= 3 else []
 
 
 # ---------------------------------------------------------------------------

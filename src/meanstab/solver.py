@@ -513,5 +513,5 @@ def stability_parameter_scan(family: str, order: int = 16) -> list[Root]:
             if alpha != 0:
                 results.append(RationalRoot(-alpha))
             results.append(RationalRoot(alpha))
-    results.sort(key=lambda r: r.approx())
+    results.sort(key=lambda r: r.value)
     return results

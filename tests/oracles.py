@@ -101,9 +101,15 @@ Each one is an independent derivation of the same coefficients:
   roots found first by the rational-root candidate test over the divisors
   of the end coefficients (``rational_roots_by_divisor_search``, integer
   Horner on coprime candidates; it gives up on large or highly composite
-  end coefficients, and interval recognition then finds the rest), where
+  end coefficients), checked against the rationals that the production
+  pass over the isolating intervals recognizes from degree 3 up, and the
+  roots ordered by exact comparisons of their enclosures, where
   ``polynomials.py`` finds every rational root of degree 3 and up by
-  interval recognition alone and solves degrees 1 and 2 in closed form;
+  interval recognition alone, solves degrees 1 and 2 in closed form, and
+  keeps the order of the isolating intervals;
+* ``simplest_between_by_recursion``: the simplest rational of an interval
+  by one recursive call per continued-fraction term, where
+  ``polynomials.py`` loops over the terms;
 * ``descartes_count_by_products``: the Descartes count of an interval from
   UniPoly products of the Moebius numerator and denominator powers, where
   ``polynomials.py`` takes two Taylor shifts;
@@ -134,6 +140,7 @@ are slow; only tests use them.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -152,15 +159,11 @@ from meanstab.catalog import (
     expand_mean,
 )
 from meanstab.polynomials import (
-    IntervalRoot,
     RationalRoot,
     Root,
     UniPoly,
     _is_square,
-    _isolate_intervals,
-    _pair_quadratic_factors,
-    _recognize_rational,
-    _refine,
+    _recognize_roots,
     _sqrt_exact,
     affine_image,
     eval_at_root,
@@ -1033,21 +1036,49 @@ def rational_roots_by_divisor_search(g: UniPoly) -> tuple[list[Rational], bool]:
     return roots, True
 
 
+def simplest_between_by_recursion(lo: Rational, hi: Rational) -> Rational:
+    """Rational with the smallest denominator in the closed interval
+    [lo, hi], one recursive call per continued-fraction term."""
+    if lo > hi:
+        lo, hi = hi, lo
+    if lo == hi:
+        return lo
+    if lo <= 0 <= hi:
+        return ZERO
+    if hi < 0:
+        return -simplest_between_by_recursion(-hi, -lo)
+    floor_lo = lo.numerator // lo.denominator
+    ceil_lo = -((-lo.numerator) // lo.denominator)
+    if ceil_lo <= hi:
+        return Fraction(ceil_lo)
+    frac_part = simplest_between_by_recursion(1 / (hi - floor_lo), 1 / (lo - floor_lo))
+    return floor_lo + 1 / frac_part
+
+
 def isolate_real_roots_by_divisor_search(f: UniPoly) -> list[Root]:
     """Every distinct real root of f, with the rational ones from the
-    divisor search, completed by interval recognition when the search gave
-    up on a g of degree 3 or more, and divided out before the surd and
-    interval stages."""
+    divisor search, in an order read from exact comparisons of enclosures
+    (``_compare_roots``).  A square-free part of degree 1 or 2 is solved in
+    closed form once its rational roots are divided out.  From degree 3 up,
+    the irrational roots come from the production pass over the isolating
+    intervals (``_recognize_roots``); the rationals it recognizes must be
+    those of the divisor search when the search was complete, and contain
+    them when it gave up."""
     if f.is_zero:
         raise ValueError("zero polynomial")
     if f.degree == 0:
         return []
     g = squarefree_part(f)
-    roots: list[Root] = []
     rationals, complete = rational_roots_by_divisor_search(g)
-    if not complete and g.degree >= 3:
-        recognized = (_recognize_rational(g, a, b) for a, b in _isolate_intervals(g))
-        rationals += [r for r in recognized if r is not None and r not in rationals]
+    if g.degree >= 3:
+        found = _recognize_roots(g)
+        recognized = {r.value for r in found if isinstance(r, RationalRoot)}
+        if not (set(rationals) == recognized if complete else set(rationals) <= recognized):
+            raise AssertionError(f"divisor search {rationals} against recognition {recognized}")
+        roots = [RationalRoot(r) for r in recognized]
+        roots.extend(r for r in found if not isinstance(r, RationalRoot))
+        return sorted(roots, key=functools.cmp_to_key(_compare_roots))
+    roots: list[Root] = []
     for r in rationals:
         g, rem = divmod(g, UniPoly((-r, ONE)))
         if f(r) != 0 or not rem.is_zero:
@@ -1066,13 +1097,21 @@ def isolate_real_roots_by_divisor_search(f: UniPoly) -> list[Root]:
             else:
                 roots.append(make_surd(-c1, -1, disc, 2 * c2))
                 roots.append(make_surd(-c1, +1, disc, 2 * c2))
-    elif g.degree >= 3:
-        pending = [_refine(g, a, b, Fraction(1, 10**12)) for a, b in _isolate_intervals(g)]
-        surds, leftovers = _pair_quadratic_factors(g, pending)
-        roots.extend(surds)
-        roots.extend(IntervalRoot(lo, hi, g) for lo, hi in leftovers)
-    roots.sort(key=lambda r: r.approx())
-    return roots
+    return sorted(roots, key=functools.cmp_to_key(_compare_roots))
+
+
+def _compare_roots(a: Root, b: Root) -> int:
+    """-1 or 1 as the root a lies below or above the distinct root b, from
+    their enclosures bounds(width), the width squared until they are
+    disjoint."""
+    width = Fraction(1, 10**12)
+    while True:
+        (alo, ahi), (blo, bhi) = a.bounds(width), b.bounds(width)
+        if ahi < blo:
+            return -1
+        if bhi < alo:
+            return 1
+        width *= width
 
 
 def rational_roots_by_fraction_evaluation(g: UniPoly) -> tuple[list[Rational], bool]:

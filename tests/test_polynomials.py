@@ -4,7 +4,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -16,6 +16,7 @@ from oracles import (
     lagrange_interpolate,
     rational_roots_by_divisor_search,
     rational_roots_by_fraction_evaluation,
+    simplest_between_by_recursion,
     sqrt_bounds_by_bisection,
 )
 from meanstab.polynomials import (
@@ -97,6 +98,32 @@ class TestSurdsAndSquares:
     def test_make_surd_refuses_a_perfect_square(self, radicand):
         with pytest.raises(ValueError, match="perfect square"):
             make_surd(F(1), -1, radicand, F(3))
+
+    @pytest.mark.parametrize(
+        ("coeffs", "small"),
+        [((1, -2 * 10**8, 1), 5e-9), ((F(1, 10**12), -2, 1), 5.00000000000125e-13)],
+        ids=["x^2-2e8x+1", "x^2-2x+1e-12"],
+    )
+    def test_approx_of_a_small_root_does_not_cancel(self, coeffs, small):
+        low, high = isolate_real_roots(poly(*coeffs))
+        assert math.isclose(low.approx(), small, rel_tol=1e-15)
+        assert math.isclose(high.approx(), coeffs[0] / small, rel_tol=1e-15)  # the product of the roots
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        add=st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6),
+        sign=st.sampled_from((-1, 1)),
+        offset=st.fractions(min_value=F(1, 10**6), max_value=10**12, max_denominator=10**6),
+        near=st.booleans(),
+        div=st.fractions(min_value=-10**3, max_value=10**3, max_denominator=10**3).filter(bool),
+    )
+    def test_approx_is_within_a_few_units_of_the_value(self, add, sign, offset, near, div):
+        # near: a radicand just above add**2, where add - sqrt(radicand) cancels
+        radicand = add * add + offset if near else offset
+        assume(not _is_square(radicand))
+        root = make_surd(add, sign, radicand, div)
+        low, high = root.bounds(F(1, 10**80))
+        assert math.isclose(root.approx(), float(low), rel_tol=2e-15)
 
     def test_is_square(self):
         assert _is_square(F(9, 4)) and _is_square(F(0))
@@ -229,16 +256,18 @@ class TestRootIsolation:
         cubic = poly(-4, -1, 0, 1)
         assert cubic(interval.low) * cubic(interval.high) < 0
 
+    HUGE_ROOT = 1922760350154212639070
+    # A root near 2e21 makes the Cauchy bound huge, so the small roots
+    # separate only after many bisection levels.
+    HUGE_ROOT_POLY = (
+        poly(F(9, 4), 1) * poly(F(-HUGE_ROOT, 999979), 1) * poly(-HUGE_ROOT, 1)
+        * poly(-13, 16, 1) * poly(-2, 0, 0, 1)
+    )
+
     def test_huge_root_beside_small_ones(self):
-        # A root near 2e21 makes the Cauchy bound huge, so the small roots
-        # separate only after many bisection levels; 0.2 s of CPU today.
-        big = 1922760350154212639070
-        p = (
-            poly(F(9, 4), 1) * poly(F(-big, 999979), 1) * poly(-big, 1)
-            * poly(-13, 16, 1) * poly(-2, 0, 0, 1)
-        )
+        big = self.HUGE_ROOT
         start = time.process_time()
-        roots = isolate_real_roots(p)
+        roots = isolate_real_roots(self.HUGE_ROOT_POLY)
         assert time.process_time() - start < 2.0
         low_surd, quarter, high_surd, cube_root, middle, top = roots
         assert [r.value for r in (quarter, middle, top)] == [F(-9, 4), F(big, 999979), F(big)]
@@ -247,6 +276,40 @@ class TestRootIsolation:
         assert isinstance(cube_root, IntervalRoot)
         assert cube_root.high - cube_root.low <= F(1, 10**12)
         assert cube_root.low**3 < 2 < cube_root.high**3
+
+    def test_isolates_once(self, monkeypatch):
+        # Dividing out the three rational roots leaves a quotient of degree
+        # 5 whose roots are already isolated: no second isolation runs.
+        import meanstab.polynomials as polynomials
+
+        calls = []
+        isolate = polynomials._isolate_intervals
+        monkeypatch.setattr(polynomials, "_isolate_intervals", lambda g: calls.append(g) or isolate(g))
+        roots = isolate_real_roots(self.HUGE_ROOT_POLY)
+        assert [r.kind for r in roots].count("exact-rational") == 3
+        assert len(calls) == 1
+
+    def test_roots_ascend_exactly(self):
+        # 1 - sqrt(2)*10**-18 < 1 + 10**-20 < 1 + sqrt(2)*10**-18 < 2**(1/3):
+        # the first three have one float value, 1.0.
+        p = poly(-1 - F(1, 10**20), 1) * poly(1 - F(2, 10**36), -2, 1) * poly(-2, 0, 0, 1)
+        roots = isolate_real_roots(p)
+        assert [r.kind for r in roots] == [
+            "quadratic-surd", "exact-rational", "quadratic-surd", "isolated-interval"
+        ]
+        assert roots[1].value == 1 + F(1, 10**20)
+        assert len({r.approx() for r in roots[:3]}) == 1
+        ends = [r.bounds(F(1, 10**40)) for r in roots]
+        assert all(high < low for (_, high), (low, _) in zip(ends, ends[1:]))
+
+    def test_large_lead_coefficient(self):
+        # 7**1200 * x**3 - 2: recognition refines to about 7**-2400, and its
+        # simplest rational has about 4000 continued-fraction terms.
+        p = poly(-2, 0, 0, 7**1200)
+        (root,) = isolate_real_roots(p)
+        assert isinstance(root, IntervalRoot)
+        assert 0 < root.high - root.low <= F(1, 10**12)
+        assert p(root.low) < 0 < p(root.high)
 
     @pytest.mark.parametrize("d", [10**6 + 3, 10**7 + 19, 10**9 + 7, 10**12 + 39])
     def test_quadratic_factor_of_large_denominators_pairs(self, d):
@@ -401,6 +464,27 @@ def test_simplest_between():
     assert simplest_between(F(31, 100), F(36, 100)) == F(1, 3)
     assert simplest_between(F(-1, 2), F(1, 5)) == 0
     assert simplest_between(F(7, 3), F(8, 3)) == F(5, 2)
+
+
+def test_simplest_between_consecutive_fibonacci_ratios():
+    # Consecutive convergents of the golden ratio: nothing strictly between
+    # them has a denominator below the sum of theirs, and the expansion has
+    # about 3000 terms, past the recursion limit of one call per term.
+    fib = [0, 1]
+    while len(fib) < 3003:
+        fib.append(fib[-1] + fib[-2])
+    lo, hi = F(fib[3001], fib[3000]), F(fib[3002], fib[3001])
+    assert simplest_between(lo, hi) == lo
+    assert simplest_between(hi, lo) == lo
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**9),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**12),
+)
+def test_simplest_between_matches_the_recursion(lo, gap):
+    assert simplest_between(lo, lo + gap) == simplest_between_by_recursion(lo, lo + gap)
 
 
 def test_clustered_rational_roots_separate():
