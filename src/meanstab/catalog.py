@@ -229,9 +229,11 @@ def _denominator_derivative(spec: ClassicMean | MAlphaR | MuGenerated) -> tuple[
     if isinstance(spec, MuGenerated):  # mu'(y) = sum (2n+1) c_n y**(2n)
         c = spec.odd_coeffs
         return tuple(ZERO if n % 2 else (n + 1) * c[n // 2] for n in range(2 * len(c) - 1)), ONE
-    # ((1 + r*y)**((r+alpha)/r) - 1)/(r+alpha); the limit alpha -> -r is the
-    # logarithmic form and needs no special casing at the series level.
-    return (ONE, spec.r), spec.alpha / spec.r
+    if isinstance(spec, MAlphaR):
+        # ((1 + r*y)**((r+alpha)/r) - 1)/(r+alpha); the limit alpha -> -r is
+        # the logarithmic form and needs no special casing at the series level.
+        return (ONE, spec.r), spec.alpha / spec.r
+    raise TypeError(f"no denominator form for {spec!r}")
 
 
 def _log_ratio_form(order: int, even: bool) -> tuple[list[int], int]:

@@ -457,19 +457,18 @@ def _quadratic_roots(c0: Rational, c1: Rational, c2: Rational) -> list[Root]:
 
 def _recognize_roots(g: UniPoly) -> list[Root]:
     """The real roots of the square-free g in the order of their isolating
-    intervals, each refined to width 1/(2*(B + 1)*L**2), B the largest
-    endpoint (see _integer_lead).  Then a root's interval and the
-    enclosures of two roots' trace and product are narrower than 1/L**2,
-    so a rational root c, or the trace T and product P of a conjugate
-    pair, is the simplest rational of its enclosure.  It is kept when
-    x - c or x**2 - T*x + P divides what is left of g exactly (and the
-    pair's factor changes sign across both intervals), and divided out; the
-    other roots are intervals of what is left of g, refined on to 10**-12."""
-    intervals = _isolate_intervals(g)
+    intervals (see _integer_lead for L).  Refined to width 1/(2*L**2), an
+    interval holds at most one rational whose denominator divides L, so a
+    rational root c is the simplest rational of its interval.  The other
+    intervals are refined on to 1/(2*(B + 1)*L**2), B their largest
+    endpoint, so that the enclosures of two roots' trace T and product P
+    are narrower than 1/L**2 and T and P are the simplest rationals of
+    theirs.  A candidate is kept when x - c or x**2 - T*x + P divides what
+    is left of g exactly (and the pair's factor changes sign across both
+    intervals), and divided out; the other roots are intervals of what is
+    left of g, refined on to 10**-12."""
     lead = _integer_lead(g)
-    bound = max((abs(x) for iv in intervals for x in iv), default=0)
-    width = 1 / (2 * (bound + 1) * lead * lead)
-    fine = [_refine(g, a, b, width) for a, b in intervals]
+    fine = [_refine(g, a, b, 1 / (2 * lead * lead)) for a, b in _isolate_intervals(g)]
     roots: list[Root | None] = [None] * len(fine)
     rest = g
     for i, (lo, hi) in enumerate(fine):
@@ -477,7 +476,12 @@ def _recognize_roots(g: UniPoly) -> list[Root]:
         quotient, rem = divmod(rest, UniPoly((-c, ONE)))
         if rem.is_zero:
             rest, roots[i] = quotient, RationalRoot(c)
-    for i, j in combinations(range(len(fine)), 2):
+    left = [i for i, root in enumerate(roots) if root is None]
+    bound = max((abs(x) for i in left for x in fine[i]), default=0)
+    width = 1 / (2 * (bound + 1) * lead * lead)
+    for i in left:
+        fine[i] = _refine(g, *fine[i], width)
+    for i, j in combinations(left, 2):
         if roots[i] or roots[j]:
             continue
         (alo, ahi), (blo, bhi) = fine[i], fine[j]

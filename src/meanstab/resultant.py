@@ -31,23 +31,18 @@ argument of M is zero through the order and B = m_0 * h, fully determined by
 the truncated inputs.  Each composition runs by Horner's rule, the
 primitive ``series._horner_form``.  Even weights, W(x) = W~(x**2) through
 the order, run over W~ in the square of the ratio u * g / h: half the
-Horner steps for one extra product.  That serves every even middle mean, and an
-even outer mean over mixed middle and inner ones.
+Horner steps for one extra product.  That serves every even middle mean and
+every even outer mean.
 
 Even means need fewer compositions.  When the middle and inner coefficient
 sequences have no nonzero odd entry through the order, gt(u) = g(-u) and
 ht(u) = h(-u), and M(-y) = M(y), so A(u) = B(-u): one composition gives both
 sides.  M itself must be even for this, not only N: a mixed mean's series
 holds only for a positive half-difference, and the side A sees the pair
-(N, x+t) with the opposite sign of u.  Then s = 2E and u * d = -2O, for E and
-O = u * o(u**2) the even and odd parts of B.  If K is even as well, K(y) =
-K~(y**2) with K~ its even coefficients, and the outer step runs in w = u**2
-at half the order,
-
-    r(w) = (1/2) * E(w) * K~(w * o(w)**2 / E(w)**2),
-
-spread onto the even indices.  The inner means of the degenerate cases have
-n_1 = -1 or +1 and never take this route.
+(N, x+t) with the opposite sign of u.  The outer step reflects B for A and
+composes K as for any sides; an even K runs Horner in the square of the
+ratio u * d / s, as even weights do.  The inner means of the degenerate
+cases have n_1 = -1 or +1 and never take this route.
 
 A power mean K = B_p needs no expansion: the sides are M(x-t, N) = x * X and
 M(N, x+t) = x * Y with X = B/2 and Y = A/2, so
@@ -124,18 +119,6 @@ def _reflected(form: tuple) -> tuple:
     return [-c if j % 2 else c for j, c in enumerate(nums)], den
 
 
-def _even_outer_step(outer: tuple, b_side: tuple, order: int) -> tuple:
-    """(1/4) * s * K(u * d / s) for an even K, with A(u) = B(-u): in
-    w = u**2 it is (1/2) * E * K~(w * o**2 / E**2), spread onto the even
-    indices (E, o and K~ as in the module docstring)."""
-    (b, den), half = b_side, order // 2
-    e, o = (b[::2], den), (b[1::2], den)
-    o_squared, o_den = _product_form(o, o, half - 1)
-    ratio = _product_form(([b[0] * 0] + o_squared, o_den), _power_form(e, -2, half), half)
-    combined, den = _product_form(e, _horner_form((outer[0][::2], outer[1]), ratio, half), half)
-    return _spread(_reduced(combined, den * 2), order)
-
-
 def _sides(middle: tuple, inner: tuple, order: int) -> tuple:
     """The forms of B and A, with None for A when A(u) = B(-u)."""
     nums, den = inner
@@ -154,11 +137,7 @@ def _sides(middle: tuple, inner: tuple, order: int) -> tuple:
 
 def _horner_outer_step(outer: tuple, b_side: tuple, a_side: tuple | None, order: int) -> tuple:
     """(1/4) * s * K(u * d / s) for the form of K."""
-    if a_side is None:
-        if _odd_part_vanishes(outer[0], order):
-            return _even_outer_step(outer, b_side, order)
-        a_side = _reflected(b_side)
-    a, b, common = _common(a_side, b_side)
+    a, b, common = _common(_reflected(b_side) if a_side is None else a_side, b_side)
     d = [a[j + 1] - b[j + 1] for j in range(order)]
     s = [a[j] + b[j] for j in range(order + 1)]
     combined, den = _composition_sums(outer, (d, common), (s, common), order)

@@ -90,13 +90,14 @@ Each one is an independent derivation of the same coefficients:
   W(x) = W~(x**2) over W~ in the square of the ratio;
 * ``resultant_on_fraction_tuples``: the production case and parity logic
   with every product and power a public series function on tuples of
-  Fractions and every composition a ``compose_on_forms`` over all weights,
-  where ``resultant.py`` converts its inputs once, runs on integer
-  numerators and composes even weights in the square of the ratio;
+  Fractions, every composition a ``compose_on_forms`` over all weights, and
+  an even outer step in u**2 at half the order when all three means are
+  even, where ``resultant.py`` converts its inputs once, runs on integer
+  numerators and composes even weights, the outer mean's included, in the
+  square of the ratio at full length;
 * ``resultant_two_sides``: the resultant with both middle compositions and
   the outer step at full length for every input, where ``resultant.py``
-  reads one side from the other and runs an even outer step in u**2 when
-  the means are even;
+  reads one side from the other when the middle and inner means are even;
 * ``isolate_real_roots_by_divisor_search``: root isolation with the rational
   roots found first by the rational-root candidate test over the divisors
   of the end coefficients (``rational_roots_by_divisor_search``, integer
@@ -876,8 +877,9 @@ def resultant_on_fraction_tuples(
     outer: Sequence, middle: Sequence, inner: Sequence, order: int
 ) -> tuple:
     """R(K, M, N) by the production case and parity logic, with every
-    product and power a public series function on tuples of Fractions and
-    every composition compose_on_forms, Horner's rule over every weight."""
+    product and power a public series function on tuples of Fractions,
+    every composition compose_on_forms, Horner's rule over every weight,
+    and an even outer step in u**2 when all three means are even."""
     one = inner[0]
     n1 = inner[1] if order >= 1 else one * 0
     tail = list(inner[2 : order + 1])

@@ -464,6 +464,11 @@ def test_denominator_series_rejects_power_means():
         denominator_series(PowerMean(F(2)), 6)
 
 
+def test_expand_quotient_mean_rejects_a_power_mean():
+    with pytest.raises(TypeError, match=r"no denominator form for PowerMean\(p=Fraction\(2, 1\)\)"):
+        expand_quotient_mean(PowerMean(F(2)), 4)
+
+
 ORACLE_CASES = [
     (LAlpha(F(3, 7)), 97),
     (LAlpha(F(-1)), 12),

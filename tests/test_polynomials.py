@@ -289,6 +289,23 @@ class TestRootIsolation:
         assert [r.kind for r in roots].count("exact-rational") == 3
         assert len(calls) == 1
 
+    def test_pairing_width_ignores_the_rational_roots(self, monkeypatch):
+        # All six intervals are refined to 1/(2*L**2) for the rational pass.
+        # The roots near 2e21 are rational, so the pairing width
+        # 1/(2*(B + 1)*L**2) takes B over the three irrational roots' intervals.
+        import meanstab.polynomials as polynomials
+
+        widths = []
+        refine = polynomials._refine
+        monkeypatch.setattr(
+            polynomials, "_refine", lambda g, a, b, width: widths.append(width) or refine(g, a, b, width)
+        )
+        isolate_real_roots(self.HUGE_ROOT_POLY)
+        lead = polynomials._integer_lead(squarefree_part(self.HUGE_ROOT_POLY))
+        pairing_width = min(set(widths) - {F(1, 10**12)})
+        assert 1 / (2 * pairing_width * lead * lead) - 1 < 100
+        assert widths[:6] == [1 / (2 * lead * lead)] * 6
+
     def test_roots_ascend_exactly(self):
         # 1 - sqrt(2)*10**-18 < 1 + 10**-20 < 1 + sqrt(2)*10**-18 < 2**(1/3):
         # the first three have one float value, 1.0.

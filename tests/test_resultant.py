@@ -480,9 +480,10 @@ def even_means(draw, order):
 
 
 class TestParityRoute:
-    """Even middle and inner means take one middle composition, and an even
-    outer mean its step in u**2; the results equal the three full-length
-    compositions of the general route, type for type."""
+    """Even middle and inner means take one middle composition and reflect
+    it for the other side, and an even outer mean runs Horner in the square
+    of its ratio; the results equal the three full-length compositions of
+    the general route, type for type."""
 
     @staticmethod
     def check(outer, middle, inner, order):
@@ -590,7 +591,11 @@ class TestIntegerFormBody:
             # The even middle weights run Horner in the square of the ratio:
             # 4 steps that scale a weight instead of 8, and the top weight's
             # first product through t**2 instead of t: 3 products fewer.
-            assert (seen, len(products) - seen) == (97, 100)
+            # The even outer weights run the same way at full length, where
+            # the oracle's outer step runs in w = t**2 at half the order: the
+            # same 4 steps, and the top weight's first product through t**2
+            # instead of through w: 1 product more.
+            assert (seen, len(products) - seen) == (98, 100)
         else:
             assert seen > 0 and seen == len(products) - seen
         assert out == reference
