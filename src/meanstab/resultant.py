@@ -34,15 +34,21 @@ the order, run over W~ in the square of the ratio u * g / h: half the
 Horner steps for one extra product.  That serves every even middle mean and
 every even outer mean.
 
-Even means need fewer compositions.  When the middle and inner coefficient
-sequences have no nonzero odd entry through the order, gt(u) = g(-u) and
-ht(u) = h(-u), and M(-y) = M(y), so A(u) = B(-u): one composition gives both
-sides.  M itself must be even for this, not only N: a mixed mean's series
-holds only for a positive half-difference, and the side A sees the pair
-(N, x+t) with the opposite sign of u.  The outer step reflects B for A and
-composes K as for any sides; an even K runs Horner in the square of the
-ratio u * d / s, as even weights do.  The inner means of the degenerate
-cases have n_1 = -1 or +1 and never take this route.
+An even inner mean needs one ratio.  When the inner coefficient sequence
+has no nonzero odd entry through the order, gt(u) = g(-u) and
+ht(u) = h(-u).  So with rho = u * g / h the argument of M in A is
+u * gt / ht = -rho(-u), and A(u) = [h * M(-rho)](-u) coefficientwise, for
+any middle mean M.  Writing M(x) = E(x**2) + x * O(x**2), one inverse of h,
+one ratio and its square serve both sides: Horner runs over E and over O in
+rho**2, B = h * (E + rho * O) and A is h * (E - rho * O) at -u.  This holds
+for a mixed M too, whose series is valid only for a positive
+half-difference: M is still composed only with rho(u) for B and with
+-rho(-u) = u * gt / ht for A, the arguments of the general route, and only
+the order of the formal composition changes.  When M is even as well, O
+vanishes and A(u) = B(-u): the outer step reflects B for A and composes K as
+for any sides; an even K runs Horner in the square of the ratio u * d / s,
+as even weights do.  The inner means of the degenerate cases have n_1 = -1
+or +1 and never take this route.
 
 A power mean K = B_p needs no expansion: the sides are M(x-t, N) = x * X and
 M(N, x+t) = x * Y with X = B/2 and Y = A/2, so
@@ -100,16 +106,36 @@ def _odd_part_vanishes(seq: Sequence, order: int) -> bool:
     return all(c == 0 for c in seq[1 : order + 1 : 2])
 
 
+def _ratio(g: tuple, h: tuple, order: int) -> tuple:
+    """The form of u * g / h; h[0] must be invertible."""
+    gs, den = g
+    return _product_form(([h[0][0] * 0] + list(gs), den), _power_form(h, -1, order), order)
+
+
+def _signed_sums(weights: tuple, h: tuple, ratio: tuple, order: int) -> tuple:
+    """h * W(rho) and h * W(-rho) for the ratio rho and W(x) = E(x**2) +
+    x * O(x**2): Horner runs over E and over O in rho**2.  The second is
+    None when O vanishes through the order, where it equals the first."""
+    nums, w_den = weights
+    square = _product_form(ratio, ratio, order)
+    even = _horner_form((nums[::2], w_den), square, order)
+    if _odd_part_vanishes(nums, order):
+        return _product_form(h, even, order), None
+    # O(rho**2) is needed one short of the order: rho has no constant term.
+    odd = _product_form(_horner_form((nums[1::2], w_den), square, order - 1), ratio, order)
+    e, o, common = _common(even, odd)
+    plus = _product_form(h, ([x + y for x, y in zip(e, o)], common), order)
+    return plus, _product_form(h, ([x - y for x, y in zip(e, o)], common), order)
+
+
 def _composition_sums(weights: tuple, g: tuple, h: tuple, order: int) -> tuple:
     """h * W(u * g / h) for W(x) = sum weights[n] x**n, that is
     out[m] = sum_n weights[n] * [g**n * h**(1-n)]_(m-n); h[0] must be
     invertible.  Even weights, W(x) = W~(x**2), run Horner in the square of
     the ratio."""
-    gs, den = g
-    ratio = _product_form(([h[0][0] * 0] + list(gs), den), _power_form(h, -1, order), order)
-    nums, w_den = weights
-    if _odd_part_vanishes(nums, order):
-        weights, ratio = (nums[::2], w_den), _product_form(ratio, ratio, order)
+    ratio = _ratio(g, h, order)
+    if _odd_part_vanishes(weights[0], order):
+        return _signed_sums(weights, h, ratio, order)[0]
     return _product_form(h, _horner_form(weights, ratio, order), order)
 
 
@@ -120,19 +146,21 @@ def _reflected(form: tuple) -> tuple:
 
 
 def _sides(middle: tuple, inner: tuple, order: int) -> tuple:
-    """The forms of B and A, with None for A when A(u) = B(-u)."""
+    """The forms of B and A, with None for A when A(u) = B(-u).  An even
+    inner mean gives both from one ratio rho = u * g / h, as
+    A(u) = [h * M(-rho)](-u)."""
     nums, den = inner
     one = nums[0]
     n1 = nums[1] if order >= 1 else one * 0
     tail = list(nums[2 : order + 1])
     g = ([one + n1] + tail, den)
     h = ([one + one, n1 - one] + tail, den)
-    b_side = _composition_sums(middle, g, h, order)
-    if _odd_part_vanishes(middle[0], order) and _odd_part_vanishes(nums, order):
-        return b_side, None
+    if _odd_part_vanishes(nums, order):
+        b_side, minus = _signed_sums(middle, h, _ratio(g, h, order), order)
+        return b_side, None if minus is None else _reflected(minus)
     gt = ([one - n1] + [-c for c in tail], den)
     ht = ([one + one, n1 + one] + tail, den)
-    return b_side, _composition_sums(middle, gt, ht, order)
+    return _composition_sums(middle, g, h, order), _composition_sums(middle, gt, ht, order)
 
 
 def _horner_outer_step(outer: tuple, b_side: tuple, a_side: tuple | None, order: int) -> tuple:

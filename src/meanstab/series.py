@@ -135,7 +135,7 @@ def _convolve(x: list, reversed_y: list, order: int) -> list:
     """The Cauchy product of x and y through the order, given y reversed; y
     must reach the order."""
     last = len(reversed_y) - 1
-    return [sum(map(mul, x[: k + 1], reversed_y[last - k :])) for k in range(order + 1)]
+    return [sum(map(mul, x, reversed_y[last - k :])) for k in range(order + 1)]
 
 
 def _product_form(a: tuple, b: tuple, order: int) -> tuple[list, int | Fraction]:
@@ -156,9 +156,10 @@ def _power_form(a: tuple, r, order: int) -> tuple[list, int | Fraction]:
 
     P[n] = top / (bottom * d) for ``top, bottom = step(n, back)``, where
     ``back`` holds the numerators of P[n-1], ..., P[0] over their common
-    denominator d.  Over Q d only grows, and the stored numerators are
-    rescaled when it does; it ends as the least common denominator.  In any
-    other field d stays 1 and back holds the values."""
+    denominator d, newest first: each step inserts at the front, and the
+    list is reversed once at the end.  Over Q d only grows, and the stored
+    numerators are rescaled when it does; it ends as the least common
+    denominator.  In any other field d stays 1 and back holds the values."""
     x, dx = a
     if x[0] == 0:
         raise ValueError("zero constant term")
@@ -170,33 +171,37 @@ def _power_form(a: tuple, r, order: int) -> tuple[list, int | Fraction]:
         raise ValueError("irrational leading power")
     # With r = s/t the weight is (k*(s+t) - n*t)/t, and the denominator of
     # a cancels against the one of a_0.  At r = -1 the k term vanishes.
-    kx = [k * c for k, c in enumerate(x)]
+    # Each dot product stops at the end of back, P[0].
+    x1 = x[1:]
+    kx1 = [k * c for k, c in enumerate(x1, 1)]
 
     def step(n, back):
-        top = -n * t * sum(map(mul, x[1 : n + 1], back))
+        top = -n * t * sum(map(mul, x1, back))
         if s + t:
-            top += (s + t) * sum(map(mul, kx[1 : n + 1], back))
+            top += (s + t) * sum(map(mul, kx1, back))
         return top, n * t * x[0]
 
     head = a0**s if t == 1 else a0
     if type(dx) is not int:
-        values = [head]
+        back = [head]
         for n in range(1, order + 1):
-            top, bottom = step(n, values[::-1])
-            values.append(top / bottom)
-        return values, _FRACTION_ONE
-    nums, den = [head.numerator], head.denominator
+            top, bottom = step(n, back)
+            back.insert(0, top / bottom)
+        back.reverse()
+        return back, _FRACTION_ONE
+    back, den = [head.numerator], head.denominator
     for n in range(1, order + 1):
-        top, bottom = step(n, nums[::-1])
+        top, bottom = step(n, back)
         g = gcd(top, bottom * den)
         top, bottom = top // g, bottom * den // g  # bottom may be negative
         if den % bottom:
             grown = lcm(den, bottom)
             scale = grown // den
-            nums = [q * scale for q in nums]
+            back[:] = [q * scale for q in back]
             den = grown
-        nums.append(top * (den // bottom))
-    return nums, den
+        back.insert(0, top * (den // bottom))
+    back.reverse()
+    return back, den
 
 
 def series_power(a: Coeffs, r, order: int) -> tuple:

@@ -876,10 +876,13 @@ def _even_outer_step(outer: Sequence, b_side: Sequence, order: int) -> tuple:
 def resultant_on_fraction_tuples(
     outer: Sequence, middle: Sequence, inner: Sequence, order: int
 ) -> tuple:
-    """R(K, M, N) by the production case and parity logic, with every
-    product and power a public series function on tuples of Fractions,
-    every composition compose_on_forms, Horner's rule over every weight,
-    and an even outer step in u**2 when all three means are even."""
+    """R(K, M, N) on tuples of Fractions, with every product and power a
+    public series function, every composition compose_on_forms and Horner's
+    rule over every weight.  It takes one middle composition for both sides
+    only when the middle and inner means are both even, and then an even
+    outer step in u**2 when the outer mean is even too; a mixed middle
+    mean keeps two compositions whatever the inner mean, unlike the
+    production route."""
     one = inner[0]
     n1 = inner[1] if order >= 1 else one * 0
     tail = list(inner[2 : order + 1])

@@ -537,11 +537,90 @@ class TestParityRoute:
             assert out[order] != 0
 
 
+class TestEvenInnerRoute:
+    """An even inner mean gives both sides from one ratio rho = u * g / h,
+    as A(u) = [h * M(-rho)](-u), for a mixed middle mean too: Horner runs
+    over the even and odd parts of M in rho**2.  The results equal the two
+    full-length middle compositions of the general route, type for type."""
+
+    @pytest.mark.parametrize("order", [33, 40])
+    @pytest.mark.parametrize(
+        "names",
+        [
+            ("T", M5, "L"),
+            ("HZ1/4", M1, "G"),
+            ("H", MAlphaR(F(1, 2), F(2)), M4),
+            ("P", MAlphaR(F(-2, 3), F(5, 4)), "HZ1/4"),
+        ],
+        ids=["T-M5-L", "HZ1/4-M1-G", "H-M1/2,2-M4", "P-M-2/3,5/4-HZ1/4"],
+    )
+    def test_catalog_triple(self, names, order):
+        specs = [ALIASES[n] if isinstance(n, str) else n for n in names]
+        outer, middle, inner = (expand_mean(spec, order).coeffs for spec in specs)
+        assert any(middle[1::2]) and not any(inner[1::2])
+        TestParityRoute.check(outer, middle, inner, order)
+
+    @pytest.mark.parametrize("q", [F(0), F(1, 3), F(-1)], ids=str)
+    @pytest.mark.parametrize("p", [F(0), F(1), F(-2), F(3, 2)], ids=str)
+    def test_power_means_with_a_mixed_middle(self, p, q):
+        # B_q is even and M5 mixed: both power outer steps get an A side.
+        order = 24
+        m5, b_q = expand_mean(M5, order), expand_power_mean(q, order)
+        out = resultant_power_means(p, q, m5, order)
+        assert out == resultant_mean_map(PowerMean(p), m5, b_q, order)
+        outer = expand_power_mean(p, order).coeffs
+        assert out.coeffs == resultant_two_sides(outer, m5.coeffs, b_q.coeffs, order)
+
+    @staticmethod
+    def counted_sides(monkeypatch, middle, inner, order):
+        """_sides on the integer forms, with the exponents handed to
+        _power_form and the valuations of the Horner arguments."""
+        powers, valuations = [], []
+        power_form, horner_form = resultant._power_form, resultant._horner_form
+
+        def counted_power(a, r, order):
+            powers.append(r)
+            return power_form(a, r, order)
+
+        def counted_horner(outer, inner, order):
+            valuations.append(next(i for i, c in enumerate(inner[0]) if c != 0))
+            return horner_form(outer, inner, order)
+
+        monkeypatch.setattr(resultant, "_power_form", counted_power)
+        monkeypatch.setattr(resultant, "_horner_form", counted_horner)
+        forms = [_integer_form(seq, order) for seq in (middle, inner)]
+        return resultant._sides(*forms, order), powers, valuations
+
+    @pytest.mark.parametrize("order", [2, 3, 12])
+    def test_one_ratio_for_a_mixed_middle(self, monkeypatch, order):
+        middle = expand_mean(M5, order).coeffs
+        inner = expand_mean(ALIASES["L"], order).coeffs
+        (b_side, a_side), powers, valuations = self.counted_sides(
+            monkeypatch, middle, inner, order
+        )
+        assert powers == [-1] and valuations == [2, 2]
+        # Each side against its own composition on tuples of Fractions.
+        one, tail = inner[0], list(inner[2:])
+        g, h = [one + inner[1]] + tail, [one + one, inner[1] - one] + tail
+        gt, ht = [one - inner[1]] + [-c for c in tail], [one + one, inner[1] + one] + tail
+        assert _values(*b_side) == oracles._composition_sums(middle, g, h, order)
+        assert _values(*a_side) == oracles._composition_sums(middle, gt, ht, order)
+
+    def test_even_middle_still_reflects(self, monkeypatch):
+        order = 12
+        middle = expand_mean(M4, order).coeffs
+        inner = expand_mean(ALIASES["G"], order).coeffs
+        (b_side, a_side), powers, valuations = self.counted_sides(
+            monkeypatch, middle, inner, order
+        )
+        assert a_side is None and powers == [-1] and valuations == [2]
+
+
 class TestIntegerFormBody:
-    """resultant_coeffs converts rational inputs once and runs the case and
-    parity logic on integer numerators; it equals the same logic on tuples
-    of Fractions through the public series functions, type for type, and
-    any other scalar still takes those functions."""
+    """resultant_coeffs converts rational inputs once and runs on integer
+    numerators; it equals the oracle on tuples of Fractions through the
+    public series functions, which composes a mixed middle mean twice,
+    type for type, and any other scalar still takes those functions."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -566,7 +645,7 @@ class TestIntegerFormBody:
         forms = [_integer_form(seq, order) for seq in (outer, middle, inner)]
         assert resultant._resultant(*forms, order) == _integer_form(reference, order)
 
-    @pytest.mark.parametrize("kind", ["mixed", "even", "degenerate"])
+    @pytest.mark.parametrize("kind", ["mixed", "even", "degenerate", "even-inner"])
     def test_fraction_subclass_sees_every_generic_product(self, kind):
         products = []
 
@@ -581,6 +660,8 @@ class TestIntegerFormBody:
         if kind == "even":
             for seq in triple:
                 seq[1::2] = [F(0)] * len(seq[1::2])
+        if kind == "even-inner":
+            triple[2][1::2] = [F(0)] * len(triple[2][1::2])
         if kind == "degenerate":
             triple[2][1] = F(-1)
         counted = [[Counted(c) for c in seq] for seq in triple]
@@ -596,6 +677,12 @@ class TestIntegerFormBody:
             # same 4 steps, and the top weight's first product through t**2
             # instead of through w: 1 product more.
             assert (seen, len(products) - seen) == (98, 100)
+        elif kind == "even-inner":
+            # The mixed middle weights run one inverse and one ratio where
+            # the oracle runs two, and Horner over their even and odd parts
+            # in the square of the ratio where it runs two full-length
+            # passes: 34 products fewer.
+            assert (seen, len(products) - seen) == (136, 170)
         else:
             assert seen > 0 and seen == len(products) - seen
         assert out == reference
