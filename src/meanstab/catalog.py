@@ -331,7 +331,7 @@ def expand_stable(a2: Rational, order: int) -> MeanExpansion:
     again (at p = 0 the same holds for logarithms), and a_2(B_p) = (p - 1)/2.
     The fixed point is unique: as c_1 = 0, the top coefficient c_n enters
     the resultant coefficient r_n affinely with slope 1/2 + 2**(1-n) (see
-    stability_parameter_scan), which is not 1 for n >= 4, so each c_n is
+    solver.is_stable), which is not 1 for n >= 4, so each c_n is
     determined by the ones below it.  First terms:
         a_4 = a_2 (1 + a_2)(1 - 4 a_2)/6,
         a_6 = a_2 (1 + a_2)(6 - 31 a_2 + 36 a_2^2 + 64 a_2^3)/90.

@@ -68,10 +68,9 @@ converts its three inputs together.  Over Q they become integer numerators
 over their least common denominators, and the result becomes ``Fraction``
 values only on the way out.  The other callers hand the body integer forms
 directly: the solver and :func:`resultant_power_means` B_p's exponent and
-the forms of M and B_q, the solver's stability check the form of M three
-times (or B_p's exponent as the outer mean), each taking the difference
-before converting, and the command line's ``resultant`` the catalog forms
-of its three means (or B_p's exponent as the outer mean).  Any other
+the forms of M and B_q, the solver taking the difference before
+converting, and the command line's ``resultant`` the catalog forms of its
+three means (or B_p's exponent as the outer mean).  Any other
 scalar, a ``Fraction`` subclass included, enters as its own values over
 ``Fraction(1)``, and so do the rational inputs that come with it, so a
 mixed triple computes in the non-rational field; the result is that

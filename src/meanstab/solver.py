@@ -24,8 +24,8 @@ K + 1 - k; the polynomial is then Newton's forward form of
 Delta^0 .. Delta^(k-1), built on integers with one division per coefficient.
 The first band has reach _FIRST_REACH = 6 (max_order, if smaller); a
 search opens one more, at max_order, only when it asks for a k past it, and a
-stability check of M against R(M, M, M) goes on to the order only when
-nothing differs through it.  Six is where the known inputs settle: every
+stability check expands M to the order only when, through the first reach,
+M matches its stable reference.  Six is where the known inputs settle: every
 surd candidate of the benchmark's solve pools settles at t^6, every unstable
 mean of its stable pool differs by t^4, and a search past t^6 is one whose
 difference vanishes on the whole locus (G, L_{+-1/2}).  The trade-off: a
@@ -38,6 +38,12 @@ the first surviving coefficient, since the bands showed that every
 coefficient below it vanishes there.  The stability scan of L_alpha and
 S_alpha reads its t^4 defect the same way, as a band of reach 4 in
 beta = alpha**2 (see stability_parameter_scan).
+
+Stability computes no resultant.  M is stable when R(M, M, M) = M; the
+stable means with c_1 = 0 are the power means, and those with c_1 = 1 or -1
+the maximum and the minimum.  M is compared with the one its first
+coefficients name, and the first coefficient of M - R(M, M, M) follows in
+closed form from where M leaves it (see is_stable).
 
 The verdict distinguishes a candidate direction of the inequality (the sign
 of the first surviving coefficient, which is only the asymptotic, near-
@@ -108,14 +114,7 @@ def _difference_form(m_form: tuple, p: Fraction, q: Fraction, order: int) -> tup
     """M - R(B_p, M, B_q) through the order as integer numerators over one
     denominator, from the integer form of the mean through the order: B_q's
     expansion, the two sides and the closed power-mean outer step."""
-    return _mean_minus_resultant(p, m_form, _power_mean_form(q, order), order)
-
-
-def _mean_minus_resultant(outer, m_form: tuple, inner: tuple, order: int) -> tuple:
-    """M - R(K, M, N) through the order as integer numerators over one
-    denominator, from the integer forms of M and N and the outer mean K: its
-    form, or p for B_p in closed form."""
-    m, r, den = _common(m_form, _resultant(outer, m_form, inner, order))
+    m, r, den = _common(m_form, _resultant(p, m_form, _power_mean_form(q, order), order))
     return [a - b for a, b in zip(m, r)], den
 
 
@@ -426,25 +425,67 @@ class StabilityReport(Value):
 
 
 def is_stable(spec: MeanSpec, order: int) -> StabilityReport:
-    """Compare a mean with R(M, M, M) coefficientwise through the order, and
-    first through the first reach: truncated series arithmetic is exact
-    through its order, so a defect found there is the first one."""
+    """Compare a mean M with R(M, M, M) coefficientwise through the order,
+    and first through the first reach: truncated series arithmetic is exact
+    through its order, so a defect found there is the first one.
+
+    No resultant is computed.  M is compared with the stable mean that its
+    first coefficients name, and the coefficient of M - R(M, M, M) at the
+    first mismatch n is read from a closed form (g, h, d and s as in
+    resultant.py).  A power mean is its own reference.
+
+    * At n = 1 the defect is (c_1**3 - c_1)/2, nonzero unless c_1 is 0, 1
+      or -1.  Through u**1, B = 2 + (c_1**2 + 2c_1 - 1)u and A = 2 +
+      (1 + 2c_1 - c_1**2)u, so u*d/s = (1 - c_1**2)u/2 + ... and
+      r_1 = c_1 + c_1(1 - c_1**2)/2 = (3c_1 - c_1**3)/2.
+    * c_1 = 0: the reference is the power mean B_p, p = 2c_2 + 1, which is
+      stable (see catalog.expand_stable).  The top coefficient c_n enters
+      r_n affinely, with slope 1/2 + 2**(1-n):
+
+      - as the inner mean, it reaches r_n only through h and ht, which carry
+        it at index n (in u*g/h it meets only m_1 = 0 at order n), so s_n
+        gains 2*c_n and r = s * K(u*d/s) / 4 gains c_n/2;
+      - as the middle mean, m_n * h * (u*g/h)**n contributes
+        h_0 * (g_0/h_0)**n = 2 * (1/2)**n on each side, 2**(-n) after the
+        1/4;
+      - as the outer mean, k_n * s * (u*d/s)**n / 4 contributes
+        s_0 * (d_0/s_0)**n / 4 = 2**(-n), with s_0 = 4 and d_0 = 2.
+
+      So if M agrees with B_p below n (n >= 3), R(M, M, M) agrees with
+      R(B_p, B_p, B_p) = B_p there, r_n = b_n + (1/2 + 2**(1-n))(c_n - b_n),
+      and the defect is (1/2 - 2**(1-n))(c_n - b_n).  At n = 4 it is
+      (3/8)(a_4 - a_2(1 + a_2)(1 - 4a_2)/6).
+    * c_1 = 1 or -1 (the inner mean of resultant case III or II): the
+      reference is the maximum or minimum mean x + c_1*t, and the defect is
+      c_n at the first n >= 2 with c_n != 0.  For c_1 = 1, rho = u*g/h =
+      u + (c_n/2)u**n + O(u**(n+1)), so B = 2 + 2u + 4c_n*u**n + ...; the
+      argument u*gt/ht of the other side has valuation n, so
+      A = ht(1 - (c_n/2)u**n) + ... = 2 + 2u + O(u**(n+1)).  Then
+      u*d/s = -c_n*u**n + ..., so r = 1 + u + O(u**(n+1)) and r_n = 0.
+      c_1 = -1 follows by u -> -u.
+    """
     if order < 4:
         raise ValueError("stability checks need order >= 4")
     for reach in dict.fromkeys((min(_FIRST_REACH, order), order)):
-        defects = _stability_defects(spec, reach)
-        first = next((n for n, d in enumerate(defects) if d != 0), None)
-        if first is not None:
-            return StabilityReport(describe_spec(spec), order, False, first, defects[first])
+        defects, den = _defect_form(_mean_form(spec, reach))
+        n = next((n for n, d in enumerate(defects) if d), None)
+        if n is not None:
+            return StabilityReport(describe_spec(spec), order, False, n, Fraction(defects[n], den))
     return StabilityReport(describe_spec(spec), order, True, None, None)
 
 
-def _stability_defects(spec: MeanSpec, order: int) -> list[Rational]:
-    """The coefficients of M - R(M, M, M) through the order, on the integer
-    form of the mean; a power mean is the outer mean in closed form."""
-    m_form = _mean_form(spec, order)
-    outer = spec.p if isinstance(spec, PowerMean) else m_form
-    return list(_values(*_mean_minus_resultant(outer, m_form, m_form, order)))
+def _defect_form(m_form: tuple) -> tuple:
+    """Integer numerators over one denominator that agree with the
+    coefficients of M - R(M, M, M) through the first nonzero one, from the
+    integer form of M through its order, at least 2 (see is_stable)."""
+    m, den = m_form
+    if m[1]:  # M - (x + r_1*t), r_1 = (3c_1 - c_1**3)/2, which is c_1 at c_1 = 1 or -1
+        return [0, m[1] ** 3 - m[1] * den**2, *(2 * den**2 * c for c in m[2:])], 2 * den**3
+    # (1/2 - 2**(1-n))(M - B_p), p = 2c_2 + 1, as (2**n - 4)/2**(n+1) times the gap
+    order = len(m) - 1
+    m, b, den = _common(m_form, _power_mean_form(Fraction(2 * m[2] + den, den), order))
+    gap = [(x - y) * (2**n - 4) << (order - n) for n, (x, y) in enumerate(zip(m, b))]
+    return gap, den << (order + 1)
 
 
 _SCAN_FAMILIES = {"L": LAlpha, "LALPHA": LAlpha, "S": SAlpha, "SALPHA": SAlpha}
@@ -461,29 +502,18 @@ def stability_parameter_scan(family: str, order: int = 16) -> list[Root]:
     """All parameters alpha in [-1, 1] for which the family is stable.
 
     The t^4 stability defect is read as an exact polynomial in beta =
-    alpha**2, as a band of reach 4 reads its t^4 column: M - R(M, M, M) at
-    order 4 on the catalog's beta forms at beta = -3..2, with Delta^4 and
-    Delta^5 checked to vanish.  The column's degree bound 3 is proven.  For
-    an even mean (c_1 = 0) the top coefficient c_n enters the coefficient r_n
-    of R(M, M, M) affinely, with slope 1/2 + 2**(1-n) (g, h, d and s as in
-    resultant.py):
-
-    * as the inner mean, it reaches r_n only through h and ht, which carry it
-      at index n (in u*g/h it meets only m_1 = 0 at order n), so s_n gains
-      2*c_n and r = s * K(u*d/s) / 4 gains c_n/2;
-    * as the middle mean, m_n * h * (u*g/h)**n contributes
-      h_0 * (g_0/h_0)**n = 2 * (1/2)**n on each side, 2**(-n) after the 1/4;
-    * as the outer mean, k_n * s * (u*d/s)**n / 4 contributes
-      s_0 * (d_0/s_0)**n / 4 = 2**(-n), with s_0 = 4 and d_0 = 2.
-
-    At n = 4, r_4 = (5/8) a_4 + a_2(1 + a_2)(1 - 4a_2)/16, so the defect is
-    (3/8)(a_4 - a_2(1 + a_2)(1 - 4a_2)/6), and the u**(2k) coefficient of
-    the cosh form, and so of the mean, has degree at most k in beta: a_2 is
-    affine and a_4 quadratic.  Only rational alpha are reported: a root in
-    [0, 1] that is a rational square must pass a full coefficient comparison
-    to the given order (at least 4), and any other root there raises
-    ArithmeticError ("unresolved"); L's roots are -1/20, 1/4 and 1, S's
-    only root is about 1.37.
+    alpha**2, as a band of reach 4 reads its t^4 column: the defect form of
+    is_stable at order 4 on the catalog's beta forms at beta = -3..2, with
+    Delta^4 and Delta^5 checked to vanish.  As the family is even, that form
+    is (3/8)(M - B_p), p = 2a_2 + 1, below t^5, and its t^4 coefficient
+    (3/8)(a_4 - a_2(1 + a_2)(1 - 4a_2)/6) is that of M - R(M, M, M) whether
+    or not M leaves B_p there.  The column's degree bound 3 is
+    proven: the u**(2k) coefficient of the cosh form, and so of the mean,
+    has degree at most k in beta, so a_2 is affine and a_4 quadratic.  Only
+    rational alpha are reported: a root in [0, 1] that is a rational square
+    must pass a full coefficient comparison to the given order (at least
+    4), and any other root there raises ArithmeticError ("unresolved"); L's
+    roots are -1/20, 1/4 and 1, S's only root is about 1.37.
     Families: "L" (generated by cosh) and "S" (generated by 1/cosh).
     """
     if order < 4:
@@ -492,11 +522,7 @@ def stability_parameter_scan(family: str, order: int = 16) -> list[Root]:
     if make_spec is None:
         raise ValueError("family must be 'LAlpha' or 'SAlpha'")
 
-    def defect(beta: Fraction) -> tuple:  # M - R(M, M, M) at order 4
-        form = _cosh_mean_form(beta, make_spec is SAlpha, 4)
-        return _mean_minus_resultant(form, form, form, 4)
-
-    defect4 = _band(defect, 4, 4)[4]
+    defect4 = _band(lambda x: _defect_form(_cosh_mean_form(x, make_spec is SAlpha, 4)), 4, 4)[4]
     if defect4.is_zero:
         raise ArithmeticError("t^4 defect vanishes identically; scan inconclusive")
     results: list[Root] = []

@@ -64,7 +64,8 @@ Each one is an independent derivation of the same coefficients:
   means;
 * ``stability_defects_by_mean_map``: the stability defects M - R(M, M, M)
   from the expansion of M and ``resultant_mean_map`` as Fractions, where
-  the solver takes the difference on the integer form of the mean;
+  the solver computes no resultant: it compares M with the stable mean its
+  first coefficients name and reads the first defect from a closed slope;
 * ``binomial``: the generalized binomial coefficient, one Fraction product
   per factor;
 * ``cauchy_product`` and ``power_recursion``: the series product and the
@@ -131,9 +132,10 @@ Each one is an independent derivation of the same coefficients:
   reads polynomials through equally spaced samples from integer forward
   differences;
 * ``defect_polynomial_by_lagrange``: the stability scan's defect polynomial
-  in beta = alpha**2 interpolated through 11 unequally spaced beta samples
-  and checked at two more, where the solver mirrors 13 equally spaced alpha
-  samples and reads Newton's forward form in j = 12*alpha.
+  in beta = alpha**2 from the mean-map defects, interpolated through 11
+  unequally spaced beta samples and checked at two more, where the solver
+  samples (3/8)(M - B_p) at six consecutive integers beta and reads
+  Newton's forward form.
 
 Except for the mpmath ones and the extrapolation they are exact, and all
 are slow; only tests use them.
@@ -190,7 +192,6 @@ from meanstab.series import (
 from meanstab.solver import (
     AffineLocus,
     OptimalCandidate,
-    _stability_defects,
     coefficient_polynomials,
     difference_expansion,
     first_order_locus,
@@ -245,7 +246,7 @@ def stable_by_closed_slope(a2: Rational, order: int) -> MeanExpansion:
     """The fixed point of R(M, M, M) = M solved one even order n >= 4 at a
     time: one resultant with c_n = 0 on the integer form of the window gives
     r_n = base, and c_n = base / (1 - slope) with the closed slope
-    1/2 + 2**(1-n) of stability_parameter_scan's docstring."""
+    1/2 + 2**(1-n) of is_stable's docstring."""
     coeffs = [ONE] + [ZERO] * order
     if order >= 2:
         coeffs[2] = Fraction(a2)
@@ -956,7 +957,7 @@ def defect_polynomial_by_lagrange(make_spec, index: int) -> UniPoly:
     beta = alpha**2, through the first 11 of the 13 ``SCAN_ALPHAS`` and
     checked at the last two."""
     points = [
-        (alpha * alpha, _stability_defects(make_spec(alpha), index)[index])
+        (alpha * alpha, stability_defects_by_mean_map(make_spec(alpha), index)[index])
         for alpha in SCAN_ALPHAS
     ]
     poly = lagrange_interpolate(points[:-2])

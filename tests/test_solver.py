@@ -532,8 +532,8 @@ class TestClosedOuterStepInTheSolver:
         order = 16
         exp = expand_mean(PowerMean(p), order)
         horner = resultant_coeffs(exp.coeffs, exp.coeffs, exp.coeffs, order)
-        defects = solver._stability_defects(PowerMean(p), order)
-        assert defects == [a - r for a, r in zip(exp.coeffs, horner)] == [F(0)] * (order + 1)
+        assert horner == exp.coeffs
+        assert is_stable(PowerMean(p), order).is_stable
 
 
 class TestOptimalParameters:
@@ -866,13 +866,13 @@ class TestStabilityProbe:
     @staticmethod
     def recorded_orders(monkeypatch):
         orders = []
-        real = solver._stability_defects
+        real = solver._mean_form
 
         def recording(spec, order):
             orders.append(order)
             return real(spec, order)
 
-        monkeypatch.setattr(solver, "_stability_defects", recording)
+        monkeypatch.setattr(solver, "_mean_form", recording)
         return orders
 
     @pytest.mark.parametrize("spec, first", [(M2, 4), (M5, 1), (MAlphaR(F(1), F(2)), 2)],
@@ -898,18 +898,22 @@ class TestStabilityProbe:
         assert orders == [order]
 
     def test_a_first_defect_past_the_probe_is_found(self, monkeypatch):
-        real = solver._stability_defects
+        # M2 becomes the power mean of its a_2 with c_8 moved by bump, which
+        # moves the defect at 8 by (1/2 - 2**(-7)) * bump.
+        real = solver._mean_form
         planted = F(3, 7)
+        bump = planted / (F(1, 2) - F(2, 2**8))
+        p = 2 * expand_mean(M2, 2).coefficient(2) + 1
 
         def planted_at_eight(spec, order):
-            defects = real(spec, order)
-            if spec == M2:
-                defects[:8] = [F(0)] * min(8, order + 1)
-                if order >= 8:
-                    defects[8] = planted
-            return defects
+            if spec != M2:
+                return real(spec, order)
+            coeffs = list(expand_power_mean(p, order).coeffs)
+            if order >= 8:
+                coeffs[8] += bump
+            return _integer_form(coeffs, order)
 
-        monkeypatch.setattr(solver, "_stability_defects", planted_at_eight)
+        monkeypatch.setattr(solver, "_mean_form", planted_at_eight)
         report = is_stable(M2, 16)
         assert (report.order, report.is_stable, report.first_mismatch) == (16, False, 8)
         assert report.defect == planted
@@ -918,18 +922,85 @@ class TestStabilityProbe:
     @pytest.mark.parametrize("order", [4, 5, 6, 7, 16, 33])
     @pytest.mark.parametrize("spec", _PROBE_SPECS, ids=describe_spec)
     def test_the_first_defect_is_that_of_the_full_order(self, spec, order):
-        defects = solver._stability_defects(spec, order)
+        defects = oracles.stability_defects_by_mean_map(spec, order)
         first = next((n for n, d in enumerate(defects) if d != 0), None)
         expected = (first is None, first, None if first is None else defects[first])
         report = is_stable(spec, order)
         assert (report.is_stable, report.first_mismatch, report.defect) == expected
+        if first is not None:
+            assert type(report.defect) is F
 
-    @pytest.mark.parametrize("order", [4, 5, 6, 7, 16, 33])
     @pytest.mark.parametrize("spec", _PROBE_SPECS, ids=describe_spec)
-    def test_defects_equal_the_mean_map_route(self, spec, order):
-        defects = solver._stability_defects(spec, order)
-        assert defects == oracles.stability_defects_by_mean_map(spec, order)
-        assert {type(d) for d in defects} == {F}
+    def test_no_resultant_is_computed(self, monkeypatch, spec):
+        # Truncated series are exact through their order, so the defects
+        # through k are the first k + 1 of those through 33.
+        defects = oracles.stability_defects_by_mean_map(spec, 33)
+        first = next((n for n, d in enumerate(defects) if d != 0), None)
+
+        def refused(*args):
+            raise AssertionError("a stability check computed a resultant")
+
+        monkeypatch.setattr(solver, "_resultant", refused)
+        for order in range(4, 34):
+            report = is_stable(spec, order)
+            if first is None or first > order:
+                assert (report.is_stable, report.first_mismatch, report.defect) == (True, None, None)
+            else:
+                assert (report.is_stable, report.first_mismatch) == (False, first)
+                assert report.defect == defects[first]
+
+    @pytest.mark.parametrize("family, stable", [(LAlpha, [F(-1), F(-1, 2), F(1, 2), F(1)]),
+                                                (SAlpha, [])], ids=["L", "S"])
+    def test_no_resultant_is_computed_by_the_scan(self, monkeypatch, family, stable):
+        def refused(*args):
+            raise AssertionError("the stability scan computed a resultant")
+
+        monkeypatch.setattr(solver, "_resultant", refused)
+        roots = stability_parameter_scan(family.__name__, 24)
+        assert [r.value for r in roots] == stable
+        for alpha in stable:
+            assert not any(oracles.stability_defects_by_mean_map(family(alpha), 24))
+
+
+_C1_OFF = st.fractions(-3, 3, max_denominator=9).filter(lambda c: c not in (0, 1, -1))
+_SMALL = st.fractions(-2, 2, max_denominator=12)
+
+
+class TestDefectForm:
+    """The rule of is_stable against R(M, M, M) by the double sums, on
+    arbitrary sequences in each of its three cases: the defect form agrees
+    with M - R(M, M, M) through the first nonzero coefficient."""
+
+    @staticmethod
+    def check(c: list) -> None:
+        order = len(c) - 1
+        r = oracles.resultant_by_double_sums(c, c, c, order)
+        expected = [a - b for a, b in zip(c, r)]
+        first = next((n for n, d in enumerate(expected) if d), order)
+        defects = _values(*solver._defect_form(_integer_form(c, order)))
+        assert defects[: first + 1] == tuple(expected[: first + 1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(order=st.integers(4, 10), data=st.data())
+    def test_c1_zero_leaving_the_power_mean(self, order, data):
+        a2 = data.draw(_SMALL)
+        c = list(expand_power_mean(2 * a2 + 1, order).coeffs)
+        n = data.draw(st.integers(3, order))
+        c[n:] = [b + data.draw(_SMALL) for b in c[n:]]
+        self.check(c)
+
+    @settings(max_examples=40, deadline=None)
+    @given(order=st.integers(4, 10), c1=st.sampled_from([F(1), F(-1)]), data=st.data())
+    def test_c1_one_leaving_the_max_or_min(self, order, c1, data):
+        n = data.draw(st.integers(2, order + 1))
+        c = [F(1), c1] + [F(0)] * (n - 2) + [data.draw(_SMALL) for _ in range(n, order + 1)]
+        self.check(c)
+
+    @settings(max_examples=40, deadline=None)
+    @given(order=st.integers(4, 10), c1=_C1_OFF, data=st.data())
+    def test_c1_off_the_stable_values(self, order, c1, data):
+        c = [F(1), c1] + [data.draw(_SMALL) for _ in range(2, order + 1)]
+        self.check(c)
 
 
 class TestParameterScan:
