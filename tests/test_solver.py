@@ -930,6 +930,18 @@ class TestStabilityProbe:
         if first is not None:
             assert type(report.defect) is F
 
+    @pytest.mark.parametrize("order", [4, 5, 6, 7, 16, 33])
+    @pytest.mark.parametrize("spec", _PROBE_SPECS, ids=describe_spec)
+    def test_defects_equal_the_mean_map_route(self, spec, order):
+        # The defect form at the full order, past the probe's reach: it agrees
+        # with M - R(M, M, M) through the first nonzero coefficient.
+        defects = _values(*solver._defect_form(solver._mean_form(spec, order)))
+        expected = oracles.stability_defects_by_mean_map(spec, order)
+        first = next((n for n, d in enumerate(expected) if d), order)
+        assert len(defects) == len(expected) == order + 1
+        assert defects[: first + 1] == tuple(expected[: first + 1])
+        assert {type(d) for d in defects} == {F}
+
     @pytest.mark.parametrize("spec", _PROBE_SPECS, ids=describe_spec)
     def test_no_resultant_is_computed(self, monkeypatch, spec):
         # Truncated series are exact through their order, so the defects
