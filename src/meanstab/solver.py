@@ -27,9 +27,11 @@ search opens one more, at max_order, only when it asks for a k past it, and a
 stability check expands M to the order only when, through the first reach,
 M matches its stable reference.  Six is where the known inputs settle: every
 surd candidate of the benchmark's solve pools settles at t^6, every unstable
-mean of its stable pool differs by t^4, and a search past t^6 is one whose
-difference vanishes on the whole locus (G, L_{+-1/2}).  The trade-off: a
-candidate or defect first surviving past t^6 would pay for both.  An even
+mean of its stable pool differs by t^4, and a mean with a_2 = -1/2, whose
+difference vanishes on the whole locus as far as it agrees with G (G,
+L_{+-1/2}), takes no band: its columns come from one comparison with G (see
+optimal_parameters).  The trade-off: a candidate or defect first surviving
+past t^6 would pay for both.  An even
 mean's difference has no odd coefficient (the resultant of even means is
 even), so its search asks only for even k.  A rational root of the pivot
 (the first nonzero coefficient polynomial) opens no band: past the last
@@ -66,6 +68,7 @@ from .catalog import (
     PowerMean,
     SAlpha,
     describe_spec,
+    expand_power_mean,
 )
 from .numeric import boundary_limit
 from .polynomials import (
@@ -305,15 +308,33 @@ def optimal_parameters(
 
     Each root of the pivot is followed through the coefficient polynomials
     of the sampled bands (for an even mean only the even ones), of reach 6
-    and, past it, max_order.  A rational root that gets past the last band
-    is read from one difference expansion at the root, truncated at
-    max_order: its first nonzero coefficient is the survivor, and a nonzero
-    coefficient below the bands' reach raises ArithmeticError.
-    Surd parameters are evaluated exactly through reduction modulo their
-    minimal polynomial; a leading coefficient that is rational comes back
-    exact, otherwise as a sign-certified enclosure.  Boundary limits (when a
-    mean spec is supplied) are numeric evidence attached to the verdict,
-    never part of the exact computation.
+    and, past it, max_order.  A mean with a_2 = -1/2 (locus q = -p/2)
+    samples no band.  If it first leaves G = B_0 at index n <= max_order,
+    with c_n - g_n = delta, every column below n is zero and column n is
+    the constant (1 - 2**-n)*delta; if it never leaves G, every column is
+    zero:
+
+    * with N = B_q(s, t), R(B_p, G, B_q) = sqrt(N)*B_p(sqrt(s), sqrt(t)),
+      which at q = -p/2 is [(s**(p/2) + t**(p/2))/(s**(-p/2) +
+      t**(-p/2))]**(1/p) = sqrt(s*t), and at p = q = 0 is R(G, G, G) = G;
+    * through order n the resultant reads only m_0..m_n, so below n the
+      difference is that of G, zero on the locus;
+    * the middle mean's top coefficient enters B_n and A_n as
+      h_0*(g_0/h_0)**n*delta = 2**(1-n)*delta, as g_0/h_0 = gt_0/ht_0 = 1/2
+      at n_1 = 0 (g, h, B, A, X and Y as in resultant.py), so X_n and Y_n
+      each gain 2**-n*delta; B_p, like any symmetric mean, has partial
+      derivatives 1/2 at (1, 1), so r_n gains 2**-n*delta for every p and q;
+    * on the locus r_n of G is g_n, so the difference at n is
+      (1 - 2**-n)*delta, constant in p.
+
+    A rational root that gets past the last band is read from one difference
+    expansion at the root, truncated at max_order: its first nonzero
+    coefficient is the survivor, and a nonzero coefficient below the bands'
+    reach raises ArithmeticError.  Surd parameters are evaluated exactly
+    through reduction modulo their minimal polynomial; a leading coefficient
+    that is rational comes back exact, otherwise as a sign-certified
+    enclosure.  Boundary limits (when a mean spec is supplied) are numeric
+    evidence attached to the verdict, never part of the exact computation.
     """
     if max_order < 3:
         raise ValueError("the search needs max_order >= 3")
@@ -334,6 +355,13 @@ def optimal_parameters(
 
     locus = first_order_locus(mean)
     polys: dict[int, UniPoly] = {}
+    if locus.intercept == 0:
+        # a_2 = -1/2: every column comes from where M first leaves G (see above).
+        g = expand_power_mean(0, max_order).coeffs
+        n = next((n for n in range(3, max_order + 1) if mean.coeffs[n] != g[n]), max_order + 1)
+        polys = dict.fromkeys(range(2, n), UniPoly.zero())
+        if n <= max_order:
+            polys[n] = UniPoly(((1 - Fraction(1, 2**n)) * (mean.coeffs[n] - g[n]),))
     # The odd coefficients of an even mean's difference vanish.
     step = 2 if mean.is_even else 1
 

@@ -310,6 +310,20 @@ class TestOrderBands:
         optimal_parameters(mean, max_order)
         return orders, forms
 
+    @staticmethod
+    def asked_bands(monkeypatch):
+        """The low index of each coefficient_polynomials call the search
+        makes from now on, in call order."""
+        asked = []
+        real = solver.coefficient_polynomials
+
+        def recording(mean, locus, low, high):
+            asked.append(low)
+            return real(mean, locus, low, high)
+
+        monkeypatch.setattr(solver, "coefficient_polynomials", recording)
+        return asked
+
     def test_early_search_stays_below_order_seven(self, monkeypatch):
         orders = self.sampled_orders(monkeypatch, SAlpha(F(1, 10)), 14)
         assert orders and max(orders) <= 6
@@ -329,9 +343,23 @@ class TestOrderBands:
         orders = self.sampled_orders(monkeypatch, LAlpha(F(3, 10)), 16)
         assert orders == [6] * 8
 
-    def test_vanishing_on_the_locus_keeps_the_deep_band(self, monkeypatch):
+    def test_vanishing_on_the_locus_opens_no_band(self, monkeypatch):
+        # a_2 = -1/2: the columns come from one comparison with G
+        asked = self.asked_bands(monkeypatch)
         orders = self.sampled_orders(monkeypatch, ALIASES["G"], 16)
-        assert orders == [6] * 8 + [16] * 18
+        assert orders == [] and asked == []
+
+    def test_second_band_opens_at_the_search_order(self, monkeypatch):
+        # with a first reach of 4, S_{1/10}'s surd roots survive past it: the
+        # band at max_order follows, and the verdict does not change
+        spec = SAlpha(F(1, 10))
+        mean = expand_mean(spec, 8)
+        expected = optimal_parameters(mean, 8, spec=spec)
+        monkeypatch.setattr(solver, "_FIRST_REACH", 4)
+        asked = self.asked_bands(monkeypatch)
+        orders, _ = self.sampled_expansions(monkeypatch, mean, 8)
+        assert orders == [4] * 6 + [8] * 10 and asked == [4, 6]
+        assert optimal_parameters(mean, 8, spec=spec) == expected
 
     @pytest.mark.parametrize("max_order", [3, 5, 8, 13, 16, 25])
     @pytest.mark.parametrize(
@@ -340,21 +368,17 @@ class TestOrderBands:
         ids=describe_spec,
     )
     def test_even_mean_asks_only_for_even_orders(self, monkeypatch, spec, max_order):
-        asked = []
-        real = solver.coefficient_polynomials
-
-        def recording(mean, locus, low, high):
-            asked.append(low)
-            return real(mean, locus, low, high)
-
-        monkeypatch.setattr(solver, "coefficient_polynomials", recording)
+        asked = self.asked_bands(monkeypatch)
         mean = expand_mean(spec, max_order)
         orders, forms = self.sampled_expansions(monkeypatch, mean, max_order)
         assert all(k % 2 == 0 for k in asked)
         assert all(order == max_order or order % 2 == 0 for order in orders)
         # the premise: every odd coefficient of an even mean's difference is 0
         assert all(not any(nums[1::2]) for nums, _ in forms)
-        if max_order >= 4:
+        if spec == ALIASES["G"]:
+            # a_2 = -1/2 asks for no band at all
+            assert asked == [] and orders == []
+        elif max_order >= 4:
             assert asked[0] == 4
 
     @pytest.mark.parametrize("odd", [3, 5])
@@ -378,15 +402,21 @@ class TestOrderBands:
             ] * 2
 
     @pytest.mark.parametrize(
-        "spec, max_order", [(ALIASES["G"], 32), (LAlpha(F(1, 2)), 48)], ids=["G-32", "L_1/2-48"]
+        "spec, max_order",
+        [(ALIASES["G"], 32), (LAlpha(F(1, 2)), 48), (ALIASES["G"], 64)],
+        ids=["G-32", "L_1/2-48", "G-64"],
     )
-    def test_deep_vanishing_search_opens_two_bands(self, monkeypatch, spec, max_order):
-        # the difference vanishes on the whole locus: the band of reach 6,
-        # then one at the search order and nothing between
+    def test_deep_vanishing_search_opens_no_band(self, monkeypatch, spec, max_order):
+        # the difference vanishes on the whole locus, which one comparison
+        # with G shows: no band and no difference expansion
+        asked = self.asked_bands(monkeypatch)
         orders = self.sampled_orders(monkeypatch, spec, max_order)
-        assert orders == [6] * 8 + [max_order] * (max_order + 2)
+        assert orders == [] and asked == []
         verdict = optimal_parameters(expand_mean(spec, max_order), max_order, spec=spec)
         assert verdict.relation == "stabilizable" and verdict.candidates == ()
+        assert verdict.notes == (
+            f"difference vanishes identically on the locus through order {max_order}",
+        )
 
     @pytest.mark.parametrize("max_order", [12, 16])
     @pytest.mark.parametrize(
@@ -415,6 +445,46 @@ class TestOrderBands:
     def test_search_needs_the_expansion_through_max_order(self):
         with pytest.raises(ValueError, match="shorter than the requested search order"):
             optimal_parameters(expand_mean(M2, 6), 8)
+
+
+class TestLeavingG:
+    """The rule for a_2 = -1/2 against routes it does not share: if M first
+    leaves G at n, by delta, the difference on the locus q = -p/2 vanishes
+    below n and is the constant (1 - 2**-n)*delta at n."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(order=st.integers(3, 14), even=st.booleans(), data=st.data())
+    def test_first_surviving_column(self, order, even, data):
+        n = data.draw(st.integers(3, 16))
+        n += even and n % 2
+        sign = data.draw(st.sampled_from([-1, 1]))
+        delta = sign * data.draw(st.fractions(F(1, 12), 2, max_denominator=12))
+        c = list(expand_power_mean(0, max(order, n)).coeffs)
+        c[n] += delta
+        c[n + 1 :] = [F(0) if even and k % 2 else data.draw(_SMALL) for k in range(n + 1, len(c))]
+        mean = MeanExpansion(tuple(c))
+        # the difference through min(n, order): zero, then the constant at n
+        top = min(n, order)
+        expected = [F(0)] * (top + 1)
+        if n <= order:
+            expected[n] = (1 - F(1, 2**n)) * delta
+        polys = coefficient_polynomials(mean, first_order_locus(mean), 2, order)
+        assert [polys[k] for k in range(2, top + 1)] == [UniPoly((e,)) for e in expected[2:]]
+        # the search reads the same from its comparison with G
+        verdict = optimal_parameters(mean, order)
+        if n <= order:
+            assert (verdict.fixed_leading_order, verdict.fixed_leading) == (n, expected[n])
+        else:
+            assert verdict.relation == "stabilizable"
+        if order > 8:
+            return
+        # the double sums on independently expanded power means
+        m = mean.coeffs[: order + 1]
+        for _ in range(2):
+            p = data.draw(st.fractions(-3, 3, max_denominator=6))
+            bp, bq = (oracles.expand_power_mean_from_fractions(x, order).coeffs for x in (p, -p / 2))
+            r = oracles.resultant_by_double_sums(bp, m, bq, order)
+            assert [a - b for a, b in zip(m[: top + 1], r)] == expected
 
 
 class TestRationalCandidatesAgainstBands:
