@@ -75,6 +75,16 @@ def _denominator_closed(spec: MeanSpec, y: float) -> float:
     raise TypeError(f"no denominator form for {spec!r}")
 
 
+def _log_denominator(spec: MeanSpec, y: float) -> float:
+    """ln D(y) where D(y) overflows.  Only L_alpha's does, where
+    sinh(|alpha|*y) does, past |alpha|*y = 710: there exp(-2|alpha|*y)
+    underflows, so D(y) = exp(|alpha|*y)/(2|alpha|) in double precision."""
+    if not isinstance(spec, LAlpha):
+        raise OverflowError("math range error")
+    a = abs(float(spec.alpha))
+    return a * y - math.log(2.0 * a)
+
+
 def _power_factor_log(p: float, y: float) -> float:
     """ln ((1 + exp(-|p|y))/2)**(1/p): B_p, p != 0, at y = ln(hi/lo) is this
     factor times hi for p > 0 and lo for p < 0; log1p and expm1 keep the
@@ -87,7 +97,8 @@ def eval_mean(spec: MeanSpec, a: float, b: float) -> float:
     ln(hi/lo) by log1p, or by two logs once hi/lo overflows; (hi - lo)/D(y)
     for a quotient mean, and for B_p, p != 0, the dominant argument times
     exp of the power factor, in one exp of the summed logs once that factor
-    leaves e^+-700.  L_alpha raises OverflowError where sinh(alpha*y) does."""
+    leaves e^+-700.  Where D(y) overflows (L_alpha, as sinh(alpha*y) does)
+    the quotient is exp(ln(hi - lo) - ln D(y))."""
     _require_positive(a, b)
     if a == b:
         return float(a)
@@ -102,7 +113,10 @@ def eval_mean(spec: MeanSpec, a: float, b: float) -> float:
         if abs(log_power) <= 700.0:
             return dominant * math.exp(log_power)
         return math.exp(math.log(dominant) + log_power)
-    value = (hi - lo) / _denominator_closed(spec, y)
+    try:
+        value = (hi - lo) / _denominator_closed(spec, y)
+    except OverflowError:
+        value = math.exp(math.log(hi - lo) - _log_denominator(spec, y))
     return min(max(value, lo), hi)
 
 
@@ -111,8 +125,9 @@ def eval_f(spec: MeanSpec, x: float) -> float:
     mean comparison into comparison of one-variable functions.  G is exactly
     1.0; another B_p is exp(+-x) times exp of the power factor at y = 2x, in
     one exp once either leaves e^+-700.  A quotient mean is 2*sinh(x)/D(2x),
-    past x = 700 exp(x - 700)*(exp(700)/D(2x)): OverflowError only where f_M
-    or D(2x) does."""
+    past x = 700 exp(x - 700)*(exp(700)/D(2x)), and exp of the difference of
+    the logs where D(2x) overflows (L_alpha): OverflowError only where f_M
+    does."""
     if not (x > 0):
         raise ValueError("evaluate the associated function at x > 0")
     if isinstance(spec, PowerMean):
@@ -124,7 +139,12 @@ def eval_f(spec: MeanSpec, x: float) -> float:
         if max(abs(lead), abs(log_power)) <= 700.0:
             return math.exp(lead) * math.exp(log_power)
         return math.exp(lead + log_power)
-    d = _denominator_closed(spec, 2.0 * x)
+    try:
+        d = _denominator_closed(spec, 2.0 * x)
+    except OverflowError:
+        # ln(2*sinh(x)) is x past 700, where exp(-2x) underflows
+        log_sinh = math.log(2.0 * math.sinh(x)) if x <= 700.0 else x
+        return math.exp(log_sinh - _log_denominator(spec, 2.0 * x))
     value = 2.0 * math.sinh(x) / d if x <= 700.0 else math.exp(x - 700.0) * (math.exp(700.0) / d)
     if value == math.inf:
         raise OverflowError("math range error")

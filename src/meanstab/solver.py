@@ -11,7 +11,11 @@ difference M - R(B_p, M, B_q) order by order:
   k - 1, recovered exactly from samples at consecutive integers and solved
   by certified root isolation.
 
-The coefficient polynomials come in order bands.  A band of reach K samples
+The pivot, the first nonzero coefficient polynomial, needs no sample: with
+r = 2*a_2 + 1, the t^3 column is the constant (7/8)*a_3 and, when a_3 = 0,
+the t^4 column is the closed quadratic (r/128)*(p**2 - r**2) + (15/16)*(a_4 -
+b_4), b_4 the t^4 coefficient of B_r (see optimal_parameters).  Past t^4 the
+coefficient polynomials come in order bands.  A band of reach K samples
 the difference once at the n = K + 2 consecutive integers p = x0 .. x0+n-1,
 x0 = -(n//2), truncated at order K, and serves every k <= K it is asked for:
 the t^k coefficient of a truncation at K equals that of a truncation at k.
@@ -22,24 +26,26 @@ vanish for j = k .. n-1, which holds exactly when the polynomial through
 k + 1 of the samples has degree <= k - 1 and passes through the other
 K + 1 - k; the polynomial is then Newton's forward form of
 Delta^0 .. Delta^(k-1), built on integers with one division per coefficient.
-The first band has reach _FIRST_REACH = 6 (max_order, if smaller); a
-search opens one more, at max_order, only when it asks for a k past it, and a
-stability check expands M to the order only when, through the first reach,
-M matches its stable reference.  Six is where the known inputs settle: every
-surd candidate of the benchmark's solve pools settles at t^6, every unstable
-mean of its stable pool differs by t^4, and a mean with a_2 = -1/2, whose
-difference vanishes on the whole locus as far as it agrees with G (G,
-L_{+-1/2}), takes no band: its columns come from one comparison with G (see
-optimal_parameters).  The trade-off: a candidate or defect first surviving
-past t^6 would pay for both.  An even
-mean's difference has no odd coefficient (the resultant of even means is
-even), so its search asks only for even k.  A rational root of the pivot
-(the first nonzero coefficient polynomial) opens no band: past the last
-reach, one difference expansion at the root, truncated at max_order, gives
-the first surviving coefficient, since the bands showed that every
-coefficient below it vanishes there.  The stability scan of L_alpha and
-S_alpha reads its t^4 defect the same way, as a band of reach 4 in
-beta = alpha**2 (see stability_parameter_scan).
+The first band has reach _FIRST_REACH = 6 (max_order, if smaller) and opens
+only when a column k >= 5 is asked at a root of the pivot; a search opens
+one more, at max_order, only when it asks for a k past it, and a stability
+check expands M to the order only when, through the first reach, M matches
+its stable reference.  Six is where the known inputs settle: every surd
+candidate of the benchmark's solve pools settles at t^6, and every unstable
+mean of its stable pool differs by t^4.  The trade-off: a candidate or
+defect first surviving past t^6 would pay for both.  An identity point of
+B_r, where R(B_p, B_r, B_q) = B_r, takes no band: the difference there
+comes from one comparison of M with B_r.  They are the roots p = +-r of a
+mean that agrees with B_r through t^4 (A, H, L_{+-1} = H and every B_r)
+and, for a_2 = -1/2 (G, L_{+-1/2}), the whole locus, whose columns then all
+come from that comparison (see optimal_parameters).  An even mean's
+difference has no odd coefficient (the resultant of even means is even), so
+its search asks only for even k.  Any other rational root of the pivot
+opens no second band: past the first reach, one difference expansion at
+the root, truncated at max_order, gives the first surviving coefficient,
+since the band showed that every coefficient below it vanishes there.  The
+stability scan of L_alpha and S_alpha reads its t^4 defect the same way, as
+a band of reach 4 in beta = alpha**2 (see stability_parameter_scan).
 
 Stability computes no resultant.  M is stable when R(M, M, M) = M; the
 stable means with c_1 = 0 are the power means, and those with c_1 = 1 or -1
@@ -57,6 +63,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from fractions import Fraction
+from functools import cache
 
 from .catalog import (
     _cosh_mean_form,
@@ -306,35 +313,67 @@ def optimal_parameters(
     """Search for power-mean parameters cancelling as many difference
     coefficients as possible, then certify the first survivor.
 
+    Let r = 2*a_2 + 1, so that the locus is q = (3r - p)/2, and let b_n be
+    the coefficients of B_r; b_4 = (r - 1)*(3 + r - 2*r**2)/24.  The pivot
+    comes from closed columns: the t^3 column is the constant (7/8)*a_3, and
+    when a_3 = 0 the t^4 column is (r/128)*(p**2 - r**2) + (15/16)*(a_4 -
+    b_4), that is (120*a_4 + r*p**2 + 9*r**3 - 15*r**2 - 10*r + 15)/128:
+
+    * t^3: the top coefficient a_3 enters R(B_p, M, B_q) with slope 2**-3,
+      by the argument for identity points below, and the part of the t^3
+      coefficient that a_2 alone gives is that of an even mean, whose
+      difference has no odd coefficient; so the column is a_3 - a_3/8;
+    * t^4: for even K, M and N, R(K, M, N)(a, b) = K(M(a, N), M(N, b)) has
+      the t^4 coefficient r_4 = k_4/16 + m_4/16 + n_4/2 - k_2*m_2*n_2/2 -
+      3*k_2*m_2/16 - k_2*n_2/8 + m_2*n_2**2/4 + m_2*n_2/8 + m_2/16, and
+      through t^4 a mean with a_1 = a_3 = 0 enters as an even one.  K = B_p
+      and N = B_q have k_2 = (p - 1)/2, k_4 = b_4 at p, and the same at q;
+      with m_2 = (r - 1)/2, a_4 - r_4 is the column above.
+
     Each root of the pivot is followed through the coefficient polynomials
     of the sampled bands (for an even mean only the even ones), of reach 6
-    and, past it, max_order.  A mean with a_2 = -1/2 (locus q = -p/2)
-    samples no band.  If it first leaves G = B_0 at index n <= max_order,
-    with c_n - g_n = delta, every column below n is zero and column n is
-    the constant (1 - 2**-n)*delta; if it never leaves G, every column is
-    zero:
+    and, past it, max_order, unless it is an identity point of B_r, a (p, q)
+    with R(B_p, B_r, B_q) = B_r.  There, if M first leaves B_r at index n <=
+    max_order, with c_n - b_n = delta, the difference vanishes below n and is
+    (1 - 2**-n)*delta at n; if M never leaves B_r, it vanishes through
+    max_order:
 
-    * with N = B_q(s, t), R(B_p, G, B_q) = sqrt(N)*B_p(sqrt(s), sqrt(t)),
-      which at q = -p/2 is [(s**(p/2) + t**(p/2))/(s**(-p/2) +
-      t**(-p/2))]**(1/p) = sqrt(s*t), and at p = q = 0 is R(G, G, G) = G;
     * through order n the resultant reads only m_0..m_n, so below n the
-      difference is that of G, zero on the locus;
+      difference is that of B_r, zero at an identity point;
     * the middle mean's top coefficient enters B_n and A_n as
       h_0*(g_0/h_0)**n*delta = 2**(1-n)*delta, as g_0/h_0 = gt_0/ht_0 = 1/2
       at n_1 = 0 (g, h, B, A, X and Y as in resultant.py), so X_n and Y_n
       each gain 2**-n*delta; B_p, like any symmetric mean, has partial
       derivatives 1/2 at (1, 1), so r_n gains 2**-n*delta for every p and q;
-    * on the locus r_n of G is g_n, so the difference at n is
-      (1 - 2**-n)*delta, constant in p.
+    * at an identity point r_n of B_r is b_n, so the difference at n is
+      (1 - 2**-n)*delta.
 
-    A rational root that gets past the last band is read from one difference
-    expansion at the root, truncated at max_order: its first nonzero
-    coefficient is the survivor, and a nonzero coefficient below the bands'
-    reach raises ArithmeticError.  Surd parameters are evaluated exactly
-    through reduction modulo their minimal polynomial; a leading coefficient
-    that is rational comes back exact, otherwise as a sign-certified
-    enclosure.  Boundary limits (when a mean spec is supplied) are numeric
-    evidence attached to the verdict, never part of the exact computation.
+    The identity points on the locus are (r, r) and (-r, 2r) for r != 0, the
+    roots of the t^4 column when M agrees with B_r through t^4 (a rational
+    root p is one exactly when p = +-r), and the whole locus q = -p/2 for
+    r = 0, so a mean with a_2 = -1/2 samples no band: every column is zero
+    below n and the constant (1 - 2**-n)*delta at n.  With X = B_r(a, N) and
+    Y = B_r(N, b):
+
+    * R(B_r, B_r, B_r) = B_r: at N = B_r(a, b), X**r + Y**r = (a**r + b**r)/2
+      + N**r = 2*N**r, so B_r(X, Y) = N;
+    * R(B_-r, B_r, B_2r) = B_r: at N**(2r) = (a**(2r) + b**(2r))/2,
+      4*X**r*Y**r = N**r*(a**r + b**r) + (a**r + b**r)**2/2 = (a**r +
+      b**r)*(X**r + Y**r), so B_-r(X, Y)**(-r) = 2/(a**r + b**r);
+    * r = 0: with N = B_q(s, t), R(B_p, G, B_q) = sqrt(N)*B_p(sqrt(s),
+      sqrt(t)), which at q = -p/2 is [(s**(p/2) + t**(p/2))/(s**(-p/2) +
+      t**(-p/2))]**(1/p) = sqrt(s*t), and at p = q = 0 is R(G, G, G) = G.
+
+    Any other rational root takes the band of reach 6 first, where the
+    known ones settle (L_{3/10}'s at t^6); one that gets past it is read
+    from one difference expansion at the root, truncated at max_order: its
+    first nonzero coefficient is the survivor, and a nonzero coefficient
+    below the bands' reach raises ArithmeticError.  Surd parameters are
+    evaluated exactly through reduction modulo their minimal polynomial; a
+    leading coefficient that is rational comes back exact, otherwise as a
+    sign-certified enclosure.  Boundary limits (when a mean spec is
+    supplied) are numeric evidence attached to the verdict, never part of
+    the exact computation.
     """
     if max_order < 3:
         raise ValueError("the search needs max_order >= 3")
@@ -354,21 +393,40 @@ def optimal_parameters(
                        notes=(note,))
 
     locus = first_order_locus(mean)
-    polys: dict[int, UniPoly] = {}
-    if locus.intercept == 0:
-        # a_2 = -1/2: every column comes from where M first leaves G (see above).
-        g = expand_power_mean(0, max_order).coeffs
-        n = next((n for n in range(3, max_order + 1) if mean.coeffs[n] != g[n]), max_order + 1)
-        polys = dict.fromkeys(range(2, n), UniPoly.zero())
-        if n <= max_order:
-            polys[n] = UniPoly(((1 - Fraction(1, 2**n)) * (mean.coeffs[n] - g[n]),))
+    r = 2 * mean.coefficient(2) + 1  # the locus is q = (3r - p)/2
+
+    @cache
+    def leaving() -> tuple[int | None, Rational | None]:
+        # The first index n where M leaves B_r, and the difference at n at an
+        # identity point (see above); (None, None) if M never leaves B_r.
+        b = expand_power_mean(r, max_order).coeffs
+        n = next((n for n in range(3, max_order + 1) if mean.coeffs[n] != b[n]), None)
+        return n, None if n is None else (1 - Fraction(1, 2**n)) * (mean.coeffs[n] - b[n])
+
+    if r == 0:
+        # Every point of the locus is an identity point of G (see above).
+        n, lead = leaving()
+        polys = dict.fromkeys(range(2, n or max_order + 1), UniPoly.zero())
+        if n is not None:
+            polys[n] = UniPoly((lead,))
+    else:
+        # The closed columns (see above): t^3, and t^4 when a_3 = 0.
+        a3 = mean.coefficient(3)
+        polys = {3: UniPoly((a3 * Fraction(7, 8),))}
+        if a3 == 0 and max_order >= 4:
+            c4 = 120 * mean.coefficient(4) + 9 * r**3 - 15 * r**2 - 10 * r + 15
+            polys[4] = UniPoly((c4 / 128, 0, r / 128))
     # The odd coefficients of an even mean's difference vanish.
     step = 2 if mean.is_even else 1
+
+    def banded() -> bool:
+        # The closed columns end at t^4; a band fills the columns past it.
+        return max(polys) > 4
 
     def poly_at(k: int) -> UniPoly:
         # The first reach, where every known candidate settles, then the search order.
         if k not in polys:
-            reach = max_order if polys else min(max(k, _FIRST_REACH), max_order)
+            reach = max_order if banded() else min(max(k, _FIRST_REACH), max_order)
             polys.update(coefficient_polynomials(mean, locus, k, reach))
         return polys[k]
 
@@ -399,22 +457,27 @@ def optimal_parameters(
         q_root = affine_image(root, locus.slope, locus.intercept)
         achieved: int | None = None
         leading: Rational | SignedInterval | None = None
-        for k in range(k0 + step, max_order + 1, step):
-            if k not in polys and isinstance(root, RationalRoot):
-                # Past the last band, one expansion at the root reads the
-                # survivor; the bands showed every coefficient below k is 0.
-                diff = difference_expansion(mean, root.value, q_root.value, max_order)
-                first = diff.first_nonzero
-                if first is not None and first < k:
-                    raise ArithmeticError("difference at a rational root survives below the bands")
-                if first is not None:
-                    achieved, leading = first, diff.coeffs[first]
+        if isinstance(root, RationalRoot) and root.value in (r, -r):
+            # (p, q) = (r, r) or (-r, 2r), an identity point of B_r (see above)
+            achieved, leading = leaving()
+        else:
+            for k in range(k0 + step, max_order + 1, step):
+                if k not in polys and isinstance(root, RationalRoot) and banded():
+                    # Past the last band, one expansion at the root reads the
+                    # survivor; the bands showed every coefficient below k is 0.
+                    diff = difference_expansion(mean, root.value, q_root.value, max_order)
+                    first = diff.first_nonzero
+                    if first is not None and first < k:
+                        raise ArithmeticError(
+                            "difference at a rational root survives below the bands")
+                    if first is not None:
+                        achieved, leading = first, diff.coeffs[first]
+                    break
+                value = eval_at_root(poly_at(k), root)
+                if value == 0:
+                    continue
+                achieved, leading = k, value
                 break
-            value = eval_at_root(poly_at(k), root)
-            if value == 0:
-                continue
-            achieved, leading = k, value
-            break
         candidates.append(OptimalCandidate(root, q_root, achieved, leading))
 
     if any(c.achieved_order is None for c in candidates):

@@ -294,6 +294,17 @@ class TestOtherCommands:
         report = run_json(capsys, "limit", "--mean", "L", "--p", "1", "--q", "1/1050")
         assert report["limit"]["value"] == pytest.approx(6.86997638518554e-4, rel=1e-12)
 
+    def test_limit_where_sinh_overflows(self, capsys):
+        # L_1 = H, and at 2**-1050 its sinh(ln(2**1050)) overflows: the limit
+        # is H's, 2**-1050/(1 + 2**-1050)
+        mpmath = pytest.importorskip("mpmath")
+        report = run_json(capsys, "limit", "--mean", "lalpha:1", "--p", "1", "--q", "1/1050")
+        h = run_json(capsys, "limit", "--mean", "H", "--p", "1", "--q", "1/1050")
+        assert report["limit"] == h["limit"]
+        with mpmath.workdps(50):
+            nu = mpmath.mpf(2) ** -1050
+            assert report["limit"]["value"] == pytest.approx(float(nu / (1 + nu)), rel=1e-6)
+
     def test_limit_of_a_plain_mean(self, capsys):
         # without --p/--q the limit is the mean's own: M1(0, 1) = 1/ln(1 + oo) = 0
         report = run_json(capsys, "limit", "--mean", "M1")

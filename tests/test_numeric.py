@@ -228,11 +228,12 @@ class TestNearDiagonalAccuracy:
 
 class TestDoubleRange:
     """eval_mean at the ends of the double range against mpmath: a finite
-    value in [lo, hi], wherever the terms of the closed form are finite.
-    y = ln(hi/lo) reaches 1454 here, and its rounding costs L_alpha about
-    alpha*y/2 units and B_p of small |p| about y/4 (406 and 279 at y = 921,
-    361 for B_{-1/10^6} at y = 1423, where exp of its power factor alone
-    would overflow); every other family stays within 3.9 units."""
+    value in [lo, hi], L_alpha's included where sinh(alpha*y) overflows and
+    D(y) is taken by its log.  y = ln(hi/lo) reaches 1454 here, and its
+    rounding costs L_alpha about alpha*y/2 units and B_p of small |p| about
+    y/4 (406 and 279 at y = 921, 361 for B_{-1/10^6} at y = 1423, where exp
+    of its power factor alone would overflow); every other family stays
+    within 3.9 units."""
 
     POINTS = [(1e-200, 1e200), (1e-300, 1e300), (5e-324, 1.0),
               (1e-310, 1e308), (5e-324, 1.7e308)]
@@ -245,10 +246,6 @@ class TestDoubleRange:
 
         for lo, hi in self.POINTS:
             y = math.log(hi) - math.log(lo)
-            if isinstance(spec, LAlpha) and float(spec.alpha) * y > 710:
-                with pytest.raises(OverflowError):  # sinh(alpha*y) overflows
-                    eval_mean(spec, lo, hi)
-                continue
             value = eval_mean(spec, lo, hi)
             assert math.isfinite(value) and lo <= value <= hi, (lo, hi, value)
             if isinstance(spec, LAlpha):
@@ -272,16 +269,15 @@ class TestDoubleRange:
         # A quotient mean's f_M = 2*sinh(x)/D(2x) stays finite past x =
         # 709.8, where sinh(x) overflows, for as long as f_M itself is
         # finite: M1, M4 and M5 overflow between 711 and 713, M_{-1/2,2} by
-        # 716.5.  L_alpha raises where sinh(2*alpha*x) overflows in D(2x).
+        # 716.5.  Where sinh(2*alpha*x) overflows in L_alpha's D(2x), f_M
+        # is exp of the difference of the logs: L_{1/2}'s is 1 at x = 711.
         mpmath = pytest.importorskip("mpmath")
         from oracles import mpmath_mean
 
         for x in (700.5, 705.0, 711.0, 713.0, 715.0, 716.5):
             with mpmath.workdps(50):
                 true = mpmath_mean(spec, mpmath.exp(-x), mpmath.exp(x))
-            if true > sys.float_info.max or (
-                isinstance(spec, LAlpha) and 2 * float(spec.alpha) * x > 710
-            ):
+            if true > sys.float_info.max:
                 with pytest.raises(OverflowError):
                     eval_f(spec, x)
                 continue
@@ -332,6 +328,16 @@ class TestEvalF:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             eval_f(M1, 0.0)
+
+    @pytest.mark.parametrize("x", [711.0, 1000.0, 1e6], ids=str)
+    def test_l_half_is_one_past_the_sinh_range(self, x):
+        # L_{1/2}(a, b) = sqrt(ab), though sinh(x) in its D(2x) overflows
+        mpmath = pytest.importorskip("mpmath")
+        from oracles import mpmath_mean
+
+        with mpmath.workdps(50):
+            assert mpmath_mean(LAlpha(F(1, 2)), mpmath.exp(-x), mpmath.exp(x)) == 1
+        assert eval_f(LAlpha(F(1, 2)), x) == 1.0
 
 
 class TestEvalResultant:
@@ -572,10 +578,17 @@ class TestBoundaryLimit:
         assert closed.is_exact
         assert oracles.boundary_by_extrapolation(expr).value == pytest.approx(closed.value, abs=1e-3)
 
-    def test_a_composition_past_the_double_range_is_not_resolved(self):
-        # B_{1/1050}(0, 1) = 2**-1050, where L_1's sinh(ln(2**1050)) overflows
-        with pytest.raises(ValueError, match="not resolved: math range error"):
-            boundary_limit((PowerMean(F(1)), LAlpha(F(1)), PowerMean(F(1, 1050))))
+    def test_a_composition_past_the_sinh_range_is_resolved(self):
+        # B_{1/1050}(0, 1) = 2**-1050, where L_1's sinh(ln(2**1050))
+        # overflows: its log gives L_1 = H there, and the limit is
+        # H(2**-1050, 1)/2 = 2**-1050/(1 + 2**-1050)
+        mpmath = pytest.importorskip("mpmath")
+        value = boundary_limit((PowerMean(F(1)), LAlpha(F(1)), PowerMean(F(1, 1050)))).value
+        assert value == boundary_limit((PowerMean(F(1)), PowerMean(F(-1)),
+                                        PowerMean(F(1, 1050)))).value
+        with mpmath.workdps(50):
+            nu = mpmath.mpf(2) ** -1050
+            assert value == float(nu / (1 + nu))
 
     def test_logarithmically_slow_sequence_not_resolved(self):
         # R(M1, M1, M1)(s, 1-s) drifts like 1/log(log(1/s)); honest refusal

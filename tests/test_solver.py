@@ -328,11 +328,12 @@ class TestOrderBands:
         orders = self.sampled_orders(monkeypatch, SAlpha(F(1, 10)), 14)
         assert orders and max(orders) <= 6
 
-    def test_deep_search_of_an_even_mean_starts_at_six(self, monkeypatch):
-        # one band of reach 6, sampled at 8 points; the rational roots
-        # p = -1, 1 are read from one expansion each at 16
+    def test_deep_search_of_a_power_mean_opens_no_band(self, monkeypatch):
+        # the pivot t^4 is a closed column, and its roots p = -1, 1 are the
+        # identity points of A = B_1: one comparison with B_1 reads them
+        asked = self.asked_bands(monkeypatch)
         orders = self.sampled_orders(monkeypatch, ALIASES["A"], 16)
-        assert orders == [6] * 8 + [16] * 2
+        assert orders == [] and asked == []
 
     def test_rational_roots_past_the_bands_take_one_expansion(self, monkeypatch):
         orders = self.sampled_orders(monkeypatch, ALIASES["L"], 64)
@@ -350,15 +351,20 @@ class TestOrderBands:
         assert orders == [] and asked == []
 
     def test_second_band_opens_at_the_search_order(self, monkeypatch):
-        # with a first reach of 4, S_{1/10}'s surd roots survive past it: the
-        # band at max_order follows, and the verdict does not change
+        # with a first reach of 4, S_{1/10} searched as a mixed mean takes its
+        # first band at t^5, past the closed columns, and its surd roots
+        # survive past it: the band at max_order follows, and the verdict
+        # does not change
+        class Mixed(MeanExpansion):
+            is_even = False
+
         spec = SAlpha(F(1, 10))
-        mean = expand_mean(spec, 8)
+        mean = Mixed(expand_mean(spec, 8).coeffs)
         expected = optimal_parameters(mean, 8, spec=spec)
         monkeypatch.setattr(solver, "_FIRST_REACH", 4)
         asked = self.asked_bands(monkeypatch)
         orders, _ = self.sampled_expansions(monkeypatch, mean, 8)
-        assert orders == [4] * 6 + [8] * 10 and asked == [4, 6]
+        assert orders == [5] * 7 + [8] * 10 and asked == [5, 6]
         assert optimal_parameters(mean, 8, spec=spec) == expected
 
     @pytest.mark.parametrize("max_order", [3, 5, 8, 13, 16, 25])
@@ -375,22 +381,24 @@ class TestOrderBands:
         assert all(order == max_order or order % 2 == 0 for order in orders)
         # the premise: every odd coefficient of an even mean's difference is 0
         assert all(not any(nums[1::2]) for nums, _ in forms)
-        if spec == ALIASES["G"]:
-            # a_2 = -1/2 asks for no band at all
+        if spec in (ALIASES["G"], PowerMean(F(-13, 6))):
+            # a power mean's pivot roots are identity points: no band at all
             assert asked == [] and orders == []
-        elif max_order >= 4:
-            assert asked[0] == 4
+        else:
+            # t^4 is a closed column: the first band starts at t^6
+            assert asked[:1] == ([6] if max_order >= 6 else [])
 
     @pytest.mark.parametrize("odd", [3, 5])
-    def test_mixed_mean_without_t_term_starts_at_the_reach_six_band(self, monkeypatch, odd):
-        # M2 with a_odd = 1/7: a mixed mean with a_1 = 0 takes the band of
-        # reach 6 that an even mean takes, and settles inside it
+    def test_mixed_mean_without_t_term_starts_from_the_closed_columns(self, monkeypatch, odd):
+        # M2 with a_odd = 1/7: a mixed mean with a_1 = 0 reads t^3, and t^4
+        # when a_3 = 0, in closed form; at a_3 = 0 it takes the band of reach
+        # 6 that an even mean takes, and settles inside it
         coeffs = list(expand_mean(M2, 16).coeffs)
         coeffs[odd] = F(1, 7)
         mean = MeanExpansion(tuple(coeffs))
         assert not mean.is_even and mean.coefficient(1) == 0
         orders, _ = self.sampled_expansions(monkeypatch, mean, 16)
-        assert orders == [6] * 8
+        assert orders == ([] if odd == 3 else [6] * 8)
         verdict = optimal_parameters(mean, 16)
         assert verdict.relation == "candidate-sub"
         if odd == 3:
@@ -487,6 +495,98 @@ class TestLeavingG:
             assert [a - b for a, b in zip(m[: top + 1], r)] == expected
 
 
+class TestClosedColumns:
+    """For a_1 = 0 and r = 2*a_2 + 1 != 0 the search takes its pivot from
+    closed columns: t^3 is (7/8)*a_3 and, at a_3 = 0, t^4 is a quadratic in
+    p.  Against the band route and the double-sum oracle."""
+
+    class Pivot(Exception):
+        pass
+
+    @settings(max_examples=60, deadline=None)
+    @given(order=st.integers(4, 14), even=st.booleans(), data=st.data())
+    def test_pivot_columns_equal_the_band(self, order, even, data):
+        a2 = data.draw(st.fractions(-3, 3, max_denominator=12).filter(lambda a: a != F(-1, 2)))
+        a3 = F(0) if even else data.draw(st.sampled_from([F(0), F(1, 7)]) | _SMALL)
+        tail = [F(0) if even and k % 2 else data.draw(_SMALL) for k in range(4, order + 1)]
+        mean = MeanExpansion((F(1), F(0), a2, a3, *tail))
+        band = coefficient_polynomials(mean, first_order_locus(mean), 3, 4)
+        events = []
+
+        def banding(mean, locus, low, high):
+            events.append(("band", low))
+            return {}
+
+        def pivot(poly):
+            events.append(("pivot", poly))
+            raise self.Pivot
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "coefficient_polynomials", banding)
+            mp.setattr(solver, "isolate_real_roots", pivot)
+            try:
+                verdict = optimal_parameters(mean, order)
+            except self.Pivot:
+                verdict = None
+        if a3 != 0:
+            # a constant pivot at t^3, read before any band
+            assert band[3].degree == 0 and events == []
+            assert (verdict.fixed_leading_order, verdict.fixed_leading) == (3, band[3](0))
+        else:
+            assert band[3].is_zero and band[4].degree == 2
+            assert events == [("pivot", band[4])]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_t4_coefficient_of_even_means(self, data):
+        # r_4 of R(K, M, N) for even K, M and N, as the proof of the t^4
+        # column states it
+        k, m, n = ([F(1), F(0), data.draw(_SMALL), F(0), data.draw(_SMALL)] for _ in range(3))
+        k2, k4, m2, m4, n2, n4 = k[2], k[4], m[2], m[4], n[2], n[4]
+        r4 = (k4 / 16 + m4 / 16 + n4 / 2 - k2 * m2 * n2 / 2 - 3 * k2 * m2 / 16 - k2 * n2 / 8
+              + m2 * n2**2 / 4 + m2 * n2 / 8 + m2 / 16)
+        assert oracles.resultant_by_double_sums(k, m, n, 4)[4] == r4
+
+
+class TestIdentityPoints:
+    """A mean that agrees with B_r, r != 0, through t^4 has the pivot roots
+    p = r and p = -r, where R(B_p, B_r, B_q) = B_r.  If it first leaves B_r
+    at n by delta, the candidates there read (n, (1 - 2**-n)*delta), from one
+    comparison with B_r: no band and no difference expansion."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(order=st.integers(4, 14), even=st.booleans(), data=st.data())
+    def test_candidates_at_plus_and_minus_r(self, order, even, data):
+        r = data.draw(st.fractions(-3, 3, max_denominator=8).filter(lambda x: x != 0))
+        n = data.draw(st.integers(5, 16))
+        n += even and n % 2
+        sign = data.draw(st.sampled_from([-1, 1]))
+        delta = sign * data.draw(st.fractions(F(1, 12), 2, max_denominator=12))
+        c = list(expand_power_mean(r, max(order, n)).coeffs)
+        c[n] += delta
+        c[n + 1 :] = [F(0) if even and k % 2 else data.draw(_SMALL) for k in range(n + 1, len(c))]
+        mean = MeanExpansion(tuple(c))
+        expected = (n, (1 - F(1, 2**n)) * delta) if n <= order else (None, None)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_difference_form", None)
+            verdict = optimal_parameters(mean, order)
+        candidates = verdict.candidates
+        assert {(cand.p.value, cand.q.value) for cand in candidates} == {(r, r), (-r, 2 * r)}
+        assert all((cand.achieved_order, cand.leading) == expected for cand in candidates)
+        if n > order:
+            assert verdict.relation == "stabilizable"
+        if order > 8:
+            return
+        # the double sums on independently expanded power means
+        m = mean.coeffs[: order + 1]
+        for cand in candidates:
+            bp, bq = (oracles.expand_power_mean_from_fractions(x, order).coeffs
+                      for x in (cand.p.value, cand.q.value))
+            diff = [a - b for a, b in zip(m, oracles.resultant_by_double_sums(bp, m, bq, order))]
+            first = next((k for k, d in enumerate(diff) if d), None)
+            assert (first, None if first is None else diff[first]) == expected
+
+
 class TestRationalCandidatesAgainstBands:
     """A rational root past the last band is read from one difference
     expansion at the root; the band route of the oracle gives the same
@@ -555,8 +655,9 @@ class TestRationalCandidatesAgainstBands:
             return solver.DifferenceExpansion(tuple(coeffs), diff.p, diff.q)
 
         monkeypatch.setattr(solver, "difference_expansion", planted)
+        # L's rational roots p = -1, 1 are not identity points of B_{1/3}
         with pytest.raises(ArithmeticError, match="below the bands"):
-            optimal_parameters(expand_mean(ALIASES["A"], 16), 16)
+            optimal_parameters(expand_mean(ALIASES["L"], 16), 16)
 
 class TestClosedOuterStepInTheSolver:
     """A solver sample expands B_q and applies B_p in closed form; the
@@ -754,10 +855,12 @@ class TestBoundaryWithoutSpec:
         assert verdict.boundary is not None
         assert verdict.boundary.label != "unavailable"
 
-    def test_a_probe_past_the_double_range_is_unavailable(self):
-        # B_{1/1050}(0, 1) = 2**-1050, where L_1's sinh(ln(2**1050)) overflows
+    def test_a_probe_past_the_sinh_range_has_evidence(self):
+        # B_{1/1050}(0, 1) = 2**-1050, where L_1's sinh(ln(2**1050))
+        # overflows and its log is taken: the evidence is that of L_1 = H
         evidence = solver._boundary_evidence(LAlpha(F(1)), 1.0, 1 / 1050)
-        assert evidence.label == "unavailable"
+        assert evidence.label == "closed-form"
+        assert evidence == solver._boundary_evidence(PowerMean(F(-1)), 1.0, 1 / 1050)
 
 
 class TestDisagreeingBestCandidates:
