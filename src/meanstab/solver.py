@@ -14,11 +14,19 @@ difference M - R(B_p, M, B_q) order by order:
 The pivot, the first nonzero coefficient polynomial, needs no sample: with
 r = 2*a_2 + 1, the t^3 column is the constant (7/8)*a_3 and, when a_3 = 0,
 the t^4 column is the closed quadratic (r/128)*(p**2 - r**2) + (15/16)*(a_4 -
-b_4), b_4 the t^4 coefficient of B_r (see optimal_parameters).  Past t^4 the
-coefficient polynomials come in order bands.  A band of reach K samples
-the difference once at the n = K + 2 consecutive integers p = x0 .. x0+n-1,
-x0 = -(n//2), truncated at order K, and serves every k <= K it is asked for:
-the t^k coefficient of a truncation at K equals that of a truncation at k.
+b_4), b_4 the t^4 coefficient of B_r; for a_2 = -1/2 (r = 0) it is one
+comparison of M with G (see optimal_parameters).  A rational root of the
+pivot is read exactly.  An identity point of B_r, where R(B_p, B_r, B_q) =
+B_r, comes from one comparison of M with B_r: these are the roots p = +-r
+of a mean that agrees with B_r through t^4 (A, H, L_{+-1} = H and every
+B_r).  Any other rational root comes from a difference expansion at the
+root, truncated at the first reach (below) and, if it vanishes there, at
+max_order: its first nonzero coefficient is the survivor.
+
+Bands serve surd roots only.  A band of reach K samples the difference
+once at the n = K + 2 consecutive integers p = x0 .. x0+n-1, x0 = -(n//2),
+truncated at order K, and serves every k <= K it is asked for: the t^k
+coefficient of a truncation at K equals that of a truncation at k.
 A sample expands B_q only; B_p enters the resultant as its closed form.
 The samples stay integer numerators, over one denominator for the band, and
 column k gets a forward-difference table.  Its leading entries Delta^j must
@@ -27,25 +35,18 @@ k + 1 of the samples has degree <= k - 1 and passes through the other
 K + 1 - k; the polynomial is then Newton's forward form of
 Delta^0 .. Delta^(k-1), built on integers with one division per coefficient.
 The first band has reach _FIRST_REACH = 6 (max_order, if smaller) and opens
-only when a column k >= 5 is asked at a root of the pivot; a search opens
-one more, at max_order, only when it asks for a k past it, and a stability
-check expands M to the order only when, through the first reach, M matches
-its stable reference.  Six is where the known inputs settle: every surd
-candidate of the benchmark's solve pools settles at t^6, and every unstable
-mean of its stable pool differs by t^4.  The trade-off: a candidate or
-defect first surviving past t^6 would pay for both.  An identity point of
-B_r, where R(B_p, B_r, B_q) = B_r, takes no band: the difference there
-comes from one comparison of M with B_r.  They are the roots p = +-r of a
-mean that agrees with B_r through t^4 (A, H, L_{+-1} = H and every B_r)
-and, for a_2 = -1/2 (G, L_{+-1/2}), the whole locus, whose columns then all
-come from that comparison (see optimal_parameters).  An even mean's
-difference has no odd coefficient (the resultant of even means is even), so
-its search asks only for even k.  Any other rational root of the pivot
-opens no second band: past the first reach, one difference expansion at
-the root, truncated at max_order, gives the first surviving coefficient,
-since the band showed that every coefficient below it vanishes there.  The
-stability scan of L_alpha and S_alpha reads its t^4 defect the same way, as
-a band of reach 4 in beta = alpha**2 (see stability_parameter_scan).
+when a surd root asks for a column k >= 5; one more, at max_order, opens
+only when a surd root asks for a k past it.  Likewise a rational root is
+expanded to max_order only when its difference vanishes through the first
+reach, and a stability check expands M to the order only when, through the
+first reach, M matches its stable reference.  Six is where the known inputs
+settle: every surd candidate of the benchmark's solve pools and L_{3/10}'s
+rational roots settle at t^6, and every unstable mean of its stable pool
+differs by t^4.  The trade-off: a candidate or defect first surviving past
+t^6 would pay for both.  An even mean's difference has no odd coefficient
+(the resultant of even means is even), so its search asks only for even k.
+The stability scan of L_alpha and S_alpha reads its t^4 defect the same
+way, as a band of reach 4 in beta = alpha**2 (see stability_parameter_scan).
 
 Stability computes no resultant.  M is stable when R(M, M, M) = M; the
 stable means with c_1 = 0 are the power means, and those with c_1 = 1 or -1
@@ -96,7 +97,7 @@ from .resultant import _common, _resultant
 from .series import _integer_form, _values
 from .values import Value
 
-_FIRST_REACH = 6  # of a search's first band and of a stability probe
+_FIRST_REACH = 6  # of a search's first band or expansion and of a stability probe
 
 # ---------------------------------------------------------------------------
 # Difference expansions
@@ -330,13 +331,13 @@ def optimal_parameters(
       and N = B_q have k_2 = (p - 1)/2, k_4 = b_4 at p, and the same at q;
       with m_2 = (r - 1)/2, a_4 - r_4 is the column above.
 
-    Each root of the pivot is followed through the coefficient polynomials
-    of the sampled bands (for an even mean only the even ones), of reach 6
-    and, past it, max_order, unless it is an identity point of B_r, a (p, q)
-    with R(B_p, B_r, B_q) = B_r.  There, if M first leaves B_r at index n <=
-    max_order, with c_n - b_n = delta, the difference vanishes below n and is
-    (1 - 2**-n)*delta at n; if M never leaves B_r, it vanishes through
-    max_order:
+    A rational root of the pivot is read exactly, and a surd root through
+    the coefficient polynomials of the sampled bands (for an even mean only
+    the even ones), of reach 6 and, past it, max_order.  At an identity
+    point of B_r, a (p, q) with R(B_p, B_r, B_q) = B_r, if M first leaves
+    B_r at index n <= max_order, with c_n - b_n = delta, the difference
+    vanishes below n and is (1 - 2**-n)*delta at n; if M never leaves B_r,
+    it vanishes through max_order:
 
     * through order n the resultant reads only m_0..m_n, so below n the
       difference is that of B_r, zero at an identity point;
@@ -364,16 +365,18 @@ def optimal_parameters(
       sqrt(t)), which at q = -p/2 is [(s**(p/2) + t**(p/2))/(s**(-p/2) +
       t**(-p/2))]**(1/p) = sqrt(s*t), and at p = q = 0 is R(G, G, G) = G.
 
-    Any other rational root takes the band of reach 6 first, where the
-    known ones settle (L_{3/10}'s at t^6); one that gets past it is read
-    from one difference expansion at the root, truncated at max_order: its
-    first nonzero coefficient is the survivor, and a nonzero coefficient
-    below the bands' reach raises ArithmeticError.  Surd parameters are
-    evaluated exactly through reduction modulo their minimal polynomial; a
-    leading coefficient that is rational comes back exact, otherwise as a
-    sign-certified enclosure.  Boundary limits (when a mean spec is
-    supplied) are numeric evidence attached to the verdict, never part of
-    the exact computation.
+    Any other rational root, such as L's p = +-1 or L_{3/10}'s +-38/25, is
+    read from a difference expansion at the root, truncated at the first
+    reach and, if it vanishes there, at max_order, and opens no band: its
+    first nonzero coefficient is the survivor.  The first reach keeps a
+    survivor at t^6 cheap at a high max_order.
+    Every coefficient below the pivot vanishes on the locus and the pivot at
+    its root, so a survivor at or below the pivot raises ArithmeticError.
+    Surd parameters are evaluated exactly through reduction modulo their
+    minimal polynomial; a leading coefficient that is rational comes back
+    exact, otherwise as a sign-certified enclosure.  Boundary limits (when a
+    mean spec is supplied) are numeric evidence attached to the verdict,
+    never part of the exact computation.
     """
     if max_order < 3:
         raise ValueError("the search needs max_order >= 3")
@@ -403,35 +406,18 @@ def optimal_parameters(
         n = next((n for n in range(3, max_order + 1) if mean.coeffs[n] != b[n]), None)
         return n, None if n is None else (1 - Fraction(1, 2**n)) * (mean.coeffs[n] - b[n])
 
+    # The pivot from the closed columns (see above).
+    a3 = mean.coefficient(3)
     if r == 0:
         # Every point of the locus is an identity point of G (see above).
-        n, lead = leaving()
-        polys = dict.fromkeys(range(2, n or max_order + 1), UniPoly.zero())
-        if n is not None:
-            polys[n] = UniPoly((lead,))
+        k0, lead = leaving()
+        pivot = UniPoly(() if k0 is None else (lead,))
+    elif a3 != 0 or max_order == 3:  # at max_order 3, t^3 is the only column
+        k0, pivot = 3, UniPoly((a3 * Fraction(7, 8),))
     else:
-        # The closed columns (see above): t^3, and t^4 when a_3 = 0.
-        a3 = mean.coefficient(3)
-        polys = {3: UniPoly((a3 * Fraction(7, 8),))}
-        if a3 == 0 and max_order >= 4:
-            c4 = 120 * mean.coefficient(4) + 9 * r**3 - 15 * r**2 - 10 * r + 15
-            polys[4] = UniPoly((c4 / 128, 0, r / 128))
-    # The odd coefficients of an even mean's difference vanish.
-    step = 2 if mean.is_even else 1
-
-    def banded() -> bool:
-        # The closed columns end at t^4; a band fills the columns past it.
-        return max(polys) > 4
-
-    def poly_at(k: int) -> UniPoly:
-        # The first reach, where every known candidate settles, then the search order.
-        if k not in polys:
-            reach = max_order if banded() else min(max(k, _FIRST_REACH), max_order)
-            polys.update(coefficient_polynomials(mean, locus, k, reach))
-        return polys[k]
-
-    k0 = next((k for k in range(2 + step, max_order + 1, step) if not poly_at(k).is_zero), None)
-    if k0 is None:
+        c4 = 120 * mean.coefficient(4) + 9 * r**3 - 15 * r**2 - 10 * r + 15
+        k0, pivot = 4, UniPoly((c4 / 128, 0, r / 128))
+    if pivot.is_zero:
         return StabilizabilityVerdict(
             "stabilizable",
             locus=locus,
@@ -440,44 +426,54 @@ def optimal_parameters(
             ),
         )
 
-    pk0 = polys[k0]
-    roots = isolate_real_roots(pk0) if pk0.degree >= 1 else []
+    roots = isolate_real_roots(pivot) if pivot.degree >= 1 else []
     if not roots:
         # The pivot coefficient keeps one sign for every p on the locus.
-        constant = pk0.degree == 0
+        constant = pivot.degree == 0
         note = (f"the t^{k0} coefficient on the locus is constant in p" if constant
                 else f"the t^{k0} coefficient has no real zero; its sign is fixed")
         probes = [(p, float(locus.q_of(Fraction(p)))) for p in _LOCUS_SAMPLES]
-        fixed = pk0.coefficient(0) if constant else None
-        return verdict(pk0(0), probes, locus=locus, fixed_leading=fixed, fixed_leading_order=k0,
+        fixed = pivot.coefficient(0) if constant else None
+        return verdict(pivot(0), probes, locus=locus, fixed_leading=fixed, fixed_leading_order=k0,
                        notes=(note,))
+
+    # The odd coefficients of an even mean's difference vanish.
+    step = 2 if mean.is_even else 1
+    polys: dict[int, UniPoly] = {}
+
+    def column(k: int) -> UniPoly:
+        # The first reach, where every known surd candidate settles, then the search order.
+        if k not in polys:
+            reach = max_order if polys else min(max(k, _FIRST_REACH), max_order)
+            polys.update(coefficient_polynomials(mean, locus, k, reach))
+        return polys[k]
 
     candidates = []
     for root in roots:
         q_root = affine_image(root, locus.slope, locus.intercept)
         achieved: int | None = None
         leading: Rational | SignedInterval | None = None
-        if isinstance(root, RationalRoot) and root.value in (r, -r):
+        if not isinstance(root, RationalRoot):
+            for k in range(k0 + step, max_order + 1, step):
+                value = eval_at_root(column(k), root)
+                if value != 0:
+                    achieved, leading = k, value
+                    break
+        elif root.value in (r, -r):
             # (p, q) = (r, r) or (-r, 2r), an identity point of B_r (see above)
             achieved, leading = leaving()
         else:
-            for k in range(k0 + step, max_order + 1, step):
-                if k not in polys and isinstance(root, RationalRoot) and banded():
-                    # Past the last band, one expansion at the root reads the
-                    # survivor; the bands showed every coefficient below k is 0.
-                    diff = difference_expansion(mean, root.value, q_root.value, max_order)
-                    first = diff.first_nonzero
-                    if first is not None and first < k:
-                        raise ArithmeticError(
-                            "difference at a rational root survives below the bands")
-                    if first is not None:
-                        achieved, leading = first, diff.coeffs[first]
+            # The exact difference at the root through the first reach, then
+            # through the search order if it vanishes there.
+            for reach in dict.fromkeys((min(_FIRST_REACH, max_order), max_order)):
+                diff = difference_expansion(mean, root.value, q_root.value, reach)
+                achieved = diff.first_nonzero
+                if achieved is not None:
                     break
-                value = eval_at_root(poly_at(k), root)
-                if value == 0:
-                    continue
-                achieved, leading = k, value
-                break
+            if achieved is not None and achieved <= k0:
+                raise ArithmeticError(
+                    "difference at a rational root survives at or below the pivot")
+            leading = None if achieved is None else diff.coeffs[achieved]
         candidates.append(OptimalCandidate(root, q_root, achieved, leading))
 
     if any(c.achieved_order is None for c in candidates):

@@ -43,8 +43,8 @@ Each one is an independent derivation of the same coefficients:
   with every k interpolated through k+1 samples and evaluated at the others;
 * ``candidates_by_bands``: the solver's candidates with every root of the
   pivot evaluated on the polynomials of one band of reach max_order, where
-  the solver reads a rational root past its last band from one difference
-  expansion at the root;
+  the solver reads a rational root from one comparison with B_r or from
+  difference expansions at the root, and opens bands for surd roots only;
 * ``expand_power_mean_full_order``: B_p as the binomial series of
   (1 -/+ u)**p, averaged and raised to 1/p, each at the full order, where
   the catalog builds the even average from integer binomials and runs one

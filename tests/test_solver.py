@@ -335,14 +335,24 @@ class TestOrderBands:
         orders = self.sampled_orders(monkeypatch, ALIASES["A"], 16)
         assert orders == [] and asked == []
 
-    def test_rational_roots_past_the_bands_take_one_expansion(self, monkeypatch):
+    def test_rational_roots_past_the_first_reach_open_no_band(self, monkeypatch):
+        # L's roots p = -1, 1 are not identity points of B_{1/3}: the
+        # difference at each vanishes through the first reach, so one more
+        # expansion at max_order reads it
+        asked = self.asked_bands(monkeypatch)
         orders = self.sampled_orders(monkeypatch, ALIASES["L"], 64)
-        assert orders == [6] * 8 + [64] * 2
+        assert orders == [6, 64] * 2 and asked == []
 
-    def test_survivor_inside_a_band_opens_no_expansion(self, monkeypatch):
-        # the rational roots of L_{3/10} survive at t^6, inside the reach-6 band
+    def test_rational_survivor_at_t6_opens_no_band(self, monkeypatch):
+        # the rational roots of L_{3/10} survive at t^6, read from one
+        # expansion each at the first reach
+        asked = self.asked_bands(monkeypatch)
         orders = self.sampled_orders(monkeypatch, LAlpha(F(3, 10)), 16)
-        assert orders == [6] * 8
+        assert orders == [6] * 2 and asked == []
+        verdict = optimal_parameters(expand_mean(LAlpha(F(3, 10)), 16), 16)
+        assert [(c.p.value, c.achieved_order, c.leading) for c in verdict.candidates] == [
+            (F(-38, 25), 6, F(-1456, 48828125)), (F(38, 25), 6, F(-1456, 48828125))
+        ]
 
     def test_vanishing_on_the_locus_opens_no_band(self, monkeypatch):
         # a_2 = -1/2: the columns come from one comparison with G
@@ -587,9 +597,19 @@ class TestIdentityPoints:
             assert (first, None if first is None else diff[first]) == expected
 
 
+def _shifted_a(order, a5):
+    """A = B_1 with a_4 - 1/40 and a_5 + a5: the t^4 pivot (p**2 - 4)/128 has
+    the roots p = -2, 2, which are not identity points of B_1."""
+    c = list(expand_mean(ALIASES["A"], order).coeffs)
+    c[4] -= F(1, 40)
+    c[5] += a5
+    return MeanExpansion(tuple(c))
+
+
 class TestRationalCandidatesAgainstBands:
-    """A rational root past the last band is read from one difference
-    expansion at the root; the band route of the oracle gives the same
+    """A rational root that is not an identity point is read from difference
+    expansions at the root, through the first reach and then max_order, and
+    no band opens for it; the band route of the oracle gives the same
     candidates and relation."""
 
     SPECS = [
@@ -604,8 +624,13 @@ class TestRationalCandidatesAgainstBands:
         MuGenerated((1, 0, 0, 1)),
         MuGenerated((1, 0, 0, 0, 1)),
         MuGenerated((1, 0, 0, 0, 0, 0, 2)),
-        None,  # expand_stable(1/4)
     ]
+    # means without a spec, by label
+    UNNAMED = {
+        "stable(1/4)": lambda order: expand_stable(F(1, 4), order),
+        "A-shifted": lambda order: _shifted_a(order, F(1, 7)),
+        "A-shifted-even": lambda order: _shifted_a(order, 0),
+    }
 
     @staticmethod
     def expected_relation(spec, candidates):
@@ -618,13 +643,19 @@ class TestRationalCandidatesAgainstBands:
 
     @pytest.mark.parametrize("max_order", [12, 16, 24])
     @pytest.mark.parametrize(
-        "spec", SPECS, ids=lambda s: "stable(1/4)" if s is None else describe_spec(s)
+        "spec", SPECS + list(UNNAMED), ids=lambda s: s if isinstance(s, str) else describe_spec(s)
     )
-    def test_direct_route_matches_bands(self, spec, max_order):
-        mean = expand_stable(F(1, 4), max_order) if spec is None else expand_mean(spec, max_order)
-        verdict = optimal_parameters(mean, max_order, spec=spec)
+    def test_direct_route_matches_bands(self, monkeypatch, spec, max_order):
+        if isinstance(spec, str):
+            mean, spec = self.UNNAMED[spec](max_order), None
+        else:
+            mean = expand_mean(spec, max_order)
         expected = oracles.candidates_by_bands(mean, max_order)
         assert any(isinstance(c.p, RationalRoot) for c in expected)
+        # a band opens only to follow a surd root
+        asked = TestOrderBands.asked_bands(monkeypatch)
+        verdict = optimal_parameters(mean, max_order, spec=spec)
+        assert bool(asked) == any(not isinstance(c.p, RationalRoot) for c in expected)
         assert sorted(verdict.candidates, key=lambda c: c.p.approx()) == sorted(
             expected, key=lambda c: c.p.approx()
         )
@@ -643,20 +674,31 @@ class TestRationalCandidatesAgainstBands:
             assert cand.achieved_order == order
             assert cand.leading == leading
 
-    def test_survivor_below_the_bands_raises(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "a5, order, leading", [(F(1, 7), 5, F(31, 224)), (0, 6, F(63, 5120))], ids=["a5", "even"]
+    )
+    def test_mixed_mean_at_a_rational_root_off_the_identity_points(
+        self, monkeypatch, a5, order, leading
+    ):
+        asked = TestOrderBands.asked_bands(monkeypatch)
+        verdict = optimal_parameters(_shifted_a(12, a5), 12)
+        assert asked == [] and verdict.relation == "candidate-sub"
+        candidates = [(c.p.value, c.q.value, c.achieved_order, c.leading)
+                      for c in verdict.candidates]
+        assert candidates == [(-2, F(5, 2), order, leading), (2, F(1, 2), order, leading)]
+
+    def test_survivor_at_the_pivot_raises(self, monkeypatch):
         real = solver.difference_expansion
 
         def planted(mean, p, q, order):
             diff = real(mean, p, q, order)
-            if order < 16:
-                return diff
             coeffs = list(diff.coeffs)
-            coeffs[5] = F(1)  # below the reach-6 band, which showed it is 0
+            coeffs[4] = F(1)  # the pivot t^4, which vanishes at its root
             return solver.DifferenceExpansion(tuple(coeffs), diff.p, diff.q)
 
         monkeypatch.setattr(solver, "difference_expansion", planted)
         # L's rational roots p = -1, 1 are not identity points of B_{1/3}
-        with pytest.raises(ArithmeticError, match="below the bands"):
+        with pytest.raises(ArithmeticError, match="at or below the pivot"):
             optimal_parameters(expand_mean(ALIASES["L"], 16), 16)
 
 class TestClosedOuterStepInTheSolver:
