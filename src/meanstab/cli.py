@@ -49,11 +49,7 @@ from .numeric import (
     compare_scan,
     verify_expansion_decay,
 )
-from .polynomials import (
-    QuadraticSurdRoot,
-    RationalRoot,
-    Root,
-)
+from .polynomials import QuadraticSurdRoot, RationalRoot
 from .rationals import Rational, parse_rational
 from .resultant import _resultant, resultant_case
 from .series import _values
@@ -83,22 +79,15 @@ def _float_json(value: float, provenance: str) -> dict:
     return {"value": value, "provenance": provenance}
 
 
-def _root_json(root: Root) -> dict:
+def _root_json(root: RationalRoot | QuadraticSurdRoot) -> dict:
     if isinstance(root, RationalRoot):
         return {"kind": root.kind, "value": _rat_json(root.value)}
-    if isinstance(root, QuadraticSurdRoot):
-        return {
-            "kind": root.kind,
-            "add": _rat_json(root.add),
-            "sign": root.sign,
-            "radicand": _rat_json(root.radicand),
-            "div": _rat_json(root.div),
-            "approx": _float_json(root.approx(), "float64"),
-        }
     return {
         "kind": root.kind,
-        "low": _rat_json(root.low),
-        "high": _rat_json(root.high),
+        "add": _rat_json(root.add),
+        "sign": root.sign,
+        "radicand": _rat_json(root.radicand),
+        "div": _rat_json(root.div),
         "approx": _float_json(root.approx(), "float64"),
     }
 

@@ -120,10 +120,6 @@ class UniPoly(Value):
             return self
         return self * (1 / self.leading)
 
-    def compose_linear(self, slope: Rational, intercept: Rational) -> "UniPoly":
-        """Return p(slope*x + intercept)."""
-        return UniPoly(tuple(_affine_substitution(self.coeffs, slope, intercept)))
-
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic greatest common divisor via the Euclidean algorithm."""
@@ -540,22 +536,14 @@ def _interval_eval(p: UniPoly, lo: Rational, hi: Rational) -> tuple[Rational, Ra
     return acc_lo, acc_hi
 
 
-def eval_at_root(p: UniPoly, root: Root) -> Rational | SignedInterval:
-    """Value of p at an isolated root: exact rational when the value lies in
-    Q (including exact zero: p modulo a surd's minimal polynomial is
-    constant, or p shares a factor with an interval root's), otherwise a
-    sign-certified enclosure over root.bounds(width), the width squared each
-    round from 10**-12."""
-    if isinstance(root, RationalRoot):
-        return p(root.value)
-    if isinstance(root, QuadraticSurdRoot):
-        p = p % root.minimal_polynomial()
-        if p.degree <= 0:
-            return p.coefficient(0)
-    else:
-        g = poly_gcd(p, root.polynomial)
-        if g.degree >= 1 and g(root.low) * g(root.high) < 0:
-            return ZERO
+def eval_at_root(p: UniPoly, root: QuadraticSurdRoot) -> Rational | SignedInterval:
+    """Value of p at a quadratic surd: exact rational when p modulo the
+    surd's minimal polynomial is constant (including exact zero), otherwise
+    a sign-certified enclosure over root.bounds(width), the width squared
+    each round from 10**-12."""
+    p = p % root.minimal_polynomial()
+    if p.degree <= 0:
+        return p.coefficient(0)
     width = Fraction(1, 10**12)
     for _ in range(8):
         lo, hi = _interval_eval(p, *root.bounds(width))
@@ -565,23 +553,14 @@ def eval_at_root(p: UniPoly, root: Root) -> Rational | SignedInterval:
     raise ArithmeticError(f"could not certify the sign at a root ({root.kind})")
 
 
-def affine_image(root: Root, slope: Rational, intercept: Rational) -> Root:
-    """The root description of slope*x + intercept at the given root, for a
-    nonzero slope."""
+def affine_image(
+    root: RationalRoot | QuadraticSurdRoot, slope: Rational, intercept: Rational
+) -> RationalRoot | QuadraticSurdRoot:
+    """The root description of slope*x + intercept at a rational root or a
+    quadratic surd, for a nonzero slope: a rational root or a surd again."""
     slope, intercept = Fraction(slope), Fraction(intercept)
     if isinstance(root, RationalRoot):
         return RationalRoot(intercept + slope * root.value)
-    if isinstance(root, QuadraticSurdRoot):
-        sign = root.sign if slope > 0 else -root.sign
-        return make_surd(
-            intercept * root.div + slope * root.add,
-            sign,
-            slope * slope * root.radicand,
-            root.div,
-        )
-    lo = intercept + slope * root.low
-    hi = intercept + slope * root.high
-    if lo > hi:
-        lo, hi = hi, lo
-    poly = root.polynomial.compose_linear(1 / slope, -intercept / slope)
-    return IntervalRoot(lo, hi, poly)
+    sign = root.sign if slope > 0 else -root.sign
+    return make_surd(intercept * root.div + slope * root.add, sign,
+                     slope * slope * root.radicand, root.div)

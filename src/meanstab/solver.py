@@ -80,8 +80,8 @@ from .catalog import (
 )
 from .numeric import boundary_limit
 from .polynomials import (
+    QuadraticSurdRoot,
     RationalRoot,
-    Root,
     SignedInterval,
     UniPoly,
     _is_square,
@@ -228,8 +228,8 @@ class OptimalCandidate(Value):
 
     def __init__(
         self,
-        p: Root,
-        q: Root,
+        p: RationalRoot | QuadraticSurdRoot,
+        q: RationalRoot | QuadraticSurdRoot,
         achieved_order: int | None,  # index of first nonzero coefficient; None = all zero
         leading: Rational | SignedInterval | None,
     ) -> None:
@@ -585,7 +585,7 @@ def scan_family(family: str) -> Callable[[Rational], MeanSpec] | None:
     return _SCAN_FAMILIES.get(family.strip().upper())
 
 
-def stability_parameter_scan(family: str, order: int = 16) -> list[Root]:
+def stability_parameter_scan(family: str, order: int = 16) -> list[RationalRoot]:
     """All parameters alpha in [-1, 1] for which the family is stable.
 
     The t^4 stability defect is read as an exact polynomial in beta =
@@ -612,7 +612,7 @@ def stability_parameter_scan(family: str, order: int = 16) -> list[Root]:
     defect4 = _band(lambda x: _defect_form(_cosh_mean_form(x, make_spec is SAlpha, 4)), 4, 4)[4]
     if defect4.is_zero:
         raise ArithmeticError("t^4 defect vanishes identically; scan inconclusive")
-    results: list[Root] = []
+    results: list[RationalRoot] = []
     for root in isolate_real_roots(defect4):
         lo, hi = root.bounds()
         if hi < 0 or lo > 1:

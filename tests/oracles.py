@@ -115,10 +115,6 @@ Each one is an independent derivation of the same coefficients:
 * ``descartes_count_by_products``: the Descartes count of an interval from
   UniPoly products of the Moebius numerator and denominator powers, where
   ``polynomials.py`` takes two Taylor shifts;
-* ``compose_linear_by_horner``: p(slope*x + intercept) by Horner's rule over
-  UniPoly products, where ``polynomials.py`` takes a Taylor shift by the
-  intercept and scales by powers of the slope, the substitution its
-  Descartes count also makes;
 * ``sqrt_bounds_by_bisection``: the surd enclosure by bisection, where
   ``polynomials.py`` reads the same bounds from one integer square root;
 * ``rational_roots_by_fraction_evaluation``: the same candidate test by
@@ -683,7 +679,10 @@ def candidates_by_bands(mean: MeanExpansion, max_order: int) -> list[OptimalCand
     for root in isolate_real_roots(polys[k0]):
         achieved, leading = None, None
         for k in range(k0 + 1, max_order + 1):
-            value = eval_at_root(polys[k], root)
+            if isinstance(root, RationalRoot):
+                value = polys[k](root.value)
+            else:
+                value = eval_at_root(polys[k], root)
             if not (isinstance(value, Fraction) and value == 0):
                 achieved, leading = k, value
                 break
@@ -1196,16 +1195,6 @@ def descartes_count_by_products(p: UniPoly, a: Rational, b: Rational) -> int:
         if i < n:
             num_pow = num_pow * lin_num
     return sign_variations(acc.coeffs)
-
-
-def compose_linear_by_horner(p: UniPoly, slope: Rational, intercept: Rational) -> UniPoly:
-    """p(slope*x + intercept) by Horner's rule, one UniPoly product per
-    coefficient."""
-    lin = UniPoly((Fraction(intercept), Fraction(slope)))
-    acc = UniPoly.zero()
-    for c in reversed(p.coeffs):
-        acc = acc * lin + UniPoly((c,))
-    return acc
 
 
 def sqrt_bounds_by_bisection(n: Rational, width: Fraction) -> tuple[Rational, Rational]:

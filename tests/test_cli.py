@@ -8,7 +8,7 @@ import pytest
 
 from meanstab import cli
 from meanstab.cli import main
-from meanstab.polynomials import IntervalRoot, SignedInterval, UniPoly
+from meanstab.polynomials import SignedInterval
 
 
 def run_cli(capsys, *argv):
@@ -747,16 +747,7 @@ class TestErrorHandling:
 
 class TestEncoders:
     """Report fields that no known solver input reaches, encoded directly:
-    every surd candidate known has a rational leading coefficient at t^6."""
-
-    def test_interval_root(self):
-        root = IntervalRoot(F(1), F(3, 2), UniPoly((-2, 0, 0, 1)))  # the cube root of 2
-        assert cli._root_json(root) == {
-            "kind": "isolated-interval",
-            "low": {"num": 1, "den": 1},
-            "high": {"num": 3, "den": 2},
-            "approx": {"value": 1.25, "provenance": "float64"},
-        }
+    every surd candidate known has a rational leading coefficient."""
 
     @pytest.mark.parametrize("low, high, sign", [(F(-3, 4), F(-1, 8), -1), (F(1, 8), F(3, 4), 1)])
     def test_certified_enclosure(self, low, high, sign):

@@ -701,6 +701,125 @@ class TestRationalCandidatesAgainstBands:
         with pytest.raises(ArithmeticError, match="at or below the pivot"):
             optimal_parameters(expand_mean(ALIASES["L"], 16), 16)
 
+
+def _pivot_with_roots(r, p_squared, order, tail):
+    """A mean with a_1 = a_3 = 0 and r = 2*a_2 + 1 whose t^4 pivot
+    (r/128)*(p**2 - r**2) + (15/16)*(a_4 - b_4) vanishes at p**2 = p_squared:
+    B_r with a_4 moved by r*(r**2 - p_squared)/120 and the given coefficients
+    from t^5 on, None where B_r's stays."""
+    c = list(expand_power_mean(r, order).coeffs)
+    c[4] += r * (r * r - p_squared) / 120
+    c[5:] = [b if t is None else t for b, t in zip(c[5:], tail)]
+    return MeanExpansion(tuple(c))
+
+
+class TestCandidateRootKinds:
+    """The pivot is a constant or the t^4 quadratic in p, so every candidate
+    the search returns has p and q rational or quadratic surds, whichever
+    roots the quadratic has: surds, rationals other than +-r, the double
+    root 0 or the identity points +-r."""
+
+    ROOTS = {
+        "surd": lambda r, d: d.draw(st.sampled_from([2, 3, 5, 6, 7, 10])) * d.draw(_NONZERO) ** 2,
+        "rational": lambda r, d: d.draw(_NONZERO.filter(lambda s: s not in (r, -r))) ** 2,
+        "zero": lambda r, d: F(0),
+        "identity": lambda r, d: r * r,
+    }
+    KINDS = {"surd": ["quadratic-surd"] * 2, "zero": ["exact-rational"]}
+
+    @settings(max_examples=60, deadline=None)
+    @given(order=st.integers(4, 12), even=st.booleans(), kind=st.sampled_from(sorted(ROOTS)),
+           data=st.data())
+    def test_candidates_are_rational_or_surd(self, order, even, kind, data):
+        r = data.draw(st.fractions(-3, 3, max_denominator=8).filter(lambda x: x != 0))
+        p_squared = self.ROOTS[kind](r, data)
+        tail = [F(0) if even and k % 2 else data.draw(st.none() | _SMALL)
+                for k in range(5, order + 1)]
+        verdict = optimal_parameters(_pivot_with_roots(r, p_squared, order, tail), order)
+        candidates = verdict.candidates
+        assert [c.p.kind for c in candidates] == self.KINDS.get(kind, ["exact-rational"] * 2)
+        for c in candidates:
+            assert {c.p.kind, c.q.kind} <= {"exact-rational", "quadratic-surd"}
+        if kind != "surd":
+            assert {c.p.value**2 for c in candidates} == {p_squared}
+
+
+class TestSurdLeadingIsRational:
+    """Observed, not proven: a surd candidate's first surviving coefficient
+    is rational and the same at both conjugate roots, so eval_at_root never
+    reaches its enclosure loop from the search.  On the t^4 pivot
+    (r/128)*(p**2 - S) the column t^5 is the constant (31/32)*a_5, and the
+    first later column whose remainder modulo the pivot is not zero has a
+    constant remainder; the next one's is linear.  eval_at_root keeps the
+    loop for the case this fails."""
+
+    SQUAREFREE = [2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17]
+
+    def near_power(self, seed):
+        # B_r with a surd pivot and random shifts from t^5 on: odd ones in
+        # three means of ten
+        rng = random.Random(seed)
+        order, mixed = rng.randint(8, 12), rng.random() < 0.3
+        r = F(rng.choice([-1, 1]) * rng.randint(1, 24), rng.randint(1, 8))
+        p_squared = rng.choice(self.SQUAREFREE) * F(rng.randint(1, 5), rng.randint(1, 4)) ** 2
+        tail = [F(rng.randint(-12, 12), rng.randint(1, 12))
+                if (k % 2 == 0 or mixed) and rng.random() < 0.5 else None
+                for k in range(5, order + 1)]
+        return _pivot_with_roots(r, p_squared, order, tail), order
+
+    def test_seeded_near_power_means(self):
+        orders = []
+        for seed in range(400):
+            mean, order = self.near_power(seed)
+            candidates = optimal_parameters(mean, order).candidates
+            assert [c.p.kind for c in candidates] == ["quadratic-surd"] * 2, seed
+            first, second = candidates
+            assert type(first.leading) is F and first.leading == second.leading, seed
+            assert first.achieved_order == second.achieved_order, seed
+            if first.achieved_order == 5:
+                assert first.leading == F(31, 32) * mean.coeffs[5], seed
+            orders.append(first.achieved_order)
+        assert sorted(set(orders)) == [5, 6]
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("survivor", [6, 8, 10])
+    def test_constructed_later_survivors(self, seed, survivor):
+        # An even mean whose remainders modulo the pivot vanish below the
+        # survivor: a_k moved by delta moves column k by (1 - 2**-k)*delta.
+        rng = random.Random(seed)
+        tail = [None if k % 2 else F(rng.randint(-12, 12), rng.randint(1, 12)) for k in range(5, 13)]
+        mean = _pivot_with_roots(F(1, 3), F(2), 12, tail)
+        locus = first_order_locus(mean)
+        for k in range(6, survivor, 2):
+            polys = coefficient_polynomials(mean, locus, 4, 12)
+            rest = polys[k] % polys[4]
+            assert rest.degree == 0
+            c = list(mean.coeffs)
+            c[k] -= rest.coefficient(0) / (1 - F(1, 2**k))
+            mean = MeanExpansion(tuple(c))
+        polys = coefficient_polynomials(mean, locus, 4, 12)
+        rests = [polys[k] % polys[4] for k in range(6, 13, 2)]
+        # zero below the survivor, constant at it, linear past it
+        assert [rest.degree for rest in rests] == (
+            [-1] * ((survivor - 6) // 2) + [0] + [1] * ((12 - survivor) // 2))
+        candidates = optimal_parameters(mean, 12).candidates
+        assert [(c.p.kind, c.achieved_order, c.leading) for c in candidates] == [
+            ("quadratic-surd", survivor, rests[survivor // 2 - 3].coefficient(0))
+        ] * 2
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_t5_column(self, seed):
+        rng = random.Random(seed)
+        tail = [F(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 12)) for _ in range(5, 10)]
+        mean = _pivot_with_roots(F(rng.randint(1, 9), 4), F(3), 9, tail)
+        column = coefficient_polynomials(mean, first_order_locus(mean), 5, 9)[5]
+        assert column == UniPoly((F(31, 32) * mean.coeffs[5],))
+        candidates = optimal_parameters(mean, 9).candidates
+        assert [(c.p.kind, c.achieved_order, c.leading) for c in candidates] == [
+            ("quadratic-surd", 5, column.coefficient(0))
+        ] * 2
+
+
 class TestClosedOuterStepInTheSolver:
     """A solver sample expands B_q and applies B_p in closed form; the
     verdicts equal those of samples that expand B_p and compose it by
@@ -1191,6 +1310,7 @@ class TestStabilityProbe:
 
 _C1_OFF = st.fractions(-3, 3, max_denominator=9).filter(lambda c: c not in (0, 1, -1))
 _SMALL = st.fractions(-2, 2, max_denominator=12)
+_NONZERO = _SMALL.filter(bool)
 
 
 class TestDefectForm:
