@@ -19,14 +19,21 @@ comparison of M with G (see optimal_parameters).  A rational root of the
 pivot is read exactly.  An identity point of B_r, where R(B_p, B_r, B_q) =
 B_r, comes from one comparison of M with B_r: these are the roots p = +-r
 of a mean that agrees with B_r through t^4 (A, H, L_{+-1} = H and every
-B_r).  Any other rational root comes from a difference expansion at the
+B_r).  Every other root of the t^4 pivot reads two more closed columns:
+t^5 is the constant (31/32)*a_5, and when a_5 = 0 the t^6 column is, modulo
+the pivot, the constant c_6 = 9F/(320r) of a_2, a_4 and a_6.  The first of
+them that is nonzero is the survivor at every such root, rational or surd,
+with no sample and no evaluation at the root.  Only where both vanish does
+a root take a longer route: a rational root a difference expansion at the
 root, truncated at the first reach (below) and, if it vanishes there, at
-max_order: its first nonzero coefficient is the survivor.
+max_order, whose first nonzero coefficient is the survivor; a surd root the
+bands.
 
-Bands serve surd roots only.  A band of reach K samples the difference
-once at the n = K + 2 consecutive integers p = x0 .. x0+n-1, x0 = -(n//2),
-truncated at order K, and serves every k <= K it is asked for: the t^k
-coefficient of a truncation at K equals that of a truncation at k.
+Bands serve surd roots with c_6 = 0 only.  A band of reach K samples the
+difference once at the n = K + 2 consecutive integers p = x0 .. x0+n-1,
+x0 = -(n//2), truncated at order K, and serves every k <= K it is asked
+for: the t^k coefficient of a truncation at K equals that of a truncation
+at k.
 A sample expands B_q only; B_p enters the resultant as its closed form.
 The samples stay integer numerators, over one denominator for the band, and
 column k gets a forward-difference table.  Its leading entries Delta^j must
@@ -36,14 +43,15 @@ K + 1 - k; the polynomial is then Newton's forward form of
 Delta^0 .. Delta^(k-1), built on integers with one division per coefficient.
 The first band has reach _FIRST_REACH = 6 (max_order, if smaller) and opens
 when a surd root asks for a column k >= 5; one more, at max_order, opens
-only when a surd root asks for a k past it.  Likewise a rational root is
-expanded to max_order only when its difference vanishes through the first
-reach, and a stability check expands M to the order only when, through the
-first reach, M matches its stable reference.  Six is where the known inputs
-settle: every surd candidate of the benchmark's solve pools and L_{3/10}'s
-rational roots settle at t^6, and every unstable mean of its stable pool
-differs by t^4.  The trade-off: a candidate or defect first surviving past
-t^6 would pay for both.  An even mean's difference has no odd coefficient
+only when a surd root asks for a k past it, as one with c_6 = 0 does.
+Likewise a rational root is expanded to max_order only when its difference
+vanishes through the first reach, and a stability check expands M to the
+order only when, through the first reach, M matches its stable reference.
+Six is where the known inputs settle: every candidate of the benchmark's
+solve pools that is not an identity point settles at t^6, read in closed
+form, and every unstable mean of its stable pool differs by t^4.  The
+trade-off: a candidate or defect first surviving past t^6 pays for both
+reaches.  An even mean's difference has no odd coefficient
 (the resultant of even means is even), so its search asks only for even k.
 The stability scan of L_alpha and S_alpha reads its t^4 defect the same
 way, as a band of reach 4 in beta = alpha**2 (see stability_parameter_scan).
@@ -97,7 +105,9 @@ from .resultant import _common, _resultant
 from .series import _integer_form, _values
 from .values import Value
 
-_FIRST_REACH = 6  # of a search's first band or expansion and of a stability probe
+# Of a stability probe, and of a search's first band or expansion at a root
+# where the closed t^5 and t^6 columns vanish.
+_FIRST_REACH = 6
 
 # ---------------------------------------------------------------------------
 # Difference expansions
@@ -331,13 +341,44 @@ def optimal_parameters(
       and N = B_q have k_2 = (p - 1)/2, k_4 = b_4 at p, and the same at q;
       with m_2 = (r - 1)/2, a_4 - r_4 is the column above.
 
-    A rational root of the pivot is read exactly, and a surd root through
-    the coefficient polynomials of the sampled bands (for an even mean only
-    the even ones), of reach 6 and, past it, max_order.  At an identity
-    point of B_r, a (p, q) with R(B_p, B_r, B_q) = B_r, if M first leaves
-    B_r at index n <= max_order, with c_n - b_n = delta, the difference
-    vanishes below n and is (1 - 2**-n)*delta at n; if M never leaves B_r,
-    it vanishes through max_order:
+    The pivot's roots are those of the t^4 column P_4, and each that is not
+    an identity point (below) reads the next two columns in closed form.
+    The t^5 column is (31/32)*a_5 at every p, and when a_5 = 0 the t^6
+    column P_6 is, at every root of P_4, the constant c_6 = 9*F/(320*r),
+    F = 48*a_2**6 + 104*a_2**5 + 65*a_2**4 + 80*a_2**3*a_4 - 5*a_2**3 +
+    150*a_2**2*a_4 - 13*a_2**2 + 65*a_2*a_4 + 70*a_2*a_6 + a_2 - 100*a_4**2
+    - 20*a_4 + 35*a_6:
+
+    * t^5: as at t^3, a_5 enters with slope 2**-5, and the part of the t^5
+      coefficient that a_2 and a_4 give is that of an even mean, zero;
+    * t^6: through t^6 a mean with a_1 = a_3 = a_5 = 0 enters as an even
+      one, and for even K, M and N, R(K, M, N) has the t^6 coefficient
+      r_6 = k_6/64 + m_6/64 + n_6/2 - 3*k_4*n_2/32 - (k_2*m_4 +
+      k_4*m_2)*(16*n_2 + 7)/64 + k_2*m_2**2*(2*n_2 + 1)**2/16 +
+      k_2*m_2*(20*n_2**2 + 6*n_2 - 32*n_4 - 3)/64 + k_2*(n_2**2 - 2*n_4)/16
+      + 3*m_4*(4*n_2**2 + 3*n_2 + 1)/32 + m_2*(1 - 2*n_2 - 8*n_2**2 -
+      8*n_2**3 + 8*n_4 + 32*n_2*n_4)/64;
+    * B_p has k_6 = (p**2 - 1)*(16*p**3 - 30*p**2 - 19*p + 45)/720.  With
+      the rest as for t^4, P_6 = a_6 - r_6 is r*p*P_4/4 plus the even part
+      E = 63*a_6/64 - (27*r**2 + 3*r + 5)*a_4/128 - r*p**4/1536 -
+      (840*a_4 + 180*r**3 - 165*r**2 - 170*r + 105)*p**2/15360 -
+      81*r**5/2560 + 63*r**4/1024 + 15*r**3/256 - 125*r**2/1024 -
+      197*r/7680 + 29/512;
+    * a root of P_4 has p**2 = -(120*a_4 + 9*r**3 - 15*r**2 - 10*r + 15)/r,
+      and there E is c_6, with a_2 = (r - 1)/2.  At a_4 = b_4, where the
+      roots are the identity points, c_6 is (63/64)*(a_6 - b_6).
+
+    So the first of these columns that is nonzero, and within max_order, is
+    the survivor at every such root, rational or surd, with no band, no
+    expansion and no evaluation at the root; F is read once per search, and
+    only if such a root asks for it.  Where both vanish a surd root is read
+    through the coefficient polynomials of the sampled bands (for an even
+    mean only the even ones), of reach 6 and, past it, max_order.
+
+    At an identity point of B_r, a (p, q) with R(B_p, B_r, B_q) = B_r, if M
+    first leaves B_r at index n <= max_order, with c_n - b_n = delta, the
+    difference vanishes below n and is (1 - 2**-n)*delta at n; if M never
+    leaves B_r, it vanishes through max_order:
 
     * through order n the resultant reads only m_0..m_n, so below n the
       difference is that of B_r, zero at an identity point;
@@ -365,18 +406,17 @@ def optimal_parameters(
       sqrt(t)), which at q = -p/2 is [(s**(p/2) + t**(p/2))/(s**(-p/2) +
       t**(-p/2))]**(1/p) = sqrt(s*t), and at p = q = 0 is R(G, G, G) = G.
 
-    Any other rational root, such as L's p = +-1 or L_{3/10}'s +-38/25, is
+    A rational root where t^5 and t^6 both vanish, such as L's p = +-1, is
     read from a difference expansion at the root, truncated at the first
     reach and, if it vanishes there, at max_order, and opens no band: its
-    first nonzero coefficient is the survivor.  The first reach keeps a
-    survivor at t^6 cheap at a high max_order.
+    first nonzero coefficient is the survivor.
     Every coefficient below the pivot vanishes on the locus and the pivot at
     its root, so a survivor at or below the pivot raises ArithmeticError.
-    Surd parameters are evaluated exactly through reduction modulo their
-    minimal polynomial; a leading coefficient that is rational comes back
-    exact, otherwise as a sign-certified enclosure.  Boundary limits (when a
-    mean spec is supplied) are numeric evidence attached to the verdict,
-    never part of the exact computation.
+    A band's column is evaluated at a surd root exactly, through reduction
+    modulo its minimal polynomial; a leading coefficient that is rational
+    comes back exact, otherwise as a sign-certified enclosure.  Boundary
+    limits (when a mean spec is supplied) are numeric evidence attached to
+    the verdict, never part of the exact computation.
     """
     if max_order < 3:
         raise ValueError("the search needs max_order >= 3")
@@ -442,26 +482,44 @@ def optimal_parameters(
     polys: dict[int, UniPoly] = {}
 
     def column(k: int) -> UniPoly:
-        # The first reach, where every known surd candidate settles, then the search order.
+        # The first reach, then the search order: a surd root past t^6 asks for both.
         if k not in polys:
             reach = max_order if polys else min(max(k, _FIRST_REACH), max_order)
             polys.update(coefficient_polynomials(mean, locus, k, reach))
         return polys[k]
+
+    @cache
+    def settled() -> tuple[int | None, Rational | None]:
+        # The roots are those of the t^4 quadratic.  The t^5 column, else the
+        # t^6 column modulo the pivot, if it is nonzero: the same constant at
+        # every root (see above); (None, None) otherwise.
+        a5 = mean.coefficient(5) if max_order >= 5 else 0
+        if a5 != 0:
+            return 5, a5 * Fraction(31, 32)
+        if max_order >= 6:
+            a2, a4, a6 = mean.coefficient(2), mean.coefficient(4), mean.coefficient(6)
+            f = ((((((48 * a2 + 104) * a2 + 65) * a2 - 5) * a2 - 13) * a2 + 1) * a2
+                 + (((80 * a2 + 150) * a2 + 65) * a2 - 100 * a4 - 20) * a4 + (70 * a2 + 35) * a6)
+            if f != 0:
+                return 6, 9 * f / (320 * r)
+        return None, None
 
     candidates = []
     for root in roots:
         q_root = affine_image(root, locus.slope, locus.intercept)
         achieved: int | None = None
         leading: Rational | SignedInterval | None = None
-        if not isinstance(root, RationalRoot):
+        if isinstance(root, RationalRoot) and root.value in (r, -r):
+            # (p, q) = (r, r) or (-r, 2r), an identity point of B_r (see above)
+            achieved, leading = leaving()
+        elif settled()[0] is not None:
+            achieved, leading = settled()
+        elif not isinstance(root, RationalRoot):
             for k in range(k0 + step, max_order + 1, step):
                 value = eval_at_root(column(k), root)
                 if value != 0:
                     achieved, leading = k, value
                     break
-        elif root.value in (r, -r):
-            # (p, q) = (r, r) or (-r, 2r), an identity point of B_r (see above)
-            achieved, leading = leaving()
         else:
             # The exact difference at the root through the first reach, then
             # through the search order if it vanishes there.

@@ -325,8 +325,15 @@ class TestOrderBands:
         return asked
 
     def test_early_search_stays_below_order_seven(self, monkeypatch):
+        # S_{1/10}'s surd roots read t^6 in closed form: no band
+        asked = self.asked_bands(monkeypatch)
         orders = self.sampled_orders(monkeypatch, SAlpha(F(1, 10)), 14)
-        assert orders and max(orders) <= 6
+        assert orders == [] and asked == []
+        # where t^5 and t^6 vanish at surd roots, the first band has reach 6
+        # and the second max_order
+        asked = self.asked_bands(monkeypatch)
+        orders, _ = self.sampled_expansions(monkeypatch, _c6_zero(14), 14)
+        assert orders == [6] * 8 + [14] * 16 and asked == [6, 8]
 
     def test_deep_search_of_a_power_mean_opens_no_band(self, monkeypatch):
         # the pivot t^4 is a closed column, and its roots p = -1, 1 are the
@@ -344,11 +351,10 @@ class TestOrderBands:
         assert orders == [6, 64] * 2 and asked == []
 
     def test_rational_survivor_at_t6_opens_no_band(self, monkeypatch):
-        # the rational roots of L_{3/10} survive at t^6, read from one
-        # expansion each at the first reach
+        # the rational roots of L_{3/10} survive at t^6, read in closed form
         asked = self.asked_bands(monkeypatch)
         orders = self.sampled_orders(monkeypatch, LAlpha(F(3, 10)), 16)
-        assert orders == [6] * 2 and asked == []
+        assert orders == [] and asked == []
         verdict = optimal_parameters(expand_mean(LAlpha(F(3, 10)), 16), 16)
         assert [(c.p.value, c.achieved_order, c.leading) for c in verdict.candidates] == [
             (F(-38, 25), 6, F(-1456, 48828125)), (F(38, 25), 6, F(-1456, 48828125))
@@ -361,54 +367,61 @@ class TestOrderBands:
         assert orders == [] and asked == []
 
     def test_second_band_opens_at_the_search_order(self, monkeypatch):
-        # with a first reach of 4, S_{1/10} searched as a mixed mean takes its
-        # first band at t^5, past the closed columns, and its surd roots
-        # survive past it: the band at max_order follows, and the verdict
-        # does not change
+        # with a first reach of 4, a mean searched as a mixed one whose surd
+        # roots read neither t^5 nor t^6 takes its first band at t^5, past
+        # the closed columns, and survives past it: the band at max_order
+        # follows, and the verdict does not change; S_{1/10} reads t^6 in
+        # closed form and opens no band
         class Mixed(MeanExpansion):
             is_even = False
 
         spec = SAlpha(F(1, 10))
-        mean = Mixed(expand_mean(spec, 8).coeffs)
-        expected = optimal_parameters(mean, 8, spec=spec)
+        means = [(Mixed(expand_mean(spec, 8).coeffs), spec), (Mixed(_c6_zero(8).coeffs), None)]
+        expected = [optimal_parameters(mean, 8, spec=s) for mean, s in means]
         monkeypatch.setattr(solver, "_FIRST_REACH", 4)
-        asked = self.asked_bands(monkeypatch)
-        orders, _ = self.sampled_expansions(monkeypatch, mean, 8)
-        assert orders == [5] * 7 + [8] * 10 and asked == [5, 6]
-        assert optimal_parameters(mean, 8, spec=spec) == expected
+        schedules = []
+        for mean, s in means:
+            asked = self.asked_bands(monkeypatch)
+            orders, _ = self.sampled_expansions(monkeypatch, mean, 8)
+            schedules.append((list(orders), list(asked)))
+        assert schedules == [([], []), ([5] * 7 + [8] * 10, [5, 6])]
+        assert [optimal_parameters(mean, 8, spec=s) for mean, s in means] == expected
 
     @pytest.mark.parametrize("max_order", [3, 5, 8, 13, 16, 25])
     @pytest.mark.parametrize(
         "spec",
-        [ALIASES["G"], ALIASES["P"], M2, M4, LAlpha(F(1, 3)), PowerMean(F(-13, 6))],
-        ids=describe_spec,
+        [ALIASES["G"], ALIASES["P"], M2, M4, LAlpha(F(1, 3)), PowerMean(F(-13, 6)), None],
+        ids=lambda s: "c6=0" if s is None else describe_spec(s),
     )
     def test_even_mean_asks_only_for_even_orders(self, monkeypatch, spec, max_order):
         asked = self.asked_bands(monkeypatch)
-        mean = expand_mean(spec, max_order)
+        mean = _c6_zero(max_order) if spec is None else expand_mean(spec, max_order)
         orders, forms = self.sampled_expansions(monkeypatch, mean, max_order)
         assert all(k % 2 == 0 for k in asked)
         assert all(order == max_order or order % 2 == 0 for order in orders)
         # the premise: every odd coefficient of an even mean's difference is 0
         assert all(not any(nums[1::2]) for nums, _ in forms)
-        if spec in (ALIASES["G"], PowerMean(F(-13, 6))):
-            # a power mean's pivot roots are identity points: no band at all
-            assert asked == [] and orders == []
+        if spec is None:
+            # t^4 is a closed column and t^6 vanishes at the surd roots: the
+            # first band starts at t^6, the second at t^8
+            assert asked == [6, 8][: (max_order >= 6) + (max_order >= 8)]
         else:
-            # t^4 is a closed column: the first band starts at t^6
-            assert asked[:1] == ([6] if max_order >= 6 else [])
+            # a power mean's pivot roots are identity points, and the other
+            # means' roots read t^6 in closed form: no band at all
+            assert asked == [] and orders == []
 
     @pytest.mark.parametrize("odd", [3, 5])
     def test_mixed_mean_without_t_term_starts_from_the_closed_columns(self, monkeypatch, odd):
         # M2 with a_odd = 1/7: a mixed mean with a_1 = 0 reads t^3, and t^4
-        # when a_3 = 0, in closed form; at a_3 = 0 it takes the band of reach
-        # 6 that an even mean takes, and settles inside it
+        # when a_3 = 0, in closed form; at a_3 = 0 its surd roots read t^5 in
+        # closed form too, and no band opens
         coeffs = list(expand_mean(M2, 16).coeffs)
         coeffs[odd] = F(1, 7)
         mean = MeanExpansion(tuple(coeffs))
         assert not mean.is_even and mean.coefficient(1) == 0
+        asked = self.asked_bands(monkeypatch)
         orders, _ = self.sampled_expansions(monkeypatch, mean, 16)
-        assert orders == ([] if odd == 3 else [6] * 8)
+        assert orders == [] and asked == []
         verdict = optimal_parameters(mean, 16)
         assert verdict.relation == "candidate-sub"
         if odd == 3:
@@ -713,6 +726,19 @@ def _pivot_with_roots(r, p_squared, order, tail):
     return MeanExpansion(tuple(c))
 
 
+def _c6_zero(order, p_squared=F(2), r=F(1, 3)):
+    """An even mean whose pivot roots p = +-sqrt(p_squared) read neither t^5
+    nor t^6: B_r with the pivot moved to those roots, and a_6 moved so that
+    the t^6 column vanishes modulo the pivot; a_6 enters that column with the
+    slope 63/64 at every p."""
+    top = max(order, 6)
+    mean = _pivot_with_roots(r, p_squared, top, [None] * (top - 4))
+    polys = coefficient_polynomials(mean, first_order_locus(mean), 4, 6)
+    c = list(mean.coeffs)
+    c[6] -= (polys[6] % polys[4]).coefficient(0) * F(64, 63)
+    return MeanExpansion(tuple(c[: order + 1]))
+
+
 class TestCandidateRootKinds:
     """The pivot is a constant or the t^4 quadratic in p, so every candidate
     the search returns has p and q rational or quadratic surds, whichever
@@ -745,13 +771,13 @@ class TestCandidateRootKinds:
 
 
 class TestSurdLeadingIsRational:
-    """Observed, not proven: a surd candidate's first surviving coefficient
-    is rational and the same at both conjugate roots, so eval_at_root never
-    reaches its enclosure loop from the search.  On the t^4 pivot
-    (r/128)*(p**2 - S) the column t^5 is the constant (31/32)*a_5, and the
-    first later column whose remainder modulo the pivot is not zero has a
-    constant remainder; the next one's is linear.  eval_at_root keeps the
-    loop for the case this fails."""
+    """A surd candidate's first surviving coefficient is rational and the
+    same at both conjugate roots.  On the t^4 pivot (r/128)*(p**2 - S) the
+    column t^5 is the constant (31/32)*a_5 and the t^6 column's remainder
+    modulo the pivot is a constant (proven in optimal_parameters).  Past
+    t^6 it is observed, not proven: the first later column whose remainder
+    is not zero has a constant remainder, and the next one's is linear.
+    eval_at_root keeps its enclosure loop for the case this fails."""
 
     SQUAREFREE = [2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17]
 
@@ -818,6 +844,120 @@ class TestSurdLeadingIsRational:
         assert [(c.p.kind, c.achieved_order, c.leading) for c in candidates] == [
             ("quadratic-surd", 5, column.coefficient(0))
         ] * 2
+
+
+class TestClosedT5AndT6:
+    """For a_1 = a_3 = 0 and r = 2*a_2 + 1 != 0, at every root of the t^4
+    pivot P_4 other than the identity points +-r, the t^5 column is
+    (31/32)*a_5 and, at a_5 = 0, the t^6 column P_6 is the constant c_6 =
+    9F/(320r) modulo P_4 (see optimal_parameters).  The search reads them
+    with no band, no difference expansion and no evaluation at a root:
+    checked against the band route and against the double sums.  Where both
+    vanish the search takes the band or the expansion, and the survivor at
+    t^8 is constant modulo P_4 too."""
+
+    CLOSED = ("_difference_form", "coefficient_polynomials", "eval_at_root")
+    R = st.fractions(-3, 3, max_denominator=8).filter(lambda x: x != 0)
+
+    @staticmethod
+    def near_power(r, p_squared, order, even, data):
+        # B_r with the pivot roots p**2 = p_squared, a_5 = 0 or drawn for a
+        # mixed mean, and drawn coefficients from t^6 on
+        a5 = F(0) if even else data.draw(st.just(F(0)) | _NONZERO)
+        tail = [a5] + [F(0) if even and k % 2 else data.draw(_SMALL) for k in range(6, order + 1)]
+        return _pivot_with_roots(r, p_squared, order, tail)
+
+    @settings(max_examples=80, deadline=None)
+    @given(order=st.integers(5, 14), even=st.booleans(), kind=st.sampled_from(["surd", "rational"]),
+           data=st.data())
+    def test_columns_equal_the_band(self, order, even, kind, data):
+        r = data.draw(self.R)
+        mean = self.near_power(r, TestCandidateRootKinds.ROOTS[kind](r, data), order, even, data)
+        polys = coefficient_polynomials(mean, first_order_locus(mean), 4, min(order, 6))
+        assert polys[5] == UniPoly((F(31, 32) * mean.coeffs[5],))
+        if not polys[5].is_zero:
+            expected = (5, polys[5].coefficient(0))
+        elif order >= 6 and not (rest := polys[6] % polys[4]).is_zero:
+            assert rest.degree == 0
+            expected = (6, rest.coefficient(0))
+        else:
+            expected = None
+        with pytest.MonkeyPatch.context() as mp:
+            for name in self.CLOSED if expected else ():
+                mp.setattr(solver, name, None)
+            candidates = optimal_parameters(mean, order).candidates
+        assert [c.p.kind for c in candidates] == (
+            ["quadratic-surd"] * 2 if kind == "surd" else ["exact-rational"] * 2)
+        for c in candidates:
+            if expected:
+                assert (c.achieved_order, c.leading) == expected and type(c.leading) is F
+            else:
+                assert c.achieved_order is None or c.achieved_order > 6
+
+    @settings(max_examples=30, deadline=None)
+    @given(order=st.integers(6, 8), even=st.booleans(), data=st.data())
+    def test_columns_equal_the_double_sums(self, order, even, data):
+        r = data.draw(self.R)
+        s = data.draw(_NONZERO.filter(lambda s: s not in (r, -r)))
+        mean = self.near_power(r, s * s, order, even, data)
+        m = mean.coeffs
+        expected = []
+        for p in (-abs(s), abs(s)):
+            bp, bq = (oracles.expand_power_mean_from_fractions(x, order).coeffs
+                      for x in (p, (3 * r - p) / 2))
+            diff = [a - b for a, b in zip(m, oracles.resultant_by_double_sums(bp, m, bq, order))]
+            first = next((k for k, d in enumerate(diff) if d), None)
+            expected.append((p, first, None if first is None else diff[first]))
+        with pytest.MonkeyPatch.context() as mp:
+            for name in self.CLOSED if expected[0][1] in (5, 6) else ():
+                mp.setattr(solver, name, None)
+            candidates = optimal_parameters(mean, order).candidates
+        assert [(c.p.value, c.achieved_order, c.leading) for c in candidates] == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_t6_coefficient_of_even_means(self, data):
+        # r_6 of R(K, M, N) for even K, M and N, as the proof of the t^6
+        # column states it
+        k, m, n = ([F(1), F(0), data.draw(_SMALL), F(0), data.draw(_SMALL), F(0), data.draw(_SMALL)]
+                   for _ in range(3))
+        k2, k4, k6, m2, m4, m6, n2, n4, n6 = k[2], k[4], k[6], m[2], m[4], m[6], n[2], n[4], n[6]
+        r6 = (k6 / 64 + m6 / 64 + n6 / 2 - 3 * k4 * n2 / 32 - (k2 * m4 + k4 * m2) * (16 * n2 + 7) / 64
+              + k2 * m2**2 * (2 * n2 + 1) ** 2 / 16 + k2 * m2 * (20 * n2**2 + 6 * n2 - 32 * n4 - 3) / 64
+              + k2 * (n2**2 - 2 * n4) / 16 + 3 * m4 * (4 * n2**2 + 3 * n2 + 1) / 32
+              + m2 * (1 - 2 * n2 - 8 * n2**2 - 8 * n2**3 + 8 * n4 + 32 * n2 * n4) / 64)
+        assert oracles.resultant_by_double_sums(k, m, n, 6)[6] == r6
+
+    def test_surd_roots_past_t6_take_the_bands(self, monkeypatch):
+        # at c_6 = 0 the survivor at t^8 is constant modulo P_4: the same
+        # rational at both conjugate roots
+        mean = _c6_zero(16)
+        polys = coefficient_polynomials(mean, first_order_locus(mean), 4, 8)
+        rests = [polys[k] % polys[4] for k in (5, 6, 7, 8)]
+        assert [rest.degree for rest in rests] == [-1, -1, -1, 0]
+        asked = TestOrderBands.asked_bands(monkeypatch)
+        candidates = optimal_parameters(mean, 16).candidates
+        assert asked == [6, 8]
+        assert [(c.p.kind, c.achieved_order, c.leading) for c in candidates] == [
+            ("quadratic-surd", 8, rests[3].coefficient(0))
+        ] * 2
+        assert type(candidates[0].leading) is F
+
+    def test_rational_roots_past_t6_take_the_expansions(self, monkeypatch):
+        # at c_6 = 0 a rational root that is not an identity point is read
+        # from an expansion at the first reach, which vanishes, then at
+        # max_order
+        mean = _c6_zero(16, F(4))
+        polys = coefficient_polynomials(mean, first_order_locus(mean), 4, 8)
+        rest = polys[8] % polys[4]
+        assert (polys[6] % polys[4]).is_zero and rest.degree == 0
+        asked = TestOrderBands.asked_bands(monkeypatch)
+        orders = TestOrderBands.sampled_expansions(monkeypatch, mean, 16)[0]
+        assert orders == [6, 16] * 2 and asked == []
+        candidates = optimal_parameters(mean, 16).candidates
+        assert [(c.p.value, c.achieved_order, c.leading) for c in candidates] == [
+            (-2, 8, rest.coefficient(0)), (2, 8, rest.coefficient(0))
+        ]
 
 
 class TestClosedOuterStepInTheSolver:
@@ -1025,12 +1165,23 @@ class TestBoundaryWithoutSpec:
 
 
 class TestDisagreeingBestCandidates:
-    """M2's candidates p = -+sqrt(17) both survive at t^6 with -11/180.
-    With the value at one root negated, the two best candidates disagree in
-    sign: the relation is the first one's, and the verdict says so."""
+    """M2's candidates p = -+sqrt(17) both survive at t^6 with -11/180, read
+    in closed form with no evaluation at a root.  The constructed mean's
+    candidates p = -+sqrt(2) read neither t^5 nor t^6 and survive at t^8,
+    evaluated at each root.  With the value at one root negated, the two best
+    candidates disagree in sign: the relation is the first one's, and the
+    verdict says so."""
+
+    def test_closed_t6_agrees_at_both_roots(self, monkeypatch):
+        monkeypatch.setattr(solver, "eval_at_root", None)
+        verdict = optimal_parameters(expand_mean(M2, 8), 8)
+        assert verdict.relation == "candidate-super" and verdict.notes == ()
+        assert [(c.p.sign, c.achieved_order, c.leading) for c in verdict.candidates] == [
+            (sign, 6, F(-11, 180)) for sign in (-1, 1)
+        ]
 
     @pytest.mark.parametrize(
-        "negated, relation", [(1, "candidate-super"), (-1, "candidate-sub")], ids=["high", "low"]
+        "negated, relation", [(1, "candidate-sub"), (-1, "candidate-super")], ids=["high", "low"]
     )
     def test_relation_taken_from_the_first(self, monkeypatch, negated, relation):
         real = solver.eval_at_root
@@ -1039,12 +1190,15 @@ class TestDisagreeingBestCandidates:
             value = real(poly, root)
             return -value if root.sign == negated else value
 
+        mean = _c6_zero(8)
+        leading = optimal_parameters(mean, 8).candidates[0].leading
+        assert leading > 0
         monkeypatch.setattr(solver, "eval_at_root", negating)
-        verdict = optimal_parameters(expand_mean(M2, 8), 8)
+        verdict = optimal_parameters(mean, 8)
         assert verdict.relation == relation
         assert verdict.notes == ("best candidates disagree in sign; relation taken from the first",)
         assert [(c.p.sign, c.achieved_order, c.leading) for c in verdict.candidates] == [
-            (sign, 6, F(-11, 180) * (-1 if sign == negated else 1)) for sign in (-1, 1)
+            (sign, 8, leading * (-1 if sign == negated else 1)) for sign in (-1, 1)
         ]
 
 
