@@ -181,14 +181,15 @@ class MeanExpansion(Value):
         return x * acc
 
 
-def _power_mean_form(p: Fraction, order: int) -> tuple[list[int], int]:
+def _power_mean_form(p: Fraction, order: int) -> tuple[list, int | Fraction]:
     """The expansion of B_p as integer numerators over their least common
-    denominator (see expand_power_mean)."""
+    denominator (see expand_power_mean), or for p in another field, such as
+    Q(sqrt(s)) at a surd root, as that field's values over Fraction(1)."""
     half = order // 2
     if p == 0:
         avg, den, exponent = [1, -1] + [0] * (half - 1), 1, Fraction(1, 2)
     else:
-        s, t = p.as_integer_ratio()
+        s, t = p.as_integer_ratio() if isinstance(p, Fraction) else (p, 1)
         terms, num, den = [(1, 1)], 1, 1
         for m in range(1, 2 * half + 1):
             num *= s - (m - 1) * t

@@ -97,13 +97,8 @@ def _leading_json(leading) -> dict | None:
         return None
     if isinstance(leading, Fraction):
         return {"exact": _rat_json(leading)}
-    return {
-        "certified_enclosure": {
-            "low": _rat_json(leading.low),
-            "high": _rat_json(leading.high),
-        },
-        "sign": leading.sign,
-    }
+    surd = {name: _rat_json(value) for name, value in vars(leading).items()}
+    return {"exact_surd": surd, "sign": leading.sign}
 
 
 def _expansion_json(expansion: MeanExpansion) -> dict:

@@ -9,6 +9,10 @@ rule of signs on Moebius-transformed coordinates with exact sign evaluation,
 and one pass over the intervals recognizes the linear and quadratic factors,
 verifies each by exact division and divides it out.
 
+A surd root's ``value`` is a number of the field Q(sqrt(s)),
+``QuadraticField``, whose arithmetic is exact and whose values have an
+exact sign; the series kernel computes in it at such a root.
+
 Polynomials through equally spaced samples come from one route: the
 integer forward-difference table of the samples (``forward_differences``)
 and Newton's forward form (``newton_forward``).
@@ -178,6 +182,74 @@ def newton_forward(x0: int, deltas: Sequence[int], den: int) -> UniPoly:
 
 
 # ---------------------------------------------------------------------------
+# Quadratic fields
+
+
+class QuadraticField(Value):
+    """The number a + b*sqrt(s) of the field Q(sqrt(s)), s a positive
+    integer that is not a square, held with Fractions a and b, b != 0.
+
+    Arithmetic with a value of the same field, a Fraction or an int comes
+    back as a Fraction wherever b cancels, so a rational result stays
+    rational: the series primitives run on these values as on any field's.
+    """
+
+    def __init__(self, a: Rational, b: Rational, s: Rational) -> None:
+        self.__dict__.update(a=a, b=b, s=s)
+
+    def _of(self, a: Rational, b: Rational) -> "QuadraticField | Rational":
+        return QuadraticField(a, b, self.s) if b else a
+
+    @property
+    def sign(self) -> int:
+        """That of b, unless a has the other sign and a**2 > b**2*s."""
+        b = 1 if self.b > 0 else -1
+        return -b if self.a * b < 0 and self.a * self.a > self.b * self.b * self.s else b
+
+    def __add__(self, other):
+        if isinstance(other, QuadraticField):
+            return self._of(self.a + other.a, self.b + other.b)
+        if isinstance(other, (int, Fraction)):
+            return QuadraticField(self.a + other, self.b, self.s)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "QuadraticField":
+        return QuadraticField(-self.a, -self.b, self.s)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, QuadraticField):
+            a, b, c, d = self.a, self.b, other.a, other.b
+            return self._of(a * c + b * d * self.s, a * d + b * c)
+        if isinstance(other, (int, Fraction)):
+            return self._of(self.a * other, self.b * other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def _inverse(self) -> "QuadraticField":
+        norm = self.a * self.a - self.b * self.b * self.s
+        return QuadraticField(self.a / norm, -self.b / norm, self.s)
+
+    def __truediv__(self, other):
+        if isinstance(other, QuadraticField):
+            return self * other._inverse()
+        if isinstance(other, (int, Fraction)):
+            return QuadraticField(self.a / other, self.b / other, self.s)
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        return self._inverse() * other
+
+
+# ---------------------------------------------------------------------------
 # Root descriptions
 
 
@@ -206,9 +278,10 @@ class QuadraticSurdRoot(Value):
     def __init__(self, add: Rational, sign: int, radicand: Rational, div: Rational) -> None:
         self.__dict__.update(add=add, sign=sign, radicand=radicand, div=div)
 
-    def minimal_polynomial(self) -> UniPoly:
-        a, b, c = self.add, self.radicand, self.div
-        return UniPoly((a * a - b, -2 * a * c, c * c))
+    @property
+    def value(self) -> QuadraticField:
+        """The root as a value of Q(sqrt(radicand))."""
+        return QuadraticField(self.add / self.div, self.sign / self.div, self.radicand)
 
     def sqrt_bounds(self, width: Fraction = Fraction(1, 10**18)) -> tuple[Rational, Rational]:
         """Rational enclosure of sqrt(radicand) of at most the given width.
@@ -511,46 +584,6 @@ def isolate_real_roots(f: UniPoly) -> list[Root]:
     if g.degree == 2:
         return _quadratic_roots(*g.coeffs)
     return _recognize_roots(g) if g.degree >= 3 else []
-
-
-# ---------------------------------------------------------------------------
-# Exact evaluation at roots
-
-
-class SignedInterval(Value):
-    """Certified rational enclosure of a nonzero real value."""
-
-    def __init__(self, low: Rational, high: Rational) -> None:
-        self.__dict__.update(low=low, high=high)
-
-    @property
-    def sign(self) -> int:
-        return 1 if self.low > 0 else -1
-
-
-def _interval_eval(p: UniPoly, lo: Rational, hi: Rational) -> tuple[Rational, Rational]:
-    acc_lo, acc_hi = ZERO, ZERO
-    for c in reversed(p.coeffs):
-        cands = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
-        acc_lo, acc_hi = min(cands) + c, max(cands) + c
-    return acc_lo, acc_hi
-
-
-def eval_at_root(p: UniPoly, root: QuadraticSurdRoot) -> Rational | SignedInterval:
-    """Value of p at a quadratic surd: exact rational when p modulo the
-    surd's minimal polynomial is constant (including exact zero), otherwise
-    a sign-certified enclosure over root.bounds(width), the width squared
-    each round from 10**-12."""
-    p = p % root.minimal_polynomial()
-    if p.degree <= 0:
-        return p.coefficient(0)
-    width = Fraction(1, 10**12)
-    for _ in range(8):
-        lo, hi = _interval_eval(p, *root.bounds(width))
-        if lo > 0 or hi < 0:
-            return SignedInterval(lo, hi)
-        width = width * width
-    raise ArithmeticError(f"could not certify the sign at a root ({root.kind})")
 
 
 def affine_image(

@@ -12,7 +12,10 @@ arbitrary real power of a series with nonzero constant term:
 
 With integer exponents any nonzero constant term is allowed; a fractional
 exponent requires constant term 1 so that every coefficient stays in the
-field.
+field.  The exponent may also be a value of another field, such as a
+quadratic field Q(sqrt(s)) (``polynomials.QuadraticField``), again with
+constant term 1; the recursion then computes in that field, the power mean
+B_p at a surd p and a solver sample at a surd root of the pivot included.
 
 The product, the power recursion and composition each have one body, a
 private primitive on forms: pairs ``(nums, den)`` with ``a[n] ==
@@ -150,24 +153,28 @@ def series_mul(a: Coeffs, b: Coeffs, order: int) -> tuple:
 
 
 def _power_form(a: tuple, r, order: int) -> tuple[list, int | Fraction]:
-    """The form of a**r for the form a; a_0 must be nonzero, and 1 if r is
-    fractional (otherwise the leading coefficient would leave the field).
-    a must reach the order; at r = 1 it comes back reduced.
+    """The form of a**r for the form a; a_0 must be nonzero, and 1 unless r
+    is an integer (otherwise the leading coefficient would leave the field).
+    r is rational, or a value of another field (a Fraction subclass counts
+    as rational).  a must reach the order; at r = 1 it comes back reduced.
 
     P[n] = top / (bottom * d) for ``top, bottom = step(n, back)``, where
     ``back`` holds the numerators of P[n-1], ..., P[0] over their common
     denominator d, newest first: each step inserts at the front, and the
     list is reversed once at the end.  Over Q d only grows, and the stored
     numerators are rescaled when it does; it ends as the least common
-    denominator.  In any other field d stays 1 and back holds the values."""
+    denominator.  In any other field, the exponent's included, d stays 1
+    and back holds the values."""
     x, dx = a
     if x[0] == 0:
         raise ValueError("zero constant term")
     if r == 1:
         return _reduced(x[: order + 1], dx)
-    s, t = r.as_integer_ratio()
+    rational = isinstance(r, _RATIONAL_TYPES)
+    s, t = r.as_integer_ratio() if rational else (r, 1)
     a0 = Fraction(x[0], dx) if type(dx) is int else x[0] * (1 / dx)
-    if t != 1 and a0 != 1:
+    integral = rational and t == 1
+    if not integral and a0 != 1:
         raise ValueError("irrational leading power")
     # With r = s/t the weight is (k*(s+t) - n*t)/t, and the denominator of
     # a cancels against the one of a_0.  At r = -1 the k term vanishes.
@@ -181,8 +188,8 @@ def _power_form(a: tuple, r, order: int) -> tuple[list, int | Fraction]:
             top += (s + t) * sum(map(mul, kx1, back))
         return top, n * t * x[0]
 
-    head = a0**s if t == 1 else a0
-    if type(dx) is not int:
+    head = a0**s if integral else a0
+    if type(dx) is not int or not rational:
         back = [head]
         for n in range(1, order + 1):
             top, bottom = step(n, back)

@@ -8,8 +8,8 @@ difference M - R(B_p, M, B_q) order by order:
 * the t^2 coefficient vanishes exactly on the affine locus
   q = 3*a_2 + (3 - p)/2;
 * on that locus the t^k coefficient is a polynomial in p of degree at most
-  k - 1, recovered exactly from samples at consecutive integers and solved
-  by certified root isolation.
+  k - 1, which a band of samples at consecutive integers recovers exactly
+  (below); the first nonzero one is solved by certified root isolation.
 
 The pivot, the first nonzero coefficient polynomial, needs no sample: with
 r = 2*a_2 + 1, the t^3 column is the constant (7/8)*a_3 and, when a_3 = 0,
@@ -24,16 +24,16 @@ t^5 is the constant (31/32)*a_5, and when a_5 = 0 the t^6 column is, modulo
 the pivot, the constant c_6 = 9F/(320r) of a_2, a_4 and a_6.  The first of
 them that is nonzero is the survivor at every such root, rational or surd,
 with no sample and no evaluation at the root.  Only where both vanish does
-a root take a longer route: a rational root a difference expansion at the
-root, truncated at the first reach (below) and, if it vanishes there, at
-max_order, whose first nonzero coefficient is the survivor; a surd root the
-bands.
+a root take a longer route, the same for both kinds: one difference
+expansion at the root, truncated at max_order, in Q at a rational root and
+in the quadratic field Q(sqrt(s)) at a surd one; its first nonzero
+coefficient is the survivor, exact and of exact sign.
 
-Bands serve surd roots with c_6 = 0 only.  A band of reach K samples the
-difference once at the n = K + 2 consecutive integers p = x0 .. x0+n-1,
-x0 = -(n//2), truncated at order K, and serves every k <= K it is asked
-for: the t^k coefficient of a truncation at K equals that of a truncation
-at k.
+The search samples no band.  A band of reach K, which the tests and the
+stability scan read, samples the difference once at the n = K + 2
+consecutive integers p = x0 .. x0+n-1, x0 = -(n//2), truncated at order K,
+and serves every k <= K it is asked for: the t^k coefficient of a
+truncation at K equals that of a truncation at k.
 A sample expands B_q only; B_p enters the resultant as its closed form.
 The samples stay integer numerators, over one denominator for the band, and
 column k gets a forward-difference table.  Its leading entries Delta^j must
@@ -41,20 +41,11 @@ vanish for j = k .. n-1, which holds exactly when the polynomial through
 k + 1 of the samples has degree <= k - 1 and passes through the other
 K + 1 - k; the polynomial is then Newton's forward form of
 Delta^0 .. Delta^(k-1), built on integers with one division per coefficient.
-The first band has reach _FIRST_REACH = 6 (max_order, if smaller) and opens
-when a surd root asks for a column k >= 5; one more, at max_order, opens
-only when a surd root asks for a k past it, as one with c_6 = 0 does.
-Likewise a rational root is expanded to max_order only when its difference
-vanishes through the first reach, and a stability check expands M to the
-order only when, through the first reach, M matches its stable reference.
-Six is where the known inputs settle: every candidate of the benchmark's
-solve pools that is not an identity point settles at t^6, read in closed
-form, and every unstable mean of its stable pool differs by t^4.  The
-trade-off: a candidate or defect first surviving past t^6 pays for both
-reaches.  An even mean's difference has no odd coefficient
-(the resultant of even means is even), so its search asks only for even k.
-The stability scan of L_alpha and S_alpha reads its t^4 defect the same
-way, as a band of reach 4 in beta = alpha**2 (see stability_parameter_scan).
+The stability scan of L_alpha and S_alpha reads its t^4 defect this way, as
+a band of reach 4 in beta = alpha**2 (see stability_parameter_scan).  A
+stability check expands M to the order only when, through the first reach
+(_FIRST_REACH = 6), M matches its stable reference: every unstable mean of
+the benchmark's stable pool differs by t^4.
 
 Stability computes no resultant.  M is stable when R(M, M, M) = M; the
 stable means with c_1 = 0 are the power means, and those with c_1 = 1 or -1
@@ -88,14 +79,13 @@ from .catalog import (
 )
 from .numeric import boundary_limit
 from .polynomials import (
+    QuadraticField,
     QuadraticSurdRoot,
     RationalRoot,
-    SignedInterval,
     UniPoly,
     _is_square,
     _sqrt_exact,
     affine_image,
-    eval_at_root,
     forward_differences,
     isolate_real_roots,
     newton_forward,
@@ -105,8 +95,8 @@ from .resultant import _common, _resultant
 from .series import _integer_form, _values
 from .values import Value
 
-# Of a stability probe, and of a search's first band or expansion at a root
-# where the closed t^5 and t^6 columns vanish.
+# The order of a stability probe, by which every known unstable mean has
+# left its stable reference.
 _FIRST_REACH = 6
 
 # ---------------------------------------------------------------------------
@@ -140,13 +130,18 @@ def _difference_form(m_form: tuple, p: Fraction, q: Fraction, order: int) -> tup
 
 
 def difference_expansion(
-    mean: MeanExpansion, p: Rational, q: Rational, order: int
+    mean: MeanExpansion, p: Rational | QuadraticField, q: Rational | QuadraticField, order: int
 ) -> DifferenceExpansion:
     """Exact difference between the mean and its power-mean resultant,
-    computed on integer numerators from B_p and B_q to the difference."""
-    p, q = Fraction(p), Fraction(q)
-    form = _difference_form(_integer_form(mean.truncated(order).coeffs, order), p, q, order)
-    return DifferenceExpansion(_values(*form), p, q)
+    computed on integer numerators from B_p and B_q to the difference; for p
+    and q in a quadratic field Q(sqrt(s)), at a surd root, in that field."""
+    coeffs = mean.truncated(order).coeffs
+    if isinstance(p, QuadraticField):
+        m_form = list(coeffs), Fraction(1)
+    else:
+        p, q = Fraction(p), Fraction(q)
+        m_form = _integer_form(coeffs, order)
+    return DifferenceExpansion(_values(*_difference_form(m_form, p, q, order)), p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +236,14 @@ class OptimalCandidate(Value):
         p: RationalRoot | QuadraticSurdRoot,
         q: RationalRoot | QuadraticSurdRoot,
         achieved_order: int | None,  # index of first nonzero coefficient; None = all zero
-        leading: Rational | SignedInterval | None,
+        leading: Rational | QuadraticField | None,
     ) -> None:
         self.__dict__.update(p=p, q=q, achieved_order=achieved_order, leading=leading)
 
     @property
     def sign(self) -> int:
         """The sign of the leading coefficient, for a candidate that has one."""
-        if isinstance(self.leading, SignedInterval):
+        if isinstance(self.leading, QuadraticField):
             return self.leading.sign
         return 1 if self.leading > 0 else (-1 if self.leading < 0 else 0)
 
@@ -371,9 +366,7 @@ def optimal_parameters(
     So the first of these columns that is nonzero, and within max_order, is
     the survivor at every such root, rational or surd, with no band, no
     expansion and no evaluation at the root; F is read once per search, and
-    only if such a root asks for it.  Where both vanish a surd root is read
-    through the coefficient polynomials of the sampled bands (for an even
-    mean only the even ones), of reach 6 and, past it, max_order.
+    only if such a root asks for it.
 
     At an identity point of B_r, a (p, q) with R(B_p, B_r, B_q) = B_r, if M
     first leaves B_r at index n <= max_order, with c_n - b_n = delta, the
@@ -406,17 +399,16 @@ def optimal_parameters(
       sqrt(t)), which at q = -p/2 is [(s**(p/2) + t**(p/2))/(s**(-p/2) +
       t**(-p/2))]**(1/p) = sqrt(s*t), and at p = q = 0 is R(G, G, G) = G.
 
-    A rational root where t^5 and t^6 both vanish, such as L's p = +-1, is
-    read from a difference expansion at the root, truncated at the first
-    reach and, if it vanishes there, at max_order, and opens no band: its
-    first nonzero coefficient is the survivor.
+    A root where t^5 and t^6 both vanish, such as L's p = +-1, is read from
+    one difference expansion at the root, truncated at max_order: over Q at
+    a rational root, over Q(sqrt(s)) at a surd one, where the series kernel
+    takes B_p's and B_q's surd exponents as values of that field.  Its first
+    nonzero coefficient is the survivor, a Fraction wherever its sqrt(s)
+    part cancels, else a QuadraticField, and its sign is exact either way.
     Every coefficient below the pivot vanishes on the locus and the pivot at
     its root, so a survivor at or below the pivot raises ArithmeticError.
-    A band's column is evaluated at a surd root exactly, through reduction
-    modulo its minimal polynomial; a leading coefficient that is rational
-    comes back exact, otherwise as a sign-certified enclosure.  Boundary
-    limits (when a mean spec is supplied) are numeric evidence attached to
-    the verdict, never part of the exact computation.
+    Boundary limits (when a mean spec is supplied) are numeric evidence
+    attached to the verdict, never part of the exact computation.
     """
     if max_order < 3:
         raise ValueError("the search needs max_order >= 3")
@@ -477,17 +469,6 @@ def optimal_parameters(
         return verdict(pivot(0), probes, locus=locus, fixed_leading=fixed, fixed_leading_order=k0,
                        notes=(note,))
 
-    # The odd coefficients of an even mean's difference vanish.
-    step = 2 if mean.is_even else 1
-    polys: dict[int, UniPoly] = {}
-
-    def column(k: int) -> UniPoly:
-        # The first reach, then the search order: a surd root past t^6 asks for both.
-        if k not in polys:
-            reach = max_order if polys else min(max(k, _FIRST_REACH), max_order)
-            polys.update(coefficient_polynomials(mean, locus, k, reach))
-        return polys[k]
-
     @cache
     def settled() -> tuple[int | None, Rational | None]:
         # The roots are those of the t^4 quadratic.  The t^5 column, else the
@@ -507,30 +488,17 @@ def optimal_parameters(
     candidates = []
     for root in roots:
         q_root = affine_image(root, locus.slope, locus.intercept)
-        achieved: int | None = None
-        leading: Rational | SignedInterval | None = None
         if isinstance(root, RationalRoot) and root.value in (r, -r):
             # (p, q) = (r, r) or (-r, 2r), an identity point of B_r (see above)
             achieved, leading = leaving()
         elif settled()[0] is not None:
             achieved, leading = settled()
-        elif not isinstance(root, RationalRoot):
-            for k in range(k0 + step, max_order + 1, step):
-                value = eval_at_root(column(k), root)
-                if value != 0:
-                    achieved, leading = k, value
-                    break
         else:
-            # The exact difference at the root through the first reach, then
-            # through the search order if it vanishes there.
-            for reach in dict.fromkeys((min(_FIRST_REACH, max_order), max_order)):
-                diff = difference_expansion(mean, root.value, q_root.value, reach)
-                achieved = diff.first_nonzero
-                if achieved is not None:
-                    break
+            # The exact difference at the root, over Q or Q(sqrt(s)).
+            diff = difference_expansion(mean, root.value, q_root.value, max_order)
+            achieved = diff.first_nonzero
             if achieved is not None and achieved <= k0:
-                raise ArithmeticError(
-                    "difference at a rational root survives at or below the pivot")
+                raise ArithmeticError("difference at a root survives at or below the pivot")
             leading = None if achieved is None else diff.coeffs[achieved]
         candidates.append(OptimalCandidate(root, q_root, achieved, leading))
 
@@ -551,7 +519,7 @@ def optimal_parameters(
     notes = ()
     if any(c.sign != top.sign for c in ranked if c.achieved_order == top.achieved_order):
         notes = ("best candidates disagree in sign; relation taken from the first",)
-    # The sign stands for the leading coefficient, which may be an enclosure.
+    # The sign stands for the leading coefficient, which may be irrational.
     probes = [(top.p.approx(), top.q.approx())]
     return verdict(top.sign, probes, candidates=ranked, locus=locus, notes=notes)
 

@@ -42,9 +42,14 @@ Each one is an independent derivation of the same coefficients:
 * ``coefficient_polynomials_by_interpolation``: the same band as the solver,
   with every k interpolated through k+1 samples and evaluated at the others;
 * ``candidates_by_bands``: the solver's candidates with every root of the
-  pivot evaluated on the polynomials of one band of reach max_order, where
-  the solver reads a rational root from one comparison with B_r or from
-  difference expansions at the root, and opens bands for surd roots only;
+  pivot evaluated on the coefficient polynomials of sampled bands (reach 6,
+  then max_order; an even mean's even columns only), a rational root
+  exactly and a surd one by ``eval_at_root``: the column reduced modulo the
+  surd's ``minimal_polynomial``, rational when the remainder is constant,
+  otherwise a sign-certified ``SignedInterval`` enclosure, where the solver
+  reads a root from one comparison with B_r, from closed columns or from
+  one difference expansion at the root, over Q(sqrt(s)) at a surd one, and
+  samples no band;
 * ``expand_power_mean_full_order``: B_p as the binomial series of
   (1 -/+ u)**p, averaged and raised to 1/p, each at the full order, where
   the catalog builds the even average from integer binomials and runs one
@@ -141,6 +146,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from fractions import Fraction
 from typing import Sequence
 
@@ -158,6 +164,7 @@ from meanstab.catalog import (
     expand_mean,
 )
 from meanstab.polynomials import (
+    QuadraticSurdRoot,
     RationalRoot,
     Root,
     UniPoly,
@@ -165,7 +172,6 @@ from meanstab.polynomials import (
     _recognize_roots,
     _sqrt_exact,
     affine_image,
-    eval_at_root,
     isolate_real_roots,
     make_surd,
     sign_variations,
@@ -667,28 +673,82 @@ def coefficient_polynomials_by_interpolation(
     return polys
 
 
+class SignedInterval(namedtuple("SignedInterval", "low high")):
+    """Certified rational enclosure of a nonzero real value."""
+
+    __slots__ = ()
+
+    @property
+    def sign(self) -> int:
+        return 1 if self.low > 0 else -1
+
+
+def minimal_polynomial(root: QuadraticSurdRoot) -> UniPoly:
+    """The polynomial c**2 x**2 - 2ac x + a**2 - b of (a +- sqrt(b))/c."""
+    a, b, c = root.add, root.radicand, root.div
+    return UniPoly((a * a - b, -2 * a * c, c * c))
+
+
+def interval_eval(p: UniPoly, lo: Rational, hi: Rational) -> tuple[Rational, Rational]:
+    """An enclosure of p over [lo, hi], by Horner's rule on intervals."""
+    acc_lo, acc_hi = ZERO, ZERO
+    for c in reversed(p.coeffs):
+        cands = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
+        acc_lo, acc_hi = min(cands) + c, max(cands) + c
+    return acc_lo, acc_hi
+
+
+def eval_at_root(p: UniPoly, root: QuadraticSurdRoot) -> Rational | SignedInterval:
+    """Value of p at a quadratic surd: exact rational when p modulo the
+    surd's minimal polynomial is constant (including exact zero), otherwise
+    a sign-certified enclosure over root.bounds(width), the width squared
+    each round from 10**-12."""
+    p = p % minimal_polynomial(root)
+    if p.degree <= 0:
+        return p.coefficient(0)
+    width = Fraction(1, 10**12)
+    for _ in range(8):
+        lo, hi = interval_eval(p, *root.bounds(width))
+        if lo > 0 or hi < 0:
+            return SignedInterval(lo, hi)
+        width = width * width
+    raise ArithmeticError(f"could not certify the sign at a root ({root.kind})")
+
+
 def candidates_by_bands(mean: MeanExpansion, max_order: int) -> list[OptimalCandidate]:
-    """The solver's candidates from one band of reach max_order: the roots of
-    the pivot (the first nonzero t**k polynomial on the locus, k >= 3), each
-    with the first later polynomial that does not vanish at it, in root
-    order."""
+    """The solver's candidates from sampled bands: the roots of the pivot
+    (the first nonzero t**k polynomial on the locus, k >= 3), each with the
+    first later polynomial that does not vanish at it, in root order.  The
+    first band has reach 6 (max_order, if smaller), and one more at
+    max_order opens when a column past it is asked for; an even mean's
+    difference has no odd coefficient, so past the pivot only its even
+    columns are read."""
     locus = first_order_locus(mean)
-    polys = coefficient_polynomials(mean, locus, 3, max_order)
-    k0 = next(k for k in polys if not polys[k].is_zero)
+    step = 2 if mean.is_even else 1
+    polys: dict[int, UniPoly] = {}
+
+    def column(k: int) -> UniPoly:
+        if k not in polys:
+            reach = max_order if polys else min(max(k, 6), max_order)
+            polys.update(coefficient_polynomials(mean, locus, k, reach))
+        return polys[k]
+
+    k0 = next(k for k in range(3, max_order + 1) if not column(k).is_zero)
     candidates = []
-    for root in isolate_real_roots(polys[k0]):
+    for root in isolate_real_roots(column(k0)):
         achieved, leading = None, None
-        for k in range(k0 + 1, max_order + 1):
+        for k in range(k0 + step, max_order + 1, step):
             if isinstance(root, RationalRoot):
-                value = polys[k](root.value)
+                value = column(k)(root.value)
             else:
-                value = eval_at_root(polys[k], root)
+                value = eval_at_root(column(k), root)
             if not (isinstance(value, Fraction) and value == 0):
                 achieved, leading = k, value
                 break
         q_root = affine_image(root, locus.slope, locus.intercept)
         candidates.append(OptimalCandidate(root, q_root, achieved, leading))
     return candidates
+
 
 def _padded(a: Sequence, order: int, zero) -> list:
     return list(a[: order + 1]) + [zero] * (order + 1 - len(a[: order + 1]))

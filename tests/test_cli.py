@@ -8,7 +8,7 @@ import pytest
 
 from meanstab import cli
 from meanstab.cli import main
-from meanstab.polynomials import SignedInterval
+from meanstab.polynomials import QuadraticField
 
 
 def run_cli(capsys, *argv):
@@ -747,14 +747,18 @@ class TestErrorHandling:
 
 class TestEncoders:
     """Report fields that no known solver input reaches, encoded directly:
-    every surd candidate known has a rational leading coefficient."""
+    every surd candidate known has a rational leading coefficient, and an
+    irrational one is a + b*sqrt(s), exact, with its exact sign."""
 
-    @pytest.mark.parametrize("low, high, sign", [(F(-3, 4), F(-1, 8), -1), (F(1, 8), F(3, 4), 1)])
-    def test_certified_enclosure(self, low, high, sign):
-        assert cli._leading_json(SignedInterval(low, high)) == {
-            "certified_enclosure": {
-                "low": {"num": low.numerator, "den": low.denominator},
-                "high": {"num": high.numerator, "den": high.denominator},
+    @pytest.mark.parametrize(
+        "a, b, sign", [(F(-3, 2), F(1), -1), (F(-1), F(1), 1), (F(1, 8), F(-3, 4), -1)]
+    )
+    def test_exact_surd(self, a, b, sign):
+        assert cli._leading_json(QuadraticField(a, b, F(2))) == {
+            "exact_surd": {
+                "a": {"num": a.numerator, "den": a.denominator},
+                "b": {"num": b.numerator, "den": b.denominator},
+                "s": {"num": 2, "den": 1},
             },
             "sign": sign,
         }

@@ -8,11 +8,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    SignedInterval,
     descartes_count_by_products,
+    eval_at_root,
     extract_square_every_divisor,
     extract_square_odd_divisors,
+    interval_eval,
     isolate_real_roots_by_divisor_search,
     lagrange_interpolate,
+    minimal_polynomial,
     rational_roots_by_divisor_search,
     rational_roots_by_fraction_evaluation,
     simplest_between_by_recursion,
@@ -20,18 +24,16 @@ from oracles import (
 )
 from meanstab.polynomials import (
     IntervalRoot,
+    QuadraticField,
     QuadraticSurdRoot,
     RationalRoot,
-    SignedInterval,
     UniPoly,
     _descartes_count,
     _extract_square,
     _is_square,
-    _interval_eval,
     _quadratic_roots,
     _refine,
     affine_image,
-    eval_at_root,
     forward_differences,
     isolate_real_roots,
     make_surd,
@@ -222,7 +224,7 @@ class TestRootIsolation:
         assert (low.add, low.sign, low.radicand, low.div) == (F(5), -1, F(17), F(2))
         assert (high.add, high.sign, high.radicand, high.div) == (F(5), 1, F(17), F(2))
         for r in roots:
-            assert poly(2, -5, 1) % r.minimal_polynomial() == UniPoly.zero()
+            assert poly(2, -5, 1) % minimal_polynomial(r) == UniPoly.zero()
 
     def test_surd_canonicalization(self):
         roots = isolate_real_roots(poly(F(-209, 81), 0, 1))
@@ -332,7 +334,7 @@ class TestRootIsolation:
         assert sorted(r.kind for r in roots) == ["isolated-interval"] + ["quadratic-surd"] * 2
         for r in roots:
             if isinstance(r, QuadraticSurdRoot):
-                assert r.minimal_polynomial().monic() == poly(F(-2, d + 2), F(-1, d), 1)
+                assert minimal_polynomial(r).monic() == poly(F(-2, d + 2), F(-1, d), 1)
 
     def test_multiplicities_collapse(self):
         p = poly(-1, 1) * poly(-1, 1) * poly(3, 1)
@@ -351,6 +353,9 @@ class TestRootIsolation:
 
 
 class TestEvalAtRoot:
+    """The oracle's evaluation at a surd, which the band route of
+    oracles.candidates_by_bands reads."""
+
     def test_surd_exact_even_part(self):
         root = isolate_real_roots(poly(-17, 0, 1))[1]  # +sqrt(17)
         # an even polynomial evaluates to a rational at +-sqrt(17)
@@ -386,7 +391,7 @@ class TestEvalAtRoot:
         c = F(math.isqrt(2 * 10**50), 10**25)
         assert c * c < 2 < (c + F(1, 10**25)) ** 2
         p = poly(-c, 1)
-        lo, hi = _interval_eval(p, *root.bounds(F(1, 10**12)))
+        lo, hi = interval_eval(p, *root.bounds(F(1, 10**12)))
         assert lo < 0 < hi
         val = eval_at_root(p, root)
         assert isinstance(val, SignedInterval) and val.sign == 1
@@ -401,6 +406,104 @@ class TestEvalAtRoot:
         # returns it exactly.
         half = poly(F(-1, 2), 1)
         assert _refine(half, F(0), F(1), F(1, 10**6)) == (F(1, 2), F(1, 2))
+
+
+SQUAREFREE = [2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19]
+field_parts = st.fractions(min_value=-50, max_value=50, max_denominator=50)
+
+
+def parts(x):
+    """(a, b) of a + b*sqrt(s): a QuadraticField's fields, else (x, 0)."""
+    return (x.a, x.b) if isinstance(x, QuadraticField) else (x, 0)
+
+
+class TestQuadraticField:
+    """Q(sqrt(s)) against pairs of Fractions: (a, b) + (c, d) = (a + c,
+    b + d), (a, b)(c, d) = (ac + bds, ad + bc), and the quotient through the
+    norm c**2 - d**2 s.  A result whose sqrt(s) part cancels is a Fraction."""
+
+    @staticmethod
+    def expected(op, x, y, s):
+        (a, b), (c, d) = x, y
+        if op == "+":
+            return a + c, b + d
+        if op == "-":
+            return a - c, b - d
+        if op == "*":
+            return a * c + b * d * s, a * d + b * c
+        norm = c * c - d * d * s
+        return (a * c - b * d * s) / norm, (b * c - a * d) / norm
+
+    @settings(max_examples=300, deadline=None)
+    @given(s=st.sampled_from(SQUAREFREE), a=field_parts, b=field_parts.filter(bool),
+           c=field_parts, other=st.sampled_from(["field", "cancel", "rational", "int"]),
+           op=st.sampled_from("+-*/"), swap=st.booleans(), data=st.data())
+    def test_field_laws(self, s, a, b, c, other, op, swap, data):
+        x = QuadraticField(a, b, F(s))
+        if other == "field":
+            y = QuadraticField(c, data.draw(field_parts.filter(bool)), F(s))
+        elif other == "cancel":
+            # the sqrt(s) parts cancel in a sum or a difference
+            y = QuadraticField(c, -b if op == "+" else b, F(s))
+        elif other == "rational":
+            y = c
+        else:
+            y = data.draw(st.integers(-9, 9))
+        left, right = (y, x) if swap else (x, y)
+        if op == "/" and parts(right) == (0, 0):
+            return
+        got = {"+": lambda: left + right, "-": lambda: left - right,
+               "*": lambda: left * right, "/": lambda: left / right}[op]()
+        want = self.expected(op, parts(left), parts(right), s)
+        assert parts(got) == want
+        assert type(got) is (QuadraticField if want[1] else F)
+        if other == "cancel" and op in "+-" and not swap:
+            assert type(got) is F
+
+    def test_products_that_cancel(self):
+        root2 = QuadraticField(F(0), F(1), F(2))
+        assert root2 * root2 == 2 and type(root2 * root2) is F
+        assert root2 * 0 == 0 and type(root2 * 0) is F
+        unit = QuadraticField(F(1), F(1), F(2))  # 1 + sqrt(2), of norm -1
+        assert unit * (unit - 2) == 1 and type(1 / unit) is QuadraticField
+        assert parts(1 / unit) == (-1, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(s=st.sampled_from(SQUAREFREE), a=field_parts, b=field_parts.filter(bool))
+    def test_sign_against_mpmath(self, s, a, b):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            value = mpmath.mpf(a.numerator) / a.denominator + (
+                mpmath.mpf(b.numerator) / b.denominator) * mpmath.sqrt(s)
+        assert QuadraticField(a, b, F(s)).sign == (1 if value > 0 else -1)
+
+    @pytest.mark.parametrize("s", [2, 3, 7, 13])
+    def test_sign_near_cancellation(self, s):
+        # The convergents p/q of sqrt(s) make q*sqrt(s) - p tiny, about
+        # 1/(2pq), and of either sign: that of q**2 s - p**2.  Far past
+        # float precision the sign is still exact.
+        h0, h1, k0, k1 = 1, math.isqrt(s), 0, 1
+        a0, m, d, a = math.isqrt(s), 0, 1, math.isqrt(s)
+        signs = set()
+        for _ in range(120):
+            m = d * a - m
+            d = (s - m * m) // d
+            a = (a0 + m) // d
+            h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+            value = QuadraticField(F(-h1), F(k1), F(s))
+            expected = 1 if k1 * k1 * s > h1 * h1 else -1
+            assert value.sign == expected and (-value).sign == -expected
+            signs.add(expected)
+        assert signs == {-1, 1} and h1 > 10**30
+
+    @pytest.mark.parametrize("quadratic", [(-2, 0, 1), (2, -5, 1), (-1, -1, 1), (F(-209, 81), 0, 1)])
+    def test_surd_root_value(self, quadratic):
+        for root in isolate_real_roots(poly(*quadratic)):
+            value = root.value
+            assert isinstance(value, QuadraticField) and value.s == root.radicand
+            assert value.sign == (1 if root.approx() > 0 else -1)
+            assert minimal_polynomial(root)(value) == 0
+            assert type(poly(*quadratic)(value)) is F
 
 
 class TestBounds:

@@ -28,9 +28,9 @@ from meanstab.catalog import (
 from meanstab.numeric import eval_mean, eval_resultant
 from meanstab.polynomials import (
     IntervalRoot,
+    QuadraticField,
     QuadraticSurdRoot,
     RationalRoot,
-    SignedInterval,
     UniPoly,
     isolate_real_roots,
 )
@@ -329,11 +329,11 @@ class TestOrderBands:
         asked = self.asked_bands(monkeypatch)
         orders = self.sampled_orders(monkeypatch, SAlpha(F(1, 10)), 14)
         assert orders == [] and asked == []
-        # where t^5 and t^6 vanish at surd roots, the first band has reach 6
-        # and the second max_order
+        # where t^5 and t^6 vanish at surd roots, each root takes one
+        # expansion over Q(sqrt(2)), at max_order, and no band opens
         asked = self.asked_bands(monkeypatch)
         orders, _ = self.sampled_expansions(monkeypatch, _c6_zero(14), 14)
-        assert orders == [6] * 8 + [14] * 16 and asked == [6, 8]
+        assert orders == [14] * 2 and asked == []
 
     def test_deep_search_of_a_power_mean_opens_no_band(self, monkeypatch):
         # the pivot t^4 is a closed column, and its roots p = -1, 1 are the
@@ -343,12 +343,11 @@ class TestOrderBands:
         assert orders == [] and asked == []
 
     def test_rational_roots_past_the_first_reach_open_no_band(self, monkeypatch):
-        # L's roots p = -1, 1 are not identity points of B_{1/3}: the
-        # difference at each vanishes through the first reach, so one more
-        # expansion at max_order reads it
+        # L's roots p = -1, 1 are not identity points of B_{1/3}, and t^5 and
+        # t^6 vanish there: one expansion at max_order reads each
         asked = self.asked_bands(monkeypatch)
         orders = self.sampled_orders(monkeypatch, ALIASES["L"], 64)
-        assert orders == [6, 64] * 2 and asked == []
+        assert orders == [64] * 2 and asked == []
 
     def test_rational_survivor_at_t6_opens_no_band(self, monkeypatch):
         # the rational roots of L_{3/10} survive at t^6, read in closed form
@@ -366,12 +365,11 @@ class TestOrderBands:
         orders = self.sampled_orders(monkeypatch, ALIASES["G"], 16)
         assert orders == [] and asked == []
 
-    def test_second_band_opens_at_the_search_order(self, monkeypatch):
-        # with a first reach of 4, a mean searched as a mixed one whose surd
-        # roots read neither t^5 nor t^6 takes its first band at t^5, past
-        # the closed columns, and survives past it: the band at max_order
-        # follows, and the verdict does not change; S_{1/10} reads t^6 in
-        # closed form and opens no band
+    def test_the_first_reach_leaves_the_search_alone(self, monkeypatch):
+        # the first reach is the stability probe's only: with a first reach
+        # of 4, a mean searched as a mixed one whose surd roots read neither
+        # t^5 nor t^6 takes one expansion per root at max_order, opens no
+        # band, and keeps its verdict; S_{1/10} reads t^6 in closed form
         class Mixed(MeanExpansion):
             is_even = False
 
@@ -384,7 +382,7 @@ class TestOrderBands:
             asked = self.asked_bands(monkeypatch)
             orders, _ = self.sampled_expansions(monkeypatch, mean, 8)
             schedules.append((list(orders), list(asked)))
-        assert schedules == [([], []), ([5] * 7 + [8] * 10, [5, 6])]
+        assert schedules == [([], []), ([8] * 2, [])]
         assert [optimal_parameters(mean, 8, spec=s) for mean, s in means] == expected
 
     @pytest.mark.parametrize("max_order", [3, 5, 8, 13, 16, 25])
@@ -397,18 +395,19 @@ class TestOrderBands:
         asked = self.asked_bands(monkeypatch)
         mean = _c6_zero(max_order) if spec is None else expand_mean(spec, max_order)
         orders, forms = self.sampled_expansions(monkeypatch, mean, max_order)
-        assert all(k % 2 == 0 for k in asked)
-        assert all(order == max_order or order % 2 == 0 for order in orders)
-        # the premise: every odd coefficient of an even mean's difference is 0
+        # no band opens, and a root that the closed columns do not settle
+        # takes one expansion, at max_order
+        assert asked == [] and set(orders) <= {max_order}
+        # the premise: every odd coefficient of an even mean's difference is
+        # 0, over Q(sqrt(s)) at a surd root too
         assert all(not any(nums[1::2]) for nums, _ in forms)
         if spec is None:
-            # t^4 is a closed column and t^6 vanishes at the surd roots: the
-            # first band starts at t^6, the second at t^8
-            assert asked == [6, 8][: (max_order >= 6) + (max_order >= 8)]
-        else:
+            # t^4 is a closed column, and t^5 and t^6 vanish at the surd roots
+            assert orders == [max_order] * 2 * (max_order > 3)
+        elif max_order >= 6:
             # a power mean's pivot roots are identity points, and the other
-            # means' roots read t^6 in closed form: no band at all
-            assert asked == [] and orders == []
+            # means' roots read t^6 in closed form: no expansion at all
+            assert orders == []
 
     @pytest.mark.parametrize("odd", [3, 5])
     def test_mixed_mean_without_t_term_starts_from_the_closed_columns(self, monkeypatch, odd):
@@ -620,10 +619,10 @@ def _shifted_a(order, a5):
 
 
 class TestRationalCandidatesAgainstBands:
-    """A rational root that is not an identity point is read from difference
-    expansions at the root, through the first reach and then max_order, and
-    no band opens for it; the band route of the oracle gives the same
-    candidates and relation."""
+    """A rational root that is not an identity point, and that the closed
+    columns do not settle, is read from one difference expansion at the
+    root, at max_order, and no band opens for it; the band route of the
+    oracle gives the same candidates and relation."""
 
     SPECS = [
         ALIASES["A"],
@@ -665,10 +664,10 @@ class TestRationalCandidatesAgainstBands:
             mean = expand_mean(spec, max_order)
         expected = oracles.candidates_by_bands(mean, max_order)
         assert any(isinstance(c.p, RationalRoot) for c in expected)
-        # a band opens only to follow a surd root
+        # the search opens no band
         asked = TestOrderBands.asked_bands(monkeypatch)
         verdict = optimal_parameters(mean, max_order, spec=spec)
-        assert bool(asked) == any(not isinstance(c.p, RationalRoot) for c in expected)
+        assert asked == []
         assert sorted(verdict.candidates, key=lambda c: c.p.approx()) == sorted(
             expected, key=lambda c: c.p.approx()
         )
@@ -700,7 +699,8 @@ class TestRationalCandidatesAgainstBands:
                       for c in verdict.candidates]
         assert candidates == [(-2, F(5, 2), order, leading), (2, F(1, 2), order, leading)]
 
-    def test_survivor_at_the_pivot_raises(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["rational", "surd"])
+    def test_survivor_at_the_pivot_raises(self, monkeypatch, kind):
         real = solver.difference_expansion
 
         def planted(mean, p, q, order):
@@ -710,9 +710,12 @@ class TestRationalCandidatesAgainstBands:
             return solver.DifferenceExpansion(tuple(coeffs), diff.p, diff.q)
 
         monkeypatch.setattr(solver, "difference_expansion", planted)
-        # L's rational roots p = -1, 1 are not identity points of B_{1/3}
+        # L's rational roots p = -1, 1 are not identity points of B_{1/3};
+        # the constructed mean's surd roots p = -+sqrt(2) read neither t^5
+        # nor t^6
+        mean = expand_mean(ALIASES["L"], 16) if kind == "rational" else _c6_zero(16)
         with pytest.raises(ArithmeticError, match="at or below the pivot"):
-            optimal_parameters(expand_mean(ALIASES["L"], 16), 16)
+            optimal_parameters(mean, 16)
 
 
 def _pivot_with_roots(r, p_squared, order, tail):
@@ -777,7 +780,8 @@ class TestSurdLeadingIsRational:
     modulo the pivot is a constant (proven in optimal_parameters).  Past
     t^6 it is observed, not proven: the first later column whose remainder
     is not zero has a constant remainder, and the next one's is linear.
-    eval_at_root keeps its enclosure loop for the case this fails."""
+    Where it fails, the one expansion over Q(sqrt(s)) reads a
+    QuadraticField, still exact and of exact sign."""
 
     SQUAREFREE = [2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17]
 
@@ -846,6 +850,67 @@ class TestSurdLeadingIsRational:
         ] * 2
 
 
+class TestExpansionOverTheQuadraticField:
+    """At a surd root p = (add + sign*sqrt(s))/div of the t^4 pivot P_4, one
+    difference expansion over Q(sqrt(s)) reads every column: its t^k
+    coefficient is the band's t^k polynomial reduced modulo P_4, c0 + c1*p,
+    read as a + b*sqrt(s), and a Fraction exactly where c1 = 0.  The
+    candidates equal those of the oracle's band route, on seeded near-power
+    means and on means whose t^5 and t^6 columns vanish at the roots."""
+
+    @staticmethod
+    def c6_zero(seed):
+        # _c6_zero at a seeded surd pair, r and order, with a_7.. shifted,
+        # which leaves the columns through t^6 alone; odd shifts in three of ten
+        rng = random.Random(seed)
+        order, mixed = rng.randint(8, 12), rng.random() < 0.3
+        r = F(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 6))
+        p_squared = rng.choice(TestSurdLeadingIsRational.SQUAREFREE) * F(rng.randint(1, 4), rng.randint(1, 3)) ** 2
+        c = list(_c6_zero(order, p_squared, r).coeffs)
+        for k in range(7, order + 1):
+            if (k % 2 == 0 or mixed) and rng.random() < 0.4:
+                c[k] += F(rng.randint(-12, 12), rng.randint(1, 12))
+        return MeanExpansion(tuple(c)), order
+
+    @staticmethod
+    def mean(index):
+        # 24 near-power means, then 24 with c_6 = 0
+        if index < 24:
+            return TestSurdLeadingIsRational().near_power(index)
+        return TestExpansionOverTheQuadraticField.c6_zero(index)
+
+    @pytest.mark.parametrize("index", range(48))
+    def test_expansion_equals_the_reduced_columns(self, index):
+        mean, order = self.mean(index)
+        locus = first_order_locus(mean)
+        polys = coefficient_polynomials(mean, locus, 2, order)
+        roots = isolate_real_roots(polys[4])
+        assert [root.kind for root in roots] == ["quadratic-surd"] * 2
+        for root in roots:
+            q = polynomials.affine_image(root, locus.slope, locus.intercept)
+            diff = difference_expansion(mean, root.value, q.value, order)
+            assert diff.coeffs[:2] == (0, 0)
+            for k in range(2, order + 1):
+                rest = polys[k] % polys[4]
+                assert diff.coeffs[k] == rest(root.value), (index, k)
+                assert type(diff.coeffs[k]) is (F if rest.degree < 1 else QuadraticField)
+
+    @pytest.mark.parametrize("index", range(48))
+    def test_candidates_equal_the_bands(self, index):
+        mean, order = self.mean(index)
+        expected = oracles.candidates_by_bands(mean, order)
+        candidates = optimal_parameters(mean, order).candidates
+        assert [(c.p, c.q, c.achieved_order) for c in candidates] == [
+            (c.p, c.q, c.achieved_order) for c in expected]
+        for got, band in zip(candidates, expected):
+            if isinstance(band.leading, oracles.SignedInterval):
+                # the exact value lies in the band's enclosure
+                assert (got.leading - band.leading.low).sign == 1
+                assert (band.leading.high - got.leading).sign == 1
+            else:
+                assert got.leading == band.leading and type(got.leading) is F
+
+
 class TestClosedT5AndT6:
     """For a_1 = a_3 = 0 and r = 2*a_2 + 1 != 0, at every root of the t^4
     pivot P_4 other than the identity points +-r, the t^5 column is
@@ -853,10 +918,11 @@ class TestClosedT5AndT6:
     9F/(320r) modulo P_4 (see optimal_parameters).  The search reads them
     with no band, no difference expansion and no evaluation at a root:
     checked against the band route and against the double sums.  Where both
-    vanish the search takes the band or the expansion, and the survivor at
-    t^8 is constant modulo P_4 too."""
+    vanish the search takes one expansion per root, at max_order, over
+    Q(sqrt(s)) at a surd root, and the survivor at t^8 is constant modulo
+    P_4 too."""
 
-    CLOSED = ("_difference_form", "coefficient_polynomials", "eval_at_root")
+    CLOSED = ("_difference_form", "difference_expansion", "coefficient_polynomials", "_band")
     R = st.fractions(-3, 3, max_denominator=8).filter(lambda x: x != 0)
 
     @staticmethod
@@ -928,16 +994,18 @@ class TestClosedT5AndT6:
               + m2 * (1 - 2 * n2 - 8 * n2**2 - 8 * n2**3 + 8 * n4 + 32 * n2 * n4) / 64)
         assert oracles.resultant_by_double_sums(k, m, n, 6)[6] == r6
 
-    def test_surd_roots_past_t6_take_the_bands(self, monkeypatch):
+    def test_surd_roots_past_t6_take_one_expansion_each(self, monkeypatch):
         # at c_6 = 0 the survivor at t^8 is constant modulo P_4: the same
-        # rational at both conjugate roots
+        # rational at both conjugate roots, read from one expansion over
+        # Q(sqrt(2)) at each
         mean = _c6_zero(16)
         polys = coefficient_polynomials(mean, first_order_locus(mean), 4, 8)
         rests = [polys[k] % polys[4] for k in (5, 6, 7, 8)]
         assert [rest.degree for rest in rests] == [-1, -1, -1, 0]
         asked = TestOrderBands.asked_bands(monkeypatch)
+        orders = TestOrderBands.sampled_expansions(monkeypatch, mean, 16)[0]
+        assert orders == [16] * 2 and asked == []
         candidates = optimal_parameters(mean, 16).candidates
-        assert asked == [6, 8]
         assert [(c.p.kind, c.achieved_order, c.leading) for c in candidates] == [
             ("quadratic-surd", 8, rests[3].coefficient(0))
         ] * 2
@@ -945,15 +1013,14 @@ class TestClosedT5AndT6:
 
     def test_rational_roots_past_t6_take_the_expansions(self, monkeypatch):
         # at c_6 = 0 a rational root that is not an identity point is read
-        # from an expansion at the first reach, which vanishes, then at
-        # max_order
+        # from one expansion, at max_order
         mean = _c6_zero(16, F(4))
         polys = coefficient_polynomials(mean, first_order_locus(mean), 4, 8)
         rest = polys[8] % polys[4]
         assert (polys[6] % polys[4]).is_zero and rest.degree == 0
         asked = TestOrderBands.asked_bands(monkeypatch)
         orders = TestOrderBands.sampled_expansions(monkeypatch, mean, 16)[0]
-        assert orders == [6, 16] * 2 and asked == []
+        assert orders == [16] * 2 and asked == []
         candidates = optimal_parameters(mean, 16).candidates
         assert [(c.p.value, c.achieved_order, c.leading) for c in candidates] == [
             (-2, 8, rest.coefficient(0)), (2, 8, rest.coefficient(0))
@@ -1168,12 +1235,13 @@ class TestDisagreeingBestCandidates:
     """M2's candidates p = -+sqrt(17) both survive at t^6 with -11/180, read
     in closed form with no evaluation at a root.  The constructed mean's
     candidates p = -+sqrt(2) read neither t^5 nor t^6 and survive at t^8,
-    evaluated at each root.  With the value at one root negated, the two best
+    read from one expansion at each root.  With the difference at one root
+    negated, the two best
     candidates disagree in sign: the relation is the first one's, and the
     verdict says so."""
 
     def test_closed_t6_agrees_at_both_roots(self, monkeypatch):
-        monkeypatch.setattr(solver, "eval_at_root", None)
+        monkeypatch.setattr(solver, "difference_expansion", None)
         verdict = optimal_parameters(expand_mean(M2, 8), 8)
         assert verdict.relation == "candidate-super" and verdict.notes == ()
         assert [(c.p.sign, c.achieved_order, c.leading) for c in verdict.candidates] == [
@@ -1184,16 +1252,18 @@ class TestDisagreeingBestCandidates:
         "negated, relation", [(1, "candidate-sub"), (-1, "candidate-super")], ids=["high", "low"]
     )
     def test_relation_taken_from_the_first(self, monkeypatch, negated, relation):
-        real = solver.eval_at_root
+        real = solver.difference_expansion
 
-        def negating(poly, root):
-            value = real(poly, root)
-            return -value if root.sign == negated else value
+        def negating(mean, p, q, order):
+            diff = real(mean, p, q, order)
+            if p.sign != negated:
+                return diff
+            return solver.DifferenceExpansion(tuple(-c for c in diff.coeffs), diff.p, diff.q)
 
         mean = _c6_zero(8)
         leading = optimal_parameters(mean, 8).candidates[0].leading
         assert leading > 0
-        monkeypatch.setattr(solver, "eval_at_root", negating)
+        monkeypatch.setattr(solver, "difference_expansion", negating)
         verdict = optimal_parameters(mean, 8)
         assert verdict.relation == relation
         assert verdict.notes == ("best candidates disagree in sign; relation taken from the first",)
@@ -1264,10 +1334,13 @@ class TestSignCoherence:
                 checked += 1
         assert checked > 60
 
-    @pytest.mark.parametrize("low, high, sign", [(F(-3, 4), F(-1, 8), -1), (F(1, 8), F(3, 4), 1)])
-    def test_candidate_sign_of_an_enclosure(self, low, high, sign):
-        root = RationalRoot(F(1))
-        candidate = solver.OptimalCandidate(root, root, 6, SignedInterval(low, high))
+    @pytest.mark.parametrize(
+        "a, b, sign", [(F(-3, 2), F(1), -1), (F(-1), F(1), 1), (F(3, 2), F(-1), 1)]
+    )
+    def test_candidate_sign_of_a_field_leading(self, a, b, sign):
+        # a + b*sqrt(2): an irrational leading coefficient has an exact sign
+        root = isolate_real_roots(UniPoly((-2, 0, 1)))[1]
+        candidate = solver.OptimalCandidate(root, root, 8, QuadraticField(a, b, F(2)))
         assert candidate.sign == sign
 
 

@@ -27,9 +27,9 @@ from meanstab.cli import main
 from meanstab.numeric import ComparisonReport, DecayReport, GridSpec, LimitReport
 from meanstab.polynomials import (
     IntervalRoot,
+    QuadraticField,
     QuadraticSurdRoot,
     RationalRoot,
-    SignedInterval,
     UniPoly,
 )
 from meanstab.solver import (
@@ -61,7 +61,7 @@ EXAMPLES = {
     RationalRoot: ((F(1, 2),), (F(1, 3),)),
     QuadraticSurdRoot: ((F(1), 1, F(5), F(2)), (F(1), -1, F(5), F(2))),
     IntervalRoot: ((F(1), F(2), UniPoly((-2, 0, 1))), (F(1), F(3, 2), UniPoly((-2, 0, 1)))),
-    SignedInterval: ((F(1), F(2)), (F(-2), F(-1))),
+    QuadraticField: ((F(1), F(2), F(5)), (F(1), F(3), F(5))),
     GridSpec: ((1.0, 10.0, 5, "logarithmic"), (1.0, 10.0, 6, "logarithmic")),
     ComparisonReport: (("crossing", ((1.0, 2.0),), 0.5), ("crossing", ((1.0, 3.0),), 0.5)),
     LimitReport: ((0.5, 0.0, "closed-form"), (0.25, 0.0, "closed-form")),
