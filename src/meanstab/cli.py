@@ -1,12 +1,13 @@
 """Command-line front end.
 
-Subcommands map one-to-one onto the engines:
+The eight subcommands map one-to-one onto the engines:
 
     expand     exact expansion coefficients of a catalog mean (or of the
                stable fixed-point series for a given t^2 coefficient)
     resultant  exact expansion of R(K, M, N)
     stable     stability check M vs R(M, M, M)
     solve      optimal power-mean parameters and stabilizability verdict
+    scan       parameters of the Lalpha or Salpha family whose mean is stable
     compare    float comparison scan of two means on a grid
     limit      boundary limit at (s, 1-s), s -> 0
     verify     remainder-decay check of a truncated expansion
@@ -378,22 +379,6 @@ def _finite(text: str) -> float:
     return value
 
 
-def _add_common_arguments(sub: argparse.ArgumentParser) -> None:
-    # Accepted after the subcommand as well; SUPPRESS keeps a value parsed
-    # before the subcommand intact when the flag is not repeated.
-    sub.add_argument(
-        "--format", choices=("json", "table"), default=argparse.SUPPRESS
-    )
-    sub.add_argument("--out", default=argparse.SUPPRESS)
-
-
-def _add_mean_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--mean", required=True, help="mean name (A,G,H,L,P,T,HZ1/4,M1..M5,powermean,Lalpha,Salpha,Malphar)")
-    sub.add_argument("--alpha", help="exact fraction for Lalpha/Salpha/Malphar")
-    sub.add_argument("--r", help="exact fraction for Malphar")
-    sub.add_argument("--power", help="exact fraction p for powermean")
-
-
 def build_parser() -> argparse.ArgumentParser:
     # Options are spelled in full: a prefix such as --p is no second name.
     no_prefixes = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
@@ -403,69 +388,62 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("json", "table"), default="json")
     parser.add_argument("--out", help="write the JSON report to a file as well")
+    common = no_prefixes(add_help=False)
+    # Accepted after the subcommand as well; SUPPRESS keeps a value parsed
+    # before the subcommand intact when the flag is not repeated.
+    common.add_argument("--format", choices=("json", "table"), default=argparse.SUPPRESS)
+    common.add_argument("--out", default=argparse.SUPPRESS)
+    mean = no_prefixes(add_help=False)
+    mean.add_argument("--mean", required=True, help="mean name (A,G,H,L,P,T,HZ1/4,M1..M5,powermean,Lalpha,Salpha,Malphar)")
+    mean.add_argument("--alpha", help="exact fraction for Lalpha/Salpha/Malphar")
+    mean.add_argument("--r", help="exact fraction for Malphar")
+    mean.add_argument("--power", help="exact fraction p for powermean")
     subs = parser.add_subparsers(dest="subcommand", required=True, parser_class=no_prefixes)
 
-    sub = subs.add_parser("expand", help="exact expansion coefficients")
-    _add_common_arguments(sub)
-    _add_mean_arguments(sub)
+    def add(name: str, help: str, handler: Callable, *parents: argparse.ArgumentParser):
+        sub = subs.add_parser(name, help=help, parents=[common, *parents])
+        sub.set_defaults(handler=handler)
+        return sub
+
+    sub = add("expand", "exact expansion coefficients", _cmd_expand, mean)
     sub.add_argument("--a2", help="with --mean stable: the t^2 coefficient of the stable series")
     sub.add_argument("--order", type=_integer("an order", 0, MAX_ORDER), default=8)
-    sub.set_defaults(handler=_cmd_expand)
 
-    sub = subs.add_parser("resultant", help="expansion of R(K, M, N)")
-    _add_common_arguments(sub)
-    _add_mean_arguments(sub)
+    sub = add("resultant", "expansion of R(K, M, N)", _cmd_resultant, mean)
     sub.add_argument("--outer", help="outer mean K by name")
     sub.add_argument("--inner", help="inner mean N by name")
     sub.add_argument("--p", help="outer power-mean parameter (exact fraction)")
     sub.add_argument("--q", help="inner power-mean parameter (exact fraction)")
     sub.add_argument("--order", type=_integer("an order", 0, MAX_ORDER), default=8)
-    sub.set_defaults(handler=_cmd_resultant)
 
-    sub = subs.add_parser("stable", help="compare a mean with R(M, M, M)")
-    _add_common_arguments(sub)
-    _add_mean_arguments(sub)
+    sub = add("stable", "compare a mean with R(M, M, M)", _cmd_stable, mean)
     sub.add_argument("--order", type=_integer("an order", 4, MAX_ORDER), default=8)
-    sub.set_defaults(handler=_cmd_stable)
 
-    sub = subs.add_parser("solve", help="optimal power-mean parameters")
-    _add_common_arguments(sub)
-    _add_mean_arguments(sub)
+    sub = add("solve", "optimal power-mean parameters", _cmd_solve, mean)
     sub.add_argument("--max-order", type=_integer("an order", 3, MAX_ORDER), default=8)
-    sub.set_defaults(handler=_cmd_solve)
 
-    sub = subs.add_parser("scan", help="stable parameters within a family")
-    _add_common_arguments(sub)
+    sub = add("scan", "stable parameters within a family", _cmd_scan)
     sub.add_argument("--family", required=True, help="Lalpha or Salpha")
     sub.add_argument("--order", type=_integer("an order", 4, MAX_ORDER), default=16)
-    sub.set_defaults(handler=_cmd_scan)
 
-    sub = subs.add_parser("compare", help="comparison scan of two means")
-    _add_common_arguments(sub)
+    sub = add("compare", "comparison scan of two means", _cmd_compare)
     sub.add_argument("--m1", required=True)
     sub.add_argument("--m2", required=True)
     sub.add_argument("--x-min", type=_finite, default=0.001)
     sub.add_argument("--x-max", type=_finite, default=10.0)
     sub.add_argument("--count", type=_integer("a count", 2, MAX_COUNT), default=10000)
     sub.add_argument("--scale", choices=("linear", "logarithmic"), default="linear")
-    sub.set_defaults(handler=_cmd_compare)
 
-    sub = subs.add_parser("limit", help="boundary limit at (s, 1-s)")
-    _add_common_arguments(sub)
-    _add_mean_arguments(sub)
+    sub = add("limit", "boundary limit at (s, 1-s)", _cmd_limit, mean)
     sub.add_argument("--p", help="outer power for a resultant limit")
     sub.add_argument("--q", help="inner power for a resultant limit")
-    sub.set_defaults(handler=_cmd_limit)
 
-    sub = subs.add_parser("verify", help="remainder-decay slope check")
-    _add_common_arguments(sub)
-    _add_mean_arguments(sub)
+    sub = add("verify", "remainder-decay slope check", _cmd_verify, mean)
     sub.add_argument("--order", type=_integer("an order", 0, MAX_ORDER), default=4)
     sub.add_argument("--t", type=_finite, default=10.0)
     sub.add_argument("--x-min", type=_finite, default=100.0)
     sub.add_argument("--x-max", type=_finite, default=100000.0)
     sub.add_argument("--count", type=_integer("a count", 2, MAX_COUNT), default=40)
-    sub.set_defaults(handler=_cmd_verify)
 
     return parser
 
@@ -497,7 +475,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, ZeroDivisionError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         error_obj = {"schema": SCHEMA, "error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(error_obj))
         print(f"error: {exc}", file=sys.stderr)

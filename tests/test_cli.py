@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -762,3 +763,53 @@ class TestEncoders:
             },
             "sign": sign,
         }
+
+
+class TestParserLayout:
+    """The options every subcommand shares are declared once and accepted on
+    either side of the subcommand; each subcommand's usage lists them first."""
+
+    TABLE = ["schema: 1", "command: expand", "mean: B_1", "order: 2", "parity: even-only",
+             "  t^n   x^(1-n)  coefficient", "    0         1  1", "    1         0  0",
+             "    2        -1  0"]
+    #: Each subcommand's own options, in their order, and whether it takes a mean.
+    OWN_OPTIONS = {
+        "expand": (True, ["--a2", "--order"]),
+        "resultant": (True, ["--outer", "--inner", "--p", "--q", "--order"]),
+        "stable": (True, ["--order"]),
+        "solve": (True, ["--max-order"]),
+        "scan": (False, ["--family", "--order"]),
+        "compare": (False, ["--m1", "--m2", "--x-min", "--x-max", "--count", "--scale"]),
+        "limit": (True, ["--p", "--q"]),
+        "verify": (True, ["--order", "--t", "--x-min", "--x-max", "--count"]),
+    }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("expand", "--mean", "A", "--order", "2", "--format", "table"),
+         ("--format", "table", "expand", "--mean", "A", "--order", "2")],
+        ids=["after", "before"],
+    )
+    def test_format_on_either_side_of_the_subcommand(self, capsys, argv):
+        # Given only before the subcommand, --format is not reset by the
+        # subcommand's own, unrepeated --format.
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == self.TABLE
+
+    def test_top_level_help_lists_the_subcommands(self, capsys):
+        code, out, err = run_cli(capsys, "-h")
+        assert (code, err) == (0, "")
+        assert "{" + ",".join(self.OWN_OPTIONS) + "}" in out
+        assert re.findall(r"^    (\w+) ", out, re.M) == list(self.OWN_OPTIONS)
+
+    @pytest.mark.parametrize("name", list(OWN_OPTIONS))
+    def test_subcommand_usage_lists_shared_options_first(self, capsys, name):
+        code, out, err = run_cli(capsys, name, "-h")
+        assert (code, err) == (0, "")
+        usage = out.split("\n\n")[0]
+        assert usage.startswith(f"usage: meanstab {name} ")
+        takes_mean, own = self.OWN_OPTIONS[name]
+        mean = ["--mean", "--alpha", "--r", "--power"] if takes_mean else []
+        assert re.findall(r"(?<![\w-])--?[a-z][-a-z0-9]*", usage) == [
+            "-h", "--format", "--out", *mean, *own]

@@ -519,6 +519,9 @@ class TestParityRoute:
         specs = [ALIASES[n] if isinstance(n, str) else n for n in names]
         self.check(*(expand_mean(spec, order).coeffs for spec in specs), order)
 
+    def test_m4_l_m2_at_order_40(self):
+        self.check(*(expand_mean(spec, 40).coeffs for spec in (M4, ALIASES["L"], M2)), 40)
+
     @pytest.mark.parametrize("order", [1, 3, 9])
     @pytest.mark.parametrize("even_outer", [True, False])
     def test_almost_even_takes_the_general_route(self, order, even_outer):

@@ -1702,3 +1702,85 @@ class TestParameterScan:
                 with pytest.raises(ValueError, match="order >= 4"):
                     stability_parameter_scan(family, order)
         assert expanded == []
+
+
+class TestVerdictsWithARouteRemoved:
+    """Verdicts reached with solver routes set to None: a call of one would
+    raise TypeError, so each verdict shows which routes its inputs skip."""
+
+    @staticmethod
+    def remove(monkeypatch, *names):
+        for name in names:
+            monkeypatch.setattr(solver, name, None)
+
+    @staticmethod
+    def bumped(mean, shifts):
+        coeffs = list(mean.coeffs)
+        for index, delta in shifts.items():
+            coeffs[index] += delta
+        return MeanExpansion(tuple(coeffs))
+
+    def test_g_and_l_half_without_the_difference_form(self, monkeypatch):
+        self.remove(monkeypatch, "_difference_form")
+        g = expand_mean(ALIASES["G"], 64)
+        assert optimal_parameters(g, 64).relation == "stabilizable"
+        assert optimal_parameters(expand_mean(LAlpha(F(1, 2)), 48), 48).relation == "stabilizable"
+        v = optimal_parameters(self.bumped(MeanExpansion(g.coeffs[:17]), {6: F(1, 3)}), 16)
+        assert (v.relation, v.fixed_leading_order, v.fixed_leading) == ("candidate-sub", 6, F(21, 64))
+
+    def test_power_means_and_closed_columns_without_the_difference_form(self, monkeypatch):
+        self.remove(monkeypatch, "_difference_form")
+        v = [optimal_parameters(expand_mean(m, n), n)
+             for m, n in ((ALIASES["A"], 16), (PowerMean(F(-13, 6)), 64))]
+        assert [(x.relation, sorted(c.p.value for c in x.candidates),
+                 {c.achieved_order for c in x.candidates}) for x in v] == [
+            ("stabilizable", [-1, 1], {None}), ("stabilizable", [F(-13, 6), F(13, 6)], {None})]
+        mean = self.bumped(expand_mean(PowerMean(F(3, 7)), 16), {8: F(1, 3)})
+        v = optimal_parameters(mean, 16)
+        assert [(x.achieved_order, x.leading) for x in v.candidates] == [(8, F(255, 256) / 3)] * 2
+        coeffs = list(expand_mean(M2, 16).coeffs)
+        coeffs[3] = F(1, 7)
+        v = optimal_parameters(MeanExpansion(tuple(coeffs)), 16)
+        assert (v.fixed_leading_order, v.fixed_leading) == (3, F(1, 8))
+
+    def test_rational_roots_without_coefficient_polynomials(self, monkeypatch):
+        self.remove(monkeypatch, "coefficient_polynomials")
+        v = optimal_parameters(expand_mean(ALIASES["L"], 64), 64)
+        assert (v.relation, [c.p.value for c in v.candidates]) == ("stabilizable", [-1, 1])
+        v = optimal_parameters(expand_mean(LAlpha(F(3, 10)), 16), 16)
+        assert (v.relation, [c.achieved_order for c in v.candidates]) == ("candidate-super", [6, 6])
+        v = optimal_parameters(_shifted_a(12, F(1, 7)), 12)
+        assert [(x.achieved_order, x.leading) for x in v.candidates] == [(5, F(31, 224))] * 2
+
+    @pytest.mark.parametrize("max_order", [16, 64])
+    @pytest.mark.parametrize(
+        "spec, c6",
+        [(ALIASES["P"], F(1, 1152)), (M2, F(-11, 180)),
+         (SAlpha(F(1, 10)), F(6986069, 731250000000)), (LAlpha(F(3, 10)), F(-1456, 48828125))],
+        ids=["P", "M2", "S1/10", "L3/10"],
+    )
+    def test_closed_t6_without_an_expansion(self, monkeypatch, spec, c6, max_order):
+        self.remove(monkeypatch, "coefficient_polynomials", "_band", "difference_expansion",
+                    "_difference_form")
+        v = optimal_parameters(expand_mean(spec, max_order), max_order)
+        assert [(x.achieved_order, x.leading) for x in v.candidates] == [(6, c6)] * 2
+
+    def test_closed_t5_without_an_expansion(self, monkeypatch):
+        self.remove(monkeypatch, "coefficient_polynomials", "_band", "difference_expansion",
+                    "_difference_form")
+        v = optimal_parameters(_shifted_a(12, F(1, 7)), 12)
+        assert [(x.achieved_order, x.leading) for x in v.candidates] == [(5, F(31, 224))] * 2
+
+    def test_surd_root_without_a_band(self, monkeypatch):
+        self.remove(monkeypatch, "coefficient_polynomials", "_band")
+        mean = self.bumped(expand_power_mean(F(1, 3), 12), {4: F(-17, 3240), 6: F(-799, 174960)})
+        v = optimal_parameters(mean, 12)
+        assert [(x.p.kind, x.achieved_order, x.leading) for x in v.candidates] == [
+            ("quadratic-surd", 8, F(2057969, 537477120))] * 2
+
+    def test_stability_and_the_scan_without_a_resultant(self, monkeypatch):
+        self.remove(monkeypatch, "_resultant")
+        assert not is_stable(MAlphaR(1, 2), 64).is_stable
+        assert not is_stable(M3, 64).is_stable
+        assert is_stable(PowerMean(F(3, 7)), 96).is_stable
+        assert [r.value for r in stability_parameter_scan("L", 24)] == [-1, F(-1, 2), F(1, 2), 1]
