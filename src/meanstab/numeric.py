@@ -76,13 +76,19 @@ def _denominator_closed(spec: MeanSpec, y: float) -> float:
 
 
 def _log_denominator(spec: MeanSpec, y: float) -> float:
-    """ln D(y) where D(y) overflows.  Only L_alpha's does, where
-    sinh(|alpha|*y) does, past |alpha|*y = 710: there exp(-2|alpha|*y)
-    underflows, so D(y) = exp(|alpha|*y)/(2|alpha|) in double precision."""
-    if not isinstance(spec, LAlpha):
-        raise OverflowError("math range error")
-    a = abs(float(spec.alpha))
-    return a * y - math.log(2.0 * a)
+    """ln D(y) where D(y) overflows.  L_alpha's does where sinh(|alpha|*y)
+    does, past |alpha|*y = 710: there exp(-2|alpha|*y) underflows, so D(y) =
+    exp(|alpha|*y)/(2|alpha|) in double precision.  M_{alpha,r}'s does where
+    expm1(s*log1p(r*y)) does, s = (r + alpha)/r > 0 (for s < 0 it lies in
+    (-1, 0)): past s*log1p(r*y) = 709.8 the -1 is lost, so ln D(y) =
+    s*log1p(r*y) - ln(r + alpha).  No other family's D overflows."""
+    if isinstance(spec, LAlpha):
+        a = abs(float(spec.alpha))
+        return a * y - math.log(2.0 * a)
+    if isinstance(spec, MAlphaR):
+        r, alpha = float(spec.r), float(spec.alpha)
+        return (r + alpha) / r * math.log1p(r * y) - math.log(r + alpha)
+    raise OverflowError("math range error")
 
 
 def _power_factor_log(p: float, y: float) -> float:
@@ -97,8 +103,8 @@ def eval_mean(spec: MeanSpec, a: float, b: float) -> float:
     ln(hi/lo) by log1p, or by two logs once hi/lo overflows; (hi - lo)/D(y)
     for a quotient mean, and for B_p, p != 0, the dominant argument times
     exp of the power factor, in one exp of the summed logs once that factor
-    leaves e^+-700.  Where D(y) overflows (L_alpha, as sinh(alpha*y) does)
-    the quotient is exp(ln(hi - lo) - ln D(y))."""
+    leaves e^+-700.  Where D(y) overflows (L_alpha and M_{alpha,r}, see
+    _log_denominator) the quotient is exp(ln(hi - lo) - ln D(y))."""
     _require_positive(a, b)
     if a == b:
         return float(a)
@@ -126,8 +132,8 @@ def eval_f(spec: MeanSpec, x: float) -> float:
     1.0; another B_p is exp(+-x) times exp of the power factor at y = 2x, in
     one exp once either leaves e^+-700.  A quotient mean is 2*sinh(x)/D(2x),
     past x = 700 exp(x - 700)*(exp(700)/D(2x)), and exp of the difference of
-    the logs where D(2x) overflows (L_alpha): OverflowError only where f_M
-    does."""
+    the logs where D(2x) overflows (L_alpha and M_{alpha,r}): OverflowError
+    only where f_M does."""
     if not (x > 0):
         raise ValueError("evaluate the associated function at x > 0")
     if isinstance(spec, PowerMean):

@@ -11,7 +11,10 @@ verifies each by exact division and divides it out.
 
 A surd root's ``value`` is a number of the field Q(sqrt(s)),
 ``QuadraticField``, whose arithmetic is exact and whose values have an
-exact sign; the series kernel computes in it at such a root.
+exact sign; the series kernel computes in it at such a root.  Every surd
+root is built from such a value, by ``QuadraticSurdRoot.of``: the roots of
+a quadratic from -c1/(2*c2) -/+ sqrt(disc)/(2*c2), and any image of a root
+from the field arithmetic that gives it.
 
 Polynomials through equally spaced samples come from one route: the
 integer forward-difference table of the samples (``forward_differences``)
@@ -269,14 +272,29 @@ class RationalRoot(Value):
 class QuadraticSurdRoot(Value):
     """The number ``(add + sign*sqrt(radicand))/div``.
 
-    Canonical form: ``radicand`` is a positive non-square integer with small
-    square factors removed, ``div`` is positive.
+    Canonical form, as ``of`` builds it from the value: ``radicand`` is a
+    positive non-square integer with small square factors removed, ``div``
+    is positive.
     """
 
     kind = "quadratic-surd"
 
     def __init__(self, add: Rational, sign: int, radicand: Rational, div: Rational) -> None:
         self.__dict__.update(add=add, sign=sign, radicand=radicand, div=div)
+
+    @classmethod
+    def of(cls, value: QuadraticField) -> "QuadraticSurdRoot":
+        """The canonical description of a + b*sqrt(s): s = n/d brought to the
+        integer n*d, as sqrt(n/d) = sqrt(n*d)/d, and its square factors
+        pulled into b; then div = 1/|b|, add = a*div and the sign of b."""
+        b, s = value.b, value.s
+        if s <= 0:
+            raise ValueError("radicand must be positive")
+        f, core = _extract_square(s.numerator * s.denominator)
+        if core == 1:
+            raise ValueError("radicand is a perfect square; the value is rational")
+        div = Fraction(s.denominator * b.denominator, abs(b.numerator) * f)
+        return cls(value.a * div, 1 if b > 0 else -1, Fraction(core), div)
 
     @property
     def value(self) -> QuadraticField:
@@ -360,25 +378,6 @@ def _extract_square(n: int) -> tuple[int, int]:
                 f *= d
         d += 1 if d == 2 else 2
     return f, core
-
-
-def make_surd(add: Rational, sign: int, radicand: Rational, div: Rational) -> QuadraticSurdRoot:
-    """Canonicalize ``(add + sign*sqrt(radicand))/div``; radicand must not be a
-    perfect rational square."""
-    if radicand <= 0:
-        raise ValueError("radicand must be positive")
-    add, radicand, div = Fraction(add), Fraction(radicand), Fraction(div)
-    # Integerize the radicand: sqrt(n/d) = sqrt(n*d)/d.
-    d = radicand.denominator
-    radicand = Fraction(radicand.numerator * d)
-    add, div = add * d, div * d
-    f, core = _extract_square(int(radicand))
-    if core == 1:
-        raise ValueError("radicand is a perfect square; the value is rational")
-    add, div, radicand = add / f, div / f, Fraction(core)
-    if div < 0:
-        add, sign, div = -add, -sign, -div
-    return QuadraticSurdRoot(add, sign, radicand, div)
 
 
 def _is_square(q: Fraction) -> bool:
@@ -520,8 +519,8 @@ def _quadratic_roots(c0: Rational, c1: Rational, c2: Rational) -> list[Root]:
     if _is_square(disc):
         s = _sqrt_exact(disc)
         return [RationalRoot((-c1 - s) / (2 * c2)), RationalRoot((-c1 + s) / (2 * c2))]
-    first = make_surd(-c1, -1, disc, 2 * c2)
-    return [first, QuadraticSurdRoot(first.add, -first.sign, first.radicand, first.div)]
+    half = 1 / (2 * c2)
+    return [QuadraticSurdRoot.of(QuadraticField(-c1 * half, b, disc)) for b in (-half, half)]
 
 
 def _recognize_roots(g: UniPoly) -> list[Root]:
@@ -585,15 +584,3 @@ def isolate_real_roots(f: UniPoly) -> list[Root]:
         return _quadratic_roots(*g.coeffs)
     return _recognize_roots(g) if g.degree >= 3 else []
 
-
-def affine_image(
-    root: RationalRoot | QuadraticSurdRoot, slope: Rational, intercept: Rational
-) -> RationalRoot | QuadraticSurdRoot:
-    """The root description of slope*x + intercept at a rational root or a
-    quadratic surd, for a nonzero slope: a rational root or a surd again."""
-    slope, intercept = Fraction(slope), Fraction(intercept)
-    if isinstance(root, RationalRoot):
-        return RationalRoot(intercept + slope * root.value)
-    sign = root.sign if slope > 0 else -root.sign
-    return make_surd(intercept * root.div + slope * root.add, sign,
-                     slope * slope * root.radicand, root.div)

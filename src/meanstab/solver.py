@@ -8,8 +8,9 @@ difference M - R(B_p, M, B_q) order by order:
 * the t^2 coefficient vanishes exactly on the affine locus
   q = 3*a_2 + (3 - p)/2;
 * on that locus the t^k coefficient is a polynomial in p of degree at most
-  k - 1, which a band of samples at consecutive integers recovers exactly
-  (below); the first nonzero one is solved by certified root isolation.
+  k - 1; the first nonzero one, the pivot, is closed (below), a constant or
+  a quadratic, so its roots p and their images q on the locus are rationals
+  or quadratic surds.
 
 The pivot, the first nonzero coefficient polynomial, needs no sample: with
 r = 2*a_2 + 1, the t^3 column is the constant (7/8)*a_3 and, when a_3 = 0,
@@ -85,7 +86,6 @@ from .polynomials import (
     UniPoly,
     _is_square,
     _sqrt_exact,
-    affine_image,
     forward_differences,
     isolate_real_roots,
     newton_forward,
@@ -154,8 +154,8 @@ class AffineLocus(Value):
     def __init__(self, intercept: Rational, slope: Rational) -> None:
         self.__dict__.update(intercept=intercept, slope=slope)
 
-    def q_of(self, p: Rational) -> Rational:
-        return self.intercept + self.slope * Fraction(p)
+    def q_of(self, p: Rational | QuadraticField) -> Rational | QuadraticField:
+        return self.intercept + self.slope * p
 
     def describe(self) -> str:
         return f"q = {self.intercept} + ({self.slope})*p"
@@ -487,15 +487,17 @@ def optimal_parameters(
 
     candidates = []
     for root in roots:
-        q_root = affine_image(root, locus.slope, locus.intercept)
-        if isinstance(root, RationalRoot) and root.value in (r, -r):
+        p = root.value
+        q = locus.q_of(p)
+        q_root = QuadraticSurdRoot.of(q) if isinstance(q, QuadraticField) else RationalRoot(q)
+        if p in (r, -r):
             # (p, q) = (r, r) or (-r, 2r), an identity point of B_r (see above)
             achieved, leading = leaving()
         elif settled()[0] is not None:
             achieved, leading = settled()
         else:
             # The exact difference at the root, over Q or Q(sqrt(s)).
-            diff = difference_expansion(mean, root.value, q_root.value, max_order)
+            diff = difference_expansion(mean, p, q, max_order)
             achieved = diff.first_nonzero
             if achieved is not None and achieved <= k0:
                 raise ArithmeticError("difference at a root survives at or below the pivot")

@@ -164,6 +164,7 @@ from meanstab.catalog import (
     expand_mean,
 )
 from meanstab.polynomials import (
+    QuadraticField,
     QuadraticSurdRoot,
     RationalRoot,
     Root,
@@ -171,9 +172,7 @@ from meanstab.polynomials import (
     _is_square,
     _recognize_roots,
     _sqrt_exact,
-    affine_image,
     isolate_real_roots,
-    make_surd,
     sign_variations,
     squarefree_part,
 )
@@ -745,7 +744,8 @@ def candidates_by_bands(mean: MeanExpansion, max_order: int) -> list[OptimalCand
             if not (isinstance(value, Fraction) and value == 0):
                 achieved, leading = k, value
                 break
-        q_root = affine_image(root, locus.slope, locus.intercept)
+        q = locus.q_of(root.value)
+        q_root = QuadraticSurdRoot.of(q) if isinstance(q, QuadraticField) else RationalRoot(q)
         candidates.append(OptimalCandidate(root, q_root, achieved, leading))
     return candidates
 
@@ -1160,8 +1160,8 @@ def isolate_real_roots_by_divisor_search(f: UniPoly) -> list[Root]:
                 roots.append(RationalRoot((-c1 - s) / (2 * c2)))
                 roots.append(RationalRoot((-c1 + s) / (2 * c2)))
             else:
-                roots.append(make_surd(-c1, -1, disc, 2 * c2))
-                roots.append(make_surd(-c1, +1, disc, 2 * c2))
+                roots.append(surd_from_parts(-c1, -1, disc, 2 * c2))
+                roots.append(surd_from_parts(-c1, +1, disc, 2 * c2))
     return sorted(roots, key=functools.cmp_to_key(_compare_roots))
 
 
@@ -1221,6 +1221,19 @@ def extract_square_every_divisor(n: int) -> tuple[int, int]:
             f *= d
         d += 1
     return f, core
+
+
+def surd_from_parts(add: Rational, sign: int, radicand: Rational, div: Rational) -> QuadraticSurdRoot:
+    """(add + sign*sqrt(radicand))/div in canonical form, by arithmetic on
+    the four parts: the radicand n/d made the integer n*d, as sqrt(n/d) =
+    sqrt(n*d)/d, its square factors f (every divisor up to 10**4) divided
+    out of add and div, and the sign of div moved into sign."""
+    n, d = radicand.numerator, radicand.denominator
+    f, core = extract_square_every_divisor(n * d)
+    add, div = Fraction(add) * d / f, Fraction(div) * d / f
+    if div < 0:
+        add, sign, div = -add, -sign, -div
+    return QuadraticSurdRoot(add, sign, Fraction(core), div)
 
 
 def extract_square_odd_divisors(n: int) -> tuple[int, int]:

@@ -247,6 +247,15 @@ class TestOtherCommands:
         assert code == 1
         assert json.loads(out)["error"] == {"type": "OverflowError", "message": "math range error"}
 
+    def test_compare_where_the_m_alpha_r_denominator_overflows(self, capsys):
+        # M_{1,1/1000}'s D(2x) overflows past x = 516, at the grid's last two
+        # points, and its log gives f_M there
+        report = run_json(
+            capsys, "compare", "--m1", "malphar:1,1/1000", "--m2", "A",
+            "--x-min", "1", "--x-max", "700", "--count", "5",
+        )
+        assert report["verdict"] == "m1<m2" and report["witnesses"] == []
+
     @pytest.mark.parametrize(
         ("m1", "label", "verdict"),
         [

@@ -285,6 +285,46 @@ class TestDoubleRange:
             assert units <= 4, (x, float(units))
 
 
+class TestMAlphaROverflow:
+    """M_{alpha,r}'s D(y) = expm1(s*log1p(r*y))/(r + alpha), s = (r +
+    alpha)/r, overflows once its exponent X = s*log1p(r*y) passes 709.8:
+    for M_{1,1/1000} past y = 1032, so at (1e-300, 1e300) and x = 700 and
+    709 but not at (1e-10, 1e300), y = 713.8.  There D is taken by its log.
+    The rounding of X, which f_M and M carry through one exp, costs up to
+    1.2*X units here (X reaches 886), as the closed form's does where it
+    does not overflow."""
+
+    SPEC = MAlphaR(F(1), F(1, 1000))
+
+    @classmethod
+    def bound(cls, y):
+        s = float((cls.SPEC.r + cls.SPEC.alpha) / cls.SPEC.r)
+        return 6 + 1.5 * s * math.log1p(float(cls.SPEC.r) * y)
+
+    @pytest.mark.parametrize(("lo", "hi"), [(1e-300, 1e300), (1e-10, 1e300)], ids=str)
+    def test_eval_mean(self, lo, hi):
+        mpmath = pytest.importorskip("mpmath")
+        from oracles import mpmath_mean
+
+        y = math.log(hi) - math.log(lo)
+        value = eval_mean(self.SPEC, lo, hi)
+        assert math.isfinite(value) and lo <= value <= hi
+        with mpmath.workdps(60):
+            true = mpmath_mean(self.SPEC, lo, hi)
+            units = abs(value - true) / true / _EPS
+        assert units <= self.bound(y), float(units)
+
+    @pytest.mark.parametrize("x", [700.0, 709.0], ids=str)
+    def test_eval_f(self, x):
+        mpmath = pytest.importorskip("mpmath")
+        from oracles import mpmath_mean
+
+        with mpmath.workdps(50):
+            true = mpmath_mean(self.SPEC, mpmath.exp(-x), mpmath.exp(x))
+            units = abs(eval_f(self.SPEC, x) - true) / true / _EPS
+        assert units <= self.bound(2.0 * x), float(units)
+
+
 class TestMonotonicityInAlpha:
     def test_l_family_decreasing(self):
         a, b = 2.0, 5.0

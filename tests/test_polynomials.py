@@ -21,6 +21,7 @@ from oracles import (
     rational_roots_by_fraction_evaluation,
     simplest_between_by_recursion,
     sqrt_bounds_by_bisection,
+    surd_from_parts,
 )
 from meanstab.polynomials import (
     IntervalRoot,
@@ -33,16 +34,15 @@ from meanstab.polynomials import (
     _is_square,
     _quadratic_roots,
     _refine,
-    affine_image,
     forward_differences,
     isolate_real_roots,
-    make_surd,
     newton_forward,
     poly_gcd,
     simplest_between,
     squarefree_part,
 )
 from meanstab.series import _integer_form
+from meanstab.solver import AffineLocus
 
 
 def poly(*coeffs):
@@ -87,14 +87,14 @@ class TestUniPoly:
 
 class TestSurdsAndSquares:
     @pytest.mark.parametrize("radicand", [F(0), F(-3), F(-1, 4)], ids=str)
-    def test_make_surd_needs_a_positive_radicand(self, radicand):
+    def test_a_surd_needs_a_positive_radicand(self, radicand):
         with pytest.raises(ValueError, match="must be positive"):
-            make_surd(F(1), 1, radicand, F(2))
+            QuadraticSurdRoot.of(QuadraticField(F(1, 2), F(1, 2), radicand))
 
     @pytest.mark.parametrize("radicand", [F(4), F(9, 25), F(1, 16), F(18, 8)], ids=str)
-    def test_make_surd_refuses_a_perfect_square(self, radicand):
+    def test_a_surd_refuses_a_perfect_square(self, radicand):
         with pytest.raises(ValueError, match="perfect square"):
-            make_surd(F(1), -1, radicand, F(3))
+            QuadraticSurdRoot.of(QuadraticField(F(1, 3), F(-1, 3), radicand))
 
     @pytest.mark.parametrize(
         ("coeffs", "small"),
@@ -118,9 +118,31 @@ class TestSurdsAndSquares:
         # near: a radicand just above add**2, where add - sqrt(radicand) cancels
         radicand = add * add + offset if near else offset
         assume(not _is_square(radicand))
-        root = make_surd(add, sign, radicand, div)
+        root = QuadraticSurdRoot.of(QuadraticField(add / div, sign / div, radicand))
         low, high = root.bounds(F(1, 10**80))
         assert math.isclose(root.approx(), float(low), rel_tol=2e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        add=st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6),
+        sign=st.sampled_from((-1, 1)),
+        radicand=st.fractions(min_value=F(1, 10**6), max_value=10**12, max_denominator=10**6),
+        div=st.fractions(min_value=-10**3, max_value=10**3, max_denominator=10**3).filter(bool),
+        slope=st.fractions(min_value=-50, max_value=50, max_denominator=12).filter(bool),
+        intercept=st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    )
+    def test_a_surd_from_its_value_is_the_canonical_form_of_its_parts(
+        self, add, sign, radicand, div, slope, intercept
+    ):
+        # the value a + b*sqrt(s), and an affine image of it computed in
+        # Q(sqrt(s)), give what arithmetic on (add, sign, radicand, div) gives
+        assume(not _is_square(radicand))
+        root = QuadraticSurdRoot.of(QuadraticField(add / div, sign / div, radicand))
+        assert root == surd_from_parts(add, sign, radicand, div)
+        image = QuadraticSurdRoot.of(intercept + slope * root.value)
+        assert image == surd_from_parts(intercept * root.div + slope * root.add,
+                                        root.sign if slope > 0 else -root.sign,
+                                        slope * slope * root.radicand, root.div)
 
     def test_is_square(self):
         assert _is_square(F(9, 4)) and _is_square(F(0))
@@ -468,6 +490,15 @@ class TestQuadraticField:
         assert unit * (unit - 2) == 1 and type(1 / unit) is QuadraticField
         assert parts(1 / unit) == (-1, 1)
 
+    @pytest.mark.parametrize("swap", [False, True], ids=["field-first", "float-first"])
+    @pytest.mark.parametrize("op", ["+", "*", "/"])
+    def test_a_float_operand_raises(self, op, swap):
+        # no float enters the exact arithmetic, on either side
+        x = QuadraticField(F(1), F(1), F(2))
+        left, right = (0.5, x) if swap else (x, 0.5)
+        with pytest.raises(TypeError):
+            {"+": lambda: left + right, "*": lambda: left * right, "/": lambda: left / right}[op]()
+
     @settings(max_examples=200, deadline=None)
     @given(s=st.sampled_from(SQUAREFREE), a=field_parts, b=field_parts.filter(bool))
     def test_sign_against_mpmath(self, s, a, b):
@@ -542,12 +573,14 @@ class TestBounds:
 
 
 class TestAffineImage:
+    LOCUS = AffineLocus(F(5, 2), F(-1, 2))
+
     def test_rational(self):
-        assert affine_image(RationalRoot(F(3)), F(-1, 2), F(5, 2)).value == 1
+        assert self.LOCUS.q_of(F(3)) == 1
 
     def test_surd(self):
         root = isolate_real_roots(poly(-17, 0, 1))[0]  # -sqrt(17)
-        image = affine_image(root, F(-1, 2), F(5, 2))  # 5/2 + sqrt(17)/2
+        image = QuadraticSurdRoot.of(self.LOCUS.q_of(root.value))  # 5/2 + sqrt(17)/2
         assert isinstance(image, QuadraticSurdRoot)
         assert (image.add, image.sign, image.radicand, image.div) == (F(5), 1, F(17), F(2))
 
@@ -730,8 +763,8 @@ class TestRecognitionAgainstDivisorSearch:
         # (add -/+ sqrt(radicand))/div are the roots of these coefficients
         coeffs = ((add * add - radicand) / (2 * div), -add, div / 2)
         assert _quadratic_roots(*coeffs) == [
-            make_surd(add, -1, radicand, div),
-            make_surd(add, +1, radicand, div),
+            QuadraticSurdRoot.of(QuadraticField(add / div, -1 / div, radicand)),
+            QuadraticSurdRoot.of(QuadraticField(add / div, 1 / div, radicand)),
         ]
 
 

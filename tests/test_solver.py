@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from meanstab import catalog, numeric, polynomials, solver
+from meanstab import catalog, cli, numeric, polynomials, solver
 from meanstab.catalog import (
     ALIASES,
     LAlpha,
@@ -310,50 +311,31 @@ class TestOrderBands:
         optimal_parameters(mean, max_order)
         return orders, forms
 
-    @staticmethod
-    def asked_bands(monkeypatch):
-        """The low index of each coefficient_polynomials call the search
-        makes from now on, in call order."""
-        asked = []
-        real = solver.coefficient_polynomials
-
-        def recording(mean, locus, low, high):
-            asked.append(low)
-            return real(mean, locus, low, high)
-
-        monkeypatch.setattr(solver, "coefficient_polynomials", recording)
-        return asked
-
     def test_early_search_stays_below_order_seven(self, monkeypatch):
         # S_{1/10}'s surd roots read t^6 in closed form: no band
-        asked = self.asked_bands(monkeypatch)
         orders = self.sampled_orders(monkeypatch, SAlpha(F(1, 10)), 14)
-        assert orders == [] and asked == []
+        assert orders == []
         # where t^5 and t^6 vanish at surd roots, each root takes one
         # expansion over Q(sqrt(2)), at max_order, and no band opens
-        asked = self.asked_bands(monkeypatch)
         orders, _ = self.sampled_expansions(monkeypatch, _c6_zero(14), 14)
-        assert orders == [14] * 2 and asked == []
+        assert orders == [14] * 2
 
     def test_deep_search_of_a_power_mean_opens_no_band(self, monkeypatch):
         # the pivot t^4 is a closed column, and its roots p = -1, 1 are the
         # identity points of A = B_1: one comparison with B_1 reads them
-        asked = self.asked_bands(monkeypatch)
         orders = self.sampled_orders(monkeypatch, ALIASES["A"], 16)
-        assert orders == [] and asked == []
+        assert orders == []
 
     def test_rational_roots_past_the_first_reach_open_no_band(self, monkeypatch):
         # L's roots p = -1, 1 are not identity points of B_{1/3}, and t^5 and
         # t^6 vanish there: one expansion at max_order reads each
-        asked = self.asked_bands(monkeypatch)
         orders = self.sampled_orders(monkeypatch, ALIASES["L"], 64)
-        assert orders == [64] * 2 and asked == []
+        assert orders == [64] * 2
 
     def test_rational_survivor_at_t6_opens_no_band(self, monkeypatch):
         # the rational roots of L_{3/10} survive at t^6, read in closed form
-        asked = self.asked_bands(monkeypatch)
         orders = self.sampled_orders(monkeypatch, LAlpha(F(3, 10)), 16)
-        assert orders == [] and asked == []
+        assert orders == []
         verdict = optimal_parameters(expand_mean(LAlpha(F(3, 10)), 16), 16)
         assert [(c.p.value, c.achieved_order, c.leading) for c in verdict.candidates] == [
             (F(-38, 25), 6, F(-1456, 48828125)), (F(38, 25), 6, F(-1456, 48828125))
@@ -361,29 +343,24 @@ class TestOrderBands:
 
     def test_vanishing_on_the_locus_opens_no_band(self, monkeypatch):
         # a_2 = -1/2: the columns come from one comparison with G
-        asked = self.asked_bands(monkeypatch)
         orders = self.sampled_orders(monkeypatch, ALIASES["G"], 16)
-        assert orders == [] and asked == []
+        assert orders == []
 
     def test_the_first_reach_leaves_the_search_alone(self, monkeypatch):
-        # the first reach is the stability probe's only: with a first reach
-        # of 4, a mean searched as a mixed one whose surd roots read neither
-        # t^5 nor t^6 takes one expansion per root at max_order, opens no
-        # band, and keeps its verdict; S_{1/10} reads t^6 in closed form
-        class Mixed(MeanExpansion):
-            is_even = False
-
+        # the first reach is the stability probe's only, and the search does
+        # not read it (tests/test_source_rules.py): a mean whose surd roots
+        # read neither t^5 nor t^6 takes one expansion per root at max_order;
+        # S_{1/10} reads t^6 in closed form
         spec = SAlpha(F(1, 10))
-        means = [(Mixed(expand_mean(spec, 8).coeffs), spec), (Mixed(_c6_zero(8).coeffs), None)]
-        expected = [optimal_parameters(mean, 8, spec=s) for mean, s in means]
-        monkeypatch.setattr(solver, "_FIRST_REACH", 4)
-        schedules = []
-        for mean, s in means:
-            asked = self.asked_bands(monkeypatch)
-            orders, _ = self.sampled_expansions(monkeypatch, mean, 8)
-            schedules.append((list(orders), list(asked)))
-        assert schedules == [([], []), ([8] * 2, [])]
-        assert [optimal_parameters(mean, 8, spec=s) for mean, s in means] == expected
+        means = [(expand_mean(spec, 8), spec), (_c6_zero(8), None)]
+        schedules = [list(self.sampled_expansions(monkeypatch, mean, 8)[0]) for mean, _ in means]
+        assert schedules == [[], [8] * 2]
+        verdicts = [optimal_parameters(mean, 8, spec=s) for mean, s in means]
+        assert [(v.relation, [(c.p.kind, c.achieved_order, c.leading) for c in v.candidates])
+                for v in verdicts] == [
+            ("candidate-sub", [("quadratic-surd", 6, F(6986069, 731250000000))] * 2),
+            ("candidate-sub", [("quadratic-surd", 8, F(2057969, 537477120))] * 2),
+        ]
 
     @pytest.mark.parametrize("max_order", [3, 5, 8, 13, 16, 25])
     @pytest.mark.parametrize(
@@ -392,12 +369,11 @@ class TestOrderBands:
         ids=lambda s: "c6=0" if s is None else describe_spec(s),
     )
     def test_even_mean_asks_only_for_even_orders(self, monkeypatch, spec, max_order):
-        asked = self.asked_bands(monkeypatch)
         mean = _c6_zero(max_order) if spec is None else expand_mean(spec, max_order)
         orders, forms = self.sampled_expansions(monkeypatch, mean, max_order)
         # no band opens, and a root that the closed columns do not settle
         # takes one expansion, at max_order
-        assert asked == [] and set(orders) <= {max_order}
+        assert set(orders) <= {max_order}
         # the premise: every odd coefficient of an even mean's difference is
         # 0, over Q(sqrt(s)) at a surd root too
         assert all(not any(nums[1::2]) for nums, _ in forms)
@@ -418,9 +394,8 @@ class TestOrderBands:
         coeffs[odd] = F(1, 7)
         mean = MeanExpansion(tuple(coeffs))
         assert not mean.is_even and mean.coefficient(1) == 0
-        asked = self.asked_bands(monkeypatch)
         orders, _ = self.sampled_expansions(monkeypatch, mean, 16)
-        assert orders == [] and asked == []
+        assert orders == []
         verdict = optimal_parameters(mean, 16)
         assert verdict.relation == "candidate-sub"
         if odd == 3:
@@ -439,32 +414,13 @@ class TestOrderBands:
     def test_deep_vanishing_search_opens_no_band(self, monkeypatch, spec, max_order):
         # the difference vanishes on the whole locus, which one comparison
         # with G shows: no band and no difference expansion
-        asked = self.asked_bands(monkeypatch)
         orders = self.sampled_orders(monkeypatch, spec, max_order)
-        assert orders == [] and asked == []
+        assert orders == []
         verdict = optimal_parameters(expand_mean(spec, max_order), max_order, spec=spec)
         assert verdict.relation == "stabilizable" and verdict.candidates == ()
         assert verdict.notes == (
             f"difference vanishes identically on the locus through order {max_order}",
         )
-
-    @pytest.mark.parametrize("max_order", [12, 16])
-    @pytest.mark.parametrize(
-        "spec",
-        [ALIASES[n] for n in ("A", "G", "H", "L", "P", "T")]
-        + [M2, M4, LAlpha(F(3, 10)), SAlpha(F(1, 10)), PowerMean(F(-13, 6))],
-        ids=describe_spec,
-    )
-    def test_even_schedule_gives_the_mixed_schedule_verdict(self, spec, max_order):
-        class Mixed(MeanExpansion):
-            is_even = False
-
-        mean = expand_mean(spec, max_order)
-        fields = ("relation", "candidates", "locus", "fixed_leading", "fixed_leading_order",
-                  "notes")
-        even = optimal_parameters(mean, max_order, spec=spec)
-        mixed = optimal_parameters(Mixed(mean.coeffs), max_order, spec=spec)
-        assert [getattr(even, f) for f in fields] == [getattr(mixed, f) for f in fields]
 
     def test_search_needs_order_three(self):
         m = expand_mean(M2, 6)
@@ -535,23 +491,18 @@ class TestClosedColumns:
         band = coefficient_polynomials(mean, first_order_locus(mean), 3, 4)
         events = []
 
-        def banding(mean, locus, low, high):
-            events.append(("band", low))
-            return {}
-
         def pivot(poly):
             events.append(("pivot", poly))
             raise self.Pivot
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "coefficient_polynomials", banding)
             mp.setattr(solver, "isolate_real_roots", pivot)
             try:
                 verdict = optimal_parameters(mean, order)
             except self.Pivot:
                 verdict = None
         if a3 != 0:
-            # a constant pivot at t^3, read before any band
+            # a constant pivot at t^3, with no root to isolate
             assert band[3].degree == 0 and events == []
             assert (verdict.fixed_leading_order, verdict.fixed_leading) == (3, band[3](0))
         else:
@@ -665,9 +616,7 @@ class TestRationalCandidatesAgainstBands:
         expected = oracles.candidates_by_bands(mean, max_order)
         assert any(isinstance(c.p, RationalRoot) for c in expected)
         # the search opens no band
-        asked = TestOrderBands.asked_bands(monkeypatch)
         verdict = optimal_parameters(mean, max_order, spec=spec)
-        assert asked == []
         assert sorted(verdict.candidates, key=lambda c: c.p.approx()) == sorted(
             expected, key=lambda c: c.p.approx()
         )
@@ -692,9 +641,8 @@ class TestRationalCandidatesAgainstBands:
     def test_mixed_mean_at_a_rational_root_off_the_identity_points(
         self, monkeypatch, a5, order, leading
     ):
-        asked = TestOrderBands.asked_bands(monkeypatch)
         verdict = optimal_parameters(_shifted_a(12, a5), 12)
-        assert asked == [] and verdict.relation == "candidate-sub"
+        assert verdict.relation == "candidate-sub"
         candidates = [(c.p.value, c.q.value, c.achieved_order, c.leading)
                       for c in verdict.candidates]
         assert candidates == [(-2, F(5, 2), order, leading), (2, F(1, 2), order, leading)]
@@ -887,8 +835,7 @@ class TestExpansionOverTheQuadraticField:
         roots = isolate_real_roots(polys[4])
         assert [root.kind for root in roots] == ["quadratic-surd"] * 2
         for root in roots:
-            q = polynomials.affine_image(root, locus.slope, locus.intercept)
-            diff = difference_expansion(mean, root.value, q.value, order)
+            diff = difference_expansion(mean, root.value, locus.q_of(root.value), order)
             assert diff.coeffs[:2] == (0, 0)
             for k in range(2, order + 1):
                 rest = polys[k] % polys[4]
@@ -922,7 +869,7 @@ class TestClosedT5AndT6:
     Q(sqrt(s)) at a surd root, and the survivor at t^8 is constant modulo
     P_4 too."""
 
-    CLOSED = ("_difference_form", "difference_expansion", "coefficient_polynomials", "_band")
+    CLOSED = ("_difference_form", "difference_expansion")
     R = st.fractions(-3, 3, max_denominator=8).filter(lambda x: x != 0)
 
     @staticmethod
@@ -1002,9 +949,8 @@ class TestClosedT5AndT6:
         polys = coefficient_polynomials(mean, first_order_locus(mean), 4, 8)
         rests = [polys[k] % polys[4] for k in (5, 6, 7, 8)]
         assert [rest.degree for rest in rests] == [-1, -1, -1, 0]
-        asked = TestOrderBands.asked_bands(monkeypatch)
         orders = TestOrderBands.sampled_expansions(monkeypatch, mean, 16)[0]
-        assert orders == [16] * 2 and asked == []
+        assert orders == [16] * 2
         candidates = optimal_parameters(mean, 16).candidates
         assert [(c.p.kind, c.achieved_order, c.leading) for c in candidates] == [
             ("quadratic-surd", 8, rests[3].coefficient(0))
@@ -1018,9 +964,8 @@ class TestClosedT5AndT6:
         polys = coefficient_polynomials(mean, first_order_locus(mean), 4, 8)
         rest = polys[8] % polys[4]
         assert (polys[6] % polys[4]).is_zero and rest.degree == 0
-        asked = TestOrderBands.asked_bands(monkeypatch)
         orders = TestOrderBands.sampled_expansions(monkeypatch, mean, 16)[0]
-        assert orders == [16] * 2 and asked == []
+        assert orders == [16] * 2
         candidates = optimal_parameters(mean, 16).candidates
         assert [(c.p.value, c.achieved_order, c.leading) for c in candidates] == [
             (-2, 8, rest.coefficient(0)), (2, 8, rest.coefficient(0))
@@ -1186,6 +1131,21 @@ class TestOptimalParameters:
         m = expand_mean(M3, 6)
         v = optimal_parameters(m, 6, spec=M3)
         assert v.relation == "candidate-sub"
+
+    def test_rational_root_verdicts(self):
+        v = optimal_parameters(expand_mean(ALIASES["L"], 64), 64)
+        assert (v.relation, [c.p.value for c in v.candidates]) == ("stabilizable", [-1, 1])
+        v = optimal_parameters(expand_mean(LAlpha(F(3, 10)), 16), 16)
+        assert (v.relation, [c.achieved_order for c in v.candidates]) == ("candidate-super", [6, 6])
+        v = optimal_parameters(_shifted_a(12, F(1, 7)), 12)
+        assert [(x.achieved_order, x.leading) for x in v.candidates] == [(5, F(31, 224))] * 2
+
+    def test_surd_root_survivor_past_t6(self):
+        mean = TestVerdictsWithARouteRemoved.bumped(
+            expand_power_mean(F(1, 3), 12), {4: F(-17, 3240), 6: F(-799, 174960)})
+        v = optimal_parameters(mean, 12)
+        assert [(x.p.kind, x.achieved_order, x.leading) for x in v.candidates] == [
+            ("quadratic-surd", 8, F(2057969, 537477120))] * 2
 
 
 def _bumped(mean: MeanExpansion, index: int) -> MeanExpansion:
@@ -1692,6 +1652,16 @@ class TestParameterScan:
         with pytest.raises(ArithmeticError, match="unresolved"):
             stability_parameter_scan("L", 16)
 
+    def test_a_defect_that_vanishes_identically_is_inconclusive(self, monkeypatch, capsys):
+        # every sample of the t^4 defect 0: no polynomial in beta to solve
+        monkeypatch.setattr(solver, "_defect_form", lambda m_form: ([0] * len(m_form[0]), 1))
+        with pytest.raises(ArithmeticError, match="vanishes identically"):
+            stability_parameter_scan("L", 16)
+        assert cli.main(["scan", "--family", "L", "--order", "16"]) == 1
+        out = capsys.readouterr().out
+        assert json.loads(out)["error"] == {
+            "type": "ArithmeticError", "message": "t^4 defect vanishes identically; scan inconclusive"}
+
     def test_scan_needs_order_four(self, monkeypatch):
         expanded = []
         for name in ("_mean_form", "_cosh_mean_form"):
@@ -1743,15 +1713,6 @@ class TestVerdictsWithARouteRemoved:
         v = optimal_parameters(MeanExpansion(tuple(coeffs)), 16)
         assert (v.fixed_leading_order, v.fixed_leading) == (3, F(1, 8))
 
-    def test_rational_roots_without_coefficient_polynomials(self, monkeypatch):
-        self.remove(monkeypatch, "coefficient_polynomials")
-        v = optimal_parameters(expand_mean(ALIASES["L"], 64), 64)
-        assert (v.relation, [c.p.value for c in v.candidates]) == ("stabilizable", [-1, 1])
-        v = optimal_parameters(expand_mean(LAlpha(F(3, 10)), 16), 16)
-        assert (v.relation, [c.achieved_order for c in v.candidates]) == ("candidate-super", [6, 6])
-        v = optimal_parameters(_shifted_a(12, F(1, 7)), 12)
-        assert [(x.achieved_order, x.leading) for x in v.candidates] == [(5, F(31, 224))] * 2
-
     @pytest.mark.parametrize("max_order", [16, 64])
     @pytest.mark.parametrize(
         "spec, c6",
@@ -1760,23 +1721,14 @@ class TestVerdictsWithARouteRemoved:
         ids=["P", "M2", "S1/10", "L3/10"],
     )
     def test_closed_t6_without_an_expansion(self, monkeypatch, spec, c6, max_order):
-        self.remove(monkeypatch, "coefficient_polynomials", "_band", "difference_expansion",
-                    "_difference_form")
+        self.remove(monkeypatch, "difference_expansion", "_difference_form")
         v = optimal_parameters(expand_mean(spec, max_order), max_order)
         assert [(x.achieved_order, x.leading) for x in v.candidates] == [(6, c6)] * 2
 
     def test_closed_t5_without_an_expansion(self, monkeypatch):
-        self.remove(monkeypatch, "coefficient_polynomials", "_band", "difference_expansion",
-                    "_difference_form")
+        self.remove(monkeypatch, "difference_expansion", "_difference_form")
         v = optimal_parameters(_shifted_a(12, F(1, 7)), 12)
         assert [(x.achieved_order, x.leading) for x in v.candidates] == [(5, F(31, 224))] * 2
-
-    def test_surd_root_without_a_band(self, monkeypatch):
-        self.remove(monkeypatch, "coefficient_polynomials", "_band")
-        mean = self.bumped(expand_power_mean(F(1, 3), 12), {4: F(-17, 3240), 6: F(-799, 174960)})
-        v = optimal_parameters(mean, 12)
-        assert [(x.p.kind, x.achieved_order, x.leading) for x in v.candidates] == [
-            ("quadratic-surd", 8, F(2057969, 537477120))] * 2
 
     def test_stability_and_the_scan_without_a_resultant(self, monkeypatch):
         self.remove(monkeypatch, "_resultant")

@@ -4,7 +4,9 @@ strips), the runtime imports nothing outside the standard library and none
 of the modules that are slow to import, the package's modules import each
 other without a cycle, every private module-level function is used by the
 package itself, and every public function or method by the package, the
-acceptance gate or the benchmark.  A use is a read of the name outside the function's own body."""
+acceptance gate or the benchmark.  A use is a read of the name outside the function's own body.
+The parameter search reads none of the names its schedule does not depend
+on."""
 
 import ast
 import sys
@@ -23,6 +25,10 @@ CONSUMERS = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench")
 #: and execs the methods of every class it decorates and imports inspect,
 #: and typing takes a few milliseconds of its own.
 SLOW_TO_IMPORT = {"dataclasses", "typing", "inspect"}
+#: Names solver.optimal_parameters does not read: the band route, the
+#: stability probe's first reach, and a mean's parity, as the closed
+#: columns and one expansion per root read every mean alike.
+NOT_READ_BY_THE_SEARCH = {"coefficient_polynomials", "_band", "_FIRST_REACH", "is_even"}
 
 
 def imported_modules(tree: ast.AST) -> list[tuple[int, str]]:
@@ -107,6 +113,12 @@ def unused_functions(trees: dict[str, ast.Module], candidates, outside=frozenset
     ]
 
 
+def forbidden_reads(tree: ast.Module, function: str, names: set[str]) -> list[str]:
+    """The names among ``names`` that the module-level function reads, sorted."""
+    body = {node.name: node for node in tree.body if isinstance(node, FUNCTIONS)}[function]
+    return sorted(set(read_names(body)) & names)
+
+
 def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
@@ -163,6 +175,13 @@ def test_every_public_function_is_used_by_the_package_the_gate_or_the_benchmark(
     assert unused == [], f"public functions and methods nothing outside tests uses: {unused}"
 
 
+def test_the_search_reads_no_band_first_reach_or_parity():
+    # A patch of one of these names cannot change a verdict, so no test
+    # needs one.
+    tree = parse(ROOT / "src" / "meanstab" / "solver.py")
+    assert forbidden_reads(tree, "optimal_parameters", NOT_READ_BY_THE_SEARCH) == []
+
+
 def test_the_rules_catch_what_they_forbid():
     tree = ast.parse("import numpy.linalg\nfrom mpmath import mp\nfrom . import series\nassert x\n")
     assert imported_modules(tree) == [(1, "numpy"), (2, "mpmath")]
@@ -203,3 +222,7 @@ def test_the_rules_catch_what_they_forbid():
     gate = ast.parse("from meanstab.m import C, in_the_gate\nC().gated_method()\n")
     assert unused_functions(trees, public_functions, set(read_names(gate))) == [
         ("m.py", "public"), ("m.py", "only_tested"), ("m.py", "reexported"), ("m.py", "method")]
+    search = ast.parse("def optimal_parameters(mean):\n    return mean.is_even or _band(_FIRST_REACH)\n"
+                       "def other():\n    return coefficient_polynomials\n")
+    assert forbidden_reads(search, "optimal_parameters", NOT_READ_BY_THE_SEARCH) == [
+        "_FIRST_REACH", "_band", "is_even"]
