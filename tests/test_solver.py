@@ -1147,6 +1147,26 @@ class TestOptimalParameters:
         assert [(x.p.kind, x.achieved_order, x.leading) for x in v.candidates] == [
             ("quadratic-surd", 8, F(2057969, 537477120))] * 2
 
+    @pytest.mark.parametrize("max_order", [12, 16])
+    @pytest.mark.parametrize(
+        "spec",
+        [ALIASES[n] for n in ("A", "H", "L", "P", "T")]
+        + [M2, M4, LAlpha(F(3, 10)), SAlpha(F(1, 10)), PowerMean(F(-13, 6))],
+        ids=describe_spec,
+    )
+    def test_each_q_is_the_locus_image_of_its_p(self, spec, max_order):
+        # q is read in the field of p, Q or Q(sqrt(s)), and described in the
+        # same canonical form as a root of the pivot
+        v = optimal_parameters(expand_mean(spec, max_order), max_order, spec=spec)
+        assert len(v.candidates) == 2
+        for c in v.candidates:
+            assert c.q.kind == c.p.kind
+            assert c.q.value == v.locus.q_of(c.p.value)
+            if isinstance(c.q, QuadraticSurdRoot):
+                assert c.q == QuadraticSurdRoot.of(c.q.value) and c.q.div > 0
+            assert c.q.approx() == pytest.approx(
+                float(v.locus.intercept) + float(v.locus.slope) * c.p.approx(), rel=1e-12)
+
 
 def _bumped(mean: MeanExpansion, index: int) -> MeanExpansion:
     coeffs = list(mean.coeffs)
