@@ -16,16 +16,18 @@ The pivot, the first nonzero coefficient polynomial, needs no sample: with
 r = 2*a_2 + 1, the t^3 column is the constant (7/8)*a_3 and, when a_3 = 0,
 the t^4 column is the closed quadratic (r/128)*(p**2 - r**2) + (15/16)*(a_4 -
 b_4), b_4 the t^4 coefficient of B_r; for a_2 = -1/2 (r = 0) it is one
-comparison of M with G (see optimal_parameters).  A rational root of the
-pivot is read exactly.  An identity point of B_r, where R(B_p, B_r, B_q) =
-B_r, comes from one comparison of M with B_r: these are the roots p = +-r
-of a mean that agrees with B_r through t^4 (A, H, L_{+-1} = H and every
-B_r).  Every other root of the t^4 pivot reads two more closed columns:
-t^5 is the constant (31/32)*a_5, and when a_5 = 0 the t^6 column is, modulo
-the pivot, the constant c_6 = 9F/(320r) of a_2, a_4 and a_6.  The first of
-them that is nonzero is the survivor at every such root, rational or surd,
-with no sample and no evaluation at the root.  Only where both vanish does
-a root take a longer route, the same for both kinds: one difference
+comparison of M with G (see optimal_parameters).  A constant pivot is read
+as the constant it is.  The roots of the t^4 quadratic are one pair p =
++-sqrt(w), or the double root 0, and the pair takes one route.  When w =
+r**2 both roots are identity points of B_r, where R(B_p, B_r, B_q) = B_r,
+and both come from one comparison of M with B_r: these are the roots of a
+mean that agrees with B_r through t^4 (A, H, L_{+-1} = H and every B_r).
+Any other pair reads two more closed columns: t^5 is the constant
+(31/32)*a_5, and when a_5 = 0 the t^6 column is, modulo the pivot, the
+constant c_6 = 9F/(320r) of a_2, a_4 and a_6, F read at most once.  The
+first of them that is nonzero is the survivor at both roots, rational or
+surd, with no sample and no evaluation at the root.  Only where both vanish
+does each root take a longer route, the same for both kinds: one difference
 expansion at the root, truncated at max_order, in Q at a rational root and
 in the quadratic field Q(sqrt(s)) at a surd one; its first nonzero
 coefficient is the survivor, exact and of exact sign.
@@ -64,7 +66,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from fractions import Fraction
-from functools import cache
 
 from .catalog import (
     _cosh_mean_form,
@@ -323,7 +324,8 @@ def optimal_parameters(
     the coefficients of B_r; b_4 = (r - 1)*(3 + r - 2*r**2)/24.  The pivot
     comes from closed columns: the t^3 column is the constant (7/8)*a_3, and
     when a_3 = 0 the t^4 column is (r/128)*(p**2 - r**2) + (15/16)*(a_4 -
-    b_4), that is (120*a_4 + r*p**2 + 9*r**3 - 15*r**2 - 10*r + 15)/128:
+    b_4), that is (c_4 + r*p**2)/128 with c_4 = 120*a_4 + 9*r**3 - 15*r**2
+    - 10*r + 15:
 
     * t^3: the top coefficient a_3 enters R(B_p, M, B_q) with slope 2**-3,
       by the argument for identity points below, and the part of the t^3
@@ -336,13 +338,16 @@ def optimal_parameters(
       and N = B_q have k_2 = (p - 1)/2, k_4 = b_4 at p, and the same at q;
       with m_2 = (r - 1)/2, a_4 - r_4 is the column above.
 
-    The pivot's roots are those of the t^4 column P_4, and each that is not
-    an identity point (below) reads the next two columns in closed form.
-    The t^5 column is (31/32)*a_5 at every p, and when a_5 = 0 the t^6
-    column P_6 is, at every root of P_4, the constant c_6 = 9*F/(320*r),
-    F = 48*a_2**6 + 104*a_2**5 + 65*a_2**4 + 80*a_2**3*a_4 - 5*a_2**3 +
-    150*a_2**2*a_4 - 13*a_2**2 + 65*a_2*a_4 + 70*a_2*a_6 + a_2 - 100*a_4**2
-    - 20*a_4 + 35*a_6:
+    A constant pivot (t^3, or the comparison with G at r = 0 below) is read
+    as a constant.  The t^4 column P_4 has the roots p = +-sqrt(w), w =
+    -c_4/r, one pair or the double root 0; with no real root it keeps the
+    sign of c_4.  The pair takes one route: it is a pair of identity points
+    (below) when w = r**2, and otherwise reads the next two columns in
+    closed form.  The t^5 column is (31/32)*a_5 at every p, and when a_5 = 0
+    the t^6 column P_6 is, at both roots of P_4, the constant c_6 =
+    9*F/(320*r), F = 48*a_2**6 + 104*a_2**5 + 65*a_2**4 + 80*a_2**3*a_4 -
+    5*a_2**3 + 150*a_2**2*a_4 - 13*a_2**2 + 65*a_2*a_4 + 70*a_2*a_6 + a_2 -
+    100*a_4**2 - 20*a_4 + 35*a_6:
 
     * t^5: as at t^3, a_5 enters with slope 2**-5, and the part of the t^5
       coefficient that a_2 and a_4 give is that of an even mean, zero;
@@ -359,14 +364,14 @@ def optimal_parameters(
       (840*a_4 + 180*r**3 - 165*r**2 - 170*r + 105)*p**2/15360 -
       81*r**5/2560 + 63*r**4/1024 + 15*r**3/256 - 125*r**2/1024 -
       197*r/7680 + 29/512;
-    * a root of P_4 has p**2 = -(120*a_4 + 9*r**3 - 15*r**2 - 10*r + 15)/r,
-      and there E is c_6, with a_2 = (r - 1)/2.  At a_4 = b_4, where the
-      roots are the identity points, c_6 is (63/64)*(a_6 - b_6).
+    * a root of P_4 has p**2 = w = -c_4/r, and there E is c_6, with a_2 =
+      (r - 1)/2.  At a_4 = b_4, where the roots are the identity points, c_6
+      is (63/64)*(a_6 - b_6).
 
     So the first of these columns that is nonzero, and within max_order, is
-    the survivor at every such root, rational or surd, with no band, no
-    expansion and no evaluation at the root; F is read once per search, and
-    only if such a root asks for it.
+    the survivor at both roots, rational or surd, with no band, no expansion
+    and no evaluation at the root; F is read at most once per search, and
+    only if the pair asks for it.
 
     At an identity point of B_r, a (p, q) with R(B_p, B_r, B_q) = B_r, if M
     first leaves B_r at index n <= max_order, with c_n - b_n = delta, the
@@ -384,11 +389,11 @@ def optimal_parameters(
       (1 - 2**-n)*delta.
 
     The identity points on the locus are (r, r) and (-r, 2r) for r != 0, the
-    roots of the t^4 column when M agrees with B_r through t^4 (a rational
-    root p is one exactly when p = +-r), and the whole locus q = -p/2 for
-    r = 0, so a mean with a_2 = -1/2 samples no band: every column is zero
-    below n and the constant (1 - 2**-n)*delta at n.  With X = B_r(a, N) and
-    Y = B_r(N, b):
+    roots of the t^4 column when M agrees with B_r through t^4 (the pair
+    p = +-sqrt(w) is this one exactly when w = r**2), and the whole locus
+    q = -p/2 for r = 0, so a mean with a_2 = -1/2 samples no band: every
+    column is zero below n and the constant (1 - 2**-n)*delta at n.  With
+    X = B_r(a, N) and Y = B_r(N, b):
 
     * R(B_r, B_r, B_r) = B_r: at N = B_r(a, b), X**r + Y**r = (a**r + b**r)/2
       + N**r = 2*N**r, so B_r(X, Y) = N;
@@ -399,8 +404,8 @@ def optimal_parameters(
       sqrt(t)), which at q = -p/2 is [(s**(p/2) + t**(p/2))/(s**(-p/2) +
       t**(-p/2))]**(1/p) = sqrt(s*t), and at p = q = 0 is R(G, G, G) = G.
 
-    A root where t^5 and t^6 both vanish, such as L's p = +-1, is read from
-    one difference expansion at the root, truncated at max_order: over Q at
+    Where t^5 and t^6 both vanish, as at L's p = +-1, each root is read from
+    its own difference expansion, truncated at max_order: over Q at
     a rational root, over Q(sqrt(s)) at a surd one, where the series kernel
     takes B_p's and B_q's surd exponents as values of that field.  Its first
     nonzero coefficient is the survivor, a Fraction wherever its sqrt(s)
@@ -430,7 +435,6 @@ def optimal_parameters(
     locus = first_order_locus(mean)
     r = 2 * mean.coefficient(2) + 1  # the locus is q = (3r - p)/2
 
-    @cache
     def leaving() -> tuple[int | None, Rational | None]:
         # The first index n where M leaves B_r, and the difference at n at an
         # identity point (see above); (None, None) if M never leaves B_r.
@@ -438,42 +442,35 @@ def optimal_parameters(
         n = next((n for n in range(3, max_order + 1) if mean.coeffs[n] != b[n]), None)
         return n, None if n is None else (1 - Fraction(1, 2**n)) * (mean.coeffs[n] - b[n])
 
-    # The pivot from the closed columns (see above).
+    # The pivot from the closed columns (see above): a constant at r = 0,
+    # where every point of the locus is an identity point of G, and at t^3,
+    # the only column at max_order 3; the t^4 quadratic otherwise.
     a3 = mean.coefficient(3)
-    if r == 0:
-        # Every point of the locus is an identity point of G (see above).
-        k0, lead = leaving()
-        pivot = UniPoly(() if k0 is None else (lead,))
-    elif a3 != 0 or max_order == 3:  # at max_order 3, t^3 is the only column
-        k0, pivot = 3, UniPoly((a3 * Fraction(7, 8),))
-    else:
-        c4 = 120 * mean.coefficient(4) + 9 * r**3 - 15 * r**2 - 10 * r + 15
-        k0, pivot = 4, UniPoly((c4 / 128, 0, r / 128))
-    if pivot.is_zero:
-        return StabilizabilityVerdict(
-            "stabilizable",
-            locus=locus,
-            notes=(
-                f"difference vanishes identically on the locus through order {max_order}",
-            ),
-        )
-
-    roots = isolate_real_roots(pivot) if pivot.degree >= 1 else []
-    if not roots:
-        # The pivot coefficient keeps one sign for every p on the locus.
-        constant = pivot.degree == 0
-        note = (f"the t^{k0} coefficient on the locus is constant in p" if constant
-                else f"the t^{k0} coefficient has no real zero; its sign is fixed")
+    if r == 0 or a3 != 0 or max_order == 3:
+        k0, constant = leaving() if r == 0 else (3, a3 * Fraction(7, 8))
+        if not constant:
+            note = f"difference vanishes identically on the locus through order {max_order}"
+            return StabilizabilityVerdict("stabilizable", locus=locus, notes=(note,))
         probes = [(p, float(locus.q_of(Fraction(p)))) for p in _LOCUS_SAMPLES]
-        fixed = pivot.coefficient(0) if constant else None
-        return verdict(pivot(0), probes, locus=locus, fixed_leading=fixed, fixed_leading_order=k0,
-                       notes=(note,))
+        note = f"the t^{k0} coefficient on the locus is constant in p"
+        return verdict(constant, probes, locus=locus, fixed_leading=constant,
+                       fixed_leading_order=k0, notes=(note,))
 
-    @cache
-    def settled() -> tuple[int | None, Rational | None]:
-        # The roots are those of the t^4 quadratic.  The t^5 column, else the
-        # t^6 column modulo the pivot, if it is nonzero: the same constant at
-        # every root (see above); (None, None) otherwise.
+    c4 = 120 * mean.coefficient(4) + 9 * r**3 - 15 * r**2 - 10 * r + 15
+    roots = isolate_real_roots(UniPoly((c4 / 128, 0, r / 128)))
+    if not roots:
+        # The pivot keeps the sign of c4 for every p on the locus.
+        probes = [(p, float(locus.q_of(Fraction(p)))) for p in _LOCUS_SAMPLES]
+        return verdict(c4, probes, locus=locus, fixed_leading_order=4,
+                       notes=("the t^4 coefficient has no real zero; its sign is fixed",))
+
+    def settled() -> tuple[int | None, Rational | None] | None:
+        # The survivor at both roots p = +-sqrt(w), w = -c4/r, where one
+        # route reads it for the pair (see above): the identity points
+        # p = +-r, else the t^5 column, else the t^6 column modulo the pivot
+        # if it is nonzero; None if each root needs its own expansion.
+        if c4 == -r**3:  # w = r**2
+            return leaving()
         a5 = mean.coefficient(5) if max_order >= 5 else 0
         if a5 != 0:
             return 5, a5 * Fraction(31, 32)
@@ -483,23 +480,21 @@ def optimal_parameters(
                  + (((80 * a2 + 150) * a2 + 65) * a2 - 100 * a4 - 20) * a4 + (70 * a2 + 35) * a6)
             if f != 0:
                 return 6, 9 * f / (320 * r)
-        return None, None
+        return None
 
+    pair = settled()
     candidates = []
     for root in roots:
         p = root.value
         q = locus.q_of(p)
         q_root = QuadraticSurdRoot.of(q) if isinstance(q, QuadraticField) else RationalRoot(q)
-        if p in (r, -r):
-            # (p, q) = (r, r) or (-r, 2r), an identity point of B_r (see above)
-            achieved, leading = leaving()
-        elif settled()[0] is not None:
-            achieved, leading = settled()
+        if pair is not None:
+            achieved, leading = pair
         else:
             # The exact difference at the root, over Q or Q(sqrt(s)).
             diff = difference_expansion(mean, p, q, max_order)
             achieved = diff.first_nonzero
-            if achieved is not None and achieved <= k0:
+            if achieved is not None and achieved <= 4:
                 raise ArithmeticError("difference at a root survives at or below the pivot")
             leading = None if achieved is None else diff.coeffs[achieved]
         candidates.append(OptimalCandidate(root, q_root, achieved, leading))

@@ -351,6 +351,14 @@ class TestDenominatorBranches:
                 series = denominator_series_value(spec, y)
                 assert abs(closed - series) <= 1e-13 * abs(closed), (spec, y)
 
+    def test_no_log_form_where_d_cannot_overflow(self):
+        # Only L_alpha's and M_{alpha,r}'s D overflow; any other family's
+        # log form is the overflow it stands for.
+        from meanstab.numeric import _log_denominator
+
+        with pytest.raises(OverflowError, match="math range error"):
+            _log_denominator(M2, 1000.0)
+
 
 class TestEvalF:
     def test_classic_values(self):

@@ -84,6 +84,14 @@ class TestUniPoly:
         with pytest.raises(ValueError, match="zero polynomial"):
             squarefree_part(poly())
 
+    def test_squarefree_part_checks_the_gcd_divides(self, monkeypatch):
+        import meanstab.polynomials as polynomials
+
+        # (x - 1)**2 * (x + 2) with a gcd that is not its divisor x - 1
+        monkeypatch.setattr(polynomials, "poly_gcd", lambda a, b: poly(-5, 1))
+        with pytest.raises(ArithmeticError, match="does not divide"):
+            squarefree_part(poly(2, -3, 0, 1))
+
 
 class TestSurdsAndSquares:
     @pytest.mark.parametrize("radicand", [F(0), F(-3), F(-1, 4)], ids=str)

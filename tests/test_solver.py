@@ -694,7 +694,8 @@ class TestCandidateRootKinds:
     """The pivot is a constant or the t^4 quadratic in p, so every candidate
     the search returns has p and q rational or quadratic surds, whichever
     roots the quadratic has: surds, rationals other than +-r, the double
-    root 0 or the identity points +-r."""
+    root 0 or the identity points +-r.  The two roots are one pair +-sqrt(w),
+    and through t^6, or at the identity points, they share the survivor."""
 
     ROOTS = {
         "surd": lambda r, d: d.draw(st.sampled_from([2, 3, 5, 6, 7, 10])) * d.draw(_NONZERO) ** 2,
@@ -719,6 +720,10 @@ class TestCandidateRootKinds:
             assert {c.p.kind, c.q.kind} <= {"exact-rational", "quadratic-surd"}
         if kind != "surd":
             assert {c.p.value**2 for c in candidates} == {p_squared}
+        # Past t^6 a rational pair may survive at different orders.
+        orders = {c.achieved_order for c in candidates}
+        if kind == "identity" or any(n is not None and n <= 6 for n in orders):
+            assert len({(c.achieved_order, c.leading) for c in candidates}) == 1
 
 
 class TestSurdLeadingIsRational:

@@ -6,7 +6,7 @@ other without a cycle, every private module-level function is used by the
 package itself, and every public function or method by the package, the
 acceptance gate or the benchmark.  A use is a read of the name outside the function's own body.
 The parameter search reads none of the names its schedule does not depend
-on."""
+on.  The code-line counter of ``code_lines.py`` counts code alone."""
 
 import ast
 import sys
@@ -15,6 +15,8 @@ from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
+
+import code_lines
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "meanstab").glob("*.py"))
@@ -226,3 +228,28 @@ def test_the_rules_catch_what_they_forbid():
                        "def other():\n    return coefficient_polynomials\n")
     assert forbidden_reads(search, "optimal_parameters", NOT_READ_BY_THE_SEARCH) == [
         "_FIRST_REACH", "_band", "is_even"]
+
+
+def test_the_code_line_counter_counts_code_alone(tmp_path, capsys):
+    # Docstrings, comments and blank lines do not count; every line of a
+    # statement written over several lines does, and so does every line of
+    # a string that is not a docstring.
+    source = (
+        '"""A module\n'
+        'docstring."""\n'
+        "\n"
+        "import math  # a comment\n"
+        "# a comment line\n"
+        "def f(x):\n"
+        '    """A function docstring."""\n'
+        "    return (x +\n"
+        "            math.pi)\n"
+        "\n"
+        "S = '''a string\n"
+        "over two lines'''\n"
+    )
+    assert code_lines.code_lines(source) == 6
+    (tmp_path / "m.py").write_text(source, encoding="utf-8")
+    (tmp_path / "n.txt").write_text(source, encoding="utf-8")
+    code_lines.main([str(tmp_path), str(tmp_path / "m.py")])
+    assert capsys.readouterr().out.split() == ["6", str(tmp_path / "m.py")] * 2 + ["12", "total"]
