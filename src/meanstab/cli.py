@@ -28,6 +28,7 @@ import math
 import sys
 from collections.abc import Callable
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .catalog import (
     ALIASES,
@@ -100,6 +101,34 @@ def _leading_json(leading) -> dict | None:
         return {"exact": _rat_json(leading)}
     surd = {name: _rat_json(value) for name, value in vars(leading).items()}
     return {"exact_surd": surd, "sign": leading.sign}
+
+
+def _indented_json(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2), byte for byte, for the types a report
+    holds; indent makes the standard encoder run in pure Python."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [f"{encode_basestring_ascii(k)}: {_indented_json(v, inner)}"
+                 for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [_indented_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    return json.dumps(value)  # a float, NaN and Infinity spelled as json spells them
 
 
 def _expansion_json(expansion: MeanExpansion) -> dict:
@@ -481,7 +510,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report = {"schema": SCHEMA, "command": args.subcommand, **report}
-    encoded = json.dumps(report, indent=2) if args.format == "json" or args.out else None
+    encoded = _indented_json(report) if args.format == "json" or args.out else None
     text = encoded if args.format == "json" else _render_table(report)
     if args.out:
         # Written before anything is printed, so a failed write leaves stdout empty.

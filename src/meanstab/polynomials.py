@@ -363,10 +363,26 @@ def _small_prime_product() -> int:
 
 def _extract_square(n: int) -> tuple[int, int]:
     """Write n = f*f*core with the square factors of primes up to 10**4
-    pulled into f."""
+    pulled into f.  Below 2**18 such a prime is below 2**9, and trial
+    division is faster than the gcd with their product: it divides out each
+    d while d**3 is at most what is left, which then has at most two prime
+    factors and is a square or adds none to f."""
     root = math.isqrt(n)
     if root * root == n:
         return root, 1
+    if n < 1 << 18:
+        f, rest, d = 1, n, 2
+        while d * d * d <= rest:
+            while rest % d == 0:
+                rest //= d
+                if rest % d == 0:
+                    rest //= d
+                    f *= d
+            d += 1 if d == 2 else 2
+        root = math.isqrt(rest)
+        if root * root == rest:
+            f *= root
+        return f, n // (f * f)
     g = math.gcd(n, _small_prime_product())
     twice = math.gcd(n // g, g)  # the primes up to 10**4 that divide n twice
     f, core, d = 1, n, 2

@@ -18,10 +18,12 @@ the t^4 column is the closed quadratic (r/128)*(p**2 - r**2) + (15/16)*(a_4 -
 b_4), b_4 the t^4 coefficient of B_r; for a_2 = -1/2 (r = 0) it is one
 comparison of M with G (see optimal_parameters).  A constant pivot is read
 as the constant it is.  The roots of the t^4 quadratic are one pair p =
-+-sqrt(w), or the double root 0, and the pair takes one route.  When w =
-r**2 both roots are identity points of B_r, where R(B_p, B_r, B_q) = B_r,
-and both come from one comparison of M with B_r: these are the roots of a
-mean that agrees with B_r through t^4 (A, H, L_{+-1} = H and every B_r).
++-sqrt(w), w = -c_4/r, or the double root 0, read from w with no root
+isolation (a surd root and its conjugate when w is not a rational square),
+and the pair takes one route.  When w = r**2 both roots are identity points
+of B_r, where R(B_p, B_r, B_q) = B_r, and both come from one comparison of
+M with B_r: these are the roots of a mean that agrees with B_r through t^4
+(A, H, L_{+-1} = H and every B_r).
 Any other pair reads two more closed columns: t^5 is the constant
 (31/32)*a_5, and when a_5 = 0 the t^6 column is, modulo the pivot, the
 constant c_6 = 9F/(320r) of a_2, a_4 and a_6, F read at most once.  The
@@ -77,7 +79,6 @@ from .catalog import (
     PowerMean,
     SAlpha,
     describe_spec,
-    expand_power_mean,
 )
 from .numeric import boundary_limit
 from .polynomials import (
@@ -91,7 +92,7 @@ from .polynomials import (
     isolate_real_roots,
     newton_forward,
 )
-from .rationals import Rational
+from .rationals import ONE, ZERO, Rational
 from .resultant import _common, _resultant
 from .series import _integer_form, _values
 from .values import Value
@@ -341,11 +342,16 @@ def optimal_parameters(
     A constant pivot (t^3, or the comparison with G at r = 0 below) is read
     as a constant.  The t^4 column P_4 has the roots p = +-sqrt(w), w =
     -c_4/r, one pair or the double root 0; with no real root it keeps the
-    sign of c_4.  The pair takes one route: it is a pair of identity points
-    (below) when w = r**2, and otherwise reads the next two columns in
-    closed form.  The t^5 column is (31/32)*a_5 at every p, and when a_5 = 0
-    the t^6 column P_6 is, at both roots of P_4, the constant c_6 =
-    9*F/(320*r), F = 48*a_2**6 + 104*a_2**5 + 65*a_2**4 + 80*a_2**3*a_4 -
+    sign of c_4.  The pair is read from w, with no polynomial and no root
+    isolation: the rationals -sqrt(w) and sqrt(w) when w is a rational
+    square, else the surd sqrt(w), built once, and its conjugate -sqrt(w).
+    On the locus q = (3r -+ sqrt(w))/2 at p = +-sqrt(w), so q at -sqrt(w)
+    is the conjugate of q at sqrt(w), and a surd pair makes two surd
+    constructions, not four.  The pair takes one route: it is a pair of
+    identity points (below) when w = r**2, and otherwise reads the next two
+    columns in closed form.  The t^5 column is (31/32)*a_5 at every p, and
+    when a_5 = 0 the t^6 column P_6 is, at both roots of P_4, the constant
+    c_6 = 9*F/(320*r), F = 48*a_2**6 + 104*a_2**5 + 65*a_2**4 + 80*a_2**3*a_4 -
     5*a_2**3 + 150*a_2**2*a_4 - 13*a_2**2 + 65*a_2*a_4 + 70*a_2*a_6 + a_2 -
     100*a_4**2 - 20*a_4 + 35*a_6:
 
@@ -438,9 +444,12 @@ def optimal_parameters(
     def leaving() -> tuple[int | None, Rational | None]:
         # The first index n where M leaves B_r, and the difference at n at an
         # identity point (see above); (None, None) if M never leaves B_r.
-        b = expand_power_mean(r, max_order).coeffs
-        n = next((n for n in range(3, max_order + 1) if mean.coeffs[n] != b[n]), None)
-        return n, None if n is None else (1 - Fraction(1, 2**n)) * (mean.coeffs[n] - b[n])
+        # Compared on B_r's integer form, one Fraction built at n alone.
+        b, den = _power_mean_form(r, max_order)
+        c = mean.coeffs
+        n = next((n for n in range(3, max_order + 1)
+                  if c[n].numerator * den != b[n] * c[n].denominator), None)
+        return n, None if n is None else (1 - Fraction(1, 2**n)) * (c[n] - Fraction(b[n], den))
 
     # The pivot from the closed columns (see above): a constant at r = 0,
     # where every point of the locus is an identity point of G, and at t^3,
@@ -457,12 +466,21 @@ def optimal_parameters(
                        fixed_leading_order=k0, notes=(note,))
 
     c4 = 120 * mean.coefficient(4) + 9 * r**3 - 15 * r**2 - 10 * r + 15
-    roots = isolate_real_roots(UniPoly((c4 / 128, 0, r / 128)))
-    if not roots:
+    w = -c4 / r
+    if w < 0:
         # The pivot keeps the sign of c4 for every p on the locus.
         probes = [(p, float(locus.q_of(Fraction(p)))) for p in _LOCUS_SAMPLES]
         return verdict(c4, probes, locus=locus, fixed_leading_order=4,
                        notes=("the t^4 coefficient has no real zero; its sign is fixed",))
+    # The roots (p, q) in ascending p: 0, or -sqrt(w) and sqrt(w), rational
+    # or a surd pair, where p and q at -sqrt(w) conjugate those at sqrt(w).
+    if _is_square(w):
+        s = _sqrt_exact(w)
+        roots = [(RationalRoot(p), RationalRoot(locus.q_of(p))) for p in ((-s, s) if s else (s,))]
+    else:
+        p = QuadraticSurdRoot.of(QuadraticField(ZERO, ONE, w))
+        plus = p, QuadraticSurdRoot.of(locus.q_of(p.value))
+        roots = [tuple(QuadraticSurdRoot(x.add, -x.sign, x.radicand, x.div) for x in plus), plus]
 
     def settled() -> tuple[int | None, Rational | None] | None:
         # The survivor at both roots p = +-sqrt(w), w = -c4/r, where one
@@ -484,15 +502,12 @@ def optimal_parameters(
 
     pair = settled()
     candidates = []
-    for root in roots:
-        p = root.value
-        q = locus.q_of(p)
-        q_root = QuadraticSurdRoot.of(q) if isinstance(q, QuadraticField) else RationalRoot(q)
+    for root, q_root in roots:
         if pair is not None:
             achieved, leading = pair
         else:
             # The exact difference at the root, over Q or Q(sqrt(s)).
-            diff = difference_expansion(mean, p, q, max_order)
+            diff = difference_expansion(mean, root.value, locus.q_of(root.value), max_order)
             achieved = diff.first_nonzero
             if achieved is not None and achieved <= 4:
                 raise ArithmeticError("difference at a root survives at or below the pivot")

@@ -1,11 +1,15 @@
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanstab import cli
 from meanstab.cli import main
@@ -772,6 +776,55 @@ class TestEncoders:
             },
             "sign": sign,
         }
+
+
+#: Strings json must escape: quotes, backslashes, control characters,
+#: non-ASCII and astral characters, and the line separators JavaScript
+#: reads as line ends.
+_ESCAPED = st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "\n\t\r\b\f", "é", "😀", "\u2028\u2029", ""])
+_FLOATS = st.floats() | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324])
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-10**4000, 10**4000) | _FLOATS
+            | st.text() | _ESCAPED)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text() | _ESCAPED, inner, max_size=4)),
+    max_leaves=24,
+)
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+
+
+class TestIndentedWriter:
+    """The report writer gives json.dumps(value, indent=2) byte for byte."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_JSON)
+    def test_equals_json_dumps(self, value):
+        assert cli._indented_json(value) == json.dumps(value, indent=2)
+
+    def test_an_int_past_the_digit_limit_raises_as_json_does(self):
+        value = [10 ** (sys.get_int_max_str_digits() + 1)]
+        for write in (cli._indented_json, lambda v: json.dumps(v, indent=2)):
+            with pytest.raises(ValueError):
+                write(value)
+
+    @pytest.mark.parametrize("workload", ["solve-deep", "solve-early", "compose-long"])
+    def test_equals_json_dumps_on_every_golden_report(self, workload, monkeypatch, capsys):
+        writer, written = cli._indented_json, []
+
+        def checked(value, indent="\n"):
+            text = writer(value, indent)
+            if indent == "\n":
+                written.append(text == json.dumps(value, indent=2))
+            return text
+
+        monkeypatch.setattr(cli, "_indented_json", checked)
+        jobs = json.loads((GOLDEN / f"{workload}.json").read_text(encoding="utf-8"))
+        for job in jobs:
+            assert main(job.split()) == 0
+        capsys.readouterr()
+        assert len(written) == len(jobs) and all(written)
 
 
 class TestParserLayout:

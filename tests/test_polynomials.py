@@ -833,6 +833,20 @@ class TestRootSearchAgainstOracles:
             f, core = _extract_square(n)
             assert f % square == 0 and f * f * core == n
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=2**18 + 2**12),
+           st.sampled_from((1, 4, 9, 25, 3 * 3 * 7 * 7, 61 * 61, 509 * 509, 10007 * 10007)))
+    def test_extract_square_by_trial_division(self, k, square):
+        # Below 2**18 the square factors come from trial division, from 2**18
+        # on from the gcd with the prime product; both give the oracle's.
+        for n in (k, k * square):
+            assert _extract_square(n) == extract_square_every_divisor(n)
+
+    @pytest.mark.parametrize("n", [2**18 - 1, 2**18, 2**18 + 1, 2**17, 2 * 3**10, 61**3, 7**6,
+                                   2 * 181**2, 3 * 293**2, 509**2 + 509, 511**2, 262139, 262147])
+    def test_extract_square_at_the_trial_division_limit(self, n):
+        assert _extract_square(n) == extract_square_every_divisor(n)
+
 
 class TestShortcutsAgainstParentRoutes:
     """The Taylor-shift Descartes count and substitution and the one-isqrt

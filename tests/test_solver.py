@@ -478,9 +478,6 @@ class TestClosedColumns:
     closed columns: t^3 is (7/8)*a_3 and, at a_3 = 0, t^4 is a quadratic in
     p.  Against the band route and the double-sum oracle."""
 
-    class Pivot(Exception):
-        pass
-
     @settings(max_examples=60, deadline=None)
     @given(order=st.integers(4, 14), even=st.booleans(), data=st.data())
     def test_pivot_columns_equal_the_band(self, order, even, data):
@@ -489,25 +486,60 @@ class TestClosedColumns:
         tail = [F(0) if even and k % 2 else data.draw(_SMALL) for k in range(4, order + 1)]
         mean = MeanExpansion((F(1), F(0), a2, a3, *tail))
         band = coefficient_polynomials(mean, first_order_locus(mean), 3, 4)
-        events = []
-
-        def pivot(poly):
-            events.append(("pivot", poly))
-            raise self.Pivot
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "isolate_real_roots", pivot)
-            try:
-                verdict = optimal_parameters(mean, order)
-            except self.Pivot:
-                verdict = None
+        verdict = optimal_parameters(mean, order)
         if a3 != 0:
             # a constant pivot at t^3, with no root to isolate
-            assert band[3].degree == 0 and events == []
+            assert band[3].degree == 0
             assert (verdict.fixed_leading_order, verdict.fixed_leading) == (3, band[3](0))
         else:
+            # the search reads the t^4 pivot's roots from w = -c4/r; the
+            # band's roots, isolated, are the oracle
             assert band[3].is_zero and band[4].degree == 2
-            assert events == [("pivot", band[4])]
+            roots = isolate_real_roots(band[4])
+            assert sorted((c.p for c in verdict.candidates), key=lambda p: p.approx()) == roots
+            if not roots:
+                sign = "candidate-sub" if band[4](0) > 0 else "candidate-super"
+                assert (verdict.fixed_leading_order, verdict.relation) == (4, sign)
+
+    #: Square factors past the prime-product gcd's primes (10**4), so that
+    #: they stay in the radicand.
+    LARGE_SQUARES = (10007**2, 99991**2, (9973 * 10007) ** 2)
+
+    @settings(max_examples=120, deadline=None)
+    @given(r=st.fractions(-4, 4, max_denominator=12).filter(bool), data=st.data())
+    def test_pivot_pair_equals_the_isolated_roots(self, r, data):
+        # The t^4 pivot (c4 + r*p**2)/128, isolated as a polynomial, against
+        # the pair the search reads from w = -c4/r.
+        x = data.draw(st.fractions(F(1, 60), 60, max_denominator=60))
+        w = data.draw(st.sampled_from([-x, F(0), x * x, x, x * self.LARGE_SQUARES[0],
+                                       x * self.LARGE_SQUARES[1], x * self.LARGE_SQUARES[2]]))
+        c4 = -w * r
+        a4 = (c4 - 9 * r**3 + 15 * r**2 + 10 * r - 15) / 120
+        # a5 = 1: both roots survive at t^5, so the candidates keep root order
+        mean = MeanExpansion((F(1), F(0), (r - 1) / 2, F(0), a4, F(1)))
+        verdict = optimal_parameters(mean, 5)
+        roots = isolate_real_roots(UniPoly((c4 / 128, 0, r / 128)))
+        candidates = verdict.candidates
+        assert [c.p for c in candidates] == roots
+        if w < 0:
+            assert candidates == () and verdict.fixed_leading_order == 4
+            return
+        assert len(roots) == (1 if w == 0 else 2)
+        for c in candidates:
+            q = verdict.locus.q_of(c.p.value)
+            if isinstance(c.p, RationalRoot):
+                assert c.q == RationalRoot(q)
+            else:
+                # each equals the constructor on its own value
+                assert c.q == QuadraticSurdRoot.of(q)
+                assert c.p == QuadraticSurdRoot.of(c.p.value)
+                assert c.q == QuadraticSurdRoot.of(c.q.value)
+        if isinstance(roots[0], QuadraticSurdRoot):
+            # -sqrt(w) and q there are the conjugates of sqrt(w) and q there
+            (p1, q1), (p2, q2) = ((c.p, c.q) for c in candidates)
+            assert (p1.sign, q1.sign) == (-1, 1) and (p2.sign, q2.sign) == (1, -1)
+            for a, b in ((p1, p2), (q1, q2)):
+                assert a == QuadraticSurdRoot(b.add, -b.sign, b.radicand, b.div)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

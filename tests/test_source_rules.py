@@ -6,7 +6,9 @@ other without a cycle, every private module-level function is used by the
 package itself, and every public function or method by the package, the
 acceptance gate or the benchmark.  A use is a read of the name outside the function's own body.
 The parameter search reads none of the names its schedule does not depend
-on.  The code-line counter of ``code_lines.py`` counts code alone."""
+on, and reads the t^4 pivot's roots with no root isolation; the command
+line writes its reports with no indented json.dumps.  The code-line
+counter of ``code_lines.py`` counts code alone."""
 
 import ast
 import sys
@@ -31,6 +33,9 @@ SLOW_TO_IMPORT = {"dataclasses", "typing", "inspect"}
 #: stability probe's first reach, and a mean's parity, as the closed
 #: columns and one expansion per root read every mean alike.
 NOT_READ_BY_THE_SEARCH = {"coefficient_polynomials", "_band", "_FIRST_REACH", "is_even"}
+#: Names solver.optimal_parameters does not read either: the t^4 pivot's
+#: roots are read from w = -c4/r, with no polynomial and no root isolation.
+NOT_READ_BY_THE_PIVOT = {"isolate_real_roots", "UniPoly"}
 
 
 def imported_modules(tree: ast.AST) -> list[tuple[int, str]]:
@@ -121,6 +126,18 @@ def forbidden_reads(tree: ast.Module, function: str, names: set[str]) -> list[st
     return sorted(set(read_names(body)) & names)
 
 
+def indented_dumps(tree: ast.AST) -> list[int]:
+    """The lines of every call of json.dumps, or of a bare dumps, that
+    passes indent: indent makes the standard encoder run in pure Python."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "dumps"
+        and any(keyword.arg == "indent" for keyword in node.keywords)
+    ]
+
+
 def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
@@ -184,6 +201,15 @@ def test_the_search_reads_no_band_first_reach_or_parity():
     assert forbidden_reads(tree, "optimal_parameters", NOT_READ_BY_THE_SEARCH) == []
 
 
+def test_the_search_isolates_no_root():
+    tree = parse(ROOT / "src" / "meanstab" / "solver.py")
+    assert forbidden_reads(tree, "optimal_parameters", NOT_READ_BY_THE_PIVOT) == []
+
+
+def test_the_command_line_writes_no_indented_json_dumps():
+    assert indented_dumps(parse(ROOT / "src" / "meanstab" / "cli.py")) == []
+
+
 def test_the_rules_catch_what_they_forbid():
     tree = ast.parse("import numpy.linalg\nfrom mpmath import mp\nfrom . import series\nassert x\n")
     assert imported_modules(tree) == [(1, "numpy"), (2, "mpmath")]
@@ -228,6 +254,20 @@ def test_the_rules_catch_what_they_forbid():
                        "def other():\n    return coefficient_polynomials\n")
     assert forbidden_reads(search, "optimal_parameters", NOT_READ_BY_THE_SEARCH) == [
         "_FIRST_REACH", "_band", "is_even"]
+    dumps = ast.parse("json.dumps(r)\njson.dumps(r, indent=2)\nprint(dumps(r, indent=None))\n"
+                      "other.dumps(r, sort_keys=True)\n")
+    assert indented_dumps(dumps) == [2, 3]
+    # Mutated copies of the sources: the pivot isolated as a polynomial
+    # again, and the report written by the indented json.dumps again.
+    solver = (ROOT / "src" / "meanstab" / "solver.py").read_text(encoding="utf-8")
+    isolated = solver.replace("    w = -c4 / r\n",
+                              "    w = -c4 / r\n    isolate_real_roots(UniPoly((c4, 0, r)))\n")
+    assert isolated != solver
+    assert forbidden_reads(ast.parse(isolated), "optimal_parameters", NOT_READ_BY_THE_PIVOT) == [
+        "UniPoly", "isolate_real_roots"]
+    cli = (ROOT / "src" / "meanstab" / "cli.py").read_text(encoding="utf-8")
+    indented = cli.replace("_indented_json(report) if", "json.dumps(report, indent=2) if")
+    assert indented != cli and len(indented_dumps(ast.parse(indented))) == 1
 
 
 def test_the_code_line_counter_counts_code_alone(tmp_path, capsys):
