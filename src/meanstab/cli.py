@@ -55,7 +55,13 @@ from .polynomials import QuadraticSurdRoot, RationalRoot
 from .rationals import Rational, parse_rational
 from .resultant import _resultant, resultant_case
 from .series import _values
-from .solver import is_stable, optimal_parameters, scan_family, stability_parameter_scan
+from .solver import (
+    CLOSED_ORDER,
+    is_stable,
+    optimal_parameters,
+    scan_family,
+    stability_parameter_scan,
+)
 
 SCHEMA = "1"
 
@@ -128,7 +134,10 @@ def _indented_json(value, indent: str = "\n") -> str:
         return "null"
     if kind is bool:
         return "true" if value else "false"
-    return json.dumps(value)  # a float, NaN and Infinity spelled as json spells them
+    # a float, spelled as json spells it
+    if math.isfinite(value):
+        return float.__repr__(value)
+    return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
 
 
 def _expansion_json(expansion: MeanExpansion) -> dict:
@@ -284,7 +293,8 @@ def _cmd_stable(args: argparse.Namespace) -> dict:
 
 def _cmd_solve(args: argparse.Namespace) -> dict:
     spec = parse_mean_spec(args.mean, _mean_options(args))
-    mean = expand_mean(spec, args.max_order)
+    # The closed columns read a_1..a_CLOSED_ORDER; a longer route expands the spec.
+    mean = expand_mean(spec, min(args.max_order, CLOSED_ORDER))
     verdict = optimal_parameters(mean, args.max_order, spec=spec)
     out: dict = {
         "mean": describe_spec(spec),

@@ -325,11 +325,11 @@ class QuadraticSurdRoot(Value):
         return min(ends), max(ends)
 
     def approx(self) -> float:
-        root = self.sign * math.sqrt(self.radicand)
-        if self.add * self.sign >= 0:
-            return float(self.add + root) / float(self.div)
+        add, root = float(self.add), self.sign * math.sqrt(self.radicand)
+        if self.add >= 0 if self.sign > 0 else self.add <= 0:
+            return (add + root) / float(self.div)
         # add and root of opposite signs: this form of the value does not cancel
-        return float(self.add * self.add - self.radicand) / (self.div * (self.add - root))
+        return float(self.add * self.add - self.radicand) / (float(self.div) * (add - root))
 
 
 class IntervalRoot(Value):

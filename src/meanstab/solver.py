@@ -34,6 +34,13 @@ expansion at the root, truncated at max_order, in Q at a rational root and
 in the quadratic field Q(sqrt(s)) at a surd one; its first nonzero
 coefficient is the survivor, exact and of exact sign.
 
+So a search reads the mean through a_6 (CLOSED_ORDER) unless it takes one
+of the two routes past t^6, the comparison with B_r and the expansion at
+each root.  Given a mean spec, the search accepts a mean through
+min(max_order, CLOSED_ORDER), and those routes take M through max_order from
+the spec, once (a power mean's spec is B_r itself, whose one form serves
+both sides of the comparison); without a spec the mean must reach max_order.
+
 The search samples no band.  A band of reach K, which the tests and the
 stability scan read, samples the difference once at the n = K + 2
 consecutive integers p = x0 .. x0+n-1, x0 = -(n//2), truncated at order K,
@@ -61,7 +68,8 @@ closed form from where M leaves it (see is_stable).
 The verdict distinguishes a candidate direction of the inequality (the sign
 of the first surviving coefficient, which is only the asymptotic, near-
 diagonal side) from boundary evidence at (s, 1-s), s -> 0; it never claims
-the global inequality.
+the global inequality.  The boundary probes are evaluated in order, up to
+the first that supports the asymptotic sign.
 """
 
 from __future__ import annotations
@@ -79,6 +87,7 @@ from .catalog import (
     PowerMean,
     SAlpha,
     describe_spec,
+    expand_mean,
 )
 from .numeric import boundary_limit
 from .polynomials import (
@@ -100,6 +109,10 @@ from .values import Value
 # The order of a stability probe, by which every known unstable mean has
 # left its stable reference.
 _FIRST_REACH = 6
+
+#: The order through which the closed columns of the search read the mean:
+#: a_1..a_6 decide every pair they settle (see optimal_parameters).
+CLOSED_ORDER = 6
 
 # ---------------------------------------------------------------------------
 # Difference expansions
@@ -300,19 +313,24 @@ def _sampled_relation(
     "neither" only when the boundary difference at the (p, q) probes
     conflicts with the asymptotic sign at some probe and supports it at none;
     probes with a vanishing boundary difference are uninformative, and with
-    no informative probe the evidence of the first one is reported.
+    no informative probe the evidence of the first one is reported.  The
+    probes are evaluated in order, and none after the first that supports.
     """
     base = "candidate-sub" if asym > 0 else "candidate-super"
     if spec is None:
         return base, None
-    evidence = [_boundary_evidence(spec, p, q) for p, q in probes]
-    supported = next((e for e in evidence if e.difference_sign == asym), None)
-    if supported is not None:
-        return base, supported
-    conflicted = next((e for e in evidence if e.difference_sign == -asym), None)
+    first = conflicted = None
+    for p, q in probes:
+        evidence = _boundary_evidence(spec, p, q)
+        if evidence.difference_sign == asym:
+            return base, evidence
+        if first is None:
+            first = evidence
+        if conflicted is None and evidence.difference_sign == -asym:
+            conflicted = evidence
     if conflicted is not None:
         return "neither", conflicted
-    return base, evidence[0]
+    return base, first
 
 
 def optimal_parameters(
@@ -420,10 +438,20 @@ def optimal_parameters(
     its root, so a survivor at or below the pivot raises ArithmeticError.
     Boundary limits (when a mean spec is supplied) are numeric evidence
     attached to the verdict, never part of the exact computation.
+
+    The reach of the mean: every closed column reads a_1..a_6 alone, F as
+    an integer polynomial in the numerators of a_2, a_4 and a_6 over one
+    denominator.  Without a spec the mean must reach max_order.  With a
+    spec it need only reach min(max_order, CLOSED_ORDER), and the two routes
+    that read past t^6 take M through max_order from the mean if it is that
+    long, else from the spec: leaving B_r compares integer forms by
+    cross-multiplication, the spec's form, or B_r's own when the spec is the
+    power mean B_r (r = p), and the roots' expansions expand the spec once.
+    A shorter mean raises ValueError.
     """
     if max_order < 3:
         raise ValueError("the search needs max_order >= 3")
-    if mean.order < max_order:
+    if mean.order < (max_order if spec is None else min(max_order, CLOSED_ORDER)):
         raise ValueError("mean expansion shorter than the requested search order")
 
     def verdict(leading, probes, **fields) -> StabilizabilityVerdict:
@@ -444,12 +472,21 @@ def optimal_parameters(
     def leaving() -> tuple[int | None, Rational | None]:
         # The first index n where M leaves B_r, and the difference at n at an
         # identity point (see above); (None, None) if M never leaves B_r.
-        # Compared on B_r's integer form, one Fraction built at n alone.
+        # Compared on integer forms through max_order, one Fraction built at
+        # n alone.  M's form is the mean's if it reaches max_order, else the
+        # spec's; a power mean's spec is B_r itself (r = 2*a_2 + 1 = p), so
+        # one form serves both.
         b, den = _power_mean_form(r, max_order)
-        c = mean.coeffs
-        n = next((n for n in range(3, max_order + 1)
-                  if c[n].numerator * den != b[n] * c[n].denominator), None)
-        return n, None if n is None else (1 - Fraction(1, 2**n)) * (c[n] - Fraction(b[n], den))
+        if isinstance(spec, PowerMean) and spec.p == r:
+            m, d = b, den
+        elif mean.order >= max_order:
+            m, d = _integer_form(mean.coeffs, max_order)
+        else:
+            m, d = _mean_form(spec, max_order)
+        n = next((n for n in range(3, max_order + 1) if m[n] * den != b[n] * d), None)
+        if n is None:
+            return None, None
+        return n, Fraction((2**n - 1) * (m[n] * den - b[n] * d), 2**n * d * den)
 
     # The pivot from the closed columns (see above): a constant at r = 0,
     # where every point of the locus is an identity point of G, and at t^3,
@@ -493,21 +530,28 @@ def optimal_parameters(
         if a5 != 0:
             return 5, a5 * Fraction(31, 32)
         if max_order >= 6:
-            a2, a4, a6 = mean.coefficient(2), mean.coefficient(4), mean.coefficient(6)
-            f = ((((((48 * a2 + 104) * a2 + 65) * a2 - 5) * a2 - 13) * a2 + 1) * a2
-                 + (((80 * a2 + 150) * a2 + 65) * a2 - 100 * a4 - 20) * a4 + (70 * a2 + 35) * a6)
+            # F*d**6 from the numerators of a_2, a_4 and a_6 over one d, and
+            # c_6 = 9*F/(320*r) as one Fraction, r = (2*a2 + d)/d
+            (_, _, a2, _, a4, _, a6), d = _integer_form(mean.coeffs, 6)
+            dd = d * d
+            f = ((((((48 * a2 + 104 * d) * a2 + 65 * dd) * a2 - 5 * d * dd) * a2 - 13 * dd * dd)
+                  * a2 + d * dd * dd) * a2
+                 + ((((80 * a2 + 150 * d) * a2 + 65 * dd) * a2 - (100 * a4 + 20 * d) * dd) * a4
+                    + (70 * a2 + 35 * d) * a6 * dd) * dd)
             if f != 0:
-                return 6, 9 * f / (320 * r)
+                return 6, Fraction(9 * f, 320 * d * dd * dd * (2 * a2 + d))
         return None
 
     pair = settled()
+    if pair is None:  # each root reads its own expansion, through max_order
+        full = mean if mean.order >= max_order else expand_mean(spec, max_order)
     candidates = []
     for root, q_root in roots:
         if pair is not None:
             achieved, leading = pair
         else:
             # The exact difference at the root, over Q or Q(sqrt(s)).
-            diff = difference_expansion(mean, root.value, locus.q_of(root.value), max_order)
+            diff = difference_expansion(full, root.value, locus.q_of(root.value), max_order)
             achieved = diff.first_nonzero
             if achieved is not None and achieved <= 4:
                 raise ArithmeticError("difference at a root survives at or below the pivot")

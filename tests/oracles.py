@@ -13,6 +13,16 @@ Each one is an independent derivation of the same coefficients:
   inverse, where the catalog runs on integer forms with an integer
   recurrence for cosh(alpha*Lambda), running sums for Lambda' and the
   integral, and the even families at half the order in u**2;
+* ``c6_by_fractions``: the t^6 survivor c_6 = 9F/(320r) at the roots of the
+  t^4 pivot, with F summed term by term in Fractions as the solver's
+  docstring writes it, where the solver evaluates F*d**6 by Horner's rule on
+  the integer numerators of a_2, a_4 and a_6 over one d;
+* ``sampled_relation_eager``: the relation from boundary evidence at every
+  probe, where the solver stops at the first probe that supports the
+  asymptotic sign;
+* ``surd_approx_by_fractions``: a surd root's float value with its parts
+  mixed into float arithmetic by Fraction's operators, where
+  ``polynomials.py`` converts each part to a float once;
 * ``expand_by_composition``: the denominator series, built per family from
   its own closed form, composed with the log-ratio series by Horner's rule
   (cubic in the order) and inverted;
@@ -192,7 +202,9 @@ from meanstab.series import (
 )
 from meanstab.solver import (
     AffineLocus,
+    BoundaryEvidence,
     OptimalCandidate,
+    _boundary_evidence,
     coefficient_polynomials,
     difference_expansion,
     first_order_locus,
@@ -622,6 +634,35 @@ def difference_form_by_horner(m_form: tuple, p: Fraction, q: Fraction, order: in
     r_form = resultant._resultant(_power_mean_form(p, order), m_form, _power_mean_form(q, order), order)
     m, r, den = resultant._common(m_form, r_form)
     return [a - b for a, b in zip(m, r)], den
+
+
+def c6_by_fractions(a2: Rational, a4: Rational, a6: Rational) -> tuple[Rational, Rational]:
+    """F and c_6 = 9*F/(320*r), r = 2*a_2 + 1, term by term in Fractions as
+    optimal_parameters' docstring writes F."""
+    a2, a4, a6 = Fraction(a2), Fraction(a4), Fraction(a6)
+    f = (48 * a2**6 + 104 * a2**5 + 65 * a2**4 + 80 * a2**3 * a4 - 5 * a2**3
+         + 150 * a2**2 * a4 - 13 * a2**2 + 65 * a2 * a4 + 70 * a2 * a6 + a2
+         - 100 * a4**2 - 20 * a4 + 35 * a6)
+    return f, 9 * f / (320 * (2 * a2 + 1))
+
+
+def sampled_relation_eager(
+    spec: MeanSpec | None, asym: int, probes: Sequence[tuple[float, float]]
+) -> tuple[str, BoundaryEvidence | None]:
+    """The relation from boundary evidence at every probe, evaluated up
+    front: the first supporting probe, else the first conflicting one
+    ("neither"), else the first."""
+    base = "candidate-sub" if asym > 0 else "candidate-super"
+    if spec is None:
+        return base, None
+    evidence = [_boundary_evidence(spec, p, q) for p, q in probes]
+    supported = next((e for e in evidence if e.difference_sign == asym), None)
+    if supported is not None:
+        return base, supported
+    conflicted = next((e for e in evidence if e.difference_sign == -asym), None)
+    if conflicted is not None:
+        return "neither", conflicted
+    return base, evidence[0]
 
 
 def expand_by_composition(spec: MeanSpec, order: int) -> MeanExpansion:
@@ -1234,6 +1275,16 @@ def surd_from_parts(add: Rational, sign: int, radicand: Rational, div: Rational)
     if div < 0:
         add, sign, div = -add, -sign, -div
     return QuadraticSurdRoot(add, sign, Fraction(core), div)
+
+
+def surd_approx_by_fractions(root: QuadraticSurdRoot) -> float:
+    """The float value of (add + sign*sqrt(radicand))/div, with the parts
+    left as Fractions and mixed with floats by Fraction's own dispatch."""
+    sqrt = root.sign * math.sqrt(root.radicand)
+    if root.add * root.sign >= 0:
+        return float(root.add + sqrt) / float(root.div)
+    # add and sqrt of opposite signs: this form of the value does not cancel
+    return float(root.add * root.add - root.radicand) / (root.div * (root.add - sqrt))
 
 
 def extract_square_odd_divisors(n: int) -> tuple[int, int]:

@@ -21,6 +21,7 @@ from oracles import (
     rational_roots_by_fraction_evaluation,
     simplest_between_by_recursion,
     sqrt_bounds_by_bisection,
+    surd_approx_by_fractions,
     surd_from_parts,
 )
 from meanstab.polynomials import (
@@ -129,6 +130,35 @@ class TestSurdsAndSquares:
         root = QuadraticSurdRoot.of(QuadraticField(add / div, sign / div, radicand))
         low, high = root.bounds(F(1, 10**80))
         assert math.isclose(root.approx(), float(low), rel_tol=2e-15)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        add=st.just(F(0)) | st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6),
+        sign=st.sampled_from((-1, 1)),
+        radicand=(st.fractions(min_value=0, max_value=10**12, max_denominator=10**6)
+                  | st.fractions(min_value=0, max_value=10**3, max_denominator=10**3).map(lambda x: x * x)),
+        div=st.fractions(min_value=-10**3, max_value=10**3, max_denominator=10**3).filter(bool),
+        canonical=st.booleans(),
+    )
+    def test_approx_is_the_fraction_dispatch_bit_for_bit(self, add, sign, radicand, div, canonical):
+        # the parts as they are (perfect squares, zero and negative div
+        # included, where add + sign*sqrt(radicand) can cancel to a signed
+        # zero), or the canonical root of their value
+        if canonical:
+            assume(radicand and not _is_square(radicand))
+            root = QuadraticSurdRoot.of(QuadraticField(add / div, sign / div, radicand))
+        else:
+            root = QuadraticSurdRoot(add, sign, radicand, div)
+        assert root.approx().hex() == surd_approx_by_fractions(root).hex()
+
+    @pytest.mark.parametrize(("add", "sign", "expected"), [
+        (F(-2), 1, "-0x0.0p+0"), (F(2), -1, "0x0.0p+0"), (F(2), 1, "0x1.5555555555555p+0"),
+    ])
+    def test_approx_spells_an_exact_cancellation_with_its_sign(self, add, sign, expected):
+        # (add + sign*2)/3 with add*sign < 0 takes the non-cancelling form
+        # (add**2 - 4)/(3*(add - sign*2)), an exact zero over a signed float
+        root = QuadraticSurdRoot(add, sign, F(4), F(3))
+        assert root.approx().hex() == surd_approx_by_fractions(root).hex() == expected
 
     @settings(max_examples=300, deadline=None)
     @given(

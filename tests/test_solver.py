@@ -1,9 +1,10 @@
 import json
 import random
+from pathlib import Path
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -978,6 +979,30 @@ class TestClosedT5AndT6:
               + m2 * (1 - 2 * n2 - 8 * n2**2 - 8 * n2**3 + 8 * n4 + 32 * n2 * n4) / 64)
         assert oracles.resultant_by_double_sums(k, m, n, 6)[6] == r6
 
+    @settings(max_examples=200, deadline=None)
+    @given(r=R, w=st.fractions(0, 9, max_denominator=12), a6=st.fractions(-2, 2, max_denominator=12),
+           zero_f=st.booleans())
+    def test_integer_f_equals_the_fraction_formula(self, r, w, a6, zero_f):
+        # the mean (1, 0, a_2, 0, a_4, 0, a_6) with a_4 from c_4 = -r*w, so
+        # that p**2 = w at the pivot's roots; zero_f moves a_6 to F = 0, as
+        # F is 35*r*a_6 plus terms free of a_6
+        assume(w != r * r)
+        a2 = (r - 1) / 2
+        a4 = (-r * w - 9 * r**3 + 15 * r**2 + 10 * r - 15) / 120
+        if zero_f:
+            a6 = -oracles.c6_by_fractions(a2, a4, 0)[0] / (35 * r)
+        f, c6 = oracles.c6_by_fractions(a2, a4, a6)
+        assert (f == 0) == zero_f
+        with pytest.MonkeyPatch.context() as mp:
+            for name in self.CLOSED if f else ():
+                mp.setattr(solver, name, None)
+            verdict = optimal_parameters(MeanExpansion((F(1), F(0), a2, F(0), a4, F(0), a6)), 6)
+        assert verdict.candidates
+        for c in verdict.candidates:
+            assert c.p.value * c.p.value == w
+            # at F = 0 the roots' own expansions vanish through max_order 6
+            assert (c.achieved_order, c.leading) == ((6, c6) if f else (None, None))
+
     def test_surd_roots_past_t6_take_one_expansion_each(self, monkeypatch):
         # at c_6 = 0 the survivor at t^8 is constant modulo P_4: the same
         # rational at both conjugate roots, read from one expansion over
@@ -1007,6 +1032,94 @@ class TestClosedT5AndT6:
         assert [(c.p.value, c.achieved_order, c.leading) for c in candidates] == [
             (-2, 8, rest.coefficient(0)), (2, 8, rest.coefficient(0))
         ]
+
+
+_GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+
+
+def _solve_pool_specs() -> dict:
+    """The means of the solve workloads' golden jobs (solve-early's L, S and
+    mixed strata and solve-deep), with A, G, H, L, P, T, M1-M5, B_{-13/6} and
+    M_{1/3,3/2}, by name."""
+    texts = [(name, {}) for name in ("A", "G", "H", "L", "P", "T", "M1", "M2", "M3", "M4", "M5",
+                                     "powermean:-13/6", "malphar:1/3,3/2")]
+    for workload in ("solve-deep", "solve-early"):
+        for job in json.loads((_GOLDEN / f"{workload}.json").read_text(encoding="utf-8")):
+            args = cli._shared_parser().parse_args(job.split())
+            texts.append((args.mean, cli._mean_options(args)))
+    specs = (cli.parse_mean_spec(text, options) for text, options in texts)
+    return {describe_spec(spec): spec for spec in specs}
+
+
+_POOL_SPECS = _solve_pool_specs()
+
+
+class TestClosedReach:
+    """With a spec, the search needs a_1..a_6 only (CLOSED_ORDER): the closed
+    columns read no further, and the routes that do, the comparison with B_r
+    and the expansion at each root, expand the spec through max_order."""
+
+    @pytest.mark.parametrize("name", sorted(_POOL_SPECS))
+    def test_short_expansion_gives_the_full_verdict(self, name):
+        spec = _POOL_SPECS[name]
+        for n in range(3, 25):
+            short = expand_mean(spec, min(n, solver.CLOSED_ORDER))
+            assert optimal_parameters(short, n, spec=spec) == optimal_parameters(
+                expand_mean(spec, n), n, spec=spec)
+
+    def test_the_specs_reach_every_route(self, monkeypatch):
+        # a_1, the comparison with G (r = 0), the identity pair, the closed
+        # t^6 column and the expansion at each root (L's p = -1, 1)
+        expansions = []
+        real = solver.difference_expansion
+        monkeypatch.setattr(solver, "difference_expansion",
+                            lambda *args: expansions.append(args[3]) or real(*args))
+        verdicts = {}
+        for text in ("M1", "G", "A", "M2", "L"):
+            spec = cli.parse_mean_spec(text, {})
+            assert describe_spec(spec) in _POOL_SPECS
+            with monkeypatch.context() as mp:
+                if text in ("G", "A"):  # a power mean's spec is B_r: one form, B_r's
+                    mp.setattr(solver, "_mean_form", None)
+                    mp.setattr(solver, "_integer_form", None)
+                verdicts[text] = optimal_parameters(expand_mean(spec, 6), 24, spec=spec)
+        assert verdicts["M1"].fixed_leading_order == 1
+        assert verdicts["G"].notes[0].startswith("difference vanishes identically on the locus")
+        assert [c.achieved_order for c in verdicts["A"].candidates] == [None, None]
+        assert [c.achieved_order for c in verdicts["M2"].candidates] == [6, 6]
+        assert [c.p.value for c in verdicts["L"].candidates] == [-1, 1]
+        assert expansions == [24, 24]
+
+    @pytest.mark.parametrize("max_order", range(3, 11))
+    def test_a_shorter_mean_raises(self, max_order):
+        reach = min(max_order, solver.CLOSED_ORDER)
+        optimal_parameters(expand_mean(M2, reach), max_order, spec=M2)
+        with pytest.raises(ValueError, match="shorter than the requested search order"):
+            optimal_parameters(expand_mean(M2, reach - 1), max_order, spec=M2)
+
+
+class TestProbesUntilOneDecides:
+    """_sampled_relation evaluates its probes in order and stops at the first
+    whose boundary difference supports the asymptotic sign; the relation and
+    evidence are those of evaluating every probe up front."""
+
+    @pytest.mark.parametrize("name", sorted(_POOL_SPECS))
+    def test_lazy_equals_eager(self, name, monkeypatch):
+        spec = _POOL_SPECS[name]
+        a2 = expand_mean(spec, 2).coeffs[2]
+        locus_probe = [(1.0, float(3 * a2 + 1))]  # p = 1 on q = 3*a_2 + (3 - p)/2
+        for probes in (solver._BOUNDARY_SAMPLES, locus_probe):
+            signs = [solver._boundary_evidence(spec, p, q).difference_sign for p, q in probes]
+            for asym in (1, -1):
+                expected = oracles.sampled_relation_eager(spec, asym, probes)
+                calls = []
+                with monkeypatch.context() as mp:
+                    real = solver._boundary_evidence
+                    mp.setattr(solver, "_boundary_evidence",
+                               lambda *args: calls.append(args) or real(*args))
+                    assert solver._sampled_relation(spec, asym, probes) == expected
+                reached = signs.index(asym) + 1 if asym in signs else len(probes)
+                assert calls == [(spec, *probe) for probe in probes[:reached]]
 
 
 class TestClosedOuterStepInTheSolver:
