@@ -138,6 +138,35 @@ ALIASES: dict[str, MeanSpec] = {
     "HZ1/4": LAlpha(Fraction(1, 4)),
 }
 
+#: The table of exact coincidences: L_alpha at beta = alpha**2 -> the spec
+#: of the same mean (see coincident).
+_COINCIDENCES = {
+    Fraction(1): ALIASES["H"],
+    Fraction(1, 4): ALIASES["G"],
+    Fraction(0): ALIASES["L"],
+}
+
+
+def coincident(spec: MeanSpec) -> MeanSpec:
+    """The one spec the table of exact coincidences writes for the mean of
+    the spec; two specs are one mean where this is equal.  Every spec not
+    in a row stands for itself.  With M = |b - a|/D(ln(b/a)), b > a, and
+    D' = cosh(alpha*y) for L_alpha (so D(y) = sinh(alpha*y)/alpha, y at
+    alpha = 0):
+
+    * B_p is the PowerMean spec, which the aliases A = B_1, G = B_0 and
+      H = B_-1 name.
+    * L_+-1 = H: sinh(ln(b/a)) = (b/a - a/b)/2 = (b - a)(b + a)/(2ab), so
+      M = 2ab/(a + b).
+    * L_+-1/2 = G: 2*sinh(ln(b/a)/2) = sqrt(b/a) - sqrt(a/b) = (b -
+      a)/sqrt(ab), so M = sqrt(ab).
+    * L_0 = S_0 = L: D' = 1 for both, as cosh(0) = 1/cosh(0) = 1, so D(y) =
+      y and M = (b - a)/ln(b/a), the logarithmic mean.
+    """
+    if isinstance(spec, LAlpha):
+        return _COINCIDENCES.get(spec.alpha**2, spec)
+    return spec
+
 
 # ---------------------------------------------------------------------------
 # Expansions

@@ -21,6 +21,7 @@ from .catalog import (
     MuGenerated,
     PowerMean,
     SAlpha,
+    coincident,
     expand_mean,
 )
 from .values import Value
@@ -200,7 +201,10 @@ class ComparisonReport(Value):
 def compare_scan(m1: MeanSpec, m2: MeanSpec, grid: GridSpec) -> ComparisonReport:
     """Compare the associated functions on the grid; a uniform verdict,
     bracketing witnesses for each sign change, or "equal" when the two agree
-    exactly at every grid point."""
+    exactly at every grid point.  Two specs of one mean by the table of
+    exact coincidences (catalog.coincident) are "equal" with no scan."""
+    if coincident(m1) == coincident(m2):
+        return ComparisonReport("equal", (), 0.0)
     xs = grid.points()
     diffs = [eval_f(m1, x) - eval_f(m2, x) for x in xs]
     min_gap = min(abs(d) for d in diffs)
@@ -241,14 +245,18 @@ def _mean_boundary_closed(spec: MeanSpec) -> float:
     return 1.0 / _denominator_closed(spec, math.inf)
 
 
-def _resultant_boundary_closed(outer: MeanSpec, middle: MeanSpec, inner: MeanSpec) -> float:
+def _resultant_boundary_closed(
+    outer: MeanSpec, middle: MeanSpec, inner: MeanSpec, mean_limit: float | None = None
+) -> float:
     """lim_{s->0+} R(B_p, M, B_q)(s, 1-s) via continuity of the composition:
     the inner mean tends to nu = B_q(0, 1), the two middle values to
     nu*lim M(s,1) and M(nu, 1), and B_p extends continuously to the
-    boundary, where B_p(0, w) = w * B_p(0, 1)."""
+    boundary, where B_p(0, w) = w * B_p(0, 1).  M's own limit is taken
+    here unless the caller gives it."""
     if not isinstance(outer, PowerMean) or not isinstance(inner, PowerMean):
         raise ValueError("the outer and inner means must be power means")
-    mean_limit = _mean_boundary_closed(middle)
+    if mean_limit is None:
+        mean_limit = _mean_boundary_closed(middle)
     nu = _mean_boundary_closed(inner)
     if nu > 0.0:
         w1 = nu * mean_limit

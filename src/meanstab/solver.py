@@ -20,10 +20,12 @@ comparison of M with G (see optimal_parameters).  A constant pivot is read
 as the constant it is.  The roots of the t^4 quadratic are one pair p =
 +-sqrt(w), w = -c_4/r, or the double root 0, read from w with no root
 isolation (a surd root and its conjugate when w is not a rational square),
-and the pair takes one route.  When w = r**2 both roots are identity points
-of B_r, where R(B_p, B_r, B_q) = B_r, and both come from one comparison of
-M with B_r: these are the roots of a mean that agrees with B_r through t^4
-(A, H, L_{+-1} = H and every B_r).
+and the pair takes one route.  When the pair is the identity points of a
+reference mean E that M agrees with through t^4, where R(B_p, E, B_q) = E,
+both roots come from one comparison of M with E: B_r at w = r**2 (A, H,
+L_{+-1} = H and every B_r) and the logarithmic mean L at (r, w) = (1/3, 1),
+p = +-1.  A spec that is E by the table of exact coincidences
+(catalog.coincident) never leaves it, and builds no form.
 Any other pair reads two more closed columns: t^5 is the constant
 (31/32)*a_5, and when a_5 = 0 the t^6 column is, modulo the pivot, the
 constant c_6 = 9F/(320r) of a_2, a_4 and a_6, F read at most once.  The
@@ -35,11 +37,12 @@ in the quadratic field Q(sqrt(s)) at a surd one; its first nonzero
 coefficient is the survivor, exact and of exact sign.
 
 So a search reads the mean through a_6 (CLOSED_ORDER) unless it takes one
-of the two routes past t^6, the comparison with B_r and the expansion at
+of the two routes past t^6, the comparison with E and the expansion at
 each root.  Given a mean spec, the search accepts a mean through
 min(max_order, CLOSED_ORDER), and those routes take M through max_order from
-the spec, once (a power mean's spec is B_r itself, whose one form serves
-both sides of the comparison); without a spec the mean must reach max_order.
+the spec, once; without a spec the mean must reach max_order.  No catalog
+mean that is its own reference (A, G, H, L, L_{+-1/2}, L_{+-1}, L_0 and
+every B_p) reads past t^6 at all.
 
 The search samples no band.  A band of reach K, which the tests and the
 stability scan read, samples the difference once at the n = K + 2
@@ -81,15 +84,17 @@ from .catalog import (
     _cosh_mean_form,
     _mean_form,
     _power_mean_form,
+    ALIASES,
     LAlpha,
     MeanExpansion,
     MeanSpec,
     PowerMean,
     SAlpha,
+    coincident,
     describe_spec,
     expand_mean,
 )
-from .numeric import boundary_limit
+from .numeric import _resultant_boundary_closed, boundary_limit
 from .polynomials import (
     QuadraticField,
     QuadraticSurdRoot,
@@ -113,6 +118,12 @@ _FIRST_REACH = 6
 #: The order through which the closed columns of the search read the mean:
 #: a_1..a_6 decide every pair they settle (see optimal_parameters).
 CLOSED_ORDER = 6
+
+#: The identity points besides B_r's: (r, w) -> the mean E with R(B_p, E,
+#: B_q) = E at both roots p = +-sqrt(w) of the t^4 pivot on the locus q =
+#: (3r - p)/2, where every mean with this r and w agrees with E through t^4
+#: (see optimal_parameters).
+_IDENTITY_POINTS = {(Fraction(1, 3), Fraction(1)): ALIASES["L"]}
 
 # ---------------------------------------------------------------------------
 # Difference expansions
@@ -279,11 +290,12 @@ class StabilizabilityVerdict(Value):
                              boundary=boundary, notes=notes)
 
 
-def _boundary_evidence(spec: MeanSpec, p: float, q: float) -> BoundaryEvidence:
+def _boundary_evidence(spec: MeanSpec, p: float, q: float, m_limit: float) -> BoundaryEvidence:
+    """The evidence at one probe, given M's own boundary limit, which does
+    not depend on (p, q)."""
     try:
-        m_limit = boundary_limit(spec).value
-        r_limit = boundary_limit((PowerMean(p), spec, PowerMean(q))).value
-    except ValueError:
+        r_limit = _resultant_boundary_closed(PowerMean(p), spec, PowerMean(q), m_limit)
+    except (ValueError, OverflowError):
         return BoundaryEvidence(None, None, "unavailable")
     return BoundaryEvidence(m_limit, r_limit, "closed-form")
 
@@ -314,14 +326,19 @@ def _sampled_relation(
     conflicts with the asymptotic sign at some probe and supports it at none;
     probes with a vanishing boundary difference are uninformative, and with
     no informative probe the evidence of the first one is reported.  The
-    probes are evaluated in order, and none after the first that supports.
+    probes are evaluated in order, and none after the first that supports;
+    M's own limit is taken once, and without it every probe is unavailable.
     """
     base = "candidate-sub" if asym > 0 else "candidate-super"
     if spec is None:
         return base, None
+    try:
+        m_limit = boundary_limit(spec).value
+    except ValueError:
+        return base, BoundaryEvidence(None, None, "unavailable")
     first = conflicted = None
     for p, q in probes:
-        evidence = _boundary_evidence(spec, p, q)
+        evidence = _boundary_evidence(spec, p, q, m_limit)
         if evidence.difference_sign == asym:
             return base, evidence
         if first is None:
@@ -366,12 +383,13 @@ def optimal_parameters(
     On the locus q = (3r -+ sqrt(w))/2 at p = +-sqrt(w), so q at -sqrt(w)
     is the conjugate of q at sqrt(w), and a surd pair makes two surd
     constructions, not four.  The pair takes one route: it is a pair of
-    identity points (below) when w = r**2, and otherwise reads the next two
-    columns in closed form.  The t^5 column is (31/32)*a_5 at every p, and
-    when a_5 = 0 the t^6 column P_6 is, at both roots of P_4, the constant
-    c_6 = 9*F/(320*r), F = 48*a_2**6 + 104*a_2**5 + 65*a_2**4 + 80*a_2**3*a_4 -
-    5*a_2**3 + 150*a_2**2*a_4 - 13*a_2**2 + 65*a_2*a_4 + 70*a_2*a_6 + a_2 -
-    100*a_4**2 - 20*a_4 + 35*a_6:
+    identity points (below) of B_r when w = r**2 and of L when (r, w) =
+    (1/3, 1), and otherwise reads the next two columns in closed form.  The
+    t^5 column is (31/32)*a_5 at every p, and when a_5 = 0 the t^6 column
+    P_6 is, at both roots of P_4, the constant c_6 = 9*F/(320*r), F =
+    48*a_2**6 + 104*a_2**5 + 65*a_2**4 + 80*a_2**3*a_4 - 5*a_2**3 +
+    150*a_2**2*a_4 - 13*a_2**2 + 65*a_2*a_4 + 70*a_2*a_6 + a_2 - 100*a_4**2
+    - 20*a_4 + 35*a_6:
 
     * t^5: as at t^3, a_5 enters with slope 2**-5, and the part of the t^5
       coefficient that a_2 and a_4 give is that of an even mean, zero;
@@ -397,27 +415,35 @@ def optimal_parameters(
     and no evaluation at the root; F is read at most once per search, and
     only if the pair asks for it.
 
-    At an identity point of B_r, a (p, q) with R(B_p, B_r, B_q) = B_r, if M
-    first leaves B_r at index n <= max_order, with c_n - b_n = delta, the
-    difference vanishes below n and is (1 - 2**-n)*delta at n; if M never
-    leaves B_r, it vanishes through max_order:
+    At an identity point of a reference mean E with c_1 = 0, a (p, q) with
+    R(B_p, E, B_q) = E, if M first leaves E at index n <= max_order, with
+    c_n - e_n = delta, the difference vanishes below n and is (1 -
+    2**-n)*delta at n; if M never leaves E, it vanishes through max_order.
+    The argument reads nothing of E but the identity:
 
     * through order n the resultant reads only m_0..m_n, so below n the
-      difference is that of B_r, zero at an identity point;
+      difference is that of E, zero at an identity point;
     * the middle mean's top coefficient enters B_n and A_n as
       h_0*(g_0/h_0)**n*delta = 2**(1-n)*delta, as g_0/h_0 = gt_0/ht_0 = 1/2
       at n_1 = 0 (g, h, B, A, X and Y as in resultant.py), so X_n and Y_n
       each gain 2**-n*delta; B_p, like any symmetric mean, has partial
       derivatives 1/2 at (1, 1), so r_n gains 2**-n*delta for every p and q;
-    * at an identity point r_n of B_r is b_n, so the difference at n is
+    * at an identity point r_n of E is e_n, so the difference at n is
       (1 - 2**-n)*delta.
 
-    The identity points on the locus are (r, r) and (-r, 2r) for r != 0, the
-    roots of the t^4 column when M agrees with B_r through t^4 (the pair
-    p = +-sqrt(w) is this one exactly when w = r**2), and the whole locus
-    q = -p/2 for r = 0, so a mean with a_2 = -1/2 samples no band: every
-    column is zero below n and the constant (1 - 2**-n)*delta at n.  With
-    X = B_r(a, N) and Y = B_r(N, b):
+    A mean with a_1 = a_3 = 0 and the r and w of an even E agrees with E
+    through t^4 (r gives a_2, and w with r gives a_4), so its pivot pair is
+    E's.  The references, each with its proof:
+
+    * B_r, r != 0, at (r, r) and (-r, 2r), the pair of w = r**2;
+    * B_0 = G on the whole locus q = -p/2 (r = 0), so a mean with a_2 =
+      -1/2 samples no band: every column is zero below n and the constant
+      (1 - 2**-n)*delta at n;
+    * the logarithmic mean L (r = 1/3, w = 1) at (1, 0) and (-1, 1), the
+      pair on its locus q = (1 - p)/2.
+
+    The identities, with X = B_r(a, N) and Y = B_r(N, b) for B_r and y =
+    ln(b/a) for L:
 
     * R(B_r, B_r, B_r) = B_r: at N = B_r(a, b), X**r + Y**r = (a**r + b**r)/2
       + N**r = 2*N**r, so B_r(X, Y) = N;
@@ -426,10 +452,17 @@ def optimal_parameters(
       b**r)*(X**r + Y**r), so B_-r(X, Y)**(-r) = 2/(a**r + b**r);
     * r = 0: with N = B_q(s, t), R(B_p, G, B_q) = sqrt(N)*B_p(sqrt(s),
       sqrt(t)), which at q = -p/2 is [(s**(p/2) + t**(p/2))/(s**(-p/2) +
-      t**(-p/2))]**(1/p) = sqrt(s*t), and at p = q = 0 is R(G, G, G) = G.
+      t**(-p/2))]**(1/p) = sqrt(s*t), and at p = q = 0 is R(G, G, G) = G;
+    * R(A, L, G) = L: with N = sqrt(ab), ln(N/a) = ln(b/N) = y/2, so
+      L(a, N) + L(N, b) = (N - a + b - N)/(y/2) = 2(b - a)/y;
+    * R(H, L, A) = L: with N = (a + b)/2, N - a = b - N = (b - a)/2, so
+      1/L(a, N) + 1/L(N, b) = (ln(N/a) + ln(b/N))/((b - a)/2) = 2y/(b - a).
 
-    Where t^5 and t^6 both vanish, as at L's p = +-1, each root is read from
-    its own difference expansion, truncated at max_order: over Q at
+    A spec that is E by the table of exact coincidences (catalog.coincident)
+    never leaves E, with no form built.
+
+    Where t^5 and t^6 both vanish at a pair of no reference, each root is
+    read from its own difference expansion, truncated at max_order: over Q at
     a rational root, over Q(sqrt(s)) at a surd one, where the series kernel
     takes B_p's and B_q's surd exponents as values of that field.  Its first
     nonzero coefficient is the survivor, a Fraction wherever its sqrt(s)
@@ -444,10 +477,10 @@ def optimal_parameters(
     denominator.  Without a spec the mean must reach max_order.  With a
     spec it need only reach min(max_order, CLOSED_ORDER), and the two routes
     that read past t^6 take M through max_order from the mean if it is that
-    long, else from the spec: leaving B_r compares integer forms by
-    cross-multiplication, the spec's form, or B_r's own when the spec is the
-    power mean B_r (r = p), and the roots' expansions expand the spec once.
-    A shorter mean raises ValueError.
+    long, else from the spec: leaving E compares integer forms by
+    cross-multiplication, E's with M's, and the roots' expansions expand the
+    spec once.  A shorter mean raises ValueError.  c_4 and w are read from
+    the same integer numerators.
     """
     if max_order < 3:
         raise ValueError("the search needs max_order >= 3")
@@ -469,31 +502,31 @@ def optimal_parameters(
     locus = first_order_locus(mean)
     r = 2 * mean.coefficient(2) + 1  # the locus is q = (3r - p)/2
 
-    def leaving() -> tuple[int | None, Rational | None]:
-        # The first index n where M leaves B_r, and the difference at n at an
-        # identity point (see above); (None, None) if M never leaves B_r.
-        # Compared on integer forms through max_order, one Fraction built at
-        # n alone.  M's form is the mean's if it reaches max_order, else the
-        # spec's; a power mean's spec is B_r itself (r = 2*a_2 + 1 = p), so
-        # one form serves both.
-        b, den = _power_mean_form(r, max_order)
-        if isinstance(spec, PowerMean) and spec.p == r:
-            m, d = b, den
-        elif mean.order >= max_order:
+    def leaving(reference: MeanSpec) -> tuple[int | None, Rational | None]:
+        # The first index n where M leaves the reference E, and the
+        # difference at n at an identity point of E (see above); (None, None)
+        # if M never leaves E, at once if the spec is E by the table of
+        # coincidences.  Else compared on integer forms through max_order,
+        # one Fraction built at n alone; M's form is the mean's if it reaches
+        # max_order, else the spec's.
+        if spec is not None and coincident(spec) == reference:
+            return None, None
+        e, den = _mean_form(reference, max_order)
+        if mean.order >= max_order:
             m, d = _integer_form(mean.coeffs, max_order)
         else:
             m, d = _mean_form(spec, max_order)
-        n = next((n for n in range(3, max_order + 1) if m[n] * den != b[n] * d), None)
+        n = next((n for n in range(3, max_order + 1) if m[n] * den != e[n] * d), None)
         if n is None:
             return None, None
-        return n, Fraction((2**n - 1) * (m[n] * den - b[n] * d), 2**n * d * den)
+        return n, Fraction((2**n - 1) * (m[n] * den - e[n] * d), 2**n * d * den)
 
     # The pivot from the closed columns (see above): a constant at r = 0,
     # where every point of the locus is an identity point of G, and at t^3,
     # the only column at max_order 3; the t^4 quadratic otherwise.
     a3 = mean.coefficient(3)
     if r == 0 or a3 != 0 or max_order == 3:
-        k0, constant = leaving() if r == 0 else (3, a3 * Fraction(7, 8))
+        k0, constant = leaving(PowerMean(r)) if r == 0 else (3, a3 * Fraction(7, 8))
         if not constant:
             note = f"difference vanishes identically on the locus through order {max_order}"
             return StabilizabilityVerdict("stabilizable", locus=locus, notes=(note,))
@@ -502,8 +535,13 @@ def optimal_parameters(
         return verdict(constant, probes, locus=locus, fixed_leading=constant,
                        fixed_leading_order=k0, notes=(note,))
 
-    c4 = 120 * mean.coefficient(4) + 9 * r**3 - 15 * r**2 - 10 * r + 15
-    w = -c4 / r
+    # a_n as the numerators nums[n] over one d, a2 and a4 among them, rd =
+    # r*d and c4 = c_4*d**3, so w = -c_4/r = -c4/(d**2*rd)
+    nums, d = _integer_form(mean.coeffs, min(mean.order, CLOSED_ORDER))
+    a2, a4, dd = nums[2], nums[4], d * d
+    rd = 2 * a2 + d
+    c4 = ((9 * rd - 15 * d) * rd - 10 * dd) * rd + (120 * a4 + 15 * d) * dd
+    w = Fraction(-c4, dd * rd)
     if w < 0:
         # The pivot keeps the sign of c4 for every p on the locus.
         probes = [(p, float(locus.q_of(Fraction(p)))) for p in _LOCUS_SAMPLES]
@@ -520,26 +558,25 @@ def optimal_parameters(
         roots = [tuple(QuadraticSurdRoot(x.add, -x.sign, x.radicand, x.div) for x in plus), plus]
 
     def settled() -> tuple[int | None, Rational | None] | None:
-        # The survivor at both roots p = +-sqrt(w), w = -c4/r, where one
-        # route reads it for the pair (see above): the identity points
-        # p = +-r, else the t^5 column, else the t^6 column modulo the pivot
-        # if it is nonzero; None if each root needs its own expansion.
-        if c4 == -r**3:  # w = r**2
-            return leaving()
+        # The survivor at both roots p = +-sqrt(w), where one route reads it
+        # for the pair (see above): the identity points of the reference
+        # that M agrees with through t^4, B_r at w = r**2 and L at (r, w) =
+        # (1/3, 1), else the t^5 column, else the t^6 column modulo the
+        # pivot if it is nonzero; None if each root needs its own expansion.
+        reference = PowerMean(r) if w == r * r else _IDENTITY_POINTS.get((r, w))
+        if reference is not None:
+            return leaving(reference)
         a5 = mean.coefficient(5) if max_order >= 5 else 0
         if a5 != 0:
             return 5, a5 * Fraction(31, 32)
         if max_order >= 6:
-            # F*d**6 from the numerators of a_2, a_4 and a_6 over one d, and
-            # c_6 = 9*F/(320*r) as one Fraction, r = (2*a2 + d)/d
-            (_, _, a2, _, a4, _, a6), d = _integer_form(mean.coeffs, 6)
-            dd = d * d
+            # F*d**6 from the numerators, and c_6 = 9*F/(320*r) as one Fraction
             f = ((((((48 * a2 + 104 * d) * a2 + 65 * dd) * a2 - 5 * d * dd) * a2 - 13 * dd * dd)
                   * a2 + d * dd * dd) * a2
                  + ((((80 * a2 + 150 * d) * a2 + 65 * dd) * a2 - (100 * a4 + 20 * d) * dd) * a4
-                    + (70 * a2 + 35 * d) * a6 * dd) * dd)
+                    + (70 * a2 + 35 * d) * nums[6] * dd) * dd)
             if f != 0:
-                return 6, Fraction(9 * f, 320 * d * dd * dd * (2 * a2 + d))
+                return 6, Fraction(9 * f, 320 * d * dd * dd * rd)
         return None
 
     pair = settled()

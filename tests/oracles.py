@@ -186,7 +186,7 @@ from meanstab.polynomials import (
     sign_variations,
     squarefree_part,
 )
-from meanstab.numeric import LimitReport, eval_mean, eval_resultant
+from meanstab.numeric import LimitReport, boundary_limit, eval_mean, eval_resultant
 from meanstab.rationals import ONE, ZERO, Rational
 from meanstab import resultant
 from meanstab.resultant import resultant_coeffs
@@ -204,7 +204,6 @@ from meanstab.solver import (
     AffineLocus,
     BoundaryEvidence,
     OptimalCandidate,
-    _boundary_evidence,
     coefficient_polynomials,
     difference_expansion,
     first_order_locus,
@@ -646,16 +645,27 @@ def c6_by_fractions(a2: Rational, a4: Rational, a6: Rational) -> tuple[Rational,
     return f, 9 * f / (320 * (2 * a2 + 1))
 
 
+def boundary_evidence_by_limits(spec: MeanSpec, p: float, q: float) -> BoundaryEvidence:
+    """The evidence at one probe from the two public limits, M's taken anew."""
+    try:
+        m_limit = boundary_limit(spec).value
+        r_limit = boundary_limit((PowerMean(p), spec, PowerMean(q))).value
+    except ValueError:
+        return BoundaryEvidence(None, None, "unavailable")
+    return BoundaryEvidence(m_limit, r_limit, "closed-form")
+
+
 def sampled_relation_eager(
     spec: MeanSpec | None, asym: int, probes: Sequence[tuple[float, float]]
 ) -> tuple[str, BoundaryEvidence | None]:
     """The relation from boundary evidence at every probe, evaluated up
-    front: the first supporting probe, else the first conflicting one
-    ("neither"), else the first."""
+    front, M's limit and the triple's from boundary_limit at each: the
+    first supporting probe, else the first conflicting one ("neither"),
+    else the first."""
     base = "candidate-sub" if asym > 0 else "candidate-super"
     if spec is None:
         return base, None
-    evidence = [_boundary_evidence(spec, p, q) for p, q in probes]
+    evidence = [boundary_evidence_by_limits(spec, p, q) for p, q in probes]
     supported = next((e for e in evidence if e.difference_sign == asym), None)
     if supported is not None:
         return base, supported

@@ -24,13 +24,14 @@ from meanstab.catalog import (
     PowerMean,
     MuGenerated,
     SAlpha,
+    coincident,
     describe_spec,
     expand_mean,
     expand_power_mean,
     expand_quotient_mean,
     expand_stable,
 )
-from meanstab.numeric import eval_mean
+from meanstab.numeric import eval_f, eval_mean
 from meanstab.polynomials import forward_differences
 from meanstab.series import _integer_form, _values, series_power
 
@@ -420,6 +421,40 @@ class TestSpecsAndAliases:
         assert coeffs == (1, 0, F(-1, 3), F(1, 2))
         assert all(type(c) is F for c in coeffs)
         assert coeffs[2] is kept
+
+
+#: Every spelling of a mean in the table of exact coincidences, by row.
+COINCIDENT_ROWS = {
+    "A": [ALIASES["A"], PowerMean(F(1))],
+    "G": [ALIASES["G"], PowerMean(F(0)), LAlpha(F(1, 2)), LAlpha(F(-1, 2))],
+    "H": [ALIASES["H"], PowerMean(F(-1)), LAlpha(F(1)), LAlpha(F(-1))],
+    "L": [ALIASES["L"], SAlpha(F(0)), LAlpha(F(0))],
+}
+
+
+class TestCoincidences:
+    """The spellings of one row are one mean: one spec in the table, equal
+    expansions, and values that agree to rounding."""
+
+    @pytest.mark.parametrize("row", sorted(COINCIDENT_ROWS))
+    def test_a_row_is_one_mean(self, row):
+        specs = COINCIDENT_ROWS[row]
+        assert {coincident(spec) for spec in specs} == {ALIASES[row]}
+        assert len({expand_mean(spec, 96) for spec in specs}) == 1
+        reference = specs[0]
+        for spec in specs[1:]:
+            for a, b in [(1, 2), (0.5, 3), (1e-3, 10), (2, 2.0000001), (1, 1e6), (1e-300, 1e300)]:
+                assert math.isclose(eval_mean(spec, a, b), eval_mean(reference, a, b),
+                                    rel_tol=1e-12)
+            for x in (1e-6, 0.01, 0.5, 3.0, 20.0, 300.0, 700.0):
+                assert math.isclose(eval_f(spec, x), eval_f(reference, x), rel_tol=1e-12)
+
+    def test_the_rows_are_distinct_and_other_specs_stand_for_themselves(self):
+        assert len({coincident(ALIASES[row]) for row in COINCIDENT_ROWS}) == 4
+        rows = {spec: ALIASES[row] for row, specs in COINCIDENT_ROWS.items() for spec in specs}
+        for spec in [*ALL_SPECS, LAlpha(F(1, 4)), LAlpha(F(-1, 3)), SAlpha(F(-1, 2)),
+                     MAlphaR(0, 1), MuGenerated((F(1),)), ALIASES["P"], ALIASES["T"]]:
+            assert coincident(spec) == rows.get(spec, spec)
 
 
 ALL_SPECS = [

@@ -242,6 +242,16 @@ class TestOtherCommands:
             gap = report["min_gap"]["value"]
             assert abs(gap - true) / true <= 4 * 2.0**-52
 
+    @pytest.mark.parametrize(("m1", "m2"), [
+        ("H", "lalpha:1"), ("H", "lalpha:-1"), ("lalpha:1/2", "G"), ("L", "lalpha:0"),
+        ("salpha:0", "lalpha:0"), ("A", "powermean:1")])
+    def test_compare_two_spellings_of_one_mean(self, capsys, m1, m2):
+        # the table of exact coincidences certifies "equal" before any scan;
+        # H against L_1 read "crossing" from rounding noise, 717 witnesses
+        report = run_json(capsys, "compare", "--m1", m1, "--m2", m2, "--count", "1000")
+        assert (report["verdict"], report["witnesses"], report["min_gap"]["value"]) == (
+            "equal", [], 0.0)
+
     def test_compare_past_the_double_range_is_an_engine_error(self, capsys):
         # f_M1 = 2*sinh(x)/log(1 + 2x) leaves the double range before x = 713.
         code, out, _ = run_cli(

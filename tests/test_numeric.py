@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
+from meanstab import numeric
 from meanstab.catalog import (
     ALIASES,
     LAlpha,
@@ -479,6 +480,24 @@ class TestCompareScan:
             assert report.verdict == "equal"
             assert report.witnesses == ()
             assert report.min_gap == 0.0
+
+    def test_spellings_of_one_mean_are_equal_with_no_scan(self, monkeypatch):
+        monkeypatch.setattr(numeric, "eval_f", None)
+        for m1, m2 in [(ALIASES["H"], LAlpha(F(1))), (LAlpha(F(-1)), LAlpha(F(1))),
+                       (ALIASES["G"], LAlpha(F(1, 2))), (ALIASES["L"], LAlpha(F(0))),
+                       (ALIASES["A"], ALIASES["A"])]:
+            report = compare_scan(m1, m2, self.GRID)
+            assert (report.verdict, report.witnesses, report.min_gap) == ("equal", (), 0.0)
+
+    def test_a_pair_outside_the_table_is_scanned(self, monkeypatch):
+        # L_{-1/3} = L_{1/3} is no row of the table: the scan reads "equal"
+        # from an exact 0.0 difference at every grid point
+        calls = []
+        real = numeric.eval_f
+        monkeypatch.setattr(numeric, "eval_f", lambda spec, x: calls.append(x) or real(spec, x))
+        report = compare_scan(LAlpha(F(-1, 3)), LAlpha(F(1, 3)), self.GRID)
+        assert (report.verdict, report.witnesses, report.min_gap) == ("equal", (), 0.0)
+        assert len(calls) == 2 * self.GRID.count
 
     def test_s_alpha_09_dominates_arithmetic(self):
         # For alpha > pi/4 the limit ratio 4*alpha/pi exceeds 1 and the

@@ -27,7 +27,7 @@ from meanstab.catalog import (
     expand_power_mean,
     expand_stable,
 )
-from meanstab.numeric import eval_mean, eval_resultant
+from meanstab.numeric import boundary_limit, eval_mean, eval_resultant
 from meanstab.polynomials import (
     IntervalRoot,
     QuadraticField,
@@ -328,10 +328,13 @@ class TestOrderBands:
         assert orders == []
 
     def test_rational_roots_past_the_first_reach_open_no_band(self, monkeypatch):
-        # L's roots p = -1, 1 are not identity points of B_{1/3}, and t^5 and
-        # t^6 vanish there: one expansion at max_order reads each
-        orders = self.sampled_orders(monkeypatch, ALIASES["L"], 64)
+        # the constructed mean's rational roots p = -2, 2 are no reference's
+        # identity points, and t^5 and t^6 vanish there: one expansion at
+        # max_order reads each
+        orders, _ = self.sampled_expansions(monkeypatch, _c6_zero(64, F(4)), 64)
         assert orders == [64] * 2
+        # L's roots p = -1, 1 are its own identity points: no expansion
+        assert self.sampled_orders(monkeypatch, ALIASES["L"], 64) == []
 
     def test_rational_survivor_at_t6_opens_no_band(self, monkeypatch):
         # the rational roots of L_{3/10} survive at t^6, read in closed form
@@ -593,6 +596,36 @@ class TestIdentityPoints:
             assert (first, None if first is None else diff[first]) == expected
 
 
+class TestIdentityPointsOfL:
+    """L's pivot roots p = -1, 1 are its identity points, R(H, L, A) = L and
+    R(A, L, G) = L: a mean that first leaves L at n >= 5 by delta reads
+    (n, (1 - 2**-n)*delta) at both, from one comparison with L."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(order=st.integers(4, 12), data=st.data())
+    def test_candidates_at_plus_and_minus_one(self, order, data):
+        n = data.draw(st.integers(5, 14))
+        sign = data.draw(st.sampled_from([-1, 1]))
+        delta = sign * data.draw(st.fractions(F(1, 12), 2, max_denominator=12))
+        c = list(expand_mean(ALIASES["L"], max(order, n)).coeffs)
+        c[n] += delta
+        c[n + 1 :] = [data.draw(_SMALL) for _ in range(n + 1, len(c))]
+        mean = MeanExpansion(tuple(c))
+        expected = (n, (1 - F(1, 2**n)) * delta) if n <= order else (None, None)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "difference_expansion", None)
+            mp.setattr(solver, "_difference_form", None)
+            verdict = optimal_parameters(mean, order)
+        candidates = verdict.candidates
+        assert {(cand.p.value, cand.q.value) for cand in candidates} == {(-1, 1), (1, 0)}
+        assert all((cand.achieved_order, cand.leading) == expected for cand in candidates)
+        # the difference expansion at each root
+        for cand in candidates:
+            diff = difference_expansion(mean, cand.p.value, cand.q.value, order)
+            first = diff.first_nonzero
+            assert (first, None if first is None else diff.coeffs[first]) == expected
+
+
 def _shifted_a(order, a5):
     """A = B_1 with a_4 - 1/40 and a_5 + a5: the t^4 pivot (p**2 - 4)/128 has
     the roots p = -2, 2, which are not identity points of B_1."""
@@ -691,10 +724,9 @@ class TestRationalCandidatesAgainstBands:
             return solver.DifferenceExpansion(tuple(coeffs), diff.p, diff.q)
 
         monkeypatch.setattr(solver, "difference_expansion", planted)
-        # L's rational roots p = -1, 1 are not identity points of B_{1/3};
-        # the constructed mean's surd roots p = -+sqrt(2) read neither t^5
-        # nor t^6
-        mean = expand_mean(ALIASES["L"], 16) if kind == "rational" else _c6_zero(16)
+        # the constructed means' rational roots p = -2, 2 and surd roots
+        # p = -+sqrt(2) read neither t^5 nor t^6
+        mean = _c6_zero(16, F(4) if kind == "rational" else F(2))
         with pytest.raises(ArithmeticError, match="at or below the pivot"):
             optimal_parameters(mean, 16)
 
@@ -1068,8 +1100,9 @@ class TestClosedReach:
                 expand_mean(spec, n), n, spec=spec)
 
     def test_the_specs_reach_every_route(self, monkeypatch):
-        # a_1, the comparison with G (r = 0), the identity pair, the closed
-        # t^6 column and the expansion at each root (L's p = -1, 1)
+        # a_1, the comparison with G (r = 0), the identity pairs of B_r and
+        # of L, the closed t^6 column, and the expansion at each root of a
+        # constructed mean whose t^5 and t^6 vanish at p = -+sqrt(2)
         expansions = []
         real = solver.difference_expansion
         monkeypatch.setattr(solver, "difference_expansion",
@@ -1079,15 +1112,19 @@ class TestClosedReach:
             spec = cli.parse_mean_spec(text, {})
             assert describe_spec(spec) in _POOL_SPECS
             with monkeypatch.context() as mp:
-                if text in ("G", "A"):  # a power mean's spec is B_r: one form, B_r's
+                if text in ("G", "A", "L"):  # the spec is its reference: no form
                     mp.setattr(solver, "_mean_form", None)
-                    mp.setattr(solver, "_integer_form", None)
+                    mp.setattr(solver, "_power_mean_form", None)
                 verdicts[text] = optimal_parameters(expand_mean(spec, 6), 24, spec=spec)
         assert verdicts["M1"].fixed_leading_order == 1
         assert verdicts["G"].notes[0].startswith("difference vanishes identically on the locus")
         assert [c.achieved_order for c in verdicts["A"].candidates] == [None, None]
         assert [c.achieved_order for c in verdicts["M2"].candidates] == [6, 6]
-        assert [c.p.value for c in verdicts["L"].candidates] == [-1, 1]
+        assert [(c.p.value, c.achieved_order) for c in verdicts["L"].candidates] == [
+            (-1, None), (1, None)]
+        assert expansions == []  # L takes none
+        verdict = optimal_parameters(_c6_zero(24), 24)
+        assert [c.p.kind for c in verdict.candidates] == ["quadratic-surd"] * 2
         assert expansions == [24, 24]
 
     @pytest.mark.parametrize("max_order", range(3, 11))
@@ -1108,18 +1145,25 @@ class TestProbesUntilOneDecides:
         spec = _POOL_SPECS[name]
         a2 = expand_mean(spec, 2).coeffs[2]
         locus_probe = [(1.0, float(3 * a2 + 1))]  # p = 1 on q = 3*a_2 + (3 - p)/2
+        m_limit = boundary_limit(spec).value
         for probes in (solver._BOUNDARY_SAMPLES, locus_probe):
-            signs = [solver._boundary_evidence(spec, p, q).difference_sign for p, q in probes]
+            signs = [oracles.boundary_evidence_by_limits(spec, p, q).difference_sign
+                     for p, q in probes]
             for asym in (1, -1):
                 expected = oracles.sampled_relation_eager(spec, asym, probes)
-                calls = []
+                calls, limits = [], []
                 with monkeypatch.context() as mp:
                     real = solver._boundary_evidence
                     mp.setattr(solver, "_boundary_evidence",
                                lambda *args: calls.append(args) or real(*args))
+                    real_limit = solver.boundary_limit
+                    mp.setattr(solver, "boundary_limit",
+                               lambda expr: limits.append(expr) or real_limit(expr))
                     assert solver._sampled_relation(spec, asym, probes) == expected
                 reached = signs.index(asym) + 1 if asym in signs else len(probes)
-                assert calls == [(spec, *probe) for probe in probes[:reached]]
+                # M's own limit is taken once, and given to every probe
+                assert limits == [spec]
+                assert calls == [(spec, *probe, m_limit) for probe in probes[:reached]]
 
 
 class TestClosedOuterStepInTheSolver:
@@ -1356,9 +1400,21 @@ class TestBoundaryWithoutSpec:
     def test_a_probe_past_the_sinh_range_has_evidence(self):
         # B_{1/1050}(0, 1) = 2**-1050, where L_1's sinh(ln(2**1050))
         # overflows and its log is taken: the evidence is that of L_1 = H
-        evidence = solver._boundary_evidence(LAlpha(F(1)), 1.0, 1 / 1050)
-        assert evidence.label == "closed-form"
-        assert evidence == solver._boundary_evidence(PowerMean(F(-1)), 1.0, 1 / 1050)
+        evidence = [solver._boundary_evidence(spec, 1.0, 1 / 1050, boundary_limit(spec).value)
+                    for spec in (LAlpha(F(1)), PowerMean(F(-1)))]
+        assert evidence[0].label == "closed-form"
+        assert evidence[0] == evidence[1]
+
+    @pytest.mark.parametrize("error", [ValueError, OverflowError])
+    def test_a_triple_without_a_limit_is_unavailable(self, monkeypatch, error):
+        # boundary_limit turns both into ValueError; the solver, which takes
+        # the triple's closed form directly, catches both
+        def failing(*args):
+            raise error("math range error")
+
+        monkeypatch.setattr(solver, "_resultant_boundary_closed", failing)
+        evidence = solver._boundary_evidence(M2, 1.0, 1.0, boundary_limit(M2).value)
+        assert evidence == solver.BoundaryEvidence(None, None, "unavailable")
 
 
 class TestDisagreeingBestCandidates:
@@ -1899,6 +1955,32 @@ class TestVerdictsWithARouteRemoved:
         self.remove(monkeypatch, "difference_expansion", "_difference_form")
         v = optimal_parameters(_shifted_a(12, F(1, 7)), 12)
         assert [(x.achieved_order, x.leading) for x in v.candidates] == [(5, F(31, 224))] * 2
+
+    @pytest.mark.parametrize("text, pairs", [
+        ("A", [(-1, 2), (1, 1)]),
+        ("G", None),
+        ("H", [(-1, -1), (1, -2)]),
+        ("L", [(-1, 1), (1, 0)]),
+        ("lalpha:0", [(-1, 1), (1, 0)]),
+        ("lalpha:1", [(-1, -1), (1, -2)]),
+        ("lalpha:-1", [(-1, -1), (1, -2)]),
+        ("lalpha:1/2", None),
+        ("lalpha:-1/2", None),
+        ("powermean:-13/6", [(F(-13, 6), F(-13, 6)), (F(13, 6), F(-13, 3))]),
+    ])
+    def test_a_spec_that_is_its_reference_builds_no_form(self, monkeypatch, text, pairs):
+        # the identity points of G (no pair), B_r and L, at max_order 128
+        # with the mean through t^6, and no form past it
+        spec = cli.parse_mean_spec(text, {})
+        mean = expand_mean(spec, solver.CLOSED_ORDER)
+        self.remove(monkeypatch, "difference_expansion", "_power_mean_form", "_mean_form")
+        v = optimal_parameters(mean, 128, spec=spec)
+        note = ("difference vanishes identically on the locus through order 128" if pairs is None
+                else "difference vanishes through order 128 at 2 parameter pair(s)")
+        assert (v.relation, v.notes, v.boundary, v.fixed_leading) == (
+            "stabilizable", (note,), None, None)
+        assert [(c.p.value, c.q.value, c.achieved_order, c.leading) for c in v.candidates] == [
+            (p, q, None, None) for p, q in pairs or ()]
 
     def test_stability_and_the_scan_without_a_resultant(self, monkeypatch):
         self.remove(monkeypatch, "_resultant")

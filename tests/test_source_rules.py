@@ -34,7 +34,7 @@ SLOW_TO_IMPORT = {"dataclasses", "typing", "inspect"}
 #: columns and one expansion per root read every mean alike.
 NOT_READ_BY_THE_SEARCH = {"coefficient_polynomials", "_band", "_FIRST_REACH", "is_even"}
 #: Names solver.optimal_parameters does not read either: the t^4 pivot's
-#: roots are read from w = -c4/r, with no polynomial and no root isolation.
+#: roots are read from w = -c_4/r, with no polynomial and no root isolation.
 NOT_READ_BY_THE_PIVOT = {"isolate_real_roots", "UniPoly"}
 
 
@@ -260,8 +260,8 @@ def test_the_rules_catch_what_they_forbid():
     # Mutated copies of the sources: the pivot isolated as a polynomial
     # again, and the report written by the indented json.dumps again.
     solver = (ROOT / "src" / "meanstab" / "solver.py").read_text(encoding="utf-8")
-    isolated = solver.replace("    w = -c4 / r\n",
-                              "    w = -c4 / r\n    isolate_real_roots(UniPoly((c4, 0, r)))\n")
+    isolated = solver.replace("    w = Fraction(-c4, dd * rd)\n", "    w = Fraction(-c4, dd * rd)\n"
+                              "    isolate_real_roots(UniPoly((c4, 0, r)))\n")
     assert isolated != solver
     assert forbidden_reads(ast.parse(isolated), "optimal_parameters", NOT_READ_BY_THE_PIVOT) == [
         "UniPoly", "isolate_real_roots"]
