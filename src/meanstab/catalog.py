@@ -35,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .polynomials import UniPoly, isolate_real_roots
+from .polynomials import UniPoly, _isolate_intervals, squarefree_part
 from .rationals import ONE, ZERO, Rational
 from .series import (
     _horner_form,
@@ -107,14 +107,16 @@ class MuGenerated(Value):
     def has_positive_root(self) -> bool:
         """Whether mu vanishes at some y > 0, where the mean is undefined.
         mu(y) = y * P(y**2), P(0) = 1, has a simple root at 0 and its other
-        real roots in pairs +-r; isolated once per spec."""
+        real roots in pairs +-r, so one lies at y > 0 exactly when its
+        square-free part has more than one isolating interval; counted once
+        per spec."""
         try:
             return self._has_positive_root
         except AttributeError:
             pass
         c = self.odd_coeffs
         mu = UniPoly(tuple(c[n // 2] if n % 2 else 0 for n in range(2 * len(c))))
-        found = len(isolate_real_roots(mu)) > 1
+        found = len(_isolate_intervals(squarefree_part(mu))) > 1
         object.__setattr__(self, "_has_positive_root", found)
         return found
 
@@ -162,9 +164,14 @@ def coincident(spec: MeanSpec) -> MeanSpec:
       a)/sqrt(ab), so M = sqrt(ab).
     * L_0 = S_0 = L: D' = 1 for both, as cosh(0) = 1/cosh(0) = 1, so D(y) =
       y and M = (b - a)/ln(b/a), the logarithmic mean.
+    * M_0,r = L for every r > 0: D' = (1 + r*y)**0 = 1, so D(y) = y.
+    * The mu-generated mean with every c_n past c_0 zero is L: mu(y) = y.
     """
     if isinstance(spec, LAlpha):
         return _COINCIDENCES.get(spec.alpha**2, spec)
+    if (isinstance(spec, MAlphaR) and spec.alpha == 0
+            or isinstance(spec, MuGenerated) and not any(spec.odd_coeffs[1:])):
+        return ALIASES["L"]
     return spec
 
 

@@ -1,13 +1,13 @@
 """Exact univariate polynomials over Q with certified real-root isolation.
 
-Roots are reported in exact ascending order, each in the strongest form
-available: rational roots exactly, roots of quadratic factors as surds
-``(a + sign*sqrt(b))/c``, everything else as an isolating interval with a
-sign change, at most 10**-12 wide.  A square-free part of degree 1 or 2 is
-solved in closed form.  From degree 3 up it is isolated once, by Descartes'
-rule of signs on Moebius-transformed coordinates with exact sign evaluation,
-and one pass over the intervals recognizes the linear and quadratic factors,
-verifies each by exact division and divides it out.
+Roots are reported in exact ascending order, rational roots exactly.  A
+square-free part of degree 1 or 2 is solved in closed form, the roots of a
+quadratic as surds ``(a + sign*sqrt(b))/c``.  From degree 3 up it is
+isolated once, by Descartes' rule of signs on Moebius-transformed
+coordinates with exact sign evaluation, and one pass over the intervals
+recognizes the rational roots, verifies each by exact division and divides
+it out; every irrational root is an isolating interval with a sign change,
+at most 10**-12 wide.
 
 A surd root's ``value`` is a number of the field Q(sqrt(s)),
 ``QuadraticField``, whose arithmetic is exact and whose values have an
@@ -27,7 +27,6 @@ import functools
 import math
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import combinations
 
 from .rationals import ONE, ZERO, Rational
 from .values import Value
@@ -489,7 +488,7 @@ def _refine(g: UniPoly, a: Rational, b: Rational, width: Fraction) -> tuple[Rati
 
 
 # ---------------------------------------------------------------------------
-# Rational roots and quadratic factors
+# Rational roots and quadratics
 
 
 def simplest_between(lo: Rational, hi: Rational) -> Rational:
@@ -519,9 +518,9 @@ def simplest_between(lo: Rational, hi: Rational) -> Rational:
 
 
 def _integer_lead(g: UniPoly) -> Rational:
-    """|leading coefficient| L of g's integer form.  The denominators of a
-    rational root and of the trace and product of a quadratic factor's roots
-    divide L (Gauss), and such rationals lie at least 1/L**2 apart."""
+    """|leading coefficient| L of g's integer form.  The denominator of a
+    rational root divides L (Gauss), and two such rationals lie at least
+    1/L**2 apart."""
     return abs(g.leading * math.lcm(*(c.denominator for c in g.coeffs)))
 
 
@@ -543,40 +542,19 @@ def _recognize_roots(g: UniPoly) -> list[Root]:
     """The real roots of the square-free g in the order of their isolating
     intervals (see _integer_lead for L).  Refined to width 1/(2*L**2), an
     interval holds at most one rational whose denominator divides L, so a
-    rational root c is the simplest rational of its interval.  The other
-    intervals are refined on to 1/(2*(B + 1)*L**2), B their largest
-    endpoint, so that the enclosures of two roots' trace T and product P
-    are narrower than 1/L**2 and T and P are the simplest rationals of
-    theirs.  A candidate is kept when x - c or x**2 - T*x + P divides what
-    is left of g exactly (and the pair's factor changes sign across both
-    intervals), and divided out; the other roots are intervals of what is
-    left of g, refined on to 10**-12."""
+    rational root c is the simplest rational of its interval.  It is kept
+    when x - c divides what is left of g exactly, and divided out; the other
+    roots are intervals of what is left of g, refined on to 10**-12."""
     lead = _integer_lead(g)
     fine = [_refine(g, a, b, 1 / (2 * lead * lead)) for a, b in _isolate_intervals(g)]
-    roots: list[Root | None] = [None] * len(fine)
+    roots: list[Root | None] = []
     rest = g
-    for i, (lo, hi) in enumerate(fine):
+    for lo, hi in fine:
         c = simplest_between(lo, hi)
         quotient, rem = divmod(rest, UniPoly((-c, ONE)))
         if rem.is_zero:
-            rest, roots[i] = quotient, RationalRoot(c)
-    left = [i for i, root in enumerate(roots) if root is None]
-    bound = max((abs(x) for i in left for x in fine[i]), default=0)
-    width = 1 / (2 * (bound + 1) * lead * lead)
-    for i in left:
-        fine[i] = _refine(g, *fine[i], width)
-    for i, j in combinations(left, 2):
-        if roots[i] or roots[j]:
-            continue
-        (alo, ahi), (blo, bhi) = fine[i], fine[j]
-        trace = simplest_between(alo + blo, ahi + bhi)
-        prods = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-        prod = simplest_between(min(prods), max(prods))
-        factor = UniPoly((prod, -trace, ONE))
-        quotient, rem = divmod(rest, factor)
-        if rem.is_zero and all(factor(lo) * factor(hi) < 0 for lo, hi in (fine[i], fine[j])):
             rest = quotient
-            roots[i], roots[j] = _quadratic_roots(prod, -trace, ONE)
+        roots.append(RationalRoot(c) if rem.is_zero else None)
     return [root or IntervalRoot(*_refine(rest, lo, hi, Fraction(1, 10**12)), rest)
             for root, (lo, hi) in zip(roots, fine)]
 
@@ -584,12 +562,12 @@ def _recognize_roots(g: UniPoly) -> list[Root]:
 def isolate_real_roots(f: UniPoly) -> list[Root]:
     """Describe every distinct real root of f, in exact ascending order.
 
-    Rational roots come back exactly, the roots of quadratic factors as
-    surds, the other irrational roots as sign-change intervals at most
-    10**-12 wide.  A square-free part of degree 1 or 2 is solved in closed
-    form, whose roots ascend because it is monic; from degree 3 on, one
-    pass over its isolating intervals finds every factor
-    (_recognize_roots), and the roots keep the order of the intervals.
+    Rational roots come back exactly.  A square-free part of degree 1 or 2
+    is solved in closed form, the roots of a quadratic as surds, which
+    ascend because it is monic.  From degree 3 on, one pass over its
+    isolating intervals finds the rational roots (_recognize_roots), every
+    irrational root is a sign-change interval at most 10**-12 wide, and the
+    roots keep the order of the intervals.
     """
     if f.is_zero:
         raise ValueError("zero polynomial")

@@ -32,7 +32,7 @@ from meanstab.catalog import (
     expand_stable,
 )
 from meanstab.numeric import eval_f, eval_mean
-from meanstab.polynomials import forward_differences
+from meanstab.polynomials import UniPoly, forward_differences
 from meanstab.series import _integer_form, _values, series_power
 
 # Displayed coefficient formulas used as oracles throughout.
@@ -296,6 +296,32 @@ class TestMuGenerated:
         with pytest.raises(ValueError):
             expand_mean(MuGenerated((F(2),)), 4)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.one_of(st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9),
+                           st.sampled_from((2, 3, F(1, 2), F(5, 7), F(50, 3))),
+                           st.fractions(min_value=F(1, 5), max_value=5, max_denominator=5)
+                           .map(lambda r: r * r)), max_size=3),
+        st.lists(st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9), max_size=3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        st.fractions(min_value=F(1, 16), max_value=4, max_denominator=16),
+        st.integers(min_value=0, max_value=2),
+    )
+    def test_has_positive_root_iff_some_positive_z_root(self, rhos, sigmas, b, excess, k):
+        # mu(y) = y * P(y**2), P(z) = prod (1 - z/rho) * prod (1 + z/sigma)
+        # * (1 + b*z + c*z**2)**k with c > b**2/4: P vanishes at z = rho > 0
+        # (a surd y = sqrt(rho) unless rho is a rational square) and at no
+        # other z >= 0, so mu has a positive root exactly when some rho is
+        # given.
+        p = UniPoly((1,))
+        for rho in rhos:
+            p = p * UniPoly((1, -1 / F(rho)))
+        for sigma in sigmas:
+            p = p * UniPoly((1, 1 / sigma))
+        for _ in range(k):
+            p = p * UniPoly((1, b, b * b / 4 + excess))
+        assert MuGenerated(p.coeffs).has_positive_root is bool(rhos)
+
 
 class TestClassicMeans:
     @pytest.mark.parametrize("index", [1, 2, 3, 4, 5])
@@ -428,7 +454,8 @@ COINCIDENT_ROWS = {
     "A": [ALIASES["A"], PowerMean(F(1))],
     "G": [ALIASES["G"], PowerMean(F(0)), LAlpha(F(1, 2)), LAlpha(F(-1, 2))],
     "H": [ALIASES["H"], PowerMean(F(-1)), LAlpha(F(1)), LAlpha(F(-1))],
-    "L": [ALIASES["L"], SAlpha(F(0)), LAlpha(F(0))],
+    "L": [ALIASES["L"], SAlpha(F(0)), LAlpha(F(0)), MAlphaR(0, 1), MAlphaR(0, F(7, 2)),
+          MuGenerated((1,)), MuGenerated((1, 0))],
 }
 
 
@@ -453,7 +480,8 @@ class TestCoincidences:
         assert len({coincident(ALIASES[row]) for row in COINCIDENT_ROWS}) == 4
         rows = {spec: ALIASES[row] for row, specs in COINCIDENT_ROWS.items() for spec in specs}
         for spec in [*ALL_SPECS, LAlpha(F(1, 4)), LAlpha(F(-1, 3)), SAlpha(F(-1, 2)),
-                     MAlphaR(0, 1), MuGenerated((F(1),)), ALIASES["P"], ALIASES["T"]]:
+                     MAlphaR(0, 1), MuGenerated((F(1),)), MAlphaR(F(1, 3), 1),
+                     MuGenerated((1, 0, F(1, 5))), ALIASES["P"], ALIASES["T"]]:
             assert coincident(spec) == rows.get(spec, spec)
 
 

@@ -244,10 +244,12 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize(("m1", "m2"), [
         ("H", "lalpha:1"), ("H", "lalpha:-1"), ("lalpha:1/2", "G"), ("L", "lalpha:0"),
-        ("salpha:0", "lalpha:0"), ("A", "powermean:1")])
+        ("salpha:0", "lalpha:0"), ("A", "powermean:1"), ("malphar:0,1", "L"),
+        ("L", "malphar:0,7/2")])
     def test_compare_two_spellings_of_one_mean(self, capsys, m1, m2):
         # the table of exact coincidences certifies "equal" before any scan;
-        # H against L_1 read "crossing" from rounding noise, 717 witnesses
+        # H against L_1 read "crossing" from rounding noise, 717 witnesses,
+        # and M_{0,1} against L 731
         report = run_json(capsys, "compare", "--m1", m1, "--m2", m2, "--count", "1000")
         assert (report["verdict"], report["witnesses"], report["min_gap"]["value"]) == (
             "equal", [], 0.0)

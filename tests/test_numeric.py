@@ -608,7 +608,7 @@ class TestBoundaryLimit:
         "odd, kind",
         [
             ((1, -1), RationalRoot),
-            ((1, -3, 1), QuadraticSurdRoot),
+            ((1, -3, 1), IntervalRoot),  # mu = y * (y**2 - y - 1)(y**2 + y - 1)
             ((1, -2, 1), RationalRoot),  # mu = y * (1 - y**2)**2, a double root
             ((1, 0, 0, -2), IntervalRoot),
         ],

@@ -50,6 +50,20 @@ def poly(*coeffs):
     return UniPoly(coeffs)
 
 
+def surd_intervals(roots, a, b):
+    """The two IntervalRoots of roots that hold a - sqrt(b) and a + sqrt(b),
+    checked exactly: each is at most 10**-12 wide, (x - a)**2 - b changes
+    sign across it, and it lies on its root's side of a."""
+    quadratic = poly(a * a - b, -2 * a, 1)
+    holding = [r for r in roots
+               if isinstance(r, IntervalRoot) and quadratic(r.low) * quadratic(r.high) < 0]
+    low = [r for r in holding if r.high < a]
+    high = [r for r in holding if r.low > a]
+    assert len(holding) == 2 and len(low) == len(high) == 1, holding
+    assert all(r.high - r.low <= F(1, 10**12) for r in holding)
+    return low[0], high[0]
+
+
 class TestUniPoly:
     def test_trimming_and_degree(self):
         assert poly(1, 2, 0, 0).degree == 1
@@ -298,17 +312,19 @@ class TestRootIsolation:
             isolate_real_roots(UniPoly.zero())
 
     def test_mixed_kinds_high_degree(self):
-        # (x - 1/2)(x^2 - 2)(x^3 - x - 4): one rational, two surds, one cubic root
+        # (x - 1/2)(x^2 - 2)(x^3 - x - 4): -sqrt(2) < 1/2 < sqrt(2) < the
+        # cubic's root; from degree 3 up every irrational root is an interval.
         p = poly(F(-1, 2), 1) * poly(-2, 0, 1) * poly(-4, -1, 0, 1)
         roots = isolate_real_roots(p)
-        kinds = sorted(r.kind for r in roots)
-        assert kinds == [
+        assert [r.kind for r in roots] == [
+            "isolated-interval",
             "exact-rational",
             "isolated-interval",
-            "quadratic-surd",
-            "quadratic-surd",
+            "isolated-interval",
         ]
-        interval = [r for r in roots if isinstance(r, IntervalRoot)][0]
+        assert roots[1].value == F(1, 2)
+        assert surd_intervals(roots, 0, 2) == (roots[0], roots[2])
+        interval = roots[3]
         assert interval.high - interval.low <= F(1, 10**12)
         cubic = poly(-4, -1, 0, 1)
         assert cubic(interval.low) * cubic(interval.high) < 0
@@ -328,8 +344,7 @@ class TestRootIsolation:
         assert time.process_time() - start < 2.0
         low_surd, quarter, high_surd, cube_root, middle, top = roots
         assert [r.value for r in (quarter, middle, top)] == [F(-9, 4), F(big, 999979), F(big)]
-        for surd, sign in ((low_surd, -1), (high_surd, 1)):
-            assert (surd.add, surd.sign, surd.radicand, surd.div) == (F(-8), sign, F(77), F(1))
+        assert surd_intervals(roots, -8, 77) == (low_surd, high_surd)  # -8 -/+ sqrt(77)
         assert isinstance(cube_root, IntervalRoot)
         assert cube_root.high - cube_root.low <= F(1, 10**12)
         assert cube_root.low**3 < 2 < cube_root.high**3
@@ -346,10 +361,9 @@ class TestRootIsolation:
         assert [r.kind for r in roots].count("exact-rational") == 3
         assert len(calls) == 1
 
-    def test_pairing_width_ignores_the_rational_roots(self, monkeypatch):
-        # All six intervals are refined to 1/(2*L**2) for the rational pass.
-        # The roots near 2e21 are rational, so the pairing width
-        # 1/(2*(B + 1)*L**2) takes B over the three irrational roots' intervals.
+    def test_refines_to_the_rational_width_then_the_irrational_roots(self, monkeypatch):
+        # All six intervals are refined to 1/(2*L**2) for the rational pass,
+        # and only the three irrational roots' on to 10**-12.
         import meanstab.polynomials as polynomials
 
         widths = []
@@ -359,9 +373,7 @@ class TestRootIsolation:
         )
         isolate_real_roots(self.HUGE_ROOT_POLY)
         lead = polynomials._integer_lead(squarefree_part(self.HUGE_ROOT_POLY))
-        pairing_width = min(set(widths) - {F(1, 10**12)})
-        assert 1 / (2 * pairing_width * lead * lead) - 1 < 100
-        assert widths[:6] == [1 / (2 * lead * lead)] * 6
+        assert widths == [1 / (2 * lead * lead)] * 6 + [F(1, 10**12)] * 3
 
     def test_roots_ascend_exactly(self):
         # 1 - sqrt(2)*10**-18 < 1 + 10**-20 < 1 + sqrt(2)*10**-18 < 2**(1/3):
@@ -369,9 +381,10 @@ class TestRootIsolation:
         p = poly(-1 - F(1, 10**20), 1) * poly(1 - F(2, 10**36), -2, 1) * poly(-2, 0, 0, 1)
         roots = isolate_real_roots(p)
         assert [r.kind for r in roots] == [
-            "quadratic-surd", "exact-rational", "quadratic-surd", "isolated-interval"
+            "isolated-interval", "exact-rational", "isolated-interval", "isolated-interval"
         ]
         assert roots[1].value == 1 + F(1, 10**20)
+        assert surd_intervals(roots, 1, F(2, 10**36)) == (roots[0], roots[2])
         assert len({r.approx() for r in roots[:3]}) == 1
         ends = [r.bounds(F(1, 10**40)) for r in roots]
         assert all(high < low for (_, high), (low, _) in zip(ends, ends[1:]))
@@ -386,15 +399,15 @@ class TestRootIsolation:
         assert p(root.low) < 0 < p(root.high)
 
     @pytest.mark.parametrize("d", [10**6 + 3, 10**7 + 19, 10**9 + 7, 10**12 + 39])
-    def test_quadratic_factor_of_large_denominators_pairs(self, d):
-        # The trace 1/d and the product -2/(d + 2) of the quadratic factor's
-        # roots are read once the pair's intervals are narrower than 1/L**2,
-        # L = d*(d + 2); 10**-12 wide intervals miss them from d = 10**7 on.
+    def test_quadratic_factor_of_large_denominators_is_two_intervals(self, d):
+        # x**2 - x/d - 2/(d + 2) = (x - a)**2 - b with a = 1/(2d), b = a**2 +
+        # 2/(d + 2): each of its roots a -/+ sqrt(b) is one interval, both
+        # below the cube root of 2's.
         roots = isolate_real_roots(poly(F(-2, d + 2), F(-1, d), 1) * poly(-2, 0, 0, 1))
-        assert sorted(r.kind for r in roots) == ["isolated-interval"] + ["quadratic-surd"] * 2
-        for r in roots:
-            if isinstance(r, QuadraticSurdRoot):
-                assert minimal_polynomial(r).monic() == poly(F(-2, d + 2), F(-1, d), 1)
+        assert [r.kind for r in roots] == ["isolated-interval"] * 3
+        a = F(1, 2 * d)
+        assert surd_intervals(roots, a, a * a + F(2, d + 2)) == (roots[0], roots[1])
+        assert roots[2].low ** 3 < 2 < roots[2].high ** 3
 
     def test_multiplicities_collapse(self):
         p = poly(-1, 1) * poly(-1, 1) * poly(3, 1)
@@ -579,30 +592,34 @@ class TestBounds:
     """bounds(width) of every root kind encloses the root and is at most
     the width wide; a rational root gives (v, v)."""
 
-    # x^3 - 2, x^2 - 8 and x^2 - x - 1 beside the rational -1/3: an interval
-    # root, surds of div 1/2 and 2 from the pairing, and a rational root.
-    TRUE_VALUES = {
-        "exact-rational": lambda mp, r: mp.mpf(-1) / 3,
-        "isolated-interval": lambda mp, r: mp.cbrt(2),
-        "quadratic-surd": lambda mp, r: (r.add + r.sign * mp.sqrt(r.radicand)) / r.div,
-    }
+    @staticmethod
+    def true_values(mp):
+        """The roots of x^2 - 8, x^2 - x - 1, 3x + 1 and x^3 - 2, ascending."""
+        five = mp.sqrt(5)
+        return [-mp.sqrt(8), (1 - five) / 2, mp.mpf(-1) / 3, mp.cbrt(2), (1 + five) / 2, mp.sqrt(8)]
 
     @pytest.mark.parametrize("width", [F(1, 10**3), F(1, 10**12), F(1, 10**40)], ids=str)
-    @pytest.mark.parametrize("closed_form", [False, True], ids=["paired", "closed-form"])
+    @pytest.mark.parametrize("closed_form", [False, True], ids=["isolated", "closed-form"])
     def test_each_kind_encloses_its_root(self, width, closed_form):
+        # In closed form x^2 - 8 and x^2 - x - 1 give surds of div 1/2 and 2;
+        # beside x^3 - 2 and the rational -1/3, every irrational root is an
+        # interval.
         mpmath = pytest.importorskip("mpmath")
-        if closed_form:
-            roots = isolate_real_roots(poly(-8, 0, 1)) + isolate_real_roots(poly(-1, -1, 1))
-        else:
-            p = poly(-2, 0, 0, 1) * poly(-8, 0, 1) * poly(-1, -1, 1) * poly(1, 3)
-            roots = isolate_real_roots(p)
-            assert sorted({r.kind for r in roots}) == sorted(self.TRUE_VALUES)
-        assert sorted(r.div for r in roots if isinstance(r, QuadraticSurdRoot)) == [F(1, 2)] * 2 + [F(2)] * 2
         with mpmath.workdps(100):
-            for root in roots:
+            true_values = self.true_values(mpmath)
+            if closed_form:
+                roots = isolate_real_roots(poly(-8, 0, 1)) + isolate_real_roots(poly(-1, -1, 1))
+                true_values = [true_values[i] for i in (0, 5, 1, 4)]
+                assert [r.kind for r in roots] == ["quadratic-surd"] * 4
+                assert sorted(r.div for r in roots) == [F(1, 2)] * 2 + [F(2)] * 2
+            else:
+                p = poly(-2, 0, 0, 1) * poly(-8, 0, 1) * poly(-1, -1, 1) * poly(1, 3)
+                roots = isolate_real_roots(p)
+                assert [r.kind for r in roots] == ["isolated-interval"] * 2 + [
+                    "exact-rational"] + ["isolated-interval"] * 3
+            for root, true in zip(roots, true_values, strict=True):
                 lo, hi = root.bounds(width)
                 assert lo <= hi and hi - lo <= width, root
-                true = self.TRUE_VALUES[root.kind](mpmath, root)
                 assert mpmath.mpf(lo.numerator) / lo.denominator <= true, root
                 assert true <= mpmath.mpf(hi.numerator) / hi.denominator, root
 
@@ -657,8 +674,8 @@ def test_clustered_rational_roots_separate():
     roots = isolate_real_roots(p)
     values = [r.value for r in roots if isinstance(r, RationalRoot)]
     assert values == [r1, r2]
-    surd_count = sum(isinstance(r, QuadraticSurdRoot) for r in roots)
-    assert surd_count == 2  # +-sqrt(3)
+    assert len(roots) == 4
+    surd_intervals(roots, 0, 3)  # +-sqrt(3)
 
 
 # Factors that defeat the divisor search: two primes above the trial-division
@@ -692,8 +709,8 @@ CUBICS = [((-2, 0, 0, 1), 1), ((-1, -3, 0, 1), 3), ((2, -4, 0, 1), 3), ((-4, -1,
 
 class TestRootIsolationProperties:
     """Polynomials built from known roots, with coefficients the divisor
-    search gives up on: exactly those roots come back, each in its
-    strongest form."""
+    search gives up on: exactly those roots come back, the rationals
+    exactly and each irrational root as one interval."""
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -718,14 +735,12 @@ class TestRootIsolationProperties:
         assert roots == isolate_real_roots_by_divisor_search(p)
         assert [r.approx() for r in roots] == sorted(r.approx() for r in roots)
         assert [r.value for r in roots if isinstance(r, RationalRoot)] == rationals
-        found_surds = {
-            (r.add / r.div, r.sign, r.radicand / (r.div * r.div))
-            for r in roots if isinstance(r, QuadraticSurdRoot)
-        }
-        assert found_surds == {(a, sign, b) for a, b in surds for sign in (-1, 1)}
         intervals = [r for r in roots if isinstance(r, IntervalRoot)]
-        assert len(intervals) == sum(count for _, count in cubics)
+        assert len(intervals) == 2 * len(surds) + sum(count for _, count in cubics)
+        held = {r for a, b in surds for r in surd_intervals(roots, a, b)}
         for root in intervals:
+            if root in held:
+                continue
             cubic = poly(*cubics[0][0])
             assert root.high - root.low <= F(1, 10**12)
             assert cubic(root.low) * cubic(root.high) < 0

@@ -6,7 +6,8 @@ other without a cycle, every private module-level function is used by the
 package itself, and every public function or method by the package, the
 acceptance gate or the benchmark.  A use is a read of the name outside the function's own body.
 The parameter search reads none of the names its schedule does not depend
-on, and reads the t^4 pivot's roots with no root isolation; the command
+on, and reads the t^4 pivot's roots with no root isolation; root
+recognition reads rational roots alone and pairs no surds; the command
 line writes its reports with no indented json.dumps.  The code-line
 counter of ``code_lines.py`` counts code alone."""
 
@@ -36,6 +37,9 @@ NOT_READ_BY_THE_SEARCH = {"coefficient_polynomials", "_band", "_FIRST_REACH", "i
 #: Names solver.optimal_parameters does not read either: the t^4 pivot's
 #: roots are read from w = -c_4/r, with no polynomial and no root isolation.
 NOT_READ_BY_THE_PIVOT = {"isolate_real_roots", "UniPoly"}
+#: Names polynomials._recognize_roots does not read: from degree 3 up it
+#: recognizes rational roots alone, and every irrational root is an interval.
+NOT_READ_BY_RECOGNITION = {"_quadratic_roots", "QuadraticSurdRoot", "combinations"}
 
 
 def imported_modules(tree: ast.AST) -> list[tuple[int, str]]:
@@ -206,6 +210,12 @@ def test_the_search_isolates_no_root():
     assert forbidden_reads(tree, "optimal_parameters", NOT_READ_BY_THE_PIVOT) == []
 
 
+def test_recognition_pairs_no_surds():
+    tree = parse(ROOT / "src" / "meanstab" / "polynomials.py")
+    assert forbidden_reads(tree, "_recognize_roots", NOT_READ_BY_RECOGNITION) == []
+    assert [path.name for path in SOURCES if "combinations" in read_names(parse(path))] == []
+
+
 def test_the_command_line_writes_no_indented_json_dumps():
     assert indented_dumps(parse(ROOT / "src" / "meanstab" / "cli.py")) == []
 
@@ -258,13 +268,23 @@ def test_the_rules_catch_what_they_forbid():
                       "other.dumps(r, sort_keys=True)\n")
     assert indented_dumps(dumps) == [2, 3]
     # Mutated copies of the sources: the pivot isolated as a polynomial
-    # again, and the report written by the indented json.dumps again.
+    # again, recognition pairing surds again, and the report written by the
+    # indented json.dumps again.
     solver = (ROOT / "src" / "meanstab" / "solver.py").read_text(encoding="utf-8")
     isolated = solver.replace("    w = Fraction(-c4, dd * rd)\n", "    w = Fraction(-c4, dd * rd)\n"
                               "    isolate_real_roots(UniPoly((c4, 0, r)))\n")
     assert isolated != solver
     assert forbidden_reads(ast.parse(isolated), "optimal_parameters", NOT_READ_BY_THE_PIVOT) == [
         "UniPoly", "isolate_real_roots"]
+    polynomials = (ROOT / "src" / "meanstab" / "polynomials.py").read_text(encoding="utf-8")
+    paired = polynomials.replace(
+        "    return [root or IntervalRoot(",
+        "    for i, j in combinations(range(len(fine)), 2):\n"
+        "        roots[i], roots[j] = _quadratic_roots(-ONE, ZERO, ONE)\n"
+        "    return [root or IntervalRoot(")
+    assert paired != polynomials
+    assert forbidden_reads(ast.parse(paired), "_recognize_roots", NOT_READ_BY_RECOGNITION) == [
+        "_quadratic_roots", "combinations"]
     cli = (ROOT / "src" / "meanstab" / "cli.py").read_text(encoding="utf-8")
     indented = cli.replace("_indented_json(report) if", "json.dumps(report, indent=2) if")
     assert indented != cli and len(indented_dumps(ast.parse(indented))) == 1

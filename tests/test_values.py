@@ -192,8 +192,8 @@ def test_validation_messages(build, message):
 
 def test_has_positive_root_is_isolated_once(monkeypatch):
     calls = []
-    isolate = meanstab.catalog.isolate_real_roots
-    monkeypatch.setattr(meanstab.catalog, "isolate_real_roots",
+    isolate = meanstab.catalog._isolate_intervals
+    monkeypatch.setattr(meanstab.catalog, "_isolate_intervals",
                         lambda poly: calls.append(poly) or isolate(poly))
     spec = MuGenerated((1, -1))  # mu = y - y**3 vanishes at y = 1
     assert spec.has_positive_root is True and spec.has_positive_root is True
