@@ -150,8 +150,13 @@ class DifferenceExpansion(Value):
 def _difference_form(m_form: tuple, p: Fraction, q: Fraction, order: int) -> tuple:
     """M - R(B_p, M, B_q) through the order as integer numerators over one
     denominator, from the integer form of the mean through the order: B_q's
-    expansion, the two sides and the closed power-mean outer step."""
-    m, r, den = _common(m_form, _resultant(p, m_form, _power_mean_form(q, order), order))
+    expansion, the two sides and the closed power-mean outer step.  A mean
+    in Q(sqrt(s)) is its values over Fraction(1), and so is the difference."""
+    q_form = _power_mean_form(q, order)
+    if type(q_form[1]) is not type(m_form[1]):
+        # a rational B_q beside a mean in Q(sqrt(s)): its values over Fraction(1)
+        q_form = list(_values(*q_form)), m_form[1]
+    m, r, den = _common(m_form, _resultant(p, m_form, q_form, order))
     return [a - b for a, b in zip(m, r)], den
 
 
@@ -160,12 +165,14 @@ def difference_expansion(
 ) -> DifferenceExpansion:
     """Exact difference between the mean and its power-mean resultant,
     computed on integer numerators from B_p and B_q to the difference; for p
-    and q in a quadratic field Q(sqrt(s)), at a surd root, in that field."""
+    or q in a quadratic field Q(sqrt(s)), at a surd root, in that field, a
+    rational operand included."""
     coeffs = mean.truncated(order).coeffs
-    if isinstance(p, QuadraticField):
+    p, q = (QuadraticField(Fraction(x.a), Fraction(x.b), x.s) if isinstance(x, QuadraticField)
+            else Fraction(x) for x in (p, q))
+    if QuadraticField in (type(p), type(q)):
         m_form = list(coeffs), Fraction(1)
     else:
-        p, q = Fraction(p), Fraction(q)
         m_form = _integer_form(coeffs, order)
     return DifferenceExpansion(_values(*_difference_form(m_form, p, q, order)), p, q)
 
@@ -413,7 +420,8 @@ def optimal_parameters(
     So the first of these columns that is nonzero, and within max_order, is
     the survivor at both roots, rational or surd, with no band, no expansion
     and no evaluation at the root; F is read at most once per search, and
-    only if the pair asks for it.
+    only if the pair asks for it.  Below t^6, at max_order 4 or at 5 with
+    a_5 = 0, every column through max_order vanishes at both roots.
 
     At an identity point of a reference mean E with c_1 = 0, a (p, q) with
     R(B_p, E, B_q) = E, if M first leaves E at index n <= max_order, with
@@ -562,22 +570,23 @@ def optimal_parameters(
         # for the pair (see above): the identity points of the reference
         # that M agrees with through t^4, B_r at w = r**2 and L at (r, w) =
         # (1/3, 1), else the t^5 column, else the t^6 column modulo the
-        # pivot if it is nonzero; None if each root needs its own expansion.
+        # pivot if it is nonzero, and nothing below t^6; None if each root
+        # needs its own expansion.
         reference = PowerMean(r) if w == r * r else _IDENTITY_POINTS.get((r, w))
         if reference is not None:
             return leaving(reference)
         a5 = mean.coefficient(5) if max_order >= 5 else 0
         if a5 != 0:
             return 5, a5 * Fraction(31, 32)
-        if max_order >= 6:
-            # F*d**6 from the numerators, and c_6 = 9*F/(320*r) as one Fraction
-            f = ((((((48 * a2 + 104 * d) * a2 + 65 * dd) * a2 - 5 * d * dd) * a2 - 13 * dd * dd)
-                  * a2 + d * dd * dd) * a2
-                 + ((((80 * a2 + 150 * d) * a2 + 65 * dd) * a2 - (100 * a4 + 20 * d) * dd) * a4
-                    + (70 * a2 + 35 * d) * nums[6] * dd) * dd)
-            if f != 0:
-                return 6, Fraction(9 * f, 320 * d * dd * dd * rd)
-        return None
+        if max_order < CLOSED_ORDER:
+            # t^2, t^3 and the pivot vanish at both roots, and so does t^5
+            return None, None
+        # F*d**6 from the numerators, and c_6 = 9*F/(320*r) as one Fraction
+        f = ((((((48 * a2 + 104 * d) * a2 + 65 * dd) * a2 - 5 * d * dd) * a2 - 13 * dd * dd)
+              * a2 + d * dd * dd) * a2
+             + ((((80 * a2 + 150 * d) * a2 + 65 * dd) * a2 - (100 * a4 + 20 * d) * dd) * a4
+                + (70 * a2 + 35 * d) * nums[6] * dd) * dd)
+        return (6, Fraction(9 * f, 320 * d * dd * dd * rd)) if f else None
 
     pair = settled()
     if pair is None:  # each root reads its own expansion, through max_order

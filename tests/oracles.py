@@ -1,129 +1,33 @@
-"""Reference implementations that the production expansion route is tested
-against.
+"""Reference routes that the production code is tested against, one per
+object, each with the production route it shares nothing with.
 
-Each one is an independent derivation of the same coefficients:
+The resultant R(K, M, N):
 
-* ``expand_l_alpha``, ``expand_s_alpha`` and ``expand_mu_generated``: the
-  dedicated binomial double sums of the L/S families and the odd-generator
-  coefficient formula, all at half length in the even index;
-* ``expand_quotient_by_series``: the quotient means at the full order on
-  tuples of ``Fraction``, with D'(Lambda) from ``exp_recursion``,
-  ``horner_compose`` and ``series_power`` (``_derivative_at``), a
-  ``series_mul`` by Lambda', an ``integrate`` and a ``series_power``
-  inverse, where the catalog runs on integer forms with an integer
-  recurrence for cosh(alpha*Lambda), running sums for Lambda' and the
-  integral, and the even families at half the order in u**2;
-* ``c6_by_fractions``: the t^6 survivor c_6 = 9F/(320r) at the roots of the
-  t^4 pivot, with F summed term by term in Fractions as the solver's
-  docstring writes it, where the solver evaluates F*d**6 by Horner's rule on
-  the integer numerators of a_2, a_4 and a_6 over one d;
-* ``sampled_relation_eager``: the relation from boundary evidence at every
-  probe, where the solver stops at the first probe that supports the
-  asymptotic sign;
-* ``surd_approx_by_fractions``: a surd root's float value with its parts
-  mixed into float arithmetic by Fraction's operators, where
-  ``polynomials.py`` converts each part to a float once;
-* ``expand_by_composition``: the denominator series, built per family from
-  its own closed form, composed with the log-ratio series by Horner's rule
-  (cubic in the order) and inverted;
-* ``denominator_series`` and ``denominator_series_value``: D(y) as an exact
-  series from the production D'(y), and its float value through y**9, where
-  ``numeric.py`` evaluates every family by its closed form at every y;
-* ``mpmath_denominator`` and ``mpmath_mean``: D(y) and the mean at
-  mpmath precision from each family's textbook closed form, the one oracle
-  that shares no code with production (mpmath is a test-only dependency);
-  ``mpmath_resultant`` composes the same closed forms into
-  R(K, M, N)(1 - u, 1 + u) at a complex u;
-* ``boundary_by_extrapolation``: the boundary limit at (s, 1-s), s -> 0,
-  sampled at s = 1e-3..1e-8 and extrapolated by Neville's scheme in
-  1/log10(1/s), where ``numeric.py`` takes every limit from a closed form
-  and refuses inputs that have none;
-* ``mean_boundary_by_table``: the boundary limit of each family read from
-  its own table of values at D(inf) (2*|alpha|/pi, sqrt(2)/pi, ...), where
-  ``numeric.py`` takes 1/D(inf) from the one closed form of each D;
-* ``difference_form_by_horner``: one solver sample with B_p expanded and
-  run through Horner's outer step, where the solver applies B_p in closed
-  form;
-* ``coefficient_polynomial``: one t**k coefficient polynomial of the
-  solver from its own k+2 difference expansions truncated at order k, by
-  Lagrange interpolation through k+1 of them, where the solver samples one
-  band of expansions for many k and reads each polynomial and its degree
-  certificate from a forward-difference table;
-* ``coefficient_polynomials_by_interpolation``: the same band as the solver,
-  with every k interpolated through k+1 samples and evaluated at the others;
-* ``candidates_by_bands``: the solver's candidates with every root of the
-  pivot evaluated on the coefficient polynomials of sampled bands (reach 6,
-  then max_order; an even mean's even columns only), a rational root
-  exactly and a surd one by ``eval_at_root``: the column reduced modulo the
-  surd's ``minimal_polynomial``, rational when the remainder is constant,
-  otherwise a sign-certified ``SignedInterval`` enclosure, where the solver
-  reads a root from one comparison with B_r, from closed columns or from
-  one difference expansion at the root, over Q(sqrt(s)) at a surd one, and
-  samples no band;
-* ``expand_power_mean_full_order``: B_p as the binomial series of
-  (1 -/+ u)**p, averaged and raised to 1/p, each at the full order, where
-  the catalog builds the even average from integer binomials and runs one
-  recursion at half the order;
-* ``expand_power_mean_from_fractions``: the catalog's half-order route with
-  the average as Fractions and one public series_power call, where the
-  catalog runs it on integer numerators and hands them on to the solver;
-* ``stable_by_closed_slope``: the stable series solved one even order at a
-  time, one resultant on integer forms per order and the closed slope
-  1/2 + 2**(1-n) of the fixed-point step, where the catalog returns the
-  power mean B_{2 a_2 + 1};
-* ``stable_by_two_resultants``: the same fixed point with the slope of each
-  step measured by a second resultant on Fraction sequences;
-* ``resultant_mean_map``: R(K, M, N) from three expansions, or from B_p's
-  exponent as the outer mean, through ``resultant_coeffs`` or the forms of
-  the expansions, where the command line composes the catalog forms of its
-  means;
-* ``stability_defects_by_mean_map``: the stability defects M - R(M, M, M)
-  from the expansion of M and ``resultant_mean_map`` as Fractions, where
-  the solver computes no resultant: it compares M with the stable mean its
-  first coefficients name and reads the first defect from a closed slope;
-* ``binomial``: the generalized binomial coefficient, one Fraction product
-  per factor;
-* ``cauchy_product`` and ``power_recursion``: the series product and the
-  power recursion as scalar-generic loops that skip zero terms and reduce
-  every ``Fraction`` term, where the kernel runs every scalar on forms
-  (nums, den), rationals as integer numerators over a common denominator;
-* ``exp_recursion`` and ``integrate``: exp of a series with zero constant
-  term and the term-by-term antiderivative, which the engine does not need
-  (its cosh comes from an integer recurrence and its integral from a
-  running sum);
-* ``horner_compose``: composition by Horner's rule with one reduced series
-  product per step, where the kernel keeps the accumulator as a form, over
-  Q integer numerators over one denominator; ``compose_on_forms`` runs the
-  kernel's own Horner primitive from sequences, converted at the edges as
-  ``series_mul`` converts its operands;
 * ``power_table``, ``composition_sums`` and ``resultant_by_double_sums``:
-  the resultant as double sums over tables of powers, with the degenerate
-  inner means (t-coefficient -1 or +1) run on the sequence shifted to the
-  first nonzero tail coefficient, where ``resultant.py`` forms each sum as
-  one composition and needs no case split;
-* ``composition_sums_full_horner``: one composition sum on forms with
-  Horner's rule over every weight, where ``resultant.py`` runs even weights
-  W(x) = W~(x**2) over W~ in the square of the ratio;
-* ``resultant_on_fraction_tuples``: the production case and parity logic
-  with every product and power a public series function on tuples of
-  Fractions, every composition a ``compose_on_forms`` over all weights, and
-  an even outer step in u**2 at half the order when all three means are
-  even, where ``resultant.py`` converts its inputs once, runs on integer
-  numerators and composes even weights, the outer mean's included, in the
-  square of the ratio at full length;
-* ``resultant_two_sides``: the resultant with both middle compositions and
-  the outer step at full length for every input, where ``resultant.py``
-  reads one side from the other when the middle and inner means are even;
-* ``isolate_real_roots_by_divisor_search``: root isolation with the rational
-  roots found first by the rational-root candidate test over the divisors
-  of the end coefficients (``rational_roots_by_divisor_search``, integer
-  Horner on coprime candidates; it gives up on large or highly composite
-  end coefficients), checked against the rationals that the production
-  pass over the isolating intervals recognizes from degree 3 up, and the
-  roots ordered by exact comparisons of their enclosures, where
-  ``polynomials.py`` finds every rational root of degree 3 and up by
-  interval recognition alone, solves degrees 1 and 2 in closed form, and
-  keeps the order of the isolating intervals;
+  the paper's double sums over tables of powers, each term and power
+  computed only as far as it is read, with the degenerate inner means
+  (t-coefficient -1 or +1) run on the sequence shifted to the first nonzero
+  tail coefficient, where ``resultant.py`` forms each sum as one
+  composition by Horner's rule and needs no case split;
+  ``difference_by_double_sums`` takes M - R(B_p, M, B_q) from them, with B_p
+  and B_q expanded and p and q rational or in Q(sqrt(s)), where the solver
+  applies B_p in closed form;
+* ``mpmath_resultant``: R(K, M, N)(1 - u, 1 + u) from the closed forms of
+  ``mpmath_mean`` at a complex u, for the Cauchy integral of its
+  coefficients.
+
+Roots:
+
+* ``rational_roots_by_divisor_search`` (with ``divisors``): the
+  rational-root candidate test over the divisors of the end coefficients,
+  by integer Horner on coprime candidates (it gives up on large or highly
+  composite end coefficients), where ``polynomials.py`` recognizes every
+  rational root of degree 3 and up as the simplest rational of its
+  isolating interval; ``isolate_real_roots_by_divisor_search`` checks those
+  rationals against the ones the production pass recognizes, takes the
+  irrational roots from that pass, solves degrees 1 and 2 in closed form,
+  and orders the roots by exact comparisons of their enclosures, where
+  ``polynomials.py`` keeps the order of the isolating intervals;
 * ``simplest_between_by_recursion``: the simplest rational of an interval
   by one recursive call per continued-fraction term, where
   ``polynomials.py`` loops over the terms;
@@ -132,31 +36,100 @@ Each one is an independent derivation of the same coefficients:
   ``polynomials.py`` takes two Taylor shifts;
 * ``sqrt_bounds_by_bisection``: the surd enclosure by bisection, where
   ``polynomials.py`` reads the same bounds from one integer square root;
-* ``rational_roots_by_fraction_evaluation``: the same candidate test by
-  ``Fraction`` evaluation of every candidate;
-* ``extract_square_every_divisor`` and ``extract_square_odd_divisors``: the
-  square-factor search by trial division with every d, or 2 and odd d, up
-  to 10**4, where ``polynomials.py`` reads the primes that divide n twice
-  from two gcds with the product of the primes up to 10**4;
+* ``extract_square_every_divisor``: the square factors by trial division
+  with every d up to 10**4, where ``polynomials.py`` trial-divides below
+  2**18 and takes two gcds with the product of the primes up to 10**4 from
+  there on; ``surd_from_parts`` builds a surd root from its four parts with
+  it, where ``QuadraticSurdRoot.of`` builds it from its value in Q(sqrt(s));
 * ``lagrange_interpolate``: the polynomial through arbitrary points by
   Newton's divided differences over ``Fraction``, where ``polynomials.py``
   reads polynomials through equally spaced samples from integer forward
-  differences;
-* ``defect_polynomial_by_lagrange``: the stability scan's defect polynomial
-  in beta = alpha**2 from the mean-map defects, interpolated through 11
-  unequally spaced beta samples and checked at two more, where the solver
-  samples (3/8)(M - B_p) at six consecutive integers beta and reads
-  Newton's forward form.
+  differences.
 
-Except for the mpmath ones and the extrapolation they are exact, and all
-are slow; only tests use them.
+The series kernel:
+
+* ``cauchy_product``, ``power_recursion`` (an exponent in Q(sqrt(s))
+  included), ``exp_recursion``, ``integrate`` and ``horner_compose``:
+  scalar-generic loops on plain tuples that skip zero terms and reduce
+  every ``Fraction`` term, where the kernel runs every scalar on forms
+  (nums, den), rationals as integer numerators over a common denominator.
+
+The means:
+
+* ``binomial`` and ``expand_power_mean_full_order``: B_p as the binomial
+  series of (1 -/+ u)**p, averaged and raised to 1/p at the full order, p
+  rational or in Q(sqrt(s)), where the catalog builds the even average from
+  integer binomials and runs one recursion at half the order;
+* ``expand_l_alpha``, ``expand_s_alpha`` and ``expand_mu_generated``: the
+  dedicated binomial double sums of the L/S families and the odd-generator
+  coefficient formula, at half length in the even index;
+* ``expand_by_composition`` (with ``direct_denominator_series`` and
+  ``log_ratio_series``): each family's own denominator series composed with
+  the log-ratio series by Horner's rule (cubic in the order) and inverted;
+* ``expand_quotient_by_series`` (with ``denominator_series`` and
+  ``denominator_series_value``): the quotient means at the full order on
+  tuples of ``Fraction``, with D'(Lambda) from ``exp_recursion``,
+  ``horner_compose`` and ``series_power``, where the catalog runs on
+  integer forms with an integer recurrence for cosh(alpha*Lambda), running
+  sums for Lambda' and the integral, and the even families at half the
+  order in u**2;
+* ``mpmath_denominator`` and ``mpmath_mean``: D(y) and the mean at mpmath
+  precision from each family's textbook closed form, which shares no code
+  with production (mpmath is a test-only dependency);
+* ``boundary_by_extrapolation``: the boundary limit at (s, 1-s), s -> 0,
+  sampled at s = 1e-3..1e-8 and extrapolated by Neville's scheme in
+  1/log10(1/s), and ``mean_boundary_by_table``: each family's limit from
+  its own table of values at D(inf), where ``numeric.py`` takes every limit
+  from the one closed form of each D.
+
+The stable series and the solver:
+
+* ``stable_by_closed_slope`` and ``stable_by_two_resultants``: the fixed
+  point of R(M, M, M) = M solved one even order at a time, with the closed
+  slope of the fixed-point step and with the slope measured by a second
+  resultant, where the catalog returns the power mean B_{2 a_2 + 1};
+* ``coefficient_polynomial``: one t**k coefficient polynomial of the
+  difference on the locus from its own k+2 difference expansions truncated
+  at order k, by Lagrange interpolation, where the solver's band reads a
+  forward-difference table;
+* ``candidates_by_bands``: the search's candidates from one band of reach
+  max_order, the columns past the pivot evaluated exactly at each of its
+  roots, in Q or in Q(sqrt(s)), where the search reads the roots from w =
+  -c_4/r and the survivor from a comparison with a reference mean, from
+  closed columns or from one difference expansion at each root;
+* ``defect_polynomial_by_lagrange``: the stability scan's t^4 defect in
+  beta = alpha**2 from the double sums, interpolated through 11 unequally
+  spaced beta samples and checked at two more, where the scan samples a
+  closed slope formula at six consecutive integers beta.
+
+Mirrors that stay: they run production's own route, or an older body of
+it, and keep the tests that the routes above cannot take without a weaker
+assertion or more than twice the time:
+
+* ``resultant_on_fraction_tuples`` (with ``_composition_sums``,
+  ``_even_outer_step`` and ``compose_on_forms``): the production case and
+  parity logic with every product and power a public series function, for
+  the counts of a Fraction subclass's products; ``compose_on_forms`` is
+  also how the series tests reach the kernel's Horner primitive;
+* ``resultant_two_sides``: both middle compositions and the outer step at
+  full length for every parity, for the catalog triples at orders 33 to
+  48, where the double sums take 10 to 40 times as long, and for all-int
+  input, which the double sums divide to floats;
+* ``stability_defects_by_resultant``: M - R(M, M, M) from
+  ``resultant_coeffs``, for the stability checks at order 33, where the
+  double sums take about 0.1 s per mean;
+* ``surd_approx_by_fractions``: a surd root's float value with its parts
+  mixed into float arithmetic by Fraction's operators, for the bit-for-bit
+  pin of ``QuadraticSurdRoot.approx``.
+
+Except for the mpmath ones, the float ones and the extrapolation they are
+exact, and all are slow; only tests use them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import namedtuple
 from fractions import Fraction
 from typing import Sequence
 
@@ -170,7 +143,6 @@ from meanstab.catalog import (
     PowerMean,
     SAlpha,
     _denominator_derivative,
-    _power_mean_form,
     expand_mean,
 )
 from meanstab.polynomials import (
@@ -186,7 +158,7 @@ from meanstab.polynomials import (
     sign_variations,
     squarefree_part,
 )
-from meanstab.numeric import LimitReport, boundary_limit, eval_mean, eval_resultant
+from meanstab.numeric import LimitReport, eval_mean, eval_resultant
 from meanstab.rationals import ONE, ZERO, Rational
 from meanstab import resultant
 from meanstab.resultant import resultant_coeffs
@@ -194,15 +166,12 @@ from meanstab.series import (
     _forms,
     _horner_form,
     _integer_form,
-    _power_form,
-    _product_form,
     _values,
     series_mul,
     series_power,
 )
 from meanstab.solver import (
     AffineLocus,
-    BoundaryEvidence,
     OptimalCandidate,
     coefficient_polynomials,
     difference_expansion,
@@ -221,37 +190,16 @@ def binomial(r: Rational | int, k: int) -> Rational:
     return result
 
 
-def expand_power_mean_full_order(p: Rational, order: int) -> MeanExpansion:
-    """B_p from the binomial series of (1 -/+ u)**p, averaged and raised to
-    1/p at the full order; B_0 = (1 - u^2)**(1/2)."""
-    p = Fraction(p)
+def expand_power_mean_full_order(p: Rational | QuadraticField, order: int) -> tuple:
+    """The coefficients of B_p from the binomial series of (1 -/+ u)**p,
+    averaged and raised to 1/p at the full order; B_0 = (1 - u^2)**(1/2).
+    p is rational, or in Q(sqrt(s)) at a surd root."""
+    p = p if isinstance(p, QuadraticField) else Fraction(p)
     if p == 0:
-        return MeanExpansion(series_power((ONE, ZERO, -ONE), Fraction(1, 2), order))
+        return series_power((ONE, ZERO, -ONE), Fraction(1, 2), order)
     minus = series_power((ONE, -ONE), p, order)
     plus = series_power((ONE, ONE), p, order)
-    avg = tuple((a + b) / 2 for a, b in zip(minus, plus))
-    return MeanExpansion(series_power(avg, 1 / p, order))
-
-
-def expand_power_mean_from_fractions(p: Rational, order: int) -> MeanExpansion:
-    """B_p by the catalog's half-order route, with the even average built as
-    Fractions and raised to 1/p by the public series_power."""
-    p = Fraction(p)
-    half = order // 2
-    if p == 0:
-        avg, exponent = [ONE, -ONE], Fraction(1, 2)
-    else:
-        s, t = p.as_integer_ratio()
-        avg, num, den = [ONE], 1, 1
-        for m in range(1, 2 * half + 1):
-            num *= s - (m - 1) * t
-            den *= m * t
-            if m % 2 == 0:
-                avg.append(Fraction(num, den))
-        exponent = 1 / p
-    coeffs = [ZERO] * (order + 1)
-    coeffs[::2] = series_power(avg, exponent, half)
-    return MeanExpansion(tuple(coeffs))
+    return series_power(tuple((a + b) / 2 for a, b in zip(minus, plus)), 1 / p, order)
 
 
 def stable_by_closed_slope(a2: Rational, order: int) -> MeanExpansion:
@@ -288,24 +236,11 @@ def stable_by_two_resultants(a2: Rational, order: int) -> MeanExpansion:
     return MeanExpansion(tuple(coeffs))
 
 
-def resultant_mean_map(
-    outer: MeanExpansion | PowerMean, middle: MeanExpansion, inner: MeanExpansion, order: int
-) -> MeanExpansion:
-    """Expansion of R(K, M, N) to the requested order; a PowerMean outer
-    takes the closed power-mean step, an expanded one Horner's."""
-    if not isinstance(outer, PowerMean):
-        return MeanExpansion(resultant_coeffs(outer.coeffs, middle.coeffs, inner.coeffs, order))
-    forms = resultant._checked_forms(order, middle=middle.coeffs, inner=inner.coeffs)
-    return MeanExpansion(_values(*resultant._resultant(outer.p, *forms, order)))
-
-
-def stability_defects_by_mean_map(spec: MeanSpec, order: int) -> list[Rational]:
-    """The coefficients of M - R(M, M, M) through the order from the
-    expansion of M and resultant_mean_map, a power mean as the closed outer
-    step, subtracted as Fractions."""
-    exp = expand_mean(spec, order)
-    res = resultant_mean_map(spec if isinstance(spec, PowerMean) else exp, exp, exp, order)
-    return [exp.coefficient(n) - res.coefficient(n) for n in range(order + 1)]
+def stability_defects_by_resultant(spec: MeanSpec, order: int) -> list[Rational]:
+    """The coefficients of M - R(M, M, M) through the order, from the
+    expansion of M and resultant_coeffs on it, subtracted as Fractions."""
+    exp = expand_mean(spec, order).coeffs
+    return [m - r for m, r in zip(exp, resultant_coeffs(exp, exp, exp, order))]
 
 
 def _spread_even(even: Sequence[Rational], order: int) -> tuple[Rational, ...]:
@@ -627,54 +562,6 @@ def mean_boundary_by_table(spec: MeanSpec) -> float:
     raise TypeError(f"no boundary limit for {spec!r}")
 
 
-def difference_form_by_horner(m_form: tuple, p: Fraction, q: Fraction, order: int) -> tuple:
-    """M - R(B_p, M, B_q) on integer forms with B_p expanded and composed by
-    Horner's outer step."""
-    r_form = resultant._resultant(_power_mean_form(p, order), m_form, _power_mean_form(q, order), order)
-    m, r, den = resultant._common(m_form, r_form)
-    return [a - b for a, b in zip(m, r)], den
-
-
-def c6_by_fractions(a2: Rational, a4: Rational, a6: Rational) -> tuple[Rational, Rational]:
-    """F and c_6 = 9*F/(320*r), r = 2*a_2 + 1, term by term in Fractions as
-    optimal_parameters' docstring writes F."""
-    a2, a4, a6 = Fraction(a2), Fraction(a4), Fraction(a6)
-    f = (48 * a2**6 + 104 * a2**5 + 65 * a2**4 + 80 * a2**3 * a4 - 5 * a2**3
-         + 150 * a2**2 * a4 - 13 * a2**2 + 65 * a2 * a4 + 70 * a2 * a6 + a2
-         - 100 * a4**2 - 20 * a4 + 35 * a6)
-    return f, 9 * f / (320 * (2 * a2 + 1))
-
-
-def boundary_evidence_by_limits(spec: MeanSpec, p: float, q: float) -> BoundaryEvidence:
-    """The evidence at one probe from the two public limits, M's taken anew."""
-    try:
-        m_limit = boundary_limit(spec).value
-        r_limit = boundary_limit((PowerMean(p), spec, PowerMean(q))).value
-    except ValueError:
-        return BoundaryEvidence(None, None, "unavailable")
-    return BoundaryEvidence(m_limit, r_limit, "closed-form")
-
-
-def sampled_relation_eager(
-    spec: MeanSpec | None, asym: int, probes: Sequence[tuple[float, float]]
-) -> tuple[str, BoundaryEvidence | None]:
-    """The relation from boundary evidence at every probe, evaluated up
-    front, M's limit and the triple's from boundary_limit at each: the
-    first supporting probe, else the first conflicting one ("neither"),
-    else the first."""
-    base = "candidate-sub" if asym > 0 else "candidate-super"
-    if spec is None:
-        return base, None
-    evidence = [boundary_evidence_by_limits(spec, p, q) for p, q in probes]
-    supported = next((e for e in evidence if e.difference_sign == asym), None)
-    if supported is not None:
-        return base, supported
-    conflicted = next((e for e in evidence if e.difference_sign == -asym), None)
-    if conflicted is not None:
-        return "neither", conflicted
-    return base, evidence[0]
-
-
 def expand_by_composition(spec: MeanSpec, order: int) -> MeanExpansion:
     """M(x-t, x+t) = 2t / D(Lambda(u)) with D(Lambda) formed by composing the
     full denominator series with Lambda = ln((1+u)/(1-u))."""
@@ -703,98 +590,21 @@ def coefficient_polynomial(mean: MeanExpansion, k: int, locus: AffineLocus) -> U
     return poly
 
 
-def coefficient_polynomials_by_interpolation(
-    mean: MeanExpansion, locus: AffineLocus, low: int, high: int
-) -> dict[int, UniPoly]:
-    """The solver's band of reach high, with the t**k polynomial
-    interpolated through the first k+1 samples, checked for degree k-1 and
-    evaluated at the other high+1-k samples."""
-    n = high + 2
-    samples = []
-    for i in range(n):
-        p = Fraction(i - n // 2)
-        samples.append((p, difference_expansion(mean, p, locus.q_of(p), high).coeffs))
-    polys = {}
-    for k in range(low, high + 1):
-        poly = lagrange_interpolate([(p, c[k]) for p, c in samples[: k + 1]])
-        if poly.degree > k - 1 or any(poly(p) != c[k] for p, c in samples[k + 1 :]):
-            raise ArithmeticError("degree bound violated")
-        polys[k] = poly
-    return polys
-
-
-class SignedInterval(namedtuple("SignedInterval", "low high")):
-    """Certified rational enclosure of a nonzero real value."""
-
-    __slots__ = ()
-
-    @property
-    def sign(self) -> int:
-        return 1 if self.low > 0 else -1
-
-
-def minimal_polynomial(root: QuadraticSurdRoot) -> UniPoly:
-    """The polynomial c**2 x**2 - 2ac x + a**2 - b of (a +- sqrt(b))/c."""
-    a, b, c = root.add, root.radicand, root.div
-    return UniPoly((a * a - b, -2 * a * c, c * c))
-
-
-def interval_eval(p: UniPoly, lo: Rational, hi: Rational) -> tuple[Rational, Rational]:
-    """An enclosure of p over [lo, hi], by Horner's rule on intervals."""
-    acc_lo, acc_hi = ZERO, ZERO
-    for c in reversed(p.coeffs):
-        cands = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
-        acc_lo, acc_hi = min(cands) + c, max(cands) + c
-    return acc_lo, acc_hi
-
-
-def eval_at_root(p: UniPoly, root: QuadraticSurdRoot) -> Rational | SignedInterval:
-    """Value of p at a quadratic surd: exact rational when p modulo the
-    surd's minimal polynomial is constant (including exact zero), otherwise
-    a sign-certified enclosure over root.bounds(width), the width squared
-    each round from 10**-12."""
-    p = p % minimal_polynomial(root)
-    if p.degree <= 0:
-        return p.coefficient(0)
-    width = Fraction(1, 10**12)
-    for _ in range(8):
-        lo, hi = interval_eval(p, *root.bounds(width))
-        if lo > 0 or hi < 0:
-            return SignedInterval(lo, hi)
-        width = width * width
-    raise ArithmeticError(f"could not certify the sign at a root ({root.kind})")
-
-
 def candidates_by_bands(mean: MeanExpansion, max_order: int) -> list[OptimalCandidate]:
-    """The solver's candidates from sampled bands: the roots of the pivot
-    (the first nonzero t**k polynomial on the locus, k >= 3), each with the
-    first later polynomial that does not vanish at it, in root order.  The
-    first band has reach 6 (max_order, if smaller), and one more at
-    max_order opens when a column past it is asked for; an even mean's
-    difference has no odd coefficient, so past the pivot only its even
-    columns are read."""
+    """The solver's candidates from one band of reach max_order: the roots
+    of the pivot (the first nonzero t**k polynomial on the locus, k >= 3),
+    each with the first later column that does not vanish there, evaluated
+    exactly at the root, in Q or in Q(sqrt(s)); an even mean's difference
+    has no odd coefficient, so past the pivot only its even columns are
+    read."""
     locus = first_order_locus(mean)
+    polys = coefficient_polynomials(mean, locus, 3, max_order)
+    k0 = next(k for k in range(3, max_order + 1) if not polys[k].is_zero)
     step = 2 if mean.is_even else 1
-    polys: dict[int, UniPoly] = {}
-
-    def column(k: int) -> UniPoly:
-        if k not in polys:
-            reach = max_order if polys else min(max(k, 6), max_order)
-            polys.update(coefficient_polynomials(mean, locus, k, reach))
-        return polys[k]
-
-    k0 = next(k for k in range(3, max_order + 1) if not column(k).is_zero)
     candidates = []
-    for root in isolate_real_roots(column(k0)):
-        achieved, leading = None, None
-        for k in range(k0 + step, max_order + 1, step):
-            if isinstance(root, RationalRoot):
-                value = column(k)(root.value)
-            else:
-                value = eval_at_root(column(k), root)
-            if not (isinstance(value, Fraction) and value == 0):
-                achieved, leading = k, value
-                break
+    for root in isolate_real_roots(polys[k0]):
+        values = ((k, polys[k](root.value)) for k in range(k0 + step, max_order + 1, step))
+        achieved, leading = next(((k, v) for k, v in values if v != 0), (None, None))
         q = locus.q_of(root.value)
         q_root = QuadraticSurdRoot.of(q) if isinstance(q, QuadraticField) else RationalRoot(q)
         candidates.append(OptimalCandidate(root, q_root, achieved, leading))
@@ -825,7 +635,8 @@ def cauchy_product(a: Sequence, b: Sequence, order: int) -> tuple:
 
 
 def power_recursion(a: Sequence, r, order: int) -> tuple:
-    """a**r by P[n] = (1/(n*a_0)) * sum_k (k*(1+r) - n) * a_k * P[n-k]."""
+    """a**r by P[n] = (1/(n*a_0)) * sum_k (k*(1+r) - n) * a_k * P[n-k]; r
+    rational, or a value of another field such as Q(sqrt(s))."""
     a0 = a[0]
     if isinstance(r, int) or (isinstance(r, Fraction) and r.denominator == 1):
         r = int(r)
@@ -833,7 +644,6 @@ def power_recursion(a: Sequence, r, order: int) -> tuple:
     else:
         if a0 != 1:
             raise ValueError("irrational leading power")
-        r = Fraction(r)
         head = a0
     zero = _zero(a)
     fa = _padded(a, order, zero)
@@ -894,11 +704,12 @@ def compose_on_forms(outer: Sequence, inner: Sequence, order: int) -> tuple:
     return _values(*_horner_form((x[: max(len(outer), 1)], dx), y_form, order))
 
 
-def power_table(first: Sequence, ratio: Sequence, order: int) -> list[tuple]:
-    """first * ratio**n for n = 0..order; ratio may have a zero constant term."""
+def power_table(first: Sequence, ratio: Sequence, order: int, step: int = 0) -> list[tuple]:
+    """first * ratio**n for n = 0..order, or for n = 0..order // step with
+    row n through order - n*step only; ratio may have a zero constant term."""
     table = [tuple(_padded(first, order, _zero(ratio)))]
-    for _ in range(order):
-        table.append(cauchy_product(table[-1], ratio, order))
+    for n in range(1, order // step + 1 if step else order + 1):
+        table.append(cauchy_product(table[-1], ratio, order - n * step))
     return table
 
 
@@ -906,20 +717,23 @@ def composition_sums(
     weights: Sequence, g: Sequence | None, h: Sequence, z: int | None, order: int
 ) -> list:
     """out[m] = sum_n weights[n] * [g**n * h**(1-n)]_(m - n*z), term by term;
-    ``g=None`` keeps only n = 0."""
+    ``g=None`` keeps only n = 0.  The n-th term is read through order - n*z
+    only, and so are the powers it is made of."""
     zero = h[0] * 0
-    h_table = power_table(h, power_recursion(h, -1, order), order)
+    inverse = power_recursion(h, -1, order)
     out = [zero] * (order + 1)
     if g is None:
-        for m in range(order + 1):
-            out[m] = weights[0] * h_table[0][m]
+        for m, c in enumerate(_padded(h, order, _zero(inverse))):
+            out[m] = weights[0] * c
         return out
-    g_table = power_table((h[0] ** 0,), g, order)
-    for n in range(min(order // max(z, 1), len(weights) - 1) + 1):
+    step = max(z, 1)
+    h_table = power_table(h, inverse, order, step)
+    g_table = power_table((h[0] ** 0,), g, order, step)
+    for n in range(min(order // step, len(weights) - 1) + 1):
         w = weights[n]
         if w == 0:
             continue
-        conv = cauchy_product(g_table[n], h_table[n], order)
+        conv = cauchy_product(g_table[n], h_table[n], order - n * z)
         for m in range(n * z, order + 1):
             out[m] = out[m] + w * conv[m - n * z]
     return out
@@ -952,14 +766,6 @@ def resultant_by_double_sums(
     s = [a_side[j] + b_side[j] for j in range(order + 1)]
     combined = composition_sums(outer, d, s, 1, order)
     return tuple(c * Fraction(1, 4) for c in combined)
-
-
-def composition_sums_full_horner(weights: tuple, g: tuple, h: tuple, order: int) -> tuple:
-    """h * W(u * g / h) on forms of one field, with Horner's rule over every
-    weight in the ratio u * g / h, even weights included."""
-    gs, den = g
-    ratio = _product_form(([h[0][0] * 0] + list(gs), den), _power_form(h, -1, order), order)
-    return _product_form(h, _horner_form(weights, ratio, order), order)
 
 
 def _composition_sums(weights: Sequence, g: Sequence, h: Sequence, order: int) -> tuple:
@@ -1032,6 +838,14 @@ def resultant_two_sides(outer: Sequence, middle: Sequence, inner: Sequence, orde
     return tuple(c * Fraction(1, 4) for c in combined)
 
 
+def difference_by_double_sums(mean: Sequence, p, q, order: int) -> list:
+    """M - R(B_p, M, B_q) through the order from the double sums, with B_p
+    and B_q from expand_power_mean_full_order, p and q rational or in one
+    Q(sqrt(s))."""
+    bp, bq = (expand_power_mean_full_order(x, order) for x in (p, q))
+    return [m - r for m, r in zip(mean[: order + 1], resultant_by_double_sums(bp, mean, bq, order))]
+
+
 def lagrange_interpolate(
     points: Sequence[tuple[Rational | int, Rational | int]],
 ) -> UniPoly:
@@ -1066,10 +880,10 @@ def defect_polynomial_by_lagrange(make_spec, index: int) -> UniPoly:
     """The t**index stability defect of the family as a polynomial in
     beta = alpha**2, through the first 11 of the 13 ``SCAN_ALPHAS`` and
     checked at the last two."""
-    points = [
-        (alpha * alpha, stability_defects_by_mean_map(make_spec(alpha), index)[index])
-        for alpha in SCAN_ALPHAS
-    ]
+    points = []
+    for alpha in SCAN_ALPHAS:
+        c = expand_mean(make_spec(alpha), index).coeffs
+        points.append((alpha * alpha, c[index] - resultant_by_double_sums(c, c, c, index)[index]))
     poly = lagrange_interpolate(points[:-2])
     for beta, value in points[-2:]:
         if poly(beta) != value:
@@ -1230,35 +1044,6 @@ def _compare_roots(a: Root, b: Root) -> int:
         width *= width
 
 
-def rational_roots_by_fraction_evaluation(g: UniPoly) -> tuple[list[Rational], bool]:
-    """The rational roots of a square-free g and whether the search was
-    complete, evaluating g at every candidate +-p/q as a Fraction."""
-    scale = math.lcm(*(c.denominator for c in g.coeffs))
-    ints = [int(c * scale) for c in g.coeffs]
-    roots: list[Rational] = []
-    shift = 0
-    while ints[shift] == 0:
-        shift += 1
-    if shift:
-        roots.append(ZERO)
-        ints = ints[shift:]
-    if len(ints) <= 1:
-        return roots, True
-    num_divs = divisors(ints[0])
-    den_divs = divisors(ints[-1])
-    if num_divs is None or den_divs is None or len(num_divs) * len(den_divs) > DIVISOR_CAP:
-        return roots, False
-    seen = set()
-    for p in num_divs:
-        for q in den_divs:
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand not in seen:
-                    seen.add(cand)
-                    if g(cand) == 0:
-                        roots.append(cand)
-    return roots, True
-
-
 def extract_square_every_divisor(n: int) -> tuple[int, int]:
     """n = f*f*core with f collected by trying every d up to 10**4."""
     root = math.isqrt(n)
@@ -1295,21 +1080,6 @@ def surd_approx_by_fractions(root: QuadraticSurdRoot) -> float:
         return float(root.add + sqrt) / float(root.div)
     # add and sqrt of opposite signs: this form of the value does not cancel
     return float(root.add * root.add - root.radicand) / (root.div * (root.add - sqrt))
-
-
-def extract_square_odd_divisors(n: int) -> tuple[int, int]:
-    """n = f*f*core with f collected by trying 2 and every odd d up to 10**4."""
-    root = math.isqrt(n)
-    if root * root == n:
-        return root, 1
-    f, core = 1, n
-    d = 2
-    while d <= 10_000 and d * d <= core:
-        while core % (d * d) == 0:
-            core //= d * d
-            f *= d
-        d += 1 if d == 2 else 2
-    return f, core
 
 
 def descartes_count_by_products(p: UniPoly, a: Rational, b: Rational) -> int:

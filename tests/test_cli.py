@@ -290,17 +290,17 @@ class TestOtherCommands:
 
     def test_resultant_outer_and_inner_inline(self, capsys):
         from meanstab.catalog import M1, PowerMean, SAlpha, expand_mean
-        from oracles import resultant_mean_map
+        from oracles import resultant_by_double_sums
 
         report = run_json(
             capsys, "resultant", "--mean", "M1", "--outer", "salpha:1/2",
             "--inner", "powermean:1/3", "--order", "6",
         )
         assert (report["outer"], report["inner"]) == ("S_1/2", "B_1/3")
-        expected = resultant_mean_map(
-            *(expand_mean(spec, 6) for spec in (SAlpha(F(1, 2)), M1, PowerMean(F(1, 3)))), 6
+        expected = resultant_by_double_sums(
+            *(expand_mean(spec, 6).coeffs for spec in (SAlpha(F(1, 2)), M1, PowerMean(F(1, 3)))), 6
         )
-        assert coefficient_map(report) == dict(enumerate(expected.coeffs))
+        assert coefficient_map(report) == dict(enumerate(expected))
 
     def test_inline_parameters_match_the_options(self, capsys):
         inline = run_json(capsys, "expand", "--mean", "malphar:-1/3,3", "--order", "6")

@@ -8,17 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    SignedInterval,
     descartes_count_by_products,
-    eval_at_root,
     extract_square_every_divisor,
-    extract_square_odd_divisors,
-    interval_eval,
     isolate_real_roots_by_divisor_search,
     lagrange_interpolate,
-    minimal_polynomial,
     rational_roots_by_divisor_search,
-    rational_roots_by_fraction_evaluation,
     simplest_between_by_recursion,
     sqrt_bounds_by_bisection,
     surd_approx_by_fractions,
@@ -298,7 +292,7 @@ class TestRootIsolation:
         assert (low.add, low.sign, low.radicand, low.div) == (F(5), -1, F(17), F(2))
         assert (high.add, high.sign, high.radicand, high.div) == (F(5), 1, F(17), F(2))
         for r in roots:
-            assert poly(2, -5, 1) % minimal_polynomial(r) == UniPoly.zero()
+            assert poly(2, -5, 1)(r.value) == 0
 
     def test_surd_canonicalization(self):
         roots = isolate_real_roots(poly(F(-209, 81), 0, 1))
@@ -425,21 +419,28 @@ class TestRootIsolation:
             assert [r.value for r in roots] == [F(v) for v in vals]
 
 
+def shifted_bounds(root, c, width):
+    """The enclosure of root - c from root.bounds(width)."""
+    return tuple(b - c for b in root.bounds(width))
+
+
 class TestEvalAtRoot:
-    """The oracle's evaluation at a surd, which the band route of
-    oracles.candidates_by_bands reads."""
+    """A polynomial at a surd root, evaluated exactly at the root's value
+    in Q(sqrt(s)), whose sign the field certifies, with the enclosures of
+    the root that bounds(width) gives."""
 
     def test_surd_exact_even_part(self):
         root = isolate_real_roots(poly(-17, 0, 1))[1]  # +sqrt(17)
         # an even polynomial evaluates to a rational at +-sqrt(17)
-        assert eval_at_root(poly(-2, 0, 1), root) == 15
+        assert poly(-2, 0, 1)(root.value) == 15
 
     def test_surd_sign_certified(self):
         root = isolate_real_roots(poly(-2, 0, 1))[1]  # sqrt(2) = 1.414...
-        val = eval_at_root(poly(-1, 1), root)  # sqrt(2) - 1 > 0
-        assert isinstance(val, SignedInterval)
+        val = poly(-1, 1)(root.value)  # sqrt(2) - 1 > 0
+        assert isinstance(val, QuadraticField)
         assert val.sign == 1
-        assert float(val.low) <= 2**0.5 - 1 <= float(val.high)
+        low, high = shifted_bounds(root, 1, F(1, 10**12))
+        assert float(low) <= 2**0.5 - 1 <= float(high)
 
     @pytest.mark.parametrize(
         ("quadratic", "low", "high"),
@@ -453,26 +454,30 @@ class TestEvalAtRoot:
     )
     def test_surd_enclosure_is_pinned(self, quadratic, low, high):
         root = isolate_real_roots(quadratic)[1]
-        assert eval_at_root(poly(-1, 1), root) == SignedInterval(low, high)
+        assert shifted_bounds(root, 1, F(1, 10**12)) == (low, high)
+        assert poly(-1, 1)(root.value).sign == 1
 
     def test_sign_certified_in_a_later_round(self):
         # c is sqrt(2) rounded down to 25 digits, so x - c is positive and
         # below 10**-25 at sqrt(2): its enclosure over a 10**-12 wide
-        # enclosure of sqrt(2) contains 0, and a later round certifies the
-        # sign.
+        # enclosure of sqrt(2) contains 0, a later round, the width squared
+        # each round, certifies the sign, and so does the field.
         root = isolate_real_roots(poly(-2, 0, 1))[1]
         c = F(math.isqrt(2 * 10**50), 10**25)
         assert c * c < 2 < (c + F(1, 10**25)) ** 2
-        p = poly(-c, 1)
-        lo, hi = interval_eval(p, *root.bounds(F(1, 10**12)))
+        lo, hi = shifted_bounds(root, c, F(1, 10**12))
         assert lo < 0 < hi
-        val = eval_at_root(p, root)
-        assert isinstance(val, SignedInterval) and val.sign == 1
-        assert val.high - val.low < F(1, 10**20)
+        val = poly(-c, 1)(root.value)
+        assert isinstance(val, QuadraticField) and val.sign == 1
+        width = F(1, 10**12)
+        while lo <= 0 <= hi:
+            width *= width
+            lo, hi = shifted_bounds(root, c, width)
+        assert lo > 0 and hi - lo < F(1, 10**20)
 
     def test_surd_exact_zero(self):
         root = isolate_real_roots(poly(2, -5, 1))[0]
-        assert eval_at_root(poly(2, -5, 1) * poly(3, 1), root) == 0
+        assert (poly(2, -5, 1) * poly(3, 1))(root.value) == 0
 
     def test_bisection_lands_on_the_root(self):
         # The first midpoint of (0, 1) is the root 1/2 itself: bisection
@@ -584,7 +589,7 @@ class TestQuadraticField:
             value = root.value
             assert isinstance(value, QuadraticField) and value.s == root.radicand
             assert value.sign == (1 if root.approx() > 0 else -1)
-            assert minimal_polynomial(root)(value) == 0
+            assert poly(*quadratic)(value) == 0
             assert type(poly(*quadratic)(value)) is F
 
 
@@ -842,7 +847,6 @@ class TestRootSearchAgainstOracles:
             p = p * poly(*coeffs)
         g = squarefree_part(p)
         roots, complete = rational_roots_by_divisor_search(g)
-        assert (roots, complete) == rational_roots_by_fraction_evaluation(g)
         assert complete
         assert sorted(roots) == sorted({F(b, a) for a, b in factors})
         found = [r.value for r in isolate_real_roots(p) if isinstance(r, RationalRoot)]
@@ -859,9 +863,9 @@ class TestRootSearchAgainstOracles:
         st.sampled_from((1, 2, 3, 9, 9967, 9973, 10007, 9999991)),
     )
     def test_extract_square_against_odd_trial_division(self, k, factor):
-        # The parent search: 2 and odd d up to 10**4; 10007**2 stays in core.
+        # Trial division up to 10**4; 10007**2 stays in core.
         for n in (k, k * factor * factor):
-            assert _extract_square(n) == extract_square_odd_divisors(n)
+            assert _extract_square(n) == extract_square_every_divisor(n)
 
     @pytest.mark.parametrize("k", [2, 3, 6, 9973, 2 * 9973 + 1, 10**6 + 3])
     def test_extract_square_of_a_large_prime_square(self, k):

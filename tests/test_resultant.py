@@ -27,9 +27,7 @@ from meanstab.series import _integer_form, _values
 from meanstab.solver import first_order_locus
 from oracles import (
     composition_sums,
-    composition_sums_full_horner,
     resultant_by_double_sums,
-    resultant_mean_map,
     resultant_on_fraction_tuples,
     resultant_two_sides,
 )
@@ -70,6 +68,13 @@ def a3_closed(k, m, n):
         + 8 * m2 * (k1 - n1) * (n1 * n1 - 4 * n2 - 1)
         - 8 * m3 * (k1 * n1 * (3 + n1 * n1) - 3 * n1 * n1 - 1)
     ) / 64
+
+
+def closed_outer_step(p, middle, inner, order):
+    """R(B_p, M, N) by the closed power-mean outer step, from the
+    coefficient sequences of M and N."""
+    forms = resultant._checked_forms(order, middle=middle, inner=inner)
+    return _values(*resultant._resultant(F(p), *forms, order))
 
 
 def random_coeffs(rng, order, a1_forbidden=()):
@@ -154,17 +159,14 @@ class TestPowerMeanSpecialization:
 
 class TestIdentities:
     def test_all_arithmetic_gives_arithmetic(self):
-        a = expand_power_mean(F(1), 8)
-        r = resultant_mean_map(a, a, a, 8)
-        assert r.coeffs == a.coeffs
+        a = expand_power_mean(F(1), 8).coeffs
+        assert resultant_coeffs(a, a, a, 8) == a
 
     def test_log_mean_sandwiches(self):
-        log = expand_mean(SAlpha(F(0)), 12)
-        a = expand_power_mean(F(1), 12)
-        g = expand_power_mean(F(0), 12)
-        h = expand_power_mean(F(-1), 12)
-        assert resultant_mean_map(a, log, g, 12).coeffs == log.coeffs
-        assert resultant_mean_map(h, log, a, 12).coeffs == log.coeffs
+        log = expand_mean(SAlpha(F(0)), 12).coeffs
+        a, g, h = (expand_power_mean(F(p), 12).coeffs for p in (1, 0, -1))
+        assert resultant_coeffs(a, log, g, 12) == log
+        assert resultant_coeffs(h, log, a, 12) == log
 
     def test_even_closure(self):
         rng = random.Random(53)
@@ -218,9 +220,7 @@ class TestNumericCoefficientFit:
 
     def test_mixed_triple(self):
         triple = (PowerMean(F(1)), M1, PowerMean(F(3)))
-        exact = resultant_mean_map(
-            *(expand_mean(s, 8) for s in triple), 8
-        )
+        exact = MeanExpansion(resultant_coeffs(*(expand_mean(s, 8).coeffs for s in triple), 8))
         xs = [1e3, 1e4, 1e5]
         fitted = _fit_coefficients(triple, [1, 2, 3], 1.0, xs)
         for n, value, tol in zip([1, 2, 3], fitted, (1e-4, 1e-4, 5e-2)):
@@ -229,9 +229,7 @@ class TestNumericCoefficientFit:
 
     def test_even_triple(self):
         triple = (PowerMean(F(2)), SAlpha(F(0)), PowerMean(F(1, 2)))
-        exact = resultant_mean_map(
-            *(expand_mean(s, 10) for s in triple), 10
-        )
+        exact = MeanExpansion(resultant_coeffs(*(expand_mean(s, 10).coeffs for s in triple), 10))
         # two-node fit pins c2, c4 cleanly
         fitted = _fit_coefficients(triple, [2, 4], 10.0, [1e3, 1e4])
         for n, value, tol in zip([2, 4], fitted, (1e-4, 1e-4)):
@@ -482,13 +480,15 @@ def even_means(draw, order):
 class TestParityRoute:
     """Even middle and inner means take one middle composition and reflect
     it for the other side, and an even outer mean runs Horner in the square
-    of its ratio; the results equal the three full-length compositions of
-    the general route, type for type."""
+    of its ratio; the results equal the double sums, type for type, and at
+    the catalog's long orders the three full-length compositions of the
+    general route, where the double sums would take 10 to 40 times as
+    long, and for all-int input."""
 
     @staticmethod
-    def check(outer, middle, inner, order):
+    def check(outer, middle, inner, order, oracle=resultant_by_double_sums):
         out = resultant_coeffs(outer, middle, inner, order)
-        reference = resultant_two_sides(outer, middle, inner, order)
+        reference = oracle(outer, middle, inner, order)
         assert out == reference
         assert [type(c) for c in out] == [type(c) for c in reference]
 
@@ -500,10 +500,13 @@ class TestParityRoute:
 
     @pytest.mark.parametrize("order", [0, 1, 2, 7])
     def test_all_int_inputs(self, order):
+        # The double sums divide ints to floats, so the general route types
+        # all-int input.
         even = [1, 0, 2, 0, -1, 0, 3, 0][: order + 1]
         mixed = [1, 1, -2, 3, 0, 1, 2, -1][: order + 1]
+        inner = [1, 0, -1, 0, 2, 0, 1, 0][: order + 1]
         for outer in (even, mixed):
-            self.check(outer, even, [1, 0, -1, 0, 2, 0, 1, 0][: order + 1], order)
+            self.check(outer, even, inner, order, resultant_two_sides)
 
     @pytest.mark.parametrize(
         "names",
@@ -517,10 +520,11 @@ class TestParityRoute:
     def test_catalog_triple_at_order_48(self, names):
         order = 48
         specs = [ALIASES[n] if isinstance(n, str) else n for n in names]
-        self.check(*(expand_mean(spec, order).coeffs for spec in specs), order)
+        self.check(*(expand_mean(spec, order).coeffs for spec in specs), order, resultant_two_sides)
 
     def test_m4_l_m2_at_order_40(self):
-        self.check(*(expand_mean(spec, 40).coeffs for spec in (M4, ALIASES["L"], M2)), 40)
+        triple = (expand_mean(spec, 40).coeffs for spec in (M4, ALIASES["L"], M2))
+        self.check(*triple, 40, resultant_two_sides)
 
     @pytest.mark.parametrize("order", [1, 3, 9])
     @pytest.mark.parametrize("even_outer", [True, False])
@@ -536,7 +540,7 @@ class TestParityRoute:
         outer = even if even_outer else almost
         for middle, inner in ((even, almost), (almost, even)):
             out = resultant_coeffs(outer, middle, inner, order)
-            assert out == resultant_two_sides(outer, middle, inner, order)
+            assert out == resultant_by_double_sums(outer, middle, inner, order)
             assert out[order] != 0
 
 
@@ -561,7 +565,7 @@ class TestEvenInnerRoute:
         specs = [ALIASES[n] if isinstance(n, str) else n for n in names]
         outer, middle, inner = (expand_mean(spec, order).coeffs for spec in specs)
         assert any(middle[1::2]) and not any(inner[1::2])
-        TestParityRoute.check(outer, middle, inner, order)
+        TestParityRoute.check(outer, middle, inner, order, resultant_two_sides)
 
     @pytest.mark.parametrize("q", [F(0), F(1, 3), F(-1)], ids=str)
     @pytest.mark.parametrize("p", [F(0), F(1), F(-2), F(3, 2)], ids=str)
@@ -570,7 +574,7 @@ class TestEvenInnerRoute:
         order = 24
         m5, b_q = expand_mean(M5, order), expand_power_mean(q, order)
         out = resultant_power_means(p, q, m5, order)
-        assert out == resultant_mean_map(PowerMean(p), m5, b_q, order)
+        assert out.coeffs == closed_outer_step(p, m5.coeffs, b_q.coeffs, order)
         outer = expand_power_mean(p, order).coeffs
         assert out.coeffs == resultant_two_sides(outer, m5.coeffs, b_q.coeffs, order)
 
@@ -602,12 +606,12 @@ class TestEvenInnerRoute:
             monkeypatch, middle, inner, order
         )
         assert powers == [-1] and valuations == [2, 2]
-        # Each side against its own composition on tuples of Fractions.
+        # Each side against its own double sum.
         one, tail = inner[0], list(inner[2:])
         g, h = [one + inner[1]] + tail, [one + one, inner[1] - one] + tail
         gt, ht = [one - inner[1]] + [-c for c in tail], [one + one, inner[1] + one] + tail
-        assert _values(*b_side) == oracles._composition_sums(middle, g, h, order)
-        assert _values(*a_side) == oracles._composition_sums(middle, gt, ht, order)
+        assert list(_values(*b_side)) == composition_sums(middle, g, h, 1, order)
+        assert list(_values(*a_side)) == composition_sums(middle, gt, ht, 1, order)
 
     def test_even_middle_still_reflects(self, monkeypatch):
         order = 12
@@ -621,9 +625,11 @@ class TestEvenInnerRoute:
 
 class TestIntegerFormBody:
     """resultant_coeffs converts rational inputs once and runs on integer
-    numerators; it equals the oracle on tuples of Fractions through the
-    public series functions, which composes a mixed middle mean twice,
-    type for type, and any other scalar still takes those functions."""
+    numerators; it equals the double sums, type for type.  Any other
+    scalar still takes the generic forms: every product of a Fraction
+    subclass is its own, counted against the oracle on tuples of Fractions
+    through the public series functions, which composes a mixed middle mean
+    twice."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -640,7 +646,7 @@ class TestIntegerFormBody:
         if inner_kind == "degenerate" and order >= 1:
             inner[1] = data.draw(st.sampled_from((F(1), F(-1), 1, -1)))
         out = resultant_coeffs(outer, middle, inner, order)
-        reference = resultant_on_fraction_tuples(outer, middle, inner, order)
+        reference = resultant_by_double_sums(outer, middle, inner, order)
         assert type(out) is tuple
         assert out == reference
         assert [type(c) for c in out] == [type(c) for c in reference]
@@ -707,9 +713,9 @@ class TestIntegerFormBody:
 
 class TestEvenWeights:
     """Even weights W(x) = W~(x**2) run Horner's rule over W~ in the square
-    of the ratio u * g / h; the composition sum equals Horner over every
-    weight, over Q, a Fraction subclass and Laurent germs, degenerate inner
-    means included."""
+    of the ratio u * g / h; the composition sum equals the double sum over
+    power tables, over Q, a Fraction subclass and Laurent germs, degenerate
+    inner means included."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -728,7 +734,8 @@ class TestEvenWeights:
         )
         forms = [_integer_form(seq, order) for seq in (weights, g, h)]
         out = resultant._composition_sums(*forms, order)
-        assert out == composition_sums_full_horner(*forms, order)
+        reference = composition_sums(weights, None if degenerate else g, h, 1, order)
+        assert out == _integer_form(reference, order)
 
     def test_over_a_fraction_subclass(self):
         class Sub(F):
@@ -739,10 +746,9 @@ class TestEvenWeights:
         for _ in range(20):
             weights, g, h = (random_coeffs(rng, order) for _ in range(3))
             weights[1::2] = [F(0)] * len(weights[1::2])
-            forms = [([Sub(c) for c in seq], F(1)) for seq in (weights, g, h)]
-            out, den = resultant._composition_sums(*forms, order)
-            reference, ref_den = composition_sums_full_horner(*forms, order)
-            assert den == ref_den == 1 and out == reference
+            subs = [[Sub(c) for c in seq] for seq in (weights, g, h)]
+            out, den = resultant._composition_sums(*((seq, F(1)) for seq in subs), order)
+            assert den == 1 and out == composition_sums(*subs, 1, order)
 
     @pytest.mark.parametrize("target", [F(1), F(-1)], ids=["n1=+1", "n1=-1"])
     @pytest.mark.parametrize("middle", [M2, ALIASES["L"], ALIASES["G"]], ids=["M2", "L", "G"])
@@ -755,12 +761,12 @@ class TestEvenWeights:
         one, n1, tail = inner[0], inner[1], inner[2:]
         # the side whose leading term vanishes at n1 = target
         if target > 0:
-            g, h = ([one - n1] + [-c for c in tail], F(1)), ([one + one, n1 + one] + tail, F(1))
+            g, h = [one - n1] + [-c for c in tail], [one + one, n1 + one] + tail
         else:
-            g, h = ([one + n1] + tail, F(1)), ([one + one, n1 - one] + tail, F(1))
-        weights = ([lift(c) for c in expand_mean(middle, order).coeffs], F(1))
-        out, _ = resultant._composition_sums(weights, g, h, order)
-        reference, _ = composition_sums_full_horner(weights, g, h, order)
+            g, h = [one + n1] + tail, [one + one, n1 - one] + tail
+        weights = [lift(c) for c in expand_mean(middle, order).coeffs]
+        out, _ = resultant._composition_sums((weights, F(1)), (g, F(1)), (h, F(1)), order)
+        reference = composition_sums(weights, g, h, 1, order)
         assert [(c.val, c.coeffs, c.floor) for c in out] == [
             (c.val, c.coeffs, c.floor) for c in reference
         ]
@@ -771,9 +777,7 @@ class TestEvenWeights:
         order = 12
         triple = [expand_mean(spec, order).coeffs for spec in (M4, middle, inner)]
         assert resultant_case(MeanExpansion(triple[2])) in (2, 3)
-        out = resultant_coeffs(*triple, order)
-        assert out == resultant_by_double_sums(*triple, order)
-        assert out == resultant_on_fraction_tuples(*triple, order)
+        assert resultant_coeffs(*triple, order) == resultant_by_double_sums(*triple, order)
 
 
 class TestMixedScalars:
@@ -836,9 +840,7 @@ class TestClosedPowerOuterStep:
     def test_against_the_horner_route(self, data, order, p, even_middle, inner_kind):
         middle = data.draw(even_means(order) if even_middle else means(order))
         inner = data.draw(inner_means(order, inner_kind))
-        out = resultant_mean_map(
-            PowerMean(p), MeanExpansion(tuple(middle)), MeanExpansion(tuple(inner)), order
-        ).coeffs
+        out = closed_outer_step(p, middle, inner, order)
         reference = resultant_coeffs(expand_power_mean(p, order).coeffs, middle, inner, order)
         assert out == reference
         assert [type(c) for c in out] == [type(c) for c in reference]
@@ -880,11 +882,11 @@ class TestClosedPowerOuterStep:
         horner = _values(*resultant._resultant(outer, *forms, order))
         at_target = list(expand_mean(M1, order).coeffs)
         at_target[1] = target
-        direct = resultant_mean_map(
-            PowerMean(p), expand_mean(middle, order), MeanExpansion(tuple(at_target)), order
+        direct = resultant_by_double_sums(
+            expand_power_mean(p, order).coeffs, expand_mean(middle, order).coeffs, at_target, order
         )
         assert all(type(c) is LaurentScalar for c in closed)
-        assert [c.limit() for c in closed] == [c.limit() for c in horner] == list(direct.coeffs)
+        assert [c.limit() for c in closed] == [c.limit() for c in horner] == list(direct)
 
 
 # R(B_-13/6, S_3/7, B_q*) at the point of the first-order locus of S_3/7.
@@ -918,8 +920,8 @@ class TestResultantByCauchyIntegral:
         order = 24
         outer, middle, inner = triple
         m, n = expand_mean(middle, order), expand_mean(inner, order)
-        closed = resultant_mean_map(outer, m, n, order)
-        horner = resultant_mean_map(expand_mean(outer, order), m, n, order)
+        closed = MeanExpansion(closed_outer_step(outer.p, m.coeffs, n.coeffs, order))
+        horner = MeanExpansion(resultant_coeffs(expand_mean(outer, order).coeffs, m.coeffs, n.coeffs, order))
         assert_cauchy_coefficients(
             mpmath, lambda u: oracles.mpmath_resultant(outer, middle, inner, u), radius, closed, horner
         )

@@ -37,7 +37,7 @@ from meanstab.polynomials import (
     isolate_real_roots,
 )
 from meanstab.resultant import resultant_coeffs
-from meanstab.series import _integer_form, _values
+from meanstab.series import _forms, _integer_form, _values
 from meanstab.solver import (
     coefficient_polynomials,
     difference_expansion,
@@ -69,17 +69,29 @@ class TestDifferenceExpansion:
         assert diff.first_nonzero == 2
         assert diff.coeffs[diff.first_nonzero] > 0  # (5 - 0 - 0)/8
 
+    @pytest.mark.parametrize("surd_q", [False, True], ids=["surd-p", "surd-q"])
+    def test_one_operand_in_a_quadratic_field(self, surd_q):
+        # the rational operand is lifted into Q(sqrt(2))
+        mean = expand_mean(SAlpha(F(1, 2)), 8)
+        surd, rational = QuadraticField(F(0), F(1), F(2)), F(1, 3)
+        p, q = (rational, surd) if surd_q else (surd, rational)
+        diff = difference_expansion(mean, p, q, 8)
+        assert list(diff.coeffs) == oracles.difference_by_double_sums(mean.coeffs, p, q, 8)
+        assert any(isinstance(c, QuadraticField) for c in diff.coeffs)
+        assert (diff.p, diff.q) == (p, q)
+        # the same with the surd's parts given as ints
+        plain = [QuadraticField(0, 1, 2) if x is surd else x for x in (p, q)]
+        assert difference_expansion(mean, *plain, 8) == diff
+
 
 class TestDifferenceOnIntegerForms:
     """difference_expansion runs B_p, B_q, the resultant and the difference
-    on integer numerators; it equals mean - R(B_p, M, B_q) in Fractions."""
+    on integer numerators; it equals mean - R(B_p, M, B_q) by the double
+    sums."""
 
     @staticmethod
     def reference(mean, p, q, order):
-        bp = oracles.expand_power_mean_from_fractions(p, order).coeffs
-        bq = oracles.expand_power_mean_from_fractions(q, order).coeffs
-        res = oracles.resultant_on_fraction_tuples(bp, mean.coeffs, bq, order)
-        return tuple(m - r for m, r in zip(mean.coeffs, res))
+        return tuple(oracles.difference_by_double_sums(mean.coeffs, p, q, order))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -263,7 +275,7 @@ class TestCoefficientPolynomial:
     def test_certificate_agrees_with_interpolation(self, monkeypatch, excess):
         # Adding p^(k-1) to column k keeps every sample on a polynomial of
         # degree k-1; adding p^k does not.  The forward-difference band and
-        # the interpolating band of the oracle accept and reject alike.
+        # the oracle's interpolation of each column accept and reject alike.
         m = expand_mean(M2, 8)
         locus = first_order_locus(m)
         clean = coefficient_polynomials(m, locus, 4, 8)
@@ -271,12 +283,17 @@ class TestCoefficientPolynomial:
         k = 6
 
         def bent(m_form, p, q, order):
-            return shifted(real(m_form, p, q, order), k, p ** (k - 1 + excess))
+            form = real(m_form, p, q, order)
+            return shifted(form, k, p ** (k - 1 + excess)) if order >= k else form
 
-        # The oracle's difference_expansion reads its samples through the
-        # same private function.
+        # The oracle's difference_expansion reads its samples, truncated at
+        # each column, through the same private function.
         monkeypatch.setattr(solver, "_difference_form", bent)
-        routes = (coefficient_polynomials, oracles.coefficient_polynomials_by_interpolation)
+
+        def by_columns(m, locus, low, high):
+            return {j: oracles.coefficient_polynomial(m, j, locus) for j in range(low, high + 1)}
+
+        routes = (coefficient_polynomials, by_columns)
         if excess:
             for route in routes:
                 with pytest.raises(ArithmeticError, match="degree bound violated"):
@@ -382,8 +399,10 @@ class TestOrderBands:
         # 0, over Q(sqrt(s)) at a surd root too
         assert all(not any(nums[1::2]) for nums, _ in forms)
         if spec is None:
-            # t^4 is a closed column, and t^5 and t^6 vanish at the surd roots
-            assert orders == [max_order] * 2 * (max_order > 3)
+            # t^4 is a closed column, and t^5 and t^6 vanish at the surd
+            # roots: they take their expansions from max_order 6 on, and
+            # below it nothing survives through max_order
+            assert orders == [max_order] * 2 * (max_order >= 6)
         elif max_order >= 6:
             # a power mean's pivot roots are identity points, and the other
             # means' roots read t^6 in closed form: no expansion at all
@@ -469,12 +488,10 @@ class TestLeavingG:
         if order > 8:
             return
         # the double sums on independently expanded power means
-        m = mean.coeffs[: order + 1]
         for _ in range(2):
             p = data.draw(st.fractions(-3, 3, max_denominator=6))
-            bp, bq = (oracles.expand_power_mean_from_fractions(x, order).coeffs for x in (p, -p / 2))
-            r = oracles.resultant_by_double_sums(bp, m, bq, order)
-            assert [a - b for a, b in zip(m[: top + 1], r)] == expected
+            diff = oracles.difference_by_double_sums(mean.coeffs, p, -p / 2, order)
+            assert diff[: top + 1] == expected
 
 
 class TestClosedColumns:
@@ -587,11 +604,8 @@ class TestIdentityPoints:
         if order > 8:
             return
         # the double sums on independently expanded power means
-        m = mean.coeffs[: order + 1]
         for cand in candidates:
-            bp, bq = (oracles.expand_power_mean_from_fractions(x, order).coeffs
-                      for x in (cand.p.value, cand.q.value))
-            diff = [a - b for a, b in zip(m, oracles.resultant_by_double_sums(bp, m, bq, order))]
+            diff = oracles.difference_by_double_sums(mean.coeffs, cand.p.value, cand.q.value, order)
             first = next((k for k, d in enumerate(diff) if d), None)
             assert (first, None if first is None else diff[first]) == expected
 
@@ -920,12 +934,8 @@ class TestExpansionOverTheQuadraticField:
         assert [(c.p, c.q, c.achieved_order) for c in candidates] == [
             (c.p, c.q, c.achieved_order) for c in expected]
         for got, band in zip(candidates, expected):
-            if isinstance(band.leading, oracles.SignedInterval):
-                # the exact value lies in the band's enclosure
-                assert (got.leading - band.leading.low).sign == 1
-                assert (band.leading.high - got.leading).sign == 1
-            else:
-                assert got.leading == band.leading and type(got.leading) is F
+            # the exact value, rational or in Q(sqrt(s))
+            assert got.leading == band.leading and type(got.leading) is type(band.leading)
 
 
 class TestClosedT5AndT6:
@@ -977,18 +987,33 @@ class TestClosedT5AndT6:
             else:
                 assert c.achieved_order is None or c.achieved_order > 6
 
+    @pytest.mark.parametrize("max_order", [4, 5])
+    @pytest.mark.parametrize("name", ["S3/7", "P", "A-shifted-even"])
+    def test_nothing_survives_below_t6(self, name, max_order):
+        # at max_order 4, or 5 with a_5 = 0, t^2, t^3, the pivot and t^5
+        # vanish at both roots, surd or rational: no expansion is taken
+        mean = {"S3/7": lambda: expand_mean(SAlpha(F(3, 7)), max_order),
+                "P": lambda: expand_mean(ALIASES["P"], max_order),
+                "A-shifted-even": lambda: _shifted_a(5, 0).truncated(max_order)}[name]()
+        with pytest.MonkeyPatch.context() as mp:
+            for route in self.CLOSED:
+                mp.setattr(solver, route, None)
+            verdict = optimal_parameters(mean, max_order)
+        assert verdict.relation == "stabilizable"
+        assert [c.achieved_order for c in verdict.candidates] == [None, None]
+        # the roots' own expansions vanish through max_order
+        for c in verdict.candidates:
+            assert difference_expansion(mean, c.p.value, c.q.value, max_order).is_zero
+
     @settings(max_examples=30, deadline=None)
     @given(order=st.integers(6, 8), even=st.booleans(), data=st.data())
     def test_columns_equal_the_double_sums(self, order, even, data):
         r = data.draw(self.R)
         s = data.draw(_NONZERO.filter(lambda s: s not in (r, -r)))
         mean = self.near_power(r, s * s, order, even, data)
-        m = mean.coeffs
         expected = []
         for p in (-abs(s), abs(s)):
-            bp, bq = (oracles.expand_power_mean_from_fractions(x, order).coeffs
-                      for x in (p, (3 * r - p) / 2))
-            diff = [a - b for a, b in zip(m, oracles.resultant_by_double_sums(bp, m, bq, order))]
+            diff = oracles.difference_by_double_sums(mean.coeffs, p, (3 * r - p) / 2, order)
             first = next((k for k, d in enumerate(diff) if d), None)
             expected.append((p, first, None if first is None else diff[first]))
         with pytest.MonkeyPatch.context() as mp:
@@ -1016,24 +1041,33 @@ class TestClosedT5AndT6:
            zero_f=st.booleans())
     def test_integer_f_equals_the_fraction_formula(self, r, w, a6, zero_f):
         # the mean (1, 0, a_2, 0, a_4, 0, a_6) with a_4 from c_4 = -r*w, so
-        # that p**2 = w at the pivot's roots; zero_f moves a_6 to F = 0, as
-        # F is 35*r*a_6 plus terms free of a_6
+        # that p**2 = w at the pivot's roots, against the band's t^6 column
+        # modulo the pivot; zero_f moves a_6 to F = 0, as c_6 = 9F/(320r) is
+        # (63/64)*a_6 plus terms free of a_6
         assume(w != r * r)
         a2 = (r - 1) / 2
         a4 = (-r * w - 9 * r**3 + 15 * r**2 + 10 * r - 15) / 120
+
+        def c6_of(a6):
+            mean = MeanExpansion((F(1), F(0), a2, F(0), a4, F(0), a6))
+            polys = coefficient_polynomials(mean, first_order_locus(mean), 4, 6)
+            rest = polys[6] % polys[4]
+            assert rest.degree < 1
+            return mean, rest.coefficient(0)
+
         if zero_f:
-            a6 = -oracles.c6_by_fractions(a2, a4, 0)[0] / (35 * r)
-        f, c6 = oracles.c6_by_fractions(a2, a4, a6)
-        assert (f == 0) == zero_f
+            a6 = -c6_of(F(0))[1] * F(64, 63)
+        mean, c6 = c6_of(a6)
+        assert (c6 == 0) == zero_f
         with pytest.MonkeyPatch.context() as mp:
-            for name in self.CLOSED if f else ():
+            for name in self.CLOSED if c6 else ():
                 mp.setattr(solver, name, None)
-            verdict = optimal_parameters(MeanExpansion((F(1), F(0), a2, F(0), a4, F(0), a6)), 6)
+            verdict = optimal_parameters(mean, 6)
         assert verdict.candidates
         for c in verdict.candidates:
             assert c.p.value * c.p.value == w
             # at F = 0 the roots' own expansions vanish through max_order 6
-            assert (c.achieved_order, c.leading) == ((6, c6) if f else (None, None))
+            assert (c.achieved_order, c.leading) == ((6, c6) if c6 else (None, None))
 
     def test_surd_roots_past_t6_take_one_expansion_each(self, monkeypatch):
         # at c_6 = 0 the survivor at t^8 is constant modulo P_4: the same
@@ -1147,10 +1181,22 @@ class TestProbesUntilOneDecides:
         locus_probe = [(1.0, float(3 * a2 + 1))]  # p = 1 on q = 3*a_2 + (3 - p)/2
         m_limit = boundary_limit(spec).value
         for probes in (solver._BOUNDARY_SAMPLES, locus_probe):
-            signs = [oracles.boundary_evidence_by_limits(spec, p, q).difference_sign
-                     for p, q in probes]
+            # every probe's evidence up front, M's limit taken anew at each
+            evidence = []
+            for p, q in probes:
+                try:
+                    pair = [boundary_limit(x).value for x in (spec, (PowerMean(p), spec, PowerMean(q)))]
+                    evidence.append(solver.BoundaryEvidence(*pair, "closed-form"))
+                except ValueError:
+                    evidence.append(solver.BoundaryEvidence(None, None, "unavailable"))
+            signs = [e.difference_sign for e in evidence]
             for asym in (1, -1):
-                expected = oracles.sampled_relation_eager(spec, asym, probes)
+                # the first supporting probe, else the first conflicting one
+                # ("neither"), else the first
+                base = "candidate-sub" if asym > 0 else "candidate-super"
+                expected = ((base, evidence[signs.index(asym)]) if asym in signs
+                            else ("neither", evidence[signs.index(-asym)]) if -asym in signs
+                            else (base, evidence[0]))
                 calls, limits = [], []
                 with monkeypatch.context() as mp:
                     real = solver._boundary_evidence
@@ -1168,8 +1214,7 @@ class TestProbesUntilOneDecides:
 
 class TestClosedOuterStepInTheSolver:
     """A solver sample expands B_q and applies B_p in closed form; the
-    verdicts equal those of samples that expand B_p and compose it by
-    Horner's outer step."""
+    verdicts equal those of samples taken from the double sums."""
 
     DEEP = [ALIASES[n] for n in ("A", "G", "H", "L")] + [
         LAlpha(F(a)) for a in ("1/2", "-1/2", "1", "-1")
@@ -1184,7 +1229,10 @@ class TestClosedOuterStepInTheSolver:
     def test_verdict_matches_the_horner_route(self, monkeypatch, spec, max_order):
         mean = expand_mean(spec, max_order)
         closed = optimal_parameters(mean, max_order)
-        monkeypatch.setattr(solver, "_difference_form", oracles.difference_form_by_horner)
+        def by_double_sums(m_form, p, q, order):
+            return _forms(order, oracles.difference_by_double_sums(_values(*m_form), p, q, order))[0]
+
+        monkeypatch.setattr(solver, "_difference_form", by_double_sums)
         assert optimal_parameters(mean, max_order) == closed
 
     @pytest.mark.parametrize("reach", [3, 6, 12, 16])
@@ -1669,7 +1717,7 @@ class TestStabilityProbe:
     @pytest.mark.parametrize("order", [4, 5, 6, 7, 16, 33])
     @pytest.mark.parametrize("spec", _PROBE_SPECS, ids=describe_spec)
     def test_the_first_defect_is_that_of_the_full_order(self, spec, order):
-        defects = oracles.stability_defects_by_mean_map(spec, order)
+        defects = oracles.stability_defects_by_resultant(spec, order)
         first = next((n for n, d in enumerate(defects) if d != 0), None)
         expected = (first is None, first, None if first is None else defects[first])
         report = is_stable(spec, order)
@@ -1683,7 +1731,7 @@ class TestStabilityProbe:
         # The defect form at the full order, past the probe's reach: it agrees
         # with M - R(M, M, M) through the first nonzero coefficient.
         defects = _values(*solver._defect_form(solver._mean_form(spec, order)))
-        expected = oracles.stability_defects_by_mean_map(spec, order)
+        expected = oracles.stability_defects_by_resultant(spec, order)
         first = next((n for n, d in enumerate(expected) if d), order)
         assert len(defects) == len(expected) == order + 1
         assert defects[: first + 1] == tuple(expected[: first + 1])
@@ -1693,7 +1741,7 @@ class TestStabilityProbe:
     def test_no_resultant_is_computed(self, monkeypatch, spec):
         # Truncated series are exact through their order, so the defects
         # through k are the first k + 1 of those through 33.
-        defects = oracles.stability_defects_by_mean_map(spec, 33)
+        defects = oracles.stability_defects_by_resultant(spec, 33)
         first = next((n for n, d in enumerate(defects) if d != 0), None)
 
         def refused(*args):
@@ -1718,7 +1766,7 @@ class TestStabilityProbe:
         roots = stability_parameter_scan(family.__name__, 24)
         assert [r.value for r in roots] == stable
         for alpha in stable:
-            assert not any(oracles.stability_defects_by_mean_map(family(alpha), 24))
+            assert not any(oracles.stability_defects_by_resultant(family(alpha), 24))
 
 
 _C1_OFF = st.fractions(-3, 3, max_denominator=9).filter(lambda c: c not in (0, 1, -1))

@@ -8,8 +8,9 @@ acceptance gate or the benchmark.  A use is a read of the name outside the funct
 The parameter search reads none of the names its schedule does not depend
 on, and reads the t^4 pivot's roots with no root isolation; root
 recognition reads rational roots alone and pairs no surds; the command
-line writes its reports with no indented json.dumps.  The code-line
-counter of ``code_lines.py`` counts code alone."""
+line writes its reports with no indented json.dumps.  Every top-level
+definition of ``tests/oracles.py`` is read by the tests outside its own
+body.  The code-line counter of ``code_lines.py`` counts code alone."""
 
 import ast
 import sys
@@ -23,6 +24,7 @@ import code_lines
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "meanstab").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 #: Where the package is used from besides itself: the acceptance gate and
 #: the benchmark.
 CONSUMERS = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
@@ -124,6 +126,20 @@ def unused_functions(trees: dict[str, ast.Module], candidates, outside=frozenset
     ]
 
 
+def unread_definitions(module: ast.Module, trees: list[ast.Module]) -> list[str]:
+    """The names that the module's top-level functions, classes and
+    assignments define and that no tree reads outside the definition's own
+    body (a tree may be the module itself)."""
+    defined = []
+    for node in module.body:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            defined.append((node.name, node))
+        elif isinstance(node, ast.Assign):
+            defined += [(target.id, node) for target in node.targets if isinstance(target, ast.Name)]
+    reads = sum((read_names(tree) for tree in trees), Counter())
+    return [name for name, node in defined if reads[name] == read_names(node)[name]]
+
+
 def forbidden_reads(tree: ast.Module, function: str, names: set[str]) -> list[str]:
     """The names among ``names`` that the module-level function reads, sorted."""
     body = {node.name: node for node in tree.body if isinstance(node, FUNCTIONS)}[function]
@@ -198,6 +214,12 @@ def test_every_public_function_is_used_by_the_package_the_gate_or_the_benchmark(
     assert unused == [], f"public functions and methods nothing outside tests uses: {unused}"
 
 
+def test_every_oracle_is_read_by_the_tests():
+    # A route retired from the tests does not linger as a dead oracle.
+    unread = unread_definitions(parse(ROOT / "tests" / "oracles.py"), [parse(path) for path in TESTS])
+    assert unread == [], f"definitions of tests/oracles.py that no test reads: {unread}"
+
+
 def test_the_search_reads_no_band_first_reach_or_parity():
     # A patch of one of these names cannot change a verdict, so no test
     # needs one.
@@ -264,6 +286,10 @@ def test_the_rules_catch_what_they_forbid():
                        "def other():\n    return coefficient_polynomials\n")
     assert forbidden_reads(search, "optimal_parameters", NOT_READ_BY_THE_SEARCH) == [
         "_FIRST_REACH", "_band", "is_even"]
+    oracles = ast.parse("BOUND = 3\nUNREAD = 4\ndef kept(): return BOUND\n"
+                        "def dead(n): return dead(n - 1)\nclass Gone: pass\n")
+    tests = [oracles, ast.parse("from oracles import kept\n")]
+    assert unread_definitions(oracles, tests) == ["UNREAD", "dead", "Gone"]
     dumps = ast.parse("json.dumps(r)\njson.dumps(r, indent=2)\nprint(dumps(r, indent=None))\n"
                       "other.dumps(r, sort_keys=True)\n")
     assert indented_dumps(dumps) == [2, 3]
@@ -288,6 +314,11 @@ def test_the_rules_catch_what_they_forbid():
     cli = (ROOT / "src" / "meanstab" / "cli.py").read_text(encoding="utf-8")
     indented = cli.replace("_indented_json(report) if", "json.dumps(report, indent=2) if")
     assert indented != cli and len(indented_dumps(ast.parse(indented))) == 1
+    # ... and an oracle that no test reads any more.
+    oracle_source = (ROOT / "tests" / "oracles.py").read_text(encoding="utf-8")
+    retired = oracle_source + "\n\ndef retired_route(order):\n    return retired_route(order - 1)\n"
+    trees = [ast.parse(retired)] + [parse(path) for path in TESTS if path.name != "oracles.py"]
+    assert unread_definitions(ast.parse(retired), trees) == ["retired_route"]
 
 
 def test_the_code_line_counter_counts_code_alone(tmp_path, capsys):
