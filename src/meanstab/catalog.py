@@ -192,14 +192,6 @@ class MeanExpansion(Value):
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def is_even(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1::2])
-
-    @property
-    def parity(self) -> str:
-        return "even-only" if self.is_even else "mixed"
-
     def coefficient(self, n: int) -> Rational:
         return self.coeffs[n] if 0 <= n < len(self.coeffs) else ZERO
 

@@ -42,7 +42,6 @@ from .catalog import (
     _mean_form,
     describe_spec,
     expand_mean,
-    expand_stable,
 )
 from .numeric import (
     GridSpec,
@@ -121,8 +120,16 @@ def _indented_json(value, indent: str = "\n") -> str:
         if not value:
             return "{}"
         inner = indent + "  "
-        items = [f"{encode_basestring_ascii(k)}: {_indented_json(v, inner)}"
-                 for k, v in value.items()]
+        # An int or str member, as every member of a coefficient entry, is
+        # written inline, with no call.
+        items = [
+            encode_basestring_ascii(k) + ": " + (
+                int.__repr__(v) if type(v) is int
+                else encode_basestring_ascii(v) if type(v) is str
+                else _indented_json(v, inner)
+            )
+            for k, v in value.items()
+        ]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if kind is list or kind is tuple:
         if not value:
@@ -140,14 +147,18 @@ def _indented_json(value, indent: str = "\n") -> str:
     return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
 
 
-def _expansion_json(expansion: MeanExpansion) -> dict:
+def _expansion_json(form: tuple[list[int], int]) -> dict:
+    """The report of an expansion from its integer form: each coefficient
+    reduced by one gcd, and the order and parity read from the numerators."""
+    nums, den = form
+    entries = []
+    for n, c in enumerate(nums):
+        g = math.gcd(c, den)
+        entries.append({"t_power": n, "x_power": 1 - n, "num": c // g, "den": den // g})
     return {
-        "order": expansion.order,
-        "parity": expansion.parity,
-        "coefficients": [
-            {"t_power": n, "x_power": 1 - n, **_rat_json(c)}
-            for n, c in enumerate(expansion.coeffs)
-        ],
+        "order": len(nums) - 1,
+        "parity": "mixed" if any(nums[1::2]) else "even-only",
+        "coefficients": entries,
     }
 
 
@@ -241,13 +252,13 @@ def _cmd_expand(args: argparse.Namespace) -> dict:
             raise UsageError("the stable series needs --a2 num/den")
         _refuse("stable", _mean_options(args))
         a2 = _exact(args.a2)
-        expansion = expand_stable(a2, args.order)
+        # The series that expand_stable proves stable: B_p at p = 2*a2 + 1.
+        spec = PowerMean(2 * a2 + 1)
         label = f"stable(a2={a2})"
     else:
         spec = parse_mean_spec(args.mean, _mean_options(args) | {"--a2": args.a2})
-        expansion = expand_mean(spec, args.order)
         label = describe_spec(spec)
-    return {"mean": label, **_expansion_json(expansion)}
+    return {"mean": label, **_expansion_json(_mean_form(spec, args.order))}
 
 
 def _cmd_resultant(args: argparse.Namespace) -> dict:
@@ -273,7 +284,7 @@ def _cmd_resultant(args: argparse.Namespace) -> dict:
         "middle": describe_spec(middle),
         "inner": describe_spec(inner),
         "case": case,
-        **_expansion_json(MeanExpansion(_values(*r_form))),
+        **_expansion_json(r_form),
     }
 
 

@@ -189,7 +189,8 @@ def newton_forward(x0: int, deltas: Sequence[int], den: int) -> UniPoly:
 
 class QuadraticField(Value):
     """The number a + b*sqrt(s) of the field Q(sqrt(s)), s a positive
-    integer that is not a square, held with Fractions a and b, b != 0.
+    integer that is not a square, held with Fractions a and b, b != 0; int
+    parts are converted, so that a quotient stays exact.
 
     Arithmetic with a value of the same field, a Fraction or an int comes
     back as a Fraction wherever b cancels, so a rational result stays
@@ -197,6 +198,8 @@ class QuadraticField(Value):
     """
 
     def __init__(self, a: Rational, b: Rational, s: Rational) -> None:
+        a = a if type(a) is Fraction else Fraction(a)
+        b = b if type(b) is Fraction else Fraction(b)
         self.__dict__.update(a=a, b=b, s=s)
 
     def _of(self, a: Rational, b: Rational) -> "QuadraticField | Rational":

@@ -23,8 +23,12 @@ nums[n] / den``.  The den says which field a form is in.
 
 * Over Q den is an int and nums are integer numerators.  A product
   convolves the numerators and multiplies the denominators; the recursion
-  keeps a running common denominator of the coefficients computed so far
-  and rescales the stored numerators only when it grows; composition runs
+  divides its operand by its content, takes each coefficient from one dot
+  product of the stored numerators with weights that change by one
+  subtraction each, and keeps a running common denominator of the
+  coefficients computed so far, which one small gcd per step grows (the
+  growth rule of ``_power_form``), rescaling the stored numerators only
+  when it grows; composition runs
   Horner's rule, where each step multiplies the accumulator by the inner
   numerators, multiplies its denominator by theirs, adds the next outer
   numerator and divides everything by the content gcd, and a step whose
@@ -60,7 +64,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import mul, sub
 
 Coeffs = Sequence
 
@@ -156,15 +160,28 @@ def _power_form(a: tuple, r, order: int) -> tuple[list, int | Fraction]:
     """The form of a**r for the form a; a_0 must be nonzero, and 1 unless r
     is an integer (otherwise the leading coefficient would leave the field).
     r is rational, or a value of another field (a Fraction subclass counts
-    as rational).  a must reach the order; at r = 1 it comes back reduced.
+    as rational).  Coefficients past the end of a count as zero; at r = 1 a
+    comes back reduced.
 
-    P[n] = top / (bottom * d) for ``top, bottom = step(n, back)``, where
-    ``back`` holds the numerators of P[n-1], ..., P[0] over their common
-    denominator d, newest first: each step inserts at the front, and the
-    list is reversed once at the end.  Over Q d only grows, and the stored
-    numerators are rescaled when it does; it ends as the least common
-    denominator.  In any other field, the exponent's included, d stays 1
-    and back holds the values."""
+    With r = s/t the recursion's weight is (k*(s+t) - n*t)/t, and the
+    denominator of a cancels against the one of a_0, so P[n] = top / (u*d)
+    with u = n*t*x_0 and top one dot product of the weights A_k - n*B_k,
+    A_k = (s+t)*k*x_k and B_k = t*x_k, with the numerators of P[n-1], ...,
+    P[0] over their common denominator d.  From step n - 1 to step n each
+    weight drops by B_k, and the new one is A_n - n*B_n = n*s*x_n; at r = -1
+    the k term vanishes and n*t cancels, so the weights stay x_k over u =
+    -x_0.  The numerators are held newest first: each step inserts at the
+    front, and the list is reversed once at the end.
+
+    Over Q the operand is first reduced by its content, and d only grows,
+    the stored numerators rescaled when it does.  With h = gcd(u, top), P[n]
+    is (top/h) / ((u/h)*d), and lcm(d, den P[n]) = d*|u/h|: at a prime with
+    exponents e, m and c in d, u and top, the reduced denominator of P[n]
+    has exponent max(0, e + m - c), so the lcm has max(e, e + m - c) = e +
+    max(0, m - c), which is that of d*|u|/h.  So one small gcd sets d to
+    d*|u/h| and stores +-top/h, and d ends as the least common denominator.
+    In any other field, the exponent's included, d stays 1 and the list
+    holds the values."""
     x, dx = a
     if x[0] == 0:
         raise ValueError("zero constant term")
@@ -172,41 +189,39 @@ def _power_form(a: tuple, r, order: int) -> tuple[list, int | Fraction]:
         return _reduced(x[: order + 1], dx)
     rational = isinstance(r, _RATIONAL_TYPES)
     s, t = r.as_integer_ratio() if rational else (r, 1)
+    over_q = rational and type(dx) is int
+    if over_q:
+        x, dx = _reduced(x[: order + 1], dx)
     a0 = Fraction(x[0], dx) if type(dx) is int else x[0] * (1 / dx)
     integral = rational and t == 1
     if not integral and a0 != 1:
         raise ValueError("irrational leading power")
-    # With r = s/t the weight is (k*(s+t) - n*t)/t, and the denominator of
-    # a cancels against the one of a_0.  At r = -1 the k term vanishes.
-    # Each dot product stops at the end of back, P[0].
-    x1 = x[1:]
-    kx1 = [k * c for k, c in enumerate(x1, 1)]
-
-    def step(n, back):
-        top = -n * t * sum(map(mul, x1, back))
-        if s + t:
-            top += (s + t) * sum(map(mul, kx1, back))
-        return top, n * t * x[0]
-
+    x0, x1 = x[0], x[1 : order + 1]
+    if len(x1) < order:
+        x1 = _fit(x1, order - 1, x0 * 0)
+    if s + t:
+        drop, fresh, unit = [t * c for c in x1], [k * s * c for k, c in enumerate(x1, 1)], t * x0
+    else:  # r = -1: n*t cancels, so the weight of x_k stays x_k over u = -x_0
+        drop, fresh, unit = None, x1, -x0
     head = a0**s if integral else a0
-    if type(dx) is not int or not rational:
-        back = [head]
-        for n in range(1, order + 1):
-            top, bottom = step(n, back)
-            back.insert(0, top / bottom)
-        back.reverse()
-        return back, _FRACTION_ONE
-    back, den = [head.numerator], head.denominator
+    back, den = ([head.numerator], head.denominator) if over_q else ([head], _FRACTION_ONE)
+    weights = []
     for n in range(1, order + 1):
-        top, bottom = step(n, back)
-        g = gcd(top, bottom * den)
-        top, bottom = top // g, bottom * den // g  # bottom may be negative
-        if den % bottom:
-            grown = lcm(den, bottom)
-            scale = grown // den
-            back[:] = [q * scale for q in back]
-            den = grown
-        back.insert(0, top * (den // bottom))
+        if drop is not None:
+            weights = list(map(sub, weights, drop))
+        weights.append(fresh[n - 1])
+        top, u = sum(map(mul, weights, back)), unit if drop is None else n * unit
+        if not over_q:
+            back.insert(0, top / u)
+            continue
+        h = gcd(u, top)
+        scale = u // h
+        if scale < 0:
+            scale, top = -scale, -top
+        if scale != 1:
+            back = [q * scale for q in back]
+            den *= scale
+        back.insert(0, top // h)
     back.reverse()
     return back, den
 

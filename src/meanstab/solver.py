@@ -168,8 +168,7 @@ def difference_expansion(
     or q in a quadratic field Q(sqrt(s)), at a surd root, in that field, a
     rational operand included."""
     coeffs = mean.truncated(order).coeffs
-    p, q = (QuadraticField(Fraction(x.a), Fraction(x.b), x.s) if isinstance(x, QuadraticField)
-            else Fraction(x) for x in (p, q))
+    p, q = (x if isinstance(x, QuadraticField) else Fraction(x) for x in (p, q))
     if QuadraticField in (type(p), type(q)):
         m_form = list(coeffs), Fraction(1)
     else:

@@ -600,7 +600,7 @@ def candidates_by_bands(mean: MeanExpansion, max_order: int) -> list[OptimalCand
     locus = first_order_locus(mean)
     polys = coefficient_polynomials(mean, locus, 3, max_order)
     k0 = next(k for k in range(3, max_order + 1) if not polys[k].is_zero)
-    step = 2 if mean.is_even else 1
+    step = 1 if any(mean.coeffs[1::2]) else 2
     candidates = []
     for root in isolate_real_roots(polys[k0]):
         values = ((k, polys[k](root.value)) for k in range(k0 + step, max_order + 1, step))
@@ -636,8 +636,9 @@ def cauchy_product(a: Sequence, b: Sequence, order: int) -> tuple:
 
 def power_recursion(a: Sequence, r, order: int) -> tuple:
     """a**r by P[n] = (1/(n*a_0)) * sum_k (k*(1+r) - n) * a_k * P[n-k]; r
-    rational, or a value of another field such as Q(sqrt(s))."""
-    a0 = a[0]
+    rational, or a value of another field such as Q(sqrt(s)).  An int a_0
+    is taken as a Fraction, so that int coefficients divide exactly."""
+    a0 = Fraction(a[0]) if type(a[0]) is int else a[0]
     if isinstance(r, int) or (isinstance(r, Fraction) and r.denominator == 1):
         r = int(r)
         head = a0**r

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laurent import LaurentScalar
+from meanstab.polynomials import QuadraticField
 from meanstab.series import (
     _horner_form,
     _integer_form,
@@ -319,6 +320,71 @@ class TestPowerNearExponentMinusOne:
         parts = lambda out: [(c.val, c.coeffs, c.floor) for c in out]
         out, den = _power_form((list(a), F(1)), r, 6)
         assert den == 1 and parts(out) == parts(power_recursion(a, r, 6))
+
+
+def lowest_terms_form(values):
+    """(nums, den) of rational values over their least common denominator."""
+    den = math.lcm(*(c.denominator for c in values))
+    return [c.numerator * (den // c.denominator) for c in values], den
+
+
+@st.composite
+def power_form_inputs(draw):
+    """(values, form, r, order): a rational exponent with head 1, or an
+    integer one with a negative head, and the form of the values with its
+    numerators and den multiplied by a common factor."""
+    order = draw(orders)
+    if draw(st.booleans()):
+        r, head = draw(exponents), F(1)
+    else:
+        r = draw(st.integers(min_value=-5, max_value=5))
+        head = -draw(st.fractions(min_value=F(1, 7), max_value=4, max_denominator=7))
+    values = (head,) + draw(st.lists(small_rationals, min_size=order, max_size=order).map(tuple))
+    nums, den = lowest_terms_form(values)
+    factor = draw(st.sampled_from((1, 2, 6, 35, 2**40)))
+    return values, ([c * factor for c in nums], den * factor), r, order
+
+
+class TestPowerFormAgainstTheRecursion:
+    """The power primitive on integer forms returns the oracle's values over
+    their least common denominator, whatever content its operand carries."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(power_form_inputs())
+    def test_over_q(self, case):
+        values, form, r, order = case
+        reference = power_recursion(values, r, order)
+        assert all(type(c) is F for c in reference)
+        out = _power_form(form, r, order)
+        assert type(out[1]) is int and out == lowest_terms_form(reference)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        small_rationals,
+        small_rationals.filter(lambda b: b != 0),
+        st.sampled_from((2, 3, 5, 7)),
+        st.lists(small_rationals, min_size=6, max_size=6),
+        st.sampled_from((1, 4, 15)),
+    )
+    def test_quadratic_field_exponent(self, a, b, s, tail, factor):
+        # A field exponent takes the field path: its values over Fraction(1).
+        r = QuadraticField(a, b, s)
+        values = (F(1),) + tuple(tail)
+        nums, den = lowest_terms_form(values)
+        out = _power_form(([c * factor for c in nums], den * factor), r, 6)
+        assert out == (list(power_recursion(values, r, 6)), 1)
+
+    def test_int_parts_stay_exact(self):
+        # A quotient of int parts is exact, and so is a power at such an
+        # exponent: (1 + u)**sqrt(2) = 1 + sqrt2 u + (1 - sqrt2/2) u**2 + ...
+        root2 = QuadraticField(0, 1, 2)
+        inverse = 1 / root2
+        assert inverse == QuadraticField(F(0), F(1, 2), 2)
+        assert type(inverse.a) is F and type(inverse.b) is F
+        out = series_power((1, 1), root2, 3)
+        assert out == (F(1), root2, QuadraticField(F(1), F(-1, 2), 2),
+                       QuadraticField(F(-1), F(2, 3), 2))
+        assert all(type(part) is F for c in out[1:] for part in (c.a, c.b))
 
 
 class TestIntInputStaysExact:
