@@ -1,20 +1,19 @@
 """Exact univariate polynomials over Q with certified real-root isolation.
 
-Roots are reported in exact ascending order, rational roots exactly.  A
-square-free part of degree 1 or 2 is solved in closed form, the roots of a
-quadratic as surds ``(a + sign*sqrt(b))/c``.  From degree 3 up it is
-isolated once, by Descartes' rule of signs on Moebius-transformed
-coordinates with exact sign evaluation, and one pass over the intervals
-recognizes the rational roots, verifies each by exact division and divides
-it out; every irrational root is an isolating interval with a sign change,
-at most 10**-12 wide.
+Roots are reported in exact ascending order, rational roots exactly.  The
+square-free part of a polynomial is isolated once, at every degree, by
+Descartes' rule of signs on Moebius-transformed coordinates with exact sign
+evaluation, and one pass over the intervals recognizes the rational roots,
+verifies each by exact division and divides it out; every irrational root
+is an isolating interval with a sign change, at most 10**-12 wide.
 
-A surd root's ``value`` is a number of the field Q(sqrt(s)),
-``QuadraticField``, whose arithmetic is exact and whose values have an
-exact sign; the series kernel computes in it at such a root.  Every surd
-root is built from such a value, by ``QuadraticSurdRoot.of``: the roots of
-a quadratic from -c1/(2*c2) -/+ sqrt(disc)/(2*c2), and any image of a root
-from the field arithmetic that gives it.
+A quadratic surd ``(add + sign*sqrt(radicand))/div`` is the solver's
+description of a candidate parameter, not a result of isolation.  Its
+``value`` is a number of the field Q(sqrt(s)), ``QuadraticField``, whose
+arithmetic is exact and whose values have an exact sign; the series kernel
+computes in it at such a parameter.  Every surd is built from such a value,
+by ``QuadraticSurdRoot.of``, and any image of it from the field arithmetic
+that gives it.
 
 Polynomials through equally spaced samples come from one route: the
 integer forward-difference table of the samples (``forward_differences``)
@@ -303,29 +302,6 @@ class QuadraticSurdRoot(Value):
         """The root as a value of Q(sqrt(radicand))."""
         return QuadraticField(self.add / self.div, self.sign / self.div, self.radicand)
 
-    def sqrt_bounds(self, width: Fraction = Fraction(1, 10**18)) -> tuple[Rational, Rational]:
-        """Rational enclosure of sqrt(radicand) of at most the given width.
-
-        The bounds are those of bisecting from [s/d, s/d + 1], s/d the
-        floor of sqrt(radicand) at denominator d, down to the first power
-        of two 2**-m <= width: lo = s/d + k/2**m, the largest such point
-        with lo**2 <= radicand, read from one integer square root.
-        """
-        n = self.radicand
-        # the smallest m with 2**m >= ceil(1/width)
-        m = (-(-width.denominator // width.numerator) - 1).bit_length()
-        root = math.isqrt(n.numerator * n.denominator << 2 * m)  # floor(sqrt(n) * d * 2**m)
-        floor = root >> m  # floor(sqrt(n) * d)
-        k = (root - (floor << m)) // n.denominator
-        lo = Fraction(floor, n.denominator) + Fraction(k, 1 << m)
-        return lo, lo + Fraction(1, 1 << m)
-
-    def bounds(self, width: Fraction = Fraction(1, 10**18)) -> tuple[Rational, Rational]:
-        """Rational enclosure of the root, at most the given width wide."""
-        sqrt_ends = self.sqrt_bounds(width * min(self.div, ONE))
-        ends = [(self.add + self.sign * s) / self.div for s in sqrt_ends]
-        return min(ends), max(ends)
-
     def approx(self) -> float:
         add, root = float(self.add), self.sign * math.sqrt(self.radicand)
         if self.add >= 0 if self.sign > 0 else self.add <= 0:
@@ -491,7 +467,7 @@ def _refine(g: UniPoly, a: Rational, b: Rational, width: Fraction) -> tuple[Rati
 
 
 # ---------------------------------------------------------------------------
-# Rational roots and quadratics
+# Rational roots
 
 
 def simplest_between(lo: Rational, hi: Rational) -> Rational:
@@ -527,20 +503,6 @@ def _integer_lead(g: UniPoly) -> Rational:
     return abs(g.leading * math.lcm(*(c.denominator for c in g.coeffs)))
 
 
-def _quadratic_roots(c0: Rational, c1: Rational, c2: Rational) -> list[Root]:
-    """The real roots of the square-free c0 + c1*x + c2*x**2, c2 != 0, as
-    (-c1 -/+ sqrt(disc))/(2*c2) in that order: rationals for a square
-    discriminant, otherwise surds that share one canonicalized radicand."""
-    disc = c1 * c1 - 4 * c0 * c2
-    if disc <= 0:
-        return []
-    if _is_square(disc):
-        s = _sqrt_exact(disc)
-        return [RationalRoot((-c1 - s) / (2 * c2)), RationalRoot((-c1 + s) / (2 * c2))]
-    half = 1 / (2 * c2)
-    return [QuadraticSurdRoot.of(QuadraticField(-c1 * half, b, disc)) for b in (-half, half)]
-
-
 def _recognize_roots(g: UniPoly) -> list[Root]:
     """The real roots of the square-free g in the order of their isolating
     intervals (see _integer_lead for L).  Refined to width 1/(2*L**2), an
@@ -565,19 +527,12 @@ def _recognize_roots(g: UniPoly) -> list[Root]:
 def isolate_real_roots(f: UniPoly) -> list[Root]:
     """Describe every distinct real root of f, in exact ascending order.
 
-    Rational roots come back exactly.  A square-free part of degree 1 or 2
-    is solved in closed form, the roots of a quadratic as surds, which
-    ascend because it is monic.  From degree 3 on, one pass over its
-    isolating intervals finds the rational roots (_recognize_roots), every
-    irrational root is a sign-change interval at most 10**-12 wide, and the
-    roots keep the order of the intervals.
+    One route at every degree: one pass over the isolating intervals of the
+    square-free part finds the rational roots exactly (_recognize_roots),
+    every irrational root is a sign-change interval at most 10**-12 wide,
+    and the roots keep the order of the intervals.  A nonzero constant has
+    no root.
     """
     if f.is_zero:
         raise ValueError("zero polynomial")
-    g = squarefree_part(f)
-    if g.degree == 1:
-        return [RationalRoot(-g.coeffs[0])]
-    if g.degree == 2:
-        return _quadratic_roots(*g.coeffs)
-    return _recognize_roots(g) if g.degree >= 3 else []
-
+    return _recognize_roots(squarefree_part(f))

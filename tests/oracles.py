@@ -22,20 +22,24 @@ Roots:
   rational-root candidate test over the divisors of the end coefficients,
   by integer Horner on coprime candidates (it gives up on large or highly
   composite end coefficients), where ``polynomials.py`` recognizes every
-  rational root of degree 3 and up as the simplest rational of its
-  isolating interval; ``isolate_real_roots_by_divisor_search`` checks those
-  rationals against the ones the production pass recognizes, takes the
+  rational root as the simplest rational of its isolating interval;
+  ``isolate_real_roots_by_divisor_search`` checks those rationals against
+  the ones the production pass recognizes from degree 3 up, takes the
   irrational roots from that pass, solves degrees 1 and 2 in closed form,
-  and orders the roots by exact comparisons of their enclosures, where
-  ``polynomials.py`` keeps the order of the isolating intervals;
+  an irrational pair as two surds where ``polynomials.py`` isolates two
+  intervals, and orders the roots by exact comparisons of their
+  enclosures, where ``polynomials.py`` keeps the order of the isolating
+  intervals;
 * ``simplest_between_by_recursion``: the simplest rational of an interval
   by one recursive call per continued-fraction term, where
   ``polynomials.py`` loops over the terms;
 * ``descartes_count_by_products``: the Descartes count of an interval from
   UniPoly products of the Moebius numerator and denominator powers, where
   ``polynomials.py`` takes two Taylor shifts;
-* ``sqrt_bounds_by_bisection``: the surd enclosure by bisection, where
-  ``polynomials.py`` reads the same bounds from one integer square root;
+* ``sqrt_bounds_by_bisection`` and ``surd_bounds_by_bisection``: the
+  enclosure of a square root by bisection, and of a surd from it, for
+  those comparisons and for the tests that read a surd's value against an
+  enclosure; ``polynomials.py`` encloses no surd;
 * ``extract_square_every_divisor``: the square factors by trial division
   with every d up to 10**4, where ``polynomials.py`` trial-divides below
   2**18 and takes two gcds with the product of the primes up to 10**4 from
@@ -94,9 +98,11 @@ The stable series and the solver:
   forward-difference table;
 * ``candidates_by_bands``: the search's candidates from one band of reach
   max_order, the columns past the pivot evaluated exactly at each of its
-  roots, in Q or in Q(sqrt(s)), where the search reads the roots from w =
-  -c_4/r and the survivor from a comparison with a reference mean, from
-  closed columns or from one difference expansion at each root;
+  roots, in Q or in Q(sqrt(s)), the roots from the closed form of
+  ``isolate_real_roots_by_divisor_search``, where the search reads the
+  roots from w = -c_4/r and the survivor from a comparison with a
+  reference mean, from closed columns or from one difference expansion at
+  each root;
 * ``defect_polynomial_by_lagrange``: the stability scan's t^4 defect in
   beta = alpha**2 from the double sums, interpolated through 11 unequally
   spaced beta samples and checked at two more, where the scan samples a
@@ -154,7 +160,6 @@ from meanstab.polynomials import (
     _is_square,
     _recognize_roots,
     _sqrt_exact,
-    isolate_real_roots,
     sign_variations,
     squarefree_part,
 )
@@ -594,7 +599,8 @@ def candidates_by_bands(mean: MeanExpansion, max_order: int) -> list[OptimalCand
     """The solver's candidates from one band of reach max_order: the roots
     of the pivot (the first nonzero t**k polynomial on the locus, k >= 3),
     each with the first later column that does not vanish there, evaluated
-    exactly at the root, in Q or in Q(sqrt(s)); an even mean's difference
+    exactly at the root, in Q or in Q(sqrt(s)), the roots from the closed
+    form of isolate_real_roots_by_divisor_search; an even mean's difference
     has no odd coefficient, so past the pivot only its even columns are
     read."""
     locus = first_order_locus(mean)
@@ -602,7 +608,7 @@ def candidates_by_bands(mean: MeanExpansion, max_order: int) -> list[OptimalCand
     k0 = next(k for k in range(3, max_order + 1) if not polys[k].is_zero)
     step = 1 if any(mean.coeffs[1::2]) else 2
     candidates = []
-    for root in isolate_real_roots(polys[k0]):
+    for root in isolate_real_roots_by_divisor_search(polys[k0]):
         values = ((k, polys[k](root.value)) for k in range(k0 + step, max_order + 1, step))
         achieved, leading = next(((k, v) for k, v in values if v != 0), (None, None))
         q = locus.q_of(root.value)
@@ -990,11 +996,11 @@ def isolate_real_roots_by_divisor_search(f: UniPoly) -> list[Root]:
     """Every distinct real root of f, with the rational ones from the
     divisor search, in an order read from exact comparisons of enclosures
     (``_compare_roots``).  A square-free part of degree 1 or 2 is solved in
-    closed form once its rational roots are divided out.  From degree 3 up,
-    the irrational roots come from the production pass over the isolating
-    intervals (``_recognize_roots``); the rationals it recognizes must be
-    those of the divisor search when the search was complete, and contain
-    them when it gave up."""
+    closed form once its rational roots are divided out, an irrational pair
+    as two surds.  From degree 3 up, the irrational roots come from the
+    production pass over the isolating intervals (``_recognize_roots``);
+    the rationals it recognizes must be those of the divisor search when
+    the search was complete, and contain them when it gave up."""
     if f.is_zero:
         raise ValueError("zero polynomial")
     if f.degree == 0:
@@ -1033,11 +1039,14 @@ def isolate_real_roots_by_divisor_search(f: UniPoly) -> list[Root]:
 
 def _compare_roots(a: Root, b: Root) -> int:
     """-1 or 1 as the root a lies below or above the distinct root b, from
-    their enclosures bounds(width), the width squared until they are
+    their enclosures, a surd's by ``surd_bounds_by_bisection`` and any
+    other root's by bounds(width), the width squared until they are
     disjoint."""
     width = Fraction(1, 10**12)
     while True:
-        (alo, ahi), (blo, bhi) = a.bounds(width), b.bounds(width)
+        (alo, ahi), (blo, bhi) = (
+            surd_bounds_by_bisection(r, width) if isinstance(r, QuadraticSurdRoot) else r.bounds(width)
+            for r in (a, b))
         if ahi < blo:
             return -1
         if bhi < alo:
@@ -1114,3 +1123,11 @@ def sqrt_bounds_by_bisection(n: Rational, width: Fraction) -> tuple[Rational, Ra
         else:
             hi = mid
     return lo, hi
+
+
+def surd_bounds_by_bisection(root: QuadraticSurdRoot, width: Fraction) -> tuple[Rational, Rational]:
+    """Enclosure of (add + sign*sqrt(radicand))/div at most width wide, from
+    the enclosure of sqrt(radicand) by bisection."""
+    ends = [(root.add + root.sign * s) / root.div
+            for s in sqrt_bounds_by_bisection(root.radicand, width * min(root.div, ONE))]
+    return min(ends), max(ends)

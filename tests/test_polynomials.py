@@ -4,7 +4,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -14,8 +14,8 @@ from oracles import (
     lagrange_interpolate,
     rational_roots_by_divisor_search,
     simplest_between_by_recursion,
-    sqrt_bounds_by_bisection,
     surd_approx_by_fractions,
+    surd_bounds_by_bisection,
     surd_from_parts,
 )
 from meanstab.polynomials import (
@@ -27,7 +27,6 @@ from meanstab.polynomials import (
     _descartes_count,
     _extract_square,
     _is_square,
-    _quadratic_roots,
     _refine,
     forward_differences,
     isolate_real_roots,
@@ -56,6 +55,13 @@ def surd_intervals(roots, a, b):
     assert len(holding) == 2 and len(low) == len(high) == 1, holding
     assert all(r.high - r.low <= F(1, 10**12) for r in holding)
     return low[0], high[0]
+
+
+def holds(root, surd):
+    """Whether root is an IntervalRoot at most 10**-12 wide that holds the
+    surd, by the exact signs of the surd's distances to its ends."""
+    return (isinstance(root, IntervalRoot) and root.high - root.low <= F(1, 10**12)
+            and (surd.value - root.low).sign == 1 == (root.high - surd.value).sign)
 
 
 class TestUniPoly:
@@ -119,7 +125,7 @@ class TestSurdsAndSquares:
         ids=["x^2-2e8x+1", "x^2-2x+1e-12"],
     )
     def test_approx_of_a_small_root_does_not_cancel(self, coeffs, small):
-        low, high = isolate_real_roots(poly(*coeffs))
+        low, high = isolate_real_roots_by_divisor_search(poly(*coeffs))
         assert math.isclose(low.approx(), small, rel_tol=1e-15)
         assert math.isclose(high.approx(), coeffs[0] / small, rel_tol=1e-15)  # the product of the roots
 
@@ -136,7 +142,7 @@ class TestSurdsAndSquares:
         radicand = add * add + offset if near else offset
         assume(not _is_square(radicand))
         root = QuadraticSurdRoot.of(QuadraticField(add / div, sign / div, radicand))
-        low, high = root.bounds(F(1, 10**80))
+        low, high = surd_bounds_by_bisection(root, F(1, 10**80))
         assert math.isclose(root.approx(), float(low), rel_tol=2e-15)
 
     @settings(max_examples=500, deadline=None)
@@ -285,21 +291,48 @@ class TestRootIsolation:
         assert isolate_real_roots(poly(1, 0, 1)) == []
 
     def test_quadratic_surds(self):
-        # q^2 - 5q + 2 has roots (5 -/+ sqrt(17))/2
+        # q^2 - 5q + 2 has roots (5 -/+ sqrt(17))/2: two intervals, and the
+        # oracle's closed form gives the two surds they hold
         roots = isolate_real_roots(poly(2, -5, 1))
-        assert [r.kind for r in roots] == ["quadratic-surd"] * 2
-        low, high = roots
+        assert [r.kind for r in roots] == ["isolated-interval"] * 2
+        assert surd_intervals(roots, F(5, 2), F(17, 4)) == tuple(roots)
+        low, high = isolate_real_roots_by_divisor_search(poly(2, -5, 1))
         assert (low.add, low.sign, low.radicand, low.div) == (F(5), -1, F(17), F(2))
         assert (high.add, high.sign, high.radicand, high.div) == (F(5), 1, F(17), F(2))
-        for r in roots:
+        for r in (low, high):
             assert poly(2, -5, 1)(r.value) == 0
 
     def test_surd_canonicalization(self):
-        roots = isolate_real_roots(poly(F(-209, 81), 0, 1))
+        # the roots -/+ sqrt(209)/9 of x^2 - 209/81
+        roots = [QuadraticSurdRoot.of(QuadraticField(F(0), F(sign), F(209, 81))) for sign in (-1, 1)]
         assert [(r.add, r.radicand, r.div) for r in roots] == [
             (F(0), F(209), F(9)),
             (F(0), F(209), F(9)),
         ]
+        isolated = isolate_real_roots(poly(F(-209, 81), 0, 1))
+        assert surd_intervals(isolated, 0, F(209, 81)) == tuple(isolated)
+
+    # Square-free degrees 0 to 2 take the one route of every degree.
+
+    def test_a_nonzero_constant_has_no_root(self):
+        assert isolate_real_roots(poly(F(-7, 3))) == []
+
+    def test_linear_root_with_a_30_digit_denominator(self):
+        root = F(-10**31 - 9, 10**29 + 3)
+        assert len(str(root.denominator)) == 30
+        assert isolate_real_roots(poly(-root * 7, 7)) == [RationalRoot(root)]
+
+    def test_square_discriminant_with_20_digit_coefficients(self):
+        # (a*x - b)(c*x - d) with 10-digit a, b, c, d: two exact rationals
+        a, b, c, d = 9876543211, -5234567891, 8765432109, 3456789013
+        p = poly(-b, a) * poly(-d, c)
+        assert [len(str(abs(x))) for x in p.coeffs] == [20] * 3
+        assert isolate_real_roots(p) == [RationalRoot(F(b, a)), RationalRoot(F(d, c))]
+
+    def test_irrational_pair_is_two_intervals(self):
+        roots = isolate_real_roots(poly(-2, 0, 1))
+        assert [r.kind for r in roots] == ["isolated-interval"] * 2
+        assert surd_intervals(roots, 0, 2) == tuple(roots)  # -sqrt(2) < sqrt(2)
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
@@ -424,59 +457,47 @@ def shifted_bounds(root, c, width):
     return tuple(b - c for b in root.bounds(width))
 
 
+#: sqrt(2), the larger root of x^2 - 2, as the solver describes it.
+SQRT2 = QuadraticSurdRoot.of(QuadraticField(F(0), F(1), F(2)))
+
+
 class TestEvalAtRoot:
     """A polynomial at a surd root, evaluated exactly at the root's value
-    in Q(sqrt(s)), whose sign the field certifies, with the enclosures of
-    the root that bounds(width) gives."""
+    in Q(sqrt(s)), whose sign the field certifies, against the enclosures
+    bounds(width) of the interval that isolation gives for the same root."""
 
     def test_surd_exact_even_part(self):
-        root = isolate_real_roots(poly(-17, 0, 1))[1]  # +sqrt(17)
+        root = QuadraticSurdRoot.of(QuadraticField(F(0), F(1), F(17)))  # +sqrt(17)
         # an even polynomial evaluates to a rational at +-sqrt(17)
         assert poly(-2, 0, 1)(root.value) == 15
 
     def test_surd_sign_certified(self):
-        root = isolate_real_roots(poly(-2, 0, 1))[1]  # sqrt(2) = 1.414...
-        val = poly(-1, 1)(root.value)  # sqrt(2) - 1 > 0
+        val = poly(-1, 1)(SQRT2.value)  # sqrt(2) - 1 > 0
         assert isinstance(val, QuadraticField)
         assert val.sign == 1
-        low, high = shifted_bounds(root, 1, F(1, 10**12))
+        low, high = shifted_bounds(isolate_real_roots(poly(-2, 0, 1))[1], 1, F(1, 10**12))
         assert float(low) <= 2**0.5 - 1 <= float(high)
-
-    @pytest.mark.parametrize(
-        ("quadratic", "low", "high"),
-        [
-            # sqrt(2) - 1 and (1 + sqrt(5))/2 - 1 over the surds' first
-            # enclosure, bounds(10**-12)
-            (poly(-2, 0, 1), F(455432628211, 2**40), F(113858157053, 2**38)),
-            (poly(-1, -1, 1), F(679535556991, 2**40), F(1359071113983, 2**41)),
-        ],
-        ids=["sqrt2", "golden"],
-    )
-    def test_surd_enclosure_is_pinned(self, quadratic, low, high):
-        root = isolate_real_roots(quadratic)[1]
-        assert shifted_bounds(root, 1, F(1, 10**12)) == (low, high)
-        assert poly(-1, 1)(root.value).sign == 1
 
     def test_sign_certified_in_a_later_round(self):
         # c is sqrt(2) rounded down to 25 digits, so x - c is positive and
         # below 10**-25 at sqrt(2): its enclosure over a 10**-12 wide
         # enclosure of sqrt(2) contains 0, a later round, the width squared
         # each round, certifies the sign, and so does the field.
-        root = isolate_real_roots(poly(-2, 0, 1))[1]
+        interval = isolate_real_roots(poly(-2, 0, 1))[1]
         c = F(math.isqrt(2 * 10**50), 10**25)
         assert c * c < 2 < (c + F(1, 10**25)) ** 2
-        lo, hi = shifted_bounds(root, c, F(1, 10**12))
+        lo, hi = shifted_bounds(interval, c, F(1, 10**12))
         assert lo < 0 < hi
-        val = poly(-c, 1)(root.value)
+        val = poly(-c, 1)(SQRT2.value)
         assert isinstance(val, QuadraticField) and val.sign == 1
         width = F(1, 10**12)
         while lo <= 0 <= hi:
             width *= width
-            lo, hi = shifted_bounds(root, c, width)
+            lo, hi = shifted_bounds(interval, c, width)
         assert lo > 0 and hi - lo < F(1, 10**20)
 
     def test_surd_exact_zero(self):
-        root = isolate_real_roots(poly(2, -5, 1))[0]
+        root = QuadraticSurdRoot.of(QuadraticField(F(5, 2), F(-1, 2), F(17)))  # (5 - sqrt(17))/2
         assert (poly(2, -5, 1) * poly(3, 1))(root.value) == 0
 
     def test_bisection_lands_on_the_root(self):
@@ -585,7 +606,7 @@ class TestQuadraticField:
 
     @pytest.mark.parametrize("quadratic", [(-2, 0, 1), (2, -5, 1), (-1, -1, 1), (F(-209, 81), 0, 1)])
     def test_surd_root_value(self, quadratic):
-        for root in isolate_real_roots(poly(*quadratic)):
+        for root in isolate_real_roots_by_divisor_search(poly(*quadratic)):
             value = root.value
             assert isinstance(value, QuadraticField) and value.s == root.radicand
             assert value.sign == (1 if root.approx() > 0 else -1)
@@ -594,8 +615,8 @@ class TestQuadraticField:
 
 
 class TestBounds:
-    """bounds(width) of every root kind encloses the root and is at most
-    the width wide; a rational root gives (v, v)."""
+    """bounds(width) of every root isolation returns encloses the root and
+    is at most the width wide; a rational root gives (v, v)."""
 
     @staticmethod
     def true_values(mp):
@@ -604,19 +625,17 @@ class TestBounds:
         return [-mp.sqrt(8), (1 - five) / 2, mp.mpf(-1) / 3, mp.cbrt(2), (1 + five) / 2, mp.sqrt(8)]
 
     @pytest.mark.parametrize("width", [F(1, 10**3), F(1, 10**12), F(1, 10**40)], ids=str)
-    @pytest.mark.parametrize("closed_form", [False, True], ids=["isolated", "closed-form"])
-    def test_each_kind_encloses_its_root(self, width, closed_form):
-        # In closed form x^2 - 8 and x^2 - x - 1 give surds of div 1/2 and 2;
-        # beside x^3 - 2 and the rational -1/3, every irrational root is an
-        # interval.
+    @pytest.mark.parametrize("alone", [False, True], ids=["isolated", "quadratics-alone"])
+    def test_each_kind_encloses_its_root(self, width, alone):
+        # x^2 - 8 and x^2 - x - 1 isolated alone, and beside x^3 - 2 and the
+        # rational -1/3: every irrational root is an interval.
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(100):
             true_values = self.true_values(mpmath)
-            if closed_form:
+            if alone:
                 roots = isolate_real_roots(poly(-8, 0, 1)) + isolate_real_roots(poly(-1, -1, 1))
                 true_values = [true_values[i] for i in (0, 5, 1, 4)]
-                assert [r.kind for r in roots] == ["quadratic-surd"] * 4
-                assert sorted(r.div for r in roots) == [F(1, 2)] * 2 + [F(2)] * 2
+                assert [r.kind for r in roots] == ["isolated-interval"] * 4
             else:
                 p = poly(-2, 0, 0, 1) * poly(-8, 0, 1) * poly(-1, -1, 1) * poly(1, 3)
                 roots = isolate_real_roots(p)
@@ -639,7 +658,7 @@ class TestAffineImage:
         assert self.LOCUS.q_of(F(3)) == 1
 
     def test_surd(self):
-        root = isolate_real_roots(poly(-17, 0, 1))[0]  # -sqrt(17)
+        root = QuadraticSurdRoot.of(QuadraticField(F(0), F(-1), F(17)))  # -sqrt(17)
         image = QuadraticSurdRoot.of(self.LOCUS.q_of(root.value))  # 5/2 + sqrt(17)/2
         assert isinstance(image, QuadraticSurdRoot)
         assert (image.add, image.sign, image.radicand, image.div) == (F(5), 1, F(17), F(2))
@@ -786,10 +805,16 @@ class TestRootIsolationProperties:
 
 class TestRecognitionAgainstDivisorSearch:
     """Rational roots by interval recognition alone give the same root list
-    as the divisor search followed by the same surd and interval stages:
-    the same kinds, values and interval endpoints, in the same order."""
+    as the divisor search followed by the same interval stage: the same
+    kinds, values and interval endpoints, in the same order.  Where the
+    square-free part is an irrational quadratic, the oracle solves it in
+    closed form, and each interval holds its surd."""
 
     @settings(max_examples=80, deadline=None)
+    @example([], [], [], F(1))  # a constant
+    @example([(3, -7)], [], [], F(2, 5))  # a linear factor
+    @example([(2, 1), (1, -4)], [], [], F(1))  # a quadratic of two rational roots
+    @example([], [(F(1, 3), F(5))], [], F(7, 2))  # an irrational pair
     @given(
         st.lists(
             st.tuples(st.integers(1, 9), st.integers(-20, 20)), max_size=4
@@ -807,7 +832,10 @@ class TestRecognitionAgainstDivisorSearch:
         for coeffs, _ in cubics:
             p = p * poly(*coeffs)
         roots = isolate_real_roots(p)
-        assert list(map(repr, roots)) == list(map(repr, isolate_real_roots_by_divisor_search(p)))
+        expected = isolate_real_roots_by_divisor_search(p)
+        assert len(roots) == len(expected)
+        for root, want in zip(roots, expected):
+            assert holds(root, want) if isinstance(want, QuadraticSurdRoot) else repr(root) == repr(want)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -818,12 +846,15 @@ class TestRecognitionAgainstDivisorSearch:
         st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool),
     )
     def test_conjugate_pair_canonicalizes_like_two_surds(self, add, radicand, div):
-        # (add -/+ sqrt(radicand))/div are the roots of these coefficients
+        # (add -/+ sqrt(radicand))/div are the roots of these coefficients:
+        # the oracle's closed form gives them canonical, in ascending order,
+        # and isolation gives one interval that holds each
         coeffs = ((add * add - radicand) / (2 * div), -add, div / 2)
-        assert _quadratic_roots(*coeffs) == [
-            QuadraticSurdRoot.of(QuadraticField(add / div, -1 / div, radicand)),
-            QuadraticSurdRoot.of(QuadraticField(add / div, 1 / div, radicand)),
-        ]
+        surds = [QuadraticSurdRoot.of(QuadraticField(add / div, sign / div, radicand))
+                 for sign in ((-1, 1) if div > 0 else (1, -1))]
+        assert isolate_real_roots_by_divisor_search(poly(*coeffs)) == surds
+        roots = isolate_real_roots(poly(*coeffs))
+        assert len(roots) == 2 and all(map(holds, roots, surds))
 
 
 class TestRootSearchAgainstOracles:
@@ -898,9 +929,8 @@ class TestRootSearchAgainstOracles:
 
 
 class TestShortcutsAgainstParentRoutes:
-    """The Taylor-shift Descartes count and substitution and the one-isqrt
-    surd bounds give what the product-sum count, Horner's rule and the
-    bisection gave."""
+    """The Taylor-shift Descartes count and substitution give what the
+    product-sum count and Horner's rule gave."""
 
     def test_descartes_count_on_random_intervals(self):
         rng = random.Random(41)
@@ -919,15 +949,3 @@ class TestShortcutsAgainstParentRoutes:
         expected = isolate_real_roots(p)
         monkeypatch.setattr(polynomials, "_descartes_count", descartes_count_by_products)
         assert repr(isolate_real_roots(p)) == repr(expected)
-
-    @settings(max_examples=400, deadline=None)
-    @given(
-        radicand=st.one_of(
-            st.integers(2, 10**12).map(F),
-            st.fractions(min_value=F(1, 10**6), max_value=10**9, max_denominator=10**6),
-        ),
-        width=st.sampled_from([F(1, 3), F(1), F(5, 2), F(1, 10**9), F(1, 10**18), F(1, 10**24), F(7, 2**40)]),
-    )
-    def test_sqrt_bounds(self, radicand, width):
-        root = QuadraticSurdRoot(F(0), 1, radicand, F(1))
-        assert root.sqrt_bounds(width) == sqrt_bounds_by_bisection(radicand, width)

@@ -34,7 +34,6 @@ from meanstab.polynomials import (
     QuadraticSurdRoot,
     RationalRoot,
     UniPoly,
-    isolate_real_roots,
 )
 from meanstab.resultant import resultant_coeffs
 from meanstab.series import _forms, _integer_form, _values
@@ -514,9 +513,9 @@ class TestClosedColumns:
             assert (verdict.fixed_leading_order, verdict.fixed_leading) == (3, band[3](0))
         else:
             # the search reads the t^4 pivot's roots from w = -c4/r; the
-            # band's roots, isolated, are the oracle
+            # band's roots in the oracle's closed form are the reference
             assert band[3].is_zero and band[4].degree == 2
-            roots = isolate_real_roots(band[4])
+            roots = oracles.isolate_real_roots_by_divisor_search(band[4])
             assert sorted((c.p for c in verdict.candidates), key=lambda p: p.approx()) == roots
             if not roots:
                 sign = "candidate-sub" if band[4](0) > 0 else "candidate-super"
@@ -529,8 +528,9 @@ class TestClosedColumns:
     @settings(max_examples=120, deadline=None)
     @given(r=st.fractions(-4, 4, max_denominator=12).filter(bool), data=st.data())
     def test_pivot_pair_equals_the_isolated_roots(self, r, data):
-        # The t^4 pivot (c4 + r*p**2)/128, isolated as a polynomial, against
-        # the pair the search reads from w = -c4/r.
+        # The t^4 pivot (c4 + r*p**2)/128, solved as a polynomial by the
+        # oracle's closed form, against the pair the search reads from w =
+        # -c4/r.
         x = data.draw(st.fractions(F(1, 60), 60, max_denominator=60))
         w = data.draw(st.sampled_from([-x, F(0), x * x, x, x * self.LARGE_SQUARES[0],
                                        x * self.LARGE_SQUARES[1], x * self.LARGE_SQUARES[2]]))
@@ -539,7 +539,7 @@ class TestClosedColumns:
         # a5 = 1: both roots survive at t^5, so the candidates keep root order
         mean = MeanExpansion((F(1), F(0), (r - 1) / 2, F(0), a4, F(1)))
         verdict = optimal_parameters(mean, 5)
-        roots = isolate_real_roots(UniPoly((c4 / 128, 0, r / 128)))
+        roots = oracles.isolate_real_roots_by_divisor_search(UniPoly((c4 / 128, 0, r / 128)))
         candidates = verdict.candidates
         assert [c.p for c in candidates] == roots
         if w < 0:
@@ -916,7 +916,7 @@ class TestExpansionOverTheQuadraticField:
         mean, order = self.mean(index)
         locus = first_order_locus(mean)
         polys = coefficient_polynomials(mean, locus, 2, order)
-        roots = isolate_real_roots(polys[4])
+        roots = oracles.isolate_real_roots_by_divisor_search(polys[4])
         assert [root.kind for root in roots] == ["quadratic-surd"] * 2
         for root in roots:
             diff = difference_expansion(mean, root.value, locus.q_of(root.value), order)
@@ -1587,7 +1587,7 @@ class TestSignCoherence:
     )
     def test_candidate_sign_of_a_field_leading(self, a, b, sign):
         # a + b*sqrt(2): an irrational leading coefficient has an exact sign
-        root = isolate_real_roots(UniPoly((-2, 0, 1)))[1]
+        root = QuadraticSurdRoot.of(QuadraticField(F(0), F(1), F(2)))
         candidate = solver.OptimalCandidate(root, root, 8, QuadraticField(a, b, F(2)))
         assert candidate.sign == sign
 
@@ -1934,7 +1934,7 @@ class TestParameterScan:
     ):
         # The scan reports rational alpha only; whatever else lies in [0, 1]
         # raises instead of being skipped.
-        inside = [r for r in isolate_real_roots(planted) if 0 < r.approx() < 1]
+        inside = [r for r in oracles.isolate_real_roots_by_divisor_search(planted) if 0 < r.approx() < 1]
         assert len(inside) == 1 and isinstance(inside[0], kind)
         monkeypatch.setattr(solver, "_band", lambda sample, low, high: {4: planted})
         with pytest.raises(ArithmeticError, match="unresolved"):

@@ -7,7 +7,8 @@ package itself, and every public function or method by the package, the
 acceptance gate or the benchmark.  A use is a read of the name outside the function's own body.
 The parameter search reads none of the names its schedule does not depend
 on, and reads the t^4 pivot's roots with no root isolation; root
-recognition reads rational roots alone and pairs no surds; the command
+isolation and recognition read rational roots alone and build no surd at
+any degree; the command
 line writes its reports with no indented json.dumps.  Every top-level
 definition of ``tests/oracles.py`` is read by the tests outside its own
 body.  The code-line counter of ``code_lines.py`` counts code alone."""
@@ -39,9 +40,11 @@ NOT_READ_BY_THE_SEARCH = {"coefficient_polynomials", "_band", "_FIRST_REACH", "i
 #: Names solver.optimal_parameters does not read either: the t^4 pivot's
 #: roots are read from w = -c_4/r, with no polynomial and no root isolation.
 NOT_READ_BY_THE_PIVOT = {"isolate_real_roots", "UniPoly"}
-#: Names polynomials._recognize_roots does not read: from degree 3 up it
-#: recognizes rational roots alone, and every irrational root is an interval.
-NOT_READ_BY_RECOGNITION = {"_quadratic_roots", "QuadraticSurdRoot", "combinations"}
+#: Names polynomials._recognize_roots and polynomials.isolate_real_roots do
+#: not read: at every degree isolation recognizes rational roots alone, and
+#: every irrational root is an interval, with no surd built or paired and no
+#: discriminant tested for a square.
+NOT_READ_BY_RECOGNITION = {"_quadratic_roots", "QuadraticSurdRoot", "_is_square", "combinations"}
 
 
 def imported_modules(tree: ast.AST) -> list[tuple[int, str]]:
@@ -235,6 +238,7 @@ def test_the_search_isolates_no_root():
 def test_recognition_pairs_no_surds():
     tree = parse(ROOT / "src" / "meanstab" / "polynomials.py")
     assert forbidden_reads(tree, "_recognize_roots", NOT_READ_BY_RECOGNITION) == []
+    assert forbidden_reads(tree, "isolate_real_roots", NOT_READ_BY_RECOGNITION) == []
     assert [path.name for path in SOURCES if "combinations" in read_names(parse(path))] == []
 
 
@@ -294,8 +298,9 @@ def test_the_rules_catch_what_they_forbid():
                       "other.dumps(r, sort_keys=True)\n")
     assert indented_dumps(dumps) == [2, 3]
     # Mutated copies of the sources: the pivot isolated as a polynomial
-    # again, recognition pairing surds again, and the report written by the
-    # indented json.dumps again.
+    # again, recognition pairing surds again, isolation solving a quadratic
+    # in closed form again, and the report written by the indented
+    # json.dumps again.
     solver = (ROOT / "src" / "meanstab" / "solver.py").read_text(encoding="utf-8")
     isolated = solver.replace("    w = Fraction(-c4, dd * rd)\n", "    w = Fraction(-c4, dd * rd)\n"
                               "    isolate_real_roots(UniPoly((c4, 0, r)))\n")
@@ -311,6 +316,16 @@ def test_the_rules_catch_what_they_forbid():
     assert paired != polynomials
     assert forbidden_reads(ast.parse(paired), "_recognize_roots", NOT_READ_BY_RECOGNITION) == [
         "_quadratic_roots", "combinations"]
+    closed = polynomials.replace(
+        "    return _recognize_roots(squarefree_part(f))\n",
+        "    g = squarefree_part(f)\n"
+        "    c0, c1 = g.coeffs[:2]\n"
+        "    if g.degree == 2 and c1 * c1 > 4 * c0 and not _is_square(c1 * c1 - 4 * c0):\n"
+        "        return [QuadraticSurdRoot.of(QuadraticField(-c1 / 2, b, c1 * c1 / 4 - c0)) for b in (-1, 1)]\n"
+        "    return _recognize_roots(g)\n")
+    assert closed != polynomials
+    assert forbidden_reads(ast.parse(closed), "isolate_real_roots", NOT_READ_BY_RECOGNITION) == [
+        "QuadraticSurdRoot", "_is_square"]
     cli = (ROOT / "src" / "meanstab" / "cli.py").read_text(encoding="utf-8")
     indented = cli.replace("_indented_json(report) if", "json.dumps(report, indent=2) if")
     assert indented != cli and len(indented_dumps(ast.parse(indented))) == 1
