@@ -13,7 +13,9 @@ description of a candidate parameter, not a result of isolation.  Its
 arithmetic is exact and whose values have an exact sign; the series kernel
 computes in it at such a parameter.  Every surd is built from such a value,
 by ``QuadraticSurdRoot.of``, and any image of it from the field arithmetic
-that gives it.
+that gives it.  ``of`` brings the radicand to canonical form by one route
+for every size (``_extract_square``), and a rational square root is read
+by one helper (``_rational_sqrt``).
 
 Polynomials through equally spaced samples come from one route: the
 integer forward-difference table of the samples (``forward_differences``)
@@ -341,30 +343,19 @@ def _small_prime_product() -> int:
 
 def _extract_square(n: int) -> tuple[int, int]:
     """Write n = f*f*core with the square factors of primes up to 10**4
-    pulled into f.  Below 2**18 such a prime is below 2**9, and trial
-    division is faster than the gcd with their product: it divides out each
-    d while d**3 is at most what is left, which then has at most two prime
-    factors and is a square or adds none to f."""
+    pulled into f, by one route for every n: a square is f*f; otherwise
+    two gcds with the product of those primes give twice, the product of
+    the ones that divide n twice, and trial division splits twice while d*d
+    is at most what is left of it, which then is one prime."""
     root = math.isqrt(n)
     if root * root == n:
         return root, 1
-    if n < 1 << 18:
-        f, rest, d = 1, n, 2
-        while d * d * d <= rest:
-            while rest % d == 0:
-                rest //= d
-                if rest % d == 0:
-                    rest //= d
-                    f *= d
-            d += 1 if d == 2 else 2
-        root = math.isqrt(rest)
-        if root * root == rest:
-            f *= root
-        return f, n // (f * f)
     g = math.gcd(n, _small_prime_product())
-    twice = math.gcd(n // g, g)  # the primes up to 10**4 that divide n twice
+    twice = math.gcd(n // g, g)
     f, core, d = 1, n, 2
     while twice > 1:
+        if d * d > twice:
+            d = twice
         if twice % d == 0:
             twice //= d
             while core % (d * d) == 0:
@@ -374,17 +365,12 @@ def _extract_square(n: int) -> tuple[int, int]:
     return f, core
 
 
-def _is_square(q: Fraction) -> bool:
+def _rational_sqrt(q: Fraction) -> Fraction | None:
+    """The square root of q if it is rational, else None."""
     if q < 0:
-        return False
-    return (
-        math.isqrt(q.numerator) ** 2 == q.numerator
-        and math.isqrt(q.denominator) ** 2 == q.denominator
-    )
-
-
-def _sqrt_exact(q: Fraction) -> Fraction:
-    return Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
+        return None
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    return Fraction(num, den) if num * num == q.numerator and den * den == q.denominator else None
 
 
 # ---------------------------------------------------------------------------

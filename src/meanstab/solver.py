@@ -100,8 +100,7 @@ from .polynomials import (
     QuadraticSurdRoot,
     RationalRoot,
     UniPoly,
-    _is_square,
-    _sqrt_exact,
+    _rational_sqrt,
     forward_differences,
     isolate_real_roots,
     newton_forward,
@@ -556,8 +555,8 @@ def optimal_parameters(
                        notes=("the t^4 coefficient has no real zero; its sign is fixed",))
     # The roots (p, q) in ascending p: 0, or -sqrt(w) and sqrt(w), rational
     # or a surd pair, where p and q at -sqrt(w) conjugate those at sqrt(w).
-    if _is_square(w):
-        s = _sqrt_exact(w)
+    s = _rational_sqrt(w)
+    if s is not None:
         roots = [(RationalRoot(p), RationalRoot(locus.q_of(p))) for p in ((-s, s) if s else (s,))]
     else:
         p = QuadraticSurdRoot.of(QuadraticField(ZERO, ONE, w))
@@ -744,11 +743,11 @@ def stability_parameter_scan(family: str, order: int = 16) -> list[RationalRoot]
         lo, hi = root.bounds()
         if hi < 0 or lo > 1:
             continue
-        if not (isinstance(root, RationalRoot) and _is_square(root.value)):
+        alpha = _rational_sqrt(root.value) if isinstance(root, RationalRoot) else None
+        if alpha is None:
             raise ArithmeticError(
                 "stability candidate alpha^2 in [0, 1] with alpha not rational; unresolved"
             )
-        alpha = _sqrt_exact(root.value)
         if is_stable(make_spec(alpha), order).is_stable:
             if alpha != 0:
                 results.append(RationalRoot(-alpha))

@@ -23,13 +23,17 @@ Roots:
   by integer Horner on coprime candidates (it gives up on large or highly
   composite end coefficients), where ``polynomials.py`` recognizes every
   rational root as the simplest rational of its isolating interval;
-  ``isolate_real_roots_by_divisor_search`` checks those rationals against
-  the ones the production pass recognizes from degree 3 up, takes the
-  irrational roots from that pass, solves degrees 1 and 2 in closed form,
-  an irrational pair as two surds where ``polynomials.py`` isolates two
-  intervals, and orders the roots by exact comparisons of their
-  enclosures, where ``polynomials.py`` keeps the order of the isolating
-  intervals;
+  ``isolate_real_roots_by_divisor_search`` divides those rationals out,
+  solves what is left in closed form at degrees 1 and 2, an irrational
+  pair as two surds where ``polynomials.py`` isolates two intervals, and
+  from degree 3 up isolates it by Sturm counts (``sturm_sequence`` and
+  ``sturm_count``, on UniPoly remainders) and bisection, where
+  ``polynomials.py`` counts by Descartes' rule; it orders the roots by
+  exact comparisons of enclosures, each interval bisected by the oracle
+  itself, where ``polynomials.py`` keeps the order of the isolating
+  intervals; ``check_roots_by_sturm`` checks a root list against the Sturm
+  count and the divisor search, for polynomials whose rational roots the
+  search cannot find;
 * ``simplest_between_by_recursion``: the simplest rational of an interval
   by one recursive call per continued-fraction term, where
   ``polynomials.py`` loops over the terms;
@@ -41,9 +45,9 @@ Roots:
   those comparisons and for the tests that read a surd's value against an
   enclosure; ``polynomials.py`` encloses no surd;
 * ``extract_square_every_divisor``: the square factors by trial division
-  with every d up to 10**4, where ``polynomials.py`` trial-divides below
-  2**18 and takes two gcds with the product of the primes up to 10**4 from
-  there on; ``surd_from_parts`` builds a surd root from its four parts with
+  with every d up to 10**4, where ``polynomials.py`` takes two gcds with
+  the product of the primes up to 10**4 and splits the primes that divide
+  n twice; ``surd_from_parts`` builds a surd root from its four parts with
   it, where ``QuadraticSurdRoot.of`` builds it from its value in Q(sqrt(s));
 * ``lagrange_interpolate``: the polynomial through arbitrary points by
   Newton's divided differences over ``Fraction``, where ``polynomials.py``
@@ -88,10 +92,9 @@ The means:
 
 The stable series and the solver:
 
-* ``stable_by_closed_slope`` and ``stable_by_two_resultants``: the fixed
-  point of R(M, M, M) = M solved one even order at a time, with the closed
-  slope of the fixed-point step and with the slope measured by a second
-  resultant, where the catalog returns the power mean B_{2 a_2 + 1};
+* ``stable_by_closed_slope``: the fixed point of R(M, M, M) = M solved one
+  even order at a time, with the closed slope of the fixed-point step,
+  where the catalog returns the power mean B_{2 a_2 + 1};
 * ``coefficient_polynomial``: one t**k coefficient polynomial of the
   difference on the locus from its own k+2 difference expansions truncated
   at order k, by Lagrange interpolation, where the solver's band reads a
@@ -152,14 +155,13 @@ from meanstab.catalog import (
     expand_mean,
 )
 from meanstab.polynomials import (
+    IntervalRoot,
     QuadraticField,
     QuadraticSurdRoot,
     RationalRoot,
     Root,
     UniPoly,
-    _is_square,
-    _recognize_roots,
-    _sqrt_exact,
+    _rational_sqrt,
     sign_variations,
     squarefree_part,
 )
@@ -219,25 +221,6 @@ def stable_by_closed_slope(a2: Rational, order: int) -> MeanExpansion:
         window = _integer_form(coeffs, n)
         nums, den = resultant._resultant(window, window, window, n)
         coeffs[n] = Fraction(nums[n], den) / (Fraction(1, 2) - Fraction(2, 2**n))
-    return MeanExpansion(tuple(coeffs))
-
-
-def stable_by_two_resultants(a2: Rational, order: int) -> MeanExpansion:
-    """The fixed point of R(M, M, M) = M solved one even order at a time,
-    with the affine dependence of the resultant coefficient on the unknown
-    top coefficient measured at the values 0 and 1."""
-    coeffs = [ONE] + [ZERO] * order
-    if order >= 2:
-        coeffs[2] = Fraction(a2)
-    for idx in range(4, order + 1, 2):
-        window = coeffs[: idx + 1]
-        window[idx] = ZERO
-        base = resultant_coeffs(window, window, window, idx)[idx]
-        window[idx] = ONE
-        slope = resultant_coeffs(window, window, window, idx)[idx] - base
-        if slope == 1:
-            raise ArithmeticError(f"fixed point underdetermined at order {idx}")
-        coeffs[idx] = base / (1 - slope)
     return MeanExpansion(tuple(coeffs))
 
 
@@ -993,28 +976,18 @@ def simplest_between_by_recursion(lo: Rational, hi: Rational) -> Rational:
 
 
 def isolate_real_roots_by_divisor_search(f: UniPoly) -> list[Root]:
-    """Every distinct real root of f, with the rational ones from the
-    divisor search, in an order read from exact comparisons of enclosures
-    (``_compare_roots``).  A square-free part of degree 1 or 2 is solved in
-    closed form once its rational roots are divided out, an irrational pair
-    as two surds.  From degree 3 up, the irrational roots come from the
-    production pass over the isolating intervals (``_recognize_roots``);
-    the rationals it recognizes must be those of the divisor search when
-    the search was complete, and contain them when it gave up."""
+    """Every distinct real root of f: the rational ones from the divisor
+    search, each divided out of the square-free part, and what is left
+    solved in closed form at degree 1 or 2, an irrational pair as two
+    surds, and isolated by Sturm counts from degree 3 up
+    (``_isolate_by_sturm``), which needs a complete search; in the order
+    read from exact comparisons of enclosures (``_compare_roots``)."""
     if f.is_zero:
         raise ValueError("zero polynomial")
     if f.degree == 0:
         return []
     g = squarefree_part(f)
     rationals, complete = rational_roots_by_divisor_search(g)
-    if g.degree >= 3:
-        found = _recognize_roots(g)
-        recognized = {r.value for r in found if isinstance(r, RationalRoot)}
-        if not (set(rationals) == recognized if complete else set(rationals) <= recognized):
-            raise AssertionError(f"divisor search {rationals} against recognition {recognized}")
-        roots = [RationalRoot(r) for r in recognized]
-        roots.extend(r for r in found if not isinstance(r, RationalRoot))
-        return sorted(roots, key=functools.cmp_to_key(_compare_roots))
     roots: list[Root] = []
     for r in rationals:
         g, rem = divmod(g, UniPoly((-r, ONE)))
@@ -1027,26 +1000,124 @@ def isolate_real_roots_by_divisor_search(f: UniPoly) -> list[Root]:
         c0, c1, c2 = g.coeffs
         disc = c1 * c1 - 4 * c0 * c2
         if disc > 0:
-            if _is_square(disc):
-                s = _sqrt_exact(disc)
+            s = _rational_sqrt(disc)
+            if s is not None:
                 roots.append(RationalRoot((-c1 - s) / (2 * c2)))
                 roots.append(RationalRoot((-c1 + s) / (2 * c2)))
             else:
                 roots.append(surd_from_parts(-c1, -1, disc, 2 * c2))
                 roots.append(surd_from_parts(-c1, +1, disc, 2 * c2))
+    elif g.degree >= 3:
+        if not complete:
+            raise ValueError("the divisor search gave up; an interval could hold a rational root")
+        roots.extend(_isolate_by_sturm(g))
     return sorted(roots, key=functools.cmp_to_key(_compare_roots))
+
+
+def sturm_sequence(f: UniPoly) -> list[UniPoly]:
+    """f, f' and the negated remainders of Euclid's algorithm on them, down
+    to the last nonzero one."""
+    seq = [f, f.derivative()]
+    while not seq[-1].is_zero:
+        seq.append(seq[-2] % seq[-1] * -1)
+    return seq[:-1]
+
+
+def sturm_count(seq: Sequence[UniPoly], low: Rational | None, high: Rational | None) -> int:
+    """The distinct real roots of seq[0] in (low, high] (Sturm's theorem),
+    from the sign variations of the sequence at the two ends, neither of
+    them a multiple root; None stands for -infinity as low and for
+    +infinity as high."""
+    def variations(x: Rational | None, side: int) -> int:
+        values = [p.leading * side**p.degree if x is None else p(x) for p in seq]
+        signs = [v > 0 for v in values if v != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return variations(low, -1) - variations(high, 1)
+
+
+def _bisect(p: UniPoly, low: Rational, high: Rational, width: Fraction) -> tuple[Rational, Rational]:
+    """(low, high), across which p changes sign, halved on the sign change
+    until it is at most width wide; (mid, mid) if p vanishes at a midpoint."""
+    low_positive = p(low) > 0
+    while high - low > width:
+        mid = (low + high) / 2
+        value = p(mid)
+        if value == 0:
+            return mid, mid
+        if (value > 0) == low_positive:
+            low = mid
+        else:
+            high = mid
+    return low, high
+
+
+def _isolate_by_sturm(g: UniPoly) -> list[IntervalRoot]:
+    """The real roots of the square-free g, which has no rational root, as
+    intervals: (-B, B], B the Cauchy bound, halved until each part has a
+    Sturm count of 0 or 1, and each part with a root bisected on its sign
+    change to at most 10**-12 wide."""
+    seq = sturm_sequence(g)
+    bound = 1 + max(abs(c) for c in g.coeffs) / abs(g.leading)
+    parts, found = [(-bound, bound)], []
+    while parts:
+        low, high = parts.pop()
+        count = sturm_count(seq, low, high)
+        if count == 1:
+            found.append(IntervalRoot(*_bisect(g, low, high, Fraction(1, 10**12)), g))
+        elif count > 1:
+            mid = (low + high) / 2
+            parts += [(low, mid), (mid, high)]
+    return found
+
+
+def check_roots_by_sturm(f: UniPoly, roots: Sequence[Root]) -> None:
+    """Raise AssertionError unless roots are every distinct real root of f
+    in ascending order.  A rational root is a root of f, and the rationals
+    are those of the divisor search when it is complete and include them
+    when it gave up; an interval root holds exactly one root of f, with
+    none at its ends; the enclosures are disjoint and ascending, and the
+    Sturm count of f over the real line is the number of roots."""
+    seq = sturm_sequence(f)
+    ends = []
+    for root in roots:
+        if isinstance(root, RationalRoot):
+            if f(root.value) != 0:
+                raise AssertionError(f"{root.value} is not a root")
+            ends.append((root.value, root.value))
+        elif isinstance(root, IntervalRoot):
+            low, high = root.low, root.high
+            if not (low < high and f(low) != 0 != f(high) and sturm_count(seq, low, high) == 1):
+                raise AssertionError(f"({low}, {high}) holds no single root")
+            ends.append((low, high))
+        else:
+            raise AssertionError(f"{root!r} is neither a rational nor an interval root")
+    if any(high >= low for (_, high), (low, _) in zip(ends, ends[1:])):
+        raise AssertionError(f"enclosures {ends} are not disjoint and ascending")
+    total = sturm_count(seq, None, None)
+    if total != len(roots):
+        raise AssertionError(f"{total} real roots, {len(roots)} returned")
+    rationals, complete = rational_roots_by_divisor_search(squarefree_part(f))
+    found = {root.value for root in roots if isinstance(root, RationalRoot)}
+    if not (set(rationals) == found if complete else set(rationals) <= found):
+        raise AssertionError(f"divisor search {rationals} against {sorted(found)}")
 
 
 def _compare_roots(a: Root, b: Root) -> int:
     """-1 or 1 as the root a lies below or above the distinct root b, from
-    their enclosures, a surd's by ``surd_bounds_by_bisection`` and any
-    other root's by bounds(width), the width squared until they are
-    disjoint."""
+    their enclosures, the width squared until they are disjoint: a surd's
+    by ``surd_bounds_by_bisection``, an interval root's by ``_bisect`` on
+    its polynomial, a rational root's the point itself."""
+    def enclosure(root: Root, width: Fraction) -> tuple[Rational, Rational]:
+        if isinstance(root, QuadraticSurdRoot):
+            return surd_bounds_by_bisection(root, width)
+        if isinstance(root, IntervalRoot):
+            return _bisect(root.polynomial, root.low, root.high, width)
+        return root.value, root.value
+
     width = Fraction(1, 10**12)
     while True:
-        (alo, ahi), (blo, bhi) = (
-            surd_bounds_by_bisection(r, width) if isinstance(r, QuadraticSurdRoot) else r.bounds(width)
-            for r in (a, b))
+        (alo, ahi), (blo, bhi) = enclosure(a, width), enclosure(b, width)
         if ahi < blo:
             return -1
         if bhi < alo:

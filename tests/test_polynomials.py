@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    check_roots_by_sturm,
     descartes_count_by_products,
     extract_square_every_divisor,
     isolate_real_roots_by_divisor_search,
@@ -26,7 +27,7 @@ from meanstab.polynomials import (
     UniPoly,
     _descartes_count,
     _extract_square,
-    _is_square,
+    _rational_sqrt,
     _refine,
     forward_differences,
     isolate_real_roots,
@@ -140,7 +141,7 @@ class TestSurdsAndSquares:
     def test_approx_is_within_a_few_units_of_the_value(self, add, sign, offset, near, div):
         # near: a radicand just above add**2, where add - sqrt(radicand) cancels
         radicand = add * add + offset if near else offset
-        assume(not _is_square(radicand))
+        assume(_rational_sqrt(radicand) is None)
         root = QuadraticSurdRoot.of(QuadraticField(add / div, sign / div, radicand))
         low, high = surd_bounds_by_bisection(root, F(1, 10**80))
         assert math.isclose(root.approx(), float(low), rel_tol=2e-15)
@@ -159,7 +160,7 @@ class TestSurdsAndSquares:
         # included, where add + sign*sqrt(radicand) can cancel to a signed
         # zero), or the canonical root of their value
         if canonical:
-            assume(radicand and not _is_square(radicand))
+            assume(radicand and _rational_sqrt(radicand) is None)
             root = QuadraticSurdRoot.of(QuadraticField(add / div, sign / div, radicand))
         else:
             root = QuadraticSurdRoot(add, sign, radicand, div)
@@ -188,7 +189,7 @@ class TestSurdsAndSquares:
     ):
         # the value a + b*sqrt(s), and an affine image of it computed in
         # Q(sqrt(s)), give what arithmetic on (add, sign, radicand, div) gives
-        assume(not _is_square(radicand))
+        assume(_rational_sqrt(radicand) is None)
         root = QuadraticSurdRoot.of(QuadraticField(add / div, sign / div, radicand))
         assert root == surd_from_parts(add, sign, radicand, div)
         image = QuadraticSurdRoot.of(intercept + slope * root.value)
@@ -196,10 +197,10 @@ class TestSurdsAndSquares:
                                         root.sign if slope > 0 else -root.sign,
                                         slope * slope * root.radicand, root.div)
 
-    def test_is_square(self):
-        assert _is_square(F(9, 4)) and _is_square(F(0))
-        assert not _is_square(F(-4)) and not _is_square(F(-9, 4))
-        assert not _is_square(F(2)) and not _is_square(F(4, 3))
+    def test_rational_sqrt(self):
+        assert _rational_sqrt(F(9, 4)) == F(3, 2) and _rational_sqrt(F(0)) == 0
+        assert _rational_sqrt(F(-4)) is None and _rational_sqrt(F(-9, 4)) is None
+        assert _rational_sqrt(F(2)) is None and _rational_sqrt(F(4, 3)) is None
 
     @pytest.mark.parametrize(
         "lo, hi", [(F(1, 3), F(1, 2)), (F(-7, 5), F(-4, 3)), (F(-1, 2), F(2)), (F(5, 7), F(5, 7))],
@@ -756,7 +757,7 @@ class TestRootIsolationProperties:
         assert rational_roots_by_divisor_search(squarefree_part(p))[1] is False
 
         roots = isolate_real_roots(p)
-        assert roots == isolate_real_roots_by_divisor_search(p)
+        check_roots_by_sturm(p, roots)
         assert [r.approx() for r in roots] == sorted(r.approx() for r in roots)
         assert [r.value for r in roots if isinstance(r, RationalRoot)] == rationals
         intervals = [r for r in roots if isinstance(r, IntervalRoot)]
@@ -768,6 +769,20 @@ class TestRootIsolationProperties:
             cubic = poly(*cubics[0][0])
             assert root.high - root.low <= F(1, 10**12)
             assert cubic(root.low) * cubic(root.high) < 0
+
+    def test_the_sturm_check_rejects_a_wrong_root_list(self):
+        # x**3 - 2x = x(x**2 - 2): a missing root, an interval that holds
+        # two roots or none, a rational that is no root and a list out of
+        # order each fail the check that the right list passes
+        p = poly(0, -2, 0, 1)
+        roots = isolate_real_roots(p)
+        check_roots_by_sturm(p, roots)
+        low, zero, high = roots
+        for wrong in ([low, zero], [IntervalRoot(F(-2), F(1, 2), p), high],
+                      [low, zero, IntervalRoot(F(1, 2), F(1), p), high],
+                      [low, RationalRoot(F(1)), high], [zero, low, high]):
+            with pytest.raises(AssertionError):
+                check_roots_by_sturm(p, wrong)
 
     def test_large_rational_roots_after_the_divisor_search_gives_up(self):
         # -999983 is far from the other roots; 1/3 + 1/BIG_PRIMES sits next
@@ -804,11 +819,13 @@ class TestRootIsolationProperties:
 
 
 class TestRecognitionAgainstDivisorSearch:
-    """Rational roots by interval recognition alone give the same root list
-    as the divisor search followed by the same interval stage: the same
-    kinds, values and interval endpoints, in the same order.  Where the
-    square-free part is an irrational quadratic, the oracle solves it in
-    closed form, and each interval holds its surd."""
+    """Rational roots by interval recognition alone give every root once,
+    in ascending order, by the Sturm count, and the same root list as the
+    divisor search followed by the oracle's own isolation: the same
+    rationals in the same places, an interval where the oracle isolates
+    one, and where what is left of the square-free part is an irrational
+    quadratic, an interval that holds each surd of the oracle's closed
+    form."""
 
     @settings(max_examples=80, deadline=None)
     @example([], [], [], F(1))  # a constant
@@ -832,10 +849,16 @@ class TestRecognitionAgainstDivisorSearch:
         for coeffs, _ in cubics:
             p = p * poly(*coeffs)
         roots = isolate_real_roots(p)
+        check_roots_by_sturm(p, roots)
         expected = isolate_real_roots_by_divisor_search(p)
         assert len(roots) == len(expected)
         for root, want in zip(roots, expected):
-            assert holds(root, want) if isinstance(want, QuadraticSurdRoot) else repr(root) == repr(want)
+            if isinstance(want, QuadraticSurdRoot):
+                assert holds(root, want)
+            elif isinstance(want, IntervalRoot):
+                assert isinstance(root, IntervalRoot) and root.low < want.high and want.low < root.high
+            else:
+                assert root == want
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -916,15 +939,24 @@ class TestRootSearchAgainstOracles:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(min_value=1, max_value=2**18 + 2**12),
            st.sampled_from((1, 4, 9, 25, 3 * 3 * 7 * 7, 61 * 61, 509 * 509, 10007 * 10007)))
-    def test_extract_square_by_trial_division(self, k, square):
-        # Below 2**18 the square factors come from trial division, from 2**18
-        # on from the gcd with the prime product; both give the oracle's.
+    def test_extract_square_of_small_radicands(self, k, square):
+        # Radicands up to about 2**18, times small squares and one square
+        # of a prime past 10**4, which stays in core.
         for n in (k, k * square):
             assert _extract_square(n) == extract_square_every_divisor(n)
 
     @pytest.mark.parametrize("n", [2**18 - 1, 2**18, 2**18 + 1, 2**17, 2 * 3**10, 61**3, 7**6,
                                    2 * 181**2, 3 * 293**2, 509**2 + 509, 511**2, 262139, 262147])
-    def test_extract_square_at_the_trial_division_limit(self, n):
+    def test_extract_square_of_radicands_near_2_to_the_18(self, n):
+        # prime powers, squares of primes below 2**9 and primes next to 2**18
+        assert _extract_square(n) == extract_square_every_divisor(n)
+
+    @pytest.mark.parametrize("n", [
+        9973**2 * 7, 9967**2 * 9973 * 3, (9967 * 9973) ** 2 * 5,
+        *(p * p * k for p in (9973, 9967, 9949, 7919, 5003) for k in (1, 2, 3, 2 * 3 * 5 * 7, 9967))])
+    def test_extract_square_of_primes_near_10_to_the_4(self, n):
+        # The split of the primes that divide n twice ends at the square
+        # root of what is left of their product, here one such prime.
         assert _extract_square(n) == extract_square_every_divisor(n)
 
 

@@ -1921,24 +1921,36 @@ class TestParameterScan:
         assert forms == [(F(beta), family == "S", 4) for beta in range(-3, 3)]
 
     @pytest.mark.parametrize(
-        "planted, kind",
+        "planted, kinds, stable",
         [
-            (UniPoly((-1, 0, 2)), QuadraticSurdRoot),  # beta = 1/sqrt(2)
-            (UniPoly((-1, 0, 0, 4)), IntervalRoot),  # beta = 4**(-1/3)
-            (UniPoly((-1, 2)), RationalRoot),  # beta = 1/2, alpha = 1/sqrt(2)
+            # beta = -1/sqrt(2), skipped; beta = 1/4, alpha = 1/2 (G, stable);
+            # beta = 1/sqrt(2)
+            (UniPoly((-1, 0, 2)) * UniPoly((F(-1, 4), 1)), [RationalRoot, QuadraticSurdRoot],
+             [F(1, 2)]),
+            (UniPoly((-1, 0, 0, 4)), [IntervalRoot], []),  # beta = 4**(-1/3)
+            (UniPoly((-1, 2)), [RationalRoot], []),  # beta = 1/2, alpha = 1/sqrt(2)
         ],
         ids=["surd", "interval", "rational-non-square"],
     )
     def test_root_in_the_unit_interval_without_rational_alpha_is_unresolved(
-        self, monkeypatch, planted, kind
+        self, monkeypatch, planted, kinds, stable
     ):
         # The scan reports rational alpha only; whatever else lies in [0, 1]
-        # raises instead of being skipped.
+        # raises instead of being skipped, after the stable alpha below it.
         inside = [r for r in oracles.isolate_real_roots_by_divisor_search(planted) if 0 < r.approx() < 1]
-        assert len(inside) == 1 and isinstance(inside[0], kind)
+        assert [type(r) for r in inside] == kinds
+        checked, real = [], solver.is_stable
+
+        def recorded(spec, order):
+            verdict = real(spec, order)
+            checked.append((spec, verdict.is_stable))
+            return verdict
+
+        monkeypatch.setattr(solver, "is_stable", recorded)
         monkeypatch.setattr(solver, "_band", lambda sample, low, high: {4: planted})
         with pytest.raises(ArithmeticError, match="unresolved"):
             stability_parameter_scan("L", 16)
+        assert checked == [(LAlpha(alpha), True) for alpha in stable]
 
     def test_a_defect_that_vanishes_identically_is_inconclusive(self, monkeypatch, capsys):
         # every sample of the t^4 defect 0: no polynomial in beta to solve

@@ -11,7 +11,7 @@ isolation and recognition read rational roots alone and build no surd at
 any degree; the command
 line writes its reports with no indented json.dumps.  Every top-level
 definition of ``tests/oracles.py`` is read by the tests outside its own
-body.  The code-line counter of ``code_lines.py`` counts code alone."""
+body, and the oracles read no production root isolation.  The code-line counter of ``code_lines.py`` counts code alone."""
 
 import ast
 import sys
@@ -44,7 +44,10 @@ NOT_READ_BY_THE_PIVOT = {"isolate_real_roots", "UniPoly"}
 #: not read: at every degree isolation recognizes rational roots alone, and
 #: every irrational root is an interval, with no surd built or paired and no
 #: discriminant tested for a square.
-NOT_READ_BY_RECOGNITION = {"_quadratic_roots", "QuadraticSurdRoot", "_is_square", "combinations"}
+NOT_READ_BY_RECOGNITION = {"_quadratic_roots", "QuadraticSurdRoot", "_rational_sqrt", "combinations"}
+#: Names tests/oracles.py does not read: its roots come from the divisor
+#: search, closed forms and Sturm counts, with no production isolation.
+NOT_READ_BY_THE_ROOT_ORACLE = {"_recognize_roots", "_isolate_intervals", "_refine", "isolate_real_roots"}
 
 
 def imported_modules(tree: ast.AST) -> list[tuple[int, str]]:
@@ -242,6 +245,11 @@ def test_recognition_pairs_no_surds():
     assert [path.name for path in SOURCES if "combinations" in read_names(parse(path))] == []
 
 
+def test_the_root_oracle_reads_no_production_isolation():
+    tree = parse(ROOT / "tests" / "oracles.py")
+    assert sorted(set(read_names(tree)) & NOT_READ_BY_THE_ROOT_ORACLE) == []
+
+
 def test_the_command_line_writes_no_indented_json_dumps():
     assert indented_dumps(parse(ROOT / "src" / "meanstab" / "cli.py")) == []
 
@@ -299,8 +307,8 @@ def test_the_rules_catch_what_they_forbid():
     assert indented_dumps(dumps) == [2, 3]
     # Mutated copies of the sources: the pivot isolated as a polynomial
     # again, recognition pairing surds again, isolation solving a quadratic
-    # in closed form again, and the report written by the indented
-    # json.dumps again.
+    # in closed form again, the report written by the indented json.dumps
+    # again ...
     solver = (ROOT / "src" / "meanstab" / "solver.py").read_text(encoding="utf-8")
     isolated = solver.replace("    w = Fraction(-c4, dd * rd)\n", "    w = Fraction(-c4, dd * rd)\n"
                               "    isolate_real_roots(UniPoly((c4, 0, r)))\n")
@@ -320,17 +328,22 @@ def test_the_rules_catch_what_they_forbid():
         "    return _recognize_roots(squarefree_part(f))\n",
         "    g = squarefree_part(f)\n"
         "    c0, c1 = g.coeffs[:2]\n"
-        "    if g.degree == 2 and c1 * c1 > 4 * c0 and not _is_square(c1 * c1 - 4 * c0):\n"
+        "    if g.degree == 2 and c1 * c1 > 4 * c0 and _rational_sqrt(c1 * c1 - 4 * c0) is None:\n"
         "        return [QuadraticSurdRoot.of(QuadraticField(-c1 / 2, b, c1 * c1 / 4 - c0)) for b in (-1, 1)]\n"
         "    return _recognize_roots(g)\n")
     assert closed != polynomials
     assert forbidden_reads(ast.parse(closed), "isolate_real_roots", NOT_READ_BY_RECOGNITION) == [
-        "QuadraticSurdRoot", "_is_square"]
+        "QuadraticSurdRoot", "_rational_sqrt"]
     cli = (ROOT / "src" / "meanstab" / "cli.py").read_text(encoding="utf-8")
     indented = cli.replace("_indented_json(report) if", "json.dumps(report, indent=2) if")
     assert indented != cli and len(indented_dumps(ast.parse(indented))) == 1
-    # ... and an oracle that no test reads any more.
+    # ... the root oracle taking its intervals from production again ...
     oracle_source = (ROOT / "tests" / "oracles.py").read_text(encoding="utf-8")
+    borrowed = oracle_source.replace("roots.extend(_isolate_by_sturm(g))", "roots.extend(_recognize_roots(g))")
+    assert borrowed != oracle_source
+    assert sorted(set(read_names(ast.parse(borrowed))) & NOT_READ_BY_THE_ROOT_ORACLE) == [
+        "_recognize_roots"]
+    # ... and an oracle that no test reads any more.
     retired = oracle_source + "\n\ndef retired_route(order):\n    return retired_route(order - 1)\n"
     trees = [ast.parse(retired)] + [parse(path) for path in TESTS if path.name != "oracles.py"]
     assert unread_definitions(ast.parse(retired), trees) == ["retired_route"]
