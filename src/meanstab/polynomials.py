@@ -11,11 +11,11 @@ A quadratic surd ``(add + sign*sqrt(radicand))/div`` is the solver's
 description of a candidate parameter, not a result of isolation.  Its
 ``value`` is a number of the field Q(sqrt(s)), ``QuadraticField``, whose
 arithmetic is exact and whose values have an exact sign; the series kernel
-computes in it at such a parameter.  Every surd is built from such a value,
-by ``QuadraticSurdRoot.of``, and any image of it from the field arithmetic
-that gives it.  ``of`` brings the radicand to canonical form by one route
-for every size (``_extract_square``), and a rational square root is read
-by one helper (``_rational_sqrt``).
+computes in it at such a parameter.  Every square root enters through
+one helper, ``_exact_sqrt``: sqrt(w) of a rational w >= 0 is read once, by
+one ``_extract_square``, into a Fraction or into Q(sqrt(core)) with a
+canonical core.  Every surd is a value of such a field, or an image of one
+under the field arithmetic, and ``QuadraticSurdRoot.of`` only spells it.
 
 Polynomials through equally spaced samples come from one route: the
 integer forward-difference table of the samples (``forward_differences``)
@@ -191,7 +191,9 @@ def newton_forward(x0: int, deltas: Sequence[int], den: int) -> UniPoly:
 class QuadraticField(Value):
     """The number a + b*sqrt(s) of the field Q(sqrt(s)), s a positive
     integer that is not a square, held with Fractions a and b, b != 0; int
-    parts are converted, so that a quotient stays exact.
+    parts are converted, so that a quotient stays exact.  _exact_sqrt gives
+    s in canonical form, the core of a radicand, and the field arithmetic
+    keeps it.
 
     Arithmetic with a value of the same field, a Fraction or an int comes
     back as a Fraction wherever b cancels, so a rational result stays
@@ -275,9 +277,9 @@ class RationalRoot(Value):
 class QuadraticSurdRoot(Value):
     """The number ``(add + sign*sqrt(radicand))/div``.
 
-    Canonical form, as ``of`` builds it from the value: ``radicand`` is a
-    positive non-square integer with small square factors removed, ``div``
-    is positive.
+    Canonical form, as ``of`` spells it from a value whose s _exact_sqrt
+    gave: ``radicand`` is a positive non-square integer with small square
+    factors removed, ``div`` is positive.
     """
 
     kind = "quadratic-surd"
@@ -287,17 +289,16 @@ class QuadraticSurdRoot(Value):
 
     @classmethod
     def of(cls, value: QuadraticField) -> "QuadraticSurdRoot":
-        """The canonical description of a + b*sqrt(s): s = n/d brought to the
-        integer n*d, as sqrt(n/d) = sqrt(n*d)/d, and its square factors
-        pulled into b; then div = 1/|b|, add = a*div and the sign of b."""
-        b, s = value.b, value.s
-        if s <= 0:
-            raise ValueError("radicand must be positive")
-        f, core = _extract_square(s.numerator * s.denominator)
-        if core == 1:
-            raise ValueError("radicand is a perfect square; the value is rational")
-        div = Fraction(s.denominator * b.denominator, abs(b.numerator) * f)
-        return cls(value.a * div, 1 if b > 0 else -1, Fraction(core), div)
+        """The description of a + b*sqrt(s), a value of a field that
+        _exact_sqrt gives, or an image of one, so s is already canonical:
+        div = 1/|b|, add = a*div and the sign of b.  Nothing is extracted;
+        an s that is not a positive integer, or is a square, raises
+        ValueError."""
+        a, b, s = value.a, value.b, value.s
+        if s <= 0 or s.denominator != 1 or math.isqrt(s.numerator) ** 2 == s.numerator:
+            raise ValueError("radicand must be a positive integer, not a perfect square")
+        div = 1 / abs(b)
+        return cls(a * div, 1 if b > 0 else -1, Fraction(s), div)
 
     @property
     def value(self) -> QuadraticField:
@@ -346,7 +347,8 @@ def _extract_square(n: int) -> tuple[int, int]:
     pulled into f, by one route for every n: a square is f*f; otherwise
     two gcds with the product of those primes give twice, the product of
     the ones that divide n twice, and trial division splits twice while d*d
-    is at most what is left of it, which then is one prime."""
+    is at most what is left of it, which then is one prime.  _exact_sqrt is
+    its one reader."""
     root = math.isqrt(n)
     if root * root == n:
         return root, 1
@@ -365,12 +367,16 @@ def _extract_square(n: int) -> tuple[int, int]:
     return f, core
 
 
-def _rational_sqrt(q: Fraction) -> Fraction | None:
-    """The square root of q if it is rational, else None."""
+def _exact_sqrt(q: Rational) -> Rational | QuadraticField:
+    """The square root of a rational q >= 0, read once: q = n/d and n*d =
+    f*f*core by _extract_square, so sqrt(q) = (f/d)*sqrt(core), a Fraction
+    when core is 1, else that value of Q(sqrt(core)).  A negative q raises
+    ValueError."""
     if q < 0:
-        return None
-    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
-    return Fraction(num, den) if num * num == q.numerator and den * den == q.denominator else None
+        raise ValueError("a negative rational has no real square root")
+    f, core = _extract_square(q.numerator * q.denominator)
+    root = Fraction(f, q.denominator)
+    return root if core == 1 else QuadraticField(ZERO, root, Fraction(core))
 
 
 # ---------------------------------------------------------------------------

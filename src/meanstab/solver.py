@@ -100,12 +100,12 @@ from .polynomials import (
     QuadraticSurdRoot,
     RationalRoot,
     UniPoly,
-    _rational_sqrt,
+    _exact_sqrt,
     forward_differences,
     isolate_real_roots,
     newton_forward,
 )
-from .rationals import ONE, ZERO, Rational
+from .rationals import Rational
 from .resultant import _common, _resultant
 from .series import _integer_form, _values
 from .values import Value
@@ -553,15 +553,10 @@ def optimal_parameters(
         probes = [(p, float(locus.q_of(Fraction(p)))) for p in _LOCUS_SAMPLES]
         return verdict(c4, probes, locus=locus, fixed_leading_order=4,
                        notes=("the t^4 coefficient has no real zero; its sign is fixed",))
-    # The roots (p, q) in ascending p: 0, or -sqrt(w) and sqrt(w), rational
-    # or a surd pair, where p and q at -sqrt(w) conjugate those at sqrt(w).
-    s = _rational_sqrt(w)
-    if s is not None:
-        roots = [(RationalRoot(p), RationalRoot(locus.q_of(p))) for p in ((-s, s) if s else (s,))]
-    else:
-        p = QuadraticSurdRoot.of(QuadraticField(ZERO, ONE, w))
-        plus = p, QuadraticSurdRoot.of(locus.q_of(p.value))
-        roots = [tuple(QuadraticSurdRoot(x.add, -x.sign, x.radicand, x.div) for x in plus), plus]
+    # The roots p in ascending order: 0, or -sqrt(w) and sqrt(w), rational
+    # or in Q(sqrt(core)), and each is described as the kind of its value.
+    s = _exact_sqrt(w)
+    describe = RationalRoot if isinstance(s, Fraction) else QuadraticSurdRoot.of
 
     def settled() -> tuple[int | None, Rational | None] | None:
         # The survivor at both roots p = +-sqrt(w), where one route reads it
@@ -590,17 +585,18 @@ def optimal_parameters(
     if pair is None:  # each root reads its own expansion, through max_order
         full = mean if mean.order >= max_order else expand_mean(spec, max_order)
     candidates = []
-    for root, q_root in roots:
+    for p in (-s, s) if s else (s,):
+        q = locus.q_of(p)
         if pair is not None:
             achieved, leading = pair
         else:
-            # The exact difference at the root, over Q or Q(sqrt(s)).
-            diff = difference_expansion(full, root.value, locus.q_of(root.value), max_order)
+            # The exact difference at the root, over Q or Q(sqrt(core)).
+            diff = difference_expansion(full, p, q, max_order)
             achieved = diff.first_nonzero
             if achieved is not None and achieved <= 4:
                 raise ArithmeticError("difference at a root survives at or below the pivot")
             leading = None if achieved is None else diff.coeffs[achieved]
-        candidates.append(OptimalCandidate(root, q_root, achieved, leading))
+        candidates.append(OptimalCandidate(describe(p), describe(q), achieved, leading))
 
     if any(c.achieved_order is None for c in candidates):
         best = tuple(c for c in candidates if c.achieved_order is None)
@@ -743,8 +739,8 @@ def stability_parameter_scan(family: str, order: int = 16) -> list[RationalRoot]
         lo, hi = root.bounds()
         if hi < 0 or lo > 1:
             continue
-        alpha = _rational_sqrt(root.value) if isinstance(root, RationalRoot) else None
-        if alpha is None:
+        alpha = _exact_sqrt(root.value) if isinstance(root, RationalRoot) else None
+        if not isinstance(alpha, Fraction):
             raise ArithmeticError(
                 "stability candidate alpha^2 in [0, 1] with alpha not rational; unresolved"
             )

@@ -47,8 +47,10 @@ Roots:
 * ``extract_square_every_divisor``: the square factors by trial division
   with every d up to 10**4, where ``polynomials.py`` takes two gcds with
   the product of the primes up to 10**4 and splits the primes that divide
-  n twice; ``surd_from_parts`` builds a surd root from its four parts with
-  it, where ``QuadraticSurdRoot.of`` builds it from its value in Q(sqrt(s));
+  n twice, once per square root in ``_exact_sqrt``; the divisor search
+  tests its discriminant for a square with it, and ``surd_from_parts``
+  builds a surd root from its four parts with it, where
+  ``QuadraticSurdRoot.of`` only spells a value of Q(sqrt(core));
 * ``lagrange_interpolate``: the polynomial through arbitrary points by
   Newton's divided differences over ``Fraction``, where ``polynomials.py``
   reads polynomials through equally spaced samples from integer forward
@@ -161,7 +163,6 @@ from meanstab.polynomials import (
     RationalRoot,
     Root,
     UniPoly,
-    _rational_sqrt,
     sign_variations,
     squarefree_part,
 )
@@ -1000,8 +1001,9 @@ def isolate_real_roots_by_divisor_search(f: UniPoly) -> list[Root]:
         c0, c1, c2 = g.coeffs
         disc = c1 * c1 - 4 * c0 * c2
         if disc > 0:
-            s = _rational_sqrt(disc)
-            if s is not None:
+            f, core = extract_square_every_divisor(disc.numerator * disc.denominator)
+            if core == 1:
+                s = Fraction(f, disc.denominator)
                 roots.append(RationalRoot((-c1 - s) / (2 * c2)))
                 roots.append(RationalRoot((-c1 + s) / (2 * c2)))
             else:

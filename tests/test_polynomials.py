@@ -26,8 +26,8 @@ from meanstab.polynomials import (
     RationalRoot,
     UniPoly,
     _descartes_count,
+    _exact_sqrt,
     _extract_square,
-    _rational_sqrt,
     _refine,
     forward_differences,
     isolate_real_roots,
@@ -112,11 +112,23 @@ class TestUniPoly:
 class TestSurdsAndSquares:
     @pytest.mark.parametrize("radicand", [F(0), F(-3), F(-1, 4)], ids=str)
     def test_a_surd_needs_a_positive_radicand(self, radicand):
-        with pytest.raises(ValueError, match="must be positive"):
+        # 1/2 + sqrt(0)/2 is the Fraction 1/2; a negative radicand has no
+        # real root; of takes no such field
+        if radicand == 0:
+            value = F(1, 2) + F(1, 2) * _exact_sqrt(radicand)
+            assert type(value) is F and value == F(1, 2)
+        else:
+            with pytest.raises(ValueError, match="no real square root"):
+                _exact_sqrt(radicand)
+        with pytest.raises(ValueError, match="must be a positive integer"):
             QuadraticSurdRoot.of(QuadraticField(F(1, 2), F(1, 2), radicand))
 
     @pytest.mark.parametrize("radicand", [F(4), F(9, 25), F(1, 16), F(18, 8)], ids=str)
     def test_a_surd_refuses_a_perfect_square(self, radicand):
+        # the root of a rational square is a Fraction, and so is 1/3 - root/3
+        root = _exact_sqrt(radicand)
+        assert type(root) is F and root > 0 and root * root == radicand
+        assert type(F(1, 3) - F(1, 3) * root) is F
         with pytest.raises(ValueError, match="perfect square"):
             QuadraticSurdRoot.of(QuadraticField(F(1, 3), F(-1, 3), radicand))
 
@@ -141,8 +153,9 @@ class TestSurdsAndSquares:
     def test_approx_is_within_a_few_units_of_the_value(self, add, sign, offset, near, div):
         # near: a radicand just above add**2, where add - sqrt(radicand) cancels
         radicand = add * add + offset if near else offset
-        assume(_rational_sqrt(radicand) is None)
-        root = QuadraticSurdRoot.of(QuadraticField(add / div, sign / div, radicand))
+        sqrt = _exact_sqrt(radicand)
+        assume(isinstance(sqrt, QuadraticField))
+        root = QuadraticSurdRoot.of(add / div + sign / div * sqrt)
         low, high = surd_bounds_by_bisection(root, F(1, 10**80))
         assert math.isclose(root.approx(), float(low), rel_tol=2e-15)
 
@@ -160,8 +173,9 @@ class TestSurdsAndSquares:
         # included, where add + sign*sqrt(radicand) can cancel to a signed
         # zero), or the canonical root of their value
         if canonical:
-            assume(radicand and _rational_sqrt(radicand) is None)
-            root = QuadraticSurdRoot.of(QuadraticField(add / div, sign / div, radicand))
+            sqrt = _exact_sqrt(radicand)
+            assume(isinstance(sqrt, QuadraticField))
+            root = QuadraticSurdRoot.of(add / div + sign / div * sqrt)
         else:
             root = QuadraticSurdRoot(add, sign, radicand, div)
         assert root.approx().hex() == surd_approx_by_fractions(root).hex()
@@ -189,18 +203,46 @@ class TestSurdsAndSquares:
     ):
         # the value a + b*sqrt(s), and an affine image of it computed in
         # Q(sqrt(s)), give what arithmetic on (add, sign, radicand, div) gives
-        assume(_rational_sqrt(radicand) is None)
-        root = QuadraticSurdRoot.of(QuadraticField(add / div, sign / div, radicand))
+        sqrt = _exact_sqrt(radicand)
+        assume(isinstance(sqrt, QuadraticField))
+        root = QuadraticSurdRoot.of(add / div + sign / div * sqrt)
         assert root == surd_from_parts(add, sign, radicand, div)
         image = QuadraticSurdRoot.of(intercept + slope * root.value)
         assert image == surd_from_parts(intercept * root.div + slope * root.add,
                                         root.sign if slope > 0 else -root.sign,
                                         slope * slope * root.radicand, root.div)
 
-    def test_rational_sqrt(self):
-        assert _rational_sqrt(F(9, 4)) == F(3, 2) and _rational_sqrt(F(0)) == 0
-        assert _rational_sqrt(F(-4)) is None and _rational_sqrt(F(-9, 4)) is None
-        assert _rational_sqrt(F(2)) is None and _rational_sqrt(F(4, 3)) is None
+    def test_exact_sqrt(self):
+        assert _exact_sqrt(F(9, 4)) == F(3, 2) and type(_exact_sqrt(F(9, 4))) is F
+        assert _exact_sqrt(F(0)) == 0 and type(_exact_sqrt(F(0))) is F
+        for q in (F(-4), F(-9, 4)):
+            with pytest.raises(ValueError, match="no real square root"):
+                _exact_sqrt(q)
+        assert _exact_sqrt(F(2)) == QuadraticField(F(0), F(1), F(2))
+        assert _exact_sqrt(F(4, 3)) == QuadraticField(F(0), F(2, 3), F(3))  # sqrt(12)/3
+        assert _exact_sqrt(F(9973**2 * 3, 20)) == QuadraticField(F(0), F(9973, 10), F(15))
+
+    @settings(max_examples=300, deadline=None)
+    @example(0, 1)
+    @example(9973 * 9973 * 2, 7)
+    @given(
+        st.integers(0, 10**12) | st.integers(0, 10**6).map(lambda x: x * x)
+        | st.builds(lambda p, k: p * p * k, st.sampled_from((9941, 9967, 9973, 10007)),
+                    st.integers(1, 10**4)),
+        st.integers(1, 10**6) | st.integers(1, 10**3).map(lambda x: x * x),
+    )
+    def test_exact_sqrt_reads_the_square_part_once(self, num, den):
+        # q = n/d: a Fraction exactly when n*d is a square, else a value of
+        # Q(sqrt(core)) with the oracle's core, that of spells as the four
+        # parts of sqrt(q) give it
+        q = F(num, den)
+        n, d = q.numerator, q.denominator
+        root = _exact_sqrt(q)
+        assert (type(root) is F) == (math.isqrt(n * d) ** 2 == n * d)
+        assert root * root == q
+        if type(root) is not F:
+            assert root.a == 0 and root.s == extract_square_every_divisor(n * d)[1]
+            assert QuadraticSurdRoot.of(root) == surd_from_parts(0, 1, q, 1)
 
     @pytest.mark.parametrize(
         "lo, hi", [(F(1, 3), F(1, 2)), (F(-7, 5), F(-4, 3)), (F(-1, 2), F(2)), (F(5, 7), F(5, 7))],
@@ -305,7 +347,7 @@ class TestRootIsolation:
 
     def test_surd_canonicalization(self):
         # the roots -/+ sqrt(209)/9 of x^2 - 209/81
-        roots = [QuadraticSurdRoot.of(QuadraticField(F(0), F(sign), F(209, 81))) for sign in (-1, 1)]
+        roots = [QuadraticSurdRoot.of(sign * _exact_sqrt(F(209, 81))) for sign in (-1, 1)]
         assert [(r.add, r.radicand, r.div) for r in roots] == [
             (F(0), F(209), F(9)),
             (F(0), F(209), F(9)),
@@ -873,7 +915,7 @@ class TestRecognitionAgainstDivisorSearch:
         # the oracle's closed form gives them canonical, in ascending order,
         # and isolation gives one interval that holds each
         coeffs = ((add * add - radicand) / (2 * div), -add, div / 2)
-        surds = [QuadraticSurdRoot.of(QuadraticField(add / div, sign / div, radicand))
+        surds = [QuadraticSurdRoot.of(add / div + sign / div * _exact_sqrt(radicand))
                  for sign in ((-1, 1) if div > 0 else (1, -1))]
         assert isolate_real_roots_by_divisor_search(poly(*coeffs)) == surds
         roots = isolate_real_roots(poly(*coeffs))

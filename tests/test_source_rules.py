@@ -6,12 +6,14 @@ other without a cycle, every private module-level function is used by the
 package itself, and every public function or method by the package, the
 acceptance gate or the benchmark.  A use is a read of the name outside the function's own body.
 The parameter search reads none of the names its schedule does not depend
-on, and reads the t^4 pivot's roots with no root isolation; root
+on, and reads the t^4 pivot's roots with no root isolation; one function
+of the package extracts square factors, _exact_sqrt, so a square root is
+read once and a surd only spelled; root
 isolation and recognition read rational roots alone and build no surd at
 any degree; the command
 line writes its reports with no indented json.dumps.  Every top-level
 definition of ``tests/oracles.py`` is read by the tests outside its own
-body, and the oracles read no production root isolation.  The code-line counter of ``code_lines.py`` counts code alone."""
+body, and the oracles read no production root isolation or square root.  The code-line counter of ``code_lines.py`` counts code alone."""
 
 import ast
 import sys
@@ -44,10 +46,16 @@ NOT_READ_BY_THE_PIVOT = {"isolate_real_roots", "UniPoly"}
 #: not read: at every degree isolation recognizes rational roots alone, and
 #: every irrational root is an interval, with no surd built or paired and no
 #: discriminant tested for a square.
-NOT_READ_BY_RECOGNITION = {"_quadratic_roots", "QuadraticSurdRoot", "_rational_sqrt", "combinations"}
+NOT_READ_BY_RECOGNITION = {"_quadratic_roots", "QuadraticSurdRoot", "_exact_sqrt", "combinations"}
 #: Names tests/oracles.py does not read: its roots come from the divisor
-#: search, closed forms and Sturm counts, with no production isolation.
-NOT_READ_BY_THE_ROOT_ORACLE = {"_recognize_roots", "_isolate_intervals", "_refine", "isolate_real_roots"}
+#: search, closed forms and Sturm counts, with no production isolation,
+#: and its square factors from trial division by every d up to 10**4.
+NOT_READ_BY_THE_ROOT_ORACLE = {"_recognize_roots", "_isolate_intervals", "_refine", "isolate_real_roots",
+                               "_exact_sqrt", "_extract_square"}
+#: The one reader of _extract_square in the package: a square root is read
+#: once, by _exact_sqrt, and QuadraticSurdRoot.of and optimal_parameters
+#: spell and use its value with no extraction of their own.
+EXTRACTS_SQUARES = ["polynomials.py:_exact_sqrt"]
 
 
 def imported_modules(tree: ast.AST) -> list[tuple[int, str]]:
@@ -144,6 +152,21 @@ def unread_definitions(module: ast.Module, trees: list[ast.Module]) -> list[str]
             defined += [(target.id, node) for target in node.targets if isinstance(target, ast.Name)]
     reads = sum((read_names(tree) for tree in trees), Counter())
     return [name for name, node in defined if reads[name] == read_names(node)[name]]
+
+
+def readers(trees: dict[str, ast.Module], name: str) -> list[str]:
+    """"file:function" for each module-level function, and "file:Class.method"
+    for each method of a module-level class, that reads the name, and "file"
+    where the module reads it outside them (an import included); sorted."""
+    found = []
+    for file, tree in trees.items():
+        scopes = [(node.name, node) for node in tree.body if isinstance(node, FUNCTIONS)]
+        scopes += [(f"{node.name}.{fn.name}", fn) for node in tree.body if isinstance(node, ast.ClassDef)
+                   for fn in node.body if isinstance(fn, FUNCTIONS)]
+        inside = [qualname for qualname, node in scopes if read_names(node)[name]]
+        outside = read_names(tree)[name] - sum(read_names(node)[name] for _, node in scopes)
+        found += [f"{file}:{qualname}" for qualname in inside] + ([file] if outside else [])
+    return sorted(found)
 
 
 def forbidden_reads(tree: ast.Module, function: str, names: set[str]) -> list[str]:
@@ -245,6 +268,11 @@ def test_recognition_pairs_no_surds():
     assert [path.name for path in SOURCES if "combinations" in read_names(parse(path))] == []
 
 
+def test_one_function_extracts_square_factors():
+    trees = {path.name: parse(path) for path in SOURCES}
+    assert readers(trees, "_extract_square") == EXTRACTS_SQUARES
+
+
 def test_the_root_oracle_reads_no_production_isolation():
     tree = parse(ROOT / "tests" / "oracles.py")
     assert sorted(set(read_names(tree)) & NOT_READ_BY_THE_ROOT_ORACLE) == []
@@ -307,7 +335,8 @@ def test_the_rules_catch_what_they_forbid():
     assert indented_dumps(dumps) == [2, 3]
     # Mutated copies of the sources: the pivot isolated as a polynomial
     # again, recognition pairing surds again, isolation solving a quadratic
-    # in closed form again, the report written by the indented json.dumps
+    # in closed form again, a surd and the pivot extracting square factors
+    # of their own again, the report written by the indented json.dumps
     # again ...
     solver = (ROOT / "src" / "meanstab" / "solver.py").read_text(encoding="utf-8")
     isolated = solver.replace("    w = Fraction(-c4, dd * rd)\n", "    w = Fraction(-c4, dd * rd)\n"
@@ -328,12 +357,22 @@ def test_the_rules_catch_what_they_forbid():
         "    return _recognize_roots(squarefree_part(f))\n",
         "    g = squarefree_part(f)\n"
         "    c0, c1 = g.coeffs[:2]\n"
-        "    if g.degree == 2 and c1 * c1 > 4 * c0 and _rational_sqrt(c1 * c1 - 4 * c0) is None:\n"
+        "    if g.degree == 2 and c1 * c1 > 4 * c0 and type(_exact_sqrt(c1 * c1 - 4 * c0)) is QuadraticField:\n"
         "        return [QuadraticSurdRoot.of(QuadraticField(-c1 / 2, b, c1 * c1 / 4 - c0)) for b in (-1, 1)]\n"
         "    return _recognize_roots(g)\n")
     assert closed != polynomials
     assert forbidden_reads(ast.parse(closed), "isolate_real_roots", NOT_READ_BY_RECOGNITION) == [
-        "QuadraticSurdRoot", "_rational_sqrt"]
+        "QuadraticSurdRoot", "_exact_sqrt"]
+    spelled = polynomials.replace("        div = 1 / abs(b)\n",
+                                  "        f, core = _extract_square(s.numerator)\n"
+                                  "        div = 1 / abs(b) / f\n")
+    pivoted = solver.replace("    _exact_sqrt,\n", "    _exact_sqrt,\n    _extract_square,\n").replace(
+        "    s = _exact_sqrt(w)\n", "    s = _exact_sqrt(w)\n    _extract_square(w.numerator * w.denominator)\n")
+    assert spelled != polynomials and pivoted.count("_extract_square") == 2
+    trees = {"polynomials.py": ast.parse(spelled), "solver.py": ast.parse(pivoted)}
+    assert readers(trees, "_extract_square") == [
+        "polynomials.py:QuadraticSurdRoot.of", "polynomials.py:_exact_sqrt", "solver.py",
+        "solver.py:optimal_parameters"]
     cli = (ROOT / "src" / "meanstab" / "cli.py").read_text(encoding="utf-8")
     indented = cli.replace("_indented_json(report) if", "json.dumps(report, indent=2) if")
     assert indented != cli and len(indented_dumps(ast.parse(indented))) == 1
@@ -343,6 +382,14 @@ def test_the_rules_catch_what_they_forbid():
     assert borrowed != oracle_source
     assert sorted(set(read_names(ast.parse(borrowed))) & NOT_READ_BY_THE_ROOT_ORACLE) == [
         "_recognize_roots"]
+    # ... or its square test from production again ...
+    squared = oracle_source.replace(
+        "            f, core = extract_square_every_divisor(disc.numerator * disc.denominator)\n",
+        "            f, core = _extract_square(disc.numerator * disc.denominator)\n"
+        "            core = 1 if type(_exact_sqrt(disc)) is Fraction else core\n")
+    assert squared != oracle_source
+    assert sorted(set(read_names(ast.parse(squared))) & NOT_READ_BY_THE_ROOT_ORACLE) == [
+        "_exact_sqrt", "_extract_square"]
     # ... and an oracle that no test reads any more.
     retired = oracle_source + "\n\ndef retired_route(order):\n    return retired_route(order - 1)\n"
     trees = [ast.parse(retired)] + [parse(path) for path in TESTS if path.name != "oracles.py"]
