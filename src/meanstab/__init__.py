@@ -28,7 +28,6 @@ from .catalog import (
 )
 from .polynomials import (
     IntervalRoot,
-    QuadraticSurdRoot,
     RationalRoot,
     UniPoly,
     isolate_real_roots,

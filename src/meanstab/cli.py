@@ -50,7 +50,7 @@ from .numeric import (
     compare_scan,
     verify_expansion_decay,
 )
-from .polynomials import QuadraticSurdRoot, RationalRoot
+from .polynomials import QuadraticField
 from .rationals import Rational, parse_rational
 from .resultant import _resultant, resultant_case
 from .series import _values
@@ -86,16 +86,18 @@ def _float_json(value: float, provenance: str) -> dict:
     return {"value": value, "provenance": provenance}
 
 
-def _root_json(root: RationalRoot | QuadraticSurdRoot) -> dict:
-    if isinstance(root, RationalRoot):
-        return {"kind": root.kind, "value": _rat_json(root.value)}
+def _root_json(value: Rational | QuadraticField) -> dict:
+    """A parameter as an exact rational, or as the surd (add + sign*
+    sqrt(radicand))/div, sign that of b, with its float value."""
+    if isinstance(value, Fraction):
+        return {"kind": "exact-rational", "value": _rat_json(value)}
     return {
-        "kind": root.kind,
-        "add": _rat_json(root.add),
-        "sign": root.sign,
-        "radicand": _rat_json(root.radicand),
-        "div": _rat_json(root.div),
-        "approx": _float_json(root.approx(), "float64"),
+        "kind": "quadratic-surd",
+        "add": _rat_json(value.add),
+        "sign": 1 if value.b > 0 else -1,
+        "radicand": _rat_json(value.radicand),
+        "div": _rat_json(value.div),
+        "approx": _float_json(float(value), "float64"),
     }
 
 
@@ -349,7 +351,7 @@ def _cmd_scan(args: argparse.Namespace) -> dict:
     return {
         "family": args.family,
         "order": args.order,
-        "stable_parameters": [_root_json(r) for r in roots],
+        "stable_parameters": [_root_json(root.value) for root in roots],
     }
 
 

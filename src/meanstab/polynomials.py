@@ -7,15 +7,15 @@ evaluation, and one pass over the intervals recognizes the rational roots,
 verifies each by exact division and divides it out; every irrational root
 is an isolating interval with a sign change, at most 10**-12 wide.
 
-A quadratic surd ``(add + sign*sqrt(radicand))/div`` is the solver's
-description of a candidate parameter, not a result of isolation.  Its
-``value`` is a number of the field Q(sqrt(s)), ``QuadraticField``, whose
+A quadratic surd, a candidate parameter of the solver and not a result of
+isolation, is a number of the field Q(sqrt(s)), ``QuadraticField``, whose
 arithmetic is exact and whose values have an exact sign; the series kernel
-computes in it at such a parameter.  Every square root enters through
-one helper, ``_exact_sqrt``: sqrt(w) of a rational w >= 0 is read once, by
-one ``_extract_square``, into a Fraction or into Q(sqrt(core)) with a
-canonical core.  Every surd is a value of such a field, or an image of one
-under the field arithmetic, and ``QuadraticSurdRoot.of`` only spells it.
+computes in it at such a parameter, and a report spells it as
+``(add + sign*sqrt(radicand))/div`` from its own parts.  Every square root
+enters through one helper, ``_exact_sqrt``: sqrt(w) of a rational w >= 0
+is read once, by one ``_extract_square``, into a Fraction or into
+Q(sqrt(core)) with a canonical core.  Every surd is a value of such a
+field, or an image of one under the field arithmetic.
 
 Polynomials through equally spaced samples come from one route: the
 integer forward-difference table of the samples (``forward_differences``)
@@ -198,6 +198,9 @@ class QuadraticField(Value):
     Arithmetic with a value of the same field, a Fraction or an int comes
     back as a Fraction wherever b cancels, so a rational result stays
     rational: the series primitives run on these values as on any field's.
+    A report spells the value (add + sign*sqrt(radicand))/div, with add =
+    a/|b|, div = 1/|b|, radicand = s and the sign of b, and float() reads
+    it from those parts.
     """
 
     def __init__(self, a: Rational, b: Rational, s: Rational) -> None:
@@ -213,6 +216,32 @@ class QuadraticField(Value):
         """That of b, unless a has the other sign and a**2 > b**2*s."""
         b = 1 if self.b > 0 else -1
         return -b if self.a * b < 0 and self.a * self.a > self.b * self.b * self.s else b
+
+    @property
+    def add(self) -> Fraction:
+        return self.a / abs(self.b)
+
+    @property
+    def div(self) -> Fraction:
+        return 1 / abs(self.b)
+
+    @property
+    def radicand(self) -> Rational:
+        return self.s
+
+    def __float__(self) -> float:
+        """(add + root)/div, root = +-sqrt(radicand) the sign of b; where add
+        and root have opposite signs, which would cancel, (add**2 -
+        radicand)/(div*(add - root)).  add, div and add**2 - radicand are
+        each one int true division, correctly rounded."""
+        (an, ad), (bn, bd) = self.a.as_integer_ratio(), self.b.as_integer_ratio()
+        s = self.s.numerator
+        num, den = an * bd, ad * abs(bn)  # add = num/den
+        add, div = num / den, bd / abs(bn)
+        root = math.sqrt(s) if bn > 0 else -math.sqrt(s)
+        if an * bn >= 0:
+            return (add + root) / div
+        return (num * num - s * den * den) / (den * den) / (div * (add - root))
 
     def __add__(self, other):
         if isinstance(other, QuadraticField):
@@ -270,48 +299,6 @@ class RationalRoot(Value):
     def bounds(self, width: Fraction = Fraction(1, 10**18)) -> tuple[Rational, Rational]:
         return self.value, self.value
 
-    def approx(self) -> float:
-        return float(self.value)
-
-
-class QuadraticSurdRoot(Value):
-    """The number ``(add + sign*sqrt(radicand))/div``.
-
-    Canonical form, as ``of`` spells it from a value whose s _exact_sqrt
-    gave: ``radicand`` is a positive non-square integer with small square
-    factors removed, ``div`` is positive.
-    """
-
-    kind = "quadratic-surd"
-
-    def __init__(self, add: Rational, sign: int, radicand: Rational, div: Rational) -> None:
-        self.__dict__.update(add=add, sign=sign, radicand=radicand, div=div)
-
-    @classmethod
-    def of(cls, value: QuadraticField) -> "QuadraticSurdRoot":
-        """The description of a + b*sqrt(s), a value of a field that
-        _exact_sqrt gives, or an image of one, so s is already canonical:
-        div = 1/|b|, add = a*div and the sign of b.  Nothing is extracted;
-        an s that is not a positive integer, or is a square, raises
-        ValueError."""
-        a, b, s = value.a, value.b, value.s
-        if s <= 0 or s.denominator != 1 or math.isqrt(s.numerator) ** 2 == s.numerator:
-            raise ValueError("radicand must be a positive integer, not a perfect square")
-        div = 1 / abs(b)
-        return cls(a * div, 1 if b > 0 else -1, Fraction(s), div)
-
-    @property
-    def value(self) -> QuadraticField:
-        """The root as a value of Q(sqrt(radicand))."""
-        return QuadraticField(self.add / self.div, self.sign / self.div, self.radicand)
-
-    def approx(self) -> float:
-        add, root = float(self.add), self.sign * math.sqrt(self.radicand)
-        if self.add >= 0 if self.sign > 0 else self.add <= 0:
-            return (add + root) / float(self.div)
-        # add and root of opposite signs: this form of the value does not cancel
-        return float(self.add * self.add - self.radicand) / (float(self.div) * (add - root))
-
 
 class IntervalRoot(Value):
     """Isolating interval (low, high) for one simple root of ``polynomial``."""
@@ -324,11 +311,8 @@ class IntervalRoot(Value):
     def bounds(self, width: Fraction = Fraction(1, 10**18)) -> tuple[Rational, Rational]:
         return _refine(self.polynomial, self.low, self.high, width)
 
-    def approx(self) -> float:
-        return float(self.low + self.high) / 2
 
-
-Root = RationalRoot | QuadraticSurdRoot | IntervalRoot
+Root = RationalRoot | IntervalRoot
 
 
 @functools.cache

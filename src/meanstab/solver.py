@@ -97,7 +97,6 @@ from .catalog import (
 from .numeric import _resultant_boundary_closed, boundary_limit
 from .polynomials import (
     QuadraticField,
-    QuadraticSurdRoot,
     RationalRoot,
     UniPoly,
     _exact_sqrt,
@@ -109,6 +108,10 @@ from .rationals import Rational
 from .resultant import _common, _resultant
 from .series import _integer_form, _values
 from .values import Value
+
+#: A parameter p or q of the search: a rational, or a value of Q(sqrt(s))
+#: at a surd root.
+Parameter = Rational | QuadraticField
 
 # The order of a stability probe, by which every known unstable mean has
 # left its stable reference.
@@ -159,9 +162,7 @@ def _difference_form(m_form: tuple, p: Fraction, q: Fraction, order: int) -> tup
     return [a - b for a, b in zip(m, r)], den
 
 
-def difference_expansion(
-    mean: MeanExpansion, p: Rational | QuadraticField, q: Rational | QuadraticField, order: int
-) -> DifferenceExpansion:
+def difference_expansion(mean: MeanExpansion, p: Parameter, q: Parameter, order: int) -> DifferenceExpansion:
     """Exact difference between the mean and its power-mean resultant,
     computed on integer numerators from B_p and B_q to the difference; for p
     or q in a quadratic field Q(sqrt(s)), at a surd root, in that field, a
@@ -185,7 +186,7 @@ class AffineLocus(Value):
     def __init__(self, intercept: Rational, slope: Rational) -> None:
         self.__dict__.update(intercept=intercept, slope=slope)
 
-    def q_of(self, p: Rational | QuadraticField) -> Rational | QuadraticField:
+    def q_of(self, p: Parameter) -> Parameter:
         return self.intercept + self.slope * p
 
     def describe(self) -> str:
@@ -260,12 +261,13 @@ class BoundaryEvidence(Value):
 
 
 class OptimalCandidate(Value):
-    """One optimal parameter pair with the first surviving coefficient."""
+    """One optimal parameter pair, each a Fraction or a value of Q(sqrt(s)),
+    with the first surviving coefficient."""
 
     def __init__(
         self,
-        p: RationalRoot | QuadraticSurdRoot,
-        q: RationalRoot | QuadraticSurdRoot,
+        p: Parameter,
+        q: Parameter,
         achieved_order: int | None,  # index of first nonzero coefficient; None = all zero
         leading: Rational | QuadraticField | None,
     ) -> None:
@@ -295,11 +297,12 @@ class StabilizabilityVerdict(Value):
                              boundary=boundary, notes=notes)
 
 
-def _boundary_evidence(spec: MeanSpec, p: float, q: float, m_limit: float) -> BoundaryEvidence:
-    """The evidence at one probe, given M's own boundary limit, which does
-    not depend on (p, q)."""
+def _boundary_evidence(spec: MeanSpec, p: Parameter, q: Parameter, m_limit: float) -> BoundaryEvidence:
+    """The evidence at one exact probe (p, q), given M's own boundary limit,
+    which does not depend on (p, q).  The float lab takes p and q as floats,
+    converted here and nowhere else in the solver."""
     try:
-        r_limit = _resultant_boundary_closed(PowerMean(p), spec, PowerMean(q), m_limit)
+        r_limit = _resultant_boundary_closed(PowerMean(float(p)), spec, PowerMean(float(q)), m_limit)
     except (ValueError, OverflowError):
         return BoundaryEvidence(None, None, "unavailable")
     return BoundaryEvidence(m_limit, r_limit, "closed-form")
@@ -308,20 +311,20 @@ def _boundary_evidence(spec: MeanSpec, p: float, q: float, m_limit: float) -> Bo
 #: (p, q) probes for the parameter-free paths, including extreme corners:
 #: the sign of the boundary difference may depend on where B_p, B_q sit.
 _BOUNDARY_SAMPLES = (
-    (1.0, 1.0),
-    (2.0, 0.5),
-    (0.5, 2.0),
-    (-20.0, 10.0),
-    (-1.0, 3.0),
-    (6.0, -2.0),
+    (1, 1),
+    (2, Fraction(1, 2)),
+    (Fraction(1, 2), 2),
+    (-20, 10),
+    (-1, 3),
+    (6, -2),
 )
 
 #: p probes on the first-order locus, for a pivot coefficient of fixed sign.
-_LOCUS_SAMPLES = (1.0, 2.0, -1.0, -20.0, 6.0)
+_LOCUS_SAMPLES = (1, 2, -1, -20, 6)
 
 
 def _sampled_relation(
-    spec: MeanSpec | None, asym: int, probes: Sequence[tuple[float, float]]
+    spec: MeanSpec | None, asym: int, probes: Sequence[tuple[Parameter, Parameter]]
 ) -> tuple[str, BoundaryEvidence | None]:
     """Relation from the asymptotic sign and boundary evidence at the probes:
     several when the leading difference coefficient keeps one sign, the best
@@ -508,20 +511,21 @@ def optimal_parameters(
     locus = first_order_locus(mean)
     r = 2 * mean.coefficient(2) + 1  # the locus is q = (3r - p)/2
 
+    def full() -> MeanExpansion:
+        # M through max_order, for the routes past t^6: the mean if it
+        # reaches max_order, else the spec's expansion.
+        return mean if mean.order >= max_order else expand_mean(spec, max_order)
+
     def leaving(reference: MeanSpec) -> tuple[int | None, Rational | None]:
         # The first index n where M leaves the reference E, and the
         # difference at n at an identity point of E (see above); (None, None)
         # if M never leaves E, at once if the spec is E by the table of
         # coincidences.  Else compared on integer forms through max_order,
-        # one Fraction built at n alone; M's form is the mean's if it reaches
-        # max_order, else the spec's.
+        # one Fraction built at n alone.
         if spec is not None and coincident(spec) == reference:
             return None, None
         e, den = _mean_form(reference, max_order)
-        if mean.order >= max_order:
-            m, d = _integer_form(mean.coeffs, max_order)
-        else:
-            m, d = _mean_form(spec, max_order)
+        m, d = _integer_form(full().coeffs, max_order)
         n = next((n for n in range(3, max_order + 1) if m[n] * den != e[n] * d), None)
         if n is None:
             return None, None
@@ -536,7 +540,7 @@ def optimal_parameters(
         if not constant:
             note = f"difference vanishes identically on the locus through order {max_order}"
             return StabilizabilityVerdict("stabilizable", locus=locus, notes=(note,))
-        probes = [(p, float(locus.q_of(Fraction(p)))) for p in _LOCUS_SAMPLES]
+        probes = [(p, locus.q_of(p)) for p in _LOCUS_SAMPLES]
         note = f"the t^{k0} coefficient on the locus is constant in p"
         return verdict(constant, probes, locus=locus, fixed_leading=constant,
                        fixed_leading_order=k0, notes=(note,))
@@ -550,13 +554,12 @@ def optimal_parameters(
     w = Fraction(-c4, dd * rd)
     if w < 0:
         # The pivot keeps the sign of c4 for every p on the locus.
-        probes = [(p, float(locus.q_of(Fraction(p)))) for p in _LOCUS_SAMPLES]
+        probes = [(p, locus.q_of(p)) for p in _LOCUS_SAMPLES]
         return verdict(c4, probes, locus=locus, fixed_leading_order=4,
                        notes=("the t^4 coefficient has no real zero; its sign is fixed",))
     # The roots p in ascending order: 0, or -sqrt(w) and sqrt(w), rational
-    # or in Q(sqrt(core)), and each is described as the kind of its value.
+    # or in Q(sqrt(core)).
     s = _exact_sqrt(w)
-    describe = RationalRoot if isinstance(s, Fraction) else QuadraticSurdRoot.of
 
     def settled() -> tuple[int | None, Rational | None] | None:
         # The survivor at both roots p = +-sqrt(w), where one route reads it
@@ -583,7 +586,7 @@ def optimal_parameters(
 
     pair = settled()
     if pair is None:  # each root reads its own expansion, through max_order
-        full = mean if mean.order >= max_order else expand_mean(spec, max_order)
+        expanded = full()
     candidates = []
     for p in (-s, s) if s else (s,):
         q = locus.q_of(p)
@@ -591,12 +594,12 @@ def optimal_parameters(
             achieved, leading = pair
         else:
             # The exact difference at the root, over Q or Q(sqrt(core)).
-            diff = difference_expansion(full, p, q, max_order)
+            diff = difference_expansion(expanded, p, q, max_order)
             achieved = diff.first_nonzero
             if achieved is not None and achieved <= 4:
                 raise ArithmeticError("difference at a root survives at or below the pivot")
             leading = None if achieved is None else diff.coeffs[achieved]
-        candidates.append(OptimalCandidate(describe(p), describe(q), achieved, leading))
+        candidates.append(OptimalCandidate(p, q, achieved, leading))
 
     if any(c.achieved_order is None for c in candidates):
         best = tuple(c for c in candidates if c.achieved_order is None)
@@ -616,8 +619,7 @@ def optimal_parameters(
     if any(c.sign != top.sign for c in ranked if c.achieved_order == top.achieved_order):
         notes = ("best candidates disagree in sign; relation taken from the first",)
     # The sign stands for the leading coefficient, which may be irrational.
-    probes = [(top.p.approx(), top.q.approx())]
-    return verdict(top.sign, probes, candidates=ranked, locus=locus, notes=notes)
+    return verdict(top.sign, [(top.p, top.q)], candidates=ranked, locus=locus, notes=notes)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ Roots:
   rational root as the simplest rational of its isolating interval;
   ``isolate_real_roots_by_divisor_search`` divides those rationals out,
   solves what is left in closed form at degrees 1 and 2, an irrational
-  pair as two surds where ``polynomials.py`` isolates two intervals, and
+  pair as two values of Q(sqrt(s)) where ``polynomials.py`` isolates two
+  intervals, and
   from degree 3 up isolates it by Sturm counts (``sturm_sequence`` and
   ``sturm_count``, on UniPoly remainders) and bisection, where
   ``polynomials.py`` counts by Descartes' rule; it orders the roots by
@@ -49,8 +50,8 @@ Roots:
   the product of the primes up to 10**4 and splits the primes that divide
   n twice, once per square root in ``_exact_sqrt``; the divisor search
   tests its discriminant for a square with it, and ``surd_from_parts``
-  builds a surd root from its four parts with it, where
-  ``QuadraticSurdRoot.of`` only spells a value of Q(sqrt(core));
+  builds a value of Q(sqrt(core)) from the four parts of a surd with it,
+  where production reads every square root once, by ``_exact_sqrt``;
 * ``lagrange_interpolate``: the polynomial through arbitrary points by
   Newton's divided differences over ``Fraction``, where ``polynomials.py``
   reads polynomials through equally spaced samples from integer forward
@@ -129,9 +130,9 @@ assertion or more than twice the time:
 * ``stability_defects_by_resultant``: M - R(M, M, M) from
   ``resultant_coeffs``, for the stability checks at order 33, where the
   double sums take about 0.1 s per mean;
-* ``surd_approx_by_fractions``: a surd root's float value with its parts
-  mixed into float arithmetic by Fraction's operators, for the bit-for-bit
-  pin of ``QuadraticSurdRoot.approx``.
+* ``surd_approx_by_fractions``: the float value of a value of Q(sqrt(s))
+  with its spelled parts mixed into float arithmetic by Fraction's
+  operators, for the bit-for-bit pin of ``QuadraticField.__float__``.
 
 Except for the mpmath ones, the float ones and the extrapolation they are
 exact, and all are slow; only tests use them.
@@ -159,7 +160,6 @@ from meanstab.catalog import (
 from meanstab.polynomials import (
     IntervalRoot,
     QuadraticField,
-    QuadraticSurdRoot,
     RationalRoot,
     Root,
     UniPoly,
@@ -593,11 +593,10 @@ def candidates_by_bands(mean: MeanExpansion, max_order: int) -> list[OptimalCand
     step = 1 if any(mean.coeffs[1::2]) else 2
     candidates = []
     for root in isolate_real_roots_by_divisor_search(polys[k0]):
-        values = ((k, polys[k](root.value)) for k in range(k0 + step, max_order + 1, step))
+        p = root.value if isinstance(root, RationalRoot) else root
+        values = ((k, polys[k](p)) for k in range(k0 + step, max_order + 1, step))
         achieved, leading = next(((k, v) for k, v in values if v != 0), (None, None))
-        q = locus.q_of(root.value)
-        q_root = QuadraticSurdRoot.of(q) if isinstance(q, QuadraticField) else RationalRoot(q)
-        candidates.append(OptimalCandidate(root, q_root, achieved, leading))
+        candidates.append(OptimalCandidate(p, locus.q_of(p), achieved, leading))
     return candidates
 
 
@@ -976,11 +975,11 @@ def simplest_between_by_recursion(lo: Rational, hi: Rational) -> Rational:
     return floor_lo + 1 / frac_part
 
 
-def isolate_real_roots_by_divisor_search(f: UniPoly) -> list[Root]:
+def isolate_real_roots_by_divisor_search(f: UniPoly) -> list[Root | QuadraticField]:
     """Every distinct real root of f: the rational ones from the divisor
     search, each divided out of the square-free part, and what is left
     solved in closed form at degree 1 or 2, an irrational pair as two
-    surds, and isolated by Sturm counts from degree 3 up
+    values of Q(sqrt(s)) (``surd_from_parts``), and isolated by Sturm counts from degree 3 up
     (``_isolate_by_sturm``), which needs a complete search; in the order
     read from exact comparisons of enclosures (``_compare_roots``)."""
     if f.is_zero:
@@ -989,7 +988,7 @@ def isolate_real_roots_by_divisor_search(f: UniPoly) -> list[Root]:
         return []
     g = squarefree_part(f)
     rationals, complete = rational_roots_by_divisor_search(g)
-    roots: list[Root] = []
+    roots: list[Root | QuadraticField] = []
     for r in rationals:
         g, rem = divmod(g, UniPoly((-r, ONE)))
         if f(r) != 0 or not rem.is_zero:
@@ -1105,13 +1104,13 @@ def check_roots_by_sturm(f: UniPoly, roots: Sequence[Root]) -> None:
         raise AssertionError(f"divisor search {rationals} against {sorted(found)}")
 
 
-def _compare_roots(a: Root, b: Root) -> int:
+def _compare_roots(a: Root | QuadraticField, b: Root | QuadraticField) -> int:
     """-1 or 1 as the root a lies below or above the distinct root b, from
     their enclosures, the width squared until they are disjoint: a surd's
     by ``surd_bounds_by_bisection``, an interval root's by ``_bisect`` on
     its polynomial, a rational root's the point itself."""
-    def enclosure(root: Root, width: Fraction) -> tuple[Rational, Rational]:
-        if isinstance(root, QuadraticSurdRoot):
+    def enclosure(root: Root | QuadraticField, width: Fraction) -> tuple[Rational, Rational]:
+        if isinstance(root, QuadraticField):
             return surd_bounds_by_bisection(root, width)
         if isinstance(root, IntervalRoot):
             return _bisect(root.polynomial, root.low, root.high, width)
@@ -1142,27 +1141,27 @@ def extract_square_every_divisor(n: int) -> tuple[int, int]:
     return f, core
 
 
-def surd_from_parts(add: Rational, sign: int, radicand: Rational, div: Rational) -> QuadraticSurdRoot:
-    """(add + sign*sqrt(radicand))/div in canonical form, by arithmetic on
-    the four parts: the radicand n/d made the integer n*d, as sqrt(n/d) =
-    sqrt(n*d)/d, its square factors f (every divisor up to 10**4) divided
-    out of add and div, and the sign of div moved into sign."""
+def surd_from_parts(add: Rational, sign: int, radicand: Rational, div: Rational) -> QuadraticField:
+    """(add + sign*sqrt(radicand))/div as a value of Q(sqrt(core)), by
+    arithmetic on the four parts: the radicand n/d made the integer n*d, as
+    sqrt(n/d) = sqrt(n*d)/d, and its square factors f (every divisor up to
+    10**4) moved out, so the value is add/div + (sign*f/(d*div))*sqrt(core)."""
     n, d = radicand.numerator, radicand.denominator
     f, core = extract_square_every_divisor(n * d)
-    add, div = Fraction(add) * d / f, Fraction(div) * d / f
-    if div < 0:
-        add, sign, div = -add, -sign, -div
-    return QuadraticSurdRoot(add, sign, Fraction(core), div)
+    return QuadraticField(Fraction(add) / div, Fraction(sign * f, d) / div, Fraction(core))
 
 
-def surd_approx_by_fractions(root: QuadraticSurdRoot) -> float:
-    """The float value of (add + sign*sqrt(radicand))/div, with the parts
-    left as Fractions and mixed with floats by Fraction's own dispatch."""
-    sqrt = root.sign * math.sqrt(root.radicand)
-    if root.add * root.sign >= 0:
-        return float(root.add + sqrt) / float(root.div)
+def surd_approx_by_fractions(value: QuadraticField) -> float:
+    """The float value of a + b*sqrt(s) spelled (add + sign*sqrt(s))/div,
+    div = 1/|b|, add = a*div and sign that of b, with the parts left as
+    Fractions and mixed with floats by Fraction's own dispatch."""
+    div = 1 / abs(value.b)
+    add, sign, radicand = value.a * div, 1 if value.b > 0 else -1, value.s
+    sqrt = sign * math.sqrt(radicand)
+    if add * sign >= 0:
+        return float(add + sqrt) / float(div)
     # add and sqrt of opposite signs: this form of the value does not cancel
-    return float(root.add * root.add - root.radicand) / (root.div * (root.add - sqrt))
+    return float(add * add - radicand) / (div * (add - sqrt))
 
 
 def descartes_count_by_products(p: UniPoly, a: Rational, b: Rational) -> int:
@@ -1198,9 +1197,9 @@ def sqrt_bounds_by_bisection(n: Rational, width: Fraction) -> tuple[Rational, Ra
     return lo, hi
 
 
-def surd_bounds_by_bisection(root: QuadraticSurdRoot, width: Fraction) -> tuple[Rational, Rational]:
-    """Enclosure of (add + sign*sqrt(radicand))/div at most width wide, from
-    the enclosure of sqrt(radicand) by bisection."""
-    ends = [(root.add + root.sign * s) / root.div
-            for s in sqrt_bounds_by_bisection(root.radicand, width * min(root.div, ONE))]
+def surd_bounds_by_bisection(value: QuadraticField, width: Fraction) -> tuple[Rational, Rational]:
+    """Enclosure of a + b*sqrt(s) at most width wide, from the enclosure of
+    sqrt(s) by bisection."""
+    ends = [value.a + value.b * r
+            for r in sqrt_bounds_by_bisection(Fraction(value.s), width / max(abs(value.b), ONE))]
     return min(ends), max(ends)

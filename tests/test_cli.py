@@ -380,6 +380,85 @@ class TestOtherCommands:
         assert report["expected_exponent"] == -2
 
 
+def _run_without_site_packages(command: str) -> subprocess.CompletedProcess:
+    """python -S -m meanstab with the words of the command, the package on
+    PYTHONPATH alone, as the CI runtime step runs it."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.run(
+        [sys.executable, "-S", "-m", "meanstab", *command.split()],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=False,
+    )
+
+
+def _rational_values(*pairs):
+    return [{"num": n, "den": d} for n, d in pairs]
+
+
+#: The canonical radicand of S_{2/9973}'s pivot roots.
+_SALPHA_RADICAND = {"num": 97860270661329746644729152606785, "den": 1}
+
+#: The runtime step's commands whose report CI checks, each with what its
+#: JSON report must satisfy.
+RUNTIME_REPORTS = {
+    "solve --mean P --max-order 16": lambda r: [
+        (x["p"]["kind"], x["q"]["kind"], x["first_nonzero_order"], x["leading"]) for x in r["candidates"]
+    ] == [("quadratic-surd", "quadratic-surd", 6, {"exact": {"num": 1, "den": 1152}})] * 2,
+    "solve --mean salpha:2/9973 --max-order 8": lambda r: (r["relation"], [
+        (x["p"]["kind"], x["q"]["kind"], x["first_nonzero_order"], x["p"]["radicand"], x["q"]["radicand"])
+        for x in r["candidates"]
+    ]) == ("candidate-sub", [("quadratic-surd", "quadratic-surd", 6, _SALPHA_RADICAND, _SALPHA_RADICAND)] * 2),
+    "solve --mean lalpha:3/10 --max-order 16": lambda r: (r["relation"], [
+        (x["p"]["kind"], x["p"]["value"], x["q"]["kind"], x["q"]["value"], x["first_nonzero_order"], x["leading"])
+        for x in r["candidates"]
+    ]) == ("candidate-super", [
+        ("exact-rational", {"num": -38, "den": 25}, "exact-rational", {"num": 27, "den": 25}, 6,
+         {"exact": {"num": -1456, "den": 48828125}}),
+        ("exact-rational", {"num": 38, "den": 25}, "exact-rational", {"num": -11, "den": 25}, 6,
+         {"exact": {"num": -1456, "den": 48828125}}),
+    ]),
+    **{
+        f"solve --mean salpha:3/7 --max-order {order}": lambda r: [
+            (x["p"]["kind"], x["first_nonzero_order"]) for x in r["candidates"]
+        ] == [("quadratic-surd", None)] * 2
+        for order in (4, 5)
+    },
+    "solve --mean M1 --max-order 16": lambda r: (
+        (r["relation"], r["fixed_leading"], r["candidates"]) == ("neither", {"t_power": 1, "num": 1, "den": 2}, [])
+        and abs(r["boundary"]["resultant_limit"]["value"] / 0.4747535246508535 - 1) <= 1e-12
+    ),
+    **{
+        command: lambda r, values=values: (
+            r["relation"], [(x["p"]["value"], x["first_nonzero_order"]) for x in r["candidates"]]
+        ) == ("stabilizable", [(v, None) for v in _rational_values(*values)])
+        for command, values in (
+            ("solve --mean L --max-order 24", ((-1, 1), (1, 1))),
+            ("solve --mean powermean:-13/6 --max-order 16", ((-13, 6), (13, 6))),
+            ("solve --mean lalpha:1 --max-order 128", ((-1, 1), (1, 1))),
+        )
+    },
+    "compare --m1 H --m2 lalpha:1 --count 1000": lambda r: r["verdict"] == "equal",
+    "compare --m1 malphar:0,1 --m2 L --count 1000": lambda r: r["verdict"] == "equal",
+    "expand --mean powermean:9/4 --order 97": lambda r: r["coefficients"] == json.loads(
+        _run_without_site_packages("expand --mean stable --a2=5/8 --order 97").stdout)["coefficients"],
+    "expand --mean M5 --order 65": lambda r: (r["parity"], len(r["coefficients"])) == ("mixed", 66),
+    "scan --family S --order 8": lambda r: r["stable_parameters"] == [],
+    "scan --family L --order 24": lambda r: [(x["kind"], x["value"]) for x in r["stable_parameters"]] == [
+        ("exact-rational", v) for v in _rational_values((-1, 1), (-1, 2), (1, 2), (1, 1))],
+    "compare --m1 L --m2 G --x-min 711 --x-max 715 --count 3": lambda r: (
+        r["verdict"] == "m2<m1" and math.isfinite(r["min_gap"]["value"])),
+    "limit --mean L --p 1 --q 1/1050": lambda r: abs(r["limit"]["value"] / 6.86997638518554e-4 - 1) <= 1e-12,
+}
+
+
+@pytest.mark.parametrize("command", RUNTIME_REPORTS)
+def test_runtime_reports_without_site_packages(command):
+    # What the CI runtime step checks, run the same way: python -S, so the
+    # command line needs nothing outside the standard library.
+    done = _run_without_site_packages(command)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert RUNTIME_REPORTS[command](json.loads(done.stdout))
+
+
 class TestErrorHandling:
     def test_decimal_rejected(self, capsys):
         code, out, err = run_cli(

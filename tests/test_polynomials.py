@@ -22,7 +22,6 @@ from oracles import (
 from meanstab.polynomials import (
     IntervalRoot,
     QuadraticField,
-    QuadraticSurdRoot,
     RationalRoot,
     UniPoly,
     _descartes_count,
@@ -60,9 +59,21 @@ def surd_intervals(roots, a, b):
 
 def holds(root, surd):
     """Whether root is an IntervalRoot at most 10**-12 wide that holds the
-    surd, by the exact signs of the surd's distances to its ends."""
+    surd, a value of Q(sqrt(s)), by the exact signs of its distances to the
+    ends."""
     return (isinstance(root, IntervalRoot) and root.high - root.low <= F(1, 10**12)
-            and (surd.value - root.low).sign == 1 == (root.high - surd.value).sign)
+            and (surd - root.low).sign == 1 == (root.high - surd).sign)
+
+
+def spelled(value):
+    """The parts (add, sign, radicand, div) that a report spells a value of
+    Q(sqrt(s)) with, sign that of b."""
+    return value.add, 1 if value.b > 0 else -1, value.radicand, value.div
+
+
+def midpoint(root):
+    """A root's float: a rational root's value, an interval's midpoint."""
+    return float(root.value if isinstance(root, RationalRoot) else (root.low + root.high) / 2)
 
 
 class TestUniPoly:
@@ -113,15 +124,13 @@ class TestSurdsAndSquares:
     @pytest.mark.parametrize("radicand", [F(0), F(-3), F(-1, 4)], ids=str)
     def test_a_surd_needs_a_positive_radicand(self, radicand):
         # 1/2 + sqrt(0)/2 is the Fraction 1/2; a negative radicand has no
-        # real root; of takes no such field
+        # real root
         if radicand == 0:
             value = F(1, 2) + F(1, 2) * _exact_sqrt(radicand)
             assert type(value) is F and value == F(1, 2)
         else:
             with pytest.raises(ValueError, match="no real square root"):
                 _exact_sqrt(radicand)
-        with pytest.raises(ValueError, match="must be a positive integer"):
-            QuadraticSurdRoot.of(QuadraticField(F(1, 2), F(1, 2), radicand))
 
     @pytest.mark.parametrize("radicand", [F(4), F(9, 25), F(1, 16), F(18, 8)], ids=str)
     def test_a_surd_refuses_a_perfect_square(self, radicand):
@@ -129,18 +138,16 @@ class TestSurdsAndSquares:
         root = _exact_sqrt(radicand)
         assert type(root) is F and root > 0 and root * root == radicand
         assert type(F(1, 3) - F(1, 3) * root) is F
-        with pytest.raises(ValueError, match="perfect square"):
-            QuadraticSurdRoot.of(QuadraticField(F(1, 3), F(-1, 3), radicand))
 
     @pytest.mark.parametrize(
         ("coeffs", "small"),
         [((1, -2 * 10**8, 1), 5e-9), ((F(1, 10**12), -2, 1), 5.00000000000125e-13)],
         ids=["x^2-2e8x+1", "x^2-2x+1e-12"],
     )
-    def test_approx_of_a_small_root_does_not_cancel(self, coeffs, small):
+    def test_float_of_a_small_root_does_not_cancel(self, coeffs, small):
         low, high = isolate_real_roots_by_divisor_search(poly(*coeffs))
-        assert math.isclose(low.approx(), small, rel_tol=1e-15)
-        assert math.isclose(high.approx(), coeffs[0] / small, rel_tol=1e-15)  # the product of the roots
+        assert math.isclose(float(low), small, rel_tol=1e-15)
+        assert math.isclose(float(high), coeffs[0] / small, rel_tol=1e-15)  # the product of the roots
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -150,14 +157,14 @@ class TestSurdsAndSquares:
         near=st.booleans(),
         div=st.fractions(min_value=-10**3, max_value=10**3, max_denominator=10**3).filter(bool),
     )
-    def test_approx_is_within_a_few_units_of_the_value(self, add, sign, offset, near, div):
+    def test_float_is_within_a_few_units_of_the_value(self, add, sign, offset, near, div):
         # near: a radicand just above add**2, where add - sqrt(radicand) cancels
         radicand = add * add + offset if near else offset
         sqrt = _exact_sqrt(radicand)
         assume(isinstance(sqrt, QuadraticField))
-        root = QuadraticSurdRoot.of(add / div + sign / div * sqrt)
-        low, high = surd_bounds_by_bisection(root, F(1, 10**80))
-        assert math.isclose(root.approx(), float(low), rel_tol=2e-15)
+        value = add / div + sign / div * sqrt
+        low, high = surd_bounds_by_bisection(value, F(1, 10**80))
+        assert math.isclose(float(value), float(low), rel_tol=2e-15)
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -168,26 +175,28 @@ class TestSurdsAndSquares:
         div=st.fractions(min_value=-10**3, max_value=10**3, max_denominator=10**3).filter(bool),
         canonical=st.booleans(),
     )
-    def test_approx_is_the_fraction_dispatch_bit_for_bit(self, add, sign, radicand, div, canonical):
-        # the parts as they are (perfect squares, zero and negative div
-        # included, where add + sign*sqrt(radicand) can cancel to a signed
-        # zero), or the canonical root of their value
+    def test_float_is_the_fraction_dispatch_bit_for_bit(self, add, sign, radicand, div, canonical):
+        # the parts as they are, the radicand n/d made the integer n*d as
+        # sqrt(n/d) = sqrt(n*d)/d (perfect squares and zero included, where
+        # add + sign*sqrt(radicand) can cancel to a signed zero), or the
+        # canonical value of Q(sqrt(core))
         if canonical:
             sqrt = _exact_sqrt(radicand)
             assume(isinstance(sqrt, QuadraticField))
-            root = QuadraticSurdRoot.of(add / div + sign / div * sqrt)
+            value = add / div + sign / div * sqrt
         else:
-            root = QuadraticSurdRoot(add, sign, radicand, div)
-        assert root.approx().hex() == surd_approx_by_fractions(root).hex()
+            n, d = radicand.as_integer_ratio()
+            value = QuadraticField(add / div, F(sign, d) / div, F(n * d))
+        assert float(value).hex() == surd_approx_by_fractions(value).hex()
 
     @pytest.mark.parametrize(("add", "sign", "expected"), [
         (F(-2), 1, "-0x0.0p+0"), (F(2), -1, "0x0.0p+0"), (F(2), 1, "0x1.5555555555555p+0"),
     ])
-    def test_approx_spells_an_exact_cancellation_with_its_sign(self, add, sign, expected):
+    def test_float_spells_an_exact_cancellation_with_its_sign(self, add, sign, expected):
         # (add + sign*2)/3 with add*sign < 0 takes the non-cancelling form
         # (add**2 - 4)/(3*(add - sign*2)), an exact zero over a signed float
-        root = QuadraticSurdRoot(add, sign, F(4), F(3))
-        assert root.approx().hex() == surd_approx_by_fractions(root).hex() == expected
+        value = QuadraticField(add / 3, F(sign, 3), F(4))
+        assert float(value).hex() == surd_approx_by_fractions(value).hex() == expected
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -198,19 +207,22 @@ class TestSurdsAndSquares:
         slope=st.fractions(min_value=-50, max_value=50, max_denominator=12).filter(bool),
         intercept=st.fractions(min_value=-50, max_value=50, max_denominator=12),
     )
-    def test_a_surd_from_its_value_is_the_canonical_form_of_its_parts(
+    def test_a_surd_value_is_the_canonical_form_of_its_parts(
         self, add, sign, radicand, div, slope, intercept
     ):
         # the value a + b*sqrt(s), and an affine image of it computed in
-        # Q(sqrt(s)), give what arithmetic on (add, sign, radicand, div) gives
-        sqrt = _exact_sqrt(radicand)
-        assume(isinstance(sqrt, QuadraticField))
-        root = QuadraticSurdRoot.of(add / div + sign / div * sqrt)
-        assert root == surd_from_parts(add, sign, radicand, div)
-        image = QuadraticSurdRoot.of(intercept + slope * root.value)
-        assert image == surd_from_parts(intercept * root.div + slope * root.add,
-                                        root.sign if slope > 0 else -root.sign,
-                                        slope * slope * root.radicand, root.div)
+        # Q(sqrt(s)), are what arithmetic on (add, sign, radicand, div)
+        # gives, and spell themselves with div > 0 and their own value
+        value = add / div + sign / div * _exact_sqrt(radicand)
+        assume(isinstance(value, QuadraticField))
+        assert value == surd_from_parts(add, sign, radicand, div)
+        image = intercept + slope * value
+        add, sign, radicand, div = spelled(value)
+        assert image == surd_from_parts(intercept * div + slope * add, sign if slope > 0 else -sign,
+                                        slope * slope * radicand, div)
+        for x in (value, image):
+            add, sign, radicand, div = spelled(x)
+            assert div > 0 and x == surd_from_parts(add, sign, radicand, div)
 
     def test_exact_sqrt(self):
         assert _exact_sqrt(F(9, 4)) == F(3, 2) and type(_exact_sqrt(F(9, 4))) is F
@@ -242,7 +254,7 @@ class TestSurdsAndSquares:
         assert root * root == q
         if type(root) is not F:
             assert root.a == 0 and root.s == extract_square_every_divisor(n * d)[1]
-            assert QuadraticSurdRoot.of(root) == surd_from_parts(0, 1, q, 1)
+            assert root == surd_from_parts(0, 1, q, 1)
 
     @pytest.mark.parametrize(
         "lo, hi", [(F(1, 3), F(1, 2)), (F(-7, 5), F(-4, 3)), (F(-1, 2), F(2)), (F(5, 7), F(5, 7))],
@@ -340,14 +352,14 @@ class TestRootIsolation:
         assert [r.kind for r in roots] == ["isolated-interval"] * 2
         assert surd_intervals(roots, F(5, 2), F(17, 4)) == tuple(roots)
         low, high = isolate_real_roots_by_divisor_search(poly(2, -5, 1))
-        assert (low.add, low.sign, low.radicand, low.div) == (F(5), -1, F(17), F(2))
-        assert (high.add, high.sign, high.radicand, high.div) == (F(5), 1, F(17), F(2))
+        assert spelled(low) == (F(5), -1, F(17), F(2))
+        assert spelled(high) == (F(5), 1, F(17), F(2))
         for r in (low, high):
-            assert poly(2, -5, 1)(r.value) == 0
+            assert poly(2, -5, 1)(r) == 0
 
     def test_surd_canonicalization(self):
         # the roots -/+ sqrt(209)/9 of x^2 - 209/81
-        roots = [QuadraticSurdRoot.of(sign * _exact_sqrt(F(209, 81))) for sign in (-1, 1)]
+        roots = [sign * _exact_sqrt(F(209, 81)) for sign in (-1, 1)]
         assert [(r.add, r.radicand, r.div) for r in roots] == [
             (F(0), F(209), F(9)),
             (F(0), F(209), F(9)),
@@ -455,7 +467,7 @@ class TestRootIsolation:
         ]
         assert roots[1].value == 1 + F(1, 10**20)
         assert surd_intervals(roots, 1, F(2, 10**36)) == (roots[0], roots[2])
-        assert len({r.approx() for r in roots[:3]}) == 1
+        assert len({midpoint(r) for r in roots[:3]}) == 1
         ends = [r.bounds(F(1, 10**40)) for r in roots]
         assert all(high < low for (_, high), (low, _) in zip(ends, ends[1:]))
 
@@ -500,8 +512,8 @@ def shifted_bounds(root, c, width):
     return tuple(b - c for b in root.bounds(width))
 
 
-#: sqrt(2), the larger root of x^2 - 2, as the solver describes it.
-SQRT2 = QuadraticSurdRoot.of(QuadraticField(F(0), F(1), F(2)))
+#: sqrt(2), the larger root of x^2 - 2, as the solver holds it.
+SQRT2 = QuadraticField(F(0), F(1), F(2))
 
 
 class TestEvalAtRoot:
@@ -510,12 +522,12 @@ class TestEvalAtRoot:
     bounds(width) of the interval that isolation gives for the same root."""
 
     def test_surd_exact_even_part(self):
-        root = QuadraticSurdRoot.of(QuadraticField(F(0), F(1), F(17)))  # +sqrt(17)
+        root = QuadraticField(F(0), F(1), F(17))  # +sqrt(17)
         # an even polynomial evaluates to a rational at +-sqrt(17)
-        assert poly(-2, 0, 1)(root.value) == 15
+        assert poly(-2, 0, 1)(root) == 15
 
     def test_surd_sign_certified(self):
-        val = poly(-1, 1)(SQRT2.value)  # sqrt(2) - 1 > 0
+        val = poly(-1, 1)(SQRT2)  # sqrt(2) - 1 > 0
         assert isinstance(val, QuadraticField)
         assert val.sign == 1
         low, high = shifted_bounds(isolate_real_roots(poly(-2, 0, 1))[1], 1, F(1, 10**12))
@@ -531,7 +543,7 @@ class TestEvalAtRoot:
         assert c * c < 2 < (c + F(1, 10**25)) ** 2
         lo, hi = shifted_bounds(interval, c, F(1, 10**12))
         assert lo < 0 < hi
-        val = poly(-c, 1)(SQRT2.value)
+        val = poly(-c, 1)(SQRT2)
         assert isinstance(val, QuadraticField) and val.sign == 1
         width = F(1, 10**12)
         while lo <= 0 <= hi:
@@ -540,8 +552,8 @@ class TestEvalAtRoot:
         assert lo > 0 and hi - lo < F(1, 10**20)
 
     def test_surd_exact_zero(self):
-        root = QuadraticSurdRoot.of(QuadraticField(F(5, 2), F(-1, 2), F(17)))  # (5 - sqrt(17))/2
-        assert (poly(2, -5, 1) * poly(3, 1))(root.value) == 0
+        root = QuadraticField(F(5, 2), F(-1, 2), F(17))  # (5 - sqrt(17))/2
+        assert (poly(2, -5, 1) * poly(3, 1))(root) == 0
 
     def test_bisection_lands_on_the_root(self):
         # The first midpoint of (0, 1) is the root 1/2 itself: bisection
@@ -649,10 +661,9 @@ class TestQuadraticField:
 
     @pytest.mark.parametrize("quadratic", [(-2, 0, 1), (2, -5, 1), (-1, -1, 1), (F(-209, 81), 0, 1)])
     def test_surd_root_value(self, quadratic):
-        for root in isolate_real_roots_by_divisor_search(poly(*quadratic)):
-            value = root.value
-            assert isinstance(value, QuadraticField) and value.s == root.radicand
-            assert value.sign == (1 if root.approx() > 0 else -1)
+        for value in isolate_real_roots_by_divisor_search(poly(*quadratic)):
+            assert isinstance(value, QuadraticField) and value.s == value.radicand
+            assert value.sign == (1 if float(value) > 0 else -1)
             assert poly(*quadratic)(value) == 0
             assert type(poly(*quadratic)(value)) is F
 
@@ -701,10 +712,10 @@ class TestAffineImage:
         assert self.LOCUS.q_of(F(3)) == 1
 
     def test_surd(self):
-        root = QuadraticSurdRoot.of(QuadraticField(F(0), F(-1), F(17)))  # -sqrt(17)
-        image = QuadraticSurdRoot.of(self.LOCUS.q_of(root.value))  # 5/2 + sqrt(17)/2
-        assert isinstance(image, QuadraticSurdRoot)
-        assert (image.add, image.sign, image.radicand, image.div) == (F(5), 1, F(17), F(2))
+        root = QuadraticField(F(0), F(-1), F(17))  # -sqrt(17)
+        image = self.LOCUS.q_of(root)  # 5/2 + sqrt(17)/2
+        assert isinstance(image, QuadraticField)
+        assert spelled(image) == (F(5), 1, F(17), F(2))
 
 
 def test_simplest_between():
@@ -800,7 +811,7 @@ class TestRootIsolationProperties:
 
         roots = isolate_real_roots(p)
         check_roots_by_sturm(p, roots)
-        assert [r.approx() for r in roots] == sorted(r.approx() for r in roots)
+        assert [midpoint(r) for r in roots] == sorted(midpoint(r) for r in roots)
         assert [r.value for r in roots if isinstance(r, RationalRoot)] == rationals
         intervals = [r for r in roots if isinstance(r, IntervalRoot)]
         assert len(intervals) == 2 * len(surds) + sum(count for _, count in cubics)
@@ -895,7 +906,7 @@ class TestRecognitionAgainstDivisorSearch:
         expected = isolate_real_roots_by_divisor_search(p)
         assert len(roots) == len(expected)
         for root, want in zip(roots, expected):
-            if isinstance(want, QuadraticSurdRoot):
+            if isinstance(want, QuadraticField):
                 assert holds(root, want)
             elif isinstance(want, IntervalRoot):
                 assert isinstance(root, IntervalRoot) and root.low < want.high and want.low < root.high
@@ -915,7 +926,7 @@ class TestRecognitionAgainstDivisorSearch:
         # the oracle's closed form gives them canonical, in ascending order,
         # and isolation gives one interval that holds each
         coeffs = ((add * add - radicand) / (2 * div), -add, div / 2)
-        surds = [QuadraticSurdRoot.of(add / div + sign / div * _exact_sqrt(radicand))
+        surds = [add / div + sign / div * _exact_sqrt(radicand)
                  for sign in ((-1, 1) if div > 0 else (1, -1))]
         assert isolate_real_roots_by_divisor_search(poly(*coeffs)) == surds
         roots = isolate_real_roots(poly(*coeffs))

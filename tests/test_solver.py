@@ -22,6 +22,7 @@ from meanstab.catalog import (
     MuGenerated,
     PowerMean,
     SAlpha,
+    coincident,
     describe_spec,
     expand_mean,
     expand_power_mean,
@@ -31,7 +32,6 @@ from meanstab.numeric import boundary_limit, eval_mean, eval_resultant
 from meanstab.polynomials import (
     IntervalRoot,
     QuadraticField,
-    QuadraticSurdRoot,
     RationalRoot,
     UniPoly,
 )
@@ -45,6 +45,17 @@ from meanstab.solver import (
     optimal_parameters,
     stability_parameter_scan,
 )
+
+
+def root_value(root):
+    """A root of the divisor-search oracle as the solver holds a parameter:
+    a rational root's Fraction, or the surd, a value of Q(sqrt(s))."""
+    return root.value if isinstance(root, RationalRoot) else root
+
+
+def kind_of(parameter) -> str:
+    """The kind a report gives a candidate's parameter."""
+    return "quadratic-surd" if isinstance(parameter, QuadraticField) else "exact-rational"
 
 
 class TestDifferenceExpansion:
@@ -357,7 +368,7 @@ class TestOrderBands:
         orders = self.sampled_orders(monkeypatch, LAlpha(F(3, 10)), 16)
         assert orders == []
         verdict = optimal_parameters(expand_mean(LAlpha(F(3, 10)), 16), 16)
-        assert [(c.p.value, c.achieved_order, c.leading) for c in verdict.candidates] == [
+        assert [(c.p, c.achieved_order, c.leading) for c in verdict.candidates] == [
             (F(-38, 25), 6, F(-1456, 48828125)), (F(38, 25), 6, F(-1456, 48828125))
         ]
 
@@ -376,7 +387,7 @@ class TestOrderBands:
         schedules = [list(self.sampled_expansions(monkeypatch, mean, 8)[0]) for mean, _ in means]
         assert schedules == [[], [8] * 2]
         verdicts = [optimal_parameters(mean, 8, spec=s) for mean, s in means]
-        assert [(v.relation, [(c.p.kind, c.achieved_order, c.leading) for c in v.candidates])
+        assert [(v.relation, [(kind_of(c.p), c.achieved_order, c.leading) for c in v.candidates])
                 for v in verdicts] == [
             ("candidate-sub", [("quadratic-surd", 6, F(6986069, 731250000000))] * 2),
             ("candidate-sub", [("quadratic-surd", 8, F(2057969, 537477120))] * 2),
@@ -425,7 +436,7 @@ class TestOrderBands:
             assert verdict.fixed_leading_order == 3 and verdict.fixed_leading == F(1, 8)
         else:
             assert [(type(c.p), c.achieved_order, c.leading) for c in verdict.candidates] == [
-                (QuadraticSurdRoot, 5, F(31, 224))
+                (QuadraticField, 5, F(31, 224))
             ] * 2
 
     @pytest.mark.parametrize(
@@ -515,8 +526,8 @@ class TestClosedColumns:
             # the search reads the t^4 pivot's roots from w = -c4/r; the
             # band's roots in the oracle's closed form are the reference
             assert band[3].is_zero and band[4].degree == 2
-            roots = oracles.isolate_real_roots_by_divisor_search(band[4])
-            assert sorted((c.p for c in verdict.candidates), key=lambda p: p.approx()) == roots
+            roots = [root_value(r) for r in oracles.isolate_real_roots_by_divisor_search(band[4])]
+            assert sorted((c.p for c in verdict.candidates), key=float) == roots
             if not roots:
                 sign = "candidate-sub" if band[4](0) > 0 else "candidate-super"
                 assert (verdict.fixed_leading_order, verdict.relation) == (4, sign)
@@ -539,7 +550,8 @@ class TestClosedColumns:
         # a5 = 1: both roots survive at t^5, so the candidates keep root order
         mean = MeanExpansion((F(1), F(0), (r - 1) / 2, F(0), a4, F(1)))
         verdict = optimal_parameters(mean, 5)
-        roots = oracles.isolate_real_roots_by_divisor_search(UniPoly((c4 / 128, 0, r / 128)))
+        pivot = UniPoly((c4 / 128, 0, r / 128))
+        roots = [root_value(x) for x in oracles.isolate_real_roots_by_divisor_search(pivot)]
         candidates = verdict.candidates
         assert [c.p for c in candidates] == roots
         if w < 0:
@@ -547,20 +559,14 @@ class TestClosedColumns:
             return
         assert len(roots) == (1 if w == 0 else 2)
         for c in candidates:
-            q = verdict.locus.q_of(c.p.value)
-            if isinstance(c.p, RationalRoot):
-                assert c.q == RationalRoot(q)
-            else:
-                # each equals the constructor on its own value
-                assert c.q == QuadraticSurdRoot.of(q)
-                assert c.p == QuadraticSurdRoot.of(c.p.value)
-                assert c.q == QuadraticSurdRoot.of(c.q.value)
-        if isinstance(roots[0], QuadraticSurdRoot):
+            # q is the locus image of p, in the field of p
+            assert c.q == verdict.locus.q_of(c.p) and type(c.q) is type(c.p)
+        if isinstance(roots[0], QuadraticField):
             # -sqrt(w) and q there are the conjugates of sqrt(w) and q there
             (p1, q1), (p2, q2) = ((c.p, c.q) for c in candidates)
-            assert (p1.sign, q1.sign) == (-1, 1) and (p2.sign, q2.sign) == (1, -1)
+            assert p1.b < 0 < q1.b and q2.b < 0 < p2.b
             for a, b in ((p1, p2), (q1, q2)):
-                assert a == QuadraticSurdRoot(b.add, -b.sign, b.radicand, b.div)
+                assert a == QuadraticField(b.a, -b.b, b.s)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -597,7 +603,7 @@ class TestIdentityPoints:
             mp.setattr(solver, "_difference_form", None)
             verdict = optimal_parameters(mean, order)
         candidates = verdict.candidates
-        assert {(cand.p.value, cand.q.value) for cand in candidates} == {(r, r), (-r, 2 * r)}
+        assert {(cand.p, cand.q) for cand in candidates} == {(r, r), (-r, 2 * r)}
         assert all((cand.achieved_order, cand.leading) == expected for cand in candidates)
         if n > order:
             assert verdict.relation == "stabilizable"
@@ -605,7 +611,7 @@ class TestIdentityPoints:
             return
         # the double sums on independently expanded power means
         for cand in candidates:
-            diff = oracles.difference_by_double_sums(mean.coeffs, cand.p.value, cand.q.value, order)
+            diff = oracles.difference_by_double_sums(mean.coeffs, cand.p, cand.q, order)
             first = next((k for k, d in enumerate(diff) if d), None)
             assert (first, None if first is None else diff[first]) == expected
 
@@ -631,11 +637,11 @@ class TestIdentityPointsOfL:
             mp.setattr(solver, "_difference_form", None)
             verdict = optimal_parameters(mean, order)
         candidates = verdict.candidates
-        assert {(cand.p.value, cand.q.value) for cand in candidates} == {(-1, 1), (1, 0)}
+        assert {(cand.p, cand.q) for cand in candidates} == {(-1, 1), (1, 0)}
         assert all((cand.achieved_order, cand.leading) == expected for cand in candidates)
         # the difference expansion at each root
         for cand in candidates:
-            diff = difference_expansion(mean, cand.p.value, cand.q.value, order)
+            diff = difference_expansion(mean, cand.p, cand.q, order)
             first = diff.first_nonzero
             assert (first, None if first is None else diff.coeffs[first]) == expected
 
@@ -681,7 +687,7 @@ class TestRationalCandidatesAgainstBands:
             return "stabilizable"
         best = max(c.achieved_order for c in candidates)
         top = next(c for c in candidates if c.achieved_order == best)
-        probe = [(top.p.approx(), top.q.approx())]
+        probe = [(top.p, top.q)]
         return solver._sampled_relation(spec, top.sign, probe)[0]
 
     @pytest.mark.parametrize("max_order", [12, 16, 24])
@@ -694,11 +700,11 @@ class TestRationalCandidatesAgainstBands:
         else:
             mean = expand_mean(spec, max_order)
         expected = oracles.candidates_by_bands(mean, max_order)
-        assert any(isinstance(c.p, RationalRoot) for c in expected)
+        assert any(isinstance(c.p, F) for c in expected)
         # the search opens no band
         verdict = optimal_parameters(mean, max_order, spec=spec)
-        assert sorted(verdict.candidates, key=lambda c: c.p.approx()) == sorted(
-            expected, key=lambda c: c.p.approx()
+        assert sorted(verdict.candidates, key=lambda c: float(c.p)) == sorted(
+            expected, key=lambda c: float(c.p)
         )
         assert verdict.relation == self.expected_relation(spec, expected)
 
@@ -711,7 +717,7 @@ class TestRationalCandidatesAgainstBands:
         verdict = optimal_parameters(expand_mean(spec, 12), 12, spec=spec)
         assert verdict.candidates
         for cand in verdict.candidates:
-            assert isinstance(cand.p, RationalRoot)
+            assert isinstance(cand.p, F)
             assert cand.achieved_order == order
             assert cand.leading == leading
 
@@ -723,7 +729,7 @@ class TestRationalCandidatesAgainstBands:
     ):
         verdict = optimal_parameters(_shifted_a(12, a5), 12)
         assert verdict.relation == "candidate-sub"
-        candidates = [(c.p.value, c.q.value, c.achieved_order, c.leading)
+        candidates = [(c.p, c.q, c.achieved_order, c.leading)
                       for c in verdict.candidates]
         assert candidates == [(-2, F(5, 2), order, leading), (2, F(1, 2), order, leading)]
 
@@ -794,11 +800,11 @@ class TestCandidateRootKinds:
                 for k in range(5, order + 1)]
         verdict = optimal_parameters(_pivot_with_roots(r, p_squared, order, tail), order)
         candidates = verdict.candidates
-        assert [c.p.kind for c in candidates] == self.KINDS.get(kind, ["exact-rational"] * 2)
+        assert [kind_of(c.p) for c in candidates] == self.KINDS.get(kind, ["exact-rational"] * 2)
         for c in candidates:
-            assert {c.p.kind, c.q.kind} <= {"exact-rational", "quadratic-surd"}
+            assert {kind_of(c.p), kind_of(c.q)} <= {"exact-rational", "quadratic-surd"}
         if kind != "surd":
-            assert {c.p.value**2 for c in candidates} == {p_squared}
+            assert {c.p**2 for c in candidates} == {p_squared}
         # Past t^6 a rational pair may survive at different orders.
         orders = {c.achieved_order for c in candidates}
         if kind == "identity" or any(n is not None and n <= 6 for n in orders):
@@ -834,7 +840,7 @@ class TestSurdLeadingIsRational:
         for seed in range(400):
             mean, order = self.near_power(seed)
             candidates = optimal_parameters(mean, order).candidates
-            assert [c.p.kind for c in candidates] == ["quadratic-surd"] * 2, seed
+            assert [kind_of(c.p) for c in candidates] == ["quadratic-surd"] * 2, seed
             first, second = candidates
             assert type(first.leading) is F and first.leading == second.leading, seed
             assert first.achieved_order == second.achieved_order, seed
@@ -865,7 +871,7 @@ class TestSurdLeadingIsRational:
         assert [rest.degree for rest in rests] == (
             [-1] * ((survivor - 6) // 2) + [0] + [1] * ((12 - survivor) // 2))
         candidates = optimal_parameters(mean, 12).candidates
-        assert [(c.p.kind, c.achieved_order, c.leading) for c in candidates] == [
+        assert [(kind_of(c.p), c.achieved_order, c.leading) for c in candidates] == [
             ("quadratic-surd", survivor, rests[survivor // 2 - 3].coefficient(0))
         ] * 2
 
@@ -877,7 +883,7 @@ class TestSurdLeadingIsRational:
         column = coefficient_polynomials(mean, first_order_locus(mean), 5, 9)[5]
         assert column == UniPoly((F(31, 32) * mean.coeffs[5],))
         candidates = optimal_parameters(mean, 9).candidates
-        assert [(c.p.kind, c.achieved_order, c.leading) for c in candidates] == [
+        assert [(kind_of(c.p), c.achieved_order, c.leading) for c in candidates] == [
             ("quadratic-surd", 5, column.coefficient(0))
         ] * 2
 
@@ -917,13 +923,13 @@ class TestExpansionOverTheQuadraticField:
         locus = first_order_locus(mean)
         polys = coefficient_polynomials(mean, locus, 2, order)
         roots = oracles.isolate_real_roots_by_divisor_search(polys[4])
-        assert [root.kind for root in roots] == ["quadratic-surd"] * 2
+        assert [kind_of(root) for root in roots] == ["quadratic-surd"] * 2
         for root in roots:
-            diff = difference_expansion(mean, root.value, locus.q_of(root.value), order)
+            diff = difference_expansion(mean, root, locus.q_of(root), order)
             assert diff.coeffs[:2] == (0, 0)
             for k in range(2, order + 1):
                 rest = polys[k] % polys[4]
-                assert diff.coeffs[k] == rest(root.value), (index, k)
+                assert diff.coeffs[k] == rest(root), (index, k)
                 assert type(diff.coeffs[k]) is (F if rest.degree < 1 else QuadraticField)
 
     @pytest.mark.parametrize("index", range(48))
@@ -979,7 +985,7 @@ class TestClosedT5AndT6:
             for name in self.CLOSED if expected else ():
                 mp.setattr(solver, name, None)
             candidates = optimal_parameters(mean, order).candidates
-        assert [c.p.kind for c in candidates] == (
+        assert [kind_of(c.p) for c in candidates] == (
             ["quadratic-surd"] * 2 if kind == "surd" else ["exact-rational"] * 2)
         for c in candidates:
             if expected:
@@ -1003,7 +1009,7 @@ class TestClosedT5AndT6:
         assert [c.achieved_order for c in verdict.candidates] == [None, None]
         # the roots' own expansions vanish through max_order
         for c in verdict.candidates:
-            assert difference_expansion(mean, c.p.value, c.q.value, max_order).is_zero
+            assert difference_expansion(mean, c.p, c.q, max_order).is_zero
 
     @settings(max_examples=30, deadline=None)
     @given(order=st.integers(6, 8), even=st.booleans(), data=st.data())
@@ -1020,7 +1026,7 @@ class TestClosedT5AndT6:
             for name in self.CLOSED if expected[0][1] in (5, 6) else ():
                 mp.setattr(solver, name, None)
             candidates = optimal_parameters(mean, order).candidates
-        assert [(c.p.value, c.achieved_order, c.leading) for c in candidates] == expected
+        assert [(c.p, c.achieved_order, c.leading) for c in candidates] == expected
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -1065,7 +1071,7 @@ class TestClosedT5AndT6:
             verdict = optimal_parameters(mean, 6)
         assert verdict.candidates
         for c in verdict.candidates:
-            assert c.p.value * c.p.value == w
+            assert c.p * c.p == w
             # at F = 0 the roots' own expansions vanish through max_order 6
             assert (c.achieved_order, c.leading) == ((6, c6) if c6 else (None, None))
 
@@ -1080,7 +1086,7 @@ class TestClosedT5AndT6:
         orders = TestOrderBands.sampled_expansions(monkeypatch, mean, 16)[0]
         assert orders == [16] * 2
         candidates = optimal_parameters(mean, 16).candidates
-        assert [(c.p.kind, c.achieved_order, c.leading) for c in candidates] == [
+        assert [(kind_of(c.p), c.achieved_order, c.leading) for c in candidates] == [
             ("quadratic-surd", 8, rests[3].coefficient(0))
         ] * 2
         assert type(candidates[0].leading) is F
@@ -1095,7 +1101,7 @@ class TestClosedT5AndT6:
         orders = TestOrderBands.sampled_expansions(monkeypatch, mean, 16)[0]
         assert orders == [16] * 2
         candidates = optimal_parameters(mean, 16).candidates
-        assert [(c.p.value, c.achieved_order, c.leading) for c in candidates] == [
+        assert [(c.p, c.achieved_order, c.leading) for c in candidates] == [
             (-2, 8, rest.coefficient(0)), (2, 8, rest.coefficient(0))
         ]
 
@@ -1154,12 +1160,29 @@ class TestClosedReach:
         assert verdicts["G"].notes[0].startswith("difference vanishes identically on the locus")
         assert [c.achieved_order for c in verdicts["A"].candidates] == [None, None]
         assert [c.achieved_order for c in verdicts["M2"].candidates] == [6, 6]
-        assert [(c.p.value, c.achieved_order) for c in verdicts["L"].candidates] == [
+        assert [(c.p, c.achieved_order) for c in verdicts["L"].candidates] == [
             (-1, None), (1, None)]
         assert expansions == []  # L takes none
         verdict = optimal_parameters(_c6_zero(24), 24)
-        assert [c.p.kind for c in verdict.candidates] == ["quadratic-surd"] * 2
+        assert [kind_of(c.p) for c in verdict.candidates] == ["quadratic-surd"] * 2
         assert expansions == [24, 24]
+
+    def test_a_mean_past_its_expansion_comes_from_the_spec(self, monkeypatch):
+        # mu = y + y**7/5040 agrees with L through t^4 but is not L by the
+        # table of coincidences, so leaving L at its identity points p = -+1
+        # reads M through max_order, from the spec past the short expansion:
+        # the verdict of the full expansion with no spec
+        spec = MuGenerated((F(1), F(0), F(0), F(1, 5040)))
+        assert coincident(spec) != ALIASES["L"]
+        expanded, real = [], solver.expand_mean
+        monkeypatch.setattr(solver, "expand_mean", lambda *args: expanded.append(args) or real(*args))
+        verdict = optimal_parameters(expand_mean(spec, 6), 16, spec=spec)
+        assert expanded == [(spec, 16)]
+        assert verdict.relation == "candidate-super"
+        assert [(c.p, c.q, c.achieved_order, c.leading) for c in verdict.candidates] == [
+            (-1, 1, 6, F(-1, 80)), (1, 0, 6, F(-1, 80))]
+        unspecified = optimal_parameters(expand_mean(spec, 16), 16)
+        assert (unspecified.relation, unspecified.candidates) == (verdict.relation, verdict.candidates)
 
     @pytest.mark.parametrize("max_order", range(3, 11))
     def test_a_shorter_mean_raises(self, max_order):
@@ -1178,7 +1201,7 @@ class TestProbesUntilOneDecides:
     def test_lazy_equals_eager(self, name, monkeypatch):
         spec = _POOL_SPECS[name]
         a2 = expand_mean(spec, 2).coeffs[2]
-        locus_probe = [(1.0, float(3 * a2 + 1))]  # p = 1 on q = 3*a_2 + (3 - p)/2
+        locus_probe = [(1, 3 * a2 + 1)]  # p = 1 on q = 3*a_2 + (3 - p)/2
         m_limit = boundary_limit(spec).value
         for probes in (solver._BOUNDARY_SAMPLES, locus_probe):
             # every probe's evidence up front, M's limit taken anew at each
@@ -1210,6 +1233,32 @@ class TestProbesUntilOneDecides:
                 # M's own limit is taken once, and given to every probe
                 assert limits == [spec]
                 assert calls == [(spec, *probe, m_limit) for probe in probes[:reached]]
+
+    @pytest.mark.parametrize("informative", [True, False], ids=["next-decides", "none-informative"])
+    def test_an_unavailable_probe_is_skipped(self, monkeypatch, informative):
+        # The first probe's triple overflows: its evidence is unavailable,
+        # with no difference sign, so the next probe that supports the sign
+        # decides.  With no informative probe after it (every later limit
+        # M's own), the first probe's evidence is reported.
+        probes, m_limit = solver._BOUNDARY_SAMPLES, boundary_limit(M2).value
+        unavailable = solver.BoundaryEvidence(None, None, "unavailable")
+        assert unavailable.difference_sign is None
+        second = solver._boundary_evidence(M2, *probes[1], m_limit)
+        asym = second.difference_sign
+        assert asym in (1, -1)
+        calls, real = [], solver._resultant_boundary_closed
+
+        def first_overflows(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise OverflowError("math range error")
+            return real(*args) if informative else m_limit
+
+        monkeypatch.setattr(solver, "_resultant_boundary_closed", first_overflows)
+        base = "candidate-sub" if asym > 0 else "candidate-super"
+        relation = solver._sampled_relation(M2, asym, probes)
+        assert relation == (base, second if informative else unavailable)
+        assert len(calls) == (2 if informative else len(probes))
 
 
 class TestClosedOuterStepInTheSolver:
@@ -1285,7 +1334,7 @@ class TestOptimalParameters:
         assert v.locus.intercept == F(1, 2) - 2 * a**2
         expected_leading = -F(1, 720) * a**2 * (a**2 - 1) * (4 * a**2 - 1) ** 3
         for cand in v.candidates:
-            assert isinstance(cand.p, QuadraticSurdRoot)
+            assert isinstance(cand.p, QuadraticField)
             assert cand.p.radicand / cand.p.div**2 == F(209, 81)
             assert cand.achieved_order == 6
             assert cand.leading == expected_leading
@@ -1358,9 +1407,9 @@ class TestOptimalParameters:
         v = optimal_parameters(m, 12, spec=SAlpha(F(0)))
         assert v.relation == "stabilizable"
         pairs = {
-            (c.p.value, c.q.value)
+            (c.p, c.q)
             for c in v.candidates
-            if isinstance(c.p, RationalRoot) and c.achieved_order is None
+            if isinstance(c.p, F) and c.achieved_order is None
         }
         assert pairs == {(F(1), F(0)), (F(-1), F(1))}
 
@@ -1368,7 +1417,7 @@ class TestOptimalParameters:
         m = expand_mean(LAlpha(F(1)), 12)
         v = optimal_parameters(m, 12, spec=LAlpha(F(1)))
         assert v.relation == "stabilizable"
-        pairs = {(c.p.value, c.q.value) for c in v.candidates}
+        pairs = {(c.p, c.q) for c in v.candidates}
         assert (F(1), F(-2)) in pairs
 
     def test_mixed_parity_verdicts(self):
@@ -1390,7 +1439,7 @@ class TestOptimalParameters:
 
     def test_rational_root_verdicts(self):
         v = optimal_parameters(expand_mean(ALIASES["L"], 64), 64)
-        assert (v.relation, [c.p.value for c in v.candidates]) == ("stabilizable", [-1, 1])
+        assert (v.relation, [c.p for c in v.candidates]) == ("stabilizable", [-1, 1])
         v = optimal_parameters(expand_mean(LAlpha(F(3, 10)), 16), 16)
         assert (v.relation, [c.achieved_order for c in v.candidates]) == ("candidate-super", [6, 6])
         v = optimal_parameters(_shifted_a(12, F(1, 7)), 12)
@@ -1400,7 +1449,7 @@ class TestOptimalParameters:
         mean = TestVerdictsWithARouteRemoved.bumped(
             expand_power_mean(F(1, 3), 12), {4: F(-17, 3240), 6: F(-799, 174960)})
         v = optimal_parameters(mean, 12)
-        assert [(x.p.kind, x.achieved_order, x.leading) for x in v.candidates] == [
+        assert [(kind_of(x.p), x.achieved_order, x.leading) for x in v.candidates] == [
             ("quadratic-surd", 8, F(2057969, 537477120))] * 2
 
     @pytest.mark.parametrize("max_order", [12, 16])
@@ -1411,17 +1460,17 @@ class TestOptimalParameters:
         ids=describe_spec,
     )
     def test_each_q_is_the_locus_image_of_its_p(self, spec, max_order):
-        # q is read in the field of p, Q or Q(sqrt(s)), and described in the
-        # same canonical form as a root of the pivot
+        # q is read in the field of p, Q or Q(sqrt(s)), with the same
+        # canonical radicand as the root of the pivot
         v = optimal_parameters(expand_mean(spec, max_order), max_order, spec=spec)
         assert len(v.candidates) == 2
         for c in v.candidates:
-            assert c.q.kind == c.p.kind
-            assert c.q.value == v.locus.q_of(c.p.value)
-            if isinstance(c.q, QuadraticSurdRoot):
-                assert c.q == QuadraticSurdRoot.of(c.q.value) and c.q.div > 0
-            assert c.q.approx() == pytest.approx(
-                float(v.locus.intercept) + float(v.locus.slope) * c.p.approx(), rel=1e-12)
+            assert type(c.p) in (F, QuadraticField) and type(c.q) is type(c.p)
+            assert c.q == v.locus.q_of(c.p)
+            if isinstance(c.q, QuadraticField):
+                assert c.q.s == c.p.s and c.q.div > 0
+            assert float(c.q) == pytest.approx(
+                float(v.locus.intercept) + float(v.locus.slope) * float(c.p), rel=1e-12)
 
 
 def _bumped(mean: MeanExpansion, index: int) -> MeanExpansion:
@@ -1462,7 +1511,7 @@ class TestBoundaryWithoutSpec:
     def test_a_probe_past_the_sinh_range_has_evidence(self):
         # B_{1/1050}(0, 1) = 2**-1050, where L_1's sinh(ln(2**1050))
         # overflows and its log is taken: the evidence is that of L_1 = H
-        evidence = [solver._boundary_evidence(spec, 1.0, 1 / 1050, boundary_limit(spec).value)
+        evidence = [solver._boundary_evidence(spec, 1, F(1, 1050), boundary_limit(spec).value)
                     for spec in (LAlpha(F(1)), PowerMean(F(-1)))]
         assert evidence[0].label == "closed-form"
         assert evidence[0] == evidence[1]
@@ -1475,7 +1524,7 @@ class TestBoundaryWithoutSpec:
             raise error("math range error")
 
         monkeypatch.setattr(solver, "_resultant_boundary_closed", failing)
-        evidence = solver._boundary_evidence(M2, 1.0, 1.0, boundary_limit(M2).value)
+        evidence = solver._boundary_evidence(M2, 1, 1, boundary_limit(M2).value)
         assert evidence == solver.BoundaryEvidence(None, None, "unavailable")
 
 
@@ -1587,7 +1636,7 @@ class TestSignCoherence:
     )
     def test_candidate_sign_of_a_field_leading(self, a, b, sign):
         # a + b*sqrt(2): an irrational leading coefficient has an exact sign
-        root = QuadraticSurdRoot.of(QuadraticField(F(0), F(1), F(2)))
+        root = QuadraticField(F(0), F(1), F(2))
         candidate = solver.OptimalCandidate(root, root, 8, QuadraticField(a, b, F(2)))
         assert candidate.sign == sign
 
@@ -1925,7 +1974,7 @@ class TestParameterScan:
         [
             # beta = -1/sqrt(2), skipped; beta = 1/4, alpha = 1/2 (G, stable);
             # beta = 1/sqrt(2)
-            (UniPoly((-1, 0, 2)) * UniPoly((F(-1, 4), 1)), [RationalRoot, QuadraticSurdRoot],
+            (UniPoly((-1, 0, 2)) * UniPoly((F(-1, 4), 1)), [RationalRoot, QuadraticField],
              [F(1, 2)]),
             (UniPoly((-1, 0, 0, 4)), [IntervalRoot], []),  # beta = 4**(-1/3)
             (UniPoly((-1, 2)), [RationalRoot], []),  # beta = 1/2, alpha = 1/sqrt(2)
@@ -1937,7 +1986,8 @@ class TestParameterScan:
     ):
         # The scan reports rational alpha only; whatever else lies in [0, 1]
         # raises instead of being skipped, after the stable alpha below it.
-        inside = [r for r in oracles.isolate_real_roots_by_divisor_search(planted) if 0 < r.approx() < 1]
+        inside = [r for r in oracles.isolate_real_roots_by_divisor_search(planted)
+                  if 0 < float(r.low if isinstance(r, IntervalRoot) else root_value(r)) < 1]
         assert [type(r) for r in inside] == kinds
         checked, real = [], solver.is_stable
 
@@ -2002,7 +2052,7 @@ class TestVerdictsWithARouteRemoved:
         self.remove(monkeypatch, "_difference_form")
         v = [optimal_parameters(expand_mean(m, n), n)
              for m, n in ((ALIASES["A"], 16), (PowerMean(F(-13, 6)), 64))]
-        assert [(x.relation, sorted(c.p.value for c in x.candidates),
+        assert [(x.relation, sorted(c.p for c in x.candidates),
                  {c.achieved_order for c in x.candidates}) for x in v] == [
             ("stabilizable", [-1, 1], {None}), ("stabilizable", [F(-13, 6), F(13, 6)], {None})]
         mean = self.bumped(expand_mean(PowerMean(F(3, 7)), 16), {8: F(1, 3)})
@@ -2053,7 +2103,7 @@ class TestVerdictsWithARouteRemoved:
                 else "difference vanishes through order 128 at 2 parameter pair(s)")
         assert (v.relation, v.notes, v.boundary, v.fixed_leading) == (
             "stabilizable", (note,), None, None)
-        assert [(c.p.value, c.q.value, c.achieved_order, c.leading) for c in v.candidates] == [
+        assert [(c.p, c.q, c.achieved_order, c.leading) for c in v.candidates] == [
             (p, q, None, None) for p, q in pairs or ()]
 
     def test_stability_and_the_scan_without_a_resultant(self, monkeypatch):

@@ -8,14 +8,16 @@ acceptance gate or the benchmark.  A use is a read of the name outside the funct
 The parameter search reads none of the names its schedule does not depend
 on, and reads the t^4 pivot's roots with no root isolation; one function
 of the package extracts square factors, _exact_sqrt, so a square root is
-read once and a surd only spelled; root
-isolation and recognition read rational roots alone and build no surd at
-any degree; the command
+read once and a surd only spelled; one function of the solver reads
+float, _boundary_evidence, so the search holds every parameter exactly;
+root isolation and recognition read rational roots alone and build no
+surd at any degree; the command
 line writes its reports with no indented json.dumps.  Every top-level
 definition of ``tests/oracles.py`` is read by the tests outside its own
 body, and the oracles read no production root isolation or square root.  The code-line counter of ``code_lines.py`` counts code alone."""
 
 import ast
+import copy
 import sys
 from collections import Counter
 from graphlib import CycleError, TopologicalSorter
@@ -46,16 +48,20 @@ NOT_READ_BY_THE_PIVOT = {"isolate_real_roots", "UniPoly"}
 #: not read: at every degree isolation recognizes rational roots alone, and
 #: every irrational root is an interval, with no surd built or paired and no
 #: discriminant tested for a square.
-NOT_READ_BY_RECOGNITION = {"_quadratic_roots", "QuadraticSurdRoot", "_exact_sqrt", "combinations"}
+NOT_READ_BY_RECOGNITION = {"_quadratic_roots", "QuadraticField", "_exact_sqrt", "combinations"}
 #: Names tests/oracles.py does not read: its roots come from the divisor
 #: search, closed forms and Sturm counts, with no production isolation,
 #: and its square factors from trial division by every d up to 10**4.
 NOT_READ_BY_THE_ROOT_ORACLE = {"_recognize_roots", "_isolate_intervals", "_refine", "isolate_real_roots",
                                "_exact_sqrt", "_extract_square"}
 #: The one reader of _extract_square in the package: a square root is read
-#: once, by _exact_sqrt, and QuadraticSurdRoot.of and optimal_parameters
-#: spell and use its value with no extraction of their own.
+#: once, by _exact_sqrt, and QuadraticField's spelling and
+#: optimal_parameters read its value with no extraction of their own.
 EXTRACTS_SQUARES = ["polynomials.py:_exact_sqrt"]
+#: The one reader of float in the solver: the probes are exact pairs, the
+#: locus samples and a candidate's own p and q, and the float lab takes
+#: them as floats at one site.
+READS_FLOAT = ["solver.py:_boundary_evidence"]
 
 
 def imported_modules(tree: ast.AST) -> list[tuple[int, str]]:
@@ -169,6 +175,18 @@ def readers(trees: dict[str, ast.Module], name: str) -> list[str]:
     return sorted(found)
 
 
+def without_annotations(tree: ast.AST) -> ast.AST:
+    """A copy of the tree with every annotation dropped: the package defers
+    its annotations, so an annotation reads nothing at run time."""
+    tree = copy.deepcopy(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            node.annotation = None
+        elif isinstance(node, FUNCTIONS):
+            node.returns = None
+    return tree
+
+
 def forbidden_reads(tree: ast.Module, function: str, names: set[str]) -> list[str]:
     """The names among ``names`` that the module-level function reads, sorted."""
     body = {node.name: node for node in tree.body if isinstance(node, FUNCTIONS)}[function]
@@ -273,6 +291,11 @@ def test_one_function_extracts_square_factors():
     assert readers(trees, "_extract_square") == EXTRACTS_SQUARES
 
 
+def test_one_function_of_the_solver_reads_float():
+    tree = without_annotations(parse(ROOT / "src" / "meanstab" / "solver.py"))
+    assert readers({"solver.py": tree}, "float") == READS_FLOAT
+
+
 def test_the_root_oracle_reads_no_production_isolation():
     tree = parse(ROOT / "tests" / "oracles.py")
     assert sorted(set(read_names(tree)) & NOT_READ_BY_THE_ROOT_ORACLE) == []
@@ -358,21 +381,31 @@ def test_the_rules_catch_what_they_forbid():
         "    g = squarefree_part(f)\n"
         "    c0, c1 = g.coeffs[:2]\n"
         "    if g.degree == 2 and c1 * c1 > 4 * c0 and type(_exact_sqrt(c1 * c1 - 4 * c0)) is QuadraticField:\n"
-        "        return [QuadraticSurdRoot.of(QuadraticField(-c1 / 2, b, c1 * c1 / 4 - c0)) for b in (-1, 1)]\n"
+        "        return [QuadraticField(-c1 / 2, b, c1 * c1 / 4 - c0) for b in (-1, 1)]\n"
         "    return _recognize_roots(g)\n")
     assert closed != polynomials
     assert forbidden_reads(ast.parse(closed), "isolate_real_roots", NOT_READ_BY_RECOGNITION) == [
-        "QuadraticSurdRoot", "_exact_sqrt"]
-    spelled = polynomials.replace("        div = 1 / abs(b)\n",
-                                  "        f, core = _extract_square(s.numerator)\n"
-                                  "        div = 1 / abs(b) / f\n")
+        "QuadraticField", "_exact_sqrt"]
+    spelled = polynomials.replace("        return 1 / abs(self.b)\n",
+                                  "        f, core = _extract_square(self.s.numerator)\n"
+                                  "        return 1 / abs(self.b) / f\n")
     pivoted = solver.replace("    _exact_sqrt,\n", "    _exact_sqrt,\n    _extract_square,\n").replace(
         "    s = _exact_sqrt(w)\n", "    s = _exact_sqrt(w)\n    _extract_square(w.numerator * w.denominator)\n")
     assert spelled != polynomials and pivoted.count("_extract_square") == 2
     trees = {"polynomials.py": ast.parse(spelled), "solver.py": ast.parse(pivoted)}
     assert readers(trees, "_extract_square") == [
-        "polynomials.py:QuadraticSurdRoot.of", "polynomials.py:_exact_sqrt", "solver.py",
+        "polynomials.py:QuadraticField.div", "polynomials.py:_exact_sqrt", "solver.py",
         "solver.py:optimal_parameters"]
+    # ... a candidate's probe converted to floats in the search again (an
+    # annotation reads nothing) ...
+    floated = solver.replace("verdict(top.sign, [(top.p, top.q)],",
+                             "verdict(top.sign, [(float(top.p), float(top.q))],")
+    assert floated != solver
+    assert readers({"solver.py": without_annotations(ast.parse(floated))}, "float") == [
+        "solver.py:_boundary_evidence", "solver.py:optimal_parameters"]
+    annotated = ast.parse("def f(x: float) -> float:\n    y: float = x\n    return y\n")
+    assert readers({"m.py": without_annotations(annotated)}, "float") == []
+    assert readers({"m.py": annotated}, "float") == ["m.py:f"]
     cli = (ROOT / "src" / "meanstab" / "cli.py").read_text(encoding="utf-8")
     indented = cli.replace("_indented_json(report) if", "json.dumps(report, indent=2) if")
     assert indented != cli and len(indented_dumps(ast.parse(indented))) == 1

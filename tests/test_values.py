@@ -28,7 +28,6 @@ from meanstab.numeric import ComparisonReport, DecayReport, GridSpec, LimitRepor
 from meanstab.polynomials import (
     IntervalRoot,
     QuadraticField,
-    QuadraticSurdRoot,
     RationalRoot,
     UniPoly,
 )
@@ -43,7 +42,7 @@ from meanstab.solver import (
 from meanstab.values import Value
 
 ROOT = Path(__file__).resolve().parent.parent
-HALF = RationalRoot(F(1, 2))
+HALF = F(1, 2)
 LOCUS = AffineLocus(F(1, 2), F(-1, 2))
 
 #: One instance's arguments per value class, each field set away from its
@@ -59,7 +58,6 @@ EXAMPLES = {
     MeanExpansion: (((F(1), F(0), F(1, 6)),), ((F(1), F(0), F(1, 7)),)),
     UniPoly: (((F(-2), F(0), F(1)),), ((F(-3), F(0), F(1)),)),
     RationalRoot: ((F(1, 2),), (F(1, 3),)),
-    QuadraticSurdRoot: ((F(1), 1, F(5), F(2)), (F(1), -1, F(5), F(2))),
     IntervalRoot: ((F(1), F(2), UniPoly((-2, 0, 1))), (F(1), F(3, 2), UniPoly((-2, 0, 1)))),
     QuadraticField: ((F(1), F(2), F(5)), (F(1), F(3), F(5))),
     GridSpec: ((1.0, 10.0, 5, "logarithmic"), (1.0, 10.0, 6, "logarithmic")),
@@ -87,7 +85,7 @@ def example(cls):
 
 
 def test_every_value_class_has_an_example():
-    assert len(CLASSES) == 22
+    assert len(CLASSES) == 21
     assert set(Value.__subclasses__()) == set(CLASSES)
 
 
