@@ -27,7 +27,9 @@ Power and quotient means run on integer forms, B_p and the quotient means
 with an even D' at half the order in u**2.  L_alpha and S_alpha depend on
 alpha only through beta = alpha**2: cosh(alpha*Lambda) comes from one linear
 integer recurrence in beta, which takes any rational beta (see
-expand_quotient_mean).
+expand_quotient_mean).  The Stolarsky mean E_{r,s}, the parameter search's
+reference, has an integer form at half the order too (_stolarsky_form), and
+no spec; is_stolarsky says which specs are Stolarsky means.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from math import lcm
 from .polynomials import UniPoly, _isolate_intervals, squarefree_part
 from .rationals import ONE, ZERO, Rational
 from .series import (
+    _exp_form,
     _horner_form,
     _integer_form,
     _power_form,
@@ -175,6 +178,23 @@ def coincident(spec: MeanSpec) -> MeanSpec:
     return spec
 
 
+def is_stolarsky(spec: MeanSpec) -> bool:
+    """Whether the mean of the spec is a Stolarsky mean E_{r,s} (see
+    _stolarsky_form), by the table of coincidences every B_p (A, G and H
+    among them) and L; the parameter search reads such a spec as its own
+    reference and builds no form.  The rows, with E_{r,s}**(r - s) = (s/r)*(b**r
+    - a**r)/(b**s - a**s):
+
+    * E_{2p,p} = E_{p,2p} = B_p: (b**(2p) - a**(2p))/(2*(b**p - a**p)) =
+      (a**p + b**p)/2, and E_{r,s} = E_{s,r};
+    * E_{r,-r} = G: -(b**r - a**r)/(b**-r - a**-r) = (ab)**r, to the power
+      1/(2r);
+    * E_{1,0} = L: at s = 0 the log form (b - a)/ln(b/a).
+    """
+    spec = coincident(spec)
+    return isinstance(spec, PowerMean) or spec == ALIASES["L"]
+
+
 # ---------------------------------------------------------------------------
 # Expansions
 
@@ -209,15 +229,14 @@ class MeanExpansion(Value):
         return x * acc
 
 
-def _power_mean_form(p: Fraction, order: int) -> tuple[list, int | Fraction]:
+def _power_mean_form(p: Fraction, order: int) -> tuple[list[int], int]:
     """The expansion of B_p as integer numerators over their least common
-    denominator (see expand_power_mean), or for p in another field, such as
-    Q(sqrt(s)) at a surd root, as that field's values over Fraction(1)."""
+    denominator (see expand_power_mean)."""
     half = order // 2
     if p == 0:
         avg, den, exponent = [1, -1] + [0] * (half - 1), 1, Fraction(1, 2)
     else:
-        s, t = p.as_integer_ratio() if isinstance(p, Fraction) else (p, 1)
+        s, t = p.as_integer_ratio()
         terms, num, den = [(1, 1)], 1, 1
         for m in range(1, 2 * half + 1):
             num *= s - (m - 1) * t
@@ -241,6 +260,55 @@ def expand_power_mean(p: Rational, order: int) -> MeanExpansion:
     a_4 = (p-1)(3+p-2p^2)/24.
     """
     return MeanExpansion(_values(*_power_mean_form(Fraction(p), order)))
+
+
+def _stolarsky_form(r, s, order: int) -> tuple[list[int], int]:
+    """The expansion of the Stolarsky mean E_{r,s} as integer numerators over
+    their least common denominator, r and s rational or conjugates in one
+    Q(sqrt(w)).
+
+    E_{r,s}(a, b) = ((s/r)*(b**r - a**r)/(b**s - a**s))**(1/(r - s)), with
+    its limits at s = 0 and at r = s.  With O_x(w) = sum_k prod_{j=1..2k}(x
+    - j)/(2k+1)! * w**k, (1 + u)**x - (1 - u)**x = 2*x*u*O_x(u**2), so E =
+    (O_r/O_s)**(1/(r - s)) in w = u**2, one inverse, one product and one
+    power at half the order; O_0 = sum w**k/(2k+1) is the log form, with no
+    branch.  At r = s, E_{r,r} = exp(O_r'/O_r), O' the derivative in x at
+    r, the limit of ln(O_r/O_s)/(r - s); E_{0,0} = G.  For x = n/d one
+    running product gives the numerators of O_x's coefficients over
+    d**(2k)*(2k+1)!, and by the product rule those of O_x' over the same
+    denominators.
+
+    Every coefficient is rational, at a surd pair too: ln O_x has
+    coefficients polynomial in x, as O_x starts with 1, so (ln O_r - ln
+    O_s)/(r - s) and its exp have coefficients polynomial in r and s.  They
+    are symmetric, as E_{r,s} = E_{s,r}, so polynomials in r + s and r*s,
+    which are rational for conjugates.  A coefficient that is not rational
+    raises ArithmeticError.
+    """
+    half, forms = order // 2, []
+    for x in (r, s) if r != s else (r,):
+        n, d = x.as_integer_ratio() if isinstance(x, (int, Fraction)) else (x, 1)
+        terms, num, slope, den = [(1, 0, 1)], 1, 0, 1
+        for j in range(1, 2 * half + 1):
+            num, slope, den = num * (n - j * d), slope * (n - j * d) + num * d, den * d * (j + 1)
+            if j % 2 == 0:
+                terms.append((num, slope, den))
+        # Each denominator divides the next, so the last one is common; a
+        # surd's values go over it as a Fraction.
+        common = den if type(n) is int else Fraction(den)
+        forms.append([([t[i] * (den // t[2]) for t in terms], common) for i in (0, 1)])
+    if r == s:
+        ((o_r, slope),) = forms
+        form = _exp_form(_product_form(slope, _power_form(o_r, -1, half), half), half)
+    else:
+        (o_r, _), (o_s, _) = forms
+        ratio = _product_form(o_r, _power_form(o_s, -1, half), half)
+        form = _power_form(ratio, 1 / (r - s), half)
+    if type(form[1]) is not int:
+        if not all(isinstance(c, (int, Fraction)) for c in form[0]):
+            raise ArithmeticError("a coefficient of the Stolarsky mean is not rational")
+        form = _integer_form(form[0], half)
+    return _spread(form, order)
 
 
 def _denominator_derivative(spec: ClassicMean | MAlphaR | MuGenerated) -> tuple[tuple, Rational]:

@@ -101,15 +101,6 @@ def _root_json(value: Rational | QuadraticField) -> dict:
     }
 
 
-def _leading_json(leading) -> dict | None:
-    if leading is None:
-        return None
-    if isinstance(leading, Fraction):
-        return {"exact": _rat_json(leading)}
-    surd = {name: _rat_json(value) for name, value in vars(leading).items()}
-    return {"exact_surd": surd, "sign": leading.sign}
-
-
 def _indented_json(value, indent: str = "\n") -> str:
     """json.dumps(value, indent=2), byte for byte, for the types a report
     holds; indent makes the standard encoder run in pure Python."""
@@ -331,7 +322,7 @@ def _cmd_solve(args: argparse.Namespace) -> dict:
             "p": _root_json(c.p),
             "q": _root_json(c.q),
             "first_nonzero_order": c.achieved_order,
-            "leading": _leading_json(c.leading),
+            "leading": None if c.leading is None else {"exact": _rat_json(c.leading)},
         }
         for c in verdict.candidates
     ]

@@ -9,8 +9,8 @@ is an isolating interval with a sign change, at most 10**-12 wide.
 
 A quadratic surd, a candidate parameter of the solver and not a result of
 isolation, is a number of the field Q(sqrt(s)), ``QuadraticField``, whose
-arithmetic is exact and whose values have an exact sign; the series kernel
-computes in it at such a parameter, and a report spells it as
+arithmetic is exact; the series kernel computes in it at such a pair, for
+the Stolarsky mean of the pair, and a report spells it as
 ``(add + sign*sqrt(radicand))/div`` from its own parts.  Every square root
 enters through one helper, ``_exact_sqrt``: sqrt(w) of a rational w >= 0
 is read once, by one ``_extract_square``, into a Fraction or into
@@ -212,12 +212,6 @@ class QuadraticField(Value):
         return QuadraticField(a, b, self.s) if b else a
 
     @property
-    def sign(self) -> int:
-        """That of b, unless a has the other sign and a**2 > b**2*s."""
-        b = 1 if self.b > 0 else -1
-        return -b if self.a * b < 0 and self.a * self.a > self.b * self.b * self.s else b
-
-    @property
     def add(self) -> Fraction:
         return self.a / abs(self.b)
 
@@ -291,8 +285,6 @@ class QuadraticField(Value):
 
 
 class RationalRoot(Value):
-    kind = "exact-rational"
-
     def __init__(self, value: Rational) -> None:
         self.__dict__["value"] = value
 
@@ -302,8 +294,6 @@ class RationalRoot(Value):
 
 class IntervalRoot(Value):
     """Isolating interval (low, high) for one simple root of ``polynomial``."""
-
-    kind = "isolated-interval"
 
     def __init__(self, low: Rational, high: Rational, polynomial: UniPoly) -> None:
         self.__dict__.update(low=low, high=high, polynomial=polynomial)

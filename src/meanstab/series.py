@@ -14,11 +14,13 @@ With integer exponents any nonzero constant term is allowed; a fractional
 exponent requires constant term 1 so that every coefficient stays in the
 field.  The exponent may also be a value of another field, such as a
 quadratic field Q(sqrt(s)) (``polynomials.QuadraticField``), again with
-constant term 1; the recursion then computes in that field, the power mean
-B_p at a surd p and a solver sample at a surd root of the pivot included.
+constant term 1; the recursion then computes in that field, the Stolarsky
+mean E_{r,s} at a surd pair (r, s), raised to 1/(r - s), included.  The
+exponential, by n*E[n] = sum_k k*a_k*E[n-k] on a series with zero constant
+term, runs on any scalar too.
 
-The product, the power recursion and composition each have one body, a
-private primitive on forms: pairs ``(nums, den)`` with ``a[n] ==
+The product, the power recursion, the exponential and composition each have
+one body, a private primitive on forms: pairs ``(nums, den)`` with ``a[n] ==
 nums[n] / den``.  The den says which field a form is in.
 
 * Over Q den is an int and nums are integer numerators.  A product
@@ -28,7 +30,8 @@ nums[n] / den``.  The den says which field a form is in.
   subtraction each, and keeps a running common denominator of the
   coefficients computed so far, which one small gcd per step grows (the
   growth rule of ``_power_form``), rescaling the stored numerators only
-  when it grows; composition runs
+  when it grows; the exponential keeps its denominator by the same rule;
+  composition runs
   Horner's rule, where each step multiplies the accumulator by the inner
   numerators, multiplies its denominator by theirs, adds the next outer
   numerator and divides everything by the content gcd, and a step whose
@@ -42,7 +45,7 @@ nums[n] / den``.  The den says which field a form is in.
   own values over the exact ``Fraction(1)``: a truncated series in a
   perturbation parameter, say, when a computation needs an exact one-sided
   limit.  The same primitives run on it; where they reduce (``_reduced``)
-  or divide (the recursion) they branch once on ``type(den) is int`` and
+  or divide (the recursions) they branch once on ``type(den) is int`` and
   divide in the field instead, so den is 1 again after every primitive.
   They multiply by ``1/den`` only when den is not 1, and never divide a
   value by den, which would shrink the window of a truncated germ.
@@ -222,6 +225,30 @@ def _power_form(a: tuple, r, order: int) -> tuple[list, int | Fraction]:
             back = [q * scale for q in back]
             den *= scale
         back.insert(0, top // h)
+    back.reverse()
+    return back, den
+
+
+def _exp_form(a: tuple, order: int) -> tuple[list, int | Fraction]:
+    """The form of exp(a) for the form a, whose constant term must be zero,
+    by n*E[n] = sum_k k*a_k*E[n-k]: with a reduced to x/dx, E[n] =
+    top/(n*dx*d), top one dot product of the weights k*x_k with the
+    numerators of E[n-1], ..., E[0] over their common denominator d, held
+    newest first.  Over Q d grows by the rule of _power_form, with u =
+    n*dx, and ends as the least common denominator; in any other field dx
+    and d stay 1 and the list holds the values."""
+    x, dx = a
+    if x[0] != 0:
+        raise ValueError("nonzero constant term")
+    over_q = type(dx) is int
+    x, dx = _reduced(x[: order + 1], dx)
+    weights = [k * c for k, c in enumerate(x[1 : order + 1], 1)]
+    back, den = [x[0] + 1], 1 if over_q else _FRACTION_ONE
+    for n in range(1, order + 1):
+        top, u = sum(map(mul, weights, back)), n * dx
+        if over_q and u != (h := gcd(u, top)):
+            back, den = [q * (u // h) for q in back], den * (u // h)
+        back.insert(0, top // h if over_q else top / u)
     back.reverse()
     return back, den
 

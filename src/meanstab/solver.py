@@ -20,29 +20,26 @@ comparison of M with G (see optimal_parameters).  A constant pivot is read
 as the constant it is.  The roots of the t^4 quadratic are one pair p =
 +-sqrt(w), w = -c_4/r, or the double root 0, read from w with no root
 isolation (a surd root and its conjugate when w is not a rational square),
-and the pair takes one route.  When the pair is the identity points of a
-reference mean E that M agrees with through t^4, where R(B_p, E, B_q) = E,
-both roots come from one comparison of M with E: B_r at w = r**2 (A, H,
-L_{+-1} = H and every B_r) and the logarithmic mean L at (r, w) = (1/3, 1),
-p = +-1.  A spec that is E by the table of exact coincidences
-(catalog.coincident) never leaves it, and builds no form.
-Any other pair reads two more closed columns: t^5 is the constant
-(31/32)*a_5, and when a_5 = 0 the t^6 column is, modulo the pivot, the
-constant c_6 = 9F/(320r) of a_2, a_4 and a_6, F read at most once.  The
-first of them that is nonzero is the survivor at both roots, rational or
-surd, with no sample and no evaluation at the root.  Only where both vanish
-does each root take a longer route, the same for both kinds: one difference
-expansion at the root, truncated at max_order, in Q at a rational root and
-in the quadratic field Q(sqrt(s)) at a surd one; its first nonzero
-coefficient is the survivor, exact and of exact sign.
+and the pair takes one route.  Two more closed columns come first: t^5 is
+the constant (31/32)*a_5, and when a_5 = 0 the t^6 column is, modulo the
+pivot, the constant c_6 = 9F/(320r) of a_2, a_4 and a_6, F read at most
+once.  The first of them that is nonzero is the survivor at both roots,
+rational or surd, with no sample and no evaluation at the root.  Where both
+vanish, both roots are the identity points of one Stolarsky mean E that M
+agrees with through t^4, where R(B_p, E, B_q) = E, and the pair reads one
+comparison of M with E: E_{x,y} with x + y = 3r and x - y = sqrt(w), whose
+coefficients are rational at a surd pair too, so the survivor is one
+rational at both roots.  B_r at w = r**2, G on the locus at r = 0 and the
+logarithmic mean L at (r, w) = (1/3, 1) are among these references.  A
+spec that is a Stolarsky mean (catalog.is_stolarsky) never leaves itself,
+and builds no form.
 
-So a search reads the mean through a_6 (CLOSED_ORDER) unless it takes one
-of the two routes past t^6, the comparison with E and the expansion at
-each root.  Given a mean spec, the search accepts a mean through
-min(max_order, CLOSED_ORDER), and those routes take M through max_order from
-the spec, once; without a spec the mean must reach max_order.  No catalog
-mean that is its own reference (A, G, H, L, L_{+-1/2}, L_{+-1}, L_0 and
-every B_p) reads past t^6 at all.
+So a search reads the mean through a_6 (CLOSED_ORDER) unless it takes the
+one route past t^6, the comparison with E.  Given a mean spec, the search
+accepts a mean through min(max_order, CLOSED_ORDER), and that route takes M
+through max_order from the spec, once; without a spec the mean must reach
+max_order.  No catalog mean that is its own reference (A, G, H, L,
+L_{+-1/2}, L_{+-1}, L_0 and every B_p) reads past t^6 at all.
 
 The search samples no band.  A band of reach K, which the tests and the
 stability scan read, samples the difference once at the n = K + 2
@@ -84,15 +81,15 @@ from .catalog import (
     _cosh_mean_form,
     _mean_form,
     _power_mean_form,
-    ALIASES,
+    _stolarsky_form,
     LAlpha,
     MeanExpansion,
     MeanSpec,
     PowerMean,
     SAlpha,
-    coincident,
     describe_spec,
     expand_mean,
+    is_stolarsky,
 )
 from .numeric import _resultant_boundary_closed, boundary_limit
 from .polynomials import (
@@ -121,12 +118,6 @@ _FIRST_REACH = 6
 #: a_1..a_6 decide every pair they settle (see optimal_parameters).
 CLOSED_ORDER = 6
 
-#: The identity points besides B_r's: (r, w) -> the mean E with R(B_p, E,
-#: B_q) = E at both roots p = +-sqrt(w) of the t^4 pivot on the locus q =
-#: (3r - p)/2, where every mean with this r and w agrees with E through t^4
-#: (see optimal_parameters).
-_IDENTITY_POINTS = {(Fraction(1, 3), Fraction(1)): ALIASES["L"]}
-
 # ---------------------------------------------------------------------------
 # Difference expansions
 
@@ -152,27 +143,17 @@ class DifferenceExpansion(Value):
 def _difference_form(m_form: tuple, p: Fraction, q: Fraction, order: int) -> tuple:
     """M - R(B_p, M, B_q) through the order as integer numerators over one
     denominator, from the integer form of the mean through the order: B_q's
-    expansion, the two sides and the closed power-mean outer step.  A mean
-    in Q(sqrt(s)) is its values over Fraction(1), and so is the difference."""
-    q_form = _power_mean_form(q, order)
-    if type(q_form[1]) is not type(m_form[1]):
-        # a rational B_q beside a mean in Q(sqrt(s)): its values over Fraction(1)
-        q_form = list(_values(*q_form)), m_form[1]
-    m, r, den = _common(m_form, _resultant(p, m_form, q_form, order))
+    expansion, the two sides and the closed power-mean outer step."""
+    m, r, den = _common(m_form, _resultant(p, m_form, _power_mean_form(q, order), order))
     return [a - b for a, b in zip(m, r)], den
 
 
-def difference_expansion(mean: MeanExpansion, p: Parameter, q: Parameter, order: int) -> DifferenceExpansion:
-    """Exact difference between the mean and its power-mean resultant,
-    computed on integer numerators from B_p and B_q to the difference; for p
-    or q in a quadratic field Q(sqrt(s)), at a surd root, in that field, a
-    rational operand included."""
-    coeffs = mean.truncated(order).coeffs
-    p, q = (x if isinstance(x, QuadraticField) else Fraction(x) for x in (p, q))
-    if QuadraticField in (type(p), type(q)):
-        m_form = list(coeffs), Fraction(1)
-    else:
-        m_form = _integer_form(coeffs, order)
+def difference_expansion(mean: MeanExpansion, p: Rational, q: Rational, order: int) -> DifferenceExpansion:
+    """Exact difference between the mean and its power-mean resultant at
+    rational p and q, computed on integer numerators from B_p and B_q to the
+    difference."""
+    m_form = _integer_form(mean.truncated(order).coeffs, order)
+    p, q = Fraction(p), Fraction(q)
     return DifferenceExpansion(_values(*_difference_form(m_form, p, q, order)), p, q)
 
 
@@ -262,23 +243,16 @@ class BoundaryEvidence(Value):
 
 class OptimalCandidate(Value):
     """One optimal parameter pair, each a Fraction or a value of Q(sqrt(s)),
-    with the first surviving coefficient."""
+    with the first surviving coefficient, rational at a surd pair too."""
 
     def __init__(
         self,
         p: Parameter,
         q: Parameter,
         achieved_order: int | None,  # index of first nonzero coefficient; None = all zero
-        leading: Rational | QuadraticField | None,
+        leading: Rational | None,
     ) -> None:
         self.__dict__.update(p=p, q=q, achieved_order=achieved_order, leading=leading)
-
-    @property
-    def sign(self) -> int:
-        """The sign of the leading coefficient, for a candidate that has one."""
-        if isinstance(self.leading, QuadraticField):
-            return self.leading.sign
-        return 1 if self.leading > 0 else (-1 if self.leading < 0 else 0)
 
 
 class StabilizabilityVerdict(Value):
@@ -390,14 +364,12 @@ def optimal_parameters(
     square, else the surd sqrt(w), built once, and its conjugate -sqrt(w).
     On the locus q = (3r -+ sqrt(w))/2 at p = +-sqrt(w), so q at -sqrt(w)
     is the conjugate of q at sqrt(w), and a surd pair makes two surd
-    constructions, not four.  The pair takes one route: it is a pair of
-    identity points (below) of B_r when w = r**2 and of L when (r, w) =
-    (1/3, 1), and otherwise reads the next two columns in closed form.  The
-    t^5 column is (31/32)*a_5 at every p, and when a_5 = 0 the t^6 column
-    P_6 is, at both roots of P_4, the constant c_6 = 9*F/(320*r), F =
-    48*a_2**6 + 104*a_2**5 + 65*a_2**4 + 80*a_2**3*a_4 - 5*a_2**3 +
-    150*a_2**2*a_4 - 13*a_2**2 + 65*a_2*a_4 + 70*a_2*a_6 + a_2 - 100*a_4**2
-    - 20*a_4 + 35*a_6:
+    constructions, not four.  The pair takes one route.  The t^5 column is
+    (31/32)*a_5 at every p, and when a_5 = 0 the t^6 column P_6 is, at both
+    roots of P_4, the constant c_6 = 9*F/(320*r), F = 48*a_2**6 +
+    104*a_2**5 + 65*a_2**4 + 80*a_2**3*a_4 - 5*a_2**3 + 150*a_2**2*a_4 -
+    13*a_2**2 + 65*a_2*a_4 + 70*a_2*a_6 + a_2 - 100*a_4**2 - 20*a_4 +
+    35*a_6:
 
     * t^5: as at t^3, a_5 enters with slope 2**-5, and the part of the t^5
       coefficient that a_2 and a_4 give is that of an even mean, zero;
@@ -410,13 +382,13 @@ def optimal_parameters(
       8*n_2**3 + 8*n_4 + 32*n_2*n_4)/64;
     * B_p has k_6 = (p**2 - 1)*(16*p**3 - 30*p**2 - 19*p + 45)/720.  With
       the rest as for t^4, P_6 = a_6 - r_6 is r*p*P_4/4 plus the even part
-      E = 63*a_6/64 - (27*r**2 + 3*r + 5)*a_4/128 - r*p**4/1536 -
+      V = 63*a_6/64 - (27*r**2 + 3*r + 5)*a_4/128 - r*p**4/1536 -
       (840*a_4 + 180*r**3 - 165*r**2 - 170*r + 105)*p**2/15360 -
       81*r**5/2560 + 63*r**4/1024 + 15*r**3/256 - 125*r**2/1024 -
       197*r/7680 + 29/512;
-    * a root of P_4 has p**2 = w = -c_4/r, and there E is c_6, with a_2 =
-      (r - 1)/2.  At a_4 = b_4, where the roots are the identity points, c_6
-      is (63/64)*(a_6 - b_6).
+    * a root of P_4 has p**2 = w = -c_4/r, and there V is c_6, with a_2 =
+      (r - 1)/2.  At a_4 = b_4, where the roots are the identity points of
+      B_r, c_6 is (63/64)*(a_6 - b_6).
 
     So the first of these columns that is nonzero, and within max_order, is
     the survivor at both roots, rational or surd, with no band, no expansion
@@ -440,56 +412,53 @@ def optimal_parameters(
     * at an identity point r_n of E is e_n, so the difference at n is
       (1 - 2**-n)*delta.
 
-    A mean with a_1 = a_3 = 0 and the r and w of an even E agrees with E
-    through t^4 (r gives a_2, and w with r gives a_4), so its pivot pair is
-    E's.  The references, each with its proof:
+    Every pair has such a reference, the Stolarsky mean E = E_{x,y}(a, b) =
+    ((y/x)*(b**x - a**x)/(b**y - a**y))**(1/(x - y)) (K. B. Stolarsky,
+    "Generalizations of the logarithmic mean", Math. Mag. 48, 1975; see
+    catalog._stolarsky_form) with x + y = 3r and x - y = sqrt(w), that is
+    E_{(3r+sqrt(w))/2, (3r-sqrt(w))/2}, and E_{3r/2,3r/2} at w = 0:
 
-    * B_r, r != 0, at (r, r) and (-r, 2r), the pair of w = r**2;
-    * B_0 = G on the whole locus q = -p/2 (r = 0), so a mean with a_2 =
-      -1/2 samples no band: every column is zero below n and the constant
-      (1 - 2**-n)*delta at n;
-    * the logarithmic mean L (r = 1/3, w = 1) at (1, 0) and (-1, 1), the
-      pair on its locus q = (1 - p)/2.
+    * R(B_{x-y}, E, B_y) = E: at n = B_y(a, b), n**y - a**y = b**y - n**y =
+      (b**y - a**y)/2, so the (x - y)-th powers of E(a, n) and E(n, b)
+      average to (y/x)*(b**x - a**x)/(b**y - a**y) = E(a, b)**(x - y).  At
+      y = 0 the same holds with logarithms, n = G, and at x = y in the
+      limit.  As E_{x,y} = E_{y,x}, also R(B_{y-x}, E, B_x) = E;
+    * the identity points p = x - y, q = y and p = y - x, q = x lie on the
+      locus, as (3r - x + y)/2 = y at x + y = 3r, and they are the pivot's
+      pair p = +-sqrt(w);
+    * E is even and agrees with M through t^4: its a_2 is (x + y - 3)/6,
+      which is a_2 at x + y = 3r, so E has M's locus; its own pivot vanishes
+      at its identity points, so it has M's w, and r and w fix a_4, as c_4 =
+      -r*w is affine in a_4;
+    * at r = 0, E_{x,-x} = G for every x, so every point of the locus q =
+      -p/2 is an identity point of G = E_{0,0}, and the constant pivot is
+      zero below the first n where M leaves G and (1 - 2**-n)*delta at n.
 
-    The identities, with X = B_r(a, N) and Y = B_r(N, b) for B_r and y =
-    ln(b/a) for L:
+    The closed columns are this rule's first cases: t^5 is (31/32)*a_5 as
+    E is even, and c_6 is (63/64)*(a_6 - e_6).  Where both vanish, the pair
+    reads where M first leaves E, one comparison of integer forms for both
+    roots, rational or surd: E's coefficients are rational at a surd pair
+    too (catalog._stolarsky_form), so the two roots share one rational
+    survivor at every order.  As M agrees with E through the pivot, leaving
+    E at or below t^4 raises ArithmeticError.  A spec that is a Stolarsky
+    mean is its own reference, and never leaves it, with no form built; by
+    catalog.is_stolarsky these are:
 
-    * R(B_r, B_r, B_r) = B_r: at N = B_r(a, b), X**r + Y**r = (a**r + b**r)/2
-      + N**r = 2*N**r, so B_r(X, Y) = N;
-    * R(B_-r, B_r, B_2r) = B_r: at N**(2r) = (a**(2r) + b**(2r))/2,
-      4*X**r*Y**r = N**r*(a**r + b**r) + (a**r + b**r)**2/2 = (a**r +
-      b**r)*(X**r + Y**r), so B_-r(X, Y)**(-r) = 2/(a**r + b**r);
-    * r = 0: with N = B_q(s, t), R(B_p, G, B_q) = sqrt(N)*B_p(sqrt(s),
-      sqrt(t)), which at q = -p/2 is [(s**(p/2) + t**(p/2))/(s**(-p/2) +
-      t**(-p/2))]**(1/p) = sqrt(s*t), and at p = q = 0 is R(G, G, G) = G;
-    * R(A, L, G) = L: with N = sqrt(ab), ln(N/a) = ln(b/N) = y/2, so
-      L(a, N) + L(N, b) = (N - a + b - N)/(y/2) = 2(b - a)/y;
-    * R(H, L, A) = L: with N = (a + b)/2, N - a = b - N = (b - a)/2, so
-      1/L(a, N) + 1/L(N, b) = (ln(N/a) + ln(b/N))/((b - a)/2) = 2y/(b - a).
+    * B_p = E_{2p,p} = E_{p,2p}, at the pair of w = p**2;
+    * G = E_{x,-x} for every x, on the locus at r = 0;
+    * L = E_{1,0}, at the pair of (r, w) = (1/3, 1).
 
-    A spec that is E by the table of exact coincidences (catalog.coincident)
-    never leaves E, with no form built.
-
-    Where t^5 and t^6 both vanish at a pair of no reference, each root is
-    read from its own difference expansion, truncated at max_order: over Q at
-    a rational root, over Q(sqrt(s)) at a surd one, where the series kernel
-    takes B_p's and B_q's surd exponents as values of that field.  Its first
-    nonzero coefficient is the survivor, a Fraction wherever its sqrt(s)
-    part cancels, else a QuadraticField, and its sign is exact either way.
-    Every coefficient below the pivot vanishes on the locus and the pivot at
-    its root, so a survivor at or below the pivot raises ArithmeticError.
     Boundary limits (when a mean spec is supplied) are numeric evidence
     attached to the verdict, never part of the exact computation.
 
     The reach of the mean: every closed column reads a_1..a_6 alone, F as
     an integer polynomial in the numerators of a_2, a_4 and a_6 over one
     denominator.  Without a spec the mean must reach max_order.  With a
-    spec it need only reach min(max_order, CLOSED_ORDER), and the two routes
-    that read past t^6 take M through max_order from the mean if it is that
-    long, else from the spec: leaving E compares integer forms by
-    cross-multiplication, E's with M's, and the roots' expansions expand the
-    spec once.  A shorter mean raises ValueError.  c_4 and w are read from
-    the same integer numerators.
+    spec it need only reach min(max_order, CLOSED_ORDER), and the comparison
+    with E, the one route past t^6, takes M through max_order from the mean
+    if it is that long, else from the spec, and compares integer forms by
+    cross-multiplication, E's with M's.  A shorter mean raises ValueError.
+    c_4 and w are read from the same integer numerators.
     """
     if max_order < 3:
         raise ValueError("the search needs max_order >= 3")
@@ -510,33 +479,29 @@ def optimal_parameters(
 
     locus = first_order_locus(mean)
     r = 2 * mean.coefficient(2) + 1  # the locus is q = (3r - p)/2
+    # A spec that is a Stolarsky mean is its own reference, and never leaves it.
+    own = spec is not None and is_stolarsky(spec)
 
-    def full() -> MeanExpansion:
-        # M through max_order, for the routes past t^6: the mean if it
-        # reaches max_order, else the spec's expansion.
-        return mean if mean.order >= max_order else expand_mean(spec, max_order)
-
-    def leaving(reference: MeanSpec) -> tuple[int | None, Rational | None]:
-        # The first index n where M leaves the reference E, and the
-        # difference at n at an identity point of E (see above); (None, None)
-        # if M never leaves E, at once if the spec is E by the table of
-        # coincidences.  Else compared on integer forms through max_order,
-        # one Fraction built at n alone.
-        if spec is not None and coincident(spec) == reference:
-            return None, None
-        e, den = _mean_form(reference, max_order)
-        m, d = _integer_form(full().coeffs, max_order)
+    def leaving(e_r: Parameter, e_s: Parameter) -> tuple[int | None, Rational | None]:
+        # The first index n where M leaves the reference E = E_{e_r,e_s}, and
+        # the difference at n at an identity point of E (see above), (None,
+        # None) if M never leaves E: compared on integer forms through
+        # max_order, M's from the mean if it reaches max_order, else from the
+        # spec, and one Fraction built at n alone.
+        e, den = _stolarsky_form(e_r, e_s, max_order)
+        full = mean if mean.order >= max_order else expand_mean(spec, max_order)
+        m, d = _integer_form(full.coeffs, max_order)
         n = next((n for n in range(3, max_order + 1) if m[n] * den != e[n] * d), None)
         if n is None:
             return None, None
         return n, Fraction((2**n - 1) * (m[n] * den - e[n] * d), 2**n * d * den)
 
     # The pivot from the closed columns (see above): a constant at r = 0,
-    # where every point of the locus is an identity point of G, and at t^3,
-    # the only column at max_order 3; the t^4 quadratic otherwise.
+    # where every point of the locus is an identity point of G = E_{0,0}, and
+    # at t^3, the only column at max_order 3; the t^4 quadratic otherwise.
     a3 = mean.coefficient(3)
     if r == 0 or a3 != 0 or max_order == 3:
-        k0, constant = leaving(PowerMean(r)) if r == 0 else (3, a3 * Fraction(7, 8))
+        k0, constant = (3, a3 * Fraction(7, 8)) if r else (None, None) if own else leaving(r, r)
         if not constant:
             note = f"difference vanishes identically on the locus through order {max_order}"
             return StabilizabilityVerdict("stabilizable", locus=locus, notes=(note,))
@@ -561,20 +526,16 @@ def optimal_parameters(
     # or in Q(sqrt(core)).
     s = _exact_sqrt(w)
 
-    def settled() -> tuple[int | None, Rational | None] | None:
-        # The survivor at both roots p = +-sqrt(w), where one route reads it
-        # for the pair (see above): the identity points of the reference
-        # that M agrees with through t^4, B_r at w = r**2 and L at (r, w) =
-        # (1/3, 1), else the t^5 column, else the t^6 column modulo the
-        # pivot if it is nonzero, and nothing below t^6; None if each root
-        # needs its own expansion.
-        reference = PowerMean(r) if w == r * r else _IDENTITY_POINTS.get((r, w))
-        if reference is not None:
-            return leaving(reference)
+    def settled() -> tuple[int | None, Rational | None]:
+        # The survivor at both roots p = +-sqrt(w), one for the pair (see
+        # above): the t^5 column, else none for a spec that is its own
+        # reference or below t^6, else the t^6 column modulo the pivot if it
+        # is nonzero, and else where M leaves E_{(3r+s)/2, (3r-s)/2}, which
+        # agrees with M through the pivot.
         a5 = mean.coefficient(5) if max_order >= 5 else 0
         if a5 != 0:
             return 5, a5 * Fraction(31, 32)
-        if max_order < CLOSED_ORDER:
+        if own or max_order < CLOSED_ORDER:
             # t^2, t^3 and the pivot vanish at both roots, and so does t^5
             return None, None
         # F*d**6 from the numerators, and c_6 = 9*F/(320*r) as one Fraction
@@ -582,44 +543,22 @@ def optimal_parameters(
               * a2 + d * dd * dd) * a2
              + ((((80 * a2 + 150 * d) * a2 + 65 * dd) * a2 - (100 * a4 + 20 * d) * dd) * a4
                 + (70 * a2 + 35 * d) * nums[6] * dd) * dd)
-        return (6, Fraction(9 * f, 320 * d * dd * dd * rd)) if f else None
+        if f:
+            return 6, Fraction(9 * f, 320 * d * dd * dd * rd)
+        n, leading = leaving((3 * r + s) / 2, (3 * r - s) / 2)
+        if n is not None and n <= 4:
+            raise ArithmeticError("the mean leaves its Stolarsky reference at or below the pivot")
+        return n, leading
 
-    pair = settled()
-    if pair is None:  # each root reads its own expansion, through max_order
-        expanded = full()
-    candidates = []
-    for p in (-s, s) if s else (s,):
-        q = locus.q_of(p)
-        if pair is not None:
-            achieved, leading = pair
-        else:
-            # The exact difference at the root, over Q or Q(sqrt(core)).
-            diff = difference_expansion(expanded, p, q, max_order)
-            achieved = diff.first_nonzero
-            if achieved is not None and achieved <= 4:
-                raise ArithmeticError("difference at a root survives at or below the pivot")
-            leading = None if achieved is None else diff.coeffs[achieved]
-        candidates.append(OptimalCandidate(p, q, achieved, leading))
-
-    if any(c.achieved_order is None for c in candidates):
-        best = tuple(c for c in candidates if c.achieved_order is None)
-        rest = tuple(c for c in candidates if c.achieved_order is not None)
-        return StabilizabilityVerdict(
-            "stabilizable",
-            candidates=best + rest,
-            locus=locus,
-            notes=(f"difference vanishes through order {max_order} at "
-                   f"{len(best)} parameter pair(s)",),
-        )
-
-    # A stable sort: the first best candidate is the first in root order.
-    ranked = tuple(sorted(candidates, key=lambda c: -c.achieved_order))
-    top = ranked[0]
-    notes = ()
-    if any(c.sign != top.sign for c in ranked if c.achieved_order == top.achieved_order):
-        notes = ("best candidates disagree in sign; relation taken from the first",)
-    # The sign stands for the leading coefficient, which may be irrational.
-    return verdict(top.sign, [(top.p, top.q)], candidates=ranked, locus=locus, notes=notes)
+    achieved, leading = settled()
+    roots = (-s, s) if s else (s,)
+    candidates = tuple(OptimalCandidate(p, locus.q_of(p), achieved, leading) for p in roots)
+    if achieved is None:
+        note = f"difference vanishes through order {max_order} at {len(roots)} parameter pair(s)"
+        return StabilizabilityVerdict("stabilizable", candidates=candidates, locus=locus,
+                                      notes=(note,))
+    top = candidates[0]
+    return verdict(leading, [(top.p, top.q)], candidates=candidates, locus=locus)
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,12 @@ The means:
   series of (1 -/+ u)**p, averaged and raised to 1/p at the full order, p
   rational or in Q(sqrt(s)), where the catalog builds the even average from
   integer binomials and runs one recursion at half the order;
+* ``stolarsky_by_binomials``: the Stolarsky mean E_{r,s} from the binomial
+  series of (1 + u)**x - (1 - u)**x at the full order, by
+  ``cauchy_product``, ``power_recursion`` and ``exp_recursion`` in Q or in
+  Q(sqrt(w)), where the catalog runs one integer product per parameter for
+  the same series and its derivative in the parameter, and the kernel's
+  inverse, product, power and exponential at half the order;
 * ``expand_l_alpha``, ``expand_s_alpha`` and ``expand_mu_generated``: the
   dedicated binomial double sums of the L/S families and the odd-generator
   coefficient formula, at half length in the even index;
@@ -106,9 +112,8 @@ The stable series and the solver:
   max_order, the columns past the pivot evaluated exactly at each of its
   roots, in Q or in Q(sqrt(s)), the roots from the closed form of
   ``isolate_real_roots_by_divisor_search``, where the search reads the
-  roots from w = -c_4/r and the survivor from a comparison with a
-  reference mean, from closed columns or from one difference expansion at
-  each root;
+  roots from w = -c_4/r and the survivor from closed columns or from one
+  comparison with the pair's Stolarsky mean;
 * ``defect_polynomial_by_lagrange``: the stability scan's t^4 defect in
   beta = alpha**2 from the double sums, interpolated through 11 unequally
   spaced beta samples and checked at two more, where the scan samples a
@@ -187,11 +192,12 @@ from meanstab.solver import (
 )
 
 
-def binomial(r: Rational | int, k: int) -> Rational:
-    """Generalized binomial coefficient r(r-1)...(r-k+1)/k! for rational r."""
+def binomial(r: Rational | int | QuadraticField, k: int) -> Rational | QuadraticField:
+    """Generalized binomial coefficient r(r-1)...(r-k+1)/k! for r rational or
+    in Q(sqrt(s))."""
     if k < 0:
         raise ValueError("lower index of a binomial must be nonnegative")
-    r = Fraction(r)
+    r = r if isinstance(r, QuadraticField) else Fraction(r)
     result = ONE
     for i in range(k):
         result *= (r - i) / (i + 1)
@@ -208,6 +214,30 @@ def expand_power_mean_full_order(p: Rational | QuadraticField, order: int) -> tu
     minus = series_power((ONE, -ONE), p, order)
     plus = series_power((ONE, ONE), p, order)
     return series_power(tuple((a + b) / 2 for a, b in zip(minus, plus)), 1 / p, order)
+
+
+def stolarsky_by_binomials(r, s, order: int) -> tuple:
+    """The coefficients of the Stolarsky mean E_{r,s}(1 - u, 1 + u) through
+    the order, r and s rational or conjugates in one Q(sqrt(w)), as a full
+    series in u: (1 + u)**x - (1 - u)**x = 2*sum_k C(x, 2k+1)*u**(2k+1), so
+    with P_x = sum_k C(x, 2k+1)/x * u**(2k), the log series sum_k
+    u**(2k)/(2k+1) at x = 0, E = (P_r/P_s)**(1/(r - s)) and E_{r,r} =
+    exp(P_r'/P_r), P' the derivative in x, each coefficient's by the product
+    rule over the factors x - 1, ..., x - 2k of C(x, 2k+1)*(2k+1)!/x."""
+
+    def p_of(x) -> list:
+        return [ZERO if k % 2 else binomial(x, k + 1) / x if x else Fraction(1, k + 1)
+                for k in range(order + 1)]
+
+    if r != s:
+        ratio = cauchy_product(p_of(r), power_recursion(p_of(s), -1, order), order)
+        return power_recursion(ratio, 1 / (r - s), order)
+    slopes = []
+    for k in range(order + 1):
+        factors = [r - j for j in range(1, k + 1)] if k % 2 == 0 else []
+        total = sum((math.prod(factors[:m] + factors[m + 1 :]) for m in range(len(factors))), ZERO)
+        slopes.append(total / math.factorial(k + 1))
+    return exp_recursion(cauchy_product(slopes, power_recursion(p_of(r), -1, order), order), order)
 
 
 def stable_by_closed_slope(a2: Rational, order: int) -> MeanExpansion:

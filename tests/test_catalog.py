@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from meanstab.catalog import (
     _cosh_mean_form,
+    _mean_form,
     _power_mean_form,
+    _stolarsky_form,
     ALIASES,
     ClassicMean,
     LAlpha,
@@ -30,9 +32,10 @@ from meanstab.catalog import (
     expand_power_mean,
     expand_quotient_mean,
     expand_stable,
+    is_stolarsky,
 )
 from meanstab.numeric import eval_f, eval_mean
-from meanstab.polynomials import UniPoly, forward_differences
+from meanstab.polynomials import QuadraticField, UniPoly, forward_differences
 from meanstab.series import _integer_form, _values, series_power
 
 # Displayed coefficient formulas used as oracles throughout.
@@ -486,6 +489,90 @@ class TestCoincidences:
                      MAlphaR(0, 1), MuGenerated((F(1),)), MAlphaR(F(1, 3), 1),
                      MuGenerated((1, 0, F(1, 5))), ALIASES["P"], ALIASES["T"]]:
             assert coincident(spec) == rows.get(spec, spec)
+
+
+_STOLARSKY_PARAMETER = st.fractions(-4, 4, max_denominator=6)
+
+
+class TestStolarskyMean:
+    """E_{r,s}(a, b) = ((s/r)*(b**r - a**r)/(b**s - a**s))**(1/(r - s)), with
+    its limits at s = 0 and at r = s, from catalog._stolarsky_form: its rows
+    B_p, G and L against their own forms, the binomial series of the oracle
+    at rational pairs, at pairs of conjugates in Q(sqrt(w)) and at r = s,
+    and Cauchy's integral of the closed form.  Its coefficients are
+    rational at a pair of conjugates; elsewhere in Q(sqrt(w)) they are not,
+    and the form raises."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=_STOLARSKY_PARAMETER, r=_STOLARSKY_PARAMETER, order=st.integers(0, 24))
+    def test_the_rows(self, p, r, order):
+        # E_{2p,p} = E_{p,2p} = B_p, E_{r,-r} = G and E_{1,0} = E_{0,1} = L,
+        # as integer forms over their least common denominator
+        assert _stolarsky_form(2 * p, p, order) == _power_mean_form(p, order)
+        assert _stolarsky_form(p, 2 * p, order) == _power_mean_form(p, order)
+        assert _stolarsky_form(r, -r, order) == _power_mean_form(F(0), order)
+        log_mean = _mean_form(ALIASES["L"], order)
+        assert _stolarsky_form(F(1), F(0), order) == log_mean == _stolarsky_form(F(0), F(1), order)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["rational", "conjugate", "equal"]),
+           order=st.integers(0, 16))
+    def test_against_the_binomial_series(self, data, kind, order):
+        x = data.draw(_STOLARSKY_PARAMETER)
+        if kind == "rational":
+            r, s = x, data.draw(_STOLARSKY_PARAMETER)
+        elif kind == "conjugate":
+            radicand = data.draw(st.sampled_from([2, 3, 5, 6, 7, 10, 13]))
+            root = QuadraticField(F(0), data.draw(_STOLARSKY_PARAMETER.filter(bool)), F(radicand))
+            r, s = x + root, x - root
+        else:
+            r = s = x
+        coeffs = _values(*_stolarsky_form(r, s, order))
+        assert coeffs == oracles.stolarsky_by_binomials(r, s, order)
+        assert all(type(c) is F for c in coeffs) and len(coeffs) == order + 1
+
+    @pytest.mark.parametrize(
+        "a, b, radicand", [(F(1), F(1, 2), 2), (F(1, 2), F(0), 1), (F(-3, 4), F(3, 4), 1)],
+        ids=["conjugates", "equal", "log"],
+    )
+    def test_cauchy_integral_on_a_circle(self, a, b, radicand):
+        # r, s = a +- b*sqrt(radicand): 1 +- sqrt(2)/2, r = s = 1/2, and (0, -3/2)
+        mpmath = pytest.importorskip("mpmath")
+        root = QuadraticField(F(0), b, F(radicand)) if radicand > 1 else b
+        expansion = MeanExpansion(_values(*_stolarsky_form(a + root, a - root, 24)))
+        with mpmath.workdps(50):
+            r_mp, s_mp = (mpmath.mpf(a.numerator) / a.denominator
+                          + sign * mpmath.mpf(b.numerator) / b.denominator * mpmath.sqrt(radicand)
+                          for sign in (1, -1))
+
+        def difference(x, u):
+            # ((1 + u)**x - (1 - u)**x)/x, or its limit ln((1 + u)/(1 - u)) at x = 0
+            if x == 0:
+                return mpmath.log(1 + u) - mpmath.log(1 - u)
+            return ((1 + u) ** x - (1 - u) ** x) / x
+
+        def stolarsky(u):
+            if r_mp == s_mp:
+                plus, minus = (1 + u) ** r_mp, (1 - u) ** r_mp
+                logs = plus * mpmath.log(1 + u) - minus * mpmath.log(1 - u)
+                return mpmath.exp(logs / (plus - minus) - 1 / r_mp)
+            return (difference(r_mp, u) / difference(s_mp, u)) ** (1 / (r_mp - s_mp))
+
+        assert_cauchy_coefficients(mpmath, stolarsky, F(2, 5), expansion)
+
+    def test_a_pair_of_no_conjugates_raises(self):
+        # E_{sqrt(2),0} has irrational coefficients: (O_r/O_0)**(1/sqrt(2))
+        with pytest.raises(ArithmeticError, match="not rational"):
+            _stolarsky_form(QuadraticField(F(0), F(1), F(2)), F(0), 8)
+
+    def test_the_specs_that_are_stolarsky_means(self):
+        # every row of the table of coincidences, and every B_p
+        rows = [spec for specs in COINCIDENT_ROWS.values() for spec in specs]
+        assert all(is_stolarsky(spec) for spec in rows + [PowerMean(F(3, 7)), PowerMean(F(-13, 6))])
+        others = [ALIASES["P"], ALIASES["T"], ALIASES["HZ1/4"], M1, M2, M3, M4, M5,
+                  LAlpha(F(1, 3)), SAlpha(F(1, 2)), MAlphaR(F(1, 2), F(1)),
+                  MuGenerated((F(1), F(0), F(0), F(1, 5040)))]
+        assert not any(is_stolarsky(spec) for spec in others)
 
 
 ALL_SPECS = [

@@ -57,12 +57,23 @@ def surd_intervals(roots, a, b):
     return low[0], high[0]
 
 
+def sign_of(value):
+    """The sign of an irrational value of Q(sqrt(s)), from its enclosures by
+    bisection (surd_bounds_by_bisection), narrowed until one excludes 0."""
+    width = F(1, 2**64)
+    while True:
+        low, high = surd_bounds_by_bisection(value, width)
+        if low > 0 or high < 0:
+            return 1 if low > 0 else -1
+        width *= width
+
+
 def holds(root, surd):
     """Whether root is an IntervalRoot at most 10**-12 wide that holds the
     surd, a value of Q(sqrt(s)), by the exact signs of its distances to the
     ends."""
     return (isinstance(root, IntervalRoot) and root.high - root.low <= F(1, 10**12)
-            and (surd - root.low).sign == 1 == (root.high - surd).sign)
+            and sign_of(surd - root.low) == 1 == sign_of(root.high - surd))
 
 
 def spelled(value):
@@ -340,7 +351,7 @@ class TestRootIsolation:
         p = poly(-1, 1) * poly(2, 1)  # roots 1, -2
         roots = isolate_real_roots(p)
         assert [r.value for r in roots] == [F(-2), F(1)]
-        assert all(r.kind == "exact-rational" for r in roots)
+        assert all(type(r) is RationalRoot for r in roots)
 
     def test_no_real_roots(self):
         assert isolate_real_roots(poly(1, 0, 1)) == []
@@ -349,7 +360,7 @@ class TestRootIsolation:
         # q^2 - 5q + 2 has roots (5 -/+ sqrt(17))/2: two intervals, and the
         # oracle's closed form gives the two surds they hold
         roots = isolate_real_roots(poly(2, -5, 1))
-        assert [r.kind for r in roots] == ["isolated-interval"] * 2
+        assert [type(r) for r in roots] == [IntervalRoot] * 2
         assert surd_intervals(roots, F(5, 2), F(17, 4)) == tuple(roots)
         low, high = isolate_real_roots_by_divisor_search(poly(2, -5, 1))
         assert spelled(low) == (F(5), -1, F(17), F(2))
@@ -386,7 +397,7 @@ class TestRootIsolation:
 
     def test_irrational_pair_is_two_intervals(self):
         roots = isolate_real_roots(poly(-2, 0, 1))
-        assert [r.kind for r in roots] == ["isolated-interval"] * 2
+        assert [type(r) for r in roots] == [IntervalRoot] * 2
         assert surd_intervals(roots, 0, 2) == tuple(roots)  # -sqrt(2) < sqrt(2)
 
     def test_zero_polynomial_rejected(self):
@@ -398,11 +409,11 @@ class TestRootIsolation:
         # cubic's root; from degree 3 up every irrational root is an interval.
         p = poly(F(-1, 2), 1) * poly(-2, 0, 1) * poly(-4, -1, 0, 1)
         roots = isolate_real_roots(p)
-        assert [r.kind for r in roots] == [
-            "isolated-interval",
-            "exact-rational",
-            "isolated-interval",
-            "isolated-interval",
+        assert [type(r) for r in roots] == [
+            IntervalRoot,
+            RationalRoot,
+            IntervalRoot,
+            IntervalRoot,
         ]
         assert roots[1].value == F(1, 2)
         assert surd_intervals(roots, 0, 2) == (roots[0], roots[2])
@@ -440,7 +451,7 @@ class TestRootIsolation:
         isolate = polynomials._isolate_intervals
         monkeypatch.setattr(polynomials, "_isolate_intervals", lambda g: calls.append(g) or isolate(g))
         roots = isolate_real_roots(self.HUGE_ROOT_POLY)
-        assert [r.kind for r in roots].count("exact-rational") == 3
+        assert [type(r) for r in roots].count(RationalRoot) == 3
         assert len(calls) == 1
 
     def test_refines_to_the_rational_width_then_the_irrational_roots(self, monkeypatch):
@@ -462,8 +473,8 @@ class TestRootIsolation:
         # the first three have one float value, 1.0.
         p = poly(-1 - F(1, 10**20), 1) * poly(1 - F(2, 10**36), -2, 1) * poly(-2, 0, 0, 1)
         roots = isolate_real_roots(p)
-        assert [r.kind for r in roots] == [
-            "isolated-interval", "exact-rational", "isolated-interval", "isolated-interval"
+        assert [type(r) for r in roots] == [
+            IntervalRoot, RationalRoot, IntervalRoot, IntervalRoot
         ]
         assert roots[1].value == 1 + F(1, 10**20)
         assert surd_intervals(roots, 1, F(2, 10**36)) == (roots[0], roots[2])
@@ -486,7 +497,7 @@ class TestRootIsolation:
         # 2/(d + 2): each of its roots a -/+ sqrt(b) is one interval, both
         # below the cube root of 2's.
         roots = isolate_real_roots(poly(F(-2, d + 2), F(-1, d), 1) * poly(-2, 0, 0, 1))
-        assert [r.kind for r in roots] == ["isolated-interval"] * 3
+        assert [type(r) for r in roots] == [IntervalRoot] * 3
         a = F(1, 2 * d)
         assert surd_intervals(roots, a, a * a + F(2, d + 2)) == (roots[0], roots[1])
         assert roots[2].low ** 3 < 2 < roots[2].high ** 3
@@ -518,8 +529,9 @@ SQRT2 = QuadraticField(F(0), F(1), F(2))
 
 class TestEvalAtRoot:
     """A polynomial at a surd root, evaluated exactly at the root's value
-    in Q(sqrt(s)), whose sign the field certifies, against the enclosures
-    bounds(width) of the interval that isolation gives for the same root."""
+    in Q(sqrt(s)), whose sign the bisection oracle certifies, against the
+    enclosures bounds(width) of the interval that isolation gives for the
+    same root."""
 
     def test_surd_exact_even_part(self):
         root = QuadraticField(F(0), F(1), F(17))  # +sqrt(17)
@@ -529,7 +541,7 @@ class TestEvalAtRoot:
     def test_surd_sign_certified(self):
         val = poly(-1, 1)(SQRT2)  # sqrt(2) - 1 > 0
         assert isinstance(val, QuadraticField)
-        assert val.sign == 1
+        assert sign_of(val) == 1
         low, high = shifted_bounds(isolate_real_roots(poly(-2, 0, 1))[1], 1, F(1, 10**12))
         assert float(low) <= 2**0.5 - 1 <= float(high)
 
@@ -537,14 +549,15 @@ class TestEvalAtRoot:
         # c is sqrt(2) rounded down to 25 digits, so x - c is positive and
         # below 10**-25 at sqrt(2): its enclosure over a 10**-12 wide
         # enclosure of sqrt(2) contains 0, a later round, the width squared
-        # each round, certifies the sign, and so does the field.
+        # each round, certifies the sign, and so does the field value's
+        # enclosure by bisection.
         interval = isolate_real_roots(poly(-2, 0, 1))[1]
         c = F(math.isqrt(2 * 10**50), 10**25)
         assert c * c < 2 < (c + F(1, 10**25)) ** 2
         lo, hi = shifted_bounds(interval, c, F(1, 10**12))
         assert lo < 0 < hi
         val = poly(-c, 1)(SQRT2)
-        assert isinstance(val, QuadraticField) and val.sign == 1
+        assert isinstance(val, QuadraticField) and sign_of(val) == 1
         width = F(1, 10**12)
         while lo <= 0 <= hi:
             width *= width
@@ -574,7 +587,9 @@ def parts(x):
 class TestQuadraticField:
     """Q(sqrt(s)) against pairs of Fractions: (a, b) + (c, d) = (a + c,
     b + d), (a, b)(c, d) = (ac + bds, ad + bc), and the quotient through the
-    norm c**2 - d**2 s.  A result whose sqrt(s) part cancels is a Fraction."""
+    norm c**2 - d**2 s.  A result whose sqrt(s) part cancels is a Fraction.
+    The sign of a value, which no production route reads, is read by
+    bisection (sign_of) and checked against mpmath and near cancellation."""
 
     @staticmethod
     def expected(op, x, y, s):
@@ -638,7 +653,7 @@ class TestQuadraticField:
         with mpmath.workdps(60):
             value = mpmath.mpf(a.numerator) / a.denominator + (
                 mpmath.mpf(b.numerator) / b.denominator) * mpmath.sqrt(s)
-        assert QuadraticField(a, b, F(s)).sign == (1 if value > 0 else -1)
+        assert sign_of(QuadraticField(a, b, F(s))) == (1 if value > 0 else -1)
 
     @pytest.mark.parametrize("s", [2, 3, 7, 13])
     def test_sign_near_cancellation(self, s):
@@ -655,7 +670,7 @@ class TestQuadraticField:
             h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
             value = QuadraticField(F(-h1), F(k1), F(s))
             expected = 1 if k1 * k1 * s > h1 * h1 else -1
-            assert value.sign == expected and (-value).sign == -expected
+            assert sign_of(value) == expected and sign_of(-value) == -expected
             signs.add(expected)
         assert signs == {-1, 1} and h1 > 10**30
 
@@ -663,7 +678,7 @@ class TestQuadraticField:
     def test_surd_root_value(self, quadratic):
         for value in isolate_real_roots_by_divisor_search(poly(*quadratic)):
             assert isinstance(value, QuadraticField) and value.s == value.radicand
-            assert value.sign == (1 if float(value) > 0 else -1)
+            assert sign_of(value) == (1 if float(value) > 0 else -1)
             assert poly(*quadratic)(value) == 0
             assert type(poly(*quadratic)(value)) is F
 
@@ -689,12 +704,12 @@ class TestBounds:
             if alone:
                 roots = isolate_real_roots(poly(-8, 0, 1)) + isolate_real_roots(poly(-1, -1, 1))
                 true_values = [true_values[i] for i in (0, 5, 1, 4)]
-                assert [r.kind for r in roots] == ["isolated-interval"] * 4
+                assert [type(r) for r in roots] == [IntervalRoot] * 4
             else:
                 p = poly(-2, 0, 0, 1) * poly(-8, 0, 1) * poly(-1, -1, 1) * poly(1, 3)
                 roots = isolate_real_roots(p)
-                assert [r.kind for r in roots] == ["isolated-interval"] * 2 + [
-                    "exact-rational"] + ["isolated-interval"] * 3
+                assert [type(r) for r in roots] == [IntervalRoot] * 2 + [
+                    RationalRoot] + [IntervalRoot] * 3
             for root, true in zip(roots, true_values, strict=True):
                 lo, hi = root.bounds(width)
                 assert lo <= hi and hi - lo <= width, root
@@ -857,7 +872,7 @@ class TestRootIsolationProperties:
         p = poly(0, 1) * poly(-r, 1) * poly(-2, 0, 0, 1)
         assert rational_roots_by_divisor_search(squarefree_part(p))[1] is False
         roots = isolate_real_roots(p)
-        assert [r.kind for r in roots] == ["exact-rational", "exact-rational", "isolated-interval"]
+        assert [type(r) for r in roots] == [RationalRoot, RationalRoot, IntervalRoot]
         assert [roots[0].value, roots[1].value] == [0, r]
 
     def test_candidate_count_is_capped(self):
@@ -867,7 +882,7 @@ class TestRootIsolationProperties:
         p = poly(-tiny, 1) * poly(-4, -1, 0, 1)
         assert rational_roots_by_divisor_search(squarefree_part(p))[1] is False
         roots = isolate_real_roots(p)
-        assert [r.kind for r in roots] == ["exact-rational", "isolated-interval"]
+        assert [type(r) for r in roots] == [RationalRoot, IntervalRoot]
         assert roots[0].value == tiny
 
 

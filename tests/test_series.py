@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from laurent import LaurentScalar
 from meanstab.polynomials import QuadraticField
 from meanstab.series import (
+    _exp_form,
     _horner_form,
     _integer_form,
     _power_form,
@@ -20,6 +21,7 @@ from oracles import (
     binomial,
     cauchy_product,
     compose_on_forms,
+    exp_recursion,
     horner_compose,
     power_recursion,
     power_table,
@@ -385,6 +387,34 @@ class TestPowerFormAgainstTheRecursion:
         assert out == (F(1), root2, QuadraticField(F(1), F(-1, 2), 2),
                        QuadraticField(F(-1), F(2, 3), 2))
         assert all(type(part) is F for c in out[1:] for part in (c.a, c.b))
+
+
+class TestExpFormAgainstTheRecursion:
+    """The exponential primitive on integer forms returns the oracle's values
+    over their least common denominator, whatever content its operand
+    carries; in Q(sqrt(s)) it returns the field's values over Fraction(1)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(small_rationals, min_size=ORDER, max_size=ORDER), orders,
+           st.sampled_from((1, 2, 6, 35, 2**40)))
+    def test_over_q(self, tail, order, factor):
+        values = (F(0),) + tuple(tail[:order])
+        nums, den = lowest_terms_form(values)
+        out = _exp_form(([c * factor for c in nums], den * factor), order)
+        assert type(out[1]) is int and out == lowest_terms_form(exp_recursion(values, order))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(small_rationals, small_rationals.filter(bool)), min_size=6,
+                    max_size=6),
+           st.sampled_from((2, 3, 5, 7)), st.sampled_from((F(1), F(3), F(2, 7))))
+    def test_over_a_quadratic_field(self, parts, s, den):
+        values = [F(0)] + [QuadraticField(a, b, F(s)) for a, b in parts]
+        out = _exp_form(([c * den for c in values], den), 6)
+        assert out == (list(exp_recursion(values, 6)), 1)
+
+    def test_nonzero_constant_term_rejected(self):
+        with pytest.raises(ValueError, match="nonzero constant term"):
+            _exp_form(([1, 1], 1), 3)
 
 
 class TestIntInputStaysExact:

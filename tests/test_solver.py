@@ -36,7 +36,7 @@ from meanstab.polynomials import (
     UniPoly,
 )
 from meanstab.resultant import resultant_coeffs
-from meanstab.series import _forms, _integer_form, _values
+from meanstab.series import _integer_form, _values
 from meanstab.solver import (
     coefficient_polynomials,
     difference_expansion,
@@ -81,17 +81,20 @@ class TestDifferenceExpansion:
 
     @pytest.mark.parametrize("surd_q", [False, True], ids=["surd-p", "surd-q"])
     def test_one_operand_in_a_quadratic_field(self, surd_q):
-        # the rational operand is lifted into Q(sqrt(2))
+        # The double sums at sqrt(2) beside a rational operand, in Q(sqrt(2)),
+        # against difference_expansion at rational operands: the t^k
+        # coefficient is a polynomial of degree below k in either operand,
+        # read through nine integer points and evaluated at sqrt(2).
         mean = expand_mean(SAlpha(F(1, 2)), 8)
         surd, rational = QuadraticField(F(0), F(1), F(2)), F(1, 3)
-        p, q = (rational, surd) if surd_q else (surd, rational)
-        diff = difference_expansion(mean, p, q, 8)
-        assert list(diff.coeffs) == oracles.difference_by_double_sums(mean.coeffs, p, q, 8)
-        assert any(isinstance(c, QuadraticField) for c in diff.coeffs)
-        assert (diff.p, diff.q) == (p, q)
-        # the same with the surd's parts given as ints
-        plain = [QuadraticField(0, 1, 2) if x is surd else x for x in (p, q)]
-        assert difference_expansion(mean, *plain, 8) == diff
+        pair = (lambda x: (rational, x)) if surd_q else (lambda x: (x, rational))
+        diff = oracles.difference_by_double_sums(mean.coeffs, *pair(surd), 8)
+        assert any(isinstance(c, QuadraticField) for c in diff)
+        samples = [difference_expansion(mean, *pair(F(x)), 8).coeffs for x in range(9)]
+        for k in range(9):
+            column = oracles.lagrange_interpolate([(x, c[k]) for x, c in enumerate(samples)])
+            assert column.degree < max(k, 1)
+            assert diff[k] == column(surd)
 
 
 class TestDifferenceOnIntegerForms:
@@ -315,57 +318,64 @@ class TestCoefficientPolynomial:
 
 
 class TestOrderBands:
-    """Which truncation orders the search samples the locus at."""
+    """Which orders the search reads past the closed columns: it samples no
+    band, and its one route past t^6 is one Stolarsky reference for the
+    pair, built at max_order."""
 
     @staticmethod
-    def sampled_orders(monkeypatch, spec, max_order):
-        return TestOrderBands.sampled_expansions(
-            monkeypatch, expand_mean(spec, max_order), max_order
+    def reference_orders(monkeypatch, spec, max_order, given=False):
+        """The orders of the references for the spec's expansion, with the
+        spec given to the search if given."""
+        options = {"spec": spec} if given else {}
+        return TestOrderBands.references(
+            monkeypatch, expand_mean(spec, max_order), max_order, **options
         )[0]
 
     @staticmethod
-    def sampled_expansions(monkeypatch, mean, max_order):
-        """The truncation orders of the difference expansions the search
-        takes, band samples and direct reads alike, and the expansions."""
+    def references(monkeypatch, mean, max_order, **options):
+        """The orders of the Stolarsky references the search builds, and
+        their forms."""
         orders, forms = [], []
-        real = solver._difference_form
+        real = solver._stolarsky_form
 
-        def counting(m_form, p, q, order):
+        def counting(r, s, order):
             orders.append(order)
-            forms.append(real(m_form, p, q, order))
+            forms.append(real(r, s, order))
             return forms[-1]
 
-        monkeypatch.setattr(solver, "_difference_form", counting)
-        optimal_parameters(mean, max_order)
+        monkeypatch.setattr(solver, "_stolarsky_form", counting)
+        optimal_parameters(mean, max_order, **options)
         return orders, forms
 
     def test_early_search_stays_below_order_seven(self, monkeypatch):
-        # S_{1/10}'s surd roots read t^6 in closed form: no band
-        orders = self.sampled_orders(monkeypatch, SAlpha(F(1, 10)), 14)
+        # S_{1/10}'s surd roots read t^6 in closed form: no reference
+        orders = self.reference_orders(monkeypatch, SAlpha(F(1, 10)), 14)
         assert orders == []
-        # where t^5 and t^6 vanish at surd roots, each root takes one
-        # expansion over Q(sqrt(2)), at max_order, and no band opens
-        orders, _ = self.sampled_expansions(monkeypatch, _c6_zero(14), 14)
-        assert orders == [14] * 2
+        # where t^5 and t^6 vanish at surd roots, the pair takes one
+        # reference at max_order, and no band opens
+        orders, _ = self.references(monkeypatch, _c6_zero(14), 14)
+        assert orders == [14]
 
     def test_deep_search_of_a_power_mean_opens_no_band(self, monkeypatch):
         # the pivot t^4 is a closed column, and its roots p = -1, 1 are the
-        # identity points of A = B_1: one comparison with B_1 reads them
-        orders = self.sampled_orders(monkeypatch, ALIASES["A"], 16)
-        assert orders == []
+        # identity points of A = B_1 = E_{2,1}: one comparison with it reads
+        # them, and none with the spec, which is its own reference
+        assert self.reference_orders(monkeypatch, ALIASES["A"], 16) == [16]
+        assert self.reference_orders(monkeypatch, ALIASES["A"], 16, given=True) == []
 
     def test_rational_roots_past_the_first_reach_open_no_band(self, monkeypatch):
-        # the constructed mean's rational roots p = -2, 2 are no reference's
-        # identity points, and t^5 and t^6 vanish there: one expansion at
-        # max_order reads each
-        orders, _ = self.sampled_expansions(monkeypatch, _c6_zero(64, F(4)), 64)
-        assert orders == [64] * 2
-        # L's roots p = -1, 1 are its own identity points: no expansion
-        assert self.sampled_orders(monkeypatch, ALIASES["L"], 64) == []
+        # t^5 and t^6 vanish at the constructed mean's rational roots p = -2,
+        # 2: one reference at max_order reads both
+        orders, _ = self.references(monkeypatch, _c6_zero(64, F(4)), 64)
+        assert orders == [64]
+        # L's roots p = -1, 1 are the identity points of L = E_{1,0}: one
+        # comparison reads them, and none with the spec
+        assert self.reference_orders(monkeypatch, ALIASES["L"], 64) == [64]
+        assert self.reference_orders(monkeypatch, ALIASES["L"], 64, given=True) == []
 
     def test_rational_survivor_at_t6_opens_no_band(self, monkeypatch):
         # the rational roots of L_{3/10} survive at t^6, read in closed form
-        orders = self.sampled_orders(monkeypatch, LAlpha(F(3, 10)), 16)
+        orders = self.reference_orders(monkeypatch, LAlpha(F(3, 10)), 16)
         assert orders == []
         verdict = optimal_parameters(expand_mean(LAlpha(F(3, 10)), 16), 16)
         assert [(c.p, c.achieved_order, c.leading) for c in verdict.candidates] == [
@@ -373,19 +383,20 @@ class TestOrderBands:
         ]
 
     def test_vanishing_on_the_locus_opens_no_band(self, monkeypatch):
-        # a_2 = -1/2: the columns come from one comparison with G
-        orders = self.sampled_orders(monkeypatch, ALIASES["G"], 16)
-        assert orders == []
+        # a_2 = -1/2: the columns come from one comparison with G = E_{0,0},
+        # and with the spec from none
+        assert self.reference_orders(monkeypatch, ALIASES["G"], 16) == [16]
+        assert self.reference_orders(monkeypatch, ALIASES["G"], 16, given=True) == []
 
     def test_the_first_reach_leaves_the_search_alone(self, monkeypatch):
         # the first reach is the stability probe's only, and the search does
         # not read it (tests/test_source_rules.py): a mean whose surd roots
-        # read neither t^5 nor t^6 takes one expansion per root at max_order;
+        # read neither t^5 nor t^6 takes one reference at max_order;
         # S_{1/10} reads t^6 in closed form
         spec = SAlpha(F(1, 10))
         means = [(expand_mean(spec, 8), spec), (_c6_zero(8), None)]
-        schedules = [list(self.sampled_expansions(monkeypatch, mean, 8)[0]) for mean, _ in means]
-        assert schedules == [[], [8] * 2]
+        schedules = [list(self.references(monkeypatch, mean, 8)[0]) for mean, _ in means]
+        assert schedules == [[], [8]]
         verdicts = [optimal_parameters(mean, 8, spec=s) for mean, s in means]
         assert [(v.relation, [(kind_of(c.p), c.achieved_order, c.leading) for c in v.candidates])
                 for v in verdicts] == [
@@ -401,22 +412,19 @@ class TestOrderBands:
     )
     def test_even_mean_asks_only_for_even_orders(self, monkeypatch, spec, max_order):
         mean = _c6_zero(max_order) if spec is None else expand_mean(spec, max_order)
-        orders, forms = self.sampled_expansions(monkeypatch, mean, max_order)
-        # no band opens, and a root that the closed columns do not settle
-        # takes one expansion, at max_order
+        orders, forms = self.references(monkeypatch, mean, max_order)
+        # no band opens, and a pair that the closed columns do not settle
+        # takes one reference, at max_order
         assert set(orders) <= {max_order}
-        # the premise: every odd coefficient of an even mean's difference is
-        # 0, over Q(sqrt(s)) at a surd root too
+        # the premise: the reference is even, at a surd pair too
         assert all(not any(nums[1::2]) for nums, _ in forms)
-        if spec is None:
-            # t^4 is a closed column, and t^5 and t^6 vanish at the surd
-            # roots: they take their expansions from max_order 6 on, and
-            # below it nothing survives through max_order
-            assert orders == [max_order] * 2 * (max_order >= 6)
-        elif max_order >= 6:
-            # a power mean's pivot roots are identity points, and the other
-            # means' roots read t^6 in closed form: no expansion at all
-            assert orders == []
+        # t^4 is a closed column.  G's locus reads G at every max_order; the
+        # surd roots of the constructed mean, where t^5 and t^6 vanish, and
+        # the identity points of B_{-13/6}, read their reference from max_order
+        # 6 on, and below it nothing survives through max_order; the other
+        # means' roots read t^6 in closed form
+        deep = spec is None or isinstance(spec, PowerMean)
+        assert orders == [max_order] * (spec == ALIASES["G"] or deep and max_order >= 6)
 
     @pytest.mark.parametrize("odd", [3, 5])
     def test_mixed_mean_without_t_term_starts_from_the_closed_columns(self, monkeypatch, odd):
@@ -427,7 +435,7 @@ class TestOrderBands:
         coeffs[odd] = F(1, 7)
         mean = MeanExpansion(tuple(coeffs))
         assert any(mean.coeffs[1::2]) and mean.coefficient(1) == 0
-        orders, _ = self.sampled_expansions(monkeypatch, mean, 16)
+        orders, _ = self.references(monkeypatch, mean, 16)
         assert orders == []
         verdict = optimal_parameters(mean, 16)
         assert verdict.relation == "candidate-sub"
@@ -446,9 +454,9 @@ class TestOrderBands:
     )
     def test_deep_vanishing_search_opens_no_band(self, monkeypatch, spec, max_order):
         # the difference vanishes on the whole locus, which one comparison
-        # with G shows: no band and no difference expansion
-        orders = self.sampled_orders(monkeypatch, spec, max_order)
-        assert orders == []
+        # with G shows, and the spec, G itself, with none: no band
+        assert self.reference_orders(monkeypatch, spec, max_order) == [max_order]
+        assert self.reference_orders(monkeypatch, spec, max_order, given=True) == []
         verdict = optimal_parameters(expand_mean(spec, max_order), max_order, spec=spec)
         assert verdict.relation == "stabilizable" and verdict.candidates == ()
         assert verdict.notes == (
@@ -583,8 +591,9 @@ class TestClosedColumns:
 class TestIdentityPoints:
     """A mean that agrees with B_r, r != 0, through t^4 has the pivot roots
     p = r and p = -r, where R(B_p, B_r, B_q) = B_r.  If it first leaves B_r
-    at n by delta, the candidates there read (n, (1 - 2**-n)*delta), from one
-    comparison with B_r: no band and no difference expansion."""
+    at n by delta, the candidates there read (n, (1 - 2**-n)*delta): from
+    the closed columns at n = 5 and 6, else from one comparison with B_r =
+    E_{2r,r}, with no band."""
 
     @settings(max_examples=60, deadline=None)
     @given(order=st.integers(4, 14), even=st.booleans(), data=st.data())
@@ -599,9 +608,7 @@ class TestIdentityPoints:
         c[n + 1 :] = [F(0) if even and k % 2 else data.draw(_SMALL) for k in range(n + 1, len(c))]
         mean = MeanExpansion(tuple(c))
         expected = (n, (1 - F(1, 2**n)) * delta) if n <= order else (None, None)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "_difference_form", None)
-            verdict = optimal_parameters(mean, order)
+        verdict = optimal_parameters(mean, order)
         candidates = verdict.candidates
         assert {(cand.p, cand.q) for cand in candidates} == {(r, r), (-r, 2 * r)}
         assert all((cand.achieved_order, cand.leading) == expected for cand in candidates)
@@ -619,7 +626,8 @@ class TestIdentityPoints:
 class TestIdentityPointsOfL:
     """L's pivot roots p = -1, 1 are its identity points, R(H, L, A) = L and
     R(A, L, G) = L: a mean that first leaves L at n >= 5 by delta reads
-    (n, (1 - 2**-n)*delta) at both, from one comparison with L."""
+    (n, (1 - 2**-n)*delta) at both, from the closed columns at n = 5 and 6,
+    else from one comparison with L = E_{1,0}."""
 
     @settings(max_examples=60, deadline=None)
     @given(order=st.integers(4, 12), data=st.data())
@@ -632,10 +640,7 @@ class TestIdentityPointsOfL:
         c[n + 1 :] = [data.draw(_SMALL) for _ in range(n + 1, len(c))]
         mean = MeanExpansion(tuple(c))
         expected = (n, (1 - F(1, 2**n)) * delta) if n <= order else (None, None)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "difference_expansion", None)
-            mp.setattr(solver, "_difference_form", None)
-            verdict = optimal_parameters(mean, order)
+        verdict = optimal_parameters(mean, order)
         candidates = verdict.candidates
         assert {(cand.p, cand.q) for cand in candidates} == {(-1, 1), (1, 0)}
         assert all((cand.achieved_order, cand.leading) == expected for cand in candidates)
@@ -656,10 +661,10 @@ def _shifted_a(order, a5):
 
 
 class TestRationalCandidatesAgainstBands:
-    """A rational root that is not an identity point, and that the closed
-    columns do not settle, is read from one difference expansion at the
-    root, at max_order, and no band opens for it; the band route of the
-    oracle gives the same candidates and relation."""
+    """A rational pair that the closed columns do not settle is read from
+    one comparison with its Stolarsky reference, at max_order, and no band
+    opens for it; the band route of the oracle gives the same candidates
+    and relation."""
 
     SPECS = [
         ALIASES["A"],
@@ -688,7 +693,7 @@ class TestRationalCandidatesAgainstBands:
         best = max(c.achieved_order for c in candidates)
         top = next(c for c in candidates if c.achieved_order == best)
         probe = [(top.p, top.q)]
-        return solver._sampled_relation(spec, top.sign, probe)[0]
+        return solver._sampled_relation(spec, 1 if top.leading > 0 else -1, probe)[0]
 
     @pytest.mark.parametrize("max_order", [12, 16, 24])
     @pytest.mark.parametrize(
@@ -735,15 +740,14 @@ class TestRationalCandidatesAgainstBands:
 
     @pytest.mark.parametrize("kind", ["rational", "surd"])
     def test_survivor_at_the_pivot_raises(self, monkeypatch, kind):
-        real = solver.difference_expansion
+        real = solver._stolarsky_form
 
-        def planted(mean, p, q, order):
-            diff = real(mean, p, q, order)
-            coeffs = list(diff.coeffs)
-            coeffs[4] = F(1)  # the pivot t^4, which vanishes at its root
-            return solver.DifferenceExpansion(tuple(coeffs), diff.p, diff.q)
+        def planted(r, s, order):
+            nums, den = real(r, s, order)
+            # E's a_4 moved by 1, so that M leaves E at the pivot t^4
+            return [c + den * (n == 4) for n, c in enumerate(nums)], den
 
-        monkeypatch.setattr(solver, "difference_expansion", planted)
+        monkeypatch.setattr(solver, "_stolarsky_form", planted)
         # the constructed means' rational roots p = -2, 2 and surd roots
         # p = -+sqrt(2) read neither t^5 nor t^6
         mean = _c6_zero(16, F(4) if kind == "rational" else F(2))
@@ -780,7 +784,8 @@ class TestCandidateRootKinds:
     the search returns has p and q rational or quadratic surds, whichever
     roots the quadratic has: surds, rationals other than +-r, the double
     root 0 or the identity points +-r.  The two roots are one pair +-sqrt(w),
-    and through t^6, or at the identity points, they share the survivor."""
+    and they share the survivor at every order: the closed columns' through
+    t^6, and past it where M leaves the pair's Stolarsky reference."""
 
     ROOTS = {
         "surd": lambda r, d: d.draw(st.sampled_from([2, 3, 5, 6, 7, 10])) * d.draw(_NONZERO) ** 2,
@@ -805,21 +810,18 @@ class TestCandidateRootKinds:
             assert {kind_of(c.p), kind_of(c.q)} <= {"exact-rational", "quadratic-surd"}
         if kind != "surd":
             assert {c.p**2 for c in candidates} == {p_squared}
-        # Past t^6 a rational pair may survive at different orders.
-        orders = {c.achieved_order for c in candidates}
-        if kind == "identity" or any(n is not None and n <= 6 for n in orders):
-            assert len({(c.achieved_order, c.leading) for c in candidates}) == 1
+        assert len({(c.achieved_order, c.leading) for c in candidates}) == 1
 
 
 class TestSurdLeadingIsRational:
     """A surd candidate's first surviving coefficient is rational and the
     same at both conjugate roots.  On the t^4 pivot (r/128)*(p**2 - S) the
     column t^5 is the constant (31/32)*a_5 and the t^6 column's remainder
-    modulo the pivot is a constant (proven in optimal_parameters).  Past
-    t^6 it is observed, not proven: the first later column whose remainder
-    is not zero has a constant remainder, and the next one's is linear.
-    Where it fails, the one expansion over Q(sqrt(s)) reads a
-    QuadraticField, still exact and of exact sign."""
+    modulo the pivot is a constant.  Past t^6 it is proven too (see
+    optimal_parameters): the survivor is where M leaves the pair's
+    Stolarsky mean, whose coefficients are rational at a pair of conjugates.
+    In the band's terms the first later column whose remainder is not zero
+    has a constant remainder, and the next one's is linear."""
 
     SQUAREFREE = [2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17]
 
@@ -889,12 +891,13 @@ class TestSurdLeadingIsRational:
 
 
 class TestExpansionOverTheQuadraticField:
-    """At a surd root p = (add + sign*sqrt(s))/div of the t^4 pivot P_4, one
-    difference expansion over Q(sqrt(s)) reads every column: its t^k
-    coefficient is the band's t^k polynomial reduced modulo P_4, c0 + c1*p,
-    read as a + b*sqrt(s), and a Fraction exactly where c1 = 0.  The
-    candidates equal those of the oracle's band route, on seeded near-power
-    means and on means whose t^5 and t^6 columns vanish at the roots."""
+    """At a surd root p = (add + sign*sqrt(s))/div of the t^4 pivot P_4, the
+    difference by the double sums over Q(sqrt(s)) reads every column: its
+    t^k coefficient is the band's t^k polynomial reduced modulo P_4, c0 +
+    c1*p, read as a + b*sqrt(s), and a Fraction exactly where c1 = 0.  The
+    search's candidates equal those of the oracle's band route, on seeded
+    near-power means and on means whose t^5 and t^6 columns vanish at the
+    roots."""
 
     @staticmethod
     def c6_zero(seed):
@@ -925,12 +928,12 @@ class TestExpansionOverTheQuadraticField:
         roots = oracles.isolate_real_roots_by_divisor_search(polys[4])
         assert [kind_of(root) for root in roots] == ["quadratic-surd"] * 2
         for root in roots:
-            diff = difference_expansion(mean, root, locus.q_of(root), order)
-            assert diff.coeffs[:2] == (0, 0)
+            diff = oracles.difference_by_double_sums(mean.coeffs, root, locus.q_of(root), order)
+            assert diff[:2] == [0, 0]
             for k in range(2, order + 1):
                 rest = polys[k] % polys[4]
-                assert diff.coeffs[k] == rest(root), (index, k)
-                assert type(diff.coeffs[k]) is (F if rest.degree < 1 else QuadraticField)
+                assert diff[k] == rest(root), (index, k)
+                assert type(diff[k]) is (F if rest.degree < 1 else QuadraticField)
 
     @pytest.mark.parametrize("index", range(48))
     def test_candidates_equal_the_bands(self, index):
@@ -944,18 +947,39 @@ class TestExpansionOverTheQuadraticField:
             assert got.leading == band.leading and type(got.leading) is type(band.leading)
 
 
+class TestStolarskyReference:
+    """Past the closed columns both roots read where M leaves the Stolarsky
+    mean of the pair (see optimal_parameters), one rational survivor for
+    both: the candidates equal those of the oracle's band route, evaluated
+    at each root, at every kind of pair (rational, surd, the identity points
+    of B_r and the double root 0), with even tails and odd ones."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(TestCandidateRootKinds.ROOTS)), order=st.integers(7, 10),
+           odd=st.booleans(), data=st.data())
+    def test_candidates_equal_the_bands(self, kind, order, odd, data):
+        r = data.draw(st.fractions(-3, 3, max_denominator=6).filter(bool))
+        c = list(_c6_zero(order, TestCandidateRootKinds.ROOTS[kind](r, data), r).coeffs)
+        for k in range(7, order + 1):
+            if k % 2 == 0 or odd:
+                c[k] += data.draw(st.just(F(0)) | _SMALL)
+        mean = MeanExpansion(tuple(c))
+        candidates = optimal_parameters(mean, order).candidates
+        assert candidates == tuple(oracles.candidates_by_bands(mean, order))
+        assert all(c.leading is None or type(c.leading) is F for c in candidates)
+
+
 class TestClosedT5AndT6:
     """For a_1 = a_3 = 0 and r = 2*a_2 + 1 != 0, at every root of the t^4
     pivot P_4 other than the identity points +-r, the t^5 column is
     (31/32)*a_5 and, at a_5 = 0, the t^6 column P_6 is the constant c_6 =
     9F/(320r) modulo P_4 (see optimal_parameters).  The search reads them
-    with no band, no difference expansion and no evaluation at a root:
-    checked against the band route and against the double sums.  Where both
-    vanish the search takes one expansion per root, at max_order, over
-    Q(sqrt(s)) at a surd root, and the survivor at t^8 is constant modulo
-    P_4 too."""
+    with no band, no reference and no evaluation at a root: checked against
+    the band route and against the double sums.  Where both vanish the
+    search takes one Stolarsky reference for the pair, at max_order, and the
+    survivor at t^8 is constant modulo P_4 too."""
 
-    CLOSED = ("_difference_form", "difference_expansion")
+    CLOSED = ("_stolarsky_form",)
     R = st.fractions(-3, 3, max_denominator=8).filter(lambda x: x != 0)
 
     @staticmethod
@@ -997,7 +1021,7 @@ class TestClosedT5AndT6:
     @pytest.mark.parametrize("name", ["S3/7", "P", "A-shifted-even"])
     def test_nothing_survives_below_t6(self, name, max_order):
         # at max_order 4, or 5 with a_5 = 0, t^2, t^3, the pivot and t^5
-        # vanish at both roots, surd or rational: no expansion is taken
+        # vanish at both roots, surd or rational: no reference is built
         mean = {"S3/7": lambda: expand_mean(SAlpha(F(3, 7)), max_order),
                 "P": lambda: expand_mean(ALIASES["P"], max_order),
                 "A-shifted-even": lambda: _shifted_a(5, 0).truncated(max_order)}[name]()
@@ -1007,9 +1031,9 @@ class TestClosedT5AndT6:
             verdict = optimal_parameters(mean, max_order)
         assert verdict.relation == "stabilizable"
         assert [c.achieved_order for c in verdict.candidates] == [None, None]
-        # the roots' own expansions vanish through max_order
+        # the double sums at each root vanish through max_order
         for c in verdict.candidates:
-            assert difference_expansion(mean, c.p, c.q, max_order).is_zero
+            assert not any(oracles.difference_by_double_sums(mean.coeffs, c.p, c.q, max_order))
 
     @settings(max_examples=30, deadline=None)
     @given(order=st.integers(6, 8), even=st.booleans(), data=st.data())
@@ -1075,34 +1099,44 @@ class TestClosedT5AndT6:
             # at F = 0 the roots' own expansions vanish through max_order 6
             assert (c.achieved_order, c.leading) == ((6, c6) if c6 else (None, None))
 
-    def test_surd_roots_past_t6_take_one_expansion_each(self, monkeypatch):
+    def test_surd_roots_past_t6_take_one_reference(self, monkeypatch):
         # at c_6 = 0 the survivor at t^8 is constant modulo P_4: the same
-        # rational at both conjugate roots, read from one expansion over
-        # Q(sqrt(2)) at each
+        # rational at both conjugate roots, read from one comparison with
+        # E_{(1+sqrt(2))/2, (1-sqrt(2))/2}
         mean = _c6_zero(16)
         polys = coefficient_polynomials(mean, first_order_locus(mean), 4, 8)
         rests = [polys[k] % polys[4] for k in (5, 6, 7, 8)]
         assert [rest.degree for rest in rests] == [-1, -1, -1, 0]
-        orders = TestOrderBands.sampled_expansions(monkeypatch, mean, 16)[0]
-        assert orders == [16] * 2
+        orders = TestOrderBands.references(monkeypatch, mean, 16)[0]
+        assert orders == [16]
         candidates = optimal_parameters(mean, 16).candidates
         assert [(kind_of(c.p), c.achieved_order, c.leading) for c in candidates] == [
             ("quadratic-surd", 8, rests[3].coefficient(0))
         ] * 2
         assert type(candidates[0].leading) is F
 
-    def test_rational_roots_past_t6_take_the_expansions(self, monkeypatch):
-        # at c_6 = 0 a rational root that is not an identity point is read
-        # from one expansion, at max_order
+    def test_rational_roots_past_t6_take_one_reference(self, monkeypatch):
+        # at c_6 = 0 the rational pair p = -+2 is read from one comparison
+        # with E_{3/2,-1/2}, at max_order
         mean = _c6_zero(16, F(4))
         polys = coefficient_polynomials(mean, first_order_locus(mean), 4, 8)
         rest = polys[8] % polys[4]
         assert (polys[6] % polys[4]).is_zero and rest.degree == 0
-        orders = TestOrderBands.sampled_expansions(monkeypatch, mean, 16)[0]
-        assert orders == [16] * 2
+        orders = TestOrderBands.references(monkeypatch, mean, 16)[0]
+        assert orders == [16]
         candidates = optimal_parameters(mean, 16).candidates
         assert [(c.p, c.achieved_order, c.leading) for c in candidates] == [
             (-2, 8, rest.coefficient(0)), (2, 8, rest.coefficient(0))
+        ]
+
+    def test_closed_t6_agrees_at_both_roots(self, monkeypatch):
+        # M2's candidates p = -+sqrt(17) both survive at t^6 with -11/180,
+        # read in closed form with no reference
+        monkeypatch.setattr(solver, "_stolarsky_form", None)
+        verdict = optimal_parameters(expand_mean(M2, 8), 8)
+        assert verdict.relation == "candidate-super" and verdict.notes == ()
+        assert [(float(c.p) > 0, c.achieved_order, c.leading) for c in verdict.candidates] == [
+            (positive, 6, F(-11, 180)) for positive in (False, True)
         ]
 
 
@@ -1128,8 +1162,8 @@ _POOL_SPECS = _solve_pool_specs()
 
 class TestClosedReach:
     """With a spec, the search needs a_1..a_6 only (CLOSED_ORDER): the closed
-    columns read no further, and the routes that do, the comparison with B_r
-    and the expansion at each root, expand the spec through max_order."""
+    columns read no further, and the route that does, the comparison with
+    the pair's Stolarsky reference, expands the spec through max_order."""
 
     @pytest.mark.parametrize("name", sorted(_POOL_SPECS))
     def test_short_expansion_gives_the_full_verdict(self, name):
@@ -1140,39 +1174,36 @@ class TestClosedReach:
                 expand_mean(spec, n), n, spec=spec)
 
     def test_the_specs_reach_every_route(self, monkeypatch):
-        # a_1, the comparison with G (r = 0), the identity pairs of B_r and
-        # of L, the closed t^6 column, and the expansion at each root of a
-        # constructed mean whose t^5 and t^6 vanish at p = -+sqrt(2)
-        expansions = []
-        real = solver.difference_expansion
-        monkeypatch.setattr(solver, "difference_expansion",
-                            lambda *args: expansions.append(args[3]) or real(*args))
+        # a_1, G's locus (r = 0), the identity pairs of B_r and of L, the
+        # closed t^6 column, and the one reference of a constructed mean
+        # whose t^5 and t^6 vanish at p = -+sqrt(2)
+        references = []
+        real = solver._stolarsky_form
+        monkeypatch.setattr(solver, "_stolarsky_form",
+                            lambda *args: references.append(args[2]) or real(*args))
         verdicts = {}
         for text in ("M1", "G", "A", "M2", "L"):
             spec = cli.parse_mean_spec(text, {})
             assert describe_spec(spec) in _POOL_SPECS
-            with monkeypatch.context() as mp:
-                if text in ("G", "A", "L"):  # the spec is its reference: no form
-                    mp.setattr(solver, "_mean_form", None)
-                    mp.setattr(solver, "_power_mean_form", None)
-                verdicts[text] = optimal_parameters(expand_mean(spec, 6), 24, spec=spec)
+            verdicts[text] = optimal_parameters(expand_mean(spec, 6), 24, spec=spec)
         assert verdicts["M1"].fixed_leading_order == 1
         assert verdicts["G"].notes[0].startswith("difference vanishes identically on the locus")
         assert [c.achieved_order for c in verdicts["A"].candidates] == [None, None]
         assert [c.achieved_order for c in verdicts["M2"].candidates] == [6, 6]
         assert [(c.p, c.achieved_order) for c in verdicts["L"].candidates] == [
             (-1, None), (1, None)]
-        assert expansions == []  # L takes none
+        assert references == []  # G, A and L are their own references: no form
         verdict = optimal_parameters(_c6_zero(24), 24)
         assert [kind_of(c.p) for c in verdict.candidates] == ["quadratic-surd"] * 2
-        assert expansions == [24, 24]
+        assert references == [24]
 
     def test_a_mean_past_its_expansion_comes_from_the_spec(self, monkeypatch):
-        # mu = y + y**7/5040 agrees with L through t^4 but is not L by the
-        # table of coincidences, so leaving L at its identity points p = -+1
-        # reads M through max_order, from the spec past the short expansion:
-        # the verdict of the full expansion with no spec
-        spec = MuGenerated((F(1), F(0), F(0), F(1, 5040)))
+        # mu = y + y**9/9! agrees with L through t^6 but is not L by the
+        # table of coincidences, so leaving L = E_{1,0} at its identity
+        # points p = -+1 reads M through max_order, from the spec past the
+        # short expansion: the verdict of the full expansion with no spec,
+        # and the candidates of the oracle's bands
+        spec = MuGenerated((F(1), F(0), F(0), F(0), F(1, 362880)))
         assert coincident(spec) != ALIASES["L"]
         expanded, real = [], solver.expand_mean
         monkeypatch.setattr(solver, "expand_mean", lambda *args: expanded.append(args) or real(*args))
@@ -1180,7 +1211,8 @@ class TestClosedReach:
         assert expanded == [(spec, 16)]
         assert verdict.relation == "candidate-super"
         assert [(c.p, c.q, c.achieved_order, c.leading) for c in verdict.candidates] == [
-            (-1, 1, 6, F(-1, 80)), (1, 0, 6, F(-1, 80))]
+            (-1, 1, 8, F(-17, 24192)), (1, 0, 8, F(-17, 24192))]
+        assert list(verdict.candidates) == oracles.candidates_by_bands(expand_mean(spec, 16), 16)
         unspecified = optimal_parameters(expand_mean(spec, 16), 16)
         assert (unspecified.relation, unspecified.candidates) == (verdict.relation, verdict.candidates)
 
@@ -1262,8 +1294,9 @@ class TestProbesUntilOneDecides:
 
 
 class TestClosedOuterStepInTheSolver:
-    """A solver sample expands B_q and applies B_p in closed form; the
-    verdicts equal those of samples taken from the double sums."""
+    """A band sample expands B_q and applies B_p in closed form, and reads
+    only B_q's expansion; the search's verdicts equal those with its
+    Stolarsky reference taken from the binomial series of the oracle."""
 
     DEEP = [ALIASES[n] for n in ("A", "G", "H", "L")] + [
         LAlpha(F(a)) for a in ("1/2", "-1/2", "1", "-1")
@@ -1273,9 +1306,9 @@ class TestClosedOuterStepInTheSolver:
         M2, M4, M3, LAlpha(F(1, 3)), LAlpha(F(2, 5)), SAlpha(F(1, 3)), SAlpha(F(3, 7))
     ]
     #: p**2 at the pivot roots of the _c6_zero means, surds +-sqrt(2) and
-    #: rationals +-2: neither t^5 nor t^6 reads them, so each root takes
-    #: the per-root expansion, which the identity points and closed columns
-    #: settle for every spec above.
+    #: rationals +-2: neither t^5 nor t^6 reads them, so the pair takes its
+    #: reference, as the power means above do and the others, which the
+    #: closed columns settle, do not.
     C6_ZERO = [F(2), F(4)]
 
     @pytest.mark.parametrize("max_order", [12, 16, 24])
@@ -1289,14 +1322,14 @@ class TestClosedOuterStepInTheSolver:
         closed = optimal_parameters(mean, max_order)
         calls = []
 
-        def by_double_sums(m_form, p, q, order):
-            calls.append(p)
-            return _forms(order, oracles.difference_by_double_sums(_values(*m_form), p, q, order))[0]
+        def by_binomials(r, s, order):
+            calls.append(order)
+            return _integer_form(oracles.stolarsky_by_binomials(r, s, order), order)
 
-        monkeypatch.setattr(solver, "_difference_form", by_double_sums)
+        monkeypatch.setattr(solver, "_stolarsky_form", by_binomials)
         assert optimal_parameters(mean, max_order) == closed
         if constructed:
-            assert len(calls) == 2  # one per root
+            assert calls == [max_order]  # one for the pair
 
     @pytest.mark.parametrize("reach", [3, 6, 12, 16])
     @pytest.mark.parametrize("spec", [M2, ALIASES["L"], M1], ids=describe_spec)
@@ -1528,47 +1561,6 @@ class TestBoundaryWithoutSpec:
         assert evidence == solver.BoundaryEvidence(None, None, "unavailable")
 
 
-class TestDisagreeingBestCandidates:
-    """M2's candidates p = -+sqrt(17) both survive at t^6 with -11/180, read
-    in closed form with no evaluation at a root.  The constructed mean's
-    candidates p = -+sqrt(2) read neither t^5 nor t^6 and survive at t^8,
-    read from one expansion at each root.  With the difference at one root
-    negated, the two best
-    candidates disagree in sign: the relation is the first one's, and the
-    verdict says so."""
-
-    def test_closed_t6_agrees_at_both_roots(self, monkeypatch):
-        monkeypatch.setattr(solver, "difference_expansion", None)
-        verdict = optimal_parameters(expand_mean(M2, 8), 8)
-        assert verdict.relation == "candidate-super" and verdict.notes == ()
-        assert [(c.p.sign, c.achieved_order, c.leading) for c in verdict.candidates] == [
-            (sign, 6, F(-11, 180)) for sign in (-1, 1)
-        ]
-
-    @pytest.mark.parametrize(
-        "negated, relation", [(1, "candidate-sub"), (-1, "candidate-super")], ids=["high", "low"]
-    )
-    def test_relation_taken_from_the_first(self, monkeypatch, negated, relation):
-        real = solver.difference_expansion
-
-        def negating(mean, p, q, order):
-            diff = real(mean, p, q, order)
-            if p.sign != negated:
-                return diff
-            return solver.DifferenceExpansion(tuple(-c for c in diff.coeffs), diff.p, diff.q)
-
-        mean = _c6_zero(8)
-        leading = optimal_parameters(mean, 8).candidates[0].leading
-        assert leading > 0
-        monkeypatch.setattr(solver, "difference_expansion", negating)
-        verdict = optimal_parameters(mean, 8)
-        assert verdict.relation == relation
-        assert verdict.notes == ("best candidates disagree in sign; relation taken from the first",)
-        assert [(c.p.sign, c.achieved_order, c.leading) for c in verdict.candidates] == [
-            (sign, 8, leading * (-1 if sign == negated else 1)) for sign in (-1, 1)
-        ]
-
-
 class TestMuBoundaryEvidence:
     """A mu-generated mean carries closed-form boundary evidence when mu has
     no positive root, and "unavailable" when it has one."""
@@ -1630,15 +1622,6 @@ class TestSignCoherence:
                 assert (numeric > 0) == (diff.coeffs[diff.first_nonzero] > 0), (spec, p, q)
                 checked += 1
         assert checked > 60
-
-    @pytest.mark.parametrize(
-        "a, b, sign", [(F(-3, 2), F(1), -1), (F(-1), F(1), 1), (F(3, 2), F(-1), 1)]
-    )
-    def test_candidate_sign_of_a_field_leading(self, a, b, sign):
-        # a + b*sqrt(2): an irrational leading coefficient has an exact sign
-        root = QuadraticField(F(0), F(1), F(2))
-        candidate = solver.OptimalCandidate(root, root, 8, QuadraticField(a, b, F(2)))
-        assert candidate.sign == sign
 
 
 def _even_specs() -> list:

@@ -11,8 +11,9 @@ of the package extracts square factors, _exact_sqrt, so a square root is
 read once and a surd only spelled; one function of the solver reads
 float, _boundary_evidence, so the search holds every parameter exactly;
 root isolation and recognition read rational roots alone and build no
-surd at any degree; the command
-line writes its reports with no indented json.dumps.  Every top-level
+surd at any degree; the search reads no difference expansion and no table
+of references, as every pair past the closed columns reads one comparison
+with its Stolarsky mean; the command line writes its reports with no indented json.dumps.  Every top-level
 definition of ``tests/oracles.py`` is read by the tests outside its own
 body, and the oracles read no production root isolation or square root.  The code-line counter of ``code_lines.py`` counts code alone."""
 
@@ -44,6 +45,10 @@ NOT_READ_BY_THE_SEARCH = {"coefficient_polynomials", "_band", "_FIRST_REACH", "i
 #: Names solver.optimal_parameters does not read either: the t^4 pivot's
 #: roots are read from w = -c_4/r, with no polynomial and no root isolation.
 NOT_READ_BY_THE_PIVOT = {"isolate_real_roots", "UniPoly"}
+#: Names solver.optimal_parameters does not read past the closed columns
+#: either: every pair reads one comparison with its Stolarsky mean, with no
+#: difference expansion at a root and no table of references.
+NOT_READ_PAST_T6 = {"difference_expansion", "_difference_form", "_IDENTITY_POINTS"}
 #: Names polynomials._recognize_roots and polynomials.isolate_real_roots do
 #: not read: at every degree isolation recognizes rational roots alone, and
 #: every irrational root is an interval, with no surd built or paired and no
@@ -279,6 +284,14 @@ def test_the_search_isolates_no_root():
     assert forbidden_reads(tree, "optimal_parameters", NOT_READ_BY_THE_PIVOT) == []
 
 
+def test_the_search_reads_one_reference_past_t6():
+    # The table of references is gone from the solver, not only from the
+    # search.
+    tree = parse(ROOT / "src" / "meanstab" / "solver.py")
+    assert forbidden_reads(tree, "optimal_parameters", NOT_READ_PAST_T6) == []
+    assert read_names(tree)["_IDENTITY_POINTS"] == 0
+
+
 def test_recognition_pairs_no_surds():
     tree = parse(ROOT / "src" / "meanstab" / "polynomials.py")
     assert forbidden_reads(tree, "_recognize_roots", NOT_READ_BY_RECOGNITION) == []
@@ -367,6 +380,14 @@ def test_the_rules_catch_what_they_forbid():
     assert isolated != solver
     assert forbidden_reads(ast.parse(isolated), "optimal_parameters", NOT_READ_BY_THE_PIVOT) == [
         "UniPoly", "isolate_real_roots"]
+    # ... a root read from its own difference expansion again ...
+    expanded = solver.replace(
+        "        n, leading = leaving((3 * r + s) / 2, (3 * r - s) / 2)\n",
+        "        n = difference_expansion(mean, s, locus.q_of(s), max_order).first_nonzero\n"
+        "        n, leading = leaving((3 * r + s) / 2, (3 * r - s) / 2)\n")
+    assert expanded != solver
+    assert forbidden_reads(ast.parse(expanded), "optimal_parameters", NOT_READ_PAST_T6) == [
+        "difference_expansion"]
     polynomials = (ROOT / "src" / "meanstab" / "polynomials.py").read_text(encoding="utf-8")
     paired = polynomials.replace(
         "    return [root or IntervalRoot(",
@@ -398,8 +419,8 @@ def test_the_rules_catch_what_they_forbid():
         "solver.py:optimal_parameters"]
     # ... a candidate's probe converted to floats in the search again (an
     # annotation reads nothing) ...
-    floated = solver.replace("verdict(top.sign, [(top.p, top.q)],",
-                             "verdict(top.sign, [(float(top.p), float(top.q))],")
+    floated = solver.replace("verdict(leading, [(top.p, top.q)],",
+                             "verdict(leading, [(float(top.p), float(top.q))],")
     assert floated != solver
     assert readers({"solver.py": without_annotations(ast.parse(floated))}, "float") == [
         "solver.py:_boundary_evidence", "solver.py:optimal_parameters"]
