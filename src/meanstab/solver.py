@@ -12,30 +12,28 @@ difference M - R(B_p, M, B_q) order by order:
   a quadratic, so its roots p and their images q on the locus are rationals
   or quadratic surds.
 
-The pivot, the first nonzero coefficient polynomial, needs no sample: with
-r = 2*a_2 + 1, the t^3 column is the constant (7/8)*a_3 and, when a_3 = 0,
-the t^4 column is the closed quadratic (r/128)*(p**2 - r**2) + (15/16)*(a_4 -
-b_4), b_4 the t^4 coefficient of B_r; for a_2 = -1/2 (r = 0) it is one
-comparison of M with G (see optimal_parameters).  A constant pivot is read
-as the constant it is.  The roots of the t^4 quadratic are one pair p =
-+-sqrt(w), w = -c_4/r, or the double root 0, read from w with no root
-isolation (a surd root and its conjugate when w is not a rational square),
-and the pair takes one route.  Two more closed columns come first: t^5 is
-the constant (31/32)*a_5, and when a_5 = 0 the t^6 column is, modulo the
-pivot, the constant c_6 = 9F/(320r) of a_2, a_4 and a_6, F read at most
-once.  The first of them that is nonzero is the survivor at both roots,
-rational or surd, with no sample and no evaluation at the root.  Where both
-vanish, both roots are the identity points of one Stolarsky mean E that M
-agrees with through t^4, where R(B_p, E, B_q) = E, and the pair reads one
-comparison of M with E: E_{x,y} with x + y = 3r and x - y = sqrt(w), whose
-coefficients are rational at a surd pair too, so the survivor is one
-rational at both roots.  B_r at w = r**2, G on the locus at r = 0 and the
-logarithmic mean L at (r, w) = (1/3, 1) are among these references.  A
-spec that is a Stolarsky mean (catalog.is_stolarsky) never leaves itself,
-and builds no form.
+The pivot, the first nonzero coefficient polynomial, needs no sample.
+With r = 2*a_2 + 1, each point p of the locus is an identity point of one
+Stolarsky mean E_p, which has M's a_2, and where M first leaves E_p, at
+t^n, the column at p is (1 - 2**-n)*(a_n - e_n) (see optimal_parameters).
+E_p's coefficients through t^6 are closed polynomials in r and p**2, so
+the t^3 column is the constant (7/8)*a_3 and, when a_3 = 0, the t^4 column
+is the quadratic (15/16)*(a_4 - e_4(r, p**2)) = (c_4 + r*p**2)/128; at
+a_2 = -1/2 (r = 0) every E_p is G, and every column is a constant.  A
+constant pivot is read as the constant it is.  The roots of the t^4
+quadratic are one pair p = +-sqrt(w), w = -c_4/r, or the double root 0,
+read from w with no root isolation (a surd root and its conjugate when w
+is not a rational square).  The pair shares one reference, E_{x,y} with x
++ y = 3r and x - y = sqrt(w), whose coefficients are rational at a surd
+pair too, so it takes one route and one rational survivor: t^5 =
+(31/32)*a_5, then t^6 = (63/64)*(a_6 - e_6) with E's closed e_6, and only
+past t^6 E's form, with no sample and no evaluation at a root.  B_r at w =
+r**2, G on the locus at r = 0 and the logarithmic mean L at (r, w) = (1/3,
+1) are among these references.  A spec that is a Stolarsky mean
+(catalog.is_stolarsky) never leaves itself, and builds no form.
 
 So a search reads the mean through a_6 (CLOSED_ORDER) unless it takes the
-one route past t^6, the comparison with E.  Given a mean spec, the search
+one route past t^6, the comparison with E's form.  Given a mean spec, the search
 accepts a mean through min(max_order, CLOSED_ORDER), and that route takes M
 through max_order from the spec, once; without a spec the mean must reach
 max_order.  No catalog mean that is its own reference (A, G, H, L,
@@ -338,69 +336,15 @@ def optimal_parameters(
     """Search for power-mean parameters cancelling as many difference
     coefficients as possible, then certify the first survivor.
 
-    Let r = 2*a_2 + 1, so that the locus is q = (3r - p)/2, and let b_n be
-    the coefficients of B_r; b_4 = (r - 1)*(3 + r - 2*r**2)/24.  The pivot
-    comes from closed columns: the t^3 column is the constant (7/8)*a_3, and
-    when a_3 = 0 the t^4 column is (r/128)*(p**2 - r**2) + (15/16)*(a_4 -
-    b_4), that is (c_4 + r*p**2)/128 with c_4 = 120*a_4 + 9*r**3 - 15*r**2
-    - 10*r + 15:
+    Let r = 2*a_2 + 1, so that the locus is q = (3r - p)/2.  Every column
+    the search reads is one rule, the identity-point lemma, applied to one
+    reference per point of the locus, the Stolarsky mean E_p below.
 
-    * t^3: the top coefficient a_3 enters R(B_p, M, B_q) with slope 2**-3,
-      by the argument for identity points below, and the part of the t^3
-      coefficient that a_2 alone gives is that of an even mean, whose
-      difference has no odd coefficient; so the column is a_3 - a_3/8;
-    * t^4: for even K, M and N, R(K, M, N)(a, b) = K(M(a, N), M(N, b)) has
-      the t^4 coefficient r_4 = k_4/16 + m_4/16 + n_4/2 - k_2*m_2*n_2/2 -
-      3*k_2*m_2/16 - k_2*n_2/8 + m_2*n_2**2/4 + m_2*n_2/8 + m_2/16, and
-      through t^4 a mean with a_1 = a_3 = 0 enters as an even one.  K = B_p
-      and N = B_q have k_2 = (p - 1)/2, k_4 = b_4 at p, and the same at q;
-      with m_2 = (r - 1)/2, a_4 - r_4 is the column above.
-
-    A constant pivot (t^3, or the comparison with G at r = 0 below) is read
-    as a constant.  The t^4 column P_4 has the roots p = +-sqrt(w), w =
-    -c_4/r, one pair or the double root 0; with no real root it keeps the
-    sign of c_4.  The pair is read from w, with no polynomial and no root
-    isolation: the rationals -sqrt(w) and sqrt(w) when w is a rational
-    square, else the surd sqrt(w), built once, and its conjugate -sqrt(w).
-    On the locus q = (3r -+ sqrt(w))/2 at p = +-sqrt(w), so q at -sqrt(w)
-    is the conjugate of q at sqrt(w), and a surd pair makes two surd
-    constructions, not four.  The pair takes one route.  The t^5 column is
-    (31/32)*a_5 at every p, and when a_5 = 0 the t^6 column P_6 is, at both
-    roots of P_4, the constant c_6 = 9*F/(320*r), F = 48*a_2**6 +
-    104*a_2**5 + 65*a_2**4 + 80*a_2**3*a_4 - 5*a_2**3 + 150*a_2**2*a_4 -
-    13*a_2**2 + 65*a_2*a_4 + 70*a_2*a_6 + a_2 - 100*a_4**2 - 20*a_4 +
-    35*a_6:
-
-    * t^5: as at t^3, a_5 enters with slope 2**-5, and the part of the t^5
-      coefficient that a_2 and a_4 give is that of an even mean, zero;
-    * t^6: through t^6 a mean with a_1 = a_3 = a_5 = 0 enters as an even
-      one, and for even K, M and N, R(K, M, N) has the t^6 coefficient
-      r_6 = k_6/64 + m_6/64 + n_6/2 - 3*k_4*n_2/32 - (k_2*m_4 +
-      k_4*m_2)*(16*n_2 + 7)/64 + k_2*m_2**2*(2*n_2 + 1)**2/16 +
-      k_2*m_2*(20*n_2**2 + 6*n_2 - 32*n_4 - 3)/64 + k_2*(n_2**2 - 2*n_4)/16
-      + 3*m_4*(4*n_2**2 + 3*n_2 + 1)/32 + m_2*(1 - 2*n_2 - 8*n_2**2 -
-      8*n_2**3 + 8*n_4 + 32*n_2*n_4)/64;
-    * B_p has k_6 = (p**2 - 1)*(16*p**3 - 30*p**2 - 19*p + 45)/720.  With
-      the rest as for t^4, P_6 = a_6 - r_6 is r*p*P_4/4 plus the even part
-      V = 63*a_6/64 - (27*r**2 + 3*r + 5)*a_4/128 - r*p**4/1536 -
-      (840*a_4 + 180*r**3 - 165*r**2 - 170*r + 105)*p**2/15360 -
-      81*r**5/2560 + 63*r**4/1024 + 15*r**3/256 - 125*r**2/1024 -
-      197*r/7680 + 29/512;
-    * a root of P_4 has p**2 = w = -c_4/r, and there V is c_6, with a_2 =
-      (r - 1)/2.  At a_4 = b_4, where the roots are the identity points of
-      B_r, c_6 is (63/64)*(a_6 - b_6).
-
-    So the first of these columns that is nonzero, and within max_order, is
-    the survivor at both roots, rational or surd, with no band, no expansion
-    and no evaluation at the root; F is read at most once per search, and
-    only if the pair asks for it.  Below t^6, at max_order 4 or at 5 with
-    a_5 = 0, every column through max_order vanishes at both roots.
-
-    At an identity point of a reference mean E with c_1 = 0, a (p, q) with
-    R(B_p, E, B_q) = E, if M first leaves E at index n <= max_order, with
-    c_n - e_n = delta, the difference vanishes below n and is (1 -
-    2**-n)*delta at n; if M never leaves E, it vanishes through max_order.
-    The argument reads nothing of E but the identity:
+    The lemma.  At an identity point of a reference mean E with c_1 = 0, a
+    (p, q) with R(B_p, E, B_q) = E, if M first leaves E at index n <=
+    max_order, with c_n - e_n = delta, the difference vanishes below n and
+    is (1 - 2**-n)*delta at n; if M never leaves E, it vanishes through
+    max_order.  The argument reads nothing of E but the identity:
 
     * through order n the resultant reads only m_0..m_n, so below n the
       difference is that of E, zero at an identity point;
@@ -412,37 +356,75 @@ def optimal_parameters(
     * at an identity point r_n of E is e_n, so the difference at n is
       (1 - 2**-n)*delta.
 
-    Every pair has such a reference, the Stolarsky mean E = E_{x,y}(a, b) =
-    ((y/x)*(b**x - a**x)/(b**y - a**y))**(1/(x - y)) (K. B. Stolarsky,
-    "Generalizations of the logarithmic mean", Math. Mag. 48, 1975; see
-    catalog._stolarsky_form) with x + y = 3r and x - y = sqrt(w), that is
-    E_{(3r+sqrt(w))/2, (3r-sqrt(w))/2}, and E_{3r/2,3r/2} at w = 0:
+    The references.  The Stolarsky mean is E_{x,y}(a, b) = ((y/x)*(b**x -
+    a**x)/(b**y - a**y))**(1/(x - y)) (K. B. Stolarsky, "Generalizations of
+    the logarithmic mean", Math. Mag. 48, 1975; see catalog._stolarsky_form),
+    and E_p = E_{(3r+p)/2, (3r-p)/2}, E_{3r/2,3r/2} at p = 0:
 
     * R(B_{x-y}, E, B_y) = E: at n = B_y(a, b), n**y - a**y = b**y - n**y =
       (b**y - a**y)/2, so the (x - y)-th powers of E(a, n) and E(n, b)
       average to (y/x)*(b**x - a**x)/(b**y - a**y) = E(a, b)**(x - y).  At
       y = 0 the same holds with logarithms, n = G, and at x = y in the
-      limit.  As E_{x,y} = E_{y,x}, also R(B_{y-x}, E, B_x) = E;
-    * the identity points p = x - y, q = y and p = y - x, q = x lie on the
-      locus, as (3r - x + y)/2 = y at x + y = 3r, and they are the pivot's
-      pair p = +-sqrt(w);
-    * E is even and agrees with M through t^4: its a_2 is (x + y - 3)/6,
-      which is a_2 at x + y = 3r, so E has M's locus; its own pivot vanishes
-      at its identity points, so it has M's w, and r and w fix a_4, as c_4 =
-      -r*w is affine in a_4;
-    * at r = 0, E_{x,-x} = G for every x, so every point of the locus q =
-      -p/2 is an identity point of G = E_{0,0}, and the constant pivot is
-      zero below the first n where M leaves G and (1 - 2**-n)*delta at n.
+      limit;
+    * so the point (p, q) of the locus is an identity point of E_p, as x -
+      y = p and y = (3r - p)/2 = q; and E_p = E_{-p}, as E_{x,y} = E_{y,x},
+      so the pair +-p shares one reference;
+    * E_p has M's a_2, e_2 = (x + y - 3)/6 = (r - 1)/2, and is even.
 
-    The closed columns are this rule's first cases: t^5 is (31/32)*a_5 as
-    E is even, and c_6 is (63/64)*(a_6 - e_6).  Where both vanish, the pair
-    reads where M first leaves E, one comparison of integer forms for both
-    roots, rational or surd: E's coefficients are rational at a surd pair
-    too (catalog._stolarsky_form), so the two roots share one rational
-    survivor at every order.  As M agrees with E through the pivot, leaving
-    E at or below t^4 raises ArithmeticError.  A spec that is a Stolarsky
-    mean is its own reference, and never leaves it, with no form built; by
-    catalog.is_stolarsky these are:
+    E's closed head.  Put rho = (x + y)/3 and W = (x - y)**2, so that E_p
+    has rho = r and W = p**2.  Then e_1 = e_3 = e_5 = 0, e_2 = (rho - 1)/2,
+
+        e_4 = -(rho*W + 9*rho**3 - 15*rho**2 - 10*rho + 15)/120,
+        e_6 = (rho*W**2 + 30*rho**3*W - 21*rho**2*W - 35*rho*W + 81*rho**5
+               - 189*rho**4 - 210*rho**3 + 525*rho**2 + 133*rho - 315)/5040,
+
+    from catalog._stolarsky_form's definition E = (O_x/O_y)**(1/(x - y)) in
+    w = u**2, O_t = sum_k o_k w**k, o_k = (t - 1)(t - 2)..(t - 2k)/(2k + 1)!:
+
+    * ln O_t = l_1 w + l_2 w**2 + l_3 w**3 + ..., with l_1 = (t - 1)(t -
+      2)/6, l_2 = -(t - 1)(t - 2)(t**2 + 3t - 13)/180 and l_3 = (t - 1)(t -
+      2)(2t**4 + 6t**3 - 28t**2 - 96t + 251)/5670, from o_1..o_3 by the
+      logarithm's series, l_2 = o_2 - o_1**2/2 and l_3 = o_3 - o_1*o_2 +
+      o_1**3/3;
+    * ln E = sum_k lambda_k w**k, lambda_k = (l_k(x) - l_k(y))/(x - y) the
+      divided difference, l_k'(x) at x = y: a symmetric polynomial in x and
+      y, so one in sigma = x + y and pi = x*y.  lambda_1 = (sigma - 3)/6,
+      lambda_2 = (2*pi*sigma - sigma**3 + 20*sigma - 45)/180 and lambda_3 =
+      (6*pi**2*sigma - 8*pi*sigma**3 + 84*pi*sigma + 2*sigma**5 -
+      42*sigma**3 + 483*sigma - 945)/5670;
+    * sigma = 3*rho and pi = (9*rho**2 - W)/4 are rational at a surd pair
+      too, and e_2 = lambda_1, e_4 = lambda_2 + lambda_1**2/2 and e_6 =
+      lambda_3 + lambda_1*lambda_2 + lambda_1**3/6 by the exponential's
+      series.  At rho = 0, e_4 = -1/8 and e_6 = -1/16 for every W: G's.
+
+    The columns.  M agrees with E_p through t^2 at every p, so:
+
+    * t^3 is (7/8)*(a_3 - e_3) = (7/8)*a_3 at every p;
+    * at a_3 = 0, t^4 is (15/16)*(a_4 - e_4(r, p**2)) = (c_4 +
+      r*p**2)/128, c_4 = 120*a_4 + 9*r**3 - 15*r**2 - 10*r + 15.  At r = 0
+      it is the constant c_4/128, and E_p = E_{p/2,-p/2} = G for every p:
+      the whole locus q = -p/2 is one reference's identity points, and t^5,
+      t^6 and the columns past them are constants too.  Otherwise the pivot
+      has the roots p = +-sqrt(w), w = -c_4/r, where a_4 = e_4(r, w), one
+      pair or the double root 0; with no real root it keeps the sign of
+      c_4;
+    * at the pair M agrees with E_p through t^4, so t^5 is (31/32)*a_5, and
+      at a_5 = 0 t^6 is (63/64)*(a_6 - e_6(r, w)); past t^6 the column is
+      read where M leaves E_p's form.  E_p's coefficients are polynomials
+      in sigma and pi at every order (catalog._stolarsky_form), rational at
+      a surd pair, so the two roots share one rational survivor.
+
+    The pair is read from w, with no polynomial and no root isolation: the
+    rationals -sqrt(w) and sqrt(w) when w is a rational square, else the
+    surd sqrt(w), built once, and its conjugate -sqrt(w).  On the locus q =
+    (3r -+ sqrt(w))/2 at p = +-sqrt(w), so q at -sqrt(w) is the conjugate
+    of q at sqrt(w).  The pair takes one route, with no band, no expansion
+    and no evaluation at a root.  Below t^6, at max_order 4 or at 5 with
+    a_5 = 0, every column through max_order vanishes at both roots.  As M
+    agrees with E_p through the closed columns when the form is read,
+    leaving the form at or below t^6 raises ArithmeticError.  A spec that
+    is a Stolarsky mean is its own reference, and never leaves it, with no
+    e_6 read and no form built; by catalog.is_stolarsky these are:
 
     * B_p = E_{2p,p} = E_{p,2p}, at the pair of w = p**2;
     * G = E_{x,-x} for every x, on the locus at r = 0;
@@ -451,14 +433,15 @@ def optimal_parameters(
     Boundary limits (when a mean spec is supplied) are numeric evidence
     attached to the verdict, never part of the exact computation.
 
-    The reach of the mean: every closed column reads a_1..a_6 alone, F as
-    an integer polynomial in the numerators of a_2, a_4 and a_6 over one
-    denominator.  Without a spec the mean must reach max_order.  With a
-    spec it need only reach min(max_order, CLOSED_ORDER), and the comparison
-    with E, the one route past t^6, takes M through max_order from the mean
-    if it is that long, else from the spec, and compares integer forms by
-    cross-multiplication, E's with M's.  A shorter mean raises ValueError.
-    c_4 and w are read from the same integer numerators.
+    The reach of the mean: every closed column reads a_1..a_6 alone, c_4
+    and w from the integer numerators of a_2 and a_4 over one denominator,
+    and a_6 - e_6 as one integer polynomial in those numerators, a_6's and
+    w's numerator and denominator.  Without a spec the mean must reach
+    max_order.  With a spec it need only reach min(max_order,
+    CLOSED_ORDER), and the comparison with E_p's form, the one route past
+    t^6, takes M through max_order from the mean if it is that long, else
+    from the spec, and compares integer forms by cross-multiplication, E's
+    with M's.  A shorter mean raises ValueError.
     """
     if max_order < 3:
         raise ValueError("the search needs max_order >= 3")
@@ -478,30 +461,54 @@ def optimal_parameters(
                        notes=(note,))
 
     locus = first_order_locus(mean)
-    r = 2 * mean.coefficient(2) + 1  # the locus is q = (3r - p)/2
     # A spec that is a Stolarsky mean is its own reference, and never leaves it.
     own = spec is not None and is_stolarsky(spec)
+    # a_n as the numerators nums[n] over one d, rd = r*d, r = 2*a_2 + 1 (the
+    # locus is q = (3r - p)/2), and c4 = c_4*d**3
+    nums, d = _integer_form(mean.coeffs, CLOSED_ORDER)
+    rd, dd = 2 * nums[2] + d, d * d
+    c4 = ((9 * rd - 15 * d) * rd - 10 * dd) * rd + (120 * nums[4] + 15 * d) * dd
 
-    def leaving(e_r: Parameter, e_s: Parameter) -> tuple[int | None, Rational | None]:
-        # The first index n where M leaves the reference E = E_{e_r,e_s}, and
-        # the difference at n at an identity point of E (see above), (None,
-        # None) if M never leaves E: compared on integer forms through
-        # max_order, M's from the mean if it reaches max_order, else from the
-        # spec, and one Fraction built at n alone.
-        e, den = _stolarsky_form(e_r, e_s, max_order)
+    def leaving(w: Rational) -> tuple[int | None, Rational | None]:
+        # The first index n > 4 where M leaves E_p = E_{(3r+p)/2, (3r-p)/2}
+        # at the pair p = +-sqrt(w), and the column (1 - 2**-n)*(a_n - e_n)
+        # there, (None, None) if M does not leave E_p through max_order (see
+        # above): a_5 against e_5 = 0, a_6 against the closed e_6, and past
+        # t^6 E_p's form against M's, M from the mean if it reaches
+        # max_order, else from the spec, and one Fraction built at n alone.
+        if max_order >= 5 and nums[5]:
+            return 5, Fraction(31 * nums[5], 32 * d)
+        if own or max_order < CLOSED_ORDER:
+            return None, None
+        # e6 = e_6*5040*d**5*v**2 from rho = rd/d and W = w = u/v, and the
+        # column (63/64)*(a_6 - e_6) as one Fraction
+        u, v, d4 = w.numerator, w.denominator, dd * dd
+        e6 = ((((((81 * rd - 189 * d) * rd - 210 * dd) * rd + 525 * d * dd) * rd + 133 * d4) * rd
+               - 315 * d * d4) * v * v + (((30 * rd - 21 * d) * rd - 35 * dd) * dd * v + d4 * u) * rd * u)
+        gap = 5040 * nums[6] * d4 * v * v - e6
+        if gap:
+            return 6, Fraction(gap, 5120 * d * d4 * v * v)
+        if max_order == CLOSED_ORDER:
+            return None, None
+        s, r = _exact_sqrt(w), Fraction(rd, d)
+        e, den = _stolarsky_form((3 * r + s) / 2, (3 * r - s) / 2, max_order)
         full = mean if mean.order >= max_order else expand_mean(spec, max_order)
-        m, d = _integer_form(full.coeffs, max_order)
-        n = next((n for n in range(3, max_order + 1) if m[n] * den != e[n] * d), None)
+        m, dm = _integer_form(full.coeffs, max_order)
+        n = next((n for n in range(3, max_order + 1) if m[n] * den != e[n] * dm), None)
         if n is None:
             return None, None
-        return n, Fraction((2**n - 1) * (m[n] * den - e[n] * d), 2**n * d * den)
+        if n <= CLOSED_ORDER:
+            raise ArithmeticError("the mean leaves its Stolarsky reference in a closed column")
+        return n, Fraction((2**n - 1) * (m[n] * den - e[n] * dm), 2**n * dm * den)
 
-    # The pivot from the closed columns (see above): a constant at r = 0,
-    # where every point of the locus is an identity point of G = E_{0,0}, and
-    # at t^3, the only column at max_order 3; the t^4 quadratic otherwise.
-    a3 = mean.coefficient(3)
-    if r == 0 or a3 != 0 or max_order == 3:
-        k0, constant = (3, a3 * Fraction(7, 8)) if r else (None, None) if own else leaving(r, r)
+    # The pivot from the closed columns (see above): the constant t^3, the
+    # only column at max_order 3; at r = 0, where every point of the locus is
+    # an identity point of G = E_{0,0}, the constant t^4 and then the columns
+    # past it; the t^4 quadratic otherwise.
+    if nums[3] or max_order == 3 or not rd:
+        k0, constant = 3, Fraction(7 * nums[3], 8 * d)
+        if not constant and max_order > 3:
+            k0, constant = (4, Fraction(c4, 128 * d * dd)) if c4 else leaving(Fraction(0))
         if not constant:
             note = f"difference vanishes identically on the locus through order {max_order}"
             return StabilizabilityVerdict("stabilizable", locus=locus, notes=(note,))
@@ -510,12 +517,6 @@ def optimal_parameters(
         return verdict(constant, probes, locus=locus, fixed_leading=constant,
                        fixed_leading_order=k0, notes=(note,))
 
-    # a_n as the numerators nums[n] over one d, a2 and a4 among them, rd =
-    # r*d and c4 = c_4*d**3, so w = -c_4/r = -c4/(d**2*rd)
-    nums, d = _integer_form(mean.coeffs, min(mean.order, CLOSED_ORDER))
-    a2, a4, dd = nums[2], nums[4], d * d
-    rd = 2 * a2 + d
-    c4 = ((9 * rd - 15 * d) * rd - 10 * dd) * rd + (120 * a4 + 15 * d) * dd
     w = Fraction(-c4, dd * rd)
     if w < 0:
         # The pivot keeps the sign of c4 for every p on the locus.
@@ -523,34 +524,9 @@ def optimal_parameters(
         return verdict(c4, probes, locus=locus, fixed_leading_order=4,
                        notes=("the t^4 coefficient has no real zero; its sign is fixed",))
     # The roots p in ascending order: 0, or -sqrt(w) and sqrt(w), rational
-    # or in Q(sqrt(core)).
+    # or in Q(sqrt(core)), and the survivor they share.
     s = _exact_sqrt(w)
-
-    def settled() -> tuple[int | None, Rational | None]:
-        # The survivor at both roots p = +-sqrt(w), one for the pair (see
-        # above): the t^5 column, else none for a spec that is its own
-        # reference or below t^6, else the t^6 column modulo the pivot if it
-        # is nonzero, and else where M leaves E_{(3r+s)/2, (3r-s)/2}, which
-        # agrees with M through the pivot.
-        a5 = mean.coefficient(5) if max_order >= 5 else 0
-        if a5 != 0:
-            return 5, a5 * Fraction(31, 32)
-        if own or max_order < CLOSED_ORDER:
-            # t^2, t^3 and the pivot vanish at both roots, and so does t^5
-            return None, None
-        # F*d**6 from the numerators, and c_6 = 9*F/(320*r) as one Fraction
-        f = ((((((48 * a2 + 104 * d) * a2 + 65 * dd) * a2 - 5 * d * dd) * a2 - 13 * dd * dd)
-              * a2 + d * dd * dd) * a2
-             + ((((80 * a2 + 150 * d) * a2 + 65 * dd) * a2 - (100 * a4 + 20 * d) * dd) * a4
-                + (70 * a2 + 35 * d) * nums[6] * dd) * dd)
-        if f:
-            return 6, Fraction(9 * f, 320 * d * dd * dd * rd)
-        n, leading = leaving((3 * r + s) / 2, (3 * r - s) / 2)
-        if n is not None and n <= 4:
-            raise ArithmeticError("the mean leaves its Stolarsky reference at or below the pivot")
-        return n, leading
-
-    achieved, leading = settled()
+    achieved, leading = leaving(w)
     roots = (-s, s) if s else (s,)
     candidates = tuple(OptimalCandidate(p, locus.q_of(p), achieved, leading) for p in roots)
     if achieved is None:

@@ -418,13 +418,13 @@ class TestOrderBands:
         assert set(orders) <= {max_order}
         # the premise: the reference is even, at a surd pair too
         assert all(not any(nums[1::2]) for nums, _ in forms)
-        # t^4 is a closed column.  G's locus reads G at every max_order; the
-        # surd roots of the constructed mean, where t^5 and t^6 vanish, and
-        # the identity points of B_{-13/6}, read their reference from max_order
-        # 6 on, and below it nothing survives through max_order; the other
+        # t^3..t^6 are closed columns.  G's locus (G = B_0), the surd roots
+        # of the constructed mean and the identity points of B_{-13/6},
+        # where every closed column vanishes, build their reference past t^6
+        # alone, and below it nothing survives through max_order; the other
         # means' roots read t^6 in closed form
         deep = spec is None or isinstance(spec, PowerMean)
-        assert orders == [max_order] * (spec == ALIASES["G"] or deep and max_order >= 6)
+        assert orders == [max_order] * (deep and max_order > solver.CLOSED_ORDER)
 
     @pytest.mark.parametrize("odd", [3, 5])
     def test_mixed_mean_without_t_term_starts_from_the_closed_columns(self, monkeypatch, odd):
@@ -576,16 +576,6 @@ class TestClosedColumns:
             for a, b in ((p1, p2), (q1, q2)):
                 assert a == QuadraticField(b.a, -b.b, b.s)
 
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_t4_coefficient_of_even_means(self, data):
-        # r_4 of R(K, M, N) for even K, M and N, as the proof of the t^4
-        # column states it
-        k, m, n = ([F(1), F(0), data.draw(_SMALL), F(0), data.draw(_SMALL)] for _ in range(3))
-        k2, k4, m2, m4, n2, n4 = k[2], k[4], m[2], m[4], n[2], n[4]
-        r4 = (k4 / 16 + m4 / 16 + n4 / 2 - k2 * m2 * n2 / 2 - 3 * k2 * m2 / 16 - k2 * n2 / 8
-              + m2 * n2**2 / 4 + m2 * n2 / 8 + m2 / 16)
-        assert oracles.resultant_by_double_sums(k, m, n, 4)[4] == r4
 
 
 class TestIdentityPoints:
@@ -738,26 +728,28 @@ class TestRationalCandidatesAgainstBands:
                       for c in verdict.candidates]
         assert candidates == [(-2, F(5, 2), order, leading), (2, F(1, 2), order, leading)]
 
+    @pytest.mark.parametrize("moved", [4, 6])
     @pytest.mark.parametrize("kind", ["rational", "surd"])
-    def test_survivor_at_the_pivot_raises(self, monkeypatch, kind):
+    def test_survivor_in_a_closed_column_raises(self, monkeypatch, kind, moved):
         real = solver._stolarsky_form
 
         def planted(r, s, order):
             nums, den = real(r, s, order)
-            # E's a_4 moved by 1, so that M leaves E at the pivot t^4
-            return [c + den * (n == 4) for n, c in enumerate(nums)], den
+            # E's e_4 or e_6 moved by 1, so that M leaves E's form in a
+            # closed column, t^4 or t^6, though not E's closed head
+            return [c + den * (n == moved) for n, c in enumerate(nums)], den
 
         monkeypatch.setattr(solver, "_stolarsky_form", planted)
         # the constructed means' rational roots p = -2, 2 and surd roots
         # p = -+sqrt(2) read neither t^5 nor t^6
         mean = _c6_zero(16, F(4) if kind == "rational" else F(2))
-        with pytest.raises(ArithmeticError, match="at or below the pivot"):
+        with pytest.raises(ArithmeticError, match="in a closed column"):
             optimal_parameters(mean, 16)
 
 
 def _pivot_with_roots(r, p_squared, order, tail):
     """A mean with a_1 = a_3 = 0 and r = 2*a_2 + 1 whose t^4 pivot
-    (r/128)*(p**2 - r**2) + (15/16)*(a_4 - b_4) vanishes at p**2 = p_squared:
+    (c_4 + r*p**2)/128 vanishes at p**2 = p_squared:
     B_r with a_4 moved by r*(r**2 - p_squared)/120 and the given coefficients
     from t^5 on, None where B_r's stays."""
     c = list(expand_power_mean(r, order).coeffs)
@@ -969,15 +961,83 @@ class TestStolarskyReference:
         assert all(c.leading is None or type(c.leading) is F for c in candidates)
 
 
+
+def _closed_head(rho, big_w):
+    """The Stolarsky mean's e_2, e_4 and e_6 at rho = (x + y)/3 and W = (x -
+    y)**2, as optimal_parameters derives them."""
+    e2 = (rho - 1) / 2
+    e4 = -(rho * big_w + 9 * rho**3 - 15 * rho**2 - 10 * rho + 15) / 120
+    e6 = (rho * big_w**2 + 30 * rho**3 * big_w - 21 * rho**2 * big_w - 35 * rho * big_w
+          + 81 * rho**5 - 189 * rho**4 - 210 * rho**3 + 525 * rho**2 + 133 * rho - 315) / 5040
+    return e2, e4, e6
+
+
+class TestStolarskyHead:
+    """E_{x,y} through t^6 in closed form: e_1 = e_3 = e_5 = 0 and e_2, e_4,
+    e_6 polynomials in rho = (x + y)/3 and W = (x - y)**2, against the
+    catalog's form and the oracle's binomial series.  With them, the lemma
+    at every rational point p of the locus, an identity point of E_p =
+    E_{(3r+p)/2, (3r-p)/2}: the t^4 column there is (15/16)*(a_4 - e_4(r,
+    p**2)), and a mean that leaves E_p at t^6 by delta has the difference
+    (63/64)*delta there, as the search reads it (see optimal_parameters)."""
+
+    RHO = st.fractions(-4, 4, max_denominator=12)
+    SMALL = st.fractions(-2, 2, max_denominator=12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(["rational", "surd", "equal", "geometric"]), rho=RHO, data=st.data())
+    def test_closed_head_equals_the_form(self, kind, rho, data):
+        # W a rational square, a surd's square, 0 (E_{r,r}), or any of them
+        # at rho = 0, where E = E_{x,-x} = G
+        root = data.draw(st.fractions(F(1, 12), 6, max_denominator=12))
+        surd = QuadraticField(F(0), root, F(data.draw(st.sampled_from([2, 3, 5, 6, 7, 10]))))
+        s = {"rational": root, "surd": surd, "equal": F(0)}.get(kind)
+        if s is None:
+            rho, s = F(0), data.draw(st.sampled_from([F(0), root, surd]))
+        x, y = (3 * rho + s) / 2, (3 * rho - s) / 2
+        e2, e4, e6 = _closed_head(rho, s * s)
+        head = (F(1), F(0), e2, F(0), e4, F(0), e6)
+        assert _values(*catalog._stolarsky_form(x, y, 6)) == head
+        assert oracles.stolarsky_by_binomials(x, y, 6) == head
+        if rho == 0:
+            assert (e4, e6) == (F(-1, 8), F(-1, 16))
+
+    @settings(max_examples=60, deadline=None)
+    @given(r=RHO, a4=SMALL, p=st.fractions(-6, 6, max_denominator=12))
+    def test_t4_column_at_every_point_of_the_locus(self, r, a4, p):
+        # the band's t^4 column at p, with a_3 = 0, is the lemma's
+        mean = MeanExpansion((F(1), F(0), (r - 1) / 2, F(0), a4))
+        column = coefficient_polynomials(mean, first_order_locus(mean), 4, 4)[4]
+        assert column(p) == F(15, 16) * (a4 - _closed_head(r, p * p)[1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(r=RHO, p=st.fractions(-4, 4, max_denominator=8), delta=SMALL, order=st.integers(6, 7))
+    def test_leaving_the_reference_at_t6(self, r, p, delta, order):
+        # E_p with a_6 moved by delta: the double sums at (p, q) on the
+        # locus vanish below t^6 and are (63/64)*delta there, and the search
+        # reads the same at the pair +-p, or on the whole locus at r = 0
+        q = (3 * r - p) / 2
+        coeffs = list(oracles.stolarsky_by_binomials((3 * r + p) / 2, q, order))
+        coeffs[6] += delta
+        diff = oracles.difference_by_double_sums(coeffs, p, q, order)
+        assert diff[:7] == [0] * 6 + [F(63, 64) * delta]
+        verdict = optimal_parameters(MeanExpansion(tuple(coeffs)), order)
+        expected = (6, F(63, 64) * delta) if delta else (None, None)
+        if r == 0:
+            assert (verdict.fixed_leading_order, verdict.fixed_leading) == expected
+        else:
+            assert {c.p for c in verdict.candidates} == {p, -p}
+            assert {(c.achieved_order, c.leading) for c in verdict.candidates} == {expected}
+
 class TestClosedT5AndT6:
-    """For a_1 = a_3 = 0 and r = 2*a_2 + 1 != 0, at every root of the t^4
-    pivot P_4 other than the identity points +-r, the t^5 column is
-    (31/32)*a_5 and, at a_5 = 0, the t^6 column P_6 is the constant c_6 =
-    9F/(320r) modulo P_4 (see optimal_parameters).  The search reads them
-    with no band, no reference and no evaluation at a root: checked against
-    the band route and against the double sums.  Where both vanish the
-    search takes one Stolarsky reference for the pair, at max_order, and the
-    survivor at t^8 is constant modulo P_4 too."""
+    """For a_1 = a_3 = 0 and r = 2*a_2 + 1 != 0, at both roots p = +-sqrt(w)
+    of the t^4 pivot P_4, the t^5 column is (31/32)*a_5 and, at a_5 = 0, the
+    t^6 column P_6 is the constant (63/64)*(a_6 - e_6(r, w)) modulo P_4, e_6
+    that of the pair's Stolarsky mean (see optimal_parameters).  The search
+    reads them with no band, no reference and no evaluation at a root:
+    checked against the band route and against the double sums.  Where both
+    vanish the search takes one Stolarsky reference for the pair, at
+    max_order, and the survivor at t^8 is constant modulo P_4 too."""
 
     CLOSED = ("_stolarsky_form",)
     R = st.fractions(-3, 3, max_denominator=8).filter(lambda x: x != 0)
@@ -1052,28 +1112,14 @@ class TestClosedT5AndT6:
             candidates = optimal_parameters(mean, order).candidates
         assert [(c.p, c.achieved_order, c.leading) for c in candidates] == expected
 
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_t6_coefficient_of_even_means(self, data):
-        # r_6 of R(K, M, N) for even K, M and N, as the proof of the t^6
-        # column states it
-        k, m, n = ([F(1), F(0), data.draw(_SMALL), F(0), data.draw(_SMALL), F(0), data.draw(_SMALL)]
-                   for _ in range(3))
-        k2, k4, k6, m2, m4, m6, n2, n4, n6 = k[2], k[4], k[6], m[2], m[4], m[6], n[2], n[4], n[6]
-        r6 = (k6 / 64 + m6 / 64 + n6 / 2 - 3 * k4 * n2 / 32 - (k2 * m4 + k4 * m2) * (16 * n2 + 7) / 64
-              + k2 * m2**2 * (2 * n2 + 1) ** 2 / 16 + k2 * m2 * (20 * n2**2 + 6 * n2 - 32 * n4 - 3) / 64
-              + k2 * (n2**2 - 2 * n4) / 16 + 3 * m4 * (4 * n2**2 + 3 * n2 + 1) / 32
-              + m2 * (1 - 2 * n2 - 8 * n2**2 - 8 * n2**3 + 8 * n4 + 32 * n2 * n4) / 64)
-        assert oracles.resultant_by_double_sums(k, m, n, 6)[6] == r6
-
     @settings(max_examples=200, deadline=None)
     @given(r=R, w=st.fractions(0, 9, max_denominator=12), a6=st.fractions(-2, 2, max_denominator=12),
-           zero_f=st.booleans())
-    def test_integer_f_equals_the_fraction_formula(self, r, w, a6, zero_f):
+           on_e6=st.booleans())
+    def test_integer_e6_column_equals_the_band(self, r, w, a6, on_e6):
         # the mean (1, 0, a_2, 0, a_4, 0, a_6) with a_4 from c_4 = -r*w, so
         # that p**2 = w at the pivot's roots, against the band's t^6 column
-        # modulo the pivot; zero_f moves a_6 to F = 0, as c_6 = 9F/(320r) is
-        # (63/64)*a_6 plus terms free of a_6
+        # modulo the pivot; on_e6 moves a_6 to e_6(r, w), where that column,
+        # (63/64)*(a_6 - e_6), vanishes
         assume(w != r * r)
         a2 = (r - 1) / 2
         a4 = (-r * w - 9 * r**3 + 15 * r**2 + 10 * r - 15) / 120
@@ -1085,10 +1131,11 @@ class TestClosedT5AndT6:
             assert rest.degree < 1
             return mean, rest.coefficient(0)
 
-        if zero_f:
+        if on_e6:
             a6 = -c6_of(F(0))[1] * F(64, 63)
         mean, c6 = c6_of(a6)
-        assert (c6 == 0) == zero_f
+        assert (c6 == 0) == on_e6
+        assert c6 == F(63, 64) * (a6 - _closed_head(r, w)[2])
         with pytest.MonkeyPatch.context() as mp:
             for name in self.CLOSED if c6 else ():
                 mp.setattr(solver, name, None)
@@ -1096,7 +1143,7 @@ class TestClosedT5AndT6:
         assert verdict.candidates
         for c in verdict.candidates:
             assert c.p * c.p == w
-            # at F = 0 the roots' own expansions vanish through max_order 6
+            # at a_6 = e_6 the roots' own expansions vanish through max_order 6
             assert (c.achieved_order, c.leading) == ((6, c6) if c6 else (None, None))
 
     def test_surd_roots_past_t6_take_one_reference(self, monkeypatch):

@@ -3,8 +3,10 @@ invariants raise real exceptions rather than ``assert`` (which ``python -O``
 strips), the runtime imports nothing outside the standard library and none
 of the modules that are slow to import, the package's modules import each
 other without a cycle, every private module-level function is used by the
-package itself, and every public function or method by the package, the
-acceptance gate or the benchmark.  A use is a read of the name outside the function's own body.
+package itself, and every public function by the package, the acceptance
+gate or the benchmark.  A use is a read of the name outside the function's
+own body; a public method or a class attribute other than a dunder is used
+only where it is read as an attribute, x.name.
 The parameter search reads none of the names its schedule does not depend
 on, and reads the t^4 pivot's roots with no root isolation; one function
 of the package extracts square factors, _exact_sqrt, so a square root is
@@ -13,9 +15,12 @@ float, _boundary_evidence, so the search holds every parameter exactly;
 root isolation and recognition read rational roots alone and build no
 surd at any degree; the search reads no difference expansion and no table
 of references, as every pair past the closed columns reads one comparison
-with its Stolarsky mean; the command line writes its reports with no indented json.dumps.  Every top-level
-definition of ``tests/oracles.py`` is read by the tests outside its own
-body, and the oracles read no production root isolation or square root.  The code-line counter of ``code_lines.py`` counts code alone."""
+with its Stolarsky mean, whose form the search builds at one site, with
+no second survivor rule beside it; the command line writes its reports
+with no indented json.dumps.  Every top-level definition of
+``tests/oracles.py`` is read by the tests outside its own body, and the
+oracles read no production root isolation or square root.  The code-line
+counter of ``code_lines.py`` counts code alone."""
 
 import ast
 import copy
@@ -49,6 +54,10 @@ NOT_READ_BY_THE_PIVOT = {"isolate_real_roots", "UniPoly"}
 #: either: every pair reads one comparison with its Stolarsky mean, with no
 #: difference expansion at a root and no table of references.
 NOT_READ_PAST_T6 = {"difference_expansion", "_difference_form", "_IDENTITY_POINTS"}
+#: Names solver.optimal_parameters does not read: every column it reads is
+#: where M leaves the Stolarsky mean of the pair, through leaving(), with no
+#: second survivor rule beside it.
+NOT_READ_BY_THE_LEMMA = {"settled"}
 #: Names polynomials._recognize_roots and polynomials.isolate_real_roots do
 #: not read: at every degree isolation recognizes rational roots alone, and
 #: every irrational root is an interval, with no surd built or paired and no
@@ -114,12 +123,23 @@ def private_functions(tree: ast.Module) -> list[ast.FunctionDef]:
 
 
 def public_functions(tree: ast.Module) -> list[ast.FunctionDef]:
-    """The module-level functions and the methods of module-level classes
-    whose name does not start with "_"."""
+    """The module-level functions whose name does not start with "_"."""
+    return [node for node in tree.body if isinstance(node, FUNCTIONS) and not node.name.startswith("_")]
+
+
+def class_members(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(name, node) of the methods of module-level classes whose name does
+    not start with "_", and of their class attributes other than dunders."""
     found = []
-    for node in tree.body:
-        found += node.body if isinstance(node, ast.ClassDef) else [node]
-    return [node for node in found if isinstance(node, FUNCTIONS) and not node.name.startswith("_")]
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        for member in cls.body:
+            if isinstance(member, FUNCTIONS) and not member.name.startswith("_"):
+                found.append((member.name, member))
+            elif isinstance(member, (ast.Assign, ast.AnnAssign)):
+                targets = member.targets if isinstance(member, ast.Assign) else [member.target]
+                found += [(target.id, member) for target in targets if isinstance(target, ast.Name)
+                          and not (target.id.startswith("__") and target.id.endswith("__"))]
+    return found
 
 
 def read_names(tree: ast.AST) -> Counter:
@@ -136,6 +156,12 @@ def read_names(tree: ast.AST) -> Counter:
     return names
 
 
+def attribute_reads(tree: ast.AST) -> Counter:
+    """How often the tree reads each name as an attribute, x.name."""
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+
+
 def unused_functions(trees: dict[str, ast.Module], candidates, outside=frozenset()) -> list:
     """(module, name) of every function that ``candidates`` picks from a
     module's tree and that nothing reads: no module of the package outside
@@ -149,6 +175,23 @@ def unused_functions(trees: dict[str, ast.Module], candidates, outside=frozenset
         for fn in candidates(tree)
         if fn.name not in outside and reads[fn.name] == read_names(fn)[fn.name]
     ]
+
+
+def unused_members(trees: dict[str, ast.Module], outside=frozenset()) -> list:
+    """(module, name) of every class member that class_members picks and
+    that nothing reads as an attribute: no module of the package outside
+    the member's own body, and no name in ``outside``.  A bare name of the
+    same spelling, a loop variable say, is not a use."""
+    reads = sum((attribute_reads(tree) for tree in trees.values()), Counter())
+    return [(module, name) for module, tree in trees.items() for name, node in class_members(tree)
+            if name not in outside and reads[name] == attribute_reads(node)[name]]
+
+
+def call_sites(tree: ast.Module, function: str, name: str) -> int:
+    """How many calls of the bare name the module-level function makes."""
+    body = {node.name: node for node in tree.body if isinstance(node, FUNCTIONS)}[function]
+    return sum(isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+               for node in ast.walk(body))
 
 
 def unread_definitions(module: ast.Module, trees: list[ast.Module]) -> list[str]:
@@ -260,10 +303,14 @@ def test_every_private_function_is_used_by_the_package():
 def test_every_public_function_is_used_by_the_package_the_gate_or_the_benchmark():
     # tests/test_acceptance.py is the frozen contract and perfbench/ drives
     # the package from outside; a function only other tests call belongs in
-    # tests/, and one that nothing calls is dead.
-    outside = set().union(*(read_names(parse(path)) for path in CONSUMERS))
-    unused = unused_functions({path.name: parse(path) for path in SOURCES}, public_functions, outside)
-    assert unused == [], f"public functions and methods nothing outside tests uses: {unused}"
+    # tests/, and one that nothing calls is dead.  A method or a class
+    # attribute is read as an attribute, so only such a read is a use.
+    trees = {path.name: parse(path) for path in SOURCES}
+    consumers = [parse(path) for path in CONSUMERS]
+    outside = set().union(*(read_names(tree) for tree in consumers))
+    unused = unused_functions(trees, public_functions, outside)
+    unused += unused_members(trees, set().union(*(attribute_reads(tree) for tree in consumers)))
+    assert unused == [], f"public functions, methods and class attributes nothing outside tests uses: {unused}"
 
 
 def test_every_oracle_is_read_by_the_tests():
@@ -290,6 +337,14 @@ def test_the_search_reads_one_reference_past_t6():
     tree = parse(ROOT / "src" / "meanstab" / "solver.py")
     assert forbidden_reads(tree, "optimal_parameters", NOT_READ_PAST_T6) == []
     assert read_names(tree)["_IDENTITY_POINTS"] == 0
+
+
+def test_the_search_builds_one_reference_form():
+    # Every column past the pivot is where M leaves the pair's Stolarsky
+    # mean: its closed head, then its form, built at one site.
+    tree = parse(ROOT / "src" / "meanstab" / "solver.py")
+    assert call_sites(tree, "optimal_parameters", "_stolarsky_form") == 1
+    assert forbidden_reads(tree, "optimal_parameters", NOT_READ_BY_THE_LEMMA) == []
 
 
 def test_recognition_pairs_no_surds():
@@ -343,21 +398,34 @@ def test_the_rules_catch_what_they_forbid():
         "def in_the_gate(): return in_the_gate()\n"
         "def reexported(): pass\n"
         "class C:\n"
+        "    __slots__ = ()\n"
+        "    kind = 'c'\n"
+        "    read_kind: str = 'r'\n"
         "    def _method(self): pass\n"
         "    def method(self): return self.method()\n"
         "    def gated_method(self): pass\n"
+        "    def named_method(self): pass\n"
+        "def reader(c): return c.read_kind\n"
     )
     assert [fn.name for fn in private_functions(module)] == [
         "_called", "_read", "_dead", "_recursive", "_shared"]
     assert [fn.name for fn in public_functions(module)] == [
-        "public", "only_tested", "in_the_gate", "reexported", "method", "gated_method"]
+        "public", "only_tested", "in_the_gate", "reexported", "reader"]
+    assert [name for name, _ in class_members(module)] == [
+        "kind", "read_kind", "method", "gated_method", "named_method"]
     trees = {"m.py": module, "n.py": ast.parse("from .m import _shared"),
              "__init__.py": ast.parse("from .m import reexported")}
     assert unused_functions(trees, private_functions) == [("m.py", "_dead"), ("m.py", "_recursive")]
-    # Another test's call is not a use; the gate's is.
-    gate = ast.parse("from meanstab.m import C, in_the_gate\nC().gated_method()\n")
+    # Another test's call is not a use; the gate's is.  A consumer's bare
+    # name spelled as a method, a loop variable say, does not use it, and
+    # no read of an unread class attribute does either.
+    gate = ast.parse("from meanstab.m import C, in_the_gate\nC().gated_method()\n"
+                     "for named_method in range(2): pass\n")
     assert unused_functions(trees, public_functions, set(read_names(gate))) == [
-        ("m.py", "public"), ("m.py", "only_tested"), ("m.py", "reexported"), ("m.py", "method")]
+        ("m.py", "public"), ("m.py", "only_tested"), ("m.py", "reexported"), ("m.py", "reader")]
+    assert "named_method" in read_names(gate)
+    assert unused_members(trees, set(attribute_reads(gate))) == [
+        ("m.py", "kind"), ("m.py", "method"), ("m.py", "named_method")]
     search = ast.parse("def optimal_parameters(mean):\n    return mean.is_even or _band(_FIRST_REACH)\n"
                        "def other():\n    return coefficient_polynomials\n")
     assert forbidden_reads(search, "optimal_parameters", NOT_READ_BY_THE_SEARCH) == [
@@ -382,12 +450,23 @@ def test_the_rules_catch_what_they_forbid():
         "UniPoly", "isolate_real_roots"]
     # ... a root read from its own difference expansion again ...
     expanded = solver.replace(
-        "        n, leading = leaving((3 * r + s) / 2, (3 * r - s) / 2)\n",
-        "        n = difference_expansion(mean, s, locus.q_of(s), max_order).first_nonzero\n"
-        "        n, leading = leaving((3 * r + s) / 2, (3 * r - s) / 2)\n")
+        "    achieved, leading = leaving(w)\n",
+        "    n = difference_expansion(mean, s, locus.q_of(s), max_order).first_nonzero\n"
+        "    achieved, leading = leaving(w)\n")
     assert expanded != solver
     assert forbidden_reads(ast.parse(expanded), "optimal_parameters", NOT_READ_PAST_T6) == [
         "difference_expansion"]
+    # ... a second survivor rule beside leaving(), with a reference form of
+    # its own ...
+    settled = solver.replace(
+        "    achieved, leading = leaving(w)\n",
+        "    def settled():\n"
+        "        return _stolarsky_form(r, r, max_order)\n"
+        "    achieved, leading = leaving(w) if settled() else (None, None)\n")
+    assert settled != solver
+    assert call_sites(ast.parse(settled), "optimal_parameters", "_stolarsky_form") == 2
+    assert forbidden_reads(ast.parse(settled), "optimal_parameters", NOT_READ_BY_THE_LEMMA) == [
+        "settled"]
     polynomials = (ROOT / "src" / "meanstab" / "polynomials.py").read_text(encoding="utf-8")
     paired = polynomials.replace(
         "    return [root or IntervalRoot(",
