@@ -41,7 +41,6 @@ from .catalog import (
     SAlpha,
     _mean_form,
     describe_spec,
-    expand_mean,
 )
 from .numeric import (
     GridSpec,
@@ -56,8 +55,8 @@ from .resultant import _resultant, resultant_case
 from .series import _values
 from .solver import (
     CLOSED_ORDER,
+    _search,
     is_stable,
-    optimal_parameters,
     scan_family,
     stability_parameter_scan,
 )
@@ -298,8 +297,7 @@ def _cmd_stable(args: argparse.Namespace) -> dict:
 def _cmd_solve(args: argparse.Namespace) -> dict:
     spec = parse_mean_spec(args.mean, _mean_options(args))
     # The closed columns read a_1..a_CLOSED_ORDER; a longer route expands the spec.
-    mean = expand_mean(spec, min(args.max_order, CLOSED_ORDER))
-    verdict = optimal_parameters(mean, args.max_order, spec=spec)
+    verdict = _search(_mean_form(spec, min(args.max_order, CLOSED_ORDER)), args.max_order, spec)
     out: dict = {
         "mean": describe_spec(spec),
         "max_order": args.max_order,
@@ -422,8 +420,11 @@ def _finite(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands: dict[str, argparse.ArgumentParser] | None = None) -> argparse.ArgumentParser:
+    """The command-line parser; commands, when given, is filled with each
+    subcommand's parser by name."""
     # Options are spelled in full: a prefix such as --p is no second name.
+    commands = {} if commands is None else commands
     no_prefixes = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
     parser = no_prefixes(
         prog="meanstab",
@@ -444,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="subcommand", required=True, parser_class=no_prefixes)
 
     def add(name: str, help: str, handler: Callable, *parents: argparse.ArgumentParser):
-        sub = subs.add_parser(name, help=help, parents=[common, *parents])
+        sub = commands[name] = subs.add_parser(name, help=help, parents=[common, *parents])
         sub.set_defaults(handler=handler)
         return sub
 
@@ -502,15 +503,32 @@ def _render_table(report: dict) -> str:
 
 
 @functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
+def _shared_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     # Built on the first call of main, not at import, and reused: building
     # costs about forty times what parsing one command line does.
-    return build_parser()
+    commands: dict[str, argparse.ArgumentParser] = {}
+    return build_parser(commands), commands
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace build_parser().parse_args(argv) gives.  A line that
+    starts with a subcommand is read by that subcommand's parser alone, into
+    the top-level defaults, and what it leaves is reported by the top-level
+    parser; any other line takes the two-level parse."""
+    parser, commands = _shared_parsers()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    top = argparse.Namespace(format="json", out=None, subcommand=argv[0])
+    args, extra = sub.parse_known_args(argv[1:], top)
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _shared_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

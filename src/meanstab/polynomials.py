@@ -213,11 +213,13 @@ class QuadraticField(Value):
 
     @property
     def add(self) -> Fraction:
-        return self.a / abs(self.b)
+        (an, ad), (bn, bd) = self.a.as_integer_ratio(), self.b.as_integer_ratio()
+        return Fraction(an * bd, ad * abs(bn))
 
     @property
     def div(self) -> Fraction:
-        return 1 / abs(self.b)
+        bn, bd = self.b.as_integer_ratio()
+        return Fraction(bd, abs(bn))
 
     @property
     def radicand(self) -> Rational:

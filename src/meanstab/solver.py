@@ -37,7 +37,10 @@ one route past t^6, the comparison with E's form.  Given a mean spec, the search
 accepts a mean through min(max_order, CLOSED_ORDER), and that route takes M
 through max_order from the spec, once; without a spec the mean must reach
 max_order.  No catalog mean that is its own reference (A, G, H, L,
-L_{+-1/2}, L_{+-1}, L_0 and every B_p) reads past t^6 at all.
+L_{+-1/2}, L_{+-1}, L_0 and every B_p) reads past t^6 at all.  The
+search runs on the mean's integer form, numerators over one denominator:
+the solve command hands it the catalog's form, and optimal_parameters
+converts a MeanExpansion once.
 
 The search samples no band.  A band of reach K, which the tests and the
 stability scan read, samples the difference once at the n = K + 2
@@ -86,7 +89,6 @@ from .catalog import (
     PowerMean,
     SAlpha,
     describe_spec,
-    expand_mean,
     is_stolarsky,
 )
 from .numeric import _resultant_boundary_closed, boundary_limit
@@ -180,8 +182,12 @@ def first_order_locus(mean: MeanExpansion) -> AffineLocus:
     the parameter-free term a_1/2 * t, so no locus can help."""
     if mean.coefficient(1) != 0:
         raise ValueError("leading term parameter-independent")
-    a2 = mean.coefficient(2)
-    return AffineLocus(3 * a2 + Fraction(3, 2), Fraction(-1, 2))
+    return _locus(*mean.coefficient(2).as_integer_ratio())
+
+
+def _locus(a2: int, d: int) -> AffineLocus:
+    """The first-order locus q = 3*a_2 + (3 - p)/2 at a_2 = a2/d."""
+    return AffineLocus(Fraction(6 * a2 + 3 * d, 2 * d), Fraction(-1, 2))
 
 
 def coefficient_polynomials(
@@ -441,12 +447,24 @@ def optimal_parameters(
     CLOSED_ORDER), and the comparison with E_p's form, the one route past
     t^6, takes M through max_order from the mean if it is that long, else
     from the spec, and compares integer forms by cross-multiplication, E's
-    with M's.  A shorter mean raises ValueError.
+    with M's.  A shorter mean raises ValueError.  The search itself, _search,
+    runs on the mean's integer form, converted here once.
     """
     if max_order < 3:
         raise ValueError("the search needs max_order >= 3")
     if mean.order < (max_order if spec is None else min(max_order, CLOSED_ORDER)):
         raise ValueError("mean expansion shorter than the requested search order")
+    return _search(_integer_form(mean.coeffs, min(mean.order, max_order)), max_order, spec)
+
+
+def _search(form: tuple[list[int], int], max_order: int, spec: MeanSpec | None) -> StabilizabilityVerdict:
+    """optimal_parameters on the integer form (nums, d) of the mean, a_n =
+    nums[n]/d, through at least min(max_order, CLOSED_ORDER), and through
+    max_order when there is no spec; past t^6 M comes from the form if it
+    reaches max_order, else from the spec."""
+    nums, d = form
+    # The closed columns read a_1..a_6, zero past a shorter form.
+    nums = nums + [0] * (CLOSED_ORDER + 1 - len(nums))
 
     def verdict(leading, probes, **fields) -> StabilizabilityVerdict:
         # The relation from the sign of the leading term and the probes.
@@ -454,18 +472,15 @@ def optimal_parameters(
         return StabilizabilityVerdict(relation, boundary=boundary, **fields)
 
     # Parameter-free leading term: mixed parity with a_1 != 0.
-    a1 = mean.coefficient(1)
-    if a1 != 0:
+    if nums[1]:
         note = "the t coefficient a_1/2 does not depend on (p, q)"
-        return verdict(a1, _BOUNDARY_SAMPLES, fixed_leading=a1 / 2, fixed_leading_order=1,
-                       notes=(note,))
+        return verdict(nums[1], _BOUNDARY_SAMPLES, fixed_leading=Fraction(nums[1], 2 * d),
+                       fixed_leading_order=1, notes=(note,))
 
-    locus = first_order_locus(mean)
+    locus = _locus(nums[2], d)
     # A spec that is a Stolarsky mean is its own reference, and never leaves it.
     own = spec is not None and is_stolarsky(spec)
-    # a_n as the numerators nums[n] over one d, rd = r*d, r = 2*a_2 + 1 (the
-    # locus is q = (3r - p)/2), and c4 = c_4*d**3
-    nums, d = _integer_form(mean.coeffs, CLOSED_ORDER)
+    # rd = r*d, r = 2*a_2 + 1 (the locus is q = (3r - p)/2), and c4 = c_4*d**3
     rd, dd = 2 * nums[2] + d, d * d
     c4 = ((9 * rd - 15 * d) * rd - 10 * dd) * rd + (120 * nums[4] + 15 * d) * dd
 
@@ -492,8 +507,7 @@ def optimal_parameters(
             return None, None
         s, r = _exact_sqrt(w), Fraction(rd, d)
         e, den = _stolarsky_form((3 * r + s) / 2, (3 * r - s) / 2, max_order)
-        full = mean if mean.order >= max_order else expand_mean(spec, max_order)
-        m, dm = _integer_form(full.coeffs, max_order)
+        m, dm = form if len(form[0]) > max_order else _mean_form(spec, max_order)
         n = next((n for n in range(3, max_order + 1) if m[n] * den != e[n] * dm), None)
         if n is None:
             return None, None

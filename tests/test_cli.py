@@ -804,7 +804,7 @@ class TestErrorHandling:
         first = run_json(capsys, "expand", "--mean", "G", "--order", "4")
         assert run_cli(capsys, "expand", "--mean", "G", "--order", "-1")[0] == 2
         assert run_json(capsys, "expand", "--mean", "G", "--order", "4") == first
-        assert cli._shared_parser() is cli._shared_parser()
+        assert cli._shared_parsers() is cli._shared_parsers()
         assert cli.build_parser() is not cli.build_parser()
 
     def test_missing_subcommand_usage(self, capsys):
@@ -946,3 +946,82 @@ class TestParserLayout:
         mean = ["--mean", "--alpha", "--r", "--power"] if takes_mean else []
         assert re.findall(r"(?<![\w-])--?[a-z][-a-z0-9]*", usage) == [
             "-h", "--format", "--out", *mean, *own]
+
+
+def _joined(line: str) -> str:
+    """The line with each "--option value" pair spelled "--option=value"."""
+    words, out = line.split(), []
+    for word in words:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and not word.startswith("-"):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return " ".join(out)
+
+
+class TestOneParsePerLine:
+    """main reads a line that starts with a subcommand with that subcommand's
+    parser alone; every line parses as the two-level parser reads it: the
+    same exit code, stdout and stderr, and for a valid line the same
+    namespace."""
+
+    VALID = [
+        "expand --mean malphar --alpha 1/3 --r 2 --order 4 --format table --out report.json",
+        "expand --mean stable --a2 1/3 --order 4",
+        "expand --mean powermean --power 3/2",
+        "resultant --mean M2 --outer M2 --inner L --order 6 --format json",
+        "resultant --mean lalpha --alpha 1/2 --p 1 --q 0",
+        "stable --mean M2 --order 8 --out report.json",
+        "solve --mean salpha --alpha 3/7 --max-order 8",
+        "solve --mean L --format table --out report.json",
+        "solve --mean L --max-order 8 --max-order 9",
+        "scan --family L --order 8 --format table",
+        "compare --m1 A --m2 G --x-min 1 --x-max 2 --count 10 --scale logarithmic",
+        "limit --mean M5 --p 3 --q 1/2",
+        "verify --mean M4 --order 4 --t 10 --x-min 100 --x-max 1000 --count 5",
+        "--format table --out a.json solve --mean L --format json --out b.json",
+        "--format table expand --mean A --order 2",
+    ]
+    INVALID = [
+        "solve --mean L --max-order 8 --ord 4",
+        "solve --mean L --max-order x",
+        "solve --max-order 8",
+        "solve --mean L extra",
+        "solve --mean L extra --max-order 8 more",
+        "solve --mean L --format xml",
+        "solve --mean",
+        "solve --mean L -- --max-order 8",
+        "expand --mean L --order -1",
+        "compare --m1 A --m2 G --x-min inf",
+        "-h",
+        "--format table",
+        "--bogus solve --mean L",
+        "nosuch --mean L",
+        "",
+        *(f"{name} -h" for name in TestParserLayout.OWN_OPTIONS),
+    ]
+    LINES = VALID + [_joined(line) for line in VALID] + INVALID + [_joined(line) for line in INVALID[:3]]
+
+    @staticmethod
+    def outcome(capsys, parse, argv):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = int(exc.code or 0)
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+
+    def test_the_table_spells_options_both_ways(self):
+        assert _joined("solve --mean L --max-order 8 --p=-1") == "solve --mean=L --max-order=8 --p=-1"
+        assert len(set(self.LINES)) == len(self.LINES)
+
+    @pytest.mark.parametrize("line", LINES)
+    def test_main_parses_as_the_two_level_parser(self, capsys, line):
+        argv = line.split()
+        expected = self.outcome(capsys, cli.build_parser().parse_args, argv)
+        if isinstance(expected[0], int):
+            assert line not in self.VALID
+            assert run_cli(capsys, *argv) == expected
+        else:
+            assert expected[1:] == ("", "")
+            assert self.outcome(capsys, cli._parse, argv) == expected

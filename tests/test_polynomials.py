@@ -235,6 +235,19 @@ class TestSurdsAndSquares:
             add, sign, radicand, div = spelled(x)
             assert div > 0 and x == surd_from_parts(add, sign, radicand, div)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.integers(-10**6, 10**6) | st.fractions(max_denominator=10**6),
+        b=(st.integers(-10**6, 10**6) | st.fractions(max_denominator=10**6)).filter(bool),
+        s=st.integers(2, 10**6),
+    )
+    def test_report_parts_are_quotients_of_the_parts(self, a, b, s):
+        # add and div, read from the integer ratios of a and b, are the
+        # Fraction quotients a/|b| and 1/|b|, at either sign of either part
+        value = QuadraticField(a, b, F(s))
+        assert value.add == value.a / abs(value.b) and type(value.add) is F
+        assert value.div == 1 / abs(value.b) and type(value.div) is F
+
     def test_exact_sqrt(self):
         assert _exact_sqrt(F(9, 4)) == F(3, 2) and type(_exact_sqrt(F(9, 4))) is F
         assert _exact_sqrt(F(0)) == 0 and type(_exact_sqrt(F(0))) is F

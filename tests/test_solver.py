@@ -1198,7 +1198,7 @@ def _solve_pool_specs() -> dict:
                                      "powermean:-13/6", "malphar:1/3,3/2")]
     for workload in ("solve-deep", "solve-early"):
         for job in json.loads((_GOLDEN / f"{workload}.json").read_text(encoding="utf-8")):
-            args = cli._shared_parser().parse_args(job.split())
+            args = cli._parse(job.split())
             texts.append((args.mean, cli._mean_options(args)))
     specs = (cli.parse_mean_spec(text, options) for text, options in texts)
     return {describe_spec(spec): spec for spec in specs}
@@ -1252,8 +1252,8 @@ class TestClosedReach:
         # and the candidates of the oracle's bands
         spec = MuGenerated((F(1), F(0), F(0), F(0), F(1, 362880)))
         assert coincident(spec) != ALIASES["L"]
-        expanded, real = [], solver.expand_mean
-        monkeypatch.setattr(solver, "expand_mean", lambda *args: expanded.append(args) or real(*args))
+        expanded, real = [], solver._mean_form
+        monkeypatch.setattr(solver, "_mean_form", lambda *args: expanded.append(args) or real(*args))
         verdict = optimal_parameters(expand_mean(spec, 6), 16, spec=spec)
         assert expanded == [(spec, 16)]
         assert verdict.relation == "candidate-super"
@@ -1262,6 +1262,15 @@ class TestClosedReach:
         assert list(verdict.candidates) == oracles.candidates_by_bands(expand_mean(spec, 16), 16)
         unspecified = optimal_parameters(expand_mean(spec, 16), 16)
         assert (unspecified.relation, unspecified.candidates) == (verdict.relation, verdict.candidates)
+
+    @pytest.mark.parametrize("max_order", [7, 8, 9])
+    def test_a_form_one_short_comes_from_the_spec(self, max_order):
+        # the same mean just past the closed columns: a form through
+        # max_order - 1 is read from the spec, as one through t^6 is
+        spec = MuGenerated((F(1), F(0), F(0), F(0), F(1, 362880)))
+        full = optimal_parameters(expand_mean(spec, max_order), max_order, spec=spec)
+        for reach in (solver.CLOSED_ORDER, max_order - 1):
+            assert solver._search(catalog._mean_form(spec, reach), max_order, spec) == full
 
     @pytest.mark.parametrize("max_order", range(3, 11))
     def test_a_shorter_mean_raises(self, max_order):

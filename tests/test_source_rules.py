@@ -16,11 +16,12 @@ root isolation and recognition read rational roots alone and build no
 surd at any degree; the search reads no difference expansion and no table
 of references, as every pair past the closed columns reads one comparison
 with its Stolarsky mean, whose form the search builds at one site, with
-no second survivor rule beside it; the command line writes its reports
-with no indented json.dumps.  Every top-level definition of
-``tests/oracles.py`` is read by the tests outside its own body, and the
-oracles read no production root isolation or square root.  The code-line
-counter of ``code_lines.py`` counts code alone."""
+no second survivor rule beside it; the solve command and the search read
+the mean as the catalog's integer form, with no MeanExpansion; the command
+line writes its reports with no indented json.dumps.  Every top-level
+definition of ``tests/oracles.py`` is read by the tests outside its own
+body, and the oracles read no production root isolation or square root.
+The code-line counter of ``code_lines.py`` counts code alone."""
 
 import ast
 import copy
@@ -43,21 +44,27 @@ CONSUMERS = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench")
 #: and execs the methods of every class it decorates and imports inspect,
 #: and typing takes a few milliseconds of its own.
 SLOW_TO_IMPORT = {"dataclasses", "typing", "inspect"}
-#: Names solver.optimal_parameters does not read: the band route, the
-#: stability probe's first reach, and a mean's parity, as the closed
-#: columns and one expansion per root read every mean alike.
+#: The search body, which optimal_parameters and the solve command call on
+#: an integer form; the rules on the search read it.
+SEARCH = "_search"
+#: Names the search does not read: the band route, the stability probe's
+#: first reach, and a mean's parity, as the closed columns and one
+#: expansion per root read every mean alike.
 NOT_READ_BY_THE_SEARCH = {"coefficient_polynomials", "_band", "_FIRST_REACH", "is_even"}
-#: Names solver.optimal_parameters does not read either: the t^4 pivot's
-#: roots are read from w = -c_4/r, with no polynomial and no root isolation.
+#: Names the search does not read either: the t^4 pivot's roots are read
+#: from w = -c_4/r, with no polynomial and no root isolation.
 NOT_READ_BY_THE_PIVOT = {"isolate_real_roots", "UniPoly"}
-#: Names solver.optimal_parameters does not read past the closed columns
-#: either: every pair reads one comparison with its Stolarsky mean, with no
-#: difference expansion at a root and no table of references.
+#: Names the search does not read past the closed columns either: every
+#: pair reads one comparison with its Stolarsky mean, with no difference
+#: expansion at a root and no table of references.
 NOT_READ_PAST_T6 = {"difference_expansion", "_difference_form", "_IDENTITY_POINTS"}
-#: Names solver.optimal_parameters does not read: every column it reads is
-#: where M leaves the Stolarsky mean of the pair, through leaving(), with no
-#: second survivor rule beside it.
+#: Names the search does not read: every column it reads is where M leaves
+#: the Stolarsky mean of the pair, through leaving(), with no second
+#: survivor rule beside it.
 NOT_READ_BY_THE_LEMMA = {"settled"}
+#: Names the solve command and the search do not read: the search takes the
+#: catalog's integer form, so a solve builds no MeanExpansion.
+NOT_READ_BY_A_SOLVE = {"expand_mean", "optimal_parameters", "MeanExpansion"}
 #: Names polynomials._recognize_roots and polynomials.isolate_real_roots do
 #: not read: at every degree isolation recognizes rational roots alone, and
 #: every irrational root is an interval, with no surd built or paired and no
@@ -69,8 +76,8 @@ NOT_READ_BY_RECOGNITION = {"_quadratic_roots", "QuadraticField", "_exact_sqrt", 
 NOT_READ_BY_THE_ROOT_ORACLE = {"_recognize_roots", "_isolate_intervals", "_refine", "isolate_real_roots",
                                "_exact_sqrt", "_extract_square"}
 #: The one reader of _extract_square in the package: a square root is read
-#: once, by _exact_sqrt, and QuadraticField's spelling and
-#: optimal_parameters read its value with no extraction of their own.
+#: once, by _exact_sqrt, and QuadraticField's spelling and the search read
+#: its value with no extraction of their own.
 EXTRACTS_SQUARES = ["polynomials.py:_exact_sqrt"]
 #: The one reader of float in the solver: the probes are exact pairs, the
 #: locus samples and a candidate's own p and q, and the float lab takes
@@ -323,19 +330,19 @@ def test_the_search_reads_no_band_first_reach_or_parity():
     # A patch of one of these names cannot change a verdict, so no test
     # needs one.
     tree = parse(ROOT / "src" / "meanstab" / "solver.py")
-    assert forbidden_reads(tree, "optimal_parameters", NOT_READ_BY_THE_SEARCH) == []
+    assert forbidden_reads(tree, SEARCH, NOT_READ_BY_THE_SEARCH) == []
 
 
 def test_the_search_isolates_no_root():
     tree = parse(ROOT / "src" / "meanstab" / "solver.py")
-    assert forbidden_reads(tree, "optimal_parameters", NOT_READ_BY_THE_PIVOT) == []
+    assert forbidden_reads(tree, SEARCH, NOT_READ_BY_THE_PIVOT) == []
 
 
 def test_the_search_reads_one_reference_past_t6():
     # The table of references is gone from the solver, not only from the
     # search.
     tree = parse(ROOT / "src" / "meanstab" / "solver.py")
-    assert forbidden_reads(tree, "optimal_parameters", NOT_READ_PAST_T6) == []
+    assert forbidden_reads(tree, SEARCH, NOT_READ_PAST_T6) == []
     assert read_names(tree)["_IDENTITY_POINTS"] == 0
 
 
@@ -343,8 +350,19 @@ def test_the_search_builds_one_reference_form():
     # Every column past the pivot is where M leaves the pair's Stolarsky
     # mean: its closed head, then its form, built at one site.
     tree = parse(ROOT / "src" / "meanstab" / "solver.py")
-    assert call_sites(tree, "optimal_parameters", "_stolarsky_form") == 1
-    assert forbidden_reads(tree, "optimal_parameters", NOT_READ_BY_THE_LEMMA) == []
+    assert call_sites(tree, SEARCH, "_stolarsky_form") == 1
+    assert forbidden_reads(tree, SEARCH, NOT_READ_BY_THE_LEMMA) == []
+
+
+def test_a_solve_builds_no_mean_expansion():
+    # The solve command hands the search the catalog's integer form, and the
+    # search takes M past its closed columns as a form too.
+    cli = parse(ROOT / "src" / "meanstab" / "cli.py")
+    solver = parse(ROOT / "src" / "meanstab" / "solver.py")
+    assert call_sites(cli, "_cmd_solve", SEARCH) == 1
+    assert forbidden_reads(cli, "_cmd_solve", NOT_READ_BY_A_SOLVE) == []
+    assert forbidden_reads(solver, SEARCH, NOT_READ_BY_A_SOLVE) == []
+    assert read_names(solver)["expand_mean"] == 0
 
 
 def test_recognition_pairs_no_surds():
@@ -426,9 +444,9 @@ def test_the_rules_catch_what_they_forbid():
     assert "named_method" in read_names(gate)
     assert unused_members(trees, set(attribute_reads(gate))) == [
         ("m.py", "kind"), ("m.py", "method"), ("m.py", "named_method")]
-    search = ast.parse("def optimal_parameters(mean):\n    return mean.is_even or _band(_FIRST_REACH)\n"
+    search = ast.parse(f"def {SEARCH}(mean):\n    return mean.is_even or _band(_FIRST_REACH)\n"
                        "def other():\n    return coefficient_polynomials\n")
-    assert forbidden_reads(search, "optimal_parameters", NOT_READ_BY_THE_SEARCH) == [
+    assert forbidden_reads(search, SEARCH, NOT_READ_BY_THE_SEARCH) == [
         "_FIRST_REACH", "_band", "is_even"]
     oracles = ast.parse("BOUND = 3\nUNREAD = 4\ndef kept(): return BOUND\n"
                         "def dead(n): return dead(n - 1)\nclass Gone: pass\n")
@@ -446,7 +464,7 @@ def test_the_rules_catch_what_they_forbid():
     isolated = solver.replace("    w = Fraction(-c4, dd * rd)\n", "    w = Fraction(-c4, dd * rd)\n"
                               "    isolate_real_roots(UniPoly((c4, 0, r)))\n")
     assert isolated != solver
-    assert forbidden_reads(ast.parse(isolated), "optimal_parameters", NOT_READ_BY_THE_PIVOT) == [
+    assert forbidden_reads(ast.parse(isolated), SEARCH, NOT_READ_BY_THE_PIVOT) == [
         "UniPoly", "isolate_real_roots"]
     # ... a root read from its own difference expansion again ...
     expanded = solver.replace(
@@ -454,7 +472,7 @@ def test_the_rules_catch_what_they_forbid():
         "    n = difference_expansion(mean, s, locus.q_of(s), max_order).first_nonzero\n"
         "    achieved, leading = leaving(w)\n")
     assert expanded != solver
-    assert forbidden_reads(ast.parse(expanded), "optimal_parameters", NOT_READ_PAST_T6) == [
+    assert forbidden_reads(ast.parse(expanded), SEARCH, NOT_READ_PAST_T6) == [
         "difference_expansion"]
     # ... a second survivor rule beside leaving(), with a reference form of
     # its own ...
@@ -464,8 +482,8 @@ def test_the_rules_catch_what_they_forbid():
         "        return _stolarsky_form(r, r, max_order)\n"
         "    achieved, leading = leaving(w) if settled() else (None, None)\n")
     assert settled != solver
-    assert call_sites(ast.parse(settled), "optimal_parameters", "_stolarsky_form") == 2
-    assert forbidden_reads(ast.parse(settled), "optimal_parameters", NOT_READ_BY_THE_LEMMA) == [
+    assert call_sites(ast.parse(settled), SEARCH, "_stolarsky_form") == 2
+    assert forbidden_reads(ast.parse(settled), SEARCH, NOT_READ_BY_THE_LEMMA) == [
         "settled"]
     polynomials = (ROOT / "src" / "meanstab" / "polynomials.py").read_text(encoding="utf-8")
     paired = polynomials.replace(
@@ -486,29 +504,44 @@ def test_the_rules_catch_what_they_forbid():
     assert closed != polynomials
     assert forbidden_reads(ast.parse(closed), "isolate_real_roots", NOT_READ_BY_RECOGNITION) == [
         "QuadraticField", "_exact_sqrt"]
-    spelled = polynomials.replace("        return 1 / abs(self.b)\n",
+    spelled = polynomials.replace("        return Fraction(bd, abs(bn))\n",
                                   "        f, core = _extract_square(self.s.numerator)\n"
-                                  "        return 1 / abs(self.b) / f\n")
+                                  "        return Fraction(bd, abs(bn) * f)\n")
     pivoted = solver.replace("    _exact_sqrt,\n", "    _exact_sqrt,\n    _extract_square,\n").replace(
         "    s = _exact_sqrt(w)\n", "    s = _exact_sqrt(w)\n    _extract_square(w.numerator * w.denominator)\n")
     assert spelled != polynomials and pivoted.count("_extract_square") == 2
     trees = {"polynomials.py": ast.parse(spelled), "solver.py": ast.parse(pivoted)}
     assert readers(trees, "_extract_square") == [
         "polynomials.py:QuadraticField.div", "polynomials.py:_exact_sqrt", "solver.py",
-        "solver.py:optimal_parameters"]
+        f"solver.py:{SEARCH}"]
     # ... a candidate's probe converted to floats in the search again (an
     # annotation reads nothing) ...
     floated = solver.replace("verdict(leading, [(top.p, top.q)],",
                              "verdict(leading, [(float(top.p), float(top.q))],")
     assert floated != solver
     assert readers({"solver.py": without_annotations(ast.parse(floated))}, "float") == [
-        "solver.py:_boundary_evidence", "solver.py:optimal_parameters"]
+        "solver.py:_boundary_evidence", f"solver.py:{SEARCH}"]
     annotated = ast.parse("def f(x: float) -> float:\n    y: float = x\n    return y\n")
     assert readers({"m.py": without_annotations(annotated)}, "float") == []
     assert readers({"m.py": annotated}, "float") == ["m.py:f"]
     cli = (ROOT / "src" / "meanstab" / "cli.py").read_text(encoding="utf-8")
     indented = cli.replace("_indented_json(report) if", "json.dumps(report, indent=2) if")
     assert indented != cli and len(indented_dumps(ast.parse(indented))) == 1
+    # ... a solve expanding its mean for the wrapper again ...
+    wrapped = cli.replace(
+        "    verdict = _search(_mean_form(spec, min(args.max_order, CLOSED_ORDER)), args.max_order, spec)\n",
+        "    mean = expand_mean(spec, min(args.max_order, CLOSED_ORDER))\n"
+        "    verdict = optimal_parameters(mean, args.max_order, spec=spec)\n")
+    assert wrapped != cli
+    assert call_sites(ast.parse(wrapped), "_cmd_solve", SEARCH) == 0
+    assert forbidden_reads(ast.parse(wrapped), "_cmd_solve", NOT_READ_BY_A_SOLVE) == [
+        "expand_mean", "optimal_parameters"]
+    # ... the search taking M past t^6 as an expansion again ...
+    unformed = solver.replace(
+        "        m, dm = form if len(form[0]) > max_order else _mean_form(spec, max_order)\n",
+        "        m, dm = _integer_form(expand_mean(spec, max_order).coeffs, max_order)\n")
+    assert unformed != solver
+    assert forbidden_reads(ast.parse(unformed), SEARCH, NOT_READ_BY_A_SOLVE) == ["expand_mean"]
     # ... the root oracle taking its intervals from production again ...
     oracle_source = (ROOT / "tests" / "oracles.py").read_text(encoding="utf-8")
     borrowed = oracle_source.replace("roots.extend(_isolate_by_sturm(g))", "roots.extend(_recognize_roots(g))")
